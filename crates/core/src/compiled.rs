@@ -367,7 +367,11 @@ impl<'s> BoundQuery<'s> {
 
     /// Execute exactly while recording a per-operator profile — the
     /// paper's "profile the compiled query" story (§2) without leaving
-    /// the engine. Returns the result table plus the profile.
+    /// the engine. This is [`BoundQuery::run`]'s walk over the same fused
+    /// pipelines with a stage-level recorder attached, so the table is
+    /// byte-identical to `run()`'s and the profile describes the run
+    /// that actually happened (see [`tdp_exec::profile`] for how a fused
+    /// stage is attributed to its plan nodes).
     pub fn run_profiled(&self) -> Result<(Table, tdp_exec::QueryProfile), TdpError> {
         self.session.engine().note_query_served();
         let udfs = self.session.udfs_snapshot();

@@ -63,6 +63,70 @@ use crate::session::{PlanCacheStats, Session};
 /// session's local overlay). Eviction is per-entry LRU.
 pub(crate) const PLAN_CACHE_CAP: usize = 256;
 
+/// Every `TDP_*` environment default, parsed once when an engine is
+/// constructed. New sessions copy their scheduler knobs from here (each
+/// stays adjustable through its [`Session`] setter); `mem_budget` sizes
+/// the engine memory pool.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EnvDefaults {
+    /// `TDP_THREADS`: worker count when a positive integer, else the
+    /// machine's available parallelism.
+    pub(crate) threads: usize,
+    /// `TDP_MORSEL_ROWS`: rows per morsel, else
+    /// [`tdp_exec::DEFAULT_MORSEL_ROWS`].
+    pub(crate) morsel_rows: usize,
+    /// `TDP_PARTITIONS`: barrier-exchange partition count, else
+    /// [`tdp_exec::DEFAULT_PARTITIONS`].
+    pub(crate) partitions: usize,
+    /// `TDP_CHAIN_KERNELS`: on unless `0`, `false` or `off`. Either way
+    /// the interpreter remains the oracle.
+    pub(crate) chain_kernels: bool,
+    /// `TDP_ZONE_MAPS`: on unless `0`, `false` or `off`. Pruning only
+    /// ever skips morsels the filter would reject wholesale.
+    pub(crate) zone_maps: bool,
+    /// `TDP_IVF_REBUILD_AFTER=<n>`: retrain a stale IVF index at the next
+    /// ANN query once it has fallen back to the exact scan `n` times.
+    /// Unset, unparsable, or `0` all mean off — rebuilds are opt-in.
+    pub(crate) ivf_rebuild_after: u64,
+    /// `TDP_MEM_BUDGET`: engine memory budget in bytes (optionally
+    /// suffixed `k`/`m`/`g`); unset or unparsable means unlimited.
+    pub(crate) mem_budget: Option<u64>,
+}
+
+impl EnvDefaults {
+    fn from_env() -> EnvDefaults {
+        let var = |key: &str| std::env::var(key).ok();
+        let positive = |key: &str| {
+            var(key)
+                .and_then(|v| v.parse::<usize>().ok())
+                .filter(|&n| n >= 1)
+        };
+        let switch = |key: &str| {
+            !var(key).is_some_and(|v| {
+                matches!(
+                    v.trim().to_ascii_lowercase().as_str(),
+                    "0" | "false" | "off"
+                )
+            })
+        };
+        EnvDefaults {
+            threads: positive("TDP_THREADS").unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            }),
+            morsel_rows: positive("TDP_MORSEL_ROWS").unwrap_or(tdp_exec::DEFAULT_MORSEL_ROWS),
+            partitions: positive("TDP_PARTITIONS").unwrap_or(tdp_exec::DEFAULT_PARTITIONS),
+            chain_kernels: switch("TDP_CHAIN_KERNELS"),
+            zone_maps: switch("TDP_ZONE_MAPS"),
+            ivf_rebuild_after: var("TDP_IVF_REBUILD_AFTER")
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(0),
+            mem_budget: var("TDP_MEM_BUDGET").and_then(|v| tdp_mem::parse_bytes(&v)),
+        }
+    }
+}
+
 /// Engine-wide observability counters (see [`TdpEngine::stats`]).
 ///
 /// `queries_served` counts executions through any session of this engine
@@ -173,6 +237,8 @@ pub struct TdpEngine {
     /// The engine memory pool every query's [`tdp_mem::MemoryReservation`]
     /// ledger charges against (`TDP_MEM_BUDGET`, default unlimited).
     memory: Arc<MemoryPool>,
+    /// The `TDP_*` defaults new sessions start from.
+    defaults: EnvDefaults,
     sessions_open: AtomicU64,
     sessions_total: AtomicU64,
     queries_served: AtomicU64,
@@ -184,17 +250,24 @@ impl TdpEngine {
     /// Create a fresh engine. Returned as `Arc` because sessions hold a
     /// shared handle: `let engine = TdpEngine::new(); let s = engine.session();`
     pub fn new() -> Arc<TdpEngine> {
-        TdpEngine::with_memory_pool(MemoryPool::from_env())
+        TdpEngine::with_defaults(EnvDefaults::from_env())
     }
 
     /// Engine with an explicit per-process memory budget in bytes —
     /// the programmatic twin of `TDP_MEM_BUDGET` (tests can't set env
     /// vars safely in parallel).
     pub fn with_memory_budget(budget: u64) -> Arc<TdpEngine> {
-        TdpEngine::with_memory_pool(MemoryPool::with_budget(budget))
+        TdpEngine::with_defaults(EnvDefaults {
+            mem_budget: Some(budget),
+            ..EnvDefaults::from_env()
+        })
     }
 
-    fn with_memory_pool(pool: MemoryPool) -> Arc<TdpEngine> {
+    fn with_defaults(defaults: EnvDefaults) -> Arc<TdpEngine> {
+        let pool = match defaults.mem_budget {
+            Some(budget) => MemoryPool::with_budget(budget),
+            None => MemoryPool::unlimited(),
+        };
         Arc::new(TdpEngine {
             catalog: Catalog::new(),
             shared_udfs: RwLock::new(SharedUdfRegistry::new()),
@@ -207,6 +280,7 @@ impl TdpEngine {
             chain_kernels: Arc::new(KernelCache::new()),
             access: Arc::new(AccessPathCounters::default()),
             memory: Arc::new(pool),
+            defaults,
             sessions_open: AtomicU64::new(0),
             sessions_total: AtomicU64::new(0),
             queries_served: AtomicU64::new(0),
@@ -223,6 +297,10 @@ impl TdpEngine {
         self.sessions_open.fetch_add(1, Ordering::Relaxed);
         self.sessions_total.fetch_add(1, Ordering::Relaxed);
         Session::new(Arc::clone(self))
+    }
+
+    pub(crate) fn defaults(&self) -> &EnvDefaults {
+        &self.defaults
     }
 
     /// The shared table namespace.

@@ -40,79 +40,6 @@ pub(crate) fn param_static_kind(v: Option<&ParamValue>) -> tdp_exec::StaticKind 
     }
 }
 
-/// Default worker count: `TDP_THREADS` when set to a positive integer,
-/// else the machine's available parallelism.
-fn default_threads() -> usize {
-    std::env::var("TDP_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
-/// Default morsel size: `TDP_MORSEL_ROWS` when set, else the scheduler's
-/// built-in default.
-fn default_morsel_rows() -> usize {
-    std::env::var("TDP_MORSEL_ROWS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(tdp_exec::DEFAULT_MORSEL_ROWS)
-}
-
-/// Default barrier-exchange partition count: `TDP_PARTITIONS` when set,
-/// else the scheduler's built-in default (16).
-fn default_partitions() -> usize {
-    std::env::var("TDP_PARTITIONS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(tdp_exec::DEFAULT_PARTITIONS)
-}
-
-/// Default chain-kernel switch: on unless `TDP_CHAIN_KERNELS` is set to
-/// `0`, `false` or `off`. Either way the interpreter remains the oracle;
-/// the switch exists so CI can run the whole suite through both paths.
-fn default_chain_kernels() -> bool {
-    std::env::var("TDP_CHAIN_KERNELS")
-        .map(|v| {
-            !matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "0" | "false" | "off"
-            )
-        })
-        .unwrap_or(true)
-}
-
-/// Default zone-map pruning switch: on unless `TDP_ZONE_MAPS` is set to
-/// `0`, `false` or `off`. Pruning only ever skips morsels the filter
-/// would reject wholesale, so CI runs the whole suite at both settings.
-fn default_zone_maps() -> bool {
-    std::env::var("TDP_ZONE_MAPS")
-        .map(|v| {
-            !matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "0" | "false" | "off"
-            )
-        })
-        .unwrap_or(true)
-}
-
-/// Default IVF auto-rebuild threshold: `TDP_IVF_REBUILD_AFTER=<n>`
-/// retrains a stale IVF index at the next ANN query once it has fallen
-/// back to the exact scan `n` times. Unset, unparsable, or `0` all mean
-/// off — rebuilds are strictly opt-in.
-fn default_ivf_rebuild_after() -> u64 {
-    std::env::var("TDP_IVF_REBUILD_AFTER")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0)
-}
-
 /// A compilation cached in the session-local overlay: a plan whose name
 /// resolution involved at least one *session-local* function, so it can
 /// never be shared through the engine cache. Shape and invalidation
@@ -243,20 +170,23 @@ pub struct Session {
 
 impl Session {
     pub(crate) fn new(engine: Arc<TdpEngine>) -> Session {
+        // The engine parsed the `TDP_*` environment once; a session (one
+        // per server connection) only copies the values.
+        let defaults = *engine.defaults();
         Session {
             engine,
             udfs: RefCell::new(UdfRegistry::new()),
             local_epoch: Cell::new(0),
             default_device: Cell::new(Device::Cpu),
             plan_cache: RefCell::new(HashMap::new()),
-            threads: Cell::new(default_threads()),
-            morsel_rows: Cell::new(default_morsel_rows()),
-            partitions: Cell::new(default_partitions()),
+            threads: Cell::new(defaults.threads),
+            morsel_rows: Cell::new(defaults.morsel_rows),
+            partitions: Cell::new(defaults.partitions),
             private_kernels: RefCell::new(None),
             kernel_sync: Cell::new((0, 0)),
-            chain_kernels_on: Cell::new(default_chain_kernels()),
-            zone_maps_on: Cell::new(default_zone_maps()),
-            ivf_rebuild_after: Cell::new(default_ivf_rebuild_after()),
+            chain_kernels_on: Cell::new(defaults.chain_kernels),
+            zone_maps_on: Cell::new(defaults.zone_maps),
+            ivf_rebuild_after: Cell::new(defaults.ivf_rebuild_after),
         }
     }
 

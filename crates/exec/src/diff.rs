@@ -2,7 +2,7 @@
 //!
 //! This is the lowering selected by the `TRAINABLE` compilation flag
 //! (paper Listing 6). It consumes the *same* [`PhysicalPlan`] as
-//! [`crate::exact::execute`] — one compile step, two kernel families:
+//! [`crate::pipeline::execute`] — one compile step, two kernel families:
 //!
 //! * TVFs run their differentiable implementations, emitting
 //!   [`DiffColumn`]s whose `Var`s carry the tape;
@@ -15,6 +15,16 @@
 //! * operators that cannot be relaxed (ORDER BY, LIMIT, JOIN) execute
 //!   exactly when no differentiable column is involved, and report
 //!   [`ExecError::NotDifferentiable`] otherwise.
+//!
+//! This is deliberately a second walker over the shared
+//! [`crate::pipeline::decompose`] tree, beside the one exact walker
+//! ([`crate::pipeline::execute`]). Its arms are not a mirror of the
+//! exact kernels: each one encodes relaxation *semantics* — a
+//! `NotDifferentiable` gate on what may flow through the operator, soft
+//! row weights threaded from predicates into aggregates, the NeuralSort
+//! top-k that replaces a `Limit`-over-`Sort` pair with a weighting of
+//! every row — and it runs single-threaded on the `Rc`-based tape, with
+//! no morsels, selection vectors or ledgers to share with the scheduler.
 
 use tdp_autodiff::Var;
 use tdp_encoding::EncodedTensor;
@@ -83,25 +93,12 @@ fn exec_diff_node(node: &PipeNode<'_>, ctx: &ExecContext) -> Result<Batch, ExecE
                     inputs,
                 } = &*pipe.input
                 {
-                    let inp = exec_diff_node(&inputs[0], ctx)?;
+                    let mut inp = exec_diff_node(&inputs[0], ctx)?;
                     let k = crate::expr::resolve_limit(n, ctx)?;
-                    if keys.len() == 1 && on_tape(&keys[0].expr, &inp, ctx) {
-                        let scores = eval_diff(&keys[0].expr, &inp, ctx)?.into_var(inp.rows())?;
-                        let w = soft::soft_topk_weights(&scores, k, keys[0].desc, ctx.temperature);
-                        let mut out = inp;
-                        out.weights = Some(match out.weights.take() {
-                            Some(prev) => prev.mul(&w),
-                            None => w,
-                        });
-                        return Ok(out);
+                    if soft_topk(&mut inp, keys, k, ctx)? {
+                        return Ok(inp);
                     }
-                    if inp.has_diff() {
-                        return Err(ExecError::NotDifferentiable(
-                            "ORDER BY over differentiable columns".into(),
-                        ));
-                    }
-                    let sorted = exact::sort_batch(&inp, keys, ctx)?;
-                    return Ok(sorted.head(k));
+                    return Ok(exact::sort_batch(&inp, keys, ctx)?.head(k));
                 }
             }
             let inp = apply_ops_diff(exec_diff_node(&pipe.input, ctx)?, &pipe.ops, ctx)?;
@@ -114,6 +111,36 @@ fn exec_diff_node(node: &PipeNode<'_>, ctx: &ExecContext) -> Result<Batch, ExecE
         }
         PipeNode::Barrier { plan, inputs } => exec_diff_barrier(plan, inputs, ctx),
     }
+}
+
+/// The soft top-k relaxation shared by both spellings of
+/// `ORDER BY … LIMIT k` (`Limit` over `Sort`, and the fused `TopK`).
+/// A single key on the tape relaxes to NeuralSort membership weights,
+/// multiplied into the batch's row weights — every row survives and the
+/// result is `true`. Any other differentiable input cannot be ordered
+/// ([`ExecError::NotDifferentiable`]); `false` means nothing is on the
+/// tape and the caller cuts `inp` with its exact kernel.
+fn soft_topk(
+    inp: &mut Batch,
+    keys: &[crate::physical::PhysOrderKey],
+    k: usize,
+    ctx: &ExecContext,
+) -> Result<bool, ExecError> {
+    if keys.len() == 1 && on_tape(&keys[0].expr, inp, ctx) {
+        let scores = eval_diff(&keys[0].expr, inp, ctx)?.into_var(inp.rows())?;
+        let w = soft::soft_topk_weights(&scores, k, keys[0].desc, ctx.temperature);
+        inp.weights = Some(match inp.weights.take() {
+            Some(prev) => prev.mul(&w),
+            None => w,
+        });
+        return Ok(true);
+    }
+    if inp.has_diff() {
+        return Err(ExecError::NotDifferentiable(
+            "ORDER BY over differentiable columns".into(),
+        ));
+    }
+    Ok(false)
 }
 
 fn exec_diff_barrier(
@@ -168,22 +195,10 @@ fn exec_diff_barrier(
         PhysicalPlan::TopK { keys, n, .. } => {
             // The fused form of ORDER BY + LIMIT: same soft relaxation as
             // the unfused pattern when the (single) key is on the tape.
-            let inp = exec_diff_node(&inputs[0], ctx)?;
+            let mut inp = exec_diff_node(&inputs[0], ctx)?;
             let k = crate::expr::resolve_limit(n, ctx)?;
-            if keys.len() == 1 && on_tape(&keys[0].expr, &inp, ctx) {
-                let scores = eval_diff(&keys[0].expr, &inp, ctx)?.into_var(inp.rows())?;
-                let w = soft::soft_topk_weights(&scores, k, keys[0].desc, ctx.temperature);
-                let mut out = inp;
-                out.weights = Some(match out.weights.take() {
-                    Some(prev) => prev.mul(&w),
-                    None => w,
-                });
-                return Ok(out);
-            }
-            if inp.has_diff() {
-                return Err(ExecError::NotDifferentiable(
-                    "ORDER BY over differentiable columns".into(),
-                ));
+            if soft_topk(&mut inp, keys, k, ctx)? {
+                return Ok(inp);
             }
             exact::topk_batch(&inp, keys, k, ctx)
         }

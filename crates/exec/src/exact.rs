@@ -1,16 +1,17 @@
 //! Exact (inference-time) operator kernels over slot-indexed batches.
 //!
-//! All name resolution, schema propagation and function lookup happened at
-//! lowering time ([`crate::physical::lower`]); this module is pure kernel
-//! dispatch over slot-indexed batches. Since the morsel refactor this is
-//! the **single-morsel kernel library**: [`execute`] routes through the
-//! pipeline scheduler ([`crate::pipeline`]), which invokes the kernels
-//! here per morsel (filters, projections, partial aggregation) or per
-//! barrier (sorts, joins, windows). `execute_seq` is the historical
-//! whole-batch operator-at-a-time walk, kept for scalar subqueries —
-//! which must evaluate identically no matter how the outer query is
-//! scheduled — and as the fallback for chains that cannot leave the
-//! session thread.
+//! A kernel library, not an executor: there is no plan walker here. All
+//! name resolution, schema propagation and function lookup happened at
+//! lowering time ([`crate::physical::lower`]), and the one exact walker
+//! ([`crate::pipeline::execute`]) decides *when* each kernel runs — per
+//! morsel (filters, projections, partial aggregation) through the
+//! scheduler in [`crate::morsel`], or per barrier (sorts, joins,
+//! windows, DISTINCT) over materialised inputs. The whole-batch kernels
+//! double as the sequential path staged barriers take when an input
+//! fits one morsel or must stay on the session thread, which is what
+//! makes them the byte-identity oracle for the staged paths.
+//! [`crate::diff`] borrows them wherever no differentiable column is
+//! involved.
 
 use tdp_encoding::EncodedTensor;
 use tdp_sql::ast::{AggFunc, JoinKind};
@@ -22,140 +23,8 @@ use crate::error::ExecError;
 use crate::expr::{eval_expr, resolve_limit, Value};
 use crate::physical::{
     JoinOn, PhysAggregate, PhysKey, PhysOrderKey, PhysProjectItem, PhysWindow, PhysWindowFunc,
-    PhysicalPlan,
 };
 use crate::udf::ExecContext;
-
-/// Execute a physical plan exactly, producing a batch. Routes through
-/// the morsel scheduler: the plan is decomposed into fused pipelines
-/// broken at barriers and run across `ctx.threads` workers. Results are
-/// identical at every thread count.
-pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Batch, ExecError> {
-    crate::pipeline::execute(plan, ctx)
-}
-
-/// Whole-batch, single-threaded operator-at-a-time execution — one
-/// materialised [`Batch`] per operator. Scalar subqueries always take
-/// this path (their result must not depend on the outer query's
-/// scheduling), and the scheduler falls back to it for operator chains
-/// that cannot leave the session thread.
-pub(crate) fn execute_seq(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Batch, ExecError> {
-    match plan {
-        PhysicalPlan::Scan { table, schema, .. } => scan_table(table, schema.as_deref(), ctx),
-        PhysicalPlan::AnnTopK {
-            table,
-            schema,
-            column,
-            query,
-            metric,
-            n,
-            path,
-        } => ann_topk(table, schema, column, query, *metric, n, path, ctx),
-        PhysicalPlan::TvfScan {
-            name,
-            schema,
-            input,
-        } => {
-            let inp = execute_seq(input, ctx)?;
-            let tvf = ctx.udfs.table_fn(name)?.clone();
-            let out = tvf.invoke_table(&inp, ctx)?;
-            crate::udf::check_tvf_output(name, schema.as_deref(), &out)?;
-            Ok(out)
-        }
-        PhysicalPlan::TvfProject {
-            name,
-            args,
-            schema,
-            input,
-        } => {
-            let inp = execute_seq(input, ctx)?;
-            let tvf = ctx.udfs.table_fn(name)?.clone();
-            let mut arg_values = Vec::with_capacity(args.len());
-            for a in args {
-                arg_values.push(eval_expr(a, &inp, ctx)?.into_arg());
-            }
-            let out = tvf.invoke_cols(&arg_values, ctx)?;
-            crate::udf::check_tvf_output(name, schema.as_deref(), &out)?;
-            Ok(out)
-        }
-        PhysicalPlan::Filter { .. } => {
-            // Collapse a run of stacked filters into one selection-vector
-            // kernel pass: predicates refine a single selection
-            // (innermost first) and every column is gathered once at the
-            // end, instead of a full-batch materialisation per predicate.
-            let mut preds: Vec<&crate::physical::CompiledExpr> = Vec::new();
-            let mut node = plan;
-            while let PhysicalPlan::Filter { predicate, input } = node {
-                preds.push(predicate);
-                node = input;
-            }
-            preds.reverse();
-            let inp = execute_seq(node, ctx)?;
-            let ops: Vec<crate::pipeline::MorselOp<'_>> = preds
-                .iter()
-                .map(|p| crate::pipeline::MorselOp::Filter(p))
-                .collect();
-            if let Some(out) = crate::kernel::prepare(&ops, ctx).and_then(|k| k.run(&inp)) {
-                return Ok(out);
-            }
-            // Interpreter fallback: the historical mask-per-predicate walk.
-            let mut cur = inp;
-            for p in &preds {
-                let mask = eval_expr(p, &cur, ctx)?.into_mask(cur.rows())?;
-                cur = filter_batch(&cur, &mask);
-            }
-            Ok(cur)
-        }
-        PhysicalPlan::Project { items, input } => {
-            let inp = execute_seq(input, ctx)?;
-            project_batch(&inp, items, ctx)
-        }
-        PhysicalPlan::Aggregate {
-            keys,
-            aggregates,
-            input,
-        } => {
-            let inp = execute_seq(input, ctx)?;
-            aggregate_batch(&inp, keys, aggregates, ctx)
-        }
-        PhysicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => {
-            let l = execute_seq(left, ctx)?;
-            let r = execute_seq(right, ctx)?;
-            join_batches(&l, &r, *kind, on)
-        }
-        PhysicalPlan::Sort { keys, input } => {
-            let inp = execute_seq(input, ctx)?;
-            sort_batch(&inp, keys, ctx)
-        }
-        // LIMIT is a contiguous prefix slice — no index tensor, no gather.
-        PhysicalPlan::Limit { n, input } => {
-            let inp = execute_seq(input, ctx)?;
-            Ok(inp.head(resolve_limit(n, ctx)?))
-        }
-        PhysicalPlan::TopK { keys, n, input } => {
-            let inp = execute_seq(input, ctx)?;
-            topk_batch(&inp, keys, resolve_limit(n, ctx)?, ctx)
-        }
-        PhysicalPlan::Window { windows, input } => {
-            let inp = execute_seq(input, ctx)?;
-            window_batch(&inp, windows, ctx)
-        }
-        PhysicalPlan::Distinct { input } => {
-            let inp = execute_seq(input, ctx)?;
-            distinct_batch(&inp)
-        }
-        PhysicalPlan::UnionAll { left, right } => {
-            let l = execute_seq(left, ctx)?;
-            let r = execute_seq(right, ctx)?;
-            union_all_batches(&l, &r)
-        }
-    }
-}
 
 /// Resolve a base table, checking a compile-time schema (when present)
 /// against the live catalog so stale slot assignments fail loudly.
@@ -1389,7 +1258,8 @@ pub fn sort_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::lower;
+    use crate::physical::{lower, PhysicalPlan};
+    use crate::pipeline::execute;
     use crate::udf::UdfRegistry;
     use tdp_sql::plan::{build_plan, PlannerContext};
     use tdp_sql::{optimizer, parse};

@@ -263,15 +263,19 @@ fn invoke_udf(
     Ok(Value::Column(udf.invoke(&arg_values, ctx)?))
 }
 
-/// Execute a lowered scalar-subquery plan against the session catalog; it
-/// must return exactly one row and one column. Subqueries always run on
-/// the sequential whole-batch path so their value never depends on the
-/// outer query's morsel scheduling.
+/// Execute a lowered scalar-subquery plan; it must return exactly one
+/// row and one column. The nested plan re-enters the one exact walker
+/// ([`crate::pipeline::execute`]) with the caller's context — same
+/// thread count, morsel size, kernel cache, zone maps and memory ledger
+/// — so a subquery obeys the same thread-invariance contract and yields
+/// the same bytes as that query run at top level. The *enclosing* chain
+/// still stays on the session thread (`scalar-subquery` fallback):
+/// workers carry no catalog to run a nested plan against.
 pub(crate) fn eval_scalar_subquery(
     plan: &PhysicalPlan,
     ctx: &ExecContext,
 ) -> Result<Value, ExecError> {
-    let batch = crate::exact::execute_seq(plan, ctx)?;
+    let batch = crate::pipeline::execute(plan, ctx)?;
     if batch.rows() != 1 || batch.columns().len() != 1 {
         return Err(ExecError::TypeMismatch(format!(
             "scalar subquery must return 1 row x 1 column, got {} x {}",

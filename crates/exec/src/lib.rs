@@ -16,12 +16,26 @@
 //!       ── lower ──► PhysicalPlan         (physical::lower — THE compile step)
 //!       ── decompose► PipeNode            (pipeline::decompose — fused chains + barriers)
 //!                      │
-//!          ┌───────────┴────────────┐
-//!          ▼                        ▼
-//!   pipeline::execute        diff::execute_diff
-//!   (morsel scheduler,       (single-threaded,
-//!    hard kernels)            soft kernels)
+//!          ┌───────────┴──────────────────────┐
+//!          ▼                                  ▼
+//!   pipeline::execute                  diff::execute_diff
+//!   THE exact walker                   (single-threaded,
+//!   (morsel scheduler, hard kernels)    soft kernels)
+//!     ├─ run()            recorder off
+//!     ├─ run_profiled()   recorder on  (profile::Recorder, per stage)
+//!     └─ scalar subquery  re-enters with the caller's context
 //! ```
+//!
+//! There is exactly **one** exact plan walker. A plain run, a profiled
+//! run and a scalar subquery are the same `exec_node`/`exec_barrier`
+//! walk over the same fused pipelines — profiling only attaches an
+//! optional recorder that is told when a stage starts and ends (never
+//! per morsel), so `PROFILE` describes the run that actually happened
+//! and all three return identical bytes. [`exact`] is a kernel library
+//! with no walker of its own. [`diff`] stays a separate walker beside
+//! it because its arms are not a mirror of the exact kernels: they
+//! encode relaxation semantics (`NotDifferentiable` gates, soft row
+//! weights, NeuralSort top-k) on the single-threaded autodiff tape.
 //!
 //! [`physical::lower`] walks the logical tree a single time, propagating
 //! output **schemas** through every operator and resolving each column
@@ -52,8 +66,8 @@
 //! [`ExecContext::morsel_rows`], so every thread count (including 1)
 //! produces identical batches. Chains that cannot leave the session
 //! thread — session UDFs (whose parameters ride the `Rc`-based autodiff
-//! tape), scalar subqueries, tensor-valued bindings — fall back to the
-//! equally-deterministic whole-batch path.
+//! tape), expressions holding a scalar subquery, tensor-valued bindings
+//! — run whole-batch inside the same walker, equally deterministically.
 //!
 //! The kernels themselves live in [`exact`]: filters are boolean masks,
 //! GROUP BY is sort-based over composite integer keys, joins are hash
@@ -128,14 +142,15 @@ pub use access::{AccessPathCounters, AccessPathStats, AnnPath, ChunkPruner};
 pub use batch::{Batch, ColumnData, DiffColumn};
 pub use diff::execute_diff;
 pub use error::ExecError;
-pub use exact::execute;
 pub use kernel::{ChainKernelStats, KernelCache};
 pub use params::{ParamValue, ParamValues};
 pub use physical::{
     lower, param_arg_constraints, validate_function_args, validate_param_constraints, CompiledExpr,
     ParamConstraint, PhysicalPlan, StaticKind,
 };
-pub use pipeline::{decompose, MorselOp, PipeNode, DEFAULT_MORSEL_ROWS, DEFAULT_PARTITIONS};
+pub use pipeline::{
+    decompose, execute, MorselOp, PipeNode, DEFAULT_MORSEL_ROWS, DEFAULT_PARTITIONS,
+};
 pub use profile::{execute_profiled, OpTrace, QueryProfile};
 pub use udf::{
     fold_immutable_udfs, ArgType, ArgValue, ExecContext, FunctionSpec, OutputSchema, ScalarUdf,

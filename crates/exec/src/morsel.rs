@@ -77,7 +77,8 @@
 //! # Fallback taxonomy
 //!
 //! Every decline is named, and lands in EXPLAIN (`barrier_note`,
-//! statically) and profiled runs (`barrier_report`, observed):
+//! statically) and profiled runs (each `run_*` reports the decision it
+//! took to the recorder, when one is attached):
 //!
 //! * **Selection-exit declines** (chain gathers instead):
 //!   `chain-kernels-disabled`, `computed-projection` (a projection
@@ -85,10 +86,15 @@
 //!   `single-morsel` (nothing to parallelise), `kernel-compile` /
 //!   `kernel-bailout` (the compiled kernel was unavailable or bailed at
 //!   run time — the per-morsel interpreter re-run remains the fallback).
-//! * **Parallelism declines** (whole-batch sequential execution, the
-//!   [`crate::exact`] kernels): session UDFs holding `Rc`-based autodiff
-//!   parameters (`udf-not-parallel-safe(<name>)`), scalar subqueries
-//!   (nested plans run against the session), tensor-valued bindings
+//! * **Parallelism declines** (the stage runs whole-batch on the
+//!   session thread, through the [`crate::exact`] kernels — still inside
+//!   the one plan walker, there is no separate sequential executor):
+//!   session UDFs holding `Rc`-based autodiff parameters
+//!   (`udf-not-parallel-safe(<name>)`), expressions holding a scalar
+//!   subquery (`scalar-subquery`: workers carry no catalog to run the
+//!   nested plan against — the nested plan itself re-enters
+//!   [`crate::pipeline::execute`] with the session's context and is
+//!   scheduled like any top-level query), tensor-valued bindings
 //!   (row-aligned with the whole batch, not a morsel), `threads=1`.
 //!   Sort keys containing such expressions fall back too, since key
 //!   expressions are evaluated per morsel on workers.
@@ -114,6 +120,7 @@ use crate::memory;
 use crate::params::ParamValue;
 use crate::physical::{CompiledExpr, JoinOn, PhysAggregate, PhysKey, PhysicalPlan};
 use crate::pipeline::MorselOp;
+use crate::profile::Recorder;
 use crate::udf::{ExecContext, UdfRegistry};
 
 // ----------------------------------------------------------------------
@@ -369,32 +376,22 @@ fn num_morsels(rows: usize, morsel_rows: usize) -> usize {
     rows.div_ceil(morsel_rows.max(1))
 }
 
-/// Why this execution falls back to the whole-batch sequential path
-/// (`None` = it is morsel-parallel). Unlike [`chain_fallback_reason`]
-/// this sees the materialised input, so it also covers differentiable
-/// batches flowing out of trainable TVFs.
-pub(crate) fn run_fallback_reason(
-    input: &Batch,
-    ops: &[MorselOp<'_>],
-    sink: Option<(&[PhysKey], &[PhysAggregate])>,
-    ctx: &ExecContext,
-) -> Option<String> {
-    if input.has_diff() {
-        return Some("differentiable-input".into());
-    }
-    chain_fallback_reason(ops, sink, ctx)
-}
-
-/// Morsel count and fallback reason from one analysis pass (the reason
-/// implies the count, so callers needing both — the profiler — pay for
-/// the registry/param walk once).
+/// Morsel count and sequential-fallback reason (`None` = the run is
+/// morsel-parallel) for a chain over a materialised input — the one
+/// analysis `run_ops`, `run_aggregate` and profiled runs share. Unlike
+/// [`chain_fallback_reason`] this sees the input, so it also covers
+/// differentiable batches flowing out of trainable TVFs.
 pub(crate) fn planned_and_reason(
     input: &Batch,
     ops: &[MorselOp<'_>],
     sink: Option<(&[PhysKey], &[PhysAggregate])>,
     ctx: &ExecContext,
 ) -> (usize, Option<String>) {
-    let reason = run_fallback_reason(input, ops, sink, ctx);
+    let reason = if input.has_diff() {
+        Some("differentiable-input".into())
+    } else {
+        chain_fallback_reason(ops, sink, ctx)
+    };
     let morsels = if reason.is_none() {
         num_morsels(input.rows(), ctx.morsel_rows)
     } else {
@@ -1054,6 +1051,29 @@ fn distinct_decision(
     )
 }
 
+/// Tell an attached recorder this barrier ran on the sequential kernel
+/// (`fallback` = the capability reason, `None` when merely too small).
+fn note_sequential(rec: Option<&mut Recorder>, fallback: Option<String>) {
+    if let Some(r) = rec {
+        r.note_barrier(1, 0, None, fallback);
+    }
+}
+
+/// Tell an attached recorder how a barrier staged: `morsels` claimed
+/// across its stages, `partitions` exchanged into (0 = no exchange),
+/// and the strategy label (`what` plus the `detail` counts).
+fn note_staged(
+    rec: Option<&mut Recorder>,
+    morsels: usize,
+    partitions: usize,
+    what: &str,
+    detail: std::fmt::Arguments<'_>,
+) {
+    if let Some(r) = rec {
+        r.note_barrier(morsels, partitions, Some(format!("{what} {detail}")), None);
+    }
+}
+
 /// Byte estimate of a hash-join build table over `rows` build rows: one
 /// row id per row plus hash-entry overhead for the (≤ rows) keys.
 fn join_build_bytes(rows: usize) -> u64 {
@@ -1132,9 +1152,12 @@ pub(crate) fn run_join(
     kind: JoinKind,
     on: &JoinOn,
     ctx: &ExecContext,
+    rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
     let diff = left.has_diff() || right.has_diff();
-    if !join_decision(left.rows_out(), right.rows_out(), diff, ctx).0 {
+    let (staged, reason) = join_decision(left.rows_out(), right.rows_out(), diff, ctx);
+    if !staged {
+        note_sequential(rec, reason);
         let (left, right) = (left.into_gathered(), right.into_gathered());
         // The sequential kernel builds one hash table over the whole
         // build side; charge the same per-row estimate the staged build
@@ -1145,6 +1168,15 @@ pub(crate) fn run_join(
     let (lside, rside) = (JoinSide::of(left), JoinSide::of(right));
     let (latoms, ratoms) = join_side_atoms(&lside, &rside, on)?;
     let partitions = ctx.partitions.max(1);
+    let build = num_morsels(rside.rows(), ctx.morsel_rows);
+    let probe = num_morsels(lside.rows(), ctx.morsel_rows);
+    note_staged(
+        rec,
+        build + probe,
+        partitions,
+        "partitioned",
+        format_args!("×{partitions} ({build} build + {probe} probe morsels)"),
+    );
     // Held until the joined batch is assembled: exchange buckets, the
     // per-partition build tables and the probe index vectors.
     let charges = memory::ScopedCharges::new(&ctx.memory);
@@ -1550,13 +1582,18 @@ pub(crate) fn run_sort(
     input: BarrierInput,
     keys: &[crate::physical::PhysOrderKey],
     ctx: &ExecContext,
+    rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
-    if !sort_decision(input.rows_out(), input.has_diff(), keys, ctx).0 {
+    let (staged, reason) = sort_decision(input.rows_out(), input.has_diff(), keys, ctx);
+    if !staged {
+        note_sequential(rec, reason);
         let input = input.into_gathered();
         // The sequential argsort holds the same key codes + permutation.
         let _charge = memory::charge(&ctx.memory, "sort", sort_bytes(input.rows(), keys.len()))?;
         return exact::sort_batch(&input, keys, ctx);
     }
+    let runs = num_morsels(input.rows_out(), ctx.morsel_rows);
+    note_staged(rec, runs, 0, "merge-sort", format_args!("×{runs} runs"));
     if let BarrierInput::Selected(s) = &input {
         // Held until the sorted batch is assembled: gathered key
         // columns plus every run's keys and permutation.
@@ -1584,16 +1621,22 @@ pub(crate) fn run_topk(
     keys: &[crate::physical::PhysOrderKey],
     k: usize,
     ctx: &ExecContext,
+    rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
     let k = k.min(input.rows_out());
     if k == 0 {
+        note_sequential(rec, None);
         return exact::topk_batch(&input.into_gathered(), keys, k, ctx);
     }
-    if !sort_decision(input.rows_out(), input.has_diff(), keys, ctx).0 {
+    let (staged, reason) = sort_decision(input.rows_out(), input.has_diff(), keys, ctx);
+    if !staged {
+        note_sequential(rec, reason);
         let input = input.into_gathered();
         let _charge = memory::charge(&ctx.memory, "top-k", sort_bytes(input.rows(), keys.len()))?;
         return exact::topk_batch(&input, keys, k, ctx);
     }
+    let runs = num_morsels(input.rows_out(), ctx.morsel_rows);
+    note_staged(rec, runs, 0, "parallel top-k", format_args!("×{runs} runs"));
     if let BarrierInput::Selected(s) = &input {
         let charges = memory::ScopedCharges::new(&ctx.memory);
         charges.add("sort key gather", (s.survivors() * 8 * keys.len()) as u64)?;
@@ -1614,10 +1657,16 @@ pub(crate) fn run_topk(
 /// partition, so a partition's first occurrence is the global one), then
 /// re-sort the surviving row ids into input order — byte-identical to
 /// [`exact::distinct_batch`]'s first-occurrence output.
-pub(crate) fn run_distinct(input: BarrierInput, ctx: &ExecContext) -> Result<Batch, ExecError> {
+pub(crate) fn run_distinct(
+    input: BarrierInput,
+    ctx: &ExecContext,
+    rec: Option<&mut Recorder>,
+) -> Result<Batch, ExecError> {
     let rows = input.rows_out();
     let ncols = input.columns_len();
-    if !distinct_decision(rows, ncols, input.has_diff(), ctx).0 {
+    let (staged, reason) = distinct_decision(rows, ncols, input.has_diff(), ctx);
+    if !staged {
+        note_sequential(rec, reason);
         let input = input.into_gathered();
         // The sequential kernel holds the same key codes and one big
         // seen-set; charge the per-row estimate of the staged path so
@@ -1625,6 +1674,14 @@ pub(crate) fn run_distinct(input: BarrierInput, ctx: &ExecContext) -> Result<Bat
         let _charge = memory::charge(&ctx.memory, "distinct", (rows * (8 * ncols + 16)) as u64)?;
         return exact::distinct_batch(&input);
     }
+    let (morsels, partitions) = (num_morsels(rows, ctx.morsel_rows), ctx.partitions.max(1));
+    note_staged(
+        rec,
+        morsels,
+        partitions,
+        "partitioned",
+        format_args!("×{partitions} ({morsels} morsels)"),
+    );
     // Held until the surviving rows are selected out: key codes,
     // exchange buckets and the per-partition seen-sets. The codes are
     // survivor-width either way — a selection-fed input extracts them
@@ -1716,7 +1773,7 @@ fn distinct_reps(
 }
 
 // ----------------------------------------------------------------------
-// Barrier observability (EXPLAIN strategy notes + profiled reports)
+// Barrier observability (EXPLAIN strategy notes)
 // ----------------------------------------------------------------------
 
 /// Compile-time-visible scheduling note for a barrier node: how the
@@ -1724,8 +1781,8 @@ fn distinct_reps(
 /// or why it must stay sequential. `None` for barriers the scheduler
 /// never stages (window, TVFs, UNION ALL) — those are whole-batch by
 /// nature. Input sizes are unknown before execution, so a barrier that
-/// turns out to fit one morsel still runs sequentially at run time (the
-/// profiled report carries the actual counts).
+/// turns out to fit one morsel still runs sequentially at run time (a
+/// profiled run reports the decision each `run_*` actually took).
 pub(crate) fn barrier_note(plan: &PhysicalPlan, ctx: &ExecContext) -> Option<String> {
     use crate::physical::PhysicalPlan as P;
     match plan {
@@ -1743,138 +1800,6 @@ pub(crate) fn barrier_note(plan: &PhysicalPlan, ctx: &ExecContext) -> Option<Str
             Some("sequential: threads=1".into())
         }
         _ => None,
-    }
-}
-
-/// What the profiler records about one barrier execution.
-pub(crate) struct BarrierReport {
-    /// Morsels the staged path schedules (1 when sequential).
-    pub morsels: usize,
-    /// Partitions the exchange uses (0 when the op has no exchange or
-    /// runs sequentially).
-    pub partitions: usize,
-    /// Human-readable strategy (`partitioned ×16 (31 build + 31 probe
-    /// morsels)`); `None` when the op ran sequentially.
-    pub strategy: Option<String>,
-    /// Capability reason the op stayed sequential, mirroring the chain
-    /// fallback reasons; `None` when staged or merely too small.
-    pub fallback: Option<String>,
-    /// How the barrier received its input: `selection-fed (<density>)`
-    /// when a compiled chain handed it a live selection vector,
-    /// `gathered: <reason>` when the chain had to materialise first.
-    /// `None` when the input came from a non-chain child.
-    pub selection: Option<String>,
-}
-
-impl BarrierReport {
-    fn sequential(fallback: Option<String>) -> BarrierReport {
-        BarrierReport {
-            morsels: 1,
-            partitions: 0,
-            strategy: None,
-            fallback,
-            selection: None,
-        }
-    }
-}
-
-/// The scheduling decision + counts for a barrier over its inputs —
-/// computed with exactly the predicates the `run_*` entry points use,
-/// so the profile reports what actually happened.
-pub(crate) fn barrier_report(
-    plan: &PhysicalPlan,
-    inputs: &[&BarrierInput],
-    ctx: &ExecContext,
-) -> BarrierReport {
-    let selection = inputs.iter().find_map(|i| i.note());
-    let report = barrier_counts(plan, inputs, ctx);
-    BarrierReport {
-        selection,
-        ..report
-    }
-}
-
-fn barrier_counts(
-    plan: &PhysicalPlan,
-    inputs: &[&BarrierInput],
-    ctx: &ExecContext,
-) -> BarrierReport {
-    use crate::physical::PhysicalPlan as P;
-    match plan {
-        P::Join { .. } => {
-            let (left, right) = (inputs[0], inputs[1]);
-            let diff = left.has_diff() || right.has_diff();
-            let (staged, reason) = join_decision(left.rows_out(), right.rows_out(), diff, ctx);
-            if !staged {
-                return BarrierReport::sequential(reason);
-            }
-            let build = num_morsels(right.rows_out(), ctx.morsel_rows);
-            let probe = num_morsels(left.rows_out(), ctx.morsel_rows);
-            let partitions = ctx.partitions.max(1);
-            BarrierReport {
-                morsels: build + probe,
-                partitions,
-                strategy: Some(format!(
-                    "partitioned ×{partitions} ({build} build + {probe} probe morsels)"
-                )),
-                fallback: None,
-                selection: None,
-            }
-        }
-        P::Sort { keys, .. } | P::TopK { keys, .. } => {
-            // run_topk short-circuits k == 0 (and empty inputs) to the
-            // sequential kernel; report that, not a phantom staged run.
-            if let P::TopK { n, .. } = plan {
-                let k = crate::expr::resolve_limit(n, ctx)
-                    .map(|k| k.min(inputs[0].rows_out()))
-                    .unwrap_or(usize::MAX);
-                if k == 0 {
-                    return BarrierReport::sequential(None);
-                }
-            }
-            let (staged, reason) =
-                sort_decision(inputs[0].rows_out(), inputs[0].has_diff(), keys, ctx);
-            if !staged {
-                return BarrierReport::sequential(reason);
-            }
-            let runs = num_morsels(inputs[0].rows_out(), ctx.morsel_rows);
-            let what = if matches!(plan, P::Sort { .. }) {
-                "merge-sort"
-            } else {
-                "parallel top-k"
-            };
-            BarrierReport {
-                morsels: runs,
-                partitions: 0,
-                strategy: Some(format!("{what} ×{runs} runs")),
-                fallback: None,
-                selection: None,
-            }
-        }
-        P::Distinct { .. } => {
-            let input = inputs[0];
-            let (staged, reason) =
-                distinct_decision(input.rows_out(), input.columns_len(), input.has_diff(), ctx);
-            if !staged {
-                return BarrierReport::sequential(reason);
-            }
-            let morsels = num_morsels(input.rows_out(), ctx.morsel_rows);
-            let partitions = ctx.partitions.max(1);
-            BarrierReport {
-                morsels,
-                partitions,
-                strategy: Some(format!("partitioned ×{partitions} ({morsels} morsels)")),
-                fallback: None,
-                selection: None,
-            }
-        }
-        _ => BarrierReport {
-            morsels: 0,
-            partitions: 0,
-            strategy: None,
-            fallback: None,
-            selection: None,
-        },
     }
 }
 

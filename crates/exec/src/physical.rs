@@ -1975,7 +1975,7 @@ mod tests {
         assert!(p.explain().contains("schema unresolved"), "{}", p.explain());
         // …and the unknown-table error surfaces when executed.
         assert!(matches!(
-            crate::exact::execute(&p, &crate::udf::ExecContext::new(&c, &udfs)),
+            crate::pipeline::execute(&p, &crate::udf::ExecContext::new(&c, &udfs)),
             Err(ExecError::UnknownTable(_))
         ));
     }

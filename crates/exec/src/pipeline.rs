@@ -44,10 +44,11 @@
 //! [`DEFAULT_PARTITIONS`]) independent of the worker count, so staged
 //! barriers keep the determinism contract below.
 //!
-//! The decomposition is shared: [`execute`] (the scheduled exact path)
-//! and [`crate::diff::execute_diff`] (single-threaded, soft kernels)
-//! both consume the same `PipeNode` tree, so results are bitwise
-//! identical across thread counts — morsel boundaries depend only on
+//! The decomposition is shared: [`execute`] — the one exact walker,
+//! which plain runs, profiled runs and scalar subqueries all take — and
+//! [`crate::diff::execute_diff`] (single-threaded, soft kernels) both
+//! consume the same `PipeNode` tree. Results are bitwise identical
+//! across thread counts — morsel boundaries depend only on
 //! [`crate::ExecContext::morsel_rows`], never on the worker count.
 //!
 //! EXPLAIN's `== pipelines ==` section renders the decomposition with
@@ -69,6 +70,7 @@ use crate::exact;
 use crate::expr::{eval_expr, resolve_limit};
 use crate::morsel;
 use crate::physical::{PhysAggregate, PhysKey, PhysProjectItem, PhysicalPlan, ScanAccess};
+use crate::profile::Recorder;
 use crate::udf::ExecContext;
 
 /// Default rows per morsel: large enough that per-morsel dispatch cost is
@@ -360,40 +362,79 @@ fn barrier_sel_note(
 // Scheduled execution
 // ----------------------------------------------------------------------
 
-/// Execute a physical plan through the morsel scheduler. This is the
-/// exact execution path: [`crate::exact::execute`] delegates here. With
-/// `ctx.threads == 1` every morsel runs on the calling thread; higher
-/// thread counts only change *who* processes each morsel, never the
-/// result.
+/// Execute a physical plan through the morsel scheduler — the one exact
+/// plan walker. With `ctx.threads == 1` every morsel runs on the calling
+/// thread; higher thread counts only change *who* processes each morsel,
+/// never the result. Scalar subqueries re-enter here with the caller's
+/// context, and [`crate::profile::execute_profiled`] is this same walk
+/// with a recorder attached.
 pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Batch, ExecError> {
-    exec_node(&decompose(plan), ctx)
+    exec_node(&decompose(plan), ctx, None)
 }
 
-pub(crate) fn exec_node(node: &PipeNode<'_>, ctx: &ExecContext) -> Result<Batch, ExecError> {
-    match node {
-        PipeNode::Scan { table, schema, .. } => exact::scan_table(table, *schema, ctx),
-        PipeNode::Stream(pipe) => {
-            let input = exec_node(&pipe.input, ctx)?;
-            let skip = scan_skip_mask(&pipe.input, input.rows(), ctx);
-            morsel::run_ops(&input, &pipe.ops, None, skip.as_deref(), ctx)
-        }
+/// Execute one node of the decomposition. `rec` observes at **stage**
+/// granularity only — a stage is entered before its inputs run and left
+/// once its sink has produced output; nothing is recorded per morsel, so
+/// a plain run (`None`) pays one branch per stage.
+pub(crate) fn exec_node(
+    node: &PipeNode<'_>,
+    ctx: &ExecContext,
+    mut rec: Option<&mut Recorder>,
+) -> Result<Batch, ExecError> {
+    if let Some(r) = rec.as_deref_mut() {
+        // Plan nodes fused into this stage: the chain plus its sink.
+        r.enter(match node {
+            PipeNode::Scan { .. } | PipeNode::Barrier { .. } => 1,
+            PipeNode::Stream(pipe) => pipe.ops.len(),
+            PipeNode::Limit { pipe, .. } | PipeNode::Aggregate { pipe, .. } => 1 + pipe.ops.len(),
+        });
+    }
+    let out = match node {
+        PipeNode::Scan { table, schema, .. } => exact::scan_table(table, *schema, ctx)?,
+        PipeNode::Stream(pipe) => run_pipe(pipe, None, ctx, rec.as_deref_mut(), |input, skip| {
+            morsel::run_ops(input, &pipe.ops, None, skip, ctx)
+        })?,
         PipeNode::Limit { n, pipe } => {
             let limit = resolve_limit(n, ctx)?;
-            let input = exec_node(&pipe.input, ctx)?;
-            let skip = scan_skip_mask(&pipe.input, input.rows(), ctx);
-            morsel::run_ops(&input, &pipe.ops, Some(limit), skip.as_deref(), ctx)
+            run_pipe(pipe, None, ctx, rec.as_deref_mut(), |input, skip| {
+                morsel::run_ops(input, &pipe.ops, Some(limit), skip, ctx)
+            })?
         }
         PipeNode::Aggregate {
             keys,
             aggregates,
             pipe,
         } => {
-            let input = exec_node(&pipe.input, ctx)?;
-            let skip = scan_skip_mask(&pipe.input, input.rows(), ctx);
-            morsel::run_aggregate(&input, &pipe.ops, keys, aggregates, skip.as_deref(), ctx)
+            let sink = Some((*keys, *aggregates));
+            run_pipe(pipe, sink, ctx, rec.as_deref_mut(), |input, skip| {
+                morsel::run_aggregate(input, &pipe.ops, keys, aggregates, skip, ctx)
+            })?
         }
-        PipeNode::Barrier { plan, inputs } => exec_barrier(plan, inputs, ctx),
+        PipeNode::Barrier { plan, inputs } => exec_barrier(plan, inputs, ctx, rec.as_deref_mut())?,
+    };
+    if let Some(r) = rec {
+        r.exit(out.rows());
     }
+    Ok(out)
+}
+
+/// Materialise a pipeline's source, then `run` its fused chain and sink
+/// over it — with the zone-map skip mask when the source is a pruned
+/// base-table scan — and tell the recorder how the chain was scheduled.
+fn run_pipe<T>(
+    pipe: &Pipeline<'_>,
+    sink: Option<(&[PhysKey], &[PhysAggregate])>,
+    ctx: &ExecContext,
+    mut rec: Option<&mut Recorder>,
+    run: impl FnOnce(&Batch, Option<&[bool]>) -> Result<T, ExecError>,
+) -> Result<T, ExecError> {
+    let input = exec_node(&pipe.input, ctx, rec.as_deref_mut())?;
+    let skip = scan_skip_mask(&pipe.input, input.rows(), ctx);
+    let out = run(&input, skip.as_deref())?;
+    if let Some(r) = rec {
+        r.note_chain(&input, &pipe.ops, sink, ctx);
+    }
+    Ok(out)
 }
 
 /// Zone-map skip mask for a pipeline fed directly by a pruned base-table
@@ -402,11 +443,7 @@ pub(crate) fn exec_node(node: &PipeNode<'_>, ctx: &ExecContext) -> Result<Batch,
 /// pruning is off (`ctx.zone_maps`), the source is not a pruned scan, or
 /// no zone map exists for the table. The mask itself handles stale stats
 /// and unresolvable bounds conservatively (nothing skipped).
-pub(crate) fn scan_skip_mask(
-    input: &PipeNode<'_>,
-    rows: usize,
-    ctx: &ExecContext,
-) -> Option<Vec<bool>> {
+fn scan_skip_mask(input: &PipeNode<'_>, rows: usize, ctx: &ExecContext) -> Option<Vec<bool>> {
     if !ctx.zone_maps {
         return None;
     }
@@ -423,32 +460,42 @@ pub(crate) fn scan_skip_mask(
 }
 
 /// Materialise (or selection-feed) one barrier child. A Stream child —
-/// a fused filter→project chain — is given the chance to hand its
-/// `(Batch, SelVec)` pair straight to the barrier; every other child
-/// executes normally and arrives as a dense batch.
+/// a fused filter→project chain — is its own stage, given the chance to
+/// hand its `(Batch, SelVec)` pair straight to the barrier; every other
+/// child executes normally and arrives as a dense batch.
 fn barrier_input(
     node: &PipeNode<'_>,
     ctx: &ExecContext,
+    mut rec: Option<&mut Recorder>,
 ) -> Result<morsel::BarrierInput, ExecError> {
-    if let PipeNode::Stream(pipe) = node {
-        let input = exec_node(&pipe.input, ctx)?;
-        let skip = scan_skip_mask(&pipe.input, input.rows(), ctx);
-        return morsel::chain_barrier_input(&input, &pipe.ops, skip.as_deref(), ctx);
+    let PipeNode::Stream(pipe) = node else {
+        let batch = exec_node(node, ctx, rec)?;
+        return Ok(morsel::BarrierInput::Gathered(batch, None));
+    };
+    if let Some(r) = rec.as_deref_mut() {
+        r.enter(pipe.ops.len());
     }
-    Ok(morsel::BarrierInput::Gathered(exec_node(node, ctx)?, None))
+    let out = run_pipe(pipe, None, ctx, rec.as_deref_mut(), |input, skip| {
+        morsel::chain_barrier_input(input, &pipe.ops, skip, ctx)
+    })?;
+    if let Some(r) = rec {
+        r.exit_chain(&out);
+    }
+    Ok(out)
 }
 
-/// Execute a barrier operator over its children. The match mirrors the
-/// operator arms of the historical operator-at-a-time executor;
-/// streamable operators never reach here.
+/// Execute a barrier operator over its children (the caller has opened
+/// the barrier's stage and closes it). Streamable operators never reach
+/// here.
 fn exec_barrier(
     plan: &PhysicalPlan,
     inputs: &[PipeNode<'_>],
     ctx: &ExecContext,
+    mut rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
     match plan {
         PhysicalPlan::TvfScan { name, schema, .. } => {
-            let inp = exec_node(&inputs[0], ctx)?;
+            let inp = exec_node(&inputs[0], ctx, rec)?;
             let tvf = ctx.udfs.table_fn(name)?.clone();
             let out = tvf.invoke_table(&inp, ctx)?;
             crate::udf::check_tvf_output(name, schema.as_deref(), &out)?;
@@ -457,7 +504,7 @@ fn exec_barrier(
         PhysicalPlan::TvfProject {
             name, args, schema, ..
         } => {
-            let inp = exec_node(&inputs[0], ctx)?;
+            let inp = exec_node(&inputs[0], ctx, rec)?;
             let tvf = ctx.udfs.table_fn(name)?.clone();
             let mut arg_values = Vec::with_capacity(args.len());
             for a in args {
@@ -468,25 +515,30 @@ fn exec_barrier(
             Ok(out)
         }
         PhysicalPlan::Join { kind, on, .. } => {
-            let l = barrier_input(&inputs[0], ctx)?;
-            let r = barrier_input(&inputs[1], ctx)?;
-            morsel::run_join(l, r, *kind, on, ctx)
+            let l = barrier_input(&inputs[0], ctx, rec.as_deref_mut())?;
+            let r = barrier_input(&inputs[1], ctx, rec.as_deref_mut())?;
+            morsel::run_join(l, r, *kind, on, ctx, rec)
         }
         PhysicalPlan::Sort { keys, .. } => {
-            morsel::run_sort(barrier_input(&inputs[0], ctx)?, keys, ctx)
+            let inp = barrier_input(&inputs[0], ctx, rec.as_deref_mut())?;
+            morsel::run_sort(inp, keys, ctx, rec)
         }
         PhysicalPlan::TopK { keys, n, .. } => {
             let k = resolve_limit(n, ctx)?;
-            morsel::run_topk(barrier_input(&inputs[0], ctx)?, keys, k, ctx)
+            let inp = barrier_input(&inputs[0], ctx, rec.as_deref_mut())?;
+            morsel::run_topk(inp, keys, k, ctx, rec)
         }
         PhysicalPlan::Window { windows, .. } => {
-            let inp = exec_node(&inputs[0], ctx)?;
+            let inp = exec_node(&inputs[0], ctx, rec)?;
             exact::window_batch(&inp, windows, ctx)
         }
-        PhysicalPlan::Distinct { .. } => morsel::run_distinct(barrier_input(&inputs[0], ctx)?, ctx),
+        PhysicalPlan::Distinct { .. } => {
+            let inp = barrier_input(&inputs[0], ctx, rec.as_deref_mut())?;
+            morsel::run_distinct(inp, ctx, rec)
+        }
         PhysicalPlan::UnionAll { .. } => {
-            let l = exec_node(&inputs[0], ctx)?;
-            let r = exec_node(&inputs[1], ctx)?;
+            let l = exec_node(&inputs[0], ctx, rec.as_deref_mut())?;
+            let r = exec_node(&inputs[1], ctx, rec)?;
             exact::union_all_batches(&l, &r)
         }
         PhysicalPlan::AnnTopK {

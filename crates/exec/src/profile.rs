@@ -1,33 +1,39 @@
 //! Per-operator query profiling.
 //!
 //! The paper's §2 notes a compiled TDP query can be "profiled using
-//! TensorBoard" because it *is* a tensor program. Our equivalent: a
-//! profiled execution mode that drives the same exact operator kernels as
-//! [`crate::exact::execute`] — over the same compiled [`PhysicalPlan`] —
-//! while recording wall-clock time and output cardinality per plan node.
+//! TensorBoard" because it *is* a tensor program. Our equivalent:
+//! [`execute_profiled`] runs the one exact plan walker (the
+//! `exec_node`/`exec_barrier` pair behind [`crate::pipeline::execute`])
+//! with a recorder attached. There is no second executor — the profile
+//! describes the fused run that actually happened, and a profiled run
+//! returns byte-identical batches to a plain run at every configuration.
 //!
-//! Streamable operators (filter, project, aggregate) run through the
-//! morsel scheduler, so a node's wall-clock aggregates the work of all
-//! of its morsels across the worker pool; the report carries the thread
-//! count and the total number of morsels scheduled. Because profiling
-//! materialises a batch per operator, a profiled aggregate may partition
-//! its input at a different boundary than the fused pipeline of a plain
-//! `run()` — float aggregates can differ in the last bit between the two
-//! modes (never between thread counts).
+//! The walker reports at **stage** granularity (never per morsel), and
+//! [`QueryProfile::ops`] keeps one row per plan node in pre-order, so a
+//! fused stage — a filter→project chain with its LIMIT or aggregate
+//! sink — spans several rows. The attribution rule:
+//!
+//! * the stage's wall-clock, ledger bytes, fallback reason, kernel
+//!   strategy and selection density land once, on the row of its
+//!   **top** plan node;
+//! * the rows fused below it carry no self-time and report the stage's
+//!   output row count — a fused run has no intermediate cardinalities;
+//! * a node's wall-clock aggregates all of its morsels across the
+//!   worker pool; the report carries the thread count and the total
+//!   number of morsels scheduled.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::batch::Batch;
 use crate::error::ExecError;
-use crate::exact;
-use crate::expr::{eval_expr, resolve_limit};
 use crate::morsel;
-use crate::physical::PhysicalPlan;
+use crate::physical::{PhysAggregate, PhysKey, PhysicalPlan};
 use crate::pipeline::MorselOp;
 use crate::udf::ExecContext;
 
 /// One profiled plan node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OpTrace {
     /// First line of the node's EXPLAIN rendering (e.g. `Filter: (x@0 > 1)`).
     pub label: String,
@@ -183,18 +189,18 @@ impl QueryProfile {
     }
 }
 
-/// Execute a physical plan exactly while recording a per-operator profile.
+/// Execute a physical plan exactly while recording a per-operator
+/// profile: [`crate::pipeline::decompose`] plus the same walk a plain
+/// run takes, with the recorder on.
 pub fn execute_profiled(
     plan: &PhysicalPlan,
     ctx: &ExecContext,
 ) -> Result<(Batch, QueryProfile), ExecError> {
-    let mut profile = QueryProfile {
-        threads: ctx.threads,
-        ..QueryProfile::default()
-    };
+    let mut rec = Recorder::new(plan, ctx);
     let before = ctx.access.snapshot();
-    let batch = run_node(plan, ctx, 0, &mut profile)?;
+    let batch = crate::pipeline::exec_node(&crate::pipeline::decompose(plan), ctx, Some(&mut rec))?;
     let after = ctx.access.snapshot();
+    let mut profile = rec.profile;
     profile.morsels_pruned = after.morsels_pruned - before.morsels_pruned;
     profile.morsels_scanned = after.morsels_scanned - before.morsels_scanned;
     profile.ann_queries = after.ann_queries - before.ann_queries;
@@ -206,55 +212,161 @@ pub fn execute_profiled(
     Ok((batch, profile))
 }
 
-/// Zone-map skip mask when the profiled operator's direct input plan is
-/// a pruned base-table scan; mirrors the pipeline scheduler's
-/// [`crate::pipeline::scan_skip_mask`] so profiled runs prune the same
-/// morsels as plain runs.
-fn plan_skip_mask(input: &PhysicalPlan, rows: usize, ctx: &ExecContext) -> Option<Vec<bool>> {
-    if !ctx.zone_maps {
-        return None;
-    }
-    let PhysicalPlan::Scan {
-        table,
-        access: crate::physical::ScanAccess::Pruned(pruner),
-        ..
-    } = input
-    else {
-        return None;
-    };
-    let zm = ctx.catalog.zone_map(table)?;
-    Some(pruner.skip_mask(&zm, rows, ctx.morsel_rows, &ctx.params))
-}
-
-/// Record a staged barrier's scheduling decision (strategy or fallback
-/// reason, selection note, plus morsel/partition counts) on its
-/// reserved trace slot.
-fn record_barrier(
-    plan: &PhysicalPlan,
-    inputs: &[&morsel::BarrierInput],
-    ctx: &ExecContext,
+/// A stage the walker has entered and not yet left.
+struct OpenStage {
+    /// Trace row of the stage's top plan node; the nodes fused below it
+    /// occupy the following `nodes - 1` rows.
     slot: usize,
-    profile: &mut QueryProfile,
-) {
-    let report = morsel::barrier_report(plan, inputs, ctx);
-    profile.morsels += report.morsels;
-    profile.partitions += report.partitions;
-    profile.ops[slot].strategy = report.strategy;
-    profile.ops[slot].fallback = report.fallback;
-    profile.ops[slot].selection = report.selection.map(|n| format!("barrier: {n}"));
+    nodes: usize,
+    start: Instant,
+    /// Ledger charged-total at entry.
+    charged: u64,
+    /// Wall-clock and ledger bytes of the stages that ran inside this
+    /// one, so its self-time and self-charges can be derived.
+    child_seconds: f64,
+    child_charged: u64,
 }
 
-/// Chain-kernel verdict for a streamable operator's trace:
-/// `"compiled"` when the chain runs a compiled kernel, otherwise
-/// `"interpreted: <reason>"`. Sequential-path chains report their
+/// What the plan walker reports to while profiling. Trace rows are laid
+/// out up front, one per plan node in pre-order; the walk visits stages
+/// in that same order, so a cursor is all it takes to pair each stage
+/// with its rows.
+pub(crate) struct Recorder {
+    profile: QueryProfile,
+    /// First trace row no stage has claimed yet.
+    next: usize,
+    /// Entered stages, innermost last.
+    open: Vec<OpenStage>,
+    memory: Arc<tdp_mem::MemoryReservation>,
+}
+
+impl Recorder {
+    fn new(plan: &PhysicalPlan, ctx: &ExecContext) -> Recorder {
+        fn rows(plan: &PhysicalPlan, depth: usize, out: &mut Vec<OpTrace>) {
+            out.push(OpTrace {
+                label: node_label(plan),
+                depth,
+                ..OpTrace::default()
+            });
+            for child in plan.inputs() {
+                rows(child, depth + 1, out);
+            }
+        }
+        let mut profile = QueryProfile {
+            threads: ctx.threads,
+            ..QueryProfile::default()
+        };
+        rows(plan, 0, &mut profile.ops);
+        Recorder {
+            profile,
+            next: 0,
+            open: Vec::new(),
+            memory: Arc::clone(&ctx.memory),
+        }
+    }
+
+    /// Enter a stage fusing the next `nodes` plan nodes.
+    pub(crate) fn enter(&mut self, nodes: usize) {
+        self.open.push(OpenStage {
+            slot: self.next,
+            nodes,
+            start: Instant::now(),
+            charged: self.memory.charged_total(),
+            child_seconds: 0.0,
+            child_charged: 0,
+        });
+        self.next += nodes;
+    }
+
+    /// Leave the innermost stage, which produced `rows_out` rows.
+    pub(crate) fn exit(&mut self, rows_out: usize) {
+        let stage = self.open.pop().expect("exit pairs with enter");
+        let total = stage.start.elapsed().as_secs_f64();
+        let charged = self.memory.charged_total() - stage.charged;
+        for op in &mut self.profile.ops[stage.slot..stage.slot + stage.nodes] {
+            op.rows_out = rows_out;
+            op.total_seconds = stage.child_seconds;
+        }
+        let top = &mut self.profile.ops[stage.slot];
+        top.total_seconds = total;
+        top.self_seconds = (total - stage.child_seconds).max(0.0);
+        top.charged_bytes = charged.saturating_sub(stage.child_charged);
+        if let Some(parent) = self.open.last_mut() {
+            parent.child_seconds += total;
+            parent.child_charged += charged;
+        }
+    }
+
+    /// Trace row of the innermost stage's top plan node.
+    fn top(&mut self) -> &mut OpTrace {
+        let slot = self.open.last().expect("a stage is open").slot;
+        &mut self.profile.ops[slot]
+    }
+
+    /// Record how the innermost stage's fused chain (and aggregate sink)
+    /// was scheduled over `input`: morsel count, sequential-fallback
+    /// reason, chain-kernel verdict.
+    pub(crate) fn note_chain(
+        &mut self,
+        input: &Batch,
+        ops: &[MorselOp<'_>],
+        sink: Option<(&[PhysKey], &[PhysAggregate])>,
+        ctx: &ExecContext,
+    ) {
+        let (planned, reason) = morsel::planned_and_reason(input, ops, sink, ctx);
+        self.profile.morsels += planned;
+        let strategy = chain_strategy_note(ops, &reason, ctx);
+        let top = self.top();
+        top.strategy = strategy;
+        top.fallback = reason;
+    }
+
+    /// Leave a chain stage that fed a barrier: its selection density
+    /// lands on the chain, and how the input arrived (`selection-fed
+    /// (<density>)` / `gathered: <reason>`) on the barrier that is now
+    /// innermost — the first input with something to say wins.
+    pub(crate) fn exit_chain(&mut self, out: &morsel::BarrierInput) {
+        self.top().selection = out.density().map(|d| format!("selection: {d}"));
+        self.exit(out.rows_out());
+        let barrier = self.top();
+        if barrier.selection.is_none() {
+            barrier.selection = out.note().map(|n| format!("barrier: {n}"));
+        }
+    }
+
+    /// Record the scheduling decision a staged barrier (join, sort,
+    /// top-k, DISTINCT) took, reported by its `morsel::run_*` kernel:
+    /// morsels and exchange partitions scheduled, and either the staged
+    /// strategy or why it stayed sequential.
+    pub(crate) fn note_barrier(
+        &mut self,
+        morsels: usize,
+        partitions: usize,
+        strategy: Option<String>,
+        fallback: Option<String>,
+    ) {
+        self.profile.morsels += morsels;
+        self.profile.partitions += partitions;
+        let top = self.top();
+        top.strategy = strategy;
+        top.fallback = fallback;
+    }
+}
+
+/// Chain-kernel verdict for a fused chain's trace: `"compiled"` when
+/// the chain runs a compiled kernel, otherwise `"interpreted: <reason>"`;
+/// `None` for an empty chain. Sequential-path chains report their
 /// pinning reason (already carried by `fallback`) as the interpretation
-/// reason, matching the ISSUE's `interpreted: udf-not-parallel-safe(f)`
-/// shape; but `pretty()` keeps rendering those as `[sequential: …]`.
+/// reason — `interpreted: udf-not-parallel-safe(f)` — but `pretty()`
+/// keeps rendering those as `[sequential: …]`.
 fn chain_strategy_note(
     ops: &[MorselOp<'_>],
     seq_reason: &Option<String>,
     ctx: &ExecContext,
 ) -> Option<String> {
+    if ops.is_empty() {
+        return None;
+    }
     if let Some(reason) = seq_reason {
         return Some(format!("interpreted: {reason}"));
     }
@@ -272,254 +384,6 @@ fn node_label(plan: &PhysicalPlan) -> String {
         .unwrap_or("?")
         .trim()
         .to_owned()
-}
-
-/// Wall-clock and ledger bytes attributed to a node's children, so the
-/// parent's self-time and self-charges can be derived.
-#[derive(Default)]
-struct ChildTotals {
-    seconds: f64,
-    charged: u64,
-}
-
-/// Run one child node, accumulating its time and charges into `totals`.
-fn run_child(
-    plan: &PhysicalPlan,
-    ctx: &ExecContext,
-    depth: usize,
-    profile: &mut QueryProfile,
-    totals: &mut ChildTotals,
-) -> Result<Batch, ExecError> {
-    let t0 = Instant::now();
-    let c0 = ctx.memory.charged_total();
-    let out = run_node(plan, ctx, depth, profile)?;
-    totals.seconds += t0.elapsed().as_secs_f64();
-    totals.charged += ctx.memory.charged_total() - c0;
-    Ok(out)
-}
-
-/// Run one barrier child. A leading Filter/Project chain is fused and
-/// offered the selection exit — exactly what the plain scheduler does —
-/// with one trace slot per fused node. Fused execution has no
-/// intermediate cardinalities, so every chain slot reports the chain's
-/// combined output count; the top slot carries the chain's time,
-/// charges, kernel strategy and selection density.
-fn barrier_child(
-    plan: &PhysicalPlan,
-    ctx: &ExecContext,
-    depth: usize,
-    profile: &mut QueryProfile,
-    totals: &mut ChildTotals,
-) -> Result<morsel::BarrierInput, ExecError> {
-    let mut chain: Vec<&PhysicalPlan> = Vec::new();
-    let mut source = plan;
-    while let PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } = source {
-        chain.push(source);
-        source = input;
-    }
-    if chain.is_empty() {
-        let batch = run_child(plan, ctx, depth, profile, totals)?;
-        return Ok(morsel::BarrierInput::Gathered(batch, None));
-    }
-
-    // Reserve the chain's slots top-down so the profile stays pre-order.
-    let first_slot = profile.ops.len();
-    for (i, node) in chain.iter().enumerate() {
-        profile.ops.push(OpTrace {
-            label: node_label(node),
-            depth: depth + i,
-            rows_out: 0,
-            total_seconds: 0.0,
-            self_seconds: 0.0,
-            fallback: None,
-            strategy: None,
-            selection: None,
-            charged_bytes: 0,
-        });
-    }
-    let ops: Vec<MorselOp<'_>> = chain
-        .iter()
-        .rev()
-        .map(|n| match n {
-            PhysicalPlan::Filter { predicate, .. } => MorselOp::Filter(predicate),
-            PhysicalPlan::Project { items, .. } => MorselOp::Project(items),
-            _ => unreachable!("chain peel admits filters and projects only"),
-        })
-        .collect();
-
-    let mut src = ChildTotals::default();
-    let input = run_child(source, ctx, depth + chain.len(), profile, &mut src)?;
-    let skip = plan_skip_mask(source, input.rows(), ctx);
-
-    let t0 = Instant::now();
-    let c0 = ctx.memory.charged_total();
-    let (planned, seq_reason) = morsel::planned_and_reason(&input, &ops, None, ctx);
-    profile.morsels += planned;
-    let out = morsel::chain_barrier_input(&input, &ops, skip.as_deref(), ctx)?;
-    let chain_seconds = t0.elapsed().as_secs_f64();
-    let chain_charged = ctx.memory.charged_total() - c0;
-
-    let strategy = chain_strategy_note(&ops, &seq_reason, ctx);
-    for (i, slot) in (first_slot..first_slot + chain.len()).enumerate() {
-        let op = &mut profile.ops[slot];
-        op.rows_out = out.rows_out();
-        op.total_seconds = src.seconds + if i == 0 { chain_seconds } else { 0.0 };
-        if i == 0 {
-            op.self_seconds = chain_seconds;
-            op.charged_bytes = chain_charged;
-            op.fallback = seq_reason.clone();
-            op.strategy = strategy.clone();
-            op.selection = out.density().map(|d| format!("selection: {d}"));
-        }
-    }
-    totals.seconds += src.seconds + chain_seconds;
-    totals.charged += src.charged + chain_charged;
-    Ok(out)
-}
-
-fn run_node(
-    plan: &PhysicalPlan,
-    ctx: &ExecContext,
-    depth: usize,
-    profile: &mut QueryProfile,
-) -> Result<Batch, ExecError> {
-    // Reserve this node's slot so the profile reads in pre-order.
-    let slot = profile.ops.len();
-    profile.ops.push(OpTrace {
-        label: node_label(plan),
-        depth,
-        rows_out: 0,
-        total_seconds: 0.0,
-        self_seconds: 0.0,
-        fallback: None,
-        strategy: None,
-        selection: None,
-        charged_bytes: 0,
-    });
-
-    let start = Instant::now();
-    let start_charged = ctx.memory.charged_total();
-    let mut totals = ChildTotals::default();
-
-    let batch = match plan {
-        PhysicalPlan::Scan { table, schema, .. } => {
-            exact::scan_table(table, schema.as_deref(), ctx)?
-        }
-        PhysicalPlan::AnnTopK {
-            table,
-            schema,
-            column,
-            query,
-            metric,
-            n,
-            path,
-        } => exact::ann_topk(table, schema, column, query, *metric, n, path, ctx)?,
-        PhysicalPlan::TvfScan {
-            name,
-            schema,
-            input,
-        } => {
-            let inp = run_child(input, ctx, depth + 1, profile, &mut totals)?;
-            let tvf = ctx.udfs.table_fn(name)?.clone();
-            let out = tvf.invoke_table(&inp, ctx)?;
-            crate::udf::check_tvf_output(name, schema.as_deref(), &out)?;
-            out
-        }
-        PhysicalPlan::TvfProject {
-            name,
-            args,
-            schema,
-            input,
-        } => {
-            let inp = run_child(input, ctx, depth + 1, profile, &mut totals)?;
-            let tvf = ctx.udfs.table_fn(name)?.clone();
-            let mut arg_values = Vec::with_capacity(args.len());
-            for a in args {
-                arg_values.push(eval_expr(a, &inp, ctx)?.into_arg());
-            }
-            let out = tvf.invoke_cols(&arg_values, ctx)?;
-            crate::udf::check_tvf_output(name, schema.as_deref(), &out)?;
-            out
-        }
-        PhysicalPlan::Filter { predicate, input } => {
-            let inp = run_child(input, ctx, depth + 1, profile, &mut totals)?;
-            let skip = plan_skip_mask(input, inp.rows(), ctx);
-            let ops = [MorselOp::Filter(predicate)];
-            let (planned, reason) = morsel::planned_and_reason(&inp, &ops, None, ctx);
-            profile.morsels += planned;
-            profile.ops[slot].strategy = chain_strategy_note(&ops, &reason, ctx);
-            profile.ops[slot].fallback = reason;
-            morsel::run_ops(&inp, &ops, None, skip.as_deref(), ctx)?
-        }
-        PhysicalPlan::Project { items, input } => {
-            let inp = run_child(input, ctx, depth + 1, profile, &mut totals)?;
-            let ops = [MorselOp::Project(items)];
-            let (planned, reason) = morsel::planned_and_reason(&inp, &ops, None, ctx);
-            profile.morsels += planned;
-            profile.ops[slot].strategy = chain_strategy_note(&ops, &reason, ctx);
-            profile.ops[slot].fallback = reason;
-            morsel::run_ops(&inp, &ops, None, None, ctx)?
-        }
-        PhysicalPlan::Aggregate {
-            keys,
-            aggregates,
-            input,
-        } => {
-            let inp = run_child(input, ctx, depth + 1, profile, &mut totals)?;
-            let (planned, reason) =
-                morsel::planned_and_reason(&inp, &[], Some((keys, aggregates)), ctx);
-            profile.morsels += planned;
-            profile.ops[slot].fallback = reason;
-            morsel::run_aggregate(&inp, &[], keys, aggregates, None, ctx)?
-        }
-        PhysicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => {
-            let l = barrier_child(left, ctx, depth + 1, profile, &mut totals)?;
-            let r = barrier_child(right, ctx, depth + 1, profile, &mut totals)?;
-            record_barrier(plan, &[&l, &r], ctx, slot, profile);
-            morsel::run_join(l, r, *kind, on, ctx)?
-        }
-        PhysicalPlan::Sort { keys, input } => {
-            let inp = barrier_child(input, ctx, depth + 1, profile, &mut totals)?;
-            record_barrier(plan, &[&inp], ctx, slot, profile);
-            morsel::run_sort(inp, keys, ctx)?
-        }
-        PhysicalPlan::Limit { n, input } => {
-            let inp = run_child(input, ctx, depth + 1, profile, &mut totals)?;
-            inp.head(resolve_limit(n, ctx)?)
-        }
-        PhysicalPlan::TopK { keys, n, input } => {
-            let inp = barrier_child(input, ctx, depth + 1, profile, &mut totals)?;
-            record_barrier(plan, &[&inp], ctx, slot, profile);
-            morsel::run_topk(inp, keys, resolve_limit(n, ctx)?, ctx)?
-        }
-        PhysicalPlan::Window { windows, input } => {
-            let inp = run_child(input, ctx, depth + 1, profile, &mut totals)?;
-            exact::window_batch(&inp, windows, ctx)?
-        }
-        PhysicalPlan::Distinct { input } => {
-            let inp = barrier_child(input, ctx, depth + 1, profile, &mut totals)?;
-            record_barrier(plan, &[&inp], ctx, slot, profile);
-            morsel::run_distinct(inp, ctx)?
-        }
-        PhysicalPlan::UnionAll { left, right } => {
-            let l = run_child(left, ctx, depth + 1, profile, &mut totals)?;
-            let r = run_child(right, ctx, depth + 1, profile, &mut totals)?;
-            exact::union_all_batches(&l, &r)?
-        }
-    };
-
-    let total = start.elapsed().as_secs_f64();
-    let op = &mut profile.ops[slot];
-    op.rows_out = batch.rows();
-    op.total_seconds = total;
-    op.self_seconds = (total - totals.seconds).max(0.0);
-    op.charged_bytes = (ctx.memory.charged_total() - start_charged).saturating_sub(totals.charged);
-    Ok(batch)
 }
 
 #[cfg(test)]
@@ -572,10 +436,13 @@ mod tests {
             prof.ops.iter().map(|o| o.depth).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
-        // Cardinalities recorded per node.
+        // Cardinalities: the filter is fused below the aggregate, so it
+        // reports the stage's output count; the scan is its own stage.
         assert_eq!(prof.ops[2].rows_out, 100);
-        assert_eq!(prof.ops[1].rows_out, 90);
+        assert_eq!(prof.ops[1].rows_out, 3);
         assert_eq!(prof.ops[0].rows_out, 3);
+        // The stage's time lands once, on its top node.
+        assert_eq!(prof.ops[1].self_seconds, 0.0);
     }
 
     #[test]
@@ -591,32 +458,56 @@ mod tests {
         assert!(prof.hottest().is_some());
     }
 
+    /// The profiled walk *is* the plain walk: float aggregates — whose
+    /// last bit depends on where partial sums are cut — come back
+    /// byte-identical, filtered or not, grouped or not, at tiny morsels
+    /// and at every thread count.
     #[test]
-    fn profile_result_equals_unprofiled_result() {
-        let c = setup();
-        let sql = "SELECT tag, COUNT(*) FROM t GROUP BY tag ORDER BY tag";
-        let (batch, _) = profiled(&c, sql);
+    fn profiled_run_is_bytewise_the_plain_run() {
+        let catalog = Catalog::new();
+        // Magnitudes spread over nine decades: f32 addition over these is
+        // visibly non-associative, so a different morsel cut shows.
+        let x: Vec<f32> = (0..200)
+            .map(|i| ((i * 7919) % 1000) as f32 * 10f32.powi(i % 9 - 4))
+            .collect();
+        catalog.register(
+            TableBuilder::new()
+                .col_f32("x", x)
+                .col_str(
+                    "tag",
+                    &(0..200).map(|v| format!("t{}", v % 3)).collect::<Vec<_>>(),
+                )
+                .build("t"),
+        );
         let udfs = UdfRegistry::new();
-        let ctx = ExecContext::new(&c, &udfs);
-        let plan = optimizer::optimize(
-            build_plan(&parse(sql).unwrap(), &PlannerContext::default()).unwrap(),
-        );
-        let phys = lower(&plan, &c, &udfs).unwrap();
-        let plain = crate::exact::execute(&phys, &ctx).unwrap();
-        assert_eq!(
-            batch
-                .column("COUNT(*)")
-                .unwrap()
-                .to_exact()
-                .decode_i64()
-                .to_vec(),
-            plain
-                .column("COUNT(*)")
-                .unwrap()
-                .to_exact()
-                .decode_i64()
-                .to_vec()
-        );
+        let bits = |b: &Batch| -> Vec<(String, Vec<u32>)> {
+            b.columns()
+                .iter()
+                .map(|(n, c)| {
+                    let exact = c.to_exact();
+                    let v = exact.decode_f32().to_vec();
+                    (n.clone(), v.iter().map(|f| f.to_bits()).collect())
+                })
+                .collect()
+        };
+        for sql in [
+            "SELECT SUM(x), AVG(x), VARIANCE(x) FROM t",
+            "SELECT SUM(x), AVG(x), VARIANCE(x) FROM t WHERE x > 0.5",
+            "SELECT tag, SUM(x), AVG(x), VARIANCE(x) FROM t GROUP BY tag",
+            "SELECT tag, SUM(x), AVG(x), VARIANCE(x) FROM t WHERE x > 0.5 GROUP BY tag",
+            "SELECT tag, SUM(x * 2) AS s FROM t WHERE x > 0.5 AND x < 900000 GROUP BY tag ORDER BY s",
+        ] {
+            let plan = optimizer::optimize(
+                build_plan(&parse(sql).unwrap(), &PlannerContext::default()).unwrap(),
+            );
+            let phys = lower(&plan, &catalog, &udfs).unwrap();
+            for threads in [1, 4] {
+                let ctx = ExecContext::new(&catalog, &udfs).with_scheduler(threads, 7);
+                let plain = crate::pipeline::execute(&phys, &ctx).unwrap();
+                let (profiled, _) = execute_profiled(&phys, &ctx).unwrap();
+                assert_eq!(bits(&profiled), bits(&plain), "{sql} @ threads={threads}");
+            }
+        }
     }
 
     #[test]

@@ -79,19 +79,6 @@ impl MemoryPool {
         }
     }
 
-    /// Pool configured from the `TDP_MEM_BUDGET` environment variable
-    /// (bytes, optionally suffixed `k`/`m`/`g`); unset or unparsable
-    /// means unlimited.
-    pub fn from_env() -> MemoryPool {
-        match std::env::var("TDP_MEM_BUDGET")
-            .ok()
-            .and_then(|s| parse_bytes(&s))
-        {
-            Some(b) => MemoryPool::with_budget(b),
-            None => MemoryPool::unlimited(),
-        }
-    }
-
     /// Configured budget in bytes; `None` when unlimited.
     pub fn budget(&self) -> Option<u64> {
         self.budget

@@ -14,6 +14,29 @@ pub fn orders_table() -> Table {
         .build("orders")
 }
 
+/// Byte-identity of two result tables — the contract every scheduler
+/// configuration is held to: same row count, same column order, and per
+/// column the same f32 **bit patterns** (so `NaN == NaN`, `-0.0 != 0.0`)
+/// and the same string view.
+pub fn assert_tables_identical(a: &Table, b: &Table, what: &str) {
+    assert_eq!(a.rows(), b.rows(), "{what}: row count");
+    let names = |t: &Table| -> Vec<String> { t.columns().iter().map(|c| c.name.clone()).collect() };
+    assert_eq!(names(a), names(b), "{what}: column order");
+    for (x, y) in a.columns().iter().zip(b.columns()) {
+        let bits = |c: &tdp_core::storage::Column| -> Vec<u32> {
+            let v = c.data.decode_f32().to_vec();
+            v.iter().map(|f| f.to_bits()).collect()
+        };
+        assert_eq!(bits(x), bits(y), "{what}: column {}", x.name);
+        assert_eq!(
+            x.data.decode_strings(),
+            y.data.decode_strings(),
+            "{what}: column {} (string view)",
+            x.name
+        );
+    }
+}
+
 /// `halve(column)` — a stateless, declared-signature, parallel-safe
 /// scalar UDF (the fixture for morsel-scheduler UDF tests). Register it
 /// through [`tdp_core::Session::register_udf_parallel`] to let chains

@@ -10,6 +10,7 @@ use proptest::prelude::*;
 use tdp_core::storage::{Table, TableBuilder};
 use tdp_core::tensor::{F32Tensor, Rng64, Tensor};
 use tdp_core::{ParamValue, ParamValues, StatementOutcome, Tdp};
+use tdp_integration::assert_tables_identical;
 
 /// A table whose `v` column is block-ordered: chunk-sized runs of rising
 /// values, so range predicates can rule out whole 4096-row chunks. `k`
@@ -23,31 +24,6 @@ fn blocked_table(rows: usize) -> Table {
         .col_i64("k", ks)
         .col_str("tag", &tags)
         .build("t")
-}
-
-fn assert_tables_identical(a: &Table, b: &Table, what: &str) {
-    assert_eq!(a.rows(), b.rows(), "{what}: row count");
-    let names_a: Vec<&str> = a.columns().iter().map(|c| c.name.as_str()).collect();
-    let names_b: Vec<&str> = b.columns().iter().map(|c| c.name.as_str()).collect();
-    assert_eq!(names_a, names_b, "{what}: column order");
-    for col in a.columns() {
-        let other = b.column(&col.name).expect("column present");
-        let bits_a: Vec<u32> = col
-            .data
-            .decode_f32()
-            .to_vec()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let bits_b: Vec<u32> = other
-            .data
-            .decode_f32()
-            .to_vec()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(bits_a, bits_b, "{what}: column {} bits", col.name);
-    }
 }
 
 // ----------------------------------------------------------------------

@@ -6,6 +6,7 @@
 use proptest::prelude::*;
 use tdp_core::storage::{Table, TableBuilder};
 use tdp_core::{ParamValues, Tdp};
+use tdp_integration::assert_tables_identical;
 
 /// Deterministic mixed-encoding table: f32 values, small-domain i64
 /// keys (dictionary-friendly), and a dictionary-encoded tag column.
@@ -18,28 +19,6 @@ fn table(vs: &[f32]) -> Table {
         .col_i64("k", ks)
         .col_str("tag", &tags)
         .build("t")
-}
-
-fn assert_tables_identical(a: &Table, b: &Table, what: &str) {
-    assert_eq!(a.rows(), b.rows(), "{what}: row count");
-    for col in a.columns() {
-        let other = b.column(&col.name).expect("column present");
-        let bits = |t: &tdp_core::storage::Column| -> Vec<u32> {
-            t.data
-                .decode_f32()
-                .to_vec()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect()
-        };
-        assert_eq!(bits(col), bits(other), "{what}: column {}", col.name);
-        assert_eq!(
-            col.data.decode_strings(),
-            other.data.decode_strings(),
-            "{what}: column {} (string view)",
-            col.name
-        );
-    }
 }
 
 /// Chain shapes the kernel compiles: multi-conjunct filters, computed
@@ -398,13 +377,14 @@ fn explain_and_profile_report_chain_strategy() {
     // A fused filter→project chain compiles: EXPLAIN counts its ops.
     let q = tdp.query("SELECT v * 2 AS d FROM t WHERE v > 0.0").unwrap();
     assert!(q.explain().contains("[compiled ×2 ops]"), "{}", q.explain());
+    // The profile describes the fused run: the chain's verdict lands
+    // once, on the stage's top node, with the filter fused below it.
     let (_, prof) = q.run_profiled().unwrap();
-    let filter = prof
-        .ops
-        .iter()
-        .find(|o| o.label.starts_with("Filter"))
-        .expect("filter trace");
-    assert_eq!(filter.strategy.as_deref(), Some("compiled"));
+    assert!(prof.ops[0].label.starts_with("Project"), "{:?}", prof.ops);
+    assert_eq!(prof.ops[0].strategy.as_deref(), Some("compiled"));
+    assert!(prof.ops[1].label.starts_with("Filter"), "{:?}", prof.ops);
+    assert_eq!(prof.ops[1].strategy, None);
+    assert_eq!(prof.ops[1].rows_out, prof.ops[0].rows_out);
 
     // Disabled kernels are a named interpreter verdict, not silence.
     tdp.set_chain_kernels(false);

@@ -9,6 +9,7 @@ use proptest::prelude::*;
 use tdp_core::exec::ExecError;
 use tdp_core::storage::{Table, TableBuilder};
 use tdp_core::{ParamValues, Tdp, TdpError};
+use tdp_integration::assert_tables_identical;
 
 fn table(n: usize, seed: u64) -> Table {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -51,39 +52,6 @@ fn dim(seed: u64) -> Table {
 fn run_at(tdp: &Tdp, sql: &str, threads: usize) -> Table {
     tdp.set_threads(threads);
     tdp.query(sql).expect("compile").run().expect("run")
-}
-
-fn assert_tables_identical(a: &Table, b: &Table, what: &str) {
-    assert_eq!(a.rows(), b.rows(), "{what}: row count");
-    let names_a: Vec<&str> = a.columns().iter().map(|c| c.name.as_str()).collect();
-    let names_b: Vec<&str> = b.columns().iter().map(|c| c.name.as_str()).collect();
-    assert_eq!(names_a, names_b, "{what}: column order");
-    for col in a.columns() {
-        let other = b.column(&col.name).expect("column present");
-        // Bitwise comparison: decode to bit patterns so NaN == NaN and
-        // -0.0 != 0.0 differences would be caught.
-        let bits_a: Vec<u32> = col
-            .data
-            .decode_f32()
-            .to_vec()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let bits_b: Vec<u32> = other
-            .data
-            .decode_f32()
-            .to_vec()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(bits_a, bits_b, "{what}: column {}", col.name);
-        assert_eq!(
-            col.data.decode_strings(),
-            other.data.decode_strings(),
-            "{what}: column {} (string view)",
-            col.name
-        );
-    }
 }
 
 /// SQL pipeline shapes stressed by the determinism property: fused

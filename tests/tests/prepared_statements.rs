@@ -10,9 +10,10 @@ use proptest::prelude::*;
 use tdp_core::autodiff::Var;
 use tdp_core::encoding::EncodedTensor;
 use tdp_core::exec::{ArgValue, DiffColumn, ExecContext, ExecError, ScalarUdf};
-use tdp_core::storage::{Table, TableBuilder};
+use tdp_core::storage::TableBuilder;
 use tdp_core::tensor::Tensor;
 use tdp_core::{ParamValues, QueryConfig, Tdp, TdpError};
+use tdp_integration::assert_tables_identical;
 
 fn session() -> Tdp {
     let tdp = Tdp::new();
@@ -24,23 +25,6 @@ fn session() -> Tdp {
             .build("t"),
     );
     tdp
-}
-
-/// Two result tables are byte-identical: same column names, encodings and
-/// decoded contents.
-fn assert_tables_identical(a: &Table, b: &Table, what: &str) {
-    assert_eq!(a.rows(), b.rows(), "{what}: row counts differ");
-    let (ac, bc) = (a.columns(), b.columns());
-    assert_eq!(ac.len(), bc.len(), "{what}: column counts differ");
-    for (x, y) in ac.iter().zip(bc.iter()) {
-        assert_eq!(x.name, y.name, "{what}: column names differ");
-        assert_eq!(
-            x.data.decode_f32().to_vec(),
-            y.data.decode_f32().to_vec(),
-            "{what}: column '{}' differs",
-            x.name
-        );
-    }
 }
 
 #[test]
