@@ -44,7 +44,7 @@ fn bench_sql_operators(c: &mut Criterion) {
 
 fn bench_soft_vs_exact_groupby(c: &mut Criterion) {
     // Ablation: the differentiable (soft) group-by over an exact key
-    // column vs the sort-based exact group-by, same query.
+    // column vs the exact hash group-by, same query.
     let tdp = session(20_000);
     let sql = "SELECT k, COUNT(*) FROM t GROUP BY k";
     let exact = tdp.query(sql).expect("compile");
@@ -53,7 +53,7 @@ fn bench_soft_vs_exact_groupby(c: &mut Criterion) {
         .expect("compile");
     let mut group = c.benchmark_group("soft_vs_exact_groupby_20k");
     group.sample_size(20);
-    group.bench_function("exact_sort_based", |b| b.iter(|| exact.run().expect("run")));
+    group.bench_function("exact_hash", |b| b.iter(|| exact.run().expect("run")));
     group.bench_function("soft_khatri_rao", |b| {
         b.iter(|| soft.run_diff().expect("run_diff"))
     });
@@ -739,6 +739,64 @@ fn bench_late_materialization(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_grouped_aggregate(c: &mut Criterion) {
+    // The fused grouped fold on the TPC-H Q1 shape — one key, five
+    // aggregates, one computed and one repeated argument — swept over
+    // group cardinality and selectivity. 3 groups is the dictionary key
+    // of Q1 itself (direct-index arm, trivial merge); the integer keys
+    // are spread a million apart so their span forces the hash arm, and
+    // at 100 000 groups every morsel carries tens of thousands of
+    // partial groups into the combine step. 97% keeps the selection a
+    // dense mask, 10% demotes it to a survivor index list.
+    let n = 1_000_000;
+    let mut rng = Rng64::new(47);
+    let flags = ["A", "N", "R"];
+    let labels: Vec<&str> = (0..n).map(|_| flags[rng.below(flags.len())]).collect();
+    let tdp = Tdp::new();
+    tdp.register_table(
+        TableBuilder::new()
+            .col_str("g3", &labels)
+            .col_i64(
+                "g1k",
+                (0..n)
+                    .map(|_| rng.below(1_000) as i64 * 1_000_003)
+                    .collect(),
+            )
+            .col_i64(
+                "g100k",
+                (0..n)
+                    .map(|_| rng.below(100_000) as i64 * 1_000_003)
+                    .collect(),
+            )
+            .col_f32("qty", (0..n).map(|_| rng.below(50) as f32 + 1.0).collect())
+            .col_f32(
+                "price",
+                (0..n).map(|_| rng.uniform() as f32 * 1e4).collect(),
+            )
+            .col_f32(
+                "disc",
+                (0..n).map(|_| rng.below(11) as f32 / 100.0).collect(),
+            )
+            .col_f32("dial", (0..n).map(|_| rng.uniform() as f32).collect())
+            .build("lineitem"),
+    );
+    let mut group = c.benchmark_group("grouped_aggregate_1m");
+    group.sample_size(10);
+    for key in ["g3", "g1k", "g100k"] {
+        for (sel, cutoff) in [("10pct", "0.10"), ("97pct", "0.97")] {
+            let q = tdp
+                .query(&format!(
+                    "SELECT {key}, SUM(qty) AS q, SUM(price) AS p, \
+                     SUM(price * (1 - disc)) AS net, AVG(disc) AS d, COUNT(*) AS n \
+                     FROM lineitem WHERE dial < {cutoff} GROUP BY {key}"
+                ))
+                .expect("compile");
+            group.bench_function(format!("{key}/{sel}"), |b| b.iter(|| q.run().expect("run")));
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sql_operators,
@@ -756,6 +814,7 @@ criterion_group!(
     bench_concurrent_sessions,
     bench_access_paths,
     bench_memory_budget,
-    bench_late_materialization
+    bench_late_materialization,
+    bench_grouped_aggregate
 );
 criterion_main!(benches);

@@ -317,178 +317,20 @@ pub(crate) fn key_codes(col: &EncodedTensor) -> Result<I64Tensor, ExecError> {
     })
 }
 
+/// Grouped (or global) aggregation of one whole batch: a single
+/// partial state folded by the program the morsel scheduler runs per
+/// morsel ([`crate::morsel::partial_aggregate`]), finalised by the same
+/// combine step — so the staged paths and this kernel share every
+/// aggregate function's arithmetic by construction.
 pub fn aggregate_batch(
     batch: &Batch,
     keys: &[PhysKey],
     aggregates: &[PhysAggregate],
     ctx: &ExecContext,
 ) -> Result<Batch, ExecError> {
-    let n = batch.rows();
-
-    // Evaluate key expressions once.
-    let mut key_cols: Vec<(&str, EncodedTensor)> = Vec::with_capacity(keys.len());
-    for k in keys {
-        match eval_expr(&k.expr, batch, ctx)? {
-            Value::Column(c) => key_cols.push((&k.name, c)),
-            other => {
-                return Err(ExecError::TypeMismatch(format!(
-                    "GROUP BY expression must be a column, got {other:?}"
-                )))
-            }
-        }
-    }
-
-    // Group resolution.
-    let (ids, num_groups, rep_rows) = if key_cols.is_empty() {
-        // Global aggregate: one group holding every row.
-        (
-            Tensor::from_vec(vec![0i64; n], &[n]),
-            1usize,
-            Tensor::from_vec(vec![0i64], &[1]),
-        )
-    } else {
-        let codes: Vec<I64Tensor> = key_cols
-            .iter()
-            .map(|(_, c)| key_codes(c))
-            .collect::<Result<_, _>>()?;
-        let refs: Vec<&I64Tensor> = codes.iter().collect();
-        let (ids, distinct) = group_ids(&refs);
-        let groups = distinct.shape()[0];
-        // First-occurrence representative row per group (for key output).
-        let mut rep = vec![-1i64; groups];
-        for (row, &g) in ids.data().iter().enumerate() {
-            if rep[g as usize] < 0 {
-                rep[g as usize] = row as i64;
-            }
-        }
-        (ids, groups, Tensor::from_vec(rep, &[groups]))
-    };
-
-    let mut out = Batch::new();
-    // Key columns keep their original encoding via representative rows.
-    for (name, col) in &key_cols {
-        out.push(
-            name.to_string(),
-            ColumnData::Exact(col.select_rows(&rep_rows)),
-        );
-    }
-
-    // Per-group aggregate columns.
-    let counts: Vec<i64> = {
-        let ones = F32Tensor::ones(&[n]);
-        ones.segment_sum(&ids, num_groups)
-            .data()
-            .iter()
-            .map(|&c| c as i64)
-            .collect()
-    };
-    for agg in aggregates {
-        let col = match (agg.func, &agg.arg) {
-            (AggFunc::Count, None) => {
-                EncodedTensor::I64(Tensor::from_vec(counts.clone(), &[num_groups]))
-            }
-            (AggFunc::Count, Some(e)) => {
-                // COUNT(expr): rows where expr is defined; without NULLs this
-                // is the group size unless the expression is boolean, where
-                // we count trues (a pragmatic dialect choice).
-                match eval_expr(e, batch, ctx)? {
-                    Value::Column(EncodedTensor::Bool(m)) => EncodedTensor::I64(
-                        m.to_f32_mask()
-                            .segment_sum(&ids, num_groups)
-                            .map(|v| v as i64),
-                    ),
-                    _ => EncodedTensor::I64(Tensor::from_vec(counts.clone(), &[num_groups])),
-                }
-            }
-            (AggFunc::Sum, Some(e)) => {
-                let vals = eval_expr(e, batch, ctx)?.into_f32_column(n)?;
-                EncodedTensor::F32(vals.segment_sum(&ids, num_groups))
-            }
-            (AggFunc::Avg, Some(e)) => {
-                let vals = eval_expr(e, batch, ctx)?.into_f32_column(n)?;
-                let sums = vals.segment_sum(&ids, num_groups);
-                let denoms =
-                    Tensor::from_vec(counts.iter().map(|&c| c as f32).collect(), &[num_groups]);
-                EncodedTensor::F32(sums.div(&denoms))
-            }
-            (AggFunc::CountDistinct, Some(e)) => {
-                // Distinct codes per group: reuse the grouping-code map so
-                // strings, bools, floats and PE columns all work.
-                let col = match eval_expr(e, batch, ctx)? {
-                    Value::Column(c) => c,
-                    other => {
-                        return Err(ExecError::TypeMismatch(format!(
-                            "COUNT(DISTINCT …) needs a column, got {other:?}"
-                        )))
-                    }
-                };
-                let codes = key_codes(&col)?;
-                let mut seen: Vec<std::collections::HashSet<i64>> =
-                    vec![std::collections::HashSet::new(); num_groups];
-                for (row, &g) in ids.data().iter().enumerate() {
-                    seen[g as usize].insert(codes.at(row));
-                }
-                EncodedTensor::I64(Tensor::from_vec(
-                    seen.iter().map(|s| s.len() as i64).collect(),
-                    &[num_groups],
-                ))
-            }
-            (AggFunc::Variance, Some(e)) | (AggFunc::Stddev, Some(e)) => {
-                // Sample variance via the sum-of-squares identity, in f64
-                // for numeric robustness; singleton groups yield 0 in this
-                // NULL-free dialect.
-                let vals = eval_expr(e, batch, ctx)?.into_f32_column(n)?;
-                let mut sum = vec![0.0f64; num_groups];
-                let mut sumsq = vec![0.0f64; num_groups];
-                for (row, &g) in ids.data().iter().enumerate() {
-                    let v = vals.at(row) as f64;
-                    sum[g as usize] += v;
-                    sumsq[g as usize] += v * v;
-                }
-                let out: Vec<f32> = (0..num_groups)
-                    .map(|g| {
-                        let c = counts[g] as f64;
-                        if c <= 1.0 {
-                            return 0.0;
-                        }
-                        let var = ((sumsq[g] - sum[g] * sum[g] / c) / (c - 1.0)).max(0.0);
-                        if agg.func == AggFunc::Stddev {
-                            var.sqrt() as f32
-                        } else {
-                            var as f32
-                        }
-                    })
-                    .collect();
-                EncodedTensor::F32(Tensor::from_vec(out, &[num_groups]))
-            }
-            (AggFunc::Min, Some(e)) | (AggFunc::Max, Some(e)) => {
-                let vals = eval_expr(e, batch, ctx)?.into_f32_column(n)?;
-                let is_min = agg.func == AggFunc::Min;
-                let init = if is_min {
-                    f32::INFINITY
-                } else {
-                    f32::NEG_INFINITY
-                };
-                let mut acc = vec![init; num_groups];
-                for (row, &g) in ids.data().iter().enumerate() {
-                    let v = vals.at(row);
-                    let slot = &mut acc[g as usize];
-                    if (is_min && v < *slot) || (!is_min && v > *slot) {
-                        *slot = v;
-                    }
-                }
-                EncodedTensor::F32(Tensor::from_vec(acc, &[num_groups]))
-            }
-            (f, None) => {
-                return Err(ExecError::Unsupported(format!(
-                    "{}(*) is not meaningful",
-                    f.name()
-                )))
-            }
-        };
-        out.push(agg.output.clone(), ColumnData::Exact(col));
-    }
-    Ok(out)
+    let prog = crate::morsel::AggProgram::compile(keys, aggregates)?;
+    let partial = crate::morsel::partial_aggregate(&prog, batch, None, ctx)?;
+    Ok(crate::morsel::merge_partials(&prog, vec![partial]))
 }
 
 /// Resolve compiled join keys into `(left, right)` exact key columns.

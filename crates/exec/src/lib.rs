@@ -57,8 +57,9 @@
 //! * filter/project pipelines reassemble with an **order-preserving,
 //!   encoding-preserving concat** ([`Batch::concat`]);
 //! * aggregation folds every morsel into per-group **partial states**
-//!   (counts, f32 sums, f64 power sums, min/max) merged by a combine
-//!   step that walks morsels in index order;
+//!   (i64 counts, f32 sums, f64 power sums, min/max) merged by a combine
+//!   step that walks morsels in index order — a single-morsel input is
+//!   the same code with one partial;
 //! * LIMIT pipelines **early-exit**: once the contiguous output prefix
 //!   covers the requested rows, unclaimed morsels are never processed.
 //!
@@ -70,8 +71,13 @@
 //! — run whole-batch inside the same walker, equally deterministically.
 //!
 //! The kernels themselves live in [`exact`]: filters are boolean masks,
-//! GROUP BY is sort-based over composite integer keys, joins are hash
-//! joins, ORDER BY is argsort, aggregation is segmented reduction.
+//! GROUP BY resolves composite integer keys to dense group ids in one
+//! O(n) sweep (`tdp_tensor::sort::group_rows`: a direct-index table for
+//! narrow key spans, an open-addressing hash otherwise, sorting only
+//! the distinct tuples), joins are hash joins, ORDER BY is argsort, and
+//! aggregation is one compiled program per query ([`morsel`]'s
+//! `AggProgram`) whose accumulators all advance in a single row-order
+//! pass over `(group id, arguments…)`.
 //! Probability-encoded inputs are decoded by argmax first (paper §4,
 //! inference-time operator swap). The trainable path ([`soft`], [`diff`])
 //! consumes the *same* pipeline decomposition single-threaded: GROUP BY +

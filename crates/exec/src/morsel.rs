@@ -2,8 +2,10 @@
 //! and runs operator stages over them across a worker pool.
 //!
 //! Execution is **staged**: barrier-free chains stream per morsel with
-//! an order-preserving concat sink; grouped aggregation folds morsels
-//! into partial states merged in morsel order; and the barrier
+//! an order-preserving concat sink; grouped aggregation folds each
+//! morsel into partial states — group ids resolved in one O(n) pass, every
+//! accumulator advanced in one row-order sweep — merged in morsel
+//! order; and the barrier
 //! operators run as short stage sequences over materialised inputs —
 //! chains → exchange → barrier stages:
 //!
@@ -63,7 +65,7 @@
 //!
 //! | barrier            | selection-fed behaviour                             |
 //! |--------------------|-----------------------------------------------------|
-//! | aggregate          | folds survivors straight into partial states: plain  column aggregates use branchless masked accumulation (dense) or survivor iteration (sparse); computed arguments / GROUP BY gather only *referenced* columns into mini-batches per input morsel |
+//! | aggregate          | folds survivors straight into partial states, one per input morsel: ungrouped plain-column aggregates use branchless masked accumulation (dense) or survivor iteration (sparse); GROUP BY / computed arguments run the fused per-morsel fold over the *referenced* columns — the morsel's row range under its mask slice (dense) or its survivors read by index (sparse) — so nothing is gathered at table width |
 //! | join (`run_join`)  | builds/probes survivor rows only; exchange buckets survivor ids; `join_assemble` gathers once on matched output positions |
 //! | sort / top-k       | evaluates keys on survivors; payload gather happens  once, in final sorted order |
 //! | DISTINCT           | exchanges survivor grouping codes; representatives   gather at the end |
@@ -102,6 +104,7 @@
 //! Both fallbacks are equally deterministic — they are the oracle the
 //! staged paths are tested against, at every thread count.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -109,6 +112,7 @@ use std::sync::Mutex;
 use tdp_encoding::EncodedTensor;
 use tdp_sql::ast::{AggFunc, JoinKind};
 use tdp_storage::Catalog;
+use tdp_tensor::sort::{group_rows, Groups};
 use tdp_tensor::{F32Tensor, I64Tensor, Tensor};
 
 use crate::batch::{Batch, ColumnData};
@@ -1804,38 +1808,160 @@ pub(crate) fn barrier_note(plan: &PhysicalPlan, ctx: &ExecContext) -> Option<Str
 }
 
 // ----------------------------------------------------------------------
-// Parallel partial aggregation
+// Grouped aggregation: one compiled program, one fold per morsel
 // ----------------------------------------------------------------------
 
 /// Cross-morsel group identity for one key column. Dictionary columns
 /// merge on decoded strings (the order-preserving dictionary makes
 /// string order = code order, so the combine's sorted output matches the
-/// sequential kernel's); everything else merges on its grouping code.
+/// single-batch group order); everything else merges on its grouping
+/// code.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 enum MergeKey {
     Int(i64),
     Str(String),
 }
 
-/// Per-aggregate partial state over one morsel's groups.
+/// How an accumulator consumes its argument column.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum AccKind {
+    /// COUNT(expr): trues of a boolean column, the group size for
+    /// anything else (a pragmatic choice in this NULL-free dialect).
+    Count,
+    /// COUNT(DISTINCT expr). Distinct counts do not add across morsels,
+    /// so [`aggregate_fallback`] pins these queries to one whole-batch
+    /// partial.
+    CountDistinct,
+    /// f32 running sum in row order from `0.0` — SUM, and AVG's
+    /// numerator (the divisor is the merged group size).
+    Sum,
+    Min,
+    Max,
+    /// f64 power sums, finalised as VARIANCE or STDDEV.
+    Moments,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct AccSpec {
+    kind: AccKind,
+    /// Index into [`AggProgram::args`].
+    arg: usize,
+}
+
+/// The aggregate list of one query, compiled once — not per morsel.
+/// Argument expressions are de-duplicated (`SUM(x)`, `AVG(x)` and
+/// `VARIANCE(x)` evaluate `x` once per morsel) and so are accumulators
+/// (`SUM(x)` and `AVG(x)` share one running sum, `VARIANCE(x)` and
+/// `STDDEV(x)` one pair of power sums); COUNT(*) needs no accumulator at
+/// all, it reads the group size.
+pub(crate) struct AggProgram<'q> {
+    keys: &'q [PhysKey],
+    aggregates: &'q [PhysAggregate],
+    /// `keys[i].expr`, or its re-addressed copy after [`Self::rebind`].
+    key_exprs: Vec<Cow<'q, CompiledExpr>>,
+    /// Distinct argument expressions in first-use order.
+    args: Vec<Cow<'q, CompiledExpr>>,
+    /// Distinct `(kind, argument)` accumulators.
+    accs: Vec<AccSpec>,
+    /// Per aggregate, the accumulator it finalises from; `None` is
+    /// COUNT(*).
+    outs: Vec<Option<usize>>,
+}
+
+impl<'q> AggProgram<'q> {
+    pub(crate) fn compile(
+        keys: &'q [PhysKey],
+        aggregates: &'q [PhysAggregate],
+    ) -> Result<AggProgram<'q>, ExecError> {
+        let mut args: Vec<Cow<'q, CompiledExpr>> = Vec::new();
+        let mut accs: Vec<AccSpec> = Vec::new();
+        let mut outs = Vec::with_capacity(aggregates.len());
+        for agg in aggregates {
+            let Some(e) = &agg.arg else {
+                if agg.func == AggFunc::Count {
+                    outs.push(None);
+                    continue;
+                }
+                return Err(ExecError::Unsupported(format!(
+                    "{}(*) is not meaningful",
+                    agg.func.name()
+                )));
+            };
+            let kind = match agg.func {
+                AggFunc::Count => AccKind::Count,
+                AggFunc::CountDistinct => AccKind::CountDistinct,
+                AggFunc::Sum | AggFunc::Avg => AccKind::Sum,
+                AggFunc::Min => AccKind::Min,
+                AggFunc::Max => AccKind::Max,
+                AggFunc::Variance | AggFunc::Stddev => AccKind::Moments,
+            };
+            let arg = args
+                .iter()
+                .position(|a| a.as_ref() == e)
+                .unwrap_or_else(|| {
+                    args.push(Cow::Borrowed(e));
+                    args.len() - 1
+                });
+            let acc = accs
+                .iter()
+                .position(|a| a.kind == kind && a.arg == arg)
+                .unwrap_or_else(|| {
+                    accs.push(AccSpec { kind, arg });
+                    accs.len() - 1
+                });
+            outs.push(Some(acc));
+        }
+        Ok(AggProgram {
+            keys,
+            aggregates,
+            key_exprs: keys.iter().map(|k| Cow::Borrowed(&k.expr)).collect(),
+            args,
+            accs,
+            outs,
+        })
+    }
+
+    /// The same program over a batch holding only the columns `refs`
+    /// (ascending slots of `cols`), in that order: every column
+    /// reference is re-addressed to its position in `refs`. Accumulator
+    /// layout is untouched, so partials of the rebound program merge
+    /// under the original.
+    fn rebind(&self, cols: &[(String, EncodedTensor)], refs: &[usize]) -> AggProgram<'q> {
+        let readdress = |e: &CompiledExpr| {
+            let mut e = e.clone();
+            e.for_each_mut(&mut |node| {
+                if let CompiledExpr::Column(r) = node {
+                    let slot = resolve_idx(cols, r).expect("referenced_cols resolved every ref");
+                    *r = crate::physical::ColumnRef::Slot {
+                        slot: refs.binary_search(&slot).expect("slot is referenced"),
+                        name: r.name().to_owned(),
+                    };
+                }
+            });
+            Cow::Owned(e)
+        };
+        AggProgram {
+            keys: self.keys,
+            aggregates: self.aggregates,
+            key_exprs: self.key_exprs.iter().map(|e| readdress(e)).collect(),
+            args: self.args.iter().map(|e| readdress(e)).collect(),
+            accs: self.accs.clone(),
+            outs: self.outs.clone(),
+        }
+    }
+}
+
+/// Per-accumulator partial state over one morsel's groups.
 enum AccColumn {
-    /// COUNT(*) / COUNT(expr): rows (or trues) per group.
     Count(Vec<i64>),
-    /// SUM partials (f32, matching the sequential segment-sum kernel).
     Sum(Vec<f32>),
-    /// AVG: sum partials; the divisor is the merged group size.
-    Avg(Vec<f32>),
     Min(Vec<f32>),
     Max(Vec<f32>),
-    /// VARIANCE / STDDEV: f64 power sums, as in the sequential kernel.
-    Moments {
-        sum: Vec<f64>,
-        sumsq: Vec<f64>,
-    },
+    Moments { sum: Vec<f64>, sumsq: Vec<f64> },
 }
 
 /// Partial aggregation state of one morsel.
-struct PartialAgg {
+pub(crate) struct PartialAgg {
     /// Representative key rows (first in-morsel occurrence), encoding
     /// preserved; one `[groups]` column per GROUP BY key.
     key_reps: Vec<EncodedTensor>,
@@ -1843,8 +1969,31 @@ struct PartialAgg {
     merge_keys: Vec<Vec<MergeKey>>,
     /// Group sizes.
     counts: Vec<i64>,
+    /// One column per [`AggProgram::accs`] entry.
     accs: Vec<AccColumn>,
     groups: usize,
+    /// Whether the keys went through the hash arm of `group_rows`.
+    hashed: bool,
+}
+
+impl PartialAgg {
+    /// Ledger estimate of the state this partial keeps alive until the
+    /// combine step.
+    fn state_bytes(&self) -> u64 {
+        let per_group: usize = 8
+            + self
+                .accs
+                .iter()
+                .map(|a| match a {
+                    AccColumn::Count(_) => 8,
+                    AccColumn::Sum(_) | AccColumn::Min(_) | AccColumn::Max(_) => 4,
+                    AccColumn::Moments { .. } => 16,
+                })
+                .sum::<usize>()
+            + 16 * self.merge_keys.len();
+        let reps: usize = self.key_reps.iter().map(|c| c.memory_bytes()).sum();
+        (self.groups * per_group + reps) as u64
+    }
 }
 
 /// First reason the aggregate sink cannot fold morsels in parallel.
@@ -1870,7 +2019,7 @@ fn aggregate_fallback(
 /// Run a fused chain + grouped aggregation, morsel-parallel where safe:
 /// each morsel folds into per-group partial states, merged by a combine
 /// step that walks morsels in index order (deterministic at any thread
-/// count).
+/// count). A single-morsel input is the same thing with one partial.
 pub(crate) fn run_aggregate(
     input: &Batch,
     ops: &[MorselOp<'_>],
@@ -1878,6 +2027,7 @@ pub(crate) fn run_aggregate(
     aggregates: &[PhysAggregate],
     skip: Option<&[bool]>,
     ctx: &ExecContext,
+    rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
     let rows = input.rows();
     let (morsels, seq_reason) = planned_and_reason(input, ops, Some((keys, aggregates)), ctx);
@@ -1886,38 +2036,125 @@ pub(crate) fn run_aggregate(
     } else {
         None
     };
-    if morsels <= 1 {
+    let prog = AggProgram::compile(keys, aggregates)?;
+    // Accumulator state the selection-fed fold keeps alive until the
+    // combine step below has consumed it.
+    let state = memory::ScopedCharges::new(&ctx.memory);
+
+    // `(how the input arrived, why a selection hand-off was declined)`.
+    let (mut partials, path) = if morsels <= 1 {
         let whole = single_morsel_input(input, rows, skip, ctx);
         let inp = match kern.as_deref().and_then(|k| k.run(&whole)) {
             Some(b) => b,
             None => apply_ops(whole, ops, ctx)?,
         };
-        return exact::aggregate_batch(&inp, keys, aggregates, ctx);
-    }
-
-    // Selection exit: when the chain compiled and is selection-capable,
-    // fold the aggregation straight over its `SelVec` — no survivor
-    // gather at all on the ungrouped fast path, one referenced-columns
-    // gather on the grouped path. Partials chunk by *input* morsel
-    // boundaries, so they are byte-identical to the gathered loop below
-    // and `None` (a run-time bail or unresolvable shape) falls through
-    // to it with nothing recorded.
-    if let Some(k) = kern.as_deref() {
-        if k.selection_capable().is_ok() {
-            if let Some(out) =
-                aggregate_selection(input, k, ops, keys, aggregates, skip, morsels, ctx)?
-            {
+        let partial = partial_aggregate(&prog, &inp, None, ctx)?;
+        (vec![partial], ("single-morsel", None))
+    } else {
+        // Selection exit: when the chain compiled and is
+        // selection-capable, fold straight over its `SelVec` — nothing
+        // is gathered at table width. Partials chunk by *input* morsel
+        // boundaries, so they are byte-identical to the gathered loop's;
+        // a decline (run-time bail, unresolvable shape) falls through to
+        // that loop with nothing recorded.
+        let selected = match kern.as_deref() {
+            // No compiled chain: its own note already says why.
+            None => Err(None),
+            Some(k) => match k.selection_capable() {
+                Ok(()) => {
+                    aggregate_selection(input, k, &prog, skip, morsels, &state, ctx)?.map_err(Some)
+                }
+                Err(why) => Err(Some(why)),
+            },
+        };
+        match selected {
+            Ok(partials) => {
                 ctx.access.note_barrier_selection_fed();
-                return Ok(out);
+                (partials, ("selection-fed", None))
+            }
+            Err(why) => {
+                if kern.is_some() {
+                    ctx.access.note_barrier_gathered();
+                }
+                let partials =
+                    gathered_partials(input, ops, &prog, skip, morsels, kern.as_deref(), ctx)?;
+                (partials, ("gathered", why))
             }
         }
-        ctx.access.note_barrier_gathered();
+    };
+    if partials.is_empty() {
+        // Every morsel filtered to nothing: fold the chain's zero-row
+        // output, so schema, encodings and the zero-row aggregate values
+        // (a global COUNT of 0) match the single-morsel run.
+        let empty = apply_ops(input.slice_rows(0, 0), ops, ctx)?;
+        partials.push(partial_aggregate(&prog, &empty, None, ctx)?);
     }
+    let hashed = partials.iter().any(|p| p.hashed);
+    let out = merge_partials(&prog, partials);
+    if let Some(r) = rec {
+        r.note_aggregate(aggregate_note(&prog, out.rows(), hashed, path));
+    }
+    Ok(out)
+}
 
-    type PartialSlot = Option<Result<Option<PartialAgg>, ExecError>>;
+/// The aggregate stage's profile note: what the fold consisted of and
+/// how its input arrived. Out of line — only profiled runs format it.
+#[inline(never)]
+fn aggregate_note(
+    prog: &AggProgram<'_>,
+    groups: usize,
+    hashed: bool,
+    (mode, why): (&str, Option<&str>),
+) -> String {
+    let keys = match (prog.keys.is_empty(), hashed) {
+        (true, _) => "none",
+        (false, false) => "direct",
+        (false, true) => "hash",
+    };
+    let why = why.map(|w| format!(": {w}")).unwrap_or_default();
+    format!(
+        "aggregate: fused {} acc / {} args, {groups} groups, keys: {keys}, {mode}{why}",
+        prog.accs.len(),
+        prog.args.len(),
+    )
+}
+
+/// Claim morsels `0..morsels` across the worker pool. `fold(i, wctx)`
+/// yields morsel `i`'s partial, or `None` when no row of it survived
+/// (it contributes no groups). Partials come back in morsel order; the
+/// first error in morsel order wins — deterministic reporting.
+fn claim_partials(
+    morsels: usize,
+    ctx: &ExecContext,
+    fold: impl Fn(usize, &ExecContext) -> Result<Option<PartialAgg>, ExecError> + Sync,
+) -> Result<Vec<PartialAgg>, ExecError> {
+    let slots = ClaimSlots::new(morsels);
+    let workers = ctx.threads.min(morsels).max(1);
+    run_workers(workers, &WorkerCfg::of(ctx), &|wctx| {
+        slots.drain(|i| fold(i, wctx))
+    });
+    let mut partials = Vec::with_capacity(morsels);
+    for out in slots.take() {
+        partials.extend(out?);
+    }
+    Ok(partials)
+}
+
+/// The gathered loop: every morsel runs the chain to a dense batch and
+/// folds it. Taken when no compiled chain can hand over a selection.
+fn gathered_partials(
+    input: &Batch,
+    ops: &[MorselOp<'_>],
+    prog: &AggProgram<'_>,
+    skip: Option<&[bool]>,
+    morsels: usize,
+    kern: Option<&kernel::ChainInstance>,
+    ctx: &ExecContext,
+) -> Result<Vec<PartialAgg>, ExecError> {
+    let rows = input.rows();
     let cols = to_partition_cols(input);
     // Partial states are per-group (small); the decoded input columns
-    // dominate, charged until the merged batch is built.
+    // dominate, charged until the partials are built.
     let _charge = memory::charge(
         &ctx.memory,
         "aggregate materialization",
@@ -1925,70 +2162,118 @@ pub(crate) fn run_aggregate(
     )?;
     let morsel_rows = ctx.morsel_rows;
     let skip = skip.filter(|s| s.len() == morsels);
-    let next = AtomicUsize::new(0);
     let pruned = AtomicUsize::new(0);
-    let scanned = AtomicUsize::new(0);
-    let slots: Mutex<Vec<PartialSlot>> = Mutex::new((0..morsels).map(|_| None).collect());
-
-    let work = |wctx: &ExecContext| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= morsels {
-            break;
-        }
+    let partials = claim_partials(morsels, ctx, |i, wctx| {
         let start = i * morsel_rows;
-        // Pruned morsels contribute no groups; the empty partial keeps
-        // the combine walk identical to the unpruned run.
+        // A pruned morsel still runs the chain, over an empty slice, so
+        // chain errors surface exactly as in the unpruned run.
         let end = if skip.is_some_and(|s| s[i]) {
             pruned.fetch_add(1, Ordering::Relaxed);
             start
         } else {
-            if skip.is_some() {
-                scanned.fetch_add(1, Ordering::Relaxed);
-            }
             (start + morsel_rows).min(rows)
         };
-        let out = apply_ops_k(slice_cols(&cols, start, end), ops, kern.as_deref(), wctx)
-            .and_then(|b| partial_aggregate(&b, keys, aggregates, wctx));
-        slots.lock().expect("agg state poisoned")[i] = Some(out);
-    };
-
-    let workers = ctx.threads.min(morsels).max(1);
-    run_workers(workers, &WorkerCfg::of(ctx), &work);
-    if skip.is_some() {
-        ctx.access.note_morsels(
-            pruned.load(Ordering::Relaxed) as u64,
-            scanned.load(Ordering::Relaxed) as u64,
-        );
-    }
-
-    let mut partials = Vec::with_capacity(morsels);
-    for slot in slots.into_inner().expect("agg state poisoned") {
-        match slot.expect("aggregate morsels are never skipped") {
-            Err(e) => return Err(e),
-            Ok(Some(p)) => partials.push(p),
-            Ok(None) => {} // empty morsel after filtering
+        let batch = apply_ops_k(slice_cols(&cols, start, end), ops, kern, wctx)?;
+        if batch.rows() == 0 {
+            return Ok(None);
         }
+        partial_aggregate(prog, &batch, None, wctx).map(Some)
+    })?;
+    if skip.is_some() {
+        let pruned = pruned.load(Ordering::Relaxed);
+        ctx.access
+            .note_morsels(pruned as u64, (morsels - pruned) as u64);
     }
-    merge_partials(partials, keys, aggregates, input, ops, ctx)
+    Ok(partials)
 }
 
-/// Fold one morsel into per-group partial states. Returns `None` for an
-/// empty morsel (every row filtered out) — it contributes no groups.
-fn partial_aggregate(
-    batch: &Batch,
-    keys: &[PhysKey],
-    aggregates: &[PhysAggregate],
-    ctx: &ExecContext,
-) -> Result<Option<PartialAgg>, ExecError> {
-    use tdp_tensor::sort::group_ids;
-    let n = batch.rows();
-    if n == 0 {
-        return Ok(None);
+/// One fold's accumulators, viewed by kind over the partial's own
+/// columns (one slot per group plus the spare). SUM state is the
+/// exception: it is interleaved per group (`sums[g * w + j]`) while
+/// folding, so a row touches one cache line of it however many sums the
+/// query carries.
+struct Fold<'a> {
+    counts: &'a mut [i64],
+    sum_args: Vec<&'a [f32]>,
+    sums: Vec<f32>,
+    trues: Vec<(&'a [bool], &'a mut [i64])>,
+    mins: Vec<(&'a [f32], &'a mut [f32])>,
+    maxs: Vec<(&'a [f32], &'a mut [f32])>,
+    moments: Vec<(&'a [f32], &'a mut [f64], &'a mut [f64])>,
+}
+
+impl<'a> Fold<'a> {
+    fn over(counts: &'a mut [i64]) -> Fold<'a> {
+        Fold {
+            counts,
+            sum_args: Vec::new(),
+            sums: Vec::new(),
+            trues: Vec::new(),
+            mins: Vec::new(),
+            maxs: Vec::new(),
+            moments: Vec::new(),
+        }
     }
 
-    let mut key_cols: Vec<EncodedTensor> = Vec::with_capacity(keys.len());
-    for k in keys {
-        match eval_expr(&k.expr, batch, ctx)? {
+    /// Fold every position once, in row order: position `p` goes to slot
+    /// `ids[p]`. Each f32 sum therefore adds its group's values in row
+    /// order starting from `0.0` — the arithmetic of a per-aggregate
+    /// scatter-add, with all accumulators advancing in one sweep. Counts
+    /// are integers end to end (an f32 counter sticks at 2²⁴).
+    fn run(&mut self, ids: &[u32]) {
+        let w = self.sum_args.len();
+        self.sums.resize(self.counts.len() * w, 0.0);
+        for (p, &g) in ids.iter().enumerate() {
+            let g = g as usize;
+            self.counts[g] += 1;
+            for (acc, vals) in self.sums[g * w..][..w].iter_mut().zip(&self.sum_args) {
+                *acc += vals[p];
+            }
+            for (arg, acc) in &mut self.trues {
+                acc[g] += arg[p] as i64;
+            }
+            // MIN/MAX keep the strict comparison against the running
+            // slot: NaN never wins, and an all-NaN group stays ±inf.
+            for (vals, acc) in &mut self.mins {
+                if vals[p] < acc[g] {
+                    acc[g] = vals[p];
+                }
+            }
+            for (vals, acc) in &mut self.maxs {
+                if vals[p] > acc[g] {
+                    acc[g] = vals[p];
+                }
+            }
+            for (vals, sum, sumsq) in &mut self.moments {
+                let v = vals[p] as f64;
+                sum[g] += v;
+                sumsq[g] += v * v;
+            }
+        }
+    }
+}
+
+/// Fold one batch into per-group partial states: resolve group ids
+/// once, evaluate each distinct argument once, then advance every
+/// accumulator in a single row-order sweep ([`Fold::run`]).
+///
+/// `mask` marks the rows of `batch` that count (a dense selection's
+/// slice): deselected rows get no group and fold into a spare slot that
+/// is dropped, so the sweep stays branchless and every real group sees
+/// exactly its surviving rows, in row order. Arguments are evaluated at
+/// batch width either way — expressions are row-local, so a survivor's
+/// value does not depend on its neighbours.
+pub(crate) fn partial_aggregate(
+    prog: &AggProgram<'_>,
+    batch: &Batch,
+    mask: Option<&[bool]>,
+    ctx: &ExecContext,
+) -> Result<PartialAgg, ExecError> {
+    let n = batch.rows();
+
+    let mut key_cols: Vec<EncodedTensor> = Vec::with_capacity(prog.key_exprs.len());
+    for k in &prog.key_exprs {
+        match eval_expr(k, batch, ctx)? {
             Value::Column(c) => key_cols.push(c),
             other => {
                 return Err(ExecError::TypeMismatch(format!(
@@ -1997,169 +2282,222 @@ fn partial_aggregate(
             }
         }
     }
-
-    let (ids, groups, rep_rows) = if key_cols.is_empty() {
-        (
-            Tensor::from_vec(vec![0i64; n], &[n]),
-            1usize,
-            Tensor::from_vec(vec![0i64], &[1]),
-        )
+    let key_codes: Vec<I64Tensor> = key_cols
+        .iter()
+        .map(exact::key_codes)
+        .collect::<Result<_, _>>()?;
+    let Groups {
+        ids,
+        groups,
+        hashed,
+        ..
+    } = if key_cols.is_empty() {
+        // Global aggregate: one group holding every surviving row.
+        Groups {
+            ids: match mask {
+                None => vec![0; n],
+                Some(m) => m.iter().map(|&keep| !keep as u32).collect(),
+            },
+            distinct: Vec::new(),
+            groups: 1,
+            hashed: false,
+        }
     } else {
-        let codes: Vec<I64Tensor> = key_cols
-            .iter()
-            .map(exact::key_codes)
-            .collect::<Result<_, _>>()?;
-        let refs: Vec<&I64Tensor> = codes.iter().collect();
-        let (ids, distinct) = group_ids(&refs);
-        let groups = distinct.shape()[0];
-        let mut rep = vec![-1i64; groups];
-        for (row, &g) in ids.data().iter().enumerate() {
+        let slices: Vec<&[i64]> = key_codes.iter().map(|c| c.data()).collect();
+        group_rows(&slices, mask)
+    };
+
+    // First-occurrence representative row per group: key output keeps
+    // the original encoding, and dictionary keys merge on its string.
+    let rep: Vec<i64> = if key_cols.is_empty() {
+        Vec::new()
+    } else {
+        let mut rep = vec![-1i64; groups + 1];
+        for (row, &g) in ids.iter().enumerate() {
             if rep[g as usize] < 0 {
                 rep[g as usize] = row as i64;
             }
         }
-        (ids, groups, Tensor::from_vec(rep, &[groups]))
+        rep.truncate(groups);
+        rep
     };
-
+    let rep_rows = {
+        let len = rep.len();
+        Tensor::from_vec(rep, &[len])
+    };
     let key_reps: Vec<EncodedTensor> = key_cols.iter().map(|c| c.select_rows(&rep_rows)).collect();
     let merge_keys: Vec<Vec<MergeKey>> = key_cols
         .iter()
-        .map(|c| {
-            Ok(match c {
-                EncodedTensor::Dict { codes, dict } => rep_rows
-                    .data()
-                    .iter()
-                    .map(|&r| MergeKey::Str(dict.decode_one(codes.at(r as usize)).to_owned()))
+        .zip(&key_codes)
+        .map(|(col, int_codes)| {
+            let reps = rep_rows.data().iter().map(|&r| r as usize);
+            match col {
+                EncodedTensor::Dict { codes, dict } => reps
+                    .map(|r| MergeKey::Str(dict.decode_one(codes.at(r)).to_owned()))
                     .collect(),
-                other => {
-                    let codes = exact::key_codes(other)?;
-                    rep_rows
-                        .data()
-                        .iter()
-                        .map(|&r| MergeKey::Int(codes.at(r as usize)))
-                        .collect()
-                }
-            })
+                _ => reps.map(|r| MergeKey::Int(int_codes.at(r))).collect(),
+            }
         })
-        .collect::<Result<_, ExecError>>()?;
+        .collect();
 
-    let counts: Vec<i64> = {
-        let ones = F32Tensor::ones(&[n]);
-        ones.segment_sum(&ids, groups)
-            .data()
+    // Each distinct argument once, in the forms its accumulators read:
+    // f32 values, a boolean column's flags, the raw column for DISTINCT.
+    let mut f32s: Vec<Option<F32Tensor>> = Vec::with_capacity(prog.args.len());
+    let mut flags: Vec<Option<tdp_tensor::BoolTensor>> = Vec::with_capacity(prog.args.len());
+    let mut raws: Vec<Option<EncodedTensor>> = Vec::with_capacity(prog.args.len());
+    for (ai, e) in prog.args.iter().enumerate() {
+        let kinds: Vec<AccKind> = prog
+            .accs
             .iter()
-            .map(|&c| c as i64)
-            .collect()
-    };
-
-    let mut accs = Vec::with_capacity(aggregates.len());
-    for agg in aggregates {
-        let acc = match (agg.func, &agg.arg) {
-            (AggFunc::Count, None) => AccColumn::Count(counts.clone()),
-            (AggFunc::Count, Some(e)) => match eval_expr(e, batch, ctx)? {
-                Value::Column(EncodedTensor::Bool(m)) => AccColumn::Count(
-                    m.to_f32_mask()
-                        .segment_sum(&ids, groups)
-                        .data()
-                        .iter()
-                        .map(|&v| v as i64)
-                        .collect(),
-                ),
-                _ => AccColumn::Count(counts.clone()),
-            },
-            (AggFunc::Sum, Some(e)) => {
-                let vals = eval_expr(e, batch, ctx)?.into_f32_column(n)?;
-                AccColumn::Sum(vals.segment_sum(&ids, groups).to_vec())
+            .filter_map(|a| (a.arg == ai).then_some(a.kind))
+            .collect();
+        let v = eval_expr(e, batch, ctx)?;
+        flags.push(match &v {
+            Value::Column(EncodedTensor::Bool(m)) if kinds.contains(&AccKind::Count) => {
+                Some(m.clone())
             }
-            (AggFunc::Avg, Some(e)) => {
-                let vals = eval_expr(e, batch, ctx)?.into_f32_column(n)?;
-                AccColumn::Avg(vals.segment_sum(&ids, groups).to_vec())
-            }
-            (AggFunc::Min, Some(e)) | (AggFunc::Max, Some(e)) => {
-                let vals = eval_expr(e, batch, ctx)?.into_f32_column(n)?;
-                let is_min = agg.func == AggFunc::Min;
-                let init = if is_min {
-                    f32::INFINITY
-                } else {
-                    f32::NEG_INFINITY
-                };
-                let mut acc = vec![init; groups];
-                for (row, &g) in ids.data().iter().enumerate() {
-                    let v = vals.at(row);
-                    let slot = &mut acc[g as usize];
-                    if (is_min && v < *slot) || (!is_min && v > *slot) {
-                        *slot = v;
-                    }
-                }
-                if is_min {
-                    AccColumn::Min(acc)
-                } else {
-                    AccColumn::Max(acc)
-                }
-            }
-            (AggFunc::Variance, Some(e)) | (AggFunc::Stddev, Some(e)) => {
-                let vals = eval_expr(e, batch, ctx)?.into_f32_column(n)?;
-                let mut sum = vec![0.0f64; groups];
-                let mut sumsq = vec![0.0f64; groups];
-                for (row, &g) in ids.data().iter().enumerate() {
-                    let v = vals.at(row) as f64;
-                    sum[g as usize] += v;
-                    sumsq[g as usize] += v * v;
-                }
-                AccColumn::Moments { sum, sumsq }
-            }
-            (AggFunc::CountDistinct, _) => {
-                unreachable!("COUNT(DISTINCT) is filtered by aggregate_fallback")
-            }
-            (f, None) => {
-                return Err(ExecError::Unsupported(format!(
-                    "{}(*) is not meaningful",
-                    f.name()
+            _ => None,
+        });
+        raws.push(match &v {
+            _ if !kinds.contains(&AccKind::CountDistinct) => None,
+            Value::Column(c) => Some(c.clone()),
+            other => {
+                return Err(ExecError::TypeMismatch(format!(
+                    "COUNT(DISTINCT …) needs a column, got {other:?}"
                 )))
             }
-        };
-        accs.push(acc);
+        });
+        f32s.push(
+            if kinds
+                .iter()
+                .any(|k| !matches!(k, AccKind::Count | AccKind::CountDistinct))
+            {
+                let vals = v.into_f32_column(n)?;
+                if vals.ndim() != 1 {
+                    return Err(ExecError::TypeMismatch(format!(
+                        "cannot aggregate a multi-dimensional payload column (shape {:?})",
+                        vals.shape()
+                    )));
+                }
+                Some(vals)
+            } else {
+                None
+            },
+        );
     }
 
-    Ok(Some(PartialAgg {
+    // One sweep over (group id, args…). The slot past the last group
+    // absorbs the rows the mask deselected.
+    let slots = groups + 1;
+    let mut counts = vec![0i64; slots];
+    let mut accs: Vec<AccColumn> = prog
+        .accs
+        .iter()
+        .map(|acc| match acc.kind {
+            AccKind::Count | AccKind::CountDistinct => AccColumn::Count(vec![0; slots]),
+            AccKind::Sum => AccColumn::Sum(Vec::new()), // filled from the interleaved state
+            AccKind::Min => AccColumn::Min(vec![f32::INFINITY; slots]),
+            AccKind::Max => AccColumn::Max(vec![f32::NEG_INFINITY; slots]),
+            AccKind::Moments => AccColumn::Moments {
+                sum: vec![0.0; slots],
+                sumsq: vec![0.0; slots],
+            },
+        })
+        .collect();
+    let mut fold = Fold::over(&mut counts);
+    for (acc, col) in prog.accs.iter().zip(&mut accs) {
+        let vals = || f32s[acc.arg].as_ref().expect("evaluated above").data();
+        match col {
+            AccColumn::Sum(_) => fold.sum_args.push(vals()),
+            AccColumn::Min(m) => fold.mins.push((vals(), m)),
+            AccColumn::Max(m) => fold.maxs.push((vals(), m)),
+            AccColumn::Moments { sum, sumsq } => fold.moments.push((vals(), sum, sumsq)),
+            AccColumn::Count(t) => {
+                if let Some(m) = &flags[acc.arg] {
+                    fold.trues.push((m.data(), t));
+                }
+            }
+        }
+    }
+    fold.run(&ids);
+    let (sums, w) = (fold.sums, fold.sum_args.len());
+
+    counts.truncate(groups);
+    let mut sum_slot = 0..w;
+    for (acc, col) in prog.accs.iter().zip(&mut accs) {
+        match col {
+            AccColumn::Sum(v) => {
+                let j = sum_slot.next().expect("one interleaved slot per sum");
+                v.extend((0..groups).map(|g| sums[g * w + j]));
+            }
+            AccColumn::Count(t) if acc.kind == AccKind::CountDistinct => {
+                // Distinct (group, value-code) pairs, counted per group.
+                let col = raws[acc.arg].as_ref().expect("evaluated above");
+                let codes = exact::key_codes(col)?;
+                let gids: Vec<i64> = ids.iter().map(|&g| g as i64).collect();
+                let pairs = group_rows(&[&gids, codes.data()], mask);
+                t.truncate(groups);
+                for pair in pairs.distinct.chunks_exact(2) {
+                    t[pair[0] as usize] += 1;
+                }
+            }
+            // COUNT of a non-boolean argument is the group size.
+            AccColumn::Count(t) if flags[acc.arg].is_none() => t.clone_from(&counts),
+            AccColumn::Count(t) => t.truncate(groups),
+            AccColumn::Min(v) | AccColumn::Max(v) => v.truncate(groups),
+            AccColumn::Moments { sum, sumsq } => {
+                sum.truncate(groups);
+                sumsq.truncate(groups);
+            }
+        }
+    }
+
+    Ok(PartialAgg {
         key_reps,
         merge_keys,
         counts,
         accs,
         groups,
-    }))
+        hashed,
+    })
 }
 
 // ----------------------------------------------------------------------
 // Selection-fed aggregation
 // ----------------------------------------------------------------------
 
-/// Fold the aggregation directly over a chain's selection exit.
-/// Ungrouped aggregates over plain numeric columns accumulate through
-/// the mask (dense) or the survivor index list (sparse) with **zero**
-/// gathers; grouped or computed shapes gather only the referenced
-/// columns once and feed per-morsel mini-batches through the ordinary
-/// [`partial_aggregate`]. Both chunk partials by input morsel
-/// boundaries, so every float partial is byte-identical to the gathered
-/// loop's. `Ok(None)` = decline (run-time bail, unresolvable column
-/// ref): the caller's gathered loop reproduces the identical result or
-/// error, and all counter accounting is left to it.
-#[allow(clippy::too_many_arguments)]
+/// Fold the aggregation directly over a chain's selection exit, one
+/// partial per *input* morsel, with nothing gathered at table width:
+///
+/// * ungrouped aggregates over plain numeric columns accumulate through
+///   the mask (dense) or the survivor index list (sparse) with **zero**
+///   copies ([`masked_partials`]);
+/// * grouped or computed shapes run the ordinary [`partial_aggregate`]
+///   per morsel over the columns the program references
+///   ([`selected_partials`]): a dense selection folds the morsel's row
+///   range under its mask slice, a sparse one reads just the survivors
+///   by index.
+///
+/// Both chunk partials by input morsel boundaries and visit survivors
+/// in row order, so every float partial is byte-identical to the
+/// gathered loop's. `Err(reason)` = decline (run-time bail, or a shape
+/// whose expressions must not see filtered-out rows): the caller's
+/// gathered loop reproduces the identical result or error, and all
+/// counter accounting is left to it.
 fn aggregate_selection(
     input: &Batch,
     kern: &kernel::ChainInstance,
-    ops: &[MorselOp<'_>],
-    keys: &[PhysKey],
-    aggregates: &[PhysAggregate],
+    prog: &AggProgram<'_>,
     skip: Option<&[bool]>,
     morsels: usize,
+    state: &memory::ScopedCharges,
     ctx: &ExecContext,
-) -> Result<Option<Batch>, ExecError> {
+) -> Result<Result<Vec<PartialAgg>, &'static str>, ExecError> {
     let rows = input.rows();
     let morsel_rows = ctx.morsel_rows;
     let skip = skip.filter(|s| s.len() == morsels);
     let Some(mut out) = kern.run_selection(input, skip_init(skip, rows, morsel_rows)) else {
-        return Ok(None);
+        return Ok(Err("kernel-bailout"));
     };
     // Selective chains demote the mask to a survivor index list once so
     // every fold below visits survivors instead of full morsel width.
@@ -2169,24 +2507,23 @@ fn aggregate_selection(
         out.sel = kernel::SelVec::Idx(out.sel.into_idx());
     }
     let raw: MorselCols = out.cols;
-    // An unresolvable reference would decline on both paths below;
-    // catching it here keeps the decode loop referenced-columns-only.
-    let Some(used) = referenced_cols(keys, aggregates, &raw) else {
-        return Ok(None);
+    let refs = match referenced_cols(prog, &raw, ctx) {
+        Ok(refs) => refs,
+        Err(why) => return Ok(Err(why)),
     };
     // Decode integer-compressed layouts exactly as the gathered loop's
-    // `to_partition_cols` does, so mini-batch bytes match its slices —
-    // but only where a key or aggregate actually reads the column;
+    // `to_partition_cols` does, so key encodings match its slices — but
+    // only where a key or aggregate actually reads the column;
     // unreferenced columns are never touched by either path.
     let cols: MorselCols = raw
         .into_iter()
-        .zip(&used)
-        .map(|((n, c), &u)| {
+        .enumerate()
+        .map(|(slot, (n, c))| {
             let c = match c {
                 e @ (EncodedTensor::Rle(_)
                 | EncodedTensor::BitPacked(_)
                 | EncodedTensor::Delta(_))
-                    if u =>
+                    if refs.binary_search(&slot).is_ok() =>
                 {
                     EncodedTensor::I64(e.decode_i64())
                 }
@@ -2202,87 +2539,157 @@ fn aggregate_selection(
     )?;
     let offs = survivor_offsets(&out.sel, rows, morsel_rows, morsels);
 
-    let partials = if let Some(fast) = fast_aggs(keys, aggregates, &cols) {
+    let partials = if let Some(fast) = fast_aggs(prog, &cols) {
         masked_partials(&fast, &out.sel, &offs, rows, morsel_rows, ctx)?
     } else {
-        match minibatch_partials(&cols, &out.sel, &offs, keys, aggregates, rows, ctx)? {
-            Some(p) => p,
-            None => return Ok(None),
-        }
+        selected_partials(prog, &cols, &refs, &out.sel, &offs, rows, state, ctx)?
     };
     if let Some(s) = skip {
         let pruned = s.iter().filter(|&&b| b).count();
         ctx.access
             .note_morsels(pruned as u64, (morsels - pruned) as u64);
     }
-    merge_partials(partials, keys, aggregates, input, ops, ctx).map(Some)
+    Ok(Ok(partials))
 }
 
-/// One ungrouped aggregate the masked fast path can fold with no
-/// gather: the full-width argument data is decoded once up front.
+/// Ascending column slots the program's key and argument expressions
+/// read. `Err` names why the selection-fed fold must decline: a
+/// reference this column list cannot resolve (the gathered loop raises
+/// the proper error), a scalar subquery, or a session UDF — the dense
+/// fold evaluates arguments over whole morsels, and only built-in
+/// expressions are known to be indifferent to rows the filter removed.
+fn referenced_cols(
+    prog: &AggProgram<'_>,
+    cols: &[(String, EncodedTensor)],
+    ctx: &ExecContext,
+) -> Result<Vec<usize>, &'static str> {
+    let mut used = vec![false; cols.len()];
+    let mut decline = None;
+    for e in prog.key_exprs.iter().chain(&prog.args) {
+        e.for_each(&mut |node| match node {
+            CompiledExpr::Column(r) => match resolve_idx(cols, r) {
+                Some(slot) => used[slot] = true,
+                None => decline = Some("unresolved-column"),
+            },
+            CompiledExpr::ScalarSubquery(_) => decline = Some("scalar-subquery"),
+            CompiledExpr::Udf { .. } => decline = Some("udf-argument"),
+            CompiledExpr::Builtin { name, .. } if ctx.udfs.is_scalar(name) => {
+                decline = Some("udf-argument")
+            }
+            _ => {}
+        });
+    }
+    match decline {
+        Some(why) => Err(why),
+        None => Ok((0..cols.len()).filter(|&slot| used[slot]).collect()),
+    }
+}
+
+/// The grouped/computed path: per input morsel, run the rebound program
+/// over just the referenced columns — the morsel's row range under its
+/// mask slice when the selection is dense, the survivors read by index
+/// when it is sparse. Only per-morsel scratch and the partial states
+/// are ever allocated, and that is what the ledger is charged.
+#[allow(clippy::too_many_arguments)]
+fn selected_partials(
+    prog: &AggProgram<'_>,
+    cols: &MorselCols,
+    refs: &[usize],
+    sel: &kernel::SelVec,
+    offs: &[usize],
+    rows: usize,
+    state: &memory::ScopedCharges,
+    ctx: &ExecContext,
+) -> Result<Vec<PartialAgg>, ExecError> {
+    let bound = prog.rebind(cols, refs);
+    let morsel_rows = ctx.morsel_rows;
+    claim_partials(offs.len() - 1, ctx, |i, wctx| {
+        let (a, b) = (offs[i], offs[i + 1]);
+        if a == b {
+            return Ok(None); // empty morsel after filtering: no partial
+        }
+        let start = i * morsel_rows;
+        let end = (start + morsel_rows).min(rows);
+        let (width, mask, survivors) = match sel {
+            kernel::SelVec::Mask(m, _) => (end - start, Some(&m[start..end]), None),
+            kernel::SelVec::Idx(s) => {
+                let ids: Vec<i64> = s[a..b].iter().map(|&r| r as i64).collect();
+                (b - a, None, Some(Tensor::from_vec(ids, &[b - a])))
+            }
+        };
+        let mut mini = Batch::new();
+        if refs.is_empty() {
+            // A program that reads no column at all (`SUM(2)`) still
+            // needs one to carry the row count.
+            let rows = EncodedTensor::Bool(Tensor::full(&[width], true));
+            mini.push("", ColumnData::Exact(rows));
+        }
+        for &slot in refs {
+            let (name, col) = &cols[slot];
+            let col = match &survivors {
+                Some(ids) => col.select_rows(ids),
+                None => col.slice_rows(start, end),
+            };
+            mini.push(name.clone(), ColumnData::Exact(col));
+        }
+        // Scratch of this fold: the column slices, the group ids and one
+        // f32 buffer per evaluated argument; released with the morsel.
+        let scratch: usize = mini
+            .columns()
+            .iter()
+            .map(|(_, c)| c.to_exact().memory_bytes())
+            .sum::<usize>()
+            + width * 4 * (1 + bound.args.len());
+        let _scratch = memory::charge(&wctx.memory, "aggregate scratch", scratch as u64)?;
+        let partial = partial_aggregate(&bound, &mini, mask, wctx)?;
+        state.add("aggregate state", partial.state_bytes())?;
+        Ok(Some(partial))
+    })
+}
+
+/// One accumulator the masked fast path can fold with no copy: the
+/// full-width argument data is decoded once up front.
 enum FastAgg {
-    /// COUNT(*) — and COUNT(col) of a non-boolean column, which the
-    /// sequential kernel also counts as group size.
-    CountStar,
+    /// COUNT(col) of a non-boolean column — the group size.
+    GroupSize,
     /// COUNT(bool_col): trues among survivors.
     CountMask(Vec<bool>),
-    /// SUM/AVG/MIN/MAX/VARIANCE/STDDEV over a plain numeric column. The
+    /// A sum / min / max / moments fold over a plain numeric column. The
     /// decoded argument is `Arc`-shared so several folds over the same
-    /// column (`SUM(v), AVG(v), MIN(v)…`) decode it once.
+    /// column (`SUM(v), MIN(v), VARIANCE(v)…`) decode it once.
     Fold {
-        func: AggFunc,
+        kind: AccKind,
         vals: std::sync::Arc<F32Tensor>,
     },
 }
 
-/// Compile the aggregate list for the masked fast path: ungrouped, and
-/// every aggregate a plain column (or `*`) over a numeric/bool column.
-/// `None` = take the mini-batch path instead.
-fn fast_aggs(
-    keys: &[PhysKey],
-    aggregates: &[PhysAggregate],
-    cols: &[(String, EncodedTensor)],
-) -> Option<Vec<FastAgg>> {
-    if !keys.is_empty() {
+/// Compile the program's accumulators for the masked fast path:
+/// ungrouped, and every argument a plain numeric/bool column. `None` =
+/// take [`selected_partials`] instead.
+fn fast_aggs(prog: &AggProgram<'_>, cols: &[(String, EncodedTensor)]) -> Option<Vec<FastAgg>> {
+    if !prog.keys.is_empty() {
         return None;
     }
-    let mut decoded: std::collections::HashMap<usize, std::sync::Arc<F32Tensor>> =
-        std::collections::HashMap::new();
-    let mut out = Vec::with_capacity(aggregates.len());
-    for a in aggregates {
-        let fast = match (a.func, &a.arg) {
-            (AggFunc::Count, None) => FastAgg::CountStar,
-            (AggFunc::Count, Some(CompiledExpr::Column(r))) => {
-                match cols[resolve_idx(cols, r)?].1 {
-                    EncodedTensor::Bool(ref m) => FastAgg::CountMask(m.to_vec()),
-                    _ => FastAgg::CountStar,
-                }
-            }
-            (
-                AggFunc::Sum
-                | AggFunc::Avg
-                | AggFunc::Min
-                | AggFunc::Max
-                | AggFunc::Variance
-                | AggFunc::Stddev,
-                Some(CompiledExpr::Column(r)),
-            ) => {
-                let idx = resolve_idx(cols, r)?;
-                let col = &cols[idx].1;
-                if !matches!(col, EncodedTensor::F32(_) | EncodedTensor::I64(_)) {
-                    return None;
-                }
-                FastAgg::Fold {
-                    func: a.func,
-                    vals: decoded
-                        .entry(idx)
-                        .or_insert_with(|| std::sync::Arc::new(col.decode_f32()))
-                        .clone(),
-                }
-            }
-            _ => return None,
+    let mut decoded: Vec<Option<std::sync::Arc<F32Tensor>>> = vec![None; prog.args.len()];
+    let mut out = Vec::with_capacity(prog.accs.len());
+    for acc in &prog.accs {
+        let CompiledExpr::Column(r) = prog.args[acc.arg].as_ref() else {
+            return None;
         };
-        out.push(fast);
+        let col = &cols[resolve_idx(cols, r)?].1;
+        out.push(match (acc.kind, col) {
+            (AccKind::CountDistinct, _) => return None,
+            (AccKind::Count, EncodedTensor::Bool(m)) => FastAgg::CountMask(m.to_vec()),
+            (AccKind::Count, _) => FastAgg::GroupSize,
+            (_, EncodedTensor::F32(t)) if t.ndim() != 1 => return None,
+            (kind, EncodedTensor::F32(_) | EncodedTensor::I64(_)) => FastAgg::Fold {
+                kind,
+                vals: decoded[acc.arg]
+                    .get_or_insert_with(|| std::sync::Arc::new(col.decode_f32()))
+                    .clone(),
+            },
+            _ => return None,
+        });
     }
     Some(out)
 }
@@ -2340,52 +2747,15 @@ impl SurvView<'_> {
         s
     }
 
-    /// Survivor count accumulated in f32, replicating the gathered
-    /// path's ones-segment-sum numerics exactly.
-    fn count_f32(&self) -> f32 {
-        let mut c = 0.0f32;
-        match self {
+    /// Trues among survivors.
+    fn count_trues(&self, arg: &[bool]) -> i64 {
+        (match self {
             SurvView::Dense { mask, start, end } => {
-                for r in *start..*end {
-                    c += if mask[r] { 1.0 } else { 0.0 };
-                }
+                (*start..*end).filter(|&r| mask[r] && arg[r]).count()
             }
-            SurvView::Sparse(ids) => {
-                for _ in *ids {
-                    c += 1.0;
-                }
-            }
-            SurvView::Compact { start, end } => {
-                for _ in *start..*end {
-                    c += 1.0;
-                }
-            }
-        }
-        c
-    }
-
-    /// Trues among survivors, in f32 like the gathered bool-mask
-    /// segment sum.
-    fn count_trues(&self, arg: &[bool]) -> f32 {
-        let mut c = 0.0f32;
-        match self {
-            SurvView::Dense { mask, start, end } => {
-                for r in *start..*end {
-                    c += if mask[r] && arg[r] { 1.0 } else { 0.0 };
-                }
-            }
-            SurvView::Sparse(ids) => {
-                for &r in *ids {
-                    c += if arg[r as usize] { 1.0 } else { 0.0 };
-                }
-            }
-            SurvView::Compact { start, end } => {
-                for &a in &arg[*start..*end] {
-                    c += if a { 1.0 } else { 0.0 };
-                }
-            }
-        }
-        c
+            SurvView::Sparse(ids) => ids.iter().filter(|&&r| arg[r as usize]).count(),
+            SurvView::Compact { start, end } => arg[*start..*end].iter().filter(|&&a| a).count(),
+        }) as i64
     }
 
     /// MIN/MAX with the sequential kernel's exact comparison (strict
@@ -2489,15 +2859,15 @@ fn compact_fast(
     let out = fast
         .iter()
         .map(|f| match f {
-            FastAgg::CountStar => FastAgg::CountStar,
+            FastAgg::GroupSize => FastAgg::GroupSize,
             FastAgg::CountMask(arg) => FastAgg::CountMask(
                 arg.iter()
                     .zip(mask)
                     .filter_map(|(&a, &keep)| keep.then_some(a))
                     .collect(),
             ),
-            FastAgg::Fold { func, vals } => FastAgg::Fold {
-                func: *func,
+            FastAgg::Fold { kind, vals } => FastAgg::Fold {
+                kind: *kind,
                 vals: cache
                     .entry(Arc::as_ptr(vals))
                     .or_insert_with(|| {
@@ -2558,27 +2928,28 @@ fn masked_partials(
                     kernel::SelVec::Idx(s) => SurvView::Sparse(&s[offs[i]..offs[i + 1]]),
                 }
             };
-            let count = view.count_f32() as i64;
+            let count = (offs[i + 1] - offs[i]) as i64;
             let accs = fast
                 .iter()
                 .map(|f| match f {
-                    FastAgg::CountStar => AccColumn::Count(vec![count]),
-                    FastAgg::CountMask(arg) => AccColumn::Count(vec![view.count_trues(arg) as i64]),
-                    FastAgg::Fold { func, vals } => {
+                    FastAgg::GroupSize => AccColumn::Count(vec![count]),
+                    FastAgg::CountMask(arg) => AccColumn::Count(vec![view.count_trues(arg)]),
+                    FastAgg::Fold { kind, vals } => {
                         let vals = vals.data();
-                        match func {
-                            AggFunc::Sum => AccColumn::Sum(vec![view.sum_f32(vals)]),
-                            AggFunc::Avg => AccColumn::Avg(vec![view.sum_f32(vals)]),
-                            AggFunc::Min => AccColumn::Min(vec![view.min_max(vals, true)]),
-                            AggFunc::Max => AccColumn::Max(vec![view.min_max(vals, false)]),
-                            AggFunc::Variance | AggFunc::Stddev => {
+                        match kind {
+                            AccKind::Sum => AccColumn::Sum(vec![view.sum_f32(vals)]),
+                            AccKind::Min => AccColumn::Min(vec![view.min_max(vals, true)]),
+                            AccKind::Max => AccColumn::Max(vec![view.min_max(vals, false)]),
+                            AccKind::Moments => {
                                 let (sum, sumsq) = view.moments(vals);
                                 AccColumn::Moments {
                                     sum: vec![sum],
                                     sumsq: vec![sumsq],
                                 }
                             }
-                            _ => unreachable!("fast_aggs admits folds only"),
+                            AccKind::Count | AccKind::CountDistinct => {
+                                unreachable!("fast_aggs admits folds only")
+                            }
                         }
                     }
                 })
@@ -2589,151 +2960,13 @@ fn masked_partials(
                 counts: vec![count],
                 accs,
                 groups: 1,
+                hashed: false,
             })
         })
         .into_iter()
         .flatten()
         .collect(),
     )
-}
-
-/// The grouped/computed path: gather the referenced columns once
-/// (survivor width), then feed each morsel's survivor slice — padded
-/// with zero-width placeholders at unreferenced slots so slot indexing
-/// is undisturbed — through the ordinary [`partial_aggregate`].
-/// `Ok(None)` = an expression references a column this batch cannot
-/// resolve; the gathered loop reproduces the identical error.
-#[allow(clippy::too_many_arguments)]
-fn minibatch_partials(
-    cols: &MorselCols,
-    sel: &kernel::SelVec,
-    offs: &[usize],
-    keys: &[PhysKey],
-    aggregates: &[PhysAggregate],
-    rows: usize,
-    ctx: &ExecContext,
-) -> Result<Option<Vec<PartialAgg>>, ExecError> {
-    let Some(used) = referenced_cols(keys, aggregates, cols) else {
-        return Ok(None);
-    };
-    let n = sel.len();
-    let mask = sel.gather_mask(rows);
-    let gathered: Vec<Option<EncodedTensor>> = cols
-        .iter()
-        .zip(&used)
-        .map(|((_, c), &u)| u.then(|| c.filter_rows(&mask)))
-        .collect();
-    let refs = used.iter().filter(|&&u| u).count().max(1);
-    let _charge = memory::charge(&ctx.memory, "aggregate gather", (n * 8 * refs) as u64)?;
-
-    let morsels = offs.len() - 1;
-    type PartialSlot = Option<Result<Option<PartialAgg>, ExecError>>;
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<PartialSlot>> = Mutex::new((0..morsels).map(|_| None).collect());
-    let work = |wctx: &ExecContext| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= morsels {
-            break;
-        }
-        let (a, b) = (offs[i], offs[i + 1]);
-        let mut mini = Batch::new();
-        for ((name, _), g) in cols.iter().zip(&gathered) {
-            let col = match g {
-                Some(g) => g.slice_rows(a, b),
-                // Placeholder: keeps slot positions and arity, never read.
-                None => EncodedTensor::F32(Tensor::from_vec(vec![0.0; b - a], &[b - a])),
-            };
-            mini.push(name.clone(), ColumnData::Exact(col));
-        }
-        let out = partial_aggregate(&mini, keys, aggregates, wctx);
-        slots.lock().expect("agg state poisoned")[i] = Some(out);
-    };
-    let workers = ctx.threads.min(morsels).max(1);
-    run_workers(workers, &WorkerCfg::of(ctx), &work);
-
-    let mut partials = Vec::with_capacity(morsels);
-    for slot in slots.into_inner().expect("agg state poisoned") {
-        match slot.expect("aggregate morsels are never skipped") {
-            // First error in morsel order wins — deterministic reporting.
-            Err(e) => return Err(e),
-            Ok(Some(p)) => partials.push(p),
-            Ok(None) => {}
-        }
-    }
-    Ok(Some(partials))
-}
-
-/// Which column slots the key and aggregate expressions touch. `None`
-/// when any reference fails to resolve (or a scalar subquery slips
-/// through) — the mini-batch would silently feed it placeholder zeros.
-fn referenced_cols(
-    keys: &[PhysKey],
-    aggregates: &[PhysAggregate],
-    cols: &[(String, EncodedTensor)],
-) -> Option<Vec<bool>> {
-    let mut used = vec![false; cols.len()];
-    for k in keys {
-        mark_refs(&k.expr, cols, &mut used)?;
-    }
-    for a in aggregates {
-        if let Some(e) = &a.arg {
-            mark_refs(e, cols, &mut used)?;
-        }
-    }
-    Some(used)
-}
-
-fn mark_refs(e: &CompiledExpr, cols: &[(String, EncodedTensor)], used: &mut [bool]) -> Option<()> {
-    match e {
-        CompiledExpr::Column(r) => {
-            used[resolve_idx(cols, r)?] = true;
-            Some(())
-        }
-        CompiledExpr::Num(_)
-        | CompiledExpr::Str(_)
-        | CompiledExpr::Bool(_)
-        | CompiledExpr::Param { .. } => Some(()),
-        CompiledExpr::Binary { left, right, .. } => {
-            mark_refs(left, cols, used)?;
-            mark_refs(right, cols, used)
-        }
-        CompiledExpr::Unary { expr, .. } => mark_refs(expr, cols, used),
-        CompiledExpr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            if let Some(o) = operand.as_deref() {
-                mark_refs(o, cols, used)?;
-            }
-            for (w, t) in branches {
-                mark_refs(w, cols, used)?;
-                mark_refs(t, cols, used)?;
-            }
-            if let Some(e) = else_expr.as_deref() {
-                mark_refs(e, cols, used)?;
-            }
-            Some(())
-        }
-        CompiledExpr::InList { expr, list, .. } => {
-            mark_refs(expr, cols, used)?;
-            for i in list {
-                mark_refs(i, cols, used)?;
-            }
-            Some(())
-        }
-        CompiledExpr::Like { expr, .. } => mark_refs(expr, cols, used),
-        CompiledExpr::Udf { args, .. } | CompiledExpr::Builtin { args, .. } => {
-            for a in args {
-                mark_refs(a, cols, used)?;
-            }
-            Some(())
-        }
-        // Conservative: nested plans see their own batches, but the
-        // parallel-safety analysis already pins these to the session
-        // thread, so the fast paths never meet one.
-        CompiledExpr::ScalarSubquery(_) => None,
-    }
 }
 
 /// Merged accumulator of one output group.
@@ -2748,32 +2981,19 @@ struct MergedGroup {
 enum AccVal {
     Count(i64),
     Sum(f32),
-    Avg(f32),
     Min(f32),
     Max(f32),
     Moments { sum: f64, sumsq: f64 },
 }
 
-/// Combine morsel partials into the final grouped batch. Walks partials
-/// in morsel order (first occurrence picks the representative key rows,
-/// matching the sequential kernel's first-occurrence rule) and emits
-/// groups in merge-key order, which equals the sequential kernel's
-/// code-sorted group order.
-fn merge_partials(
-    partials: Vec<PartialAgg>,
-    keys: &[PhysKey],
-    aggregates: &[PhysAggregate],
-    input: &Batch,
-    ops: &[MorselOp<'_>],
-    ctx: &ExecContext,
-) -> Result<Batch, ExecError> {
-    if partials.is_empty() {
-        // Every morsel filtered to nothing: the sequential kernel's
-        // zero-row behaviour (e.g. a global COUNT of 0) is authoritative.
-        let empty = apply_ops(input.slice_rows(0, 0), ops, ctx)?;
-        return exact::aggregate_batch(&empty, keys, aggregates, ctx);
-    }
-
+/// Combine morsel partials (at least one) into the final grouped batch.
+/// Walks partials in morsel order — the first occurrence of a group
+/// picks its representative key rows, and float partials add in morsel
+/// order — and emits groups in merge-key order, which is the
+/// lexicographic code order a single partial already has. A lone
+/// partial passes through unchanged (`0.0 + s` is `s` bit for bit: a
+/// round-to-nearest running sum from `+0.0` is never `-0.0`).
+pub(crate) fn merge_partials(prog: &AggProgram<'_>, partials: Vec<PartialAgg>) -> Batch {
     let mut merged: BTreeMap<Vec<MergeKey>, MergedGroup> = BTreeMap::new();
     for (pi, p) in partials.iter().enumerate() {
         for g in 0..p.groups {
@@ -2787,7 +3007,6 @@ fn merge_partials(
                     .map(|a| match a {
                         AccColumn::Count(_) => AccVal::Count(0),
                         AccColumn::Sum(_) => AccVal::Sum(0.0),
-                        AccColumn::Avg(_) => AccVal::Avg(0.0),
                         AccColumn::Min(_) => AccVal::Min(f32::INFINITY),
                         AccColumn::Max(_) => AccVal::Max(f32::NEG_INFINITY),
                         AccColumn::Moments { .. } => AccVal::Moments {
@@ -2802,20 +3021,19 @@ fn merge_partials(
                 match (acc, col) {
                     (AccVal::Count(t), AccColumn::Count(v)) => *t += v[g],
                     (AccVal::Sum(t), AccColumn::Sum(v)) => *t += v[g],
-                    (AccVal::Avg(t), AccColumn::Avg(v)) => *t += v[g],
                     (AccVal::Min(t), AccColumn::Min(v)) => *t = t.min(v[g]),
                     (AccVal::Max(t), AccColumn::Max(v)) => *t = t.max(v[g]),
                     (AccVal::Moments { sum, sumsq }, AccColumn::Moments { sum: s, sumsq: q }) => {
                         *sum += s[g];
                         *sumsq += q[g];
                     }
-                    _ => unreachable!("partial accumulator kinds are per-aggregate"),
+                    _ => unreachable!("partials of one program share its accumulator layout"),
                 }
             }
         }
     }
 
-    let groups: Vec<(&Vec<MergeKey>, &MergedGroup)> = merged.iter().collect();
+    let groups: Vec<&MergedGroup> = merged.values().collect();
     let num_groups = groups.len();
 
     let mut out = Batch::new();
@@ -2828,12 +3046,12 @@ fn merge_partials(
         offsets.push(total);
         total += p.groups;
     }
-    for (ki, key) in keys.iter().enumerate() {
+    for (ki, key) in prog.keys.iter().enumerate() {
         let parts: Vec<&EncodedTensor> = partials.iter().map(|p| &p.key_reps[ki]).collect();
         let combined = EncodedTensor::concat(&parts);
         let idx: Vec<i64> = groups
             .iter()
-            .map(|(_, m)| (offsets[m.rep.0] + m.rep.1) as i64)
+            .map(|m| (offsets[m.rep.0] + m.rep.1) as i64)
             .collect();
         out.push(
             key.name.clone(),
@@ -2841,37 +3059,50 @@ fn merge_partials(
         );
     }
 
-    for (ai, agg) in aggregates.iter().enumerate() {
+    // The one place an aggregate function is turned into an output
+    // column: each reads its accumulator (COUNT(*) the group size).
+    for (agg, acc) in prog.aggregates.iter().zip(&prog.outs) {
+        let f32_col = |f: &dyn Fn(&MergedGroup, AccVal) -> f32| {
+            let ai = acc.expect("only COUNT(*) has no accumulator");
+            EncodedTensor::F32(Tensor::from_vec(
+                groups.iter().map(|m| f(m, m.accs[ai])).collect(),
+                &[num_groups],
+            ))
+        };
         let col = match agg.func {
-            AggFunc::Count => EncodedTensor::I64(Tensor::from_vec(
+            AggFunc::Count | AggFunc::CountDistinct => EncodedTensor::I64(Tensor::from_vec(
                 groups
                     .iter()
-                    .map(|(_, m)| match m.accs[ai] {
-                        AccVal::Count(v) => v,
-                        _ => unreachable!(),
+                    .map(|m| match acc.map(|ai| m.accs[ai]) {
+                        None => m.count,
+                        Some(AccVal::Count(v)) => v,
+                        Some(_) => unreachable!("COUNT folds into a Count accumulator"),
                     })
                     .collect(),
                 &[num_groups],
             )),
-            AggFunc::Sum => f32_out(&groups, |m| match m.accs[ai] {
+            AggFunc::Sum => f32_col(&|_, a| match a {
                 AccVal::Sum(v) => v,
-                _ => unreachable!(),
+                _ => unreachable!("SUM folds into a Sum accumulator"),
             }),
-            AggFunc::Avg => f32_out(&groups, |m| match m.accs[ai] {
-                AccVal::Avg(v) => v / m.count as f32,
-                _ => unreachable!(),
+            AggFunc::Avg => f32_col(&|m, a| match a {
+                AccVal::Sum(v) => v / m.count as f32,
+                _ => unreachable!("AVG folds into a Sum accumulator"),
             }),
-            AggFunc::Min => f32_out(&groups, |m| match m.accs[ai] {
+            AggFunc::Min => f32_col(&|_, a| match a {
                 AccVal::Min(v) => v,
-                _ => unreachable!(),
+                _ => unreachable!("MIN folds into a Min accumulator"),
             }),
-            AggFunc::Max => f32_out(&groups, |m| match m.accs[ai] {
+            AggFunc::Max => f32_col(&|_, a| match a {
                 AccVal::Max(v) => v,
-                _ => unreachable!(),
+                _ => unreachable!("MAX folds into a Max accumulator"),
             }),
             AggFunc::Variance | AggFunc::Stddev => {
                 let is_stddev = agg.func == AggFunc::Stddev;
-                f32_out(&groups, |m| match m.accs[ai] {
+                // Sample variance via the sum-of-squares identity, in f64
+                // for numeric robustness; singleton groups yield 0 in
+                // this NULL-free dialect.
+                f32_col(&|m, a| match a {
                     AccVal::Moments { sum, sumsq } => {
                         let c = m.count as f64;
                         if c <= 1.0 {
@@ -2884,24 +3115,13 @@ fn merge_partials(
                             var as f32
                         }
                     }
-                    _ => unreachable!(),
+                    _ => unreachable!("VARIANCE/STDDEV fold into Moments"),
                 })
             }
-            AggFunc::CountDistinct => unreachable!("filtered by aggregate_fallback"),
         };
         out.push(agg.output.clone(), ColumnData::Exact(col));
     }
-    Ok(out)
-}
-
-fn f32_out(
-    groups: &[(&Vec<MergeKey>, &MergedGroup)],
-    f: impl Fn(&MergedGroup) -> f32,
-) -> EncodedTensor {
-    EncodedTensor::F32(Tensor::from_vec(
-        groups.iter().map(|(_, m)| f(m)).collect(),
-        &[groups.len()],
-    ))
+    out
 }
 
 #[cfg(test)]
@@ -2994,6 +3214,255 @@ mod tests {
         let a = ws.column("SUM(v)").unwrap().to_exact().decode_f32().at(0);
         let b = ms.column("SUM(v)").unwrap().to_exact().decode_f32().at(0);
         assert!((a - b).abs() < 1e-3, "{a} vs {b}");
+    }
+
+    /// An f32 counter — what `ones.segment_sum(..)` was — stops at
+    /// 2²⁴; the fold counts rows and trues in i64. Seeded just below the
+    /// boundary, so no 16M-row input is needed.
+    #[test]
+    fn counts_pass_the_f32_integer_limit() {
+        const EDGE: i64 = 1 << 24;
+        let flags = [true, false, true, true];
+        let (mut rows, mut trues) = ([EDGE - 1], [EDGE - 1]);
+        let mut fold = Fold::over(&mut rows);
+        fold.trues.push((&flags, &mut trues));
+        fold.run(&[0, 0, 0, 0]);
+        assert_eq!((rows, trues), ([EDGE + 3], [EDGE + 2]));
+
+        let mut f32_counter = (EDGE - 1) as f32;
+        for _ in 0..4 {
+            f32_counter += 1.0;
+        }
+        assert_eq!(f32_counter as i64, EDGE, "the counter this replaced");
+    }
+
+    /// Bit patterns of one aggregate's partial state, per group.
+    type StateBits = Vec<u64>;
+
+    /// The parent commit's partial-aggregation arithmetic, kept as the
+    /// byte-identity reference: one `segment_sum` scatter pass (or row
+    /// loop) per aggregate over the dense batch.
+    fn reference_partial(
+        batch: &Batch,
+        keys: &[PhysKey],
+        aggregates: &[PhysAggregate],
+        ctx: &ExecContext,
+    ) -> Vec<StateBits> {
+        let n = batch.rows();
+        let codes: Vec<I64Tensor> = keys
+            .iter()
+            .map(|k| match eval_expr(&k.expr, batch, ctx).unwrap() {
+                Value::Column(c) => exact::key_codes(&c).unwrap(),
+                other => panic!("key {other:?}"),
+            })
+            .collect();
+        let (ids, groups) = if codes.is_empty() {
+            (Tensor::from_vec(vec![0i64; n], &[n]), 1)
+        } else {
+            // Ids come from `group_ids`, itself proptested against the
+            // sort-based reference in `tdp_tensor::sort`.
+            let (ids, distinct) = tdp_tensor::sort::group_ids(&codes.iter().collect::<Vec<_>>());
+            let groups = distinct.shape()[0];
+            (ids, groups)
+        };
+        let f32_bits = |t: F32Tensor| t.data().iter().map(|v| v.to_bits() as u64).collect();
+        aggregates
+            .iter()
+            .map(|agg| {
+                let vals = || {
+                    eval_expr(agg.arg.as_ref().unwrap(), batch, ctx)
+                        .unwrap()
+                        .into_f32_column(n)
+                        .unwrap()
+                };
+                match agg.func {
+                    AggFunc::Count => F32Tensor::ones(&[n])
+                        .segment_sum(&ids, groups)
+                        .data()
+                        .iter()
+                        .map(|&c| c as i64 as u64)
+                        .collect(),
+                    AggFunc::Sum | AggFunc::Avg => f32_bits(vals().segment_sum(&ids, groups)),
+                    AggFunc::Min | AggFunc::Max => {
+                        let is_min = agg.func == AggFunc::Min;
+                        let mut acc = vec![
+                            if is_min {
+                                f32::INFINITY
+                            } else {
+                                f32::NEG_INFINITY
+                            };
+                            groups
+                        ];
+                        let vals = vals();
+                        for (row, &g) in ids.data().iter().enumerate() {
+                            let (v, slot) = (vals.at(row), &mut acc[g as usize]);
+                            if (is_min && v < *slot) || (!is_min && v > *slot) {
+                                *slot = v;
+                            }
+                        }
+                        acc.iter().map(|v| v.to_bits() as u64).collect()
+                    }
+                    AggFunc::Variance | AggFunc::Stddev => {
+                        let (mut sum, mut sumsq) = (vec![0.0f64; groups], vec![0.0f64; groups]);
+                        let vals = vals();
+                        for (row, &g) in ids.data().iter().enumerate() {
+                            let v = vals.at(row) as f64;
+                            sum[g as usize] += v;
+                            sumsq[g as usize] += v * v;
+                        }
+                        sum.iter().chain(&sumsq).map(|v| v.to_bits()).collect()
+                    }
+                    AggFunc::CountDistinct => unreachable!("not a morsel-parallel aggregate"),
+                }
+            })
+            .collect()
+    }
+
+    /// The same layout out of a fused partial.
+    fn partial_bits(prog: &AggProgram<'_>, p: &PartialAgg) -> Vec<StateBits> {
+        prog.outs
+            .iter()
+            .map(|out| match out.map(|acc| &p.accs[acc]) {
+                None => p.counts.iter().map(|&c| c as u64).collect(),
+                Some(AccColumn::Count(c)) => c.iter().map(|&c| c as u64).collect(),
+                Some(AccColumn::Sum(v) | AccColumn::Min(v) | AccColumn::Max(v)) => {
+                    v.iter().map(|v| v.to_bits() as u64).collect()
+                }
+                Some(AccColumn::Moments { sum, sumsq }) => {
+                    sum.iter().chain(sumsq).map(|v| v.to_bits()).collect()
+                }
+            })
+            .collect()
+    }
+
+    /// Fused partials are bit-for-bit the parent's, on the floats where
+    /// order and representation show: NaN, ±inf, −0.0, denormals, and
+    /// magnitudes nine decades apart — over the dense batch, under a
+    /// mask (against the reference over the *gathered* survivors), and
+    /// over survivors read by index.
+    #[test]
+    fn fused_partials_are_bitwise_the_segment_sum_reference() {
+        let n = 257usize;
+        let special = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE / 8.0,
+            f32::MAX,
+            -f32::MAX,
+        ];
+        let x: Vec<f32> = (0..n)
+            .map(|i| match i % 11 {
+                0 => special[(i / 11) % special.len()],
+                _ => ((i * 7919) % 1000) as f32 * 10f32.powi(i as i32 % 9 - 4) - 3.0,
+            })
+            .collect();
+        // A tamer column: finite, so its sums are not all NaN.
+        let y: Vec<f32> = (0..n)
+            .map(|i| ((i * 104_729) % 977) as f32 * 10f32.powi(i as i32 % 7 - 3))
+            .collect();
+        let flags: Vec<String> = (0..n).map(|i| format!("f{}", (i * i) % 3)).collect();
+        let catalog = Catalog::new();
+        catalog.register(
+            TableBuilder::new()
+                .col_f32("x", x)
+                .col_f32("y", y)
+                .col_i64(
+                    "k",
+                    (0..n).map(|i| (i % 5) as i64 * 1_000_000_007 - 9).collect(),
+                )
+                .col_str("flag", &flags)
+                .col_i64("q", (0..n).map(|i| (i % 50) as i64).collect())
+                .build("t"),
+        );
+        let udfs = UdfRegistry::new();
+        let ctx = ExecContext::new(&catalog, &udfs);
+        let batch = exact::scan_table("t", None, &ctx).unwrap();
+
+        for sql in [
+            // Q1 shape: dict key, one computed and one repeated argument.
+            "SELECT flag, SUM(q), SUM(y), SUM(y * (1 - x)), AVG(x), COUNT(*) FROM t GROUP BY flag",
+            // Two keys (wide-span i64 forces the hash arm, dict rides along).
+            "SELECT k, flag, SUM(x), MIN(x), MAX(x), VARIANCE(y), STDDEV(y), AVG(y) \
+             FROM t GROUP BY k, flag",
+            // Ungrouped, computed.
+            "SELECT SUM(x * 2), MAX(y - x), COUNT(*) FROM t",
+        ] {
+            let plan = optimizer::optimize(
+                build_plan(&parse(sql).unwrap(), &PlannerContext::default()).unwrap(),
+            );
+            let phys = lower(&plan, &catalog, &udfs).unwrap();
+            let PhysicalPlan::Aggregate {
+                keys, aggregates, ..
+            } = &phys
+            else {
+                panic!("expected an aggregate root for {sql}");
+            };
+            let prog = AggProgram::compile(keys, aggregates).unwrap();
+
+            let dense = partial_aggregate(&prog, &batch, None, &ctx).unwrap();
+            assert_eq!(
+                partial_bits(&prog, &dense),
+                reference_partial(&batch, keys, aggregates, &ctx),
+                "dense: {sql}"
+            );
+
+            for modulus in [1usize, 2, 3, 100] {
+                // modulus 1 keeps nothing but row 0 … 100 keeps ~99%.
+                let keep: Vec<bool> = (0..n)
+                    .map(|i| {
+                        if modulus == 1 {
+                            i == 0
+                        } else {
+                            i % modulus != 0
+                        }
+                    })
+                    .collect();
+                let gathered = exact::filter_batch(&batch, &Tensor::from_vec(keep.clone(), &[n]));
+                let want = reference_partial(&gathered, keys, aggregates, &ctx);
+                let masked = partial_aggregate(&prog, &batch, Some(&keep), &ctx).unwrap();
+                assert_eq!(partial_bits(&prog, &masked), want, "mask/{modulus}: {sql}");
+                let ids: Vec<i64> = (0..n as i64).filter(|&i| keep[i as usize]).collect();
+                let picked =
+                    exact::select_batch(&batch, &Tensor::from_vec(ids.clone(), &[ids.len()]));
+                let sparse = partial_aggregate(&prog, &picked, None, &ctx).unwrap();
+                assert_eq!(partial_bits(&prog, &sparse), want, "idx/{modulus}: {sql}");
+            }
+        }
+    }
+
+    #[test]
+    fn program_shares_arguments_and_accumulators() {
+        let c = setup(10);
+        let udfs = UdfRegistry::new();
+        let plan = optimizer::optimize(
+            build_plan(
+                &parse(
+                    "SELECT tag, SUM(v), AVG(v), VARIANCE(v), STDDEV(v), SUM(v * k), COUNT(*), \
+                     COUNT(k) FROM t GROUP BY tag",
+                )
+                .unwrap(),
+                &PlannerContext::default(),
+            )
+            .unwrap(),
+        );
+        let phys = lower(&plan, &c, &udfs).unwrap();
+        let PhysicalPlan::Aggregate {
+            keys, aggregates, ..
+        } = &phys
+        else {
+            panic!("aggregate root");
+        };
+        let prog = AggProgram::compile(keys, aggregates).unwrap();
+        // v, v * k, k — and SUM/AVG share a sum, VARIANCE/STDDEV the moments.
+        assert_eq!(prog.args.len(), 3);
+        assert_eq!(prog.accs.len(), 4);
+        assert_eq!(prog.outs[0], prog.outs[1]);
+        assert_eq!(prog.outs[2], prog.outs[3]);
+        assert_eq!(prog.outs[5], None, "COUNT(*) reads the group size");
     }
 
     #[test]

@@ -248,6 +248,51 @@ impl CompiledExpr {
         }
     }
 
+    /// [`CompiledExpr::for_each`] with mutable access — same order, same
+    /// treatment of scalar subqueries. Used to re-address column slots
+    /// when an expression is rebound to a narrower batch.
+    pub fn for_each_mut(&mut self, f: &mut impl FnMut(&mut CompiledExpr)) {
+        f(self);
+        match self {
+            CompiledExpr::Binary { left, right, .. } => {
+                left.for_each_mut(f);
+                right.for_each_mut(f);
+            }
+            CompiledExpr::Unary { expr, .. } | CompiledExpr::Like { expr, .. } => {
+                expr.for_each_mut(f)
+            }
+            CompiledExpr::Udf { args, .. } | CompiledExpr::Builtin { args, .. } => {
+                args.iter_mut().for_each(|a| a.for_each_mut(f));
+            }
+            CompiledExpr::Case {
+                operand,
+                branches,
+                else_expr,
+            } => {
+                if let Some(o) = operand {
+                    o.for_each_mut(f);
+                }
+                for (w, t) in branches {
+                    w.for_each_mut(f);
+                    t.for_each_mut(f);
+                }
+                if let Some(e) = else_expr {
+                    e.for_each_mut(f);
+                }
+            }
+            CompiledExpr::InList { expr, list, .. } => {
+                expr.for_each_mut(f);
+                list.iter_mut().for_each(|i| i.for_each_mut(f));
+            }
+            CompiledExpr::Column(_)
+            | CompiledExpr::Num(_)
+            | CompiledExpr::Str(_)
+            | CompiledExpr::Bool(_)
+            | CompiledExpr::Param { .. }
+            | CompiledExpr::ScalarSubquery(_) => {}
+        }
+    }
+
     /// Call `f` on every lowered scalar-subquery plan reachable from this
     /// expression (including subqueries nested inside subquery arguments).
     pub fn visit_subplans(&self, f: &mut impl FnMut(&PhysicalPlan)) {

@@ -391,12 +391,14 @@ pub(crate) fn exec_node(
     }
     let out = match node {
         PipeNode::Scan { table, schema, .. } => exact::scan_table(table, *schema, ctx)?,
-        PipeNode::Stream(pipe) => run_pipe(pipe, None, ctx, rec.as_deref_mut(), |input, skip| {
-            morsel::run_ops(input, &pipe.ops, None, skip, ctx)
-        })?,
+        PipeNode::Stream(pipe) => {
+            run_pipe(pipe, None, ctx, rec.as_deref_mut(), |input, skip, _| {
+                morsel::run_ops(input, &pipe.ops, None, skip, ctx)
+            })?
+        }
         PipeNode::Limit { n, pipe } => {
             let limit = resolve_limit(n, ctx)?;
-            run_pipe(pipe, None, ctx, rec.as_deref_mut(), |input, skip| {
+            run_pipe(pipe, None, ctx, rec.as_deref_mut(), |input, skip, _| {
                 morsel::run_ops(input, &pipe.ops, Some(limit), skip, ctx)
             })?
         }
@@ -406,8 +408,8 @@ pub(crate) fn exec_node(
             pipe,
         } => {
             let sink = Some((*keys, *aggregates));
-            run_pipe(pipe, sink, ctx, rec.as_deref_mut(), |input, skip| {
-                morsel::run_aggregate(input, &pipe.ops, keys, aggregates, skip, ctx)
+            run_pipe(pipe, sink, ctx, rec.as_deref_mut(), |input, skip, rec| {
+                morsel::run_aggregate(input, &pipe.ops, keys, aggregates, skip, ctx, rec)
             })?
         }
         PipeNode::Barrier { plan, inputs } => exec_barrier(plan, inputs, ctx, rec.as_deref_mut())?,
@@ -426,11 +428,11 @@ fn run_pipe<T>(
     sink: Option<(&[PhysKey], &[PhysAggregate])>,
     ctx: &ExecContext,
     mut rec: Option<&mut Recorder>,
-    run: impl FnOnce(&Batch, Option<&[bool]>) -> Result<T, ExecError>,
+    run: impl FnOnce(&Batch, Option<&[bool]>, Option<&mut Recorder>) -> Result<T, ExecError>,
 ) -> Result<T, ExecError> {
     let input = exec_node(&pipe.input, ctx, rec.as_deref_mut())?;
     let skip = scan_skip_mask(&pipe.input, input.rows(), ctx);
-    let out = run(&input, skip.as_deref())?;
+    let out = run(&input, skip.as_deref(), rec.as_deref_mut())?;
     if let Some(r) = rec {
         r.note_chain(&input, &pipe.ops, sink, ctx);
     }
@@ -475,7 +477,7 @@ fn barrier_input(
     if let Some(r) = rec.as_deref_mut() {
         r.enter(pipe.ops.len());
     }
-    let out = run_pipe(pipe, None, ctx, rec.as_deref_mut(), |input, skip| {
+    let out = run_pipe(pipe, None, ctx, rec.as_deref_mut(), |input, skip, _| {
         morsel::chain_barrier_input(input, &pipe.ops, skip, ctx)
     })?;
     if let Some(r) = rec {

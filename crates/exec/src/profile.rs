@@ -55,11 +55,13 @@ pub struct OpTrace {
     /// 31 probe morsels)`, `merge-sort ×8 runs`); `None` for streamable
     /// operators and barriers that ran sequentially.
     pub strategy: Option<String>,
-    /// Late-materialization note. On a fused chain feeding a barrier:
-    /// its selection density (`selection: 3% dense→sparse`). On the
-    /// barrier itself: how its input arrived (`barrier: selection-fed
-    /// (3% dense→sparse)` or `barrier: gathered: <reason>`). `None`
-    /// when no compiled chain was in play.
+    /// How a sink consumed its input. On a fused chain feeding a
+    /// barrier: its selection density (`selection: 3% dense→sparse`). On
+    /// the barrier itself: how its input arrived (`barrier: selection-fed
+    /// (3% dense→sparse)` or `barrier: gathered: <reason>`). On an
+    /// aggregate stage: what the fold ran (`aggregate: fused 5 acc / 4
+    /// args, 3 groups, keys: direct, selection-fed`). `None` when there
+    /// is nothing to say.
     pub selection: Option<String>,
     /// Bytes this operator charged against the query's memory ledger
     /// (materialised columns, exchange buckets, build tables, sort runs,
@@ -332,6 +334,15 @@ impl Recorder {
         if barrier.selection.is_none() {
             barrier.selection = out.note().map(|n| format!("barrier: {n}"));
         }
+    }
+
+    /// Record what the innermost stage's aggregate sink ran, reported by
+    /// `morsel::run_aggregate`: the fused fold's shape, how the group
+    /// keys were resolved and how the input arrived. Rides the
+    /// `selection` slot — `strategy` and `fallback` belong to the fused
+    /// chain ([`Recorder::note_chain`]).
+    pub(crate) fn note_aggregate(&mut self, note: String) {
+        self.top().selection = Some(note);
     }
 
     /// Record the scheduling decision a staged barrier (join, sort,

@@ -95,13 +95,27 @@ const BARRIER_CHAINS: &[&str] = &[
 ];
 
 /// Filter→aggregate shapes: the masked fast path (plain ungrouped
-/// columns), the mini-batch path (GROUP BY, computed arguments), and
-/// the f64-moment aggregates.
+/// columns), the fused per-morsel fold (GROUP BY, computed arguments),
+/// and the f64-moment aggregates. The Q1 shape — dictionary key, five
+/// aggregates, one computed and one repeated argument — runs at 0% /
+/// ~1% / ~50% / 100% selectivity, so all-empty morsels, the sparse
+/// survivor-index fold and the dense masked fold are all hit; the
+/// two-key shape groups on `(i64, dict)`.
 const AGGREGATE_CHAINS: &[&str] = &[
     "SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM t WHERE v > 0.0",
     "SELECT AVG(v), VARIANCE(v), STDDEV(v) FROM t WHERE v < 1.0",
     "SELECT tag, COUNT(*), SUM(v) FROM t WHERE v > 0.0 GROUP BY tag",
     "SELECT SUM(v * 2.0 - k) AS s FROM t WHERE k > 0",
+    "SELECT tag, SUM(k) AS q, SUM(v) AS p, SUM(v * (1 - k)) AS net, AVG(v) AS d, COUNT(*) AS n \
+     FROM t WHERE v < -100.0 GROUP BY tag",
+    "SELECT tag, SUM(k) AS q, SUM(v) AS p, SUM(v * (1 - k)) AS net, AVG(v) AS d, COUNT(*) AS n \
+     FROM t WHERE v < -9.8 GROUP BY tag",
+    "SELECT tag, SUM(k) AS q, SUM(v) AS p, SUM(v * (1 - k)) AS net, AVG(v) AS d, COUNT(*) AS n \
+     FROM t WHERE v < 0.0 GROUP BY tag",
+    "SELECT tag, SUM(k) AS q, SUM(v) AS p, SUM(v * (1 - k)) AS net, AVG(v) AS d, COUNT(*) AS n \
+     FROM t WHERE v < 100.0 GROUP BY tag",
+    "SELECT k, tag, SUM(v), MIN(v), MAX(v), VARIANCE(v), COUNT(v > 0.0) FROM t \
+     WHERE v > -5.0 GROUP BY k, tag",
 ];
 
 proptest! {

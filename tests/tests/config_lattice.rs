@@ -58,6 +58,35 @@ const CORPUS: &[(&str, &str)] = &[
         "grouped float aggregate",
         "SELECT tag, SUM(x), AVG(x), VARIANCE(x) FROM t WHERE x > 0.5 GROUP BY tag",
     ),
+    // The TPC-H Q1 shape — dictionary key, five aggregates, one computed
+    // and one repeated argument — at 0% / 1% / 50% / 100% selectivity:
+    // all-empty morsels, the sparse survivor-index fold, the dense
+    // masked fold, and a mask that keeps everything.
+    (
+        "q1 shape 0%",
+        "SELECT tag, SUM(k) AS q, SUM(x) AS p, SUM(x * (1 - v)) AS net, AVG(x) AS d, COUNT(*) AS n \
+         FROM t WHERE v < 0 GROUP BY tag",
+    ),
+    (
+        "q1 shape 1%",
+        "SELECT tag, SUM(k) AS q, SUM(x) AS p, SUM(x * (1 - v)) AS net, AVG(x) AS d, COUNT(*) AS n \
+         FROM t WHERE v < 90 GROUP BY tag",
+    ),
+    (
+        "q1 shape 50%",
+        "SELECT tag, SUM(k) AS q, SUM(x) AS p, SUM(x * (1 - v)) AS net, AVG(x) AS d, COUNT(*) AS n \
+         FROM t WHERE v >= 4500 GROUP BY tag",
+    ),
+    (
+        "q1 shape 100%",
+        "SELECT tag, SUM(k) AS q, SUM(x) AS p, SUM(x * (1 - v)) AS net, AVG(x) AS d, COUNT(*) AS n \
+         FROM t WHERE v < 100000 GROUP BY tag",
+    ),
+    (
+        "two-key (i64, dict) aggregate",
+        "SELECT k, tag, SUM(x), MIN(x), MAX(x), STDDEV(x), COUNT(v > 4000) FROM t \
+         WHERE x > 0.5 GROUP BY k, tag",
+    ),
     (
         "join",
         "SELECT t.v, d.w FROM t JOIN d ON t.k = d.k WHERE t.v < 700",

@@ -160,6 +160,90 @@ fn selection_fed_aggregate_fits_budget_the_gathered_path_exceeds() {
     assert_eq!(engine.memory_pool().used(), 0, "ledger fully released");
 }
 
+/// The grouped selection-fed fold charges what it allocates — the
+/// selection vector, one morsel of argument scratch per worker, and the
+/// per-group partial states — not a survivor-width copy of every
+/// referenced column. The TPC-H Q1 shape at 97% selectivity over 400k
+/// rows keeps n = 388,000 survivors across 4 referenced columns: the
+/// gathered charge that replaced (`n * 8 * refs` = 12.4 MB, on top of
+/// the 3.1 MB selection vector) cannot fit 12 MiB; two workers' scratch
+/// (~2.9 MB each) does. And when even that is refused, the abort is
+/// typed and the ledger drains to zero.
+#[test]
+fn grouped_selection_fed_aggregate_charges_scratch_not_a_gather() {
+    const ROWS: usize = 400_000;
+    let sql = "SELECT flag, SUM(qty) AS q, SUM(price) AS p, SUM(price * (1 - disc)) AS net, \
+               AVG(disc) AS d, COUNT(*) AS n FROM lineitem WHERE dial < 0.97 GROUP BY flag";
+    let load = |engine: &TdpEngine| {
+        let flags: Vec<String> = (0..ROWS).map(|i| format!("f{}", (i * 7) % 3)).collect();
+        engine.register_table(
+            TableBuilder::new()
+                .col_str("flag", &flags)
+                .col_i64("qty", (0..ROWS).map(|i| (i % 50) as i64 + 1).collect())
+                .col_f32(
+                    "price",
+                    (0..ROWS).map(|i| (i % 1000) as f32 + 0.5).collect(),
+                )
+                .col_f32("disc", (0..ROWS).map(|i| (i % 11) as f32 / 100.0).collect())
+                .col_f32(
+                    "dial",
+                    (0..ROWS).map(|i| (i % 100) as f32 / 100.0).collect(),
+                )
+                .build("lineitem"),
+        );
+    };
+    let run = |budget: u64| {
+        let engine = TdpEngine::with_memory_budget(budget);
+        load(&engine);
+        let session = engine.session();
+        session.set_threads(2);
+        session.set_chain_kernels(true);
+        let out = session.query(sql).unwrap().run_profiled();
+        (engine, out)
+    };
+
+    let (engine, out) = run(12 << 20);
+    let (table, profile) = out.expect("scratch + state fit where a survivor-width gather cannot");
+    assert_eq!(table.rows(), 3);
+    assert_eq!(
+        table
+            .column("n")
+            .unwrap()
+            .data
+            .decode_i64()
+            .to_vec()
+            .iter()
+            .sum::<i64>(),
+        (ROWS as i64 / 100) * 97
+    );
+    let text = profile.pretty();
+    assert!(text.contains("keys: direct, selection-fed"), "{text}");
+    assert!(
+        profile.peak_memory_bytes < 12_416_000,
+        "peak {} must stay under the old gather charge alone",
+        profile.peak_memory_bytes
+    );
+    assert_eq!(engine.memory_pool().used(), 0, "ledger fully released");
+
+    // 4 MiB holds the selection vector but not one worker's scratch.
+    let (engine, out) = run(4 << 20);
+    match out {
+        Err(TdpError::Exec(tdp_core::exec::ExecError::MemoryBudget { operator, .. })) => {
+            assert_eq!(operator, "aggregate scratch")
+        }
+        other => panic!(
+            "expected a typed budget abort, got {:?}",
+            other.map(|(t, _)| t.rows())
+        ),
+    }
+    assert_eq!(
+        engine.memory_pool().used(),
+        0,
+        "refusal path drains to zero"
+    );
+    assert_eq!(engine.stats().mem_budget_aborts, 1);
+}
+
 #[test]
 fn run_profiled_reports_peak_bytes_under_and_over_budget() {
     let engine = TdpEngine::new();

@@ -101,6 +101,21 @@ const PIPELINES: &[&str] = &[
     "SELECT DISTINCT tag FROM t WHERE v > 0.5",
     "SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM t WHERE v > 0.0",
     "SELECT tag, COUNT(*), SUM(v) FROM t WHERE v > 1.0 GROUP BY tag",
+    // The fused grouped fold: the Q1 shape (dictionary key, five
+    // aggregates, one computed and one repeated argument) at 0% / ~1% /
+    // ~50% / 100% selectivity — empty morsels, the sparse
+    // survivor-index fold, the dense masked fold — and a two-key
+    // `(i64, dict)` shape.
+    "SELECT tag, SUM(k) AS q, SUM(v) AS p, SUM(v * (1 - k)) AS net, AVG(v) AS d, COUNT(*) AS n \
+     FROM t WHERE v < -100.0 GROUP BY tag",
+    "SELECT tag, SUM(k) AS q, SUM(v) AS p, SUM(v * (1 - k)) AS net, AVG(v) AS d, COUNT(*) AS n \
+     FROM t WHERE v < -9.8 GROUP BY tag",
+    "SELECT tag, SUM(k) AS q, SUM(v) AS p, SUM(v * (1 - k)) AS net, AVG(v) AS d, COUNT(*) AS n \
+     FROM t WHERE v < 0.0 GROUP BY tag",
+    "SELECT tag, SUM(k) AS q, SUM(v) AS p, SUM(v * (1 - k)) AS net, AVG(v) AS d, COUNT(*) AS n \
+     FROM t WHERE v < 100.0 GROUP BY tag",
+    "SELECT k, tag, SUM(v), MIN(v), MAX(v), STDDEV(v), COUNT(v > 0.0) FROM t \
+     WHERE v > -5.0 GROUP BY k, tag",
 ];
 
 proptest! {
