@@ -4,8 +4,9 @@
 //! ships a tiny API-compatible subset: `Criterion::benchmark_group`,
 //! `bench_function` / `bench_with_input`, `BenchmarkId`, and the
 //! `criterion_group!` / `criterion_main!` macros. Timing is a plain
-//! warmup + sample loop reporting mean wall-clock per iteration; there
-//! are no statistics, plots or baselines. Swap back to the real crate
+//! warmup + sample loop, each sample timed on its own, reporting the
+//! min, median and mean wall-clock per iteration; there are no further
+//! statistics, plots or baselines. Swap back to the real crate
 //! by changing one line in `bench/Cargo.toml` when a registry is
 //! available — the bench sources need no edits.
 
@@ -33,8 +34,8 @@ impl Display for BenchmarkId {
 
 /// Per-benchmark timing driver handed to bench closures.
 pub struct Bencher {
-    /// Mean seconds per iteration, filled in by [`Bencher::iter`].
-    mean_seconds: f64,
+    /// Seconds of each timed iteration, filled in by [`Bencher::iter`].
+    sample_seconds: Vec<f64>,
     samples: usize,
 }
 
@@ -42,12 +43,28 @@ impl Bencher {
     pub fn iter<T>(&mut self, mut f: impl FnMut() -> T) {
         // Warmup: one call to fault in caches/allocations.
         std::hint::black_box(f());
-        let start = Instant::now();
-        for _ in 0..self.samples {
-            std::hint::black_box(f());
-        }
-        self.mean_seconds = start.elapsed().as_secs_f64() / self.samples as f64;
+        self.sample_seconds = (0..self.samples)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(f());
+                start.elapsed().as_secs_f64()
+            })
+            .collect();
     }
+}
+
+/// `(min, median, mean)` of a non-empty sample set.
+fn summarize(samples: &[f64]) -> (f64, f64, f64) {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    let median = if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    };
+    let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
+    (sorted[0], median, mean)
 }
 
 /// A named group of related benchmarks.
@@ -89,15 +106,25 @@ impl BenchmarkGroup<'_> {
             }
         }
         let mut b = Bencher {
-            mean_seconds: 0.0,
+            sample_seconds: Vec::new(),
             samples: self.sample_size,
         };
         f(&mut b);
+        if b.sample_seconds.is_empty() {
+            println!(
+                "{}/{id:<32} (the bench closure never called iter)",
+                self.name
+            );
+            return;
+        }
+        let (min, median, mean) = summarize(&b.sample_seconds);
         println!(
-            "{}/{id:<32} {:>12.3} µs/iter  ({} samples)",
+            "{}/{id:<32} min {:>11.3}  median {:>11.3}  mean {:>11.3} µs/iter  ({} samples)",
             self.name,
-            b.mean_seconds * 1e6,
-            self.sample_size
+            min * 1e6,
+            median * 1e6,
+            mean * 1e6,
+            b.sample_seconds.len()
         );
     }
 
@@ -154,4 +181,28 @@ macro_rules! criterion_main {
             $($group();)+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn summary_is_min_median_mean() {
+        assert_eq!(summarize(&[3.0, 1.0, 8.0]), (1.0, 3.0, 4.0));
+        assert_eq!(summarize(&[4.0, 1.0, 2.0, 9.0]), (1.0, 3.0, 4.0));
+        assert_eq!(summarize(&[5.0]), (5.0, 5.0, 5.0));
+    }
+
+    #[test]
+    fn every_sample_is_timed() {
+        let mut b = Bencher {
+            sample_seconds: Vec::new(),
+            samples: 7,
+        };
+        let mut calls = 0;
+        b.iter(|| calls += 1);
+        assert_eq!(calls, 8, "one warmup call plus seven samples");
+        assert_eq!(b.sample_seconds.len(), 7);
+    }
 }

@@ -319,7 +319,7 @@ pub(crate) fn key_codes(col: &EncodedTensor) -> Result<I64Tensor, ExecError> {
 
 /// Grouped (or global) aggregation of one whole batch: a single
 /// partial state folded by the program the morsel scheduler runs per
-/// morsel ([`crate::morsel::partial_aggregate`]), finalised by the same
+/// morsel (`crate::morsel::partial_aggregate`), finalised by the same
 /// combine step — so the staged paths and this kernel share every
 /// aggregate function's arithmetic by construction.
 pub fn aggregate_batch(

@@ -1,6 +1,6 @@
-//! Compiled vectorized chain kernels: selection-vector execution for the
-//! fused filter→project chains that form the hot inner loop of every
-//! morsel on every worker thread.
+//! Vectorized chain kernels: selection-vector execution for the fused
+//! filter→project chains that form the hot inner loop of every morsel on
+//! every worker thread.
 //!
 //! ## Selection-vector model
 //!
@@ -28,9 +28,21 @@
 //! operand order, same CASE blend expression), which is what keeps the
 //! interpreter the byte-identity oracle at every thread count.
 //!
+//! ## One expression form
+//!
+//! There is no kernel-side copy of the plan. A `ChainInstance`
+//! borrows the caller's own [`MorselOp`]s and the kernel loops walk
+//! their [`CompiledExpr`] nodes directly; `$n` leaves read the bound
+//! literal from [`ExecContext::params`] at evaluation. Support is
+//! decided by a reason-only vetting pass (`vet`) plus a bind-time
+//! check of the `$n` slots the chain references — neither builds
+//! anything — and the evaluator itself refuses every node kind the
+//! vetting pass would have refused (a run-time bail-out to the
+//! interpreter), so a wrong verdict can cost speed but never a result.
+//!
 //! ## Exit modes
 //!
-//! A compiled chain leaves the kernel in one of two ways, chosen per
+//! A vetted chain leaves the kernel in one of two ways, chosen per
 //! pipeline by [`crate::pipeline`]:
 //!
 //! * **Gather exit** (`ChainInstance::run`) — the deferred selection
@@ -42,46 +54,57 @@
 //!   input width plus the final `SelVec`; the consuming barrier stage
 //!   (aggregate, join, sort, top-k, DISTINCT) folds, probes or extracts
 //!   keys over survivors directly and defers the single payload gather
-//!   to its own assembly step — or never gathers at all (masked
-//!   aggregation). Only chains whose projections are pure column remaps
-//!   qualify (`ChainInstance::selection_capable`); a computed item
-//!   would materialize new storage in selection space and reset the
-//!   row space. `selection_verdict` is the pure per-chain verdict
-//!   surfaced by EXPLAIN as `[barrier: selection-fed]` versus
+//!   to its own assembly step. Only chains whose projections are pure
+//!   column remaps qualify (`selection_capable`); a
+//!   computed item would materialize new storage in selection space and
+//!   reset the row space. `selection_verdict` is the pure per-chain
+//!   verdict surfaced by EXPLAIN as `[barrier: selection-fed]` versus
 //!   `[barrier: gathered: <reason>]`.
 //!
 //! ## Fallback taxonomy
 //!
-//! Compilation is conservative: anything the kernel cannot reproduce
-//! bit-for-bit falls back to the interpreter with a named reason
-//! (surfaced through EXPLAIN and [`crate::profile::OpTrace::strategy`]):
+//! Vetting is conservative: anything the kernel cannot reproduce
+//! bit-for-bit runs on the interpreter with a named reason (surfaced
+//! through EXPLAIN and [`crate::profile::OpTrace::strategy`]; the first
+//! refusal in pre-order names the chain):
 //!
-//! * **compile-time** (cached negatively): `udf(name)` — session UDFs,
+//! * **vet-time** (cached negatively): `udf(name)` — session UDFs,
 //!   including built-ins shadowed by a later registration;
-//!   `scalar-subquery`; `empty-in-list`; `builtin-arity(name)`.
+//!   `scalar-subquery`; `empty-in-list`; `builtin-arity(name)`;
+//!   `vector-builtin(name)`.
 //! * **bind-time** (per execution): `tensor-param($n)` /
 //!   `null-param($n)` / `unbound-param($n)` — parameter slots whose
-//!   bound value has no scalar kernel form.
+//!   bound value has no scalar kernel form. EXPLAIN is binding-free and
+//!   cannot foresee these (`Refusal::Run`); a barrier above such a
+//!   chain notes `gathered: kernel-compile`.
 //! * **run-time** (per morsel, silent): batches carrying differentiable
 //!   columns, payload (rank > 1) columns used in computed expressions,
 //!   evaluation type errors (the interpreter re-runs the morsel and
-//!   raises the identical error), and multi-filter runs over
-//!   re-compressing integer layouts (bit-packed / delta columns pick a
-//!   fresh smallest encoding per gather, so a collapsed single gather
-//!   could not reproduce the interpreter's intermediate choices).
+//!   raises the identical error), any node kind above reaching the
+//!   evaluator un-vetted, and multi-filter runs over re-compressing
+//!   integer layouts (bit-packed / delta columns pick a fresh smallest
+//!   encoding per gather, so a collapsed single gather could not
+//!   reproduce the interpreter's intermediate choices).
 //!
 //! ## Cache keying
 //!
-//! Compiled programs are cached in a bounded, session-shared
-//! [`KernelCache`] keyed by the chain's **literal-invariant
-//! fingerprint**: an FNV-1a hash over the op shapes and the
-//! [`CompiledExpr`] renderings, in which literals lifted to `$n` slots
-//! by auto-parameterisation hash identically across bindings. Entries
-//! are stamped with the cache **epoch**, bumped on catalog changes and
-//! UDF (re-)registration — a stale entry is a miss, so a UDF registered
-//! after compilation correctly shadows a built-in on the next run.
-//! Fallback verdicts are cached negatively so unsupported chains pay
-//! the compile probe once. Eviction is LRU with a fixed cap
+//! Verdicts are cached in a bounded, engine-shared [`KernelCache`]
+//! keyed by the chain's **literal-invariant fingerprint**: an FNV-1a
+//! hash over the op shapes and the [`CompiledExpr`] renderings, in
+//! which literals lifted to `$n` slots by auto-parameterisation hash
+//! identically across bindings. An entry holds *only* the vetting
+//! verdict — vetted, or the refusal reason (negative caching, so an
+//! unsupported chain pays the probe once). Everything an execution
+//! evaluates — expressions, filter-run length, selection capability —
+//! is read off the caller's own ops, so a 64-bit collision (FNV-1a is
+//! not collision-resistant, and LIKE patterns and aliases put
+//! caller-chosen bytes into the rendering) can only hand a chain
+//! another chain's *verdict*: "refused" runs it interpreted, "vetted"
+//! meets the evaluator's own refusals and bails. Either way the chain
+//! returns its own rows. Entries are stamped with the cache **epoch**,
+//! bumped on catalog changes and UDF (re-)registration — a stale entry
+//! is a miss, so a UDF registered later correctly shadows a built-in on
+//! the next run. Eviction is LRU with a fixed cap
 //! ([`KERNEL_CACHE_CAP`]); [`ChainKernelStats`] exposes
 //! hits/misses/evictions/fallbacks.
 
@@ -97,7 +120,7 @@ use tdp_tensor::{BoolTensor, Tensor};
 use crate::batch::{Batch, ColumnData};
 use crate::expr::like_match;
 use crate::params::{ParamValue, ParamValues};
-use crate::physical::{ColumnRef, CompiledExpr, ScalarFn};
+use crate::physical::{ColumnRef, CompiledExpr, PhysProjectItem, ScalarFn};
 use crate::pipeline::MorselOp;
 use crate::udf::ExecContext;
 
@@ -105,85 +128,22 @@ use crate::udf::ExecContext;
 pub const KERNEL_CACHE_CAP: usize = 256;
 
 // ----------------------------------------------------------------------
-// Compiled form
+// Vetting and binding
 // ----------------------------------------------------------------------
 
-/// A vetted, owned mirror of [`CompiledExpr`] containing only node kinds
-/// the kernel evaluator reproduces bit-for-bit. Construction *is* the
-/// support check: anything else fails [`compile`] with a named reason.
-#[derive(Clone, Debug)]
-enum KExpr {
-    Col(ColumnRef),
-    Num(f64),
-    Str(String),
-    Bool(bool),
-    Binary {
-        op: BinOp,
-        left: Box<KExpr>,
-        right: Box<KExpr>,
-    },
-    Neg(Box<KExpr>),
-    Not(Box<KExpr>),
-    Builtin {
-        func: ScalarFn,
-        args: Vec<KExpr>,
-    },
-    Case {
-        operand: Option<Box<KExpr>>,
-        branches: Vec<(KExpr, KExpr)>,
-        else_expr: Option<Box<KExpr>>,
-    },
-    InList {
-        expr: Box<KExpr>,
-        list: Vec<KExpr>,
-        negated: bool,
-    },
-    Like {
-        expr: Box<KExpr>,
-        pattern: String,
-        negated: bool,
-    },
-    /// Present only in the cached (literal-invariant) program; replaced
-    /// by a literal at instantiation, or the instantiation falls back.
-    Param(usize),
-}
-
-/// One chain segment: a predicate refining the selection, or a
-/// projection materializing a new column set (which resets it).
-#[derive(Clone, Debug)]
-enum Seg {
-    Filter(KExpr),
-    Project(Vec<(String, KExpr)>),
-}
-
-/// A compiled, literal-invariant chain program — the cache value.
-/// Binding-specific literals still appear as [`KExpr::Param`] slots.
-#[derive(Debug)]
-pub(crate) struct ChainProgram {
-    segs: Vec<Seg>,
-    /// Longest run of consecutive filter segments (no projection
-    /// between them) — gates the re-compressing-layout fallback.
+/// A vetted chain bound to one execution, ready to run on morsels from
+/// any worker thread. It evaluates the caller's own plan nodes.
+pub(crate) struct ChainInstance<'a> {
+    ops: &'a [MorselOp<'a>],
+    /// Longest run of consecutive filter ops (no projection between
+    /// them) — gates the re-compressing-layout fallback.
     max_filter_run: usize,
-}
-
-impl ChainProgram {
-    /// See `ChainInstance::selection_capable`.
-    pub(crate) fn selection_capable(&self) -> Result<(), &'static str> {
-        segs_selection_capable(&self.segs)
-    }
-}
-
-/// A program bound to one parameter set, ready to run on morsels from
-/// any worker thread.
-pub(crate) struct ChainInstance {
-    segs: Vec<Seg>,
-    max_filter_run: usize,
-    cache: Arc<KernelCache>,
+    cache: &'a KernelCache,
     /// Run-time fallbacks are counted once per execution, not per morsel.
     fallback_noted: AtomicBool,
 }
 
-/// Why (or that) a chain runs compiled — the EXPLAIN / profile verdict.
+/// Why (or that) a chain runs compiled — the EXPLAIN verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ChainStrategy {
     /// Kernel-compiled; payload is the number of fused ops.
@@ -192,226 +152,106 @@ pub(crate) enum ChainStrategy {
     Interpreted(String),
 }
 
-// ----------------------------------------------------------------------
-// Compilation
-// ----------------------------------------------------------------------
+/// Why the interpreter runs a chain this execution.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Refusal {
+    /// True of the plan under this session whatever flows in, so EXPLAIN
+    /// prints it too: the session switch, what pins the chain,
+    /// `no-chain`, a vetting refusal.
+    Plan(String),
+    /// True of this execution only — a differentiable input, a `$n`
+    /// slot bound to nothing scalar.
+    Run(String),
+}
 
-fn compile_expr(e: &CompiledExpr, ctx: &ExecContext) -> Result<KExpr, String> {
-    Ok(match e {
-        CompiledExpr::Column(c) => KExpr::Col(c.clone()),
-        CompiledExpr::Num(n) => KExpr::Num(*n),
-        CompiledExpr::Str(s) => KExpr::Str(s.clone()),
-        CompiledExpr::Bool(b) => KExpr::Bool(*b),
-        CompiledExpr::Binary { op, left, right } => KExpr::Binary {
-            op: *op,
-            left: Box::new(compile_expr(left, ctx)?),
-            right: Box::new(compile_expr(right, ctx)?),
-        },
-        CompiledExpr::Unary {
-            op: UnOp::Neg,
-            expr,
-        } => KExpr::Neg(Box::new(compile_expr(expr, ctx)?)),
-        CompiledExpr::Unary {
-            op: UnOp::Not,
-            expr,
-        } => KExpr::Not(Box::new(compile_expr(expr, ctx)?)),
-        CompiledExpr::Udf { name, .. } => return Err(format!("udf({name})")),
-        CompiledExpr::Builtin { name, func, args } => {
-            // A session UDF registered after compilation shadows the
-            // built-in; registration bumps the cache epoch, so checking
-            // here is stable for the cached program's lifetime.
-            if ctx.udfs.is_scalar(name) {
-                return Err(format!("udf({name})"));
+impl Refusal {
+    pub(crate) fn reason(&self) -> &str {
+        match self {
+            Refusal::Plan(reason) | Refusal::Run(reason) => reason,
+        }
+    }
+}
+
+/// The first reason, in pre-order, the kernel evaluator cannot run this
+/// chain — `None` = vetted. Nothing is built: [`eval`] walks the same
+/// nodes, and refuses each of these kinds itself.
+pub(crate) fn vet(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Option<String> {
+    ops.iter().find_map(|op| {
+        op.find_map(&mut |node| match node {
+            CompiledExpr::Udf { name, .. } => Some(format!("udf({name})")),
+            // A session UDF registered after lowering shadows the
+            // built-in; registration bumps the cache epoch, so the
+            // verdict is stable for a cached entry's lifetime.
+            CompiledExpr::Builtin { name, .. } if ctx.udfs.is_scalar(name) => {
+                Some(format!("udf({name})"))
             }
-            if args.len() != func.arity() {
-                return Err(format!("builtin-arity({name})"));
+            CompiledExpr::Builtin { name, func, args } if args.len() != func.arity() => {
+                Some(format!("builtin-arity({name})"))
             }
             // Vector-similarity builtins consume a whole [n, d] embedding
             // column; selection-vector programs are strictly scalar-per-row.
-            if matches!(func, crate::physical::ScalarFn::Vector(_)) {
-                return Err(format!("vector-builtin({name})"));
-            }
-            KExpr::Builtin {
-                func: *func,
-                args: args
-                    .iter()
-                    .map(|a| compile_expr(a, ctx))
-                    .collect::<Result<_, _>>()?,
-            }
-        }
-        CompiledExpr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => KExpr::Case {
-            operand: operand
-                .as_deref()
-                .map(|o| compile_expr(o, ctx).map(Box::new))
-                .transpose()?,
-            branches: branches
-                .iter()
-                .map(|(w, t)| Ok((compile_expr(w, ctx)?, compile_expr(t, ctx)?)))
-                .collect::<Result<_, String>>()?,
-            else_expr: else_expr
-                .as_deref()
-                .map(|e| compile_expr(e, ctx).map(Box::new))
-                .transpose()?,
-        },
-        CompiledExpr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            if list.is_empty() {
-                return Err("empty-in-list".into());
-            }
-            KExpr::InList {
-                expr: Box::new(compile_expr(expr, ctx)?),
-                list: list
-                    .iter()
-                    .map(|i| compile_expr(i, ctx))
-                    .collect::<Result<_, _>>()?,
-                negated: *negated,
-            }
-        }
-        CompiledExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => KExpr::Like {
-            expr: Box::new(compile_expr(expr, ctx)?),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        CompiledExpr::ScalarSubquery(_) => return Err("scalar-subquery".into()),
-        CompiledExpr::Param { idx } => KExpr::Param(*idx),
+            CompiledExpr::Builtin {
+                name,
+                func: ScalarFn::Vector(_),
+                ..
+            } => Some(format!("vector-builtin({name})")),
+            CompiledExpr::InList { list, .. } if list.is_empty() => Some("empty-in-list".into()),
+            CompiledExpr::ScalarSubquery(_) => Some("scalar-subquery".into()),
+            _ => None,
+        })
     })
 }
 
-/// Compile a fused chain into a literal-invariant program, or name the
-/// first reason it must stay interpreted.
-pub(crate) fn compile(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Result<ChainProgram, String> {
-    let mut segs = Vec::with_capacity(ops.len());
-    let (mut run, mut max_filter_run) = (0usize, 0usize);
+/// The first `$n` slot the chain references whose binding has no scalar
+/// kernel form — checked per execution, the verdict being
+/// literal-invariant.
+fn unbound_param(ops: &[MorselOp<'_>], params: &ParamValues) -> Option<String> {
+    ops.iter().find_map(|op| {
+        op.find_map(&mut |node| {
+            let CompiledExpr::Param { idx } = node else {
+                return None;
+            };
+            let why = match params.get(*idx) {
+                Some(ParamValue::Number(_) | ParamValue::String(_) | ParamValue::Bool(_)) => {
+                    return None
+                }
+                Some(ParamValue::Tensor(_)) => "tensor-param",
+                Some(ParamValue::Null) => "null-param",
+                None => "unbound-param",
+            };
+            Some(format!("{why}(${})", idx + 1))
+        })
+    })
+}
+
+/// Longest run of consecutive filter ops.
+fn max_filter_run(ops: &[MorselOp<'_>]) -> usize {
+    let (mut run, mut max) = (0usize, 0usize);
     for op in ops {
         match op {
-            MorselOp::Filter(pred) => {
-                segs.push(Seg::Filter(compile_expr(pred, ctx)?));
+            MorselOp::Filter(_) => {
                 run += 1;
-                max_filter_run = max_filter_run.max(run);
+                max = max.max(run);
             }
-            MorselOp::Project(items) => {
-                segs.push(Seg::Project(
-                    items
-                        .iter()
-                        .map(|it| Ok((it.name.clone(), compile_expr(&it.expr, ctx)?)))
-                        .collect::<Result<_, String>>()?,
-                ));
-                run = 0;
-            }
+            MorselOp::Project(_) => run = 0,
         }
     }
-    Ok(ChainProgram {
-        segs,
-        max_filter_run,
-    })
+    max
 }
 
-fn subst_params(e: &KExpr, params: &ParamValues) -> Result<KExpr, String> {
-    Ok(match e {
-        KExpr::Param(idx) => match params.get(*idx) {
-            Some(ParamValue::Number(n)) => KExpr::Num(*n),
-            Some(ParamValue::String(s)) => KExpr::Str(s.clone()),
-            Some(ParamValue::Bool(b)) => KExpr::Bool(*b),
-            Some(ParamValue::Tensor(_)) => return Err(format!("tensor-param(${})", idx + 1)),
-            Some(ParamValue::Null) => return Err(format!("null-param(${})", idx + 1)),
-            None => return Err(format!("unbound-param(${})", idx + 1)),
-        },
-        KExpr::Col(_) | KExpr::Num(_) | KExpr::Str(_) | KExpr::Bool(_) => e.clone(),
-        KExpr::Binary { op, left, right } => KExpr::Binary {
-            op: *op,
-            left: Box::new(subst_params(left, params)?),
-            right: Box::new(subst_params(right, params)?),
-        },
-        KExpr::Neg(x) => KExpr::Neg(Box::new(subst_params(x, params)?)),
-        KExpr::Not(x) => KExpr::Not(Box::new(subst_params(x, params)?)),
-        KExpr::Builtin { func, args } => KExpr::Builtin {
-            func: *func,
-            args: args
-                .iter()
-                .map(|a| subst_params(a, params))
-                .collect::<Result<_, _>>()?,
-        },
-        KExpr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => KExpr::Case {
-            operand: operand
-                .as_deref()
-                .map(|o| subst_params(o, params).map(Box::new))
-                .transpose()?,
-            branches: branches
-                .iter()
-                .map(|(w, t)| Ok((subst_params(w, params)?, subst_params(t, params)?)))
-                .collect::<Result<_, String>>()?,
-            else_expr: else_expr
-                .as_deref()
-                .map(|x| subst_params(x, params).map(Box::new))
-                .transpose()?,
-        },
-        KExpr::InList {
-            expr,
-            list,
-            negated,
-        } => KExpr::InList {
-            expr: Box::new(subst_params(expr, params)?),
-            list: list
-                .iter()
-                .map(|i| subst_params(i, params))
-                .collect::<Result<_, _>>()?,
-            negated: *negated,
-        },
-        KExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => KExpr::Like {
-            expr: Box::new(subst_params(expr, params)?),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-    })
-}
-
-impl ChainProgram {
-    /// Bind one parameter set, producing a thread-shareable instance.
-    fn instantiate(
-        &self,
-        params: &ParamValues,
-        cache: Arc<KernelCache>,
-    ) -> Result<ChainInstance, String> {
-        let segs = self
-            .segs
-            .iter()
-            .map(|seg| {
-                Ok(match seg {
-                    Seg::Filter(p) => Seg::Filter(subst_params(p, params)?),
-                    Seg::Project(items) => Seg::Project(
-                        items
-                            .iter()
-                            .map(|(n, e)| Ok((n.clone(), subst_params(e, params)?)))
-                            .collect::<Result<_, String>>()?,
-                    ),
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        Ok(ChainInstance {
-            segs,
-            max_filter_run: self.max_filter_run,
-            cache,
-            fallback_noted: AtomicBool::new(false),
-        })
+/// Whether a chain supports the selection exit mode: it must never
+/// change the row space, i.e. every projection is a pure column remap
+/// (`SELECT b AS x, a …`). A computed or literal item materializes new
+/// storage in selection space, which resets the selection — those
+/// chains keep the gather exit.
+pub(crate) fn selection_capable(ops: &[MorselOp<'_>]) -> Result<(), &'static str> {
+    let computes = |op: &MorselOp<'_>| {
+        matches!(op, MorselOp::Project(items)
+            if items.iter().any(|it| !matches!(it.expr, CompiledExpr::Column(_))))
+    };
+    match ops.iter().any(computes) {
+        true => Err("computed-projection"),
+        false => Ok(()),
     }
 }
 
@@ -463,18 +303,9 @@ pub(crate) fn chain_fingerprint(ops: &[MorselOp<'_>]) -> u64 {
 // Cache
 // ----------------------------------------------------------------------
 
-/// Cached verdict for one fingerprint: a compiled program, or the named
-/// reason compilation refused (negative caching). The reason string is
-/// carried for diagnostics (EXPLAIN re-derives it without the cache, so
-/// execution never reads it back).
-#[derive(Clone)]
-enum Compiled {
-    Ok(Arc<ChainProgram>),
-    Fallback(#[allow(dead_code)] String),
-}
-
 struct CacheEntry {
-    compiled: Compiled,
+    /// The vetting verdict: `None` = vetted, `Some(reason)` = refused.
+    refusal: Option<String>,
     epoch: u64,
     last_used: u64,
 }
@@ -484,7 +315,7 @@ struct CacheInner {
     tick: u64,
 }
 
-/// Session-shared, bounded cache of compiled chain programs, keyed by
+/// Engine-shared, bounded cache of chain vetting verdicts, keyed by
 /// `chain_fingerprint`. Epoch-stamped entries invalidate on catalog
 /// changes and UDF registration; eviction is LRU at
 /// [`KERNEL_CACHE_CAP`] entries. See the module docs for the model.
@@ -502,14 +333,14 @@ pub struct KernelCache {
 pub struct ChainKernelStats {
     /// Lookups served by a current-epoch entry.
     pub hits: u64,
-    /// Lookups that (re-)compiled — cold, evicted, or stale-epoch.
+    /// Lookups that (re-)vetted — cold, evicted, or stale-epoch.
     pub misses: u64,
     /// Entries displaced by the LRU cap.
     pub evictions: u64,
     /// Executions that ran interpreted while kernels were enabled
-    /// (compile refusals, bind-time refusals, run-time bail-outs).
+    /// (vetting refusals, bind-time refusals, run-time bail-outs).
     pub fallbacks: u64,
-    /// Entries currently resident (compiled + negative).
+    /// Entries currently resident (vetted + negative).
     pub entries: usize,
 }
 
@@ -534,8 +365,8 @@ impl KernelCache {
         }
     }
 
-    /// Invalidate every cached program: catalog content or function
-    /// resolution changed, so compiled assumptions no longer hold.
+    /// Invalidate every cached verdict: catalog content or function
+    /// resolution changed, so vetted assumptions no longer hold.
     pub fn bump_epoch(&self) {
         self.epoch.fetch_add(1, Ordering::Relaxed);
     }
@@ -560,7 +391,9 @@ impl KernelCache {
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn get_or_compile(&self, ops: &[MorselOp<'_>], ctx: &ExecContext) -> Compiled {
+    /// The cached vetting verdict for `ops` (`None` = vetted), vetting
+    /// and remembering it on a miss.
+    fn verdict(&self, ops: &[MorselOp<'_>], ctx: &ExecContext) -> Option<String> {
         let epoch = self.epoch.load(Ordering::Relaxed);
         let fp = chain_fingerprint(ops);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -570,14 +403,11 @@ impl KernelCache {
             if e.epoch == epoch {
                 e.last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return e.compiled.clone();
+                return e.refusal.clone();
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = match compile(ops, ctx) {
-            Ok(p) => Compiled::Ok(Arc::new(p)),
-            Err(reason) => Compiled::Fallback(reason),
-        };
+        let refusal = vet(ops, ctx);
         if inner.entries.len() >= KERNEL_CACHE_CAP && !inner.entries.contains_key(&fp) {
             if let Some(&lru) = inner
                 .entries
@@ -592,77 +422,95 @@ impl KernelCache {
         inner.entries.insert(
             fp,
             CacheEntry {
-                compiled: compiled.clone(),
+                refusal: refusal.clone(),
                 epoch,
                 last_used: tick,
             },
         );
-        compiled
+        refusal
     }
 }
 
-/// Look up (or compile) the kernel for a fused chain and bind it to the
-/// context's parameters. `None` means the interpreter runs this chain —
-/// kernels disabled, an empty chain, or a named fallback (counted).
-pub(crate) fn prepare(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Option<Arc<ChainInstance>> {
-    let cache = ctx.chain_kernels.as_ref()?;
-    if ops.is_empty() {
-        return None;
+/// Resolve a non-empty fused chain against this execution — the one
+/// counted entry point, called once per chain per run: look up (or vet)
+/// its verdict and check its `$n` bindings. `Err` means the interpreter
+/// runs the chain: kernels disabled, or a named vet- or bind-time
+/// refusal (counted as a fallback).
+pub(crate) fn bind<'a>(
+    ops: &'a [MorselOp<'a>],
+    ctx: &'a ExecContext,
+) -> Result<ChainInstance<'a>, Refusal> {
+    let Some(cache) = ctx.chain_kernels.as_deref() else {
+        return Err(Refusal::Plan("chain-kernels-disabled".into()));
+    };
+    let refusal = match cache.verdict(ops, ctx) {
+        Some(reason) => Some(Refusal::Plan(reason)),
+        None => unbound_param(ops, &ctx.params).map(Refusal::Run),
+    };
+    if let Some(refusal) = refusal {
+        cache.note_fallback();
+        return Err(refusal);
     }
-    match cache.get_or_compile(ops, ctx) {
-        Compiled::Ok(prog) => match prog.instantiate(&ctx.params, Arc::clone(cache)) {
-            Ok(inst) => Some(Arc::new(inst)),
-            Err(_) => {
-                cache.note_fallback();
-                None
-            }
-        },
-        Compiled::Fallback(_) => {
-            cache.note_fallback();
-            None
-        }
-    }
+    Ok(ChainInstance {
+        ops,
+        max_filter_run: max_filter_run(ops),
+        cache,
+        fallback_noted: AtomicBool::new(false),
+    })
 }
 
 /// Classify how a chain would execute under this context — the pure
-/// (counter-free) verdict used by EXPLAIN and `run_profiled`. `None`
-/// for an empty chain (nothing to compile). Sequential-path reasons
+/// (counter-free, binding-free) verdict EXPLAIN prints. `None` for an
+/// empty chain (nothing to run). Sequential-path reasons
 /// ([`crate::morsel::chain_fallback_reason`]) take precedence so a UDF
 /// chain reports `udf-not-parallel-safe(f)` rather than the generic
-/// compile refusal.
+/// vetting refusal.
 pub(crate) fn chain_strategy(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Option<ChainStrategy> {
     if ops.is_empty() {
         return None;
     }
-    if ctx.chain_kernels.is_none() {
-        return Some(ChainStrategy::Interpreted("chain-kernels-disabled".into()));
-    }
-    if let Some(reason) = crate::morsel::chain_fallback_reason(ops, None, ctx) {
-        return Some(ChainStrategy::Interpreted(reason));
-    }
-    Some(match compile(ops, ctx) {
-        Ok(_) => ChainStrategy::Compiled(ops.len()),
-        Err(reason) => ChainStrategy::Interpreted(reason),
+    Some(match static_refusal(ops, ctx) {
+        None => ChainStrategy::Compiled(ops.len()),
+        Some(reason) => ChainStrategy::Interpreted(reason),
     })
 }
 
-/// Would this chain hand its selection straight to a barrier stage? The
-/// pure (counter-free) verdict used by EXPLAIN and the run-time gathered
-/// fallback reason: `Ok(())` = selection-fed, `Err(reason)` = the barrier
-/// consumes a gathered batch. A chain must exist, compile to a kernel
-/// and keep the row space intact (no computed projections) to qualify.
-pub(crate) fn selection_verdict(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Result<(), String> {
+/// Why a non-empty chain would not run on the kernel, bindings aside.
+fn static_refusal(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Option<String> {
+    if ctx.chain_kernels.is_none() {
+        return Some("chain-kernels-disabled".into());
+    }
+    crate::morsel::chain_fallback_reason(ops, None, ctx).or_else(|| vet(ops, ctx))
+}
+
+/// The one order in which a chain→barrier hand-off is declined before
+/// anything runs: a chain must exist, the session switch be on, the
+/// plan carry no refusal (`plan_refusal`: what pins the chain, then the
+/// vetting verdict — EXPLAIN derives it, a run has it resolved) and the
+/// row space stay intact (no computed projections).
+pub(crate) fn selection_decline(
+    ops: &[MorselOp<'_>],
+    ctx: &ExecContext,
+    plan_refusal: impl FnOnce() -> Option<String>,
+) -> Result<(), String> {
     if ops.is_empty() {
         return Err("no-chain".into());
     }
     if ctx.chain_kernels.is_none() {
         return Err("chain-kernels-disabled".into());
     }
-    if let Some(reason) = crate::morsel::chain_fallback_reason(ops, None, ctx) {
-        return Err(reason);
+    match plan_refusal() {
+        Some(reason) => Err(reason),
+        None => selection_capable(ops).map_err(String::from),
     }
-    let prog = compile(ops, ctx)?;
-    prog.selection_capable().map_err(String::from)
+}
+
+/// Would this chain hand its selection straight to a barrier stage? The
+/// pure (counter-free) verdict used by EXPLAIN: `Ok(())` =
+/// selection-fed, `Err(reason)` = the barrier consumes a gathered
+/// batch.
+pub(crate) fn selection_verdict(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Result<(), String> {
+    selection_decline(ops, ctx, || static_refusal(ops, ctx))
 }
 
 // ----------------------------------------------------------------------
@@ -933,26 +781,41 @@ fn kbinary<'c>(op: BinOp, l: PVal<'c>, r: PVal<'c>, n: usize) -> KResult<PVal<'c
     })
 }
 
-/// Evaluate one expression in selection space. `n` is the selection
-/// length (`sel.len()` or the full row count).
-fn eval<'c>(
-    e: &KExpr,
+/// What an expression evaluates against: one segment's columns at
+/// `rows` width, and the context whose bindings (`$n`) and function
+/// registry the interpreter would consult for the same morsel.
+#[derive(Clone, Copy)]
+struct Scope<'c, 'x> {
     cols: &'c [(String, EncodedTensor)],
     rows: usize,
-    sel: Option<&[u32]>,
-) -> KResult<PVal<'c>> {
-    let n = sel.map_or(rows, <[u32]>::len);
+    ctx: &'x ExecContext<'x>,
+}
+
+/// Evaluate one expression in selection space (`sel == None` = every
+/// row). Node kinds [`vet`] refuses bail here too, so an un-vetted
+/// expression can never produce a value.
+fn eval<'c>(e: &CompiledExpr, sc: Scope<'c, '_>, sel: Option<&[u32]>) -> KResult<PVal<'c>> {
+    let n = sel.map_or(sc.rows, <[u32]>::len);
     Ok(match e {
-        KExpr::Col(r) => leaf_pval(resolve(cols, r)?, sel)?,
-        KExpr::Num(v) => PVal::Num(*v),
-        KExpr::Str(s) => PVal::Str(s.clone()),
-        KExpr::Bool(b) => PVal::BoolS(*b),
-        KExpr::Binary { op, left, right } => {
-            let l = eval(left, cols, rows, sel)?;
-            let r = eval(right, cols, rows, sel)?;
+        CompiledExpr::Column(r) => leaf_pval(resolve(sc.cols, r)?, sel)?,
+        CompiledExpr::Num(v) => PVal::Num(*v),
+        CompiledExpr::Str(s) => PVal::Str(s.clone()),
+        CompiledExpr::Bool(b) => PVal::BoolS(*b),
+        CompiledExpr::Param { idx } => match sc.ctx.params.get(*idx) {
+            Some(ParamValue::Number(v)) => PVal::Num(*v),
+            Some(ParamValue::String(s)) => PVal::Str(s.clone()),
+            Some(ParamValue::Bool(b)) => PVal::BoolS(*b),
+            Some(ParamValue::Tensor(_) | ParamValue::Null) | None => return Err(Bail),
+        },
+        CompiledExpr::Binary { op, left, right } => {
+            let l = eval(left, sc, sel)?;
+            let r = eval(right, sc, sel)?;
             kbinary(*op, l, r, n)?
         }
-        KExpr::Neg(x) => match eval(x, cols, rows, sel)? {
+        CompiledExpr::Unary {
+            op: UnOp::Neg,
+            expr,
+        } => match eval(expr, sc, sel)? {
             PVal::Num(v) => PVal::Num(-v),
             // `decode_f32().neg()` over each encoding's f32 widening.
             PVal::F32(v) => PVal::F32(Cow::Owned(v.iter().map(|&x| -x).collect())),
@@ -964,15 +827,22 @@ fn eval<'c>(
             PVal::Codes(c, _) => PVal::F32(Cow::Owned(c.iter().map(|&x| -(x as f32)).collect())),
             PVal::Str(_) | PVal::BoolS(_) => return Err(Bail), // interpreter: type error
         },
-        KExpr::Not(x) => match eval(x, cols, rows, sel)? {
+        CompiledExpr::Unary {
+            op: UnOp::Not,
+            expr,
+        } => match eval(expr, sc, sel)? {
             PVal::BoolS(b) => PVal::BoolS(!b),
             PVal::Bool(m) => PVal::Bool(m.into_iter().map(|b| !b).collect()),
             _ => return Err(Bail), // interpreter: type error
         },
-        KExpr::Builtin { func, args } => {
+        CompiledExpr::Builtin { name, func, args } => {
+            // The interpreter dispatches a shadowing session UDF here.
+            if args.len() != func.arity() || sc.ctx.udfs.is_scalar(name) {
+                return Err(Bail);
+            }
             let vals: Vec<PVal> = args
                 .iter()
-                .map(|a| eval(a, cols, rows, sel))
+                .map(|a| eval(a, sc, sel))
                 .collect::<KResult<_>>()?;
             let all_scalar = vals.iter().all(|v| matches!(v, PVal::Num(_)));
             match func {
@@ -1002,21 +872,17 @@ fn eval<'c>(
                         ))
                     }
                 }
-                // Rejected at compile time (`vector-builtin` reason).
                 ScalarFn::Vector(_) => return Err(Bail),
             }
         }
-        KExpr::Case {
+        CompiledExpr::Case {
             operand,
             branches,
             else_expr,
         } => {
-            let operand_val = operand
-                .as_deref()
-                .map(|o| eval(o, cols, rows, sel))
-                .transpose()?;
+            let operand_val = operand.as_deref().map(|o| eval(o, sc, sel)).transpose()?;
             let mut out = match else_expr {
-                Some(e) => f32_vec(eval(e, cols, rows, sel)?, n)?,
+                Some(e) => f32_vec(eval(e, sc, sel)?, n)?,
                 None => vec![0.0f32; n],
             };
             // Backwards so the first matching WHEN wins, with the
@@ -1024,12 +890,12 @@ fn eval<'c>(
             for (when, then) in branches.iter().rev() {
                 let cond = match &operand_val {
                     Some(ov) => {
-                        let rhs = eval(when, cols, rows, sel)?;
+                        let rhs = eval(when, sc, sel)?;
                         mask_vec(kbinary(BinOp::Eq, ov.clone(), rhs, n)?, n)?
                     }
-                    None => mask_vec(eval(when, cols, rows, sel)?, n)?,
+                    None => mask_vec(eval(when, sc, sel)?, n)?,
                 };
-                let then_col = f32_vec(eval(then, cols, rows, sel)?, n)?;
+                let then_col = f32_vec(eval(then, sc, sel)?, n)?;
                 for i in 0..n {
                     let cf = if cond[i] { 1.0f32 } else { 0.0 };
                     out[i] = cf * then_col[i] + ((-cf) + 1.0) * out[i];
@@ -1037,33 +903,33 @@ fn eval<'c>(
             }
             PVal::F32(Cow::Owned(out))
         }
-        KExpr::InList {
+        CompiledExpr::InList {
             expr,
             list,
             negated,
         } => {
-            let v = eval(expr, cols, rows, sel)?;
+            let v = eval(expr, sc, sel)?;
             let mut acc: Option<Vec<bool>> = None;
             for item in list {
-                let rhs = eval(item, cols, rows, sel)?;
+                let rhs = eval(item, sc, sel)?;
                 let eq = mask_vec(kbinary(BinOp::Eq, v.clone(), rhs, n)?, n)?;
                 acc = Some(match acc {
                     Some(m) => m.iter().zip(&eq).map(|(&a, &b)| a || b).collect(),
                     None => eq,
                 });
             }
-            let m = acc.expect("compile rejects empty IN lists");
+            let m = acc.ok_or(Bail)?; // an empty list is the interpreter's
             PVal::Bool(if *negated {
                 m.into_iter().map(|b| !b).collect()
             } else {
                 m
             })
         }
-        KExpr::Like {
+        CompiledExpr::Like {
             expr,
             pattern,
             negated,
-        } => match eval(expr, cols, rows, sel)? {
+        } => match eval(expr, sc, sel)? {
             PVal::Codes(codes, dict) => {
                 // Pattern per dictionary entry, broadcast through codes.
                 let verdicts: Vec<bool> = dict
@@ -1081,7 +947,7 @@ fn eval<'c>(
             PVal::Str(s) => PVal::Bool(vec![like_match(pattern, &s) != *negated; n]),
             _ => return Err(Bail), // interpreter: type error
         },
-        KExpr::Param(_) => return Err(Bail), // substituted at instantiation
+        CompiledExpr::Udf { .. } | CompiledExpr::ScalarSubquery(_) => return Err(Bail),
     })
 }
 
@@ -1177,26 +1043,22 @@ impl SelVec {
 /// the right conjunct only on rows surviving the left; dense
 /// selections evaluate full-width and intersect masks (see
 /// [`DENSE_DIVISOR`]), sparse ones evaluate in selection space.
-fn filter_sel(
-    pred: &KExpr,
-    cols: &[(String, EncodedTensor)],
-    rows: usize,
-    sel: Option<SelVec>,
-) -> KResult<SelVec> {
-    if let KExpr::Binary {
+fn filter_sel(pred: &CompiledExpr, sc: Scope<'_, '_>, sel: Option<SelVec>) -> KResult<SelVec> {
+    if let CompiledExpr::Binary {
         op: BinOp::And,
         left,
         right,
     } = pred
     {
-        let s = filter_sel(left, cols, rows, sel)?;
-        return filter_sel(right, cols, rows, Some(s));
+        let s = filter_sel(left, sc, sel)?;
+        return filter_sel(right, sc, Some(s));
     }
+    let rows = sc.rows;
     // Sparse: gather leaves under the selection, evaluate survivors only.
     if let Some(sv) = &sel {
         if sv.is_sparse(rows) {
             let s = sel.unwrap().into_idx();
-            let v = eval(pred, cols, rows, Some(&s))?;
+            let v = eval(pred, sc, Some(&s))?;
             return Ok(SelVec::Idx(match v {
                 PVal::Bool(m) => compact(s.iter().copied().zip(m.iter().copied()), s.len()),
                 PVal::BoolS(true) => s,
@@ -1206,7 +1068,7 @@ fn filter_sel(
         }
     }
     // Dense or unfiltered: full-width evaluation, branchless intersect.
-    let v = eval(pred, cols, rows, None)?;
+    let v = eval(pred, sc, None)?;
     Ok(match (v, sel) {
         (PVal::Bool(m), None) => SelVec::from_mask(m),
         (PVal::Bool(m2), Some(SelVec::Mask(mut m, _))) => {
@@ -1232,40 +1094,43 @@ fn sel_mask(sel: &[u32], rows: usize) -> BoolTensor {
     Tensor::from_vec(m, &[rows])
 }
 
-impl ChainInstance {
-    /// Run the compiled chain over one morsel. `None` means a run-time
-    /// bail-out: the caller must re-run the morsel on the interpreter
-    /// (which reproduces the exact result — or the exact error).
-    pub(crate) fn run(&self, batch: &Batch) -> Option<Batch> {
-        match self.try_run(batch) {
-            Ok(out) => Some(out),
-            Err(Bail) => {
-                // One count per execution, however many morsels bail.
-                if !self.fallback_noted.swap(true, Ordering::Relaxed) {
-                    self.cache.note_fallback();
-                }
-                None
-            }
-        }
+/// A batch's columns as the kernel addresses them. Tensor clones are
+/// Arc bumps — this materializes nothing. Differentiable batches (and
+/// row counts past the `u32` selection space) bail.
+fn kernel_cols(batch: &Batch) -> KResult<Vec<(String, EncodedTensor)>> {
+    if batch.has_diff() || batch.rows() > u32::MAX as usize {
+        return Err(Bail);
+    }
+    Ok(batch
+        .columns()
+        .iter()
+        .map(|(n, c)| match c {
+            ColumnData::Exact(e) => (n.clone(), e.clone()),
+            ColumnData::Diff(_) => unreachable!("has_diff checked above"),
+        })
+        .collect())
+}
+
+impl ChainInstance<'_> {
+    /// Run the chain over one morsel, evaluating `$n` leaves and
+    /// function shadowing against `ctx` — the context the interpreter
+    /// would run this morsel with. `None` means a run-time bail-out: the
+    /// caller must re-run the morsel on the interpreter (which
+    /// reproduces the exact result — or the exact error).
+    pub(crate) fn run(&self, batch: &Batch, ctx: &ExecContext) -> Option<Batch> {
+        self.counted(self.try_run(batch, ctx))
     }
 
-    fn try_run(&self, batch: &Batch) -> KResult<Batch> {
-        if batch.has_diff() {
-            return Err(Bail);
+    /// One fallback count per execution, however many morsels bail.
+    fn counted<T>(&self, out: KResult<T>) -> Option<T> {
+        if out.is_err() && !self.fallback_noted.swap(true, Ordering::Relaxed) {
+            self.cache.note_fallback();
         }
-        let rows = batch.rows();
-        if rows > u32::MAX as usize {
-            return Err(Bail);
-        }
-        // Tensor clones are Arc bumps — this materializes nothing.
-        let mut cols: Vec<(String, EncodedTensor)> = batch
-            .columns()
-            .iter()
-            .map(|(n, c)| match c {
-                ColumnData::Exact(e) => (n.clone(), e.clone()),
-                ColumnData::Diff(_) => unreachable!("has_diff checked above"),
-            })
-            .collect();
+        out.ok()
+    }
+
+    fn try_run(&self, batch: &Batch, ctx: &ExecContext) -> KResult<Batch> {
+        let mut cols = kernel_cols(batch)?;
         // Collapsing consecutive gathers is only encoding-faithful when
         // `filter_rows` composes; bit-packed/delta columns re-pick the
         // smallest layout per gather, so their intermediate encodings
@@ -1280,23 +1145,27 @@ impl ChainInstance {
             return Err(Bail);
         }
 
-        let mut cur_rows = rows;
+        let mut rows = batch.rows();
         let mut sel: Option<SelVec> = None; // None = unfiltered
-        for seg in &self.segs {
-            match seg {
-                Seg::Filter(pred) => {
-                    sel = Some(filter_sel(pred, &cols, cur_rows, sel)?);
-                }
-                Seg::Project(items) => {
-                    cols = materialize(items, &cols, cur_rows, sel.as_ref())?;
-                    cur_rows = sel.as_ref().map_or(cur_rows, SelVec::len);
+        for op in self.ops {
+            let sc = Scope {
+                cols: &cols,
+                rows,
+                ctx,
+            };
+            match op {
+                MorselOp::Filter(pred) => sel = Some(filter_sel(pred, sc, sel)?),
+                MorselOp::Project(items) => {
+                    let next = materialize(items, sc, sel.as_ref())?;
+                    cols = next;
+                    rows = sel.as_ref().map_or(rows, SelVec::len);
                     sel = None;
                 }
             }
         }
         // The single gather the selection vector deferred.
         if let Some(sv) = sel {
-            let mask = sv.into_gather_mask(cur_rows);
+            let mask = sv.into_gather_mask(rows);
             for (_, c) in &mut cols {
                 *c = c.filter_rows(&mask);
             }
@@ -1308,68 +1177,53 @@ impl ChainInstance {
         Ok(out)
     }
 
-    /// Whether this chain supports the selection exit mode: the chain
-    /// must never change the row space, i.e. every projection is a pure
-    /// column remap (`SELECT b AS x, a …`). A computed or literal item
-    /// materializes new storage in selection space, which resets the
-    /// selection — those chains keep the gather exit.
-    pub(crate) fn selection_capable(&self) -> Result<(), &'static str> {
-        segs_selection_capable(&self.segs)
-    }
-
-    /// Run the compiled chain in **selection exit mode**: instead of
-    /// gathering survivors into a dense batch, return the (remapped,
-    /// still full-width) output columns plus the final `SelVec` so the
+    /// Run the chain in **selection exit mode**: instead of gathering
+    /// survivors into a dense batch, return the (remapped, still
+    /// full-width) output columns plus the final `SelVec` so the
     /// consuming barrier stage can work on survivors directly and defer
     /// the single gather to its own assembly step. `init` seeds the
     /// selection (zone-map pruning). `None` = run-time bail-out; the
     /// caller re-runs the gathered path.
-    pub(crate) fn run_selection(&self, batch: &Batch, init: Option<SelVec>) -> Option<SelOutput> {
-        match self.try_run_selection(batch, init) {
-            Ok(out) => Some(out),
-            Err(Bail) => {
-                // One count per execution, however many calls bail.
-                if !self.fallback_noted.swap(true, Ordering::Relaxed) {
-                    self.cache.note_fallback();
-                }
-                None
-            }
-        }
+    pub(crate) fn run_selection(
+        &self,
+        batch: &Batch,
+        init: Option<SelVec>,
+        ctx: &ExecContext,
+    ) -> Option<SelOutput> {
+        self.counted(self.try_run_selection(batch, init, ctx))
     }
 
-    fn try_run_selection(&self, batch: &Batch, init: Option<SelVec>) -> KResult<SelOutput> {
-        if batch.has_diff() {
-            return Err(Bail);
-        }
+    fn try_run_selection(
+        &self,
+        batch: &Batch,
+        init: Option<SelVec>,
+        ctx: &ExecContext,
+    ) -> KResult<SelOutput> {
+        // No re-compressing-layout bail is needed on this path: nothing
+        // is ever gathered mid-chain, so encodings never re-pick a layout.
+        let mut cols = kernel_cols(batch)?;
         let rows = batch.rows();
-        if rows > u32::MAX as usize {
-            return Err(Bail);
-        }
-        // Tensor clones are Arc bumps — this materializes nothing. No
-        // re-compressing-layout bail is needed on this path: nothing is
-        // ever gathered mid-chain, so encodings never re-pick a layout.
-        let mut cols: Vec<(String, EncodedTensor)> = batch
-            .columns()
-            .iter()
-            .map(|(n, c)| match c {
-                ColumnData::Exact(e) => (n.clone(), e.clone()),
-                ColumnData::Diff(_) => unreachable!("has_diff checked above"),
-            })
-            .collect();
         let mut sel: Option<SelVec> = init;
-        for seg in &self.segs {
-            match seg {
-                Seg::Filter(pred) => {
-                    sel = Some(filter_sel(pred, &cols, rows, sel)?);
+        for op in self.ops {
+            match op {
+                MorselOp::Filter(pred) => {
+                    let sc = Scope {
+                        cols: &cols,
+                        rows,
+                        ctx,
+                    };
+                    sel = Some(filter_sel(pred, sc, sel)?);
                 }
-                Seg::Project(items) => {
+                MorselOp::Project(items) => {
                     // Selection-capable chains only remap columns here
                     // (checked by `selection_capable`); the row space —
                     // and with it the selection — carries through.
                     let mut next = Vec::with_capacity(items.len());
-                    for (name, expr) in items {
-                        match expr {
-                            KExpr::Col(r) => next.push((name.clone(), resolve(&cols, r)?.clone())),
+                    for it in *items {
+                        match &it.expr {
+                            CompiledExpr::Column(r) => {
+                                next.push((it.name.clone(), resolve(&cols, r)?.clone()))
+                            }
                             _ => return Err(Bail),
                         }
                     }
@@ -1385,21 +1239,10 @@ impl ChainInstance {
 /// The selection exit mode's hand-off value: the chain's output columns
 /// still at input width (projections in a selection-capable chain are
 /// pure remaps) plus the selection over them. The consumer gathers once,
-/// at its own assembly point — or never (masked aggregation).
+/// at its own assembly point.
 pub(crate) struct SelOutput {
     pub(crate) cols: Vec<(String, EncodedTensor)>,
     pub(crate) sel: SelVec,
-}
-
-fn segs_selection_capable(segs: &[Seg]) -> Result<(), &'static str> {
-    for seg in segs {
-        if let Seg::Project(items) = seg {
-            if items.iter().any(|(_, e)| !matches!(e, KExpr::Col(_))) {
-                return Err("computed-projection");
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Materialize one projection under the current selection, mirroring
@@ -1407,24 +1250,28 @@ fn segs_selection_capable(segs: &[Seg]) -> Result<(), &'static str> {
 /// gather encoding-preserving, scalars broadcast, computed expressions
 /// pack into plain columns.
 fn materialize(
-    items: &[(String, KExpr)],
-    cols: &[(String, EncodedTensor)],
-    rows: usize,
+    items: &[PhysProjectItem],
+    sc: Scope<'_, '_>,
     sel: Option<&SelVec>,
 ) -> KResult<Vec<(String, EncodedTensor)>> {
+    let rows = sc.rows;
     let n = sel.map_or(rows, SelVec::len);
     // Passthrough columns gather through the boolean mask; computed
     // expressions evaluate in index space. Build each view only if an
     // item needs it (a dense mask→index conversion is a real pass).
     let mask = items
         .iter()
-        .any(|(_, e)| matches!(e, KExpr::Col(_)))
+        .any(|it| matches!(it.expr, CompiledExpr::Column(_)))
         .then(|| sel.map(|sv| sv.gather_mask(rows)))
         .flatten();
-    let idx: Option<Cow<'_, [u32]>> = if items.iter().any(|(_, e)| {
+    let idx: Option<Cow<'_, [u32]>> = if items.iter().any(|it| {
         !matches!(
-            e,
-            KExpr::Col(_) | KExpr::Num(_) | KExpr::Bool(_) | KExpr::Str(_)
+            it.expr,
+            CompiledExpr::Column(_)
+                | CompiledExpr::Num(_)
+                | CompiledExpr::Bool(_)
+                | CompiledExpr::Str(_)
+                | CompiledExpr::Param { .. }
         )
     }) {
         sel.map(|sv| match sv {
@@ -1435,19 +1282,18 @@ fn materialize(
         None
     };
     let mut out = Vec::with_capacity(items.len());
-    for (name, expr) in items {
-        let col = match expr {
-            KExpr::Col(r) => {
-                let c = resolve(cols, r)?;
+    for it in items {
+        let col = match &it.expr {
+            CompiledExpr::Column(r) => {
+                let c = resolve(sc.cols, r)?;
                 match &mask {
                     Some(m) => c.filter_rows(m),
                     None => c.clone(),
                 }
             }
-            KExpr::Num(v) => EncodedTensor::F32(Tensor::full(&[n], *v as f32)),
-            KExpr::Bool(b) => EncodedTensor::Bool(Tensor::full(&[n], *b)),
-            KExpr::Str(s) => EncodedTensor::from_strings(&vec![s.clone(); n]),
-            computed => match eval(computed, cols, rows, idx.as_deref())? {
+            // Row-constant leaves (literals, `$n`) evaluate to scalars
+            // and broadcast; everything else packs what it computed.
+            computed => match eval(computed, sc, idx.as_deref())? {
                 PVal::F32(v) => EncodedTensor::F32(Tensor::from_vec(v.into_owned(), &[n])),
                 PVal::Bool(v) => EncodedTensor::Bool(Tensor::from_vec(v, &[n])),
                 PVal::Codes(c, dict) => EncodedTensor::Dict {
@@ -1459,7 +1305,7 @@ fn materialize(
                 PVal::Str(s) => EncodedTensor::from_strings(&vec![s; n]),
             },
         };
-        out.push((name.clone(), col));
+        out.push((it.name.clone(), col));
     }
     Ok(out)
 }
@@ -1476,6 +1322,12 @@ mod tests {
             slot,
             name: name.into(),
         })
+    }
+
+    /// [`bind`] as the cache tests spell it: the instance, or `None`
+    /// when the interpreter runs the chain.
+    fn prepare<'a>(ops: &'a [MorselOp<'a>], ctx: &'a ExecContext) -> Option<ChainInstance<'a>> {
+        bind(ops, ctx).ok()
     }
 
     fn gt(left: CompiledExpr, right: CompiledExpr) -> CompiledExpr {
@@ -1552,55 +1404,44 @@ mod tests {
     }
 
     #[test]
-    fn compile_names_its_refusals() {
+    fn vet_names_its_refusals() {
         let catalog = Catalog::new();
         let udfs = UdfRegistry::new();
         let ctx = ExecContext::new(&catalog, &udfs);
+        let refusal = |pred: &CompiledExpr| vet(&[MorselOp::Filter(pred)], &ctx);
 
         let udf_pred = CompiledExpr::Udf {
             name: "f".into(),
             args: vec![col(0, "v")],
         };
-        assert_eq!(
-            compile(&[MorselOp::Filter(&udf_pred)], &ctx).unwrap_err(),
-            "udf(f)"
-        );
+        assert_eq!(refusal(&udf_pred).unwrap(), "udf(f)");
 
         let empty_in = CompiledExpr::InList {
             expr: Box::new(col(0, "v")),
             list: vec![],
             negated: false,
         };
-        assert_eq!(
-            compile(&[MorselOp::Filter(&empty_in)], &ctx).unwrap_err(),
-            "empty-in-list"
-        );
+        assert_eq!(refusal(&empty_in).unwrap(), "empty-in-list");
 
         let bad_arity = CompiledExpr::Builtin {
             name: "sqrt".into(),
             func: ScalarFn::Unary(f32::sqrt),
             args: vec![col(0, "v"), col(0, "v")],
         };
-        assert_eq!(
-            compile(&[MorselOp::Filter(&bad_arity)], &ctx).unwrap_err(),
-            "builtin-arity(sqrt)"
-        );
+        assert_eq!(refusal(&bad_arity).unwrap(), "builtin-arity(sqrt)");
+
+        // The first refusal in pre-order names the chain.
+        let both = gt(bad_arity, empty_in);
+        assert_eq!(refusal(&both).unwrap(), "builtin-arity(sqrt)");
+        assert_eq!(refusal(&gt(col(0, "v"), CompiledExpr::Num(1.0))), None);
     }
 
     #[test]
-    fn instantiation_refuses_non_scalar_bindings() {
-        let catalog = Catalog::new();
-        let udfs = UdfRegistry::new();
-        let ctx = ExecContext::new(&catalog, &udfs);
+    fn binding_refuses_non_scalar_bindings() {
         let pred = gt(col(0, "v"), CompiledExpr::Param { idx: 0 });
-        let prog = compile(&[MorselOp::Filter(&pred)], &ctx).unwrap();
-        let cache = Arc::new(KernelCache::new());
-
+        let ops = [MorselOp::Filter(&pred)];
         let check = |params: ParamValues, want: &str| {
-            assert_eq!(
-                prog.instantiate(&params, Arc::clone(&cache)).err().unwrap(),
-                want
-            );
+            assert_eq!(unbound_param(&ops, &params).unwrap(), want);
         };
         check(ParamValues::new(), "unbound-param($1)");
         check(ParamValues::new().null(), "null-param($1)");
@@ -1608,9 +1449,22 @@ mod tests {
             ParamValues::new().tensor(Tensor::<f32>::zeros(&[1])),
             "tensor-param($1)",
         );
-        assert!(prog
-            .instantiate(&ParamValues::new().number(2.0), cache)
-            .is_ok());
+        assert_eq!(unbound_param(&ops, &ParamValues::new().number(2.0)), None);
+
+        // `bind` is where an execution meets the check: the refusal is
+        // counted, and the vetting verdict stays cached as vetted.
+        let catalog = Catalog::new();
+        let udfs = UdfRegistry::new();
+        let cache = Arc::new(KernelCache::new());
+        let ctx = ExecContext::new(&catalog, &udfs)
+            .with_params(ParamValues::new().null())
+            .with_chain_kernels(Some(Arc::clone(&cache)));
+        assert_eq!(
+            bind(&ops, &ctx).err().unwrap(),
+            Refusal::Run("null-param($1)".into())
+        );
+        let s = cache.stats();
+        assert_eq!((s.misses, s.fallbacks, s.entries), (1, 1, 1));
     }
 
     #[test]
@@ -1636,7 +1490,7 @@ mod tests {
             "k",
             ColumnData::Exact(EncodedTensor::I64(Tensor::from_vec(vec![1, 0, 1, 1], &[4]))),
         );
-        let out = inst.run(&batch).expect("no bail");
+        let out = inst.run(&batch, &ctx).expect("no bail");
         assert_eq!(out.rows(), 2);
         assert_eq!(
             out.column("v").unwrap().to_exact().decode_f32().to_vec(),
@@ -1657,9 +1511,472 @@ mod tests {
             ))),
         );
         bp.push("k", ColumnData::Exact(EncodedTensor::BitPacked(packed)));
-        assert!(inst.run(&bp).is_none());
-        assert!(inst.run(&bp).is_none());
+        assert!(inst.run(&bp, &ctx).is_none());
+        assert!(inst.run(&bp, &ctx).is_none());
         assert_eq!(cache.stats().fallbacks, 1);
+    }
+
+    fn f32_batch(vals: Vec<f32>) -> Batch {
+        let n = vals.len();
+        let mut batch = Batch::new();
+        batch.push(
+            "v",
+            ColumnData::Exact(EncodedTensor::F32(Tensor::from_vec(vals, &[n]))),
+        );
+        batch
+    }
+
+    /// Plant a verdict under `ops`' fingerprint, as a colliding chain
+    /// compiled earlier would have left it.
+    fn plant(cache: &KernelCache, ops: &[MorselOp<'_>], refusal: Option<&str>) {
+        cache.inner.lock().unwrap().entries.insert(
+            chain_fingerprint(ops),
+            CacheEntry {
+                refusal: refusal.map(String::from),
+                epoch: 0,
+                last_used: 0,
+            },
+        );
+    }
+
+    /// The cache key is a 64-bit FNV-1a of caller-influenced text; a hit
+    /// is not compared against the chain. Whatever a colliding entry
+    /// says, a chain evaluates its own nodes — or bails.
+    #[test]
+    fn colliding_cache_entry_cannot_swap_predicates() {
+        struct Shadow;
+        impl crate::udf::ScalarUdf for Shadow {
+            fn name(&self) -> &str {
+                "sqrt"
+            }
+            fn invoke(
+                &self,
+                args: &[crate::udf::ArgValue],
+                _ctx: &ExecContext,
+            ) -> Result<EncodedTensor, crate::error::ExecError> {
+                Ok(args[0].as_column()?.clone())
+            }
+        }
+        let catalog = Catalog::new();
+        let udfs = UdfRegistry::new();
+        let cache = Arc::new(KernelCache::new());
+        let ctx = ExecContext::new(&catalog, &udfs).with_chain_kernels(Some(Arc::clone(&cache)));
+        let batch = f32_batch(vec![0.5, 1.5, 2.5, 3.5]);
+
+        // Chain A (`v > 2`) was vetted first; chain B (`v > 1`) collides
+        // with it. B must return B's rows, not A's.
+        let (a, b) = (
+            gt(col(0, "v"), CompiledExpr::Num(2.0)),
+            gt(col(0, "v"), CompiledExpr::Num(1.0)),
+        );
+        assert!(prepare(&[MorselOp::Filter(&a)], &ctx).is_some());
+        let ops_b = [MorselOp::Filter(&b)];
+        plant(&cache, &ops_b, None);
+        let out = prepare(&ops_b, &ctx)
+            .expect("the colliding entry says vetted")
+            .run(&batch, &ctx)
+            .expect("no bail");
+        assert_eq!(
+            out.column("v").unwrap().to_exact().decode_f32().to_vec(),
+            vec![1.5, 2.5, 3.5]
+        );
+        assert_eq!(cache.stats().hits, 1, "B was served from the planted entry");
+
+        // A wrong "vetted" over nodes the evaluator cannot reproduce is a
+        // counted bail-out to the interpreter, never a value: a UDF call…
+        let udf_pred = gt(
+            CompiledExpr::Udf {
+                name: "f".into(),
+                args: vec![col(0, "v")],
+            },
+            CompiledExpr::Num(1.0),
+        );
+        let ops = [MorselOp::Filter(&udf_pred)];
+        plant(&cache, &ops, None);
+        let before = cache.stats().fallbacks;
+        assert!(prepare(&ops, &ctx).unwrap().run(&batch, &ctx).is_none());
+        assert_eq!(cache.stats().fallbacks, before + 1);
+        // …and a built-in the session has since shadowed.
+        let mut shadowing = UdfRegistry::new();
+        shadowing.register_scalar_parallel(Arc::new(Shadow));
+        let sctx =
+            ExecContext::new(&catalog, &shadowing).with_chain_kernels(Some(Arc::clone(&cache)));
+        let sqrt_pred = gt(
+            CompiledExpr::Builtin {
+                name: "sqrt".into(),
+                func: ScalarFn::Unary(f32::sqrt),
+                args: vec![col(0, "v")],
+            },
+            CompiledExpr::Num(1.0),
+        );
+        let ops = [MorselOp::Filter(&sqrt_pred)];
+        assert_eq!(vet(&ops, &sctx).unwrap(), "udf(sqrt)");
+        plant(&cache, &ops, None);
+        assert!(prepare(&ops, &sctx).unwrap().run(&batch, &sctx).is_none());
+
+        // A wrong "refused" merely costs the kernel: the caller interprets.
+        plant(&cache, &ops_b, Some("udf(f)"));
+        assert_eq!(
+            bind(&ops_b, &ctx).err().unwrap(),
+            Refusal::Plan("udf(f)".into())
+        );
+    }
+
+    /// Every named reason a chain can be kept off the kernel (or off the
+    /// worker pool) for, as the three surfaces render it: EXPLAIN's
+    /// `[sequential: …]` / `[compiled ×N ops]` / `[interpreted: …]`, the
+    /// per-execution resolution the recorder copies into
+    /// `OpTrace::strategy` / `OpTrace::fallback`, and — where the shape
+    /// can run — `QueryProfile::fallback_reasons()`. Includes which
+    /// reason wins when two apply.
+    #[test]
+    fn verdict_strings_are_api() {
+        use crate::morsel::ChainRun;
+        use crate::physical::{lower, PhysicalPlan};
+        use crate::pipeline::{decompose, explain_ctx, PipeNode};
+        use crate::udf::{ArgType, ArgValue, FunctionSpec, ScalarUdf};
+        use tdp_sql::plan::{build_plan, PlannerContext};
+        use tdp_sql::{optimizer, parse};
+
+        /// `name(x) := 2x`, parallel-safe or session-bound.
+        struct Double(&'static str, bool);
+        impl ScalarUdf for Double {
+            fn name(&self) -> &str {
+                self.0
+            }
+            fn spec(&self) -> FunctionSpec {
+                FunctionSpec::scalar(self.0, vec![ArgType::Column]).parallel_safe(self.1)
+            }
+            fn invoke(
+                &self,
+                args: &[ArgValue],
+                _ctx: &ExecContext,
+            ) -> Result<EncodedTensor, crate::error::ExecError> {
+                Ok(EncodedTensor::F32(
+                    args[0].as_column()?.decode_f32().mul_scalar(2.0),
+                ))
+            }
+        }
+
+        const ROWS: usize = 40;
+        let catalog = Catalog::new();
+        catalog.register(
+            tdp_storage::TableBuilder::new()
+                .col_f32("v", (0..ROWS).map(|i| i as f32 * 0.25).collect())
+                .col_i64("k", (0..ROWS).map(|i| (i % 3) as i64).collect())
+                .build("t"),
+        );
+        let mut udfs = UdfRegistry::new();
+        udfs.register_scalar_parallel(Arc::new(Double("ps", true)));
+        udfs.register_scalar(Arc::new(Double("sb", false)));
+        let mut shadowing = UdfRegistry::new();
+        shadowing.register_scalar_parallel(Arc::new(Double("sqrt", true)));
+
+        let sql_plan = |sql: &str, reg: &UdfRegistry| {
+            let plan = optimizer::optimize(
+                build_plan(&parse(sql).unwrap(), &PlannerContext::default()).unwrap(),
+            );
+            lower(&plan, &catalog, reg).unwrap()
+        };
+        // `SELECT v FROM t WHERE <pred>` around a hand-built predicate.
+        let pred_plan = |pred: CompiledExpr| {
+            fn swap(plan: &mut PhysicalPlan, pred: &CompiledExpr) {
+                match plan {
+                    PhysicalPlan::Filter { predicate, .. } => *predicate = pred.clone(),
+                    PhysicalPlan::Project { input, .. } => swap(input, pred),
+                    other => panic!("unexpected plan shape: {other:?}"),
+                }
+            }
+            let mut plan = sql_plan("SELECT v FROM t WHERE v > 1", &udfs);
+            swap(&mut plan, &pred);
+            plan
+        };
+        let call = |name: &str| CompiledExpr::Udf {
+            name: name.into(),
+            args: vec![col(0, "v")],
+        };
+        let sqrt = |args: Vec<CompiledExpr>| CompiledExpr::Builtin {
+            name: "sqrt".into(),
+            func: ScalarFn::Unary(f32::sqrt),
+            args,
+        };
+        let one = || CompiledExpr::Num(1.0);
+        let empty_in = CompiledExpr::InList {
+            expr: Box::new(col(0, "v")),
+            list: vec![],
+            negated: false,
+        };
+        let distance = CompiledExpr::Builtin {
+            name: "distance".into(),
+            func: ScalarFn::Vector(tdp_index::Metric::L2),
+            args: vec![col(0, "v"), col(0, "v")],
+        };
+        let param = gt(col(0, "v"), CompiledExpr::Param { idx: 0 });
+        let tensor = ParamValues::new().tensor(Tensor::<f32>::zeros(&[ROWS]));
+
+        struct Case<'r> {
+            plan: PhysicalPlan,
+            reg: &'r UdfRegistry,
+            params: ParamValues,
+            kernels: bool,
+            /// Expected in EXPLAIN's pipeline section.
+            explain: &'static str,
+            /// `OpTrace::strategy` of the chain's stage.
+            strategy: &'static str,
+            /// `OpTrace::fallback` of the chain's stage.
+            fallback: Option<&'static str>,
+            /// Whether the shape executes (hand-built refusals mostly
+            /// have no interpreter form either).
+            runs: bool,
+            /// Where a row pins it: why a barrier above this chain would
+            /// gather (`ChainRun::selection_kernel`).
+            barrier: Option<&'static str>,
+        }
+        let case = |plan, explain, strategy, fallback, runs| Case {
+            plan,
+            reg: &udfs,
+            params: ParamValues::new(),
+            kernels: true,
+            explain,
+            strategy,
+            fallback,
+            runs,
+            barrier: None,
+        };
+        let cases = vec![
+            case(
+                pred_plan(gt(col(0, "v"), one())),
+                "[compiled ×2 ops]",
+                "compiled",
+                None,
+                true,
+            ),
+            // Vet-time refusals.
+            case(
+                pred_plan(gt(call("ps"), one())),
+                "[interpreted: udf(ps)]",
+                "interpreted: udf(ps)",
+                None,
+                true,
+            ),
+            Case {
+                reg: &shadowing,
+                ..case(
+                    pred_plan(gt(sqrt(vec![col(0, "v")]), one())),
+                    "[interpreted: udf(sqrt)]",
+                    "interpreted: udf(sqrt)",
+                    None,
+                    true,
+                )
+            },
+            case(
+                pred_plan(empty_in.clone()),
+                "[interpreted: empty-in-list]",
+                "interpreted: empty-in-list",
+                None,
+                false,
+            ),
+            case(
+                pred_plan(gt(sqrt(vec![col(0, "v"), one()]), one())),
+                "[interpreted: builtin-arity(sqrt)]",
+                "interpreted: builtin-arity(sqrt)",
+                None,
+                false,
+            ),
+            case(
+                pred_plan(gt(distance, one())),
+                "[interpreted: vector-builtin(distance)]",
+                "interpreted: vector-builtin(distance)",
+                None,
+                false,
+            ),
+            // Two vet-time refusals: the first in pre-order wins.
+            case(
+                pred_plan(CompiledExpr::Binary {
+                    op: BinOp::Or,
+                    left: Box::new(empty_in),
+                    right: Box::new(gt(call("ps"), one())),
+                }),
+                "[interpreted: empty-in-list]",
+                "interpreted: empty-in-list",
+                None,
+                false,
+            ),
+            // Parallelism declines win over every kernel verdict —
+            // `udf(sb)`, `scalar-subquery` and `tensor-param($1)` would
+            // each refuse the kernel too.
+            case(
+                pred_plan(gt(call("sb"), one())),
+                "[sequential: udf-not-parallel-safe(sb)]\n",
+                "interpreted: udf-not-parallel-safe(sb)",
+                Some("udf-not-parallel-safe(sb)"),
+                true,
+            ),
+            case(
+                sql_plan("SELECT v FROM t WHERE v > (SELECT AVG(v) FROM t)", &udfs),
+                "[sequential: scalar-subquery]\n",
+                "interpreted: scalar-subquery",
+                Some("scalar-subquery"),
+                true,
+            ),
+            Case {
+                params: tensor,
+                ..case(
+                    pred_plan(param.clone()),
+                    "[sequential: tensor-param($1)]\n",
+                    "interpreted: tensor-param($1)",
+                    Some("tensor-param($1)"),
+                    false,
+                )
+            },
+            case(
+                sql_plan("SELECT COUNT(DISTINCT k) FROM t WHERE v > 1", &udfs),
+                "[sequential: count-distinct]\n",
+                "interpreted: count-distinct",
+                Some("count-distinct"),
+                true,
+            ),
+            // Bind-time refusals: EXPLAIN's verdict is binding-free, the
+            // run's is not — its chain note names the slot, a barrier
+            // above it says `kernel-compile` as it always has.
+            Case {
+                params: ParamValues::new().null(),
+                barrier: Some("kernel-compile"),
+                ..case(
+                    pred_plan(param.clone()),
+                    "[compiled ×2 ops]",
+                    "interpreted: null-param($1)",
+                    None,
+                    false,
+                )
+            },
+            Case {
+                barrier: Some("kernel-compile"),
+                ..case(
+                    pred_plan(param),
+                    "[compiled ×2 ops]",
+                    "interpreted: unbound-param($1)",
+                    None,
+                    false,
+                )
+            },
+            // The session switch names itself, below a pinning reason.
+            Case {
+                kernels: false,
+                ..case(
+                    pred_plan(gt(col(0, "v"), one())),
+                    "[interpreted: chain-kernels-disabled]",
+                    "interpreted: chain-kernels-disabled",
+                    None,
+                    true,
+                )
+            },
+            Case {
+                kernels: false,
+                ..case(
+                    pred_plan(gt(call("sb"), one())),
+                    "[sequential: udf-not-parallel-safe(sb)]\n",
+                    "interpreted: udf-not-parallel-safe(sb)",
+                    Some("udf-not-parallel-safe(sb)"),
+                    true,
+                )
+            },
+        ];
+
+        let cache = Arc::new(KernelCache::new());
+        for c in &cases {
+            let ctx = ExecContext::new(&catalog, c.reg)
+                .with_scheduler(4, 8)
+                .with_params(c.params.clone())
+                .with_chain_kernels(c.kernels.then(|| Arc::clone(&cache)));
+            let text = explain_ctx(&c.plan, &ctx);
+            assert!(text.contains(c.explain), "want {} in:\n{text}", c.explain);
+
+            let node = decompose(&c.plan);
+            let (pipe, sink) = match &node {
+                PipeNode::Stream(pipe) => (pipe, None),
+                PipeNode::Aggregate {
+                    keys,
+                    aggregates,
+                    pipe,
+                } => (pipe, Some((*keys, *aggregates))),
+                other => panic!("expected a chain at the root: {other:?}"),
+            };
+            let input = crate::exact::scan_table("t", None, &ctx).unwrap();
+            let chain = ChainRun::resolve(&input, &pipe.ops, sink, &ctx);
+            assert_eq!(chain.strategy_note().as_deref(), Some(c.strategy), "{text}");
+            assert_eq!(chain.seq_reason.as_deref(), c.fallback, "{text}");
+            if let Some(barrier) = c.barrier {
+                let declined = chain.selection_kernel(&input, &ctx).err();
+                assert_eq!(declined.as_deref(), Some(barrier), "{text}");
+            }
+
+            if c.runs {
+                let (_, prof) = crate::profile::execute_profiled(&c.plan, &ctx).unwrap();
+                assert_eq!(prof.ops[0].strategy.as_deref(), Some(c.strategy), "{text}");
+                assert_eq!(
+                    prof.fallback_reasons(),
+                    c.fallback.into_iter().collect::<Vec<_>>(),
+                    "{text}"
+                );
+            }
+        }
+
+        // A differentiable input pins the chain by name; a barrier above
+        // it reports the bail-out (or the sizing decline that precedes it).
+        let plan = pred_plan(gt(col(0, "v"), one()));
+        let PipeNode::Stream(pipe) = decompose(&plan) else {
+            panic!("expected a chain at the root");
+        };
+        let mut diff = Batch::new();
+        let v = tdp_autodiff::Var::param(Tensor::from_vec(vec![0.5f32; ROWS], &[ROWS]));
+        diff.push("v", ColumnData::Diff(crate::batch::DiffColumn::plain(v)));
+        for (morsel_rows, barrier) in [(8, "kernel-bailout"), (ROWS, "single-morsel")] {
+            let ctx = ExecContext::new(&catalog, &udfs)
+                .with_scheduler(4, morsel_rows)
+                .with_chain_kernels(Some(Arc::clone(&cache)));
+            let chain = ChainRun::resolve(&diff, &pipe.ops, None, &ctx);
+            assert_eq!(
+                chain.strategy_note().as_deref(),
+                Some("interpreted: differentiable-input")
+            );
+            assert_eq!(chain.seq_reason.as_deref(), Some("differentiable-input"));
+            let declined = chain.selection_kernel(&diff, &ctx).err();
+            assert_eq!(declined.as_deref(), Some(barrier));
+        }
+
+        // Barrier feeding: the same verdicts, as `[barrier: …]` notes on
+        // both surfaces.
+        for (sql, kernels, explain, profile) in [
+            (
+                "SELECT v FROM t WHERE v > 1 ORDER BY v DESC",
+                true,
+                "[barrier: selection-fed]",
+                "[barrier: selection-fed (",
+            ),
+            (
+                "SELECT v * 2 AS d FROM t WHERE v > 1 ORDER BY d",
+                true,
+                "[barrier: gathered: computed-projection]",
+                "[barrier: gathered: computed-projection]",
+            ),
+            (
+                "SELECT v FROM t WHERE v > 1 ORDER BY v DESC",
+                false,
+                "[barrier: gathered: chain-kernels-disabled]",
+                "[barrier: gathered: chain-kernels-disabled]",
+            ),
+        ] {
+            let plan = sql_plan(sql, &udfs);
+            let ctx = ExecContext::new(&catalog, &udfs)
+                .with_scheduler(4, 8)
+                .with_chain_kernels(kernels.then(|| Arc::clone(&cache)));
+            let text = explain_ctx(&plan, &ctx);
+            assert!(text.contains(explain), "want {explain} in:\n{text}");
+            let (_, prof) = crate::profile::execute_profiled(&plan, &ctx).unwrap();
+            let pretty = prof.pretty();
+            assert!(pretty.contains(profile), "want {profile} in:\n{pretty}");
+        }
     }
 
     #[test]

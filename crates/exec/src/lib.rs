@@ -112,14 +112,37 @@
 //! sequential kernels in [`exact`], which remain the fallback (and the
 //! oracle the equivalence tests compare against).
 //!
-//! Fused filter→project chains additionally compile to **chain
-//! kernels** ([`kernel`]): selection-vector programs monomorphised over
-//! the concrete column encodings, cached session-wide under the chain's
-//! literal-invariant fingerprint with epoch invalidation. The
+//! Fused filter→project chains additionally run on **chain kernels**
+//! ([`kernel`]): selection-vector loops monomorphised over the concrete
+//! column encodings, walking the plan's own [`CompiledExpr`] nodes —
+//! there is one expression form, lowered once, and the interpreter
+//! ([`expr`]) and the kernel are two evaluators of it. Which chains the
+//! kernel may run is a vetting verdict cached engine-wide under the
+//! chain's literal-invariant fingerprint with epoch invalidation. The
 //! interpreter stays on as the byte-identity oracle — any chain the
-//! compiler cannot reproduce exactly (UDFs, subqueries, tensor params)
+//! kernel cannot reproduce exactly (UDFs, subqueries, tensor params)
 //! runs interpreted with a named reason visible in EXPLAIN and
 //! profiles.
+//!
+//! ## Module map
+//!
+//! ```text
+//!   physical   lower(): LogicalPlan → PhysicalPlan, CompiledExpr (+ its one visitor)
+//!   pipeline   decompose(): fused chains + barriers; THE exact walker; EXPLAIN
+//!   morsel     everything staged on the worker pool
+//!     ├ sched      worker contexts, the one spawn site, the one claim loop, exchange
+//!     ├ chain      parallel-safety analysis, ChainRun (one verdict per chain per run),
+//!     │            streaming run + LIMIT sink, chain→barrier hand-off
+//!     ├ aggregate  AggProgram, the one per-morsel fold, combine
+//!     ├ join / sort / distinct   the staged barriers
+//!   kernel     chain kernels over CompiledExpr; vetting; KernelCache
+//!   expr       the scalar interpreter            ┐ the sequential oracle every
+//!   exact      whole-batch relational kernels    ┘ byte-identity test compares against
+//!   profile    Recorder + QueryProfile (the same walk, observed per stage)
+//!   access     zone-map pruning, ANN paths, access-path counters
+//!   memory     ledger charges;  udf / params / batch / error: the vocabulary
+//!   soft, diff the differentiable executor
+//! ```
 //!
 //! What should hang off this layer next: NUMA-/device-aware morsel
 //! placement (a pipeline already knows its scan), cross-query kernel

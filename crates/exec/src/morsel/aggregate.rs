@@ -1,0 +1,1306 @@
+//! Grouped aggregation: one compiled program per query
+//! ([`AggProgram`]), one fold per morsel ([`partial_aggregate`] — group
+//! ids resolved in one O(n) pass, every accumulator advanced in one
+//! row-order sweep), partial states merged in morsel order
+//! ([`merge_partials`]). [`run_aggregate`] feeds the fold either dense
+//! per-morsel chain output (the gathered loop) or, when the chain hands
+//! over a selection, the referenced columns of each input morsel read
+//! through it — every shape, grouped or not, takes the same fold.
+
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+
+use tdp_encoding::EncodedTensor;
+use tdp_sql::ast::AggFunc;
+use tdp_tensor::sort::{group_rows, Groups};
+use tdp_tensor::{F32Tensor, I64Tensor, Tensor};
+
+use super::chain::{self, ChainRun};
+use super::sched::{
+    claim_eval, decode_packed, morsel_range, slice_cols, to_partition_cols, MorselCols,
+};
+use crate::batch::{Batch, ColumnData};
+use crate::error::ExecError;
+use crate::exact;
+use crate::expr::{eval_expr, Value};
+use crate::kernel::{self, ChainInstance, SelVec};
+use crate::memory;
+use crate::physical::{CompiledExpr, PhysAggregate, PhysKey};
+use crate::profile::Recorder;
+use crate::udf::ExecContext;
+
+/// Cross-morsel group identity for one key column. Dictionary columns
+/// merge on decoded strings (the order-preserving dictionary makes
+/// string order = code order, so the combine's sorted output matches the
+/// single-batch group order); everything else merges on its grouping
+/// code.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
+enum MergeKey {
+    Int(i64),
+    Str(String),
+}
+
+/// How an accumulator consumes its argument column.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum AccKind {
+    /// COUNT(expr): trues of a boolean column, the group size for
+    /// anything else (a pragmatic choice in this NULL-free dialect).
+    Count,
+    /// COUNT(DISTINCT expr). Distinct counts do not add across morsels,
+    /// so the sink's parallel-safety analysis (`count-distinct`) pins
+    /// these queries to one whole-batch
+    /// partial.
+    CountDistinct,
+    /// f32 running sum in row order from `0.0` — SUM, and AVG's
+    /// numerator (the divisor is the merged group size).
+    Sum,
+    Min,
+    Max,
+    /// f64 power sums, finalised as VARIANCE or STDDEV.
+    Moments,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct AccSpec {
+    kind: AccKind,
+    /// Index into [`AggProgram::args`].
+    arg: usize,
+}
+
+/// The aggregate list of one query, compiled once — not per morsel.
+/// Argument expressions are de-duplicated (`SUM(x)`, `AVG(x)` and
+/// `VARIANCE(x)` evaluate `x` once per morsel) and so are accumulators
+/// (`SUM(x)` and `AVG(x)` share one running sum, `VARIANCE(x)` and
+/// `STDDEV(x)` one pair of power sums); COUNT(*) needs no accumulator at
+/// all, it reads the group size.
+pub(crate) struct AggProgram<'q> {
+    keys: &'q [PhysKey],
+    aggregates: &'q [PhysAggregate],
+    /// `keys[i].expr`, or its re-addressed copy after [`Self::rebind`].
+    key_exprs: Vec<Cow<'q, CompiledExpr>>,
+    /// Distinct argument expressions in first-use order.
+    args: Vec<Cow<'q, CompiledExpr>>,
+    /// Distinct `(kind, argument)` accumulators.
+    accs: Vec<AccSpec>,
+    /// Per aggregate, the accumulator it finalises from; `None` is
+    /// COUNT(*).
+    outs: Vec<Option<usize>>,
+}
+
+impl<'q> AggProgram<'q> {
+    pub(crate) fn compile(
+        keys: &'q [PhysKey],
+        aggregates: &'q [PhysAggregate],
+    ) -> Result<AggProgram<'q>, ExecError> {
+        let mut args: Vec<Cow<'q, CompiledExpr>> = Vec::new();
+        let mut accs: Vec<AccSpec> = Vec::new();
+        let mut outs = Vec::with_capacity(aggregates.len());
+        for agg in aggregates {
+            let Some(e) = &agg.arg else {
+                if agg.func == AggFunc::Count {
+                    outs.push(None);
+                    continue;
+                }
+                return Err(ExecError::Unsupported(format!(
+                    "{}(*) is not meaningful",
+                    agg.func.name()
+                )));
+            };
+            let kind = match agg.func {
+                AggFunc::Count => AccKind::Count,
+                AggFunc::CountDistinct => AccKind::CountDistinct,
+                AggFunc::Sum | AggFunc::Avg => AccKind::Sum,
+                AggFunc::Min => AccKind::Min,
+                AggFunc::Max => AccKind::Max,
+                AggFunc::Variance | AggFunc::Stddev => AccKind::Moments,
+            };
+            let arg = args
+                .iter()
+                .position(|a| a.as_ref() == e)
+                .unwrap_or_else(|| {
+                    args.push(Cow::Borrowed(e));
+                    args.len() - 1
+                });
+            let acc = accs
+                .iter()
+                .position(|a| a.kind == kind && a.arg == arg)
+                .unwrap_or_else(|| {
+                    accs.push(AccSpec { kind, arg });
+                    accs.len() - 1
+                });
+            outs.push(Some(acc));
+        }
+        Ok(AggProgram {
+            keys,
+            aggregates,
+            key_exprs: keys.iter().map(|k| Cow::Borrowed(&k.expr)).collect(),
+            args,
+            accs,
+            outs,
+        })
+    }
+
+    /// The same program over a batch holding only the columns `refs`
+    /// (ascending slots of `cols`), in that order: every column
+    /// reference is re-addressed to its position in `refs`. Accumulator
+    /// layout is untouched, so partials of the rebound program merge
+    /// under the original.
+    fn rebind(&self, cols: &[(String, EncodedTensor)], refs: &[usize]) -> AggProgram<'q> {
+        let readdress = |e: &CompiledExpr| {
+            let mut e = e.clone();
+            e.for_each_mut(&mut |node| {
+                if let CompiledExpr::Column(r) = node {
+                    let slot = resolve_idx(cols, r).expect("referenced_cols resolved every ref");
+                    *r = crate::physical::ColumnRef::Slot {
+                        slot: refs.binary_search(&slot).expect("slot is referenced"),
+                        name: r.name().to_owned(),
+                    };
+                }
+            });
+            Cow::Owned(e)
+        };
+        AggProgram {
+            keys: self.keys,
+            aggregates: self.aggregates,
+            key_exprs: self.key_exprs.iter().map(|e| readdress(e)).collect(),
+            args: self.args.iter().map(|e| readdress(e)).collect(),
+            accs: self.accs.clone(),
+            outs: self.outs.clone(),
+        }
+    }
+}
+
+/// Per-accumulator partial state over one morsel's groups.
+enum AccColumn {
+    Count(Vec<i64>),
+    Sum(Vec<f32>),
+    Min(Vec<f32>),
+    Max(Vec<f32>),
+    Moments { sum: Vec<f64>, sumsq: Vec<f64> },
+}
+
+/// Partial aggregation state of one morsel.
+pub(crate) struct PartialAgg {
+    /// Representative key rows (first in-morsel occurrence), encoding
+    /// preserved; one `[groups]` column per GROUP BY key.
+    key_reps: Vec<EncodedTensor>,
+    /// Cross-morsel merge identity, `[num_keys][groups]`.
+    merge_keys: Vec<Vec<MergeKey>>,
+    /// Group sizes.
+    counts: Vec<i64>,
+    /// One column per [`AggProgram::accs`] entry.
+    accs: Vec<AccColumn>,
+    groups: usize,
+    /// Whether the keys went through the hash arm of `group_rows`.
+    hashed: bool,
+}
+
+impl PartialAgg {
+    /// Ledger estimate of the state this partial keeps alive until the
+    /// combine step.
+    fn state_bytes(&self) -> u64 {
+        let per_group: usize = 8
+            + self
+                .accs
+                .iter()
+                .map(|a| match a {
+                    AccColumn::Count(_) => 8,
+                    AccColumn::Sum(_) | AccColumn::Min(_) | AccColumn::Max(_) => 4,
+                    AccColumn::Moments { .. } => 16,
+                })
+                .sum::<usize>()
+            + 16 * self.merge_keys.len();
+        let reps: usize = self.key_reps.iter().map(|c| c.memory_bytes()).sum();
+        (self.groups * per_group + reps) as u64
+    }
+}
+
+/// Run a fused chain + grouped aggregation, morsel-parallel where safe:
+/// each morsel folds into per-group partial states, merged by a combine
+/// step that walks morsels in index order (deterministic at any thread
+/// count). A single-morsel input is the same thing with one partial.
+pub(crate) fn run_aggregate(
+    input: &Batch,
+    chain: &ChainRun<'_>,
+    keys: &[PhysKey],
+    aggregates: &[PhysAggregate],
+    skip: Option<&[bool]>,
+    ctx: &ExecContext,
+    rec: Option<&mut Recorder>,
+) -> Result<Batch, ExecError> {
+    let morsels = chain.morsels;
+    let prog = AggProgram::compile(keys, aggregates)?;
+    // Accumulator state the selection-fed fold keeps alive until the
+    // combine step below has consumed it.
+    let state = memory::ScopedCharges::new(&ctx.memory);
+
+    // `(how the input arrived, why a selection hand-off was declined)`.
+    let (mut partials, path) = if morsels <= 1 {
+        let inp = chain.apply(chain::single_morsel_input(input, skip, ctx), ctx)?;
+        let partial = partial_aggregate(&prog, &inp, None, ctx)?;
+        (vec![partial], ("single-morsel", None))
+    } else {
+        // Selection exit: when the chain runs on the kernel and is
+        // selection-capable, fold straight over its `SelVec` — nothing
+        // is gathered at table width. Partials chunk by *input* morsel
+        // boundaries, so they are byte-identical to the gathered loop's;
+        // a decline (run-time bail, unresolvable shape) falls through to
+        // that loop with nothing recorded.
+        let skip = skip.filter(|s| s.len() == morsels);
+        let selected = match chain.kern() {
+            // No kernel: the chain's own note already says why.
+            None => Err(None),
+            Some(k) => match kernel::selection_capable(chain.ops) {
+                Ok(()) => {
+                    aggregate_selection(input, k, &prog, skip, morsels, &state, ctx)?.map_err(Some)
+                }
+                Err(why) => Err(Some(why)),
+            },
+        };
+        match selected {
+            Ok(partials) => {
+                ctx.access.note_barrier_selection_fed();
+                (partials, ("selection-fed", None))
+            }
+            Err(why) => {
+                if chain.kern().is_some() {
+                    ctx.access.note_barrier_gathered();
+                }
+                let partials = gathered_partials(input, chain, &prog, skip, ctx)?;
+                (partials, ("gathered", why))
+            }
+        }
+    };
+    if partials.is_empty() {
+        // Every morsel filtered to nothing: fold the chain's zero-row
+        // output, so schema, encodings and the zero-row aggregate values
+        // (a global COUNT of 0) match the single-morsel run.
+        let empty = chain::apply_ops(input.slice_rows(0, 0), chain.ops, ctx)?;
+        partials.push(partial_aggregate(&prog, &empty, None, ctx)?);
+    }
+    let hashed = partials.iter().any(|p| p.hashed);
+    let out = merge_partials(&prog, partials);
+    if let Some(r) = rec {
+        r.note_aggregate(aggregate_note(&prog, out.rows(), hashed, path));
+    }
+    Ok(out)
+}
+
+/// The aggregate stage's profile note: what the fold consisted of and
+/// how its input arrived. Out of line — only profiled runs format it.
+#[inline(never)]
+fn aggregate_note(
+    prog: &AggProgram<'_>,
+    groups: usize,
+    hashed: bool,
+    (mode, why): (&str, Option<&str>),
+) -> String {
+    let keys = match (prog.keys.is_empty(), hashed) {
+        (true, _) => "none",
+        (false, false) => "direct",
+        (false, true) => "hash",
+    };
+    let why = why.map(|w| format!(": {w}")).unwrap_or_default();
+    format!(
+        "aggregate: fused {} acc / {} args, {groups} groups, keys: {keys}, {mode}{why}",
+        prog.accs.len(),
+        prog.args.len(),
+    )
+}
+
+/// The gathered loop: every morsel runs the chain to a dense batch and
+/// folds it. Taken when no chain kernel can hand over a selection.
+fn gathered_partials(
+    input: &Batch,
+    chain: &ChainRun<'_>,
+    prog: &AggProgram<'_>,
+    skip: Option<&[bool]>,
+    ctx: &ExecContext,
+) -> Result<Vec<PartialAgg>, ExecError> {
+    let rows = input.rows();
+    let cols = to_partition_cols(input);
+    // Partial states are per-group (small); the decoded input columns
+    // dominate, charged until the partials are built.
+    let _charge = memory::charge(
+        &ctx.memory,
+        "aggregate materialization",
+        memory::cols_bytes(&cols),
+    )?;
+    let morsel_rows = ctx.morsel_rows;
+    // `None` = no row of the morsel survived: it contributes no groups.
+    let partials = claim_eval(chain.morsels, ctx, None, |i, wctx| {
+        let (start, end) = morsel_range(i, morsel_rows, rows);
+        // A pruned morsel still runs the chain, over an empty slice, so
+        // chain errors surface exactly as in the unpruned run.
+        let end = if skip.is_some_and(|s| s[i]) {
+            start
+        } else {
+            end
+        };
+        let batch = chain.apply(slice_cols(&cols, start, end), wctx)?;
+        if batch.rows() == 0 {
+            return Ok(None);
+        }
+        partial_aggregate(prog, &batch, None, wctx).map(Some)
+    })?;
+    chain::note_skipped(skip, ctx);
+    Ok(partials.into_iter().flatten().flatten().collect())
+}
+
+/// One fold's accumulators, viewed by kind over the partial's own
+/// columns (one slot per group plus the spare). SUM state is the
+/// exception: it is interleaved per group (`sums[g * w + j]`) while
+/// folding, so a row touches one cache line of it however many sums the
+/// query carries.
+struct Fold<'a> {
+    counts: &'a mut [i64],
+    sum_args: Vec<&'a [f32]>,
+    sums: Vec<f32>,
+    trues: Vec<(&'a [bool], &'a mut [i64])>,
+    mins: Vec<(&'a [f32], &'a mut [f32])>,
+    maxs: Vec<(&'a [f32], &'a mut [f32])>,
+    moments: Vec<(&'a [f32], &'a mut [f64], &'a mut [f64])>,
+}
+
+impl<'a> Fold<'a> {
+    fn over(counts: &'a mut [i64]) -> Fold<'a> {
+        Fold {
+            counts,
+            sum_args: Vec::new(),
+            sums: Vec::new(),
+            trues: Vec::new(),
+            mins: Vec::new(),
+            maxs: Vec::new(),
+            moments: Vec::new(),
+        }
+    }
+
+    /// Fold every position once, in row order: position `p` goes to slot
+    /// `ids[p]`. Each f32 sum therefore adds its group's values in row
+    /// order starting from `0.0` — the arithmetic of a per-aggregate
+    /// scatter-add, with all accumulators advancing in one sweep. Counts
+    /// are integers end to end (an f32 counter sticks at 2²⁴).
+    fn run(&mut self, ids: &[u32]) {
+        let w = self.sum_args.len();
+        self.sums.resize(self.counts.len() * w, 0.0);
+        for (p, &g) in ids.iter().enumerate() {
+            let g = g as usize;
+            self.counts[g] += 1;
+            for (acc, vals) in self.sums[g * w..][..w].iter_mut().zip(&self.sum_args) {
+                *acc += vals[p];
+            }
+            for (arg, acc) in &mut self.trues {
+                acc[g] += arg[p] as i64;
+            }
+            // MIN/MAX keep the strict comparison against the running
+            // slot: NaN never wins, and an all-NaN group stays ±inf.
+            for (vals, acc) in &mut self.mins {
+                if vals[p] < acc[g] {
+                    acc[g] = vals[p];
+                }
+            }
+            for (vals, acc) in &mut self.maxs {
+                if vals[p] > acc[g] {
+                    acc[g] = vals[p];
+                }
+            }
+            for (vals, sum, sumsq) in &mut self.moments {
+                let v = vals[p] as f64;
+                sum[g] += v;
+                sumsq[g] += v * v;
+            }
+        }
+    }
+}
+
+/// Fold one batch into per-group partial states: resolve group ids
+/// once, evaluate each distinct argument once, then advance every
+/// accumulator in a single row-order sweep ([`Fold::run`]).
+///
+/// `mask` marks the rows of `batch` that count (a dense selection's
+/// slice): deselected rows get no group and fold into a spare slot that
+/// is dropped, so the sweep stays branchless and every real group sees
+/// exactly its surviving rows, in row order. Arguments are evaluated at
+/// batch width either way — expressions are row-local, so a survivor's
+/// value does not depend on its neighbours.
+pub(crate) fn partial_aggregate(
+    prog: &AggProgram<'_>,
+    batch: &Batch,
+    mask: Option<&[bool]>,
+    ctx: &ExecContext,
+) -> Result<PartialAgg, ExecError> {
+    let n = batch.rows();
+
+    let mut key_cols: Vec<EncodedTensor> = Vec::with_capacity(prog.key_exprs.len());
+    for k in &prog.key_exprs {
+        match eval_expr(k, batch, ctx)? {
+            Value::Column(c) => key_cols.push(c),
+            other => {
+                return Err(ExecError::TypeMismatch(format!(
+                    "GROUP BY expression must be a column, got {other:?}"
+                )))
+            }
+        }
+    }
+    let key_codes: Vec<I64Tensor> = key_cols
+        .iter()
+        .map(exact::key_codes)
+        .collect::<Result<_, _>>()?;
+    let Groups {
+        ids,
+        groups,
+        hashed,
+        ..
+    } = if key_cols.is_empty() {
+        // Global aggregate: one group holding every surviving row.
+        Groups {
+            ids: match mask {
+                None => vec![0; n],
+                Some(m) => m.iter().map(|&keep| !keep as u32).collect(),
+            },
+            distinct: Vec::new(),
+            groups: 1,
+            hashed: false,
+        }
+    } else {
+        let slices: Vec<&[i64]> = key_codes.iter().map(|c| c.data()).collect();
+        group_rows(&slices, mask)
+    };
+
+    // First-occurrence representative row per group: key output keeps
+    // the original encoding, and dictionary keys merge on its string.
+    let rep: Vec<i64> = if key_cols.is_empty() {
+        Vec::new()
+    } else {
+        let mut rep = vec![-1i64; groups + 1];
+        for (row, &g) in ids.iter().enumerate() {
+            if rep[g as usize] < 0 {
+                rep[g as usize] = row as i64;
+            }
+        }
+        rep.truncate(groups);
+        rep
+    };
+    let rep_rows = {
+        let len = rep.len();
+        Tensor::from_vec(rep, &[len])
+    };
+    let key_reps: Vec<EncodedTensor> = key_cols.iter().map(|c| c.select_rows(&rep_rows)).collect();
+    let merge_keys: Vec<Vec<MergeKey>> = key_cols
+        .iter()
+        .zip(&key_codes)
+        .map(|(col, int_codes)| {
+            let reps = rep_rows.data().iter().map(|&r| r as usize);
+            match col {
+                EncodedTensor::Dict { codes, dict } => reps
+                    .map(|r| MergeKey::Str(dict.decode_one(codes.at(r)).to_owned()))
+                    .collect(),
+                _ => reps.map(|r| MergeKey::Int(int_codes.at(r))).collect(),
+            }
+        })
+        .collect();
+
+    // Each distinct argument once, in the forms its accumulators read:
+    // f32 values, a boolean column's flags, the raw column for DISTINCT.
+    let mut f32s: Vec<Option<F32Tensor>> = Vec::with_capacity(prog.args.len());
+    let mut flags: Vec<Option<tdp_tensor::BoolTensor>> = Vec::with_capacity(prog.args.len());
+    let mut raws: Vec<Option<EncodedTensor>> = Vec::with_capacity(prog.args.len());
+    for (ai, e) in prog.args.iter().enumerate() {
+        let kinds: Vec<AccKind> = prog
+            .accs
+            .iter()
+            .filter_map(|a| (a.arg == ai).then_some(a.kind))
+            .collect();
+        let v = eval_expr(e, batch, ctx)?;
+        flags.push(match &v {
+            Value::Column(EncodedTensor::Bool(m)) if kinds.contains(&AccKind::Count) => {
+                Some(m.clone())
+            }
+            _ => None,
+        });
+        raws.push(match &v {
+            _ if !kinds.contains(&AccKind::CountDistinct) => None,
+            Value::Column(c) => Some(c.clone()),
+            other => {
+                return Err(ExecError::TypeMismatch(format!(
+                    "COUNT(DISTINCT …) needs a column, got {other:?}"
+                )))
+            }
+        });
+        f32s.push(
+            if kinds
+                .iter()
+                .any(|k| !matches!(k, AccKind::Count | AccKind::CountDistinct))
+            {
+                let vals = v.into_f32_column(n)?;
+                if vals.ndim() != 1 {
+                    return Err(ExecError::TypeMismatch(format!(
+                        "cannot aggregate a multi-dimensional payload column (shape {:?})",
+                        vals.shape()
+                    )));
+                }
+                Some(vals)
+            } else {
+                None
+            },
+        );
+    }
+
+    // One sweep over (group id, args…). The slot past the last group
+    // absorbs the rows the mask deselected.
+    let slots = groups + 1;
+    let mut counts = vec![0i64; slots];
+    let mut accs: Vec<AccColumn> = prog
+        .accs
+        .iter()
+        .map(|acc| match acc.kind {
+            AccKind::Count | AccKind::CountDistinct => AccColumn::Count(vec![0; slots]),
+            AccKind::Sum => AccColumn::Sum(Vec::new()), // filled from the interleaved state
+            AccKind::Min => AccColumn::Min(vec![f32::INFINITY; slots]),
+            AccKind::Max => AccColumn::Max(vec![f32::NEG_INFINITY; slots]),
+            AccKind::Moments => AccColumn::Moments {
+                sum: vec![0.0; slots],
+                sumsq: vec![0.0; slots],
+            },
+        })
+        .collect();
+    let mut fold = Fold::over(&mut counts);
+    for (acc, col) in prog.accs.iter().zip(&mut accs) {
+        let vals = || f32s[acc.arg].as_ref().expect("evaluated above").data();
+        match col {
+            AccColumn::Sum(_) => fold.sum_args.push(vals()),
+            AccColumn::Min(m) => fold.mins.push((vals(), m)),
+            AccColumn::Max(m) => fold.maxs.push((vals(), m)),
+            AccColumn::Moments { sum, sumsq } => fold.moments.push((vals(), sum, sumsq)),
+            AccColumn::Count(t) => {
+                if let Some(m) = &flags[acc.arg] {
+                    fold.trues.push((m.data(), t));
+                }
+            }
+        }
+    }
+    fold.run(&ids);
+    let (sums, w) = (fold.sums, fold.sum_args.len());
+
+    counts.truncate(groups);
+    let mut sum_slot = 0..w;
+    for (acc, col) in prog.accs.iter().zip(&mut accs) {
+        match col {
+            AccColumn::Sum(v) => {
+                let j = sum_slot.next().expect("one interleaved slot per sum");
+                v.extend((0..groups).map(|g| sums[g * w + j]));
+            }
+            AccColumn::Count(t) if acc.kind == AccKind::CountDistinct => {
+                // Distinct (group, value-code) pairs, counted per group.
+                let col = raws[acc.arg].as_ref().expect("evaluated above");
+                let codes = exact::key_codes(col)?;
+                let gids: Vec<i64> = ids.iter().map(|&g| g as i64).collect();
+                let pairs = group_rows(&[&gids, codes.data()], mask);
+                t.truncate(groups);
+                for pair in pairs.distinct.chunks_exact(2) {
+                    t[pair[0] as usize] += 1;
+                }
+            }
+            // COUNT of a non-boolean argument is the group size.
+            AccColumn::Count(t) if flags[acc.arg].is_none() => t.clone_from(&counts),
+            AccColumn::Count(t) => t.truncate(groups),
+            AccColumn::Min(v) | AccColumn::Max(v) => v.truncate(groups),
+            AccColumn::Moments { sum, sumsq } => {
+                sum.truncate(groups);
+                sumsq.truncate(groups);
+            }
+        }
+    }
+
+    Ok(PartialAgg {
+        key_reps,
+        merge_keys,
+        counts,
+        accs,
+        groups,
+        hashed,
+    })
+}
+
+// ----------------------------------------------------------------------
+// Selection-fed aggregation
+// ----------------------------------------------------------------------
+
+/// Fold the aggregation directly over a chain's selection exit, one
+/// partial per *input* morsel, with nothing gathered at table width:
+/// every shape — ungrouped or grouped, plain or computed arguments —
+/// runs the ordinary [`partial_aggregate`] per morsel over the columns
+/// the program references ([`selected_partials`]): a dense selection
+/// folds the morsel's row range under its mask slice, a sparse one reads
+/// just the survivors by index.
+///
+/// Partials chunk by input morsel boundaries and visit survivors in row
+/// order, so every float partial is byte-identical to the gathered
+/// loop's. `Err(reason)` = decline (run-time bail, or a shape whose
+/// expressions must not see filtered-out rows): the caller's gathered
+/// loop reproduces the identical result or error, and all counter
+/// accounting is left to it.
+fn aggregate_selection(
+    input: &Batch,
+    kern: &ChainInstance<'_>,
+    prog: &AggProgram<'_>,
+    skip: Option<&[bool]>,
+    morsels: usize,
+    state: &memory::ScopedCharges,
+    ctx: &ExecContext,
+) -> Result<Result<Vec<PartialAgg>, &'static str>, ExecError> {
+    let Some(out) = chain::selection_exit(input, kern, skip, ctx) else {
+        return Ok(Err("kernel-bailout"));
+    };
+    let refs = match referenced_cols(prog, &out.cols, ctx) {
+        Ok(refs) => refs,
+        Err(why) => return Ok(Err(why)),
+    };
+    // Decode integer-compressed layouts exactly as the gathered loop's
+    // `to_partition_cols` does, so key encodings match its slices — but
+    // only where a key or aggregate actually reads the column;
+    // unreferenced columns are never touched by either path.
+    let cols: MorselCols = (out.cols.into_iter().enumerate())
+        .map(|(slot, (n, c))| match refs.binary_search(&slot) {
+            Ok(_) => (n, decode_packed(c)),
+            Err(_) => (n, c),
+        })
+        .collect();
+    let _charge = memory::charge(
+        &ctx.memory,
+        "selection vector",
+        (out.sel.len() as u64 + 1) * 8,
+    )?;
+    let rows = input.rows();
+    let offs = survivor_offsets(&out.sel, rows, ctx.morsel_rows, morsels);
+    let partials = selected_partials(prog, &cols, &refs, &out.sel, &offs, rows, state, ctx)?;
+    chain::note_skipped(skip, ctx);
+    Ok(Ok(partials))
+}
+
+/// Ascending column slots the program's key and argument expressions
+/// read. `Err` names why the selection-fed fold must decline: a
+/// reference this column list cannot resolve (the gathered loop raises
+/// the proper error), a scalar subquery, or a session UDF — the dense
+/// fold evaluates arguments over whole morsels, and only built-in
+/// expressions are known to be indifferent to rows the filter removed.
+fn referenced_cols(
+    prog: &AggProgram<'_>,
+    cols: &[(String, EncodedTensor)],
+    ctx: &ExecContext,
+) -> Result<Vec<usize>, &'static str> {
+    let mut used = vec![false; cols.len()];
+    let decline = prog.key_exprs.iter().chain(&prog.args).find_map(|e| {
+        e.find_map(&mut |node| match node {
+            CompiledExpr::Column(r) => match resolve_idx(cols, r) {
+                Some(slot) => {
+                    used[slot] = true;
+                    None
+                }
+                None => Some("unresolved-column"),
+            },
+            CompiledExpr::ScalarSubquery(_) => Some("scalar-subquery"),
+            CompiledExpr::Udf { .. } => Some("udf-argument"),
+            CompiledExpr::Builtin { name, .. } if ctx.udfs.is_scalar(name) => Some("udf-argument"),
+            _ => None,
+        })
+    });
+    match decline {
+        Some(why) => Err(why),
+        None => Ok((0..cols.len()).filter(|&slot| used[slot]).collect()),
+    }
+}
+
+/// The selection-fed fold: per input morsel, run the rebound program
+/// over just the referenced columns — the morsel's row range under its
+/// mask slice when the selection is dense, the survivors read by index
+/// when it is sparse. Only per-morsel scratch and the partial states
+/// are ever allocated, and that is what the ledger is charged.
+#[allow(clippy::too_many_arguments)]
+fn selected_partials(
+    prog: &AggProgram<'_>,
+    cols: &MorselCols,
+    refs: &[usize],
+    sel: &SelVec,
+    offs: &[usize],
+    rows: usize,
+    state: &memory::ScopedCharges,
+    ctx: &ExecContext,
+) -> Result<Vec<PartialAgg>, ExecError> {
+    let bound = prog.rebind(cols, refs);
+    let morsel_rows = ctx.morsel_rows;
+    // Only morsels that kept a survivor are scheduled (the others
+    // contribute no partial): a selective filter empties most of them,
+    // and a stage over a single item runs inline, spawning nothing.
+    let live: Vec<usize> = (0..offs.len() - 1)
+        .filter(|&i| offs[i] < offs[i + 1])
+        .collect();
+    let partials = claim_eval(live.len(), ctx, None, |j, wctx| {
+        let i = live[j];
+        let (a, b) = (offs[i], offs[i + 1]);
+        let (start, end) = morsel_range(i, morsel_rows, rows);
+        let (width, mask, survivors) = match sel {
+            SelVec::Mask(m, _) => (end - start, Some(&m[start..end]), None),
+            SelVec::Idx(s) => {
+                let ids: Vec<i64> = s[a..b].iter().map(|&r| r as i64).collect();
+                (b - a, None, Some(Tensor::from_vec(ids, &[b - a])))
+            }
+        };
+        let mut mini = Batch::new();
+        if refs.is_empty() {
+            // A program that reads no column at all (`SUM(2)`) still
+            // needs one to carry the row count.
+            let rows = EncodedTensor::Bool(Tensor::full(&[width], true));
+            mini.push("", ColumnData::Exact(rows));
+        }
+        for &slot in refs {
+            let (name, col) = &cols[slot];
+            let col = match &survivors {
+                Some(ids) => col.select_rows(ids),
+                None => col.slice_rows(start, end),
+            };
+            mini.push(name.clone(), ColumnData::Exact(col));
+        }
+        // Scratch of this fold: the column slices, the group ids and one
+        // f32 buffer per evaluated argument; released with the morsel.
+        let scratch: usize = mini
+            .columns()
+            .iter()
+            .map(|(_, c)| c.to_exact().memory_bytes())
+            .sum::<usize>()
+            + width * 4 * (1 + bound.args.len());
+        let _scratch = memory::charge(&wctx.memory, "aggregate scratch", scratch as u64)?;
+        let partial = partial_aggregate(&bound, &mini, mask, wctx)?;
+        state.add("aggregate state", partial.state_bytes())?;
+        Ok(partial)
+    })?;
+    Ok(partials.into_iter().flatten().collect())
+}
+
+/// Resolve a column ref to its slot in a raw column list, mirroring
+/// batch resolution (slot position / case-insensitive first name).
+fn resolve_idx(cols: &[(String, EncodedTensor)], r: &crate::physical::ColumnRef) -> Option<usize> {
+    use crate::physical::ColumnRef;
+    match r {
+        ColumnRef::Slot { slot, .. } => (*slot < cols.len()).then_some(*slot),
+        ColumnRef::Name(name) => cols.iter().position(|(n, _)| n.eq_ignore_ascii_case(name)),
+    }
+}
+
+/// Survivor-count prefix over *input* morsel boundaries: `offs[i]` is
+/// the number of survivors before morsel `i`, so survivors of morsel
+/// `i` occupy `[offs[i], offs[i+1])` in selection space. Partial
+/// aggregation chunks by these offsets, which makes its float partials
+/// byte-identical to the gathered per-morsel path.
+fn survivor_offsets(sel: &SelVec, rows: usize, morsel_rows: usize, morsels: usize) -> Vec<usize> {
+    let mut offs = Vec::with_capacity(morsels + 1);
+    offs.push(0);
+    match sel {
+        SelVec::Idx(s) => {
+            let mut j = 0usize;
+            for i in 1..=morsels {
+                let bound = ((i * morsel_rows).min(rows)) as u32;
+                while j < s.len() && s[j] < bound {
+                    j += 1;
+                }
+                offs.push(j);
+            }
+        }
+        SelVec::Mask(m, _) => {
+            let mut c = 0usize;
+            for i in 0..morsels {
+                let start = i * morsel_rows;
+                let end = (start + morsel_rows).min(rows);
+                c += m[start..end].iter().filter(|&&b| b).count();
+                offs.push(c);
+            }
+        }
+    }
+    offs
+}
+
+/// Merged accumulator of one output group.
+struct MergedGroup {
+    /// `(partial index, group index)` of the first-seen representative.
+    rep: (usize, usize),
+    count: i64,
+    accs: Vec<AccVal>,
+}
+
+#[derive(Clone, Copy)]
+enum AccVal {
+    Count(i64),
+    Sum(f32),
+    Min(f32),
+    Max(f32),
+    Moments { sum: f64, sumsq: f64 },
+}
+
+/// Combine morsel partials (at least one) into the final grouped batch.
+/// Walks partials in morsel order — the first occurrence of a group
+/// picks its representative key rows, and float partials add in morsel
+/// order — and emits groups in merge-key order, which is the
+/// lexicographic code order a single partial already has. A lone
+/// partial passes through unchanged (`0.0 + s` is `s` bit for bit: a
+/// round-to-nearest running sum from `+0.0` is never `-0.0`).
+pub(crate) fn merge_partials(prog: &AggProgram<'_>, partials: Vec<PartialAgg>) -> Batch {
+    let mut merged: BTreeMap<Vec<MergeKey>, MergedGroup> = BTreeMap::new();
+    for (pi, p) in partials.iter().enumerate() {
+        for g in 0..p.groups {
+            let key: Vec<MergeKey> = p.merge_keys.iter().map(|col| col[g].clone()).collect();
+            let entry = merged.entry(key).or_insert_with(|| MergedGroup {
+                rep: (pi, g),
+                count: 0,
+                accs: p
+                    .accs
+                    .iter()
+                    .map(|a| match a {
+                        AccColumn::Count(_) => AccVal::Count(0),
+                        AccColumn::Sum(_) => AccVal::Sum(0.0),
+                        AccColumn::Min(_) => AccVal::Min(f32::INFINITY),
+                        AccColumn::Max(_) => AccVal::Max(f32::NEG_INFINITY),
+                        AccColumn::Moments { .. } => AccVal::Moments {
+                            sum: 0.0,
+                            sumsq: 0.0,
+                        },
+                    })
+                    .collect(),
+            });
+            entry.count += p.counts[g];
+            for (acc, col) in entry.accs.iter_mut().zip(&p.accs) {
+                match (acc, col) {
+                    (AccVal::Count(t), AccColumn::Count(v)) => *t += v[g],
+                    (AccVal::Sum(t), AccColumn::Sum(v)) => *t += v[g],
+                    (AccVal::Min(t), AccColumn::Min(v)) => *t = t.min(v[g]),
+                    (AccVal::Max(t), AccColumn::Max(v)) => *t = t.max(v[g]),
+                    (AccVal::Moments { sum, sumsq }, AccColumn::Moments { sum: s, sumsq: q }) => {
+                        *sum += s[g];
+                        *sumsq += q[g];
+                    }
+                    _ => unreachable!("partials of one program share its accumulator layout"),
+                }
+            }
+        }
+    }
+
+    let groups: Vec<&MergedGroup> = merged.values().collect();
+    let num_groups = groups.len();
+
+    let mut out = Batch::new();
+    // Key columns: gather first-seen representatives out of the
+    // concatenated per-morsel representative columns (encoding-preserving
+    // concat + one gather per key).
+    let mut offsets = Vec::with_capacity(partials.len());
+    let mut total = 0usize;
+    for p in &partials {
+        offsets.push(total);
+        total += p.groups;
+    }
+    for (ki, key) in prog.keys.iter().enumerate() {
+        let parts: Vec<&EncodedTensor> = partials.iter().map(|p| &p.key_reps[ki]).collect();
+        let combined = EncodedTensor::concat(&parts);
+        let idx: Vec<i64> = groups
+            .iter()
+            .map(|m| (offsets[m.rep.0] + m.rep.1) as i64)
+            .collect();
+        out.push(
+            key.name.clone(),
+            ColumnData::Exact(combined.select_rows(&Tensor::from_vec(idx, &[num_groups]))),
+        );
+    }
+
+    // The one place an aggregate function is turned into an output
+    // column: each reads its accumulator (COUNT(*) the group size).
+    for (agg, acc) in prog.aggregates.iter().zip(&prog.outs) {
+        let f32_col = |f: &dyn Fn(&MergedGroup, AccVal) -> f32| {
+            let ai = acc.expect("only COUNT(*) has no accumulator");
+            EncodedTensor::F32(Tensor::from_vec(
+                groups.iter().map(|m| f(m, m.accs[ai])).collect(),
+                &[num_groups],
+            ))
+        };
+        let col = match agg.func {
+            AggFunc::Count | AggFunc::CountDistinct => EncodedTensor::I64(Tensor::from_vec(
+                groups
+                    .iter()
+                    .map(|m| match acc.map(|ai| m.accs[ai]) {
+                        None => m.count,
+                        Some(AccVal::Count(v)) => v,
+                        Some(_) => unreachable!("COUNT folds into a Count accumulator"),
+                    })
+                    .collect(),
+                &[num_groups],
+            )),
+            AggFunc::Sum => f32_col(&|_, a| match a {
+                AccVal::Sum(v) => v,
+                _ => unreachable!("SUM folds into a Sum accumulator"),
+            }),
+            AggFunc::Avg => f32_col(&|m, a| match a {
+                AccVal::Sum(v) => v / m.count as f32,
+                _ => unreachable!("AVG folds into a Sum accumulator"),
+            }),
+            AggFunc::Min => f32_col(&|_, a| match a {
+                AccVal::Min(v) => v,
+                _ => unreachable!("MIN folds into a Min accumulator"),
+            }),
+            AggFunc::Max => f32_col(&|_, a| match a {
+                AccVal::Max(v) => v,
+                _ => unreachable!("MAX folds into a Max accumulator"),
+            }),
+            AggFunc::Variance | AggFunc::Stddev => {
+                let is_stddev = agg.func == AggFunc::Stddev;
+                // Sample variance via the sum-of-squares identity, in f64
+                // for numeric robustness; singleton groups yield 0 in
+                // this NULL-free dialect.
+                f32_col(&|m, a| match a {
+                    AccVal::Moments { sum, sumsq } => {
+                        let c = m.count as f64;
+                        if c <= 1.0 {
+                            return 0.0;
+                        }
+                        let var = ((sumsq - sum * sum / c) / (c - 1.0)).max(0.0);
+                        if is_stddev {
+                            var.sqrt() as f32
+                        } else {
+                            var as f32
+                        }
+                    }
+                    _ => unreachable!("VARIANCE/STDDEV fold into Moments"),
+                })
+            }
+        };
+        out.push(agg.output.clone(), ColumnData::Exact(col));
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::setup;
+    use super::*;
+    use crate::physical::{lower, PhysicalPlan};
+    use crate::udf::UdfRegistry;
+    use tdp_sql::plan::{build_plan, PlannerContext};
+    use tdp_sql::{optimizer, parse};
+    use tdp_storage::{Catalog, TableBuilder};
+
+    /// An f32 counter — what `ones.segment_sum(..)` was — stops at
+    /// 2²⁴; the fold counts rows and trues in i64. Seeded just below the
+    /// boundary, so no 16M-row input is needed.
+    #[test]
+    fn counts_pass_the_f32_integer_limit() {
+        const EDGE: i64 = 1 << 24;
+        let flags = [true, false, true, true];
+        let (mut rows, mut trues) = ([EDGE - 1], [EDGE - 1]);
+        let mut fold = Fold::over(&mut rows);
+        fold.trues.push((&flags, &mut trues));
+        fold.run(&[0, 0, 0, 0]);
+        assert_eq!((rows, trues), ([EDGE + 3], [EDGE + 2]));
+
+        let mut f32_counter = (EDGE - 1) as f32;
+        for _ in 0..4 {
+            f32_counter += 1.0;
+        }
+        assert_eq!(f32_counter as i64, EDGE, "the counter this replaced");
+    }
+
+    /// Bit patterns of one aggregate's partial state, per group.
+    type StateBits = Vec<u64>;
+
+    /// How a NaN state compares. `Exact` everywhere but against the
+    /// `segment_sum` reference of the ungrouped plain-column statement:
+    /// its `VARIANCE(x)` adds NaNs of both signs (the column's `+NaN`,
+    /// and the default NaN of `inf + -inf`), which of the two `NaN + NaN`
+    /// keeps follows the operand order the compiler emitted for that
+    /// loop, and the reference's loop is not the fold's.
+    #[derive(Clone, Copy)]
+    enum Nan {
+        Exact,
+        Any,
+    }
+
+    impl Nan {
+        fn f32(self, v: f32) -> u64 {
+            match self {
+                Nan::Any if v.is_nan() => f32::NAN.to_bits() as u64,
+                _ => v.to_bits() as u64,
+            }
+        }
+
+        fn f64(self, v: f64) -> u64 {
+            match self {
+                Nan::Any if v.is_nan() => f64::NAN.to_bits(),
+                _ => v.to_bits(),
+            }
+        }
+    }
+
+    /// The parent commit's partial-aggregation arithmetic, kept as the
+    /// byte-identity reference: one `segment_sum` scatter pass (or row
+    /// loop) per aggregate over the dense batch.
+    fn reference_partial(
+        batch: &Batch,
+        keys: &[PhysKey],
+        aggregates: &[PhysAggregate],
+        ctx: &ExecContext,
+        nan: Nan,
+    ) -> Vec<StateBits> {
+        let n = batch.rows();
+        let codes: Vec<I64Tensor> = keys
+            .iter()
+            .map(|k| match eval_expr(&k.expr, batch, ctx).unwrap() {
+                Value::Column(c) => exact::key_codes(&c).unwrap(),
+                other => panic!("key {other:?}"),
+            })
+            .collect();
+        let (ids, groups) = if codes.is_empty() {
+            (Tensor::from_vec(vec![0i64; n], &[n]), 1)
+        } else {
+            // Ids come from `group_ids`, itself proptested against the
+            // sort-based reference in `tdp_tensor::sort`.
+            let (ids, distinct) = tdp_tensor::sort::group_ids(&codes.iter().collect::<Vec<_>>());
+            let groups = distinct.shape()[0];
+            (ids, groups)
+        };
+        let f32_bits = |t: F32Tensor| t.data().iter().map(|&v| nan.f32(v)).collect();
+        aggregates
+            .iter()
+            .map(|agg| {
+                let vals = || {
+                    eval_expr(agg.arg.as_ref().unwrap(), batch, ctx)
+                        .unwrap()
+                        .into_f32_column(n)
+                        .unwrap()
+                };
+                match agg.func {
+                    // COUNT(bool expr) counts trues; anything else, rows.
+                    AggFunc::Count => {
+                        let flags = agg.arg.as_ref().and_then(|e| {
+                            match eval_expr(e, batch, ctx).unwrap() {
+                                Value::Column(EncodedTensor::Bool(m)) => Some(m),
+                                _ => None,
+                            }
+                        });
+                        let ones = match flags {
+                            Some(m) => {
+                                let trues = m.data().iter().map(|&b| b as u8 as f32).collect();
+                                F32Tensor::from_vec(trues, &[n])
+                            }
+                            None => F32Tensor::ones(&[n]),
+                        };
+                        let counts = ones.segment_sum(&ids, groups);
+                        counts.data().iter().map(|&c| c as i64 as u64).collect()
+                    }
+                    AggFunc::Sum | AggFunc::Avg => f32_bits(vals().segment_sum(&ids, groups)),
+                    AggFunc::Min | AggFunc::Max => {
+                        let is_min = agg.func == AggFunc::Min;
+                        let mut acc = vec![
+                            if is_min {
+                                f32::INFINITY
+                            } else {
+                                f32::NEG_INFINITY
+                            };
+                            groups
+                        ];
+                        let vals = vals();
+                        for (row, &g) in ids.data().iter().enumerate() {
+                            let (v, slot) = (vals.at(row), &mut acc[g as usize]);
+                            if (is_min && v < *slot) || (!is_min && v > *slot) {
+                                *slot = v;
+                            }
+                        }
+                        acc.iter().map(|&v| nan.f32(v)).collect()
+                    }
+                    AggFunc::Variance | AggFunc::Stddev => {
+                        let (mut sum, mut sumsq) = (vec![0.0f64; groups], vec![0.0f64; groups]);
+                        let vals = vals();
+                        for (row, &g) in ids.data().iter().enumerate() {
+                            let v = vals.at(row) as f64;
+                            sum[g as usize] += v;
+                            sumsq[g as usize] += v * v;
+                        }
+                        sum.iter().chain(&sumsq).map(|&v| nan.f64(v)).collect()
+                    }
+                    AggFunc::CountDistinct => unreachable!("not a morsel-parallel aggregate"),
+                }
+            })
+            .collect()
+    }
+
+    /// The same layout out of a fused partial.
+    fn partial_bits(prog: &AggProgram<'_>, p: &PartialAgg, nan: Nan) -> Vec<StateBits> {
+        prog.outs
+            .iter()
+            .map(|out| match out.map(|acc| &p.accs[acc]) {
+                None => p.counts.iter().map(|&c| c as u64).collect(),
+                Some(AccColumn::Count(c)) => c.iter().map(|&c| c as u64).collect(),
+                Some(AccColumn::Sum(v) | AccColumn::Min(v) | AccColumn::Max(v)) => {
+                    v.iter().map(|&v| nan.f32(v)).collect()
+                }
+                Some(AccColumn::Moments { sum, sumsq }) => {
+                    sum.iter().chain(sumsq).map(|&v| nan.f64(v)).collect()
+                }
+            })
+            .collect()
+    }
+
+    /// Fused partials are bit-for-bit the parent's, on the floats where
+    /// order and representation show: NaN, ±inf, −0.0, denormals, and
+    /// magnitudes nine decades apart — over the dense batch, under a
+    /// mask (against the reference over the *gathered* survivors), and
+    /// over survivors read by index. Zero-key programs over plain
+    /// columns ride the same fold: they are in the corpus too, down to
+    /// a morsel no row of which survives and one whose only survivors
+    /// are NaN (MIN/MAX stay ±inf, the sums go NaN). Whatever the
+    /// statement, the masked fold and the fold over survivors read by
+    /// index — the two arms `selected_partials` picks between — agree
+    /// to the bit, NaN sign and payload included.
+    #[test]
+    fn fused_partials_are_bitwise_the_segment_sum_reference() {
+        let n = 257usize;
+        let special = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE / 8.0,
+            f32::MAX,
+            -f32::MAX,
+        ];
+        let x: Vec<f32> = (0..n)
+            .map(|i| match i % 11 {
+                0 => special[(i / 11) % special.len()],
+                _ => ((i * 7919) % 1000) as f32 * 10f32.powi(i as i32 % 9 - 4) - 3.0,
+            })
+            .collect();
+        // A tamer column: finite, so its sums are not all NaN.
+        let y: Vec<f32> = (0..n)
+            .map(|i| ((i * 104_729) % 977) as f32 * 10f32.powi(i as i32 % 7 - 3))
+            .collect();
+        let flags: Vec<String> = (0..n).map(|i| format!("f{}", (i * i) % 3)).collect();
+        let catalog = Catalog::new();
+        catalog.register(
+            TableBuilder::new()
+                .col_f32("x", x)
+                .col_f32("y", y)
+                .col_i64(
+                    "k",
+                    (0..n).map(|i| (i % 5) as i64 * 1_000_000_007 - 9).collect(),
+                )
+                .col_str("flag", &flags)
+                .col_i64("q", (0..n).map(|i| (i % 50) as i64).collect())
+                .build("t"),
+        );
+        let udfs = UdfRegistry::new();
+        let ctx = ExecContext::new(&catalog, &udfs);
+        let batch = exact::scan_table("t", None, &ctx).unwrap();
+
+        for (sql, nan) in [
+            // Q1 shape: dict key, one computed and one repeated argument.
+            (
+                "SELECT flag, SUM(q), SUM(y), SUM(y * (1 - x)), AVG(x), COUNT(*) \
+                 FROM t GROUP BY flag",
+                Nan::Exact,
+            ),
+            // Two keys (wide-span i64 forces the hash arm, dict rides along).
+            (
+                "SELECT k, flag, SUM(x), MIN(x), MAX(x), VARIANCE(y), STDDEV(y), AVG(y) \
+                 FROM t GROUP BY k, flag",
+                Nan::Exact,
+            ),
+            // Ungrouped, computed.
+            ("SELECT SUM(x * 2), MAX(y - x), COUNT(*) FROM t", Nan::Exact),
+            // Ungrouped over plain columns: every accumulator kind, and
+            // the one f64 sum fed NaNs of both signs.
+            (
+                "SELECT COUNT(*), COUNT(x > 0), COUNT(q), SUM(x), AVG(y), MIN(x), MAX(x), \
+                 MIN(y), VARIANCE(x), STDDEV(y), SUM(q) FROM t",
+                Nan::Any,
+            ),
+        ] {
+            let plan = optimizer::optimize(
+                build_plan(&parse(sql).unwrap(), &PlannerContext::default()).unwrap(),
+            );
+            let phys = lower(&plan, &catalog, &udfs).unwrap();
+            let PhysicalPlan::Aggregate {
+                keys, aggregates, ..
+            } = &phys
+            else {
+                panic!("expected an aggregate root for {sql}");
+            };
+            let prog = AggProgram::compile(keys, aggregates).unwrap();
+
+            let dense = partial_aggregate(&prog, &batch, None, &ctx).unwrap();
+            assert_eq!(
+                partial_bits(&prog, &dense, nan),
+                reference_partial(&batch, keys, aggregates, &ctx, nan),
+                "dense: {sql}"
+            );
+
+            let x = batch.column("x").unwrap().to_exact().decode_f32();
+            let nan_rows: Vec<bool> = x.data().iter().map(|v| v.is_nan()).collect();
+            let every = |m: usize| (0..n).map(|i| i % m != 0).collect::<Vec<bool>>();
+            let masks = [
+                ("none", vec![false; n]),
+                ("row 0", (0..n).map(|i| i == 0).collect()),
+                ("nan only", nan_rows),
+                ("1/2", every(2)),
+                ("2/3", every(3)),
+                ("99%", every(100)),
+            ];
+            for (name, keep) in &masks {
+                let gathered = exact::filter_batch(&batch, &Tensor::from_vec(keep.clone(), &[n]));
+                let want = reference_partial(&gathered, keys, aggregates, &ctx, nan);
+                let masked = partial_aggregate(&prog, &batch, Some(keep), &ctx).unwrap();
+                assert_eq!(
+                    partial_bits(&prog, &masked, nan),
+                    want,
+                    "mask/{name}: {sql}"
+                );
+                let ids: Vec<i64> = (0..n as i64).filter(|&i| keep[i as usize]).collect();
+                let picked =
+                    exact::select_batch(&batch, &Tensor::from_vec(ids.clone(), &[ids.len()]));
+                let sparse = partial_aggregate(&prog, &picked, None, &ctx).unwrap();
+                assert_eq!(partial_bits(&prog, &sparse, nan), want, "idx/{name}: {sql}");
+                assert_eq!(
+                    partial_bits(&prog, &masked, Nan::Exact),
+                    partial_bits(&prog, &sparse, Nan::Exact),
+                    "mask vs idx/{name}: {sql}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn program_shares_arguments_and_accumulators() {
+        let c = setup(10);
+        let udfs = UdfRegistry::new();
+        let plan = optimizer::optimize(
+            build_plan(
+                &parse(
+                    "SELECT tag, SUM(v), AVG(v), VARIANCE(v), STDDEV(v), SUM(v * k), COUNT(*), \
+                     COUNT(k) FROM t GROUP BY tag",
+                )
+                .unwrap(),
+                &PlannerContext::default(),
+            )
+            .unwrap(),
+        );
+        let phys = lower(&plan, &c, &udfs).unwrap();
+        let PhysicalPlan::Aggregate {
+            keys, aggregates, ..
+        } = &phys
+        else {
+            panic!("aggregate root");
+        };
+        let prog = AggProgram::compile(keys, aggregates).unwrap();
+        // v, v * k, k — and SUM/AVG share a sum, VARIANCE/STDDEV the moments.
+        assert_eq!(prog.args.len(), 3);
+        assert_eq!(prog.accs.len(), 4);
+        assert_eq!(prog.outs[0], prog.outs[1]);
+        assert_eq!(prog.outs[2], prog.outs[3]);
+        assert_eq!(prog.outs[5], None, "COUNT(*) reads the group size");
+    }
+}

@@ -1,0 +1,577 @@
+//! Fused filter→project chains: the parallel-safety analysis that
+//! decides whether a chain may leave the session thread, the per-run
+//! resolution of a chain ([`ChainRun`]: morsel count, pinning reason,
+//! chain-kernel verdict — computed once at the execution boundary and
+//! shared by every path that runs or describes the chain), the streaming
+//! run with its optional LIMIT sink ([`run_ops`]), and the chain→barrier
+//! hand-off ([`chain_barrier_input`]: selection exit or gathered).
+
+use super::sched::{
+    claim_eval, decode_packed, from_cols, morsel_range, num_morsels, slice_cols, to_cols,
+    to_partition_cols, MorselCols, StopAfter,
+};
+use crate::batch::{Batch, ColumnData};
+use crate::error::ExecError;
+use crate::exact;
+use crate::expr::eval_expr;
+use crate::kernel::{self, ChainInstance, Refusal, SelVec};
+use crate::memory;
+use crate::params::ParamValue;
+use crate::physical::{CompiledExpr, PhysAggregate, PhysKey};
+use crate::pipeline::MorselOp;
+use crate::udf::ExecContext;
+
+// ----------------------------------------------------------------------
+// Parallel-safety analysis
+// ----------------------------------------------------------------------
+
+/// Why an expression must stay on the session thread — the first reason
+/// in pre-order; `None` = parallel-safe. Session UDFs without a
+/// `parallel_safe` declaration (and built-ins currently shadowed by
+/// one) may hold non-`Send` parameters; scalar subqueries execute
+/// nested plans against the session; tensor bindings are row-aligned
+/// with the *whole* input, not a morsel of it. UDFs registered through
+/// [`crate::udf::UdfRegistry::register_scalar_parallel`] with a
+/// `parallel_safe` spec cross threads freely.
+pub(super) fn expr_fallback(e: &CompiledExpr, ctx: &ExecContext) -> Option<String> {
+    e.find_map(&mut |node| node_fallback(node, ctx))
+}
+
+fn node_fallback(node: &CompiledExpr, ctx: &ExecContext) -> Option<String> {
+    match node {
+        CompiledExpr::Udf { name, .. } if !ctx.udfs.is_parallel_safe_scalar(name) => {
+            Some(format!("udf-not-parallel-safe({name})"))
+        }
+        // A session UDF registered after lowering shadows the built-in
+        // at evaluation time; the shadow decides.
+        CompiledExpr::Builtin { name, .. }
+            if ctx.udfs.is_scalar(name) && !ctx.udfs.is_parallel_safe_scalar(name) =>
+        {
+            Some(format!("udf-not-parallel-safe({name})"))
+        }
+        CompiledExpr::ScalarSubquery(_) => Some("scalar-subquery".into()),
+        CompiledExpr::Param { idx } => matches!(ctx.params.get(*idx), Some(ParamValue::Tensor(_)))
+            .then(|| format!("tensor-param(${})", idx + 1)),
+        _ => None,
+    }
+}
+
+/// First reason the aggregate sink cannot fold morsels in parallel.
+fn aggregate_fallback(
+    keys: &[PhysKey],
+    aggregates: &[PhysAggregate],
+    ctx: &ExecContext,
+) -> Option<String> {
+    keys.iter()
+        .find_map(|k| expr_fallback(&k.expr, ctx))
+        .or_else(|| {
+            aggregates.iter().find_map(|a| {
+                // COUNT(DISTINCT …) needs a cross-morsel value set; it
+                // stays on the sequential path.
+                if a.func == tdp_sql::ast::AggFunc::CountDistinct {
+                    return Some("count-distinct".into());
+                }
+                a.arg.as_ref().and_then(|e| expr_fallback(e, ctx))
+            })
+        })
+}
+
+/// First reason a fused chain (and optional aggregate sink) cannot leave
+/// the session thread — the single source of truth for the sequential
+/// fallback, reported by EXPLAIN and profiled runs so fallbacks are
+/// observable instead of silent. `None` = the chain is parallel-safe.
+pub(crate) fn chain_fallback_reason(
+    ops: &[MorselOp<'_>],
+    sink: Option<(&[PhysKey], &[PhysAggregate])>,
+    ctx: &ExecContext,
+) -> Option<String> {
+    ops.iter()
+        .find_map(|op| op.find_map(&mut |node| node_fallback(node, ctx)))
+        .or_else(|| sink.and_then(|(keys, aggs)| aggregate_fallback(keys, aggs, ctx)))
+}
+
+// ----------------------------------------------------------------------
+// One chain, resolved once per execution
+// ----------------------------------------------------------------------
+
+/// A fused chain (and optional aggregate sink) resolved against one
+/// materialised input and one context — built once per chain per
+/// execution by the plan walker, then shared by whichever of
+/// [`run_ops`], [`chain_barrier_input`] and
+/// [`super::run_aggregate`] runs it and by the recorder that describes
+/// it, so none of them re-derives a verdict. Unlike
+/// [`chain_fallback_reason`] this sees the input, so it also covers
+/// differentiable batches flowing out of trainable TVFs.
+pub(crate) struct ChainRun<'a> {
+    pub(super) ops: &'a [MorselOp<'a>],
+    /// Morsels the input splits into; 1 when the chain is pinned.
+    pub(crate) morsels: usize,
+    /// Why the chain stays whole-batch on the session thread (`None` =
+    /// morsel-parallel).
+    pub(crate) seq_reason: Option<String>,
+    /// The chain-kernel verdict: the bound kernel, or why the interpreter
+    /// runs the chain — what pins it, `no-chain` when there is nothing
+    /// to run, else the kernel's own vet- or bind-time refusal.
+    kernel: Result<ChainInstance<'a>, Refusal>,
+}
+
+impl<'a> ChainRun<'a> {
+    pub(crate) fn resolve(
+        input: &Batch,
+        ops: &'a [MorselOp<'a>],
+        sink: Option<(&[PhysKey], &[PhysAggregate])>,
+        ctx: &'a ExecContext,
+    ) -> ChainRun<'a> {
+        let seq_reason = if input.has_diff() {
+            Some("differentiable-input".into())
+        } else {
+            chain_fallback_reason(ops, sink, ctx)
+        };
+        let morsels = match seq_reason {
+            Some(_) => 1,
+            None => num_morsels(input.rows(), ctx.morsel_rows),
+        };
+        // Chains pinned to the session thread keep the plain
+        // interpreter; otherwise bind the chain kernel, once.
+        let kernel = match &seq_reason {
+            Some(reason) if input.has_diff() => Err(Refusal::Run(reason.clone())),
+            Some(reason) => Err(Refusal::Plan(reason.clone())),
+            None if ops.is_empty() => Err(Refusal::Plan("no-chain".into())),
+            None => kernel::bind(ops, ctx),
+        };
+        ChainRun {
+            ops,
+            morsels,
+            seq_reason,
+            kernel,
+        }
+    }
+
+    /// The bound chain kernel, when the chain runs compiled.
+    pub(super) fn kern(&self) -> Option<&ChainInstance<'a>> {
+        self.kernel.as_ref().ok()
+    }
+
+    /// Chain-kernel verdict for the chain's trace: `"compiled"` when it
+    /// runs on the kernel, otherwise `"interpreted: <reason>"`; `None`
+    /// for an empty chain. Sequential-path chains report their pinning
+    /// reason as the interpretation reason —
+    /// `interpreted: udf-not-parallel-safe(f)`.
+    pub(crate) fn strategy_note(&self) -> Option<String> {
+        if self.ops.is_empty() {
+            return None;
+        }
+        Some(match &self.kernel {
+            Ok(_) => "compiled".into(),
+            Err(refusal) => format!("interpreted: {}", refusal.reason()),
+        })
+    }
+
+    /// The kernel a barrier's selection exit runs, or the named reason
+    /// the barrier consumes a gathered batch instead: EXPLAIN's verdict
+    /// first, in EXPLAIN's order ([`kernel::selection_decline`]), then
+    /// what only a run sees: the input's size, its bindings, its
+    /// differentiable columns.
+    pub(crate) fn selection_kernel(
+        &self,
+        input: &Batch,
+        ctx: &ExecContext,
+    ) -> Result<&ChainInstance<'a>, String> {
+        kernel::selection_decline(self.ops, ctx, || match &self.kernel {
+            Err(Refusal::Plan(reason)) => Some(reason.clone()),
+            _ => None,
+        })?;
+        if num_morsels(input.rows(), ctx.morsel_rows) <= 1 {
+            return Err("single-morsel".into());
+        }
+        match &self.kernel {
+            Ok(kern) => Ok(kern),
+            // The kernel bails on differentiable columns; a binding with
+            // no scalar form leaves no kernel to run.
+            Err(_) if input.has_diff() => Err("kernel-bailout".into()),
+            Err(_) => Err("kernel-compile".into()),
+        }
+    }
+
+    /// Apply the chain to one (morsel) batch: the kernel runs it when it
+    /// can; any bail-out re-runs the interpreter, which reproduces the
+    /// identical result (or the identical error).
+    pub(super) fn apply(&self, batch: Batch, ctx: &ExecContext) -> Result<Batch, ExecError> {
+        if let Some(out) = self.kern().and_then(|k| k.run(&batch, ctx)) {
+            return Ok(out);
+        }
+        apply_ops(batch, self.ops, ctx)
+    }
+}
+
+/// Apply a fused operator chain to one (morsel) batch, interpreted.
+pub(super) fn apply_ops(
+    mut batch: Batch,
+    ops: &[MorselOp<'_>],
+    ctx: &ExecContext,
+) -> Result<Batch, ExecError> {
+    for op in ops {
+        batch = match op {
+            MorselOp::Filter(pred) => {
+                let mask = eval_expr(pred, &batch, ctx)?.into_mask(batch.rows())?;
+                exact::filter_batch(&batch, &mask)
+            }
+            MorselOp::Project(items) => exact::project_batch(&batch, items, ctx)?,
+        };
+    }
+    Ok(batch)
+}
+
+// ----------------------------------------------------------------------
+// Streaming run (collect / LIMIT sinks)
+// ----------------------------------------------------------------------
+
+/// Run a fused chain over a materialised input, morsel-parallel where
+/// safe, with an optional LIMIT sink (early exit + truncation) and an
+/// optional zone-map skip mask (`skip[i]` = morsel `i` provably produces
+/// no rows under the chain's leading filter, so it runs over an empty
+/// slice). Pruning never changes results — only which rows the chain
+/// kernels actually touch.
+pub(crate) fn run_ops(
+    input: &Batch,
+    chain: &ChainRun<'_>,
+    limit: Option<usize>,
+    skip: Option<&[bool]>,
+    ctx: &ExecContext,
+) -> Result<Batch, ExecError> {
+    let rows = input.rows();
+    let morsels = chain.morsels;
+    // Single-morsel inputs, unsafe chains and differentiable inputs take
+    // the whole-batch path — identical at every thread count. A skip mask
+    // covering exactly this one morsel still applies: pruning depends on
+    // zone maps and the predicate, not on how the chain is scheduled.
+    if morsels <= 1 {
+        let out = chain.apply(single_morsel_input(input, skip, ctx), ctx)?;
+        return Ok(match limit {
+            Some(n) => out.head(n),
+            None => out,
+        });
+    }
+
+    let cols = to_partition_cols(input);
+    // Charged until reassembly returns: the decoded partition columns
+    // plus (inside the claim loop) every morsel's materialised output.
+    let charges = memory::ScopedCharges::new(&ctx.memory);
+    charges.add("morsel materialization", memory::cols_bytes(&cols))?;
+    let skip = skip.filter(|s| s.len() == morsels);
+    // Entries past a LIMIT stop bound stay `None`.
+    let stop = limit.map(|rows| StopAfter {
+        rows,
+        rows_of: |c: &MorselCols| c.first().map_or(0, |(_, t)| t.rows()),
+    });
+    let morsel_rows = ctx.morsel_rows;
+    let results = claim_eval(morsels, ctx, stop, |i, wctx| {
+        let (start, end) = morsel_range(i, morsel_rows, rows);
+        // A zone-map-pruned morsel provably yields no rows: run the
+        // chain over an empty slice so the output schema, encodings
+        // and reassembly stay identical to the unpruned run.
+        let end = if skip.is_some_and(|s| s[i]) {
+            start
+        } else {
+            end
+        };
+        let out = to_cols(&chain.apply(slice_cols(&cols, start, end), wctx)?);
+        charges.add("morsel output", memory::cols_bytes(&out))?;
+        Ok(out)
+    })?;
+    if let Some(s) = skip {
+        // Counted over the morsels actually claimed — a LIMIT stop bound
+        // leaves the tail neither pruned nor scanned.
+        let claimed = || s.iter().zip(&results).filter(|(_, r)| r.is_some());
+        let pruned = claimed().filter(|(&p, _)| p).count();
+        ctx.access
+            .note_morsels(pruned as u64, (claimed().count() - pruned) as u64);
+    }
+
+    // Order-preserving reassembly; with a LIMIT sink, take the shortest
+    // morsel prefix that covers `n` rows and truncate.
+    let mut parts: Vec<Batch> = Vec::new();
+    let mut have = 0usize;
+    for r in results {
+        let part = from_cols(r.expect("prefix morsels are always processed"));
+        have += part.rows();
+        parts.push(part);
+        if limit.is_some_and(|n| have >= n) {
+            break;
+        }
+    }
+    let out = Batch::concat(&parts);
+    Ok(match limit {
+        Some(n) => out.head(n),
+        None => out,
+    })
+}
+
+/// Whole-batch input for the single-morsel path, with zone-map pruning
+/// applied when the skip mask describes exactly this input (one entry at
+/// the session's morsel size). A pruned batch becomes the 0-row head —
+/// the chain still runs, so schema and encodings match the unpruned run.
+pub(super) fn single_morsel_input(
+    input: &Batch,
+    skip: Option<&[bool]>,
+    ctx: &ExecContext,
+) -> Batch {
+    let one = num_morsels(input.rows(), ctx.morsel_rows) == 1;
+    let Some(skip) = skip.filter(|s| s.len() == 1 && one) else {
+        return input.clone();
+    };
+    ctx.access.note_morsels(skip[0] as u64, !skip[0] as u64);
+    if skip[0] {
+        input.head(0)
+    } else {
+        input.clone()
+    }
+}
+
+// ----------------------------------------------------------------------
+// Selection-fed barrier inputs (late materialization)
+// ----------------------------------------------------------------------
+
+/// Survivor-fraction bound for demoting a selection mask to an index
+/// list at a chain→barrier hand-off: demote only when at most rows/4
+/// survive. The kernel's internal rows/2 bound is tuned for
+/// intersecting *further conjuncts*; barrier consumers instead replace
+/// branchless full-width passes (masked folds, sequential filters) with
+/// per-survivor indexed reads, which only pays off when survivors are
+/// genuinely sparse.
+const HANDOFF_IDX_DIVISOR: usize = 4;
+
+/// A chain's selection exit, as every barrier consumes it: the chain
+/// ran over the whole input under the zone-map seed selection, and a
+/// selective result was demoted to a survivor index list once, here at
+/// the hand-off, so consumers (id mapping, key gathers, probe loops,
+/// folds) walk survivors instead of full width. `None` = the kernel
+/// bailed at run time.
+pub(super) fn selection_exit(
+    input: &Batch,
+    kern: &ChainInstance<'_>,
+    skip: Option<&[bool]>,
+    ctx: &ExecContext,
+) -> Option<kernel::SelOutput> {
+    let rows = input.rows();
+    let mut out = kern.run_selection(input, skip_init(skip, rows, ctx.morsel_rows), ctx)?;
+    if matches!(out.sel, SelVec::Mask(..)) && out.sel.len() * HANDOFF_IDX_DIVISOR <= rows {
+        out.sel = SelVec::Idx(out.sel.into_idx());
+    }
+    Some(out)
+}
+
+/// Account a selection exit's zone-map outcome: the chain never touched
+/// the pruned morsels' rows.
+pub(super) fn note_skipped(skip: Option<&[bool]>, ctx: &ExecContext) {
+    if let Some(s) = skip {
+        let pruned = s.iter().filter(|&&b| b).count();
+        ctx.access
+            .note_morsels(pruned as u64, (s.len() - pruned) as u64);
+    }
+}
+
+/// Seed selection for zone-map pruning: pruned morsel row ranges start
+/// deselected, so the chain never resurrects provably-empty rows.
+fn skip_init(skip: Option<&[bool]>, rows: usize, morsel_rows: usize) -> Option<SelVec> {
+    let skip = skip?;
+    if !skip.iter().any(|&s| s) {
+        return None;
+    }
+    let mut mask = vec![true; rows];
+    for (i, _) in skip.iter().enumerate().filter(|(_, &s)| s) {
+        let (start, end) = morsel_range(i, morsel_rows, rows);
+        mask[start..end].fill(false);
+    }
+    Some(SelVec::from_mask(mask))
+}
+
+/// A chain's selection-exit hand-off: the (remapped, still full-width)
+/// output columns plus the surviving-row selection, consumed by the
+/// barrier `run_*` entry points through [`BarrierInput::Selected`]. The
+/// single payload gather the gathered path performs per morsel is
+/// deferred to the barrier's own assembly step, so memory charges scale
+/// with survivors, not morsel width.
+pub(crate) struct SelScan {
+    /// Chain output columns at full input width, integer-compressed
+    /// layouts decoded exactly as [`to_partition_cols`] does, so a late
+    /// gather yields the same bytes the staged gathered path produces.
+    pub(super) batch: Batch,
+    pub(super) sel: SelVec,
+    /// Full (pre-selection) input width.
+    pub(super) rows: usize,
+    /// Human-readable density note (`3% dense→sparse`) for profiles.
+    density: String,
+    /// Holds the selection-vector bytes on the query's ledger for the
+    /// scan's lifetime.
+    _charge: memory::ChargeGuard,
+}
+
+impl SelScan {
+    /// Surviving row count — the logical row count every scheduling
+    /// decision uses, identical to the gathered batch's `rows()`.
+    pub(super) fn survivors(&self) -> usize {
+        self.sel.len()
+    }
+
+    /// Global surviving row ids, ascending.
+    pub(super) fn ids(&self) -> Vec<i64> {
+        match &self.sel {
+            SelVec::Idx(s) => s.iter().map(|&i| i as i64).collect(),
+            SelVec::Mask(m, n) => {
+                let mut out = Vec::with_capacity(*n);
+                for (i, &keep) in m.iter().enumerate() {
+                    if keep {
+                        out.push(i as i64);
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    /// The boolean mask that compacts a column to survivor width.
+    pub(super) fn gather_mask(&self) -> tdp_tensor::BoolTensor {
+        self.sel.gather_mask(self.rows)
+    }
+
+    /// The one deferred gather: compact every column to survivors. Used
+    /// when a barrier shape (or scheduling decision) needs dense rows
+    /// after all; byte-identical to the gathered path's output.
+    fn materialize(&self) -> Batch {
+        let mask = self.gather_mask();
+        let mut out = Batch::new();
+        for (name, col) in self.batch.columns() {
+            out.push(
+                name.clone(),
+                ColumnData::Exact(col.to_exact().filter_rows(&mask)),
+            );
+        }
+        out
+    }
+}
+
+/// One barrier input: either a densely materialized batch (with the
+/// named reason selection was declined, when a chain was a candidate)
+/// or a live selection over full-width chain output.
+pub(crate) enum BarrierInput {
+    Gathered(Batch, Option<String>),
+    Selected(SelScan),
+}
+
+impl BarrierInput {
+    /// Logical (post-filter) row count.
+    pub(crate) fn rows_out(&self) -> usize {
+        match self {
+            BarrierInput::Gathered(b, _) => b.rows(),
+            BarrierInput::Selected(s) => s.survivors(),
+        }
+    }
+
+    pub(super) fn has_diff(&self) -> bool {
+        match self {
+            BarrierInput::Gathered(b, _) => b.has_diff(),
+            // Selection-exit chains bail on differentiable inputs.
+            BarrierInput::Selected(_) => false,
+        }
+    }
+
+    pub(super) fn columns_len(&self) -> usize {
+        match self {
+            BarrierInput::Gathered(b, _) => b.columns().len(),
+            BarrierInput::Selected(s) => s.batch.columns().len(),
+        }
+    }
+
+    pub(super) fn into_gathered(self) -> Batch {
+        match self {
+            BarrierInput::Gathered(b, _) => b,
+            BarrierInput::Selected(s) => s.materialize(),
+        }
+    }
+
+    /// The profile note for this input: `selection-fed (3% dense→sparse)`
+    /// or `gathered: <reason>`; `None` when no chain was in play.
+    pub(crate) fn note(&self) -> Option<String> {
+        match self {
+            BarrierInput::Selected(s) => Some(format!("selection-fed ({})", s.density)),
+            BarrierInput::Gathered(_, Some(reason)) => Some(format!("gathered: {reason}")),
+            BarrierInput::Gathered(_, None) => None,
+        }
+    }
+
+    /// Selection density note (`3% dense→sparse`) when selection-fed.
+    pub(crate) fn density(&self) -> Option<&str> {
+        match self {
+            BarrierInput::Selected(s) => Some(&s.density),
+            BarrierInput::Gathered(..) => None,
+        }
+    }
+}
+
+/// Build a barrier's input from its upstream chain: selection exit when
+/// the chain supports it, otherwise the ordinary gathered morsel run
+/// with the named decline reason attached. The one place the
+/// selection-fed / gathered barrier counters tick, so plain and
+/// profiled executions account identically.
+pub(crate) fn chain_barrier_input(
+    input: &Batch,
+    chain: &ChainRun<'_>,
+    skip: Option<&[bool]>,
+    ctx: &ExecContext,
+) -> Result<BarrierInput, ExecError> {
+    Ok(match selection_scan(input, chain, skip, ctx)? {
+        Ok(scan) => {
+            ctx.access.note_barrier_selection_fed();
+            BarrierInput::Selected(scan)
+        }
+        Err(reason) => {
+            ctx.access.note_barrier_gathered();
+            let batch = run_ops(input, chain, None, skip, ctx)?;
+            BarrierInput::Gathered(batch, Some(reason))
+        }
+    })
+}
+
+/// Run a barrier's upstream chain in selection exit mode. `Err` carries
+/// the named decline reason (verdict, capability, sizing, bail-out); the
+/// caller then takes the gathered path, which does its own zone-map
+/// accounting — morsel counters are only recorded here on success.
+fn selection_scan(
+    input: &Batch,
+    chain: &ChainRun<'_>,
+    skip: Option<&[bool]>,
+    ctx: &ExecContext,
+) -> Result<Result<SelScan, String>, ExecError> {
+    let kern = match chain.selection_kernel(input, ctx) {
+        Ok(kern) => kern,
+        Err(reason) => return Ok(Err(reason)),
+    };
+    let skip = skip.filter(|s| s.len() == chain.morsels);
+    let Some(out) = selection_exit(input, kern, skip, ctx) else {
+        return Ok(Err("kernel-bailout".into()));
+    };
+    note_skipped(skip, ctx);
+    let (rows, survivors) = (input.rows(), out.sel.len());
+    let charge = memory::charge(&ctx.memory, "selection vector", (survivors as u64 + 1) * 8)?;
+    let pct = if rows == 0 {
+        0
+    } else {
+        (survivors * 100).div_ceil(rows)
+    };
+    let density = match &out.sel {
+        SelVec::Mask(..) => format!("{pct}% dense"),
+        SelVec::Idx(_) => format!("{pct}% dense→sparse"),
+    };
+    let mut batch = Batch::new();
+    for (name, col) in out.cols {
+        batch.push(name, ColumnData::Exact(decode_packed(col)));
+    }
+    Ok(Ok(SelScan {
+        batch,
+        sel: out.sel,
+        rows,
+        density,
+        _charge: charge,
+    }))
+}

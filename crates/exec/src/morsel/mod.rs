@@ -1,0 +1,292 @@
+//! The morsel scheduler and everything staged on it: a batch is
+//! partitioned into fixed-size row ranges and operator stages run over
+//! them across a worker pool.
+//!
+//! | module        | owns |
+//! |---------------|------|
+//! | `sched`       | worker contexts, the one thread-spawn site, the one claim loop (ordered result slots, first error in index order, the LIMIT stop bound), the partition `exchange`, morsel slicing |
+//! | `chain`       | parallel-safety analysis, the per-execution `ChainRun`, the streaming chain run with its LIMIT sink, the chain→barrier hand-off (`BarrierInput`: selection exit or gathered) |
+//! | `aggregate`   | `AggProgram`, the one per-morsel fold, the selection-fed and gathered partial loops, the combine |
+//! | `join`        | partitioned hash join: exchange → per-partition build → parallel probe |
+//! | `sort`        | merge sort and top-k: per-morsel runs → k-way merge |
+//! | `distinct`    | shared-nothing DISTINCT: exchange → per-partition dedup |
+//!
+//! The barrier modules share nothing but the scheduler API and the
+//! `BarrierInput` they are handed.
+//!
+//! Determinism is the contract: morsel boundaries depend only on
+//! [`crate::ExecContext::morsel_rows`], partition assignment only on the
+//! key hash and the partition count (`TDP_PARTITIONS` — deliberately
+//! *not* the thread count), and every combine walks morsels/partitions
+//! in index order — so every thread count (including 1) produces
+//! bitwise-identical batches, byte-equal to the sequential kernels in
+//! [`crate::exact`], which remain the fallback and the test oracle.
+//! Parallelism only changes *who* processes each morsel.
+//!
+//! # Chain exit modes: gathered vs selection-fed barriers
+//!
+//! A chain running on the kernel and feeding a barrier has two ways to
+//! hand over its result (`BarrierInput`):
+//!
+//! * **Gathered** — the classic exit: the chain materialises survivors
+//!   into a dense [`Batch`](crate::Batch) (one gather per column) and
+//!   the barrier consumes it like any other input. Always available;
+//!   the only exit for non-chain children.
+//! * **Selected** — late materialisation: the chain returns its input
+//!   columns *plus* a `kernel::SelVec` (dense mask or sparse index
+//!   list, whichever is smaller for the survivor density), and the
+//!   barrier operates on survivor row ids directly. The single gather
+//!   is deferred to final assembly — join output positions, sorted
+//!   order, DISTINCT representatives — so dropped rows are never
+//!   copied, and memory charges scale with survivors instead of input
+//!   width.
+//!
+//! | barrier    | selection-fed behaviour |
+//! |------------|-------------------------|
+//! | aggregate  | one partial per input morsel from the fused fold over the *referenced* columns only — the morsel's row range under its mask slice (dense) or its survivors read by index (sparse); grouped or not, nothing is gathered at table width |
+//! | join       | builds/probes survivor rows only; exchange buckets survivor ids; `join_assemble` gathers once on matched output positions |
+//! | sort/top-k | evaluates keys on survivors; payload gather happens once, in final sorted order |
+//! | DISTINCT   | exchanges survivor grouping codes; representatives gather at the end |
+//!
+//! Byte-identity is preserved in every mode: reorder/gather barriers
+//! (join, sort, top-k, DISTINCT) move bytes without arithmetic, and
+//! selection-fed aggregation chunks its partials by *input* morsel
+//! boundaries, replicating the gathered path's float-accumulation order
+//! exactly.
+//!
+//! # Fallback taxonomy
+//!
+//! Every decline is named, and lands in EXPLAIN (statically) and in
+//! profiled runs (each stage reports the decision it took to the
+//! recorder, when one is attached). Chain-kernel refusals — why a chain
+//! is *interpreted* — are listed in [`crate::kernel`].
+//!
+//! * **Selection-exit declines** (the chain gathers instead): the
+//!   session switch (`chain-kernels-disabled`), whatever pins the chain
+//!   or keeps it off the kernel (the reasons below and
+//!   [`crate::kernel`]'s), `computed-projection` (a projection rewrites
+//!   columns, so survivors alone cannot represent the output),
+//!   `single-morsel` (nothing to parallelise), `kernel-compile` (this
+//!   execution's `$n` bindings left no kernel to run — the chain's own
+//!   note names the slot), `kernel-bailout` (the kernel bailed at run
+//!   time — the per-morsel interpreter re-run remains the fallback);
+//!   for the aggregate sink also `udf-argument`,
+//!   `scalar-subquery` and `unresolved-column` (argument expressions
+//!   that must not see filtered-out rows).
+//! * **Parallelism declines** (the stage runs whole-batch on the
+//!   session thread, through the [`crate::exact`] kernels — still inside
+//!   the one plan walker, there is no separate sequential executor):
+//!   session UDFs holding `Rc`-based autodiff parameters
+//!   (`udf-not-parallel-safe(<name>)`), expressions holding a scalar
+//!   subquery (`scalar-subquery`: workers carry no catalog to run the
+//!   nested plan against — the nested plan itself re-enters
+//!   [`crate::pipeline::execute`] with the session's context and is
+//!   scheduled like any top-level query), tensor-valued bindings
+//!   (`tensor-param($n)`: row-aligned with the whole batch, not a
+//!   morsel), `count-distinct` (distinct counts do not add across
+//!   morsels), `differentiable-input`, `threads=1`. Sort keys
+//!   containing such expressions fall back too, since key expressions
+//!   are evaluated per morsel on workers.
+//!
+//! Both fallbacks are equally deterministic — they are the oracle the
+//! staged paths are tested against, at every thread count.
+
+mod aggregate;
+mod chain;
+mod distinct;
+mod join;
+mod sched;
+mod sort;
+
+pub(crate) use aggregate::{merge_partials, partial_aggregate, run_aggregate, AggProgram};
+pub(crate) use chain::{
+    chain_barrier_input, chain_fallback_reason, run_ops, BarrierInput, ChainRun,
+};
+pub(crate) use distinct::run_distinct;
+pub(crate) use join::run_join;
+pub(crate) use sort::{run_sort, run_topk};
+
+use crate::physical::PhysicalPlan;
+use crate::udf::ExecContext;
+
+/// Compile-time-visible scheduling note for a barrier node: how the
+/// staged scheduler will run it (`partitioned ×16`, `merge-sort ×runs`)
+/// or why it must stay sequential. `None` for barriers the scheduler
+/// never stages (window, TVFs, UNION ALL) — those are whole-batch by
+/// nature. Input sizes are unknown before execution, so a barrier that
+/// turns out to fit one morsel still runs sequentially at run time (a
+/// profiled run reports the decision each `run_*` actually took).
+pub(crate) fn barrier_note(plan: &PhysicalPlan, ctx: &ExecContext) -> Option<String> {
+    use PhysicalPlan as P;
+    match plan {
+        P::Join { .. } | P::Distinct { .. } if ctx.threads > 1 => {
+            Some(format!("partitioned ×{}", ctx.partitions.max(1)))
+        }
+        P::Sort { keys, .. } | P::TopK { keys, .. } if ctx.threads > 1 => {
+            match keys.iter().find_map(|k| chain::expr_fallback(&k.expr, ctx)) {
+                Some(reason) => Some(format!("sequential: {reason}")),
+                None if matches!(plan, P::Sort { .. }) => Some("merge-sort".into()),
+                None => Some("parallel top-k".into()),
+            }
+        }
+        P::Join { .. } | P::Distinct { .. } | P::Sort { .. } | P::TopK { .. } => {
+            Some("sequential: threads=1".into())
+        }
+        _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::batch::Batch;
+    use crate::error::ExecError;
+    use crate::physical::lower;
+    use crate::udf::{ExecContext, UdfRegistry};
+    use tdp_encoding::EncodedTensor;
+    use tdp_sql::plan::{build_plan, PlannerContext};
+    use tdp_sql::{optimizer, parse};
+    use tdp_storage::Catalog;
+    use tdp_storage::TableBuilder;
+
+    pub(super) fn setup(n: usize) -> Catalog {
+        let catalog = Catalog::new();
+        let tags: Vec<String> = (0..n).map(|i| format!("t{}", i % 7)).collect();
+        catalog.register(
+            TableBuilder::new()
+                .col_f32("v", (0..n).map(|i| (i as f32 * 0.37).sin()).collect())
+                .col_i64("k", (0..n).map(|i| (i % 13) as i64).collect())
+                .col_str("tag", &tags)
+                .build("t"),
+        );
+        catalog
+    }
+
+    fn run_with(catalog: &Catalog, sql: &str, threads: usize, morsel_rows: usize) -> Batch {
+        let udfs = UdfRegistry::new();
+        let ctx = ExecContext::new(catalog, &udfs).with_scheduler(threads, morsel_rows);
+        let plan = optimizer::optimize(
+            build_plan(&parse(sql).unwrap(), &PlannerContext::default()).unwrap(),
+        );
+        let phys = lower(&plan, catalog, &udfs).unwrap();
+        crate::pipeline::execute(&phys, &ctx).unwrap()
+    }
+
+    fn assert_batches_equal(a: &Batch, b: &Batch, sql: &str) {
+        assert_eq!(a.rows(), b.rows(), "{sql}");
+        assert_eq!(a.names(), b.names(), "{sql}");
+        for (name, col) in a.columns() {
+            assert_eq!(
+                col.to_exact().decode_strings(),
+                b.column(name).unwrap().to_exact().decode_strings(),
+                "{sql} / {name}"
+            );
+        }
+    }
+
+    #[test]
+    fn morselized_chains_match_whole_batch_execution() {
+        let c = setup(500);
+        for sql in [
+            "SELECT v FROM t WHERE v > 0.0",
+            "SELECT v * 2 AS d, k FROM t WHERE k < 9",
+            "SELECT tag, v FROM t WHERE tag = 't3'",
+            "SELECT v FROM t WHERE v > 0.2 LIMIT 37",
+            "SELECT k, COUNT(*), SUM(v), MIN(v), MAX(v) FROM t GROUP BY k",
+            "SELECT tag, AVG(v), VARIANCE(v) FROM t WHERE v > -0.5 GROUP BY tag",
+            "SELECT COUNT(*), SUM(v) FROM t WHERE v > 0.1",
+        ] {
+            let whole = run_with(&c, sql, 1, usize::MAX >> 1);
+            for (threads, morsel) in [(1, 64), (3, 64), (2, 7), (5, 499)] {
+                let m = run_with(&c, sql, threads, morsel);
+                // Aggregated floats may differ in the last bit between the
+                // whole-batch and morselized paths, but across thread
+                // counts with a fixed morsel size they must be identical;
+                // compare against the single-thread morselized run.
+                let base = run_with(&c, sql, 1, morsel);
+                assert_batches_equal(&m, &base, sql);
+                // Row-wise pipelines are exactly equal to the whole batch.
+                if !sql.contains("SUM") && !sql.contains("AVG") && !sql.contains("VARIANCE") {
+                    assert_batches_equal(&m, &whole, sql);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_aggregates_match_sequential_values() {
+        // Integer-exact aggregates are identical under any morselization.
+        let c = setup(1000);
+        let whole = run_with(
+            &c,
+            "SELECT k, COUNT(*) FROM t GROUP BY k",
+            1,
+            usize::MAX >> 1,
+        );
+        let m = run_with(&c, "SELECT k, COUNT(*) FROM t GROUP BY k", 4, 33);
+        assert_batches_equal(&whole, &m, "count");
+        // Float sums agree to tolerance.
+        let ws = run_with(&c, "SELECT SUM(v) FROM t", 1, usize::MAX >> 1);
+        let ms = run_with(&c, "SELECT SUM(v) FROM t", 4, 100);
+        let a = ws.column("SUM(v)").unwrap().to_exact().decode_f32().at(0);
+        let b = ms.column("SUM(v)").unwrap().to_exact().decode_f32().at(0);
+        assert!((a - b).abs() < 1e-3, "{a} vs {b}");
+    }
+
+    #[test]
+    fn limit_early_exit_is_a_clean_prefix() {
+        let c = setup(200);
+        for limit in [0, 1, 6, 7, 8, 63, 64, 65, 199, 200, 500] {
+            let sql = format!("SELECT k FROM t LIMIT {limit}");
+            let out = run_with(&c, &sql, 3, 8);
+            let expect: Vec<i64> = (0..200i64.min(limit)).map(|i| i % 13).collect();
+            assert_eq!(
+                out.column("k").unwrap().to_exact().decode_i64().to_vec(),
+                expect,
+                "{sql}"
+            );
+        }
+    }
+
+    #[test]
+    fn unsafe_chains_fall_back_to_sequential() {
+        use crate::udf::{ArgValue, ScalarUdf};
+        use std::sync::Arc;
+        struct PlusOne;
+        impl ScalarUdf for PlusOne {
+            fn name(&self) -> &str {
+                "plus_one"
+            }
+            fn invoke(
+                &self,
+                args: &[ArgValue],
+                _ctx: &ExecContext,
+            ) -> Result<EncodedTensor, ExecError> {
+                Ok(EncodedTensor::F32(
+                    args[0].as_column()?.decode_f32().add_scalar(1.0),
+                ))
+            }
+        }
+        let c = setup(100);
+        let mut udfs = UdfRegistry::new();
+        udfs.register_scalar(Arc::new(PlusOne));
+        let ctx = ExecContext::new(&c, &udfs).with_scheduler(4, 10);
+        let plan = optimizer::optimize(
+            build_plan(
+                &parse("SELECT plus_one(v) AS w FROM t WHERE plus_one(v) > 1.0").unwrap(),
+                &PlannerContext::default(),
+            )
+            .unwrap(),
+        );
+        let phys = lower(&plan, &c, &udfs).unwrap();
+        let out = crate::pipeline::execute(&phys, &ctx).unwrap();
+        assert!(out.rows() > 0);
+        assert!(out
+            .column("w")
+            .unwrap()
+            .to_exact()
+            .decode_f32()
+            .to_vec()
+            .iter()
+            .all(|&w| w > 1.0));
+    }
+}

@@ -1,0 +1,343 @@
+//! The scheduler: the one place worker threads are spawned and the one
+//! loop that claims work. Everything staged — chains, partial
+//! aggregation, join build/probe, sort runs, DISTINCT dedup, the
+//! exchange — is a [`claim`]/[`claim_eval`] call over an item count.
+//!
+//! Work distribution is work-stealing-lite: workers claim the next item
+//! index from a shared atomic counter, so a slow item never stalls the
+//! queue behind it, and each output lands in its index's slot — results
+//! come back in index order no matter which worker produced what, and
+//! the first error *in index order* is the one reported. A stage with a
+//! [`StopAfter`] bound (the LIMIT sink) additionally publishes a stop
+//! index once the contiguous output prefix holds enough rows; items past
+//! it are never claimed.
+//!
+//! Threads live exactly as long as one stage (a scoped spawn per call).
+//! An engine-owned persistent pool replaces `run_stage`'s spawn block
+//! and nothing else.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+use tdp_encoding::EncodedTensor;
+use tdp_storage::Catalog;
+
+use crate::batch::{Batch, ColumnData};
+use crate::error::ExecError;
+use crate::profile::Recorder;
+use crate::udf::{ExecContext, UdfRegistry};
+
+/// Number of morsels a batch splits into.
+pub(super) fn num_morsels(rows: usize, morsel_rows: usize) -> usize {
+    rows.div_ceil(morsel_rows.max(1))
+}
+
+/// Row range `[start, end)` of morsel `i`.
+pub(super) fn morsel_range(i: usize, morsel_rows: usize, rows: usize) -> (usize, usize) {
+    let start = i * morsel_rows;
+    (start, (start + morsel_rows).min(rows))
+}
+
+/// The `Send` subset of an [`ExecContext`] a worker needs. The session
+/// context itself cannot cross threads (the UDF registry may hold
+/// `Rc`-based autodiff parameters), but parallel-safe chains reference
+/// only the binding, the device knobs, and the `Send + Sync` slice of
+/// the function registry (UDFs registered through
+/// [`UdfRegistry::register_scalar_parallel`]).
+struct WorkerCfg {
+    device: tdp_tensor::Device,
+    temperature: f32,
+    params: crate::params::ParamValues,
+    morsel_rows: usize,
+    partitions: usize,
+    /// Thread-safe scalar UDFs, rebuilt into a per-worker registry so
+    /// `CompiledExpr::Udf` resolution works identically off-thread.
+    shared_udfs: crate::udf::SharedScalars,
+    /// The query's memory ledger, shared so worker-side charges land on
+    /// the same reservation the session thread charges.
+    memory: std::sync::Arc<tdp_mem::MemoryReservation>,
+}
+
+impl WorkerCfg {
+    fn of(ctx: &ExecContext) -> WorkerCfg {
+        WorkerCfg {
+            device: ctx.device,
+            temperature: ctx.temperature,
+            params: ctx.params.clone(),
+            morsel_rows: ctx.morsel_rows,
+            partitions: ctx.partitions,
+            shared_udfs: ctx.udfs.shared_snapshot(),
+            memory: std::sync::Arc::clone(&ctx.memory),
+        }
+    }
+}
+
+/// Build a worker-side context over a thread-local registry holding the
+/// shared (parallel-safe) functions and an empty catalog.
+fn worker_ctx<'a>(catalog: &'a Catalog, udfs: &'a UdfRegistry, cfg: &WorkerCfg) -> ExecContext<'a> {
+    ExecContext {
+        catalog,
+        udfs,
+        device: cfg.device,
+        trainable: false,
+        temperature: cfg.temperature,
+        params: cfg.params.clone(),
+        threads: 1,
+        morsel_rows: cfg.morsel_rows,
+        partitions: cfg.partitions,
+        // Workers receive an already-bound kernel by reference; they
+        // never consult the session cache themselves.
+        chain_kernels: None,
+        // Pruning decisions are made by the scheduler before morsels are
+        // claimed; workers never consult zone maps or record counters.
+        zone_maps: false,
+        access: std::sync::Arc::new(crate::access::AccessPathCounters::default()),
+        // Index maintenance is a scheduler-thread decision; workers
+        // never touch the catalog's index registry.
+        ivf_rebuild_after: 0,
+        memory: std::sync::Arc::clone(&cfg.memory),
+    }
+}
+
+/// LIMIT-sink stop bound for a stage: once the contiguous prefix of
+/// completed items holds `rows` rows (as counted by `rows_of`), later
+/// items are no longer claimed and come back as `None`.
+pub(super) struct StopAfter<T> {
+    pub(super) rows: usize,
+    pub(super) rows_of: fn(&T) -> usize,
+}
+
+/// The claim loop. Runs `f(i, worker context)` for every `i < count` on
+/// up to `threads` workers (inline when one suffices) and returns the
+/// outputs in index order; `None` marks an item a `stop` bound let the
+/// stage skip. Worker contexts are built only when `eval` asks for them
+/// — stages that merely shuffle precomputed keys need no registry.
+fn run_stage<T: Send>(
+    count: usize,
+    threads: usize,
+    eval: Option<&WorkerCfg>,
+    stop: Option<StopAfter<T>>,
+    f: impl Fn(usize, Option<&ExecContext>) -> Result<T, ExecError> + Sync,
+) -> Result<Vec<Option<T>>, ExecError> {
+    struct Slots<T> {
+        /// Per-item output (`None` = not yet / never processed).
+        results: Vec<Option<Result<T, ExecError>>>,
+        /// Longest contiguous prefix of completed items and its rows.
+        prefix_idx: usize,
+        prefix_rows: usize,
+    }
+    let next = AtomicUsize::new(0);
+    // Items with index >= bound are never claimed (LIMIT early exit).
+    let bound = AtomicUsize::new(usize::MAX);
+    let slots = Mutex::new(Slots {
+        results: (0..count).map(|_| None).collect(),
+        prefix_idx: 0,
+        prefix_rows: 0,
+    });
+
+    let drain = |wctx: Option<&ExecContext>| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= count || i >= bound.load(Ordering::Acquire) {
+            break;
+        }
+        let out = f(i, wctx);
+        let mut guard = slots.lock().expect("stage state poisoned");
+        let s = &mut *guard;
+        s.results[i] = Some(out);
+        let Some(stop) = &stop else { continue };
+        // Advance the contiguous prefix; once it covers the limit,
+        // publish the bound so later items are skipped.
+        while let Some(Some(done)) = s.results.get(s.prefix_idx) {
+            let rows = done.as_ref().map_or(0, stop.rows_of);
+            s.prefix_rows += rows;
+            s.prefix_idx += 1;
+        }
+        if s.prefix_rows >= stop.rows {
+            bound.store(s.prefix_idx, Ordering::Release);
+        }
+    };
+    let worker = || match eval {
+        Some(cfg) => {
+            let catalog = Catalog::new();
+            let udfs = UdfRegistry::from_shared(cfg.shared_udfs.clone());
+            drain(Some(&worker_ctx(&catalog, &udfs, cfg)));
+        }
+        None => drain(None),
+    };
+    let workers = threads.min(count);
+    if workers <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(worker);
+            }
+        });
+    }
+
+    // First error in index order wins — deterministic reporting.
+    slots
+        .into_inner()
+        .expect("stage state poisoned")
+        .results
+        .into_iter()
+        .map(Option::transpose)
+        .collect()
+}
+
+/// Claim `0..count` on plain threads (no evaluation context): `f(i)`
+/// outputs in index order.
+pub(super) fn claim<T: Send>(
+    count: usize,
+    threads: usize,
+    f: impl Fn(usize) -> Result<T, ExecError> + Sync,
+) -> Result<Vec<T>, ExecError> {
+    let out = run_stage(count, threads, None, None, |i, _| f(i))?;
+    Ok(out
+        .into_iter()
+        .map(|t| t.expect("every index is claimed without a stop bound"))
+        .collect())
+}
+
+/// Claim `0..count` on workers that each carry their own evaluation
+/// context (the `Send` subset of `ctx`), optionally under a LIMIT stop
+/// bound: `f(i, worker context)` outputs in index order, `None` past
+/// the bound.
+pub(super) fn claim_eval<T: Send>(
+    count: usize,
+    ctx: &ExecContext,
+    stop: Option<StopAfter<T>>,
+    f: impl Fn(usize, &ExecContext) -> Result<T, ExecError> + Sync,
+) -> Result<Vec<Option<T>>, ExecError> {
+    let cfg = WorkerCfg::of(ctx);
+    run_stage(count, ctx.threads, Some(&cfg), stop, |i, wctx| {
+        f(i, wctx.expect("the stage asked for worker contexts"))
+    })
+}
+
+/// Partition-exchange primitive: distribute `rows` input rows into
+/// `partitions` buckets by key hash. Workers claim morsels and bucket
+/// their rows locally; buckets are then concatenated in morsel order, so
+/// every partition lists its rows in **ascending input order** at any
+/// thread count (the hash, morsel boundaries and partition count are all
+/// plan properties — workers only decide *who* buckets each morsel).
+pub(super) fn exchange(
+    rows: usize,
+    partitions: usize,
+    ctx: &ExecContext,
+    hash_of: &(impl Fn(usize) -> u64 + Sync),
+) -> Result<Vec<Vec<i64>>, ExecError> {
+    let morsel_rows = ctx.morsel_rows;
+    let per_morsel = claim(num_morsels(rows, morsel_rows), ctx.threads, |i| {
+        let (start, end) = morsel_range(i, morsel_rows, rows);
+        let mut buckets: Vec<Vec<i64>> = vec![Vec::new(); partitions];
+        for r in start..end {
+            buckets[(hash_of(r) % partitions as u64) as usize].push(r as i64);
+        }
+        Ok(buckets)
+    })?;
+    let mut out: Vec<Vec<i64>> = vec![Vec::new(); partitions];
+    for buckets in per_morsel {
+        for (p, b) in buckets.into_iter().enumerate() {
+            out[p].extend(b);
+        }
+    }
+    Ok(out)
+}
+
+// ----------------------------------------------------------------------
+// Morsel slicing
+// ----------------------------------------------------------------------
+
+/// Owned, `Send` view of a batch's columns (exact encodings only).
+pub(super) type MorselCols = Vec<(String, EncodedTensor)>;
+
+pub(super) fn to_cols(batch: &Batch) -> MorselCols {
+    batch
+        .columns()
+        .iter()
+        .map(|(n, c)| (n.clone(), c.to_exact()))
+        .collect()
+}
+
+/// Integer-compressed layouts (RLE / bit-packed / delta) decoded to
+/// plain i64; plain, dictionary and PE layouts as they are.
+pub(super) fn decode_packed(col: EncodedTensor) -> EncodedTensor {
+    match col {
+        e @ (EncodedTensor::Rle(_) | EncodedTensor::BitPacked(_) | EncodedTensor::Delta(_)) => {
+            EncodedTensor::I64(e.decode_i64())
+        }
+        other => other,
+    }
+}
+
+/// Owned view of a partition *source*: integer-compressed layouts are
+/// decoded once, up front ([`decode_packed`]) — their `slice_rows`
+/// otherwise decodes the whole column per morsel, turning partitioning
+/// into O(rows × morsels). The other layouts slice in a single memcpy.
+pub(super) fn to_partition_cols(batch: &Batch) -> MorselCols {
+    batch
+        .columns()
+        .iter()
+        .map(|(n, c)| (n.clone(), decode_packed(c.to_exact())))
+        .collect()
+}
+
+pub(super) fn from_cols(cols: MorselCols) -> Batch {
+    let mut out = Batch::new();
+    for (name, col) in cols {
+        out.push(name, ColumnData::Exact(col));
+    }
+    out
+}
+
+pub(super) fn slice_cols(cols: &[(String, EncodedTensor)], start: usize, end: usize) -> Batch {
+    let mut out = Batch::new();
+    for (name, col) in cols {
+        out.push(name.clone(), ColumnData::Exact(col.slice_rows(start, end)));
+    }
+    out
+}
+
+// ----------------------------------------------------------------------
+// Barrier staging: the decision, and reporting it to profiled runs
+// ----------------------------------------------------------------------
+
+/// `(staged?, capability fallback reason)` for a barrier over `rows`
+/// logical (post-selection) rows — identical whether the input arrives
+/// gathered or selection-fed. A barrier stages when nothing pins it to
+/// the session thread, more than one worker exists and the input spans
+/// more than one morsel.
+pub(super) fn stage_decision(
+    rows: usize,
+    reason: Option<String>,
+    ctx: &ExecContext,
+) -> (bool, Option<String>) {
+    let splits = num_morsels(rows, ctx.morsel_rows) > 1;
+    (reason.is_none() && ctx.threads > 1 && splits, reason)
+}
+
+/// Tell an attached recorder this barrier ran on the sequential kernel
+/// (`fallback` = the capability reason, `None` when merely too small).
+pub(super) fn note_sequential(rec: Option<&mut Recorder>, fallback: Option<String>) {
+    if let Some(r) = rec {
+        r.note_barrier(1, 0, None, fallback);
+    }
+}
+
+/// Tell an attached recorder how a barrier staged: `morsels` claimed
+/// across its stages, `partitions` exchanged into (0 = no exchange),
+/// and the strategy label (`what` plus the `detail` counts). Out of the
+/// barrier kernels' bodies on purpose — inlining the `format!` there
+/// cost the top-k and DISTINCT classes 4–5%.
+pub(super) fn note_staged(
+    rec: Option<&mut Recorder>,
+    morsels: usize,
+    partitions: usize,
+    what: &str,
+    detail: std::fmt::Arguments<'_>,
+) {
+    if let Some(r) = rec {
+        r.note_barrier(morsels, partitions, Some(format!("{what} {detail}")), None);
+    }
+}

@@ -202,50 +202,60 @@ pub enum CompiledExpr {
 }
 
 impl CompiledExpr {
-    /// Visit this expression and every sub-expression, pre-order. Scalar
-    /// subqueries are visited as single nodes — their nested plans are
-    /// not entered; match on [`CompiledExpr::ScalarSubquery`] in the
-    /// callback to descend explicitly. The one traversal behind
-    /// [`CompiledExpr::visit_subplans`], [`CompiledExpr::collect_params`]
-    /// and signature validation.
-    pub fn for_each(&self, f: &mut impl FnMut(&CompiledExpr)) {
-        f(self);
+    /// Visit this expression and every sub-expression, pre-order, until
+    /// `f` returns `Some` — the first hit wins. Scalar subqueries are
+    /// visited as single nodes — their nested plans are not entered;
+    /// match on [`CompiledExpr::ScalarSubquery`] in the callback to
+    /// descend explicitly. The one read-only traversal: [`for_each`],
+    /// the chain-kernel vetting pass, the scheduler's parallel-safety
+    /// analysis and signature validation are all closures over it.
+    ///
+    /// [`for_each`]: CompiledExpr::for_each
+    pub fn find_map<T>(&self, f: &mut impl FnMut(&CompiledExpr) -> Option<T>) -> Option<T> {
+        if let Some(hit) = f(self) {
+            return Some(hit);
+        }
         match self {
             CompiledExpr::Binary { left, right, .. } => {
-                left.for_each(f);
-                right.for_each(f);
+                left.find_map(f).or_else(|| right.find_map(f))
             }
-            CompiledExpr::Unary { expr, .. } | CompiledExpr::Like { expr, .. } => expr.for_each(f),
+            CompiledExpr::Unary { expr, .. } | CompiledExpr::Like { expr, .. } => expr.find_map(f),
             CompiledExpr::Udf { args, .. } | CompiledExpr::Builtin { args, .. } => {
-                args.iter().for_each(|a| a.for_each(f));
+                args.iter().find_map(|a| a.find_map(f))
             }
             CompiledExpr::Case {
                 operand,
                 branches,
                 else_expr,
-            } => {
-                if let Some(o) = operand {
-                    o.for_each(f);
-                }
-                for (w, t) in branches {
-                    w.for_each(f);
-                    t.for_each(f);
-                }
-                if let Some(e) = else_expr {
-                    e.for_each(f);
-                }
-            }
-            CompiledExpr::InList { expr, list, .. } => {
-                expr.for_each(f);
-                list.iter().for_each(|i| i.for_each(f));
-            }
+            } => operand
+                .as_deref()
+                .and_then(|o| o.find_map(f))
+                .or_else(|| {
+                    branches
+                        .iter()
+                        .find_map(|(w, t)| w.find_map(f).or_else(|| t.find_map(f)))
+                })
+                .or_else(|| else_expr.as_deref().and_then(|e| e.find_map(f))),
+            CompiledExpr::InList { expr, list, .. } => expr
+                .find_map(f)
+                .or_else(|| list.iter().find_map(|i| i.find_map(f))),
             CompiledExpr::Column(_)
             | CompiledExpr::Num(_)
             | CompiledExpr::Str(_)
             | CompiledExpr::Bool(_)
             | CompiledExpr::Param { .. }
-            | CompiledExpr::ScalarSubquery(_) => {}
+            | CompiledExpr::ScalarSubquery(_) => None,
         }
+    }
+
+    /// [`CompiledExpr::find_map`] that never stops: visit every node,
+    /// pre-order. Behind [`CompiledExpr::visit_subplans`] and
+    /// [`CompiledExpr::collect_params`].
+    pub fn for_each(&self, f: &mut impl FnMut(&CompiledExpr)) {
+        self.find_map(&mut |e| {
+            f(e);
+            None::<()>
+        });
     }
 
     /// [`CompiledExpr::for_each`] with mutable access — same order, same

@@ -92,6 +92,20 @@ pub enum MorselOp<'p> {
     Project(&'p [PhysProjectItem]),
 }
 
+impl MorselOp<'_> {
+    /// First hit of `f` over this op's expression nodes, each expression
+    /// walked pre-order ([`crate::physical::CompiledExpr::find_map`]).
+    pub(crate) fn find_map<T>(
+        &self,
+        f: &mut impl FnMut(&crate::physical::CompiledExpr) -> Option<T>,
+    ) -> Option<T> {
+        match self {
+            MorselOp::Filter(pred) => pred.find_map(f),
+            MorselOp::Project(items) => items.iter().find_map(|it| it.expr.find_map(f)),
+        }
+    }
+}
+
 /// A fused, barrier-free operator chain over a morsel source.
 #[derive(Debug)]
 pub struct Pipeline<'p> {
@@ -391,16 +405,22 @@ pub(crate) fn exec_node(
     }
     let out = match node {
         PipeNode::Scan { table, schema, .. } => exact::scan_table(table, *schema, ctx)?,
-        PipeNode::Stream(pipe) => {
-            run_pipe(pipe, None, ctx, rec.as_deref_mut(), |input, skip, _| {
-                morsel::run_ops(input, &pipe.ops, None, skip, ctx)
-            })?
-        }
+        PipeNode::Stream(pipe) => run_pipe(
+            pipe,
+            None,
+            ctx,
+            rec.as_deref_mut(),
+            |input, chain, skip, _| morsel::run_ops(input, chain, None, skip, ctx),
+        )?,
         PipeNode::Limit { n, pipe } => {
             let limit = resolve_limit(n, ctx)?;
-            run_pipe(pipe, None, ctx, rec.as_deref_mut(), |input, skip, _| {
-                morsel::run_ops(input, &pipe.ops, Some(limit), skip, ctx)
-            })?
+            run_pipe(
+                pipe,
+                None,
+                ctx,
+                rec.as_deref_mut(),
+                |input, chain, skip, _| morsel::run_ops(input, chain, Some(limit), skip, ctx),
+            )?
         }
         PipeNode::Aggregate {
             keys,
@@ -408,9 +428,15 @@ pub(crate) fn exec_node(
             pipe,
         } => {
             let sink = Some((*keys, *aggregates));
-            run_pipe(pipe, sink, ctx, rec.as_deref_mut(), |input, skip, rec| {
-                morsel::run_aggregate(input, &pipe.ops, keys, aggregates, skip, ctx, rec)
-            })?
+            run_pipe(
+                pipe,
+                sink,
+                ctx,
+                rec.as_deref_mut(),
+                |input, chain, skip, rec| {
+                    morsel::run_aggregate(input, chain, keys, aggregates, skip, ctx, rec)
+                },
+            )?
         }
         PipeNode::Barrier { plan, inputs } => exec_barrier(plan, inputs, ctx, rec.as_deref_mut())?,
     };
@@ -420,21 +446,29 @@ pub(crate) fn exec_node(
     Ok(out)
 }
 
-/// Materialise a pipeline's source, then `run` its fused chain and sink
-/// over it — with the zone-map skip mask when the source is a pruned
-/// base-table scan — and tell the recorder how the chain was scheduled.
+/// Materialise a pipeline's source, resolve its fused chain against it
+/// — morsel count, pinning reason, chain-kernel verdict, once — then
+/// `run` the chain and sink over it, with the zone-map skip mask when
+/// the source is a pruned base-table scan, and tell the recorder how
+/// the chain was scheduled.
 fn run_pipe<T>(
     pipe: &Pipeline<'_>,
     sink: Option<(&[PhysKey], &[PhysAggregate])>,
     ctx: &ExecContext,
     mut rec: Option<&mut Recorder>,
-    run: impl FnOnce(&Batch, Option<&[bool]>, Option<&mut Recorder>) -> Result<T, ExecError>,
+    run: impl FnOnce(
+        &Batch,
+        &morsel::ChainRun<'_>,
+        Option<&[bool]>,
+        Option<&mut Recorder>,
+    ) -> Result<T, ExecError>,
 ) -> Result<T, ExecError> {
     let input = exec_node(&pipe.input, ctx, rec.as_deref_mut())?;
     let skip = scan_skip_mask(&pipe.input, input.rows(), ctx);
-    let out = run(&input, skip.as_deref(), rec.as_deref_mut())?;
+    let chain = morsel::ChainRun::resolve(&input, &pipe.ops, sink, ctx);
+    let out = run(&input, &chain, skip.as_deref(), rec.as_deref_mut())?;
     if let Some(r) = rec {
-        r.note_chain(&input, &pipe.ops, sink, ctx);
+        r.note_chain(&chain);
     }
     Ok(out)
 }
@@ -477,9 +511,13 @@ fn barrier_input(
     if let Some(r) = rec.as_deref_mut() {
         r.enter(pipe.ops.len());
     }
-    let out = run_pipe(pipe, None, ctx, rec.as_deref_mut(), |input, skip, _| {
-        morsel::chain_barrier_input(input, &pipe.ops, skip, ctx)
-    })?;
+    let out = run_pipe(
+        pipe,
+        None,
+        ctx,
+        rec.as_deref_mut(),
+        |input, chain, skip, _| morsel::chain_barrier_input(input, chain, skip, ctx),
+    )?;
     if let Some(r) = rec {
         r.exit_chain(&out);
     }

@@ -28,8 +28,7 @@ use std::time::Instant;
 use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::morsel;
-use crate::physical::{PhysAggregate, PhysKey, PhysicalPlan};
-use crate::pipeline::MorselOp;
+use crate::physical::PhysicalPlan;
 use crate::udf::ExecContext;
 
 /// One profiled plan node.
@@ -306,21 +305,13 @@ impl Recorder {
     }
 
     /// Record how the innermost stage's fused chain (and aggregate sink)
-    /// was scheduled over `input`: morsel count, sequential-fallback
-    /// reason, chain-kernel verdict.
-    pub(crate) fn note_chain(
-        &mut self,
-        input: &Batch,
-        ops: &[MorselOp<'_>],
-        sink: Option<(&[PhysKey], &[PhysAggregate])>,
-        ctx: &ExecContext,
-    ) {
-        let (planned, reason) = morsel::planned_and_reason(input, ops, sink, ctx);
-        self.profile.morsels += planned;
-        let strategy = chain_strategy_note(ops, &reason, ctx);
+    /// was scheduled: morsel count, sequential-fallback reason and
+    /// chain-kernel verdict, all as the run itself resolved them.
+    pub(crate) fn note_chain(&mut self, chain: &morsel::ChainRun<'_>) {
+        self.profile.morsels += chain.morsels;
         let top = self.top();
-        top.strategy = strategy;
-        top.fallback = reason;
+        top.strategy = chain.strategy_note();
+        top.fallback = chain.seq_reason.clone();
     }
 
     /// Leave a chain stage that fed a barrier: its selection density
@@ -361,29 +352,6 @@ impl Recorder {
         let top = self.top();
         top.strategy = strategy;
         top.fallback = fallback;
-    }
-}
-
-/// Chain-kernel verdict for a fused chain's trace: `"compiled"` when
-/// the chain runs a compiled kernel, otherwise `"interpreted: <reason>"`;
-/// `None` for an empty chain. Sequential-path chains report their
-/// pinning reason (already carried by `fallback`) as the interpretation
-/// reason — `interpreted: udf-not-parallel-safe(f)` — but `pretty()`
-/// keeps rendering those as `[sequential: …]`.
-fn chain_strategy_note(
-    ops: &[MorselOp<'_>],
-    seq_reason: &Option<String>,
-    ctx: &ExecContext,
-) -> Option<String> {
-    if ops.is_empty() {
-        return None;
-    }
-    if let Some(reason) = seq_reason {
-        return Some(format!("interpreted: {reason}"));
-    }
-    match crate::kernel::chain_strategy(ops, ctx)? {
-        crate::kernel::ChainStrategy::Compiled(_) => Some("compiled".into()),
-        crate::kernel::ChainStrategy::Interpreted(reason) => Some(format!("interpreted: {reason}")),
     }
 }
 

@@ -94,11 +94,12 @@ const BARRIER_CHAINS: &[&str] = &[
     "SELECT DISTINCT tag FROM t WHERE v > 0.5",
 ];
 
-/// Filter→aggregate shapes: the masked fast path (plain ungrouped
-/// columns), the fused per-morsel fold (GROUP BY, computed arguments),
-/// and the f64-moment aggregates. The Q1 shape — dictionary key, five
-/// aggregates, one computed and one repeated argument — runs at 0% /
-/// ~1% / ~50% / 100% selectivity, so all-empty morsels, the sparse
+/// Filter→aggregate shapes, all through the one fused per-morsel fold:
+/// plain ungrouped columns, GROUP BY, computed arguments, and the
+/// f64-moment aggregates. The Q1 shape — dictionary key, five
+/// aggregates, one computed and one repeated argument — and an
+/// ungrouped shape with every accumulator kind both run at 0% / ~1% /
+/// ~50% / 100% selectivity, so all-empty morsels, the sparse
 /// survivor-index fold and the dense masked fold are all hit; the
 /// two-key shape groups on `(i64, dict)`.
 const AGGREGATE_CHAINS: &[&str] = &[
@@ -116,6 +117,10 @@ const AGGREGATE_CHAINS: &[&str] = &[
      FROM t WHERE v < 100.0 GROUP BY tag",
     "SELECT k, tag, SUM(v), MIN(v), MAX(v), VARIANCE(v), COUNT(v > 0.0) FROM t \
      WHERE v > -5.0 GROUP BY k, tag",
+    "SELECT COUNT(*), COUNT(k > 4), SUM(v), MIN(v), MAX(v), STDDEV(v) FROM t WHERE v < -100.0",
+    "SELECT COUNT(*), COUNT(k > 4), SUM(v), MIN(v), MAX(v), STDDEV(v) FROM t WHERE v < -9.8",
+    "SELECT COUNT(*), COUNT(k > 4), SUM(v), MIN(v), MAX(v), STDDEV(v) FROM t WHERE v < 0.0",
+    "SELECT COUNT(*), COUNT(k > 4), SUM(v), MIN(v), MAX(v), STDDEV(v) FROM t WHERE v < 100.0",
 ];
 
 proptest! {
@@ -296,6 +301,48 @@ fn parameterised_chains_share_one_kernel_across_bindings() {
         .unwrap();
     let s = tdp.chain_kernel_stats();
     assert_eq!(s.misses, before.misses + 1, "still one compiled program");
+}
+
+/// A `$n` leaf in a *projection*: the kernel reads the bound literal at
+/// evaluation (number, string and boolean alike) and broadcasts it as
+/// the interpreter does.
+#[test]
+fn param_leaf_in_projection_matches_the_interpreter() {
+    let tdp = Tdp::new();
+    tdp.register_table(table(
+        &(0..100).map(|i| i as f32 / 10.0 - 5.0).collect::<Vec<_>>(),
+    ));
+    let prepared = tdp.prepare("SELECT ? AS c, v FROM t WHERE v > ?").unwrap();
+    let bindings = [
+        ParamValues::new().number(7.5).number(0.0),
+        ParamValues::new().string("tagged").number(3.5),
+        ParamValues::new().bool(true).number(-6.0),
+        ParamValues::new().number(1.0).number(100.0),
+    ];
+    for params in bindings {
+        tdp.set_chain_kernels(false);
+        tdp.set_threads(1);
+        tdp.set_morsel_rows(tdp_core::exec::DEFAULT_MORSEL_ROWS);
+        let oracle = prepared.bind(params.clone()).unwrap().run().unwrap();
+        tdp.set_chain_kernels(true);
+        for threads in [1usize, 3] {
+            tdp.set_threads(threads);
+            for morsel in [7usize, tdp_core::exec::DEFAULT_MORSEL_ROWS] {
+                tdp.set_morsel_rows(morsel);
+                let bound = prepared.bind(params.clone()).unwrap();
+                assert!(
+                    bound.explain().contains("[compiled ×2 ops]"),
+                    "{}",
+                    bound.explain()
+                );
+                assert_tables_identical(
+                    &oracle,
+                    &bound.run().unwrap(),
+                    &format!("{params:?} @ {threads}t/{morsel}m"),
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -82,6 +82,27 @@ const CORPUS: &[(&str, &str)] = &[
         "SELECT tag, SUM(k) AS q, SUM(x) AS p, SUM(x * (1 - v)) AS net, AVG(x) AS d, COUNT(*) AS n \
          FROM t WHERE v < 100000 GROUP BY tag",
     ),
+    // Ungrouped plain-column aggregates ride the same selection-fed fold
+    // as the grouped shapes — every accumulator kind, same four
+    // selectivities.
+    (
+        "ungrouped 0%",
+        "SELECT COUNT(*), COUNT(v > 4000), SUM(x), MIN(x), MAX(x), STDDEV(x) FROM t WHERE v < 0",
+    ),
+    (
+        "ungrouped 1%",
+        "SELECT COUNT(*), COUNT(v > 4000), SUM(x), MIN(x), MAX(x), STDDEV(x) FROM t WHERE v < 90",
+    ),
+    (
+        "ungrouped 50%",
+        "SELECT COUNT(*), COUNT(v > 4000), SUM(x), MIN(x), MAX(x), STDDEV(x) FROM t \
+         WHERE v >= 4500",
+    ),
+    (
+        "ungrouped 100%",
+        "SELECT COUNT(*), COUNT(v > 4000), SUM(x), MIN(x), MAX(x), STDDEV(x) FROM t \
+         WHERE v < 100000",
+    ),
     (
         "two-key (i64, dict) aggregate",
         "SELECT k, tag, SUM(x), MIN(x), MAX(x), STDDEV(x), COUNT(v > 4000) FROM t \

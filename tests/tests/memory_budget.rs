@@ -197,6 +197,9 @@ fn grouped_selection_fed_aggregate_charges_scratch_not_a_gather() {
         load(&engine);
         let session = engine.session();
         session.set_threads(2);
+        // The budgets below are sized against one worker's scratch at the
+        // default morsel width, whatever `TDP_MORSEL_ROWS` says.
+        session.set_morsel_rows(tdp_core::exec::DEFAULT_MORSEL_ROWS);
         session.set_chain_kernels(true);
         let out = session.query(sql).unwrap().run_profiled();
         (engine, out)
