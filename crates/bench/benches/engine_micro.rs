@@ -334,6 +334,84 @@ fn bench_parallel_barriers(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_hash_join_distinct(c: &mut Criterion) {
+    // The flat build/probe table by key shape: a 100k-row probe side
+    // against a 50k-row build side (the `q3_join_agg` sizes), threads 1
+    // (the sequential kernel: one table) and 2 (exchange → per-partition
+    // tables → two probe morsels). `unique_i64` is a foreign-key join;
+    // `dup8_i64` chains eight build rows per key (800k output rows);
+    // `dict_keys` joins two string columns encoded against different
+    // dictionaries; `composite2` hashes and compares two code columns.
+    // The `distinct` cells dedup the probe side on one i64 column (43k
+    // keys) and on a (dictionary, f32) pair (1,000 keys).
+    let (probe_rows, build_rows) = (100_000usize, 50_000usize);
+    let mut rng = Rng64::new(53);
+    let name = |k: usize| format!("key{k:05}");
+    let ks: Vec<usize> = (0..probe_rows).map(|_| rng.below(build_rows)).collect();
+    let tdp = Tdp::new();
+    tdp.register_table(
+        TableBuilder::new()
+            .col_i64("k", ks.iter().map(|&k| k as i64).collect())
+            .col_i64("k8", ks.iter().map(|&k| (k % 6_250) as i64).collect())
+            .col_i64("k2", ks.iter().map(|&k| (k % 7) as i64).collect())
+            .col_str("s", &ks.iter().map(|&k| name(k)).collect::<Vec<_>>())
+            .col_str("s8", &ks.iter().map(|&k| name(k % 8)).collect::<Vec<_>>())
+            .col_f32("f", ks.iter().map(|&k| (k % 1_000) as f32 * 0.5).collect())
+            .build("probe"),
+    );
+    tdp.register_table(
+        TableBuilder::new()
+            .col_i64("k", (0..build_rows as i64).collect())
+            .col_i64("k8", (0..build_rows).map(|i| (i % 6_250) as i64).collect())
+            .col_i64("k2", (0..build_rows).map(|i| (i % 7) as i64).collect())
+            // Every third key is missing from the probe side's
+            // dictionary space and vice versa.
+            .col_str(
+                "s",
+                &(0..build_rows).map(|i| name(i + i / 3)).collect::<Vec<_>>(),
+            )
+            .col_f32("w", (0..build_rows).map(|_| rng.normal() as f32).collect())
+            .build("build"),
+    );
+    let join = |on: &str| format!("SELECT COUNT(*), SUM(w) FROM probe JOIN build ON {on}");
+    let groups = [
+        (
+            "hash_join",
+            vec![
+                ("unique_i64", join("probe.k = build.k")),
+                ("dup8_i64", join("probe.k8 = build.k8")),
+                ("dict_keys", join("probe.s = build.s")),
+                (
+                    "composite2",
+                    join("probe.k = build.k AND probe.k2 = build.k2"),
+                ),
+            ],
+        ),
+        (
+            "distinct",
+            vec![
+                ("i64", "SELECT DISTINCT k FROM probe".to_string()),
+                ("dict_f32", "SELECT DISTINCT s8, f FROM probe".to_string()),
+            ],
+        ),
+    ];
+    for (group_name, cells) in groups {
+        let mut group = c.benchmark_group(group_name);
+        group.sample_size(20);
+        for (cell, sql) in cells {
+            let q = tdp.query(&sql).expect("compile");
+            for threads in [1usize, 2] {
+                tdp.set_threads(threads);
+                group.bench_function(format!("{cell}/threads_{threads}"), |b| {
+                    b.iter(|| q.run().expect("run"))
+                });
+            }
+        }
+        group.finish();
+    }
+    tdp.set_threads(1);
+}
+
 fn bench_parallel_udf_scaling(c: &mut Criterion) {
     // The declared-signature payoff: a `parallel_safe` scalar UDF chain
     // runs through the morsel worker pool instead of the sequential
@@ -809,6 +887,7 @@ criterion_group!(
     bench_topk_vs_full_sort,
     bench_parallel_scaling,
     bench_parallel_barriers,
+    bench_hash_join_distinct,
     bench_parallel_udf_scaling,
     bench_chain_kernels,
     bench_concurrent_sessions,

@@ -15,6 +15,7 @@
 
 use tdp_encoding::EncodedTensor;
 use tdp_sql::ast::{AggFunc, JoinKind};
+use tdp_tensor::keytable::{hash_rows, partition_of, KeyTable};
 use tdp_tensor::sort::group_ids;
 use tdp_tensor::{F32Tensor, I64Tensor, Tensor};
 
@@ -374,9 +375,9 @@ pub(crate) fn resolve_join_keys<'a>(
     }
 }
 
-/// Row key used for hash joins between *mixed-encoding* key pairs:
-/// exact per-encoding string renderings (the historical textual join
-/// semantics). Same-class pairs take the cheaper [`KeyAtom`] path.
+/// Row key used for hash joins between *mixed-class* key pairs: exact
+/// per-encoding string renderings (the historical textual join
+/// semantics). Same-class pairs compare grouping codes instead.
 fn join_key(col: &EncodedTensor, row: usize) -> String {
     match col {
         EncodedTensor::Dict { codes, dict } => dict.decode_one(codes.at(row)).to_owned(),
@@ -392,20 +393,9 @@ fn join_key(col: &EncodedTensor, row: usize) -> String {
     }
 }
 
-/// One component of a composite join / exchange key: the exact,
-/// encoding-independent identity of a row's key value. Dictionary
-/// columns compare as decoded strings (codes are not comparable across
-/// batches, and the order-preserving dictionary makes string order =
-/// code order, so atoms also sort like the grouping codes); everything
-/// else compares as its integer grouping code.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) enum KeyAtom {
-    Int(i64),
-    Str(String),
-}
-
 /// Encoding class of a join key column: two columns produce directly
-/// comparable integer codes iff they share a class.
+/// comparable integer codes iff they share a class (dictionaries once
+/// their codes are mapped into one dictionary's space).
 fn key_class(col: &EncodedTensor) -> u8 {
     match col {
         EncodedTensor::Dict { .. } => 0,
@@ -419,344 +409,308 @@ fn key_class(col: &EncodedTensor) -> u8 {
     }
 }
 
-/// Key atoms of one column: decoded strings for dictionary columns,
-/// grouping codes for everything else. Total order matches the
-/// sequential kernels' code order (order-preserving dictionaries).
-pub(crate) fn key_atoms(col: &EncodedTensor) -> Result<Vec<KeyAtom>, ExecError> {
-    Ok(match col {
-        EncodedTensor::Dict { codes, dict } => codes
-            .data()
-            .iter()
-            .map(|&c| KeyAtom::Str(dict.decode_one(c).to_owned()))
-            .collect(),
-        other => key_codes(other)?
-            .data()
-            .iter()
-            .map(|&v| KeyAtom::Int(v))
-            .collect(),
-    })
-}
-
-/// Textual atoms for mixed-encoding key pairs (per-row [`join_key`]
-/// renderings). Sequential-access layouts decode to plain i64 first so
-/// the per-row rendering stays O(1); PE columns decode to their class
-/// *ids* — exactly what `join_key` renders (`decode_ids`), not the
-/// class values `decode_i64` would give.
-fn string_atoms(col: &EncodedTensor) -> Vec<KeyAtom> {
-    let decoded;
-    let norm: &EncodedTensor = match col {
-        EncodedTensor::Rle(_) | EncodedTensor::BitPacked(_) | EncodedTensor::Delta(_) => {
-            decoded = EncodedTensor::I64(col.decode_i64());
-            &decoded
-        }
-        EncodedTensor::Pe(p) => {
-            decoded = EncodedTensor::I64(p.decode_ids());
-            &decoded
-        }
-        other => other,
+/// `col` restricted to the ascending row list `rows` (`None` = all rows).
+fn filtered<'a>(
+    col: &'a EncodedTensor,
+    rows: Option<&[i64]>,
+) -> std::borrow::Cow<'a, EncodedTensor> {
+    let Some(rows) = rows else {
+        return std::borrow::Cow::Borrowed(col);
     };
-    (0..norm.rows())
-        .map(|r| KeyAtom::Str(join_key(norm, r)))
-        .collect()
-}
-
-/// Comparable atom vectors for one join key pair. Same-class columns
-/// compare by grouping code (dictionaries by decoded string); a
-/// cross-encoding pair (e.g. a string column against an integer) keeps
-/// the historical textual equality via [`join_key`] renderings.
-pub(crate) fn join_pair_atoms(
-    left: &EncodedTensor,
-    right: &EncodedTensor,
-) -> Result<(Vec<KeyAtom>, Vec<KeyAtom>), ExecError> {
-    if key_class(left) == key_class(right) {
-        Ok((key_atoms(left)?, key_atoms(right)?))
-    } else {
-        Ok((string_atoms(left), string_atoms(right)))
+    let mut keep = vec![false; col.rows()];
+    for &r in rows {
+        keep[r as usize] = true;
     }
+    let n = keep.len();
+    std::borrow::Cow::Owned(col.filter_rows(&Tensor::from_vec(keep, &[n])))
 }
 
-/// Whether [`key_atoms_at`] can atomize this layout by indexed row
-/// reads. Plain layouts only — compressed and PE columns have no O(1)
-/// row access and go through `filter_rows` instead.
-fn random_access(col: &EncodedTensor) -> bool {
-    matches!(
-        col,
-        EncodedTensor::I64(_)
-            | EncodedTensor::Bool(_)
-            | EncodedTensor::F32(_)
-            | EncodedTensor::Dict { .. }
-    )
-}
-
-/// Key atoms of one plain-layout column restricted to the ascending row
-/// list `rows`: exactly `key_atoms(&col.filter_rows(m))` for the mask
-/// keeping those rows, computed by indexed reads instead of
-/// materializing the filtered column. Callers gate on [`random_access`].
-fn key_atoms_at(col: &EncodedTensor, rows: &[i64]) -> Result<Vec<KeyAtom>, ExecError> {
+/// Grouping codes of `col` at the ascending survivor rows `rows`
+/// (`None` = every row): exactly `key_codes(&col.filter_rows(m))` for
+/// the mask keeping those rows. Plain layouts read the survivors by
+/// index, so a selective input never pays a full-width pass over its key
+/// columns; compressed and PE layouts have no O(1) row access and take
+/// one `filter_rows` pass.
+pub(crate) fn key_codes_at(
+    col: &EncodedTensor,
+    rows: Option<&[i64]>,
+) -> Result<Vec<i64>, ExecError> {
+    let Some(at) = rows else {
+        return Ok(key_codes(col)?.to_vec());
+    };
     Ok(match col {
-        EncodedTensor::I64(t) => {
+        EncodedTensor::I64(t) | EncodedTensor::Dict { codes: t, .. } => {
             let d = t.data();
-            rows.iter().map(|&r| KeyAtom::Int(d[r as usize])).collect()
+            at.iter().map(|&r| d[r as usize]).collect()
         }
         EncodedTensor::Bool(t) => {
             let d = t.data();
-            rows.iter()
-                .map(|&r| KeyAtom::Int(i64::from(d[r as usize])))
-                .collect()
+            at.iter().map(|&r| i64::from(d[r as usize])).collect()
         }
-        EncodedTensor::Dict { codes, dict } => {
-            let d = codes.data();
-            rows.iter()
-                .map(|&r| KeyAtom::Str(dict.decode_one(d[r as usize]).to_owned()))
-                .collect()
-        }
-        EncodedTensor::F32(t) => {
-            // Same shape guard `key_codes` applies to the filtered
-            // column (filtering preserves dimensionality).
-            if t.ndim() != 1 {
-                return Err(ExecError::TypeMismatch(
-                    "cannot group by a multi-dimensional payload column".into(),
-                ));
-            }
+        // Multi-dimensional payloads go through `key_codes`' shape guard
+        // (filtering preserves dimensionality).
+        EncodedTensor::F32(t) if t.ndim() == 1 => {
             let d = t.data();
-            rows.iter()
-                .map(|&r| KeyAtom::Int(f32_order_key(d[r as usize])))
-                .collect()
+            at.iter().map(|&r| f32_order_key(d[r as usize])).collect()
         }
-        _ => unreachable!("key_atoms_at requires a random-access layout"),
+        _ => key_codes(&filtered(col, rows))?.to_vec(),
     })
 }
 
-/// [`join_pair_atoms`] where either side may be restricted to an
-/// ascending survivor row list (`None` = all rows): returns exactly the
-/// atoms of the *filtered* pair. The class decision is taken on the
-/// full-width columns — `filter_rows` preserves every layout's key
-/// class (plain and PE layouts filter in place, compressed integer
-/// layouts re-compress within the integer class) — and same-class plain
-/// layouts atomize survivors by indexed reads, so a selective side
-/// never pays a full-width filtering pass over its key columns.
-pub(crate) fn join_pair_atoms_at(
+/// The two code columns of one join key pair, in one **shared** code
+/// space: rows match iff their codes are equal. Either side may be
+/// restricted to an ascending survivor row list, and comes back at
+/// survivor width; the class decision is taken on the full-width
+/// columns, which is safe because `filter_rows` preserves every
+/// layout's key class.
+///
+/// * Same class: each side's grouping codes ([`key_codes_at`]).
+/// * Dictionary × dictionary: strings decide. The right dictionary's
+///   *entries* are looked up in the left's once — O(|dict|) string
+///   work, none per row — and entries the left lacks get codes past its
+///   end; a shared dictionary passes through.
+/// * Mixed classes (a string column against an integer, say) keep the
+///   historical textual equality: both sides' [`join_key`] renderings
+///   are interned into one id space.
+pub(crate) fn join_pair_codes(
     left: &EncodedTensor,
     lrows: Option<&[i64]>,
     right: &EncodedTensor,
     rrows: Option<&[i64]>,
-) -> Result<(Vec<KeyAtom>, Vec<KeyAtom>), ExecError> {
-    fn filtered<'a>(
-        col: &'a EncodedTensor,
-        rows: Option<&[i64]>,
-    ) -> std::borrow::Cow<'a, EncodedTensor> {
-        match rows {
-            None => std::borrow::Cow::Borrowed(col),
-            Some(rows) => {
-                let mut keep = vec![false; col.rows()];
-                for &r in rows {
-                    keep[r as usize] = true;
+) -> Result<(Vec<i64>, Vec<i64>), ExecError> {
+    if key_class(left) != key_class(right) {
+        let mut ids: std::collections::HashMap<String, i64> = std::collections::HashMap::new();
+        let mut intern = |col: &EncodedTensor, rows: Option<&[i64]>| -> Vec<i64> {
+            // Sequential-access layouts decode to plain i64 first so the
+            // per-row rendering stays O(1); PE columns decode to their
+            // class *ids* — what `join_key` renders.
+            let norm = match &*filtered(col, rows) {
+                c @ (EncodedTensor::Rle(_)
+                | EncodedTensor::BitPacked(_)
+                | EncodedTensor::Delta(_)) => EncodedTensor::I64(c.decode_i64()),
+                EncodedTensor::Pe(p) => EncodedTensor::I64(p.decode_ids()),
+                other => other.clone(),
+            };
+            (0..norm.rows())
+                .map(|r| {
+                    let fresh = ids.len() as i64;
+                    *ids.entry(join_key(&norm, r)).or_insert(fresh)
+                })
+                .collect()
+        };
+        return Ok((intern(left, lrows), intern(right, rrows)));
+    }
+    let lcodes = key_codes_at(left, lrows)?;
+    let mut rcodes = key_codes_at(right, rrows)?;
+    if let (EncodedTensor::Dict { dict: ld, .. }, EncodedTensor::Dict { dict: rd, .. }) =
+        (left, right)
+    {
+        if !std::sync::Arc::ptr_eq(ld, rd) {
+            // Both dictionaries are sorted: one merge walk.
+            let (lv, rv) = (ld.values(), rd.values());
+            let mut shared = Vec::with_capacity(rv.len());
+            let mut l = 0;
+            for (r, s) in rv.iter().enumerate() {
+                while l < lv.len() && lv[l] < *s {
+                    l += 1;
                 }
-                let n = keep.len();
-                std::borrow::Cow::Owned(col.filter_rows(&Tensor::from_vec(keep, &[n])))
+                let found = l < lv.len() && lv[l] == *s;
+                shared.push(if found { l } else { lv.len() + r } as i64);
+            }
+            for c in &mut rcodes {
+                *c = shared[*c as usize];
             }
         }
     }
-    fn side_atoms(col: &EncodedTensor, rows: Option<&[i64]>) -> Result<Vec<KeyAtom>, ExecError> {
-        match rows {
-            Some(rows) if random_access(col) => key_atoms_at(col, rows),
-            _ => key_atoms(&filtered(col, rows)),
-        }
-    }
-    if key_class(left) == key_class(right) {
-        Ok((side_atoms(left, lrows)?, side_atoms(right, rrows)?))
-    } else {
-        Ok((
-            string_atoms(&filtered(left, lrows)),
-            string_atoms(&filtered(right, rrows)),
-        ))
-    }
+    Ok((lcodes, rcodes))
 }
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
+/// Column-major key codes of one join side or DISTINCT input:
+/// `[key][row]`.
+pub(crate) type KeyCodes = Vec<Vec<i64>>;
 
-/// Deterministic FNV-1a hash of row `row`'s composite key, given
-/// column-major atom vectors. Partition assignment must agree across
-/// threads, morsels and runs — std's `HashMap` hasher is seeded per
-/// instance, so the exchange cannot use it.
-pub(crate) fn row_hash(cols: &[Vec<KeyAtom>], row: usize) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for col in cols {
-        match &col[row] {
-            KeyAtom::Int(v) => {
-                fnv1a(&mut h, &[0]);
-                fnv1a(&mut h, &v.to_le_bytes());
-            }
-            KeyAtom::Str(s) => {
-                fnv1a(&mut h, &[1]);
-                fnv1a(&mut h, s.as_bytes());
-            }
-        }
-    }
-    h
-}
-
-/// Deterministic FNV-1a hash of row `row`'s composite grouping code
-/// (the DISTINCT exchange key — one batch, so dictionary codes are
-/// directly comparable and no decode is needed).
-pub(crate) fn code_hash(cols: &[Vec<i64>], row: usize) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for col in cols {
-        fnv1a(&mut h, &col[row].to_le_bytes());
-    }
-    h
-}
-
-/// A build-side hash table over composite-key atoms, with a
-/// single-key fast path that avoids the per-row key allocation.
-pub(crate) enum JoinTable {
-    Single(std::collections::HashMap<KeyAtom, Vec<i64>>),
-    Multi(std::collections::HashMap<Vec<KeyAtom>, Vec<i64>>),
-}
-
-impl JoinTable {
-    /// Build a table over the given build-side rows. Match lists keep
-    /// the insertion order of `rows` — callers feed rows in ascending
-    /// order so probe output matches the sequential kernel exactly.
-    pub(crate) fn build(atoms: &[Vec<KeyAtom>], rows: impl Iterator<Item = i64>) -> JoinTable {
-        if atoms.len() == 1 {
-            let col = &atoms[0];
-            let mut t: std::collections::HashMap<KeyAtom, Vec<i64>> =
-                std::collections::HashMap::new();
-            for r in rows {
-                t.entry(col[r as usize].clone()).or_default().push(r);
-            }
-            JoinTable::Single(t)
-        } else {
-            let mut t: std::collections::HashMap<Vec<KeyAtom>, Vec<i64>> =
-                std::collections::HashMap::new();
-            for r in rows {
-                let key: Vec<KeyAtom> = atoms.iter().map(|c| c[r as usize].clone()).collect();
-                t.entry(key).or_default().push(r);
-            }
-            JoinTable::Multi(t)
-        }
-    }
-
-    /// Match list for probe row `row` (atoms column-major, probe side).
-    pub(crate) fn get(&self, atoms: &[Vec<KeyAtom>], row: usize) -> Option<&Vec<i64>> {
-        match self {
-            JoinTable::Single(t) => t.get(&atoms[0][row]),
-            JoinTable::Multi(t) => {
-                let key: Vec<KeyAtom> = atoms.iter().map(|c| c[row].clone()).collect();
-                t.get(&key)
-            }
-        }
-    }
-}
-
-/// Column-major key atoms of one join side: `[key][row]`.
-pub(crate) type SideAtoms = Vec<Vec<KeyAtom>>;
-
-/// Resolve the comparable key-atom vectors for every join key pair:
-/// `(left atoms, right atoms)`, column-major.
-pub(crate) fn join_atoms(
+/// [`join_pair_codes`] for every key pair of `on`: `(left codes, right
+/// codes)`, each side at its survivor rows.
+pub(crate) fn join_key_codes(
     on: &JoinOn,
     left: &Batch,
+    lrows: Option<&[i64]>,
     right: &Batch,
-) -> Result<(SideAtoms, SideAtoms), ExecError> {
-    let (left_cols, right_cols) = resolve_join_keys(on, left, right)?;
-    let mut latoms = Vec::with_capacity(left_cols.len());
-    let mut ratoms = Vec::with_capacity(right_cols.len());
-    for (l, r) in left_cols.iter().zip(&right_cols) {
-        let (a, b) = join_pair_atoms(l, r)?;
-        latoms.push(a);
-        ratoms.push(b);
+    rrows: Option<&[i64]>,
+) -> Result<(KeyCodes, KeyCodes), ExecError> {
+    let (lcols, rcols) = resolve_join_keys(on, left, right)?;
+    let mut lcodes = Vec::with_capacity(lcols.len());
+    let mut rcodes = Vec::with_capacity(rcols.len());
+    for (l, r) in lcols.iter().zip(&rcols) {
+        let (a, b) = join_pair_codes(l, lrows, r, rrows)?;
+        lcodes.push(a);
+        rcodes.push(b);
     }
-    Ok((latoms, ratoms))
+    Ok((lcodes, rcodes))
 }
 
-/// Assemble the join output from matched index pairs plus (for LEFT
-/// joins) the unmatched left rows — shared by the sequential kernel and
-/// the partitioned parallel path, which produce identical index sets.
+/// Borrowed `[key][row]` view of code columns, as the hash and the
+/// table take them.
+pub(crate) fn code_refs(codes: &[Vec<i64>]) -> Vec<&[i64]> {
+    codes.iter().map(Vec::as_slice).collect()
+}
+
+/// What a probe emits: matched `(left, right)` row-id pairs in output
+/// order, and the left rows a LEFT join has to pad.
+#[derive(Default)]
+pub(crate) struct JoinPairs {
+    pub(crate) left: Vec<i64>,
+    pub(crate) right: Vec<i64>,
+    pub(crate) unmatched: Vec<i64>,
+}
+
+impl JoinPairs {
+    pub(crate) fn bytes(&self) -> u64 {
+        ((self.left.len() + self.right.len() + self.unmatched.len()) * 8) as u64
+    }
+}
+
+/// Probe the left positions `range` against the build side's
+/// per-partition tables (`tables.len()` is the exchange's partition
+/// count; one table = no exchange). Positions index the code and hash
+/// columns; `lids` / `rids` translate them to the row ids emitted
+/// (`None` = a dense side whose position *is* its row id). Each left
+/// row's matches come out in ascending build order.
+pub(crate) fn probe_rows(
+    tables: &[KeyTable<'_>],
+    keys: &[&[i64]],
+    hashes: &[u64],
+    range: std::ops::Range<usize>,
+    kind: JoinKind,
+    lids: Option<&[i64]>,
+    rids: Option<&[i64]>,
+) -> JoinPairs {
+    let gid = |ids: Option<&[i64]>, pos: usize| ids.map_or(pos as i64, |v| v[pos]);
+    // Sized for one match per probe row (a foreign-key join): growing
+    // the pair lists from empty re-copies them at every doubling.
+    let mut out = JoinPairs {
+        left: Vec::with_capacity(range.len()),
+        right: Vec::with_capacity(range.len()),
+        unmatched: Vec::new(),
+    };
+    for pos in range {
+        let h = hashes[pos];
+        let before = out.left.len();
+        for m in tables[partition_of(h, tables.len())].matches(keys, pos, h) {
+            out.left.push(gid(lids, pos));
+            out.right.push(gid(rids, m as usize));
+        }
+        if kind == JoinKind::Left && out.left.len() == before {
+            out.unmatched.push(gid(lids, pos));
+        }
+    }
+    out
+}
+
+/// Assemble the join output from the probe's row-id pairs — shared by
+/// the sequential kernel and the partitioned path, which produce
+/// identical pairs. Every output column is one gather task claimed off
+/// the scheduler (slot order preserved). An integer-compressed source
+/// is decoded once and gathered into plain `I64` — the chain→barrier
+/// hand-off's rule — rather than re-compressed for the next operator to
+/// decode again.
 pub(crate) fn join_assemble(
     left: &Batch,
     right: &Batch,
+    rids: Option<&[i64]>,
     kind: JoinKind,
-    left_idx: Vec<i64>,
-    right_idx: Vec<i64>,
-    left_unmatched: Vec<i64>,
-) -> Batch {
-    let matched = left_idx.len();
-    let li = Tensor::from_vec(left_idx, &[matched]);
-    let ri = Tensor::from_vec(right_idx, &[matched]);
-    let mut out = select_batch(left, &li);
+    pairs: JoinPairs,
+    threads: usize,
+) -> Result<Batch, ExecError> {
+    let matched = pairs.left.len();
+    let li = Tensor::from_vec(pairs.left, &[matched]);
+    let ri = Tensor::from_vec(pairs.right, &[matched]);
+    // Exact views up front: workers must not capture the batches
+    // (autodiff columns are not `Sync`).
+    let sources: Vec<(EncodedTensor, &I64Tensor)> = left
+        .columns()
+        .iter()
+        .map(|(_, c)| (c.to_exact(), &li))
+        .chain(right.columns().iter().map(|(_, c)| (c.to_exact(), &ri)))
+        .collect();
+    let gathered = crate::morsel::claim(sources.len(), threads, |c| {
+        let (col, idx) = &sources[c];
+        Ok(crate::morsel::decode_packed(col.clone()).select_rows(idx))
+    })?;
 
-    // Right columns, renamed on collision (mirrored by the compile-time
-    // schema propagation in `physical::lower`).
-    let right_matched = select_batch(right, &ri);
-    for (name, col) in right_matched.columns() {
+    // Right columns are renamed on collision (mirrored by the
+    // compile-time schema propagation in `physical::lower`).
+    let names = left.columns().iter().chain(right.columns()).map(|(n, _)| n);
+    let mut out = Batch::new();
+    for (name, col) in names.zip(gathered) {
         let out_name = if out.column(name).is_ok() {
             format!("right_{name}")
         } else {
             name.clone()
         };
-        out.push(out_name, col.clone());
+        out.push(out_name, ColumnData::Exact(col));
     }
 
-    if kind == JoinKind::Left && !left_unmatched.is_empty() {
+    if kind == JoinKind::Left && !pairs.unmatched.is_empty() {
         // Documented limitation: without NULLs, unmatched left rows pad
         // right-side numeric columns with NaN and other encodings with
-        // their first value; prefer INNER JOIN unless pads are acceptable.
-        let un = left_unmatched.len();
-        let ui = Tensor::from_vec(left_unmatched, &[un]);
+        // the value of the right side's first row (their zero value
+        // when it has none); prefer INNER JOIN unless pads are
+        // acceptable. A selection-fed right side's first row is its
+        // first survivor, not row 0 of the full-width batch.
+        let first = match rids {
+            Some(ids) => ids.first().copied(),
+            None => (right.rows() > 0).then_some(0),
+        };
+        let un = pairs.unmatched.len();
+        let ui = Tensor::from_vec(pairs.unmatched, &[un]);
         let left_pad = select_batch(left, &ui);
-        return Batch::concat(&[out, pad_right(&left_pad, right, un)]);
+        return Ok(Batch::concat(&[
+            out,
+            pad_right(&left_pad, right, first, un),
+        ]));
     }
-    out
+    Ok(out)
 }
 
 /// Sequential hash join — the whole-batch oracle the partitioned
-/// parallel path ([`crate::morsel`]) must match byte for byte. Builds
-/// one table over all right rows, probes left rows in input order.
+/// parallel path ([`crate::morsel`]) must match byte for byte, and that
+/// path with one partition: the same key codes, the same hash, one
+/// table over all right rows, left rows probed in input order.
 pub fn join_batches(
     left: &Batch,
     right: &Batch,
     kind: JoinKind,
     on: &JoinOn,
 ) -> Result<Batch, ExecError> {
-    let (latoms, ratoms) = join_atoms(on, left, right)?;
-
-    // Build side: hash right rows by composite key, ascending.
-    let table = JoinTable::build(&ratoms, 0..right.rows() as i64);
-
-    // Probe side, in input order.
-    let mut left_idx: Vec<i64> = Vec::new();
-    let mut right_idx: Vec<i64> = Vec::new();
-    let mut left_unmatched: Vec<i64> = Vec::new();
-    for row in 0..left.rows() {
-        match table.get(&latoms, row) {
-            Some(matches) => {
-                for &m in matches {
-                    left_idx.push(row as i64);
-                    right_idx.push(m);
-                }
-            }
-            None if kind == JoinKind::Left => left_unmatched.push(row as i64),
-            None => {}
-        }
-    }
-    Ok(join_assemble(
-        left,
-        right,
-        kind,
-        left_idx,
-        right_idx,
-        left_unmatched,
-    ))
+    let (lcodes, rcodes) = join_key_codes(on, left, None, right, None)?;
+    let (lkeys, rkeys) = (code_refs(&lcodes), code_refs(&rcodes));
+    let lhashes = hash_rows(&lkeys, left.rows());
+    let rhashes = hash_rows(&rkeys, right.rows());
+    let build: Vec<u32> = (0..right.rows() as u32).collect();
+    let table = KeyTable::build(&rkeys, &rhashes, &build);
+    let pairs = probe_rows(&[table], &lkeys, &lhashes, 0..left.rows(), kind, None, None);
+    join_assemble(left, right, None, kind, pairs, 1)
 }
 
-fn pad_right(left_pad: &Batch, right: &Batch, n: usize) -> Batch {
+/// `n` rows of a layout's zero value (`0` / `false` / `""` / the first
+/// class) — the pad for a right side that has no first row to repeat.
+fn zero_rows(col: &EncodedTensor, n: usize) -> EncodedTensor {
+    match col {
+        EncodedTensor::Bool(_) => EncodedTensor::Bool(Tensor::full(&[n], false)),
+        EncodedTensor::Dict { .. } => EncodedTensor::from_strings(&vec![""; n]),
+        EncodedTensor::Pe(p) => EncodedTensor::Pe(tdp_encoding::PeTensor::from_class_ids(
+            &Tensor::full(&[n], 0),
+            p.class_values().clone(),
+        )),
+        _ => EncodedTensor::I64(Tensor::full(&[n], 0)),
+    }
+}
+
+/// `left_pad` extended by `n` pad rows for every right column: NaN for
+/// f32 payloads, otherwise the value at right row `first` (the layout's
+/// zero when the right side has no row).
+fn pad_right(left_pad: &Batch, right: &Batch, first: Option<i64>, n: usize) -> Batch {
     let mut out = left_pad.clone();
     for (name, col) in right.columns() {
         let exact = col.to_exact();
@@ -766,10 +720,10 @@ fn pad_right(left_pad: &Batch, right: &Batch, n: usize) -> Batch {
                 shape[0] = n;
                 EncodedTensor::F32(Tensor::full(&shape, f32::NAN))
             }
-            other => {
-                let idx = Tensor::from_vec(vec![0i64; n], &[n]);
-                other.select_rows(&idx)
-            }
+            other => match first {
+                Some(row) => other.select_rows(&Tensor::from_vec(vec![row; n], &[n])),
+                None => zero_rows(&other, n),
+            },
         };
         let out_name = if out.column(name).is_ok() {
             format!("right_{name}")

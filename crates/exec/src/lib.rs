@@ -103,12 +103,13 @@
 //! positions. Legacy `name()`-only implementations keep the historical
 //! fully-dynamic behaviour via defaulted methods.
 //!
-//! Barriers are staged rather than streamed: joins build per-partition
-//! hash tables after a key-hash **exchange** ([`ExecContext::partitions`]
+//! Barriers are staged rather than streamed: joins normalise their keys
+//! to integer code columns, hash each row once, build per-partition flat
+//! tables after a key-hash **exchange** ([`ExecContext::partitions`]
 //! buckets, independent of the thread count) and probe morsels in
 //! parallel; ORDER BY / TopK sort per-morsel runs merged k-way under the
 //! stable `(keys…, input position)` order; DISTINCT dedups exchanged
-//! partitions shared-nothing. Every staged path is byte-identical to the
+//! partitions shared-nothing through the same codes, hash and table. Every staged path is byte-identical to the
 //! sequential kernels in [`exact`], which remain the fallback (and the
 //! oracle the equivalence tests compare against).
 //!

@@ -2,9 +2,10 @@
 //!
 //! The morsel scheduler and the staged barrier operators charge their
 //! input-proportional materializations here: decoded partition columns,
-//! exchange buckets, join build tables, sort runs and DISTINCT sets.
+//! exchanged positions, join build tables, sort runs and DISTINCT sets.
 //! Charges are estimates of the dominant allocation (payload bytes for
-//! columns, ids + entry overhead for hash structures), taken *before*
+//! columns; for the flat key tables the hash column, the `u32` slots at
+//! their worst-case four per row and the `next` chain), taken *before*
 //! the allocation where practical so a breach aborts cheaply. Both
 //! guards release on drop — the "release on operator drop" half of the
 //! ledger contract — and a refused charge becomes

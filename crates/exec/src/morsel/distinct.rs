@@ -1,7 +1,9 @@
-//! Shared-nothing DISTINCT: rows exchange by grouping-code hash, each
-//! partition dedups independently (a key lives in exactly one
-//! partition), survivors re-sort to input order.
+//! Shared-nothing DISTINCT over integer grouping codes: rows exchange
+//! by composite-code hash, each partition keeps first occurrences in a
+//! flat table (a key lives in exactly one partition), survivors re-sort
+//! to input order.
 
+use tdp_tensor::keytable::{hash_rows, KeyTable};
 use tdp_tensor::Tensor;
 
 use super::chain::BarrierInput;
@@ -13,11 +15,23 @@ use crate::memory;
 use crate::profile::Recorder;
 use crate::udf::ExecContext;
 
-/// Shared-nothing DISTINCT: exchange rows by composite grouping-code
-/// hash, dedup each partition independently (a key lives in exactly one
-/// partition, so a partition's first occurrence is the global one), then
-/// re-sort the surviving row ids into input order — byte-identical to
-/// [`exact::distinct_batch`]'s first-occurrence output.
+/// Byte estimate of DISTINCT's seen-set over `rows` rows, whatever the
+/// key width (keys are read out of the code columns, never copied): the
+/// 8-byte hash column plus the table's `u32` slots — two to four per
+/// row, charged at the upper end. Linear in `rows`, so per-partition
+/// charges sum to the one-set charge.
+fn distinct_set_bytes(rows: usize) -> u64 {
+    rows as u64 * (8 + 16)
+}
+
+/// Shared-nothing DISTINCT: grouping codes at survivor positions, one
+/// composite hash per row ([`hash_rows`]) that both the exchange and the
+/// per-partition tables use, an insert-if-absent sweep per partition (a
+/// key lives in exactly one partition and a partition lists its rows
+/// ascending, so the row a partition keeps is the global first
+/// occurrence), then the kept row ids re-sorted into input order —
+/// byte-identical to [`exact::distinct_batch`]'s first-occurrence
+/// output.
 pub(crate) fn run_distinct(
     input: BarrierInput,
     ctx: &ExecContext,
@@ -32,9 +46,10 @@ pub(crate) fn run_distinct(
         note_sequential(rec, reason);
         let input = input.into_gathered();
         // The sequential kernel holds the same key codes and one big
-        // seen-set; charge the per-row estimate of the staged path so
+        // seen-set; charge the per-row estimates of the staged path so
         // enforcement is thread-count-invariant.
-        let _charge = memory::charge(&ctx.memory, "distinct", (rows * (8 * ncols + 16)) as u64)?;
+        let bytes = (rows * 8 * ncols) as u64 + distinct_set_bytes(rows);
+        let _charge = memory::charge(&ctx.memory, "distinct", bytes)?;
         return exact::distinct_batch(&input);
     }
     let (morsels, partitions) = (num_morsels(rows, ctx.morsel_rows), ctx.partitions.max(1));
@@ -45,45 +60,32 @@ pub(crate) fn run_distinct(
         "partitioned",
         format_args!("×{partitions} ({morsels} morsels)"),
     );
-    // Held until the surviving rows are selected out: key codes,
-    // exchange buckets and the per-partition seen-sets. The codes are
-    // survivor-width either way — a selection-fed input extracts them
-    // through the selection and defers the payload gather to the final
-    // representative select.
+    // Held until the surviving rows are selected out: key codes, the
+    // exchanged positions and the per-partition seen-sets. The codes are
+    // survivor-width either way — a selection-fed input reads them at
+    // its survivor ids (by index for plain layouts) and defers the
+    // payload gather to the final representative select.
     let charges = memory::ScopedCharges::new(&ctx.memory);
     charges.add("distinct key codes", (rows * 8 * ncols) as u64)?;
-    match input {
-        BarrierInput::Gathered(b, _) => {
-            let codes: Vec<Vec<i64>> = b
-                .columns()
-                .iter()
-                .map(|(_, c)| exact::key_codes(&c.to_exact()).map(|t| t.to_vec()))
-                .collect::<Result<_, _>>()?;
-            let rep = distinct_reps(&codes, rows, ncols, &charges, ctx)?;
-            let n = rep.len();
-            Ok(exact::select_batch(&b, &Tensor::from_vec(rep, &[n])))
-        }
-        BarrierInput::Selected(s) => {
-            let mask = s.gather_mask();
-            let codes: Vec<Vec<i64>> = s
-                .batch
-                .columns()
-                .iter()
-                .map(|(_, c)| {
-                    exact::key_codes(&c.to_exact().filter_rows(&mask)).map(|t| t.to_vec())
-                })
-                .collect::<Result<_, _>>()?;
-            // Representatives come back as survivor positions; map them
-            // to global ids for the one deferred gather.
-            let ids = s.ids();
-            let rep: Vec<i64> = distinct_reps(&codes, rows, ncols, &charges, ctx)?
-                .into_iter()
-                .map(|p| ids[p as usize])
-                .collect();
-            let n = rep.len();
-            Ok(exact::select_batch(&s.batch, &Tensor::from_vec(rep, &[n])))
+    let (batch, ids) = match &input {
+        BarrierInput::Gathered(b, _) => (b, None),
+        BarrierInput::Selected(s) => (&s.batch, Some(s.ids())),
+    };
+    let codes: exact::KeyCodes = batch
+        .columns()
+        .iter()
+        .map(|(_, c)| exact::key_codes_at(&c.to_exact(), ids.as_deref()))
+        .collect::<Result<_, _>>()?;
+    // Representatives come back as survivor positions; map them to
+    // global ids for the one deferred gather.
+    let mut rep = distinct_reps(&codes, rows, &charges, ctx)?;
+    if let Some(ids) = &ids {
+        for r in &mut rep {
+            *r = ids[*r as usize];
         }
     }
+    let n = rep.len();
+    Ok(exact::select_batch(batch, &Tensor::from_vec(rep, &[n])))
 }
 
 /// Exchange + shared-nothing dedup over precomputed grouping codes:
@@ -92,40 +94,32 @@ pub(crate) fn run_distinct(
 fn distinct_reps(
     codes: &[Vec<i64>],
     rows: usize,
-    ncols: usize,
     charges: &memory::ScopedCharges,
     ctx: &ExecContext,
 ) -> Result<Vec<i64>, ExecError> {
     let partitions = ctx.partitions.max(1);
-    charges.add("distinct exchange", rows as u64 * 8)?;
-    let parts = exchange(rows, partitions, ctx, &|r| exact::code_hash(codes, r))?;
+    let keys = exact::code_refs(codes);
+    let hashes = hash_rows(&keys, rows);
+    charges.add("distinct exchange", rows as u64 * 4)?;
+    let parts = exchange(&hashes, partitions, ctx)?;
 
     // Per-partition dedup, keeping first occurrences (rows ascending).
-    let survivors: Vec<Vec<i64>> = claim(partitions, ctx.threads, |p| {
-        // Worst case (all keys distinct) the seen-set holds every key.
-        charges.add("distinct set", (parts[p].len() * (8 * ncols + 16)) as u64)?;
-        let mut keep: Vec<i64> = Vec::new();
-        if codes.len() == 1 {
-            let col = &codes[0];
-            let mut seen: std::collections::HashSet<i64> = std::collections::HashSet::new();
-            for &r in &parts[p] {
-                if seen.insert(col[r as usize]) {
-                    keep.push(r);
-                }
-            }
-        } else {
-            let mut seen: std::collections::HashSet<Vec<i64>> = std::collections::HashSet::new();
-            for &r in &parts[p] {
-                let key: Vec<i64> = codes.iter().map(|c| c[r as usize]).collect();
-                if seen.insert(key) {
-                    keep.push(r);
-                }
-            }
-        }
-        Ok(keep)
+    let survivors: Vec<Vec<u32>> = claim(partitions, ctx.threads, |p| {
+        let part = parts.part(p);
+        // Sized for the worst case: every key distinct.
+        charges.add("distinct set", distinct_set_bytes(part.len()))?;
+        let mut seen = KeyTable::new(&keys, &hashes, part);
+        Ok((0..part.len())
+            .filter(|&i| seen.insert_if_absent(i))
+            .map(|i| part[i])
+            .collect())
     })?;
 
-    let mut rep: Vec<i64> = survivors.into_iter().flatten().collect();
-    rep.sort_unstable(); // first-occurrence input order, as sequential
-    Ok(rep)
+    // Back to first-occurrence input order, as sequential: flag the kept
+    // positions and sweep them out ascending — no sort.
+    let mut kept = vec![false; rows];
+    for &r in survivors.iter().flatten() {
+        kept[r as usize] = true;
+    }
+    Ok((0..rows as i64).filter(|&r| kept[r as usize]).collect())
 }

@@ -7,9 +7,9 @@
 //! | `sched`       | worker contexts, the one thread-spawn site, the one claim loop (ordered result slots, first error in index order, the LIMIT stop bound), the partition `exchange`, morsel slicing |
 //! | `chain`       | parallel-safety analysis, the per-execution `ChainRun`, the streaming chain run with its LIMIT sink, the chain→barrier hand-off (`BarrierInput`: selection exit or gathered) |
 //! | `aggregate`   | `AggProgram`, the one per-morsel fold, the selection-fed and gathered partial loops, the combine |
-//! | `join`        | partitioned hash join: exchange → per-partition build → parallel probe |
+//! | `join`        | partitioned hash join over `i64` key codes: hash once → exchange → per-partition flat table → parallel probe → per-column assembly |
 //! | `sort`        | merge sort and top-k: per-morsel runs → k-way merge |
-//! | `distinct`    | shared-nothing DISTINCT: exchange → per-partition dedup |
+//! | `distinct`    | shared-nothing DISTINCT on the same codes, hash and table: exchange → per-partition insert-if-absent |
 //!
 //! The barrier modules share nothing but the scheduler API and the
 //! `BarrierInput` they are handed.
@@ -44,9 +44,9 @@
 //! | barrier    | selection-fed behaviour |
 //! |------------|-------------------------|
 //! | aggregate  | one partial per input morsel from the fused fold over the *referenced* columns only — the morsel's row range under its mask slice (dense) or its survivors read by index (sparse); grouped or not, nothing is gathered at table width |
-//! | join       | builds/probes survivor rows only; exchange buckets survivor ids; `join_assemble` gathers once on matched output positions |
+//! | join       | key codes are read at survivor rows only (by index for plain layouts); the exchange, tables and probe work on survivor positions; `join_assemble` gathers once on matched global row ids |
 //! | sort/top-k | evaluates keys on survivors; payload gather happens once, in final sorted order |
-//! | DISTINCT   | exchanges survivor grouping codes; representatives gather at the end |
+//! | DISTINCT   | grouping codes are read at survivor rows only; first occurrences gather at the end |
 //!
 //! Byte-identity is preserved in every mode: reorder/gather barriers
 //! (join, sort, top-k, DISTINCT) move bytes without arithmetic, and
@@ -104,6 +104,7 @@ pub(crate) use chain::{
 };
 pub(crate) use distinct::run_distinct;
 pub(crate) use join::run_join;
+pub(crate) use sched::{claim, decode_packed};
 pub(crate) use sort::{run_sort, run_topk};
 
 use crate::physical::PhysicalPlan;

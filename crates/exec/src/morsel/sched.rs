@@ -21,6 +21,7 @@ use std::sync::Mutex;
 
 use tdp_encoding::EncodedTensor;
 use tdp_storage::Catalog;
+use tdp_tensor::keytable::partition_of;
 
 use crate::batch::{Batch, ColumnData};
 use crate::error::ExecError;
@@ -187,7 +188,7 @@ fn run_stage<T: Send>(
 
 /// Claim `0..count` on plain threads (no evaluation context): `f(i)`
 /// outputs in index order.
-pub(super) fn claim<T: Send>(
+pub(crate) fn claim<T: Send>(
     count: usize,
     threads: usize,
     f: impl Fn(usize) -> Result<T, ExecError> + Sync,
@@ -215,34 +216,81 @@ pub(super) fn claim_eval<T: Send>(
     })
 }
 
-/// Partition-exchange primitive: distribute `rows` input rows into
-/// `partitions` buckets by key hash. Workers claim morsels and bucket
-/// their rows locally; buckets are then concatenated in morsel order, so
-/// every partition lists its rows in **ascending input order** at any
-/// thread count (the hash, morsel boundaries and partition count are all
-/// plan properties — workers only decide *who* buckets each morsel).
+/// An exchange's output: one `u32` position buffer holding every
+/// partition's rows back to back.
+pub(super) struct Partitions {
+    positions: Vec<u32>,
+    /// Partition `p` is `positions[starts[p]..starts[p + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl Partitions {
+    /// Rows of partition `p`, ascending.
+    pub(super) fn part(&self, p: usize) -> &[u32] {
+        &self.positions[self.starts[p]..self.starts[p + 1]]
+    }
+}
+
+/// Partition-exchange primitive: distribute the rows behind `hashes`
+/// (one precomputed composite-key hash per row — the same hashes the
+/// consumer's tables reuse) into `partitions` buckets. Two claimed
+/// passes over the morsels: a histogram per morsel, then — after prefix
+/// sums turn the counts into one disjoint output range per (partition,
+/// morsel) — a scatter straight into the shared position buffer. Ranges
+/// are laid out partition-major, morsel-minor, and a morsel writes its
+/// rows in order, so every partition lists its rows in **ascending
+/// input order** at any thread count (the hash, morsel boundaries and
+/// partition count are all plan properties — workers only decide *who*
+/// scatters each morsel).
 pub(super) fn exchange(
-    rows: usize,
+    hashes: &[u64],
     partitions: usize,
     ctx: &ExecContext,
-    hash_of: &(impl Fn(usize) -> u64 + Sync),
-) -> Result<Vec<Vec<i64>>, ExecError> {
-    let morsel_rows = ctx.morsel_rows;
-    let per_morsel = claim(num_morsels(rows, morsel_rows), ctx.threads, |i| {
+) -> Result<Partitions, ExecError> {
+    let rows = hashes.len();
+    assert!(rows < u32::MAX as usize, "exchanged positions are 32-bit");
+    let (morsel_rows, morsels) = (ctx.morsel_rows, num_morsels(rows, ctx.morsel_rows));
+    let morsel = |i: usize| {
         let (start, end) = morsel_range(i, morsel_rows, rows);
-        let mut buckets: Vec<Vec<i64>> = vec![Vec::new(); partitions];
-        for r in start..end {
-            buckets[(hash_of(r) % partitions as u64) as usize].push(r as i64);
+        (start, &hashes[start..end])
+    };
+    let counts = claim(morsels, ctx.threads, |i| {
+        let mut count = vec![0usize; partitions];
+        for &h in morsel(i).1 {
+            count[partition_of(h, partitions)] += 1;
         }
-        Ok(buckets)
+        Ok(count)
     })?;
-    let mut out: Vec<Vec<i64>> = vec![Vec::new(); partitions];
-    for buckets in per_morsel {
-        for (p, b) in buckets.into_iter().enumerate() {
-            out[p].extend(b);
+
+    // Carve the buffer into its (partition, morsel) ranges, regrouped
+    // per morsel so each scatter task owns exactly the slices it fills.
+    let mut positions = vec![0u32; rows];
+    let mut starts = Vec::with_capacity(partitions + 1);
+    let mut outs: Vec<Vec<&mut [u32]>> = (0..morsels).map(|_| Vec::new()).collect();
+    let mut rest = positions.as_mut_slice();
+    for p in 0..partitions {
+        starts.push(rows - rest.len());
+        for (count, out) in counts.iter().zip(&mut outs) {
+            let (range, tail) = std::mem::take(&mut rest).split_at_mut(count[p]);
+            out.push(range);
+            rest = tail;
         }
     }
-    Ok(out)
+    starts.push(rows);
+    let outs: Vec<Mutex<Vec<&mut [u32]>>> = outs.into_iter().map(Mutex::new).collect();
+    claim(morsels, ctx.threads, |i| {
+        let mut out = outs[i].lock().expect("scatter ranges poisoned");
+        let mut fill = vec![0usize; partitions];
+        let (start, hashes) = morsel(i);
+        for (r, &h) in hashes.iter().enumerate() {
+            let p = partition_of(h, partitions);
+            out[p][fill[p]] = (start + r) as u32;
+            fill[p] += 1;
+        }
+        Ok(())
+    })?;
+    drop(outs);
+    Ok(Partitions { positions, starts })
 }
 
 // ----------------------------------------------------------------------
@@ -262,7 +310,7 @@ pub(super) fn to_cols(batch: &Batch) -> MorselCols {
 
 /// Integer-compressed layouts (RLE / bit-packed / delta) decoded to
 /// plain i64; plain, dictionary and PE layouts as they are.
-pub(super) fn decode_packed(col: EncodedTensor) -> EncodedTensor {
+pub(crate) fn decode_packed(col: EncodedTensor) -> EncodedTensor {
     match col {
         e @ (EncodedTensor::Rle(_) | EncodedTensor::BitPacked(_) | EncodedTensor::Delta(_)) => {
             EncodedTensor::I64(e.decode_i64())

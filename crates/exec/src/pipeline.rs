@@ -29,15 +29,23 @@
 //! as short stage sequences over their materialised inputs
 //! (chains → exchange → barrier stages, see [`crate::morsel`]):
 //!
-//! * **Join** — build-side rows are exchanged into
-//!   [`crate::ExecContext::partitions`] buckets by composite-key hash,
-//!   one hash table is built per partition (shared-nothing), and probe
-//!   morsels are processed in parallel with morsel-order reassembly;
+//! * **Join** — an array program over integer key tensors: every key
+//!   pair is normalised to two `i64` code columns in one shared code
+//!   space (grouping codes; a dictionary pair maps the right
+//!   dictionary's entries into the left's once; a mixed-class pair
+//!   interns its textual renderings), each row's composite hash is
+//!   computed **once** and reused by the exchange, the build and the
+//!   probe; build-side positions are scattered into
+//!   [`crate::ExecContext::partitions`] buckets, one flat table
+//!   (`tdp_tensor::keytable`) is built per partition (shared-nothing),
+//!   probe morsels run in parallel with morsel-order reassembly, and
+//!   the output columns are gathered as one claimed task per column;
 //! * **Sort / TopK** — each morsel produces a sorted run (top-k runs
 //!   for `ORDER BY … LIMIT`), k-way merged under the stable
 //!   `(keys…, input position)` order;
-//! * **DISTINCT** — rows are exchanged by grouping-code hash and each
-//!   partition dedups independently, survivors re-sorted to input order.
+//! * **DISTINCT** — the same codes, hash, exchange and table: each
+//!   partition keeps the first row of every key (insert-if-absent), and
+//!   the kept positions are swept back out in input order.
 //!
 //! Windows, TVFs and UNION ALL remain whole-batch. The partition count
 //! is a plan property (`TDP_PARTITIONS`, default

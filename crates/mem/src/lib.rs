@@ -12,10 +12,12 @@
 //!
 //! - batch materialization in the morsel scheduler (decoded partition
 //!   columns and per-morsel result slots),
-//! - exchange partition buckets (row-id vectors),
-//! - join build-side hash tables (`JoinTable`),
+//! - the exchange's partitioned position buffer (one `u32` per row),
+//! - join build-side hash structures (the flat key table's slots and
+//!   `next` chain plus the row-hash column),
 //! - sort runs (permutation plus decoded key columns),
-//! - DISTINCT key codes and per-partition dedup sets.
+//! - DISTINCT key codes and per-partition seen-sets (the same table,
+//!   unchained).
 //!
 //! Charges follow RAII: the executor wraps each charge in a guard that
 //! shrinks the ledger when the operator's intermediate state drops, and

@@ -18,7 +18,8 @@
 //!   runs unchanged on CPU or "GPU") without requiring GPU hardware.
 //! * Kernels are organised by module: elementwise ([`ops`]), reductions
 //!   ([`reduce`]), linear algebra ([`linalg`]), convolution ([`conv`]),
-//!   indexing/selection ([`index`]) and sorting ([`sort`]).
+//!   indexing/selection ([`index`]), sorting and grouping ([`sort`]) and the
+//!   join/DISTINCT hash table ([`keytable`]).
 //!
 //! ## Quick start
 //!
@@ -36,6 +37,7 @@ pub mod device;
 pub mod einops;
 pub mod element;
 pub mod index;
+pub mod keytable;
 pub mod linalg;
 pub mod ops;
 pub mod reduce;

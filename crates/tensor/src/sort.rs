@@ -227,7 +227,7 @@ fn group_direct(
 }
 
 /// Folded 64×64→128 multiply: every input bit reaches every output bit.
-fn mix(x: u64) -> u64 {
+pub(crate) fn mix(x: u64) -> u64 {
     let m = (x as u128).wrapping_mul(0x9E37_79B9_7F4A_7C15_u128);
     (m as u64) ^ ((m >> 64) as u64)
 }

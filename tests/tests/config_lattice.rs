@@ -44,6 +44,27 @@ fn dim() -> Table {
         .build("d")
 }
 
+/// A 40-row build side that spans several 7-row morsels: `ek` repeats
+/// every key of `t.k` (plus strangers), `etag` is a dictionary column
+/// encoded apart from `t.tag` (two shared strings, two of its own), `p`
+/// is bit-packed, and `w` crosses the `w > 24` filter late in the table.
+fn dim2() -> Table {
+    use tdp_core::encoding::{BitPackedColumn, EncodedTensor};
+    use tdp_core::tensor::Tensor;
+    const N: usize = 40;
+    let etags: Vec<&str> = (0..N).map(|i| ["g0", "zz", "g3", "aa"][i % 4]).collect();
+    let ps: Vec<i64> = (0..N).map(|i| ((i * 5) % 16) as i64).collect();
+    TableBuilder::new()
+        .col_i64("ek", (0..N).map(|i| ((i * 3) % 14) as i64).collect())
+        .col_str("etag", &etags)
+        .col_encoded(
+            "p",
+            EncodedTensor::BitPacked(BitPackedColumn::encode(&Tensor::from_vec(ps, &[N]))),
+        )
+        .col_f32("w", (0..N).map(|i| i as f32 * 0.75).collect())
+        .build("e")
+}
+
 /// One query per plan shape the walker distinguishes.
 const CORPUS: &[(&str, &str)] = &[
     (
@@ -113,6 +134,34 @@ const CORPUS: &[(&str, &str)] = &[
         "SELECT t.v, d.w FROM t JOIN d ON t.k = d.k WHERE t.v < 700",
     ),
     (
+        "composite-key join",
+        "SELECT t.v, e.w FROM t JOIN e ON t.k = e.ek AND t.tag = e.etag WHERE t.v < 700",
+    ),
+    (
+        "dictionary-key join across two dictionaries",
+        "SELECT t.v, e.p FROM t JOIN e ON t.tag = e.etag WHERE t.v < 300",
+    ),
+    (
+        "join with duplicate build keys",
+        "SELECT t.v, e.w, e.p FROM t JOIN e ON t.k = e.ek WHERE t.v < 200",
+    ),
+    (
+        "left join, unmatched rows, a chain on both sides",
+        "SELECT s.v, r.w, r.etag, r.p FROM (SELECT v, k FROM t WHERE v < 500) AS s \
+         LEFT JOIN (SELECT ek, w, etag, p FROM e WHERE w > 24) AS r ON s.k = r.ek",
+    ),
+    (
+        "join with an empty probe side",
+        "SELECT s.v, e.w FROM (SELECT v, k FROM t WHERE v < 0) AS s JOIN e ON s.k = e.ek",
+    ),
+    // The right side is empty: there is no first row to pad from, so
+    // i64, dictionary and bit-packed columns pad with their zero value.
+    (
+        "left join with an empty right side",
+        "SELECT s.v, r.ek, r.etag, r.p, r.w FROM (SELECT v, k FROM t WHERE v < 60) AS s \
+         LEFT JOIN (SELECT ek, etag, p, w FROM e WHERE w > 100) AS r ON s.k = r.ek",
+    ),
+    (
         "sort",
         "SELECT v, k FROM t WHERE v >= 8000 ORDER BY k, v DESC",
     ),
@@ -121,6 +170,10 @@ const CORPUS: &[(&str, &str)] = &[
         "SELECT x, v FROM t WHERE k < 6 ORDER BY x DESC LIMIT 17",
     ),
     ("distinct", "SELECT DISTINCT tag, k FROM t WHERE v > 100"),
+    (
+        "distinct (dictionary, f32)",
+        "SELECT DISTINCT tag, x FROM t WHERE v > 100",
+    ),
     ("limit", "SELECT v FROM t WHERE k = 3 LIMIT 41"),
     (
         "window",
@@ -152,6 +205,7 @@ fn session(budget: Option<u64>) -> Session {
     .session();
     tdp.register_table(fact());
     tdp.register_table(dim());
+    tdp.register_table(dim2());
     // Session-bound (no Send + Sync proof): pins its chain to the
     // session thread at every thread count.
     tdp.register_udf(Arc::new(HalveUdf));

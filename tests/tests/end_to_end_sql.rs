@@ -249,3 +249,141 @@ fn group_by_expression_keys_work_end_to_end() {
         vec![1, 2]
     );
 }
+
+/// What `ON a = b` means (ROADMAP 4d) — the oracle's semantics, pinned
+/// so a change to the join's key representation cannot move them. Each
+/// case joins `l(lid, a, a2, a3)` to `r(rid, b, b2, b3)` and lists the
+/// expected `(lid, rid)` pairs in output order: probe (left) rows in
+/// input order, each one's matches in ascending build (right) row order.
+#[test]
+fn join_key_equality_specification() {
+    use tdp_core::encoding::{BitPackedColumn, DeltaColumn, EncodedTensor, RleColumn};
+    use tdp_core::tensor::Tensor;
+
+    let ints = |v: &[i64]| Tensor::from_vec(v.to_vec(), &[v.len()]);
+    let plain = |v: &[i64]| EncodedTensor::I64(ints(v));
+    let packed = |v: &[i64]| EncodedTensor::BitPacked(BitPackedColumn::encode(&ints(v)));
+    let delta = |v: &[i64]| EncodedTensor::Delta(DeltaColumn::encode(&ints(v)).unwrap());
+    let rle = |v: &[i64]| EncodedTensor::Rle(RleColumn::encode(&ints(v)));
+    let strs = |v: &[&str]| EncodedTensor::from_strings(v);
+    let floats = |v: &[f32]| EncodedTensor::from_f32_slice(v);
+    let bools = |v: &[bool]| EncodedTensor::Bool(Tensor::from_vec(v.to_vec(), &[v.len()]));
+
+    type Keys = Vec<EncodedTensor>;
+    type Case = (&'static str, Keys, Keys, Vec<(i64, i64)>);
+    let cases: Vec<Case> = vec![
+        (
+            "i64 x bit-packed: by value, duplicates in ascending build order",
+            vec![plain(&[3, 7, 5, 3])],
+            vec![packed(&[5, 3, 9, 3])],
+            vec![(0, 1), (0, 3), (2, 0), (3, 1), (3, 3)],
+        ),
+        (
+            "i64 x delta: by value",
+            vec![plain(&[12, -4, 10])],
+            vec![delta(&[10, 11, 12, 12])],
+            vec![(0, 2), (0, 3), (2, 0)],
+        ),
+        (
+            "rle x i64: by value",
+            vec![rle(&[2, 2, 2, 8])],
+            vec![plain(&[8, 2])],
+            vec![(0, 1), (1, 1), (2, 1), (3, 0)],
+        ),
+        (
+            "dictionary x dictionary: by string, across different dictionaries",
+            vec![strs(&["b", "a", "z"])],
+            vec![strs(&["a", "c", "b", "a"])],
+            vec![(0, 2), (1, 0), (1, 3)],
+        ),
+        (
+            "string x integer: textual equality",
+            vec![strs(&["3", "x", "10", "03"])],
+            vec![plain(&[3, 10, 3])],
+            vec![(0, 0), (0, 2), (2, 1)],
+        ),
+        (
+            "bool x i64: never match",
+            vec![bools(&[true, false])],
+            vec![plain(&[1, 0])],
+            vec![],
+        ),
+        (
+            "f32 x f32: bit-wise (NaN joins NaN, 0.0 does not join -0.0)",
+            vec![floats(&[f32::NAN, 0.0, -0.0, 1.5])],
+            vec![floats(&[f32::NAN, 0.0, 1.5, -0.0])],
+            vec![(0, 0), (1, 1), (2, 3), (3, 2)],
+        ),
+        (
+            "two-column key (i64, dictionary)",
+            vec![plain(&[1, 1, 2, 2]), strs(&["x", "y", "x", "y"])],
+            vec![packed(&[2, 1, 2, 1]), strs(&["y", "q", "y", "x"])],
+            vec![(0, 3), (3, 0), (3, 2)],
+        ),
+        (
+            "three-column key (i64, dictionary, f32)",
+            vec![
+                plain(&[1, 1, 1]),
+                strs(&["x", "x", "y"]),
+                floats(&[0.5, 0.25, 0.5]),
+            ],
+            vec![
+                plain(&[1, 1, 1, 1]),
+                strs(&["x", "y", "x", "x"]),
+                floats(&[0.5, 0.5, 0.75, 0.5]),
+            ],
+            vec![(0, 0), (0, 3), (2, 1)],
+        ),
+    ];
+
+    let side = |name: &str, id: &str, prefix: &str, keys: &Keys| {
+        let rows = keys[0].rows();
+        let mut b = TableBuilder::new().col_i64(id, (0..rows as i64).collect());
+        for (i, col) in keys.iter().enumerate() {
+            let suffix = if i == 0 {
+                String::new()
+            } else {
+                (i + 1).to_string()
+            };
+            b = b.col_encoded(format!("{prefix}{suffix}"), col.clone());
+        }
+        b.build(name)
+    };
+    for (what, left, right, want) in cases {
+        let tdp = Tdp::new();
+        tdp.register_table(side("l", "lid", "a", &left));
+        tdp.register_table(side("r", "rid", "b", &right));
+        let on = match left.len() {
+            1 => "l.a = r.b",
+            2 => "l.a = r.b AND l.a2 = r.b2",
+            _ => "l.a = r.b AND l.a2 = r.b2 AND l.a3 = r.b3",
+        };
+        let out = tdp
+            .query(&format!("SELECT lid, rid FROM l JOIN r ON {on}"))
+            .unwrap()
+            .run()
+            .unwrap();
+        let col = |name: &str| out.column(name).unwrap().data.decode_i64().to_vec();
+        let got: Vec<(i64, i64)> = col("lid").into_iter().zip(col("rid")).collect();
+        assert_eq!(got, want, "{what}");
+    }
+
+    // The filter's `=` is numeric where the join's is bit-wise: both
+    // zeros survive `WHERE a = 0.0`.
+    let tdp = Tdp::new();
+    tdp.register_table(side(
+        "l",
+        "lid",
+        "a",
+        &vec![floats(&[f32::NAN, 0.0, -0.0, 1.5])],
+    ));
+    let kept = tdp
+        .query("SELECT lid FROM l WHERE a = 0.0")
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(
+        kept.column("lid").unwrap().data.decode_i64().to_vec(),
+        vec![1, 2]
+    );
+}

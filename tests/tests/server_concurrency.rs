@@ -272,3 +272,23 @@ fn shutdown_drains_the_in_flight_query() {
         "in-flight query must drain through shutdown: {response}"
     );
 }
+
+/// A LEFT JOIN whose right side comes out empty has no first row to pad
+/// unmatched rows from; it used to panic on the connection thread. The
+/// statement must answer with padded rows and leave the connection usable.
+#[test]
+fn left_join_on_an_empty_right_side_keeps_the_connection_alive() {
+    let server = TdpServer::bind(test_engine(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let (stream, mut reader) = connect(server.local_addr());
+    let joined = roundtrip(
+        &stream,
+        &mut reader,
+        "QUERY SELECT o.qty, e.e_item, e.e_qty FROM orders AS o LEFT JOIN \
+         (SELECT item AS e_item, qty AS e_qty FROM orders WHERE qty > 1000) AS e \
+         ON o.item = e.e_item",
+    );
+    assert!(joined.starts_with("OK 8 rows"), "{joined}");
+    let after = roundtrip(&stream, &mut reader, "QUERY SELECT COUNT(*) FROM orders");
+    assert!(after.starts_with("OK 1 rows"), "{after}");
+    server.shutdown();
+}
