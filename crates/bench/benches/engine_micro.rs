@@ -206,7 +206,7 @@ fn bench_topk_vs_full_sort(c: &mut Criterion) {
 fn bench_compressed_encodings(c: &mut Criterion) {
     // Ablation: encode/decode cost and end-to-end GROUP BY latency on the
     // new bit-packed and delta layouts vs plain i64.
-    use tdp_core::encoding::{BitPackedColumn, DeltaColumn, EncodedTensor};
+    use tdp_core::encoding::{BitPackedColumn, DeltaColumn, EncodedTensor, RleColumn};
     let n = 100_000;
     let low_card: Vec<i64> = (0..n).map(|i| (i % 8) as i64).collect();
     let timestamps: Vec<i64> = (0..n).map(|i| 1_700_000_000 + 2 * i as i64).collect();
@@ -223,6 +223,19 @@ fn bench_compressed_encodings(c: &mut Criterion) {
     let delta = DeltaColumn::encode(&ts).expect("encodable");
     group.bench_function("bitpack_decode", |b| b.iter(|| packed.decode()));
     group.bench_function("delta_decode", |b| b.iter(|| delta.decode()));
+    // The read primitives: one 4,096-row window out of the middle, and
+    // every tenth row (an ascending survivor list).
+    let rle = RleColumn::encode(&Tensor::from_vec(
+        (0..n).map(|i| (i / 40) as i64).collect(),
+        &[n],
+    ));
+    let (lo, hi) = (n / 2, n / 2 + 4096);
+    let tenth: Vec<i64> = (0..n as i64).step_by(10).collect();
+    group.bench_function("bitpack_window", |b| b.iter(|| packed.window(lo, hi)));
+    group.bench_function("bitpack_at_10pct", |b| b.iter(|| packed.at(&tenth)));
+    group.bench_function("rle_window", |b| b.iter(|| rle.window(lo, hi)));
+    group.bench_function("delta_window", |b| b.iter(|| delta.window(lo, hi)));
+    group.bench_function("delta_at_10pct", |b| b.iter(|| delta.at(&tenth)));
     group.bench_function("auto_compress", |b| {
         b.iter(|| EncodedTensor::compress_i64(&low))
     });
@@ -817,6 +830,74 @@ fn bench_late_materialization(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_selection_front(c: &mut Criterion) {
+    // The scan→filter front end on its own: a `compress()`ed 1M-row
+    // table (RLE sorted day, bit-packed key, delta timestamp, f32 dial)
+    // under sinks that cost next to nothing, so a cell is the selection
+    // stage plus the reads it feeds. `f32_*`: one compare per row, 1% /
+    // 10% kept. `rle_window_pruned`: a one-year window on the sorted
+    // column — zone maps leave 3 of 16 morsels, whose windows decode.
+    // `bitpacked_payload_10pct`: the packed column read at 100k survivor
+    // rows. `delta_recent`: the last ~2% of a delta timestamp, all but
+    // the tail morsel pruned. Threads 1 vs 2 is the point: the front
+    // end is a stage, not a serial prefix.
+    let n = 1_000_000usize;
+    let mut rng = Rng64::new(71);
+    let tdp = Tdp::new();
+    let mut ts = 1_700_000_000i64;
+    tdp.register_table(
+        TableBuilder::new()
+            .col_i64("day", (0..n).map(|i| (i * 2556 / n) as i64).collect())
+            .col_i64("key", (0..n).map(|_| rng.below(50_000) as i64).collect())
+            .col_i64(
+                "ts",
+                (0..n)
+                    .map(|_| {
+                        ts += 1 + rng.below(3) as i64;
+                        ts
+                    })
+                    .collect(),
+            )
+            .col_f32("v", (0..n).map(|_| rng.normal() as f32).collect())
+            .build("t")
+            .compress(),
+    );
+    let recent = ts - 40_000;
+    let mut group = c.benchmark_group("selection_front_1m");
+    group.sample_size(20);
+    for (cell, sql) in [
+        (
+            "f32_1pct",
+            "SELECT COUNT(*) FROM t WHERE v > 2.3263".to_string(),
+        ),
+        (
+            "f32_10pct",
+            "SELECT COUNT(*) FROM t WHERE v > 1.2816".to_string(),
+        ),
+        (
+            "rle_window_pruned",
+            "SELECT COUNT(*) FROM t WHERE day >= 730 AND day < 1095".to_string(),
+        ),
+        (
+            "bitpacked_payload_10pct",
+            "SELECT SUM(key) FROM t WHERE v > 1.2816".to_string(),
+        ),
+        (
+            "delta_recent",
+            format!("SELECT COUNT(*) FROM t WHERE ts >= {recent}"),
+        ),
+    ] {
+        let q = tdp.query(&sql).expect("compile");
+        for threads in [1usize, 2] {
+            tdp.set_threads(threads);
+            group.bench_function(format!("{cell}/threads_{threads}"), |b| {
+                b.iter(|| q.run().expect("run"))
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_grouped_aggregate(c: &mut Criterion) {
     // The fused grouped fold on the TPC-H Q1 shape — one key, five
     // aggregates, one computed and one repeated argument — swept over
@@ -894,6 +975,7 @@ criterion_group!(
     bench_access_paths,
     bench_memory_budget,
     bench_late_materialization,
+    bench_selection_front,
     bench_grouped_aggregate
 );
 criterion_main!(benches);

@@ -5,9 +5,12 @@
 //! columnar stores. Random access is O(1), so operators can probe packed
 //! columns without decompressing.
 
+use std::sync::Arc;
+
 use tdp_tensor::{I64Tensor, Tensor};
 
-/// An immutable bit-packed i64 column.
+/// An immutable bit-packed i64 column. Cloning is O(1): the packed words
+/// are shared, like a tensor's buffer.
 #[derive(Debug, Clone)]
 pub struct BitPackedColumn {
     /// Minimum of the original values; stored values are offsets from it.
@@ -15,7 +18,7 @@ pub struct BitPackedColumn {
     /// Bits per value (0 when every value equals `min`).
     width: u32,
     /// Packed offsets, little-endian within each u64 word.
-    words: Vec<u64>,
+    words: Arc<Vec<u64>>,
     len: usize,
 }
 
@@ -29,7 +32,7 @@ impl BitPackedColumn {
             return BitPackedColumn {
                 min: 0,
                 width: 0,
-                words: Vec::new(),
+                words: Arc::default(),
                 len: 0,
             };
         }
@@ -60,7 +63,7 @@ impl BitPackedColumn {
         BitPackedColumn {
             min,
             width,
-            words,
+            words: Arc::new(words),
             len,
         }
     }
@@ -77,7 +80,7 @@ impl BitPackedColumn {
         BitPackedColumn {
             min,
             width,
-            words,
+            words: Arc::new(words),
             len,
         }
     }
@@ -120,10 +123,42 @@ impl BitPackedColumn {
         self.min.wrapping_add((off & mask) as i64)
     }
 
+    /// Values of rows `start..end` (bounds clamped): exactly
+    /// `decode()[start..end]` in O(end − start). The words are streamed —
+    /// each value is one shift of the 128-bit pair of words it can
+    /// straddle, with no per-value bounds assert — so a morsel-sized
+    /// window costs its own width, not the column's.
+    pub fn window(&self, start: usize, end: usize) -> Vec<i64> {
+        let end = end.min(self.len);
+        let start = start.min(end);
+        if self.width == 0 {
+            return vec![self.min; end - start];
+        }
+        let (min, w, words) = (self.min, self.width as usize, self.words.as_slice());
+        let mask = u64::MAX >> (64 - self.width);
+        // Rows whose two-word read stays inside the buffer; the few
+        // values packed into the last word go through `get`.
+        let paired = (words.len().saturating_sub(1) * 64)
+            .div_ceil(w)
+            .clamp(start, end);
+        let mut out = Vec::with_capacity(end - start);
+        out.extend((start..paired).map(|i| {
+            let bit = i * w;
+            let pair = words[bit >> 6] as u128 | (words[(bit >> 6) + 1] as u128) << 64;
+            min.wrapping_add(((pair >> (bit & 63)) as u64 & mask) as i64)
+        }));
+        out.extend((paired..end).map(|i| self.get(i)));
+        out
+    }
+
+    /// Values at `rows`, in any order, repeats allowed: O(1) per row.
+    pub fn at(&self, rows: &[i64]) -> Vec<i64> {
+        rows.iter().map(|&r| self.get(r as usize)).collect()
+    }
+
     /// Decode the whole column.
     pub fn decode(&self) -> I64Tensor {
-        let out: Vec<i64> = (0..self.len).map(|i| self.get(i)).collect();
-        Tensor::from_vec(out, &[self.len])
+        Tensor::from_vec(self.window(0, self.len), &[self.len])
     }
 
     /// Packed payload size in bytes (metadata excluded).

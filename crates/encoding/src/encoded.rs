@@ -249,11 +249,9 @@ impl EncodedTensor {
                 p.probs().head_rows(n),
                 p.class_values().clone(),
             )),
-            EncodedTensor::Rle(r) => {
-                EncodedTensor::Rle(RleColumn::encode(&r.decode().head_rows(n)))
+            EncodedTensor::Rle(_) | EncodedTensor::BitPacked(_) | EncodedTensor::Delta(_) => {
+                self.slice_rows(0, n)
             }
-            EncodedTensor::BitPacked(b) => EncodedTensor::compress_i64(&b.decode().head_rows(n)),
-            EncodedTensor::Delta(d) => EncodedTensor::compress_i64(&d.decode().head_rows(n)),
         }
     }
 
@@ -261,7 +259,8 @@ impl EncodedTensor {
     /// morsel-partitioning primitive: plain, dictionary and PE layouts
     /// slice their buffers in one memcpy (dictionary slices share the
     /// parent's dictionary, so codes stay globally comparable across
-    /// morsels); compressed layouts re-encode the decoded range.
+    /// morsels); compressed layouts re-encode the decoded range (read
+    /// through [`EncodedTensor::window_rows`], not a whole-column decode).
     pub fn slice_rows(&self, start: usize, end: usize) -> EncodedTensor {
         let rows = self.rows();
         let end = end.min(rows);
@@ -278,16 +277,61 @@ impl EncodedTensor {
                 p.probs().slice_rows(start, end),
                 p.class_values().clone(),
             )),
-            EncodedTensor::Rle(r) => {
-                EncodedTensor::Rle(RleColumn::encode(&r.decode().slice_rows(start, end)))
-            }
-            EncodedTensor::BitPacked(b) => {
-                EncodedTensor::compress_i64(&b.decode().slice_rows(start, end))
-            }
-            EncodedTensor::Delta(d) => {
-                EncodedTensor::compress_i64(&d.decode().slice_rows(start, end))
+            EncodedTensor::Rle(_) => EncodedTensor::Rle(RleColumn::encode(
+                &self.window_rows(start, end).decode_i64(),
+            )),
+            EncodedTensor::BitPacked(_) | EncodedTensor::Delta(_) => {
+                EncodedTensor::compress_i64(&self.window_rows(start, end).decode_i64())
             }
         }
+    }
+
+    /// Rows `start..end` (bounds clamped) **read**, not re-encoded — the
+    /// window primitive of morsel execution, O(end − start) for every
+    /// layout. Plain, dictionary and PE layouts are what
+    /// [`EncodedTensor::slice_rows`] yields (one memcpy); the
+    /// integer-compressed layouts (run-length, bit-packed, delta) come
+    /// back as plain `I64` holding exactly `decode_i64()[start..end]`:
+    /// a window is about to be computed on or gathered from, and picking
+    /// a fresh smallest encoding for it would only be undone by the next
+    /// read.
+    pub fn window_rows(&self, start: usize, end: usize) -> EncodedTensor {
+        let plain = |v: Vec<i64>| {
+            let n = v.len();
+            EncodedTensor::I64(Tensor::from_vec(v, &[n]))
+        };
+        match self {
+            EncodedTensor::Rle(r) => plain(r.window(start, end)),
+            EncodedTensor::BitPacked(b) => plain(b.window(start, end)),
+            EncodedTensor::Delta(d) => plain(d.window(start, end)),
+            other => other.slice_rows(start, end),
+        }
+    }
+
+    /// The rows at `idx` **read**, not re-encoded — the positional
+    /// primitive of late materialization. Plain, dictionary and PE
+    /// layouts are what [`EncodedTensor::select_rows`] yields; the
+    /// integer-compressed layouts come back as plain `I64` holding
+    /// exactly `decode_i64()` indexed by `idx`. An ascending `idx` (a
+    /// selection's survivors) costs O(`idx`) — bit-packed rows are
+    /// random-access, run-length columns take one merge walk over their
+    /// runs, delta columns walk forward from the nearest anchor
+    /// ([`crate::delta::ANCHOR_STRIDE`]). Any other order (a join's build
+    /// side, a sort's output) is still answered: bit-packed at the same
+    /// cost, run-length and delta from one whole-column decode.
+    pub fn rows_at(&self, idx: &I64Tensor) -> EncodedTensor {
+        let ids = idx.data();
+        let ascending = || ids.windows(2).all(|w| w[0] <= w[1]);
+        let vals = match self {
+            EncodedTensor::BitPacked(b) => b.at(ids),
+            EncodedTensor::Rle(r) if ascending() => r.at(ids),
+            EncodedTensor::Delta(d) if ascending() => d.at(ids),
+            EncodedTensor::Rle(_) | EncodedTensor::Delta(_) => {
+                return EncodedTensor::I64(self.decode_i64().select_rows(idx))
+            }
+            other => return other.select_rows(idx),
+        };
+        EncodedTensor::I64(Tensor::from_vec(vals, &[ids.len()]))
     }
 
     /// Concatenate column pieces row-wise, preserving the encoding where

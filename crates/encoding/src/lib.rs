@@ -18,6 +18,17 @@
 //!   the class value each column represents. PE is the bridge between ML
 //!   and relational processing: TVFs emit PE columns, soft operators
 //!   consume them differentiably, and exact operators decode them by argmax.
+//! * **Bit-packed** and **delta** — narrow-range and near-monotonic i64
+//!   columns at a few bits per row.
+//!
+//! Two read primitives serve execution without re-encoding anything:
+//! [`EncodedTensor::window_rows`] (rows `start..end`, O(end − start) —
+//! a morsel) and [`EncodedTensor::rows_at`] (the rows at a list of ids,
+//! O(ids) when ascending — a selection's survivors). Both hand the
+//! integer-compressed layouts over as plain `i64`; `slice_rows` /
+//! `select_rows` / `filter_rows` are the encoding-*preserving*
+//! counterparts. Compressed columns share their buffers: cloning one is
+//! O(1), like a tensor.
 
 pub mod bitpack;
 pub mod delta;

@@ -5,13 +5,16 @@
 //! fraction of their plain size, and equality predicates can be evaluated
 //! per-run instead of per-row.
 
+use std::sync::Arc;
+
 use tdp_tensor::{BoolTensor, I64Tensor, Tensor};
 
-/// An i64 column stored as (value, run-length) pairs.
+/// An i64 column stored as (value, run-length) pairs. Cloning is O(1):
+/// the pairs are shared, like a tensor's buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RleColumn {
-    values: Vec<i64>,
-    runs: Vec<u32>,
+    values: Arc<Vec<i64>>,
+    runs: Arc<Vec<u32>>,
     len: usize,
 }
 
@@ -29,11 +32,7 @@ impl RleColumn {
                 runs.push(1);
             }
         }
-        RleColumn {
-            values,
-            runs,
-            len: col.numel(),
-        }
+        RleColumn::from_parts(values, runs)
     }
 
     /// Rebuild from raw (values, runs) pairs — the deserialization path.
@@ -41,7 +40,11 @@ impl RleColumn {
     pub fn from_parts(values: Vec<i64>, runs: Vec<u32>) -> RleColumn {
         assert_eq!(values.len(), runs.len(), "one run length per value");
         let len = runs.iter().map(|&r| r as usize).sum();
-        RleColumn { values, runs, len }
+        RleColumn {
+            values: Arc::new(values),
+            runs: Arc::new(runs),
+            len,
+        }
     }
 
     /// The distinct run values, in order.
@@ -54,13 +57,56 @@ impl RleColumn {
         &self.runs
     }
 
+    /// Values of rows `start..end` (bounds clamped): exactly
+    /// `decode()[start..end]`. The first run is located by walking the
+    /// run lengths (O(runs), no per-row work), then runs are filled until
+    /// the window is.
+    pub fn window(&self, start: usize, end: usize) -> Vec<i64> {
+        let end = end.min(self.len);
+        let start = start.min(end);
+        let mut out = Vec::with_capacity(end - start);
+        let mut row = 0usize;
+        for (&v, &r) in self.values.iter().zip(self.runs.iter()) {
+            if row >= end {
+                break;
+            }
+            let next = row + r as usize;
+            if next > start {
+                out.extend(std::iter::repeat_n(v, next.min(end) - row.max(start)));
+            }
+            row = next;
+        }
+        out
+    }
+
+    /// Values at `rows`. One merge walk over the runs when `rows` ascend
+    /// (O(rows + runs)); a row behind the cursor restarts the walk, so
+    /// any order is answered, unordered lists just not cheaply.
+    pub fn at(&self, rows: &[i64]) -> Vec<i64> {
+        let (mut run, mut run_start) = (0usize, 0usize);
+        rows.iter()
+            .map(|&row| {
+                let row = row as usize;
+                assert!(
+                    row < self.len,
+                    "row {row} out of bounds for {} rows",
+                    self.len
+                );
+                if row < run_start {
+                    (run, run_start) = (0, 0);
+                }
+                while row >= run_start + self.runs[run] as usize {
+                    run_start += self.runs[run] as usize;
+                    run += 1;
+                }
+                self.values[run]
+            })
+            .collect()
+    }
+
     /// Decode to a plain column.
     pub fn decode(&self) -> I64Tensor {
-        let mut out = Vec::with_capacity(self.len);
-        for (&v, &r) in self.values.iter().zip(&self.runs) {
-            out.extend(std::iter::repeat_n(v, r as usize));
-        }
-        Tensor::from_vec(out, &[self.len])
+        Tensor::from_vec(self.window(0, self.len), &[self.len])
     }
 
     /// Logical number of rows.
@@ -80,26 +126,15 @@ impl RleColumn {
     /// Equality predicate evaluated run-at-a-time, returning a row mask.
     pub fn eq_mask(&self, v: i64) -> BoolTensor {
         let mut out = Vec::with_capacity(self.len);
-        for (&val, &r) in self.values.iter().zip(&self.runs) {
+        for (&val, &r) in self.values.iter().zip(self.runs.iter()) {
             out.extend(std::iter::repeat_n(val == v, r as usize));
         }
         Tensor::from_vec(out, &[self.len])
     }
 
     /// Value at a logical row index.
-    pub fn get(&self, mut row: usize) -> i64 {
-        assert!(
-            row < self.len,
-            "row {row} out of bounds for {} rows",
-            self.len
-        );
-        for (&v, &r) in self.values.iter().zip(&self.runs) {
-            if row < r as usize {
-                return v;
-            }
-            row -= r as usize;
-        }
-        unreachable!("row within len must fall inside a run")
+    pub fn get(&self, row: usize) -> i64 {
+        self.at(&[row as i64])[0]
     }
 
     /// Compression ratio (plain size / encoded size), in elements.

@@ -409,35 +409,20 @@ fn key_class(col: &EncodedTensor) -> u8 {
     }
 }
 
-/// `col` restricted to the ascending row list `rows` (`None` = all rows).
-fn filtered<'a>(
-    col: &'a EncodedTensor,
-    rows: Option<&[i64]>,
-) -> std::borrow::Cow<'a, EncodedTensor> {
-    let Some(rows) = rows else {
-        return std::borrow::Cow::Borrowed(col);
-    };
-    let mut keep = vec![false; col.rows()];
-    for &r in rows {
-        keep[r as usize] = true;
-    }
-    let n = keep.len();
-    std::borrow::Cow::Owned(col.filter_rows(&Tensor::from_vec(keep, &[n])))
-}
-
 /// Grouping codes of `col` at the ascending survivor rows `rows`
 /// (`None` = every row): exactly `key_codes(&col.filter_rows(m))` for
 /// the mask keeping those rows. Plain layouts read the survivors by
-/// index, so a selective input never pays a full-width pass over its key
-/// columns; compressed and PE layouts have no O(1) row access and take
-/// one `filter_rows` pass.
+/// index, and every other layout through the positional read
+/// ([`EncodedTensor::rows_at`]), so a selective input never pays a
+/// full-width pass over its key columns.
 pub(crate) fn key_codes_at(
     col: &EncodedTensor,
-    rows: Option<&[i64]>,
+    rows: Option<&I64Tensor>,
 ) -> Result<Vec<i64>, ExecError> {
-    let Some(at) = rows else {
+    let Some(rows) = rows else {
         return Ok(key_codes(col)?.to_vec());
     };
+    let at = rows.data();
     Ok(match col {
         EncodedTensor::I64(t) | EncodedTensor::Dict { codes: t, .. } => {
             let d = t.data();
@@ -448,12 +433,12 @@ pub(crate) fn key_codes_at(
             at.iter().map(|&r| i64::from(d[r as usize])).collect()
         }
         // Multi-dimensional payloads go through `key_codes`' shape guard
-        // (filtering preserves dimensionality).
+        // (a gather preserves dimensionality).
         EncodedTensor::F32(t) if t.ndim() == 1 => {
             let d = t.data();
             at.iter().map(|&r| f32_order_key(d[r as usize])).collect()
         }
-        _ => key_codes(&filtered(col, rows))?.to_vec(),
+        _ => key_codes(&col.rows_at(rows))?.to_vec(),
     })
 }
 
@@ -474,22 +459,23 @@ pub(crate) fn key_codes_at(
 ///   are interned into one id space.
 pub(crate) fn join_pair_codes(
     left: &EncodedTensor,
-    lrows: Option<&[i64]>,
+    lrows: Option<&I64Tensor>,
     right: &EncodedTensor,
-    rrows: Option<&[i64]>,
+    rrows: Option<&I64Tensor>,
 ) -> Result<(Vec<i64>, Vec<i64>), ExecError> {
     if key_class(left) != key_class(right) {
         let mut ids: std::collections::HashMap<String, i64> = std::collections::HashMap::new();
-        let mut intern = |col: &EncodedTensor, rows: Option<&[i64]>| -> Vec<i64> {
-            // Sequential-access layouts decode to plain i64 first so the
-            // per-row rendering stays O(1); PE columns decode to their
-            // class *ids* — what `join_key` renders.
-            let norm = match &*filtered(col, rows) {
-                c @ (EncodedTensor::Rle(_)
-                | EncodedTensor::BitPacked(_)
-                | EncodedTensor::Delta(_)) => EncodedTensor::I64(c.decode_i64()),
+        let mut intern = |col: &EncodedTensor, rows: Option<&I64Tensor>| -> Vec<i64> {
+            // Both reads hand sequential-access layouts over as plain
+            // i64, so the per-row rendering stays O(1); PE columns decode
+            // to their class *ids* — what `join_key` renders.
+            let read = match rows {
+                Some(rows) => col.rows_at(rows),
+                None => col.window_rows(0, col.rows()),
+            };
+            let norm = match read {
                 EncodedTensor::Pe(p) => EncodedTensor::I64(p.decode_ids()),
-                other => other.clone(),
+                other => other,
             };
             (0..norm.rows())
                 .map(|r| {
@@ -529,14 +515,17 @@ pub(crate) fn join_pair_codes(
 /// `[key][row]`.
 pub(crate) type KeyCodes = Vec<Vec<i64>>;
 
+/// One join input: a dense batch whose position *is* its row id, or —
+/// with the ascending survivor row ids — a selection over a full-width
+/// batch whose columns are as stored.
+pub(crate) type JoinInput<'a> = (&'a Batch, Option<&'a I64Tensor>);
+
 /// [`join_pair_codes`] for every key pair of `on`: `(left codes, right
 /// codes)`, each side at its survivor rows.
 pub(crate) fn join_key_codes(
     on: &JoinOn,
-    left: &Batch,
-    lrows: Option<&[i64]>,
-    right: &Batch,
-    rrows: Option<&[i64]>,
+    (left, lrows): JoinInput<'_>,
+    (right, rrows): JoinInput<'_>,
 ) -> Result<(KeyCodes, KeyCodes), ExecError> {
     let (lcols, rcols) = resolve_join_keys(on, left, right)?;
     let mut lcodes = Vec::with_capacity(lcols.len());
@@ -610,14 +599,13 @@ pub(crate) fn probe_rows(
 /// Assemble the join output from the probe's row-id pairs — shared by
 /// the sequential kernel and the partitioned path, which produce
 /// identical pairs. Every output column is one gather task claimed off
-/// the scheduler (slot order preserved). An integer-compressed source
-/// is decoded once and gathered into plain `I64` — the chain→barrier
-/// hand-off's rule — rather than re-compressed for the next operator to
-/// decode again.
+/// the scheduler (slot order preserved), read at the matched row ids
+/// through [`EncodedTensor::rows_at`]: an integer-compressed source
+/// comes out as plain `I64` rather than re-compressed for the next
+/// operator to decode again.
 pub(crate) fn join_assemble(
-    left: &Batch,
-    right: &Batch,
-    rids: Option<&[i64]>,
+    (left, lids): JoinInput<'_>,
+    (right, rids): JoinInput<'_>,
     kind: JoinKind,
     pairs: JoinPairs,
     threads: usize,
@@ -635,7 +623,7 @@ pub(crate) fn join_assemble(
         .collect();
     let gathered = crate::morsel::claim(sources.len(), threads, |c| {
         let (col, idx) = &sources[c];
-        Ok(crate::morsel::decode_packed(col.clone()).select_rows(idx))
+        Ok(col.rows_at(idx))
     })?;
 
     // Right columns are renamed on collision (mirrored by the
@@ -652,25 +640,25 @@ pub(crate) fn join_assemble(
     }
 
     if kind == JoinKind::Left && !pairs.unmatched.is_empty() {
-        // Documented limitation: without NULLs, unmatched left rows pad
-        // right-side numeric columns with NaN and other encodings with
-        // the value of the right side's first row (their zero value
-        // when it has none); prefer INNER JOIN unless pads are
-        // acceptable. A selection-fed right side's first row is its
-        // first survivor, not row 0 of the full-width batch.
-        let first = match rids {
-            Some(ids) => ids.first().copied(),
-            None => (right.rows() > 0).then_some(0),
-        };
         let un = pairs.unmatched.len();
         let ui = Tensor::from_vec(pairs.unmatched, &[un]);
-        let left_pad = select_batch(left, &ui);
-        return Ok(Batch::concat(&[
-            out,
-            pad_right(&left_pad, right, first, un),
-        ]));
+        let mut pad = Batch::new();
+        for (name, col) in left.columns() {
+            let col = pad_rows(&col.to_exact(), lids, &ui);
+            pad.push(name.clone(), ColumnData::Exact(col));
+        }
+        return Ok(Batch::concat(&[out, pad_right(&pad, (right, rids), un)]));
     }
     Ok(out)
+}
+
+/// Pad rows of one join side's column: read like any late gather on a
+/// selection-fed side (`ids`), gathered through its layout on a dense one.
+fn pad_rows(col: &EncodedTensor, ids: Option<&I64Tensor>, idx: &I64Tensor) -> EncodedTensor {
+    match ids {
+        Some(_) => col.rows_at(idx),
+        None => col.select_rows(idx),
+    }
 }
 
 /// Sequential hash join — the whole-batch oracle the partitioned
@@ -683,14 +671,14 @@ pub fn join_batches(
     kind: JoinKind,
     on: &JoinOn,
 ) -> Result<Batch, ExecError> {
-    let (lcodes, rcodes) = join_key_codes(on, left, None, right, None)?;
+    let (lcodes, rcodes) = join_key_codes(on, (left, None), (right, None))?;
     let (lkeys, rkeys) = (code_refs(&lcodes), code_refs(&rcodes));
     let lhashes = hash_rows(&lkeys, left.rows());
     let rhashes = hash_rows(&rkeys, right.rows());
     let build: Vec<u32> = (0..right.rows() as u32).collect();
     let table = KeyTable::build(&rkeys, &rhashes, &build);
     let pairs = probe_rows(&[table], &lkeys, &lhashes, 0..left.rows(), kind, None, None);
-    join_assemble(left, right, None, kind, pairs, 1)
+    join_assemble((left, None), (right, None), kind, pairs, 1)
 }
 
 /// `n` rows of a layout's zero value (`0` / `false` / `""` / the first
@@ -707,10 +695,18 @@ fn zero_rows(col: &EncodedTensor, n: usize) -> EncodedTensor {
     }
 }
 
-/// `left_pad` extended by `n` pad rows for every right column: NaN for
-/// f32 payloads, otherwise the value at right row `first` (the layout's
-/// zero when the right side has no row).
-fn pad_right(left_pad: &Batch, right: &Batch, first: Option<i64>, n: usize) -> Batch {
+/// `left_pad` extended by `n` pad rows for every right column.
+/// Documented limitation: without NULLs, unmatched left rows pad
+/// right-side numeric columns with NaN and other encodings with the
+/// value of the right side's first row (their zero value when it has
+/// none); prefer INNER JOIN unless pads are acceptable. A selection-fed
+/// right side's first row is its first survivor, not row 0 of the
+/// full-width batch.
+fn pad_right(left_pad: &Batch, (right, rids): JoinInput<'_>, n: usize) -> Batch {
+    let first = match rids {
+        Some(ids) => ids.data().first().copied(),
+        None => (right.rows() > 0).then_some(0),
+    };
     let mut out = left_pad.clone();
     for (name, col) in right.columns() {
         let exact = col.to_exact();
@@ -721,7 +717,7 @@ fn pad_right(left_pad: &Batch, right: &Batch, first: Option<i64>, n: usize) -> B
                 EncodedTensor::F32(Tensor::full(&shape, f32::NAN))
             }
             other => match first {
-                Some(row) => other.select_rows(&Tensor::from_vec(vec![row; n], &[n])),
+                Some(row) => pad_rows(&other, rids, &Tensor::from_vec(vec![row; n], &[n])),
                 None => zero_rows(&other, n),
             },
         };

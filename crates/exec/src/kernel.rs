@@ -10,23 +10,24 @@
 //! A chain kernel instead evaluates predicates into a **selection
 //! vector** (`SelVec`) — a boolean mask while the selection is dense,
 //! demoted to a sorted index list once few enough rows survive
-//! (`DENSE_DIVISOR`). Consecutive filters refine the same selection
-//! (sparse selections evaluate later predicates on surviving rows
-//! only; dense ones evaluate full-width and intersect branchlessly,
-//! which beats index gathers until selectivity bites), and the single
-//! gather happens once at chain exit or is pushed into the projection
-//! loop. Top-level `AND` conjuncts inside one predicate refine the
-//! selection the same way. Index compaction is branch-free
-//! (`compact`): on the random masks real predicates produce,
-//! mispredicted branches would otherwise dominate the refinement loop.
+//! (`DENSE_DIVISOR`). Consecutive filters and top-level `AND` conjuncts
+//! refine the same selection (sparse selections evaluate later
+//! predicates on surviving rows only; dense ones evaluate full-width
+//! and intersect branchlessly), and the single gather happens once at
+//! chain exit or is pushed into the projection loop. Index compaction
+//! is branch-free (`compact`).
 //!
-//! Expression loops are monomorphised over the concrete column
-//! encodings at the leaves — i64 values, f32 values, dictionary codes —
-//! so the autovectorizer sees tight `Vec<f32>`/`Vec<bool>` loops instead
-//! of enum dispatch per value. The arithmetic replicates the
-//! interpreter's kernel dispatch *exactly* (same f32 widening, same
-//! operand order, same CASE blend expression), which is what keeps the
-//! interpreter the byte-identity oracle at every thread count.
+//! A kernel evaluates a **row window** over a column list (`Scope`): a
+//! morsel is `(the stage input's own stored columns, start..end)`, a
+//! whole batch the window `0..rows`; nothing is sliced or decoded to
+//! make one. A leaf reads its window where the column lives (`leaf_pval`
+//! — borrowed, widened or decoded for the window alone), so a column no
+//! expression names costs nothing and a zone-map-pruned morsel is never
+//! a window at all. Loops are monomorphised over the leaf encodings, and
+//! the arithmetic replicates the interpreter's kernel dispatch *exactly*
+//! (same f32 widening, same operand order, same CASE blend expression),
+//! which keeps the interpreter the byte-identity oracle at every thread
+//! count.
 //!
 //! ## One expression form
 //!
@@ -43,23 +44,29 @@
 //! ## Exit modes
 //!
 //! A vetted chain leaves the kernel in one of two ways, chosen per
-//! pipeline by [`crate::pipeline`]:
+//! pipeline by [`crate::pipeline`]; both run per morsel, on the worker
+//! that claimed it:
 //!
-//! * **Gather exit** (`ChainInstance::run`) — the deferred selection
-//!   is collapsed into one `filter_rows` gather per column and a dense
-//!   [`Batch`] streams onward. Used when the consumer needs dense rows
+//! * **Gather exit** (`ChainInstance::run_window`; `run` for a
+//!   single-morsel input) — the deferred selection is collapsed into one
+//!   gather per output column, read at the survivors' row ids straight
+//!   out of the stored column. Used when the consumer needs dense rows
 //!   (streaming sinks, LIMIT, unsupported barrier shapes).
-//! * **Selection exit** (`ChainInstance::run_selection` →
-//!   `SelOutput`) — the chain returns its output columns still at
-//!   input width plus the final `SelVec`; the consuming barrier stage
-//!   (aggregate, join, sort, top-k, DISTINCT) folds, probes or extracts
-//!   keys over survivors directly and defers the single payload gather
+//! * **Selection exit** (`ChainInstance::select_window`) — only the
+//!   filters run; each morsel returns a window-local `SelVec`, and
+//!   [`crate::morsel`] stitches them in morsel order into the one global
+//!   selection over the chain's output columns
+//!   (`ChainInstance::selection_cols`: the stored columns, remapped,
+//!   never copied). The consuming barrier stage folds, probes or
+//!   extracts keys over survivors and defers the single payload gather
 //!   to its own assembly step. Only chains whose projections are pure
-//!   column remaps qualify (`selection_capable`); a
-//!   computed item would materialize new storage in selection space and
-//!   reset the row space. `selection_verdict` is the pure per-chain
-//!   verdict surfaced by EXPLAIN as `[barrier: selection-fed]` versus
+//!   column remaps qualify (`selection_capable`); `selection_verdict` is
+//!   the pure verdict EXPLAIN prints as `[barrier: selection-fed]` /
 //!   `[barrier: gathered: <reason>]`.
+//!
+//! A morsel's pass-through columns read integer-compressed layouts as
+//! plain `i64` (the read primitives' rule); a whole batch gathers
+//! through its stored layouts, as the interpreter's `filter_batch` does.
 //!
 //! ## Fallback taxonomy
 //!
@@ -77,14 +84,16 @@
 //!   bound value has no scalar kernel form. EXPLAIN is binding-free and
 //!   cannot foresee these (`Refusal::Run`); a barrier above such a
 //!   chain notes `gathered: kernel-compile`.
-//! * **run-time** (per morsel, silent): batches carrying differentiable
-//!   columns, payload (rank > 1) columns used in computed expressions,
-//!   evaluation type errors (the interpreter re-runs the morsel and
-//!   raises the identical error), any node kind above reaching the
-//!   evaluator un-vetted, and multi-filter runs over re-compressing
-//!   integer layouts (bit-packed / delta columns pick a fresh smallest
-//!   encoding per gather, so a collapsed single gather could not
-//!   reproduce the interpreter's intermediate choices).
+//! * **run-time** (per morsel, silent; in a selection-exit stage any
+//!   morsel's bail declines the whole hand-off): batches carrying
+//!   differentiable columns, payload (rank > 1) columns used in computed
+//!   expressions, evaluation type errors (the interpreter re-runs the
+//!   morsel and raises the identical error), a refused scratch charge,
+//!   any node kind above reaching the evaluator un-vetted, and — for a
+//!   **whole batch** only — multi-filter runs over bit-packed / delta
+//!   columns (they re-pick the smallest encoding per gather, so a
+//!   collapsed gather could not reproduce the interpreter's intermediate
+//!   choices; morsel windows read them as plain `i64` and have none).
 //!
 //! ## Cache keying
 //!
@@ -115,10 +124,11 @@ use std::sync::{Arc, Mutex};
 
 use tdp_encoding::{EncodedTensor, StringDict};
 use tdp_sql::ast::{BinOp, UnOp};
-use tdp_tensor::{BoolTensor, Tensor};
+use tdp_tensor::{I64Tensor, Tensor};
 
-use crate::batch::{Batch, ColumnData};
+use crate::batch::Batch;
 use crate::expr::like_match;
+use crate::morsel::{from_cols, to_cols, MorselCols};
 use crate::params::{ParamValue, ParamValues};
 use crate::physical::{ColumnRef, CompiledExpr, PhysProjectItem, ScalarFn};
 use crate::pipeline::MorselOp;
@@ -574,13 +584,20 @@ fn resolve<'c>(cols: &'c [(String, EncodedTensor)], r: &ColumnRef) -> KResult<&'
 }
 
 /// Gather a column leaf into selection space, monomorphised per
-/// encoding. `sel == None` means all rows — plain f32 and dictionary
-/// leaves then *borrow* the column storage instead of copying it.
-fn leaf_pval<'c>(col: &'c EncodedTensor, sel: Option<&[u32]>) -> KResult<PVal<'c>> {
-    fn gather<T: Copy>(data: &[T], sel: Option<&[u32]>) -> Vec<T> {
+/// encoding. The leaf is the scope's row window of `col` and `sel`
+/// indexes into that window (`None` = every row of it): plain f32 and
+/// dictionary leaves *borrow* the window out of the column's storage,
+/// `i64` leaves widen it, integer-compressed leaves decode it
+/// ([`EncodedTensor::window_rows`]) — never more than the morsel's share.
+fn leaf_pval<'c>(
+    col: &'c EncodedTensor,
+    sc: Scope<'_, '_>,
+    sel: Option<&[u32]>,
+) -> KResult<PVal<'c>> {
+    fn gather<T: Copy, U>(data: &[T], sel: Option<&[u32]>, f: impl Fn(T) -> U) -> Vec<U> {
         match sel {
-            Some(s) => s.iter().map(|&i| data[i as usize]).collect(),
-            None => data.to_vec(),
+            Some(s) => s.iter().map(|&i| f(data[i as usize])).collect(),
+            None => data.iter().map(|&v| f(v)).collect(),
         }
     }
     fn view<'d, T: Copy>(data: &'d [T], sel: Option<&[u32]>) -> Cow<'d, [T]> {
@@ -589,6 +606,7 @@ fn leaf_pval<'c>(col: &'c EncodedTensor, sel: Option<&[u32]>) -> KResult<PVal<'c
             None => Cow::Borrowed(data),
         }
     }
+    let (start, end) = (sc.start, sc.start + sc.rows);
     Ok(match col {
         EncodedTensor::F32(t) => {
             if t.ndim() != 1 {
@@ -597,48 +615,27 @@ fn leaf_pval<'c>(col: &'c EncodedTensor, sel: Option<&[u32]>) -> KResult<PVal<'c
                 // broadcasting path.
                 return Err(Bail);
             }
-            PVal::F32(view(t.data(), sel))
+            PVal::F32(view(&t.data()[start..end], sel))
         }
-        EncodedTensor::I64(t) => PVal::F32(Cow::Owned(
-            gather(t.data(), sel)
-                .into_iter()
-                .map(|v| v as f32)
-                .collect(),
-        )),
-        EncodedTensor::Bool(t) => PVal::Bool(gather(t.data(), sel)),
+        EncodedTensor::I64(t) => {
+            PVal::F32(Cow::Owned(gather(&t.data()[start..end], sel, |v| v as f32)))
+        }
+        EncodedTensor::Bool(t) => PVal::Bool(gather(&t.data()[start..end], sel, |b| b)),
         EncodedTensor::Dict { codes, dict } => {
-            PVal::Codes(view(codes.data(), sel), Arc::clone(dict))
+            PVal::Codes(view(&codes.data()[start..end], sel), Arc::clone(dict))
         }
-        EncodedTensor::Rle(r) => {
-            let d = r.decode();
-            PVal::F32(Cow::Owned(
-                gather(d.data(), sel)
-                    .into_iter()
-                    .map(|v| v as f32)
-                    .collect(),
-            ))
+        EncodedTensor::Rle(_) | EncodedTensor::BitPacked(_) | EncodedTensor::Delta(_) => {
+            // Task scratch, on the ledger while it lives. A refusal bails:
+            // the interpreter's slice is refused too, with a typed error.
+            let bytes = (sc.rows * 8) as u64;
+            let _scratch = crate::memory::charge(&sc.ctx.memory, "morsel materialization", bytes)
+                .map_err(|_| Bail)?;
+            let d = col.window_rows(start, end).decode_i64();
+            PVal::F32(Cow::Owned(gather(d.data(), sel, |v| v as f32)))
         }
-        EncodedTensor::BitPacked(b) => {
-            let d = b.decode();
-            PVal::F32(Cow::Owned(
-                gather(d.data(), sel)
-                    .into_iter()
-                    .map(|v| v as f32)
-                    .collect(),
-            ))
-        }
-        EncodedTensor::Delta(d) => {
-            let d = d.decode();
-            PVal::F32(Cow::Owned(
-                gather(d.data(), sel)
-                    .into_iter()
-                    .map(|v| v as f32)
-                    .collect(),
-            ))
-        }
-        EncodedTensor::Pe(p) => {
-            let d = p.decode_values();
-            PVal::F32(Cow::Owned(gather(d.data(), sel)))
+        EncodedTensor::Pe(_) => {
+            let d = col.window_rows(start, end).decode_f32();
+            PVal::F32(Cow::Owned(gather(d.data(), sel, |v| v)))
         }
     })
 }
@@ -781,14 +778,53 @@ fn kbinary<'c>(op: BinOp, l: PVal<'c>, r: PVal<'c>, n: usize) -> KResult<PVal<'c
     })
 }
 
-/// What an expression evaluates against: one segment's columns at
-/// `rows` width, and the context whose bindings (`$n`) and function
-/// registry the interpreter would consult for the same morsel.
+/// What an expression evaluates against: the row window
+/// `start..start + rows` of one segment's columns, and the context whose
+/// bindings (`$n`) and function registry the interpreter would consult
+/// for the same morsel.
 #[derive(Clone, Copy)]
 struct Scope<'c, 'x> {
     cols: &'c [(String, EncodedTensor)],
+    start: usize,
     rows: usize,
+    /// One morsel of a stage's input (pass-through columns read
+    /// integer-compressed layouts as plain `i64`), or a whole batch
+    /// (they gather through their stored layouts, re-compressing as the
+    /// interpreter's `filter_batch` does).
+    morsel: bool,
     ctx: &'x ExecContext<'x>,
+}
+
+/// `(start, rows, morsel)` of a [`Scope`].
+type Window = (usize, usize, bool);
+
+impl<'c, 'x> Scope<'c, 'x> {
+    /// `Err` for a window past the `u32` selection space.
+    fn over(
+        cols: &'c [(String, EncodedTensor)],
+        (start, rows, morsel): Window,
+        ctx: &'x ExecContext<'x>,
+    ) -> KResult<Self> {
+        let scope = Scope {
+            cols,
+            start,
+            rows,
+            morsel,
+            ctx,
+        };
+        (rows <= u32::MAX as usize).then_some(scope).ok_or(Bail)
+    }
+
+    /// A pass-through column at this scope's rows, or at the `ids`
+    /// (global row ids of `cols`) a selection kept of them.
+    fn pass_through(&self, col: &EncodedTensor, ids: Option<&I64Tensor>) -> EncodedTensor {
+        match (ids, self.morsel) {
+            (Some(ids), true) => col.rows_at(ids),
+            (Some(ids), false) => col.select_rows(ids),
+            (None, true) => col.window_rows(self.start, self.start + self.rows),
+            (None, false) => col.clone(),
+        }
+    }
 }
 
 /// Evaluate one expression in selection space (`sel == None` = every
@@ -797,7 +833,7 @@ struct Scope<'c, 'x> {
 fn eval<'c>(e: &CompiledExpr, sc: Scope<'c, '_>, sel: Option<&[u32]>) -> KResult<PVal<'c>> {
     let n = sel.map_or(sc.rows, <[u32]>::len);
     Ok(match e {
-        CompiledExpr::Column(r) => leaf_pval(resolve(sc.cols, r)?, sel)?,
+        CompiledExpr::Column(r) => leaf_pval(resolve(sc.cols, r)?, sc, sel)?,
         CompiledExpr::Num(v) => PVal::Num(*v),
         CompiledExpr::Str(s) => PVal::Str(s.clone()),
         CompiledExpr::Bool(b) => PVal::BoolS(*b),
@@ -965,8 +1001,8 @@ const DENSE_DIVISOR: usize = 2;
 /// per-element branch a `filter` would cost — on random masks (the
 /// common case for real predicates) mispredicted branches dominate the
 /// compaction loop otherwise.
-fn compact(it: impl Iterator<Item = (u32, bool)>, cap: usize) -> Vec<u32> {
-    let mut out = vec![0u32; cap + 1];
+fn compact<T: Copy + Default>(it: impl Iterator<Item = (T, bool)>, cap: usize) -> Vec<T> {
+    let mut out = vec![T::default(); cap + 1];
     let mut j = 0usize;
     for (i, keep) in it {
         out[j] = i;
@@ -982,10 +1018,9 @@ fn compact(it: impl Iterator<Item = (u32, bool)>, cap: usize) -> Vec<u32> {
 /// survivors. [`filter_sel`] demotes a mask to indices the first time
 /// its survivor count drops below `rows / DENSE_DIVISOR`.
 ///
-/// Since PR 10 this is also the inter-operator currency of the
-/// selection exit mode (`SelOutput`): the morsel scheduler hands a
-/// `(columns, SelVec)` pair straight to a barrier stage instead of
-/// gathering through [`SelVec::into_gather_mask`].
+/// It is also the inter-operator currency of the selection exit mode:
+/// the morsel scheduler hands a `(columns, SelVec)` pair straight to a
+/// barrier stage instead of gathering.
 pub(crate) enum SelVec {
     /// Mask over all `rows` rows, plus its survivor count.
     Mask(Vec<bool>, usize),
@@ -1017,25 +1052,20 @@ impl SelVec {
     pub(crate) fn into_idx(self) -> Vec<u32> {
         match self {
             SelVec::Idx(s) => s,
-            SelVec::Mask(m, _) => compact((0u32..).zip(m.iter().copied()), m.len()),
+            SelVec::Mask(m, n) => compact((0u32..).zip(m.iter().copied()), n),
         }
     }
 
-    /// The boolean gather mask `filter_rows` consumes.
-    pub(crate) fn gather_mask(&self, rows: usize) -> BoolTensor {
-        match self {
-            SelVec::Mask(m, _) => Tensor::from_vec(m.clone(), &[rows]),
-            SelVec::Idx(s) => sel_mask(s, rows),
-        }
-    }
-
-    /// Consuming variant for the chain-exit gather: a dense mask moves
-    /// into the tensor instead of being copied.
-    fn into_gather_mask(self, rows: usize) -> BoolTensor {
-        match self {
-            SelVec::Mask(m, _) => Tensor::from_vec(m, &[rows]),
-            SelVec::Idx(s) => sel_mask(&s, rows),
-        }
+    /// The surviving rows as ascending row ids, `start` being the id of
+    /// the selection's row 0 — what the positional reads
+    /// ([`EncodedTensor::rows_at`]) and gathers consume.
+    pub(crate) fn ids(&self, start: usize) -> I64Tensor {
+        let ids = match self {
+            SelVec::Idx(s) => s.iter().map(|&i| (start + i as usize) as i64).collect(),
+            SelVec::Mask(m, n) => compact((start as i64..).zip(m.iter().copied()), *n),
+        };
+        let n = ids.len();
+        Tensor::from_vec(ids, &[n])
     }
 }
 
@@ -1085,40 +1115,43 @@ fn filter_sel(pred: &CompiledExpr, sc: Scope<'_, '_>, sel: Option<SelVec>) -> KR
     })
 }
 
-/// Selection vector → boolean gather mask over `rows` rows.
-fn sel_mask(sel: &[u32], rows: usize) -> BoolTensor {
-    let mut m = vec![false; rows];
-    for &i in sel {
-        m[i as usize] = true;
-    }
-    Tensor::from_vec(m, &[rows])
-}
-
-/// A batch's columns as the kernel addresses them. Tensor clones are
-/// Arc bumps — this materializes nothing. Differentiable batches (and
-/// row counts past the `u32` selection space) bail.
-fn kernel_cols(batch: &Batch) -> KResult<Vec<(String, EncodedTensor)>> {
-    if batch.has_diff() || batch.rows() > u32::MAX as usize {
-        return Err(Bail);
-    }
-    Ok(batch
-        .columns()
-        .iter()
-        .map(|(n, c)| match c {
-            ColumnData::Exact(e) => (n.clone(), e.clone()),
-            ColumnData::Diff(_) => unreachable!("has_diff checked above"),
-        })
-        .collect())
-}
-
 impl ChainInstance<'_> {
-    /// Run the chain over one morsel, evaluating `$n` leaves and
-    /// function shadowing against `ctx` — the context the interpreter
-    /// would run this morsel with. `None` means a run-time bail-out: the
-    /// caller must re-run the morsel on the interpreter (which
+    /// Run the chain over one whole batch (the single-morsel path),
+    /// evaluating `$n` leaves and function shadowing against `ctx` — the
+    /// context the interpreter would run it with. `None` = run-time
+    /// bail-out: the caller re-runs the batch on the interpreter (which
     /// reproduces the exact result — or the exact error).
     pub(crate) fn run(&self, batch: &Batch, ctx: &ExecContext) -> Option<Batch> {
-        self.counted(self.try_run(batch, ctx))
+        if batch.has_diff() {
+            return self.counted(Err(Bail));
+        }
+        let cols = to_cols(batch);
+        // Collapsing consecutive gathers is only encoding-faithful when
+        // `filter_rows` composes; bit-packed/delta columns re-pick the
+        // smallest layout per gather, so their intermediate encodings
+        // depend on gather order. Morsel windows read those columns as
+        // plain `i64`: the rule covers this path only.
+        let repacks = |(_, c): &(String, EncodedTensor)| {
+            matches!(c, EncodedTensor::BitPacked(_) | EncodedTensor::Delta(_))
+        };
+        let out = match self.max_filter_run >= 2 && cols.iter().any(repacks) {
+            true => Err(Bail),
+            false => self.try_run(&cols, (0, batch.rows(), false), ctx),
+        };
+        self.counted(out).map(from_cols)
+    }
+
+    /// Run the chain over rows `start..end` of a stage's input columns —
+    /// one morsel of the **gather exit**, on whichever worker claimed it.
+    /// `None` = bail-out, as for [`ChainInstance::run`].
+    pub(crate) fn run_window(
+        &self,
+        cols: &[(String, EncodedTensor)],
+        start: usize,
+        end: usize,
+        ctx: &ExecContext,
+    ) -> Option<MorselCols> {
+        self.counted(self.try_run(cols, (start, end - start, true), ctx))
     }
 
     /// One fallback count per execution, however many morsels bail.
@@ -1129,120 +1162,96 @@ impl ChainInstance<'_> {
         out.ok()
     }
 
-    fn try_run(&self, batch: &Batch, ctx: &ExecContext) -> KResult<Batch> {
-        let mut cols = kernel_cols(batch)?;
-        // Collapsing consecutive gathers is only encoding-faithful when
-        // `filter_rows` composes; bit-packed/delta columns re-pick the
-        // smallest layout per gather, so their intermediate encodings
-        // depend on gather order. (The parallel path never sees them —
-        // the exchange decodes to plain i64 — so this only bails the
-        // single-morsel path.)
-        if self.max_filter_run >= 2
-            && cols
-                .iter()
-                .any(|(_, c)| matches!(c, EncodedTensor::BitPacked(_) | EncodedTensor::Delta(_)))
-        {
-            return Err(Bail);
-        }
-
-        let mut rows = batch.rows();
+    fn try_run(
+        &self,
+        src: &[(String, EncodedTensor)],
+        mut win: Window,
+        ctx: &ExecContext,
+    ) -> KResult<MorselCols> {
+        let mut cols = Cow::Borrowed(src);
         let mut sel: Option<SelVec> = None; // None = unfiltered
         for op in self.ops {
-            let sc = Scope {
-                cols: &cols,
-                rows,
-                ctx,
-            };
+            let sc = Scope::over(&cols, win, ctx)?;
             match op {
                 MorselOp::Filter(pred) => sel = Some(filter_sel(pred, sc, sel)?),
                 MorselOp::Project(items) => {
+                    // What a projection materializes is a whole batch of
+                    // its own, in selection space.
                     let next = materialize(items, sc, sel.as_ref())?;
-                    cols = next;
-                    rows = sel.as_ref().map_or(rows, SelVec::len);
-                    sel = None;
+                    let rows = sel.take().map_or(sc.rows, |sv| sv.len());
+                    (win, cols) = ((0, rows, false), Cow::Owned(next));
                 }
             }
         }
         // The single gather the selection vector deferred.
-        if let Some(sv) = sel {
-            let mask = sv.into_gather_mask(rows);
-            for (_, c) in &mut cols {
-                *c = c.filter_rows(&mask);
-            }
+        let sc = Scope::over(&cols, win, ctx)?;
+        if sel.is_none() && !sc.morsel {
+            return Ok(cols.into_owned());
         }
-        let mut out = Batch::new();
-        for (name, c) in cols {
-            out.push(name, ColumnData::Exact(c));
-        }
-        Ok(out)
+        let ids = sel.map(|sv| sv.ids(sc.start));
+        let pass = |(n, c): &(String, EncodedTensor)| (n.clone(), sc.pass_through(c, ids.as_ref()));
+        Ok(cols.iter().map(pass).collect())
     }
 
-    /// Run the chain in **selection exit mode**: instead of gathering
-    /// survivors into a dense batch, return the (remapped, still
-    /// full-width) output columns plus the final `SelVec` so the
-    /// consuming barrier stage can work on survivors directly and defer
-    /// the single gather to its own assembly step. `init` seeds the
-    /// selection (zone-map pruning). `None` = run-time bail-out; the
-    /// caller re-runs the gathered path.
-    pub(crate) fn run_selection(
+    /// Evaluate the chain's filters over rows `start..end` of a stage's
+    /// input columns — one morsel of the **selection exit**: survivors
+    /// come back as a `SelVec` local to the window (row 0 = `start`).
+    /// `None` = bail-out; the caller declines the whole hand-off.
+    pub(crate) fn select_window(
         &self,
-        batch: &Batch,
-        init: Option<SelVec>,
+        cols: &[(String, EncodedTensor)],
+        start: usize,
+        end: usize,
         ctx: &ExecContext,
-    ) -> Option<SelOutput> {
-        self.counted(self.try_run_selection(batch, init, ctx))
+    ) -> Option<SelVec> {
+        self.counted(self.try_select(cols, (start, end - start, true), ctx))
     }
 
-    fn try_run_selection(
+    fn try_select(
         &self,
-        batch: &Batch,
-        init: Option<SelVec>,
+        src: &[(String, EncodedTensor)],
+        win: Window,
         ctx: &ExecContext,
-    ) -> KResult<SelOutput> {
-        // No re-compressing-layout bail is needed on this path: nothing
-        // is ever gathered mid-chain, so encodings never re-pick a layout.
-        let mut cols = kernel_cols(batch)?;
-        let rows = batch.rows();
-        let mut sel: Option<SelVec> = init;
+    ) -> KResult<SelVec> {
+        let (_, rows, _) = win;
+        let mut cols = Cow::Borrowed(src);
+        let mut sel: Option<SelVec> = None;
         for op in self.ops {
             match op {
                 MorselOp::Filter(pred) => {
-                    let sc = Scope {
-                        cols: &cols,
-                        rows,
-                        ctx,
-                    };
-                    sel = Some(filter_sel(pred, sc, sel)?);
+                    sel = Some(filter_sel(pred, Scope::over(&cols, win, ctx)?, sel)?)
                 }
-                MorselOp::Project(items) => {
-                    // Selection-capable chains only remap columns here
-                    // (checked by `selection_capable`); the row space —
-                    // and with it the selection — carries through.
-                    let mut next = Vec::with_capacity(items.len());
-                    for it in *items {
-                        match &it.expr {
-                            CompiledExpr::Column(r) => {
-                                next.push((it.name.clone(), resolve(&cols, r)?.clone()))
-                            }
-                            _ => return Err(Bail),
-                        }
-                    }
-                    cols = next;
-                }
+                // Selection-capable chains only remap columns here; the
+                // row space — and with it the window and the selection —
+                // carries through.
+                MorselOp::Project(items) => cols = Cow::Owned(remap(items, &cols)?),
             }
         }
-        let sel = sel.unwrap_or_else(|| SelVec::Mask(vec![true; rows], rows));
-        Ok(SelOutput { cols, sel })
+        Ok(sel.unwrap_or_else(|| SelVec::Mask(vec![true; rows], rows)))
+    }
+
+    /// The selection exit's output columns: the input's own stored
+    /// columns, renamed and reordered by the chain's projections.
+    /// Resolved once per stage. `None` = bail-out.
+    pub(crate) fn selection_cols(&self, src: &[(String, EncodedTensor)]) -> Option<MorselCols> {
+        let out = self.ops.iter().try_fold(src.to_vec(), |cols, op| match op {
+            MorselOp::Filter(_) => Ok(cols),
+            MorselOp::Project(items) => remap(items, &cols),
+        });
+        self.counted(out)
     }
 }
 
-/// The selection exit mode's hand-off value: the chain's output columns
-/// still at input width (projections in a selection-capable chain are
-/// pure remaps) plus the selection over them. The consumer gathers once,
-/// at its own assembly point.
-pub(crate) struct SelOutput {
-    pub(crate) cols: Vec<(String, EncodedTensor)>,
-    pub(crate) sel: SelVec,
+/// A pure column-remap projection over stored columns (Arc bumps);
+/// anything computed bails.
+fn remap(items: &[PhysProjectItem], cols: &[(String, EncodedTensor)]) -> KResult<MorselCols> {
+    items
+        .iter()
+        .map(|it| match &it.expr {
+            CompiledExpr::Column(r) => Ok((it.name.clone(), resolve(cols, r)?.clone())),
+            _ => Err(Bail),
+        })
+        .collect()
 }
 
 /// Materialize one projection under the current selection, mirroring
@@ -1253,16 +1262,15 @@ fn materialize(
     items: &[PhysProjectItem],
     sc: Scope<'_, '_>,
     sel: Option<&SelVec>,
-) -> KResult<Vec<(String, EncodedTensor)>> {
-    let rows = sc.rows;
-    let n = sel.map_or(rows, SelVec::len);
-    // Passthrough columns gather through the boolean mask; computed
-    // expressions evaluate in index space. Build each view only if an
-    // item needs it (a dense mask→index conversion is a real pass).
-    let mask = items
+) -> KResult<MorselCols> {
+    let n = sel.map_or(sc.rows, SelVec::len);
+    // Passthrough columns gather at the survivors' global row ids;
+    // computed expressions evaluate in the window's index space. Build
+    // each view only if an item needs it.
+    let ids = items
         .iter()
         .any(|it| matches!(it.expr, CompiledExpr::Column(_)))
-        .then(|| sel.map(|sv| sv.gather_mask(rows)))
+        .then(|| sel.map(|sv| sv.ids(sc.start)))
         .flatten();
     let idx: Option<Cow<'_, [u32]>> = if items.iter().any(|it| {
         !matches!(
@@ -1276,7 +1284,7 @@ fn materialize(
     }) {
         sel.map(|sv| match sv {
             SelVec::Idx(s) => Cow::Borrowed(s.as_slice()),
-            SelVec::Mask(m, _) => Cow::Owned(compact((0u32..).zip(m.iter().copied()), m.len())),
+            SelVec::Mask(m, n) => Cow::Owned(compact((0u32..).zip(m.iter().copied()), *n)),
         })
     } else {
         None
@@ -1284,13 +1292,7 @@ fn materialize(
     let mut out = Vec::with_capacity(items.len());
     for it in items {
         let col = match &it.expr {
-            CompiledExpr::Column(r) => {
-                let c = resolve(sc.cols, r)?;
-                match &mask {
-                    Some(m) => c.filter_rows(m),
-                    None => c.clone(),
-                }
-            }
+            CompiledExpr::Column(r) => sc.pass_through(resolve(sc.cols, r)?, ids.as_ref()),
             // Row-constant leaves (literals, `$n`) evaluate to scalars
             // and broadcast; everything else packs what it computed.
             computed => match eval(computed, sc, idx.as_deref())? {
@@ -1313,6 +1315,7 @@ fn materialize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::ColumnData;
     use crate::physical::PhysProjectItem;
     use crate::udf::UdfRegistry;
     use tdp_storage::Catalog;
@@ -1514,6 +1517,45 @@ mod tests {
         assert!(inst.run(&bp, &ctx).is_none());
         assert!(inst.run(&bp, &ctx).is_none());
         assert_eq!(cache.stats().fallbacks, 1);
+    }
+
+    /// The re-compressing-layout rule belongs to the whole-batch path. A
+    /// morsel window reads a bit-packed column as plain `i64`, so a run
+    /// of filters over one stays on the kernel — gather exit and
+    /// selection exit alike — and yields the window's survivors only.
+    #[test]
+    fn windows_run_filter_runs_over_bit_packed_columns() {
+        let catalog = Catalog::new();
+        let udfs = UdfRegistry::new();
+        let cache = Arc::new(KernelCache::new());
+        let ctx = ExecContext::new(&catalog, &udfs).with_chain_kernels(Some(Arc::clone(&cache)));
+        let p1 = gt(col(0, "v"), CompiledExpr::Num(1.0));
+        let p2 = gt(col(1, "k"), CompiledExpr::Num(0.0));
+        let ops = [MorselOp::Filter(&p1), MorselOp::Filter(&p2)];
+        let inst = prepare(&ops, &ctx).expect("compiles");
+        let ks = Tensor::from_vec(vec![1i64, 1, 0, 1, 1, 0, 1, 1], &[8]);
+        let cols = vec![
+            (
+                "v".to_string(),
+                EncodedTensor::from_f32_slice(&[9.0, 0.5, 1.5, 2.5, 0.0, 3.5, 4.5, 9.0]),
+            ),
+            (
+                "k".to_string(),
+                EncodedTensor::BitPacked(tdp_encoding::BitPackedColumn::encode(&ks)),
+            ),
+        ];
+        // Rows 1..7: `v > 1` keeps 2, 3, 5, 6; `k > 0` drops 2 and 5.
+        let out = inst.run_window(&cols, 1, 7, &ctx).expect("no bail");
+        assert_eq!(out[0].1.decode_f32().to_vec(), vec![2.5, 4.5]);
+        assert_eq!(out[1].1.kind(), tdp_encoding::EncodingKind::PlainI64);
+        assert_eq!(out[1].1.decode_i64().to_vec(), vec![1, 1]);
+        let sel = inst.select_window(&cols, 1, 7, &ctx).expect("no bail");
+        assert_eq!(
+            sel.ids(1).to_vec(),
+            vec![3, 6],
+            "window-local, offset by its start"
+        );
+        assert_eq!(cache.stats().fallbacks, 0);
     }
 
     fn f32_batch(vals: Vec<f32>) -> Batch {

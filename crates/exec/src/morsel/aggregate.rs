@@ -16,9 +16,7 @@ use tdp_tensor::sort::{group_rows, Groups};
 use tdp_tensor::{F32Tensor, I64Tensor, Tensor};
 
 use super::chain::{self, ChainRun};
-use super::sched::{
-    claim_eval, decode_packed, morsel_range, slice_cols, to_partition_cols, MorselCols,
-};
+use super::sched::{claim_eval, from_cols, live_windows, morsel_range, to_cols, MorselCols};
 use crate::batch::{Batch, ColumnData};
 use crate::error::ExecError;
 use crate::exact;
@@ -251,9 +249,7 @@ pub(crate) fn run_aggregate(
             // No kernel: the chain's own note already says why.
             None => Err(None),
             Some(k) => match kernel::selection_capable(chain.ops) {
-                Ok(()) => {
-                    aggregate_selection(input, k, &prog, skip, morsels, &state, ctx)?.map_err(Some)
-                }
+                Ok(()) => aggregate_selection(input, k, &prog, skip, &state, ctx)?.map_err(Some),
                 Err(why) => Err(Some(why)),
             },
         };
@@ -318,26 +314,13 @@ fn gathered_partials(
     ctx: &ExecContext,
 ) -> Result<Vec<PartialAgg>, ExecError> {
     let rows = input.rows();
-    let cols = to_partition_cols(input);
-    // Partial states are per-group (small); the decoded input columns
-    // dominate, charged until the partials are built.
-    let _charge = memory::charge(
-        &ctx.memory,
-        "aggregate materialization",
-        memory::cols_bytes(&cols),
-    )?;
-    let morsel_rows = ctx.morsel_rows;
-    // `None` = no row of the morsel survived: it contributes no groups.
-    let partials = claim_eval(chain.morsels, ctx, None, |i, wctx| {
-        let (start, end) = morsel_range(i, morsel_rows, rows);
-        // A pruned morsel still runs the chain, over an empty slice, so
-        // chain errors surface exactly as in the unpruned run.
-        let end = if skip.is_some_and(|s| s[i]) {
-            start
-        } else {
-            end
-        };
-        let batch = chain.apply(slice_cols(&cols, start, end), wctx)?;
+    let cols = to_cols(input);
+    // Pruned morsels contribute no groups and are not scheduled.
+    // `None` = no row of the morsel survived.
+    let windows = live_windows(skip, ctx.morsel_rows, rows);
+    let partials = claim_eval(windows.len(), ctx, None, |j, wctx| {
+        let (start, end) = windows[j];
+        let batch = from_cols(chain.apply_window(&cols, start, end, wctx)?);
         if batch.rows() == 0 {
             return Ok(None);
         }
@@ -645,35 +628,19 @@ fn aggregate_selection(
     kern: &ChainInstance<'_>,
     prog: &AggProgram<'_>,
     skip: Option<&[bool]>,
-    morsels: usize,
     state: &memory::ScopedCharges,
     ctx: &ExecContext,
 ) -> Result<Result<Vec<PartialAgg>, &'static str>, ExecError> {
-    let Some(out) = chain::selection_exit(input, kern, skip, ctx) else {
+    let Some((cols, sel, offs)) = chain::selection_exit(input, kern, skip, ctx)? else {
         return Ok(Err("kernel-bailout"));
     };
-    let refs = match referenced_cols(prog, &out.cols, ctx) {
+    let refs = match referenced_cols(prog, &cols, ctx) {
         Ok(refs) => refs,
         Err(why) => return Ok(Err(why)),
     };
-    // Decode integer-compressed layouts exactly as the gathered loop's
-    // `to_partition_cols` does, so key encodings match its slices — but
-    // only where a key or aggregate actually reads the column;
-    // unreferenced columns are never touched by either path.
-    let cols: MorselCols = (out.cols.into_iter().enumerate())
-        .map(|(slot, (n, c))| match refs.binary_search(&slot) {
-            Ok(_) => (n, decode_packed(c)),
-            Err(_) => (n, c),
-        })
-        .collect();
-    let _charge = memory::charge(
-        &ctx.memory,
-        "selection vector",
-        (out.sel.len() as u64 + 1) * 8,
-    )?;
-    let rows = input.rows();
-    let offs = survivor_offsets(&out.sel, rows, ctx.morsel_rows, morsels);
-    let partials = selected_partials(prog, &cols, &refs, &out.sel, &offs, rows, state, ctx)?;
+    let _charge = memory::charge(&ctx.memory, "selection vector", (sel.len() as u64 + 1) * 8)?;
+    let partials = selected_partials(prog, &cols, &refs, &sel, &offs, input.rows(), state, ctx)?;
+
     chain::note_skipped(skip, ctx);
     Ok(Ok(partials))
 }
@@ -712,10 +679,12 @@ fn referenced_cols(
 }
 
 /// The selection-fed fold: per input morsel, run the rebound program
-/// over just the referenced columns — the morsel's row range under its
-/// mask slice when the selection is dense, the survivors read by index
-/// when it is sparse. Only per-morsel scratch and the partial states
-/// are ever allocated, and that is what the ledger is charged.
+/// over just the referenced columns, read out of the chain's stored
+/// output columns — the morsel's row window under its mask slice when
+/// the selection is dense, the survivors when it is sparse (the two read
+/// primitives: integer-compressed layouts arrive as plain `i64`, as in
+/// the gathered loop's windows). Only per-morsel scratch and the partial
+/// states are ever allocated, and that is what the ledger is charged.
 #[allow(clippy::too_many_arguments)]
 fn selected_partials(
     prog: &AggProgram<'_>,
@@ -756,8 +725,8 @@ fn selected_partials(
         for &slot in refs {
             let (name, col) = &cols[slot];
             let col = match &survivors {
-                Some(ids) => col.select_rows(ids),
-                None => col.slice_rows(start, end),
+                Some(ids) => col.rows_at(ids),
+                None => col.window_rows(start, end),
             };
             mini.push(name.clone(), ColumnData::Exact(col));
         }
@@ -785,38 +754,6 @@ fn resolve_idx(cols: &[(String, EncodedTensor)], r: &crate::physical::ColumnRef)
         ColumnRef::Slot { slot, .. } => (*slot < cols.len()).then_some(*slot),
         ColumnRef::Name(name) => cols.iter().position(|(n, _)| n.eq_ignore_ascii_case(name)),
     }
-}
-
-/// Survivor-count prefix over *input* morsel boundaries: `offs[i]` is
-/// the number of survivors before morsel `i`, so survivors of morsel
-/// `i` occupy `[offs[i], offs[i+1])` in selection space. Partial
-/// aggregation chunks by these offsets, which makes its float partials
-/// byte-identical to the gathered per-morsel path.
-fn survivor_offsets(sel: &SelVec, rows: usize, morsel_rows: usize, morsels: usize) -> Vec<usize> {
-    let mut offs = Vec::with_capacity(morsels + 1);
-    offs.push(0);
-    match sel {
-        SelVec::Idx(s) => {
-            let mut j = 0usize;
-            for i in 1..=morsels {
-                let bound = ((i * morsel_rows).min(rows)) as u32;
-                while j < s.len() && s[j] < bound {
-                    j += 1;
-                }
-                offs.push(j);
-            }
-        }
-        SelVec::Mask(m, _) => {
-            let mut c = 0usize;
-            for i in 0..morsels {
-                let start = i * morsel_rows;
-                let end = (start + morsel_rows).min(rows);
-                c += m[start..end].iter().filter(|&&b| b).count();
-                offs.push(c);
-            }
-        }
-    }
-    offs
 }
 
 /// Merged accumulator of one output group.

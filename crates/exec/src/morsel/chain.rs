@@ -5,12 +5,17 @@
 //! shared by every path that runs or describes the chain), the streaming
 //! run with its optional LIMIT sink ([`run_ops`]), and the chain→barrier
 //! hand-off ([`chain_barrier_input`]: selection exit or gathered).
+//!
+//! Nothing here runs ahead of the workers: a multi-morsel chain is a
+//! stage whose tasks address their morsel as a row window over the
+//! input's own stored columns (`apply_window`, `selection_exit`), over
+//! the unpruned morsels only; the session thread concatenates parts or
+//! stitches window-local selections, and that is all.
 
 use super::sched::{
-    claim_eval, decode_packed, from_cols, morsel_range, num_morsels, slice_cols, to_cols,
-    to_partition_cols, MorselCols, StopAfter,
+    claim_eval, from_cols, live_windows, num_morsels, slice_cols, to_cols, MorselCols, StopAfter,
 };
-use crate::batch::{Batch, ColumnData};
+use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::exact;
 use crate::expr::eval_expr;
@@ -20,6 +25,8 @@ use crate::params::ParamValue;
 use crate::physical::{CompiledExpr, PhysAggregate, PhysKey};
 use crate::pipeline::MorselOp;
 use crate::udf::ExecContext;
+use tdp_encoding::EncodedTensor;
+use tdp_tensor::I64Tensor;
 
 // ----------------------------------------------------------------------
 // Parallel-safety analysis
@@ -202,6 +209,24 @@ impl<'a> ChainRun<'a> {
         }
         apply_ops(batch, self.ops, ctx)
     }
+
+    /// Apply the chain to rows `start..end` of a stage's input columns —
+    /// one morsel of the gather exit. The kernel addresses the window in
+    /// place; only the interpreter (no kernel, or a bail-out) slices.
+    pub(super) fn apply_window(
+        &self,
+        cols: &[(String, EncodedTensor)],
+        start: usize,
+        end: usize,
+        ctx: &ExecContext,
+    ) -> Result<MorselCols, ExecError> {
+        let kern = self.kern();
+        if let Some(out) = kern.and_then(|k| k.run_window(cols, start, end, ctx)) {
+            return Ok(out);
+        }
+        let (batch, _slice) = slice_cols(cols, start, end, "morsel materialization", ctx)?;
+        Ok(to_cols(&apply_ops(batch, self.ops, ctx)?))
+    }
 }
 
 /// Apply a fused operator chain to one (morsel) batch, interpreted.
@@ -229,9 +254,9 @@ pub(super) fn apply_ops(
 /// Run a fused chain over a materialised input, morsel-parallel where
 /// safe, with an optional LIMIT sink (early exit + truncation) and an
 /// optional zone-map skip mask (`skip[i]` = morsel `i` provably produces
-/// no rows under the chain's leading filter, so it runs over an empty
-/// slice). Pruning never changes results — only which rows the chain
-/// kernels actually touch.
+/// no rows under the chain's leading filter, so it is not scheduled);
+/// a task's morsel is a row window over the input's own columns
+/// ([`ChainRun::apply_window`]). Pruning never changes results.
 pub(crate) fn run_ops(
     input: &Batch,
     chain: &ChainRun<'_>,
@@ -253,39 +278,42 @@ pub(crate) fn run_ops(
         });
     }
 
-    let cols = to_partition_cols(input);
-    // Charged until reassembly returns: the decoded partition columns
-    // plus (inside the claim loop) every morsel's materialised output.
+    let cols = to_cols(input);
+    // Every morsel's output, charged until reassembly returns.
     let charges = memory::ScopedCharges::new(&ctx.memory);
-    charges.add("morsel materialization", memory::cols_bytes(&cols))?;
     let skip = skip.filter(|s| s.len() == morsels);
+    let windows = live_windows(skip, ctx.morsel_rows, rows);
     // Entries past a LIMIT stop bound stay `None`.
     let stop = limit.map(|rows| StopAfter {
         rows,
         rows_of: |c: &MorselCols| c.first().map_or(0, |(_, t)| t.rows()),
     });
-    let morsel_rows = ctx.morsel_rows;
-    let results = claim_eval(morsels, ctx, stop, |i, wctx| {
-        let (start, end) = morsel_range(i, morsel_rows, rows);
-        // A zone-map-pruned morsel provably yields no rows: run the
-        // chain over an empty slice so the output schema, encodings
-        // and reassembly stay identical to the unpruned run.
-        let end = if skip.is_some_and(|s| s[i]) {
-            start
-        } else {
-            end
-        };
-        let out = to_cols(&chain.apply(slice_cols(&cols, start, end), wctx)?);
-        charges.add("morsel output", memory::cols_bytes(&out))?;
+    // A chain without a filter emits every row it reads, so its first
+    // window sizes the whole stage and charges all of it: a query that
+    // cannot hold its output is refused with none of it on its ledger,
+    // not after growing window by window to the budget its neighbours
+    // share.
+    let filters = chain.ops.iter().any(|op| matches!(op, MorselOp::Filter(_)));
+    let whole = (limit.is_none() && !filters).then_some(rows as u64);
+    let results = claim_eval(windows.len(), ctx, stop, |j, wctx| {
+        let (start, end) = windows[j];
+        let out = chain.apply_window(&cols, start, end, wctx)?;
+        let bytes = memory::cols_bytes(&out);
+        match whole {
+            None => charges.add("morsel output", bytes)?,
+            Some(rows) if j == 0 => {
+                charges.add("morsel output", bytes * rows / (end - start).max(1) as u64)?
+            }
+            Some(_) => {}
+        }
         Ok(out)
     })?;
     if let Some(s) = skip {
-        // Counted over the morsels actually claimed — a LIMIT stop bound
-        // leaves the tail neither pruned nor scanned.
-        let claimed = || s.iter().zip(&results).filter(|(_, r)| r.is_some());
-        let pruned = claimed().filter(|(&p, _)| p).count();
-        ctx.access
-            .note_morsels(pruned as u64, (claimed().count() - pruned) as u64);
+        // Pruned morsels were never scheduled; a LIMIT stop bound leaves
+        // the live tail unclaimed, and so not scanned.
+        let pruned = s.iter().filter(|&&b| b).count();
+        let scanned = results.iter().take(s.len() - pruned).flatten().count();
+        ctx.access.note_morsels(pruned as u64, scanned as u64);
     }
 
     // Order-preserving reassembly; with a LIMIT sink, take the shortest
@@ -341,24 +369,78 @@ pub(super) fn single_morsel_input(
 /// genuinely sparse.
 const HANDOFF_IDX_DIVISOR: usize = 4;
 
-/// A chain's selection exit, as every barrier consumes it: the chain
-/// ran over the whole input under the zone-map seed selection, and a
-/// selective result was demoted to a survivor index list once, here at
-/// the hand-off, so consumers (id mapping, key gathers, probe loops,
-/// folds) walk survivors instead of full width. `None` = the kernel
-/// bailed at run time.
+/// A chain's selection exit, as every barrier consumes it: the chain's
+/// output columns (the input's stored columns, remapped, never copied)
+/// and the selection over them. One stage over the morsels the zone
+/// maps left, each task evaluating the chain's filters over its row
+/// window with its worker's context ([`ChainInstance::select_window`]).
+/// The window-local selections are stitched here, in morsel order, into
+/// the one global `SelVec` consumers walk: a survivor index list when
+/// at most `rows / HANDOFF_IDX_DIVISOR` rows survive **in total**, else
+/// a mask — however survivors spread over morsels. Third comes the
+/// survivor-count prefix over *input* morsel boundaries: morsel `i`'s
+/// survivors occupy `[offs[i], offs[i + 1])` in selection space. `None`
+/// = the kernel bailed at run time, in any task.
 pub(super) fn selection_exit(
     input: &Batch,
     kern: &ChainInstance<'_>,
     skip: Option<&[bool]>,
     ctx: &ExecContext,
-) -> Option<kernel::SelOutput> {
-    let rows = input.rows();
-    let mut out = kern.run_selection(input, skip_init(skip, rows, ctx.morsel_rows), ctx)?;
-    if matches!(out.sel, SelVec::Mask(..)) && out.sel.len() * HANDOFF_IDX_DIVISOR <= rows {
-        out.sel = SelVec::Idx(out.sel.into_idx());
+) -> Result<Option<(MorselCols, SelVec, Vec<usize>)>, ExecError> {
+    let (rows, morsel_rows) = (input.rows(), ctx.morsel_rows);
+    let src = to_cols(input);
+    // Global row ids are `u32`: a wider input has no selection form.
+    let Some(cols) = kern
+        .selection_cols(&src)
+        .filter(|_| rows <= u32::MAX as usize)
+    else {
+        return Ok(None);
+    };
+    let morsels = num_morsels(rows, morsel_rows);
+    let windows = live_windows(skip, morsel_rows, rows);
+    let locals = claim_eval(windows.len(), ctx, None, |j, wctx| {
+        let (start, end) = windows[j];
+        // Demoted in the task, in parallel: the stitch copies ids.
+        Ok(kern.select_window(&src, start, end, wctx).map(|sv| {
+            match sv.len() * HANDOFF_IDX_DIVISOR <= end - start {
+                true => SelVec::Idx(sv.into_idx()),
+                false => sv,
+            }
+        }))
+    })?;
+    let Some(locals) = locals
+        .into_iter()
+        .flatten()
+        .collect::<Option<Vec<SelVec>>>()
+    else {
+        return Ok(None);
+    };
+    let mut offs = vec![0; morsels + 1];
+    for ((start, _), local) in windows.iter().zip(&locals) {
+        offs[start / morsel_rows + 1] = local.len();
     }
-    Some(out)
+    for i in 0..morsels {
+        offs[i + 1] += offs[i];
+    }
+    let survivors = offs[morsels];
+    let locals = windows.iter().map(|&(start, _)| start).zip(locals);
+    let sel = if survivors * HANDOFF_IDX_DIVISOR <= rows {
+        let mut idx = Vec::with_capacity(survivors);
+        for (start, local) in locals {
+            idx.extend(local.into_idx().into_iter().map(|r| start as u32 + r));
+        }
+        SelVec::Idx(idx)
+    } else {
+        let mut mask = vec![false; rows];
+        for (start, local) in locals {
+            match local {
+                SelVec::Mask(m, _) => mask[start..start + m.len()].copy_from_slice(&m),
+                SelVec::Idx(s) => s.iter().for_each(|&r| mask[start + r as usize] = true),
+            }
+        }
+        SelVec::Mask(mask, survivors)
+    };
+    Ok(Some((cols, sel, offs)))
 }
 
 /// Account a selection exit's zone-map outcome: the chain never touched
@@ -371,21 +453,6 @@ pub(super) fn note_skipped(skip: Option<&[bool]>, ctx: &ExecContext) {
     }
 }
 
-/// Seed selection for zone-map pruning: pruned morsel row ranges start
-/// deselected, so the chain never resurrects provably-empty rows.
-fn skip_init(skip: Option<&[bool]>, rows: usize, morsel_rows: usize) -> Option<SelVec> {
-    let skip = skip?;
-    if !skip.iter().any(|&s| s) {
-        return None;
-    }
-    let mut mask = vec![true; rows];
-    for (i, _) in skip.iter().enumerate().filter(|(_, &s)| s) {
-        let (start, end) = morsel_range(i, morsel_rows, rows);
-        mask[start..end].fill(false);
-    }
-    Some(SelVec::from_mask(mask))
-}
-
 /// A chain's selection-exit hand-off: the (remapped, still full-width)
 /// output columns plus the surviving-row selection, consumed by the
 /// barrier `run_*` entry points through [`BarrierInput::Selected`]. The
@@ -393,13 +460,13 @@ fn skip_init(skip: Option<&[bool]>, rows: usize, morsel_rows: usize) -> Option<S
 /// deferred to the barrier's own assembly step, so memory charges scale
 /// with survivors, not morsel width.
 pub(crate) struct SelScan {
-    /// Chain output columns at full input width, integer-compressed
-    /// layouts decoded exactly as [`to_partition_cols`] does, so a late
-    /// gather yields the same bytes the staged gathered path produces.
+    /// Chain output columns at full input width, **as stored**. Values
+    /// are read at survivor rows through [`EncodedTensor::rows_at`]
+    /// ([`SelScan::gather`], key extraction, the join assembly), which
+    /// hands integer-compressed layouts over as plain `i64`: the bytes
+    /// the gathered path's per-morsel windows produce.
     pub(super) batch: Batch,
     pub(super) sel: SelVec,
-    /// Full (pre-selection) input width.
-    pub(super) rows: usize,
     /// Human-readable density note (`3% dense→sparse`) for profiles.
     density: String,
     /// Holds the selection-vector bytes on the query's ledger for the
@@ -408,46 +475,16 @@ pub(crate) struct SelScan {
 }
 
 impl SelScan {
-    /// Surviving row count — the logical row count every scheduling
-    /// decision uses, identical to the gathered batch's `rows()`.
-    pub(super) fn survivors(&self) -> usize {
-        self.sel.len()
-    }
-
     /// Global surviving row ids, ascending.
-    pub(super) fn ids(&self) -> Vec<i64> {
-        match &self.sel {
-            SelVec::Idx(s) => s.iter().map(|&i| i as i64).collect(),
-            SelVec::Mask(m, n) => {
-                let mut out = Vec::with_capacity(*n);
-                for (i, &keep) in m.iter().enumerate() {
-                    if keep {
-                        out.push(i as i64);
-                    }
-                }
-                out
-            }
-        }
+    pub(super) fn ids(&self) -> I64Tensor {
+        self.sel.ids(0)
     }
 
-    /// The boolean mask that compacts a column to survivor width.
-    pub(super) fn gather_mask(&self) -> tdp_tensor::BoolTensor {
-        self.sel.gather_mask(self.rows)
-    }
-
-    /// The one deferred gather: compact every column to survivors. Used
-    /// when a barrier shape (or scheduling decision) needs dense rows
-    /// after all; byte-identical to the gathered path's output.
-    fn materialize(&self) -> Batch {
-        let mask = self.gather_mask();
-        let mut out = Batch::new();
-        for (name, col) in self.batch.columns() {
-            out.push(
-                name.clone(),
-                ColumnData::Exact(col.to_exact().filter_rows(&mask)),
-            );
-        }
-        out
+    /// The deferred gather: every column read at the global row ids
+    /// `idx` (survivors, in whatever order the barrier emits them).
+    pub(super) fn gather(&self, idx: &I64Tensor) -> Batch {
+        let read = |(name, col): (String, EncodedTensor)| (name, col.rows_at(idx));
+        from_cols(to_cols(&self.batch).into_iter().map(read).collect())
     }
 }
 
@@ -464,7 +501,7 @@ impl BarrierInput {
     pub(crate) fn rows_out(&self) -> usize {
         match self {
             BarrierInput::Gathered(b, _) => b.rows(),
-            BarrierInput::Selected(s) => s.survivors(),
+            BarrierInput::Selected(s) => s.sel.len(),
         }
     }
 
@@ -486,7 +523,7 @@ impl BarrierInput {
     pub(super) fn into_gathered(self) -> Batch {
         match self {
             BarrierInput::Gathered(b, _) => b,
-            BarrierInput::Selected(s) => s.materialize(),
+            BarrierInput::Selected(s) => s.gather(&s.ids()),
         }
     }
 
@@ -548,29 +585,24 @@ fn selection_scan(
         Err(reason) => return Ok(Err(reason)),
     };
     let skip = skip.filter(|s| s.len() == chain.morsels);
-    let Some(out) = selection_exit(input, kern, skip, ctx) else {
+    let Some((cols, sel, _)) = selection_exit(input, kern, skip, ctx)? else {
         return Ok(Err("kernel-bailout".into()));
     };
     note_skipped(skip, ctx);
-    let (rows, survivors) = (input.rows(), out.sel.len());
+    let (rows, survivors) = (input.rows(), sel.len());
     let charge = memory::charge(&ctx.memory, "selection vector", (survivors as u64 + 1) * 8)?;
     let pct = if rows == 0 {
         0
     } else {
         (survivors * 100).div_ceil(rows)
     };
-    let density = match &out.sel {
+    let density = match &sel {
         SelVec::Mask(..) => format!("{pct}% dense"),
         SelVec::Idx(_) => format!("{pct}% dense→sparse"),
     };
-    let mut batch = Batch::new();
-    for (name, col) in out.cols {
-        batch.push(name, ColumnData::Exact(decode_packed(col)));
-    }
     Ok(Ok(SelScan {
-        batch,
-        sel: out.sel,
-        rows,
+        batch: from_cols(cols),
+        sel,
         density,
         _charge: charge,
     }))

@@ -74,18 +74,22 @@ pub(crate) fn run_distinct(
     let codes: exact::KeyCodes = batch
         .columns()
         .iter()
-        .map(|(_, c)| exact::key_codes_at(&c.to_exact(), ids.as_deref()))
+        .map(|(_, c)| exact::key_codes_at(&c.to_exact(), ids.as_ref()))
         .collect::<Result<_, _>>()?;
     // Representatives come back as survivor positions; map them to
-    // global ids for the one deferred gather.
+    // global ids (still ascending) for the one deferred gather.
     let mut rep = distinct_reps(&codes, rows, &charges, ctx)?;
     if let Some(ids) = &ids {
         for r in &mut rep {
-            *r = ids[*r as usize];
+            *r = ids.at(*r as usize);
         }
     }
     let n = rep.len();
-    Ok(exact::select_batch(batch, &Tensor::from_vec(rep, &[n])))
+    let rep = Tensor::from_vec(rep, &[n]);
+    Ok(match &input {
+        BarrierInput::Gathered(b, _) => exact::select_batch(b, &rep),
+        BarrierInput::Selected(s) => s.gather(&rep),
+    })
 }
 
 /// Exchange + shared-nothing dedup over precomputed grouping codes:

@@ -6,6 +6,7 @@
 
 use tdp_sql::ast::JoinKind;
 use tdp_tensor::keytable::{hash_rows, KeyTable};
+use tdp_tensor::I64Tensor;
 
 use super::chain::BarrierInput;
 use super::sched::{
@@ -29,13 +30,14 @@ fn join_build_bytes(rows: usize) -> u64 {
 }
 
 /// One join input normalized for the staged stages: a (possibly
-/// full-width) batch plus the optional global survivor-id list. `None`
-/// ids = a dense batch whose position *is* its row id. Positions map to
+/// full-width, columns as stored) batch plus the optional global
+/// survivor-id list. `None` ids = a dense batch whose position *is* its
+/// row id. Positions map to
 /// ascending global ids, so bucketing/probing positions in order visits
 /// exactly the rows the gathered path would, in the same order.
 struct JoinSide {
     batch: Batch,
-    ids: Option<Vec<i64>>,
+    ids: Option<I64Tensor>,
 }
 
 impl JoinSide {
@@ -52,8 +54,14 @@ impl JoinSide {
         }
     }
 
+    fn input(&self) -> exact::JoinInput<'_> {
+        (&self.batch, self.ids.as_ref())
+    }
+
     fn rows(&self) -> usize {
-        self.ids.as_ref().map_or(self.batch.rows(), Vec::len)
+        self.ids
+            .as_ref()
+            .map_or(self.batch.rows(), I64Tensor::numel)
     }
 }
 
@@ -104,8 +112,9 @@ pub(crate) fn run_join(
     let (lside, rside) = (JoinSide::of(left), JoinSide::of(right));
     // Workers must not capture the batches (autodiff columns are not
     // `Sync`); the bare id slices carry everything the stages emit.
-    let (lids, rids) = (lside.ids.as_deref(), rside.ids.as_deref());
-    let (lcodes, rcodes) = exact::join_key_codes(on, &lside.batch, lids, &rside.batch, rids)?;
+    let (lcodes, rcodes) = exact::join_key_codes(on, lside.input(), rside.input())?;
+    let lids = lside.ids.as_ref().map(I64Tensor::data);
+    let rids = rside.ids.as_ref().map(I64Tensor::data);
     let (lkeys, rkeys) = (exact::code_refs(&lcodes), exact::code_refs(&rcodes));
     let lhashes = hash_rows(&lkeys, lside.rows());
     let rhashes = hash_rows(&rkeys, rside.rows());
@@ -151,5 +160,5 @@ pub(crate) fn run_join(
         pairs.right.extend(p.right);
         pairs.unmatched.extend(p.unmatched);
     }
-    exact::join_assemble(&lside.batch, &rside.batch, rids, kind, pairs, ctx.threads)
+    exact::join_assemble(lside.input(), rside.input(), kind, pairs, ctx.threads)
 }

@@ -4,8 +4,8 @@
 //!
 //! | module        | owns |
 //! |---------------|------|
-//! | `sched`       | worker contexts, the one thread-spawn site, the one claim loop (ordered result slots, first error in index order, the LIMIT stop bound), the partition `exchange`, morsel slicing |
-//! | `chain`       | parallel-safety analysis, the per-execution `ChainRun`, the streaming chain run with its LIMIT sink, the chain→barrier hand-off (`BarrierInput`: selection exit or gathered) |
+//! | `sched`       | worker contexts, the one thread-spawn site, the one claim loop (ordered result slots, first error in index order, the LIMIT stop bound), the partition `exchange`, morsel ranges and the interpreter's window slices |
+//! | `chain`       | parallel-safety analysis, the per-execution `ChainRun`, the streaming chain run with its LIMIT sink, the per-morsel selection stage and the chain→barrier hand-off it stitches (`BarrierInput`: selection exit or gathered) |
 //! | `aggregate`   | `AggProgram`, the one per-morsel fold, the selection-fed and gathered partial loops, the combine |
 //! | `join`        | partitioned hash join over `i64` key codes: hash once → exchange → per-partition flat table → parallel probe → per-column assembly |
 //! | `sort`        | merge sort and top-k: per-morsel runs → k-way merge |
@@ -26,26 +26,32 @@
 //! # Chain exit modes: gathered vs selection-fed barriers
 //!
 //! A chain running on the kernel and feeding a barrier has two ways to
-//! hand over its result (`BarrierInput`):
+//! hand over its result (`BarrierInput`). Either way a morsel is a row
+//! window over the input's own stored columns, evaluated by the worker
+//! that claimed it; morsels the zone maps pruned are never scheduled.
 //!
-//! * **Gathered** — the classic exit: the chain materialises survivors
-//!   into a dense [`Batch`](crate::Batch) (one gather per column) and
-//!   the barrier consumes it like any other input. Always available;
-//!   the only exit for non-chain children.
-//! * **Selected** — late materialisation: the chain returns its input
-//!   columns *plus* a `kernel::SelVec` (dense mask or sparse index
-//!   list, whichever is smaller for the survivor density), and the
-//!   barrier operates on survivor row ids directly. The single gather
-//!   is deferred to final assembly — join output positions, sorted
-//!   order, DISTINCT representatives — so dropped rows are never
-//!   copied, and memory charges scale with survivors instead of input
-//!   width.
+//! * **Gathered** — the classic exit: every morsel gathers its
+//!   survivors (one read per output column, straight out of the stored
+//!   column), the parts concatenate into a dense
+//!   [`Batch`](crate::Batch). Always available; the only exit for
+//!   non-chain children.
+//! * **Selected** — late materialisation: a stage of per-morsel filter
+//!   evaluations, stitched in morsel order into one global
+//!   `kernel::SelVec` (sparse index list up to a quarter of the rows,
+//!   dense mask beyond) over the chain's output columns, which stay
+//!   **as stored** — nothing is decoded or copied for the hand-off. The
+//!   barrier works on survivor row ids and reads values through the two
+//!   read primitives (`EncodedTensor::window_rows` / `rows_at`); the
+//!   single gather is deferred to final assembly — join output
+//!   positions, sorted order, DISTINCT representatives — so dropped
+//!   rows are never copied, and memory charges scale with survivors
+//!   instead of input width.
 //!
 //! | barrier    | selection-fed behaviour |
 //! |------------|-------------------------|
-//! | aggregate  | one partial per input morsel from the fused fold over the *referenced* columns only — the morsel's row range under its mask slice (dense) or its survivors read by index (sparse); grouped or not, nothing is gathered at table width |
-//! | join       | key codes are read at survivor rows only (by index for plain layouts); the exchange, tables and probe work on survivor positions; `join_assemble` gathers once on matched global row ids |
-//! | sort/top-k | evaluates keys on survivors; payload gather happens once, in final sorted order |
+//! | aggregate  | one partial per input morsel from the fused fold over the *referenced* columns only — the morsel's row window under its mask slice (dense) or its survivors read by position (sparse); grouped or not, nothing is gathered at table width |
+//! | join       | key codes are read at survivor rows only; the exchange, tables and probe work on survivor positions; `join_assemble` reads each output column once, at the matched global row ids |
+//! | sort/top-k | reads keys at survivor rows; payload gather happens once, in final sorted order |
 //! | DISTINCT   | grouping codes are read at survivor rows only; first occurrences gather at the end |
 //!
 //! Byte-identity is preserved in every mode: reorder/gather barriers
@@ -104,7 +110,7 @@ pub(crate) use chain::{
 };
 pub(crate) use distinct::run_distinct;
 pub(crate) use join::run_join;
-pub(crate) use sched::{claim, decode_packed};
+pub(crate) use sched::{claim, from_cols, to_cols, MorselCols};
 pub(crate) use sort::{run_sort, run_topk};
 
 use crate::physical::PhysicalPlan;

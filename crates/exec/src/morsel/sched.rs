@@ -12,9 +12,10 @@
 //! index once the contiguous output prefix holds enough rows; items past
 //! it are never claimed.
 //!
-//! Threads live exactly as long as one stage (a scoped spawn per call).
-//! An engine-owned persistent pool replaces `run_stage`'s spawn block
-//! and nothing else.
+//! Threads live exactly as long as one stage (a scoped spawn per call;
+//! the caller is one of the workers, so `n` workers spawn `n − 1`). An
+//! engine-owned persistent pool replaces `run_stage`'s spawn block and
+//! nothing else.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -25,6 +26,7 @@ use tdp_tensor::keytable::partition_of;
 
 use crate::batch::{Batch, ColumnData};
 use crate::error::ExecError;
+use crate::memory;
 use crate::profile::Recorder;
 use crate::udf::{ExecContext, UdfRegistry};
 
@@ -109,7 +111,8 @@ pub(super) struct StopAfter<T> {
 }
 
 /// The claim loop. Runs `f(i, worker context)` for every `i < count` on
-/// up to `threads` workers (inline when one suffices) and returns the
+/// up to `threads` workers — the caller and `threads − 1` spawned beside
+/// it, nobody when one suffices — and returns the
 /// outputs in index order; `None` marks an item a `stop` bound let the
 /// stage skip. Worker contexts are built only when `eval` asks for them
 /// — stages that merely shuffle precomputed keys need no registry.
@@ -170,9 +173,10 @@ fn run_stage<T: Send>(
         worker();
     } else {
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for _ in 1..workers {
                 scope.spawn(worker);
             }
+            worker();
         });
     }
 
@@ -298,9 +302,9 @@ pub(super) fn exchange(
 // ----------------------------------------------------------------------
 
 /// Owned, `Send` view of a batch's columns (exact encodings only).
-pub(super) type MorselCols = Vec<(String, EncodedTensor)>;
+pub(crate) type MorselCols = Vec<(String, EncodedTensor)>;
 
-pub(super) fn to_cols(batch: &Batch) -> MorselCols {
+pub(crate) fn to_cols(batch: &Batch) -> MorselCols {
     batch
         .columns()
         .iter()
@@ -308,30 +312,7 @@ pub(super) fn to_cols(batch: &Batch) -> MorselCols {
         .collect()
 }
 
-/// Integer-compressed layouts (RLE / bit-packed / delta) decoded to
-/// plain i64; plain, dictionary and PE layouts as they are.
-pub(crate) fn decode_packed(col: EncodedTensor) -> EncodedTensor {
-    match col {
-        e @ (EncodedTensor::Rle(_) | EncodedTensor::BitPacked(_) | EncodedTensor::Delta(_)) => {
-            EncodedTensor::I64(e.decode_i64())
-        }
-        other => other,
-    }
-}
-
-/// Owned view of a partition *source*: integer-compressed layouts are
-/// decoded once, up front ([`decode_packed`]) — their `slice_rows`
-/// otherwise decodes the whole column per morsel, turning partitioning
-/// into O(rows × morsels). The other layouts slice in a single memcpy.
-pub(super) fn to_partition_cols(batch: &Batch) -> MorselCols {
-    batch
-        .columns()
-        .iter()
-        .map(|(n, c)| (n.clone(), decode_packed(c.to_exact())))
-        .collect()
-}
-
-pub(super) fn from_cols(cols: MorselCols) -> Batch {
+pub(crate) fn from_cols(cols: MorselCols) -> Batch {
     let mut out = Batch::new();
     for (name, col) in cols {
         out.push(name, ColumnData::Exact(col));
@@ -339,12 +320,43 @@ pub(super) fn from_cols(cols: MorselCols) -> Batch {
     out
 }
 
-pub(super) fn slice_cols(cols: &[(String, EncodedTensor)], start: usize, end: usize) -> Batch {
-    let mut out = Batch::new();
-    for (name, col) in cols {
-        out.push(name.clone(), ColumnData::Exact(col.slice_rows(start, end)));
+/// Rows `start..end` of a stage's input columns as a batch of its own —
+/// what the interpreter evaluates a morsel on (chain kernels address the
+/// window in place). Read through [`EncodedTensor::window_rows`] inside
+/// the task, and charged as `operator` until the guard drops with it.
+pub(super) fn slice_cols(
+    cols: &[(String, EncodedTensor)],
+    start: usize,
+    end: usize,
+    operator: &str,
+    ctx: &ExecContext,
+) -> Result<(Batch, memory::ChargeGuard), ExecError> {
+    let window: MorselCols = cols
+        .iter()
+        .map(|(name, col)| (name.clone(), col.window_rows(start, end)))
+        .collect();
+    let charge = memory::charge(&ctx.memory, operator, memory::cols_bytes(&window))?;
+    Ok((from_cols(window), charge))
+}
+
+/// The row windows a stage schedules: the morsels the zone maps did not
+/// prune (`skip[i]`) — a pruned morsel is never claimed, sliced or
+/// decoded. When every morsel is pruned the stage still runs once, over
+/// an empty window: outputs keep their schema and encodings, and a chain
+/// that can only fail (a type error) fails exactly as in the unpruned run.
+pub(super) fn live_windows(
+    skip: Option<&[bool]>,
+    morsel_rows: usize,
+    rows: usize,
+) -> Vec<(usize, usize)> {
+    let live: Vec<(usize, usize)> = (0..num_morsels(rows, morsel_rows))
+        .filter(|&i| !skip.is_some_and(|s| s[i]))
+        .map(|i| morsel_range(i, morsel_rows, rows))
+        .collect();
+    match live.is_empty() {
+        true => vec![(0, 0)],
+        false => live,
     }
-    out
 }
 
 // ----------------------------------------------------------------------

@@ -3,12 +3,12 @@
 //! tournament heap; top-k keeps only k rows per run and merges O(k·m).
 
 use tdp_encoding::EncodedTensor;
-use tdp_tensor::Tensor;
+use tdp_tensor::{I64Tensor, Tensor};
 
 use super::chain::{expr_fallback, BarrierInput, SelScan};
 use super::sched::{
     claim, claim_eval, morsel_range, note_sequential, note_staged, num_morsels, slice_cols,
-    stage_decision, to_partition_cols,
+    stage_decision, to_cols,
 };
 use crate::batch::Batch;
 use crate::error::ExecError;
@@ -125,8 +125,7 @@ fn sort_runs(
     let rows = input.rows();
     let morsel_rows = ctx.morsel_rows;
     let morsels = num_morsels(rows, morsel_rows);
-    let cols = to_partition_cols(input);
-    charges.add("sort materialization", memory::cols_bytes(&cols))?;
+    let cols = to_cols(input);
 
     // First error in morsel order wins — the scheduler's contract.
     let runs = claim_eval(morsels, ctx, None, |i, wctx| {
@@ -134,7 +133,8 @@ fn sort_runs(
         // A run holds the evaluated key codes (8 B/row/key) plus the
         // local permutation (4 B/row).
         charges.add("sort run", ((end - start) * (4 + 8 * keys.len())) as u64)?;
-        let batch = slice_cols(&cols, start, end);
+        // Key expressions run on the interpreter, which wants a batch.
+        let (batch, _slice) = slice_cols(&cols, start, end, "sort materialization", wctx)?;
         let mut key_cols = Vec::with_capacity(keys.len());
         for k in keys {
             match eval_expr(&k.expr, &batch, wctx)? {
@@ -197,14 +197,14 @@ fn sorted_order(
 /// sort and the single payload gather happens once, at the end.
 fn sort_selected(
     s: &SelScan,
+    ids: &I64Tensor,
     gathered_keys: Vec<SortKeyCol>,
     keys: &[PhysOrderKey],
     take_k: Option<usize>,
-    limit: Option<usize>,
     charges: &memory::ScopedCharges,
     ctx: &ExecContext,
 ) -> Result<Batch, ExecError> {
-    let n = s.survivors();
+    let n = s.sel.len();
     let morsel_rows = ctx.morsel_rows;
     let morsels = num_morsels(n, morsel_rows);
     let runs: Vec<SortRun> = claim(morsels, ctx.threads, |i| {
@@ -218,24 +218,21 @@ fn sort_selected(
             keys: key_cols,
         })
     })?;
-    let ids = s.ids();
-    let idx: Vec<i64> = merge_runs(&runs, keys, limit)
+    let idx: Vec<i64> = merge_runs(&runs, keys, take_k)
         .into_iter()
-        .map(|p| ids[p as usize])
+        .map(|p| ids.at(p as usize))
         .collect();
     let len = idx.len();
-    Ok(exact::select_batch(
-        &s.batch,
-        &Tensor::from_vec(idx, &[len]),
-    ))
+    Ok(s.gather(&Tensor::from_vec(idx, &[len])))
 }
 
 /// Resolve sort keys as plain column refs over a selection's full-width
-/// batch and gather them to survivor width — the only evaluation the
-/// selection-fed sort path needs. `None` when any key is a computed
+/// batch and read them at the survivor rows `ids` — the only evaluation
+/// the selection-fed sort path needs. `None` when any key is a computed
 /// expression (the caller gathers and takes the staged path).
 fn gather_sort_keys(
     s: &SelScan,
+    ids: &I64Tensor,
     keys: &[PhysOrderKey],
 ) -> Result<Option<Vec<SortKeyCol>>, ExecError> {
     let mut srcs = Vec::with_capacity(keys.len());
@@ -248,10 +245,9 @@ fn gather_sort_keys(
             None => return Ok(None),
         }
     }
-    let mask = s.gather_mask();
     let mut out = Vec::with_capacity(srcs.len());
     for c in srcs {
-        out.push(SortKeyCol::of(&c.filter_rows(&mask))?);
+        out.push(SortKeyCol::of(&c.rows_at(ids))?);
     }
     Ok(Some(out))
 }
@@ -357,9 +353,10 @@ pub(crate) fn run_sort(
         // Held until the sorted batch is assembled: gathered key
         // columns plus every run's keys and permutation.
         let charges = memory::ScopedCharges::new(&ctx.memory);
-        charges.add("sort key gather", (s.survivors() * 8 * keys.len()) as u64)?;
-        if let Some(gathered) = gather_sort_keys(s, keys)? {
-            return sort_selected(s, gathered, keys, None, None, &charges, ctx);
+        charges.add("sort key gather", (s.sel.len() * 8 * keys.len()) as u64)?;
+        let ids = s.ids();
+        if let Some(gathered) = gather_sort_keys(s, &ids, keys)? {
+            return sort_selected(s, &ids, gathered, keys, None, &charges, ctx);
         }
         // Computed keys need per-morsel expression evaluation over
         // dense rows; gather once and take the staged path below.
@@ -398,9 +395,10 @@ pub(crate) fn run_topk(
     note_staged(rec, runs, 0, "parallel top-k", format_args!("×{runs} runs"));
     if let BarrierInput::Selected(s) = &input {
         let charges = memory::ScopedCharges::new(&ctx.memory);
-        charges.add("sort key gather", (s.survivors() * 8 * keys.len()) as u64)?;
-        if let Some(gathered) = gather_sort_keys(s, keys)? {
-            return sort_selected(s, gathered, keys, Some(k), Some(k), &charges, ctx);
+        charges.add("sort key gather", (s.sel.len() * 8 * keys.len()) as u64)?;
+        let ids = s.ids();
+        if let Some(gathered) = gather_sort_keys(s, &ids, keys)? {
+            return sort_selected(s, &ids, gathered, keys, Some(k), &charges, ctx);
         }
     }
     let input = input.into_gathered();

@@ -929,12 +929,27 @@ impl std::fmt::Display for PhysicalPlan {
 /// single compile step shared by the exact and differentiable executors:
 /// schema propagation, column→slot resolution, function resolution and
 /// scalar-subquery lowering all happen here, once.
+///
+/// A statement's result columns are addressed by name, case-insensitively
+/// (as batches resolve names), so its output schema — after `*`
+/// expansion; nested queries may repeat names they never return — must
+/// not name a column twice: a typed error here, not a panic in
+/// `Table::new` when the result is built.
 pub fn lower(
     plan: &LogicalPlan,
     catalog: &Catalog,
     udfs: &UdfRegistry,
 ) -> Result<PhysicalPlan, ExecError> {
-    Ok(lower_node(plan, catalog, udfs)?.0)
+    let (physical, schema) = lower_node(plan, catalog, udfs)?;
+    let names = schema.as_ref().map_or(&[][..], Schema::names);
+    for (i, name) in names.iter().enumerate() {
+        if names[..i].iter().any(|n| n.eq_ignore_ascii_case(name)) {
+            return Err(ExecError::Unsupported(format!(
+                "'{name}' appears twice in the select list; alias one"
+            )));
+        }
+    }
+    Ok(physical)
 }
 
 fn lower_node(
@@ -1505,9 +1520,8 @@ pub fn lower_expr(
             )
             .map_err(|e| ExecError::Unsupported(format!("scalar subquery: {e}")))?;
             let plan = tdp_sql::optimizer::optimize(plan);
-            Ok(CompiledExpr::ScalarSubquery(Arc::new(lower(
-                &plan, catalog, udfs,
-            )?)))
+            let (sub, _) = lower_node(&plan, catalog, udfs)?;
+            Ok(CompiledExpr::ScalarSubquery(Arc::new(sub)))
         }
         Expr::Aggregate { .. } => Err(ExecError::Unsupported(
             "aggregate outside of an Aggregate plan node".into(),

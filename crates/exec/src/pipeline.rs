@@ -26,8 +26,12 @@
 //!
 //! A barrier's *input* must be complete before it emits anything, but
 //! its *work* still splits. Joins, ORDER BY, TopK and DISTINCT execute
-//! as short stage sequences over their materialised inputs
-//! (chains → exchange → barrier stages, see [`crate::morsel`]):
+//! as short stage sequences (chains → exchange → barrier stages, see
+//! [`crate::morsel`]). The chain feeding one is itself a stage — each
+//! morsel a row window over the scan's stored columns, filtered on a
+//! worker, pruned morsels never scheduled — that hands over either a
+//! gathered batch or a selection over columns kept **as stored**, which
+//! the barrier reads at survivor rows only:
 //!
 //! * **Join** — an array program over integer key tensors: every key
 //!   pair is normalised to two `i64` code columns in one shared code

@@ -28,8 +28,10 @@ use crate::table::Table;
 /// Rows per statistics chunk. A divisor of the default morsel size
 /// (65 536) so default morsels align exactly to chunk boundaries, and
 /// small enough that tiny custom morsels (`set_morsel_rows(7)`) still
-/// get usable bounds from the chunk union.
-pub const ZONE_MAP_CHUNK_ROWS: usize = 4096;
+/// get usable bounds from the chunk union. Delta columns keep a decode
+/// anchor at the same stride, so a pruned scan's first live chunk starts
+/// on one.
+pub const ZONE_MAP_CHUNK_ROWS: usize = tdp_encoding::delta::ANCHOR_STRIDE;
 
 /// Min/max/null statistics of one chunk of one column.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -65,6 +65,62 @@ fn dim2() -> Table {
         .build("e")
 }
 
+/// Rows of the `compress()`ed fact table `c` at a morsel size: two
+/// default-sized morsels, or 643 seven-row ones either side of a delta
+/// anchor (a seven-row window of a delta column walks in from its
+/// anchor, so the tiny-morsel legs keep the table short).
+fn packed_rows(morsel_rows: usize) -> usize {
+    match morsel_rows {
+        7 => 4_500,
+        _ => 70_000,
+    }
+}
+
+/// The `compress()`ed fact table: `day` sorted in runs of 700
+/// (run-length, so zone maps prune date windows), `key` narrow
+/// (bit-packed), `ts` near-monotonic (delta, anchors every 4,096 rows),
+/// `flag` a dictionary, `dial` the f32 every selectivity is set with.
+fn packed(n: usize) -> Table {
+    use tdp_core::encoding::EncodingKind as K;
+    let flags: Vec<String> = (0..n).map(|i| format!("f{}", (i * 7) % 5)).collect();
+    let table = TableBuilder::new()
+        .col_i64("day", (0..n).map(|i| (i / 700) as i64).collect())
+        .col_i64(
+            "key",
+            (0..n)
+                .map(|i| ((i.wrapping_mul(2_654_435_761) >> 11) % 50) as i64)
+                .collect(),
+        )
+        .col_i64(
+            "ts",
+            (0..n)
+                .map(|i| 1_700_000_000 + 3 * i as i64 + (i % 3) as i64)
+                .collect(),
+        )
+        .col_str("flag", &flags)
+        .col_f32(
+            "dial",
+            (0..n)
+                .map(|i| ((i * 7919) % 1000) as f32 / 1000.0)
+                .collect(),
+        )
+        .build("c")
+        .compress();
+    let kinds: Vec<K> = table.columns().iter().map(|c| c.kind()).collect();
+    assert_eq!(
+        kinds,
+        [
+            K::RunLength,
+            K::BitPacked,
+            K::Delta,
+            K::Dictionary,
+            K::PlainF32
+        ],
+        "the shapes below rely on these layouts"
+    );
+    table
+}
+
 /// One query per plan shape the walker distinguishes.
 const CORPUS: &[(&str, &str)] = &[
     (
@@ -187,7 +243,125 @@ const CORPUS: &[(&str, &str)] = &[
         "udf-pinned chain",
         "SELECT halve(x) AS h FROM t WHERE halve(v) > 4400",
     ),
+    // The front end over stored encodings (table `c`): every morsel is a
+    // row window over the compressed columns, pruned morsels are never
+    // scheduled, and barriers read survivors out of the packed layouts.
+    (
+        "packed q6: two conjuncts on run-length, two on f32, most morsels pruned",
+        "SELECT SUM(dial * key) AS r, COUNT(*) AS n FROM c \
+         WHERE day >= 2 AND day < 4 AND dial >= 0.2 AND dial <= 0.8",
+    ),
+    (
+        "packed sort payload",
+        "SELECT dial, key, ts FROM c WHERE dial > 0.99 ORDER BY dial DESC",
+    ),
+    (
+        "packed top-k payload",
+        "SELECT dial, key, day FROM c WHERE dial > 0.9 ORDER BY dial DESC LIMIT 9",
+    ),
+    (
+        "packed distinct key",
+        "SELECT DISTINCT key, day FROM c WHERE dial > 0.97",
+    ),
+    (
+        "packed join key and payload",
+        "SELECT s.key, s.ts, e.w, e.p FROM (SELECT key, ts FROM c WHERE dial > 0.98) AS s \
+         JOIN e ON s.key = e.ek",
+    ),
+    (
+        "packed left-join pads on both sides",
+        "SELECT s.key, s.ts, r.p FROM (SELECT key, ts FROM c WHERE dial > 0.995) AS s \
+         LEFT JOIN (SELECT ek, p FROM e WHERE w > 3) AS r ON s.key = r.ek",
+    ),
+    (
+        "packed SUM argument, dense",
+        "SELECT flag, SUM(key) AS s, MAX(ts) AS t, COUNT(*) AS n FROM c WHERE dial > 0.4 \
+         GROUP BY flag",
+    ),
+    (
+        "packed SUM argument and key, sparse",
+        "SELECT day, SUM(key) AS s, COUNT(*) AS n FROM c WHERE dial > 0.99 GROUP BY day",
+    ),
+    (
+        "packed pass-through under a computed projection",
+        "SELECT key, ts, day, flag, dial * 2 AS d FROM c WHERE dial > 0.97",
+    ),
+    (
+        "packed pass-through, no filter, limit",
+        "SELECT key, ts FROM c LIMIT 4400",
+    ),
+    // Consecutive conjuncts over a bit-packed column: one morsel at the
+    // default size (the whole-batch kernel path and its re-compression
+    // rule), many at 7 rows and over `c` (windows, where that rule must
+    // stay out of the way).
+    (
+        "three conjuncts over bit-packed, small",
+        "SELECT ek, p, w FROM e WHERE p > 2 AND w < 28 AND p < 14",
+    ),
+    (
+        "three conjuncts over bit-packed, large",
+        "SELECT key, ts, dial FROM c WHERE key > 5 AND dial > 0.5 AND key < 45",
+    ),
+    (
+        "packed, every morsel pruned, gather exit",
+        "SELECT key, ts, dial + 1 AS d FROM c WHERE day > 1000",
+    ),
+    (
+        "packed, every morsel pruned, aggregate",
+        "SELECT COUNT(*), SUM(key), MIN(ts) FROM c WHERE day > 1000",
+    ),
+    (
+        "packed, every morsel pruned, sort",
+        "SELECT key, ts FROM c WHERE ts < 5 ORDER BY key",
+    ),
+    (
+        "packed, nothing pruned, nothing survives",
+        "SELECT key, ts, flag FROM c WHERE dial > 5 ORDER BY key",
+    ),
+    (
+        "packed, nothing pruned, nothing survives, distinct",
+        "SELECT DISTINCT key, day FROM c WHERE dial > 5",
+    ),
 ];
+
+/// Statements that fail while running: the chain kernel bails on the
+/// first live morsel it meets (zone maps decide which that is), the
+/// interpreter re-runs it, and the error text must not depend on any of
+/// that.
+const FAILING: &[(&str, &str)] = &[
+    (
+        "type error under a barrier, leading morsels pruned",
+        "SELECT key FROM c WHERE day >= 5 AND dial + 'x' > 1 ORDER BY key",
+    ),
+    (
+        "type error under an aggregate, every morsel pruned",
+        "SELECT COUNT(*) FROM c WHERE day > 1000 AND dial + 'x' > 1",
+    ),
+    // Every morsel pruned under the barriers that take the selection
+    // hand-off: no task runs, and the statement must still fail.
+    (
+        "type error under a sort, every morsel pruned",
+        "SELECT key FROM c WHERE day > 1000 AND dial + 'x' > 1 ORDER BY key",
+    ),
+    (
+        "type error under DISTINCT, every morsel pruned",
+        "SELECT DISTINCT key FROM c WHERE day > 1000 AND dial + 'x' > 1",
+    ),
+    (
+        "type error under a join, every morsel pruned",
+        "SELECT s.key, e.p FROM (SELECT key FROM c WHERE day > 1000 AND dial + 'x' > 1) AS s \
+         JOIN e ON s.key = e.ek",
+    ),
+    (
+        "type error in a projection",
+        "SELECT key, dial + 'x' AS d FROM c WHERE day >= 5",
+    ),
+];
+
+/// The `$n`-bound scan of the delta column: the bound arrives as a
+/// parameter, pruning resolves it per execution, and the surviving tail
+/// starts mid-chunk, between two anchors.
+const RECENT_SCAN: &str = "SELECT ts, key FROM c WHERE ts >= ?";
 
 /// The `$n`-bound range scan: bounds arrive as parameters, so zone-map
 /// pruning resolves them per execution.
@@ -197,7 +371,7 @@ const RANGE_SCAN: &str = "SELECT v, x FROM t WHERE v BETWEEN ? AND ?";
 const SUB_TOP: &str = "SELECT SUM(x) AS s FROM t WHERE k < 7";
 const SUB_NESTED: &str = "SELECT (SELECT SUM(x) FROM t WHERE k < 7) AS s FROM t LIMIT 1";
 
-fn session(budget: Option<u64>) -> Session {
+fn session(budget: Option<u64>, morsel_rows: usize) -> Session {
     let tdp = match budget {
         Some(b) => TdpEngine::with_memory_budget(b),
         None => TdpEngine::new(),
@@ -206,6 +380,8 @@ fn session(budget: Option<u64>) -> Session {
     tdp.register_table(fact());
     tdp.register_table(dim());
     tdp.register_table(dim2());
+    tdp.register_table(packed(packed_rows(morsel_rows)));
+    tdp.set_morsel_rows(morsel_rows);
     // Session-bound (no Send + Sync proof): pins its chain to the
     // session thread at every thread count.
     tdp.register_udf(Arc::new(HalveUdf));
@@ -226,24 +402,278 @@ fn run_corpus(tdp: &Session) -> Vec<(String, Table)> {
             ranged.bind(params).unwrap().run().unwrap(),
         ));
     }
+    let recent = tdp.prepare(RECENT_SCAN).unwrap();
+    let rows = tdp
+        .query("SELECT COUNT(*) AS n FROM c")
+        .unwrap()
+        .run()
+        .unwrap();
+    let rows = rows.columns()[0].data.decode_i64().at(0);
+    for back in [5_000.0, 20_000.0] {
+        let from = 1_700_000_000.0 + 3.0 * rows as f64 - back;
+        out.push((
+            format!("recent scan, last {back}"),
+            recent
+                .bind(ParamValues::new().number(from))
+                .unwrap()
+                .run()
+                .unwrap(),
+        ));
+    }
     out
 }
+
+/// The error text of every failing statement.
+fn run_failing(tdp: &Session) -> Vec<String> {
+    FAILING
+        .iter()
+        .map(|(name, sql)| {
+            let err = tdp.query(sql).unwrap().run().map(|t| t.rows());
+            err.expect_err(name).to_string()
+        })
+        .collect()
+}
+
+/// `I64 F32 …`: the encoding of every result column.
+fn kinds(t: &Table) -> String {
+    let names: Vec<String> = t
+        .columns()
+        .iter()
+        .map(|c| format!("{:?}", c.kind()))
+        .collect();
+    names.join(" ")
+}
+
+/// Per-column result encodings of every corpus shape at 7-row and at
+/// default morsels, recorded on the commit *before* morsels became row
+/// windows over stored columns (PR 17): the front end must hand every
+/// consumer the layouts it always did.
+const KINDS: &[(&str, &str, &str)] = &[
+    (
+        "scan-filter-project",
+        "PlainF32 Dictionary",
+        "PlainF32 Dictionary",
+    ),
+    (
+        "ungrouped float aggregate",
+        "PlainF32 PlainF32 PlainF32",
+        "PlainF32 PlainF32 PlainF32",
+    ),
+    (
+        "grouped float aggregate",
+        "Dictionary PlainF32 PlainF32 PlainF32",
+        "Dictionary PlainF32 PlainF32 PlainF32",
+    ),
+    (
+        "q1 shape 0%",
+        "Dictionary PlainF32 PlainF32 PlainF32 PlainF32 PlainI64",
+        "Dictionary PlainF32 PlainF32 PlainF32 PlainF32 PlainI64",
+    ),
+    (
+        "q1 shape 1%",
+        "Dictionary PlainF32 PlainF32 PlainF32 PlainF32 PlainI64",
+        "Dictionary PlainF32 PlainF32 PlainF32 PlainF32 PlainI64",
+    ),
+    (
+        "q1 shape 50%",
+        "Dictionary PlainF32 PlainF32 PlainF32 PlainF32 PlainI64",
+        "Dictionary PlainF32 PlainF32 PlainF32 PlainF32 PlainI64",
+    ),
+    (
+        "q1 shape 100%",
+        "Dictionary PlainF32 PlainF32 PlainF32 PlainF32 PlainI64",
+        "Dictionary PlainF32 PlainF32 PlainF32 PlainF32 PlainI64",
+    ),
+    (
+        "ungrouped 0%",
+        "PlainI64 PlainI64 PlainF32 PlainF32 PlainF32 PlainF32",
+        "PlainI64 PlainI64 PlainF32 PlainF32 PlainF32 PlainF32",
+    ),
+    (
+        "ungrouped 1%",
+        "PlainI64 PlainI64 PlainF32 PlainF32 PlainF32 PlainF32",
+        "PlainI64 PlainI64 PlainF32 PlainF32 PlainF32 PlainF32",
+    ),
+    (
+        "ungrouped 50%",
+        "PlainI64 PlainI64 PlainF32 PlainF32 PlainF32 PlainF32",
+        "PlainI64 PlainI64 PlainF32 PlainF32 PlainF32 PlainF32",
+    ),
+    (
+        "ungrouped 100%",
+        "PlainI64 PlainI64 PlainF32 PlainF32 PlainF32 PlainF32",
+        "PlainI64 PlainI64 PlainF32 PlainF32 PlainF32 PlainF32",
+    ),
+    (
+        "two-key (i64, dict) aggregate",
+        "PlainI64 Dictionary PlainF32 PlainF32 PlainF32 PlainF32 PlainI64",
+        "PlainI64 Dictionary PlainF32 PlainF32 PlainF32 PlainF32 PlainI64",
+    ),
+    ("join", "PlainF32 PlainF32", "PlainF32 PlainF32"),
+    (
+        "composite-key join",
+        "PlainF32 PlainF32",
+        "PlainF32 PlainF32",
+    ),
+    (
+        "dictionary-key join across two dictionaries",
+        "PlainF32 PlainI64",
+        "PlainF32 PlainI64",
+    ),
+    (
+        "join with duplicate build keys",
+        "PlainF32 PlainF32 PlainI64",
+        "PlainF32 PlainF32 PlainI64",
+    ),
+    (
+        "left join, unmatched rows, a chain on both sides",
+        "PlainF32 PlainF32 Dictionary PlainI64",
+        "PlainF32 PlainF32 Dictionary BitPacked",
+    ),
+    (
+        "join with an empty probe side",
+        "PlainF32 PlainF32",
+        "PlainF32 PlainF32",
+    ),
+    (
+        "left join with an empty right side",
+        "PlainF32 PlainI64 Dictionary PlainI64 PlainF32",
+        "PlainF32 PlainI64 Dictionary PlainI64 PlainF32",
+    ),
+    ("sort", "PlainF32 PlainI64", "PlainF32 PlainI64"),
+    ("top-k", "PlainF32 PlainF32", "PlainF32 PlainF32"),
+    ("distinct", "Dictionary PlainI64", "Dictionary PlainI64"),
+    (
+        "distinct (dictionary, f32)",
+        "Dictionary PlainF32",
+        "Dictionary PlainF32",
+    ),
+    ("limit", "PlainF32", "PlainF32"),
+    ("window", "PlainF32 PlainF32", "PlainF32 PlainF32"),
+    ("scalar subquery", "PlainF32", "PlainF32"),
+    ("udf-pinned chain", "PlainF32", "PlainF32"),
+    (
+        "packed q6: two conjuncts on run-length, two on f32, most morsels pruned",
+        "PlainF32 PlainI64",
+        "PlainF32 PlainI64",
+    ),
+    (
+        "packed sort payload",
+        "PlainF32 PlainI64 PlainI64",
+        "PlainF32 PlainI64 PlainI64",
+    ),
+    (
+        "packed top-k payload",
+        "PlainF32 PlainI64 PlainI64",
+        "PlainF32 PlainI64 PlainI64",
+    ),
+    (
+        "packed distinct key",
+        "PlainI64 PlainI64",
+        "PlainI64 PlainI64",
+    ),
+    (
+        "packed join key and payload",
+        "PlainI64 PlainI64 PlainF32 PlainI64",
+        "PlainI64 PlainI64 PlainF32 PlainI64",
+    ),
+    (
+        "packed left-join pads on both sides",
+        "PlainI64 PlainI64 PlainI64",
+        "PlainI64 PlainI64 BitPacked",
+    ),
+    (
+        "packed SUM argument, dense",
+        "Dictionary PlainF32 PlainF32 PlainI64",
+        "Dictionary PlainF32 PlainF32 PlainI64",
+    ),
+    (
+        "packed SUM argument and key, sparse",
+        "PlainI64 PlainF32 PlainI64",
+        "PlainI64 PlainF32 PlainI64",
+    ),
+    (
+        "packed pass-through under a computed projection",
+        "PlainI64 PlainI64 PlainI64 Dictionary PlainF32",
+        "PlainI64 PlainI64 PlainI64 Dictionary PlainF32",
+    ),
+    (
+        "packed pass-through, no filter, limit",
+        "PlainI64 PlainI64",
+        "PlainI64 PlainI64",
+    ),
+    (
+        "three conjuncts over bit-packed, small",
+        "PlainI64 PlainI64 PlainF32",
+        "PlainI64 BitPacked PlainF32",
+    ),
+    (
+        "three conjuncts over bit-packed, large",
+        "PlainI64 PlainI64 PlainF32",
+        "PlainI64 PlainI64 PlainF32",
+    ),
+    (
+        "packed, every morsel pruned, gather exit",
+        "PlainI64 PlainI64 PlainF32",
+        "PlainI64 PlainI64 PlainF32",
+    ),
+    (
+        "packed, every morsel pruned, aggregate",
+        "PlainI64 PlainF32 PlainF32",
+        "PlainI64 PlainF32 PlainF32",
+    ),
+    (
+        "packed, every morsel pruned, sort",
+        "PlainI64 PlainI64",
+        "PlainI64 PlainI64",
+    ),
+    (
+        "packed, nothing pruned, nothing survives",
+        "PlainI64 PlainI64 Dictionary",
+        "PlainI64 PlainI64 Dictionary",
+    ),
+    (
+        "packed, nothing pruned, nothing survives, distinct",
+        "PlainI64 PlainI64",
+        "PlainI64 PlainI64",
+    ),
+    (
+        "range scan 4090..4200",
+        "PlainF32 PlainF32",
+        "PlainF32 PlainF32",
+    ),
+    ("range scan 0..50", "PlainF32 PlainF32", "PlainF32 PlainF32"),
+    (
+        "recent scan, last 5000",
+        "PlainI64 PlainI64",
+        "PlainI64 PlainI64",
+    ),
+    (
+        "recent scan, last 20000",
+        "PlainI64 PlainI64",
+        "PlainI64 PlainI64",
+    ),
+];
 
 #[test]
 fn every_lattice_point_matches_the_sequential_oracle() {
     let default_morsel = tdp_core::exec::DEFAULT_MORSEL_ROWS;
     for morsel_rows in [7, default_morsel] {
-        let oracle = {
-            let tdp = session(None);
+        let (oracle, oracle_errors) = {
+            let tdp = session(None, morsel_rows);
             tdp.set_threads(1);
-            tdp.set_morsel_rows(morsel_rows);
             tdp.set_chain_kernels(false);
             tdp.set_zone_maps(false);
-            run_corpus(&tdp)
+            (run_corpus(&tdp), run_failing(&tdp))
         };
+        assert_eq!(oracle.len(), KINDS.len(), "one KINDS row per shape");
+        for ((name, table), (shape, tiny, default)) in oracle.iter().zip(KINDS) {
+            assert_eq!(name, shape, "KINDS follows the corpus order");
+            let want = if morsel_rows == 7 { tiny } else { default };
+            assert_eq!(&kinds(table), want, "{name} @ morsel_rows={morsel_rows}");
+        }
         for budget in [None, Some(256 << 20)] {
-            let tdp = session(budget);
-            tdp.set_morsel_rows(morsel_rows);
+            let tdp = session(budget, morsel_rows);
             for threads in [1, 4] {
                 for kernels in [true, false] {
                     for zone_maps in [true, false] {
@@ -255,9 +685,17 @@ fn every_lattice_point_matches_the_sequential_oracle() {
                              zone_maps={zone_maps} budget={budget:?}"
                         );
                         let got = run_corpus(&tdp);
+                        if std::env::var("TDP_PRINT_KINDS").is_ok() {
+                            for (name, table) in &got {
+                                println!("KINDS\t{morsel_rows}\t{name}\t{}\t{point}", kinds(table));
+                            }
+                            continue;
+                        }
                         for ((name, got), (_, want)) in got.iter().zip(&oracle) {
                             assert_tables_identical(got, want, &format!("{name} @ {point}"));
+                            assert_eq!(kinds(got), kinds(want), "{name} @ {point}: encodings");
                         }
+                        assert_eq!(run_failing(&tdp), oracle_errors, "error text @ {point}");
                         // PROFILE is the same walk with the recorder on.
                         for ((name, sql), (_, plain)) in CORPUS.iter().zip(&got) {
                             let (profiled, _) = tdp.query(sql).unwrap().run_profiled().unwrap();

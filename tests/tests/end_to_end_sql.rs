@@ -201,6 +201,48 @@ fn errors_are_informative() {
     assert!(tdp.query("SELECT FROM WHERE").is_err());
 }
 
+/// Two select items under one output name used to reach `Table::new`
+/// and panic there (over TCP: a dead connection thread). Lowering
+/// refuses the statement's output schema by name, case-insensitively and
+/// after `*` expansion — aliasing one apart is all it takes, and a
+/// nested query may still repeat a name it never returns.
+#[test]
+fn duplicate_output_names_are_a_typed_error_not_a_panic() {
+    let tdp = session();
+    for (sql, name) in [
+        ("SELECT qty, qty FROM orders", "qty"),
+        ("SELECT item, ITEM FROM orders ORDER BY item", "ITEM"),
+        ("SELECT DISTINCT qty, qty FROM orders", "qty"),
+        (
+            "SELECT o.item, i.item FROM orders AS o JOIN items AS i ON o.item = i.item",
+            "item",
+        ),
+        ("SELECT price AS a, qty AS a FROM orders", "a"),
+        ("SELECT * FROM (SELECT qty, qty FROM orders) AS s", "qty"),
+    ] {
+        let err = tdp.query(sql).map(|_| ()).expect_err(sql).to_string();
+        assert!(
+            err.contains(&format!(
+                "'{name}' appears twice in the select list; alias one"
+            )),
+            "{sql}: {err}"
+        );
+    }
+    for sql in [
+        "SELECT qty, qty AS qty2 FROM orders",
+        "SELECT item, item AS again FROM orders ORDER BY item",
+        "SELECT DISTINCT qty, qty AS q FROM orders",
+        "SELECT o.item, i.item AS i_item FROM orders AS o JOIN items AS i ON o.item = i.item",
+        "SELECT price AS a, qty AS b FROM orders",
+        "SELECT qty, price FROM (SELECT qty, qty, price FROM orders) AS s",
+    ] {
+        let t = tdp.query(sql).unwrap().run().unwrap();
+        assert_eq!(t.columns().len(), 2, "{sql}");
+    }
+    // `*` beside other items never reaches the name check.
+    assert!(tdp.query("SELECT *, qty FROM orders").is_err());
+}
+
 #[test]
 fn group_by_expression_keys_work_end_to_end() {
     // Regression: a select item / sort key / HAVING residue equal to a

@@ -35,6 +35,7 @@ fn load_tables(engine: &TdpEngine) {
 }
 
 const BREACHING: &str = "SELECT DISTINCT qty FROM big ORDER BY qty";
+
 const SMALL: &[&str] = &[
     "SELECT item, SUM(price) AS total FROM orders GROUP BY item ORDER BY item",
     "SELECT COUNT(*) FROM orders WHERE price > 2.0",
@@ -68,6 +69,37 @@ fn breaching_query_aborts_typed_and_names_no_dropped_state() {
     // The same session keeps working after the abort.
     let t = session.query(SMALL[1]).unwrap().run().unwrap();
     assert_eq!(t.rows(), 1);
+}
+
+/// The gathered path copies nothing ahead of its stage, so nothing is
+/// refused ahead of it either — but a chain without a filter emits every
+/// row it reads, and its first window charges the whole stage's output:
+/// on the interpreter at seven-row morsels (28,572 of them) the breaching
+/// query is still refused one charge larger than the budget, with none
+/// of its output on the ledger, instead of growing 56 bytes at a time to
+/// the budget its neighbours share.
+#[test]
+fn filterless_gathered_stage_is_refused_whole_not_window_by_window() {
+    let engine = TdpEngine::with_memory_budget(BUDGET);
+    load_tables(&engine);
+    let session = engine.session();
+    session.set_chain_kernels(false);
+    session.set_morsel_rows(7);
+    for threads in [1, 4] {
+        session.set_threads(threads);
+        let err = session.query(BREACHING).unwrap().run();
+        match err.expect_err("1 MiB cannot hold the projected column") {
+            TdpError::Exec(tdp_core::exec::ExecError::MemoryBudget {
+                operator,
+                requested,
+            }) => {
+                assert_eq!(operator, "morsel output");
+                assert_eq!(requested, BIG_ROWS as u64 * 8, "the stage's whole output");
+            }
+            other => panic!("expected MemoryBudget, got {other:?}"),
+        }
+        assert_eq!(engine.memory_pool().used(), 0);
+    }
 }
 
 #[test]
@@ -122,16 +154,22 @@ fn concurrent_small_queries_are_byte_identical_to_unconstrained_run() {
 }
 
 /// Late materialization: a selective filter feeding SUM charges only
-/// its selection vector (~8 KB), so the query fits a budget the
-/// gathered path — which materializes the full 1.6 MB decoded column
-/// before aggregating — cannot. Same engine, same query, same budget;
-/// the only difference is whether the chain hands the barrier a
-/// selection vector or a gathered batch.
+/// its selection vector and the survivors it folds (~8 KB each), so the
+/// query fits a budget the gathered path cannot: with the chain on the
+/// interpreter every in-flight morsel task slices its window of the
+/// input — 65,536 rows × 8 B = 512 KiB — before filtering it. (Neither
+/// path copies the whole column any more; the budget sits between a
+/// morsel-width slice and a survivor-width one.) Same engine, same
+/// query, same budget; the only difference is whether the chain hands
+/// the barrier a selection vector or a gathered batch.
 #[test]
 fn selection_fed_aggregate_fits_budget_the_gathered_path_exceeds() {
-    let engine = TdpEngine::with_memory_budget(BUDGET);
+    let engine = TdpEngine::with_memory_budget(256 << 10);
     load_tables(&engine);
     let session = engine.session();
+    // The budget is sized against one morsel at the default width,
+    // whatever `TDP_MORSEL_ROWS` says.
+    session.set_morsel_rows(tdp_core::exec::DEFAULT_MORSEL_ROWS);
     let sql = "SELECT SUM(qty) AS s FROM big WHERE qty < 5";
 
     session.set_chain_kernels(false);
@@ -139,11 +177,12 @@ fn selection_fed_aggregate_fits_budget_the_gathered_path_exceeds() {
         .query(sql)
         .unwrap()
         .run()
-        .expect_err("gathered aggregation decodes the whole column up front");
+        .expect_err("gathered aggregation slices a morsel-width window per task");
     assert!(
         matches!(
-            err,
-            TdpError::Exec(tdp_core::exec::ExecError::MemoryBudget { .. })
+            &err,
+            TdpError::Exec(tdp_core::exec::ExecError::MemoryBudget { operator, .. })
+                if operator == "morsel materialization"
         ),
         "{err:?}"
     );

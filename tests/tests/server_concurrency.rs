@@ -292,3 +292,22 @@ fn left_join_on_an_empty_right_side_keeps_the_connection_alive() {
     assert!(after.starts_with("OK 1 rows"), "{after}");
     server.shutdown();
 }
+
+/// Duplicate output names used to panic in `Table::new` on the
+/// connection thread, leaving the client waiting for a reply that never
+/// came. The statement must answer `ERR …` naming the column, and the
+/// same connection must answer the next one.
+#[test]
+fn duplicate_output_names_answer_err_and_keep_the_connection_alive() {
+    let server = TdpServer::bind(test_engine(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let (stream, mut reader) = connect(server.local_addr());
+    let refused = roundtrip(&stream, &mut reader, "QUERY SELECT qty, qty FROM orders");
+    assert!(refused.starts_with("ERR "), "{refused}");
+    assert!(
+        refused.contains("'qty' appears twice in the select list"),
+        "{refused}"
+    );
+    let after = roundtrip(&stream, &mut reader, "QUERY SELECT COUNT(*) FROM orders");
+    assert!(after.starts_with("OK 1 rows"), "{after}");
+    server.shutdown();
+}
