@@ -75,9 +75,6 @@ pub(crate) struct EnvDefaults {
     /// `TDP_MORSEL_ROWS`: rows per morsel, else
     /// [`tdp_exec::DEFAULT_MORSEL_ROWS`].
     pub(crate) morsel_rows: usize,
-    /// `TDP_PARTITIONS`: barrier-exchange partition count, else
-    /// [`tdp_exec::DEFAULT_PARTITIONS`].
-    pub(crate) partitions: usize,
     /// `TDP_CHAIN_KERNELS`: on unless `0`, `false` or `off`. Either way
     /// the interpreter remains the oracle.
     pub(crate) chain_kernels: bool,
@@ -116,7 +113,6 @@ impl EnvDefaults {
                     .unwrap_or(1)
             }),
             morsel_rows: positive("TDP_MORSEL_ROWS").unwrap_or(tdp_exec::DEFAULT_MORSEL_ROWS),
-            partitions: positive("TDP_PARTITIONS").unwrap_or(tdp_exec::DEFAULT_PARTITIONS),
             chain_kernels: switch("TDP_CHAIN_KERNELS"),
             zone_maps: switch("TDP_ZONE_MAPS"),
             ivf_rebuild_after: var("TDP_IVF_REBUILD_AFTER")

@@ -181,7 +181,7 @@ impl Session {
             plan_cache: RefCell::new(HashMap::new()),
             threads: Cell::new(defaults.threads),
             morsel_rows: Cell::new(defaults.morsel_rows),
-            partitions: Cell::new(defaults.partitions),
+            partitions: Cell::new(tdp_exec::DEFAULT_PARTITIONS),
             private_kernels: RefCell::new(None),
             kernel_sync: Cell::new((0, 0)),
             chain_kernels_on: Cell::new(defaults.chain_kernels),
@@ -224,7 +224,7 @@ impl Session {
     }
 
     /// Set the barrier-exchange partition count (clamped to ≥ 1; default
-    /// `TDP_PARTITIONS`, else 16). Partitioned hash joins and
+    /// [`tdp_exec::DEFAULT_PARTITIONS`]). Partitioned hash joins and
     /// shared-nothing DISTINCT distribute rows across this many buckets
     /// by key hash. A plan property independent of
     /// [`Session::set_threads`]: changing it never changes results, only

@@ -28,6 +28,19 @@ pub enum EncodingKind {
 ///
 /// The leading dimension is always the row dimension; trailing dimensions
 /// carry per-row payloads (vectors, images, ...).
+///
+/// **The row-movement rule.** Run-length, bit-packed and delta are
+/// *storage* layouts: rows read out of one — a range
+/// ([`EncodedTensor::slice_rows`]), a list of positions
+/// ([`EncodedTensor::select_rows`]), a mask's survivors
+/// ([`EncodedTensor::filter_rows`]) — are plain `I64`, for every caller
+/// and at every size; whoever reads a subset is about to compute on it,
+/// and picking a fresh smallest layout for it would only be undone by the
+/// next read. Plain, dictionary and PE layouts keep theirs. A compressed
+/// layout is produced in three places only: `Table::compress`
+/// ([`EncodedTensor::compress_i64`] on a stored column),
+/// [`EncodedTensor::concat`] (how an append grows a stored column) and
+/// loading a TDPF file.
 #[derive(Debug, Clone)]
 pub enum EncodedTensor {
     /// Plain numeric data of any rank (`[N]`, `[N, d]`, `[N, c, h, w]`...).
@@ -51,6 +64,12 @@ pub enum EncodedTensor {
     Delta(DeltaColumn),
 }
 
+/// A 1-d plain `i64` column owning `values`.
+fn plain_i64(values: Vec<i64>) -> EncodedTensor {
+    let n = values.len();
+    EncodedTensor::I64(Tensor::from_vec(values, &[n]))
+}
+
 impl EncodedTensor {
     /// Encode a string column (order-preserving dictionary).
     pub fn from_strings(strings: &[impl AsRef<str>]) -> EncodedTensor {
@@ -65,7 +84,7 @@ impl EncodedTensor {
 
     /// Encode a 1-d i64 column.
     pub fn from_i64_slice(values: &[i64]) -> EncodedTensor {
-        EncodedTensor::I64(Tensor::from_vec(values.to_vec(), &[values.len()]))
+        plain_i64(values.to_vec())
     }
 
     /// The encoding tag.
@@ -198,74 +217,48 @@ impl EncodedTensor {
         }
     }
 
-    /// Keep only rows where the mask is true, preserving the encoding
-    /// (run-length columns are re-encoded after filtering).
+    /// Keep only rows where the mask is true:
+    /// [`EncodedTensor::select_rows`] at the ids the mask keeps.
     pub fn filter_rows(&self, mask: &BoolTensor) -> EncodedTensor {
-        match self {
-            EncodedTensor::F32(t) => EncodedTensor::F32(t.filter_rows(mask)),
-            EncodedTensor::I64(t) => EncodedTensor::I64(t.filter_rows(mask)),
-            EncodedTensor::Bool(t) => EncodedTensor::Bool(t.filter_rows(mask)),
-            EncodedTensor::Dict { codes, dict } => EncodedTensor::Dict {
-                codes: codes.filter_rows(mask),
-                dict: Arc::clone(dict),
-            },
-            EncodedTensor::Rle(r) => {
-                EncodedTensor::Rle(RleColumn::encode(&r.decode().filter_rows(mask)))
-            }
-            EncodedTensor::Pe(p) => {
-                let idx: Vec<i64> = mask
-                    .data()
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &b)| b.then_some(i as i64))
-                    .collect();
-                let n = idx.len();
-                EncodedTensor::Pe(p.select_rows(&Tensor::from_vec(idx, &[n])))
-            }
-            // Filtered compressed columns re-compress: the best layout may
-            // change once rows drop out.
-            EncodedTensor::BitPacked(b) => {
-                EncodedTensor::compress_i64(&b.decode().filter_rows(mask))
-            }
-            EncodedTensor::Delta(d) => EncodedTensor::compress_i64(&d.decode().filter_rows(mask)),
-        }
+        assert_eq!(mask.ndim(), 1, "filter mask must be 1-d");
+        assert_eq!(
+            mask.numel(),
+            self.rows(),
+            "mask of {} entries cannot filter {} rows",
+            mask.numel(),
+            self.rows()
+        );
+        let idx: Vec<i64> = mask
+            .data()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &b)| b.then_some(i as i64))
+            .collect();
+        let n = idx.len();
+        self.select_rows(&Tensor::from_vec(idx, &[n]))
     }
 
-    /// First `n` rows (clamped), preserving the encoding. Plain and
-    /// dictionary layouts slice their buffers directly — no index tensor,
-    /// no gather; compressed layouts re-encode the decoded prefix exactly
-    /// like [`EncodedTensor::select_rows`] would.
+    /// First `n` rows (clamped).
     pub fn head(&self, n: usize) -> EncodedTensor {
-        let n = n.min(self.rows());
-        match self {
-            EncodedTensor::F32(t) => EncodedTensor::F32(t.head_rows(n)),
-            EncodedTensor::I64(t) => EncodedTensor::I64(t.head_rows(n)),
-            EncodedTensor::Bool(t) => EncodedTensor::Bool(t.head_rows(n)),
-            EncodedTensor::Dict { codes, dict } => EncodedTensor::Dict {
-                codes: codes.head_rows(n),
-                dict: Arc::clone(dict),
-            },
-            EncodedTensor::Pe(p) => EncodedTensor::Pe(PeTensor::new(
-                p.probs().head_rows(n),
-                p.class_values().clone(),
-            )),
-            EncodedTensor::Rle(_) | EncodedTensor::BitPacked(_) | EncodedTensor::Delta(_) => {
-                self.slice_rows(0, n)
-            }
-        }
+        self.slice_rows(0, n)
     }
 
-    /// Rows `start..end` (bounds clamped), preserving the encoding. The
-    /// morsel-partitioning primitive: plain, dictionary and PE layouts
-    /// slice their buffers in one memcpy (dictionary slices share the
-    /// parent's dictionary, so codes stay globally comparable across
-    /// morsels); compressed layouts re-encode the decoded range (read
-    /// through [`EncodedTensor::window_rows`], not a whole-column decode).
+    /// Rows `start..end` (bounds clamped), O(end − start) for every
+    /// layout — the window primitive of morsel execution. Plain,
+    /// dictionary and PE layouts slice their buffers in one memcpy
+    /// (dictionary slices share the parent's dictionary, so codes stay
+    /// globally comparable across morsels), and the full range is the
+    /// column itself — shared, not copied. The integer-compressed layouts
+    /// come back as plain `I64` holding exactly `decode_i64()[start..end]`.
     pub fn slice_rows(&self, start: usize, end: usize) -> EncodedTensor {
         let rows = self.rows();
         let end = end.min(rows);
         let start = start.min(end);
         match self {
+            EncodedTensor::Rle(r) => plain_i64(r.window(start, end)),
+            EncodedTensor::BitPacked(b) => plain_i64(b.window(start, end)),
+            EncodedTensor::Delta(d) => plain_i64(d.window(start, end)),
+            _ if (start, end) == (0, rows) => self.clone(),
             EncodedTensor::F32(t) => EncodedTensor::F32(t.slice_rows(start, end)),
             EncodedTensor::I64(t) => EncodedTensor::I64(t.slice_rows(start, end)),
             EncodedTensor::Bool(t) => EncodedTensor::Bool(t.slice_rows(start, end)),
@@ -277,61 +270,39 @@ impl EncodedTensor {
                 p.probs().slice_rows(start, end),
                 p.class_values().clone(),
             )),
-            EncodedTensor::Rle(_) => EncodedTensor::Rle(RleColumn::encode(
-                &self.window_rows(start, end).decode_i64(),
-            )),
-            EncodedTensor::BitPacked(_) | EncodedTensor::Delta(_) => {
-                EncodedTensor::compress_i64(&self.window_rows(start, end).decode_i64())
-            }
         }
     }
 
-    /// Rows `start..end` (bounds clamped) **read**, not re-encoded — the
-    /// window primitive of morsel execution, O(end − start) for every
-    /// layout. Plain, dictionary and PE layouts are what
-    /// [`EncodedTensor::slice_rows`] yields (one memcpy); the
-    /// integer-compressed layouts (run-length, bit-packed, delta) come
-    /// back as plain `I64` holding exactly `decode_i64()[start..end]`:
-    /// a window is about to be computed on or gathered from, and picking
-    /// a fresh smallest encoding for it would only be undone by the next
-    /// read.
-    pub fn window_rows(&self, start: usize, end: usize) -> EncodedTensor {
-        let plain = |v: Vec<i64>| {
-            let n = v.len();
-            EncodedTensor::I64(Tensor::from_vec(v, &[n]))
-        };
-        match self {
-            EncodedTensor::Rle(r) => plain(r.window(start, end)),
-            EncodedTensor::BitPacked(b) => plain(b.window(start, end)),
-            EncodedTensor::Delta(d) => plain(d.window(start, end)),
-            other => other.slice_rows(start, end),
-        }
-    }
-
-    /// The rows at `idx` **read**, not re-encoded — the positional
-    /// primitive of late materialization. Plain, dictionary and PE
-    /// layouts are what [`EncodedTensor::select_rows`] yields; the
+    /// The rows at `idx`, in any order, repeats allowed — the positional
+    /// primitive of gathers, reorders and late materialization. Plain,
+    /// dictionary and PE layouts gather their buffers; the
     /// integer-compressed layouts come back as plain `I64` holding
     /// exactly `decode_i64()` indexed by `idx`. An ascending `idx` (a
     /// selection's survivors) costs O(`idx`) — bit-packed rows are
     /// random-access, run-length columns take one merge walk over their
     /// runs, delta columns walk forward from the nearest anchor
     /// ([`crate::delta::ANCHOR_STRIDE`]). Any other order (a join's build
-    /// side, a sort's output) is still answered: bit-packed at the same
-    /// cost, run-length and delta from one whole-column decode.
-    pub fn rows_at(&self, idx: &I64Tensor) -> EncodedTensor {
+    /// side, a sort's output) reads bit-packed at the same cost,
+    /// run-length and delta from one whole-column decode.
+    pub fn select_rows(&self, idx: &I64Tensor) -> EncodedTensor {
         let ids = idx.data();
         let ascending = || ids.windows(2).all(|w| w[0] <= w[1]);
-        let vals = match self {
-            EncodedTensor::BitPacked(b) => b.at(ids),
-            EncodedTensor::Rle(r) if ascending() => r.at(ids),
-            EncodedTensor::Delta(d) if ascending() => d.at(ids),
+        match self {
+            EncodedTensor::F32(t) => EncodedTensor::F32(t.select_rows(idx)),
+            EncodedTensor::I64(t) => EncodedTensor::I64(t.select_rows(idx)),
+            EncodedTensor::Bool(t) => EncodedTensor::Bool(t.select_rows(idx)),
+            EncodedTensor::Dict { codes, dict } => EncodedTensor::Dict {
+                codes: codes.select_rows(idx),
+                dict: Arc::clone(dict),
+            },
+            EncodedTensor::Pe(p) => EncodedTensor::Pe(p.select_rows(idx)),
+            EncodedTensor::BitPacked(b) => plain_i64(b.at(ids)),
+            EncodedTensor::Rle(r) if ascending() => plain_i64(r.at(ids)),
+            EncodedTensor::Delta(d) if ascending() => plain_i64(d.at(ids)),
             EncodedTensor::Rle(_) | EncodedTensor::Delta(_) => {
-                return EncodedTensor::I64(self.decode_i64().select_rows(idx))
+                EncodedTensor::I64(self.decode_i64().select_rows(idx))
             }
-            other => return other.select_rows(idx),
-        };
-        EncodedTensor::I64(Tensor::from_vec(vals, &[ids.len()]))
+        }
     }
 
     /// Concatenate column pieces row-wise, preserving the encoding where
@@ -458,27 +429,6 @@ impl EncodedTensor {
         EncodedTensor::from_strings(&strings)
     }
 
-    /// Reorder / gather rows by index, preserving the encoding.
-    pub fn select_rows(&self, idx: &I64Tensor) -> EncodedTensor {
-        match self {
-            EncodedTensor::F32(t) => EncodedTensor::F32(t.select_rows(idx)),
-            EncodedTensor::I64(t) => EncodedTensor::I64(t.select_rows(idx)),
-            EncodedTensor::Bool(t) => EncodedTensor::Bool(t.select_rows(idx)),
-            EncodedTensor::Dict { codes, dict } => EncodedTensor::Dict {
-                codes: codes.select_rows(idx),
-                dict: Arc::clone(dict),
-            },
-            EncodedTensor::Rle(r) => {
-                EncodedTensor::Rle(RleColumn::encode(&r.decode().select_rows(idx)))
-            }
-            EncodedTensor::Pe(p) => EncodedTensor::Pe(p.select_rows(idx)),
-            EncodedTensor::BitPacked(b) => {
-                EncodedTensor::compress_i64(&b.decode().select_rows(idx))
-            }
-            EncodedTensor::Delta(d) => EncodedTensor::compress_i64(&d.decode().select_rows(idx)),
-        }
-    }
-
     /// Move plain tensor payloads to a device (no-op for CPU-resident
     /// encodings like RLE whose kernels are scalar).
     pub fn to_device(&self, device: tdp_tensor::Device) -> EncodedTensor {
@@ -541,9 +491,10 @@ mod tests {
         assert_eq!(f.kind(), EncodingKind::Dictionary);
         assert_eq!(f.decode_strings(), vec!["x", "z"]);
 
+        // Rows read out of an integer-compressed column are plain i64.
         let rle = EncodedTensor::Rle(RleColumn::encode(&Tensor::from_vec(vec![7i64, 7, 8], &[3])));
         let fr = rle.filter_rows(&mask);
-        assert_eq!(fr.kind(), EncodingKind::RunLength);
+        assert_eq!(fr.kind(), EncodingKind::PlainI64);
         assert_eq!(fr.decode_i64().to_vec(), vec![7, 8]);
     }
 

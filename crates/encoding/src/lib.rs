@@ -21,14 +21,14 @@
 //! * **Bit-packed** and **delta** — narrow-range and near-monotonic i64
 //!   columns at a few bits per row.
 //!
-//! Two read primitives serve execution without re-encoding anything:
-//! [`EncodedTensor::window_rows`] (rows `start..end`, O(end − start) —
-//! a morsel) and [`EncodedTensor::rows_at`] (the rows at a list of ids,
-//! O(ids) when ascending — a selection's survivors). Both hand the
-//! integer-compressed layouts over as plain `i64`; `slice_rows` /
-//! `select_rows` / `filter_rows` are the encoding-*preserving*
-//! counterparts. Compressed columns share their buffers: cloning one is
-//! O(1), like a tensor.
+//! Rows move through one family — [`EncodedTensor::slice_rows`] (rows
+//! `start..end`, O(end − start) — a morsel), [`EncodedTensor::select_rows`]
+//! (the rows at a list of ids, O(ids) when ascending — a selection's
+//! survivors) and [`EncodedTensor::filter_rows`] (a mask's survivors) —
+//! under one rule: plain, dictionary and PE layouts keep their encoding,
+//! the integer-compressed layouts are *read* and come back as plain
+//! `i64`. Compressed columns share their buffers: cloning one is O(1),
+//! like a tensor.
 
 pub mod bitpack;
 pub mod delta;

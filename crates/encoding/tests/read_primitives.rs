@@ -1,7 +1,9 @@
-//! The two read primitives every morsel and every late gather goes
-//! through — [`EncodedTensor::window_rows`] and
-//! [`EncodedTensor::rows_at`] — against their definitions:
-//! decode-then-slice and decode-then-index, for every layout.
+//! The one row-movement family every morsel, gather and late
+//! materialization goes through — [`EncodedTensor::slice_rows`] (and its
+//! prefix form `head`), [`EncodedTensor::select_rows`] and
+//! [`EncodedTensor::filter_rows`] — against its definition, for every
+//! layout: the decoded column sliced / indexed, integer-compressed
+//! layouts coming back as plain `i64`, every other layout as itself.
 
 use proptest::prelude::*;
 use tdp_encoding::delta::ANCHOR_STRIDE;
@@ -15,22 +17,41 @@ fn i64s(v: Vec<i64>) -> I64Tensor {
     Tensor::from_vec(v, &[n])
 }
 
-/// What a reader observes of a column, in the form its layout is exact
-/// in: strings for dictionaries, bit patterns for floats (PE decodes to
-/// its class values), integers for everything else.
-fn view(col: &EncodedTensor) -> (Vec<String>, Vec<u32>, Vec<i64>) {
+/// What a reader observes of a scalar column, one entry per row, in the
+/// form its layout is exact in: strings for dictionaries, bit patterns
+/// for floats (PE decodes to its class values), integers for everything
+/// else.
+#[derive(Debug, PartialEq)]
+enum View {
+    Strings(Vec<String>),
+    Bits(Vec<u32>),
+    Ints(Vec<i64>),
+}
+
+fn view(col: &EncodedTensor) -> View {
     match col.kind() {
-        EncodingKind::Dictionary => (col.decode_strings(), Vec::new(), Vec::new()),
-        EncodingKind::PlainF32 | EncodingKind::Probability => {
-            let bits = col
-                .decode_f32()
+        EncodingKind::Dictionary => View::Strings(col.decode_strings()),
+        EncodingKind::PlainF32 | EncodingKind::Probability => View::Bits(
+            col.decode_f32()
                 .data()
                 .iter()
                 .map(|v| v.to_bits())
-                .collect();
-            (Vec::new(), bits, Vec::new())
-        }
-        _ => (Vec::new(), Vec::new(), col.decode_i64().to_vec()),
+                .collect(),
+        ),
+        _ => View::Ints(col.decode_i64().to_vec()),
+    }
+}
+
+/// The rows `ids` of a whole-column view — the definition every read is
+/// held to, computed without the family under test.
+fn pick(whole: &View, ids: &[i64]) -> View {
+    fn rows<T: Clone>(v: &[T], ids: &[i64]) -> Vec<T> {
+        ids.iter().map(|&i| v[i as usize].clone()).collect()
+    }
+    match whole {
+        View::Strings(v) => View::Strings(rows(v, ids)),
+        View::Bits(v) => View::Bits(rows(v, ids)),
+        View::Ints(v) => View::Ints(rows(v, ids)),
     }
 }
 
@@ -45,35 +66,65 @@ fn read_kind(col: &EncodedTensor) -> EncodingKind {
     }
 }
 
-/// The plain twin of a column: what `decode` yields, sliced and indexed
-/// by the tensor crate alone.
-fn decoded(col: &EncodedTensor) -> EncodedTensor {
-    match read_kind(col) {
-        EncodingKind::PlainI64 => EncodedTensor::I64(col.decode_i64()),
-        _ => col.clone(),
+fn check_window(col: &EncodedTensor, whole: &View, start: usize, end: usize) {
+    let rows = col.rows();
+    let clamped: Vec<i64> = (start.min(end).min(rows)..end.min(rows))
+        .map(|r| r as i64)
+        .collect();
+    let got = col.slice_rows(start, end);
+    assert_eq!(got.kind(), read_kind(col), "slice {start}..{end}");
+    assert_eq!(
+        view(&got),
+        pick(whole, &clamped),
+        "slice {start}..{end} of {:?}",
+        col.kind()
+    );
+    if start == 0 {
+        let head = col.head(end);
+        assert_eq!(head.kind(), read_kind(col), "head {end}");
+        assert_eq!(view(&head), view(&got), "head {end} of {:?}", col.kind());
     }
 }
 
-fn check_window(col: &EncodedTensor, plain: &EncodedTensor, start: usize, end: usize) {
-    let got = col.window_rows(start, end);
-    assert_eq!(got.kind(), read_kind(col), "window {start}..{end}");
+fn check_at(col: &EncodedTensor, whole: &View, ids: Vec<i64>) {
+    let got = col.select_rows(&i64s(ids.clone()));
+    assert_eq!(got.kind(), read_kind(col), "select {ids:?}");
     assert_eq!(
         view(&got),
-        view(&plain.slice_rows(start, end)),
-        "window {start}..{end} of {:?}",
+        pick(whole, &ids),
+        "select {ids:?} of {:?}",
         col.kind()
     );
+    // Law: a mask's survivors are the rows at the ids it keeps.
+    if ids.windows(2).all(|w| w[0] < w[1]) {
+        let mut mask = vec![false; col.rows()];
+        ids.iter().for_each(|&i| mask[i as usize] = true);
+        let n = mask.len();
+        let kept = col.filter_rows(&Tensor::from_vec(mask, &[n]));
+        assert_eq!(kept.kind(), got.kind(), "filter keeping {ids:?}");
+        assert_eq!(view(&kept), view(&got), "filter keeping {ids:?}");
+    }
 }
 
-fn check_at(col: &EncodedTensor, plain: &EncodedTensor, ids: Vec<i64>) {
-    let idx = i64s(ids);
-    let got = col.rows_at(&idx);
-    assert_eq!(got.kind(), read_kind(col), "rows_at {:?}", idx.data());
-    assert_eq!(
-        view(&got),
-        view(&plain.select_rows(&idx)),
-        "rows_at {:?} of {:?}",
-        idx.data(),
+/// Law: the full range is the decoded column — and for the layouts that
+/// keep their encoding, the column's own buffer, shared rather than
+/// copied.
+fn check_full_range(col: &EncodedTensor, whole: &View) {
+    let full = col.slice_rows(0, col.rows());
+    assert_eq!(full.kind(), read_kind(col));
+    assert_eq!(&view(&full), whole);
+    let shared = match (col, &full) {
+        (EncodedTensor::F32(a), EncodedTensor::F32(b)) => a.data().as_ptr() == b.data().as_ptr(),
+        (EncodedTensor::I64(a), EncodedTensor::I64(b)) => a.data().as_ptr() == b.data().as_ptr(),
+        (EncodedTensor::Bool(a), EncodedTensor::Bool(b)) => a.data().as_ptr() == b.data().as_ptr(),
+        (EncodedTensor::Dict { codes: a, .. }, EncodedTensor::Dict { codes: b, .. }) => {
+            a.data().as_ptr() == b.data().as_ptr()
+        }
+        _ => true,
+    };
+    assert!(
+        shared,
+        "full-range slice of {:?} copied the buffer",
         col.kind()
     );
 }
@@ -83,8 +134,9 @@ fn check_at(col: &EncodedTensor, plain: &EncodedTensor, ids: Vec<i64>) {
 /// first and last row, every `stride`-th row, the rows either side of
 /// each of `bounds` — plus one list that is not ascending.
 fn check_reads(col: &EncodedTensor, bounds: &[usize], stride: usize) {
-    let plain = decoded(col);
+    let plain = view(col);
     let rows = col.rows();
+    check_full_range(col, &plain);
     for &start in bounds {
         for &end in bounds {
             check_window(col, &plain, start, end);
@@ -234,14 +286,17 @@ proptest! {
             } else {
                 // Payload rows have no scalar view; compare the buffers.
                 let idx = i64s((0..n as i64).step_by(stride).collect());
-                prop_assert_eq!(col.rows_at(&idx).decode_f32().to_vec(), col.select_rows(&idx).decode_f32().to_vec());
-                prop_assert_eq!(col.window_rows(1, n + 1).decode_f32().to_vec(), col.slice_rows(1, n + 1).decode_f32().to_vec());
+                let buf = col.decode_f32().to_vec();
+                let want: Vec<f32> = idx.data().iter().flat_map(|&i| [buf[2 * i as usize], buf[2 * i as usize + 1]]).collect();
+                prop_assert_eq!(col.select_rows(&idx).decode_f32().to_vec(), want);
+                prop_assert_eq!(col.slice_rows(1, n + 1).decode_f32().to_vec(), buf[(2 * n).min(2)..].to_vec());
+                check_full_range(col, &View::Bits(buf.iter().map(|v| v.to_bits()).collect()));
             }
         }
         if let (EncodedTensor::Dict { dict: whole, .. }, EncodedTensor::Dict { dict: part, .. }) =
-            (&cols[4], &cols[4].window_rows(0, n / 2))
+            (&cols[4], &cols[4].slice_rows(0, n / 2))
         {
-            prop_assert!(std::sync::Arc::ptr_eq(whole, part), "windows share the dictionary");
+            prop_assert!(std::sync::Arc::ptr_eq(whole, part), "slices share the dictionary");
         }
     }
 }

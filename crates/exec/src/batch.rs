@@ -185,23 +185,16 @@ impl Batch {
         self.columns.get(slot).map(|(n, _)| n.as_str())
     }
 
-    /// First `n` rows of every column as a new batch — a contiguous
-    /// prefix slice, cheaper than materialising an index tensor and
-    /// gathering. Soft weights are dropped (callers on the trainable path
-    /// handle weights themselves).
+    /// First `n` rows of every column as a new batch.
     pub fn head(&self, n: usize) -> Batch {
-        let mut out = Batch::new();
-        for (name, col) in &self.columns {
-            out.push(name.clone(), ColumnData::Exact(col.to_exact().head(n)));
-        }
-        out
+        self.slice_rows(0, n)
     }
 
     /// Rows `start..end` of every column as a new batch — the morsel
     /// slice. A contiguous range copy per column (dictionary slices share
     /// the parent dictionary, so codes stay comparable across morsels);
-    /// no index tensor, no gather. Soft weights are dropped, as in
-    /// [`Batch::head`].
+    /// no index tensor, no gather. Soft weights are dropped (callers on
+    /// the trainable path handle weights themselves).
     pub fn slice_rows(&self, start: usize, end: usize) -> Batch {
         let mut out = Batch::new();
         for (name, col) in &self.columns {

@@ -413,8 +413,9 @@ fn key_class(col: &EncodedTensor) -> u8 {
 /// (`None` = every row): exactly `key_codes(&col.filter_rows(m))` for
 /// the mask keeping those rows. Plain layouts read the survivors by
 /// index, and every other layout through the positional read
-/// ([`EncodedTensor::rows_at`]), so a selective input never pays a
-/// full-width pass over its key columns.
+/// ([`EncodedTensor::select_rows`]: integer-compressed layouts are read
+/// at the survivors, never decoded whole), so a selective input never
+/// pays a full-width pass over its key columns.
 pub(crate) fn key_codes_at(
     col: &EncodedTensor,
     rows: Option<&I64Tensor>,
@@ -438,7 +439,7 @@ pub(crate) fn key_codes_at(
             let d = t.data();
             at.iter().map(|&r| f32_order_key(d[r as usize])).collect()
         }
-        _ => key_codes(&col.rows_at(rows))?.to_vec(),
+        _ => key_codes(&col.select_rows(rows))?.to_vec(),
     })
 }
 
@@ -446,8 +447,8 @@ pub(crate) fn key_codes_at(
 /// space: rows match iff their codes are equal. Either side may be
 /// restricted to an ascending survivor row list, and comes back at
 /// survivor width; the class decision is taken on the full-width
-/// columns, which is safe because `filter_rows` preserves every
-/// layout's key class.
+/// columns, which is safe because rows read out of a column stay in its
+/// key class (plain `i64` shares the integer-compressed layouts').
 ///
 /// * Same class: each side's grouping codes ([`key_codes_at`]).
 /// * Dictionary × dictionary: strings decide. The right dictionary's
@@ -470,8 +471,8 @@ pub(crate) fn join_pair_codes(
             // i64, so the per-row rendering stays O(1); PE columns decode
             // to their class *ids* — what `join_key` renders.
             let read = match rows {
-                Some(rows) => col.rows_at(rows),
-                None => col.window_rows(0, col.rows()),
+                Some(rows) => col.select_rows(rows),
+                None => col.slice_rows(0, col.rows()),
             };
             let norm = match read {
                 EncodedTensor::Pe(p) => EncodedTensor::I64(p.decode_ids()),
@@ -600,11 +601,11 @@ pub(crate) fn probe_rows(
 /// the sequential kernel and the partitioned path, which produce
 /// identical pairs. Every output column is one gather task claimed off
 /// the scheduler (slot order preserved), read at the matched row ids
-/// through [`EncodedTensor::rows_at`]: an integer-compressed source
-/// comes out as plain `I64` rather than re-compressed for the next
-/// operator to decode again.
+/// through [`EncodedTensor::select_rows`] — pad rows of a LEFT join
+/// included, on a dense side as on a selection-fed one — so an
+/// integer-compressed source comes out as plain `I64`.
 pub(crate) fn join_assemble(
-    (left, lids): JoinInput<'_>,
+    left: &Batch,
     (right, rids): JoinInput<'_>,
     kind: JoinKind,
     pairs: JoinPairs,
@@ -623,7 +624,7 @@ pub(crate) fn join_assemble(
         .collect();
     let gathered = crate::morsel::claim(sources.len(), threads, |c| {
         let (col, idx) = &sources[c];
-        Ok(col.rows_at(idx))
+        Ok(col.select_rows(idx))
     })?;
 
     // Right columns are renamed on collision (mirrored by the
@@ -641,24 +642,10 @@ pub(crate) fn join_assemble(
 
     if kind == JoinKind::Left && !pairs.unmatched.is_empty() {
         let un = pairs.unmatched.len();
-        let ui = Tensor::from_vec(pairs.unmatched, &[un]);
-        let mut pad = Batch::new();
-        for (name, col) in left.columns() {
-            let col = pad_rows(&col.to_exact(), lids, &ui);
-            pad.push(name.clone(), ColumnData::Exact(col));
-        }
+        let pad = select_batch(left, &Tensor::from_vec(pairs.unmatched, &[un]));
         return Ok(Batch::concat(&[out, pad_right(&pad, (right, rids), un)]));
     }
     Ok(out)
-}
-
-/// Pad rows of one join side's column: read like any late gather on a
-/// selection-fed side (`ids`), gathered through its layout on a dense one.
-fn pad_rows(col: &EncodedTensor, ids: Option<&I64Tensor>, idx: &I64Tensor) -> EncodedTensor {
-    match ids {
-        Some(_) => col.rows_at(idx),
-        None => col.select_rows(idx),
-    }
 }
 
 /// Sequential hash join — the whole-batch oracle the partitioned
@@ -678,7 +665,7 @@ pub fn join_batches(
     let build: Vec<u32> = (0..right.rows() as u32).collect();
     let table = KeyTable::build(&rkeys, &rhashes, &build);
     let pairs = probe_rows(&[table], &lkeys, &lhashes, 0..left.rows(), kind, None, None);
-    join_assemble((left, None), (right, None), kind, pairs, 1)
+    join_assemble(left, (right, None), kind, pairs, 1)
 }
 
 /// `n` rows of a layout's zero value (`0` / `false` / `""` / the first
@@ -717,7 +704,7 @@ fn pad_right(left_pad: &Batch, (right, rids): JoinInput<'_>, n: usize) -> Batch 
                 EncodedTensor::F32(Tensor::full(&shape, f32::NAN))
             }
             other => match first {
-                Some(row) => pad_rows(&other, rids, &Tensor::from_vec(vec![row; n], &[n])),
+                Some(row) => other.select_rows(&Tensor::from_vec(vec![row; n], &[n])),
                 None => zero_rows(&other, n),
             },
         };

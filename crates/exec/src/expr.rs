@@ -6,6 +6,18 @@
 //! tensor kernels — comparisons become mask kernels, arithmetic becomes
 //! elementwise kernels, string predicates become integer predicates on
 //! dictionary codes (the encoding-aware strategy selection of paper §2).
+//!
+//! This interpreter is a permanent execution tier *and* the oracle, not
+//! a `#[cfg(test)]` candidate. It is what runs every expression the
+//! chain kernels ([`crate::kernel`]) do not: UDF calls, scalar
+//! subqueries, vector built-ins, arithmetic on payload (rank > 1)
+//! columns, chains pinned to the session thread, every run-time
+//! bail-out, and everything outside a fused chain — aggregate arguments
+//! and group keys, sort, window and join key expressions, TVF
+//! arguments. The kernels replicate its dispatch exactly and are
+//! compared against it, byte for byte, at every point of the
+//! configuration lattice; keeping the oracle on the production path is
+//! what keeps it honest.
 
 use tdp_encoding::EncodedTensor;
 use tdp_index::Metric;
@@ -27,10 +39,16 @@ pub enum Value {
 }
 
 impl Value {
-    /// View as a row mask for `n` rows.
+    /// View as a row mask for `n` rows: one boolean per row (a
+    /// comparison of payload columns yields one per element, which
+    /// selects no rows).
     pub fn into_mask(self, n: usize) -> Result<BoolTensor, ExecError> {
         match self {
-            Value::Column(EncodedTensor::Bool(b)) => Ok(b),
+            Value::Column(EncodedTensor::Bool(b)) if b.shape() == [n] => Ok(b),
+            Value::Column(EncodedTensor::Bool(b)) => Err(ExecError::TypeMismatch(format!(
+                "predicate must yield one boolean per row, got shape {:?} for {n} row(s)",
+                b.shape()
+            ))),
             Value::Bool(b) => Ok(Tensor::full(&[n], b)),
             other => Err(ExecError::TypeMismatch(format!(
                 "predicate did not evaluate to a boolean mask: {other:?}"
@@ -59,6 +77,20 @@ impl Value {
             Value::Bool(b) => ArgValue::Bool(b),
         }
     }
+}
+
+/// Elementwise operands must agree in shape. Scalars have already been
+/// broadcast to one value per row, so what differs here is a payload
+/// column (`[n, …]`) meeting a per-row one (`[n]`), or two payloads.
+fn same_shape(what: impl std::fmt::Display, l: &F32Tensor, r: &F32Tensor) -> Result<(), ExecError> {
+    if l.shape() == r.shape() {
+        return Ok(());
+    }
+    Err(ExecError::TypeMismatch(format!(
+        "{what}: operands of shape {:?} and {:?} do not combine elementwise",
+        l.shape(),
+        r.shape()
+    )))
 }
 
 /// Evaluate a compiled expression against `batch`.
@@ -337,6 +369,8 @@ fn eval_case(
         };
         let then_col = eval_expr(then, batch, ctx)?.into_f32_column(n)?;
         let cf = cond.to_f32_mask();
+        same_shape("CASE", &cf, &then_col)?;
+        same_shape("CASE", &cf, &out)?;
         out = cf.mul(&then_col).add(&cf.neg().add_scalar(1.0).mul(&out));
     }
     Ok(Value::Column(EncodedTensor::F32(out)))
@@ -373,6 +407,7 @@ fn eval_builtin(name: &str, func: ScalarFn, args: &[Value], n: usize) -> Result<
             }
             let a = args[0].clone().into_f32_column(n)?;
             let b = args[1].clone().into_f32_column(n)?;
+            same_shape(name, &a, &b)?;
             let out: Vec<f32> = a
                 .data()
                 .iter()
@@ -553,6 +588,7 @@ pub(crate) fn eval_binary(op: BinOp, l: Value, r: Value, rows: usize) -> Result<
     // Numeric column paths.
     let lc = l.into_f32_column(rows)?;
     let rc = r.into_f32_column(rows)?;
+    same_shape(format_args!("operator {op:?}"), &lc, &rc)?;
     Ok(match op {
         Add => Value::Column(EncodedTensor::F32(lc.add(&rc))),
         Sub => Value::Column(EncodedTensor::F32(lc.sub(&rc))),

@@ -18,9 +18,9 @@
 //! is branch-free (`compact`).
 //!
 //! A kernel evaluates a **row window** over a column list (`Scope`): a
-//! morsel is `(the stage input's own stored columns, start..end)`, a
-//! whole batch the window `0..rows`; nothing is sliced or decoded to
-//! make one. A leaf reads its window where the column lives (`leaf_pval`
+//! morsel is `(the stage input's own stored columns, start..end)`, an
+//! input that fits one morsel the window `0..rows` of the same path;
+//! nothing is sliced or decoded to make one. A leaf reads its window where the column lives (`leaf_pval`
 //! — borrowed, widened or decoded for the window alone), so a column no
 //! expression names costs nothing and a zone-map-pruned morsel is never
 //! a window at all. Loops are monomorphised over the leaf encodings, and
@@ -47,10 +47,9 @@
 //! pipeline by [`crate::pipeline`]; both run per morsel, on the worker
 //! that claimed it:
 //!
-//! * **Gather exit** (`ChainInstance::run_window`; `run` for a
-//!   single-morsel input) — the deferred selection is collapsed into one
-//!   gather per output column, read at the survivors' row ids straight
-//!   out of the stored column. Used when the consumer needs dense rows
+//! * **Gather exit** (`ChainInstance::run_window`) — the deferred
+//!   selection is collapsed into one gather per output column, read at
+//!   the survivors' row ids straight out of the stored column. Used when the consumer needs dense rows
 //!   (streaming sinks, LIMIT, unsupported barrier shapes).
 //! * **Selection exit** (`ChainInstance::select_window`) — only the
 //!   filters run; each morsel returns a window-local `SelVec`, and
@@ -64,9 +63,13 @@
 //!   the pure verdict EXPLAIN prints as `[barrier: selection-fed]` /
 //!   `[barrier: gathered: <reason>]`.
 //!
-//! A morsel's pass-through columns read integer-compressed layouts as
-//! plain `i64` (the read primitives' rule); a whole batch gathers
-//! through its stored layouts, as the interpreter's `filter_batch` does.
+//! Pass-through columns move by the one row-movement rule
+//! ([`EncodedTensor::select_rows`] at the survivors,
+//! [`EncodedTensor::slice_rows`] over an unfiltered window): plain,
+//! dictionary and PE layouts keep theirs, integer-compressed layouts
+//! come out as plain `i64` — in every window of every size, which is
+//! also what the interpreter's `filter_batch` yields, so a result's
+//! encodings do not depend on how its input was split.
 //!
 //! ## Fallback taxonomy
 //!
@@ -89,11 +92,7 @@
 //!   differentiable columns, payload (rank > 1) columns used in computed
 //!   expressions, evaluation type errors (the interpreter re-runs the
 //!   morsel and raises the identical error), a refused scratch charge,
-//!   any node kind above reaching the evaluator un-vetted, and — for a
-//!   **whole batch** only — multi-filter runs over bit-packed / delta
-//!   columns (they re-pick the smallest encoding per gather, so a
-//!   collapsed gather could not reproduce the interpreter's intermediate
-//!   choices; morsel windows read them as plain `i64` and have none).
+//!   and any node kind above reaching the evaluator un-vetted.
 //!
 //! ## Cache keying
 //!
@@ -104,8 +103,7 @@
 //! identically across bindings. An entry holds *only* the vetting
 //! verdict — vetted, or the refusal reason (negative caching, so an
 //! unsupported chain pays the probe once). Everything an execution
-//! evaluates — expressions, filter-run length, selection capability —
-//! is read off the caller's own ops, so a 64-bit collision (FNV-1a is
+//! evaluates — expressions, selection capability — is read off the caller's own ops, so a 64-bit collision (FNV-1a is
 //! not collision-resistant, and LIKE patterns and aliases put
 //! caller-chosen bytes into the rendering) can only hand a chain
 //! another chain's *verdict*: "refused" runs it interpreted, "vetted"
@@ -126,9 +124,8 @@ use tdp_encoding::{EncodedTensor, StringDict};
 use tdp_sql::ast::{BinOp, UnOp};
 use tdp_tensor::{I64Tensor, Tensor};
 
-use crate::batch::Batch;
 use crate::expr::like_match;
-use crate::morsel::{from_cols, to_cols, MorselCols};
+use crate::morsel::MorselCols;
 use crate::params::{ParamValue, ParamValues};
 use crate::physical::{ColumnRef, CompiledExpr, PhysProjectItem, ScalarFn};
 use crate::pipeline::MorselOp;
@@ -145,9 +142,6 @@ pub const KERNEL_CACHE_CAP: usize = 256;
 /// any worker thread. It evaluates the caller's own plan nodes.
 pub(crate) struct ChainInstance<'a> {
     ops: &'a [MorselOp<'a>],
-    /// Longest run of consecutive filter ops (no projection between
-    /// them) — gates the re-compressing-layout fallback.
-    max_filter_run: usize,
     cache: &'a KernelCache,
     /// Run-time fallbacks are counted once per execution, not per morsel.
     fallback_noted: AtomicBool,
@@ -232,21 +226,6 @@ fn unbound_param(ops: &[MorselOp<'_>], params: &ParamValues) -> Option<String> {
             Some(format!("{why}(${})", idx + 1))
         })
     })
-}
-
-/// Longest run of consecutive filter ops.
-fn max_filter_run(ops: &[MorselOp<'_>]) -> usize {
-    let (mut run, mut max) = (0usize, 0usize);
-    for op in ops {
-        match op {
-            MorselOp::Filter(_) => {
-                run += 1;
-                max = max.max(run);
-            }
-            MorselOp::Project(_) => run = 0,
-        }
-    }
-    max
 }
 
 /// Whether a chain supports the selection exit mode: it must never
@@ -463,7 +442,6 @@ pub(crate) fn bind<'a>(
     }
     Ok(ChainInstance {
         ops,
-        max_filter_run: max_filter_run(ops),
         cache,
         fallback_noted: AtomicBool::new(false),
     })
@@ -588,7 +566,7 @@ fn resolve<'c>(cols: &'c [(String, EncodedTensor)], r: &ColumnRef) -> KResult<&'
 /// indexes into that window (`None` = every row of it): plain f32 and
 /// dictionary leaves *borrow* the window out of the column's storage,
 /// `i64` leaves widen it, integer-compressed leaves decode it
-/// ([`EncodedTensor::window_rows`]) — never more than the morsel's share.
+/// ([`EncodedTensor::slice_rows`]) — never more than the morsel's share.
 fn leaf_pval<'c>(
     col: &'c EncodedTensor,
     sc: Scope<'_, '_>,
@@ -611,8 +589,8 @@ fn leaf_pval<'c>(
         EncodedTensor::F32(t) => {
             if t.ndim() != 1 {
                 // Payload columns only pass through projections whole;
-                // arithmetic on them takes the interpreter's
-                // broadcasting path.
+                // arithmetic on them is the interpreter's (same-shape
+                // operands, or a typed shape error).
                 return Err(Bail);
             }
             PVal::F32(view(&t.data()[start..end], sel))
@@ -630,11 +608,11 @@ fn leaf_pval<'c>(
             let bytes = (sc.rows * 8) as u64;
             let _scratch = crate::memory::charge(&sc.ctx.memory, "morsel materialization", bytes)
                 .map_err(|_| Bail)?;
-            let d = col.window_rows(start, end).decode_i64();
+            let d = col.slice_rows(start, end).decode_i64();
             PVal::F32(Cow::Owned(gather(d.data(), sel, |v| v as f32)))
         }
         EncodedTensor::Pe(_) => {
-            let d = col.window_rows(start, end).decode_f32();
+            let d = col.slice_rows(start, end).decode_f32();
             PVal::F32(Cow::Owned(gather(d.data(), sel, |v| v)))
         }
     })
@@ -787,29 +765,23 @@ struct Scope<'c, 'x> {
     cols: &'c [(String, EncodedTensor)],
     start: usize,
     rows: usize,
-    /// One morsel of a stage's input (pass-through columns read
-    /// integer-compressed layouts as plain `i64`), or a whole batch
-    /// (they gather through their stored layouts, re-compressing as the
-    /// interpreter's `filter_batch` does).
-    morsel: bool,
     ctx: &'x ExecContext<'x>,
 }
 
-/// `(start, rows, morsel)` of a [`Scope`].
-type Window = (usize, usize, bool);
+/// `(start, rows)` of a [`Scope`].
+type Window = (usize, usize);
 
 impl<'c, 'x> Scope<'c, 'x> {
     /// `Err` for a window past the `u32` selection space.
     fn over(
         cols: &'c [(String, EncodedTensor)],
-        (start, rows, morsel): Window,
+        (start, rows): Window,
         ctx: &'x ExecContext<'x>,
     ) -> KResult<Self> {
         let scope = Scope {
             cols,
             start,
             rows,
-            morsel,
             ctx,
         };
         (rows <= u32::MAX as usize).then_some(scope).ok_or(Bail)
@@ -818,11 +790,9 @@ impl<'c, 'x> Scope<'c, 'x> {
     /// A pass-through column at this scope's rows, or at the `ids`
     /// (global row ids of `cols`) a selection kept of them.
     fn pass_through(&self, col: &EncodedTensor, ids: Option<&I64Tensor>) -> EncodedTensor {
-        match (ids, self.morsel) {
-            (Some(ids), true) => col.rows_at(ids),
-            (Some(ids), false) => col.select_rows(ids),
-            (None, true) => col.window_rows(self.start, self.start + self.rows),
-            (None, false) => col.clone(),
+        match ids {
+            Some(ids) => col.select_rows(ids),
+            None => col.slice_rows(self.start, self.start + self.rows),
         }
     }
 }
@@ -1058,7 +1028,7 @@ impl SelVec {
 
     /// The surviving rows as ascending row ids, `start` being the id of
     /// the selection's row 0 — what the positional reads
-    /// ([`EncodedTensor::rows_at`]) and gathers consume.
+    /// ([`EncodedTensor::select_rows`]) consume.
     pub(crate) fn ids(&self, start: usize) -> I64Tensor {
         let ids = match self {
             SelVec::Idx(s) => s.iter().map(|&i| (start + i as usize) as i64).collect(),
@@ -1116,34 +1086,14 @@ fn filter_sel(pred: &CompiledExpr, sc: Scope<'_, '_>, sel: Option<SelVec>) -> KR
 }
 
 impl ChainInstance<'_> {
-    /// Run the chain over one whole batch (the single-morsel path),
-    /// evaluating `$n` leaves and function shadowing against `ctx` — the
-    /// context the interpreter would run it with. `None` = run-time
-    /// bail-out: the caller re-runs the batch on the interpreter (which
-    /// reproduces the exact result — or the exact error).
-    pub(crate) fn run(&self, batch: &Batch, ctx: &ExecContext) -> Option<Batch> {
-        if batch.has_diff() {
-            return self.counted(Err(Bail));
-        }
-        let cols = to_cols(batch);
-        // Collapsing consecutive gathers is only encoding-faithful when
-        // `filter_rows` composes; bit-packed/delta columns re-pick the
-        // smallest layout per gather, so their intermediate encodings
-        // depend on gather order. Morsel windows read those columns as
-        // plain `i64`: the rule covers this path only.
-        let repacks = |(_, c): &(String, EncodedTensor)| {
-            matches!(c, EncodedTensor::BitPacked(_) | EncodedTensor::Delta(_))
-        };
-        let out = match self.max_filter_run >= 2 && cols.iter().any(repacks) {
-            true => Err(Bail),
-            false => self.try_run(&cols, (0, batch.rows(), false), ctx),
-        };
-        self.counted(out).map(from_cols)
-    }
-
     /// Run the chain over rows `start..end` of a stage's input columns —
-    /// one morsel of the **gather exit**, on whichever worker claimed it.
-    /// `None` = bail-out, as for [`ChainInstance::run`].
+    /// one morsel of the **gather exit**, on whichever worker claimed it
+    /// (an input that fits one morsel is the window `0..rows`, on the
+    /// session thread). `$n` leaves and function shadowing are evaluated
+    /// against `ctx`, the context the interpreter would run the window
+    /// with. `None` = run-time bail-out: the caller re-runs the window on
+    /// the interpreter, which reproduces the exact result — or the exact
+    /// error.
     pub(crate) fn run_window(
         &self,
         cols: &[(String, EncodedTensor)],
@@ -1151,7 +1101,7 @@ impl ChainInstance<'_> {
         end: usize,
         ctx: &ExecContext,
     ) -> Option<MorselCols> {
-        self.counted(self.try_run(cols, (start, end - start, true), ctx))
+        self.counted(self.try_run(cols, (start, end - start), ctx))
     }
 
     /// One fallback count per execution, however many morsels bail.
@@ -1179,15 +1129,12 @@ impl ChainInstance<'_> {
                     // its own, in selection space.
                     let next = materialize(items, sc, sel.as_ref())?;
                     let rows = sel.take().map_or(sc.rows, |sv| sv.len());
-                    (win, cols) = ((0, rows, false), Cow::Owned(next));
+                    (win, cols) = ((0, rows), Cow::Owned(next));
                 }
             }
         }
         // The single gather the selection vector deferred.
         let sc = Scope::over(&cols, win, ctx)?;
-        if sel.is_none() && !sc.morsel {
-            return Ok(cols.into_owned());
-        }
         let ids = sel.map(|sv| sv.ids(sc.start));
         let pass = |(n, c): &(String, EncodedTensor)| (n.clone(), sc.pass_through(c, ids.as_ref()));
         Ok(cols.iter().map(pass).collect())
@@ -1204,7 +1151,7 @@ impl ChainInstance<'_> {
         end: usize,
         ctx: &ExecContext,
     ) -> Option<SelVec> {
-        self.counted(self.try_select(cols, (start, end - start, true), ctx))
+        self.counted(self.try_select(cols, (start, end - start), ctx))
     }
 
     fn try_select(
@@ -1213,7 +1160,7 @@ impl ChainInstance<'_> {
         win: Window,
         ctx: &ExecContext,
     ) -> KResult<SelVec> {
-        let (_, rows, _) = win;
+        let (_, rows) = win;
         let mut cols = Cow::Borrowed(src);
         let mut sel: Option<SelVec> = None;
         for op in self.ops {
@@ -1315,7 +1262,7 @@ fn materialize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::ColumnData;
+    use crate::batch::{Batch, ColumnData};
     use crate::physical::PhysProjectItem;
     use crate::udf::UdfRegistry;
     use tdp_storage::Catalog;
@@ -1470,6 +1417,11 @@ mod tests {
         assert_eq!((s.misses, s.fallbacks, s.entries), (1, 1, 1));
     }
 
+    /// One rule for every window: a run of filters collapses into one
+    /// gather, over plain and bit-packed columns alike (a bit-packed
+    /// pass-through is read as plain `i64`), whether the window is the
+    /// whole input or a morsel of it — gather exit and selection exit.
+    /// What the kernel cannot evaluate bails, counted once per instance.
     #[test]
     fn selection_vector_run_gathers_once_and_counts_runtime_bails() {
         let catalog = Catalog::new();
@@ -1481,91 +1433,49 @@ mod tests {
         let ops = [MorselOp::Filter(&p1), MorselOp::Filter(&p2)];
         let inst = prepare(&ops, &ctx).expect("compiles");
 
-        let mut batch = Batch::new();
-        batch.push(
-            "v",
-            ColumnData::Exact(EncodedTensor::F32(Tensor::from_vec(
-                vec![0.5, 1.5, 2.5, 3.5],
-                &[4],
-            ))),
-        );
-        batch.push(
-            "k",
-            ColumnData::Exact(EncodedTensor::I64(Tensor::from_vec(vec![1, 0, 1, 1], &[4]))),
-        );
-        let out = inst.run(&batch, &ctx).expect("no bail");
-        assert_eq!(out.rows(), 2);
-        assert_eq!(
-            out.column("v").unwrap().to_exact().decode_f32().to_vec(),
-            vec![2.5, 3.5]
-        );
-        assert_eq!(cache.stats().fallbacks, 0);
-
-        // Consecutive filters over a re-compressing layout bail (the
-        // interpreter's per-filter gathers would re-pick encodings), and
-        // the bail is counted once per instance however often it recurs.
-        let packed = tdp_encoding::BitPackedColumn::encode(&Tensor::from_vec(vec![1i64; 4], &[4]));
-        let mut bp = Batch::new();
-        bp.push(
-            "v",
-            ColumnData::Exact(EncodedTensor::F32(Tensor::from_vec(
-                vec![0.5, 1.5, 2.5, 3.5],
-                &[4],
-            ))),
-        );
-        bp.push("k", ColumnData::Exact(EncodedTensor::BitPacked(packed)));
-        assert!(inst.run(&bp, &ctx).is_none());
-        assert!(inst.run(&bp, &ctx).is_none());
-        assert_eq!(cache.stats().fallbacks, 1);
-    }
-
-    /// The re-compressing-layout rule belongs to the whole-batch path. A
-    /// morsel window reads a bit-packed column as plain `i64`, so a run
-    /// of filters over one stays on the kernel — gather exit and
-    /// selection exit alike — and yields the window's survivors only.
-    #[test]
-    fn windows_run_filter_runs_over_bit_packed_columns() {
-        let catalog = Catalog::new();
-        let udfs = UdfRegistry::new();
-        let cache = Arc::new(KernelCache::new());
-        let ctx = ExecContext::new(&catalog, &udfs).with_chain_kernels(Some(Arc::clone(&cache)));
-        let p1 = gt(col(0, "v"), CompiledExpr::Num(1.0));
-        let p2 = gt(col(1, "k"), CompiledExpr::Num(0.0));
-        let ops = [MorselOp::Filter(&p1), MorselOp::Filter(&p2)];
-        let inst = prepare(&ops, &ctx).expect("compiles");
+        let v = EncodedTensor::from_f32_slice(&[9.0, 0.5, 1.5, 2.5, 0.0, 3.5, 4.5, 9.0]);
         let ks = Tensor::from_vec(vec![1i64, 1, 0, 1, 1, 0, 1, 1], &[8]);
-        let cols = vec![
-            (
-                "v".to_string(),
-                EncodedTensor::from_f32_slice(&[9.0, 0.5, 1.5, 2.5, 0.0, 3.5, 4.5, 9.0]),
-            ),
+        let plain = vec![
+            ("v".to_string(), v.clone()),
+            ("k".to_string(), EncodedTensor::I64(ks.clone())),
+        ];
+        let packed = vec![
+            ("v".to_string(), v),
             (
                 "k".to_string(),
                 EncodedTensor::BitPacked(tdp_encoding::BitPackedColumn::encode(&ks)),
             ),
         ];
-        // Rows 1..7: `v > 1` keeps 2, 3, 5, 6; `k > 0` drops 2 and 5.
-        let out = inst.run_window(&cols, 1, 7, &ctx).expect("no bail");
-        assert_eq!(out[0].1.decode_f32().to_vec(), vec![2.5, 4.5]);
-        assert_eq!(out[1].1.kind(), tdp_encoding::EncodingKind::PlainI64);
-        assert_eq!(out[1].1.decode_i64().to_vec(), vec![1, 1]);
-        let sel = inst.select_window(&cols, 1, 7, &ctx).expect("no bail");
-        assert_eq!(
-            sel.ids(1).to_vec(),
-            vec![3, 6],
-            "window-local, offset by its start"
-        );
+        for cols in [&plain, &packed] {
+            // The whole input as one window: `v > 1` drops rows 1 and 4,
+            // `k > 0` rows 2 and 5.
+            let out = inst.run_window(cols, 0, 8, &ctx).expect("no bail");
+            assert_eq!(out[0].1.decode_f32().to_vec(), vec![9.0, 2.5, 4.5, 9.0]);
+            assert_eq!(out[1].1.kind(), tdp_encoding::EncodingKind::PlainI64);
+            assert_eq!(out[1].1.decode_i64().to_vec(), vec![1; 4]);
+            // Rows 1..7 yield that window's survivors only.
+            let out = inst.run_window(cols, 1, 7, &ctx).expect("no bail");
+            assert_eq!(out[0].1.decode_f32().to_vec(), vec![2.5, 4.5]);
+            assert_eq!(out[1].1.kind(), tdp_encoding::EncodingKind::PlainI64);
+            assert_eq!(out[1].1.decode_i64().to_vec(), vec![1, 1]);
+            let sel = inst.select_window(cols, 1, 7, &ctx).expect("no bail");
+            assert_eq!(
+                sel.ids(1).to_vec(),
+                vec![3, 6],
+                "window-local, offset by its start"
+            );
+        }
         assert_eq!(cache.stats().fallbacks, 0);
+
+        // A column the chain names is missing: the bail is counted once
+        // per instance however often it recurs.
+        assert!(inst.run_window(&plain[..1], 0, 8, &ctx).is_none());
+        assert!(inst.run_window(&plain[..1], 0, 8, &ctx).is_none());
+        assert_eq!(cache.stats().fallbacks, 1);
     }
 
-    fn f32_batch(vals: Vec<f32>) -> Batch {
-        let n = vals.len();
-        let mut batch = Batch::new();
-        batch.push(
-            "v",
-            ColumnData::Exact(EncodedTensor::F32(Tensor::from_vec(vals, &[n]))),
-        );
-        batch
+    fn f32_cols(vals: &[f32]) -> MorselCols {
+        vec![("v".to_string(), EncodedTensor::from_f32_slice(vals))]
     }
 
     /// Plant a verdict under `ops`' fingerprint, as a colliding chain
@@ -1603,7 +1513,7 @@ mod tests {
         let udfs = UdfRegistry::new();
         let cache = Arc::new(KernelCache::new());
         let ctx = ExecContext::new(&catalog, &udfs).with_chain_kernels(Some(Arc::clone(&cache)));
-        let batch = f32_batch(vec![0.5, 1.5, 2.5, 3.5]);
+        let cols = f32_cols(&[0.5, 1.5, 2.5, 3.5]);
 
         // Chain A (`v > 2`) was vetted first; chain B (`v > 1`) collides
         // with it. B must return B's rows, not A's.
@@ -1616,12 +1526,9 @@ mod tests {
         plant(&cache, &ops_b, None);
         let out = prepare(&ops_b, &ctx)
             .expect("the colliding entry says vetted")
-            .run(&batch, &ctx)
+            .run_window(&cols, 0, 4, &ctx)
             .expect("no bail");
-        assert_eq!(
-            out.column("v").unwrap().to_exact().decode_f32().to_vec(),
-            vec![1.5, 2.5, 3.5]
-        );
+        assert_eq!(out[0].1.decode_f32().to_vec(), vec![1.5, 2.5, 3.5]);
         assert_eq!(cache.stats().hits, 1, "B was served from the planted entry");
 
         // A wrong "vetted" over nodes the evaluator cannot reproduce is a
@@ -1636,7 +1543,10 @@ mod tests {
         let ops = [MorselOp::Filter(&udf_pred)];
         plant(&cache, &ops, None);
         let before = cache.stats().fallbacks;
-        assert!(prepare(&ops, &ctx).unwrap().run(&batch, &ctx).is_none());
+        assert!(prepare(&ops, &ctx)
+            .unwrap()
+            .run_window(&cols, 0, 4, &ctx)
+            .is_none());
         assert_eq!(cache.stats().fallbacks, before + 1);
         // …and a built-in the session has since shadowed.
         let mut shadowing = UdfRegistry::new();
@@ -1654,7 +1564,10 @@ mod tests {
         let ops = [MorselOp::Filter(&sqrt_pred)];
         assert_eq!(vet(&ops, &sctx).unwrap(), "udf(sqrt)");
         plant(&cache, &ops, None);
-        assert!(prepare(&ops, &sctx).unwrap().run(&batch, &sctx).is_none());
+        assert!(prepare(&ops, &sctx)
+            .unwrap()
+            .run_window(&cols, 0, 4, &sctx)
+            .is_none());
 
         // A wrong "refused" merely costs the kernel: the caller interprets.
         plant(&cache, &ops_b, Some("udf(f)"));

@@ -69,6 +69,12 @@
 //! thread — session UDFs (whose parameters ride the `Rc`-based autodiff
 //! tape), expressions holding a scalar subquery, tensor-valued bindings
 //! — run whole-batch inside the same walker, equally deterministically.
+//! An input that fits one morsel is the one-window case of the same
+//! chain path, and rows move by one rule at every size (plain,
+//! dictionary and PE layouts keep their encoding; rows read out of a
+//! run-length, bit-packed or delta column are plain `i64`), so a
+//! result's per-column encodings do not depend on the morsel size, the
+//! thread count or the kernel switch either.
 //!
 //! The kernels themselves live in [`exact`]: filters are boolean masks,
 //! GROUP BY resolves composite integer keys to dense group ids in one
@@ -119,11 +125,22 @@
 //! there is one expression form, lowered once, and the interpreter
 //! ([`expr`]) and the kernel are two evaluators of it. Which chains the
 //! kernel may run is a vetting verdict cached engine-wide under the
-//! chain's literal-invariant fingerprint with epoch invalidation. The
-//! interpreter stays on as the byte-identity oracle — any chain the
-//! kernel cannot reproduce exactly (UDFs, subqueries, tensor params)
-//! runs interpreted with a named reason visible in EXPLAIN and
-//! profiles.
+//! chain's literal-invariant fingerprint with epoch invalidation.
+//!
+//! **The interpreter is a permanent tier, not a test fixture.**
+//! [`expr::eval_expr`] is (1) the fallback every chain the kernel cannot
+//! reproduce exactly runs on, with a named reason visible in EXPLAIN
+//! and profiles — UDF calls, scalar subqueries, vector built-ins,
+//! arithmetic on payload (rank > 1) columns, chains pinned to the
+//! session thread, and any run-time bail-out; (2) the evaluator of
+//! everything that is not a fused chain — aggregate arguments and
+//! group keys, sort and window keys, TVF arguments; and (3) the
+//! byte-identity oracle the kernel is tested against at every lattice
+//! point. The three roles are one body of code on purpose: an oracle
+//! that production does not run drifts. The kernel is an accelerator
+//! for the vetted subset; a further tier (a tensor runtime, codegen) is
+//! one more evaluator of the same [`CompiledExpr`], held to the same
+//! oracle.
 //!
 //! ## Module map
 //!
@@ -137,7 +154,7 @@
 //!     ├ aggregate  AggProgram, the one per-morsel fold, combine
 //!     ├ join / sort / distinct   the staged barriers
 //!   kernel     chain kernels over CompiledExpr; vetting; KernelCache
-//!   expr       the scalar interpreter            ┐ the sequential oracle every
+//!   expr       the scalar interpreter            ┐ the fallback tier, and the oracle every
 //!   exact      whole-batch relational kernels    ┘ byte-identity test compares against
 //!   profile    Recorder + QueryProfile (the same walk, observed per stage)
 //!   access     zone-map pruning, ANN paths, access-path counters

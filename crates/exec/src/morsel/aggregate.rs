@@ -234,7 +234,7 @@ pub(crate) fn run_aggregate(
 
     // `(how the input arrived, why a selection hand-off was declined)`.
     let (mut partials, path) = if morsels <= 1 {
-        let inp = chain.apply(chain::single_morsel_input(input, skip, ctx), ctx)?;
+        let inp = chain.apply(input, skip, ctx)?;
         let partial = partial_aggregate(&prog, &inp, None, ctx)?;
         (vec![partial], ("single-morsel", None))
     } else {
@@ -725,8 +725,8 @@ fn selected_partials(
         for &slot in refs {
             let (name, col) = &cols[slot];
             let col = match &survivors {
-                Some(ids) => col.rows_at(ids),
-                None => col.window_rows(start, end),
+                Some(ids) => col.select_rows(ids),
+                None => col.slice_rows(start, end),
             };
             mini.push(name.clone(), ColumnData::Exact(col));
         }

@@ -200,19 +200,48 @@ impl<'a> ChainRun<'a> {
         }
     }
 
-    /// Apply the chain to one (morsel) batch: the kernel runs it when it
-    /// can; any bail-out re-runs the interpreter, which reproduces the
-    /// identical result (or the identical error).
-    pub(super) fn apply(&self, batch: Batch, ctx: &ExecContext) -> Result<Batch, ExecError> {
-        if let Some(out) = self.kern().and_then(|k| k.run(&batch, ctx)) {
-            return Ok(out);
+    /// Apply the chain to an input it is not split over (`morsels <= 1`),
+    /// on the session thread. An input that fits one morsel is the
+    /// one-window case `0..rows` of [`ChainRun::apply_window`], kernel
+    /// and interpreter re-run alike; only a pinned chain (`seq_reason`)
+    /// has no window form: the interpreter over the whole batch, with the
+    /// session's context. A skip mask describing exactly this input as
+    /// one morsel applies either way — pruning depends on zone maps and
+    /// the predicate, not on scheduling — and makes it its empty window:
+    /// the chain still runs, so schema, encodings and errors match the
+    /// unpruned run.
+    pub(super) fn apply(
+        &self,
+        input: &Batch,
+        skip: Option<&[bool]>,
+        ctx: &ExecContext,
+    ) -> Result<Batch, ExecError> {
+        let one = num_morsels(input.rows(), ctx.morsel_rows) == 1;
+        let skip = skip.filter(|s| s.len() == 1 && one);
+        if let Some(s) = skip {
+            ctx.access.note_morsels(s[0] as u64, !s[0] as u64);
         }
-        apply_ops(batch, self.ops, ctx)
+        let end = match skip {
+            Some([true]) => 0,
+            _ => input.rows(),
+        };
+        match (&self.seq_reason, end) {
+            (None, _) => Ok(from_cols(self.apply_window(
+                &to_cols(input),
+                0,
+                end,
+                ctx,
+            )?)),
+            (Some(_), 0) => apply_ops(input.slice_rows(0, 0), self.ops, ctx),
+            (Some(_), _) => apply_ops(input.clone(), self.ops, ctx),
+        }
     }
 
     /// Apply the chain to rows `start..end` of a stage's input columns —
-    /// one morsel of the gather exit. The kernel addresses the window in
-    /// place; only the interpreter (no kernel, or a bail-out) slices.
+    /// one window of the gather exit: the kernel runs it when it can,
+    /// addressing the window in place; any bail-out (or no kernel)
+    /// re-runs the interpreter over the window's slice, which reproduces
+    /// the identical result (or the identical error).
     pub(super) fn apply_window(
         &self,
         cols: &[(String, EncodedTensor)],
@@ -266,12 +295,10 @@ pub(crate) fn run_ops(
 ) -> Result<Batch, ExecError> {
     let rows = input.rows();
     let morsels = chain.morsels;
-    // Single-morsel inputs, unsafe chains and differentiable inputs take
-    // the whole-batch path — identical at every thread count. A skip mask
-    // covering exactly this one morsel still applies: pruning depends on
-    // zone maps and the predicate, not on how the chain is scheduled.
+    // Single-morsel inputs, unsafe chains and differentiable inputs run
+    // on the session thread — identical at every thread count.
     if morsels <= 1 {
-        let out = chain.apply(single_morsel_input(input, skip, ctx), ctx)?;
+        let out = chain.apply(input, skip, ctx)?;
         return Ok(match limit {
             Some(n) => out.head(n),
             None => out,
@@ -333,27 +360,6 @@ pub(crate) fn run_ops(
         Some(n) => out.head(n),
         None => out,
     })
-}
-
-/// Whole-batch input for the single-morsel path, with zone-map pruning
-/// applied when the skip mask describes exactly this input (one entry at
-/// the session's morsel size). A pruned batch becomes the 0-row head —
-/// the chain still runs, so schema and encodings match the unpruned run.
-pub(super) fn single_morsel_input(
-    input: &Batch,
-    skip: Option<&[bool]>,
-    ctx: &ExecContext,
-) -> Batch {
-    let one = num_morsels(input.rows(), ctx.morsel_rows) == 1;
-    let Some(skip) = skip.filter(|s| s.len() == 1 && one) else {
-        return input.clone();
-    };
-    ctx.access.note_morsels(skip[0] as u64, !skip[0] as u64);
-    if skip[0] {
-        input.head(0)
-    } else {
-        input.clone()
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -461,7 +467,7 @@ pub(super) fn note_skipped(skip: Option<&[bool]>, ctx: &ExecContext) {
 /// with survivors, not morsel width.
 pub(crate) struct SelScan {
     /// Chain output columns at full input width, **as stored**. Values
-    /// are read at survivor rows through [`EncodedTensor::rows_at`]
+    /// are read at survivor rows through [`EncodedTensor::select_rows`]
     /// ([`SelScan::gather`], key extraction, the join assembly), which
     /// hands integer-compressed layouts over as plain `i64`: the bytes
     /// the gathered path's per-morsel windows produce.
@@ -483,8 +489,7 @@ impl SelScan {
     /// The deferred gather: every column read at the global row ids
     /// `idx` (survivors, in whatever order the barrier emits them).
     pub(super) fn gather(&self, idx: &I64Tensor) -> Batch {
-        let read = |(name, col): (String, EncodedTensor)| (name, col.rows_at(idx));
-        from_cols(to_cols(&self.batch).into_iter().map(read).collect())
+        exact::select_batch(&self.batch, idx)
     }
 }
 

@@ -160,5 +160,5 @@ pub(crate) fn run_join(
         pairs.right.extend(p.right);
         pairs.unmatched.extend(p.unmatched);
     }
-    exact::join_assemble(lside.input(), rside.input(), kind, pairs, ctx.threads)
+    exact::join_assemble(lside.input().0, rside.input(), kind, pairs, ctx.threads)
 }

@@ -16,8 +16,9 @@
 //!
 //! Determinism is the contract: morsel boundaries depend only on
 //! [`crate::ExecContext::morsel_rows`], partition assignment only on the
-//! key hash and the partition count (`TDP_PARTITIONS` — deliberately
-//! *not* the thread count), and every combine walks morsels/partitions
+//! key hash and the partition count
+//! ([`crate::ExecContext::partitions`] — deliberately *not* the thread
+//! count), and every combine walks morsels/partitions
 //! in index order — so every thread count (including 1) produces
 //! bitwise-identical batches, byte-equal to the sequential kernels in
 //! [`crate::exact`], which remain the fallback and the test oracle.
@@ -40,8 +41,8 @@
 //!   `kernel::SelVec` (sparse index list up to a quarter of the rows,
 //!   dense mask beyond) over the chain's output columns, which stay
 //!   **as stored** — nothing is decoded or copied for the hand-off. The
-//!   barrier works on survivor row ids and reads values through the two
-//!   read primitives (`EncodedTensor::window_rows` / `rows_at`); the
+//!   barrier works on survivor row ids and reads values through the one
+//!   row-movement family (`EncodedTensor::slice_rows` / `select_rows`); the
 //!   single gather is deferred to final assembly — join output
 //!   positions, sorted order, DISTINCT representatives — so dropped
 //!   rows are never copied, and memory charges scale with survivors
@@ -110,7 +111,7 @@ pub(crate) use chain::{
 };
 pub(crate) use distinct::run_distinct;
 pub(crate) use join::run_join;
-pub(crate) use sched::{claim, from_cols, to_cols, MorselCols};
+pub(crate) use sched::{claim, MorselCols};
 pub(crate) use sort::{run_sort, run_topk};
 
 use crate::physical::PhysicalPlan;

@@ -322,8 +322,10 @@ pub(crate) fn from_cols(cols: MorselCols) -> Batch {
 
 /// Rows `start..end` of a stage's input columns as a batch of its own —
 /// what the interpreter evaluates a morsel on (chain kernels address the
-/// window in place). Read through [`EncodedTensor::window_rows`] inside
-/// the task, and charged as `operator` until the guard drops with it.
+/// window in place). Read through [`EncodedTensor::slice_rows`] inside
+/// the task, and charged as `operator` until the guard drops with it. A
+/// window over the whole input is the input — its plain columns are
+/// shared, not copied — and charges nothing.
 pub(super) fn slice_cols(
     cols: &[(String, EncodedTensor)],
     start: usize,
@@ -333,9 +335,14 @@ pub(super) fn slice_cols(
 ) -> Result<(Batch, memory::ChargeGuard), ExecError> {
     let window: MorselCols = cols
         .iter()
-        .map(|(name, col)| (name.clone(), col.window_rows(start, end)))
+        .map(|(name, col)| (name.clone(), col.slice_rows(start, end)))
         .collect();
-    let charge = memory::charge(&ctx.memory, operator, memory::cols_bytes(&window))?;
+    let whole = start == 0 && cols.iter().all(|(_, col)| end >= col.rows());
+    let bytes = match whole {
+        true => 0,
+        false => memory::cols_bytes(&window),
+    };
+    let charge = memory::charge(&ctx.memory, operator, bytes)?;
     Ok((from_cols(window), charge))
 }
 

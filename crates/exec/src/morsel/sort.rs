@@ -247,7 +247,7 @@ fn gather_sort_keys(
     }
     let mut out = Vec::with_capacity(srcs.len());
     for c in srcs {
-        out.push(SortKeyCol::of(&c.rows_at(ids))?);
+        out.push(SortKeyCol::of(&c.select_rows(ids))?);
     }
     Ok(Some(out))
 }

@@ -52,7 +52,7 @@
 //!   the kept positions are swept back out in input order.
 //!
 //! Windows, TVFs and UNION ALL remain whole-batch. The partition count
-//! is a plan property (`TDP_PARTITIONS`, default
+//! is a plan property ([`crate::ExecContext::partitions`], default
 //! [`DEFAULT_PARTITIONS`]) independent of the worker count, so staged
 //! barriers keep the determinism contract below.
 //!

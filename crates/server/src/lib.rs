@@ -62,7 +62,10 @@
 //! `BUSY` (admission rejection), `PROTO` (malformed request), `SQL`
 //! (compile error), `MEM_BUDGET` (query aborted by the engine memory
 //! budget), `EXEC` (any other runtime error), `UNKNOWN_STATEMENT` (BIND
-//! of a name never prepared on this connection).
+//! of a name never prepared on this connection), `INTERNAL` (the
+//! statement panicked: the server answers with the panic message and
+//! closes this connection — its session may be half-updated — while
+//! every other connection keeps being served).
 //!
 //! ## Admission control
 //!
@@ -432,18 +435,36 @@ fn serve_connection(engine: &Arc<TdpEngine>, stream: TcpStream, admission: &Admi
             Some((v, r)) => (v, r.trim()),
             None => (line, ""),
         };
-        let reply = match verb.to_ascii_uppercase().as_str() {
+        if verb.eq_ignore_ascii_case("QUIT") {
+            write_response(&mut writer, &Ok("OK bye".to_string()));
+            break;
+        }
+        let dispatch = || match verb.to_ascii_uppercase().as_str() {
             "QUERY" => exec_query(&session, engine, admission, rest),
             "PREPARE" => prepare_statement(&session, &mut statements, rest),
             "BIND" => bind_statement(&session, engine, admission, &statements, rest),
             "EXPLAIN" => explain_query(&session, rest),
             "PROFILE" => profile_query(&session, engine, admission, rest),
             "STATS" => Ok(render_stats(engine)),
-            "QUIT" => {
-                write_response(&mut writer, &Ok("OK bye".to_string()));
+            other => Err(("PROTO".to_string(), format!("unknown verb '{other}'"))),
+        };
+        // A panicking statement must not leave its client waiting on a
+        // socket the accept loop's clone keeps open. The unwind already
+        // dropped the admission permit and the memory envelope (RAII);
+        // the session may be mid-`RefCell`-borrow, so it serves nothing
+        // further: answer, then close this connection.
+        let reply = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(dispatch)) {
+            Ok(reply) => reply,
+            Err(panic) => {
+                let msg = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .unwrap_or("statement panicked");
+                write_response(&mut writer, &Err(("INTERNAL".to_string(), msg.to_string())));
+                writer.get_ref().shutdown(Shutdown::Both).ok();
                 break;
             }
-            other => Err(("PROTO".to_string(), format!("unknown verb '{other}'"))),
         };
         if !write_response(&mut writer, &reply) {
             break;

@@ -14,6 +14,32 @@ pub fn orders_table() -> Table {
         .build("orders")
 }
 
+/// `pics(id, images)`: a per-row key beside a `[rows, 2, 3]` payload
+/// column.
+pub fn pics_table(rows: usize) -> Table {
+    use tdp_core::tensor::Tensor;
+    let pixels: Vec<f32> = (0..rows * 6).map(|i| (i % 5) as f32).collect();
+    TableBuilder::new()
+        .col_i64("id", (0..rows as i64).collect())
+        .col_tensor("images", Tensor::from_vec(pixels, &[rows, 2, 3]))
+        .build("pics")
+}
+
+/// The simplest statements that combine the payload column of
+/// [`pics_table`] with a per-row operand, or reduce it to one boolean
+/// per *element*: each is a typed error, not a panic.
+pub const PAYLOAD_MISUSE: [&str; 9] = [
+    "SELECT id FROM pics WHERE images > 1",
+    "SELECT id FROM pics WHERE id > images",
+    "SELECT images + 1 AS d FROM pics",
+    "SELECT images * id AS d FROM pics",
+    "SELECT id FROM pics WHERE images IN (1, 2)",
+    "SELECT id FROM pics WHERE images BETWEEN 0 AND 1",
+    "SELECT CASE WHEN id > 3 THEN images ELSE 0 END AS d FROM pics",
+    "SELECT id FROM pics WHERE images = images",
+    "SELECT POW(images, id) AS d FROM pics",
+];
+
 /// Byte-identity of two result tables — the contract every scheduler
 /// configuration is held to: same row count, same column order, and per
 /// column the same f32 **bit patterns** (so `NaN == NaN`, `-0.0 != 0.0`)

@@ -3,7 +3,7 @@
 
 use tdp_core::storage::TableBuilder;
 use tdp_core::{Device, Tdp};
-use tdp_integration::orders_table;
+use tdp_integration::{orders_table, pics_table, PAYLOAD_MISUSE};
 
 fn session() -> Tdp {
     let tdp = Tdp::new();
@@ -199,6 +199,46 @@ fn errors_are_informative() {
         .unwrap_err();
     assert!(e2.to_string().contains("ghosts"));
     assert!(tdp.query("SELECT FROM WHERE").is_err());
+}
+
+/// A payload column (`[rows, 2, 3]`) met a per-row operand inside the
+/// tensor kernels and panicked there (over TCP: a dead connection
+/// thread). The interpreter checks shapes where it combines two operands
+/// and where a predicate becomes a row mask; payloads still combine with
+/// payloads of their own shape, and the unary paths never had a second
+/// operand to disagree with.
+#[test]
+fn payload_columns_in_scalar_expressions_are_a_typed_error_not_a_panic() {
+    use tdp_core::exec::ExecError;
+    use tdp_core::TdpError;
+    let tdp = session();
+    tdp.register_table(pics_table(20));
+    for sql in PAYLOAD_MISUSE {
+        let err = tdp.query(sql).and_then(|q| q.run()).expect_err(sql);
+        assert!(
+            matches!(&err, TdpError::Exec(ExecError::TypeMismatch(m)) if m.contains(", 2, 3]")),
+            "{sql}: {err:?}"
+        );
+    }
+    let pixels = |sql: &str| {
+        let d = tdp.query(sql).unwrap().run().unwrap();
+        let d = d.column("d").unwrap().data.decode_f32();
+        assert_eq!(d.shape(), [20, 2, 3], "{sql}");
+        d.to_vec()[..6].to_vec()
+    };
+    assert_eq!(
+        pixels("SELECT images + images AS d FROM pics"),
+        [0.0, 2.0, 4.0, 6.0, 8.0, 0.0]
+    );
+    assert_eq!(pixels("SELECT images >= images AS d FROM pics"), [1.0; 6]);
+    assert_eq!(
+        pixels("SELECT -images AS d FROM pics"),
+        [-0.0, -1.0, -2.0, -3.0, -4.0, -0.0]
+    );
+    assert_eq!(
+        pixels("SELECT SQRT(images * images) AS d FROM pics"),
+        [0.0, 1.0, 2.0, 3.0, 4.0, 0.0]
+    );
 }
 
 /// Two select items under one output name used to reach `Table::new`

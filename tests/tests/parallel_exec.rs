@@ -433,9 +433,10 @@ fn scheduler_configuration_surface() {
     assert_eq!(tdp.morsel_rows(), 1, "clamped");
     tdp.set_morsel_rows(1024);
     assert_eq!(tdp.morsel_rows(), 1024);
-    assert!(
-        tdp.partitions() >= 1,
-        "default comes from TDP_PARTITIONS or the built-in 16"
+    assert_eq!(
+        tdp.partitions(),
+        tdp_core::exec::DEFAULT_PARTITIONS,
+        "no environment variable moves the default"
     );
     tdp.set_partitions(0);
     assert_eq!(tdp.partitions(), 1, "clamped");

@@ -14,8 +14,7 @@ use tdp_core::storage::TableBuilder;
 use tdp_core::{ArgType, FunctionSpec, ScalarUdf, TdpEngine, Volatility};
 use tdp_server::{ServerConfig, TdpServer};
 
-fn test_engine() -> Arc<TdpEngine> {
-    let engine = TdpEngine::new();
+fn load(engine: Arc<TdpEngine>) -> Arc<TdpEngine> {
     engine.register_table(
         TableBuilder::new()
             .col_f32("price", vec![3.0, 1.0, 2.0, 5.0, 4.0, 2.5, 0.5, 9.0])
@@ -24,6 +23,10 @@ fn test_engine() -> Arc<TdpEngine> {
             .build("orders"),
     );
     engine
+}
+
+fn test_engine() -> Arc<TdpEngine> {
+    load(TdpEngine::new())
 }
 
 fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
@@ -309,5 +312,67 @@ fn duplicate_output_names_answer_err_and_keep_the_connection_alive() {
     );
     let after = roundtrip(&stream, &mut reader, "QUERY SELECT COUNT(*) FROM orders");
     assert!(after.starts_with("OK 1 rows"), "{after}");
+    server.shutdown();
+}
+
+/// `boom(column)` — panics inside `invoke`, on the connection thread
+/// (session-bound UDFs pin their chain there).
+struct BoomUdf;
+
+impl ScalarUdf for BoomUdf {
+    fn name(&self) -> &str {
+        "boom"
+    }
+
+    fn spec(&self) -> FunctionSpec {
+        FunctionSpec::scalar(self.name(), vec![ArgType::Column]).volatility(Volatility::Volatile)
+    }
+
+    fn invoke(&self, _args: &[ArgValue], _ctx: &ExecContext) -> Result<EncodedTensor, ExecError> {
+        panic!("boom goes\nthe UDF")
+    }
+}
+
+/// A statement that panics used to kill its connection thread while the
+/// accept loop's clone of the socket kept it open: the client waited
+/// forever. It must read `ERR INTERNAL <message, one line>` and EOF, and
+/// hurt nobody else: the one admission slot and the per-query memory
+/// envelope are back, so a second connection is served at once.
+#[test]
+fn a_panicking_statement_answers_err_internal_and_closes_only_its_connection() {
+    let engine = load(TdpEngine::with_memory_budget(64 << 20));
+    engine.register_udf_shared(Arc::new(BoomUdf));
+    let server = TdpServer::bind(
+        engine,
+        "127.0.0.1:0",
+        ServerConfig::default()
+            .max_concurrent(1)
+            .max_queued(0)
+            .mem_per_query(1 << 20),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    let (stream, mut reader) = connect(addr);
+    // A reply that never comes fails the test instead of hanging it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let reply = roundtrip(
+        &stream,
+        &mut reader,
+        "QUERY SELECT boom(price) AS p FROM orders",
+    );
+    assert_eq!(reply, "ERR INTERNAL boom goes; the UDF\n");
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "then EOF: {rest}");
+
+    let (stream, mut reader) = connect(addr);
+    let served = roundtrip(&stream, &mut reader, "QUERY SELECT COUNT(*) FROM orders");
+    assert!(served.starts_with("OK 1 rows"), "{served}");
+    let stats = roundtrip(&stream, &mut reader, "STATS");
+    assert!(stats.contains("queries_rejected 0"), "{stats}");
+    assert!(stats.contains("mem_used_bytes 0"), "{stats}");
+    assert_eq!(server.engine().memory_pool().used(), 0);
     server.shutdown();
 }
