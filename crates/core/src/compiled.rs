@@ -192,7 +192,7 @@ impl<'s> Prepared<'s> {
         }
         let ctx = ExecContext::new(self.session.catalog(), &udfs)
             .with_params(params)
-            .with_chain_kernels(self.session.chain_kernels_handle());
+            .with_chain_kernels(self.session.chain_kernels_enabled());
         render_explain(&self.plan, &self.physical, self.fingerprint, &trailer, &ctx)
     }
 
@@ -336,11 +336,7 @@ impl<'s> BoundQuery<'s> {
             partitions: self.session.partitions(),
             // Chain kernels only serve the exact path; the differentiable
             // interpreter has its own soft kernels.
-            chain_kernels: if trainable {
-                None
-            } else {
-                self.session.chain_kernels_handle()
-            },
+            chain_kernels: self.session.chain_kernels_enabled() && !trainable,
             zone_maps: self.session.zone_maps_enabled(),
             // Plain runs accumulate straight into the engine-wide
             // counters; run_profiled swaps in a private cell so the

@@ -9,10 +9,10 @@
 //!   │   (tables, zone maps,               │   trainable Vars live here)
 //!   │    vector indexes)                  ├─ bound params / device
 //!   ├─ shared plan cache  Mutex           ├─ threads / morsels / partitions
-//!   ├─ SharedUdfRegistry  RwLock          ├─ zone-map toggle
-//!   ├─ KernelCache        (internally     └─ session-local plan overlay
-//!   ├─ access-path         locked)
-//!   │   counters          atomics
+//!   ├─ SharedUdfRegistry  RwLock          ├─ zone-map / chain-kernel toggles
+//!   ├─ access-path        atomics         └─ session-local plan overlay
+//!   │   counters (pruning, ANN,
+//!   │   kernel binds / fallbacks)
 //!   └─ EngineStats        atomics
 //! ```
 //!
@@ -42,15 +42,15 @@
 //! e.into_inner())`) rather than propagate it: every critical section
 //! swaps complete values (an `Arc`'d plan, a registry entry), so a
 //! panicked worker cannot leave torn state behind — and must not wedge
-//! every other session sharing the engine. The catalog and kernel cache
-//! follow the same policy.
+//! every other session sharing the engine. The catalog follows the same
+//! policy.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use tdp_exec::{
-    AccessPathCounters, AccessPathStats, KernelCache, ParamConstraint, PhysicalPlan, ScalarUdf,
+    AccessPathCounters, AccessPathStats, ParamConstraint, PhysicalPlan, ScalarUdf,
     SharedUdfRegistry,
 };
 use tdp_mem::MemoryPool;
@@ -203,8 +203,8 @@ pub(crate) struct PlanHit {
 
 /// The shared, thread-safe engine: catalog (tables, zone maps and
 /// vector indexes), cross-session plan cache, engine-registered
-/// (thread-safe) UDFs, compiled chain-kernel cache, access-path and
-/// observability counters. See the module docs for the engine/session
+/// (thread-safe) UDFs, access-path (and chain-kernel) and observability
+/// counters. See the module docs for the engine/session
 /// ownership picture.
 pub struct TdpEngine {
     catalog: Catalog,
@@ -221,14 +221,10 @@ pub struct TdpEngine {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_evictions: AtomicU64,
-    /// Compiled chain-kernel cache shared by sessions whose function
-    /// resolution matches the engine's (sessions diverge to a private
-    /// cache on their first local registration — see
-    /// [`Session::register_udf`]).
-    chain_kernels: Arc<KernelCache>,
     /// Engine-wide access-path counters: morsels pruned/scanned by zone
-    /// maps and ANN operator executions, accumulated over every plain
-    /// `run()` of every session (profiled runs absorb into it too).
+    /// maps, ANN operator executions and chain-kernel binds/fallbacks,
+    /// accumulated over every plain `run()` of every session (profiled
+    /// runs absorb into it too).
     access: Arc<AccessPathCounters>,
     /// The engine memory pool every query's [`tdp_mem::MemoryReservation`]
     /// ledger charges against (`TDP_MEM_BUDGET`, default unlimited).
@@ -273,7 +269,6 @@ impl TdpEngine {
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_evictions: AtomicU64::new(0),
-            chain_kernels: Arc::new(KernelCache::new()),
             access: Arc::new(AccessPathCounters::default()),
             memory: Arc::new(pool),
             defaults,
@@ -305,47 +300,35 @@ impl TdpEngine {
     }
 
     /// Register (or replace) a table, making it visible to every
-    /// session. Compiled chain kernels are epoch-invalidated; cached
-    /// plans revalidate per-scan against the new schema.
+    /// session. Cached plans revalidate per-scan against the new schema.
     pub fn register_table(&self, table: Table) {
         self.catalog.register(table);
-        self.chain_kernels.bump_epoch();
     }
 
     /// Append rows to a registered table (see [`Catalog::append`]):
     /// zone maps extend incrementally and vector indexes stay put,
-    /// going stale until rebuilt. Compiled chain kernels are
-    /// epoch-invalidated like any other catalog write. Returns `false`
-    /// when the table is missing or the schemas disagree.
+    /// going stale until rebuilt. Returns `false` when the table is
+    /// missing or the schemas disagree.
     pub fn append_rows(&self, name: &str, rows: &Table) -> bool {
-        let appended = self.catalog.append(name, rows).is_some();
-        if appended {
-            self.chain_kernels.bump_epoch();
-        }
-        appended
+        self.catalog.append(name, rows).is_some()
     }
 
     /// Drop a table engine-wide; returns whether it existed.
     pub fn drop_table(&self, name: &str) -> bool {
-        let existed = self.catalog.drop_table(name);
-        if existed {
-            self.chain_kernels.bump_epoch();
-        }
-        existed
+        self.catalog.drop_table(name)
     }
 
     /// Register a thread-safe scalar UDF visible to **every** session of
     /// this engine (the engine-level home of
     /// [`Session::register_udf_parallel`]). Bumps the engine UDF epoch,
-    /// invalidating cached plans and chain kernels, exactly like a
-    /// session registration used to.
+    /// invalidating cached plans, exactly like a session registration
+    /// used to.
     pub fn register_udf_shared(&self, udf: Arc<dyn ScalarUdf + Send + Sync>) {
         self.shared_udfs
             .write()
             .unwrap_or_else(|e| e.into_inner())
             .register_scalar(udf);
         self.udf_epoch.fetch_add(1, Ordering::Relaxed);
-        self.chain_kernels.bump_epoch();
     }
 
     /// Snapshot of the engine-level function registry.
@@ -359,11 +342,6 @@ impl TdpEngine {
     /// Current engine UDF-registration epoch.
     pub fn udf_epoch(&self) -> u64 {
         self.udf_epoch.load(Ordering::Relaxed)
-    }
-
-    /// The engine-shared compiled chain-kernel cache.
-    pub fn chain_kernels(&self) -> &Arc<KernelCache> {
-        &self.chain_kernels
     }
 
     /// Engine-wide observability counters.
@@ -532,8 +510,9 @@ impl TdpEngine {
 
     /// Snapshot of the engine-wide access-path counters: how many
     /// morsels zone-map pruning skipped vs. actually scanned (for
-    /// pruning-eligible scans), and how many ANN top-k operator
-    /// executions ran. Monotonic over the engine's lifetime.
+    /// pruning-eligible scans), how many ANN top-k operator executions
+    /// ran, and how many chain executions bound the chain kernel or fell
+    /// back. Monotonic over the engine's lifetime.
     pub fn access_path_stats(&self) -> AccessPathStats {
         self.access.snapshot()
     }
@@ -560,8 +539,8 @@ mod tests {
     use tdp_storage::TableBuilder;
 
     /// The compile-time contract of the split: the engine (with
-    /// everything it owns — catalog, plan cache, shared registry, kernel
-    /// cache, vector indexes) crosses threads freely.
+    /// everything it owns — catalog, plan cache, shared registry,
+    /// counters, vector indexes) crosses threads freely.
     #[test]
     fn engine_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

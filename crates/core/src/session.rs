@@ -5,8 +5,8 @@
 //! one engine (default device, scheduler knobs, session-local function
 //! registrations whose trainable parameters ride the `Rc`-based autodiff
 //! tape) and delegates everything shared (catalog, cross-session plan
-//! cache, engine-registered functions, chain kernels, vector indexes) to
-//! the engine. [`Tdp`] — an engine plus one session, `Deref`ing to the
+//! cache, engine-registered functions, access-path counters, vector
+//! indexes) to the engine. [`Tdp`] — an engine plus one session, `Deref`ing to the
 //! session — keeps the embedded single-user API of the earlier PRs
 //! intact.
 
@@ -15,8 +15,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use tdp_exec::{
-    KernelCache, ParamConstraint, ParamValue, ParamValues, PhysicalPlan, ScalarUdf, TableFunction,
-    UdfRegistry,
+    ParamConstraint, ParamValue, ParamValues, PhysicalPlan, ScalarUdf, TableFunction, UdfRegistry,
 };
 use tdp_sql::plan::{LogicalPlan, PlannerContext};
 use tdp_sql::{optimizer, parse};
@@ -98,8 +97,8 @@ pub struct PlanCacheStats {
 /// partitions / chain-kernel switch), functions registered with
 /// [`Session::register_udf`] / [`Session::register_tvf`]. Per engine:
 /// the catalog, the cross-session plan cache, functions registered with
-/// [`Session::register_udf_parallel`], compiled chain kernels, vector
-/// indexes.
+/// [`Session::register_udf_parallel`], access-path and chain-kernel
+/// counters, vector indexes.
 ///
 /// ## Plan caching across sessions
 ///
@@ -144,20 +143,7 @@ pub struct Session {
     morsel_rows: Cell<usize>,
     /// Barrier-exchange partition count (partitioned join / DISTINCT).
     partitions: Cell<usize>,
-    /// `None` while the session's function resolution matches the
-    /// engine's — the common case, sharing the engine's compiled
-    /// chain-kernel cache. The first session-local registration diverges
-    /// resolution, and the session switches to a private cache: compiled
-    /// chains render UDF and builtin calls identically, so fingerprints
-    /// collide across sessions that resolve the same name differently,
-    /// and a shared cache could serve a compiled builtin to a session
-    /// whose local UDF shadows it.
-    private_kernels: RefCell<Option<Arc<KernelCache>>>,
-    /// Last `(catalog version, engine UDF epoch)` the private kernel
-    /// cache was synchronized against — engine-side changes invalidate it
-    /// lazily on the next execution.
-    kernel_sync: Cell<(u64, u64)>,
-    /// Whether executions consult the chain-kernel compiler at all
+    /// Whether executions may run chains on the chain kernels
     /// (default: `TDP_CHAIN_KERNELS`, else on).
     chain_kernels_on: Cell<bool>,
     /// Whether executions consult zone maps for chunk pruning
@@ -182,8 +168,6 @@ impl Session {
             threads: Cell::new(defaults.threads),
             morsel_rows: Cell::new(defaults.morsel_rows),
             partitions: Cell::new(tdp_exec::DEFAULT_PARTITIONS),
-            private_kernels: RefCell::new(None),
-            kernel_sync: Cell::new((0, 0)),
             chain_kernels_on: Cell::new(defaults.chain_kernels),
             zone_maps_on: Cell::new(defaults.zone_maps),
             ivf_rebuild_after: Cell::new(defaults.ivf_rebuild_after),
@@ -252,54 +236,17 @@ impl Session {
         self.chain_kernels_on.get()
     }
 
-    /// Cumulative chain-kernel cache counters (hits, misses, evictions,
-    /// interpreter fallbacks) plus the current compiled-entry count —
-    /// the kernel-cache mirror of [`Session::plan_cache_stats`]. Reports
-    /// the cache this session actually uses: the engine-shared cache
-    /// until the session's first local function registration, its
-    /// private cache after.
+    /// Cumulative chain-kernel counters, **engine-wide** (every session
+    /// of this engine): chain executions bound to the kernel (`hits`)
+    /// and ones that fell back to the interpreter with kernels on
+    /// (`fallbacks`). Verdicts are vetted per execution, so `misses` is
+    /// always 0.
     pub fn chain_kernel_stats(&self) -> tdp_exec::ChainKernelStats {
-        match &*self.private_kernels.borrow() {
-            Some(cache) => cache.stats(),
-            None => self.engine.chain_kernels().stats(),
-        }
-    }
-
-    /// The kernel cache this session executes against, or `None` when
-    /// chain kernels are disabled — threaded into each execution's
-    /// `ExecContext`. A private cache is first synchronized against
-    /// engine-side changes (catalog version / engine UDF epoch) it
-    /// cannot observe directly.
-    pub(crate) fn chain_kernels_handle(&self) -> Option<Arc<KernelCache>> {
-        if !self.chain_kernels_on.get() {
-            return None;
-        }
-        match &*self.private_kernels.borrow() {
-            None => Some(Arc::clone(self.engine.chain_kernels())),
-            Some(cache) => {
-                let now = (self.engine.catalog().version(), self.engine.udf_epoch());
-                if self.kernel_sync.get() != now {
-                    cache.bump_epoch();
-                    self.kernel_sync.set(now);
-                }
-                Some(Arc::clone(cache))
-            }
-        }
-    }
-
-    /// Invalidate compiled chains after a session-local registration.
-    /// The engine cache cannot be bumped (other sessions' kernels remain
-    /// valid), so the session leaves it: first divergence switches to a
-    /// fresh private cache, later registrations epoch-bump it.
-    fn diverge_kernels(&self) {
-        let mut private = self.private_kernels.borrow_mut();
-        match &*private {
-            Some(cache) => cache.bump_epoch(),
-            None => {
-                self.kernel_sync
-                    .set((self.engine.catalog().version(), self.engine.udf_epoch()));
-                *private = Some(Arc::new(KernelCache::new()));
-            }
+        let access = self.engine.access_path_stats();
+        tdp_exec::ChainKernelStats {
+            hits: access.kernel_binds,
+            misses: 0,
+            fallbacks: access.kernel_fallbacks,
         }
     }
 
@@ -461,7 +408,6 @@ impl Session {
     pub fn register_udf(&self, udf: Arc<dyn ScalarUdf>) {
         self.udfs.borrow_mut().register_scalar(udf);
         self.local_epoch.set(self.local_epoch.get() + 1);
-        self.diverge_kernels();
     }
 
     /// Register a `Send + Sync` scalar UDF on the **engine**, visible to
@@ -477,7 +423,6 @@ impl Session {
     pub fn register_tvf(&self, tvf: Arc<dyn TableFunction>) {
         self.udfs.borrow_mut().register_table_fn(tvf);
         self.local_epoch.set(self.local_epoch.get() + 1);
-        self.diverge_kernels();
     }
 
     /// The session's complete function view: engine-registered functions

@@ -65,7 +65,8 @@ use crate::physical::{ColumnRef, CompiledExpr};
 
 /// Monotonic access-path counters. One shared set hangs off the engine
 /// for cumulative `access_path_stats()`; profiled runs attach a fresh
-/// set to report per-query numbers.
+/// set to report per-query numbers. Chain-kernel verdicts count here
+/// too: one bind or one fallback per chain execution.
 #[derive(Debug, Default)]
 pub struct AccessPathCounters {
     morsels_pruned: AtomicU64,
@@ -75,6 +76,8 @@ pub struct AccessPathCounters {
     ivf_rebuilds: AtomicU64,
     barriers_selection_fed: AtomicU64,
     barriers_gathered: AtomicU64,
+    kernel_binds: AtomicU64,
+    kernel_fallbacks: AtomicU64,
 }
 
 /// A point-in-time snapshot of [`AccessPathCounters`].
@@ -99,6 +102,11 @@ pub struct AccessPathStats {
     /// Barrier stages that had a compiled chain upstream but consumed a
     /// gathered batch instead (the named reason lands in EXPLAIN).
     pub barriers_gathered: u64,
+    /// Chain executions bound to the chain kernel.
+    pub kernel_binds: u64,
+    /// Chain executions that ran interpreted while kernels were enabled:
+    /// a vet- or bind-time refusal, or a run-time bail-out.
+    pub kernel_fallbacks: u64,
 }
 
 impl AccessPathCounters {
@@ -134,6 +142,16 @@ impl AccessPathCounters {
         self.barriers_gathered.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// A chain execution bound the chain kernel.
+    pub fn note_kernel_bind(&self) {
+        self.kernel_binds.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A chain execution fell back to the interpreter with kernels on.
+    pub fn note_kernel_fallback(&self) {
+        self.kernel_fallbacks.fetch_add(1, Ordering::Relaxed);
+    }
+
     pub fn snapshot(&self) -> AccessPathStats {
         AccessPathStats {
             morsels_pruned: self.morsels_pruned.load(Ordering::Relaxed),
@@ -143,6 +161,8 @@ impl AccessPathCounters {
             ivf_rebuilds: self.ivf_rebuilds.load(Ordering::Relaxed),
             barriers_selection_fed: self.barriers_selection_fed.load(Ordering::Relaxed),
             barriers_gathered: self.barriers_gathered.load(Ordering::Relaxed),
+            kernel_binds: self.kernel_binds.load(Ordering::Relaxed),
+            kernel_fallbacks: self.kernel_fallbacks.load(Ordering::Relaxed),
         }
     }
 
@@ -163,6 +183,10 @@ impl AccessPathCounters {
             .fetch_add(stats.barriers_selection_fed, Ordering::Relaxed);
         self.barriers_gathered
             .fetch_add(stats.barriers_gathered, Ordering::Relaxed);
+        self.kernel_binds
+            .fetch_add(stats.kernel_binds, Ordering::Relaxed);
+        self.kernel_fallbacks
+            .fetch_add(stats.kernel_fallbacks, Ordering::Relaxed);
     }
 }
 

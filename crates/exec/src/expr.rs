@@ -298,7 +298,7 @@ fn invoke_udf(
 /// Execute a lowered scalar-subquery plan; it must return exactly one
 /// row and one column. The nested plan re-enters the one exact walker
 /// ([`crate::pipeline::execute`]) with the caller's context — same
-/// thread count, morsel size, kernel cache, zone maps and memory ledger
+/// thread count, morsel size, kernel switch, zone maps and memory ledger
 /// — so a subquery obeys the same thread-invariance contract and yields
 /// the same bytes as that query run at top level. The *enclosing* chain
 /// still stays on the session thread (`scalar-subquery` fallback):

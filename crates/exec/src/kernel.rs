@@ -78,7 +78,7 @@
 //! through EXPLAIN and [`crate::profile::OpTrace::strategy`]; the first
 //! refusal in pre-order names the chain):
 //!
-//! * **vet-time** (cached negatively): `udf(name)` — session UDFs,
+//! * **vet-time**: `udf(name)` — session UDFs,
 //!   including built-ins shadowed by a later registration;
 //!   `scalar-subquery`; `empty-in-list`; `builtin-arity(name)`;
 //!   `vector-builtin(name)`.
@@ -94,45 +94,34 @@
 //!   morsel and raises the identical error), a refused scratch charge,
 //!   and any node kind above reaching the evaluator un-vetted.
 //!
-//! ## Cache keying
+//! ## Vetting
 //!
-//! Verdicts are cached in a bounded, engine-shared [`KernelCache`]
-//! keyed by the chain's **literal-invariant fingerprint**: an FNV-1a
-//! hash over the op shapes and the [`CompiledExpr`] renderings, in
-//! which literals lifted to `$n` slots by auto-parameterisation hash
-//! identically across bindings. An entry holds *only* the vetting
-//! verdict — vetted, or the refusal reason (negative caching, so an
-//! unsupported chain pays the probe once). Everything an execution
-//! evaluates — expressions, selection capability — is read off the caller's own ops, so a 64-bit collision (FNV-1a is
-//! not collision-resistant, and LIKE patterns and aliases put
-//! caller-chosen bytes into the rendering) can only hand a chain
-//! another chain's *verdict*: "refused" runs it interpreted, "vetted"
-//! meets the evaluator's own refusals and bails. Either way the chain
-//! returns its own rows. Entries are stamped with the cache **epoch**,
-//! bumped on catalog changes and UDF (re-)registration — a stale entry
-//! is a miss, so a UDF registered later correctly shadows a built-in on
-//! the next run. Eviction is LRU with a fixed cap
-//! ([`KERNEL_CACHE_CAP`]); [`ChainKernelStats`] exposes
-//! hits/misses/evictions/fallbacks.
+//! A chain is vetted in `bind` on every execution, against the
+//! function registry that execution evaluates with — nothing about the
+//! verdict is remembered between runs. It is a pure function of the
+//! plan's own nodes and that registry, and the walk costs less than
+//! any key a cache could look it up by, so a UDF registered later
+//! shadows a built-in on the same session's next run (and on no other
+//! session's) with nothing to invalidate. Each execution counts once
+//! in the engine's access-path counters — a kernel bind, or a fallback
+//! (a vet- or bind-time refusal, or a run-time bail-out);
+//! [`ChainKernelStats`] is their snapshot.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use tdp_encoding::{EncodedTensor, StringDict};
 use tdp_sql::ast::{BinOp, UnOp};
 use tdp_tensor::{I64Tensor, Tensor};
 
+use crate::access::AccessPathCounters;
 use crate::expr::like_match;
 use crate::morsel::MorselCols;
 use crate::params::{ParamValue, ParamValues};
 use crate::physical::{ColumnRef, CompiledExpr, PhysProjectItem, ScalarFn};
 use crate::pipeline::MorselOp;
 use crate::udf::ExecContext;
-
-/// LRU capacity of the session kernel cache (entries, not bytes).
-pub const KERNEL_CACHE_CAP: usize = 256;
 
 // ----------------------------------------------------------------------
 // Vetting and binding
@@ -142,9 +131,25 @@ pub const KERNEL_CACHE_CAP: usize = 256;
 /// any worker thread. It evaluates the caller's own plan nodes.
 pub(crate) struct ChainInstance<'a> {
     ops: &'a [MorselOp<'a>],
-    cache: &'a KernelCache,
+    /// The execution's counters, captured at bind: worker contexts carry
+    /// a throwaway set, so a bail counted there would be lost.
+    access: &'a AccessPathCounters,
     /// Run-time fallbacks are counted once per execution, not per morsel.
     fallback_noted: AtomicBool,
+}
+
+/// Chain-kernel counters: a snapshot of the engine's access-path
+/// counters (see [`crate::AccessPathStats`]), shaped like the plan-cache
+/// stats.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ChainKernelStats {
+    /// Chain executions bound to the kernel.
+    pub hits: u64,
+    /// Always 0: verdicts are vetted per execution, never cached.
+    pub misses: u64,
+    /// Executions that ran interpreted while kernels were enabled
+    /// (vetting refusals, bind-time refusals, run-time bail-outs).
+    pub fallbacks: u64,
 }
 
 /// Why (or that) a chain runs compiled — the EXPLAIN verdict.
@@ -184,8 +189,8 @@ pub(crate) fn vet(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Option<String> {
         op.find_map(&mut |node| match node {
             CompiledExpr::Udf { name, .. } => Some(format!("udf({name})")),
             // A session UDF registered after lowering shadows the
-            // built-in; registration bumps the cache epoch, so the
-            // verdict is stable for a cached entry's lifetime.
+            // built-in: `ctx.udfs` is the registry this run evaluates
+            // with.
             CompiledExpr::Builtin { name, .. } if ctx.udfs.is_scalar(name) => {
                 Some(format!("udf({name})"))
             }
@@ -244,205 +249,30 @@ pub(crate) fn selection_capable(ops: &[MorselOp<'_>]) -> Result<(), &'static str
     }
 }
 
-// ----------------------------------------------------------------------
-// Fingerprint
-// ----------------------------------------------------------------------
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-/// Literal-invariant fingerprint of a fused chain: FNV-1a over the op
-/// tags and the [`CompiledExpr`] renderings (auto-parameterised
-/// literals render as `$n`, so bindings share one entry).
-pub(crate) fn chain_fingerprint(ops: &[MorselOp<'_>]) -> u64 {
-    let mut h = Fnv::new();
-    for op in ops {
-        match op {
-            MorselOp::Filter(pred) => {
-                h.eat(b"F\x1f");
-                h.eat(pred.to_string().as_bytes());
-            }
-            MorselOp::Project(items) => {
-                h.eat(b"P\x1f");
-                for it in *items {
-                    h.eat(it.name.as_bytes());
-                    h.eat(b"\x1f");
-                    h.eat(it.expr.to_string().as_bytes());
-                    h.eat(b"\x1e");
-                }
-            }
-        }
-        h.eat(b"\x1d");
-    }
-    h.0
-}
-
-// ----------------------------------------------------------------------
-// Cache
-// ----------------------------------------------------------------------
-
-struct CacheEntry {
-    /// The vetting verdict: `None` = vetted, `Some(reason)` = refused.
-    refusal: Option<String>,
-    epoch: u64,
-    last_used: u64,
-}
-
-struct CacheInner {
-    entries: HashMap<u64, CacheEntry>,
-    tick: u64,
-}
-
-/// Engine-shared, bounded cache of chain vetting verdicts, keyed by
-/// `chain_fingerprint`. Epoch-stamped entries invalidate on catalog
-/// changes and UDF registration; eviction is LRU at
-/// [`KERNEL_CACHE_CAP`] entries. See the module docs for the model.
-pub struct KernelCache {
-    inner: Mutex<CacheInner>,
-    epoch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    fallbacks: AtomicU64,
-}
-
-/// Counters for [`KernelCache`], mirroring the plan-cache stats shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ChainKernelStats {
-    /// Lookups served by a current-epoch entry.
-    pub hits: u64,
-    /// Lookups that (re-)vetted — cold, evicted, or stale-epoch.
-    pub misses: u64,
-    /// Entries displaced by the LRU cap.
-    pub evictions: u64,
-    /// Executions that ran interpreted while kernels were enabled
-    /// (vetting refusals, bind-time refusals, run-time bail-outs).
-    pub fallbacks: u64,
-    /// Entries currently resident (vetted + negative).
-    pub entries: usize,
-}
-
-impl Default for KernelCache {
-    fn default() -> KernelCache {
-        KernelCache::new()
-    }
-}
-
-impl KernelCache {
-    pub fn new() -> KernelCache {
-        KernelCache {
-            inner: Mutex::new(CacheInner {
-                entries: HashMap::new(),
-                tick: 0,
-            }),
-            epoch: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-        }
-    }
-
-    /// Invalidate every cached verdict: catalog content or function
-    /// resolution changed, so vetted assumptions no longer hold.
-    pub fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn stats(&self) -> ChainKernelStats {
-        let entries = self
-            .inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entries
-            .len();
-        ChainKernelStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            entries,
-        }
-    }
-
-    fn note_fallback(&self) {
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The cached vetting verdict for `ops` (`None` = vetted), vetting
-    /// and remembering it on a miss.
-    fn verdict(&self, ops: &[MorselOp<'_>], ctx: &ExecContext) -> Option<String> {
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        let fp = chain_fingerprint(ops);
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(e) = inner.entries.get_mut(&fp) {
-            if e.epoch == epoch {
-                e.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return e.refusal.clone();
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let refusal = vet(ops, ctx);
-        if inner.entries.len() >= KERNEL_CACHE_CAP && !inner.entries.contains_key(&fp) {
-            if let Some(&lru) = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k)
-            {
-                inner.entries.remove(&lru);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        inner.entries.insert(
-            fp,
-            CacheEntry {
-                refusal: refusal.clone(),
-                epoch,
-                last_used: tick,
-            },
-        );
-        refusal
-    }
-}
-
 /// Resolve a non-empty fused chain against this execution — the one
-/// counted entry point, called once per chain per run: look up (or vet)
-/// its verdict and check its `$n` bindings. `Err` means the interpreter
-/// runs the chain: kernels disabled, or a named vet- or bind-time
-/// refusal (counted as a fallback).
+/// counted entry point, called once per chain per run: vet it and check
+/// its `$n` bindings. `Err` means the interpreter runs the chain:
+/// kernels disabled, or a named vet- or bind-time refusal (counted as a
+/// fallback); `Ok` is counted as a kernel bind.
 pub(crate) fn bind<'a>(
     ops: &'a [MorselOp<'a>],
     ctx: &'a ExecContext,
 ) -> Result<ChainInstance<'a>, Refusal> {
-    let Some(cache) = ctx.chain_kernels.as_deref() else {
+    if !ctx.chain_kernels {
         return Err(Refusal::Plan("chain-kernels-disabled".into()));
-    };
-    let refusal = match cache.verdict(ops, ctx) {
+    }
+    let refusal = match vet(ops, ctx) {
         Some(reason) => Some(Refusal::Plan(reason)),
         None => unbound_param(ops, &ctx.params).map(Refusal::Run),
     };
     if let Some(refusal) = refusal {
-        cache.note_fallback();
+        ctx.access.note_kernel_fallback();
         return Err(refusal);
     }
+    ctx.access.note_kernel_bind();
     Ok(ChainInstance {
         ops,
-        cache,
+        access: &ctx.access,
         fallback_noted: AtomicBool::new(false),
     })
 }
@@ -465,7 +295,7 @@ pub(crate) fn chain_strategy(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Option<
 
 /// Why a non-empty chain would not run on the kernel, bindings aside.
 fn static_refusal(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Option<String> {
-    if ctx.chain_kernels.is_none() {
+    if !ctx.chain_kernels {
         return Some("chain-kernels-disabled".into());
     }
     crate::morsel::chain_fallback_reason(ops, None, ctx).or_else(|| vet(ops, ctx))
@@ -484,7 +314,7 @@ pub(crate) fn selection_decline(
     if ops.is_empty() {
         return Err("no-chain".into());
     }
-    if ctx.chain_kernels.is_none() {
+    if !ctx.chain_kernels {
         return Err("chain-kernels-disabled".into());
     }
     match plan_refusal() {
@@ -1107,7 +937,7 @@ impl ChainInstance<'_> {
     /// One fallback count per execution, however many morsels bail.
     fn counted<T>(&self, out: KResult<T>) -> Option<T> {
         if out.is_err() && !self.fallback_noted.swap(true, Ordering::Relaxed) {
-            self.cache.note_fallback();
+            self.access.note_kernel_fallback();
         }
         out.ok()
     }
@@ -1263,7 +1093,6 @@ fn materialize(
 mod tests {
     use super::*;
     use crate::batch::{Batch, ColumnData};
-    use crate::physical::PhysProjectItem;
     use crate::udf::UdfRegistry;
     use tdp_storage::Catalog;
 
@@ -1274,83 +1103,12 @@ mod tests {
         })
     }
 
-    /// [`bind`] as the cache tests spell it: the instance, or `None`
-    /// when the interpreter runs the chain.
-    fn prepare<'a>(ops: &'a [MorselOp<'a>], ctx: &'a ExecContext) -> Option<ChainInstance<'a>> {
-        bind(ops, ctx).ok()
-    }
-
     fn gt(left: CompiledExpr, right: CompiledExpr) -> CompiledExpr {
         CompiledExpr::Binary {
             op: BinOp::Gt,
             left: Box::new(left),
             right: Box::new(right),
         }
-    }
-
-    #[test]
-    fn fingerprint_is_shape_sensitive_and_binding_stable() {
-        let p1 = gt(col(0, "v"), CompiledExpr::Param { idx: 0 });
-        let p2 = gt(col(0, "v"), CompiledExpr::Param { idx: 0 });
-        let fp1 = chain_fingerprint(&[MorselOp::Filter(&p1)]);
-        assert_eq!(
-            fp1,
-            chain_fingerprint(&[MorselOp::Filter(&p2)]),
-            "identical chains share a fingerprint across plan instances"
-        );
-        let other = gt(col(1, "k"), CompiledExpr::Param { idx: 0 });
-        assert_ne!(fp1, chain_fingerprint(&[MorselOp::Filter(&other)]));
-        // A projection of the same expression is a different chain.
-        let items = [PhysProjectItem {
-            name: "x".into(),
-            expr: p1.clone(),
-        }];
-        assert_ne!(fp1, chain_fingerprint(&[MorselOp::Project(&items)]));
-    }
-
-    #[test]
-    fn cache_hits_misses_and_epoch_invalidation() {
-        let catalog = Catalog::new();
-        let udfs = UdfRegistry::new();
-        let cache = Arc::new(KernelCache::new());
-        let ctx = ExecContext::new(&catalog, &udfs)
-            .with_params(ParamValues::new().number(1.5))
-            .with_chain_kernels(Some(Arc::clone(&cache)));
-        let pred = gt(col(0, "v"), CompiledExpr::Param { idx: 0 });
-        let ops = [MorselOp::Filter(&pred)];
-
-        assert!(prepare(&ops, &ctx).is_some());
-        assert!(prepare(&ops, &ctx).is_some());
-        let s = cache.stats();
-        assert_eq!((s.misses, s.hits, s.entries), (1, 1, 1));
-
-        // Epoch bump (catalog / registry change) makes the entry stale.
-        cache.bump_epoch();
-        assert!(prepare(&ops, &ctx).is_some());
-        let s = cache.stats();
-        assert_eq!((s.misses, s.hits, s.entries), (2, 1, 1));
-    }
-
-    #[test]
-    fn cache_evicts_lru_at_capacity() {
-        let catalog = Catalog::new();
-        let udfs = UdfRegistry::new();
-        let cache = Arc::new(KernelCache::new());
-        let ctx = ExecContext::new(&catalog, &udfs).with_chain_kernels(Some(Arc::clone(&cache)));
-        // Distinct literals fingerprint distinctly (only *parameterised*
-        // literals are binding-invariant).
-        let preds: Vec<CompiledExpr> = (0..=KERNEL_CACHE_CAP)
-            .map(|i| gt(col(0, "v"), CompiledExpr::Num(i as f64)))
-            .collect();
-        for p in &preds {
-            assert!(prepare(&[MorselOp::Filter(p)], &ctx).is_some());
-        }
-        let s = cache.stats();
-        assert_eq!(s.entries, KERNEL_CACHE_CAP);
-        assert_eq!(s.evictions, 1);
-        // The evicted entry is the least recently used: the first chain.
-        assert!(prepare(&[MorselOp::Filter(&preds[0])], &ctx).is_some());
-        assert_eq!(cache.stats().misses as usize, KERNEL_CACHE_CAP + 2);
     }
 
     #[test]
@@ -1402,19 +1160,18 @@ mod tests {
         assert_eq!(unbound_param(&ops, &ParamValues::new().number(2.0)), None);
 
         // `bind` is where an execution meets the check: the refusal is
-        // counted, and the vetting verdict stays cached as vetted.
+        // counted as a fallback, not a bind.
         let catalog = Catalog::new();
         let udfs = UdfRegistry::new();
-        let cache = Arc::new(KernelCache::new());
         let ctx = ExecContext::new(&catalog, &udfs)
             .with_params(ParamValues::new().null())
-            .with_chain_kernels(Some(Arc::clone(&cache)));
+            .with_chain_kernels(true);
         assert_eq!(
             bind(&ops, &ctx).err().unwrap(),
             Refusal::Run("null-param($1)".into())
         );
-        let s = cache.stats();
-        assert_eq!((s.misses, s.fallbacks, s.entries), (1, 1, 1));
+        let s = ctx.access.snapshot();
+        assert_eq!((s.kernel_binds, s.kernel_fallbacks), (0, 1));
     }
 
     /// One rule for every window: a run of filters collapses into one
@@ -1426,12 +1183,11 @@ mod tests {
     fn selection_vector_run_gathers_once_and_counts_runtime_bails() {
         let catalog = Catalog::new();
         let udfs = UdfRegistry::new();
-        let cache = Arc::new(KernelCache::new());
-        let ctx = ExecContext::new(&catalog, &udfs).with_chain_kernels(Some(Arc::clone(&cache)));
+        let ctx = ExecContext::new(&catalog, &udfs).with_chain_kernels(true);
         let p1 = gt(col(0, "v"), CompiledExpr::Num(1.0));
         let p2 = gt(col(1, "k"), CompiledExpr::Num(0.0));
         let ops = [MorselOp::Filter(&p1), MorselOp::Filter(&p2)];
-        let inst = prepare(&ops, &ctx).expect("compiles");
+        let inst = bind(&ops, &ctx).expect("compiles");
 
         let v = EncodedTensor::from_f32_slice(&[9.0, 0.5, 1.5, 2.5, 0.0, 3.5, 4.5, 9.0]);
         let ks = Tensor::from_vec(vec![1i64, 1, 0, 1, 1, 0, 1, 1], &[8]);
@@ -1465,37 +1221,22 @@ mod tests {
                 "window-local, offset by its start"
             );
         }
-        assert_eq!(cache.stats().fallbacks, 0);
+        let s = ctx.access.snapshot();
+        assert_eq!((s.kernel_binds, s.kernel_fallbacks), (1, 0));
 
         // A column the chain names is missing: the bail is counted once
         // per instance however often it recurs.
         assert!(inst.run_window(&plain[..1], 0, 8, &ctx).is_none());
         assert!(inst.run_window(&plain[..1], 0, 8, &ctx).is_none());
-        assert_eq!(cache.stats().fallbacks, 1);
+        assert_eq!(ctx.access.snapshot().kernel_fallbacks, 1);
     }
 
-    fn f32_cols(vals: &[f32]) -> MorselCols {
-        vec![("v".to_string(), EncodedTensor::from_f32_slice(vals))]
-    }
-
-    /// Plant a verdict under `ops`' fingerprint, as a colliding chain
-    /// compiled earlier would have left it.
-    fn plant(cache: &KernelCache, ops: &[MorselOp<'_>], refusal: Option<&str>) {
-        cache.inner.lock().unwrap().entries.insert(
-            chain_fingerprint(ops),
-            CacheEntry {
-                refusal: refusal.map(String::from),
-                epoch: 0,
-                last_used: 0,
-            },
-        );
-    }
-
-    /// The cache key is a 64-bit FNV-1a of caller-influenced text; a hit
-    /// is not compared against the chain. Whatever a colliding entry
-    /// says, a chain evaluates its own nodes — or bails.
+    /// The evaluator refuses every node kind [`vet`] refuses: a chain that
+    /// reaches it un-vetted — here an instance built without [`bind`] —
+    /// bails to the interpreter, counted once, and never yields a value.
+    /// A UDF call, and a built-in the session has since shadowed.
     #[test]
-    fn colliding_cache_entry_cannot_swap_predicates() {
+    fn evaluator_refuses_what_vet_refuses() {
         struct Shadow;
         impl crate::udf::ScalarUdf for Shadow {
             fn name(&self) -> &str {
@@ -1510,29 +1251,13 @@ mod tests {
             }
         }
         let catalog = Catalog::new();
-        let udfs = UdfRegistry::new();
-        let cache = Arc::new(KernelCache::new());
-        let ctx = ExecContext::new(&catalog, &udfs).with_chain_kernels(Some(Arc::clone(&cache)));
-        let cols = f32_cols(&[0.5, 1.5, 2.5, 3.5]);
-
-        // Chain A (`v > 2`) was vetted first; chain B (`v > 1`) collides
-        // with it. B must return B's rows, not A's.
-        let (a, b) = (
-            gt(col(0, "v"), CompiledExpr::Num(2.0)),
-            gt(col(0, "v"), CompiledExpr::Num(1.0)),
-        );
-        assert!(prepare(&[MorselOp::Filter(&a)], &ctx).is_some());
-        let ops_b = [MorselOp::Filter(&b)];
-        plant(&cache, &ops_b, None);
-        let out = prepare(&ops_b, &ctx)
-            .expect("the colliding entry says vetted")
-            .run_window(&cols, 0, 4, &ctx)
-            .expect("no bail");
-        assert_eq!(out[0].1.decode_f32().to_vec(), vec![1.5, 2.5, 3.5]);
-        assert_eq!(cache.stats().hits, 1, "B was served from the planted entry");
-
-        // A wrong "vetted" over nodes the evaluator cannot reproduce is a
-        // counted bail-out to the interpreter, never a value: a UDF call…
+        let mut shadowing = UdfRegistry::new();
+        shadowing.register_scalar_parallel(Arc::new(Shadow));
+        let ctx = ExecContext::new(&catalog, &shadowing).with_chain_kernels(true);
+        let cols = vec![(
+            "v".to_string(),
+            EncodedTensor::from_f32_slice(&[0.5, 1.5, 2.5, 3.5]),
+        )];
         let udf_pred = gt(
             CompiledExpr::Udf {
                 name: "f".into(),
@@ -1540,19 +1265,6 @@ mod tests {
             },
             CompiledExpr::Num(1.0),
         );
-        let ops = [MorselOp::Filter(&udf_pred)];
-        plant(&cache, &ops, None);
-        let before = cache.stats().fallbacks;
-        assert!(prepare(&ops, &ctx)
-            .unwrap()
-            .run_window(&cols, 0, 4, &ctx)
-            .is_none());
-        assert_eq!(cache.stats().fallbacks, before + 1);
-        // …and a built-in the session has since shadowed.
-        let mut shadowing = UdfRegistry::new();
-        shadowing.register_scalar_parallel(Arc::new(Shadow));
-        let sctx =
-            ExecContext::new(&catalog, &shadowing).with_chain_kernels(Some(Arc::clone(&cache)));
         let sqrt_pred = gt(
             CompiledExpr::Builtin {
                 name: "sqrt".into(),
@@ -1561,20 +1273,19 @@ mod tests {
             },
             CompiledExpr::Num(1.0),
         );
-        let ops = [MorselOp::Filter(&sqrt_pred)];
-        assert_eq!(vet(&ops, &sctx).unwrap(), "udf(sqrt)");
-        plant(&cache, &ops, None);
-        assert!(prepare(&ops, &sctx)
-            .unwrap()
-            .run_window(&cols, 0, 4, &sctx)
-            .is_none());
-
-        // A wrong "refused" merely costs the kernel: the caller interprets.
-        plant(&cache, &ops_b, Some("udf(f)"));
-        assert_eq!(
-            bind(&ops_b, &ctx).err().unwrap(),
-            Refusal::Plan("udf(f)".into())
-        );
+        for (pred, refusal) in [(&udf_pred, "udf(f)"), (&sqrt_pred, "udf(sqrt)")] {
+            let ops = [MorselOp::Filter(pred)];
+            assert_eq!(vet(&ops, &ctx).as_deref(), Some(refusal));
+            let before = ctx.access.snapshot().kernel_fallbacks;
+            let inst = ChainInstance {
+                ops: &ops,
+                access: &ctx.access,
+                fallback_noted: AtomicBool::new(false),
+            };
+            assert!(inst.run_window(&cols, 0, 4, &ctx).is_none());
+            assert!(inst.select_window(&cols, 0, 4, &ctx).is_none());
+            assert_eq!(ctx.access.snapshot().kernel_fallbacks, before + 1);
+        }
     }
 
     /// Every named reason a chain can be kept off the kernel (or off the
@@ -1838,12 +1549,11 @@ mod tests {
             },
         ];
 
-        let cache = Arc::new(KernelCache::new());
         for c in &cases {
             let ctx = ExecContext::new(&catalog, c.reg)
                 .with_scheduler(4, 8)
                 .with_params(c.params.clone())
-                .with_chain_kernels(c.kernels.then(|| Arc::clone(&cache)));
+                .with_chain_kernels(c.kernels);
             let text = explain_ctx(&c.plan, &ctx);
             assert!(text.contains(c.explain), "want {} in:\n{text}", c.explain);
 
@@ -1889,7 +1599,7 @@ mod tests {
         for (morsel_rows, barrier) in [(8, "kernel-bailout"), (ROWS, "single-morsel")] {
             let ctx = ExecContext::new(&catalog, &udfs)
                 .with_scheduler(4, morsel_rows)
-                .with_chain_kernels(Some(Arc::clone(&cache)));
+                .with_chain_kernels(true);
             let chain = ChainRun::resolve(&diff, &pipe.ops, None, &ctx);
             assert_eq!(
                 chain.strategy_note().as_deref(),
@@ -1925,7 +1635,7 @@ mod tests {
             let plan = sql_plan(sql, &udfs);
             let ctx = ExecContext::new(&catalog, &udfs)
                 .with_scheduler(4, 8)
-                .with_chain_kernels(kernels.then(|| Arc::clone(&cache)));
+                .with_chain_kernels(kernels);
             let text = explain_ctx(&plan, &ctx);
             assert!(text.contains(explain), "want {explain} in:\n{text}");
             let (_, prof) = crate::profile::execute_profiled(&plan, &ctx).unwrap();
@@ -1935,34 +1645,14 @@ mod tests {
     }
 
     #[test]
-    fn negative_cache_remembers_refusals() {
-        let catalog = Catalog::new();
-        let udfs = UdfRegistry::new();
-        let cache = Arc::new(KernelCache::new());
-        let ctx = ExecContext::new(&catalog, &udfs).with_chain_kernels(Some(Arc::clone(&cache)));
-        let pred = CompiledExpr::Udf {
-            name: "f".into(),
-            args: vec![col(0, "v")],
-        };
-        let ops = [MorselOp::Filter(&pred)];
-        assert!(prepare(&ops, &ctx).is_none());
-        assert!(prepare(&ops, &ctx).is_none());
-        let s = cache.stats();
-        // One compile probe; the second refusal is a cache hit — but both
-        // executions count as fallbacks.
-        assert_eq!((s.misses, s.hits, s.fallbacks), (1, 1, 2));
-    }
-
-    #[test]
     fn strategy_is_pure_and_prioritises_scheduler_reasons() {
         let catalog = Catalog::new();
         let udfs = UdfRegistry::new();
-        let cache = Arc::new(KernelCache::new());
-        let ctx = ExecContext::new(&catalog, &udfs).with_chain_kernels(Some(Arc::clone(&cache)));
+        let ctx = ExecContext::new(&catalog, &udfs).with_chain_kernels(true);
         let pred = gt(col(0, "v"), CompiledExpr::Num(1.0));
         let ops = [MorselOp::Filter(&pred)];
         assert_eq!(chain_strategy(&ops, &ctx), Some(ChainStrategy::Compiled(1)));
-        assert_eq!(cache.stats(), ChainKernelStats::default());
+        assert_eq!(ctx.access.snapshot(), crate::AccessPathStats::default());
 
         let off = ExecContext::new(&catalog, &udfs);
         assert_eq!(

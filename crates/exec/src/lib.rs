@@ -153,7 +153,7 @@
 //!     │            streaming run + LIMIT sink, chain→barrier hand-off
 //!     ├ aggregate  AggProgram, the one per-morsel fold, combine
 //!     ├ join / sort / distinct   the staged barriers
-//!   kernel     chain kernels over CompiledExpr; vetting; KernelCache
+//!   kernel     chain kernels over CompiledExpr; vetting, once per execution
 //!   expr       the scalar interpreter            ┐ the fallback tier, and the oracle every
 //!   exact      whole-batch relational kernels    ┘ byte-identity test compares against
 //!   profile    Recorder + QueryProfile (the same walk, observed per stage)
@@ -189,7 +189,7 @@ pub use access::{AccessPathCounters, AccessPathStats, AnnPath, ChunkPruner};
 pub use batch::{Batch, ColumnData, DiffColumn};
 pub use diff::execute_diff;
 pub use error::ExecError;
-pub use kernel::{ChainKernelStats, KernelCache};
+pub use kernel::ChainKernelStats;
 pub use params::{ParamValue, ParamValues};
 pub use physical::{
     lower, param_arg_constraints, validate_function_args, validate_param_constraints, CompiledExpr,

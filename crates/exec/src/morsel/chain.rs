@@ -335,13 +335,6 @@ pub(crate) fn run_ops(
         }
         Ok(out)
     })?;
-    if let Some(s) = skip {
-        // Pruned morsels were never scheduled; a LIMIT stop bound leaves
-        // the live tail unclaimed, and so not scanned.
-        let pruned = s.iter().filter(|&&b| b).count();
-        let scanned = results.iter().take(s.len() - pruned).flatten().count();
-        ctx.access.note_morsels(pruned as u64, scanned as u64);
-    }
 
     // Order-preserving reassembly; with a LIMIT sink, take the shortest
     // morsel prefix that covers `n` rows and truncate.
@@ -354,6 +347,15 @@ pub(crate) fn run_ops(
         if limit.is_some_and(|n| have >= n) {
             break;
         }
+    }
+    if let Some(s) = skip {
+        // Pruned morsels were never scheduled. Scanned = the live windows
+        // reassembly consumed — a plan property: windows a racing worker
+        // finished past a LIMIT stop bound do not count, and the empty
+        // window of an all-pruned stage is no morsel.
+        let pruned = s.iter().filter(|&&b| b).count();
+        let scanned = parts.len().min(s.len() - pruned);
+        ctx.access.note_morsels(pruned as u64, scanned as u64);
     }
     let out = Batch::concat(&parts);
     Ok(match limit {

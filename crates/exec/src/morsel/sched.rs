@@ -89,8 +89,8 @@ fn worker_ctx<'a>(catalog: &'a Catalog, udfs: &'a UdfRegistry, cfg: &WorkerCfg) 
         morsel_rows: cfg.morsel_rows,
         partitions: cfg.partitions,
         // Workers receive an already-bound kernel by reference; they
-        // never consult the session cache themselves.
-        chain_kernels: None,
+        // never vet or bind a chain themselves.
+        chain_kernels: false,
         // Pruning decisions are made by the scheduler before morsels are
         // claimed; workers never consult zone maps or record counters.
         zone_maps: false,

@@ -661,10 +661,10 @@ pub struct ExecContext<'a> {
     /// shared-nothing DISTINCT). A plan property independent of
     /// `threads`: results never depend on it, only load balance does.
     pub partitions: usize,
-    /// Session kernel cache for compiled filter→project chains
-    /// ([`crate::kernel`]). `None` disables chain kernels — every chain
-    /// runs on the interpreter.
-    pub chain_kernels: Option<std::sync::Arc<crate::kernel::KernelCache>>,
+    /// Whether fused filter→project chains may run on the chain kernels
+    /// ([`crate::kernel`]), each vetted when it executes. Off, every
+    /// chain runs on the interpreter — results are identical either way.
+    pub chain_kernels: bool,
     /// Whether the morsel scheduler consults zone maps to skip pruned
     /// morsels (`TDP_ZONE_MAPS`). Pruning never changes results — a
     /// pruned morsel is one the leading filter would empty anyway — so
@@ -699,7 +699,7 @@ impl<'a> ExecContext<'a> {
             threads: 1,
             morsel_rows: crate::pipeline::DEFAULT_MORSEL_ROWS,
             partitions: crate::pipeline::DEFAULT_PARTITIONS,
-            chain_kernels: None,
+            chain_kernels: false,
             zone_maps: true,
             access: std::sync::Arc::new(crate::access::AccessPathCounters::default()),
             ivf_rebuild_after: 0,
@@ -736,12 +736,9 @@ impl<'a> ExecContext<'a> {
         self
     }
 
-    /// Attach (or detach) the session's chain-kernel cache.
-    pub fn with_chain_kernels(
-        mut self,
-        cache: Option<std::sync::Arc<crate::kernel::KernelCache>>,
-    ) -> ExecContext<'a> {
-        self.chain_kernels = cache;
+    /// Enable or disable chain kernels.
+    pub fn with_chain_kernels(mut self, on: bool) -> ExecContext<'a> {
+        self.chain_kernels = on;
         self
     }
 

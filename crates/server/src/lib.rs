@@ -2,10 +2,10 @@
 //!
 //! Serves a [`TdpEngine`] to many concurrent clients over plain TCP —
 //! the serving half of the engine/session split: the engine owns
-//! everything shareable (catalog, cross-session plan cache, kernels),
-//! the server gives every connection its own [`tdp_core::Session`], and
-//! admission control keeps a bounded number of queries executing at
-//! once.
+//! everything shareable (catalog, cross-session plan cache, shared
+//! functions, counters), the server gives every connection its own
+//! [`tdp_core::Session`], and admission control keeps a bounded number
+//! of queries executing at once.
 //!
 //! ```text
 //!            TdpServer (accept thread, std::net — no async runtime)
@@ -20,7 +20,7 @@
 //!                │            executing, ≤ max_queued waiting)
 //!                ▼
 //!          Arc<TdpEngine>    (catalog, shared plan cache, shared UDFs,
-//!                             chain kernels, EngineStats)
+//!                             access-path counters, EngineStats)
 //! ```
 //!
 //! ## Protocol
@@ -94,11 +94,13 @@
 //! [`TdpServer::shutdown`] (also run on drop) stops accepting, then
 //! half-closes every connection's read side: a connection mid-query
 //! finishes executing, writes its response, sees EOF and exits — in-
-//! flight work drains, nothing is aborted mid-write.
+//! flight work drains, nothing is aborted mid-write. A connection that
+//! ends on its own (`QUIT`, EOF, a panic) closes its socket at once: the
+//! server keeps a handle only to live connections.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -296,7 +298,10 @@ pub struct TdpServer {
     local_addr: SocketAddr,
     running: Arc<AtomicBool>,
     accept_handle: Option<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    /// A clone of every live connection's socket, by connection id, so
+    /// shutdown can half-close it; each connection removes its own entry
+    /// when it ends.
+    conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
     conn_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
@@ -310,15 +315,11 @@ impl TdpServer {
     ) -> std::io::Result<TdpServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        // Non-blocking accept + poll so the accept thread can observe the
-        // shutdown flag without needing a wakeup connection.
-        listener.set_nonblocking(true)?;
 
         let running = Arc::new(AtomicBool::new(true));
         let admission = Arc::new(AdmissionControl::new(&config));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let conn_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::default();
+        let conn_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
 
         let accept_handle = {
             let engine = Arc::clone(&engine);
@@ -326,29 +327,38 @@ impl TdpServer {
             let admission = Arc::clone(&admission);
             let conns = Arc::clone(&conns);
             let conn_handles = Arc::clone(&conn_handles);
+            // A blocking accept; `stop` wakes it with one connection of
+            // its own once `running` is false.
             std::thread::spawn(move || {
-                while running.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            stream.set_nonblocking(false).ok();
-                            if let Ok(clone) = stream.try_clone() {
-                                conns.lock().unwrap_or_else(|e| e.into_inner()).push(clone);
-                            }
-                            let engine = Arc::clone(&engine);
-                            let admission = Arc::clone(&admission);
-                            let handle = std::thread::spawn(move || {
-                                serve_connection(&engine, stream, &admission);
-                            });
-                            conn_handles
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .push(handle);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => break,
+                for id in 0u64.. {
+                    let accepted = listener.accept();
+                    if !running.load(Ordering::SeqCst) {
+                        break;
                     }
+                    let Ok((stream, _peer)) = accepted else {
+                        // Transient (a peer reset before accept, fd
+                        // exhaustion): back off briefly, keep accepting.
+                        std::thread::sleep(Duration::from_millis(10));
+                        continue;
+                    };
+                    if let Ok(clone) = stream.try_clone() {
+                        conns
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .insert(id, clone);
+                    }
+                    let engine = Arc::clone(&engine);
+                    let admission = Arc::clone(&admission);
+                    let conns = Arc::clone(&conns);
+                    let handle = std::thread::spawn(move || {
+                        serve_connection(&engine, stream, &admission);
+                        // The last handle on the socket: dropping it sends
+                        // the client its EOF.
+                        conns.lock().unwrap_or_else(|e| e.into_inner()).remove(&id);
+                    });
+                    let mut handles = conn_handles.lock().unwrap_or_else(|e| e.into_inner());
+                    handles.retain(|h| !h.is_finished());
+                    handles.push(handle);
                 }
             })
         };
@@ -382,16 +392,21 @@ impl TdpServer {
     fn stop(&mut self) {
         self.running.store(false, Ordering::SeqCst);
         if let Some(h) = self.accept_handle.take() {
+            // Wake the blocked accept; it sees `running` false and exits.
+            // A wildcard bind is reached through loopback.
+            let mut wake = self.local_addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            drop(TcpStream::connect(wake));
             h.join().ok();
         }
         // Half-close the read side: blocked readers see EOF, and a
         // connection mid-query still gets to write its response.
-        for conn in self
-            .conns
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-        {
+        for (_, conn) in self.conns.lock().unwrap_or_else(|e| e.into_inner()).drain() {
             conn.shutdown(Shutdown::Read).ok();
         }
         let handles: Vec<_> = self
@@ -448,11 +463,11 @@ fn serve_connection(engine: &Arc<TdpEngine>, stream: TcpStream, admission: &Admi
             "STATS" => Ok(render_stats(engine)),
             other => Err(("PROTO".to_string(), format!("unknown verb '{other}'"))),
         };
-        // A panicking statement must not leave its client waiting on a
-        // socket the accept loop's clone keeps open. The unwind already
-        // dropped the admission permit and the memory envelope (RAII);
-        // the session may be mid-`RefCell`-borrow, so it serves nothing
-        // further: answer, then close this connection.
+        // A panicking statement must not leave its client waiting. The
+        // unwind already dropped the admission permit and the memory
+        // envelope (RAII); the session may be mid-`RefCell`-borrow, so it
+        // serves nothing further: answer, then end this connection (its
+        // thread closes the socket).
         let reply = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(dispatch)) {
             Ok(reply) => reply,
             Err(panic) => {
@@ -462,7 +477,6 @@ fn serve_connection(engine: &Arc<TdpEngine>, stream: TcpStream, admission: &Admi
                     .or_else(|| panic.downcast_ref::<&str>().copied())
                     .unwrap_or("statement panicked");
                 write_response(&mut writer, &Err(("INTERNAL".to_string(), msg.to_string())));
-                writer.get_ref().shutdown(Shutdown::Both).ok();
                 break;
             }
         };

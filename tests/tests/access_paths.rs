@@ -183,6 +183,29 @@ fn engine_access_path_stats_accumulate() {
     assert!(after.morsels_scanned > before.morsels_scanned);
 }
 
+/// Under a LIMIT stop bound, `morsels_scanned` counts the live windows
+/// the reassembly consumed — a plan property — not whatever a racing
+/// worker finished past the bound: identical at every thread count and
+/// on every run.
+#[test]
+fn limit_early_exit_scans_the_same_morsels_at_every_thread_count() {
+    let tdp = Tdp::new();
+    tdp.register_table(blocked_table(10_000));
+    tdp.set_zone_maps(true);
+    tdp.set_morsel_rows(7);
+    let q = tdp.query("SELECT v FROM t WHERE k = 3 LIMIT 41").unwrap();
+    let mut scanned = std::collections::BTreeSet::new();
+    for threads in [1usize, 4] {
+        tdp.set_threads(threads);
+        for _ in 0..20 {
+            let (out, profile) = q.run_profiled().unwrap();
+            assert_eq!(out.rows(), 41);
+            scanned.insert(profile.morsels_scanned);
+        }
+    }
+    assert_eq!(scanned.len(), 1, "morsels_scanned varied: {scanned:?}");
+}
+
 #[test]
 fn explain_renders_access_paths() {
     let tdp = Tdp::new();

@@ -1,6 +1,6 @@
 //! Compiled chain kernels: the interpreter is the byte-identity oracle
-//! at every thread count and morsel size, with kernels on or off; the
-//! session cache invalidates on catalog changes and UDF registration;
+//! at every thread count and morsel size, with kernels on or off; a
+//! chain is vetted on every run, so a shadowing UDF takes over at once;
 //! EXPLAIN and profiled runs name each chain's strategy.
 
 use proptest::prelude::*;
@@ -274,7 +274,7 @@ fn parameterised_chains_share_one_kernel_across_bindings() {
         &(0..100).map(|i| i as f32 / 10.0 - 5.0).collect::<Vec<_>>(),
     ));
     // Force kernels on regardless of TDP_CHAIN_KERNELS: the test counts
-    // kernel-cache traffic, which only exists on the compiled path.
+    // kernel binds, which only exist on the compiled path.
     tdp.set_chain_kernels(true);
     let before = tdp.chain_kernel_stats();
     let prepared = tdp.prepare("SELECT v FROM t WHERE v > $1").unwrap();
@@ -286,11 +286,11 @@ fn parameterised_chains_share_one_kernel_across_bindings() {
             .unwrap();
         assert!(out.rows() > 0, "threshold {threshold}");
         let s = tdp.chain_kernel_stats();
-        assert_eq!(s.misses, before.misses + 1, "one compile for all bindings");
-        assert_eq!(s.hits, before.hits + i as u64, "later bindings hit");
+        assert_eq!(s.hits, before.hits + i as u64 + 1, "every binding binds");
+        assert_eq!(s.fallbacks, before.fallbacks, "no binding falls back");
     }
-    // Literal variants of the same statement normalise to the same
-    // fingerprint too (auto-parameterisation renders literals as $n).
+    // Literal variants of the same statement share the plan, `$n` slots
+    // and all, and bind the kernel like any other binding.
     tdp.query("SELECT v FROM t WHERE v > 1.0")
         .unwrap()
         .run()
@@ -300,7 +300,8 @@ fn parameterised_chains_share_one_kernel_across_bindings() {
         .run()
         .unwrap();
     let s = tdp.chain_kernel_stats();
-    assert_eq!(s.misses, before.misses + 1, "still one compiled program");
+    assert_eq!(s.hits, before.hits + 5);
+    assert_eq!((s.misses, s.fallbacks), (0, before.fallbacks));
 }
 
 /// A `$n` leaf in a *projection*: the kernel reads the bound literal at
@@ -372,37 +373,41 @@ fn null_param_falls_back_and_reproduces_the_interpreter_error() {
 }
 
 #[test]
-fn cache_invalidates_on_catalog_and_udf_registration() {
+fn shadowing_udf_takes_over_on_the_next_run() {
     let tdp = Tdp::new();
     let data: Vec<f32> = (0..64).map(|i| i as f32).collect();
     tdp.register_table(table(&data));
-    // Force kernels on regardless of TDP_CHAIN_KERNELS: invalidation is
-    // only observable through kernel-cache hit/miss counters.
+    // Force kernels on regardless of TDP_CHAIN_KERNELS: the built-in
+    // chain must have run compiled before the shadowing registration.
     tdp.set_chain_kernels(true);
     let sql = "SELECT sqrt(v) AS r FROM t WHERE v > 10.0";
-    tdp.query(sql).unwrap().run().unwrap();
+    let first_r = |out: &Table| out.column("r").unwrap().data.decode_f32().at(0);
+    let q = tdp.query(sql).unwrap();
     let s0 = tdp.chain_kernel_stats();
-    tdp.query(sql).unwrap().run().unwrap();
-    let s1 = tdp.chain_kernel_stats();
-    assert_eq!(s1.hits, s0.hits + 1, "warm rerun hits the kernel cache");
+    assert!((first_r(&q.run().unwrap()) - 11f32.sqrt()).abs() < 1e-6);
+    assert_eq!(tdp.chain_kernel_stats().hits, s0.hits + 1, "runs compiled");
 
-    // Re-registering a table bumps the epoch: stale entries recompile.
+    // Re-registering the table changes nothing a chain is vetted on.
     tdp.register_table(table(&data));
-    tdp.query(sql).unwrap().run().unwrap();
-    let s2 = tdp.chain_kernel_stats();
-    assert_eq!(s2.misses, s1.misses + 1, "catalog change invalidates");
+    assert!((first_r(&q.run().unwrap()) - 11f32.sqrt()).abs() < 1e-6);
+    assert_eq!(tdp.chain_kernel_stats().hits, s0.hits + 2);
 
-    // A UDF shadowing the built-in must take over even though a kernel
-    // for the built-in chain was cached: registration bumps the epoch
-    // and the recompile refuses the now-shadowed call.
+    // A UDF shadowing the built-in takes over on this session's next
+    // run — of a fresh compilation and of the query compiled before it
+    // was registered alike…
     tdp.register_udf(std::sync::Arc::new(ShiftUdf));
-    let out = tdp.query(sql).unwrap().run().unwrap();
-    let r = out.column("r").unwrap().data.decode_f32();
-    assert!(
-        (r.at(0) - (11.0 + 100.0)).abs() < 1e-3,
-        "shadowing UDF executed, got {}",
-        r.at(0)
-    );
+    for out in [tdp.query(sql).unwrap().run().unwrap(), q.run().unwrap()] {
+        let r = first_r(&out);
+        assert!(
+            (r - (11.0 + 100.0)).abs() < 1e-3,
+            "shadowing UDF executed, got {r}"
+        );
+    }
+    // …and never on another session of the same engine.
+    let other = tdp.engine().session();
+    other.set_chain_kernels(true);
+    let out = other.query(sql).unwrap().run().unwrap();
+    assert!((first_r(&out) - 11f32.sqrt()).abs() < 1e-6);
 }
 
 /// `sqrt(x) := x + 100` — deliberately disagrees with the built-in so
@@ -488,7 +493,7 @@ fn chain_kernel_session_surface() {
     tdp.set_chain_kernels(false);
     assert!(!tdp.chain_kernels_enabled());
 
-    // Disabled sessions never touch the kernel cache.
+    // Disabled sessions never count a kernel verdict.
     tdp.register_table(table(&[1.0, 2.0, 3.0, 4.0]));
     tdp.query("SELECT v FROM t WHERE v > 2.0")
         .unwrap()
@@ -504,5 +509,5 @@ fn chain_kernel_session_surface() {
         .unwrap();
     assert_eq!(out.rows(), 2);
     let s = tdp.chain_kernel_stats();
-    assert_eq!((s.misses, s.entries), (1, 1), "{s:?}");
+    assert_eq!((s.hits, s.misses, s.fallbacks), (1, 0, 0), "{s:?}");
 }

@@ -376,3 +376,52 @@ fn a_panicking_statement_answers_err_internal_and_closes_only_its_connection() {
     assert_eq!(server.engine().memory_pool().used(), 0);
     server.shutdown();
 }
+
+/// `QUIT` closes the connection for real: the client reads `OK bye`,
+/// then EOF. (The accept loop used to keep a clone of every socket it
+/// ever accepted, so no FIN was sent and a client reading to EOF hung.)
+#[test]
+fn quit_answers_bye_then_eof() {
+    let server = TdpServer::bind(test_engine(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let (stream, mut reader) = connect(server.local_addr());
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    assert_eq!(roundtrip(&stream, &mut reader, "QUIT"), "OK bye\n");
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_line(&mut rest).expect("EOF within 2 s"),
+        0,
+        "then EOF: {rest}"
+    );
+    server.shutdown();
+}
+
+/// A finished connection releases its socket: 200 connect → `QUIT` →
+/// EOF cycles leave the process's descriptor table where it was (each
+/// used to pin one fd for the server's lifetime, until `accept` failed
+/// with `EMFILE` and the server silently stopped accepting).
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_descriptors() {
+    let open_fds = || std::fs::read_dir("/proc/self/fd").unwrap().count();
+    let server = TdpServer::bind(test_engine(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let cycle = || {
+        let (stream, mut reader) = connect(addr);
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        assert_eq!(roundtrip(&stream, &mut reader, "QUIT"), "OK bye\n");
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).expect("EOF within 2 s"), 0);
+    };
+    cycle();
+    let before = open_fds();
+    for _ in 0..200 {
+        cycle();
+    }
+    let grown = open_fds().saturating_sub(before);
+    assert!(grown < 20, "200 closed connections left {grown} fds open");
+    server.shutdown();
+}
