@@ -49,19 +49,22 @@
 //!
 //! * **Gather exit** (`ChainInstance::run_window`) — the deferred
 //!   selection is collapsed into one gather per output column, read at
-//!   the survivors' row ids straight out of the stored column. Used when the consumer needs dense rows
-//!   (streaming sinks, LIMIT, unsupported barrier shapes).
+//!   the survivors' row ids straight out of the stored column. Used when
+//!   the consumer needs dense rows (streaming sinks, LIMIT, unsupported
+//!   barrier shapes).
 //! * **Selection exit** (`ChainInstance::select_window`) — only the
-//!   filters run; each morsel returns a window-local `SelVec`, and
-//!   [`crate::morsel`] stitches them in morsel order into the one global
-//!   selection over the chain's output columns
-//!   (`ChainInstance::selection_cols`: the stored columns, remapped,
-//!   never copied). The consuming barrier stage folds, probes or
-//!   extracts keys over survivors and defers the single payload gather
-//!   to its own assembly step. Only chains whose projections are pure
-//!   column remaps qualify (`selection_capable`); `selection_verdict` is
-//!   the pure verdict EXPLAIN prints as `[barrier: selection-fed]` /
-//!   `[barrier: gathered: <reason>]`.
+//!   filters run; each morsel returns a window-local `SelVec` over the
+//!   chain's output columns (`ChainInstance::selection_cols`: the stored
+//!   columns, remapped, never copied), and the task that claimed the
+//!   window hands it on without stitching anything table-wide: an
+//!   aggregate task folds the window under it; for join, sort, top-k and
+//!   DISTINCT it becomes the window's ascending global survivor ids,
+//!   concatenated in morsel order, and the barrier probes or extracts
+//!   keys at them and defers the single payload gather to its own
+//!   assembly step. Only chains whose projections are pure column remaps
+//!   qualify (`selection_capable`); `selection_verdict` is the pure
+//!   verdict EXPLAIN prints as `[barrier: selection-fed]` / `[barrier:
+//!   gathered: <reason>]`.
 //!
 //! Pass-through columns move by the one row-movement rule
 //! ([`EncodedTensor::select_rows`] at the survivors,
@@ -87,8 +90,9 @@
 //!   bound value has no scalar kernel form. EXPLAIN is binding-free and
 //!   cannot foresee these (`Refusal::Run`); a barrier above such a
 //!   chain notes `gathered: kernel-compile`.
-//! * **run-time** (per morsel, silent; in a selection-exit stage any
-//!   morsel's bail declines the whole hand-off): batches carrying
+//! * **run-time** (per morsel, silent; a barrier's selection exit is
+//!   declined whole by any morsel's bail, an aggregate task re-runs just
+//!   its own window on the gather path): batches carrying
 //!   differentiable columns, payload (rank > 1) columns used in computed
 //!   expressions, evaluation type errors (the interpreter re-runs the
 //!   morsel and raises the identical error), a refused scratch charge,
@@ -238,7 +242,7 @@ fn unbound_param(ops: &[MorselOp<'_>], params: &ParamValues) -> Option<String> {
 /// (`SELECT b AS x, a …`). A computed or literal item materializes new
 /// storage in selection space, which resets the selection — those
 /// chains keep the gather exit.
-pub(crate) fn selection_capable(ops: &[MorselOp<'_>]) -> Result<(), &'static str> {
+fn selection_capable(ops: &[MorselOp<'_>]) -> Result<(), &'static str> {
     let computes = |op: &MorselOp<'_>| {
         matches!(op, MorselOp::Project(items)
             if items.iter().any(|it| !matches!(it.expr, CompiledExpr::Column(_))))
@@ -818,9 +822,8 @@ fn compact<T: Copy + Default>(it: impl Iterator<Item = (T, bool)>, cap: usize) -
 /// survivors. [`filter_sel`] demotes a mask to indices the first time
 /// its survivor count drops below `rows / DENSE_DIVISOR`.
 ///
-/// It is also the inter-operator currency of the selection exit mode:
-/// the morsel scheduler hands a `(columns, SelVec)` pair straight to a
-/// barrier stage instead of gathering.
+/// It is also what the selection exit hands on, per window: an aggregate
+/// task folds under it, other barriers take its global row ids.
 pub(crate) enum SelVec {
     /// Mask over all `rows` rows, plus its survivor count.
     Mask(Vec<bool>, usize),

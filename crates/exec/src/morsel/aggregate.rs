@@ -2,13 +2,15 @@
 //! ([`AggProgram`]), one fold per morsel ([`partial_aggregate`] — group
 //! ids resolved in one O(n) pass, every accumulator advanced in one
 //! row-order sweep), partial states merged in morsel order
-//! ([`merge_partials`]). [`run_aggregate`] feeds the fold either dense
-//! per-morsel chain output (the gathered loop) or, when the chain hands
-//! over a selection, the referenced columns of each input morsel read
-//! through it — every shape, grouped or not, takes the same fold.
+//! ([`merge_partials`]). [`run_aggregate`] is one task per live window
+//! that selects and folds it: the referenced stored columns under the
+//! window's own selection when the chain runs on the kernel, the chain's
+//! dense window output otherwise — every shape, grouped or not, takes
+//! the same fold.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use tdp_encoding::EncodedTensor;
 use tdp_sql::ast::AggFunc;
@@ -16,12 +18,12 @@ use tdp_tensor::sort::{group_rows, Groups};
 use tdp_tensor::{F32Tensor, I64Tensor, Tensor};
 
 use super::chain::{self, ChainRun};
-use super::sched::{claim_eval, from_cols, live_windows, morsel_range, to_cols, MorselCols};
+use super::sched::{claim_eval, from_cols, live_windows, to_cols, MorselCols};
 use crate::batch::{Batch, ColumnData};
 use crate::error::ExecError;
 use crate::exact;
 use crate::expr::{eval_expr, Value};
-use crate::kernel::{self, ChainInstance, SelVec};
+use crate::kernel::{ChainInstance, SelVec};
 use crate::memory;
 use crate::physical::{CompiledExpr, PhysAggregate, PhysKey};
 use crate::profile::Recorder;
@@ -214,9 +216,15 @@ impl PartialAgg {
 }
 
 /// Run a fused chain + grouped aggregation, morsel-parallel where safe:
-/// each morsel folds into per-group partial states, merged by a combine
-/// step that walks morsels in index order (deterministic at any thread
-/// count). A single-morsel input is the same thing with one partial.
+/// each live window folds into per-group partial states, merged by a
+/// combine step that walks windows in index order (deterministic at any
+/// thread count). A single-morsel input is the same thing with one
+/// partial. A multi-morsel stage picks its form once: a selection-form
+/// task selects its window and folds the survivors straight out of the
+/// stored columns ([`SelectionForm`]); a gathered-form task — or a
+/// selection task whose kernel bailed — folds the chain's dense window
+/// output. Partials chunk by input window either way, so they are
+/// byte-identical across forms.
 pub(crate) fn run_aggregate(
     input: &Batch,
     chain: &ChainRun<'_>,
@@ -228,8 +236,8 @@ pub(crate) fn run_aggregate(
 ) -> Result<Batch, ExecError> {
     let morsels = chain.morsels;
     let prog = AggProgram::compile(keys, aggregates)?;
-    // Accumulator state the selection-fed fold keeps alive until the
-    // combine step below has consumed it.
+    // Accumulator state every kept partial holds until the combine step
+    // below has consumed it.
     let state = memory::ScopedCharges::new(&ctx.memory);
 
     // `(how the input arrived, why a selection hand-off was declined)`.
@@ -238,34 +246,55 @@ pub(crate) fn run_aggregate(
         let partial = partial_aggregate(&prog, &inp, None, ctx)?;
         (vec![partial], ("single-morsel", None))
     } else {
-        // Selection exit: when the chain runs on the kernel and is
-        // selection-capable, fold straight over its `SelVec` — nothing
-        // is gathered at table width. Partials chunk by *input* morsel
-        // boundaries, so they are byte-identical to the gathered loop's;
-        // a decline (run-time bail, unresolvable shape) falls through to
-        // that loop with nothing recorded.
         let skip = skip.filter(|s| s.len() == morsels);
-        let selected = match chain.kern() {
+        let src = to_cols(input);
+        let form = match chain.kern() {
             // No kernel: the chain's own note already says why.
             None => Err(None),
-            Some(k) => match kernel::selection_capable(chain.ops) {
-                Ok(()) => aggregate_selection(input, k, &prog, skip, &state, ctx)?.map_err(Some),
-                Err(why) => Err(Some(why)),
-            },
+            Some(_) => SelectionForm::of(input, &src, chain, &prog, ctx).map_err(Some),
         };
-        match selected {
-            Ok(partials) => {
-                ctx.access.note_barrier_selection_fed();
-                (partials, ("selection-fed", None))
-            }
-            Err(why) => {
-                if chain.kern().is_some() {
-                    ctx.access.note_barrier_gathered();
+        // Pruned morsels contribute no groups and are not scheduled.
+        let windows = live_windows(skip, ctx.morsel_rows, input.rows());
+        let bailed = AtomicBool::new(false);
+        let folds = claim_eval(windows.len(), ctx, None, |j, wctx| {
+            let (start, end) = windows[j];
+            let selection = form
+                .as_ref()
+                .ok()
+                .map(|f| (f, f.kern.select_window(&src, start, end, wctx)));
+            let partial = match selection {
+                Some((f, Some(sv))) => f.fold(sv, start, end, wctx)?,
+                // The gathered form, or a selection task whose kernel bailed.
+                other => {
+                    bailed.fetch_or(other.is_some(), Ordering::Relaxed);
+                    let batch = from_cols(chain.apply_window(&src, start, end, wctx)?);
+                    match batch.rows() {
+                        0 => None,
+                        _ => Some(partial_aggregate(&prog, &batch, None, wctx)?),
+                    }
                 }
-                let partials = gathered_partials(input, chain, &prog, skip, ctx)?;
-                (partials, ("gathered", why))
+            };
+            if let Some(p) = &partial {
+                state.add("aggregate state", p.state_bytes())?;
             }
+            Ok(partial)
+        });
+        let path = match form {
+            Ok(_) if !bailed.into_inner() => ("selection-fed", None),
+            Ok(_) => ("gathered", Some("kernel-bailout".to_string())),
+            Err(why) => ("gathered", why),
+        };
+        // One count per stage: a declined or bailed selection whatever
+        // the outcome, a selection-fed stage once it has succeeded.
+        if path.1.is_some() {
+            ctx.access.note_barrier_gathered();
         }
+        let folds = folds?;
+        if path.0 == "selection-fed" {
+            ctx.access.note_barrier_selection_fed();
+        }
+        chain::note_skipped(skip, ctx);
+        (folds.into_iter().flatten().flatten().collect(), path)
     };
     if partials.is_empty() {
         // Every morsel filtered to nothing: fold the chain's zero-row
@@ -277,7 +306,12 @@ pub(crate) fn run_aggregate(
     let hashed = partials.iter().any(|p| p.hashed);
     let out = merge_partials(&prog, partials);
     if let Some(r) = rec {
-        r.note_aggregate(aggregate_note(&prog, out.rows(), hashed, path));
+        r.note_aggregate(aggregate_note(
+            &prog,
+            out.rows(),
+            hashed,
+            (path.0, path.1.as_deref()),
+        ));
     }
     Ok(out)
 }
@@ -302,32 +336,6 @@ fn aggregate_note(
         prog.accs.len(),
         prog.args.len(),
     )
-}
-
-/// The gathered loop: every morsel runs the chain to a dense batch and
-/// folds it. Taken when no chain kernel can hand over a selection.
-fn gathered_partials(
-    input: &Batch,
-    chain: &ChainRun<'_>,
-    prog: &AggProgram<'_>,
-    skip: Option<&[bool]>,
-    ctx: &ExecContext,
-) -> Result<Vec<PartialAgg>, ExecError> {
-    let rows = input.rows();
-    let cols = to_cols(input);
-    // Pruned morsels contribute no groups and are not scheduled.
-    // `None` = no row of the morsel survived.
-    let windows = live_windows(skip, ctx.morsel_rows, rows);
-    let partials = claim_eval(windows.len(), ctx, None, |j, wctx| {
-        let (start, end) = windows[j];
-        let batch = from_cols(chain.apply_window(&cols, start, end, wctx)?);
-        if batch.rows() == 0 {
-            return Ok(None);
-        }
-        partial_aggregate(prog, &batch, None, wctx).map(Some)
-    })?;
-    chain::note_skipped(skip, ctx);
-    Ok(partials.into_iter().flatten().flatten().collect())
 }
 
 /// One fold's accumulators, viewed by kind over the partial's own
@@ -606,43 +614,94 @@ pub(crate) fn partial_aggregate(
 }
 
 // ----------------------------------------------------------------------
-// Selection-fed aggregation
+// The selection form
 // ----------------------------------------------------------------------
 
-/// Fold the aggregation directly over a chain's selection exit, one
-/// partial per *input* morsel, with nothing gathered at table width:
-/// every shape — ungrouped or grouped, plain or computed arguments —
-/// runs the ordinary [`partial_aggregate`] per morsel over the columns
-/// the program references ([`selected_partials`]): a dense selection
-/// folds the morsel's row range under its mask slice, a sparse one reads
-/// just the survivors by index.
-///
-/// Partials chunk by input morsel boundaries and visit survivors in row
-/// order, so every float partial is byte-identical to the gathered
-/// loop's. `Err(reason)` = decline (run-time bail, or a shape whose
-/// expressions must not see filtered-out rows): the caller's gathered
-/// loop reproduces the identical result or error, and all counter
-/// accounting is left to it.
-fn aggregate_selection(
-    input: &Batch,
-    kern: &ChainInstance<'_>,
-    prog: &AggProgram<'_>,
-    skip: Option<&[bool]>,
-    state: &memory::ScopedCharges,
-    ctx: &ExecContext,
-) -> Result<Result<Vec<PartialAgg>, &'static str>, ExecError> {
-    let Some((cols, sel, offs)) = chain::selection_exit(input, kern, skip, ctx)? else {
-        return Ok(Err("kernel-bailout"));
-    };
-    let refs = match referenced_cols(prog, &cols, ctx) {
-        Ok(refs) => refs,
-        Err(why) => return Ok(Err(why)),
-    };
-    let _charge = memory::charge(&ctx.memory, "selection vector", (sel.len() as u64 + 1) * 8)?;
-    let partials = selected_partials(prog, &cols, &refs, &sel, &offs, input.rows(), state, ctx)?;
+/// What every task of a selection-form stage shares: the bound kernel,
+/// the chain's output columns (the input's stored columns, remapped, never
+/// copied), the slots of those the program reads, and the program rebound
+/// to just those columns.
+struct SelectionForm<'c, 'q> {
+    kern: &'c ChainInstance<'c>,
+    cols: MorselCols,
+    refs: Vec<usize>,
+    bound: AggProgram<'q>,
+}
 
-    chain::note_skipped(skip, ctx);
-    Ok(Ok(partials))
+impl<'c, 'q> SelectionForm<'c, 'q> {
+    /// The stage's selection form, or the named reason it folds gathered
+    /// windows: the barrier hand-off's decline, the kernel bailing on the
+    /// chain's output columns, or a program [`referenced_cols`] refuses.
+    fn of(
+        input: &Batch,
+        src: &[(String, EncodedTensor)],
+        chain: &'c ChainRun<'c>,
+        prog: &AggProgram<'q>,
+        ctx: &ExecContext,
+    ) -> Result<SelectionForm<'c, 'q>, String> {
+        let kern = chain.selection_kernel(input, ctx)?;
+        let cols = kern.selection_cols(src).ok_or("kernel-bailout")?;
+        let refs = referenced_cols(prog, &cols, ctx)?;
+        Ok(SelectionForm {
+            kern,
+            bound: prog.rebind(&cols, &refs),
+            cols,
+            refs,
+        })
+    }
+
+    /// Fold the survivors `sv` of window `start..end` (`None` when none
+    /// survived) with the rebound program, over the referenced columns
+    /// only, read out of the stored columns by the two read primitives —
+    /// integer-compressed layouts arrive as plain `i64`, as in a gathered
+    /// window. A dense selection folds the window under its mask; a sparse
+    /// one ([`chain::HANDOFF_IDX_DIVISOR`]) reads just the survivors by
+    /// position. Either way survivors are visited in row order, so the
+    /// partial is byte-identical to the gathered window's. Only the
+    /// window's scratch is allocated, and that is what the ledger is
+    /// charged.
+    fn fold(
+        &self,
+        sv: SelVec,
+        start: usize,
+        end: usize,
+        ctx: &ExecContext,
+    ) -> Result<Option<PartialAgg>, ExecError> {
+        if sv.len() == 0 {
+            return Ok(None);
+        }
+        let (mask, ids) = match sv {
+            SelVec::Mask(m, n) if n * chain::HANDOFF_IDX_DIVISOR > end - start => (Some(m), None),
+            sparse => (None, Some(sparse.ids(start))),
+        };
+        let width = ids.as_ref().map_or(end - start, I64Tensor::numel);
+        let mut mini = Batch::new();
+        if self.refs.is_empty() {
+            // A program that reads no column at all (`SUM(2)`) still
+            // needs one to carry the row count.
+            let rows = EncodedTensor::Bool(Tensor::full(&[width], true));
+            mini.push("", ColumnData::Exact(rows));
+        }
+        for &slot in &self.refs {
+            let (name, col) = &self.cols[slot];
+            let col = match &ids {
+                Some(ids) => col.select_rows(ids),
+                None => col.slice_rows(start, end),
+            };
+            mini.push(name.clone(), ColumnData::Exact(col));
+        }
+        // Scratch of this fold: the window's selection, the column reads,
+        // the group ids and one f32 buffer per evaluated argument.
+        let scratch: usize = mask.as_ref().map_or(width * 8, Vec::len)
+            + mini
+                .columns()
+                .iter()
+                .map(|(_, c)| c.to_exact().memory_bytes())
+                .sum::<usize>()
+            + width * 4 * (1 + self.bound.args.len());
+        let _scratch = memory::charge(&ctx.memory, "aggregate scratch", scratch as u64)?;
+        partial_aggregate(&self.bound, &mini, mask.as_deref(), ctx).map(Some)
+    }
 }
 
 /// Ascending column slots the program's key and argument expressions
@@ -676,74 +735,6 @@ fn referenced_cols(
         Some(why) => Err(why),
         None => Ok((0..cols.len()).filter(|&slot| used[slot]).collect()),
     }
-}
-
-/// The selection-fed fold: per input morsel, run the rebound program
-/// over just the referenced columns, read out of the chain's stored
-/// output columns — the morsel's row window under its mask slice when
-/// the selection is dense, the survivors when it is sparse (the two read
-/// primitives: integer-compressed layouts arrive as plain `i64`, as in
-/// the gathered loop's windows). Only per-morsel scratch and the partial
-/// states are ever allocated, and that is what the ledger is charged.
-#[allow(clippy::too_many_arguments)]
-fn selected_partials(
-    prog: &AggProgram<'_>,
-    cols: &MorselCols,
-    refs: &[usize],
-    sel: &SelVec,
-    offs: &[usize],
-    rows: usize,
-    state: &memory::ScopedCharges,
-    ctx: &ExecContext,
-) -> Result<Vec<PartialAgg>, ExecError> {
-    let bound = prog.rebind(cols, refs);
-    let morsel_rows = ctx.morsel_rows;
-    // Only morsels that kept a survivor are scheduled (the others
-    // contribute no partial): a selective filter empties most of them,
-    // and a stage over a single item runs inline, spawning nothing.
-    let live: Vec<usize> = (0..offs.len() - 1)
-        .filter(|&i| offs[i] < offs[i + 1])
-        .collect();
-    let partials = claim_eval(live.len(), ctx, None, |j, wctx| {
-        let i = live[j];
-        let (a, b) = (offs[i], offs[i + 1]);
-        let (start, end) = morsel_range(i, morsel_rows, rows);
-        let (width, mask, survivors) = match sel {
-            SelVec::Mask(m, _) => (end - start, Some(&m[start..end]), None),
-            SelVec::Idx(s) => {
-                let ids: Vec<i64> = s[a..b].iter().map(|&r| r as i64).collect();
-                (b - a, None, Some(Tensor::from_vec(ids, &[b - a])))
-            }
-        };
-        let mut mini = Batch::new();
-        if refs.is_empty() {
-            // A program that reads no column at all (`SUM(2)`) still
-            // needs one to carry the row count.
-            let rows = EncodedTensor::Bool(Tensor::full(&[width], true));
-            mini.push("", ColumnData::Exact(rows));
-        }
-        for &slot in refs {
-            let (name, col) = &cols[slot];
-            let col = match &survivors {
-                Some(ids) => col.select_rows(ids),
-                None => col.slice_rows(start, end),
-            };
-            mini.push(name.clone(), ColumnData::Exact(col));
-        }
-        // Scratch of this fold: the column slices, the group ids and one
-        // f32 buffer per evaluated argument; released with the morsel.
-        let scratch: usize = mini
-            .columns()
-            .iter()
-            .map(|(_, c)| c.to_exact().memory_bytes())
-            .sum::<usize>()
-            + width * 4 * (1 + bound.args.len());
-        let _scratch = memory::charge(&wctx.memory, "aggregate scratch", scratch as u64)?;
-        let partial = partial_aggregate(&bound, &mini, mask, wctx)?;
-        state.add("aggregate state", partial.state_bytes())?;
-        Ok(partial)
-    })?;
-    Ok(partials.into_iter().flatten().collect())
 }
 
 /// Resolve a column ref to its slot in a raw column list, mirroring
@@ -1090,7 +1081,7 @@ mod tests {
     /// a morsel no row of which survives and one whose only survivors
     /// are NaN (MIN/MAX stay ±inf, the sums go NaN). Whatever the
     /// statement, the masked fold and the fold over survivors read by
-    /// index — the two arms `selected_partials` picks between — agree
+    /// index — the two arms `SelectionForm::fold` picks between — agree
     /// to the bit, NaN sign and payload included.
     #[test]
     fn fused_partials_are_bitwise_the_segment_sum_reference() {

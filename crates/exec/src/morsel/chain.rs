@@ -4,13 +4,15 @@
 //! chain-kernel verdict — computed once at the execution boundary and
 //! shared by every path that runs or describes the chain), the streaming
 //! run with its optional LIMIT sink ([`run_ops`]), and the chain→barrier
-//! hand-off ([`chain_barrier_input`]: selection exit or gathered).
+//! hand-off ([`chain_barrier_input`]): one [`BarrierInput`] shape, stored
+//! columns plus survivor ids from the selection exit, or a gathered batch.
 //!
 //! Nothing here runs ahead of the workers: a multi-morsel chain is a
 //! stage whose tasks address their morsel as a row window over the
 //! input's own stored columns (`apply_window`, `selection_exit`), over
-//! the unpruned morsels only; the session thread concatenates parts or
-//! stitches window-local selections, and that is all.
+//! the unpruned morsels only; the session thread concatenates the
+//! windows' parts — gathered rows or global survivor ids — and that is
+//! all.
 
 use super::sched::{
     claim_eval, from_cols, live_windows, num_morsels, slice_cols, to_cols, MorselCols, StopAfter,
@@ -19,14 +21,14 @@ use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::exact;
 use crate::expr::eval_expr;
-use crate::kernel::{self, ChainInstance, Refusal, SelVec};
+use crate::kernel::{self, ChainInstance, Refusal};
 use crate::memory;
 use crate::params::ParamValue;
 use crate::physical::{CompiledExpr, PhysAggregate, PhysKey};
 use crate::pipeline::MorselOp;
 use crate::udf::ExecContext;
 use tdp_encoding::EncodedTensor;
-use tdp_tensor::I64Tensor;
+use tdp_tensor::{I64Tensor, Tensor};
 
 // ----------------------------------------------------------------------
 // Parallel-safety analysis
@@ -365,90 +367,167 @@ pub(crate) fn run_ops(
 }
 
 // ----------------------------------------------------------------------
-// Selection-fed barrier inputs (late materialization)
+// The chain→barrier hand-off (late materialization)
 // ----------------------------------------------------------------------
 
-/// Survivor-fraction bound for demoting a selection mask to an index
-/// list at a chain→barrier hand-off: demote only when at most rows/4
-/// survive. The kernel's internal rows/2 bound is tuned for
-/// intersecting *further conjuncts*; barrier consumers instead replace
-/// branchless full-width passes (masked folds, sequential filters) with
+/// Survivor-fraction bound at a chain→barrier hand-off: a selection
+/// keeping at most `rows / HANDOFF_IDX_DIVISOR` of its rows is sparse. It
+/// sets how an aggregate task folds its window (survivors read by
+/// position when sparse, the whole window under its mask otherwise) and
+/// the density note a selection-fed barrier reports (`3% dense→sparse`).
+/// The kernel's internal rows/2 bound is tuned for intersecting *further
+/// conjuncts*; a barrier instead trades branchless full-width passes for
 /// per-survivor indexed reads, which only pays off when survivors are
 /// genuinely sparse.
-const HANDOFF_IDX_DIVISOR: usize = 4;
+pub(super) const HANDOFF_IDX_DIVISOR: usize = 4;
 
-/// A chain's selection exit, as every barrier consumes it: the chain's
-/// output columns (the input's stored columns, remapped, never copied)
-/// and the selection over them. One stage over the morsels the zone
-/// maps left, each task evaluating the chain's filters over its row
-/// window with its worker's context ([`ChainInstance::select_window`]).
-/// The window-local selections are stitched here, in morsel order, into
-/// the one global `SelVec` consumers walk: a survivor index list when
-/// at most `rows / HANDOFF_IDX_DIVISOR` rows survive **in total**, else
-/// a mask — however survivors spread over morsels. Third comes the
-/// survivor-count prefix over *input* morsel boundaries: morsel `i`'s
-/// survivors occupy `[offs[i], offs[i + 1])` in selection space. `None`
-/// = the kernel bailed at run time, in any task.
-pub(super) fn selection_exit(
+/// What a barrier (join, sort, top-k, DISTINCT) is handed: a batch and,
+/// when a chain's selection exit fed it, the survivors' ascending global
+/// row ids in it — the shape [`exact::JoinInput`] names. `ids: None` is a
+/// dense batch whose position is its row id. With ids, `batch` is the
+/// chain's output columns at full input width, **as stored**: values are
+/// read at survivor rows through [`EncodedTensor::select_rows`], which
+/// hands integer-compressed layouts over as plain `i64` — the bytes the
+/// gathered path's per-morsel windows produce — and the one payload
+/// gather is the barrier's own last step, so memory charges scale with
+/// survivors, not input width.
+pub(crate) struct BarrierInput {
+    pub(super) batch: Batch,
+    pub(super) ids: Option<I64Tensor>,
+    /// With ids, the selection density (`3% dense→sparse`); without, why
+    /// a chain's selection exit was declined (`None`: no chain in play).
+    note: Option<String>,
+    /// Holds the survivor ids on the query's ledger while they live.
+    _charge: Option<memory::ChargeGuard>,
+}
+
+impl BarrierInput {
+    /// A dense input, with the reason a candidate chain's selection exit
+    /// was declined.
+    pub(crate) fn gathered(batch: Batch, declined: Option<String>) -> BarrierInput {
+        BarrierInput {
+            batch,
+            ids: None,
+            note: declined,
+            _charge: None,
+        }
+    }
+
+    /// Logical (post-filter) row count.
+    pub(crate) fn rows_out(&self) -> usize {
+        self.ids
+            .as_ref()
+            .map_or(self.batch.rows(), I64Tensor::numel)
+    }
+
+    pub(super) fn input(&self) -> exact::JoinInput<'_> {
+        (&self.batch, self.ids.as_ref())
+    }
+
+    /// Every column read at the global row ids `idx` (survivors, in
+    /// whatever order the barrier emits them).
+    pub(super) fn gather(&self, idx: &I64Tensor) -> Batch {
+        exact::select_batch(&self.batch, idx)
+    }
+
+    pub(super) fn into_gathered(self) -> Batch {
+        match &self.ids {
+            Some(ids) => self.gather(ids),
+            None => self.batch,
+        }
+    }
+
+    /// The profile note for this input: `selection-fed (3% dense→sparse)`
+    /// or `gathered: <reason>`; `None` when no chain was in play.
+    pub(crate) fn note(&self) -> Option<String> {
+        let note = self.note.as_deref()?;
+        Some(match self.ids {
+            Some(_) => format!("selection-fed ({note})"),
+            None => format!("gathered: {note}"),
+        })
+    }
+
+    /// Selection density note (`3% dense→sparse`) when selection-fed.
+    pub(crate) fn density(&self) -> Option<&str> {
+        self.ids.as_ref().and(self.note.as_deref())
+    }
+}
+
+/// Build a barrier's input from its upstream chain: the selection exit
+/// when the chain supports it, otherwise the ordinary gathered morsel run
+/// with the named decline reason attached. Ticks the selection-fed /
+/// gathered barrier counter once per hand-off, so plain and profiled
+/// executions account identically ([`super::run_aggregate`] ticks the
+/// same pair for the stage it selects and folds itself).
+pub(crate) fn chain_barrier_input(
+    input: &Batch,
+    chain: &ChainRun<'_>,
+    skip: Option<&[bool]>,
+    ctx: &ExecContext,
+) -> Result<BarrierInput, ExecError> {
+    let declined = match chain.selection_kernel(input, ctx) {
+        Ok(kern) => {
+            let skip = skip.filter(|s| s.len() == chain.morsels);
+            if let Some(selected) = selection_exit(input, kern, skip, ctx)? {
+                ctx.access.note_barrier_selection_fed();
+                return Ok(selected);
+            }
+            "kernel-bailout".to_string()
+        }
+        Err(reason) => reason,
+    };
+    ctx.access.note_barrier_gathered();
+    let batch = run_ops(input, chain, None, skip, ctx)?;
+    Ok(BarrierInput::gathered(batch, Some(declined)))
+}
+
+/// A chain's selection exit: its output columns (the input's stored
+/// columns, remapped, never copied) and the survivors' ascending global
+/// row ids. One stage over the morsels the zone maps left, each task
+/// evaluating the chain's filters over its row window with its worker's
+/// context ([`ChainInstance::select_window`]) and turning the survivors
+/// into global ids there; the session thread only concatenates them.
+/// `None` = the kernel bailed at run time, in any task: the caller
+/// gathers instead, and does its own zone-map accounting.
+fn selection_exit(
     input: &Batch,
     kern: &ChainInstance<'_>,
     skip: Option<&[bool]>,
     ctx: &ExecContext,
-) -> Result<Option<(MorselCols, SelVec, Vec<usize>)>, ExecError> {
-    let (rows, morsel_rows) = (input.rows(), ctx.morsel_rows);
-    let src = to_cols(input);
-    // Global row ids are `u32`: a wider input has no selection form.
-    let Some(cols) = kern
-        .selection_cols(&src)
-        .filter(|_| rows <= u32::MAX as usize)
-    else {
+) -> Result<Option<BarrierInput>, ExecError> {
+    let (rows, src) = (input.rows(), to_cols(input));
+    let Some(cols) = kern.selection_cols(&src) else {
         return Ok(None);
     };
-    let morsels = num_morsels(rows, morsel_rows);
-    let windows = live_windows(skip, morsel_rows, rows);
-    let locals = claim_eval(windows.len(), ctx, None, |j, wctx| {
+    let windows = live_windows(skip, ctx.morsel_rows, rows);
+    let parts = claim_eval(windows.len(), ctx, None, |j, wctx| {
         let (start, end) = windows[j];
-        // Demoted in the task, in parallel: the stitch copies ids.
-        Ok(kern.select_window(&src, start, end, wctx).map(|sv| {
-            match sv.len() * HANDOFF_IDX_DIVISOR <= end - start {
-                true => SelVec::Idx(sv.into_idx()),
-                false => sv,
-            }
-        }))
+        Ok(kern
+            .select_window(&src, start, end, wctx)
+            .map(|sv| sv.ids(start)))
     })?;
-    let Some(locals) = locals
-        .into_iter()
-        .flatten()
-        .collect::<Option<Vec<SelVec>>>()
-    else {
+    let Some(parts) = parts.into_iter().flatten().collect::<Option<Vec<_>>>() else {
         return Ok(None);
     };
-    let mut offs = vec![0; morsels + 1];
-    for ((start, _), local) in windows.iter().zip(&locals) {
-        offs[start / morsel_rows + 1] = local.len();
-    }
-    for i in 0..morsels {
-        offs[i + 1] += offs[i];
-    }
-    let survivors = offs[morsels];
-    let locals = windows.iter().map(|&(start, _)| start).zip(locals);
-    let sel = if survivors * HANDOFF_IDX_DIVISOR <= rows {
-        let mut idx = Vec::with_capacity(survivors);
-        for (start, local) in locals {
-            idx.extend(local.into_idx().into_iter().map(|r| start as u32 + r));
-        }
-        SelVec::Idx(idx)
-    } else {
-        let mut mask = vec![false; rows];
-        for (start, local) in locals {
-            match local {
-                SelVec::Mask(m, _) => mask[start..start + m.len()].copy_from_slice(&m),
-                SelVec::Idx(s) => s.iter().for_each(|&r| mask[start + r as usize] = true),
-            }
-        }
-        SelVec::Mask(mask, survivors)
+    note_skipped(skip, ctx);
+    let survivors: usize = parts.iter().map(I64Tensor::numel).sum();
+    let charge = memory::charge(&ctx.memory, "selection vector", (survivors as u64 + 1) * 8)?;
+    let ids = parts
+        .iter()
+        .map(I64Tensor::data)
+        .collect::<Vec<_>>()
+        .concat();
+    let pct = (survivors * 100).div_ceil(rows.max(1));
+    let sparse = match survivors * HANDOFF_IDX_DIVISOR <= rows {
+        true => "→sparse",
+        false => "",
     };
-    Ok(Some((cols, sel, offs)))
+    Ok(Some(BarrierInput {
+        batch: from_cols(cols),
+        ids: Some(Tensor::from_vec(ids, &[survivors])),
+        note: Some(format!("{pct}% dense{sparse}")),
+        _charge: Some(charge),
+    }))
 }
 
 /// Account a selection exit's zone-map outcome: the chain never touched
@@ -459,158 +538,4 @@ pub(super) fn note_skipped(skip: Option<&[bool]>, ctx: &ExecContext) {
         ctx.access
             .note_morsels(pruned as u64, (s.len() - pruned) as u64);
     }
-}
-
-/// A chain's selection-exit hand-off: the (remapped, still full-width)
-/// output columns plus the surviving-row selection, consumed by the
-/// barrier `run_*` entry points through [`BarrierInput::Selected`]. The
-/// single payload gather the gathered path performs per morsel is
-/// deferred to the barrier's own assembly step, so memory charges scale
-/// with survivors, not morsel width.
-pub(crate) struct SelScan {
-    /// Chain output columns at full input width, **as stored**. Values
-    /// are read at survivor rows through [`EncodedTensor::select_rows`]
-    /// ([`SelScan::gather`], key extraction, the join assembly), which
-    /// hands integer-compressed layouts over as plain `i64`: the bytes
-    /// the gathered path's per-morsel windows produce.
-    pub(super) batch: Batch,
-    pub(super) sel: SelVec,
-    /// Human-readable density note (`3% dense→sparse`) for profiles.
-    density: String,
-    /// Holds the selection-vector bytes on the query's ledger for the
-    /// scan's lifetime.
-    _charge: memory::ChargeGuard,
-}
-
-impl SelScan {
-    /// Global surviving row ids, ascending.
-    pub(super) fn ids(&self) -> I64Tensor {
-        self.sel.ids(0)
-    }
-
-    /// The deferred gather: every column read at the global row ids
-    /// `idx` (survivors, in whatever order the barrier emits them).
-    pub(super) fn gather(&self, idx: &I64Tensor) -> Batch {
-        exact::select_batch(&self.batch, idx)
-    }
-}
-
-/// One barrier input: either a densely materialized batch (with the
-/// named reason selection was declined, when a chain was a candidate)
-/// or a live selection over full-width chain output.
-pub(crate) enum BarrierInput {
-    Gathered(Batch, Option<String>),
-    Selected(SelScan),
-}
-
-impl BarrierInput {
-    /// Logical (post-filter) row count.
-    pub(crate) fn rows_out(&self) -> usize {
-        match self {
-            BarrierInput::Gathered(b, _) => b.rows(),
-            BarrierInput::Selected(s) => s.sel.len(),
-        }
-    }
-
-    pub(super) fn has_diff(&self) -> bool {
-        match self {
-            BarrierInput::Gathered(b, _) => b.has_diff(),
-            // Selection-exit chains bail on differentiable inputs.
-            BarrierInput::Selected(_) => false,
-        }
-    }
-
-    pub(super) fn columns_len(&self) -> usize {
-        match self {
-            BarrierInput::Gathered(b, _) => b.columns().len(),
-            BarrierInput::Selected(s) => s.batch.columns().len(),
-        }
-    }
-
-    pub(super) fn into_gathered(self) -> Batch {
-        match self {
-            BarrierInput::Gathered(b, _) => b,
-            BarrierInput::Selected(s) => s.gather(&s.ids()),
-        }
-    }
-
-    /// The profile note for this input: `selection-fed (3% dense→sparse)`
-    /// or `gathered: <reason>`; `None` when no chain was in play.
-    pub(crate) fn note(&self) -> Option<String> {
-        match self {
-            BarrierInput::Selected(s) => Some(format!("selection-fed ({})", s.density)),
-            BarrierInput::Gathered(_, Some(reason)) => Some(format!("gathered: {reason}")),
-            BarrierInput::Gathered(_, None) => None,
-        }
-    }
-
-    /// Selection density note (`3% dense→sparse`) when selection-fed.
-    pub(crate) fn density(&self) -> Option<&str> {
-        match self {
-            BarrierInput::Selected(s) => Some(&s.density),
-            BarrierInput::Gathered(..) => None,
-        }
-    }
-}
-
-/// Build a barrier's input from its upstream chain: selection exit when
-/// the chain supports it, otherwise the ordinary gathered morsel run
-/// with the named decline reason attached. The one place the
-/// selection-fed / gathered barrier counters tick, so plain and
-/// profiled executions account identically.
-pub(crate) fn chain_barrier_input(
-    input: &Batch,
-    chain: &ChainRun<'_>,
-    skip: Option<&[bool]>,
-    ctx: &ExecContext,
-) -> Result<BarrierInput, ExecError> {
-    Ok(match selection_scan(input, chain, skip, ctx)? {
-        Ok(scan) => {
-            ctx.access.note_barrier_selection_fed();
-            BarrierInput::Selected(scan)
-        }
-        Err(reason) => {
-            ctx.access.note_barrier_gathered();
-            let batch = run_ops(input, chain, None, skip, ctx)?;
-            BarrierInput::Gathered(batch, Some(reason))
-        }
-    })
-}
-
-/// Run a barrier's upstream chain in selection exit mode. `Err` carries
-/// the named decline reason (verdict, capability, sizing, bail-out); the
-/// caller then takes the gathered path, which does its own zone-map
-/// accounting — morsel counters are only recorded here on success.
-fn selection_scan(
-    input: &Batch,
-    chain: &ChainRun<'_>,
-    skip: Option<&[bool]>,
-    ctx: &ExecContext,
-) -> Result<Result<SelScan, String>, ExecError> {
-    let kern = match chain.selection_kernel(input, ctx) {
-        Ok(kern) => kern,
-        Err(reason) => return Ok(Err(reason)),
-    };
-    let skip = skip.filter(|s| s.len() == chain.morsels);
-    let Some((cols, sel, _)) = selection_exit(input, kern, skip, ctx)? else {
-        return Ok(Err("kernel-bailout".into()));
-    };
-    note_skipped(skip, ctx);
-    let (rows, survivors) = (input.rows(), sel.len());
-    let charge = memory::charge(&ctx.memory, "selection vector", (survivors as u64 + 1) * 8)?;
-    let pct = if rows == 0 {
-        0
-    } else {
-        (survivors * 100).div_ceil(rows)
-    };
-    let density = match &sel {
-        SelVec::Mask(..) => format!("{pct}% dense"),
-        SelVec::Idx(_) => format!("{pct}% dense→sparse"),
-    };
-    Ok(Ok(SelScan {
-        batch: from_cols(cols),
-        sel,
-        density,
-        _charge: charge,
-    }))
 }

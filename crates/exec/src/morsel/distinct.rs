@@ -38,8 +38,8 @@ pub(crate) fn run_distinct(
     rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
     let rows = input.rows_out();
-    let ncols = input.columns_len();
-    let diff = input.has_diff();
+    let ncols = input.batch.columns().len();
+    let diff = input.batch.has_diff();
     let (staged, reason) =
         stage_decision(rows, diff.then(|| "differentiable-input".to_string()), ctx);
     if !(staged && ncols > 0) {
@@ -67,29 +67,22 @@ pub(crate) fn run_distinct(
     // payload gather to the final representative select.
     let charges = memory::ScopedCharges::new(&ctx.memory);
     charges.add("distinct key codes", (rows * 8 * ncols) as u64)?;
-    let (batch, ids) = match &input {
-        BarrierInput::Gathered(b, _) => (b, None),
-        BarrierInput::Selected(s) => (&s.batch, Some(s.ids())),
-    };
-    let codes: exact::KeyCodes = batch
+    let codes: exact::KeyCodes = input
+        .batch
         .columns()
         .iter()
-        .map(|(_, c)| exact::key_codes_at(&c.to_exact(), ids.as_ref()))
+        .map(|(_, c)| exact::key_codes_at(&c.to_exact(), input.ids.as_ref()))
         .collect::<Result<_, _>>()?;
     // Representatives come back as survivor positions; map them to
     // global ids (still ascending) for the one deferred gather.
     let mut rep = distinct_reps(&codes, rows, &charges, ctx)?;
-    if let Some(ids) = &ids {
+    if let Some(ids) = &input.ids {
         for r in &mut rep {
             *r = ids.at(*r as usize);
         }
     }
     let n = rep.len();
-    let rep = Tensor::from_vec(rep, &[n]);
-    Ok(match &input {
-        BarrierInput::Gathered(b, _) => exact::select_batch(b, &rep),
-        BarrierInput::Selected(s) => s.gather(&rep),
-    })
+    Ok(input.gather(&Tensor::from_vec(rep, &[n])))
 }
 
 /// Exchange + shared-nothing dedup over precomputed grouping codes:

@@ -29,42 +29,6 @@ fn join_build_bytes(rows: usize) -> u64 {
     rows as u64 * (8 + 4 + 16)
 }
 
-/// One join input normalized for the staged stages: a (possibly
-/// full-width, columns as stored) batch plus the optional global
-/// survivor-id list. `None` ids = a dense batch whose position *is* its
-/// row id. Positions map to
-/// ascending global ids, so bucketing/probing positions in order visits
-/// exactly the rows the gathered path would, in the same order.
-struct JoinSide {
-    batch: Batch,
-    ids: Option<I64Tensor>,
-}
-
-impl JoinSide {
-    fn of(input: BarrierInput) -> JoinSide {
-        match input {
-            BarrierInput::Gathered(batch, _) => JoinSide { batch, ids: None },
-            BarrierInput::Selected(s) => {
-                let ids = s.ids();
-                JoinSide {
-                    batch: s.batch,
-                    ids: Some(ids),
-                }
-            }
-        }
-    }
-
-    fn input(&self) -> exact::JoinInput<'_> {
-        (&self.batch, self.ids.as_ref())
-    }
-
-    fn rows(&self) -> usize {
-        self.ids
-            .as_ref()
-            .map_or(self.batch.rows(), I64Tensor::numel)
-    }
-}
-
 /// Partitioned hash join: exchange the build (right) side into
 /// per-partition tables, then probe left morsels in parallel.
 ///
@@ -94,7 +58,7 @@ pub(crate) fn run_join(
     // Joins carry no key expressions (keys are resolved column refs), so
     // the only capability reason is a differentiable input; either side
     // spanning more than one morsel is enough to stage.
-    let diff = left.has_diff() || right.has_diff();
+    let diff = left.batch.has_diff() || right.batch.has_diff();
     let (staged, reason) = stage_decision(
         left.rows_out().max(right.rows_out()),
         diff.then(|| "differentiable-input".to_string()),
@@ -109,18 +73,18 @@ pub(crate) fn run_join(
         let _charge = memory::charge(&ctx.memory, "join build", join_build_bytes(right.rows()))?;
         return exact::join_batches(&left, &right, kind, on);
     }
-    let (lside, rside) = (JoinSide::of(left), JoinSide::of(right));
     // Workers must not capture the batches (autodiff columns are not
     // `Sync`); the bare id slices carry everything the stages emit.
-    let (lcodes, rcodes) = exact::join_key_codes(on, lside.input(), rside.input())?;
-    let lids = lside.ids.as_ref().map(I64Tensor::data);
-    let rids = rside.ids.as_ref().map(I64Tensor::data);
+    let (lcodes, rcodes) = exact::join_key_codes(on, left.input(), right.input())?;
+    let lids = left.ids.as_ref().map(I64Tensor::data);
+    let rids = right.ids.as_ref().map(I64Tensor::data);
     let (lkeys, rkeys) = (exact::code_refs(&lcodes), exact::code_refs(&rcodes));
-    let lhashes = hash_rows(&lkeys, lside.rows());
-    let rhashes = hash_rows(&rkeys, rside.rows());
+    let (rows, rrows) = (left.rows_out(), right.rows_out());
+    let lhashes = hash_rows(&lkeys, rows);
+    let rhashes = hash_rows(&rkeys, rrows);
     let partitions = ctx.partitions.max(1);
-    let build = num_morsels(rside.rows(), ctx.morsel_rows);
-    let probe = num_morsels(lside.rows(), ctx.morsel_rows);
+    let build = num_morsels(rrows, ctx.morsel_rows);
+    let probe = num_morsels(rows, ctx.morsel_rows);
     note_staged(
         rec,
         build + probe,
@@ -135,7 +99,7 @@ pub(crate) fn run_join(
     // Stage 1: exchange build-side positions into partitions. Survivor
     // positions (not morsel width) are what gets scattered, so a
     // selective chain charges and shuffles only what survived.
-    charges.add("join exchange", rside.rows() as u64 * 4)?;
+    charges.add("join exchange", rrows as u64 * 4)?;
     let parts = exchange(&rhashes, partitions, ctx)?;
 
     // Stage 2: shared-nothing per-partition table build.
@@ -145,7 +109,6 @@ pub(crate) fn run_join(
     })?;
 
     // Stage 3: probe left morsels in parallel; morsel-order reassembly.
-    let rows = lside.rows();
     let morsel_rows = ctx.morsel_rows;
     let probes = claim(probe, ctx.threads, |i| {
         let (start, end) = morsel_range(i, morsel_rows, rows);
@@ -160,5 +123,5 @@ pub(crate) fn run_join(
         pairs.right.extend(p.right);
         pairs.unmatched.extend(p.unmatched);
     }
-    exact::join_assemble(lside.input().0, rside.input(), kind, pairs, ctx.threads)
+    exact::join_assemble(&left.batch, right.input(), kind, pairs, ctx.threads)
 }

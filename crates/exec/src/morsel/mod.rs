@@ -5,14 +5,14 @@
 //! | module        | owns |
 //! |---------------|------|
 //! | `sched`       | worker contexts, the one thread-spawn site, the one claim loop (ordered result slots, first error in index order, the LIMIT stop bound), the partition `exchange`, morsel ranges and the interpreter's window slices |
-//! | `chain`       | parallel-safety analysis, the per-execution `ChainRun`, the streaming chain run with its LIMIT sink, the per-morsel selection stage and the chain→barrier hand-off it stitches (`BarrierInput`: selection exit or gathered) |
-//! | `aggregate`   | `AggProgram`, the one per-morsel fold, the selection-fed and gathered partial loops, the combine |
+//! | `chain`       | parallel-safety analysis, the per-execution `ChainRun`, the streaming chain run with its LIMIT sink, the per-morsel selection stage and the chain→barrier hand-off (`BarrierInput`: stored columns plus survivor ids, or a gathered batch) |
+//! | `aggregate`   | `AggProgram`, the one per-morsel fold, the one claim that selects (or gathers) and folds each window, the combine |
 //! | `join`        | partitioned hash join over `i64` key codes: hash once → exchange → per-partition flat table → parallel probe → per-column assembly |
 //! | `sort`        | merge sort and top-k: per-morsel runs → k-way merge |
 //! | `distinct`    | shared-nothing DISTINCT on the same codes, hash and table: exchange → per-partition insert-if-absent |
 //!
 //! The barrier modules share nothing but the scheduler API and the
-//! `BarrierInput` they are handed.
+//! `BarrierInput` shape they are handed.
 //!
 //! Determinism is the contract: morsel boundaries depend only on
 //! [`crate::ExecContext::morsel_rows`], partition assignment only on the
@@ -27,30 +27,31 @@
 //! # Chain exit modes: gathered vs selection-fed barriers
 //!
 //! A chain running on the kernel and feeding a barrier has two ways to
-//! hand over its result (`BarrierInput`). Either way a morsel is a row
-//! window over the input's own stored columns, evaluated by the worker
-//! that claimed it; morsels the zone maps pruned are never scheduled.
+//! hand over its result. Either way a morsel is a row window over the
+//! input's own stored columns, evaluated by the worker that claimed it;
+//! morsels the zone maps pruned are never scheduled.
 //!
 //! * **Gathered** — the classic exit: every morsel gathers its
 //!   survivors (one read per output column, straight out of the stored
 //!   column), the parts concatenate into a dense
 //!   [`Batch`](crate::Batch). Always available; the only exit for
 //!   non-chain children.
-//! * **Selected** — late materialisation: a stage of per-morsel filter
-//!   evaluations, stitched in morsel order into one global
-//!   `kernel::SelVec` (sparse index list up to a quarter of the rows,
-//!   dense mask beyond) over the chain's output columns, which stay
-//!   **as stored** — nothing is decoded or copied for the hand-off. The
-//!   barrier works on survivor row ids and reads values through the one
-//!   row-movement family (`EncodedTensor::slice_rows` / `select_rows`); the
-//!   single gather is deferred to final assembly — join output
-//!   positions, sorted order, DISTINCT representatives — so dropped
-//!   rows are never copied, and memory charges scale with survivors
-//!   instead of input width.
+//! * **Selection-fed** — late materialisation: per-morsel filter
+//!   evaluations over the chain's output columns, which stay **as
+//!   stored** — nothing is decoded or copied for the hand-off, and no
+//!   table-wide mask exists. An aggregate selects and folds each window
+//!   in one task; join, sort, top-k and DISTINCT take one
+//!   `BarrierInput` — the stored columns plus the survivors' ascending
+//!   global row ids, each task turning its window's survivors into ids.
+//!   Values are read through the one row-movement family
+//!   (`EncodedTensor::slice_rows` / `select_rows`); the single gather is
+//!   deferred to final assembly — join output positions, sorted order,
+//!   DISTINCT representatives — so dropped rows are never copied, and
+//!   memory charges scale with survivors instead of input width.
 //!
 //! | barrier    | selection-fed behaviour |
 //! |------------|-------------------------|
-//! | aggregate  | one partial per input morsel from the fused fold over the *referenced* columns only — the morsel's row window under its mask slice (dense) or its survivors read by position (sparse); grouped or not, nothing is gathered at table width |
+//! | aggregate  | one task per input morsel selects it and folds the *referenced* columns only — the row window under the window's mask (dense) or its survivors read by position (sparse: at most a quarter survive); grouped or not, nothing is gathered at table width and no table-wide selection exists |
 //! | join       | key codes are read at survivor rows only; the exchange, tables and probe work on survivor positions; `join_assemble` reads each output column once, at the matched global row ids |
 //! | sort/top-k | reads keys at survivor rows; payload gather happens once, in final sorted order |
 //! | DISTINCT   | grouping codes are read at survivor rows only; first occurrences gather at the end |
@@ -76,7 +77,8 @@
 //!   `single-morsel` (nothing to parallelise), `kernel-compile` (this
 //!   execution's `$n` bindings left no kernel to run — the chain's own
 //!   note names the slot), `kernel-bailout` (the kernel bailed at run
-//!   time — the per-morsel interpreter re-run remains the fallback);
+//!   time — the per-morsel interpreter re-run remains the fallback; an
+//!   aggregate re-runs only the windows that bailed);
 //!   for the aggregate sink also `udf-argument`,
 //!   `scalar-subquery` and `unresolved-column` (argument expressions
 //!   that must not see filtered-out rows).
@@ -112,7 +114,7 @@ pub(crate) use chain::{
 pub(crate) use distinct::run_distinct;
 pub(crate) use join::run_join;
 pub(crate) use sched::{claim, MorselCols};
-pub(crate) use sort::{run_sort, run_topk};
+pub(crate) use sort::run_sort;
 
 use crate::physical::PhysicalPlan;
 use crate::udf::ExecContext;

@@ -5,7 +5,7 @@
 use tdp_encoding::EncodedTensor;
 use tdp_tensor::{I64Tensor, Tensor};
 
-use super::chain::{expr_fallback, BarrierInput, SelScan};
+use super::chain::{expr_fallback, BarrierInput};
 use super::sched::{
     claim, claim_eval, morsel_range, note_sequential, note_staged, num_morsels, slice_cols,
     stage_decision, to_cols,
@@ -27,7 +27,7 @@ fn sort_decision(
     keys: &[PhysOrderKey],
     ctx: &ExecContext,
 ) -> (bool, Option<String>) {
-    let reason = if input.has_diff() {
+    let reason = if input.batch.has_diff() {
         Some("differentiable-input".to_string())
     } else {
         keys.iter().find_map(|k| expr_fallback(&k.expr, ctx))
@@ -196,7 +196,7 @@ fn sorted_order(
 /// global position, so the merged order equals the stable whole-batch
 /// sort and the single payload gather happens once, at the end.
 fn sort_selected(
-    s: &SelScan,
+    batch: &Batch,
     ids: &I64Tensor,
     gathered_keys: Vec<SortKeyCol>,
     keys: &[PhysOrderKey],
@@ -204,7 +204,7 @@ fn sort_selected(
     charges: &memory::ScopedCharges,
     ctx: &ExecContext,
 ) -> Result<Batch, ExecError> {
-    let n = s.sel.len();
+    let n = ids.numel();
     let morsel_rows = ctx.morsel_rows;
     let morsels = num_morsels(n, morsel_rows);
     let runs: Vec<SortRun> = claim(morsels, ctx.threads, |i| {
@@ -223,39 +223,31 @@ fn sort_selected(
         .map(|p| ids.at(p as usize))
         .collect();
     let len = idx.len();
-    Ok(s.gather(&Tensor::from_vec(idx, &[len])))
+    Ok(exact::select_batch(batch, &Tensor::from_vec(idx, &[len])))
 }
 
 /// Resolve sort keys as plain column refs over a selection's full-width
-/// batch and read them at the survivor rows `ids` — the only evaluation
-/// the selection-fed sort path needs. `None` when any key is a computed
-/// expression (the caller gathers and takes the staged path).
+/// batch — exactly as the expression evaluator resolves them — and read
+/// them at the survivor rows `ids`: the only evaluation the selection-fed
+/// sort path needs. `None` when any key is a computed expression (the
+/// caller gathers and takes the staged path).
 fn gather_sort_keys(
-    s: &SelScan,
+    batch: &Batch,
     ids: &I64Tensor,
     keys: &[PhysOrderKey],
 ) -> Result<Option<Vec<SortKeyCol>>, ExecError> {
-    let mut srcs = Vec::with_capacity(keys.len());
-    for k in keys {
-        let CompiledExpr::Column(r) = &k.expr else {
-            return Ok(None);
-        };
-        match resolve_col(&s.batch, r) {
-            Some(c) => srcs.push(c),
-            None => return Ok(None),
-        }
-    }
-    let mut out = Vec::with_capacity(srcs.len());
-    for c in srcs {
-        out.push(SortKeyCol::of(&c.select_rows(ids))?);
-    }
-    Ok(Some(out))
-}
-
-/// Resolve a physical column ref against a batch exactly as the
-/// expression evaluator does ([`crate::physical::ColumnRef::resolve`]).
-fn resolve_col(batch: &Batch, r: &crate::physical::ColumnRef) -> Option<EncodedTensor> {
-    r.resolve(batch).ok().map(|c| c.to_exact())
+    let srcs: Option<Vec<EncodedTensor>> = keys
+        .iter()
+        .map(|k| match &k.expr {
+            CompiledExpr::Column(r) => r.resolve(batch).ok().map(|c| c.to_exact()),
+            _ => None,
+        })
+        .collect();
+    let Some(srcs) = srcs else {
+        return Ok(None);
+    };
+    let cols = srcs.iter().map(|c| SortKeyCol::of(&c.select_rows(ids)));
+    cols.collect::<Result<_, _>>().map(Some)
 }
 
 /// K-way merge of sorted runs into a global row-index order, stopping
@@ -327,84 +319,54 @@ fn merge_runs(runs: &[SortRun], keys: &[PhysOrderKey], limit: Option<usize>) -> 
     out
 }
 
-/// Parallel merge sort: per-morsel sorted runs, k-way merged under the
+/// Parallel merge sort — or top-`k`, whose runs keep only their k best
+/// rows and merge O(k·m): per-morsel sorted runs, k-way merged under the
 /// stable `(keys…, input position)` order. Byte-identical to
-/// [`exact::sort_batch`], which remains the fallback and the oracle. A
-/// selection-fed input whose keys are plain column refs gathers only
-/// the key columns up front; the payload gather happens once, on the
-/// merged order.
+/// [`exact::sort_batch`] / [`exact::topk_batch`] (the first k rows of the
+/// full stable sort), which remain the fallback and the oracle. A
+/// selection-fed input whose keys are plain column refs reads only the
+/// key columns, at its survivors, and gathers the payload once, in
+/// sorted order; computed keys need per-morsel evaluation over dense
+/// rows, so such an input is gathered first.
 pub(crate) fn run_sort(
     input: BarrierInput,
     keys: &[PhysOrderKey],
+    k: Option<usize>,
     ctx: &ExecContext,
     rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
+    let k = k.map(|k| k.min(input.rows_out()));
+    if k == Some(0) {
+        note_sequential(rec, None);
+        return exact::topk_batch(&input.into_gathered(), keys, 0, ctx);
+    }
     let (staged, reason) = sort_decision(&input, keys, ctx);
     if !staged {
         note_sequential(rec, reason);
         let input = input.into_gathered();
         // The sequential argsort holds the same key codes + permutation.
-        let _charge = memory::charge(&ctx.memory, "sort", sort_bytes(input.rows(), keys.len()))?;
-        return exact::sort_batch(&input, keys, ctx);
+        let bytes = sort_bytes(input.rows(), keys.len());
+        let _charge = memory::charge(&ctx.memory, k.map_or("sort", |_| "top-k"), bytes)?;
+        return match k {
+            None => exact::sort_batch(&input, keys, ctx),
+            Some(k) => exact::topk_batch(&input, keys, k, ctx),
+        };
     }
     let runs = num_morsels(input.rows_out(), ctx.morsel_rows);
-    note_staged(rec, runs, 0, "merge-sort", format_args!("×{runs} runs"));
-    if let BarrierInput::Selected(s) = &input {
-        // Held until the sorted batch is assembled: gathered key
-        // columns plus every run's keys and permutation.
-        let charges = memory::ScopedCharges::new(&ctx.memory);
-        charges.add("sort key gather", (s.sel.len() * 8 * keys.len()) as u64)?;
-        let ids = s.ids();
-        if let Some(gathered) = gather_sort_keys(s, &ids, keys)? {
-            return sort_selected(s, &ids, gathered, keys, None, &charges, ctx);
-        }
-        // Computed keys need per-morsel expression evaluation over
-        // dense rows; gather once and take the staged path below.
-    }
-    let input = input.into_gathered();
+    let what = k.map_or("merge-sort", |_| "parallel top-k");
+    note_staged(rec, runs, 0, what, format_args!("×{runs} runs"));
+    // Held until the sorted batch is assembled: gathered key columns
+    // plus every run's keys and permutation.
     let charges = memory::ScopedCharges::new(&ctx.memory);
-    let runs = sort_runs(&input, keys, None, &charges, ctx)?;
-    let idx = merge_runs(&runs, keys, None);
-    let n = idx.len();
-    Ok(exact::select_batch(&input, &Tensor::from_vec(idx, &[n])))
-}
-
-/// Parallel top-k: per-morsel `top-k` runs (selection + short sort)
-/// merged O(k·m) into the global k best. Byte-identical to
-/// [`exact::topk_batch`] (= the first k rows of the full stable sort).
-pub(crate) fn run_topk(
-    input: BarrierInput,
-    keys: &[PhysOrderKey],
-    k: usize,
-    ctx: &ExecContext,
-    rec: Option<&mut Recorder>,
-) -> Result<Batch, ExecError> {
-    let k = k.min(input.rows_out());
-    if k == 0 {
-        note_sequential(rec, None);
-        return exact::topk_batch(&input.into_gathered(), keys, k, ctx);
-    }
-    let (staged, reason) = sort_decision(&input, keys, ctx);
-    if !staged {
-        note_sequential(rec, reason);
-        let input = input.into_gathered();
-        let _charge = memory::charge(&ctx.memory, "top-k", sort_bytes(input.rows(), keys.len()))?;
-        return exact::topk_batch(&input, keys, k, ctx);
-    }
-    let runs = num_morsels(input.rows_out(), ctx.morsel_rows);
-    note_staged(rec, runs, 0, "parallel top-k", format_args!("×{runs} runs"));
-    if let BarrierInput::Selected(s) = &input {
-        let charges = memory::ScopedCharges::new(&ctx.memory);
-        charges.add("sort key gather", (s.sel.len() * 8 * keys.len()) as u64)?;
-        let ids = s.ids();
-        if let Some(gathered) = gather_sort_keys(s, &ids, keys)? {
-            return sort_selected(s, &ids, gathered, keys, Some(k), &charges, ctx);
+    if let Some(ids) = &input.ids {
+        charges.add("sort key gather", (ids.numel() * 8 * keys.len()) as u64)?;
+        if let Some(gathered) = gather_sort_keys(&input.batch, ids, keys)? {
+            return sort_selected(&input.batch, ids, gathered, keys, k, &charges, ctx);
         }
     }
     let input = input.into_gathered();
-    let charges = memory::ScopedCharges::new(&ctx.memory);
-    let runs = sort_runs(&input, keys, Some(k), &charges, ctx)?;
-    let idx = merge_runs(&runs, keys, Some(k));
+    let runs = sort_runs(&input, keys, k, &charges, ctx)?;
+    let idx = merge_runs(&runs, keys, k);
     let n = idx.len();
     Ok(exact::select_batch(&input, &Tensor::from_vec(idx, &[n])))
 }

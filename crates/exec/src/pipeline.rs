@@ -509,8 +509,8 @@ fn scan_skip_mask(input: &PipeNode<'_>, rows: usize, ctx: &ExecContext) -> Optio
 
 /// Materialise (or selection-feed) one barrier child. A Stream child —
 /// a fused filter→project chain — is its own stage, given the chance to
-/// hand its `(Batch, SelVec)` pair straight to the barrier; every other
-/// child executes normally and arrives as a dense batch.
+/// hand its stored columns plus survivor ids straight to the barrier;
+/// every other child executes normally and arrives as a dense batch.
 fn barrier_input(
     node: &PipeNode<'_>,
     ctx: &ExecContext,
@@ -518,7 +518,7 @@ fn barrier_input(
 ) -> Result<morsel::BarrierInput, ExecError> {
     let PipeNode::Stream(pipe) = node else {
         let batch = exec_node(node, ctx, rec)?;
-        return Ok(morsel::BarrierInput::Gathered(batch, None));
+        return Ok(morsel::BarrierInput::gathered(batch, None));
     };
     if let Some(r) = rec.as_deref_mut() {
         r.enter(pipe.ops.len());
@@ -573,12 +573,12 @@ fn exec_barrier(
         }
         PhysicalPlan::Sort { keys, .. } => {
             let inp = barrier_input(&inputs[0], ctx, rec.as_deref_mut())?;
-            morsel::run_sort(inp, keys, ctx, rec)
+            morsel::run_sort(inp, keys, None, ctx, rec)
         }
         PhysicalPlan::TopK { keys, n, .. } => {
             let k = resolve_limit(n, ctx)?;
             let inp = barrier_input(&inputs[0], ctx, rec.as_deref_mut())?;
-            morsel::run_topk(inp, keys, k, ctx, rec)
+            morsel::run_sort(inp, keys, Some(k), ctx, rec)
         }
         PhysicalPlan::Window { windows, .. } => {
             let inp = exec_node(&inputs[0], ctx, rec)?;

@@ -116,11 +116,25 @@ fn checked_len(v: u64, what: &str) -> Result<usize, FormatError> {
     Ok(v as usize)
 }
 
+/// Read `n` items of `width` bytes each. The buffer grows only with bytes
+/// actually read, so a length field cannot make the reader allocate more
+/// than the stream holds; a short stream is an unexpected EOF, as from
+/// `read_exact`.
+fn read_bytes(r: &mut impl Read, n: usize, width: usize) -> Result<Vec<u8>, FormatError> {
+    let want = n
+        .checked_mul(width)
+        .ok_or_else(|| corrupt(format!("{n} × {width} bytes overflows")))?;
+    let mut buf = Vec::new();
+    r.by_ref().take(want as u64).read_to_end(&mut buf)?;
+    if buf.len() != want {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
+    Ok(buf)
+}
+
 fn read_str(r: &mut impl Read) -> Result<String, FormatError> {
     let len = checked_len(read_u32(r)? as u64, "string")?;
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| corrupt("non-utf8 string"))
+    String::from_utf8(read_bytes(r, len, 1)?).map_err(|_| corrupt("non-utf8 string"))
 }
 
 fn write_f32_slice(w: &mut impl Write, data: &[f32]) -> Result<(), FormatError> {
@@ -131,18 +145,14 @@ fn write_f32_slice(w: &mut impl Write, data: &[f32]) -> Result<(), FormatError> 
 }
 
 fn read_f32_vec(r: &mut impl Read, n: usize) -> Result<Vec<f32>, FormatError> {
-    let mut buf = vec![0u8; n * 4];
-    r.read_exact(&mut buf)?;
-    Ok(buf
+    Ok(read_bytes(r, n, 4)?
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
         .collect())
 }
 
 fn read_i64_vec(r: &mut impl Read, n: usize) -> Result<Vec<i64>, FormatError> {
-    let mut buf = vec![0u8; n * 8];
-    r.read_exact(&mut buf)?;
-    Ok(buf
+    Ok(read_bytes(r, n, 8)?
         .chunks_exact(8)
         .map(|c| i64::from_le_bytes(c.try_into().expect("chunk of 8")))
         .collect())
@@ -166,13 +176,12 @@ fn read_f32_tensor(r: &mut impl Read) -> Result<F32Tensor, FormatError> {
         return Err(corrupt(format!("tensor rank {ndim} is implausible")));
     }
     let mut dims = Vec::with_capacity(ndim);
-    let mut numel: u64 = 1;
     for _ in 0..ndim {
-        let d = read_u64(r)?;
-        numel = numel.saturating_mul(d.max(1));
-        dims.push(checked_len(d, "dimension")?);
+        dims.push(checked_len(read_u64(r)?, "dimension")?);
     }
-    let n = checked_len(numel.min(dims.iter().product::<usize>() as u64), "tensor")?;
+    let numel = dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+    let numel = numel.ok_or_else(|| corrupt(format!("tensor dims {dims:?} overflow")))?;
+    let n = checked_len(numel as u64, "tensor")?;
     Ok(Tensor::from_vec(read_f32_vec(r, n)?, &dims))
 }
 
@@ -214,10 +223,10 @@ fn read_bitpacked(r: &mut impl Read) -> Result<BitPackedColumn, FormatError> {
             "bitpacked word buffer shorter than declared length",
         ));
     }
-    let mut words = Vec::with_capacity(n_words);
-    for _ in 0..n_words {
-        words.push(read_u64(r)?);
-    }
+    let words = read_bytes(r, n_words, 8)?
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
+        .collect();
     Ok(BitPackedColumn::from_parts(min, width, words, len))
 }
 
@@ -294,8 +303,7 @@ fn read_encoded(r: &mut impl Read) -> Result<EncodedTensor, FormatError> {
         }
         TAG_BOOL => {
             let n = checked_len(read_u64(r)?, "bool column")?;
-            let mut buf = vec![0u8; n];
-            r.read_exact(&mut buf)?;
+            let buf = read_bytes(r, n, 1)?;
             if buf.iter().any(|&b| b > 1) {
                 return Err(corrupt("bool byte outside {0, 1}"));
             }
@@ -307,7 +315,7 @@ fn read_encoded(r: &mut impl Read) -> Result<EncodedTensor, FormatError> {
         TAG_DICT => {
             let codes = read_i64_column(r)?;
             let dict_len = read_u32(r)? as i64;
-            let mut values = Vec::with_capacity(dict_len as usize);
+            let mut values = Vec::new();
             for _ in 0..dict_len {
                 values.push(read_str(r)?);
             }
@@ -326,12 +334,17 @@ fn read_encoded(r: &mut impl Read) -> Result<EncodedTensor, FormatError> {
         }
         TAG_RLE => {
             let runs = checked_len(read_u64(r)?, "rle runs")?;
-            let mut values = Vec::with_capacity(runs);
-            let mut lengths = Vec::with_capacity(runs);
-            for _ in 0..runs {
-                values.push(read_i64(r)?);
-                lengths.push(read_u32(r)?);
-            }
+            let body = read_bytes(r, runs, 12)?;
+            let (values, lengths): (Vec<i64>, Vec<u32>) = body
+                .chunks_exact(12)
+                .map(|c| {
+                    let value = i64::from_le_bytes(c[..8].try_into().expect("8 bytes"));
+                    (
+                        value,
+                        u32::from_le_bytes(c[8..].try_into().expect("4 bytes")),
+                    )
+                })
+                .unzip();
             if lengths.contains(&0) {
                 return Err(corrupt("zero-length RLE run"));
             }
@@ -396,7 +409,7 @@ pub fn read_table(r: &mut impl Read) -> Result<Table, FormatError> {
     if n_cols > 100_000 {
         return Err(corrupt(format!("{n_cols} columns is implausible")));
     }
-    let mut columns = Vec::with_capacity(n_cols as usize);
+    let mut columns = Vec::new();
     for _ in 0..n_cols {
         let col_name = read_str(r)?;
         let data = read_encoded(r)?;
@@ -546,6 +559,67 @@ mod tests {
             read_table(&mut buf.as_slice()),
             Err(FormatError::Corrupt(m)) if m.contains("rows")
         ));
+    }
+
+    /// A one-column file up to and including the column's encoding tag,
+    /// declaring `rows` rows; the caller appends the payload.
+    fn one_column(rows: u64, tag: u8) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        write_u16(&mut buf, VERSION).unwrap();
+        write_str(&mut buf, "t").unwrap();
+        write_u64(&mut buf, rows).unwrap();
+        write_u32(&mut buf, 1).unwrap();
+        write_str(&mut buf, "x").unwrap();
+        buf.push(tag);
+        buf
+    }
+
+    /// A length field says what follows, never what to allocate: a file
+    /// declaring more than it holds fails with an error — not an abort on
+    /// a 64 GiB allocation, not a panic, not a table of rows with no data
+    /// behind them — and a shape whose element count overflows is corrupt.
+    #[test]
+    fn declared_lengths_never_size_an_allocation() {
+        const HUGE: u64 = 1 << 33;
+        // 37 bytes: an i64 column of 2^33 rows, no body.
+        let mut i64_col = one_column(HUGE, TAG_I64);
+        write_u64(&mut i64_col, HUGE).unwrap();
+        assert_eq!(i64_col.len(), 37);
+        // 49 bytes: an f32 tensor of dims [2^32, 2^32], no body.
+        let mut f32_col = one_column(1 << 32, TAG_F32);
+        write_u32(&mut f32_col, 2).unwrap();
+        write_u64(&mut f32_col, 1 << 32).unwrap();
+        write_u64(&mut f32_col, 1 << 32).unwrap();
+        assert_eq!(f32_col.len(), 49);
+        assert!(matches!(
+            read_table(&mut f32_col.as_slice()),
+            Err(FormatError::Corrupt(m)) if m.contains("overflow")
+        ));
+
+        let mut bools = one_column(HUGE, TAG_BOOL);
+        write_u64(&mut bools, HUGE).unwrap();
+        // No codes, then u32::MAX dictionary values.
+        let mut dict = one_column(0, TAG_DICT);
+        write_u64(&mut dict, 0).unwrap();
+        write_u32(&mut dict, u32::MAX).unwrap();
+        let mut rle = one_column(HUGE, TAG_RLE);
+        write_u64(&mut rle, HUGE).unwrap();
+        // min, bit width 1, 2^33 values in 2^33 words.
+        let mut packed = one_column(HUGE, TAG_BITPACK);
+        write_i64(&mut packed, 0).unwrap();
+        write_u32(&mut packed, 1).unwrap();
+        write_u64(&mut packed, HUGE).unwrap();
+        write_u64(&mut packed, HUGE).unwrap();
+        for (name, file) in [
+            ("i64", i64_col),
+            ("f32", f32_col),
+            ("bool", bools),
+            ("dictionary", dict),
+            ("rle", rle),
+            ("bit-packed", packed),
+        ] {
+            assert!(read_table(&mut file.as_slice()).is_err(), "{name}");
+        }
     }
 
     #[test]

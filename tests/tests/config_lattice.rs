@@ -369,11 +369,23 @@ const CORPUS: &[(&str, &str)] = &[
 /// Statements that fail while running: the chain kernel bails on the
 /// first live morsel it meets (zone maps decide which that is), the
 /// interpreter re-runs it, and the error text must not depend on any of
-/// that.
+/// that. With kernels on, each execution counts exactly one kernel
+/// fallback, however many windows bail.
 const FAILING: &[(&str, &str)] = &[
     (
         "type error under a barrier, leading morsels pruned",
         "SELECT key FROM c WHERE day >= 5 AND dial + 'x' > 1 ORDER BY key",
+    ),
+    // The aggregate selects and folds each window in one task: the bail
+    // happens inside the first live window's task, which re-runs that
+    // window on the interpreter.
+    (
+        "type error under an aggregate, leading morsels pruned",
+        "SELECT COUNT(*), SUM(key) FROM c WHERE day >= 5 AND dial + 'x' > 1",
+    ),
+    (
+        "type error under a grouped aggregate, leading morsels pruned",
+        "SELECT flag, SUM(key) FROM c WHERE day >= 5 AND dial + 'x' > 1 GROUP BY flag",
     ),
     (
         "type error under an aggregate, every morsel pruned",
@@ -467,18 +479,24 @@ fn run_corpus(tdp: &Session) -> Vec<(String, Table)> {
     out
 }
 
-/// The error text of every failing statement: [`FAILING`], then the
-/// payload-column statements (the kernel bails on a payload leaf, the
-/// interpreter names the shapes it met).
-fn run_failing(tdp: &Session) -> Vec<String> {
-    let named = FAILING.iter().copied();
-    named
-        .chain(PAYLOAD_MISUSE.iter().map(|sql| ("payload misuse", *sql)))
-        .map(|(name, sql)| {
-            let err = tdp.query(sql).unwrap().run().map(|t| t.rows());
-            err.expect_err(name).to_string()
-        })
-        .collect()
+/// The error text of every failing statement: [`FAILING`] — each
+/// counting `kernels` (0 or 1) kernel fallbacks — then the payload-column
+/// statements (the kernel bails on a payload leaf, the interpreter names
+/// the shapes it met).
+fn run_failing(tdp: &Session, kernels: bool) -> Vec<String> {
+    let run = |name: &str, sql: &str| {
+        let err = tdp.query(sql).unwrap().run().map(|t| t.rows());
+        err.expect_err(name).to_string()
+    };
+    let named = FAILING.iter().map(|(name, sql)| {
+        let before = tdp.chain_kernel_stats().fallbacks;
+        let err = run(name, sql);
+        let fallbacks = tdp.chain_kernel_stats().fallbacks - before;
+        assert_eq!(fallbacks, kernels as u64, "{name}: kernel fallbacks");
+        err
+    });
+    let payload = PAYLOAD_MISUSE.iter().map(|sql| run("payload misuse", sql));
+    named.chain(payload).collect()
 }
 
 /// `I64 F32 …`: the encoding of every result column.
@@ -661,7 +679,7 @@ fn every_lattice_point_matches_the_sequential_oracle() {
             tdp.set_threads(1);
             tdp.set_chain_kernels(false);
             tdp.set_zone_maps(false);
-            (run_corpus(&tdp), run_failing(&tdp))
+            (run_corpus(&tdp), run_failing(&tdp, false))
         };
         if std::env::var("TDP_PRINT_KINDS").is_ok() {
             // The rows of a regenerated `KINDS` table (`--nocapture`).
@@ -692,7 +710,8 @@ fn every_lattice_point_matches_the_sequential_oracle() {
                             assert_tables_identical(got, want, &format!("{name} @ {point}"));
                             assert_eq!(kinds(got), kinds(want), "{name} @ {point}: encodings");
                         }
-                        assert_eq!(run_failing(&tdp), oracle_errors, "error text @ {point}");
+                        let errors = run_failing(&tdp, kernels);
+                        assert_eq!(errors, oracle_errors, "error text @ {point}");
                         // PROFILE is the same walk with the recorder on.
                         for ((name, sql), (_, plain)) in CORPUS.iter().zip(&got) {
                             let (profiled, _) = tdp.query(sql).unwrap().run_profiled().unwrap();

@@ -199,15 +199,16 @@ fn selection_fed_aggregate_fits_budget_the_gathered_path_exceeds() {
     assert_eq!(engine.memory_pool().used(), 0, "ledger fully released");
 }
 
-/// The grouped selection-fed fold charges what it allocates — the
-/// selection vector, one morsel of argument scratch per worker, and the
-/// per-group partial states — not a survivor-width copy of every
-/// referenced column. The TPC-H Q1 shape at 97% selectivity over 400k
-/// rows keeps n = 388,000 survivors across 4 referenced columns: the
-/// gathered charge that replaced (`n * 8 * refs` = 12.4 MB, on top of
-/// the 3.1 MB selection vector) cannot fit 12 MiB; two workers' scratch
-/// (~2.9 MB each) does. And when even that is refused, the abort is
-/// typed and the ledger drains to zero.
+/// The grouped selection-fed fold charges what it allocates — one
+/// window's selection and argument scratch per worker, and the per-group
+/// partial states — not a survivor-width copy of every referenced column,
+/// and no table-wide selection vector: each task selects and folds its own
+/// window. The TPC-H Q1 shape at 97% selectivity over 400k rows keeps n =
+/// 388,000 survivors across 4 referenced columns: the gathered charge that
+/// replaced (`n * 8 * refs` = 12.4 MB) cannot fit 12 MiB; two workers'
+/// scratch (~2.95 MB each) does, with nothing beside it. And when one
+/// worker's scratch is refused, the abort is typed and the ledger drains
+/// to zero.
 #[test]
 fn grouped_selection_fed_aggregate_charges_scratch_not_a_gather() {
     const ROWS: usize = 400_000;
@@ -260,15 +261,23 @@ fn grouped_selection_fed_aggregate_charges_scratch_not_a_gather() {
     );
     let text = profile.pretty();
     assert!(text.contains("keys: direct, selection-fed"), "{text}");
+    // One worker's scratch at the default width: its window's mask (1 B a
+    // row), the four column reads (24 B), the group ids and four argument
+    // buffers (4 B each).
+    let scratch = tdp_core::exec::DEFAULT_MORSEL_ROWS as u64 * (1 + 24 + 4 * 5);
+    // At most two workers' scratch plus the partial states. The two-stage
+    // hand-off peaked at 8,871,938 B: the same two beside a 3,104,008 B
+    // table-wide selection vector (388,001 × 8 B).
     assert!(
-        profile.peak_memory_bytes < 12_416_000,
-        "peak {} must stay under the old gather charge alone",
+        profile.peak_memory_bytes <= 2 * scratch + 4096,
+        "peak {} holds more than two windows' scratch",
         profile.peak_memory_bytes
     );
     assert_eq!(engine.memory_pool().used(), 0, "ledger fully released");
 
-    // 4 MiB holds the selection vector but not one worker's scratch.
-    let (engine, out) = run(4 << 20);
+    // 2 MiB cannot hold one worker's scratch: refused whether or not the
+    // two workers overlap.
+    let (engine, out) = run(2 << 20);
     match out {
         Err(TdpError::Exec(tdp_core::exec::ExecError::MemoryBudget { operator, .. })) => {
             assert_eq!(operator, "aggregate scratch")
