@@ -22,9 +22,7 @@ use tdp_tensor::{F32Tensor, I64Tensor, Tensor};
 use crate::batch::{Batch, ColumnData};
 use crate::error::ExecError;
 use crate::expr::{eval_expr, resolve_limit, Value};
-use crate::physical::{
-    JoinOn, PhysAggregate, PhysKey, PhysOrderKey, PhysProjectItem, PhysWindow, PhysWindowFunc,
-};
+use crate::physical::{JoinOn, PhysOrderKey, PhysProjectItem, PhysWindow, PhysWindowFunc};
 use crate::udf::ExecContext;
 
 /// Resolve a base table, checking a compile-time schema (when present)
@@ -316,22 +314,6 @@ pub(crate) fn key_codes(col: &EncodedTensor) -> Result<I64Tensor, ExecError> {
             t.map(f32_order_key)
         }
     })
-}
-
-/// Grouped (or global) aggregation of one whole batch: a single
-/// partial state folded by the program the morsel scheduler runs per
-/// morsel (`crate::morsel::partial_aggregate`), finalised by the same
-/// combine step — so the staged paths and this kernel share every
-/// aggregate function's arithmetic by construction.
-pub fn aggregate_batch(
-    batch: &Batch,
-    keys: &[PhysKey],
-    aggregates: &[PhysAggregate],
-    ctx: &ExecContext,
-) -> Result<Batch, ExecError> {
-    let prog = crate::morsel::AggProgram::compile(keys, aggregates)?;
-    let partial = crate::morsel::partial_aggregate(&prog, batch, None, ctx)?;
-    Ok(crate::morsel::merge_partials(&prog, vec![partial]))
 }
 
 /// Resolve compiled join keys into `(left, right)` exact key columns.
@@ -866,9 +848,9 @@ pub fn window_batch(
 
         // --- aggregate argument, when the window has one -----------------
         let (agg_vals, agg_bool): (Option<Vec<f32>>, Option<Vec<bool>>) = match &w.func {
-            PhysWindowFunc::Agg { arg: Some(e), .. } => match eval_expr(e, batch, ctx)? {
+            PhysWindowFunc::Agg { func, arg: Some(e) } => match eval_expr(e, batch, ctx)? {
                 Value::Column(EncodedTensor::Bool(m)) => (None, Some(m.to_vec())),
-                v => (Some(v.into_f32_column(n)?.to_vec()), None),
+                v => (Some(v.into_agg_f32(*func, n)?.to_vec()), None),
             },
             _ => (None, None),
         };

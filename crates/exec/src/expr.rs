@@ -21,7 +21,7 @@
 
 use tdp_encoding::EncodedTensor;
 use tdp_index::Metric;
-use tdp_sql::ast::{BinOp, UnOp};
+use tdp_sql::ast::{AggFunc, BinOp, UnOp};
 use tdp_tensor::{BoolTensor, F32Tensor, Tensor};
 
 use crate::batch::Batch;
@@ -66,6 +66,18 @@ impl Value {
                 "string '{s}' used in numeric context"
             ))),
         }
+    }
+
+    /// View as the f32 argument of aggregate `func` over `n` rows. The
+    /// numeric aggregates refuse a string column — its dictionary codes
+    /// are not values; COUNT and COUNT(DISTINCT) only tell rows apart.
+    pub(crate) fn into_agg_f32(self, func: AggFunc, n: usize) -> Result<F32Tensor, ExecError> {
+        let counts = matches!(func, AggFunc::Count | AggFunc::CountDistinct);
+        if !counts && matches!(self, Value::Column(EncodedTensor::Dict { .. })) {
+            let what = format!("{} over a string column", func.name());
+            return Err(ExecError::TypeMismatch(what));
+        }
+        self.into_f32_column(n)
     }
 
     /// Convert into a UDF argument.

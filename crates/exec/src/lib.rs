@@ -124,8 +124,8 @@
 //! column encodings, walking the plan's own [`CompiledExpr`] nodes —
 //! there is one expression form, lowered once, and the interpreter
 //! ([`expr`]) and the kernel are two evaluators of it. Which chains the
-//! kernel may run is a vetting verdict cached engine-wide under the
-//! chain's literal-invariant fingerprint with epoch invalidation.
+//! kernel may run is a vetting verdict reached on every execution,
+//! against the registry that execution runs with — never cached.
 //!
 //! **The interpreter is a permanent tier, not a test fixture.**
 //! [`expr::eval_expr`] is (1) the fallback every chain the kernel cannot
@@ -151,7 +151,8 @@
 //!     ├ sched      worker contexts, the one spawn site, the one claim loop, exchange
 //!     ├ chain      parallel-safety analysis, ChainRun (one verdict per chain per run),
 //!     │            streaming run + LIMIT sink, chain→barrier hand-off
-//!     ├ aggregate  AggProgram, the one per-morsel fold, combine
+//!     ├ aggregate  AggProgram, the one per-morsel fold, the combine (group_rows
+//!     │            over the partials' key rows, states scattered in morsel order)
 //!     ├ join / sort / distinct   the staged barriers
 //!   kernel     chain kernels over CompiledExpr; vetting, once per execution
 //!   expr       the scalar interpreter            ┐ the fallback tier, and the oracle every

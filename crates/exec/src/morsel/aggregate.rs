@@ -2,14 +2,15 @@
 //! ([`AggProgram`]), one fold per morsel ([`partial_aggregate`] — group
 //! ids resolved in one O(n) pass, every accumulator advanced in one
 //! row-order sweep), partial states merged in morsel order
-//! ([`merge_partials`]). [`run_aggregate`] is one task per live window
-//! that selects and folds it: the referenced stored columns under the
-//! window's own selection when the chain runs on the kernel, the chain's
-//! dense window output otherwise — every shape, grouped or not, takes
-//! the same fold.
+//! ([`merge_partials`]). Keys are grouped one way, [`group_keys`]: the
+//! fold groups a morsel's rows with it, and the combine groups the
+//! partials' representative key rows with it. [`run_aggregate`] is one
+//! task per live window that selects and folds it: the referenced stored
+//! columns under the window's own selection when the chain runs on the
+//! kernel, the chain's dense window output otherwise — every shape,
+//! grouped or not, takes the same fold.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use tdp_encoding::EncodedTensor;
@@ -28,17 +29,6 @@ use crate::memory;
 use crate::physical::{CompiledExpr, PhysAggregate, PhysKey};
 use crate::profile::Recorder;
 use crate::udf::ExecContext;
-
-/// Cross-morsel group identity for one key column. Dictionary columns
-/// merge on decoded strings (the order-preserving dictionary makes
-/// string order = code order, so the combine's sorted output matches the
-/// single-batch group order); everything else merges on its grouping
-/// code.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
-enum MergeKey {
-    Int(i64),
-    Str(String),
-}
 
 /// How an accumulator consumes its argument column.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -73,7 +63,7 @@ struct AccSpec {
 /// (`SUM(x)` and `AVG(x)` share one running sum, `VARIANCE(x)` and
 /// `STDDEV(x)` one pair of power sums); COUNT(*) needs no accumulator at
 /// all, it reads the group size.
-pub(crate) struct AggProgram<'q> {
+struct AggProgram<'q> {
     keys: &'q [PhysKey],
     aggregates: &'q [PhysAggregate],
     /// `keys[i].expr`, or its re-addressed copy after [`Self::rebind`].
@@ -88,7 +78,7 @@ pub(crate) struct AggProgram<'q> {
 }
 
 impl<'q> AggProgram<'q> {
-    pub(crate) fn compile(
+    fn compile(
         keys: &'q [PhysKey],
         aggregates: &'q [PhysAggregate],
     ) -> Result<AggProgram<'q>, ExecError> {
@@ -170,7 +160,8 @@ impl<'q> AggProgram<'q> {
     }
 }
 
-/// Per-accumulator partial state over one morsel's groups.
+/// Per-accumulator state, one slot per group: a morsel's partial, or the
+/// merged state the combine scatters the partials into.
 enum AccColumn {
     Count(Vec<i64>),
     Sum(Vec<f32>),
@@ -179,13 +170,50 @@ enum AccColumn {
     Moments { sum: Vec<f64>, sumsq: Vec<f64> },
 }
 
+impl AccColumn {
+    /// `slots` empty states of one accumulator kind.
+    fn identity(kind: AccKind, slots: usize) -> AccColumn {
+        match kind {
+            AccKind::Count | AccKind::CountDistinct => AccColumn::Count(vec![0; slots]),
+            AccKind::Sum => AccColumn::Sum(vec![0.0; slots]),
+            AccKind::Min => AccColumn::Min(vec![f32::INFINITY; slots]),
+            AccKind::Max => AccColumn::Max(vec![f32::NEG_INFINITY; slots]),
+            AccKind::Moments => AccColumn::Moments {
+                sum: vec![0.0; slots],
+                sumsq: vec![0.0; slots],
+            },
+        }
+    }
+
+    /// Fold one partial's states in: its group `g` lands in slot
+    /// `into[g]`.
+    fn absorb(&mut self, part: &AccColumn, into: &[u32]) {
+        fn scatter<T: Copy>(acc: &mut [T], part: &[T], into: &[u32], f: impl Fn(T, T) -> T) {
+            for (&g, &v) in into.iter().zip(part) {
+                let slot = &mut acc[g as usize];
+                *slot = f(*slot, v);
+            }
+        }
+        match (self, part) {
+            (AccColumn::Count(t), AccColumn::Count(v)) => scatter(t, v, into, |a, b| a + b),
+            (AccColumn::Sum(t), AccColumn::Sum(v)) => scatter(t, v, into, |a, b| a + b),
+            (AccColumn::Min(t), AccColumn::Min(v)) => scatter(t, v, into, f32::min),
+            (AccColumn::Max(t), AccColumn::Max(v)) => scatter(t, v, into, f32::max),
+            (AccColumn::Moments { sum, sumsq }, AccColumn::Moments { sum: s, sumsq: q }) => {
+                scatter(sum, s, into, |a, b| a + b);
+                scatter(sumsq, q, into, |a, b| a + b);
+            }
+            _ => unreachable!("partials of one program share its accumulator layout"),
+        }
+    }
+}
+
 /// Partial aggregation state of one morsel.
-pub(crate) struct PartialAgg {
+struct PartialAgg {
     /// Representative key rows (first in-morsel occurrence), encoding
-    /// preserved; one `[groups]` column per GROUP BY key.
+    /// preserved; one `[groups]` column per GROUP BY key — what the
+    /// combine groups the partials by.
     key_reps: Vec<EncodedTensor>,
-    /// Cross-morsel merge identity, `[num_keys][groups]`.
-    merge_keys: Vec<Vec<MergeKey>>,
     /// Group sizes.
     counts: Vec<i64>,
     /// One column per [`AggProgram::accs`] entry.
@@ -199,17 +227,15 @@ impl PartialAgg {
     /// Ledger estimate of the state this partial keeps alive until the
     /// combine step.
     fn state_bytes(&self) -> u64 {
-        let per_group: usize = 8
-            + self
-                .accs
-                .iter()
-                .map(|a| match a {
-                    AccColumn::Count(_) => 8,
-                    AccColumn::Sum(_) | AccColumn::Min(_) | AccColumn::Max(_) => 4,
-                    AccColumn::Moments { .. } => 16,
-                })
-                .sum::<usize>()
-            + 16 * self.merge_keys.len();
+        let per_group: usize = 8 + self
+            .accs
+            .iter()
+            .map(|a| match a {
+                AccColumn::Count(_) => 8,
+                AccColumn::Sum(_) | AccColumn::Min(_) | AccColumn::Max(_) => 4,
+                AccColumn::Moments { .. } => 16,
+            })
+            .sum::<usize>();
         let reps: usize = self.key_reps.iter().map(|c| c.memory_bytes()).sum();
         (self.groups * per_group + reps) as u64
     }
@@ -304,7 +330,7 @@ pub(crate) fn run_aggregate(
         partials.push(partial_aggregate(&prog, &empty, None, ctx)?);
     }
     let hashed = partials.iter().any(|p| p.hashed);
-    let out = merge_partials(&prog, partials);
+    let out = merge_partials(&prog, &partials)?;
     if let Some(r) = rec {
         r.note_aggregate(aggregate_note(
             &prog,
@@ -414,7 +440,7 @@ impl<'a> Fold<'a> {
 /// exactly its surviving rows, in row order. Arguments are evaluated at
 /// batch width either way — expressions are row-local, so a survivor's
 /// value does not depend on its neighbours.
-pub(crate) fn partial_aggregate(
+fn partial_aggregate(
     prog: &AggProgram<'_>,
     batch: &Batch,
     mask: Option<&[bool]>,
@@ -433,63 +459,15 @@ pub(crate) fn partial_aggregate(
             }
         }
     }
-    let key_codes: Vec<I64Tensor> = key_cols
-        .iter()
-        .map(exact::key_codes)
-        .collect::<Result<_, _>>()?;
     let Groups {
         ids,
         groups,
         hashed,
         ..
-    } = if key_cols.is_empty() {
-        // Global aggregate: one group holding every surviving row.
-        Groups {
-            ids: match mask {
-                None => vec![0; n],
-                Some(m) => m.iter().map(|&keep| !keep as u32).collect(),
-            },
-            distinct: Vec::new(),
-            groups: 1,
-            hashed: false,
-        }
-    } else {
-        let slices: Vec<&[i64]> = key_codes.iter().map(|c| c.data()).collect();
-        group_rows(&slices, mask)
-    };
-
-    // First-occurrence representative row per group: key output keeps
-    // the original encoding, and dictionary keys merge on its string.
-    let rep: Vec<i64> = if key_cols.is_empty() {
-        Vec::new()
-    } else {
-        let mut rep = vec![-1i64; groups + 1];
-        for (row, &g) in ids.iter().enumerate() {
-            if rep[g as usize] < 0 {
-                rep[g as usize] = row as i64;
-            }
-        }
-        rep.truncate(groups);
-        rep
-    };
-    let rep_rows = {
-        let len = rep.len();
-        Tensor::from_vec(rep, &[len])
-    };
-    let key_reps: Vec<EncodedTensor> = key_cols.iter().map(|c| c.select_rows(&rep_rows)).collect();
-    let merge_keys: Vec<Vec<MergeKey>> = key_cols
-        .iter()
-        .zip(&key_codes)
-        .map(|(col, int_codes)| {
-            let reps = rep_rows.data().iter().map(|&r| r as usize);
-            match col {
-                EncodedTensor::Dict { codes, dict } => reps
-                    .map(|r| MergeKey::Str(dict.decode_one(codes.at(r)).to_owned()))
-                    .collect(),
-                _ => reps.map(|r| MergeKey::Int(int_codes.at(r))).collect(),
-            }
-        })
-        .collect();
+    } = group_keys(&key_cols, n, mask)?;
+    // Key output keeps each group's first row, in its original encoding.
+    let reps = first_rows(&ids, groups);
+    let key_reps: Vec<EncodedTensor> = key_cols.iter().map(|c| c.select_rows(&reps)).collect();
 
     // Each distinct argument once, in the forms its accumulators read:
     // f32 values, a boolean column's flags, the raw column for DISTINCT.
@@ -497,20 +475,23 @@ pub(crate) fn partial_aggregate(
     let mut flags: Vec<Option<tdp_tensor::BoolTensor>> = Vec::with_capacity(prog.args.len());
     let mut raws: Vec<Option<EncodedTensor>> = Vec::with_capacity(prog.args.len());
     for (ai, e) in prog.args.iter().enumerate() {
-        let kinds: Vec<AccKind> = prog
-            .accs
+        // The functions reading this argument, in query order.
+        let funcs: Vec<AggFunc> = prog
+            .aggregates
             .iter()
-            .filter_map(|a| (a.arg == ai).then_some(a.kind))
+            .zip(&prog.outs)
+            .filter(|(_, out)| out.is_some_and(|acc| prog.accs[acc].arg == ai))
+            .map(|(agg, _)| agg.func)
             .collect();
         let v = eval_expr(e, batch, ctx)?;
         flags.push(match &v {
-            Value::Column(EncodedTensor::Bool(m)) if kinds.contains(&AccKind::Count) => {
+            Value::Column(EncodedTensor::Bool(m)) if funcs.contains(&AggFunc::Count) => {
                 Some(m.clone())
             }
             _ => None,
         });
         raws.push(match &v {
-            _ if !kinds.contains(&AccKind::CountDistinct) => None,
+            _ if !funcs.contains(&AggFunc::CountDistinct) => None,
             Value::Column(c) => Some(c.clone()),
             other => {
                 return Err(ExecError::TypeMismatch(format!(
@@ -518,23 +499,19 @@ pub(crate) fn partial_aggregate(
                 )))
             }
         });
-        f32s.push(
-            if kinds
-                .iter()
-                .any(|k| !matches!(k, AccKind::Count | AccKind::CountDistinct))
-            {
-                let vals = v.into_f32_column(n)?;
-                if vals.ndim() != 1 {
-                    return Err(ExecError::TypeMismatch(format!(
-                        "cannot aggregate a multi-dimensional payload column (shape {:?})",
-                        vals.shape()
-                    )));
-                }
-                Some(vals)
-            } else {
-                None
-            },
-        );
+        // Read as numbers for the first function that does (the one a
+        // refusal names).
+        let numeric = funcs
+            .into_iter()
+            .find(|f| !matches!(f, AggFunc::Count | AggFunc::CountDistinct));
+        let vals = numeric.map(|func| v.into_agg_f32(func, n)).transpose()?;
+        if let Some(vals) = vals.as_ref().filter(|vals| vals.ndim() != 1) {
+            return Err(ExecError::TypeMismatch(format!(
+                "cannot aggregate a multi-dimensional payload column (shape {:?})",
+                vals.shape()
+            )));
+        }
+        f32s.push(vals);
     }
 
     // One sweep over (group id, args…). The slot past the last group
@@ -544,16 +521,7 @@ pub(crate) fn partial_aggregate(
     let mut accs: Vec<AccColumn> = prog
         .accs
         .iter()
-        .map(|acc| match acc.kind {
-            AccKind::Count | AccKind::CountDistinct => AccColumn::Count(vec![0; slots]),
-            AccKind::Sum => AccColumn::Sum(Vec::new()), // filled from the interleaved state
-            AccKind::Min => AccColumn::Min(vec![f32::INFINITY; slots]),
-            AccKind::Max => AccColumn::Max(vec![f32::NEG_INFINITY; slots]),
-            AccKind::Moments => AccColumn::Moments {
-                sum: vec![0.0; slots],
-                sumsq: vec![0.0; slots],
-            },
-        })
+        .map(|acc| AccColumn::identity(acc.kind, slots))
         .collect();
     let mut fold = Fold::over(&mut counts);
     for (acc, col) in prog.accs.iter().zip(&mut accs) {
@@ -577,9 +545,10 @@ pub(crate) fn partial_aggregate(
     let mut sum_slot = 0..w;
     for (acc, col) in prog.accs.iter().zip(&mut accs) {
         match col {
+            // Read back out of the interleaved state.
             AccColumn::Sum(v) => {
                 let j = sum_slot.next().expect("one interleaved slot per sum");
-                v.extend((0..groups).map(|g| sums[g * w + j]));
+                *v = (0..groups).map(|g| sums[g * w + j]).collect();
             }
             AccColumn::Count(t) if acc.kind == AccKind::CountDistinct => {
                 // Distinct (group, value-code) pairs, counted per group.
@@ -605,12 +574,56 @@ pub(crate) fn partial_aggregate(
 
     Ok(PartialAgg {
         key_reps,
-        merge_keys,
         counts,
         accs,
         groups,
         hashed,
     })
+}
+
+/// Group `n` rows by their key columns — the one grouping rule of the
+/// fold and the combine: grouping codes ([`exact::key_codes`]) into
+/// [`group_rows`], which numbers groups in lexicographic code order.
+/// Zero keys are one group holding every row the mask keeps.
+fn group_keys(
+    keys: &[EncodedTensor],
+    n: usize,
+    mask: Option<&[bool]>,
+) -> Result<Groups, ExecError> {
+    if keys.is_empty() {
+        return Ok(Groups {
+            ids: match mask {
+                None => vec![0; n],
+                Some(m) => m.iter().map(|&keep| !keep as u32).collect(),
+            },
+            distinct: Vec::new(),
+            groups: 1,
+            hashed: false,
+        });
+    }
+    let codes: Vec<I64Tensor> = keys
+        .iter()
+        .map(exact::key_codes)
+        .collect::<Result<_, _>>()?;
+    let slices: Vec<&[i64]> = codes.iter().map(|c| c.data()).collect();
+    Ok(group_rows(&slices, mask))
+}
+
+/// Each group's representative: the first of its rows in `ids` order.
+/// Ids past the last group (rows a mask deselected) represent nothing.
+fn first_rows(ids: &[u32], groups: usize) -> I64Tensor {
+    let mut rep = vec![-1i64; groups];
+    let mut left = groups;
+    for (row, &g) in ids.iter().enumerate() {
+        if left == 0 {
+            break;
+        }
+        if let Some(r) = rep.get_mut(g as usize).filter(|r| **r < 0) {
+            *r = row as i64;
+            left -= 1;
+        }
+    }
+    Tensor::from_vec(rep, &[groups])
 }
 
 // ----------------------------------------------------------------------
@@ -747,159 +760,82 @@ fn resolve_idx(cols: &[(String, EncodedTensor)], r: &crate::physical::ColumnRef)
     }
 }
 
-/// Merged accumulator of one output group.
-struct MergedGroup {
-    /// `(partial index, group index)` of the first-seen representative.
-    rep: (usize, usize),
-    count: i64,
-    accs: Vec<AccVal>,
-}
+/// Combine morsel partials (at least one) into the final grouped batch
+/// — one body for any number of partials. The partials' representative
+/// key rows, concatenated in morsel order, are grouped by the fold's own
+/// rule ([`group_keys`]), so groups come out in lexicographic code
+/// order: a shared dictionary keeps its codes through the concatenation,
+/// and differing dictionaries re-encode into one order-preserving
+/// dictionary (code order is string order). A group's first row in
+/// morsel order is its representative. Each partial's states then
+/// scatter into one merged state in morsel order — f32 sums add from
+/// `0.0`, so a lone partial passes through bit for bit (a
+/// round-to-nearest running sum from `+0.0` is never `-0.0`) — and one
+/// pass turns that state into output columns.
+fn merge_partials(prog: &AggProgram<'_>, partials: &[PartialAgg]) -> Result<Batch, ExecError> {
+    let keys: Vec<EncodedTensor> = (0..prog.keys.len())
+        .map(|ki| {
+            let parts: Vec<&EncodedTensor> = partials.iter().map(|p| &p.key_reps[ki]).collect();
+            EncodedTensor::concat(&parts)
+        })
+        .collect();
+    let rows = partials.iter().map(|p| p.groups).sum();
+    let Groups { ids, groups, .. } = group_keys(&keys, rows, None)?;
 
-#[derive(Clone, Copy)]
-enum AccVal {
-    Count(i64),
-    Sum(f32),
-    Min(f32),
-    Max(f32),
-    Moments { sum: f64, sumsq: f64 },
-}
-
-/// Combine morsel partials (at least one) into the final grouped batch.
-/// Walks partials in morsel order — the first occurrence of a group
-/// picks its representative key rows, and float partials add in morsel
-/// order — and emits groups in merge-key order, which is the
-/// lexicographic code order a single partial already has. A lone
-/// partial passes through unchanged (`0.0 + s` is `s` bit for bit: a
-/// round-to-nearest running sum from `+0.0` is never `-0.0`).
-pub(crate) fn merge_partials(prog: &AggProgram<'_>, partials: Vec<PartialAgg>) -> Batch {
-    let mut merged: BTreeMap<Vec<MergeKey>, MergedGroup> = BTreeMap::new();
-    for (pi, p) in partials.iter().enumerate() {
-        for g in 0..p.groups {
-            let key: Vec<MergeKey> = p.merge_keys.iter().map(|col| col[g].clone()).collect();
-            let entry = merged.entry(key).or_insert_with(|| MergedGroup {
-                rep: (pi, g),
-                count: 0,
-                accs: p
-                    .accs
-                    .iter()
-                    .map(|a| match a {
-                        AccColumn::Count(_) => AccVal::Count(0),
-                        AccColumn::Sum(_) => AccVal::Sum(0.0),
-                        AccColumn::Min(_) => AccVal::Min(f32::INFINITY),
-                        AccColumn::Max(_) => AccVal::Max(f32::NEG_INFINITY),
-                        AccColumn::Moments { .. } => AccVal::Moments {
-                            sum: 0.0,
-                            sumsq: 0.0,
-                        },
-                    })
-                    .collect(),
-            });
-            entry.count += p.counts[g];
-            for (acc, col) in entry.accs.iter_mut().zip(&p.accs) {
-                match (acc, col) {
-                    (AccVal::Count(t), AccColumn::Count(v)) => *t += v[g],
-                    (AccVal::Sum(t), AccColumn::Sum(v)) => *t += v[g],
-                    (AccVal::Min(t), AccColumn::Min(v)) => *t = t.min(v[g]),
-                    (AccVal::Max(t), AccColumn::Max(v)) => *t = t.max(v[g]),
-                    (AccVal::Moments { sum, sumsq }, AccColumn::Moments { sum: s, sumsq: q }) => {
-                        *sum += s[g];
-                        *sumsq += q[g];
-                    }
-                    _ => unreachable!("partials of one program share its accumulator layout"),
-                }
-            }
+    let mut counts = vec![0i64; groups];
+    let mut accs: Vec<AccColumn> = prog
+        .accs
+        .iter()
+        .map(|acc| AccColumn::identity(acc.kind, groups))
+        .collect();
+    let mut at = 0;
+    for p in partials {
+        let into = &ids[at..at + p.groups];
+        at += p.groups;
+        for (&g, &c) in into.iter().zip(&p.counts) {
+            counts[g as usize] += c;
+        }
+        for (acc, part) in accs.iter_mut().zip(&p.accs) {
+            acc.absorb(part, into);
         }
     }
 
-    let groups: Vec<&MergedGroup> = merged.values().collect();
-    let num_groups = groups.len();
-
     let mut out = Batch::new();
-    // Key columns: gather first-seen representatives out of the
-    // concatenated per-morsel representative columns (encoding-preserving
-    // concat + one gather per key).
-    let mut offsets = Vec::with_capacity(partials.len());
-    let mut total = 0usize;
-    for p in &partials {
-        offsets.push(total);
-        total += p.groups;
+    let reps = first_rows(&ids, groups);
+    for (key, col) in prog.keys.iter().zip(&keys) {
+        out.push(key.name.clone(), ColumnData::Exact(col.select_rows(&reps)));
     }
-    for (ki, key) in prog.keys.iter().enumerate() {
-        let parts: Vec<&EncodedTensor> = partials.iter().map(|p| &p.key_reps[ki]).collect();
-        let combined = EncodedTensor::concat(&parts);
-        let idx: Vec<i64> = groups
-            .iter()
-            .map(|m| (offsets[m.rep.0] + m.rep.1) as i64)
-            .collect();
-        out.push(
-            key.name.clone(),
-            ColumnData::Exact(combined.select_rows(&Tensor::from_vec(idx, &[num_groups]))),
-        );
-    }
-
     // The one place an aggregate function is turned into an output
     // column: each reads its accumulator (COUNT(*) the group size).
+    let ints = |v: &Vec<i64>| EncodedTensor::I64(Tensor::from_vec(v.clone(), &[groups]));
+    let floats = |v: Vec<f32>| EncodedTensor::F32(Tensor::from_vec(v, &[groups]));
     for (agg, acc) in prog.aggregates.iter().zip(&prog.outs) {
-        let f32_col = |f: &dyn Fn(&MergedGroup, AccVal) -> f32| {
-            let ai = acc.expect("only COUNT(*) has no accumulator");
-            EncodedTensor::F32(Tensor::from_vec(
-                groups.iter().map(|m| f(m, m.accs[ai])).collect(),
-                &[num_groups],
-            ))
-        };
-        let col = match agg.func {
-            AggFunc::Count | AggFunc::CountDistinct => EncodedTensor::I64(Tensor::from_vec(
-                groups
-                    .iter()
-                    .map(|m| match acc.map(|ai| m.accs[ai]) {
-                        None => m.count,
-                        Some(AccVal::Count(v)) => v,
-                        Some(_) => unreachable!("COUNT folds into a Count accumulator"),
-                    })
-                    .collect(),
-                &[num_groups],
-            )),
-            AggFunc::Sum => f32_col(&|_, a| match a {
-                AccVal::Sum(v) => v,
-                _ => unreachable!("SUM folds into a Sum accumulator"),
-            }),
-            AggFunc::Avg => f32_col(&|m, a| match a {
-                AccVal::Sum(v) => v / m.count as f32,
-                _ => unreachable!("AVG folds into a Sum accumulator"),
-            }),
-            AggFunc::Min => f32_col(&|_, a| match a {
-                AccVal::Min(v) => v,
-                _ => unreachable!("MIN folds into a Min accumulator"),
-            }),
-            AggFunc::Max => f32_col(&|_, a| match a {
-                AccVal::Max(v) => v,
-                _ => unreachable!("MAX folds into a Max accumulator"),
-            }),
-            AggFunc::Variance | AggFunc::Stddev => {
+        let col = match acc.map(|a| &accs[a]) {
+            None => ints(&counts),
+            Some(AccColumn::Count(c)) => ints(c),
+            Some(AccColumn::Sum(s)) if agg.func == AggFunc::Avg => {
+                floats(s.iter().zip(&counts).map(|(&s, &c)| s / c as f32).collect())
+            }
+            Some(AccColumn::Sum(v) | AccColumn::Min(v) | AccColumn::Max(v)) => floats(v.clone()),
+            Some(AccColumn::Moments { sum, sumsq }) => {
                 let is_stddev = agg.func == AggFunc::Stddev;
                 // Sample variance via the sum-of-squares identity, in f64
                 // for numeric robustness; singleton groups yield 0 in
                 // this NULL-free dialect.
-                f32_col(&|m, a| match a {
-                    AccVal::Moments { sum, sumsq } => {
-                        let c = m.count as f64;
-                        if c <= 1.0 {
-                            return 0.0;
-                        }
-                        let var = ((sumsq - sum * sum / c) / (c - 1.0)).max(0.0);
-                        if is_stddev {
-                            var.sqrt() as f32
-                        } else {
-                            var as f32
-                        }
-                    }
-                    _ => unreachable!("VARIANCE/STDDEV fold into Moments"),
-                })
+                let finish = |((&sum, &sumsq), &count): ((&f64, &f64), &i64)| {
+                    let c = count as f64;
+                    let var = match c <= 1.0 {
+                        true => 0.0,
+                        false => ((sumsq - sum * sum / c) / (c - 1.0)).max(0.0),
+                    };
+                    (if is_stddev { var.sqrt() } else { var }) as f32
+                };
+                floats(sum.iter().zip(sumsq).zip(&counts).map(finish).collect())
             }
         };
         out.push(agg.output.clone(), ColumnData::Exact(col));
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1072,20 +1008,15 @@ mod tests {
             .collect()
     }
 
-    /// Fused partials are bit-for-bit the parent's, on the floats where
-    /// order and representation show: NaN, ±inf, −0.0, denormals, and
-    /// magnitudes nine decades apart — over the dense batch, under a
-    /// mask (against the reference over the *gathered* survivors), and
-    /// over survivors read by index. Zero-key programs over plain
-    /// columns ride the same fold: they are in the corpus too, down to
-    /// a morsel no row of which survives and one whose only survivors
-    /// are NaN (MIN/MAX stay ±inf, the sums go NaN). Whatever the
-    /// statement, the masked fold and the fold over survivors read by
-    /// index — the two arms `SelectionForm::fold` picks between — agree
-    /// to the bit, NaN sign and payload included.
-    #[test]
-    fn fused_partials_are_bitwise_the_segment_sum_reference() {
-        let n = 257usize;
+    /// Rows of the corpus table.
+    const N: usize = 257;
+
+    /// The corpus table `t`: `x` holds the floats where order and
+    /// representation show — NaN, ±inf, −0.0, denormals, and magnitudes
+    /// nine decades apart; `y` is finite, so its sums are not all NaN;
+    /// `k` is an i64 key too wide for the direct-index table, `flag` a
+    /// dictionary key.
+    fn corpus_catalog() -> Catalog {
         let special = [
             f32::NAN,
             f32::INFINITY,
@@ -1097,17 +1028,16 @@ mod tests {
             f32::MAX,
             -f32::MAX,
         ];
-        let x: Vec<f32> = (0..n)
+        let x: Vec<f32> = (0..N)
             .map(|i| match i % 11 {
                 0 => special[(i / 11) % special.len()],
                 _ => ((i * 7919) % 1000) as f32 * 10f32.powi(i as i32 % 9 - 4) - 3.0,
             })
             .collect();
-        // A tamer column: finite, so its sums are not all NaN.
-        let y: Vec<f32> = (0..n)
+        let y: Vec<f32> = (0..N)
             .map(|i| ((i * 104_729) % 977) as f32 * 10f32.powi(i as i32 % 7 - 3))
             .collect();
-        let flags: Vec<String> = (0..n).map(|i| format!("f{}", (i * i) % 3)).collect();
+        let flags: Vec<String> = (0..N).map(|i| format!("f{}", (i * i) % 3)).collect();
         let catalog = Catalog::new();
         catalog.register(
             TableBuilder::new()
@@ -1115,49 +1045,85 @@ mod tests {
                 .col_f32("y", y)
                 .col_i64(
                     "k",
-                    (0..n).map(|i| (i % 5) as i64 * 1_000_000_007 - 9).collect(),
+                    (0..N).map(|i| (i % 5) as i64 * 1_000_000_007 - 9).collect(),
                 )
                 .col_str("flag", &flags)
-                .col_i64("q", (0..n).map(|i| (i % 50) as i64).collect())
+                .col_i64("q", (0..N).map(|i| (i % 50) as i64).collect())
                 .build("t"),
         );
+        catalog
+    }
+
+    /// Aggregate statements over the corpus table, each with how its NaN
+    /// states compare against the `segment_sum` reference.
+    const STATEMENTS: [(&str, Nan); 5] = [
+        // Q1 shape: dict key, one computed and one repeated argument.
+        (
+            "SELECT flag, SUM(q), SUM(y), SUM(y * (1 - x)), AVG(x), COUNT(*) \
+             FROM t GROUP BY flag",
+            Nan::Exact,
+        ),
+        // Two keys (wide-span i64 forces the hash arm, dict rides along).
+        (
+            "SELECT k, flag, SUM(x), MIN(x), MAX(x), VARIANCE(y), STDDEV(y), AVG(y) \
+             FROM t GROUP BY k, flag",
+            Nan::Exact,
+        ),
+        // The wide-span key alone: the hash arm in every window of more
+        // than a few rows, and in the combine.
+        (
+            "SELECT k, COUNT(*), SUM(y), MIN(x), MAX(x), AVG(y) FROM t GROUP BY k",
+            Nan::Exact,
+        ),
+        // Ungrouped, computed.
+        ("SELECT SUM(x * 2), MAX(y - x), COUNT(*) FROM t", Nan::Exact),
+        // Ungrouped over plain columns: every accumulator kind, and
+        // the one f64 sum fed NaNs of both signs.
+        (
+            "SELECT COUNT(*), COUNT(x > 0), COUNT(q), SUM(x), AVG(y), MIN(x), MAX(x), \
+             MIN(y), VARIANCE(x), STDDEV(y), SUM(q) FROM t",
+            Nan::Any,
+        ),
+    ];
+
+    /// The aggregate root of `sql`, lowered against `catalog`.
+    fn aggregate_root(
+        sql: &str,
+        catalog: &Catalog,
+        udfs: &UdfRegistry,
+    ) -> (Vec<PhysKey>, Vec<PhysAggregate>) {
+        let plan = optimizer::optimize(
+            build_plan(&parse(sql).unwrap(), &PlannerContext::default()).unwrap(),
+        );
+        match lower(&plan, catalog, udfs).unwrap() {
+            PhysicalPlan::Aggregate {
+                keys, aggregates, ..
+            } => (keys, aggregates),
+            _ => panic!("expected an aggregate root for {sql}"),
+        }
+    }
+
+    /// Fused partials are bit-for-bit the `segment_sum` reference's on
+    /// the corpus ([`corpus_catalog`]) — over the dense batch, under a
+    /// mask (against the reference over the *gathered* survivors), and
+    /// over survivors read by index. Zero-key programs over plain columns ride the same
+    /// fold: they are in the corpus too, down to a morsel no row of
+    /// which survives and one whose only survivors are NaN (MIN/MAX stay
+    /// ±inf, the sums go NaN). Whatever the statement, the masked fold
+    /// and the fold over survivors read by index — the two arms
+    /// `SelectionForm::fold` picks between — agree to the bit, NaN sign
+    /// and payload included.
+    #[test]
+    fn fused_partials_are_bitwise_the_segment_sum_reference() {
+        let n = N;
+        let catalog = corpus_catalog();
         let udfs = UdfRegistry::new();
         let ctx = ExecContext::new(&catalog, &udfs);
         let batch = exact::scan_table("t", None, &ctx).unwrap();
 
-        for (sql, nan) in [
-            // Q1 shape: dict key, one computed and one repeated argument.
-            (
-                "SELECT flag, SUM(q), SUM(y), SUM(y * (1 - x)), AVG(x), COUNT(*) \
-                 FROM t GROUP BY flag",
-                Nan::Exact,
-            ),
-            // Two keys (wide-span i64 forces the hash arm, dict rides along).
-            (
-                "SELECT k, flag, SUM(x), MIN(x), MAX(x), VARIANCE(y), STDDEV(y), AVG(y) \
-                 FROM t GROUP BY k, flag",
-                Nan::Exact,
-            ),
-            // Ungrouped, computed.
-            ("SELECT SUM(x * 2), MAX(y - x), COUNT(*) FROM t", Nan::Exact),
-            // Ungrouped over plain columns: every accumulator kind, and
-            // the one f64 sum fed NaNs of both signs.
-            (
-                "SELECT COUNT(*), COUNT(x > 0), COUNT(q), SUM(x), AVG(y), MIN(x), MAX(x), \
-                 MIN(y), VARIANCE(x), STDDEV(y), SUM(q) FROM t",
-                Nan::Any,
-            ),
-        ] {
-            let plan = optimizer::optimize(
-                build_plan(&parse(sql).unwrap(), &PlannerContext::default()).unwrap(),
-            );
-            let phys = lower(&plan, &catalog, &udfs).unwrap();
-            let PhysicalPlan::Aggregate {
-                keys, aggregates, ..
-            } = &phys
-            else {
-                panic!("expected an aggregate root for {sql}");
-            };
+        for (sql, nan) in STATEMENTS {
+            let (keys, aggregates) = aggregate_root(sql, &catalog, &udfs);
+            let (keys, aggregates) = (&keys, &aggregates);
             let prog = AggProgram::compile(keys, aggregates).unwrap();
 
             let dense = partial_aggregate(&prog, &batch, None, &ctx).unwrap();
@@ -1201,29 +1167,265 @@ mod tests {
         }
     }
 
+    /// One key column's identity in the ordered-map merge: the decoded
+    /// string of a dictionary column, the grouping code of anything else.
+    #[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+    enum RefKey {
+        Int(i64),
+        Str(String),
+    }
+
+    #[derive(Clone, Copy)]
+    enum RefAcc {
+        Count(i64),
+        Sum(f32),
+        Min(f32),
+        Max(f32),
+        Moments { sum: f64, sumsq: f64 },
+    }
+
+    struct RefGroup {
+        /// `(partial index, group index)` of the first-seen representative.
+        rep: (usize, usize),
+        count: i64,
+        accs: Vec<RefAcc>,
+    }
+
+    /// The combine the `group_rows` one replaced, kept as its reference:
+    /// one insert per partial group into a map ordered by per-key
+    /// identities ([`RefKey`]; a sorted vector here), the first-seen
+    /// representative, and scalar accumulators added in morsel order.
+    fn ordered_map_merge(prog: &AggProgram<'_>, partials: &[PartialAgg]) -> Batch {
+        let mut merged: Vec<(Vec<RefKey>, RefGroup)> = Vec::new();
+        for (pi, p) in partials.iter().enumerate() {
+            let idents: Vec<Vec<RefKey>> = p
+                .key_reps
+                .iter()
+                .map(|col| {
+                    let ints = exact::key_codes(col).unwrap();
+                    (0..p.groups)
+                        .map(|g| match col {
+                            EncodedTensor::Dict { codes, dict } => {
+                                RefKey::Str(dict.decode_one(codes.at(g)).to_owned())
+                            }
+                            _ => RefKey::Int(ints.at(g)),
+                        })
+                        .collect()
+                })
+                .collect();
+            for g in 0..p.groups {
+                let key: Vec<RefKey> = idents.iter().map(|col| col[g].clone()).collect();
+                let at = merged
+                    .binary_search_by(|(k, _)| k.cmp(&key))
+                    .unwrap_or_else(|at| {
+                        let accs = p
+                            .accs
+                            .iter()
+                            .map(|a| match a {
+                                AccColumn::Count(_) => RefAcc::Count(0),
+                                AccColumn::Sum(_) => RefAcc::Sum(0.0),
+                                AccColumn::Min(_) => RefAcc::Min(f32::INFINITY),
+                                AccColumn::Max(_) => RefAcc::Max(f32::NEG_INFINITY),
+                                AccColumn::Moments { .. } => RefAcc::Moments {
+                                    sum: 0.0,
+                                    sumsq: 0.0,
+                                },
+                            })
+                            .collect();
+                        let group = RefGroup {
+                            rep: (pi, g),
+                            count: 0,
+                            accs,
+                        };
+                        merged.insert(at, (key.clone(), group));
+                        at
+                    });
+                let entry = &mut merged[at].1;
+                entry.count += p.counts[g];
+                for (acc, col) in entry.accs.iter_mut().zip(&p.accs) {
+                    match (acc, col) {
+                        (RefAcc::Count(t), AccColumn::Count(v)) => *t += v[g],
+                        (RefAcc::Sum(t), AccColumn::Sum(v)) => *t += v[g],
+                        (RefAcc::Min(t), AccColumn::Min(v)) => *t = t.min(v[g]),
+                        (RefAcc::Max(t), AccColumn::Max(v)) => *t = t.max(v[g]),
+                        (
+                            RefAcc::Moments { sum, sumsq },
+                            AccColumn::Moments { sum: s, sumsq: q },
+                        ) => {
+                            *sum += s[g];
+                            *sumsq += q[g];
+                        }
+                        _ => unreachable!("one accumulator layout"),
+                    }
+                }
+            }
+        }
+
+        let groups: Vec<&RefGroup> = merged.iter().map(|(_, m)| m).collect();
+        let num_groups = groups.len();
+        let mut out = Batch::new();
+        let mut offsets = Vec::with_capacity(partials.len());
+        let mut total = 0usize;
+        for p in partials {
+            offsets.push(total);
+            total += p.groups;
+        }
+        for (ki, key) in prog.keys.iter().enumerate() {
+            let parts: Vec<&EncodedTensor> = partials.iter().map(|p| &p.key_reps[ki]).collect();
+            let combined = EncodedTensor::concat(&parts);
+            let idx: Vec<i64> = groups
+                .iter()
+                .map(|m| (offsets[m.rep.0] + m.rep.1) as i64)
+                .collect();
+            out.push(
+                key.name.clone(),
+                ColumnData::Exact(combined.select_rows(&Tensor::from_vec(idx, &[num_groups]))),
+            );
+        }
+        for (agg, acc) in prog.aggregates.iter().zip(&prog.outs) {
+            let f32_col = |f: &dyn Fn(&RefGroup, RefAcc) -> f32| {
+                let ai = acc.expect("only COUNT(*) has no accumulator");
+                EncodedTensor::F32(Tensor::from_vec(
+                    groups.iter().map(|m| f(m, m.accs[ai])).collect(),
+                    &[num_groups],
+                ))
+            };
+            let col = match agg.func {
+                AggFunc::Count | AggFunc::CountDistinct => EncodedTensor::I64(Tensor::from_vec(
+                    groups
+                        .iter()
+                        .map(|m| match acc.map(|ai| m.accs[ai]) {
+                            None => m.count,
+                            Some(RefAcc::Count(v)) => v,
+                            Some(_) => unreachable!(),
+                        })
+                        .collect(),
+                    &[num_groups],
+                )),
+                AggFunc::Sum => f32_col(&|_, a| match a {
+                    RefAcc::Sum(v) => v,
+                    _ => unreachable!(),
+                }),
+                AggFunc::Avg => f32_col(&|m, a| match a {
+                    RefAcc::Sum(v) => v / m.count as f32,
+                    _ => unreachable!(),
+                }),
+                AggFunc::Min => f32_col(&|_, a| match a {
+                    RefAcc::Min(v) => v,
+                    _ => unreachable!(),
+                }),
+                AggFunc::Max => f32_col(&|_, a| match a {
+                    RefAcc::Max(v) => v,
+                    _ => unreachable!(),
+                }),
+                AggFunc::Variance | AggFunc::Stddev => {
+                    let is_stddev = agg.func == AggFunc::Stddev;
+                    f32_col(&|m, a| match a {
+                        RefAcc::Moments { sum, sumsq } => {
+                            let c = m.count as f64;
+                            if c <= 1.0 {
+                                return 0.0;
+                            }
+                            let var = ((sumsq - sum * sum / c) / (c - 1.0)).max(0.0);
+                            if is_stddev {
+                                var.sqrt() as f32
+                            } else {
+                                var as f32
+                            }
+                        }
+                        _ => unreachable!(),
+                    })
+                }
+            };
+            out.push(agg.output.clone(), ColumnData::Exact(col));
+        }
+        out
+    }
+
+    /// A result column as `(name, encoding, values, string view)`: f32
+    /// values as bit patterns, anything else by its integer view
+    /// (dictionary codes included).
+    type ColumnBits = (String, tdp_encoding::EncodingKind, Vec<u64>, Vec<String>);
+
+    fn batch_bits(b: &Batch, nan: Nan) -> Vec<ColumnBits> {
+        b.columns()
+            .iter()
+            .map(|(name, c)| {
+                let c = c.to_exact();
+                let bits = match &c {
+                    EncodedTensor::F32(t) => t.data().iter().map(|&v| nan.f32(v)).collect(),
+                    other => other
+                        .decode_i64()
+                        .data()
+                        .iter()
+                        .map(|&v| v as u64)
+                        .collect(),
+                };
+                (name.clone(), c.kind(), bits, c.decode_strings())
+            })
+            .collect()
+    }
+
+    /// The combine is bit for bit the ordered-map merge it replaced —
+    /// values, NaN as the corpus test compares them, group order, the
+    /// representative rows and their encodings — over the corpus cut
+    /// into windows of 1, 7, 64 and all rows (1 to 257 partials). Each
+    /// cut runs twice: every window's `flag` sharing the table's
+    /// dictionary, and every window carrying a dictionary of its own
+    /// (which the combine's concatenation re-encodes).
+    #[test]
+    fn combine_is_bitwise_the_ordered_map_merge() {
+        let catalog = corpus_catalog();
+        let udfs = UdfRegistry::new();
+        let ctx = ExecContext::new(&catalog, &udfs);
+        let batch = exact::scan_table("t", None, &ctx).unwrap();
+        let own_dictionary = |w: Batch| {
+            let mut out = Batch::new();
+            for (name, c) in w.columns() {
+                let c = match c.to_exact() {
+                    dict @ EncodedTensor::Dict { .. } => {
+                        EncodedTensor::from_strings(&dict.decode_strings())
+                    }
+                    other => other,
+                };
+                out.push(name.clone(), ColumnData::Exact(c));
+            }
+            out
+        };
+        for (sql, nan) in STATEMENTS {
+            let (keys, aggregates) = aggregate_root(sql, &catalog, &udfs);
+            let prog = AggProgram::compile(&keys, &aggregates).unwrap();
+            for rows in [1, 7, 64, N] {
+                for own in [false, true] {
+                    let partials: Vec<PartialAgg> = (0..N)
+                        .step_by(rows)
+                        .map(|start| {
+                            let w = batch.slice_rows(start, start + rows);
+                            let w = if own { own_dictionary(w) } else { w };
+                            partial_aggregate(&prog, &w, None, &ctx).unwrap()
+                        })
+                        .collect();
+                    assert_eq!(
+                        batch_bits(&merge_partials(&prog, &partials).unwrap(), nan),
+                        batch_bits(&ordered_map_merge(&prog, &partials), nan),
+                        "{sql}: windows of {rows}, own dictionaries: {own}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn program_shares_arguments_and_accumulators() {
         let c = setup(10);
         let udfs = UdfRegistry::new();
-        let plan = optimizer::optimize(
-            build_plan(
-                &parse(
-                    "SELECT tag, SUM(v), AVG(v), VARIANCE(v), STDDEV(v), SUM(v * k), COUNT(*), \
-                     COUNT(k) FROM t GROUP BY tag",
-                )
-                .unwrap(),
-                &PlannerContext::default(),
-            )
-            .unwrap(),
+        let (keys, aggregates) = aggregate_root(
+            "SELECT tag, SUM(v), AVG(v), VARIANCE(v), STDDEV(v), SUM(v * k), COUNT(*), \
+             COUNT(k) FROM t GROUP BY tag",
+            &c,
+            &udfs,
         );
-        let phys = lower(&plan, &c, &udfs).unwrap();
-        let PhysicalPlan::Aggregate {
-            keys, aggregates, ..
-        } = &phys
-        else {
-            panic!("aggregate root");
-        };
-        let prog = AggProgram::compile(keys, aggregates).unwrap();
+        let prog = AggProgram::compile(&keys, &aggregates).unwrap();
         // v, v * k, k — and SUM/AVG share a sum, VARIANCE/STDDEV the moments.
         assert_eq!(prog.args.len(), 3);
         assert_eq!(prog.accs.len(), 4);

@@ -6,7 +6,7 @@
 //! |---------------|------|
 //! | `sched`       | worker contexts, the one thread-spawn site, the one claim loop (ordered result slots, first error in index order, the LIMIT stop bound), the partition `exchange`, morsel ranges and the interpreter's window slices |
 //! | `chain`       | parallel-safety analysis, the per-execution `ChainRun`, the streaming chain run with its LIMIT sink, the per-morsel selection stage and the chain→barrier hand-off (`BarrierInput`: stored columns plus survivor ids, or a gathered batch) |
-//! | `aggregate`   | `AggProgram`, the one per-morsel fold, the one claim that selects (or gathers) and folds each window, the combine |
+//! | `aggregate`   | `AggProgram`, the one per-morsel fold, the one claim that selects (or gathers) and folds each window, the combine — which groups the partials' key rows with the fold's own `group_rows` and scatters their states in morsel order |
 //! | `join`        | partitioned hash join over `i64` key codes: hash once → exchange → per-partition flat table → parallel probe → per-column assembly |
 //! | `sort`        | merge sort and top-k: per-morsel runs → k-way merge |
 //! | `distinct`    | shared-nothing DISTINCT on the same codes, hash and table: exchange → per-partition insert-if-absent |
@@ -107,7 +107,7 @@ mod join;
 mod sched;
 mod sort;
 
-pub(crate) use aggregate::{merge_partials, partial_aggregate, run_aggregate, AggProgram};
+pub(crate) use aggregate::run_aggregate;
 pub(crate) use chain::{
     chain_barrier_input, chain_fallback_reason, run_ops, BarrierInput, ChainRun,
 };

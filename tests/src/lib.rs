@@ -40,6 +40,43 @@ pub const PAYLOAD_MISUSE: [&str; 9] = [
     "SELECT POW(images, id) AS d FROM pics",
 ];
 
+/// Aggregates over the dictionary-encoded string column `flag` of a
+/// table `c` (beside an integer `key` and an f32 `dial`), each paired
+/// with the function its type error names: `<FUNC> over a string column`
+/// — ungrouped, grouped and window forms. The `None` rows are the
+/// controls: COUNT and COUNT(DISTINCT) tell strings apart without
+/// reading them as numbers, and must still succeed.
+pub const STRING_AGGREGATE_MISUSE: [(&str, Option<&str>); 7] = [
+    (
+        "SELECT MIN(flag), MAX(flag), SUM(flag), AVG(flag) FROM c",
+        Some("MIN"),
+    ),
+    (
+        "SELECT key, SUM(flag) AS s FROM c WHERE dial > 0.5 GROUP BY key",
+        Some("SUM"),
+    ),
+    (
+        "SELECT flag, COUNT(*) AS n, VARIANCE(flag) AS v, STDDEV(flag) AS d FROM c GROUP BY flag",
+        Some("VARIANCE"),
+    ),
+    (
+        "SELECT flag, SUM(flag) OVER (PARTITION BY key) AS s FROM c",
+        Some("SUM"),
+    ),
+    (
+        "SELECT key, MAX(flag) OVER (PARTITION BY key ORDER BY dial) AS m FROM c WHERE dial > 0.9",
+        Some("MAX"),
+    ),
+    (
+        "SELECT COUNT(flag) AS n, COUNT(DISTINCT flag) AS d FROM c",
+        None,
+    ),
+    (
+        "SELECT flag, COUNT(flag) OVER (PARTITION BY key) AS n FROM c WHERE dial > 0.99",
+        None,
+    ),
+];
+
 /// Byte-identity of two result tables — the contract every scheduler
 /// configuration is held to: same row count, same column order, and per
 /// column the same f32 **bit patterns** (so `NaN == NaN`, `-0.0 != 0.0`)

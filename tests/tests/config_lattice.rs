@@ -15,7 +15,9 @@ use std::sync::Arc;
 
 use tdp_core::storage::{Table, TableBuilder};
 use tdp_core::{ParamValues, Session, TdpEngine};
-use tdp_integration::{assert_tables_identical, pics_table, HalveUdf, PAYLOAD_MISUSE};
+use tdp_integration::{
+    assert_tables_identical, pics_table, HalveUdf, PAYLOAD_MISUSE, STRING_AGGREGATE_MISUSE,
+};
 
 /// Three 4096-row zone-map chunks with `v` ascending, so range filters
 /// prune whole chunks, and `x` spread over nine decades, so f32 sums
@@ -188,6 +190,20 @@ const CORPUS: &[(&str, &str)] = &[
         "two-key (i64, dict) aggregate",
         "SELECT k, tag, SUM(x), MIN(x), MAX(x), STDDEV(x), COUNT(v > 4000) FROM t \
          WHERE x > 0.5 GROUP BY k, tag",
+    ),
+    // Keys the combine groups over hundreds of partials at 7-row
+    // morsels: a span too wide for the direct-index table in every
+    // partial and in the combine, and a string key every window encodes
+    // with a dictionary of its own.
+    (
+        "wide-span key in every morsel",
+        "SELECT k * 1000003 AS kk, COUNT(*) AS n, SUM(x) AS s, MIN(x) AS lo, MAX(x) AS hi \
+         FROM t WHERE x > 0.5 GROUP BY k * 1000003",
+    ),
+    (
+        "per-window dictionary key",
+        "SELECT c, tag, COUNT(*) AS n, SUM(x) AS s FROM (SELECT 'lit' AS c, tag, x FROM t) AS q \
+         GROUP BY c, tag",
     ),
     (
         "join",
@@ -482,7 +498,9 @@ fn run_corpus(tdp: &Session) -> Vec<(String, Table)> {
 /// The error text of every failing statement: [`FAILING`] — each
 /// counting `kernels` (0 or 1) kernel fallbacks — then the payload-column
 /// statements (the kernel bails on a payload leaf, the interpreter names
-/// the shapes it met).
+/// the shapes it met), then the numeric aggregates over `c.flag` (the
+/// fold and the window refuse the string column; no kernel bails) with
+/// the row counts of their COUNT controls.
 fn run_failing(tdp: &Session, kernels: bool) -> Vec<String> {
     let run = |name: &str, sql: &str| {
         let err = tdp.query(sql).unwrap().run().map(|t| t.rows());
@@ -496,7 +514,13 @@ fn run_failing(tdp: &Session, kernels: bool) -> Vec<String> {
         err
     });
     let payload = PAYLOAD_MISUSE.iter().map(|sql| run("payload misuse", sql));
-    named.chain(payload).collect()
+    let strings = STRING_AGGREGATE_MISUSE
+        .iter()
+        .map(|(sql, refused)| match refused {
+            Some(_) => run(sql, sql),
+            None => format!("{} rows", tdp.query(sql).unwrap().run().expect(sql).rows()),
+        });
+    named.chain(payload).chain(strings).collect()
 }
 
 /// `I64 F32 …`: the encoding of every result column.
@@ -556,6 +580,14 @@ const KINDS: &[(&str, &str)] = &[
     (
         "two-key (i64, dict) aggregate",
         "PlainI64 Dictionary PlainF32 PlainF32 PlainF32 PlainF32 PlainI64",
+    ),
+    (
+        "wide-span key in every morsel",
+        "PlainF32 PlainI64 PlainF32 PlainF32 PlainF32",
+    ),
+    (
+        "per-window dictionary key",
+        "Dictionary Dictionary PlainI64 PlainF32",
     ),
     ("join", "PlainF32 PlainF32"),
     ("composite-key join", "PlainF32 PlainF32"),

@@ -3,7 +3,7 @@
 
 use tdp_core::storage::TableBuilder;
 use tdp_core::{Device, Tdp};
-use tdp_integration::{orders_table, pics_table, PAYLOAD_MISUSE};
+use tdp_integration::{orders_table, pics_table, PAYLOAD_MISUSE, STRING_AGGREGATE_MISUSE};
 
 fn session() -> Tdp {
     let tdp = Tdp::new();
@@ -238,6 +238,61 @@ fn payload_columns_in_scalar_expressions_are_a_typed_error_not_a_panic() {
     assert_eq!(
         pixels("SELECT SQRT(images * images) AS d FROM pics"),
         [0.0, 1.0, 2.0, 3.0, 4.0, 0.0]
+    );
+}
+
+/// SUM, AVG, MIN, MAX, VARIANCE and STDDEV over a string column folded
+/// its dictionary codes (`MIN(item), MAX(item), SUM(item), AVG(item)`
+/// over `orders` came back as `0 2 6 1`), as aggregates and as windows.
+/// Each now refuses the column with a type error naming the function,
+/// as a string literal in the same position already was; COUNT and
+/// COUNT(DISTINCT) over strings keep working.
+#[test]
+fn numeric_aggregates_refuse_a_string_column() {
+    use tdp_core::exec::ExecError;
+    use tdp_core::TdpError;
+    let tdp = session();
+    tdp.register_table(
+        TableBuilder::new()
+            .col_str("flag", &["f1", "f0", "f2", "f1", "f0"])
+            .col_i64("key", vec![1, 2, 1, 2, 2])
+            .col_f32("dial", vec![0.95, 0.3, 0.995, 0.6, 0.999])
+            .build("c"),
+    );
+    let refusal = |sql: &str, func: &str| {
+        let err = tdp.query(sql).and_then(|q| q.run()).expect_err(sql);
+        let want = format!("{func} over a string column");
+        assert!(
+            matches!(&err, TdpError::Exec(ExecError::TypeMismatch(m)) if *m == want),
+            "{sql}: {err:?}"
+        );
+    };
+    for (sql, refused) in STRING_AGGREGATE_MISUSE {
+        match refused {
+            Some(func) => refusal(sql, func),
+            None => assert!(tdp.query(sql).unwrap().run().unwrap().rows() > 0, "{sql}"),
+        }
+    }
+    refusal(
+        "SELECT MIN(item), MAX(item), SUM(item), AVG(item) FROM orders",
+        "MIN",
+    );
+    refusal(
+        "SELECT item, SUM(item) OVER (PARTITION BY qty) AS s FROM orders",
+        "SUM",
+    );
+    let counts = tdp
+        .query("SELECT item, COUNT(item) AS n, COUNT(DISTINCT item) AS d FROM orders GROUP BY item")
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(
+        counts.column("n").unwrap().data.decode_i64().to_vec(),
+        [3, 2, 1]
+    );
+    assert_eq!(
+        counts.column("d").unwrap().data.decode_i64().to_vec(),
+        [1, 1, 1]
     );
 }
 
