@@ -956,6 +956,47 @@ fn bench_grouped_aggregate(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_ungrouped_aggregate(c: &mut Criterion) {
+    // The zero-key fold: four accumulators over one f32 column, each a
+    // loop with its running value in a local. Unfiltered, an aggregate
+    // over a bare scan folds every window where the column is stored;
+    // 97% keeps the selection a dense mask, 10% demotes it to a survivor
+    // index list. The unreferenced `pad` columns are what an aggregate
+    // that read every column of its windows would pay for.
+    let n = 1_000_000;
+    let mut rng = Rng64::new(53);
+    let tdp = Tdp::new();
+    tdp.register_table(
+        TableBuilder::new()
+            .col_f32("v", (0..n).map(|_| rng.normal() as f32).collect())
+            .col_f32("dial", (0..n).map(|_| rng.uniform() as f32).collect())
+            .col_i64("pad1", (0..n).map(|_| rng.below(1_000) as i64).collect())
+            .col_i64("pad2", (0..n).map(|_| rng.below(1_000) as i64).collect())
+            .build("facts"),
+    );
+    let mut group = c.benchmark_group("ungrouped_aggregate_1m");
+    group.sample_size(10);
+    for (sel, filter) in [
+        ("unfiltered", ""),
+        ("97pct", " WHERE dial < 0.97"),
+        ("10pct", " WHERE dial < 0.10"),
+    ] {
+        let q = tdp
+            .query(&format!(
+                "SELECT COUNT(*) AS n, SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi FROM facts{filter}"
+            ))
+            .expect("compile");
+        for threads in [1usize, 2] {
+            tdp.set_threads(threads);
+            group.bench_function(format!("{sel}/threads_{threads}"), |b| {
+                b.iter(|| q.run().expect("run"))
+            });
+        }
+    }
+    tdp.set_threads(1);
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sql_operators,
@@ -976,6 +1017,7 @@ criterion_group!(
     bench_memory_budget,
     bench_late_materialization,
     bench_selection_front,
-    bench_grouped_aggregate
+    bench_grouped_aggregate,
+    bench_ungrouped_aggregate
 );
 criterion_main!(benches);

@@ -12,9 +12,9 @@
 //! chain kernels ([`crate::kernel`]) do not: UDF calls, scalar
 //! subqueries, vector built-ins, arithmetic on payload (rank > 1)
 //! columns, chains pinned to the session thread, every run-time
-//! bail-out, and everything outside a fused chain — aggregate arguments
-//! and group keys, sort, window and join key expressions, TVF
-//! arguments. The kernels replicate its dispatch exactly and are
+//! bail-out, and everything outside a fused chain — sort, window and
+//! join key expressions, TVF arguments, and aggregate arguments and group
+//! keys wherever the aggregate does not fold in place. The kernels replicate its dispatch exactly and are
 //! compared against it, byte for byte, at every point of the
 //! configuration lattice; keeping the oracle on the production path is
 //! what keeps it honest.

@@ -66,6 +66,17 @@
 //!   verdict EXPLAIN prints as `[barrier: selection-fed]` / `[barrier:
 //!   gathered: <reason>]`.
 //!
+//! The evaluator has a third consumer, the aggregate fold
+//! ([`crate::morsel`]'s aggregate stage): `ChainInstance::key_window` and
+//! `ChainInstance::arg_window` evaluate an aggregate's computed keys and
+//! its arguments over the chain's output columns where they are stored —
+//! full width under a dense mask, at the survivors under an index list,
+//! every row of a bare scan (`ChainInstance::empty`, the kernel of the
+//! empty chain) — in the forms the fold reads: a packed key column,
+//! COUNT's flags, f32 values. A string read as numbers, a row constant
+//! as a key, a payload leaf bail like any other refusal, and the
+//! aggregate re-runs that window on the interpreter.
+//!
 //! Pass-through columns move by the one row-movement rule
 //! ([`EncodedTensor::select_rows`] at the survivors,
 //! [`EncodedTensor::slice_rows`] over an unfiltered window): plain,
@@ -94,9 +105,10 @@
 //!   declined whole by any morsel's bail, an aggregate task re-runs just
 //!   its own window on the gather path): batches carrying
 //!   differentiable columns, payload (rank > 1) columns used in computed
-//!   expressions, evaluation type errors (the interpreter re-runs the
-//!   morsel and raises the identical error), a refused scratch charge,
-//!   and any node kind above reaching the evaluator un-vetted.
+//!   expressions or read by an aggregate, evaluation type errors (the
+//!   interpreter re-runs the morsel and raises the identical error — a
+//!   numeric aggregate over a string column included), a refused scratch
+//!   charge, and any node kind above reaching the evaluator un-vetted.
 //!
 //! ## Vetting
 //!
@@ -363,16 +375,50 @@ enum PVal<'c> {
     BoolS(bool),
 }
 
-fn f32_vec(v: PVal<'_>, n: usize) -> KResult<Vec<f32>> {
+/// A value as numbers: one f32 per selected row — a plain f32 leaf's
+/// borrowed where it is stored — or a row constant, which arithmetic
+/// reads as a scalar rather than a broadcast buffer.
+enum F32s<'c> {
+    Vals(Cow<'c, [f32]>),
+    Const(f32),
+}
+
+fn f32s(v: PVal<'_>) -> KResult<F32s<'_>> {
+    let flag = |b: bool| if b { 1.0 } else { 0.0 };
     Ok(match v {
-        PVal::F32(v) => v.into_owned(),
+        PVal::F32(v) => F32s::Vals(v),
         // Same widenings as `Value::into_f32_column` / `decode_f32`.
-        PVal::Bool(m) => m.into_iter().map(|b| if b { 1.0 } else { 0.0 }).collect(),
-        PVal::Codes(c, _) => c.iter().map(|&c| c as f32).collect(),
-        PVal::Num(x) => vec![x as f32; n],
-        PVal::BoolS(b) => vec![if b { 1.0 } else { 0.0 }; n],
+        PVal::Bool(m) => F32s::Vals(Cow::Owned(m.into_iter().map(flag).collect())),
+        PVal::Codes(c, _) => F32s::Vals(Cow::Owned(c.iter().map(|&c| c as f32).collect())),
+        PVal::Num(x) => F32s::Const(x as f32),
+        PVal::BoolS(b) => F32s::Const(flag(b)),
         PVal::Str(_) => return Err(Bail), // interpreter: type error
     })
+}
+
+fn f32_vec(v: PVal<'_>, n: usize) -> KResult<Vec<f32>> {
+    Ok(match f32s(v)? {
+        F32s::Vals(v) => v.into_owned(),
+        F32s::Const(x) => vec![x; n],
+    })
+}
+
+/// `f` over `n` rows of one numeric operand.
+fn map_f32(v: &F32s<'_>, n: usize, f: impl Fn(f32) -> f32) -> Vec<f32> {
+    match v {
+        F32s::Vals(v) => v.iter().map(|&x| f(x)).collect(),
+        F32s::Const(x) => vec![f(*x); n],
+    }
+}
+
+/// `f` over `n` rows of two numeric operands, elementwise.
+fn zip_f32<T: Clone>(l: &F32s<'_>, r: &F32s<'_>, n: usize, f: impl Fn(f32, f32) -> T) -> Vec<T> {
+    match (l, r) {
+        (F32s::Vals(a), F32s::Vals(b)) => a.iter().zip(b.iter()).map(|(&a, &b)| f(a, b)).collect(),
+        (F32s::Vals(a), &F32s::Const(b)) => a.iter().map(|&a| f(a, b)).collect(),
+        (&F32s::Const(a), F32s::Vals(b)) => b.iter().map(|&b| f(a, b)).collect(),
+        (&F32s::Const(a), &F32s::Const(b)) => vec![f(a, b); n],
+    }
 }
 
 fn mask_vec(v: PVal<'_>, n: usize) -> KResult<Vec<bool>> {
@@ -560,32 +606,29 @@ fn kbinary<'c>(op: BinOp, l: PVal<'c>, r: PVal<'c>, n: usize) -> KResult<PVal<'c
         }));
     }
 
-    let lc = f32_vec(l, n)?;
-    let rc = f32_vec(r, n)?;
-    macro_rules! zip_f32 {
+    let (lc, rc) = (f32s(l)?, f32s(r)?);
+    macro_rules! num {
         ($f:expr) => {
-            PVal::F32(Cow::Owned(
-                lc.iter().zip(&rc).map(|(&a, &b)| $f(a, b)).collect(),
-            ))
+            PVal::F32(Cow::Owned(zip_f32(&lc, &rc, n, $f)))
         };
     }
-    macro_rules! zip_bool {
+    macro_rules! cmp {
         ($f:expr) => {
-            PVal::Bool(lc.iter().zip(&rc).map(|(&a, &b)| $f(a, b)).collect())
+            PVal::Bool(zip_f32(&lc, &rc, n, $f))
         };
     }
     Ok(match op {
-        Add => zip_f32!(|a: f32, b: f32| a + b),
-        Sub => zip_f32!(|a: f32, b: f32| a - b),
-        Mul => zip_f32!(|a: f32, b: f32| a * b),
-        Div => zip_f32!(|a: f32, b: f32| a / b),
-        Mod => zip_f32!(|a: f32, b: f32| a % b),
-        Eq => zip_bool!(|a, b| a == b),
-        NotEq => zip_bool!(|a, b| a != b),
-        Lt => zip_bool!(|a, b| a < b),
-        LtEq => zip_bool!(|a, b| a <= b),
-        Gt => zip_bool!(|a, b| a > b),
-        GtEq => zip_bool!(|a, b| a >= b),
+        Add => num!(|a: f32, b: f32| a + b),
+        Sub => num!(|a: f32, b: f32| a - b),
+        Mul => num!(|a: f32, b: f32| a * b),
+        Div => num!(|a: f32, b: f32| a / b),
+        Mod => num!(|a: f32, b: f32| a % b),
+        Eq => cmp!(|a: f32, b: f32| a == b),
+        NotEq => cmp!(|a: f32, b: f32| a != b),
+        Lt => cmp!(|a: f32, b: f32| a < b),
+        LtEq => cmp!(|a: f32, b: f32| a <= b),
+        Gt => cmp!(|a: f32, b: f32| a > b),
+        GtEq => cmp!(|a: f32, b: f32| a >= b),
         And | Or => unreachable!(),
     })
 }
@@ -693,8 +736,8 @@ fn eval<'c>(e: &CompiledExpr, sc: Scope<'c, '_>, sel: Option<&[u32]>) -> KResult
                         };
                         PVal::Num(f(x as f32) as f64)
                     } else {
-                        let c = f32_vec(vals.into_iter().next().unwrap(), n)?;
-                        PVal::F32(Cow::Owned(c.into_iter().map(f).collect()))
+                        let c = f32s(vals.into_iter().next().unwrap())?;
+                        PVal::F32(Cow::Owned(map_f32(&c, n, f)))
                     }
                 }
                 ScalarFn::Binary(f) => {
@@ -705,11 +748,9 @@ fn eval<'c>(e: &CompiledExpr, sc: Scope<'c, '_>, sel: Option<&[u32]>) -> KResult
                         PVal::Num(f(*a as f32, *b as f32) as f64)
                     } else {
                         let mut it = vals.into_iter();
-                        let a = f32_vec(it.next().unwrap(), n)?;
-                        let b = f32_vec(it.next().unwrap(), n)?;
-                        PVal::F32(Cow::Owned(
-                            a.iter().zip(&b).map(|(&x, &y)| f(x, y)).collect(),
-                        ))
+                        let a = f32s(it.next().unwrap())?;
+                        let b = f32s(it.next().unwrap())?;
+                        PVal::F32(Cow::Owned(zip_f32(&a, &b, n, f)))
                     }
                 }
                 ScalarFn::Vector(_) => return Err(Bail),
@@ -1073,23 +1114,114 @@ fn materialize(
     for it in items {
         let col = match &it.expr {
             CompiledExpr::Column(r) => sc.pass_through(resolve(sc.cols, r)?, ids.as_ref()),
-            // Row-constant leaves (literals, `$n`) evaluate to scalars
-            // and broadcast; everything else packs what it computed.
-            computed => match eval(computed, sc, idx.as_deref())? {
-                PVal::F32(v) => EncodedTensor::F32(Tensor::from_vec(v.into_owned(), &[n])),
-                PVal::Bool(v) => EncodedTensor::Bool(Tensor::from_vec(v, &[n])),
-                PVal::Codes(c, dict) => EncodedTensor::Dict {
-                    codes: Tensor::from_vec(c.into_owned(), &[n]),
-                    dict,
-                },
-                PVal::Num(v) => EncodedTensor::F32(Tensor::full(&[n], v as f32)),
-                PVal::BoolS(b) => EncodedTensor::Bool(Tensor::full(&[n], b)),
-                PVal::Str(s) => EncodedTensor::from_strings(&vec![s; n]),
-            },
+            computed => pack(eval(computed, sc, idx.as_deref())?, n),
         };
         out.push((it.name.clone(), col));
     }
     Ok(out)
+}
+
+/// A value evaluated over `n` positions as a column of its own, as the
+/// interpreter's projection packs it: row-constant leaves (literals,
+/// `$n`) broadcast, everything else packs what it computed.
+fn pack(v: PVal<'_>, n: usize) -> EncodedTensor {
+    match v {
+        PVal::F32(v) => EncodedTensor::F32(Tensor::from_vec(v.into_owned(), &[n])),
+        PVal::Bool(v) => EncodedTensor::Bool(Tensor::from_vec(v, &[n])),
+        PVal::Codes(c, dict) => EncodedTensor::Dict {
+            codes: Tensor::from_vec(c.into_owned(), &[n]),
+            dict,
+        },
+        PVal::Num(v) => EncodedTensor::F32(Tensor::full(&[n], v as f32)),
+        PVal::BoolS(b) => EncodedTensor::Bool(Tensor::full(&[n], b)),
+        PVal::Str(s) => EncodedTensor::from_strings(&vec![s; n]),
+    }
+}
+
+// ----------------------------------------------------------------------
+// The aggregate fold's reads
+// ----------------------------------------------------------------------
+
+/// One aggregate argument as the fold reads it, evaluated over a window
+/// by [`ChainInstance::arg_window`].
+pub(crate) struct AggArg<'c> {
+    /// A boolean column's flags, when COUNT reads the argument (COUNT
+    /// counts their trues, and the rows of anything else).
+    pub(crate) flags: Option<Vec<bool>>,
+    /// The f32 values, when a numeric aggregate reads the argument — a
+    /// plain f32 column's window borrowed where it is stored.
+    pub(crate) vals: Option<Cow<'c, [f32]>>,
+}
+
+impl<'a> ChainInstance<'a> {
+    /// The kernel of the empty chain: what an aggregate over a bare scan
+    /// evaluates its keys and arguments with. There is nothing to vet
+    /// and no bind to count; its bail-outs count like any chain's.
+    pub(crate) fn empty(ctx: &'a ExecContext) -> ChainInstance<'a> {
+        ChainInstance {
+            ops: &[],
+            access: &ctx.access,
+            fallback_noted: AtomicBool::new(false),
+        }
+    }
+
+    /// Evaluate a GROUP BY key over rows `start..end` of `cols` — every
+    /// row, or the window positions `sel` — with the evaluator
+    /// [`Self::run_window`]'s projections use, packed as a projection
+    /// packs it. `None` = bail-out, counted like the chain's: a row
+    /// constant (the interpreter refuses it as a key) or anything the
+    /// evaluator refuses.
+    pub(crate) fn key_window(
+        &self,
+        e: &CompiledExpr,
+        cols: &[(String, EncodedTensor)],
+        (start, end): (usize, usize),
+        sel: Option<&[u32]>,
+        ctx: &ExecContext,
+    ) -> Option<EncodedTensor> {
+        let key = Scope::over(cols, (start, end - start), ctx).and_then(|sc| {
+            let n = sel.map_or(sc.rows, <[u32]>::len);
+            match eval(e, sc, sel)? {
+                PVal::Num(_) | PVal::Str(_) | PVal::BoolS(_) => Err(Bail),
+                v => Ok(pack(v, n)),
+            }
+        });
+        self.counted(key)
+    }
+
+    /// Evaluate an aggregate argument over rows `start..end` of `cols`
+    /// — every row, or the window positions `sel` — in the forms its
+    /// accumulators read: COUNT's flags when `count`, f32 values when
+    /// `numeric` (`Value::into_agg_f32`'s reads). `None` = bail-out,
+    /// counted like the chain's: a string column or literal read as
+    /// numbers (the interpreter refuses it), a payload leaf, or anything
+    /// the evaluator refuses.
+    pub(crate) fn arg_window<'c>(
+        &self,
+        e: &CompiledExpr,
+        cols: &'c [(String, EncodedTensor)],
+        (start, end): (usize, usize),
+        sel: Option<&[u32]>,
+        (count, numeric): (bool, bool),
+        ctx: &ExecContext,
+    ) -> Option<AggArg<'c>> {
+        let arg = Scope::over(cols, (start, end - start), ctx).and_then(|sc| {
+            let n = sel.map_or(sc.rows, <[u32]>::len);
+            let (flags, v) = match eval(e, sc, sel)? {
+                PVal::Bool(m) if count && !numeric => (Some(m), None),
+                PVal::Bool(m) if count => (Some(m.clone()), Some(PVal::Bool(m))),
+                v => (None, numeric.then_some(v)),
+            };
+            let vals = match v {
+                None => None,
+                Some(PVal::Codes(..) | PVal::Str(_)) => return Err(Bail),
+                Some(PVal::F32(v)) => Some(v),
+                Some(v) => Some(Cow::Owned(f32_vec(v, n)?)),
+            };
+            Ok(AggArg { flags, vals })
+        });
+        self.counted(arg)
+    }
 }
 
 #[cfg(test)]

@@ -83,7 +83,9 @@
 //! the distinct tuples), joins are hash joins, ORDER BY is argsort, and
 //! aggregation is one compiled program per query ([`morsel`]'s
 //! `AggProgram`) whose accumulators all advance in a single row-order
-//! pass over `(group id, arguments…)`.
+//! pass over `(group id, arguments…)` — with no keys, each accumulator is
+//! its own loop with its running value in a local — reading the stored
+//! columns it names in place.
 //! Probability-encoded inputs are decoded by argmax first (paper §4,
 //! inference-time operator swap). The trainable path ([`soft`], [`diff`])
 //! consumes the *same* pipeline decomposition single-threaded: GROUP BY +
@@ -133,8 +135,9 @@
 //! and profiles — UDF calls, scalar subqueries, vector built-ins,
 //! arithmetic on payload (rank > 1) columns, chains pinned to the
 //! session thread, and any run-time bail-out; (2) the evaluator of
-//! everything that is not a fused chain — aggregate arguments and
-//! group keys, sort and window keys, TVF arguments; and (3) the
+//! everything that is not a fused chain — sort and window keys, TVF
+//! arguments, and aggregate arguments and group keys wherever the
+//! aggregate does not fold in place on the kernel; and (3) the
 //! byte-identity oracle the kernel is tested against at every lattice
 //! point. The three roles are one body of code on purpose: an oracle
 //! that production does not run drifts. The kernel is an accelerator
@@ -151,10 +154,12 @@
 //!     ├ sched      worker contexts, the one spawn site, the one claim loop, exchange
 //!     ├ chain      parallel-safety analysis, ChainRun (one verdict per chain per run),
 //!     │            streaming run + LIMIT sink, chain→barrier hand-off
-//!     ├ aggregate  AggProgram, the one per-morsel fold, the combine (group_rows
-//!     │            over the partials' key rows, states scattered in morsel order)
+//!     ├ aggregate  AggProgram, the one per-morsel fold (in place over the stored
+//!     │            columns it names), the combine (group_rows over the partials'
+//!     │            key rows, states scattered in morsel order)
 //!     ├ join / sort / distinct   the staged barriers
-//!   kernel     chain kernels over CompiledExpr; vetting, once per execution
+//!   kernel     chain kernels over CompiledExpr (and the aggregate fold's reads);
+//!              vetting, once per execution
 //!   expr       the scalar interpreter            ┐ the fallback tier, and the oracle every
 //!   exact      whole-batch relational kernels    ┘ byte-identity test compares against
 //!   profile    Recorder + QueryProfile (the same walk, observed per stage)

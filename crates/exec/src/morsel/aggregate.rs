@@ -1,14 +1,26 @@
 //! Grouped aggregation: one compiled program per query
-//! ([`AggProgram`]), one fold per morsel ([`partial_aggregate`] — group
-//! ids resolved in one O(n) pass, every accumulator advanced in one
-//! row-order sweep), partial states merged in morsel order
-//! ([`merge_partials`]). Keys are grouped one way, [`group_keys`]: the
-//! fold groups a morsel's rows with it, and the combine groups the
-//! partials' representative key rows with it. [`run_aggregate`] is one
-//! task per live window that selects and folds it: the referenced stored
-//! columns under the window's own selection when the chain runs on the
-//! kernel, the chain's dense window output otherwise — every shape,
-//! grouped or not, takes the same fold.
+//! ([`AggProgram`]), one fold per morsel, partial states merged in
+//! morsel order ([`merge_partials`]). A fold reads its keys' grouping
+//! codes and its arguments' values at the positions it visits
+//! ([`Inputs`], whoever evaluated them), resolves group ids in one O(n)
+//! pass ([`group_rows`]) and advances every accumulator in one row-order
+//! sweep ([`Fold::run`]); with zero keys there is one group, and each
+//! accumulator is its own loop with its running value in a local
+//! ([`fold_one`]). The combine groups the partials' representative key
+//! rows by the same rule ([`group_keys`]: grouping codes into
+//! `group_rows`).
+//!
+//! [`run_aggregate`] is one task per live window that folds it **in
+//! place** when it can ([`InPlace`]): the chain's kernel selects the
+//! window (a bare scan keeps every row), column keys read their grouping
+//! codes where they are stored, computed keys and arguments go through
+//! the kernel's window evaluator — only the columns the aggregate names
+//! are read, at the rows it keeps, and nothing is copied into a batch of
+//! the fold's own. Kernels off, a single-morsel input, a pinned chain, a
+//! declined hand-off and every window the kernel bails on fold the
+//! chain's dense window output with the interpreter
+//! ([`partial_aggregate`]) — the oracle the in-place fold matches bit
+//! for bit, grouped or not.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -16,7 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use tdp_encoding::EncodedTensor;
 use tdp_sql::ast::AggFunc;
 use tdp_tensor::sort::{group_rows, Groups};
-use tdp_tensor::{F32Tensor, I64Tensor, Tensor};
+use tdp_tensor::{BoolTensor, F32Tensor, I64Tensor, Tensor};
 
 use super::chain::{self, ChainRun};
 use super::sched::{claim_eval, from_cols, live_windows, to_cols, MorselCols};
@@ -57,6 +69,18 @@ struct AccSpec {
     arg: usize,
 }
 
+/// How the accumulators read one argument.
+#[derive(Clone, Copy, Debug)]
+struct Reads {
+    /// COUNT reads it: a boolean column's trues, the group size else.
+    count: bool,
+    /// COUNT(DISTINCT) reads the column itself.
+    distinct: bool,
+    /// The first numeric function reading it, in query order (the one a
+    /// refusal names); `None` when only counts do.
+    numeric: Option<AggFunc>,
+}
+
 /// The aggregate list of one query, compiled once — not per morsel.
 /// Argument expressions are de-duplicated (`SUM(x)`, `AVG(x)` and
 /// `VARIANCE(x)` evaluate `x` once per morsel) and so are accumulators
@@ -66,10 +90,10 @@ struct AccSpec {
 struct AggProgram<'q> {
     keys: &'q [PhysKey],
     aggregates: &'q [PhysAggregate],
-    /// `keys[i].expr`, or its re-addressed copy after [`Self::rebind`].
-    key_exprs: Vec<Cow<'q, CompiledExpr>>,
     /// Distinct argument expressions in first-use order.
-    args: Vec<Cow<'q, CompiledExpr>>,
+    args: Vec<&'q CompiledExpr>,
+    /// Per argument, the forms its accumulators read.
+    reads: Vec<Reads>,
     /// Distinct `(kind, argument)` accumulators.
     accs: Vec<AccSpec>,
     /// Per aggregate, the accumulator it finalises from; `None` is
@@ -82,7 +106,7 @@ impl<'q> AggProgram<'q> {
         keys: &'q [PhysKey],
         aggregates: &'q [PhysAggregate],
     ) -> Result<AggProgram<'q>, ExecError> {
-        let mut args: Vec<Cow<'q, CompiledExpr>> = Vec::new();
+        let mut args: Vec<&'q CompiledExpr> = Vec::new();
         let mut accs: Vec<AccSpec> = Vec::new();
         let mut outs = Vec::with_capacity(aggregates.len());
         for agg in aggregates {
@@ -104,13 +128,10 @@ impl<'q> AggProgram<'q> {
                 AggFunc::Max => AccKind::Max,
                 AggFunc::Variance | AggFunc::Stddev => AccKind::Moments,
             };
-            let arg = args
-                .iter()
-                .position(|a| a.as_ref() == e)
-                .unwrap_or_else(|| {
-                    args.push(Cow::Borrowed(e));
-                    args.len() - 1
-                });
+            let arg = args.iter().position(|&a| a == e).unwrap_or_else(|| {
+                args.push(e);
+                args.len() - 1
+            });
             let acc = accs
                 .iter()
                 .position(|a| a.kind == kind && a.arg == arg)
@@ -120,43 +141,32 @@ impl<'q> AggProgram<'q> {
                 });
             outs.push(Some(acc));
         }
+        let reads = (0..args.len())
+            .map(|ai| {
+                // The functions reading this argument, in query order.
+                let funcs: Vec<AggFunc> = aggregates
+                    .iter()
+                    .zip(&outs)
+                    .filter(|(_, out)| out.is_some_and(|acc| accs[acc].arg == ai))
+                    .map(|(agg, _)| agg.func)
+                    .collect();
+                Reads {
+                    count: funcs.contains(&AggFunc::Count),
+                    distinct: funcs.contains(&AggFunc::CountDistinct),
+                    numeric: funcs
+                        .into_iter()
+                        .find(|f| !matches!(f, AggFunc::Count | AggFunc::CountDistinct)),
+                }
+            })
+            .collect();
         Ok(AggProgram {
             keys,
             aggregates,
-            key_exprs: keys.iter().map(|k| Cow::Borrowed(&k.expr)).collect(),
             args,
+            reads,
             accs,
             outs,
         })
-    }
-
-    /// The same program over a batch holding only the columns `refs`
-    /// (ascending slots of `cols`), in that order: every column
-    /// reference is re-addressed to its position in `refs`. Accumulator
-    /// layout is untouched, so partials of the rebound program merge
-    /// under the original.
-    fn rebind(&self, cols: &[(String, EncodedTensor)], refs: &[usize]) -> AggProgram<'q> {
-        let readdress = |e: &CompiledExpr| {
-            let mut e = e.clone();
-            e.for_each_mut(&mut |node| {
-                if let CompiledExpr::Column(r) = node {
-                    let slot = resolve_idx(cols, r).expect("referenced_cols resolved every ref");
-                    *r = crate::physical::ColumnRef::Slot {
-                        slot: refs.binary_search(&slot).expect("slot is referenced"),
-                        name: r.name().to_owned(),
-                    };
-                }
-            });
-            Cow::Owned(e)
-        };
-        AggProgram {
-            keys: self.keys,
-            aggregates: self.aggregates,
-            key_exprs: self.key_exprs.iter().map(|e| readdress(e)).collect(),
-            args: self.args.iter().map(|e| readdress(e)).collect(),
-            accs: self.accs.clone(),
-            outs: self.outs.clone(),
-        }
     }
 }
 
@@ -245,10 +255,11 @@ impl PartialAgg {
 /// each live window folds into per-group partial states, merged by a
 /// combine step that walks windows in index order (deterministic at any
 /// thread count). A single-morsel input is the same thing with one
-/// partial. A multi-morsel stage picks its form once: a selection-form
-/// task selects its window and folds the survivors straight out of the
-/// stored columns ([`SelectionForm`]); a gathered-form task — or a
-/// selection task whose kernel bailed — folds the chain's dense window
+/// partial, folded by the interpreter. A multi-morsel stage picks its
+/// form once: an in-place task selects its window — or, over a bare
+/// scan, keeps every row of it — and folds what it keeps straight out of
+/// the stored columns ([`InPlace`]); a gathered-form task — or an
+/// in-place task whose kernel bailed — folds the chain's dense window
 /// output. Partials chunk by input window either way, so they are
 /// byte-identical across forms.
 pub(crate) fn run_aggregate(
@@ -274,23 +285,20 @@ pub(crate) fn run_aggregate(
     } else {
         let skip = skip.filter(|s| s.len() == morsels);
         let src = to_cols(input);
-        let form = match chain.kern() {
-            // No kernel: the chain's own note already says why.
-            None => Err(None),
-            Some(_) => SelectionForm::of(input, &src, chain, &prog, ctx).map_err(Some),
-        };
+        let empty = ChainInstance::empty(ctx);
+        let form = InPlace::of(input, &src, chain, &prog, &empty, ctx);
         // Pruned morsels contribute no groups and are not scheduled.
         let windows = live_windows(skip, ctx.morsel_rows, input.rows());
         let bailed = AtomicBool::new(false);
         let folds = claim_eval(windows.len(), ctx, None, |j, wctx| {
             let (start, end) = windows[j];
-            let selection = form
-                .as_ref()
-                .ok()
-                .map(|f| (f, f.kern.select_window(&src, start, end, wctx)));
-            let partial = match selection {
-                Some((f, Some(sv))) => f.fold(sv, start, end, wctx)?,
-                // The gathered form, or a selection task whose kernel bailed.
+            let in_place = match &form {
+                Ok(f) => Some(f.fold(&prog, &src, start, end, wctx)?),
+                Err(_) => None,
+            };
+            let partial = match in_place {
+                Some(Some(folded)) => folded,
+                // The gathered form, or an in-place task whose kernel bailed.
                 other => {
                     bailed.fetch_or(other.is_some(), Ordering::Relaxed);
                     let batch = from_cols(chain.apply_window(&src, start, end, wctx)?);
@@ -306,13 +314,16 @@ pub(crate) fn run_aggregate(
             Ok(partial)
         });
         let path = match form {
-            Ok(_) if !bailed.into_inner() => ("selection-fed", None),
-            Ok(_) => ("gathered", Some("kernel-bailout".to_string())),
+            Ok(_) if bailed.into_inner() => ("gathered", Some("kernel-bailout".to_string())),
+            Ok(f) if f.filtered => ("selection-fed", None),
+            Ok(_) => ("unfiltered", None),
             Err(why) => ("gathered", why),
         };
-        // One count per stage: a declined or bailed selection whatever
-        // the outcome, a selection-fed stage once it has succeeded.
-        if path.1.is_some() {
+        // One count per stage that hands a chain's selection over: a
+        // declined or bailed selection whatever the outcome, a
+        // selection-fed stage once it has succeeded. A bare scan hands
+        // nothing over and counts neither.
+        if path.1.is_some() && !chain.ops.is_empty() {
             ctx.access.note_barrier_gathered();
         }
         let folds = folds?;
@@ -362,6 +373,27 @@ fn aggregate_note(
         prog.accs.len(),
         prog.args.len(),
     )
+}
+
+// ----------------------------------------------------------------------
+// The fold
+// ----------------------------------------------------------------------
+
+/// One window's keys and arguments at the positions its fold visits —
+/// the window's rows (a dense selection's mask says which count) or its
+/// survivors — whoever evaluated them.
+struct Inputs<'a> {
+    /// Positions.
+    rows: usize,
+    /// Grouping codes, one slice per key.
+    codes: Vec<&'a [i64]>,
+    /// Per argument: f32 values, when a numeric aggregate reads it.
+    vals: Vec<Option<&'a [f32]>>,
+    /// Per argument: a boolean column's flags, when COUNT reads it.
+    flags: Vec<Option<&'a [bool]>>,
+    /// Per argument: the column COUNT(DISTINCT) reads — interpreter
+    /// only, distinct counts pin the stage to one whole-batch partial.
+    raws: Vec<Option<&'a EncodedTensor>>,
 }
 
 /// One fold's accumulators, viewed by kind over the partial's own
@@ -430,92 +462,44 @@ impl<'a> Fold<'a> {
     }
 }
 
-/// Fold one batch into per-group partial states: resolve group ids
-/// once, evaluate each distinct argument once, then advance every
-/// accumulator in a single row-order sweep ([`Fold::run`]).
-///
-/// `mask` marks the rows of `batch` that count (a dense selection's
-/// slice): deselected rows get no group and fold into a spare slot that
-/// is dropped, so the sweep stays branchless and every real group sees
-/// exactly its surviving rows, in row order. Arguments are evaluated at
-/// batch width either way — expressions are row-local, so a survivor's
-/// value does not depend on its neighbours.
-fn partial_aggregate(
+/// Fold one window's evaluated keys and arguments into per-group partial
+/// states. `mask` marks the positions that count (a dense selection's
+/// mask); the rest join no group. Each group's key row is the caller's
+/// to read, at its first position (`key_rows(reps)`): the caller knows
+/// where the keys are stored.
+fn fold(
     prog: &AggProgram<'_>,
-    batch: &Batch,
+    inp: &Inputs<'_>,
     mask: Option<&[bool]>,
-    ctx: &ExecContext,
+    key_rows: impl FnOnce(&I64Tensor) -> Vec<EncodedTensor>,
 ) -> Result<PartialAgg, ExecError> {
-    let n = batch.rows();
-
-    let mut key_cols: Vec<EncodedTensor> = Vec::with_capacity(prog.key_exprs.len());
-    for k in &prog.key_exprs {
-        match eval_expr(k, batch, ctx)? {
-            Value::Column(c) => key_cols.push(c),
-            other => {
-                return Err(ExecError::TypeMismatch(format!(
-                    "GROUP BY expression must be a column, got {other:?}"
-                )))
-            }
-        }
+    if inp.codes.is_empty() {
+        return fold_one(prog, inp, mask);
     }
     let Groups {
         ids,
         groups,
         hashed,
         ..
-    } = group_keys(&key_cols, n, mask)?;
-    // Key output keeps each group's first row, in its original encoding.
-    let reps = first_rows(&ids, groups);
-    let key_reps: Vec<EncodedTensor> = key_cols.iter().map(|c| c.select_rows(&reps)).collect();
+    } = group_rows(&inp.codes, mask);
+    let mut partial = fold_groups(prog, inp, &ids, groups, mask)?;
+    partial.hashed = hashed;
+    partial.key_reps = key_rows(&first_rows(&ids, groups));
+    Ok(partial)
+}
 
-    // Each distinct argument once, in the forms its accumulators read:
-    // f32 values, a boolean column's flags, the raw column for DISTINCT.
-    let mut f32s: Vec<Option<F32Tensor>> = Vec::with_capacity(prog.args.len());
-    let mut flags: Vec<Option<tdp_tensor::BoolTensor>> = Vec::with_capacity(prog.args.len());
-    let mut raws: Vec<Option<EncodedTensor>> = Vec::with_capacity(prog.args.len());
-    for (ai, e) in prog.args.iter().enumerate() {
-        // The functions reading this argument, in query order.
-        let funcs: Vec<AggFunc> = prog
-            .aggregates
-            .iter()
-            .zip(&prog.outs)
-            .filter(|(_, out)| out.is_some_and(|acc| prog.accs[acc].arg == ai))
-            .map(|(agg, _)| agg.func)
-            .collect();
-        let v = eval_expr(e, batch, ctx)?;
-        flags.push(match &v {
-            Value::Column(EncodedTensor::Bool(m)) if funcs.contains(&AggFunc::Count) => {
-                Some(m.clone())
-            }
-            _ => None,
-        });
-        raws.push(match &v {
-            _ if !funcs.contains(&AggFunc::CountDistinct) => None,
-            Value::Column(c) => Some(c.clone()),
-            other => {
-                return Err(ExecError::TypeMismatch(format!(
-                    "COUNT(DISTINCT …) needs a column, got {other:?}"
-                )))
-            }
-        });
-        // Read as numbers for the first function that does (the one a
-        // refusal names).
-        let numeric = funcs
-            .into_iter()
-            .find(|f| !matches!(f, AggFunc::Count | AggFunc::CountDistinct));
-        let vals = numeric.map(|func| v.into_agg_f32(func, n)).transpose()?;
-        if let Some(vals) = vals.as_ref().filter(|vals| vals.ndim() != 1) {
-            return Err(ExecError::TypeMismatch(format!(
-                "cannot aggregate a multi-dimensional payload column (shape {:?})",
-                vals.shape()
-            )));
-        }
-        f32s.push(vals);
-    }
-
-    // One sweep over (group id, args…). The slot past the last group
-    // absorbs the rows the mask deselected.
+/// The grouped fold: position `p` goes to group `ids[p]`, and every
+/// accumulator advances in one row-order sweep ([`Fold::run`]). The slot
+/// past the last group absorbs the positions a mask deselected (their id
+/// is `groups`), so the sweep stays branchless and every real group sees
+/// exactly its surviving rows, in row order.
+fn fold_groups(
+    prog: &AggProgram<'_>,
+    inp: &Inputs<'_>,
+    ids: &[u32],
+    groups: usize,
+    mask: Option<&[bool]>,
+) -> Result<PartialAgg, ExecError> {
     let slots = groups + 1;
     let mut counts = vec![0i64; slots];
     let mut accs: Vec<AccColumn> = prog
@@ -525,20 +509,21 @@ fn partial_aggregate(
         .collect();
     let mut fold = Fold::over(&mut counts);
     for (acc, col) in prog.accs.iter().zip(&mut accs) {
-        let vals = || f32s[acc.arg].as_ref().expect("evaluated above").data();
+        let vals = || inp.vals[acc.arg].expect("evaluated for a numeric aggregate");
         match col {
             AccColumn::Sum(_) => fold.sum_args.push(vals()),
             AccColumn::Min(m) => fold.mins.push((vals(), m)),
             AccColumn::Max(m) => fold.maxs.push((vals(), m)),
             AccColumn::Moments { sum, sumsq } => fold.moments.push((vals(), sum, sumsq)),
-            AccColumn::Count(t) => {
-                if let Some(m) = &flags[acc.arg] {
-                    fold.trues.push((m.data(), t));
+            AccColumn::Count(t) if acc.kind == AccKind::Count => {
+                if let Some(flags) = inp.flags[acc.arg] {
+                    fold.trues.push((flags, t));
                 }
             }
+            AccColumn::Count(_) => {}
         }
     }
-    fold.run(&ids);
+    fold.run(ids);
     let (sums, w) = (fold.sums, fold.sum_args.len());
 
     counts.truncate(groups);
@@ -552,8 +537,8 @@ fn partial_aggregate(
             }
             AccColumn::Count(t) if acc.kind == AccKind::CountDistinct => {
                 // Distinct (group, value-code) pairs, counted per group.
-                let col = raws[acc.arg].as_ref().expect("evaluated above");
-                let codes = exact::key_codes(col)?;
+                let raw = inp.raws[acc.arg].expect("evaluated for COUNT(DISTINCT)");
+                let codes = exact::key_codes(raw)?;
                 let gids: Vec<i64> = ids.iter().map(|&g| g as i64).collect();
                 let pairs = group_rows(&[&gids, codes.data()], mask);
                 t.truncate(groups);
@@ -562,7 +547,7 @@ fn partial_aggregate(
                 }
             }
             // COUNT of a non-boolean argument is the group size.
-            AccColumn::Count(t) if flags[acc.arg].is_none() => t.clone_from(&counts),
+            AccColumn::Count(t) if inp.flags[acc.arg].is_none() => t.clone_from(&counts),
             AccColumn::Count(t) => t.truncate(groups),
             AccColumn::Min(v) | AccColumn::Max(v) => v.truncate(groups),
             AccColumn::Moments { sum, sumsq } => {
@@ -573,29 +558,227 @@ fn partial_aggregate(
     }
 
     Ok(PartialAgg {
-        key_reps,
+        key_reps: Vec::new(),
         counts,
         accs,
         groups,
-        hashed,
+        hashed: false,
     })
 }
 
-/// Group `n` rows by their key columns — the one grouping rule of the
-/// fold and the combine: grouping codes ([`exact::key_codes`]) into
-/// [`group_rows`], which numbers groups in lexicographic code order.
-/// Zero keys are one group holding every row the mask keeps.
-fn group_keys(
-    keys: &[EncodedTensor],
-    n: usize,
+/// Fold the values at the positions `mask` keeps (every position without
+/// one) into one running value, in row order: `f` sees survivors only,
+/// so a deselected NaN never touches the result.
+fn fold_kept<T: Copy, A>(vals: &[T], mask: Option<&[bool]>, init: A, f: impl Fn(A, T) -> A) -> A {
+    match mask {
+        None => vals.iter().fold(init, |a, &v| f(a, v)),
+        Some(m) => vals
+            .iter()
+            .zip(m)
+            .fold(init, |a, (&v, &keep)| if keep { f(a, v) } else { a }),
+    }
+}
+
+/// The zero-key fold: one group, each accumulator its own loop over the
+/// visited positions with its running value in a local — no group ids,
+/// no state in memory. Survivors only, in row order, sums from `+0.0`:
+/// bit for bit what [`Fold::run`] computes for one group.
+fn fold_one(
+    prog: &AggProgram<'_>,
+    inp: &Inputs<'_>,
     mask: Option<&[bool]>,
-) -> Result<Groups, ExecError> {
+) -> Result<PartialAgg, ExecError> {
+    let rows = mask.map_or(inp.rows, |m| m.iter().filter(|&&keep| keep).count()) as i64;
+    let accs = prog
+        .accs
+        .iter()
+        .map(|acc| {
+            let vals = || inp.vals[acc.arg].expect("evaluated for a numeric aggregate");
+            Ok(match acc.kind {
+                AccKind::Count => AccColumn::Count(vec![match inp.flags[acc.arg] {
+                    Some(flags) => fold_kept(flags, mask, 0i64, |a, b| a + b as i64),
+                    None => rows,
+                }]),
+                AccKind::CountDistinct => {
+                    let raw = inp.raws[acc.arg].expect("evaluated for COUNT(DISTINCT)");
+                    let codes = exact::key_codes(raw)?;
+                    let distinct = group_rows(&[codes.data()], mask).groups;
+                    AccColumn::Count(vec![distinct as i64])
+                }
+                AccKind::Sum => {
+                    let sum = fold_kept(vals(), mask, 0.0f32, |a, v| a + v);
+                    // Which NaN a sum ends with is settled where two meet.
+                    let sum = match sum.is_nan() {
+                        true => {
+                            fold_kept(vals(), mask, 0.0, |a, v| if v.is_nan() { v } else { a + v })
+                        }
+                        false => sum,
+                    };
+                    AccColumn::Sum(vec![sum])
+                }
+                // The strict comparison against the running value: NaN
+                // never wins, and an all-NaN input stays ±inf.
+                AccKind::Min => {
+                    AccColumn::Min(vec![fold_kept(vals(), mask, f32::INFINITY, |a, v| {
+                        if v < a {
+                            v
+                        } else {
+                            a
+                        }
+                    })])
+                }
+                AccKind::Max => {
+                    AccColumn::Max(vec![fold_kept(vals(), mask, f32::NEG_INFINITY, |a, v| {
+                        if v > a {
+                            v
+                        } else {
+                            a
+                        }
+                    })])
+                }
+                AccKind::Moments => {
+                    let moments = |nan_last: bool| {
+                        fold_kept(vals(), mask, (0.0, 0.0), |(s, q): (f64, f64), v| {
+                            let v = v as f64;
+                            match nan_last && v.is_nan() {
+                                true => (v, v * v),
+                                false => (s + v, q + v * v),
+                            }
+                        })
+                    };
+                    let (sum, sumsq) = match moments(false) {
+                        (s, q) if s.is_nan() || q.is_nan() => moments(true),
+                        fast => fast,
+                    };
+                    AccColumn::Moments {
+                        sum: vec![sum],
+                        sumsq: vec![sumsq],
+                    }
+                }
+            })
+        })
+        .collect::<Result<_, ExecError>>()?;
+    Ok(PartialAgg {
+        key_reps: Vec::new(),
+        counts: vec![rows],
+        accs,
+        groups: 1,
+        hashed: false,
+    })
+}
+
+/// A batch's keys and arguments evaluated by the interpreter, held until
+/// [`Evaluated::inputs`] lends them to the fold.
+struct Evaluated {
+    /// Key columns, encoding preserved: representative rows are read
+    /// out of them.
+    keys: Vec<EncodedTensor>,
+    codes: Vec<I64Tensor>,
+    vals: Vec<Option<F32Tensor>>,
+    flags: Vec<Option<BoolTensor>>,
+    raws: Vec<Option<EncodedTensor>>,
+}
+
+impl Evaluated {
+    /// Each key, then each distinct argument once, in the forms its
+    /// accumulators read: f32 values, a boolean column's flags, the raw
+    /// column for DISTINCT.
+    fn of(prog: &AggProgram<'_>, batch: &Batch, ctx: &ExecContext) -> Result<Evaluated, ExecError> {
+        let n = batch.rows();
+        let mut keys = Vec::with_capacity(prog.keys.len());
+        for k in prog.keys {
+            match eval_expr(&k.expr, batch, ctx)? {
+                Value::Column(c) => keys.push(c),
+                other => {
+                    return Err(ExecError::TypeMismatch(format!(
+                        "GROUP BY expression must be a column, got {other:?}"
+                    )))
+                }
+            }
+        }
+        let codes = keys
+            .iter()
+            .map(exact::key_codes)
+            .collect::<Result<_, _>>()?;
+        let mut ev = Evaluated {
+            keys,
+            codes,
+            vals: Vec::with_capacity(prog.args.len()),
+            flags: Vec::with_capacity(prog.args.len()),
+            raws: Vec::with_capacity(prog.args.len()),
+        };
+        for (e, reads) in prog.args.iter().zip(&prog.reads) {
+            let v = eval_expr(e, batch, ctx)?;
+            ev.flags.push(match &v {
+                Value::Column(EncodedTensor::Bool(m)) if reads.count => Some(m.clone()),
+                _ => None,
+            });
+            ev.raws.push(match &v {
+                _ if !reads.distinct => None,
+                Value::Column(c) => Some(c.clone()),
+                other => {
+                    return Err(ExecError::TypeMismatch(format!(
+                        "COUNT(DISTINCT …) needs a column, got {other:?}"
+                    )))
+                }
+            });
+            let vals = reads
+                .numeric
+                .map(|func| v.into_agg_f32(func, n))
+                .transpose()?;
+            if let Some(vals) = vals.as_ref().filter(|vals| vals.ndim() != 1) {
+                return Err(ExecError::TypeMismatch(format!(
+                    "cannot aggregate a multi-dimensional payload column (shape {:?})",
+                    vals.shape()
+                )));
+            }
+            ev.vals.push(vals);
+        }
+        Ok(ev)
+    }
+
+    fn inputs(&self, rows: usize) -> Inputs<'_> {
+        Inputs {
+            rows,
+            codes: self.codes.iter().map(I64Tensor::data).collect(),
+            vals: self
+                .vals
+                .iter()
+                .map(|v| v.as_ref().map(F32Tensor::data))
+                .collect(),
+            flags: self
+                .flags
+                .iter()
+                .map(|f| f.as_ref().map(BoolTensor::data))
+                .collect(),
+            raws: self.raws.iter().map(Option::as_ref).collect(),
+        }
+    }
+}
+
+/// Fold one batch with the interpreter — the oracle of the in-place
+/// fold, and the path of every window it does not take. `mask` marks the
+/// rows of `batch` that count.
+fn partial_aggregate(
+    prog: &AggProgram<'_>,
+    batch: &Batch,
+    mask: Option<&[bool]>,
+    ctx: &ExecContext,
+) -> Result<PartialAgg, ExecError> {
+    let ev = Evaluated::of(prog, batch, ctx)?;
+    fold(prog, &ev.inputs(batch.rows()), mask, |reps| {
+        ev.keys.iter().map(|c| c.select_rows(reps)).collect()
+    })
+}
+
+/// Group `n` rows by their key columns — the combine's grouping, by the
+/// fold's own rule: grouping codes ([`exact::key_codes`]) into
+/// [`group_rows`], which numbers groups in lexicographic code order.
+/// Zero keys are one group holding every row.
+fn group_keys(keys: &[EncodedTensor], n: usize) -> Result<Groups, ExecError> {
     if keys.is_empty() {
         return Ok(Groups {
-            ids: match mask {
-                None => vec![0; n],
-                Some(m) => m.iter().map(|&keep| !keep as u32).collect(),
-            },
+            ids: vec![0; n],
             distinct: Vec::new(),
             groups: 1,
             hashed: false,
@@ -606,7 +789,7 @@ fn group_keys(
         .map(exact::key_codes)
         .collect::<Result<_, _>>()?;
     let slices: Vec<&[i64]> = codes.iter().map(|c| c.data()).collect();
-    Ok(group_rows(&slices, mask))
+    Ok(group_rows(&slices, None))
 }
 
 /// Each group's representative: the first of its rows in `ids` order.
@@ -627,127 +810,232 @@ fn first_rows(ids: &[u32], groups: usize) -> I64Tensor {
 }
 
 // ----------------------------------------------------------------------
-// The selection form
+// The in-place fold
 // ----------------------------------------------------------------------
 
-/// What every task of a selection-form stage shares: the bound kernel,
-/// the chain's output columns (the input's stored columns, remapped, never
-/// copied), the slots of those the program reads, and the program rebound
-/// to just those columns.
-struct SelectionForm<'c, 'q> {
+/// What every task of an in-place stage shares: the kernel its keys and
+/// arguments evaluate with, whether it selects (a bare scan folds every
+/// row), and the columns the program reads — the input's stored columns,
+/// remapped by the chain's projections, never copied.
+struct InPlace<'c> {
     kern: &'c ChainInstance<'c>,
+    filtered: bool,
     cols: MorselCols,
-    refs: Vec<usize>,
-    bound: AggProgram<'q>,
 }
 
-impl<'c, 'q> SelectionForm<'c, 'q> {
-    /// The stage's selection form, or the named reason it folds gathered
-    /// windows: the barrier hand-off's decline, the kernel bailing on the
-    /// chain's output columns, or a program [`referenced_cols`] refuses.
+/// Where a key's representative rows are read: the stored column, at
+/// global row ids, or the column the kernel packed for the window, at
+/// its positions.
+enum KeyRows<'c> {
+    Stored(&'c EncodedTensor),
+    Computed(EncodedTensor),
+}
+
+impl<'c> InPlace<'c> {
+    /// The stage's in-place form, or why it folds gathered windows. Over
+    /// a chain: the barrier hand-off's decline, the kernel bailing on the
+    /// chain's output columns, or a program [`decline`] refuses (`None`
+    /// when no kernel runs the chain — its own note already says why).
+    /// Over a bare scan, which hands nothing over: kernels off, or a
+    /// refused program — `None` either way.
     fn of(
         input: &Batch,
         src: &[(String, EncodedTensor)],
-        chain: &'c ChainRun<'c>,
-        prog: &AggProgram<'q>,
+        chain: &'c ChainRun<'_>,
+        prog: &AggProgram<'_>,
+        empty: &'c ChainInstance<'_>,
         ctx: &ExecContext,
-    ) -> Result<SelectionForm<'c, 'q>, String> {
-        let kern = chain.selection_kernel(input, ctx)?;
-        let cols = kern.selection_cols(src).ok_or("kernel-bailout")?;
-        let refs = referenced_cols(prog, &cols, ctx)?;
-        Ok(SelectionForm {
+    ) -> Result<InPlace<'c>, Option<String>> {
+        if chain.ops.is_empty() {
+            let cols = src.to_vec();
+            return match ctx.chain_kernels && decline(prog, &cols, ctx).is_ok() {
+                true => Ok(InPlace {
+                    kern: empty,
+                    filtered: false,
+                    cols,
+                }),
+                false => Err(None),
+            };
+        }
+        // No kernel runs the chain: its own note already says why.
+        chain.kern().ok_or(None)?;
+        let kern = chain.selection_kernel(input, ctx).map_err(Some)?;
+        let cols = kern
+            .selection_cols(src)
+            .ok_or_else(|| Some("kernel-bailout".to_string()))?;
+        decline(prog, &cols, ctx).map_err(|why| Some(why.to_string()))?;
+        Ok(InPlace {
             kern,
-            bound: prog.rebind(&cols, &refs),
+            filtered: true,
             cols,
-            refs,
         })
     }
 
-    /// Fold the survivors `sv` of window `start..end` (`None` when none
-    /// survived) with the rebound program, over the referenced columns
-    /// only, read out of the stored columns by the two read primitives —
-    /// integer-compressed layouts arrive as plain `i64`, as in a gathered
-    /// window. A dense selection folds the window under its mask; a sparse
-    /// one ([`chain::HANDOFF_IDX_DIVISOR`]) reads just the survivors by
-    /// position. Either way survivors are visited in row order, so the
-    /// partial is byte-identical to the gathered window's. Only the
-    /// window's scratch is allocated, and that is what the ledger is
-    /// charged.
+    /// Select window `start..end` of the stage's input columns `src` and
+    /// fold what it keeps ([`Self::fold_window`]). `Ok(None)` = the
+    /// kernel bailed, and the caller re-runs the window on the
+    /// interpreter.
     fn fold(
         &self,
-        sv: SelVec,
+        prog: &AggProgram<'_>,
+        src: &[(String, EncodedTensor)],
         start: usize,
         end: usize,
         ctx: &ExecContext,
-    ) -> Result<Option<PartialAgg>, ExecError> {
-        if sv.len() == 0 {
-            return Ok(None);
-        }
-        let (mask, ids) = match sv {
-            SelVec::Mask(m, n) if n * chain::HANDOFF_IDX_DIVISOR > end - start => (Some(m), None),
-            sparse => (None, Some(sparse.ids(start))),
+    ) -> Result<Option<Option<PartialAgg>>, ExecError> {
+        let sel = match self.filtered {
+            false => None,
+            true => match self.kern.select_window(src, start, end, ctx) {
+                Some(sv) => Some(sv),
+                None => return Ok(None),
+            },
         };
-        let width = ids.as_ref().map_or(end - start, I64Tensor::numel);
-        let mut mini = Batch::new();
-        if self.refs.is_empty() {
-            // A program that reads no column at all (`SUM(2)`) still
-            // needs one to carry the row count.
-            let rows = EncodedTensor::Bool(Tensor::full(&[width], true));
-            mini.push("", ColumnData::Exact(rows));
+        self.fold_window(prog, (start, end), sel, ctx)
+    }
+
+    /// Fold the rows `sel` keeps of window `start..end` (`None`: every
+    /// row) straight out of the stored columns — `Ok(Some(None))` when
+    /// none survived, `Ok(None)` when the kernel bailed. A dense
+    /// selection folds the window under its mask; a sparse one
+    /// ([`chain::HANDOFF_IDX_DIVISOR`]) reads just the survivors by
+    /// position. Either way survivors are visited in row order, so the
+    /// partial is byte-identical to the interpreter's over the gathered
+    /// window. A column key reads its grouping codes where they are
+    /// stored and a group's key row at its global row id; computed keys
+    /// and arguments are the kernel's ([`ChainInstance::key_window`],
+    /// [`ChainInstance::arg_window`]): plain f32 and dictionary windows
+    /// borrowed, `i64` widened, compressed columns decoded for the window
+    /// only. Only the fold's scratch is allocated, and that is what the
+    /// ledger is charged.
+    fn fold_window(
+        &self,
+        prog: &AggProgram<'_>,
+        (start, end): (usize, usize),
+        sel: Option<SelVec>,
+        ctx: &ExecContext,
+    ) -> Result<Option<Option<PartialAgg>>, ExecError> {
+        let width = end - start;
+        let (mask, idx) = match sel {
+            _ if width == 0 => return Ok(Some(None)),
+            None => (None, None),
+            Some(sv) if sv.len() == 0 => return Ok(Some(None)),
+            Some(SelVec::Mask(m, n)) if n * chain::HANDOFF_IDX_DIVISOR > width => (Some(m), None),
+            Some(sparse) => (None, Some(sparse.into_idx())),
+        };
+        // The survivors' global row ids: where stored keys are read.
+        let at = idx.as_ref().filter(|_| !prog.keys.is_empty()).map(|idx| {
+            let ids = idx.iter().map(|&i| (start + i as usize) as i64).collect();
+            Tensor::from_vec(ids, &[idx.len()])
+        });
+        // Scratch of this fold: the window's mask (1 B a row) or its
+        // survivors' positions and row ids (12 B), and per visited row
+        // each key's grouping codes, the group ids and each argument's
+        // values.
+        let rows = idx.as_ref().map_or(width, Vec::len);
+        let keys = prog.keys.len();
+        let per_row = 8 * keys + 4 * usize::from(keys > 0) + 4 * prog.args.len();
+        let selection = match (&mask, &idx) {
+            (Some(m), _) => m.len(),
+            (None, Some(idx)) => idx.len() * 12,
+            (None, None) => 0,
+        };
+        let scratch = (selection + rows * per_row) as u64;
+        let _scratch = memory::charge(&ctx.memory, "aggregate scratch", scratch)?;
+
+        let (win, sel) = ((start, end), idx.as_deref());
+        let mut key_cols = Vec::with_capacity(keys);
+        for k in prog.keys {
+            key_cols.push(match &k.expr {
+                CompiledExpr::Column(r) => {
+                    let slot = resolve_idx(&self.cols, r).expect("declined unless it resolves");
+                    let col = &self.cols[slot].1;
+                    (stored_codes(col, win, at.as_ref())?, KeyRows::Stored(col))
+                }
+                e => match self.kern.key_window(e, &self.cols, win, sel, ctx) {
+                    Some(col) => (
+                        Cow::Owned(exact::key_codes(&col)?.to_vec()),
+                        KeyRows::Computed(col),
+                    ),
+                    None => return Ok(None),
+                },
+            });
         }
-        for &slot in &self.refs {
-            let (name, col) = &self.cols[slot];
-            let col = match &ids {
-                Some(ids) => col.select_rows(ids),
-                None => col.slice_rows(start, end),
+        let mut args = Vec::with_capacity(prog.args.len());
+        for (e, reads) in prog.args.iter().zip(&prog.reads) {
+            let forms = (reads.count, reads.numeric.is_some());
+            match self.kern.arg_window(e, &self.cols, win, sel, forms, ctx) {
+                Some(arg) => args.push(arg),
+                None => return Ok(None),
+            }
+        }
+        let inputs = Inputs {
+            rows,
+            codes: key_cols.iter().map(|(codes, _)| codes.as_ref()).collect(),
+            vals: args.iter().map(|a| a.vals.as_deref()).collect(),
+            flags: args.iter().map(|a| a.flags.as_deref()).collect(),
+            raws: vec![None; args.len()],
+        };
+        let partial = fold(prog, &inputs, mask.as_deref(), |reps| {
+            let global = reps.map(|p| match &at {
+                Some(at) => at.at(p as usize),
+                None => (start as i64) + p,
+            });
+            let read = |(_, rows): &(_, KeyRows<'_>)| match rows {
+                KeyRows::Stored(col) => col.select_rows(&global),
+                KeyRows::Computed(col) => col.select_rows(reps),
             };
-            mini.push(name.clone(), ColumnData::Exact(col));
-        }
-        // Scratch of this fold: the window's selection, the column reads,
-        // the group ids and one f32 buffer per evaluated argument.
-        let scratch: usize = mask.as_ref().map_or(width * 8, Vec::len)
-            + mini
-                .columns()
-                .iter()
-                .map(|(_, c)| c.to_exact().memory_bytes())
-                .sum::<usize>()
-            + width * 4 * (1 + self.bound.args.len());
-        let _scratch = memory::charge(&ctx.memory, "aggregate scratch", scratch as u64)?;
-        partial_aggregate(&self.bound, &mini, mask.as_deref(), ctx).map(Some)
+            key_cols.iter().map(read).collect()
+        })?;
+        Ok(Some(Some(partial)))
     }
 }
 
-/// Ascending column slots the program's key and argument expressions
-/// read. `Err` names why the selection-fed fold must decline: a
-/// reference this column list cannot resolve (the gathered loop raises
-/// the proper error), a scalar subquery, or a session UDF — the dense
-/// fold evaluates arguments over whole morsels, and only built-in
-/// expressions are known to be indifferent to rows the filter removed.
-fn referenced_cols(
+/// A stored key column's grouping codes at the positions a fold visits —
+/// rows `start..end`, or the global rows `at` — read where the column
+/// lives: a plain `i64` or dictionary window is its own codes, borrowed;
+/// other layouts go through [`exact::key_codes`] for the window, or
+/// [`exact::key_codes_at`] at the rows.
+fn stored_codes<'c>(
+    col: &'c EncodedTensor,
+    (start, end): (usize, usize),
+    at: Option<&I64Tensor>,
+) -> Result<Cow<'c, [i64]>, ExecError> {
+    Ok(match (col, at) {
+        (_, Some(at)) => Cow::Owned(exact::key_codes_at(col, Some(at))?),
+        (EncodedTensor::I64(t) | EncodedTensor::Dict { codes: t, .. }, None) => {
+            Cow::Borrowed(&t.data()[start..end])
+        }
+        (_, None) => Cow::Owned(exact::key_codes(&col.slice_rows(start, end))?.to_vec()),
+    })
+}
+
+/// Why the in-place fold must not run the program over `cols`: a key or
+/// argument reference these columns cannot resolve (the gathered loop
+/// raises the proper error), a scalar subquery, or a session UDF — the
+/// kernel evaluates neither, and only built-in expressions are known to
+/// be indifferent to rows the filter removed.
+fn decline(
     prog: &AggProgram<'_>,
     cols: &[(String, EncodedTensor)],
     ctx: &ExecContext,
-) -> Result<Vec<usize>, &'static str> {
-    let mut used = vec![false; cols.len()];
-    let decline = prog.key_exprs.iter().chain(&prog.args).find_map(|e| {
+) -> Result<(), &'static str> {
+    let mut exprs = prog
+        .keys
+        .iter()
+        .map(|k| &k.expr)
+        .chain(prog.args.iter().copied());
+    let why = exprs.find_map(|e| {
         e.find_map(&mut |node| match node {
-            CompiledExpr::Column(r) => match resolve_idx(cols, r) {
-                Some(slot) => {
-                    used[slot] = true;
-                    None
-                }
-                None => Some("unresolved-column"),
-            },
+            CompiledExpr::Column(r) => resolve_idx(cols, r)
+                .is_none()
+                .then_some("unresolved-column"),
             CompiledExpr::ScalarSubquery(_) => Some("scalar-subquery"),
             CompiledExpr::Udf { .. } => Some("udf-argument"),
             CompiledExpr::Builtin { name, .. } if ctx.udfs.is_scalar(name) => Some("udf-argument"),
             _ => None,
         })
     });
-    match decline {
-        Some(why) => Err(why),
-        None => Ok((0..cols.len()).filter(|&slot| used[slot]).collect()),
-    }
+    why.map_or(Ok(()), Err)
 }
 
 /// Resolve a column ref to its slot in a raw column list, mirroring
@@ -780,7 +1068,7 @@ fn merge_partials(prog: &AggProgram<'_>, partials: &[PartialAgg]) -> Result<Batc
         })
         .collect();
     let rows = partials.iter().map(|p| p.groups).sum();
-    let Groups { ids, groups, .. } = group_keys(&keys, rows, None)?;
+    let Groups { ids, groups, .. } = group_keys(&keys, rows)?;
 
     let mut counts = vec![0i64; groups];
     let mut accs: Vec<AccColumn> = prog
@@ -1015,7 +1303,8 @@ mod tests {
     /// representation show — NaN, ±inf, −0.0, denormals, and magnitudes
     /// nine decades apart; `y` is finite, so its sums are not all NaN;
     /// `k` is an i64 key too wide for the direct-index table, `flag` a
-    /// dictionary key.
+    /// dictionary key; `z` meets NaNs of both signs and payloads with
+    /// the `inf + -inf` a sum makes its own NaN from.
     fn corpus_catalog() -> Catalog {
         let special = [
             f32::NAN,
@@ -1038,6 +1327,24 @@ mod tests {
             .map(|i| ((i * 104_729) % 977) as f32 * 10f32.powi(i as i32 % 7 - 3))
             .collect();
         let flags: Vec<String> = (0..N).map(|i| format!("f{}", (i * i) % 3)).collect();
+        let signed = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -f32::NAN,
+            -0.0,
+            f32::from_bits(0x7FC0_0001),
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+            f32::from_bits(0xFFC0_0002),
+            0.0,
+        ];
+        let z: Vec<f32> = (0..N)
+            .map(|i| match i % 7 {
+                0 => signed[(i / 7) % signed.len()],
+                _ => ((i * 31) % 97) as f32 - 48.5,
+            })
+            .collect();
         let catalog = Catalog::new();
         catalog.register(
             TableBuilder::new()
@@ -1049,6 +1356,7 @@ mod tests {
                 )
                 .col_str("flag", &flags)
                 .col_i64("q", (0..N).map(|i| (i % 50) as i64).collect())
+                .col_f32("z", z)
                 .build("t"),
         );
         catalog
@@ -1106,13 +1414,14 @@ mod tests {
     /// Fused partials are bit-for-bit the `segment_sum` reference's on
     /// the corpus ([`corpus_catalog`]) — over the dense batch, under a
     /// mask (against the reference over the *gathered* survivors), and
-    /// over survivors read by index. Zero-key programs over plain columns ride the same
-    /// fold: they are in the corpus too, down to a morsel no row of
-    /// which survives and one whose only survivors are NaN (MIN/MAX stay
-    /// ±inf, the sums go NaN). Whatever the statement, the masked fold
-    /// and the fold over survivors read by index — the two arms
-    /// `SelectionForm::fold` picks between — agree to the bit, NaN sign
-    /// and payload included.
+    /// over survivors read by index. Zero-key programs over plain
+    /// columns are in the corpus too, down to a morsel no row of which
+    /// survives and one whose only survivors are NaN (MIN/MAX stay ±inf,
+    /// the sums go NaN). Whatever the statement, the masked fold and the
+    /// fold over survivors read by index agree to the bit, NaN sign and
+    /// payload included — and so does the in-place fold over the stored
+    /// columns, in both its arms and unfiltered, over the whole table and
+    /// over a window that starts mid-table, key rows included.
     #[test]
     fn fused_partials_are_bitwise_the_segment_sum_reference() {
         let n = N;
@@ -1163,6 +1472,131 @@ mod tests {
                     partial_bits(&prog, &sparse, Nan::Exact),
                     "mask vs idx/{name}: {sql}"
                 );
+                for (start, end) in [(0, n), (13, 200)] {
+                    let keep = &keep[start..end];
+                    let window = batch.slice_rows(start, end);
+                    let oracle = partial_aggregate(&prog, &window, Some(keep), &ctx).unwrap();
+                    let kept: Vec<u32> = (0..end - start)
+                        .filter(|&i| keep[i])
+                        .map(|i| i as u32)
+                        .collect();
+                    let arms = [SelVec::from_mask(keep.to_vec()), SelVec::Idx(kept.clone())];
+                    for sel in arms {
+                        let what = format!("in place/{name} {start}..{end}: {sql}");
+                        match in_place(&prog, &batch, (start, end), Some(sel), &ctx) {
+                            Some(p) => assert_same_partial(&prog, &p, &oracle, &what),
+                            None => assert!(kept.is_empty(), "{what}"),
+                        }
+                    }
+                }
+            }
+            for (start, end) in [(0, n), (13, 200)] {
+                let oracle = partial_aggregate(&prog, &batch.slice_rows(start, end), None, &ctx);
+                let p = in_place(&prog, &batch, (start, end), None, &ctx).expect("rows");
+                let what = format!("in place/unfiltered {start}..{end}: {sql}");
+                assert_same_partial(&prog, &p, &oracle.unwrap(), &what);
+            }
+        }
+    }
+
+    /// The in-place fold of window `win` of `batch`'s stored columns,
+    /// over the rows `sel` keeps (`None`: a bare scan's every row).
+    fn in_place(
+        prog: &AggProgram<'_>,
+        batch: &Batch,
+        win: (usize, usize),
+        sel: Option<SelVec>,
+        ctx: &ExecContext,
+    ) -> Option<PartialAgg> {
+        let empty = ChainInstance::empty(ctx);
+        let form = InPlace {
+            kern: &empty,
+            filtered: sel.is_some(),
+            cols: to_cols(batch),
+        };
+        let folded = form.fold_window(prog, win, sel, ctx).unwrap();
+        folded.expect("the corpus never bails the kernel")
+    }
+
+    /// Two partials agree to the bit: states, NaNs included, and key
+    /// rows with their encodings.
+    fn assert_same_partial(prog: &AggProgram<'_>, got: &PartialAgg, want: &PartialAgg, what: &str) {
+        let reps = |p: &PartialAgg| {
+            let rows = |c: &EncodedTensor| (c.kind(), c.decode_strings());
+            p.key_reps.iter().map(rows).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            partial_bits(prog, got, Nan::Exact),
+            partial_bits(prog, want, Nan::Exact),
+            "{what}"
+        );
+        assert_eq!(reps(got), reps(want), "key rows: {what}");
+        assert_eq!(got.hashed, want.hashed, "grouping arm: {what}");
+    }
+
+    /// Today's interleaved sweep over one group, kept as the reference of
+    /// the zero-key fold: [`fold_groups`] over ids that send the rows a
+    /// mask deselects to the spare slot.
+    fn interleaved_one(
+        prog: &AggProgram<'_>,
+        inp: &Inputs<'_>,
+        mask: Option<&[bool]>,
+    ) -> PartialAgg {
+        let ids: Vec<u32> = match mask {
+            None => vec![0; inp.rows],
+            Some(m) => m.iter().map(|&keep| u32::from(!keep)).collect(),
+        };
+        fold_groups(prog, inp, &ids, 1, mask).unwrap()
+    }
+
+    /// The zero-key fold keeps each running value in a local
+    /// ([`fold_one`]) and is bit for bit the interleaved sweep
+    /// ([`interleaved_one`]) on the corpus — NaNs of both signs and
+    /// payloads meeting in a sum, ±inf making a NaN of their own, −0.0 —
+    /// under no mask, under masks keeping row 0, the NaN rows only, every
+    /// other row and 99%, and over the same survivors gathered by index.
+    #[test]
+    fn one_group_fold_in_locals_is_bitwise_the_interleaved_sweep() {
+        let n = N;
+        let catalog = corpus_catalog();
+        let udfs = UdfRegistry::new();
+        let ctx = ExecContext::new(&catalog, &udfs);
+        let batch = exact::scan_table("t", None, &ctx).unwrap();
+        let z = batch.column("z").unwrap().to_exact().decode_f32();
+        let every = |m: usize| (0..n).map(|i| i % m != 0).collect::<Vec<bool>>();
+        let masks = [
+            ("row 0", (0..n).map(|i| i == 0).collect()),
+            ("nan only", z.data().iter().map(|v| v.is_nan()).collect()),
+            ("1/2", every(2)),
+            ("99%", every(100)),
+        ];
+        let signed = "SELECT COUNT(*), COUNT(z > 0), SUM(z), AVG(z), MIN(z), MAX(z), \
+                      VARIANCE(z), STDDEV(z), SUM(z * 2 + x), MAX(x - z) FROM t";
+        let zero_key = STATEMENTS
+            .iter()
+            .map(|(sql, _)| *sql)
+            .filter(|sql| !sql.contains("GROUP"));
+        for sql in zero_key.chain([signed]) {
+            let (keys, aggregates) = aggregate_root(sql, &catalog, &udfs);
+            let prog = AggProgram::compile(&keys, &aggregates).unwrap();
+            let check = |batch: &Batch, mask: Option<&[bool]>, what: &str| {
+                let ev = Evaluated::of(&prog, batch, &ctx).unwrap();
+                let inp = ev.inputs(batch.rows());
+                let local = fold_one(&prog, &inp, mask).unwrap();
+                let reference = interleaved_one(&prog, &inp, mask);
+                assert_eq!(
+                    partial_bits(&prog, &local, Nan::Exact),
+                    partial_bits(&prog, &reference, Nan::Exact),
+                    "{what}: {sql}"
+                );
+            };
+            check(&batch, None, "no mask");
+            for (name, keep) in &masks {
+                check(&batch, Some(keep), &format!("mask/{name}"));
+                let ids: Vec<i64> = (0..n as i64).filter(|&i| keep[i as usize]).collect();
+                let picked =
+                    exact::select_batch(&batch, &Tensor::from_vec(ids.clone(), &[ids.len()]));
+                check(&picked, None, &format!("idx/{name}"));
             }
         }
     }

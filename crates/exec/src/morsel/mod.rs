@@ -6,7 +6,7 @@
 //! |---------------|------|
 //! | `sched`       | worker contexts, the one thread-spawn site, the one claim loop (ordered result slots, first error in index order, the LIMIT stop bound), the partition `exchange`, morsel ranges and the interpreter's window slices |
 //! | `chain`       | parallel-safety analysis, the per-execution `ChainRun`, the streaming chain run with its LIMIT sink, the per-morsel selection stage and the chain→barrier hand-off (`BarrierInput`: stored columns plus survivor ids, or a gathered batch) |
-//! | `aggregate`   | `AggProgram`, the one per-morsel fold, the one claim that selects (or gathers) and folds each window, the combine — which groups the partials' key rows with the fold's own `group_rows` and scatters their states in morsel order |
+//! | `aggregate`   | `AggProgram`, the one per-morsel fold (a zero-key fold keeps each accumulator in a local), the one claim that folds each window in place — selected by the chain's kernel, or every row of a bare scan, keys and arguments read where they are stored — or, failing that, folds its gathered window, the combine — which groups the partials' key rows with the fold's own `group_rows` and scatters their states in morsel order |
 //! | `join`        | partitioned hash join over `i64` key codes: hash once → exchange → per-partition flat table → parallel probe → per-column assembly |
 //! | `sort`        | merge sort and top-k: per-morsel runs → k-way merge |
 //! | `distinct`    | shared-nothing DISTINCT on the same codes, hash and table: exchange → per-partition insert-if-absent |
@@ -51,7 +51,7 @@
 //!
 //! | barrier    | selection-fed behaviour |
 //! |------------|-------------------------|
-//! | aggregate  | one task per input morsel selects it and folds the *referenced* columns only — the row window under the window's mask (dense) or its survivors read by position (sparse: at most a quarter survive); grouped or not, nothing is gathered at table width and no table-wide selection exists |
+//! | aggregate  | one task per input morsel selects it and folds the columns the aggregate names, where they are stored — the row window under the window's mask (dense) or its survivors read by position (sparse: at most a quarter survive); grouped or not, nothing is copied into a batch of the fold's own and no table-wide selection exists. An aggregate over a bare scan (no chain) folds every row of each window the same way (`unfiltered`), with no hand-off to count |
 //! | join       | key codes are read at survivor rows only; the exchange, tables and probe work on survivor positions; `join_assemble` reads each output column once, at the matched global row ids |
 //! | sort/top-k | reads keys at survivor rows; payload gather happens once, in final sorted order |
 //! | DISTINCT   | grouping codes are read at survivor rows only; first occurrences gather at the end |
@@ -80,8 +80,9 @@
 //!   time — the per-morsel interpreter re-run remains the fallback; an
 //!   aggregate re-runs only the windows that bailed);
 //!   for the aggregate sink also `udf-argument`,
-//!   `scalar-subquery` and `unresolved-column` (argument expressions
-//!   that must not see filtered-out rows).
+//!   `scalar-subquery` and `unresolved-column` (key and argument
+//!   expressions the kernel does not evaluate — over a bare scan these
+//!   keep the stage's plain `gathered` note).
 //! * **Parallelism declines** (the stage runs whole-batch on the
 //!   session thread, through the [`crate::exact`] kernels — still inside
 //!   the one plan walker, there is no separate sequential executor):

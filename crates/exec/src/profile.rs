@@ -58,9 +58,11 @@ pub struct OpTrace {
     /// barrier: its selection density (`selection: 3% dense→sparse`). On
     /// the barrier itself: how its input arrived (`barrier: selection-fed
     /// (3% dense→sparse)` or `barrier: gathered: <reason>`). On an
-    /// aggregate stage: what the fold ran (`aggregate: fused 5 acc / 4
-    /// args, 3 groups, keys: direct, selection-fed`). `None` when there
-    /// is nothing to say.
+    /// aggregate stage: what the fold ran and how its input arrived
+    /// (`aggregate: fused 5 acc / 4 args, 3 groups, keys: direct,
+    /// selection-fed`; `unfiltered` when it folded every row of a bare
+    /// scan in place, `gathered: <reason>` or `single-morsel` when it
+    /// folded dense windows). `None` when there is nothing to say.
     pub selection: Option<String>,
     /// Bytes this operator charged against the query's memory ledger
     /// (materialised columns, exchange buckets, build tables, sort runs,

@@ -439,6 +439,24 @@ fn plan_aggregate(query: &Query, input: LogicalPlan) -> Result<LogicalPlan, SqlE
         }
     }
 
+    // Final projection for ordering, aliasing and dropping what only
+    // HAVING reads. Skip it only when the select list names exactly the
+    // aggregate node's output, in order: its keys (expression keys under
+    // their display name), then its aggregates.
+    let output = query
+        .group_by
+        .iter()
+        .map(|k| match k {
+            Expr::Column { .. } => k.clone(),
+            other => Expr::col(&other.display_name()),
+        })
+        .chain(aggregates.iter().map(|a| Expr::col(&a.output)));
+    let identity = rewritten_select.len() == query.group_by.len() + aggregates.len()
+        && rewritten_select
+            .iter()
+            .zip(output)
+            .all(|(item, out)| item.alias.is_none() && item.expr == out);
+
     let mut plan = LogicalPlan::Aggregate {
         group_by: query.group_by.clone(),
         aggregates,
@@ -450,13 +468,7 @@ fn plan_aggregate(query: &Query, input: LogicalPlan) -> Result<LogicalPlan, SqlE
             input: Box::new(plan),
         };
     }
-
-    // Final projection for ordering/aliasing. Skip when it is an identity
-    // over the aggregate output (common fast path: SELECT keys, COUNT(*)).
-    let trivial = rewritten_select
-        .iter()
-        .all(|i| matches!(&i.expr, Expr::Column { .. }) && i.alias.is_none());
-    if trivial {
+    if identity {
         Ok(plan)
     } else {
         Ok(LogicalPlan::Project {

@@ -78,6 +78,18 @@ fn packed_rows(morsel_rows: usize) -> usize {
     }
 }
 
+/// `album(id, images)`: the layout of [`pics_table`] — a `[rows, 2, 3]`
+/// payload beside a key — at the row count of `c`, so a bare scan of it
+/// spans several morsels at every morsel size.
+fn album(rows: usize) -> Table {
+    use tdp_core::tensor::Tensor;
+    let pixels: Vec<f32> = (0..rows * 6).map(|i| (i % 5) as f32).collect();
+    TableBuilder::new()
+        .col_i64("id", (0..rows as i64).collect())
+        .col_tensor("images", Tensor::from_vec(pixels, &[rows, 2, 3]))
+        .build("album")
+}
+
 /// Rows of `s`, the same table cut to fit one default-sized morsel — a
 /// single window over stored compressed columns — and 215 seven-row ones.
 const SMALL_PACKED_ROWS: usize = 1_500;
@@ -341,6 +353,35 @@ const CORPUS: &[(&str, &str)] = &[
         "packed, nothing pruned, nothing survives, distinct",
         "SELECT DISTINCT key, day FROM c WHERE dial > 5",
     ),
+    // Aggregates over a bare scan fold every window in place: only the
+    // columns they name are read, where they are stored — every
+    // accumulator kind, over plain and compressed columns, ungrouped and
+    // grouped by a dictionary and a bit-packed key.
+    (
+        "bare ungrouped, plain",
+        "SELECT COUNT(*), COUNT(v > 4000), SUM(x), AVG(x), MIN(x), MAX(x), VARIANCE(x), \
+         STDDEV(x), SUM(k) FROM t",
+    ),
+    (
+        "bare ungrouped, packed",
+        "SELECT COUNT(*), COUNT(dial > 0.5), SUM(key), AVG(dial), MIN(ts), MAX(ts), \
+         VARIANCE(day), STDDEV(dial) FROM c",
+    ),
+    (
+        "bare, grouped by a dictionary key",
+        "SELECT flag, COUNT(*) AS n, SUM(key) AS s, MAX(ts) AS hi FROM c GROUP BY flag",
+    ),
+    (
+        "bare, grouped by a bit-packed key",
+        "SELECT key, COUNT(*) AS n, SUM(dial) AS s, MIN(ts) AS lo FROM c GROUP BY key",
+    ),
+    // A computed key the kernel evaluates over a compressed leaf, under
+    // a selection, at every morsel size.
+    (
+        "selection-fed computed key",
+        "SELECT key * 1000003 AS kk, COUNT(*) AS n, SUM(dial) AS s FROM c WHERE dial > 0.3 \
+         GROUP BY key * 1000003",
+    ),
     // The same stored encodings in a table that fits one default-sized
     // morsel (`s`): the chain is a single window, barriers take their
     // sequential kernels, and rows read out of a compressed column are
@@ -426,6 +467,16 @@ const FAILING: &[(&str, &str)] = &[
         "type error in a projection",
         "SELECT key, dial + 'x' AS d FROM c WHERE day >= 5",
     ),
+    // A bare scan folds in place: the kernel bails on a string read as
+    // numbers and on a payload column, and the interpreter names them.
+    (
+        "numeric aggregate over a string column, bare scan",
+        "SELECT SUM(flag) FROM c",
+    ),
+    (
+        "payload argument, bare scan",
+        "SELECT COUNT(*), SUM(images) FROM album",
+    ),
 ];
 
 /// The `$n`-bound scan of the delta column: the bound arrives as a
@@ -453,6 +504,7 @@ fn session(budget: Option<u64>, morsel_rows: usize) -> Session {
     tdp.register_table(packed("c", packed_rows(morsel_rows)));
     tdp.register_table(packed("s", SMALL_PACKED_ROWS));
     tdp.register_table(pics_table(20));
+    tdp.register_table(album(packed_rows(morsel_rows)));
     tdp.set_morsel_rows(morsel_rows);
     // Session-bound (no Send + Sync proof): pins its chain to the
     // session thread at every thread count.
@@ -499,8 +551,9 @@ fn run_corpus(tdp: &Session) -> Vec<(String, Table)> {
 /// counting `kernels` (0 or 1) kernel fallbacks — then the payload-column
 /// statements (the kernel bails on a payload leaf, the interpreter names
 /// the shapes it met), then the numeric aggregates over `c.flag` (the
-/// fold and the window refuse the string column; no kernel bails) with
-/// the row counts of their COUNT controls.
+/// window refuses the string column, and so does the fold: in place the
+/// kernel bails on it and the interpreter refuses it) with the row
+/// counts of their COUNT controls.
 fn run_failing(tdp: &Session, kernels: bool) -> Vec<String> {
     let run = |name: &str, sql: &str| {
         let err = tdp.query(sql).unwrap().run().map(|t| t.rows());
@@ -669,6 +722,23 @@ const KINDS: &[(&str, &str)] = &[
         "packed, nothing pruned, nothing survives, distinct",
         "PlainI64 PlainI64",
     ),
+    (
+        "bare ungrouped, plain",
+        "PlainI64 PlainI64 PlainF32 PlainF32 PlainF32 PlainF32 PlainF32 PlainF32 PlainF32",
+    ),
+    (
+        "bare ungrouped, packed",
+        "PlainI64 PlainI64 PlainF32 PlainF32 PlainF32 PlainF32 PlainF32 PlainF32",
+    ),
+    (
+        "bare, grouped by a dictionary key",
+        "Dictionary PlainI64 PlainF32 PlainF32",
+    ),
+    (
+        "bare, grouped by a bit-packed key",
+        "PlainI64 PlainI64 PlainF32 PlainF32",
+    ),
+    ("selection-fed computed key", "PlainF32 PlainI64 PlainF32"),
     (
         "small packed, three conjuncts and a computed projection",
         "PlainI64 PlainI64 PlainI64 Dictionary PlainF32",

@@ -338,6 +338,84 @@ fn duplicate_output_names_are_a_typed_error_not_a_panic() {
     assert!(tdp.query("SELECT *, qty FROM orders").is_err());
 }
 
+/// An aggregate statement returns its select list: those columns, in
+/// that order — not the aggregate node's keys-then-aggregates output
+/// whenever every item happens to be an un-aliased column.
+#[test]
+fn aggregate_statements_return_their_select_list() {
+    let tdp = session();
+    for (sql, columns) in [
+        (
+            "SELECT COUNT(*), item FROM orders GROUP BY item",
+            &["COUNT(*)", "item"][..],
+        ),
+        (
+            "SELECT SUM(price) FROM orders GROUP BY item",
+            &["SUM(price)"],
+        ),
+        (
+            "SELECT qty, item, COUNT(*) FROM orders GROUP BY item, qty",
+            &["qty", "item", "COUNT(*)"],
+        ),
+        (
+            "SELECT item FROM orders GROUP BY item HAVING COUNT(*) > 1",
+            &["item"],
+        ),
+        // The identity case keeps skipping the projection.
+        (
+            "SELECT item, COUNT(*) FROM orders GROUP BY item",
+            &["item", "COUNT(*)"],
+        ),
+    ] {
+        let t = tdp.query(sql).unwrap().run().unwrap();
+        let names: Vec<&str> = t.columns().iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, columns, "{sql}");
+    }
+    let t = tdp
+        .query("SELECT item FROM orders GROUP BY item HAVING COUNT(*) > 1 ORDER BY item")
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(t.columns()[0].data.decode_strings(), vec!["a", "b"]);
+    // One aggregate named twice is two output columns of one name.
+    let sql = "SELECT SUM(price), SUM(price) FROM orders";
+    let err = tdp.query(sql).map(|_| ()).expect_err(sql).to_string();
+    assert!(
+        err.contains("'SUM(price)' appears twice in the select list; alias one"),
+        "{err}"
+    );
+}
+
+/// COUNT(DISTINCT b) beside COUNT(b) over one boolean argument (no
+/// literal in it, so both read the same expression): the distinct count
+/// is the number of distinct values, not that plus the trues COUNT(b)
+/// reads out of the same flags.
+#[test]
+fn count_distinct_beside_count_of_the_same_boolean() {
+    let tdp = session();
+    let b = "qty > price * price * price";
+    for (sql, d, n) in [
+        (
+            format!("SELECT COUNT(DISTINCT {b}) AS d, COUNT({b}) AS n FROM orders"),
+            vec![2],
+            vec![3],
+        ),
+        // a: true ×3; b: false ×2; c: false.
+        (
+            format!(
+                "SELECT item, COUNT(DISTINCT {b}) AS d, COUNT({b}) AS n FROM orders \
+                 GROUP BY item ORDER BY item"
+            ),
+            vec![1, 1, 1],
+            vec![3, 0, 0],
+        ),
+    ] {
+        let t = tdp.query(&sql).unwrap().run().unwrap();
+        let col = |name: &str| t.column(name).unwrap().data.decode_i64().to_vec();
+        assert_eq!((col("d"), col("n")), (d, n), "{sql}");
+    }
+}
+
 #[test]
 fn group_by_expression_keys_work_end_to_end() {
     // Regression: a select item / sort key / HAVING residue equal to a

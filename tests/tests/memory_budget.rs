@@ -200,15 +200,15 @@ fn selection_fed_aggregate_fits_budget_the_gathered_path_exceeds() {
 }
 
 /// The grouped selection-fed fold charges what it allocates — one
-/// window's selection and argument scratch per worker, and the per-group
-/// partial states — not a survivor-width copy of every referenced column,
+/// window's selection, key codes, group ids and argument values per
+/// worker, and the per-group partial states — not a copy of any column,
 /// and no table-wide selection vector: each task selects and folds its own
-/// window. The TPC-H Q1 shape at 97% selectivity over 400k rows keeps n =
-/// 388,000 survivors across 4 referenced columns: the gathered charge that
-/// replaced (`n * 8 * refs` = 12.4 MB) cannot fit 12 MiB; two workers'
-/// scratch (~2.95 MB each) does, with nothing beside it. And when one
-/// worker's scratch is refused, the abort is typed and the ledger drains
-/// to zero.
+/// window where its columns are stored. The TPC-H Q1 shape at 97%
+/// selectivity over 400k rows keeps n = 388,000 survivors across 4
+/// referenced columns: the gathered charge that replaced (`n * 8 * refs` =
+/// 12.4 MB) cannot fit 12 MiB; two workers' scratch (~1.9 MB each) does,
+/// with nothing beside it. And when one worker's scratch is refused, the
+/// abort is typed and the ledger drains to zero.
 #[test]
 fn grouped_selection_fed_aggregate_charges_scratch_not_a_gather() {
     const ROWS: usize = 400_000;
@@ -262,9 +262,10 @@ fn grouped_selection_fed_aggregate_charges_scratch_not_a_gather() {
     let text = profile.pretty();
     assert!(text.contains("keys: direct, selection-fed"), "{text}");
     // One worker's scratch at the default width: its window's mask (1 B a
-    // row), the four column reads (24 B), the group ids and four argument
-    // buffers (4 B each).
-    let scratch = tdp_core::exec::DEFAULT_MORSEL_ROWS as u64 * (1 + 24 + 4 * 5);
+    // row), the key's grouping codes (8 B), the group ids and four argument
+    // buffers (4 B each) — 29 B a row, where copying the four referenced
+    // columns into a batch of the fold's own made it 45 B.
+    let scratch = tdp_core::exec::DEFAULT_MORSEL_ROWS as u64 * (1 + 8 + 4 + 4 * 4);
     // At most two workers' scratch plus the partial states. The two-stage
     // hand-off peaked at 8,871,938 B: the same two beside a 3,104,008 B
     // table-wide selection vector (388,001 × 8 B).
@@ -275,9 +276,9 @@ fn grouped_selection_fed_aggregate_charges_scratch_not_a_gather() {
     );
     assert_eq!(engine.memory_pool().used(), 0, "ledger fully released");
 
-    // 2 MiB cannot hold one worker's scratch: refused whether or not the
+    // 1 MiB cannot hold one worker's scratch: refused whether or not the
     // two workers overlap.
-    let (engine, out) = run(2 << 20);
+    let (engine, out) = run(1 << 20);
     match out {
         Err(TdpError::Exec(tdp_core::exec::ExecError::MemoryBudget { operator, .. })) => {
             assert_eq!(operator, "aggregate scratch")
@@ -293,6 +294,44 @@ fn grouped_selection_fed_aggregate_charges_scratch_not_a_gather() {
         "refusal path drains to zero"
     );
     assert_eq!(engine.stats().mem_budget_aborts, 1);
+}
+
+/// An aggregate over a bare scan folds every window where its column is
+/// stored, so it charges only the fold's scratch — `SUM(v)`'s values, 4 B
+/// a row — and never a window of every column: with four unreferenced
+/// `i64` columns beside `v` one window is 65,536 × 36 B = 2.25 MiB, which
+/// the 2 MiB budget refuses, while four workers' scratch (1 MiB) fits.
+#[test]
+fn bare_scan_aggregate_charges_its_fold_scratch_not_a_window_of_every_column() {
+    const ROWS: usize = 4 * 65_536;
+    let engine = TdpEngine::with_memory_budget(2 << 20);
+    let ints = |m: i64| (0..ROWS as i64).map(|i| i % m).collect::<Vec<i64>>();
+    engine.register_table(
+        TableBuilder::new()
+            .col_f32("v", (0..ROWS).map(|i| (i % 10) as f32).collect())
+            .col_i64("a", ints(3))
+            .col_i64("b", ints(5))
+            .col_i64("c", ints(7))
+            .col_i64("d", ints(11))
+            .build("wide"),
+    );
+    let session = engine.session();
+    // The budget is sized against one window at the default width.
+    session.set_morsel_rows(tdp_core::exec::DEFAULT_MORSEL_ROWS);
+    session.set_chain_kernels(true);
+    for threads in [1, 4] {
+        session.set_threads(threads);
+        let t = session
+            .query("SELECT COUNT(*), SUM(v) FROM wide")
+            .unwrap()
+            .run()
+            .expect("the fold's scratch fits where a window of every column cannot");
+        assert_eq!(t.columns()[0].data.decode_i64().to_vec(), vec![ROWS as i64]);
+        // Integer sums well below 2²⁴: exact in f32 whatever the order.
+        let sum: i64 = (0..ROWS as i64).map(|i| i % 10).sum();
+        assert_eq!(t.columns()[1].data.decode_f32().to_vec(), vec![sum as f32]);
+        assert_eq!(engine.memory_pool().used(), 0, "ledger fully released");
+    }
 }
 
 #[test]
