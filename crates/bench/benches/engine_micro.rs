@@ -997,6 +997,40 @@ fn bench_ungrouped_aggregate(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_appends(c: &mut Criterion) {
+    // The ingest cycle's writes: 32 appends of 4,096 rows to a 500k-row
+    // `events(ts, device, val)` table, then the table is registered back
+    // at its 500k rows. An append grows the stored columns where they
+    // are, so the 32 appends cost about what the batches hold; one that
+    // rebuilt the table would copy 500k+ rows each time.
+    let (n, batch, appends) = (500_000, 4_096, 32);
+    let mut rng = Rng64::new(59);
+    let events = |from: usize, rows: usize, rng: &mut Rng64| {
+        TableBuilder::new()
+            .col_i64("ts", (from as i64..(from + rows) as i64).collect())
+            .col_i64("device", (0..rows).map(|_| rng.below(100) as i64).collect())
+            .col_f32("val", (0..rows).map(|_| rng.normal() as f32).collect())
+            .build("events")
+    };
+    let base = events(0, n, &mut rng);
+    let batches: Vec<_> = (0..appends)
+        .map(|i| events(n + i * batch, batch, &mut rng))
+        .collect();
+    let tdp = Tdp::new();
+    tdp.register_table(base.clone());
+    let mut group = c.benchmark_group("ingest_500k");
+    group.sample_size(10);
+    group.bench_function("append_4096_rows", |b| {
+        b.iter(|| {
+            for rows in &batches {
+                assert!(tdp.append_rows("events", rows));
+            }
+            tdp.register_table(base.clone());
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sql_operators,
@@ -1018,6 +1052,7 @@ criterion_group!(
     bench_late_materialization,
     bench_selection_front,
     bench_grouped_aggregate,
-    bench_ungrouped_aggregate
+    bench_ungrouped_aggregate,
+    bench_appends
 );
 criterion_main!(benches);

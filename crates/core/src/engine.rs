@@ -305,12 +305,17 @@ impl TdpEngine {
         self.catalog.register(table);
     }
 
-    /// Append rows to a registered table (see [`Catalog::append`]):
-    /// zone maps extend incrementally and vector indexes stay put,
-    /// going stale until rebuilt. Returns `false` when the table is
-    /// missing or the schemas disagree.
+    /// Append rows to a registered table (see [`Catalog::append`]): the
+    /// stored columns grow copy-on-write — in place while nothing else
+    /// holds them, so an append costs the batch — zone maps extend
+    /// incrementally, and vector indexes stay put, going stale until
+    /// rebuilt. A snapshot taken before (a table from the catalog, a
+    /// query result sharing its columns) keeps exactly the rows it saw,
+    /// and costs the next append one copy of the table. Returns `false`,
+    /// changing nothing, when the table is missing or a column's name or
+    /// type disagrees.
     pub fn append_rows(&self, name: &str, rows: &Table) -> bool {
-        self.catalog.append(name, rows).is_some()
+        self.catalog.append(name, rows)
     }
 
     /// Drop a table engine-wide; returns whether it existed.

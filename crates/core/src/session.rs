@@ -312,10 +312,16 @@ impl Session {
     }
 
     /// Append rows to an already-registered table instead of replacing
-    /// it: zone maps are extended incrementally over the new rows and
-    /// existing vector indexes are kept (stale — ANN queries fall back
-    /// to exact search until the index is rebuilt). Returns `false` if
-    /// the table is missing or the schemas disagree.
+    /// it ([`TdpEngine::append_rows`]): the stored columns grow in place
+    /// while nothing else holds them, zone maps are extended
+    /// incrementally over the new rows and existing vector indexes are
+    /// kept (stale — ANN queries fall back to exact search until the
+    /// index is rebuilt). Results and tables taken before the append are
+    /// snapshots: they keep exactly the rows they saw, and while one is
+    /// held the next append pays one copy of the table. Returns `false`,
+    /// changing nothing, if the table is missing or a column's name or
+    /// type disagrees (an `f32` batch for an `i64` column, a `[n, 8]`
+    /// payload for a `[n, 4]` one).
     pub fn append_rows(&self, name: &str, rows: &Table) -> bool {
         let device = self.default_device();
         self.engine.append_rows(name, &rows.to_device(device))

@@ -39,8 +39,11 @@ pub enum EncodingKind {
 /// next read. Plain, dictionary and PE layouts keep theirs. A compressed
 /// layout is produced in three places only: `Table::compress`
 /// ([`EncodedTensor::compress_i64`] on a stored column),
-/// [`EncodedTensor::concat`] (how an append grows a stored column) and
-/// loading a TDPF file.
+/// [`EncodedTensor::concat`] of integer pieces (which is how
+/// [`EncodedTensor::append`] grows a compressed column: it re-encodes the
+/// whole column) and loading a TDPF file. An append grows plain columns,
+/// dictionary columns sharing one dictionary and PE columns with the same
+/// classes in their stored buffers instead, copy-on-write.
 #[derive(Debug, Clone)]
 pub enum EncodedTensor {
     /// Plain numeric data of any rank (`[N]`, `[N, d]`, `[N, c, h, w]`...).
@@ -305,6 +308,88 @@ impl EncodedTensor {
         }
     }
 
+    /// Plain `I64` or one of the integer-compressed layouts.
+    fn int_like(&self) -> bool {
+        matches!(
+            self,
+            EncodedTensor::I64(_)
+                | EncodedTensor::Rle(_)
+                | EncodedTensor::BitPacked(_)
+                | EncodedTensor::Delta(_)
+        )
+    }
+
+    /// Whether [`EncodedTensor::append`] of `other` keeps this column's
+    /// type: the integer family (plain / run-length / bit-packed / delta)
+    /// with itself, `F32` with the same row shape, and `Bool`, dictionary
+    /// and PE each with their own kind. Any other pair would turn the
+    /// column into strings, or not fit its rows.
+    pub fn can_append(&self, other: &EncodedTensor) -> bool {
+        use EncodedTensor as E;
+        match (self, other) {
+            (E::F32(a), E::F32(b)) => a.shape().get(1..) == b.shape().get(1..),
+            (E::Bool(_), E::Bool(_)) | (E::Dict { .. }, E::Dict { .. }) | (E::Pe(_), E::Pe(_)) => {
+                true
+            }
+            (a, b) => a.int_like() && b.int_like(),
+        }
+    }
+
+    /// The pairs [`EncodedTensor::append`] grows in their stored buffer:
+    /// `other`'s rows go after this column's as they are.
+    fn same_layout(&self, other: &EncodedTensor) -> bool {
+        use EncodedTensor as E;
+        match (self, other) {
+            (E::F32(a), E::F32(b)) => a.shape().get(1..) == b.shape().get(1..),
+            (E::I64(_), E::I64(_)) | (E::Bool(_), E::Bool(_)) => true,
+            (E::Dict { dict: a, .. }, E::Dict { dict: b, .. }) => Arc::ptr_eq(a, b),
+            (E::Pe(a), E::Pe(b)) => a.class_values() == b.class_values(),
+            _ => false,
+        }
+    }
+
+    /// Append `other`'s rows after this column's. A pair of one layout —
+    /// plain `F32` of one row shape, plain `I64`, `Bool`, dictionary
+    /// columns sharing one dictionary, PE columns with the same class
+    /// values — grows the stored buffer copy-on-write
+    /// ([`Tensor::append_rows`]): where it is when nothing else holds it,
+    /// otherwise copied once, so every other holder keeps its rows. Any
+    /// other pair becomes exactly [`EncodedTensor::concat`] of the two,
+    /// encoding included: distinct dictionaries and integer-compressed
+    /// layouts re-encode the whole column.
+    pub fn append(&mut self, other: &EncodedTensor) {
+        use EncodedTensor as E;
+        if !self.same_layout(other) {
+            *self = EncodedTensor::concat(&[&*self, other]);
+            return;
+        }
+        match (self, other) {
+            (E::F32(a), E::F32(b)) => a.append_rows(b),
+            (E::I64(a), E::I64(b)) => a.append_rows(b),
+            (E::Bool(a), E::Bool(b)) => a.append_rows(b),
+            (E::Dict { codes, .. }, E::Dict { codes: more, .. }) => codes.append_rows(more),
+            (E::Pe(a), E::Pe(b)) => a.probs_mut().append_rows(b.probs()),
+            _ => unreachable!("a pair of one layout"),
+        }
+    }
+
+    /// Whether [`EncodedTensor::append`] of `other` would grow this column
+    /// where it is stored, copying `other`'s rows only: a pair of one
+    /// layout whose buffer nothing else holds and has room for them.
+    pub fn appends_in_place(&mut self, other: &EncodedTensor) -> bool {
+        if !self.same_layout(other) {
+            return false;
+        }
+        let spare = match self {
+            EncodedTensor::F32(t) => t.spare_rows(),
+            EncodedTensor::I64(t) | EncodedTensor::Dict { codes: t, .. } => t.spare_rows(),
+            EncodedTensor::Bool(t) => t.spare_rows(),
+            EncodedTensor::Pe(p) => p.probs_mut().spare_rows(),
+            _ => 0,
+        };
+        spare >= other.rows()
+    }
+
     /// Concatenate column pieces row-wise, preserving the encoding where
     /// the pieces agree — the merge half of morsel execution. Plain
     /// layouts concatenate buffers; dictionary pieces sharing one
@@ -394,15 +479,6 @@ impl EncodedTensor {
         }
         // Integer family (plain i64 / RLE / bit-packed / delta, mixed or
         // not): concatenate decoded values and pick the best layout once.
-        let int_like = |p: &EncodedTensor| {
-            matches!(
-                p,
-                EncodedTensor::I64(_)
-                    | EncodedTensor::Rle(_)
-                    | EncodedTensor::BitPacked(_)
-                    | EncodedTensor::Delta(_)
-            )
-        };
         if parts.iter().all(|p| matches!(p, EncodedTensor::I64(_))) {
             // All-plain fast path: keep the plain layout (no surprise
             // re-compression of an uncompressed column).
@@ -415,7 +491,7 @@ impl EncodedTensor {
                 .collect();
             return EncodedTensor::I64(concat_rows(&ts));
         }
-        if parts.iter().all(|p| int_like(p)) {
+        if parts.iter().all(|p| p.int_like()) {
             let decoded: Vec<I64Tensor> = parts.iter().map(|p| p.decode_i64()).collect();
             let refs: Vec<&I64Tensor> = decoded.iter().collect();
             return EncodedTensor::compress_i64(&concat_rows(&refs));
@@ -541,6 +617,126 @@ mod tests {
         let f = EncodedTensor::from_f32_slice(&[0.5]);
         let mixed = EncodedTensor::concat(&[&big, &f]);
         assert_eq!(mixed.decode_strings(), vec!["16777217", "0.5"]);
+    }
+
+    /// The buffer a same-layout append grows, as an address.
+    fn buffer(c: &EncodedTensor) -> *const u8 {
+        match c {
+            EncodedTensor::F32(t) => t.data().as_ptr().cast(),
+            EncodedTensor::I64(t) | EncodedTensor::Dict { codes: t, .. } => {
+                t.data().as_ptr().cast()
+            }
+            EncodedTensor::Bool(t) => t.data().as_ptr().cast(),
+            EncodedTensor::Pe(p) => p.probs().data().as_ptr().cast(),
+            other => panic!("no growable buffer in {other:?}"),
+        }
+    }
+
+    #[test]
+    fn append_is_concat_and_grows_one_layout_in_place() {
+        let s = EncodedTensor::from_strings(&["x", "y", "z", "x"]);
+        let ids = |v: Vec<i64>| Tensor::from_vec(v.clone(), &[v.len()]);
+        let pe = |v: Vec<i64>, c: usize| {
+            EncodedTensor::Pe(PeTensor::from_class_ids(
+                &ids(v),
+                PeTensor::range_classes(c),
+            ))
+        };
+        let rle = |v: Vec<i64>| EncodedTensor::Rle(RleColumn::encode(&ids(v)));
+        // (stored, appended, whether the pair grows in place)
+        let pairs = [
+            (
+                EncodedTensor::from_f32_slice(&[1.0, 2.0]),
+                EncodedTensor::from_f32_slice(&[3.0]),
+                true,
+            ),
+            (
+                EncodedTensor::F32(Tensor::zeros(&[2, 3])),
+                EncodedTensor::F32(Tensor::ones(&[1, 3])),
+                true,
+            ),
+            (
+                EncodedTensor::from_i64_slice(&[1, 2]),
+                EncodedTensor::from_i64_slice(&[3]),
+                true,
+            ),
+            (
+                EncodedTensor::Bool(Tensor::from_vec(vec![true, false], &[2])),
+                EncodedTensor::Bool(Tensor::from_vec(vec![true], &[1])),
+                true,
+            ),
+            (s.slice_rows(0, 3), s.slice_rows(3, 4), true),
+            (pe(vec![0, 1], 2), pe(vec![1], 2), true),
+            // Distinct dictionaries, distinct classes and the integer
+            // family re-encode, exactly as `concat` does.
+            (
+                EncodedTensor::from_strings(&["b"]),
+                EncodedTensor::from_strings(&["a"]),
+                false,
+            ),
+            (pe(vec![0, 1], 2), pe(vec![2], 3), false),
+            (
+                rle(vec![7, 7, 8]),
+                EncodedTensor::from_i64_slice(&[8, 9]),
+                false,
+            ),
+            (
+                EncodedTensor::from_i64_slice(&[1, 2]),
+                rle(vec![3, 3]),
+                false,
+            ),
+        ];
+        for (stored, more, in_place) in pairs {
+            let want = EncodedTensor::concat(&[&stored, &more]);
+            let before = format!("{stored:?}");
+            // A column sharing its buffers with `stored` copies them.
+            let mut grown = stored.clone();
+            assert!(!grown.appends_in_place(&more), "{before}: shared");
+            grown.append(&more);
+            assert_eq!(format!("{grown:?}"), format!("{want:?}"));
+            assert_eq!(grown.rows(), stored.rows() + more.rows());
+            assert_eq!(
+                format!("{stored:?}"),
+                before,
+                "the other holder keeps its rows"
+            );
+            // The copy left room: the next append grows where it is.
+            assert_eq!(grown.appends_in_place(&more), in_place, "{want:?}");
+            if in_place {
+                let at = buffer(&grown);
+                grown.append(&more);
+                assert_eq!(buffer(&grown), at, "{want:?}");
+                assert_eq!(
+                    format!("{grown:?}"),
+                    format!("{:?}", EncodedTensor::concat(&[&want, &more]))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn can_append_keeps_the_column_type() {
+        let f = |shape: &[usize]| EncodedTensor::F32(Tensor::zeros(shape));
+        let int = EncodedTensor::from_i64_slice(&[1, 2]);
+        let rle = EncodedTensor::Rle(RleColumn::encode(&Tensor::from_vec(vec![7i64, 7], &[2])));
+        let s = EncodedTensor::from_strings(&["a"]);
+        let pe = EncodedTensor::Pe(PeTensor::from_class_ids(
+            &Tensor::from_vec(vec![0i64], &[1]),
+            PeTensor::range_classes(2),
+        ));
+        let flags = EncodedTensor::Bool(Tensor::from_vec(vec![true], &[1]));
+        assert!(
+            int.can_append(&rle) && rle.can_append(&int),
+            "the integer family"
+        );
+        assert!(f(&[3, 4]).can_append(&f(&[1, 4])));
+        assert!(!f(&[3, 4]).can_append(&f(&[1, 8])), "row shapes differ");
+        assert!(!f(&[3]).can_append(&f(&[1, 4])));
+        assert!(!int.can_append(&f(&[2])) && !f(&[2]).can_append(&int));
+        assert!(s.can_append(&EncodedTensor::from_strings(&["b"])));
+        assert!(!s.can_append(&int) && !int.can_append(&s));
+        assert!(pe.can_append(&pe) && !pe.can_append(&f(&[1])));
+        assert!(flags.can_append(&flags) && !flags.can_append(&int));
     }
 
     #[test]

@@ -69,6 +69,11 @@ impl PeTensor {
         &self.probs
     }
 
+    /// The probability rows, to grow by rows of the same classes.
+    pub(crate) fn probs_mut(&mut self) -> &mut F32Tensor {
+        &mut self.probs
+    }
+
     pub fn class_values(&self) -> &F32Tensor {
         &self.class_values
     }

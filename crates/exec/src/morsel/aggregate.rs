@@ -459,6 +459,34 @@ impl<'a> Fold<'a> {
                 sumsq[g] += v * v;
             }
         }
+        // Which NaN a sum ends with is settled where two meet, by
+        // [`fold_one`]'s rule — the incoming NaN wins — not by the operand
+        // order the optimiser emits for `a + v`: states that end NaN are
+        // refolded under it (a state no NaN reached is unchanged by it).
+        if self.sums.iter().any(|s| s.is_nan()) {
+            self.sums.fill(0.0);
+            for (p, &g) in ids.iter().enumerate() {
+                let slots = self.sums[g as usize * w..][..w].iter_mut();
+                for (acc, vals) in slots.zip(&self.sum_args) {
+                    let v = vals[p];
+                    *acc = if v.is_nan() { v } else { *acc + v };
+                }
+            }
+        }
+        for (vals, sum, sumsq) in &mut self.moments {
+            if !sum.iter().chain(sumsq.iter()).any(|s| s.is_nan()) {
+                continue;
+            }
+            sum.fill(0.0);
+            sumsq.fill(0.0);
+            for (p, &g) in ids.iter().enumerate() {
+                let (v, g) = (vals[p] as f64, g as usize);
+                (sum[g], sumsq[g]) = match v.is_nan() {
+                    true => (v, v * v),
+                    false => (sum[g] + v, sumsq[g] + v * v),
+                };
+            }
+        }
     }
 }
 

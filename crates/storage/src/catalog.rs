@@ -3,13 +3,19 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
-use tdp_encoding::EncodedTensor;
-
-use crate::table::{Column, Table, TableStats};
+use crate::table::{Table, TableStats};
 use crate::vindex::VectorIndexEntry;
 use crate::zonemap::TableZoneMaps;
+
+/// A registered table and the zone maps that describe it, published
+/// together: no reader sees one without the other.
+#[derive(Debug, Clone)]
+struct Entry {
+    table: Arc<Table>,
+    zone_maps: Arc<TableZoneMaps>,
+}
 
 /// Thread-safe table namespace. Registration replaces silently (matching
 /// the paper's training loop, which re-registers the input tensor under the
@@ -21,16 +27,22 @@ use crate::zonemap::TableZoneMaps;
 /// and indexes in the catalog always describe the table currently
 /// registered under that name.
 ///
+/// Table writers (register, append, drop) are serialised; readers never
+/// wait for one beyond an in-place append of a batch.
+///
 /// Lock poisoning is recovered, not propagated: the maps hold complete
-/// `Arc` values that are swapped in single `insert`/`remove`
-/// calls, so a thread that panicked while holding the lock cannot have
-/// left a half-written entry behind. Recovering keeps one crashed worker
-/// from wedging every other session sharing the engine.
+/// `Arc` values that are swapped in single `insert`/`remove` calls, and
+/// an in-place append checks every column before it changes any, so a
+/// thread that panicked while holding a lock cannot have left a
+/// half-written entry behind. Recovering keeps one crashed worker from
+/// wedging every other session sharing the engine.
 #[derive(Debug, Default)]
 pub struct Catalog {
-    tables: RwLock<HashMap<String, Arc<Table>>>,
-    /// Zone maps per table key, always in sync with `tables`.
-    zone_maps: RwLock<HashMap<String, Arc<TableZoneMaps>>>,
+    tables: RwLock<HashMap<String, Entry>>,
+    /// Held by every table writer for its whole write: an append reads
+    /// the entry it replaces, so a second write to the name in between
+    /// would be lost (or a replaced table put back).
+    writer: Mutex<()>,
     /// Vector indexes keyed by `table.column` (lowercased). Entries are
     /// removed whenever their table is re-registered or dropped.
     vector_indexes: RwLock<HashMap<String, Arc<VectorIndexEntry>>>,
@@ -39,10 +51,10 @@ pub struct Catalog {
     /// auto-rebuild (`TDP_IVF_REBUILD_AFTER`). Reset whenever an index
     /// is registered under the key.
     stale_ann: RwLock<HashMap<String, u64>>,
-    /// Monotonic change counter, bumped on every register/drop (of
-    /// tables and of vector indexes). Plan caches use it as a cheap
-    /// "anything changed?" check before falling back to per-table
-    /// schema validation.
+    /// Monotonic change counter, bumped on every register/append/drop
+    /// (of tables) and register/drop (of vector indexes). Plan caches
+    /// use it as a cheap "anything changed?" check before falling back
+    /// to per-table schema validation.
     version: AtomicU64,
 }
 
@@ -59,78 +71,85 @@ impl Catalog {
     /// recomputed for the new contents; vector indexes over the old
     /// contents are invalidated (a write makes them stale).
     pub fn register(&self, table: Table) -> Arc<Table> {
-        let arc = Arc::new(table);
-        let key = Self::key(arc.name());
-        let zm = Arc::new(TableZoneMaps::build(&arc));
+        let key = Self::key(table.name());
+        let entry = Entry {
+            zone_maps: Arc::new(TableZoneMaps::build(&table)),
+            table: Arc::new(table),
+        };
+        let arc = Arc::clone(&entry.table);
+        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         self.tables
             .write()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(key.clone(), Arc::clone(&arc));
-        self.zone_maps
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key.clone(), zm);
+            .insert(key.clone(), entry);
         self.invalidate_indexes_of(&key);
         self.version.fetch_add(1, Ordering::Relaxed);
         arc
     }
 
-    /// Append rows to a registered table. Columns must match the
-    /// existing schema positionally (case-insensitive names); payloads
-    /// are concatenated row-wise and the table's zone maps are
-    /// **extended incrementally** ([`TableZoneMaps::extend`]) rather
-    /// than rebuilt, so the cost tracks the appended rows. Unlike
+    /// Append rows to a registered table. `rows` must have the table's
+    /// column names in order (case-insensitive), each column of a type
+    /// the stored one takes ([`Table::can_append`]); otherwise, or when
+    /// no table is registered under the name, returns `false` and
+    /// changes nothing.
+    ///
+    /// The append grows the stored columns copy-on-write
+    /// ([`Table::append_rows`]). While the catalog is the only holder of
+    /// the table and its buffers have room, they grow where they are and
+    /// the append costs the batch, not the table. A snapshot taken before
+    /// — an `Arc<Table>` from [`Catalog::get`], a query result sharing a
+    /// column — keeps exactly the rows it saw, and costs the next append
+    /// one copy of the table (made outside the lock readers take). Zone
+    /// maps are **extended incrementally** ([`TableZoneMaps::extend`])
+    /// and published with the grown table in one step. Unlike
     /// [`Catalog::register`], vector indexes over the table are *kept*:
     /// they no longer cover the new rows, and the execution layer
-    /// detects the row-count mismatch at query time and falls back to
-    /// an exact scan (counted as an IVF stale fallback) until the index
-    /// is rebuilt.
-    ///
-    /// Returns the combined table, or `None` when no table is
-    /// registered under the name or the schemas disagree.
-    pub fn append(&self, name: &str, rows: &Table) -> Option<Arc<Table>> {
+    /// detects the row-count mismatch at query time and falls back to an
+    /// exact scan (counted as an IVF stale fallback) until the index is
+    /// rebuilt.
+    pub fn append(&self, name: &str, rows: &Table) -> bool {
         let key = Self::key(name);
-        let old = self.get(&key)?;
-        if old.columns().len() != rows.columns().len()
-            || !old
-                .columns()
-                .iter()
-                .zip(rows.columns())
-                .all(|(a, b)| a.name.eq_ignore_ascii_case(&b.name))
-        {
-            return None;
+        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let mut tables = self.tables.write().unwrap_or_else(|e| e.into_inner());
+        let Some(entry) = tables.get_mut(&key) else {
+            return false;
+        };
+        if !entry.table.can_append(rows) {
+            return false;
         }
-        let columns = old
-            .columns()
-            .iter()
-            .zip(rows.columns())
-            .map(|(a, b)| Column::new(a.name.clone(), EncodedTensor::concat(&[&a.data, &b.data])))
-            .collect();
-        let combined = Arc::new(Table::new(old.name(), columns));
-        let old_zm = self.zone_map(&key);
-        let zm = Arc::new(match &old_zm {
-            Some(zm) => zm.extend(&combined),
-            None => TableZoneMaps::build(&combined),
-        });
+        if let Some(table) = Arc::get_mut(&mut entry.table) {
+            if table.appends_in_place(rows) {
+                table.append_rows(rows);
+                entry.zone_maps = Arc::new(entry.zone_maps.extend(table));
+                self.version.fetch_add(1, Ordering::Relaxed);
+                return true;
+            }
+        }
+        // Someone holds the table or a buffer of it (or a buffer is
+        // full): grow a copy with readers free to `get` the old one.
+        let old = entry.clone();
+        drop(tables);
+        let mut table = Table::clone(&old.table);
+        table.append_rows(rows);
+        let entry = Entry {
+            zone_maps: Arc::new(old.zone_maps.extend(&table)),
+            table: Arc::new(table),
+        };
         self.tables
             .write()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(key.clone(), Arc::clone(&combined));
-        self.zone_maps
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, zm);
+            .insert(key, entry);
         self.version.fetch_add(1, Ordering::Relaxed);
-        Some(combined)
+        true
     }
 
     /// Zone maps of a table (always present for registered tables).
     pub fn zone_map(&self, name: &str) -> Option<Arc<TableZoneMaps>> {
-        self.zone_maps
+        self.tables
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .get(&Self::key(name))
-            .cloned()
+            .map(|e| Arc::clone(&e.zone_maps))
     }
 
     /// Register (or replace) a vector index on `entry.table.column`.
@@ -215,7 +234,8 @@ impl Catalog {
             .retain(|_, e| Self::key(&e.table) != key);
     }
 
-    /// Current value of the change counter (any register/drop bumps it).
+    /// Current value of the change counter (any register/append/drop
+    /// bumps it).
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Relaxed)
     }
@@ -226,13 +246,14 @@ impl Catalog {
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .get(&Self::key(name))
-            .cloned()
+            .map(|e| Arc::clone(&e.table))
     }
 
     /// Remove a table (with its zone maps and vector indexes); returns
     /// whether it existed.
     pub fn drop_table(&self, name: &str) -> bool {
         let key = Self::key(name);
+        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         let existed = self
             .tables
             .write()
@@ -240,10 +261,6 @@ impl Catalog {
             .remove(&key)
             .is_some();
         if existed {
-            self.zone_maps
-                .write()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(&key);
             self.invalidate_indexes_of(&key);
             self.version.fetch_add(1, Ordering::Relaxed);
         }
@@ -257,7 +274,7 @@ impl Catalog {
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .values()
-            .map(|t| t.name().to_owned())
+            .map(|e| e.table.name().to_owned())
             .collect();
         names.sort_unstable();
         names
@@ -280,8 +297,8 @@ impl Catalog {
             columns: 0,
             bytes: 0,
         };
-        for t in guard.values() {
-            let s = t.stats();
+        for e in guard.values() {
+            let s = e.table.stats();
             total.rows += s.rows;
             total.columns += s.columns;
             total.bytes += s.bytes;
@@ -294,6 +311,7 @@ impl Catalog {
 mod tests {
     use super::*;
     use crate::table::TableBuilder;
+    use tdp_encoding::EncodedTensor;
 
     fn tbl(name: &str, n: usize) -> Table {
         TableBuilder::new()
@@ -378,22 +396,174 @@ mod tests {
     }
 
     #[test]
-    fn append_concatenates_and_extends_zone_maps() {
+    fn append_extends_rows_and_zone_maps() {
         let cat = Catalog::new();
         cat.register(tbl("t", 3));
         let v0 = cat.version();
-        let combined = cat.append("T", &tbl("t", 2)).expect("schemas match");
-        assert_eq!(combined.rows(), 5);
+        assert!(cat.append("T", &tbl("t", 2)), "schemas match");
         assert_eq!(cat.get("t").unwrap().rows(), 5);
         assert!(cat.version() > v0);
         let zm = cat.zone_map("t").unwrap();
         assert_eq!(zm.rows(), 5, "zone maps follow the append");
         assert_eq!(zm.range(0, 0, 5), Some((0.0, 2.0)));
         // Missing table or mismatched schema: rejected, no change.
-        assert!(cat.append("nope", &tbl("nope", 1)).is_none());
+        assert!(!cat.append("nope", &tbl("nope", 1)));
         let other = TableBuilder::new().col_i64("q", vec![1]).build("t");
-        assert!(cat.append("t", &other).is_none());
+        assert!(!cat.append("t", &other));
         assert_eq!(cat.get("t").unwrap().rows(), 5);
+    }
+
+    /// Every column's buffer, as an address.
+    fn buffers(t: &Table) -> Vec<*const u8> {
+        t.columns()
+            .iter()
+            .map(|c| match &c.data {
+                EncodedTensor::F32(t) => t.data().as_ptr().cast(),
+                EncodedTensor::I64(t) | EncodedTensor::Dict { codes: t, .. } => {
+                    t.data().as_ptr().cast()
+                }
+                EncodedTensor::Bool(t) => t.data().as_ptr().cast(),
+                other => panic!("no growable buffer in {other:?}"),
+            })
+            .collect()
+    }
+
+    /// `n` (≤ 100,000) rows of every growable layout, starting at row
+    /// `from`. The string column is a slice of one stored column, so
+    /// every batch shares its dictionary.
+    fn rows_of(name: &str, from: usize, n: usize) -> Table {
+        static WORDS: std::sync::OnceLock<EncodedTensor> = std::sync::OnceLock::new();
+        let words = WORDS.get_or_init(|| {
+            let words: Vec<String> = (0..1 << 17).map(|i| format!("w{}", i % 37)).collect();
+            EncodedTensor::from_strings(&words)
+        });
+        TableBuilder::new()
+            .col_i64("ts", (from..from + n).map(|i| i as i64).collect())
+            .col_f32("v", (from..from + n).map(|i| (i % 101) as f32).collect())
+            .col_bool("even", (from..from + n).map(|i| i % 2 == 0).collect())
+            .col_encoded("s", words.slice_rows(from % 1_024, from % 1_024 + n))
+            .build(name)
+    }
+
+    #[test]
+    fn appends_grow_a_uniquely_held_table_in_place() {
+        let cat = Catalog::new();
+        cat.register(rows_of("t", 0, 1_000));
+        // The first append copies into buffers with room to grow ...
+        assert!(cat.append("t", &rows_of("t", 1_000, 64)));
+        let at = buffers(&cat.get("t").unwrap());
+        // ... which every further small append then fills in place.
+        for i in 0..10 {
+            assert!(cat.append("t", &rows_of("t", 1_064 + 64 * i, 64)));
+            assert_eq!(buffers(&cat.get("t").unwrap()), at, "append {i}");
+        }
+        let t = cat.get("t").unwrap();
+        assert_eq!(t.rows(), 1_704);
+        let ts = t.column("ts").unwrap().data.decode_i64().to_vec();
+        assert_eq!(ts, (0..1_704).collect::<Vec<i64>>());
+        assert_eq!(*cat.zone_map("t").unwrap(), TableZoneMaps::build(&t));
+    }
+
+    #[test]
+    fn snapshots_keep_the_rows_they_saw() {
+        let cat = Catalog::new();
+        cat.register(rows_of("t", 0, 100));
+        assert!(cat.append("t", &rows_of("t", 100, 10)));
+        let snapshot = cat.get("t").unwrap();
+        let seen = snapshot.pretty(usize::MAX);
+        let (at, zm) = (buffers(&snapshot), cat.zone_map("t").unwrap());
+        // The snapshot holds the table: the next append grows a copy.
+        assert!(cat.append("t", &rows_of("t", 110, 10)));
+        assert_eq!(snapshot.rows(), 110);
+        assert_eq!(snapshot.pretty(usize::MAX), seen);
+        assert_eq!(buffers(&snapshot), at);
+        assert_eq!(zm.rows(), 110, "its zone maps too");
+        let grown = cat.get("t").unwrap();
+        assert_eq!(grown.rows(), 120);
+        assert!(buffers(&grown).iter().all(|b| !at.contains(b)));
+        drop((snapshot, grown));
+        // Released, the grown copy takes the next append in place.
+        let at = buffers(&cat.get("t").unwrap());
+        assert!(cat.append("t", &rows_of("t", 120, 10)));
+        assert_eq!(buffers(&cat.get("t").unwrap()), at);
+    }
+
+    #[test]
+    fn a_registered_table_value_keeps_its_rows() {
+        let cat = Catalog::new();
+        let mine = rows_of("t", 0, 50);
+        let (seen, at) = (mine.pretty(usize::MAX), buffers(&mine));
+        cat.register(mine.clone());
+        for i in 0..3 {
+            assert!(cat.append("t", &rows_of("t", 50 + 10 * i, 10)));
+        }
+        assert_eq!(cat.get("t").unwrap().rows(), 80);
+        assert_eq!(mine.rows(), 50);
+        assert_eq!(mine.pretty(usize::MAX), seen);
+        assert_eq!(buffers(&mine), at);
+    }
+
+    #[test]
+    fn mismatched_column_types_are_refused_untouched() {
+        let cat = Catalog::new();
+        cat.register(rows_of("t", 0, 10));
+        let before = cat.get("t").unwrap().pretty(usize::MAX);
+        let v = cat.version();
+        // `ts` as f32: would have become a dictionary of strings.
+        let bad = TableBuilder::new()
+            .col_f32("ts", vec![1.5])
+            .col_f32("v", vec![1.0])
+            .col_bool("even", vec![true])
+            .col_str("s", &["w1"])
+            .build("t");
+        assert!(!cat.append("t", &bad));
+        // The last column is the bad one: nothing before it may move.
+        let bad = TableBuilder::new()
+            .col_i64("ts", vec![10])
+            .col_f32("v", vec![1.0])
+            .col_bool("even", vec![true])
+            .col_i64("s", vec![3])
+            .build("t");
+        assert!(!cat.append("t", &bad));
+        let t = cat.get("t").unwrap();
+        assert_eq!(t.pretty(usize::MAX), before);
+        assert_eq!(
+            t.column("ts").unwrap().kind(),
+            tdp_encoding::EncodingKind::PlainI64
+        );
+        assert_eq!(cat.version(), v);
+        assert_eq!(cat.zone_map("t").unwrap().rows(), 10);
+    }
+
+    /// Eight writers append to one table at once: writers are
+    /// serialised, so no batch is lost, and the zone maps published with
+    /// the last one describe every row.
+    #[test]
+    fn concurrent_appends_lose_no_rows() {
+        const BASE: usize = 100_000;
+        let cat = Arc::new(Catalog::new());
+        cat.register(rows_of("t", 0, BASE));
+        let writers: Vec<_> = (0..8)
+            .map(|w| {
+                let c = Arc::clone(&cat);
+                std::thread::spawn(move || {
+                    for i in 0..50 {
+                        let from = BASE + (w * 50 + i) * 64;
+                        assert!(c.append("t", &rows_of("t", from, 64)));
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        let t = cat.get("t").unwrap();
+        assert_eq!(t.rows(), BASE + 25_600);
+        assert_eq!(cat.zone_map("t").unwrap().rows(), BASE + 25_600);
+        assert_eq!(*cat.zone_map("t").unwrap(), TableZoneMaps::build(&t));
+        let mut ts = t.column("ts").unwrap().data.decode_i64().to_vec();
+        ts.sort_unstable();
+        assert_eq!(ts, (0..(BASE + 25_600) as i64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -413,7 +583,7 @@ mod tests {
             rows: 2,
             index: VectorIndex::Flat(flat),
         });
-        cat.append("docs", &tbl("docs", 1)).unwrap();
+        assert!(cat.append("docs", &tbl("docs", 1)));
         let entry = cat
             .vector_index("docs", "v")
             .expect("append keeps the index (stale, detected at query time)");

@@ -103,6 +103,46 @@ impl Table {
         }
     }
 
+    /// Whether [`Table::append_rows`] takes `rows`: the same column names
+    /// in the same order (case-insensitive), each column of a type its
+    /// stored column can take ([`EncodedTensor::can_append`]).
+    pub fn can_append(&self, rows: &Table) -> bool {
+        self.columns.len() == rows.columns.len()
+            && self.columns.iter().zip(&rows.columns).all(|(c, more)| {
+                c.name.eq_ignore_ascii_case(&more.name) && c.data.can_append(&more.data)
+            })
+    }
+
+    /// Append `rows` after this table's rows, column by column
+    /// ([`EncodedTensor::append`]). Plain, shared-dictionary and PE
+    /// columns grow their stored buffers copy-on-write: a buffer nothing
+    /// else holds grows where it is, and whoever holds one too — another
+    /// `Table` value, a query result — keeps exactly the rows it saw.
+    /// Every column is checked before any changes: unless
+    /// [`Table::can_append`], returns `false` and leaves the table as it
+    /// was.
+    pub fn append_rows(&mut self, rows: &Table) -> bool {
+        if !self.can_append(rows) {
+            return false;
+        }
+        for (c, more) in self.columns.iter_mut().zip(&rows.columns) {
+            c.data.append(&more.data);
+        }
+        true
+    }
+
+    /// Whether [`Table::append_rows`] would grow every column where it is
+    /// stored, copying `rows` only: no column buffer is held elsewhere,
+    /// and each has room ([`EncodedTensor::appends_in_place`]).
+    pub fn appends_in_place(&mut self, rows: &Table) -> bool {
+        self.can_append(rows)
+            && self
+                .columns
+                .iter_mut()
+                .zip(&rows.columns)
+                .all(|(c, more)| c.data.appends_in_place(&more.data))
+    }
+
     /// Row subset, applied to every column.
     pub fn filter_rows(&self, mask: &BoolTensor) -> Table {
         Table {

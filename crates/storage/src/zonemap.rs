@@ -45,7 +45,7 @@ pub struct ChunkStat {
 
 /// Zone map of a single column: one optional stat per chunk (`None`
 /// marks an unprunable chunk, e.g. one containing NaN).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnZoneMap {
     chunks: Vec<Option<ChunkStat>>,
 }
@@ -116,7 +116,7 @@ impl ColumnZoneMap {
 
 /// Zone maps of every column of one table, indexed by column position
 /// (the slot numbering physical plans resolve column refs to).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableZoneMaps {
     rows: usize,
     columns: Vec<Option<ColumnZoneMap>>,

@@ -10,7 +10,10 @@ use crate::shape::Shape;
 /// A dense, contiguous, row-major n-dimensional array.
 ///
 /// Cloning is O(1) (the buffer is shared behind an [`Arc`]); mutation goes
-/// through copy-on-write. A scalar is a tensor with an empty shape.
+/// through copy-on-write: a buffer nothing else holds is changed where it
+/// is, a shared one is copied first, so every other holder keeps exactly
+/// the values it saw. [`Tensor::append_rows`] grows a buffer by the same
+/// rule. A scalar is a tensor with an empty shape.
 #[derive(Clone)]
 pub struct Tensor<T: Element> {
     data: Arc<Vec<T>>,
@@ -111,6 +114,46 @@ impl<T: Element> Tensor<T> {
     /// Mutable access to the buffer (copy-on-write if shared).
     pub fn data_mut(&mut self) -> &mut [T] {
         Arc::make_mut(&mut self.data).as_mut_slice()
+    }
+
+    /// Append `other`'s rows after this tensor's (trailing dimensions must
+    /// agree); the tensor keeps its device. Copy-on-write: a buffer nothing
+    /// else holds grows where it is, copying only `other` (amortised, like
+    /// `Vec::extend`); a shared one is copied once into a fresh buffer
+    /// with room to grow, and its other holders keep their rows.
+    pub fn append_rows(&mut self, other: &Tensor<T>) {
+        assert!(self.ndim() >= 1, "append_rows() on a scalar");
+        assert_eq!(
+            &self.shape()[1..],
+            other.shape().get(1..).unwrap_or(&[]),
+            "append_rows trailing shape mismatch"
+        );
+        match Arc::get_mut(&mut self.data) {
+            Some(buf) => buf.extend_from_slice(other.data()),
+            None => {
+                let len = self.numel() + other.numel();
+                let mut buf = Vec::with_capacity(len.max(2 * self.numel()));
+                buf.extend_from_slice(&self.data);
+                buf.extend_from_slice(other.data());
+                self.data = Arc::new(buf);
+            }
+        }
+        let mut dims = self.shape().to_vec();
+        dims[0] += other.rows();
+        self.shape = Shape::new(&dims);
+    }
+
+    /// Rows [`Tensor::append_rows`] can add before it must copy or
+    /// reallocate the buffer: 0 when the buffer is shared. Takes `&mut`
+    /// so that no other holder can appear while the answer is used.
+    pub fn spare_rows(&mut self) -> usize {
+        let stride: usize = self.shape().get(1..).unwrap_or(&[]).iter().product();
+        match Arc::get_mut(&mut self.data) {
+            Some(buf) => (buf.capacity() - buf.len())
+                .checked_div(stride)
+                .unwrap_or(usize::MAX),
+            None => 0,
+        }
     }
 
     /// Element at a multi-index.
@@ -527,6 +570,38 @@ mod tests {
         b.set(&[0], 99);
         assert_eq!(a.at(0), 1, "original must be untouched by COW write");
         assert_eq!(b.at(0), 99);
+    }
+
+    #[test]
+    fn append_rows_copies_on_write_then_grows_in_place() {
+        let base =
+            Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[3, 2]).to(Device::Accel(1));
+        let mut t = base.clone();
+        assert_eq!(t.spare_rows(), 0, "a shared buffer has no room of its own");
+        t.append_rows(&Tensor::from_vec(vec![6.0, 7.0], &[1, 2]));
+        assert_eq!(base.shape(), &[3, 2], "the other holder keeps its rows");
+        assert_eq!(t.shape(), &[4, 2]);
+        assert_eq!(t.to_vec(), (0..8).map(|i| i as f32).collect::<Vec<_>>());
+        assert_eq!(t.device(), Device::Accel(1), "the stored device stays");
+        // The copy left room to grow: further appends keep the buffer.
+        assert!(t.spare_rows() >= 2);
+        let at = t.data().as_ptr();
+        t.append_rows(&Tensor::from_vec(vec![8.0, 9.0, 10.0, 11.0], &[2, 2]));
+        assert_eq!(t.data().as_ptr(), at);
+        assert_eq!(t.at(11), 11.0);
+        // An empty append and a zero-width row shape are fine.
+        t.append_rows(&Tensor::from_vec(vec![], &[0, 2]));
+        assert_eq!(t.rows(), 6);
+        let mut w = Tensor::<i64>::from_vec(vec![], &[2, 0]);
+        w.append_rows(&Tensor::from_vec(vec![], &[3, 0]));
+        assert_eq!(w.shape(), &[5, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "trailing shape mismatch")]
+    fn append_rows_checks_the_row_shape() {
+        let mut t = Tensor::<f32>::zeros(&[2, 4]);
+        t.append_rows(&Tensor::zeros(&[1, 8]));
     }
 
     #[test]
