@@ -1,9 +1,11 @@
 //! Criterion micro-benchmarks of the tensor kernels that dominate query
 //! execution: elementwise ops, matmul, conv2d and row selection, each on
-//! CPU and on the simulated accelerator. These are the ablation data for
-//! the device-simulation design choice in DESIGN.md.
+//! CPU and on the simulated accelerator, and the vector-search kernels.
+//! These are the ablation data for the device-simulation design choice in
+//! DESIGN.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use tdp_core::index::{kmeans, Metric};
 use tdp_core::tensor::{Device, Rng64, Tensor};
 
 fn bench_elementwise(c: &mut Criterion) {
@@ -82,12 +84,39 @@ fn bench_sort_groupby_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The dense vector paths of `ai_embedded`: a scoring UDF's `matvec`, a
+/// flat ANN probe's L2 and cosine scores, and the IVF build's k-means
+/// (IVF's default 20 Lloyd iterations), at that workload's sizes.
+fn bench_vector_kernels(c: &mut Criterion) {
+    let mut rng = Rng64::new(6);
+    let d = 64;
+    let docs = Tensor::<f32>::randn(&[30_000, d], 0.0, 1.0, &mut rng);
+    let small = Tensor::<f32>::randn(&[16_000, d], 0.0, 1.0, &mut rng);
+    let vecs = Tensor::<f32>::randn(&[40_000, d], 0.0, 1.0, &mut rng);
+    let q = Tensor::<f32>::randn(&[d], 0.0, 1.0, &mut rng);
+    let mut group = c.benchmark_group("vector_kernels");
+    group.sample_size(20);
+    group.bench_function("matvec_30k_x64", |bch| bch.iter(|| docs.matvec(&q)));
+    group.bench_function("l2_scores_16k_x64", |bch| {
+        bch.iter(|| Metric::L2.scores(&small, &q))
+    });
+    group.bench_function("cosine_scores_16k_x64", |bch| {
+        bch.iter(|| Metric::Cosine.scores(&small, &q))
+    });
+    group.sample_size(5);
+    group.bench_function("kmeans_40k_x64_k32", |bch| {
+        bch.iter(|| kmeans(&vecs, 32, 20, Metric::L2, &mut Rng64::new(7)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_elementwise,
     bench_matmul,
     bench_conv2d,
     bench_row_selection,
-    bench_sort_groupby_kernels
+    bench_sort_groupby_kernels,
+    bench_vector_kernels
 );
 criterion_main!(benches);

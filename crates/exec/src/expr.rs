@@ -440,9 +440,10 @@ fn eval_builtin(name: &str, func: ScalarFn, args: &[Value], n: usize) -> Result<
 
 /// Evaluate a vector-similarity builtin: score every row of an `[n, d]`
 /// embedding column against one query vector. The score kernel is
-/// [`Metric::scores`] — the same kernel the vector indexes run, so a
-/// sequential scan computing this expression agrees bit-for-bit with the
-/// flat index path. `distance` returns positive squared L2 distance
+/// [`Metric::scores`] — the same kernel the vector indexes run, and a row's
+/// score depends only on the row and the query, never on the batch or
+/// morsel it sits in — so a sequential scan computing this expression
+/// agrees bit-for-bit with the flat index path. `distance` returns positive squared L2 distance
 /// (ascending-better); `inner_product`/`cosine_sim` return
 /// descending-better scores.
 fn eval_vector_builtin(

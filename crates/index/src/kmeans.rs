@@ -1,5 +1,6 @@
 //! Lloyd's k-means over tensor rows — the coarse quantizer of IVF.
 
+use tdp_tensor::linalg::sq_dist;
 use tdp_tensor::{F32Tensor, Rng64, Tensor};
 
 use crate::metric::normalize_rows;
@@ -26,6 +27,12 @@ pub struct KMeansResult {
 /// `metric` only affects preprocessing: for [`Metric::Cosine`] the rows are
 /// L2-normalised first (spherical k-means); clustering itself is Euclidean,
 /// which is the standard IVF construction.
+///
+/// Distances — seeding, assignment and inertia — are f32, through the
+/// `tdp_tensor::linalg::sq_dist` row kernel (the one `Metric::L2` scores
+/// with); a row goes to its nearest centroid, ties to the lowest id. The
+/// centroid update and the seeding weights and inertia totals are summed
+/// in f64.
 pub fn kmeans(
     data: &F32Tensor,
     k: usize,
@@ -45,24 +52,18 @@ pub fn kmeans(
         data.clone()
     };
     let rows = work.data();
+    let row = |i: usize| &rows[i * d..(i + 1) * d];
 
     // --- k-means++ seeding -------------------------------------------------
     let mut centroids: Vec<f32> = Vec::with_capacity(k * d);
     let first = rng.below(n);
-    centroids.extend_from_slice(&rows[first * d..(first + 1) * d]);
+    centroids.extend_from_slice(row(first));
     let mut min_d2 = vec![f64::INFINITY; n];
     for c in 1..k {
         // Update min distance to the newest centroid.
         let newest = &centroids[(c - 1) * d..c * d];
         for (i, md) in min_d2.iter_mut().enumerate() {
-            let mut acc = 0.0f64;
-            for j in 0..d {
-                let diff = (rows[i * d + j] - newest[j]) as f64;
-                acc += diff * diff;
-            }
-            if acc < *md {
-                *md = acc;
-            }
+            *md = md.min(f64::from(sq_dist(row(i), newest)));
         }
         let total: f64 = min_d2.iter().sum();
         let pick = if total <= 0.0 {
@@ -79,7 +80,7 @@ pub fn kmeans(
             }
             chosen
         };
-        centroids.extend_from_slice(&rows[pick * d..(pick + 1) * d]);
+        centroids.extend_from_slice(row(pick));
     }
 
     // --- Lloyd iterations ---------------------------------------------------
@@ -89,24 +90,10 @@ pub fn kmeans(
         iterations = it + 1;
         // Assign step.
         let mut changed = false;
-        for i in 0..n {
-            let row = &rows[i * d..(i + 1) * d];
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
-            for c in 0..k {
-                let cent = &centroids[c * d..(c + 1) * d];
-                let mut acc = 0.0f64;
-                for j in 0..d {
-                    let diff = (row[j] - cent[j]) as f64;
-                    acc += diff * diff;
-                }
-                if acc < best_d {
-                    best_d = acc;
-                    best = c;
-                }
-            }
-            if assignments[i] != best {
-                assignments[i] = best;
+        for (i, slot) in assignments.iter_mut().enumerate() {
+            let best = nearest(row(i), &centroids, d);
+            if *slot != best {
+                *slot = best;
                 changed = true;
             }
         }
@@ -132,14 +119,11 @@ pub fn kmeans(
         }
     }
 
-    let mut inertia = 0.0f64;
-    for i in 0..n {
-        let c = assignments[i];
-        for j in 0..d {
-            let diff = (rows[i * d + j] - centroids[c * d + j]) as f64;
-            inertia += diff * diff;
-        }
-    }
+    let inertia = assignments
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| f64::from(sq_dist(row(i), &centroids[c * d..(c + 1) * d])))
+        .sum();
 
     KMeansResult {
         centroids: Tensor::from_vec(centroids, &[k, d]),
@@ -147,6 +131,21 @@ pub fn kmeans(
         inertia,
         iterations,
     }
+}
+
+/// Id of the centroid (rows of the flat `[k, d]` `centroids`) nearest to
+/// `row` by [`sq_dist`]; ties go to the lowest id.
+fn nearest(row: &[f32], centroids: &[f32], d: usize) -> usize {
+    let mut best = 0usize;
+    let mut best_d = f32::INFINITY;
+    for (c, cent) in centroids.chunks_exact(d.max(1)).enumerate() {
+        let dist = sq_dist(row, cent);
+        if dist < best_d {
+            best_d = dist;
+            best = c;
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -207,6 +206,41 @@ mod tests {
         let b = kmeans(&data, 4, 15, Metric::L2, &mut r2);
         assert_eq!(a.assignments, b.assignments);
         assert_eq!(a.centroids.to_vec(), b.centroids.to_vec());
+    }
+
+    #[test]
+    fn converged_rows_sit_in_their_nearest_cell() {
+        let mut rng = Rng64::new(8);
+        let data = F32Tensor::randn(&[300, 19], 0.0, 1.0, &mut rng);
+        let r = kmeans(&data, 6, 200, Metric::L2, &mut rng);
+        assert!(r.iterations < 200, "did not converge");
+        let (rows, cents) = (data.data(), r.centroids.data());
+        for (i, &a) in r.assignments.iter().enumerate() {
+            let row = &rows[i * 19..(i + 1) * 19];
+            let dists: Vec<f32> = cents.chunks(19).map(|c| sq_dist(row, c)).collect();
+            let best = (0..6).fold(0, |b, c| if dists[c] < dists[b] { c } else { b });
+            assert_eq!(a, best, "row {i}: {dists:?}");
+        }
+        let inertia: f64 = r
+            .assignments
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| {
+                f64::from(sq_dist(
+                    &rows[i * 19..(i + 1) * 19],
+                    &cents[c * 19..(c + 1) * 19],
+                ))
+            })
+            .sum();
+        assert_eq!(inertia, r.inertia);
+    }
+
+    #[test]
+    fn ties_go_to_the_lowest_centroid() {
+        let data = F32Tensor::full(&[5, 3], 2.0);
+        let r = kmeans(&data, 3, 5, Metric::L2, &mut Rng64::new(1));
+        assert_eq!(r.assignments, vec![0; 5]);
+        assert_eq!(r.inertia, 0.0);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! TDP for speeding up top-k queries"* — this crate is that feature:
 //!
 //! * [`FlatIndex`] — exact brute-force top-k over an embedding matrix,
-//!   expressed as tensor kernels (one matmul + top-k selection). This is
-//!   what an un-indexed `ORDER BY score DESC LIMIT k` query executes.
+//!   expressed as tensor kernels (one fused row-kernel pass + top-k
+//!   selection). This is what an un-indexed `ORDER BY score DESC LIMIT k`
+//!   query executes.
 //! * [`IvfFlatIndex`] — the classic IVF-Flat approximate index: k-means
 //!   partitions the vectors into `nlist` cells; a query probes only the
 //!   `nprobe` nearest cells, trading recall for latency.

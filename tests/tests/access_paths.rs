@@ -300,6 +300,50 @@ fn flat_ann_topk_matches_scan_sort_oracle_exactly() {
 }
 
 #[test]
+fn distance_is_exact_for_near_duplicates() {
+    // Every probe sits 1e-3 per coordinate from its own row: a distance
+    // computed as ‖x‖² − 2x·q + ‖q‖² cancels to noise (negative for about
+    // a quarter of the rows); the fused Σ(x − q)² stays exact.
+    let (n, d) = (2000, 64);
+    let emb = F32Tensor::randn(&[n, d], 0.0, 3.0, &mut Rng64::new(5));
+    let tdp = Tdp::new();
+    tdp.register_table(
+        TableBuilder::new()
+            .col_i64("id", (0..n as i64).collect())
+            .col_tensor("emb", emb.clone())
+            .build("vecs"),
+    );
+    let stmt = tdp
+        .prepare("SELECT distance(emb, ?) AS dist FROM vecs WHERE id = ?")
+        .unwrap();
+    for (i, row) in emb.data().chunks(d).enumerate() {
+        let probe: Vec<f32> = row.iter().map(|v| v + 1e-3).collect();
+        let want: f64 = row
+            .iter()
+            .zip(&probe)
+            .map(|(&x, &q)| (f64::from(x) - f64::from(q)).powi(2))
+            .sum();
+        let out = stmt
+            .bind(
+                ParamValues::new()
+                    .tensor(Tensor::from_vec(probe, &[d]))
+                    .number(i as f64),
+            )
+            .unwrap()
+            .run()
+            .unwrap();
+        let got = out.column("dist").unwrap().data.decode_f32().to_vec();
+        assert_eq!(got.len(), 1, "row {i}");
+        let got = f64::from(got[0]);
+        assert!(got >= 0.0, "row {i}: negative distance {got}");
+        assert!(
+            (got - want).abs() <= 1e-4 * want,
+            "row {i}: {got} vs f64 reference {want}"
+        );
+    }
+}
+
+#[test]
 fn ivf_index_meets_declared_recall_bound() {
     let tdp = Tdp::new();
     tdp.register_table(vecs_table(512, 8, 7));
