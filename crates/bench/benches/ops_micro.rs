@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks of the tensor kernels that dominate query
 //! execution: elementwise ops, matmul, conv2d and row selection, each on
 //! CPU and on the simulated accelerator, and the vector-search kernels.
-//! These are the ablation data for the device-simulation design choice in
-//! DESIGN.md.
+//! They are diagnostics of the simulated accelerator (`tdp_tensor::device`),
+//! not claims. A kernel splits across lanes only from `PAR_THRESHOLD`
+//! output rows on: the `matmul_256` and `conv2d_8x8x28x28` (6,272 patches)
+//! accelerator rows time the serial path, `matmul_20k_x64` the split one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tdp_core::index::{kmeans, Metric};
@@ -39,6 +41,18 @@ fn bench_matmul(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    let a = Tensor::<f32>::randn(&[20_000, 64], 0.0, 1.0, &mut rng);
+    let b = Tensor::<f32>::randn(&[64, 32], 0.0, 1.0, &mut rng);
+    let mut group = c.benchmark_group("matmul_20k_x64");
+    group.sample_size(20);
+    for device in [Device::Cpu, Device::accel()] {
+        let ad = a.to(device);
+        group.bench_with_input(BenchmarkId::from_parameter(device), &device, |bch, _| {
+            bch.iter(|| ad.matmul(&b))
+        });
+    }
+    group.finish();
 }
 
 fn bench_conv2d(c: &mut Criterion) {
@@ -67,6 +81,8 @@ fn bench_row_selection(c: &mut Criterion) {
     group.bench_function("mask_filter", |bch| bch.iter(|| t.filter_rows(&mask)));
     let idx = Tensor::<i64>::arange(n / 2);
     group.bench_function("gather_half", |bch| bch.iter(|| t.select_rows(&idx)));
+    let col = t.narrow(1, 0, 1).reshape(&[n]);
+    group.bench_function("gather_half_1d", |bch| bch.iter(|| col.select_rows(&idx)));
     group.finish();
 }
 

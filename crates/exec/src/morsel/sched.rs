@@ -13,9 +13,12 @@
 //! it are never claimed.
 //!
 //! Threads live exactly as long as one stage (a scoped spawn per call;
-//! the caller is one of the workers, so `n` workers spawn `n − 1`). An
-//! engine-owned persistent pool replaces `run_stage`'s spawn block and
-//! nothing else.
+//! the caller is one of the workers, so `n` workers spawn `n − 1`). In a
+//! stage of two or more workers each one, the caller included, runs as a
+//! `tdp_tensor` device lane, so tensor kernels inside a task never spawn
+//! lanes of their own: a stage on an `Accel(n)` session runs at most
+//! `max(threads, n)` threads. An engine-owned persistent pool replaces
+//! `run_stage`'s spawn block and `Device`'s one splitter, and nothing else.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -172,11 +175,12 @@ fn run_stage<T: Send>(
     if workers <= 1 {
         worker();
     } else {
+        let lane = || tdp_tensor::device::run_as_lane(worker);
         std::thread::scope(|scope| {
             for _ in 1..workers {
-                scope.spawn(worker);
+                scope.spawn(lane);
             }
-            worker();
+            lane();
         });
     }
 

@@ -207,21 +207,13 @@ impl ClipSim {
     pub fn similarity_batch(&self, query: &str, images: &F32Tensor) -> F32Tensor {
         assert_eq!(images.ndim(), 4, "expected [n, 3, h, w]");
         let n = images.rows();
-        let out = vec![0.0f32; n];
-        let out_ptr = SyncPtr(out.as_ptr() as *mut f32);
-        let out_ref = &out_ptr; // capture the wrapper, not the raw field
-        images.device().for_each_heavy(n, |i| {
-            let score = self.similarity(query, &images.row(i));
-            // Each index is written by exactly one lane.
-            unsafe { *out_ref.0.add(i) = score };
+        let mut out = vec![0.0f32; n];
+        images.device().fill_rows(&mut out, n, 1, |i, score| {
+            score[0] = self.similarity(query, &images.row(i));
         });
         Tensor::from_vec(out, &[n]).to(images.device())
     }
 }
-
-struct SyncPtr(*mut f32);
-unsafe impl Send for SyncPtr {}
-unsafe impl Sync for SyncPtr {}
 
 /// The `image_text_similarity(query, images)` scalar UDF of Listing 7.
 pub struct ImageTextSimilarityUdf {
@@ -337,6 +329,22 @@ mod tests {
         let scores = m.similarity_batch("logo", &batch);
         assert!((scores.at(0) - m.similarity("logo", &a)).abs() < 1e-6);
         assert!((scores.at(1) - m.similarity("logo", &b)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn batch_scores_do_not_depend_on_the_device() {
+        let m = model();
+        let mut rng = Rng64::new(12);
+        let imgs: Vec<F32Tensor> = AttachmentClass::ALL
+            .iter()
+            .map(|&c| render_attachment(c, 32, 48, &mut rng))
+            .collect();
+        let batch = tdp_tensor::index::stack(&imgs.iter().collect::<Vec<_>>());
+        let bits = |t: &F32Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let cpu = m.similarity_batch("photo", &batch);
+        let acc = m.similarity_batch("photo", &batch.to(tdp_tensor::Device::Accel(3)));
+        assert!(imgs.len() > 3 && acc.device().is_accel());
+        assert_eq!(bits(&cpu), bits(&acc));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! [`col2im`] for the input gradient. `correlate2d` is the template-matching
 //! primitive behind the OCR pipeline of §5.2.
 
+use crate::device::PAR_THRESHOLD;
 use crate::element::Float;
 use crate::tensor::Tensor;
 
@@ -66,15 +67,14 @@ pub fn im2col<T: Float>(input: &Tensor<T>, g: Conv2dGeom) -> Tensor<T> {
     let (oh, ow) = g.out_size(h, w);
     let cols_w = c * g.kh * g.kw;
     let data = input.data();
-    let out = vec![T::zero(); n * oh * ow * cols_w];
-    input.device().for_each_chunk(n * oh * ow, |_, range| {
-        let out_ptr = SendPtr(out.as_ptr() as *mut T);
-        for patch in range {
+    let patches = n * oh * ow;
+    let mut out = vec![T::zero(); patches * cols_w];
+    input
+        .device()
+        .fill_rows(&mut out, patches, PAR_THRESHOLD, |patch, row| {
             let b = patch / (oh * ow);
             let oy = (patch / ow) % oh;
             let ox = patch % ow;
-            let row =
-                unsafe { std::slice::from_raw_parts_mut(out_ptr.0.add(patch * cols_w), cols_w) };
             let mut col = 0usize;
             for ch in 0..c {
                 for ky in 0..g.kh {
@@ -90,9 +90,8 @@ pub fn im2col<T: Float>(input: &Tensor<T>, g: Conv2dGeom) -> Tensor<T> {
                     }
                 }
             }
-        }
-    });
-    Tensor::from_vec(out, &[n * oh * ow, cols_w]).to(input.device())
+        });
+    Tensor::from_vec(out, &[patches, cols_w]).to(input.device())
 }
 
 /// Fold columns back into an image, accumulating overlaps — the adjoint of
@@ -280,10 +279,6 @@ impl<T: Float> Tensor<T> {
         out.reshape(&[oh, ow])
     }
 }
-
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {

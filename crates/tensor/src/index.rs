@@ -5,6 +5,7 @@
 //! [`Tensor::select_rows`], gradient scatter uses [`Tensor::scatter_add_rows`],
 //! and operators that assemble batches use [`concat_rows`]/[`stack`].
 
+use crate::device::PAR_THRESHOLD;
 use crate::element::{Element, Num};
 use crate::tensor::Tensor;
 
@@ -18,20 +19,25 @@ impl<T: Element> Tensor<T> {
         let stride: usize = self.shape()[1..].iter().product();
         let data = self.data();
         let ids = idx.data();
-        let out = vec![T::default(); ids.len() * stride];
-        self.device().for_each_chunk(ids.len(), |_, range| {
-            let out_ptr = SendPtr(out.as_ptr() as *mut T);
-            for i in range {
-                let src = ids[i];
-                assert!(
-                    src >= 0 && (src as usize) < n,
-                    "row index {src} out of bounds for {n} rows"
-                );
-                let dst =
-                    unsafe { std::slice::from_raw_parts_mut(out_ptr.0.add(i * stride), stride) };
-                dst.copy_from_slice(&data[src as usize * stride..(src as usize + 1) * stride]);
-            }
-        });
+        let src_row = |i: usize| {
+            let src = ids[i];
+            assert!(
+                src >= 0 && (src as usize) < n,
+                "row index {src} out of bounds for {n} rows"
+            );
+            src as usize
+        };
+        let mut out = vec![T::default(); ids.len() * stride];
+        if stride == 1 {
+            // Plain columns: one element per row is cheaper than a row copy.
+            self.device().fill_indexed(&mut out, |i| data[src_row(i)]);
+        } else {
+            self.device()
+                .fill_rows(&mut out, ids.len(), PAR_THRESHOLD, |i, dst| {
+                    let src = src_row(i);
+                    dst.copy_from_slice(&data[src * stride..][..stride]);
+                });
+        }
         let mut dims = self.shape().to_vec();
         dims[0] = ids.len();
         Tensor::from_vec(out, &dims).to(self.device())
@@ -244,10 +250,6 @@ pub fn one_hot(ids: &Tensor<i64>, num_classes: usize) -> Tensor<f32> {
     }
     Tensor::from_vec(out, &[n, num_classes]).to(ids.device())
 }
-
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {

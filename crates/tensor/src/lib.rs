@@ -1,10 +1,11 @@
 //! # tdp-tensor
 //!
-//! A dense, n-dimensional tensor runtime written in safe Rust. This crate is
-//! the Tensor Computation Runtime (TCR) substrate of `tdp-rs`, playing the
-//! role PyTorch plays in the Tensor Data Platform paper (CIDR 2023): every
-//! relational operator, encoding, neural network and differentiable query in
-//! the upper layers is expressed in terms of the kernels defined here.
+//! A dense, n-dimensional tensor runtime written in safe Rust: the workspace
+//! forbids `unsafe_code`. This crate is the Tensor Computation Runtime (TCR)
+//! substrate of `tdp-rs`, playing the role PyTorch plays in the Tensor Data
+//! Platform paper (CIDR 2023): every relational operator, encoding, neural
+//! network and differentiable query in the upper layers is expressed in
+//! terms of the kernels defined here.
 //!
 //! ## Design
 //!
@@ -13,9 +14,11 @@
 //! * Broadcasting follows NumPy semantics (trailing-dimension alignment).
 //! * [`Device::Cpu`] executes kernels on the calling thread.
 //!   [`Device::accel()`] simulates a hardware accelerator by running large
-//!   kernels data-parallel across a set of worker threads; this reproduces
-//!   the *device portability* story of the paper (the same compiled query
-//!   runs unchanged on CPU or "GPU") without requiring GPU hardware.
+//!   kernels data-parallel across a set of worker threads, spawned in one
+//!   place ([`device`]) that hands each thread `&mut` rows of the output
+//!   and never nests inside parallel work. This reproduces the *device
+//!   portability* story of the paper (the same compiled query runs
+//!   unchanged on CPU or "GPU") without requiring GPU hardware.
 //! * Kernels are organised by module: elementwise ([`ops`]), reductions
 //!   ([`reduce`]), linear algebra ([`linalg`]), convolution ([`conv`]),
 //!   indexing/selection ([`index`]), sorting and grouping ([`sort`]) and the

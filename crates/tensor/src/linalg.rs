@@ -22,6 +22,7 @@
 //! `matmul` with a one-column right-hand side), [`Tensor::normalize_rows`],
 //! the vector-index metrics and k-means all reduce through these kernels.
 
+use crate::device::PAR_THRESHOLD;
 use crate::element::{Float, Num};
 use crate::tensor::Tensor;
 
@@ -116,26 +117,16 @@ impl<T: Float> Tensor<T> {
         let device = self.device().combine(other.device());
         let a = self.data();
         let b = other.data();
-        let out = vec![T::zero(); m * n];
-
-        device.for_each_chunk(m, |_, rows| {
-            // SAFETY-free parallelism: each lane owns a disjoint row range of
-            // `out`; we recreate the slice through a raw pointer wrapper to
-            // avoid Mutex traffic.
-            let out_ptr = SendPtr(out.as_ptr() as *mut T);
-            for i in rows {
-                let arow = &a[i * k..(i + 1) * k];
-                // Row i of the output, written exclusively by this lane.
-                let orow = unsafe { std::slice::from_raw_parts_mut(out_ptr.0.add(i * n), n) };
-                for (kk, &av) in arow.iter().enumerate() {
-                    let brow = &b[kk * n..(kk + 1) * n];
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += av * bv;
-                    }
+        let mut out = vec![T::zero(); m * n];
+        device.fill_rows(&mut out, m, PAR_THRESHOLD, |i, orow| {
+            let arow = &a[i * k..(i + 1) * k];
+            for (kk, &av) in arow.iter().enumerate() {
+                let brow = &b[kk * n..(kk + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow) {
+                    *o += av * bv;
                 }
             }
         });
-
         Tensor::from_vec(out, &[m, n]).to(device)
     }
 
@@ -215,11 +206,6 @@ impl<T: Float> Tensor<T> {
     }
 }
 
-/// Wrapper making a raw pointer `Send`+`Sync` for disjoint-range writes.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,9 +243,10 @@ mod tests {
 
     #[test]
     fn matmul_parallel_matches_serial() {
-        let m = 64;
-        let k = 48;
-        let n = 56;
+        // Enough rows to take the parallel branch.
+        let m = PAR_THRESHOLD + 3;
+        let k = 12;
+        let n = 7;
         let mut rng = crate::Rng64::new(1);
         let a = Tensor::<f32>::randn(&[m, k], 0.0, 1.0, &mut rng);
         let b = Tensor::<f32>::randn(&[k, n], 0.0, 1.0, &mut rng);

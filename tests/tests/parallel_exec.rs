@@ -531,3 +531,59 @@ fn trainable_queries_still_run_single_threaded() {
         "{hard_count} vs {soft_count}"
     );
 }
+
+/// A parallel-safe UDF that maps its argument column on the session's
+/// device and records every thread the map's body runs on.
+struct ThreadProbe(
+    std::sync::Arc<std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>>,
+);
+
+impl tdp_core::ScalarUdf for ThreadProbe {
+    fn name(&self) -> &str {
+        "probe"
+    }
+
+    fn spec(&self) -> tdp_core::FunctionSpec {
+        tdp_core::FunctionSpec::scalar(self.name(), vec![tdp_core::ArgType::Column])
+            .volatility(tdp_core::Volatility::Immutable)
+            .parallel_safe(true)
+    }
+
+    fn invoke(
+        &self,
+        args: &[tdp_core::exec::ArgValue],
+        ctx: &tdp_core::exec::ExecContext,
+    ) -> Result<tdp_core::encoding::EncodedTensor, ExecError> {
+        let col = args[0].as_column()?.decode_f32().to(ctx.device);
+        let out = col.map(|v| {
+            self.0.lock().unwrap().insert(std::thread::current().id());
+            v
+        });
+        Ok(tdp_core::encoding::EncodedTensor::F32(out))
+    }
+}
+
+#[test]
+fn a_parallel_stage_on_an_accelerator_session_runs_at_most_threads_threads() {
+    // Two morsels past the accelerator's cut-off on two workers: each
+    // worker is a lane, so the UDF's device map inside it runs on that
+    // worker's thread instead of spawning `Accel(4)` lanes of its own.
+    let rows = 2 * (tdp_core::tensor::device::PAR_THRESHOLD + 1000);
+    let tdp = Tdp::new();
+    tdp.set_default_device(tdp_core::Device::Accel(4));
+    tdp.register_table(table(rows, 9));
+    let seen = std::sync::Arc::default();
+    tdp.register_udf_parallel(std::sync::Arc::new(ThreadProbe(std::sync::Arc::clone(
+        &seen,
+    ))));
+    tdp.set_threads(2);
+    tdp.set_morsel_rows(rows / 2);
+    let out = tdp
+        .query("SELECT probe(v) AS p FROM t")
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(out.rows(), rows);
+    let seen = seen.lock().unwrap().len();
+    assert!((1..=2).contains(&seen), "{seen} threads ran the UDF's map");
+}
