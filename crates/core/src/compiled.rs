@@ -304,7 +304,7 @@ impl<'s> BoundQuery<'s> {
             )
         };
         let udfs = self.session.udfs_snapshot();
-        let ctx = self.exec_context(&udfs, false);
+        let ctx = self.exec_context(&udfs);
         render_explain(&self.plan, &self.physical, self.fingerprint, &trailer, &ctx)
     }
 
@@ -317,7 +317,10 @@ impl<'s> BoundQuery<'s> {
         &self.params
     }
 
-    fn exec_context<'a>(&self, udfs: &'a tdp_exec::UdfRegistry, trainable: bool) -> ExecContext<'a>
+    /// One context for every run mode: a trainable run hands its exact
+    /// subtrees to the exact walker, so it schedules them like any other
+    /// run.
+    fn exec_context<'a>(&self, udfs: &'a tdp_exec::UdfRegistry) -> ExecContext<'a>
     where
         's: 'a,
     {
@@ -325,17 +328,12 @@ impl<'s> BoundQuery<'s> {
             catalog: self.session.catalog(),
             udfs,
             device: self.config.device,
-            trainable,
             temperature: self.config.temperature,
             params: self.params.clone(),
-            // The differentiable path is single-threaded (the autodiff
-            // tape is Rc-based); exact runs use the session's pool.
-            threads: if trainable { 1 } else { self.session.threads() },
+            threads: self.session.threads(),
             morsel_rows: self.session.morsel_rows(),
             partitions: self.session.partitions(),
-            // Chain kernels only serve the exact path; the differentiable
-            // interpreter has its own soft kernels.
-            chain_kernels: self.session.chain_kernels_enabled() && !trainable,
+            chain_kernels: self.session.chain_kernels_enabled(),
             zone_maps: self.session.zone_maps_enabled(),
             // Plain runs accumulate straight into the engine-wide
             // counters; run_profiled swaps in a private cell so the
@@ -355,7 +353,7 @@ impl<'s> BoundQuery<'s> {
     pub fn run(&self) -> Result<Table, TdpError> {
         self.session.engine().note_query_served();
         let udfs = self.session.udfs_snapshot();
-        let ctx = self.exec_context(&udfs, false);
+        let ctx = self.exec_context(&udfs);
         let batch = tdp_exec::execute(&self.physical, &ctx)?;
         Ok(batch.to_table("result"))
     }
@@ -370,7 +368,7 @@ impl<'s> BoundQuery<'s> {
     pub fn run_profiled(&self) -> Result<(Table, tdp_exec::QueryProfile), TdpError> {
         self.session.engine().note_query_served();
         let udfs = self.session.udfs_snapshot();
-        let mut ctx = self.exec_context(&udfs, false);
+        let mut ctx = self.exec_context(&udfs);
         // A private counter cell isolates this run's access-path numbers
         // from concurrent sessions; absorbed into the engine-wide totals
         // afterwards so access_path_stats() still covers profiled runs.
@@ -387,7 +385,10 @@ impl<'s> BoundQuery<'s> {
 
     /// Execute the differentiable lowering, producing a batch whose
     /// differentiable columns carry the autodiff tape. Requires the query
-    /// to have been compiled with [`QueryConfig::trainable`].
+    /// to have been compiled with [`QueryConfig::trainable`]. Subtrees off
+    /// the tape run on the exact walker with the session's threads, chain
+    /// kernels and zone maps and this run's memory ledger; the soft
+    /// operators run on the calling thread, where the tape lives.
     pub fn run_diff(&self) -> Result<Batch, TdpError> {
         if !self.config.trainable {
             return Err(TdpError::Session(
@@ -396,7 +397,7 @@ impl<'s> BoundQuery<'s> {
         }
         self.session.engine().note_query_served();
         let udfs = self.session.udfs_snapshot();
-        let ctx = self.exec_context(&udfs, true);
+        let ctx = self.exec_context(&udfs);
         Ok(tdp_exec::execute_diff(&self.physical, &ctx)?)
     }
 

@@ -10,21 +10,23 @@
 //!   ([`crate::soft::soft_gt`]) instead of hard masks — exact predicates
 //!   over exact columns still filter hard (gradients flow through the
 //!   surviving rows via differentiable row gather);
-//! * GROUP BY + COUNT/SUM/AVG over probability-encoded columns lower to
-//!   the soft kernels of [`crate::soft`];
-//! * operators that cannot be relaxed (ORDER BY, LIMIT, JOIN) execute
-//!   exactly when no differentiable column is involved, and report
-//!   [`ExecError::NotDifferentiable`] otherwise.
+//! * GROUP BY + COUNT/SUM/AVG lower to the soft kernels of
+//!   [`crate::soft`], and `ORDER BY score DESC LIMIT k` over a score on
+//!   the tape to NeuralSort membership weights;
+//! * every other operator is exact: it runs only when nothing
+//!   differentiable reaches it — no differentiable column, no soft row
+//!   weights — and reports [`ExecError::NotDifferentiable`] otherwise.
 //!
-//! This is deliberately a second walker over the shared
-//! [`crate::pipeline::decompose`] tree, beside the one exact walker
-//! ([`crate::pipeline::execute`]). Its arms are not a mirror of the
-//! exact kernels: each one encodes relaxation *semantics* — a
-//! `NotDifferentiable` gate on what may flow through the operator, soft
-//! row weights threaded from predicates into aggregates, the NeuralSort
-//! top-k that replaces a `Limit`-over-`Sort` pair with a weighting of
-//! every row — and it runs single-threaded on the `Rc`-based tape, with
-//! no morsels, selection vectors or ledgers to share with the scheduler.
+//! This walker runs only what it relaxes. A subtree is **on the tape**
+//! when it holds a TVF or a call to a scalar UDF with trainable
+//! parameters — a static test over the shared [`crate::pipeline::decompose`]
+//! tree. Every child off the tape runs on the exact walker
+//! (`pipeline::exec_node`) with the session's threads, chain
+//! kernels, zone maps and the query's memory ledger, and the exact
+//! barriers the walker gates run there too, on the gated batches
+//! (`pipeline::run_barrier`). What stays here — the root, the
+//! chains and sinks on the tape, soft aggregates and top-k — runs on the
+//! session thread, where the `Rc`-based tape lives.
 
 use tdp_autodiff::Var;
 use tdp_encoding::EncodedTensor;
@@ -34,21 +36,94 @@ use tdp_tensor::{F32Tensor, Tensor};
 use crate::batch::{Batch, ColumnData, DiffColumn};
 use crate::error::ExecError;
 use crate::exact;
-use crate::expr::eval_expr;
+use crate::expr::{eval_expr, resolve_limit, Value};
+use crate::morsel::BarrierInput;
 use crate::physical::{CompiledExpr, PhysAggregate, PhysKey, PhysProjectItem, PhysicalPlan};
-use crate::pipeline::{MorselOp, PipeNode};
+use crate::pipeline::{exec_node, run_barrier, MorselOp, PipeNode};
 use crate::soft;
 use crate::udf::{ArgValue, ExecContext};
 
-/// Execute a physical plan differentiably.
-///
-/// Consumes the *same* pipeline decomposition as the scheduled exact
-/// executor ([`crate::pipeline::decompose`]) — the plan is decomposed
-/// once into fused chains and barriers — but walks it single-threaded:
-/// soft kernels ride the `Rc`-based autodiff tape, which cannot cross
-/// threads.
+/// Execute a physical plan differentiably. The root always runs here, so
+/// a root aggregate returns a tape column even over exact data.
 pub fn execute_diff(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Batch, ExecError> {
     exec_diff_node(&crate::pipeline::decompose(plan), ctx)
+}
+
+/// A call that resolves to a scalar UDF with trainable parameters. Such
+/// calls take the differentiable path even when no input column is
+/// differentiable (e.g. a learnable filter threshold). Builtins count: a
+/// trainable session UDF registered after compilation shadows the
+/// built-in at evaluation time.
+fn trainable_call(e: &CompiledExpr, ctx: &ExecContext) -> Option<()> {
+    match e {
+        CompiledExpr::Udf { name, .. } | CompiledExpr::Builtin { name, .. } => ctx
+            .udfs
+            .scalar(name)
+            .is_ok_and(|u| !u.parameters().is_empty())
+            .then_some(()),
+        _ => None,
+    }
+}
+
+/// Whether `node`'s subtree is on the tape: it holds a TVF, or a call
+/// that resolves to a trainable scalar UDF.
+fn node_on_tape(node: &PipeNode<'_>, ctx: &ExecContext) -> bool {
+    let call = &mut |e: &CompiledExpr| trainable_call(e, ctx);
+    let pipe = match node {
+        PipeNode::Scan { .. } => return false,
+        PipeNode::Barrier { plan, .. } => {
+            return plan
+                .find_map(&mut |p| {
+                    let mut hit = matches!(
+                        p,
+                        PhysicalPlan::TvfScan { .. } | PhysicalPlan::TvfProject { .. }
+                    );
+                    p.for_each_expr_node(&mut |e| hit |= call(e).is_some());
+                    hit.then_some(())
+                })
+                .is_some()
+        }
+        PipeNode::Aggregate {
+            keys, aggregates, ..
+        } if (keys.iter().map(|k| &k.expr))
+            .chain(aggregates.iter().filter_map(|a| a.arg.as_ref()))
+            .any(|e| e.find_map(call).is_some()) =>
+        {
+            return true
+        }
+        PipeNode::Stream(pipe)
+        | PipeNode::Limit { pipe, .. }
+        | PipeNode::Aggregate { pipe, .. } => pipe,
+    };
+    pipe.ops.iter().any(|op| op.find_map(call).is_some()) || node_on_tape(&pipe.input, ctx)
+}
+
+/// Run a child on this walker when it is on the tape, on the exact
+/// walker otherwise.
+fn run_child(node: &PipeNode<'_>, ctx: &ExecContext) -> Result<Batch, ExecError> {
+    match node_on_tape(node, ctx) {
+        true => exec_diff_node(node, ctx),
+        false => exec_node(node, ctx, None),
+    }
+}
+
+/// The gate in front of every operator this walker does not relax: `op`
+/// may only see exact rows.
+fn gate(op: &str, inputs: &[Batch]) -> Result<(), ExecError> {
+    match inputs.iter().any(|b| b.has_diff() || b.weights.is_some()) {
+        true => Err(ExecError::NotDifferentiable(format!(
+            "{op} over differentiable columns or soft weights"
+        ))),
+        false => Ok(()),
+    }
+}
+
+/// Multiply soft membership weights into a batch's row weights.
+fn weigh(batch: &mut Batch, w: Var) {
+    batch.weights = Some(match batch.weights.take() {
+        Some(prev) => prev.mul(&w),
+        None => w,
+    });
 }
 
 /// Apply a fused chain with the differentiable operator kernels.
@@ -59,7 +134,7 @@ fn apply_ops_diff(
 ) -> Result<Batch, ExecError> {
     for op in ops {
         batch = match op {
-            MorselOp::Filter(pred) => filter_diff(&batch, pred, ctx)?,
+            MorselOp::Filter(pred) => filter_diff(batch, pred, ctx)?,
             MorselOp::Project(items) => project_diff(&batch, items, ctx)?,
         };
     }
@@ -68,79 +143,23 @@ fn apply_ops_diff(
 
 fn exec_diff_node(node: &PipeNode<'_>, ctx: &ExecContext) -> Result<Batch, ExecError> {
     match node {
-        PipeNode::Scan { table, schema, .. } => exact::scan_table(table, *schema, ctx),
-        PipeNode::Stream(pipe) => {
-            let inp = exec_diff_node(&pipe.input, ctx)?;
-            apply_ops_diff(inp, &pipe.ops, ctx)
-        }
+        PipeNode::Scan { .. } => exec_node(node, ctx, None),
+        PipeNode::Stream(pipe) => apply_ops_diff(run_child(&pipe.input, ctx)?, &pipe.ops, ctx),
         PipeNode::Aggregate {
             keys,
             aggregates,
             pipe,
         } => {
-            let inp = apply_ops_diff(exec_diff_node(&pipe.input, ctx)?, &pipe.ops, ctx)?;
+            let inp = apply_ops_diff(run_child(&pipe.input, ctx)?, &pipe.ops, ctx)?;
             aggregate_diff(&inp, keys, aggregates, ctx)
         }
         PipeNode::Limit { n, pipe } => {
-            // `ORDER BY score DESC LIMIT k` over a differentiable score
-            // relaxes to NeuralSort top-k weights: every row survives,
-            // carrying a soft membership weight that downstream soft
-            // aggregates consume (the §4 operator-relaxation story applied
-            // to top-k, as in the paper's multimodal search queries).
-            if pipe.ops.is_empty() {
-                if let PipeNode::Barrier {
-                    plan: PhysicalPlan::Sort { keys, .. },
-                    inputs,
-                } = &*pipe.input
-                {
-                    let mut inp = exec_diff_node(&inputs[0], ctx)?;
-                    let k = crate::expr::resolve_limit(n, ctx)?;
-                    if soft_topk(&mut inp, keys, k, ctx)? {
-                        return Ok(inp);
-                    }
-                    return Ok(exact::sort_batch(&inp, keys, ctx)?.head(k));
-                }
-            }
-            let inp = apply_ops_diff(exec_diff_node(&pipe.input, ctx)?, &pipe.ops, ctx)?;
-            if inp.has_diff() {
-                return Err(ExecError::NotDifferentiable(
-                    "LIMIT over differentiable columns".into(),
-                ));
-            }
-            Ok(inp.head(crate::expr::resolve_limit(n, ctx)?))
+            let inp = apply_ops_diff(run_child(&pipe.input, ctx)?, &pipe.ops, ctx)?;
+            gate("LIMIT", std::slice::from_ref(&inp))?;
+            Ok(inp.head(resolve_limit(n, ctx)?))
         }
         PipeNode::Barrier { plan, inputs } => exec_diff_barrier(plan, inputs, ctx),
     }
-}
-
-/// The soft top-k relaxation shared by both spellings of
-/// `ORDER BY … LIMIT k` (`Limit` over `Sort`, and the fused `TopK`).
-/// A single key on the tape relaxes to NeuralSort membership weights,
-/// multiplied into the batch's row weights — every row survives and the
-/// result is `true`. Any other differentiable input cannot be ordered
-/// ([`ExecError::NotDifferentiable`]); `false` means nothing is on the
-/// tape and the caller cuts `inp` with its exact kernel.
-fn soft_topk(
-    inp: &mut Batch,
-    keys: &[crate::physical::PhysOrderKey],
-    k: usize,
-    ctx: &ExecContext,
-) -> Result<bool, ExecError> {
-    if keys.len() == 1 && on_tape(&keys[0].expr, inp, ctx) {
-        let scores = eval_diff(&keys[0].expr, inp, ctx)?.into_var(inp.rows())?;
-        let w = soft::soft_topk_weights(&scores, k, keys[0].desc, ctx.temperature);
-        inp.weights = Some(match inp.weights.take() {
-            Some(prev) => prev.mul(&w),
-            None => w,
-        });
-        return Ok(true);
-    }
-    if inp.has_diff() {
-        return Err(ExecError::NotDifferentiable(
-            "ORDER BY over differentiable columns".into(),
-        ));
-    }
-    Ok(false)
 }
 
 fn exec_diff_barrier(
@@ -148,106 +167,72 @@ fn exec_diff_barrier(
     inputs: &[PipeNode<'_>],
     ctx: &ExecContext,
 ) -> Result<Batch, ExecError> {
+    let mut batches = inputs
+        .iter()
+        .map(|input| run_child(input, ctx))
+        .collect::<Result<Vec<_>, _>>()?;
     match plan {
         PhysicalPlan::TvfScan { name, schema, .. } => {
-            let inp = exec_diff_node(&inputs[0], ctx)?;
             let tvf = ctx.udfs.table_fn(name)?.clone();
-            let mut out = tvf.invoke_table_diff(&inp, ctx)?;
+            let mut out = tvf.invoke_table_diff(&batches[0], ctx)?;
             crate::udf::check_tvf_output(name, schema.as_deref(), &out)?;
             // Input weights survive a row-preserving TVF.
             if out.weights.is_none() {
-                out.weights = inp.weights;
+                out.weights = batches[0].weights.clone();
             }
             Ok(out)
         }
         PhysicalPlan::TvfProject {
             name, args, schema, ..
         } => {
-            let inp = exec_diff_node(&inputs[0], ctx)?;
             let tvf = ctx.udfs.table_fn(name)?.clone();
             let mut arg_values = Vec::with_capacity(args.len());
             for a in args {
-                arg_values.push(eval_diff(a, &inp, ctx)?.into_arg());
+                arg_values.push(eval_diff(a, &batches[0], ctx)?.into_arg());
             }
             let out = tvf.invoke_cols(&arg_values, ctx)?;
             crate::udf::check_tvf_output(name, schema.as_deref(), &out)?;
             Ok(out)
         }
-        PhysicalPlan::Join { kind, on, .. } => {
-            let l = exec_diff_node(&inputs[0], ctx)?;
-            let r = exec_diff_node(&inputs[1], ctx)?;
-            if l.has_diff() || r.has_diff() {
-                return Err(ExecError::NotDifferentiable(
-                    "JOIN over differentiable columns".into(),
-                ));
-            }
-            exact::join_batches(&l, &r, *kind, on)
+        // `ORDER BY score DESC LIMIT k` over a single key on the tape
+        // relaxes to NeuralSort top-k: every row survives, carrying a soft
+        // membership weight that downstream soft aggregates consume (the
+        // §4 operator relaxation applied to top-k, as in the paper's
+        // multimodal search queries).
+        PhysicalPlan::TopK { keys, n, .. }
+            if keys.len() == 1 && on_tape(&keys[0].expr, &batches[0], ctx) =>
+        {
+            let mut inp = batches.remove(0);
+            let scores = eval_diff(&keys[0].expr, &inp, ctx)?.into_var(inp.rows())?;
+            let k = resolve_limit(n, ctx)?;
+            weigh(
+                &mut inp,
+                soft::soft_topk_weights(&scores, k, keys[0].desc, ctx.temperature),
+            );
+            Ok(inp)
         }
-        PhysicalPlan::Sort { keys, .. } => {
-            let inp = exec_diff_node(&inputs[0], ctx)?;
-            if inp.has_diff() {
-                return Err(ExecError::NotDifferentiable(
-                    "ORDER BY over differentiable columns".into(),
-                ));
-            }
-            exact::sort_batch(&inp, keys, ctx)
+        _ => {
+            gate(operator_name(plan), &batches)?;
+            let exact = batches
+                .into_iter()
+                .map(|b| BarrierInput::gathered(b, None))
+                .collect();
+            run_barrier(plan, exact, ctx, None)
         }
-        PhysicalPlan::TopK { keys, n, .. } => {
-            // The fused form of ORDER BY + LIMIT: same soft relaxation as
-            // the unfused pattern when the (single) key is on the tape.
-            let mut inp = exec_diff_node(&inputs[0], ctx)?;
-            let k = crate::expr::resolve_limit(n, ctx)?;
-            if soft_topk(&mut inp, keys, k, ctx)? {
-                return Ok(inp);
-            }
-            exact::topk_batch(&inp, keys, k, ctx)
-        }
-        PhysicalPlan::Window { windows, .. } => {
-            let inp = exec_diff_node(&inputs[0], ctx)?;
-            if inp.has_diff() {
-                return Err(ExecError::NotDifferentiable(
-                    "window functions over differentiable columns".into(),
-                ));
-            }
-            exact::window_batch(&inp, windows, ctx)
-        }
-        PhysicalPlan::Distinct { .. } => {
-            let inp = exec_diff_node(&inputs[0], ctx)?;
-            if inp.has_diff() {
-                return Err(ExecError::NotDifferentiable(
-                    "DISTINCT over differentiable columns".into(),
-                ));
-            }
-            exact::distinct_batch(&inp)
-        }
-        PhysicalPlan::UnionAll { .. } => {
-            let l = exec_diff_node(&inputs[0], ctx)?;
-            let r = exec_diff_node(&inputs[1], ctx)?;
-            if l.has_diff() || r.has_diff() {
-                return Err(ExecError::NotDifferentiable(
-                    "UNION ALL over differentiable columns".into(),
-                ));
-            }
-            exact::union_all_batches(&l, &r)
-        }
-        // ANN top-k is a leaf over exact base-table data: nothing on the
-        // tape can flow through it, so it executes exactly.
-        PhysicalPlan::AnnTopK {
-            table,
-            schema,
-            column,
-            query,
-            metric,
-            n,
-            path,
-        } => exact::ann_topk(table, schema, column, query, *metric, n, path, ctx),
-        PhysicalPlan::Scan { .. }
-        | PhysicalPlan::Filter { .. }
-        | PhysicalPlan::Project { .. }
-        | PhysicalPlan::Aggregate { .. }
-        | PhysicalPlan::Limit { .. } => {
-            unreachable!("streamable operator reached the barrier executor")
-        }
+    }
+}
+
+/// How a `NotDifferentiable` error names a gated operator.
+fn operator_name(plan: &PhysicalPlan) -> &'static str {
+    match plan {
+        PhysicalPlan::Join { .. } => "JOIN",
+        PhysicalPlan::Sort { .. } | PhysicalPlan::TopK { .. } => "ORDER BY",
+        PhysicalPlan::Window { .. } => "window functions",
+        PhysicalPlan::Distinct { .. } => "DISTINCT",
+        PhysicalPlan::UnionAll { .. } => "UNION ALL",
+        // AnnTopK: TVFs and TopK's relaxation are handled before the
+        // gate, and streamable operators never reach a barrier.
+        _ => "ANN top-k",
     }
 }
 
@@ -265,6 +250,18 @@ pub enum DiffVal {
     Exact(EncodedTensor),
     Num(f64),
     Str(String),
+}
+
+/// An exact value as a constant of the differentiable domain.
+impl From<Value> for DiffVal {
+    fn from(v: Value) -> DiffVal {
+        match v {
+            Value::Column(c) => DiffVal::Exact(c),
+            Value::Num(n) => DiffVal::Num(n),
+            Value::Str(s) => DiffVal::Str(s),
+            Value::Bool(b) => DiffVal::Num(if b { 1.0 } else { 0.0 }),
+        }
+    }
 }
 
 impl DiffVal {
@@ -310,27 +307,10 @@ fn references_diff(expr: &CompiledExpr, batch: &Batch) -> bool {
     .is_some()
 }
 
-/// Whether the expression calls a scalar UDF that carries trainable
-/// parameters — such calls must take the differentiable path even when no
-/// input column is differentiable (e.g. a learnable filter threshold).
-/// Builtins count: a trainable session UDF registered after compilation
-/// shadows the built-in at evaluation time.
-fn has_trainable_udf(expr: &CompiledExpr, ctx: &ExecContext) -> bool {
-    expr.find_map(&mut |e| match e {
-        CompiledExpr::Udf { name, .. } | CompiledExpr::Builtin { name, .. } => ctx
-            .udfs
-            .scalar(name)
-            .is_ok_and(|u| !u.parameters().is_empty())
-            .then_some(()),
-        _ => None,
-    })
-    .is_some()
-}
-
 /// An expression is "on the tape" when it touches a differentiable column
 /// or calls a parameterized UDF.
 fn on_tape(expr: &CompiledExpr, batch: &Batch, ctx: &ExecContext) -> bool {
-    references_diff(expr, batch) || has_trainable_udf(expr, ctx)
+    references_diff(expr, batch) || expr.find_map(&mut |e| trainable_call(e, ctx)).is_some()
 }
 
 /// Evaluate a compiled expression in the differentiable domain.
@@ -345,9 +325,14 @@ pub fn eval_diff(
             ColumnData::Diff(d) => Ok(DiffVal::Var(d.var.clone())),
             ColumnData::Exact(e) => Ok(DiffVal::Exact(e.clone())),
         },
-        CompiledExpr::Num(n) => Ok(DiffVal::Num(*n)),
-        CompiledExpr::Str(s) => Ok(DiffVal::Str(s.clone())),
-        CompiledExpr::Bool(b) => Ok(DiffVal::Num(if *b { 1.0 } else { 0.0 })),
+        // Literals, parameters and scalar subqueries are constants of the
+        // differentiable domain: no gradient flows into a binding or
+        // crosses a subquery boundary (its tables are catalog constants).
+        CompiledExpr::Num(_)
+        | CompiledExpr::Str(_)
+        | CompiledExpr::Bool(_)
+        | CompiledExpr::Param { .. }
+        | CompiledExpr::ScalarSubquery(_) => exact_as_diff(expr, batch, ctx),
         CompiledExpr::Unary {
             op: UnOp::Neg,
             expr,
@@ -391,9 +376,7 @@ pub fn eval_diff(
             }
             // Built-in math functions: exact off the tape, Var ops on it
             // (only the ones autodiff provides).
-            if !args.iter().any(|a| references_diff(a, batch))
-                && !args.iter().any(|a| has_trainable_udf(a, ctx))
-            {
+            if !args.iter().any(|a| on_tape(a, batch, ctx)) {
                 return exact_as_diff(expr, batch, ctx);
             }
             let n = batch.rows();
@@ -430,22 +413,6 @@ pub fn eval_diff(
             }
             exact_as_diff(e, batch, ctx)
         }
-        // Scalar subqueries evaluate exactly — no gradient crosses the
-        // subquery boundary (its tables are catalog constants).
-        CompiledExpr::ScalarSubquery(plan) => match crate::expr::eval_scalar_subquery(plan, ctx)? {
-            crate::expr::Value::Num(v) => Ok(DiffVal::Num(v)),
-            crate::expr::Value::Str(s) => Ok(DiffVal::Str(s)),
-            crate::expr::Value::Bool(b) => Ok(DiffVal::Num(if b { 1.0 } else { 0.0 })),
-            crate::expr::Value::Column(c) => Ok(DiffVal::Exact(c)),
-        },
-        // Parameters are constants of the differentiable domain: gradients
-        // never flow into a binding.
-        CompiledExpr::Param { idx } => match crate::expr::eval_param(*idx, batch.rows(), ctx)? {
-            crate::expr::Value::Num(v) => Ok(DiffVal::Num(v)),
-            crate::expr::Value::Str(s) => Ok(DiffVal::Str(s)),
-            crate::expr::Value::Bool(b) => Ok(DiffVal::Num(if b { 1.0 } else { 0.0 })),
-            crate::expr::Value::Column(c) => Ok(DiffVal::Exact(c)),
-        },
     }
 }
 
@@ -482,12 +449,7 @@ fn exact_as_diff(
     batch: &Batch,
     ctx: &ExecContext,
 ) -> Result<DiffVal, ExecError> {
-    Ok(match eval_expr(expr, batch, ctx)? {
-        crate::expr::Value::Column(c) => DiffVal::Exact(c),
-        crate::expr::Value::Num(n) => DiffVal::Num(n),
-        crate::expr::Value::Str(s) => DiffVal::Str(s),
-        crate::expr::Value::Bool(b) => DiffVal::Num(if b { 1.0 } else { 0.0 }),
-    })
+    Ok(eval_expr(expr, batch, ctx)?.into())
 }
 
 // ----------------------------------------------------------------------
@@ -561,15 +523,15 @@ fn soft_predicate(expr: &CompiledExpr, batch: &Batch, ctx: &ExecContext) -> Resu
 }
 
 fn filter_diff(
-    batch: &Batch,
+    mut batch: Batch,
     predicate: &CompiledExpr,
     ctx: &ExecContext,
 ) -> Result<Batch, ExecError> {
     let n = batch.rows();
-    if !on_tape(predicate, batch, ctx) {
+    if !on_tape(predicate, &batch, ctx) {
         // Hard filter; differentiable columns are gathered on-tape so
         // gradients still flow into surviving rows.
-        let mask = eval_expr(predicate, batch, ctx)?.into_mask(n)?;
+        let mask = eval_expr(predicate, &batch, ctx)?.into_mask(n)?;
         let kept: Vec<i64> = mask
             .data()
             .iter()
@@ -594,13 +556,9 @@ fn filter_diff(
     }
 
     // Soft filter: multiply the relaxed predicate into the row weights.
-    let w = soft_predicate(predicate, batch, ctx)?;
-    let mut out = batch.clone();
-    out.weights = Some(match &batch.weights {
-        Some(prev) => prev.mul(&w),
-        None => w,
-    });
-    Ok(out)
+    let w = soft_predicate(predicate, &batch, ctx)?;
+    weigh(&mut batch, w);
+    Ok(batch)
 }
 
 fn project_diff(
@@ -631,32 +589,31 @@ fn project_diff(
 }
 
 /// One-hot (constant) PE view of an exact key column, allowing exact keys
-/// to participate in soft GROUP BY next to PE keys.
+/// to participate in soft GROUP BY next to PE keys. Rows group by the
+/// exact walker's rule ([`exact::key_codes`]), groups in code order, and
+/// a float key's value is read back from its rows (its code is not its
+/// value; every row of a group holds the same bits).
 fn exact_key_as_pe(col: &EncodedTensor) -> Result<(Var, F32Tensor), ExecError> {
-    let codes = match col {
-        EncodedTensor::Pe(p) => {
-            // Exact PE column (already detached): one-hot by argmax.
-            return Ok((
-                Var::constant(tdp_tensor::index::one_hot(&p.decode_ids(), p.num_classes())),
-                p.class_values().clone(),
-            ));
-        }
-        EncodedTensor::I64(t) => t.clone(),
-        EncodedTensor::Bool(t) => t.to_i64_mask(),
-        EncodedTensor::Dict { codes, .. } => codes.clone(),
-        EncodedTensor::Rle(r) => r.decode(),
-        EncodedTensor::BitPacked(b) => b.decode(),
-        EncodedTensor::Delta(d) => d.decode(),
-        EncodedTensor::F32(t) if t.ndim() == 1 => t.to_i64(),
-        EncodedTensor::F32(_) => {
-            return Err(ExecError::TypeMismatch(
-                "cannot group by a multi-dimensional payload column".into(),
-            ))
-        }
-    };
-    let u = tdp_tensor::sort::unique_i64(&codes);
+    if let EncodedTensor::Pe(p) = col {
+        // Exact PE column (already detached): one-hot by argmax.
+        return Ok((
+            Var::constant(tdp_tensor::index::one_hot(&p.decode_ids(), p.num_classes())),
+            p.class_values().clone(),
+        ));
+    }
+    let u = tdp_tensor::sort::unique_i64(&exact::key_codes(col)?);
     let onehot = tdp_tensor::index::one_hot(&u.inverse, u.values.numel());
-    Ok((Var::constant(onehot), u.values.to_f32()))
+    let values = match col {
+        EncodedTensor::F32(t) => {
+            let mut keys = vec![0.0; u.values.numel()];
+            for (&g, &v) in u.inverse.data().iter().zip(t.data()) {
+                keys[g as usize] = v;
+            }
+            Tensor::from_vec(keys, &[u.values.numel()])
+        }
+        _ => u.values.to_f32(),
+    };
+    Ok((Var::constant(onehot), values))
 }
 
 fn aggregate_diff(
@@ -842,7 +799,7 @@ mod tests {
     }
 
     fn run_diff(catalog: &Catalog, udfs: &UdfRegistry, sql: &str) -> Batch {
-        let ctx = ExecContext::new(catalog, udfs).with_trainable(true);
+        let ctx = ExecContext::new(catalog, udfs);
         let plan = compile(catalog, udfs, sql);
         execute_diff(&plan, &ctx).unwrap()
     }
@@ -964,7 +921,7 @@ mod tests {
             scores: scores.clone(),
         }));
 
-        let mut ctx = ExecContext::new(&catalog, &udfs).with_trainable(true);
+        let mut ctx = ExecContext::new(&catalog, &udfs);
         ctx.temperature = 0.01;
         let plan = compile(
             &catalog,
@@ -995,7 +952,7 @@ mod tests {
                 .build("rows"),
         );
         let udfs = UdfRegistry::new();
-        let ctx = ExecContext::new(&catalog, &udfs).with_trainable(true);
+        let ctx = ExecContext::new(&catalog, &udfs);
         // Unoptimised Limit(Sort(…)) shape: exercised via the raw lowering.
         let q = parse("SELECT x FROM rows ORDER BY x DESC LIMIT 2").unwrap();
         let plan = build_plan(&q, &PlannerContext { is_tvf: &|_| false }).unwrap();
@@ -1119,7 +1076,7 @@ mod tests {
     fn not_differentiable_reported_for_diff_sort() {
         let logits = fresh_logits();
         let (catalog, udfs) = setup(logits);
-        let ctx = ExecContext::new(&catalog, &udfs).with_trainable(true);
+        let ctx = ExecContext::new(&catalog, &udfs);
         let q = parse("SELECT Label FROM classify(rows) ORDER BY Label").unwrap();
         let plan = build_plan(
             &q,

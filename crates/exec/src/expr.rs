@@ -232,7 +232,7 @@ pub fn eval_expr(
 /// Resolve a parameter slot against the context binding. `rows` is the
 /// row count of the batch the value will combine with: tensor bindings do
 /// not broadcast, so their leading dimension must match.
-pub(crate) fn eval_param(idx: usize, rows: usize, ctx: &ExecContext) -> Result<Value, ExecError> {
+fn eval_param(idx: usize, rows: usize, ctx: &ExecContext) -> Result<Value, ExecError> {
     use crate::params::ParamValue;
     match ctx.params.get(idx) {
         Some(ParamValue::Number(n)) => Ok(Value::Num(*n)),
@@ -315,10 +315,7 @@ fn invoke_udf(
 /// the same bytes as that query run at top level. The *enclosing* chain
 /// still stays on the session thread (`scalar-subquery` fallback):
 /// workers carry no catalog to run a nested plan against.
-pub(crate) fn eval_scalar_subquery(
-    plan: &PhysicalPlan,
-    ctx: &ExecContext,
-) -> Result<Value, ExecError> {
+fn eval_scalar_subquery(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Value, ExecError> {
     let batch = crate::pipeline::execute(plan, ctx)?;
     if batch.rows() != 1 || batch.columns().len() != 1 {
         return Err(ExecError::TypeMismatch(format!(

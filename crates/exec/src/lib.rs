@@ -18,9 +18,11 @@
 //!                      │
 //!          ┌───────────┴──────────────────────┐
 //!          ▼                                  ▼
-//!   pipeline::execute                  diff::execute_diff
-//!   THE exact walker                   (single-threaded,
-//!   (morsel scheduler, hard kernels)    soft kernels)
+//!   pipeline::execute      ◄─────────  diff::execute_diff
+//!   THE exact walker        exact      (soft kernels on the
+//!   (morsel scheduler,      subtrees    session thread)
+//!    hard kernels)          and gated
+//!     │                     barriers
 //!     ├─ run()            recorder off
 //!     ├─ run_profiled()   recorder on  (profile::Recorder, per stage)
 //!     └─ scalar subquery  re-enters with the caller's context
@@ -32,10 +34,12 @@
 //! optional recorder that is told when a stage starts and ends (never
 //! per morsel), so `PROFILE` describes the run that actually happened
 //! and all three return identical bytes. [`exact`] is a kernel library
-//! with no walker of its own. [`diff`] stays a separate walker beside
-//! it because its arms are not a mirror of the exact kernels: they
-//! encode relaxation semantics (`NotDifferentiable` gates, soft row
-//! weights, NeuralSort top-k) on the single-threaded autodiff tape.
+//! with no walker of its own. [`diff`] walks only what it relaxes —
+//! TVFs, chains and aggregates on the tape, soft filters, NeuralSort
+//! top-k — on the `Rc`-based autodiff tape. Every subtree off the tape
+//! runs on the exact walker with the session's threads, chain kernels,
+//! zone maps and ledger, and every other barrier runs there too, behind
+//! one `NotDifferentiable` gate that admits only exact rows.
 //!
 //! [`physical::lower`] walks the logical tree a single time, propagating
 //! output **schemas** through every operator and resolving each column
@@ -88,7 +92,7 @@
 //! columns it names in place.
 //! Probability-encoded inputs are decoded by argmax first (paper §4,
 //! inference-time operator swap). The trainable path ([`soft`], [`diff`])
-//! consumes the *same* pipeline decomposition single-threaded: GROUP BY +
+//! consumes the *same* pipeline decomposition: GROUP BY +
 //! COUNT over PE columns becomes an (iterated Khatri-Rao) product
 //! followed by a column sum; predicates become sigmoid-weighted row
 //! weights threaded through downstream aggregates.

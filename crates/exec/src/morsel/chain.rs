@@ -430,7 +430,7 @@ impl BarrierInput {
         exact::select_batch(&self.batch, idx)
     }
 
-    pub(super) fn into_gathered(self) -> Batch {
+    pub(crate) fn into_gathered(self) -> Batch {
         match &self.ids {
             Some(ids) => self.gather(ids),
             None => self.batch,

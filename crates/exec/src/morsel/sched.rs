@@ -85,7 +85,6 @@ fn worker_ctx<'a>(catalog: &'a Catalog, udfs: &'a UdfRegistry, cfg: &WorkerCfg) 
         catalog,
         udfs,
         device: cfg.device,
-        trainable: false,
         temperature: cfg.temperature,
         params: cfg.params.clone(),
         threads: 1,

@@ -703,7 +703,7 @@ impl PhysicalPlan {
     /// walked the same way), then its children, until `f` returns `Some`.
     /// The one whole-plan walk: parameter slots, scans, function names and
     /// signature checks are closures over it.
-    fn find_map<T>(&self, f: &mut impl FnMut(&PhysicalPlan) -> Option<T>) -> Option<T> {
+    pub(crate) fn find_map<T>(&self, f: &mut impl FnMut(&PhysicalPlan) -> Option<T>) -> Option<T> {
         if let Some(hit) = f(self) {
             return Some(hit);
         }
@@ -800,7 +800,7 @@ impl PhysicalPlan {
     /// Call `f` on every expression node held directly by this plan node,
     /// pre-order per expression ([`CompiledExpr::for_each`]: subquery
     /// plans are not entered, nor are the node's children).
-    fn for_each_expr_node(&self, f: &mut impl FnMut(&CompiledExpr)) {
+    pub(crate) fn for_each_expr_node(&self, f: &mut impl FnMut(&CompiledExpr)) {
         let mut f = |root: &CompiledExpr| root.for_each(f);
         match self {
             PhysicalPlan::TvfProject { args, .. } => args.iter().for_each(&mut f),

@@ -58,10 +58,14 @@
 //!
 //! The decomposition is shared: [`execute`] — the one exact walker,
 //! which plain runs, profiled runs and scalar subqueries all take — and
-//! [`crate::diff::execute_diff`] (single-threaded, soft kernels) both
-//! consume the same `PipeNode` tree. Results are bitwise identical
-//! across thread counts — morsel boundaries depend only on
-//! [`crate::ExecContext::morsel_rows`], never on the worker count.
+//! [`crate::diff::execute_diff`] both consume the same `PipeNode` tree.
+//! The differentiable walker keeps only the operators it relaxes: it
+//! hands every subtree off the tape to `exec_node`, and every exact
+//! barrier it gates to `run_barrier`: a barrier runs in two halves —
+//! materialise the inputs, then run the operator on them — and the
+//! differentiable walker enters at the second. Results are bitwise identical across thread counts —
+//! morsel boundaries depend only on [`crate::ExecContext::morsel_rows`],
+//! never on the worker count.
 //!
 //! EXPLAIN's `== pipelines ==` section renders the decomposition with
 //! each barrier's strategy resolved against the session:
@@ -151,8 +155,8 @@ pub enum PipeNode<'p> {
         aggregates: &'p [PhysAggregate],
         pipe: Pipeline<'p>,
     },
-    /// A whole-batch barrier operator (sort, join, window, TVF, …),
-    /// executed single-threaded on its materialised children.
+    /// A barrier operator (sort, join, window, TVF, …), executed on its
+    /// materialised children.
     Barrier {
         plan: &'p PhysicalPlan,
         inputs: Vec<PipeNode<'p>>,
@@ -537,17 +541,48 @@ fn barrier_input(
 }
 
 /// Execute a barrier operator over its children (the caller has opened
-/// the barrier's stage and closes it). Streamable operators never reach
-/// here.
+/// the barrier's stage and closes it): materialise its inputs, then run
+/// it on them.
 fn exec_barrier(
     plan: &PhysicalPlan,
     inputs: &[PipeNode<'_>],
     ctx: &ExecContext,
     mut rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
+    // Join, ORDER BY, TopK and DISTINCT read a chain child's selection;
+    // every other barrier reads dense batches.
+    let selection_fed = matches!(
+        plan,
+        PhysicalPlan::Join { .. }
+            | PhysicalPlan::Sort { .. }
+            | PhysicalPlan::TopK { .. }
+            | PhysicalPlan::Distinct { .. }
+    );
+    let mut materialised = Vec::with_capacity(inputs.len());
+    for input in inputs {
+        let rec = rec.as_deref_mut();
+        materialised.push(match selection_fed {
+            true => barrier_input(input, ctx, rec)?,
+            false => morsel::BarrierInput::gathered(exec_node(input, ctx, rec)?, None),
+        });
+    }
+    run_barrier(plan, materialised, ctx, rec)
+}
+
+/// Run a barrier operator on its materialised inputs, one per child in
+/// plan order. The differentiable walker hands its gated exact batches
+/// to the same entry point. Streamable operators never reach here.
+pub(crate) fn run_barrier(
+    plan: &PhysicalPlan,
+    inputs: Vec<morsel::BarrierInput>,
+    ctx: &ExecContext,
+    rec: Option<&mut Recorder>,
+) -> Result<Batch, ExecError> {
+    let mut inputs = inputs.into_iter();
+    let mut next = || inputs.next().expect("one input per barrier child");
     match plan {
         PhysicalPlan::TvfScan { name, schema, .. } => {
-            let inp = exec_node(&inputs[0], ctx, rec)?;
+            let inp = next().into_gathered();
             let tvf = ctx.udfs.table_fn(name)?.clone();
             let out = tvf.invoke_table(&inp, ctx)?;
             crate::udf::check_tvf_output(name, schema.as_deref(), &out)?;
@@ -556,7 +591,7 @@ fn exec_barrier(
         PhysicalPlan::TvfProject {
             name, args, schema, ..
         } => {
-            let inp = exec_node(&inputs[0], ctx, rec)?;
+            let inp = next().into_gathered();
             let tvf = ctx.udfs.table_fn(name)?.clone();
             let mut arg_values = Vec::with_capacity(args.len());
             for a in args {
@@ -567,30 +602,20 @@ fn exec_barrier(
             Ok(out)
         }
         PhysicalPlan::Join { kind, on, .. } => {
-            let l = barrier_input(&inputs[0], ctx, rec.as_deref_mut())?;
-            let r = barrier_input(&inputs[1], ctx, rec.as_deref_mut())?;
+            let (l, r) = (next(), next());
             morsel::run_join(l, r, *kind, on, ctx, rec)
         }
-        PhysicalPlan::Sort { keys, .. } => {
-            let inp = barrier_input(&inputs[0], ctx, rec.as_deref_mut())?;
-            morsel::run_sort(inp, keys, None, ctx, rec)
-        }
+        PhysicalPlan::Sort { keys, .. } => morsel::run_sort(next(), keys, None, ctx, rec),
         PhysicalPlan::TopK { keys, n, .. } => {
             let k = resolve_limit(n, ctx)?;
-            let inp = barrier_input(&inputs[0], ctx, rec.as_deref_mut())?;
-            morsel::run_sort(inp, keys, Some(k), ctx, rec)
+            morsel::run_sort(next(), keys, Some(k), ctx, rec)
         }
         PhysicalPlan::Window { windows, .. } => {
-            let inp = exec_node(&inputs[0], ctx, rec)?;
-            exact::window_batch(&inp, windows, ctx)
+            exact::window_batch(&next().into_gathered(), windows, ctx)
         }
-        PhysicalPlan::Distinct { .. } => {
-            let inp = barrier_input(&inputs[0], ctx, rec.as_deref_mut())?;
-            morsel::run_distinct(inp, ctx, rec)
-        }
+        PhysicalPlan::Distinct { .. } => morsel::run_distinct(next(), ctx, rec),
         PhysicalPlan::UnionAll { .. } => {
-            let l = exec_node(&inputs[0], ctx, rec.as_deref_mut())?;
-            let r = exec_node(&inputs[1], ctx, rec)?;
+            let (l, r) = (next().into_gathered(), next().into_gathered());
             exact::union_all_batches(&l, &r)
         }
         PhysicalPlan::AnnTopK {

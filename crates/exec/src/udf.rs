@@ -643,8 +643,6 @@ pub struct ExecContext<'a> {
     pub catalog: &'a Catalog,
     pub udfs: &'a UdfRegistry,
     pub device: Device,
-    /// Differentiable (trainable-query) lowering.
-    pub trainable: bool,
     /// Temperature of relaxed predicates: `σ((score - θ) / temperature)`.
     pub temperature: f32,
     /// Bound statement parameters: `CompiledExpr::Param { idx }` resolves
@@ -693,7 +691,6 @@ impl<'a> ExecContext<'a> {
             catalog,
             udfs,
             device: Device::Cpu,
-            trainable: false,
             temperature: 0.1,
             params: crate::params::ParamValues::new(),
             threads: 1,
@@ -723,11 +720,6 @@ impl<'a> ExecContext<'a> {
 
     pub fn with_device(mut self, device: Device) -> ExecContext<'a> {
         self.device = device;
-        self
-    }
-
-    pub fn with_trainable(mut self, trainable: bool) -> ExecContext<'a> {
-        self.trainable = trainable;
         self
     }
 

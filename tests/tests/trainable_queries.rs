@@ -11,8 +11,10 @@ use tdp_core::exec::{
 };
 use tdp_core::nn::{Adam, Optimizer};
 use tdp_core::storage::TableBuilder;
+use tdp_core::tensor::F32Tensor;
 use tdp_core::tensor::Tensor;
-use tdp_core::{QueryConfig, Tdp};
+use tdp_core::{BoundQuery, QueryConfig, Tdp};
+use tdp_integration::assert_tables_identical;
 
 /// TVF emitting a PE column driven by a trainable logits parameter.
 struct LogitClassifier {
@@ -256,6 +258,16 @@ impl ScalarUdf for WeightedScore {
         let x = args[0].as_column()?.decode_f32();
         Ok(EncodedTensor::F32(x.mul_scalar(self.w.value().item())))
     }
+    fn invoke_diff(&self, args: &[ArgValue], _: &ExecContext) -> Result<DiffColumn, ExecError> {
+        let x = match &args[0] {
+            ArgValue::Column(c) => Var::constant(c.decode_f32()),
+            ArgValue::DiffColumn(d) => d.var.clone(),
+            other => return Err(ExecError::TypeMismatch(format!("{other:?}"))),
+        };
+        Ok(DiffColumn::plain(
+            x.mul(&self.w.broadcast_to(&[x.shape()[0]])),
+        ))
+    }
     fn parameters(&self) -> Vec<Var> {
         vec![self.w.clone()]
     }
@@ -285,5 +297,226 @@ fn parameters_cover_topk_keys_windows_and_subqueries() {
             .unwrap();
         assert_eq!(q.num_parameters(), 1, "{sql}");
         assert_eq!(q.parameters()[0].id(), w.id(), "{sql}");
+    }
+}
+
+/// `lift(t)`: `t`'s `x` and `g`, with `x` put on the tape as `w · x` — a
+/// FROM-position TVF emitting a differentiable column.
+struct Lift {
+    w: Var,
+}
+
+impl TableFunction for Lift {
+    fn name(&self) -> &str {
+        "lift"
+    }
+    fn invoke_table(&self, input: &Batch, ctx: &ExecContext) -> Result<Batch, ExecError> {
+        let diff = self.invoke_table_diff(input, ctx)?;
+        let mut out = Batch::new();
+        for (name, col) in diff.columns() {
+            out.push(name.clone(), ColumnData::Exact(col.to_exact()));
+        }
+        Ok(out)
+    }
+    fn invoke_table_diff(&self, input: &Batch, _ctx: &ExecContext) -> Result<Batch, ExecError> {
+        let x = input.column("x")?.to_exact().decode_f32();
+        let n = x.numel();
+        let mut out = Batch::new();
+        out.push(
+            "x",
+            ColumnData::Diff(DiffColumn::plain(
+                Var::constant(x).mul(&self.w.broadcast_to(&[n])),
+            )),
+        );
+        out.push("g", input.column("g")?.clone());
+        Ok(out)
+    }
+    fn parameters(&self) -> Vec<Var> {
+        vec![self.w.clone()]
+    }
+}
+
+const ROWS: usize = 10_000;
+
+/// `t(id, x, g)` with 10,000 rows in ten 1,024-row morsels, a 7-row `u(h,
+/// y)` to join it with, the trainable `score` UDF and the `lift` TVF.
+fn wide_fixture() -> (Tdp, Var) {
+    let tdp = Tdp::new();
+    tdp.register_table(
+        TableBuilder::new()
+            .col_i64("id", (0..ROWS as i64).collect())
+            .col_f32("x", (0..ROWS).map(|i| (i % 97) as f32 * 0.05).collect())
+            .col_i64("g", (0..ROWS).map(|i| (i % 7) as i64).collect())
+            .build("t"),
+    );
+    tdp.register_table(
+        TableBuilder::new()
+            .col_i64("h", (0..7).collect())
+            .col_f32("y", (0..7).map(|i| i as f32 * 10.0).collect())
+            .build("u"),
+    );
+    let w = Var::param(Tensor::from_vec(vec![1.0f32], &[1]));
+    tdp.register_udf(Arc::new(WeightedScore { w: w.clone() }));
+    tdp.register_tvf(Arc::new(Lift { w: w.clone() }));
+    tdp.set_morsel_rows(1024);
+    (tdp, w)
+}
+
+/// Every operator a trainable run does not relax, over `{src}`.
+const BARRIERS: [&str; 6] = [
+    "SELECT x, y FROM {src} JOIN u ON g = h",
+    "SELECT x FROM {src} ORDER BY x",
+    "SELECT x FROM {src} LIMIT 3",
+    "SELECT DISTINCT x FROM {src}",
+    "SELECT x FROM {src} UNION ALL SELECT x FROM t",
+    "SELECT x, SUM(x) OVER (PARTITION BY g) AS s FROM {src}",
+];
+
+/// The inputs of [`BARRIERS`]: exact rows, a differentiable column, and
+/// rows carrying soft filter weights.
+const EXACT_SRC: &str = "t";
+const DIFF_SRC: &str = "lift(t)";
+const SOFT_SRC: &str = "(SELECT x, g FROM t WHERE score(x) > 1.0) AS s";
+
+fn trainable<'a>(tdp: &'a Tdp, sql: &str) -> BoundQuery<'a> {
+    tdp.query_with(sql, QueryConfig::default().trainable(true))
+        .unwrap_or_else(|e| panic!("{sql}: {e}"))
+}
+
+/// An exact operator in a trainable run sees exact rows or nothing: over
+/// exact input it returns `run()`'s bytes, and over a differentiable
+/// column or soft row weights it refuses instead of dropping them.
+#[test]
+fn exact_operators_refuse_what_they_cannot_relax() {
+    let (tdp, _) = wide_fixture();
+    for template in BARRIERS {
+        let sql = template.replace("{src}", EXACT_SRC);
+        let q = trainable(&tdp, &sql);
+        let diff = q.run_diff().unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert!(diff.weights.is_none() && !diff.has_diff(), "{sql}");
+        assert_tables_identical(&diff.to_table("result"), &q.run().unwrap(), &sql);
+        for src in [DIFF_SRC, SOFT_SRC] {
+            let sql = template.replace("{src}", src);
+            match trainable(&tdp, &sql).run_diff() {
+                Err(tdp_core::TdpError::Exec(ExecError::NotDifferentiable(m))) => {
+                    assert!(
+                        m.ends_with("over differentiable columns or soft weights"),
+                        "{sql}: {m}"
+                    )
+                }
+                other => panic!("{sql}: expected NotDifferentiable, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// A soft GROUP BY over an exact float key groups like the exact walker:
+/// one group per distinct value, keys in `run()`'s order.
+#[test]
+fn soft_group_by_keeps_float_keys() {
+    let tdp = Tdp::new();
+    tdp.register_table(
+        TableBuilder::new()
+            .col_f32("k", vec![1.5, 1.7, 1.5, 2.0])
+            .build("t"),
+    );
+    let q = trainable(&tdp, "SELECT k, COUNT(*) FROM t GROUP BY k");
+    let soft = q.run_diff().unwrap();
+    let keys = soft.column("k").unwrap().to_exact().decode_f32().to_vec();
+    assert_eq!(keys, vec![1.5, 1.7, 2.0]);
+    assert_eq!(
+        q.run_counts().unwrap().value().to_vec(),
+        vec![2.0, 1.0, 1.0]
+    );
+    let exact = q.run().unwrap();
+    assert_eq!(exact.column("k").unwrap().data.decode_f32().to_vec(), keys);
+}
+
+const TOPK: &str = "SELECT x FROM t WHERE id < 100 ORDER BY score(x) DESC LIMIT 5";
+
+/// The exact chain under a soft top-k runs on the exact walker: its scan
+/// is pruned by the zone maps, and the top-k still weights every row.
+#[test]
+fn exact_children_of_a_trainable_run_prune_morsels() {
+    let (tdp, _) = wide_fixture();
+    let q = trainable(&tdp, TOPK);
+    let before = tdp.engine().access_path_stats().morsels_pruned;
+    let out = q.run_diff().unwrap();
+    assert!(tdp.engine().access_path_stats().morsels_pruned > before);
+    assert_eq!(out.rows(), 100);
+    let w = out.weights.expect("soft top-k weights").value();
+    assert!(
+        w.all_finite() && (w.sum() - 5.0).abs() < 0.5,
+        "{:?}",
+        w.to_vec()
+    );
+}
+
+/// One trainable run as bits: every output column, the soft row weights,
+/// then each parameter's gradient of a loss over all of them.
+fn run_bits(q: &BoundQuery<'_>, params: &[Var]) -> Vec<Vec<u32>> {
+    let bits = |t: &F32Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    params.iter().for_each(Var::zero_grad);
+    let batch = q.run_diff().unwrap();
+    let mut out = Vec::new();
+    let mut loss: Option<Var> = None;
+    let mut add = |v: Var| loss = Some(loss.take().map_or(v.clone(), |l| l.add(&v)));
+    for (_, col) in batch.columns() {
+        match col {
+            ColumnData::Diff(d) => {
+                out.push(bits(&d.var.value()));
+                add(d.var.sum());
+            }
+            ColumnData::Exact(e) => out.push(bits(&e.decode_f32())),
+        }
+    }
+    if let Some(w) = &batch.weights {
+        out.push(bits(&w.value()));
+        let n = batch.rows();
+        let ramp = Tensor::from_vec((0..n).map(|i| i as f32).collect(), &[n]);
+        add(w.mul(&Var::constant(ramp)).sum());
+    }
+    if let Some(l) = loss {
+        l.backward();
+    }
+    out.extend(
+        params
+            .iter()
+            .map(|p| p.grad().map_or(Vec::new(), |g| bits(&g))),
+    );
+    out
+}
+
+/// A trainable run's forward value and every gradient are the same bits
+/// at every thread count, with chain kernels and zone maps on or off, and
+/// each run gives back every byte it charged to the memory pool.
+#[test]
+fn trainable_runs_are_bitwise_stable_across_the_scheduler() {
+    let (tdp, w) = wide_fixture();
+    let mut statements = vec![
+        "SELECT COUNT(*), SUM(x) FROM t WHERE score(x) > 1.0".to_string(),
+        "SELECT g, COUNT(*), SUM(x) FROM t WHERE score(x) > 1.0 GROUP BY g".to_string(),
+        "SELECT g, COUNT(*), SUM(x) FROM lift(t) GROUP BY g".to_string(),
+        TOPK.to_string(),
+    ];
+    statements.extend(BARRIERS.iter().map(|b| b.replace("{src}", EXACT_SRC)));
+    let mut oracle: Vec<Vec<Vec<u32>>> = Vec::new();
+    for threads in [1, 2] {
+        for kernels in [false, true] {
+            for zone_maps in [false, true] {
+                tdp.set_threads(threads);
+                tdp.set_chain_kernels(kernels);
+                tdp.set_zone_maps(zone_maps);
+                let point = format!("threads={threads} kernels={kernels} zone_maps={zone_maps}");
+                for (i, sql) in statements.iter().enumerate() {
+                    let got = run_bits(&trainable(&tdp, sql), std::slice::from_ref(&w));
+                    assert_eq!(tdp.engine().memory_pool().used(), 0, "{sql} @ {point}");
+                    match oracle.get(i) {
+                        Some(want) => assert!(&got == want, "{sql} @ {point}"),
+                        None => oracle.push(got),
+                    }
+                }
+            }
+        }
     }
 }
