@@ -2,8 +2,11 @@
 //! object, split into its compile-time and run-time halves.
 //!
 //! [`crate::Session::prepare`] parses, auto-parameterises, optimises and
-//! lowers SQL **once** into a [`Prepared`] statement — the shareable,
-//! value-free compilation. [`Prepared::bind`] attaches parameter values
+//! lowers SQL **once** into a `CompiledPlan` — logical plan, physical
+//! plan, fingerprint and the declared-argument list its type checks run
+//! over — built at a plan-cache miss and then only read. Cache entries
+//! of both tiers, [`Prepared`] statements and [`BoundQuery`]s all share
+//! it through one `Arc`. [`Prepared::bind`] attaches parameter values
 //! (a [`ParamValues`] built with the typed [`ParamValue`] constructors)
 //! and yields a [`BoundQuery`], which executes through the exact,
 //! profiled or differentiable executors. Training loops prepare once and
@@ -13,7 +16,9 @@
 use std::sync::Arc;
 
 use tdp_autodiff::Var;
-use tdp_exec::{Batch, ColumnData, ExecContext, ParamValue, ParamValues, PhysicalPlan};
+use tdp_exec::{
+    Batch, ColumnData, DeclaredArg, ExecContext, ParamValue, ParamValues, PhysicalPlan, UdfRegistry,
+};
 use tdp_sql::plan::LogicalPlan;
 use tdp_storage::Table;
 use tdp_tensor::{Device, F32Tensor};
@@ -60,50 +65,65 @@ impl QueryConfig {
     }
 }
 
+/// One compilation of a statement: built once at a plan-cache miss, then
+/// shared read-only by cache entries, prepared statements and bound
+/// queries.
+pub(crate) struct CompiledPlan {
+    pub(crate) logical: LogicalPlan,
+    pub(crate) physical: PhysicalPlan,
+    pub(crate) fingerprint: u64,
+    /// Every argument of a declared-signature call, in plan order: what
+    /// prepare (miss or hit) and bind type-check against their values.
+    pub(crate) args: Vec<DeclaredArg>,
+}
+
+impl CompiledPlan {
+    pub(crate) fn new(logical: LogicalPlan, physical: PhysicalPlan, udfs: &UdfRegistry) -> Self {
+        CompiledPlan {
+            fingerprint: physical.fingerprint(),
+            args: tdp_exec::declared_args(&physical, udfs),
+            logical,
+            physical,
+        }
+    }
+}
+
 /// A prepared statement: SQL compiled into a slot-resolved
 /// [`PhysicalPlan`] with `$n` parameter slots for its placeholders *and*
 /// for every literal the session auto-parameterised. Binding is cheap —
-/// two `Arc` clones and a values vector — so the prepare-once /
+/// one `Arc` clone and a values vector — so the prepare-once /
 /// bind-per-iteration loop pays kernel dispatch only.
 pub struct Prepared<'s> {
     session: &'s Session,
-    plan: Arc<LogicalPlan>,
-    physical: Arc<PhysicalPlan>,
-    fingerprint: u64,
+    plan: Arc<CompiledPlan>,
     config: QueryConfig,
     /// Slots the caller must supply: `?` / `$n` placeholders in the text.
     explicit_params: usize,
     /// Literals extracted at prepare time, bound automatically after the
     /// explicit slots.
     implicit: Vec<ParamValue>,
-    /// Binding-dependent argument-type obligations of declared-signature
-    /// calls, precomputed at compile time so [`Prepared::bind`] checks
-    /// O(constraints) instead of re-walking the plan.
-    param_constraints: Vec<tdp_exec::ParamConstraint>,
 }
 
 impl<'s> Prepared<'s> {
-    #[allow(clippy::too_many_arguments)]
+    /// Type-check `plan`'s declared arguments against this text's
+    /// extracted literals (placeholders match anything until bound): the
+    /// cache key is literal-invariant, so a cached plan can be served for
+    /// a text whose literals have different types.
     pub(crate) fn new(
         session: &'s Session,
-        plan: Arc<LogicalPlan>,
-        physical: Arc<PhysicalPlan>,
-        fingerprint: u64,
+        plan: Arc<CompiledPlan>,
         config: QueryConfig,
         explicit_params: usize,
         implicit: Vec<ParamValue>,
-        param_constraints: Vec<tdp_exec::ParamConstraint>,
-    ) -> Self {
-        Prepared {
+    ) -> Result<Self, TdpError> {
+        tdp_exec::check_args(&plan.args, explicit_params, &implicit)?;
+        Ok(Prepared {
             session,
             plan,
-            physical,
-            fingerprint,
             config,
             explicit_params,
             implicit,
-            param_constraints,
-        }
+        })
     }
 
     /// Number of values [`Prepared::bind`] expects (explicit placeholders
@@ -125,39 +145,38 @@ impl<'s> Prepared<'s> {
                 params.len()
             )));
         }
-        let mut all = params;
+        let bound = self.with_values(params);
+        tdp_exec::check_args(&self.plan.args, 0, bound.params.values())?;
+        Ok(bound)
+    }
+
+    /// `explicit` followed by the extracted literals, unchecked.
+    fn with_values(&self, mut explicit: ParamValues) -> BoundQuery<'s> {
         for v in &self.implicit {
-            all.push(v.clone());
+            explicit.push(v.clone());
         }
-        // Every slot now has a value; checking the precomputed
-        // constraints is O(declared param args), not a plan walk.
-        tdp_exec::validate_param_constraints(&self.param_constraints, &|idx| {
-            crate::session::param_static_kind(all.get(idx))
-        })?;
-        Ok(BoundQuery {
+        BoundQuery {
             session: self.session,
             plan: Arc::clone(&self.plan),
-            physical: Arc::clone(&self.physical),
-            fingerprint: self.fingerprint,
             config: self.config,
-            params: all,
-        })
+            params: explicit,
+        }
     }
 
     /// The optimised logical plan.
     pub fn plan(&self) -> &LogicalPlan {
-        &self.plan
+        &self.plan.logical
     }
 
     /// The lowered physical plan (slots resolved, functions bound).
     pub fn physical_plan(&self) -> &PhysicalPlan {
-        &self.physical
+        &self.plan.physical
     }
 
     /// Stable fingerprint of the physical plan. Literal-invariant: SQL
     /// texts differing only in constants prepare to the same value.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.plan.fingerprint
     }
 
     pub fn config(&self) -> QueryConfig {
@@ -165,8 +184,9 @@ impl<'s> Prepared<'s> {
     }
 
     /// EXPLAIN-style rendering with `$n` parameter slots and a trailing
-    /// `params:` line. Pipelines that will take
-    /// the sequential fallback are annotated with the reason (explicit
+    /// `params:` line. The pipelines are resolved against the session's
+    /// scheduler exactly as a run would be; pipelines that will take the
+    /// sequential fallback are annotated with the reason (explicit
     /// placeholders are treated as scalar until bound — a tensor binding
     /// shows up in [`BoundQuery::explain`]).
     pub fn explain(&self) -> String {
@@ -176,29 +196,22 @@ impl<'s> Prepared<'s> {
         } else {
             format!(
                 "params: {total} [{}] ({} explicit, {} auto-extracted)",
-                param_slots(&self.physical).join(", "),
+                param_slots(&self.plan.physical).join(", "),
                 self.explicit_params,
                 self.implicit.len()
             )
         };
-        let udfs = self.session.udfs_snapshot();
-        let mut params = ParamValues::new();
+        let mut unbound = ParamValues::new();
         for _ in 0..self.explicit_params {
-            params.push(ParamValue::Null);
+            unbound.push(ParamValue::Null);
         }
-        for v in &self.implicit {
-            params.push(v.clone());
-        }
-        let ctx = ExecContext::new(self.session.catalog(), &udfs)
-            .with_params(params)
-            .with_chain_kernels(self.session.chain_kernels_enabled());
-        render_explain(&self.plan, &self.physical, self.fingerprint, &trailer, &ctx)
+        self.with_values(unbound).render(&trailer)
     }
 
     /// Trainable parameters of the functions this statement references —
     /// available before binding so optimizers can be constructed once.
     pub fn parameters(&self) -> Vec<Var> {
-        collect_plan_parameters(self.session, &self.physical)
+        collect_plan_parameters(self.session, &self.plan.physical)
     }
 
     /// Total trainable scalars across [`Prepared::parameters`].
@@ -210,7 +223,7 @@ impl<'s> Prepared<'s> {
 impl std::fmt::Debug for Prepared<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Prepared")
-            .field("fingerprint", &format_args!("{:016x}", self.fingerprint))
+            .field("fingerprint", &format_args!("{:016x}", self.fingerprint()))
             .field("param_count", &self.explicit_params)
             .field("auto_params", &self.implicit.len())
             .finish_non_exhaustive()
@@ -226,28 +239,6 @@ fn param_slots(physical: &PhysicalPlan) -> Vec<String> {
         .collect()
 }
 
-/// Shared EXPLAIN rendering: logical tree, physical tree (with `$n`
-/// slots and declared TVF schemas), the pipeline breakdown the morsel
-/// scheduler will run (fused chains, sinks, barriers, and a
-/// `[sequential: reason]` annotation on pipelines that fall back to the
-/// whole-batch path), then a `params:` trailer listing the inferred slot
-/// count and positions.
-fn render_explain(
-    plan: &LogicalPlan,
-    physical: &PhysicalPlan,
-    fingerprint: u64,
-    params_trailer: &str,
-    ctx: &ExecContext,
-) -> String {
-    format!(
-        "== logical ==\n{}== physical (fingerprint {:016x}) ==\n{}== pipelines ==\n{}{params_trailer}\n",
-        plan.explain(),
-        fingerprint,
-        physical.explain(),
-        tdp_exec::pipeline::explain_ctx(physical, ctx)
-    )
-}
-
 /// A compiled query with its parameter values attached. Like a compiled
 /// PyTorch model it can be executed repeatedly (inputs are re-resolved
 /// from the catalog on every run, so the Listing-5 pattern of
@@ -260,9 +251,7 @@ fn render_explain(
 /// produced by [`Session::query`]; both are the same type.
 pub struct BoundQuery<'s> {
     session: &'s Session,
-    plan: Arc<LogicalPlan>,
-    physical: Arc<PhysicalPlan>,
-    fingerprint: u64,
+    plan: Arc<CompiledPlan>,
     config: QueryConfig,
     params: ParamValues,
 }
@@ -274,19 +263,19 @@ pub type CompiledQuery<'s> = BoundQuery<'s>;
 impl<'s> BoundQuery<'s> {
     /// The optimised logical plan.
     pub fn plan(&self) -> &LogicalPlan {
-        &self.plan
+        &self.plan.logical
     }
 
     /// The lowered physical plan (slots resolved, functions bound).
     pub fn physical_plan(&self) -> &PhysicalPlan {
-        &self.physical
+        &self.plan.physical
     }
 
     /// Stable fingerprint of the physical plan; literal-invariant, so two
     /// queries differing only in constants (or bindings) share it — the
     /// plan-cache identity.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.plan.fingerprint
     }
 
     /// EXPLAIN-style rendering: the optimised logical tree, the physical
@@ -300,12 +289,29 @@ impl<'s> BoundQuery<'s> {
             format!(
                 "params: {} [{}] (bound)",
                 self.params.len(),
-                param_slots(&self.physical).join(", ")
+                param_slots(&self.plan.physical).join(", ")
             )
         };
+        self.render(&trailer)
+    }
+
+    /// Shared EXPLAIN rendering: logical tree, physical tree (with `$n`
+    /// slots and declared TVF schemas), the pipeline breakdown the morsel
+    /// scheduler will run under this query's context (fused chains,
+    /// sinks, barriers, and a `[sequential: reason]` annotation on
+    /// pipelines that fall back to the whole-batch path), then the
+    /// `params:` trailer.
+    fn render(&self, params_trailer: &str) -> String {
         let udfs = self.session.udfs_snapshot();
         let ctx = self.exec_context(&udfs);
-        render_explain(&self.plan, &self.physical, self.fingerprint, &trailer, &ctx)
+        let plan = &self.plan;
+        format!(
+            "== logical ==\n{}== physical (fingerprint {:016x}) ==\n{}== pipelines ==\n{}{params_trailer}\n",
+            plan.logical.explain(),
+            plan.fingerprint,
+            plan.physical.explain(),
+            tdp_exec::pipeline::explain_ctx(&plan.physical, &ctx)
+        )
     }
 
     pub fn config(&self) -> QueryConfig {
@@ -317,9 +323,9 @@ impl<'s> BoundQuery<'s> {
         &self.params
     }
 
-    /// One context for every run mode: a trainable run hands its exact
-    /// subtrees to the exact walker, so it schedules them like any other
-    /// run.
+    /// One context for every run mode and both EXPLAINs: a trainable run
+    /// hands its exact subtrees to the exact walker, so it schedules them
+    /// like any other run.
     fn exec_context<'a>(&self, udfs: &'a tdp_exec::UdfRegistry) -> ExecContext<'a>
     where
         's: 'a,
@@ -354,7 +360,7 @@ impl<'s> BoundQuery<'s> {
         self.session.engine().note_query_served();
         let udfs = self.session.udfs_snapshot();
         let ctx = self.exec_context(&udfs);
-        let batch = tdp_exec::execute(&self.physical, &ctx)?;
+        let batch = tdp_exec::execute(&self.plan.physical, &ctx)?;
         Ok(batch.to_table("result"))
     }
 
@@ -374,7 +380,7 @@ impl<'s> BoundQuery<'s> {
         // afterwards so access_path_stats() still covers profiled runs.
         let access = Arc::new(tdp_exec::AccessPathCounters::default());
         ctx.access = Arc::clone(&access);
-        let result = tdp_exec::execute_profiled(&self.physical, &ctx);
+        let result = tdp_exec::execute_profiled(&self.plan.physical, &ctx);
         self.session
             .engine()
             .access_counters()
@@ -398,7 +404,7 @@ impl<'s> BoundQuery<'s> {
         self.session.engine().note_query_served();
         let udfs = self.session.udfs_snapshot();
         let ctx = self.exec_context(&udfs);
-        Ok(tdp_exec::execute_diff(&self.physical, &ctx)?)
+        Ok(tdp_exec::execute_diff(&self.plan.physical, &ctx)?)
     }
 
     /// Run the differentiable plan and return a single named column as a
@@ -423,7 +429,7 @@ impl<'s> BoundQuery<'s> {
     /// the argument to an optimizer (paper Listing 5:
     /// `Adam(compiled_query.parameters(), lr=0.01)`).
     pub fn parameters(&self) -> Vec<Var> {
-        collect_plan_parameters(self.session, &self.physical)
+        collect_plan_parameters(self.session, &self.plan.physical)
     }
 
     /// Total trainable scalars across [`BoundQuery::parameters`].
@@ -435,7 +441,7 @@ impl<'s> BoundQuery<'s> {
 impl std::fmt::Debug for BoundQuery<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BoundQuery")
-            .field("fingerprint", &format_args!("{:016x}", self.fingerprint))
+            .field("fingerprint", &format_args!("{:016x}", self.fingerprint()))
             .field("config", &self.config)
             .field("params", &self.params.len())
             .finish_non_exhaustive()

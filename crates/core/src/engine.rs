@@ -8,9 +8,10 @@
 //!   ├─ Catalog            RwLock          ├─ local UdfRegistry   (Rc-based
 //!   │   (tables, zone maps,               │   trainable Vars live here)
 //!   │    vector indexes)                  ├─ bound params / device
-//!   ├─ shared plan cache  Mutex           ├─ threads / morsels / partitions
-//!   ├─ SharedUdfRegistry  RwLock          ├─ zone-map / chain-kernel toggles
-//!   ├─ access-path        atomics         └─ session-local plan overlay
+//!   ├─ PlanCache (shared) Mutex           ├─ threads / morsels / partitions
+//!   ├─ plan epoch         atomic          ├─ zone-map / chain-kernel toggles
+//!   ├─ SharedUdfRegistry  RwLock          ├─ PlanCache (overlay) RefCell
+//!   ├─ access-path        atomics         └─ local registration epoch
 //!   │   counters (pruning, ANN,
 //!   │   kernel binds / fallbacks)
 //!   └─ EngineStats        atomics
@@ -23,18 +24,19 @@
 //! [`crate::Tdp`] remains the embedded single-user facade — an engine
 //! plus one session — so existing code compiles unchanged.
 //!
-//! ## The cross-session plan cache
+//! ## Plan caching
 //!
-//! Compiled plans are cached on the engine keyed by *normalized*
-//! statement text (literals auto-parameterised), so two different users
-//! preparing `SELECT v FROM t WHERE v > 1` and `… > 2` share one
-//! compilation. An entry records its name-resolution dependencies
-//! ([`tdp_exec::PhysicalPlan::function_names`]); a session that has
-//! locally registered any of those names cannot use the shared entry
-//! (its resolution may differ) and compiles into a session-local overlay
-//! instead. Validity is checked exactly like the PR 2 session cache:
-//! engine-wide UDF epoch plus per-scan schema validation against the
-//! live catalog.
+//! Compiled plans are cached keyed by *normalized* statement text
+//! (literals auto-parameterised), so two different users preparing
+//! `SELECT v FROM t WHERE v > 1` and `… > 2` share one compilation.
+//! `PlanCache` is one type with two instances: the engine's, shared by
+//! every session, and each session's overlay, which holds the plans that
+//! resolved a session-local function. Both hold `CacheEntry`s under
+//! one validity rule (`PlanCache::hit`): the engine plan epoch (bumped
+//! by engine function registration and vector-index DDL), the session
+//! registration epoch for overlay entries, no function name shadowed
+//! locally for shared entries, and schemas that still hold (the catalog
+//! version, else a walk over the live schemas).
 //!
 //! ## Lock poisoning
 //!
@@ -47,16 +49,13 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
-use tdp_exec::{
-    AccessPathCounters, AccessPathStats, ParamConstraint, PhysicalPlan, ScalarUdf,
-    SharedUdfRegistry,
-};
+use tdp_exec::{AccessPathCounters, AccessPathStats, ScalarUdf, SharedUdfRegistry, UdfRegistry};
 use tdp_mem::MemoryPool;
-use tdp_sql::plan::LogicalPlan;
 use tdp_storage::{Catalog, Table};
 
+use crate::compiled::CompiledPlan;
 use crate::session::{PlanCacheStats, Session};
 
 /// Upper bound on plans cached by the engine (and, separately, by each
@@ -170,35 +169,136 @@ impl EngineStats {
     }
 }
 
-/// A compiled plan shared across sessions, plus everything needed to
-/// decide whether a later prepare (possibly from a different session)
-/// may reuse it.
-pub(crate) struct SharedPlan {
-    pub(crate) logical: Arc<LogicalPlan>,
-    pub(crate) physical: Arc<PhysicalPlan>,
-    pub(crate) fingerprint: u64,
-    /// Catalog version the scans were validated against (fast-forwarded
-    /// on every revalidating hit).
+/// What a prepare validates cached entries against, read once per
+/// prepare (a miss stores its compilation under the same values).
+pub(crate) struct Lookup<'a> {
+    pub(crate) engine: &'a TdpEngine,
+    pub(crate) plan_epoch: u64,
+    pub(crate) local_epoch: u64,
     pub(crate) catalog_version: u64,
-    /// Engine UDF epoch the plan was compiled under.
-    pub(crate) udf_epoch: u64,
-    /// `(table, column names)` for every base-table scan.
-    pub(crate) scans: Vec<(String, Vec<String>)>,
-    /// Lowercased function names the plan's compilation resolved — the
-    /// entry is unusable for a session that registered any of them
-    /// locally.
-    pub(crate) functions: Vec<String>,
-    pub(crate) param_constraints: Vec<ParamConstraint>,
-    /// Monotonic recency stamp for LRU eviction.
-    pub(crate) last_used: u64,
+    pub(crate) local_udfs: &'a UdfRegistry,
 }
 
-/// What a successful engine-cache lookup hands back to the session.
-pub(crate) struct PlanHit {
-    pub(crate) logical: Arc<LogicalPlan>,
-    pub(crate) physical: Arc<PhysicalPlan>,
-    pub(crate) fingerprint: u64,
-    pub(crate) param_constraints: Vec<ParamConstraint>,
+impl Lookup<'_> {
+    /// Whether the session registered any of `functions` locally, so it
+    /// may resolve them differently from the engine.
+    fn shadows(&self, functions: &[String]) -> bool {
+        functions
+            .iter()
+            .any(|n| self.local_udfs.is_scalar(n) || self.local_udfs.is_table_fn(n))
+    }
+}
+
+/// One cached compilation plus what decides whether a later prepare
+/// (possibly from another session) may reuse it.
+pub(crate) struct CacheEntry {
+    plan: Arc<CompiledPlan>,
+    plan_epoch: u64,
+    /// The session registration epoch at compile time — `Some` exactly
+    /// for overlay entries (plans that resolved a session-local
+    /// function).
+    local_epoch: Option<u64>,
+    /// Catalog version the scans were validated against (fast-forwarded
+    /// on every revalidating hit).
+    catalog_version: u64,
+    /// `(table, column names)` for every base-table scan.
+    scans: Vec<(String, Vec<String>)>,
+    /// Lowercased function names the compilation resolved.
+    functions: Vec<String>,
+    /// Monotonic recency stamp for LRU eviction.
+    last_used: u64,
+}
+
+impl CacheEntry {
+    /// An entry for `plan`, compiled under `now` against `scans`. It
+    /// belongs in the session overlay when it resolved a session-local
+    /// function ([`CacheEntry::is_local`]), else in the engine cache.
+    pub(crate) fn new(
+        plan: Arc<CompiledPlan>,
+        now: &Lookup,
+        scans: Vec<(String, Vec<String>)>,
+    ) -> CacheEntry {
+        let functions = plan.physical.function_names();
+        CacheEntry {
+            local_epoch: now.shadows(&functions).then_some(now.local_epoch),
+            plan,
+            plan_epoch: now.plan_epoch,
+            catalog_version: now.catalog_version,
+            scans,
+            functions,
+            last_used: now.engine.tick(),
+        }
+    }
+
+    pub(crate) fn is_local(&self) -> bool {
+        self.local_epoch.is_some()
+    }
+}
+
+/// A bounded map from normalized statement text to [`CacheEntry`],
+/// evicted per-entry LRU at [`PLAN_CACHE_CAP`]. The engine holds one
+/// behind its `Mutex`; each session holds its overlay behind a
+/// `RefCell`. Hit, miss and eviction counters live on the engine.
+#[derive(Default)]
+pub(crate) struct PlanCache {
+    entries: HashMap<String, CacheEntry>,
+}
+
+impl PlanCache {
+    /// The plan cached for `key` if it is valid under `now`: compiled
+    /// under the current plan epoch; for an overlay entry, under the
+    /// session's current registration epoch; for a shared entry, by a
+    /// resolution the session agrees with (none of its function names
+    /// registered locally); and against schemas that still hold. Refreshes
+    /// the entry's recency and fast-forwards its catalog version.
+    pub(crate) fn hit(&mut self, key: &str, now: &Lookup) -> Option<Arc<CompiledPlan>> {
+        let entry = self.entries.get_mut(key)?;
+        let resolves = entry.plan_epoch == now.plan_epoch
+            && match entry.local_epoch {
+                Some(epoch) => epoch == now.local_epoch,
+                None => !now.shadows(&entry.functions),
+            };
+        // The engine tier walks the schemas under its lock: releasing it
+        // would let the entry be evicted mid-check, and the walk is only
+        // name comparisons.
+        if !resolves
+            || (entry.catalog_version != now.catalog_version
+                && !now.engine.scans_unchanged(&entry.scans))
+        {
+            return None;
+        }
+        entry.catalog_version = now.catalog_version;
+        entry.last_used = now.engine.tick();
+        Some(Arc::clone(&entry.plan))
+    }
+
+    /// Insert `entry`, first evicting the least recently used entry when
+    /// full; returns whether one was evicted. Two sessions racing to
+    /// compile the same statement both insert; the second replaces the
+    /// first with an identical plan.
+    pub(crate) fn insert(&mut self, key: String, entry: CacheEntry) -> bool {
+        let evict = self.entries.len() >= PLAN_CACHE_CAP && !self.entries.contains_key(&key);
+        if evict {
+            if let Some(oldest) = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone())
+            {
+                self.entries.remove(&oldest);
+            }
+        }
+        self.entries.insert(key, entry);
+        evict
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
 }
 
 /// The shared, thread-safe engine: catalog (tables, zone maps and
@@ -211,12 +311,13 @@ pub struct TdpEngine {
     /// Thread-safe scalar UDFs visible to every session
     /// ([`TdpEngine::register_udf_shared`]).
     shared_udfs: RwLock<SharedUdfRegistry>,
-    /// Bumped on every engine-level function registration; cached plans
-    /// compiled under an older epoch are invalid (registration can change
-    /// name resolution and therefore plan shape).
-    udf_epoch: AtomicU64,
+    /// Bumped on every engine-level function registration and vector
+    /// index DDL; cached plans of both tiers compiled under an older epoch
+    /// are invalid (either can change name resolution or access path, and
+    /// therefore plan shape).
+    plan_epoch: AtomicU64,
     /// Cross-session compiled-plan cache keyed by normalized text.
-    plan_cache: Mutex<HashMap<String, SharedPlan>>,
+    plan_cache: Mutex<PlanCache>,
     cache_tick: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -263,8 +364,8 @@ impl TdpEngine {
         Arc::new(TdpEngine {
             catalog: Catalog::new(),
             shared_udfs: RwLock::new(SharedUdfRegistry::new()),
-            udf_epoch: AtomicU64::new(0),
-            plan_cache: Mutex::new(HashMap::new()),
+            plan_epoch: AtomicU64::new(0),
+            plan_cache: Mutex::new(PlanCache::default()),
             cache_tick: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
@@ -325,15 +426,14 @@ impl TdpEngine {
 
     /// Register a thread-safe scalar UDF visible to **every** session of
     /// this engine (the engine-level home of
-    /// [`Session::register_udf_parallel`]). Bumps the engine UDF epoch,
-    /// invalidating cached plans, exactly like a session registration
-    /// used to.
+    /// [`Session::register_udf_parallel`]). Bumps the engine plan epoch,
+    /// invalidating cached plans in every session.
     pub fn register_udf_shared(&self, udf: Arc<dyn ScalarUdf + Send + Sync>) {
         self.shared_udfs
             .write()
             .unwrap_or_else(|e| e.into_inner())
             .register_scalar(udf);
-        self.udf_epoch.fetch_add(1, Ordering::Relaxed);
+        self.invalidate_plans();
     }
 
     /// Snapshot of the engine-level function registry.
@@ -344,9 +444,16 @@ impl TdpEngine {
             .clone()
     }
 
-    /// Current engine UDF-registration epoch.
-    pub fn udf_epoch(&self) -> u64 {
-        self.udf_epoch.load(Ordering::Relaxed)
+    /// Current plan epoch (see [`TdpEngine::invalidate_plans`]).
+    pub(crate) fn plan_epoch(&self) -> u64 {
+        self.plan_epoch.load(Ordering::Relaxed)
+    }
+
+    /// Invalidate every cached plan of every session — the engine cache
+    /// and all overlays — by bumping the plan epoch both tiers check.
+    /// Stale entries stay until recompiled or evicted.
+    pub(crate) fn invalidate_plans(&self) {
+        self.plan_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Engine-wide observability counters.
@@ -380,11 +487,7 @@ impl TdpEngine {
             hits: self.cache_hits.load(Ordering::Relaxed),
             misses: self.cache_misses.load(Ordering::Relaxed),
             evictions: self.cache_evictions.load(Ordering::Relaxed),
-            entries: self
-                .plan_cache
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .len(),
+            entries: self.plan_cache().len(),
         }
     }
 
@@ -392,10 +495,12 @@ impl TdpEngine {
     /// accumulating; session overlays are cleared by
     /// [`Session::clear_plan_cache`]).
     pub fn clear_plan_cache(&self) {
-        self.plan_cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
+        self.plan_cache().clear();
+    }
+
+    /// The engine tier of the plan cache.
+    pub(crate) fn plan_cache(&self) -> MutexGuard<'_, PlanCache> {
+        self.plan_cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Record an admission-queue wait (frontend observability hook).
@@ -424,8 +529,8 @@ impl TdpEngine {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Session overlays report their LRU evictions here so the
-    /// engine-wide counters cover both tiers.
+    /// Evictions from either tier land here, so the engine-wide counters
+    /// cover both.
     pub(crate) fn note_plan_cache_eviction(&self) {
         self.cache_evictions.fetch_add(1, Ordering::Relaxed);
     }
@@ -447,70 +552,6 @@ impl TdpEngine {
                         .all(|(c, e)| c.name.eq_ignore_ascii_case(e))
             })
         })
-    }
-
-    /// Look up a shared plan for `key`, valid for a session whose local
-    /// registry is `local_udfs`. Counts a hit and refreshes recency on
-    /// success; a miss is counted by the caller once overlay and engine
-    /// lookups have both failed.
-    pub(crate) fn cached_plan(
-        &self,
-        key: &str,
-        engine_epoch: u64,
-        catalog_version: u64,
-        local_udfs: &tdp_exec::UdfRegistry,
-    ) -> Option<PlanHit> {
-        let mut cache = self.plan_cache.lock().unwrap_or_else(|e| e.into_inner());
-        let entry = cache.get(key)?;
-        // The entry must have been compiled under the current engine
-        // registration epoch, against schemas that still hold, by a
-        // resolution this session agrees with (none of the plan's
-        // function names registered locally).
-        let resolution_matches = entry.udf_epoch == engine_epoch
-            && !entry
-                .functions
-                .iter()
-                .any(|n| local_udfs.is_scalar(n) || local_udfs.is_table_fn(n));
-        if !resolution_matches {
-            return None;
-        }
-        if entry.catalog_version != catalog_version {
-            // Dropping the lock for the schema walk would allow the entry
-            // to be evicted mid-check; the walk is cheap (name
-            // comparisons), so hold it.
-            if !self.scans_unchanged(&entry.scans) {
-                return None;
-            }
-        }
-        let tick = self.cache_tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let entry = cache.get_mut(key).expect("present above");
-        entry.catalog_version = catalog_version;
-        entry.last_used = tick;
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        Some(PlanHit {
-            logical: Arc::clone(&entry.logical),
-            physical: Arc::clone(&entry.physical),
-            fingerprint: entry.fingerprint,
-            param_constraints: entry.param_constraints.clone(),
-        })
-    }
-
-    /// Insert a freshly compiled shared plan, evicting the stalest entry
-    /// at capacity. Two sessions racing to compile the same statement
-    /// both insert; the second replaces the first with an identical plan.
-    pub(crate) fn store_plan(&self, key: String, plan: SharedPlan) {
-        let mut cache = self.plan_cache.lock().unwrap_or_else(|e| e.into_inner());
-        if cache.len() >= PLAN_CACHE_CAP && !cache.contains_key(&key) {
-            if let Some(oldest) = cache
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                cache.remove(&oldest);
-                self.cache_evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        cache.insert(key, plan);
     }
 
     /// Snapshot of the engine-wide access-path counters: how many
@@ -551,7 +592,7 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<TdpEngine>();
         assert_send_sync::<EngineStats>();
-        assert_send_sync::<SharedPlan>();
+        assert_send_sync::<PlanCache>();
     }
 
     #[test]

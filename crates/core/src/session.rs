@@ -11,53 +11,17 @@
 //! intact.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use tdp_exec::{
-    ParamConstraint, ParamValue, ParamValues, PhysicalPlan, ScalarUdf, TableFunction, UdfRegistry,
-};
-use tdp_sql::plan::{LogicalPlan, PlannerContext};
+use tdp_exec::{ParamValue, ParamValues, ScalarUdf, TableFunction, UdfRegistry};
+use tdp_sql::plan::PlannerContext;
 use tdp_sql::{optimizer, parse};
 use tdp_storage::{Catalog, Table, TableBuilder};
 use tdp_tensor::{Device, F32Tensor};
 
-use crate::compiled::{CompiledQuery, Prepared, QueryConfig};
-use crate::engine::{SharedPlan, TdpEngine, PLAN_CACHE_CAP};
+use crate::compiled::{CompiledPlan, CompiledQuery, Prepared, QueryConfig};
+use crate::engine::{CacheEntry, Lookup, PlanCache, TdpEngine};
 use crate::error::TdpError;
-
-/// Static type of a bound (or to-be-bound) parameter value, for
-/// declared-signature checking.
-pub(crate) fn param_static_kind(v: Option<&ParamValue>) -> tdp_exec::StaticKind {
-    use tdp_exec::StaticKind;
-    match v {
-        Some(ParamValue::Number(_)) => StaticKind::Number,
-        Some(ParamValue::String(_)) => StaticKind::Str,
-        Some(ParamValue::Bool(_)) => StaticKind::Bool,
-        Some(ParamValue::Tensor(_)) => StaticKind::Column,
-        Some(ParamValue::Null) | None => StaticKind::Unknown,
-    }
-}
-
-/// A compilation cached in the session-local overlay: a plan whose name
-/// resolution involved at least one *session-local* function, so it can
-/// never be shared through the engine cache. Shape and invalidation
-/// mirror [`crate::engine`]'s `SharedPlan`, plus the session registration
-/// epoch.
-struct LocalPlan {
-    logical: Arc<LogicalPlan>,
-    physical: Arc<PhysicalPlan>,
-    fingerprint: u64,
-    catalog_version: u64,
-    /// Engine UDF epoch at compile time (engine registrations can change
-    /// resolution for this plan too).
-    engine_epoch: u64,
-    /// Session-local registration epoch at compile time.
-    local_epoch: u64,
-    scans: Vec<(String, Vec<String>)>,
-    param_constraints: Vec<ParamConstraint>,
-    last_used: u64,
-}
 
 /// Plan-cache counters (see [`Session::plan_cache_stats`]). Hits, misses
 /// and evictions accumulate engine-wide — over every session, whichever
@@ -73,6 +37,16 @@ pub struct PlanCacheStats {
     /// explicit clears are not evictions).
     pub evictions: u64,
     pub entries: usize,
+}
+
+/// Result of [`Session::execute`]: rows for queries, an acknowledgement
+/// line for DDL.
+#[derive(Debug)]
+pub enum StatementOutcome {
+    /// A SELECT's result table.
+    Rows(Table),
+    /// DDL acknowledgement (e.g. `CREATE INDEX idx`).
+    Ack(String),
 }
 
 /// One user's handle onto a shared [`TdpEngine`] — the per-user half of
@@ -102,25 +76,18 @@ pub struct PlanCacheStats {
 ///
 /// ## Plan caching across sessions
 ///
-/// [`Session::prepare`] consults the session's private overlay first
-/// (plans involving session-local functions), then the engine's shared
-/// cache. Plans compiled purely from builtins and engine-registered
-/// functions land in the shared cache, so *another* session preparing
-/// the same normalized statement hits without compiling; plans touching
-/// session-local functions stay private. A shared entry records the
-/// function names it resolved, and a session that has locally registered
-/// any of them bypasses the entry — local registrations win without
-/// poisoning other sessions.
-/// Result of [`Session::execute`]: rows for queries, an acknowledgement
-/// line for DDL.
-#[derive(Debug)]
-pub enum StatementOutcome {
-    /// A SELECT's result table.
-    Rows(Table),
-    /// DDL acknowledgement (e.g. `CREATE INDEX idx`).
-    Ack(String),
-}
-
+/// The plan cache has two tiers of one type (see [`crate::engine`]):
+/// [`Session::prepare`] looks in the session's private overlay first
+/// (plans involving session-local functions), then in the engine's
+/// shared cache. Plans compiled purely from builtins and
+/// engine-registered functions land in the shared cache, so *another*
+/// session preparing the same normalized statement hits without
+/// compiling; plans touching session-local functions stay private. A
+/// shared entry records the function names it resolved, and a session
+/// that has locally registered any of them bypasses the entry — local
+/// registrations win without poisoning other sessions. Engine function
+/// registration and vector-index DDL invalidate both tiers in every
+/// session.
 pub struct Session {
     engine: Arc<TdpEngine>,
     /// Session-local functions only (locally registered scalar UDFs and
@@ -136,7 +103,7 @@ pub struct Session {
     /// Session-local plan-cache overlay keyed like the engine cache
     /// (normalized statement text); holds only plans whose resolution
     /// involved session-local functions.
-    plan_cache: RefCell<HashMap<String, LocalPlan>>,
+    plan_cache: RefCell<PlanCache>,
     /// Morsel-scheduler worker count for exact execution.
     threads: Cell<usize>,
     /// Rows per morsel (tunable mostly for tests/benchmarks).
@@ -164,7 +131,7 @@ impl Session {
             udfs: RefCell::new(UdfRegistry::new()),
             local_epoch: Cell::new(0),
             default_device: Cell::new(Device::Cpu),
-            plan_cache: RefCell::new(HashMap::new()),
+            plan_cache: RefCell::new(PlanCache::default()),
             threads: Cell::new(defaults.threads),
             morsel_rows: Cell::new(defaults.morsel_rows),
             partitions: Cell::new(tdp_exec::DEFAULT_PARTITIONS),
@@ -503,8 +470,7 @@ impl Session {
             }
             tdp_sql::Statement::DropIndex { name } => {
                 if self.catalog().drop_vector_index(&name) {
-                    self.clear_plan_cache();
-                    self.engine.clear_plan_cache();
+                    self.engine.invalidate_plans();
                     Ok(StatementOutcome::Ack(format!("DROP INDEX {name}")))
                 } else {
                     Err(TdpError::Session(format!("no index named '{name}'")))
@@ -527,12 +493,14 @@ impl Session {
     /// Compilation results are cached by *normalized* statement text:
     /// every literal is lifted into a parameter slot before hashing, so
     /// texts differing only in constants — the REPL / training-loop
-    /// pattern — hit the same compiled [`PhysicalPlan`]. The session
-    /// overlay is consulted first, then the engine's cross-session cache
-    /// (see the [`Session`] docs for the two-tier rules). Cache entries
-    /// are invalidated when a referenced table's schema changes or when
-    /// the relevant function registry changes, and evicted per-entry LRU
-    /// at capacity.
+    /// pattern — hit the same compiled [`tdp_exec::PhysicalPlan`]. The
+    /// session overlay is consulted first, then the engine's cross-session
+    /// cache (see the [`Session`] docs for the two-tier rules). Cache entries
+    /// are invalidated when a referenced table's schema changes, when the
+    /// relevant function registry changes or a vector index is created or
+    /// dropped, and evicted per-entry LRU at capacity. Every path — miss,
+    /// either tier's hit, and [`Prepared::bind`] — runs the same
+    /// declared-argument type check.
     pub fn prepare_with(&self, sql: &str, config: QueryConfig) -> Result<Prepared<'_>, TdpError> {
         let ast = parse(sql)?;
         let merged = self.udfs_snapshot();
@@ -548,185 +516,51 @@ impl Session {
         let implicit: Vec<ParamValue> = literals.iter().map(ParamValue::from).collect();
         let key = ast.to_string();
 
-        let catalog_version = self.engine.catalog().version();
-        let engine_epoch = self.engine.udf_epoch();
-        let local_epoch = self.local_epoch.get();
-
-        // Tier 1: the session overlay (plans involving local functions).
-        // Checked first because its entries *override* engine entries for
-        // this session by construction.
-        if let Some(entry) = self.plan_cache.borrow_mut().get_mut(&key) {
-            let valid = entry.engine_epoch == engine_epoch
-                && entry.local_epoch == local_epoch
-                && (entry.catalog_version == catalog_version
-                    || self.engine.scans_unchanged(&entry.scans));
-            if valid {
-                // Schemas re-validated above; fast-forward the version so
-                // the next hit takes the cheap equality path.
-                entry.catalog_version = catalog_version;
-                entry.last_used = self.engine.tick();
-                self.engine.note_plan_cache_hit();
-                // The cache key is literal-invariant, so a cached plan can
-                // be served for a text whose literals have *different
-                // types*. The plan structure was fully validated when the
-                // entry was built; only the binding-dependent slot
-                // constraints need rechecking against this text's values.
-                tdp_exec::validate_param_constraints(&entry.param_constraints, &|idx| {
-                    if idx < explicit {
-                        tdp_exec::StaticKind::Unknown
-                    } else {
-                        param_static_kind(implicit.get(idx - explicit))
-                    }
-                })?;
-                return Ok(Prepared::new(
-                    self,
-                    Arc::clone(&entry.logical),
-                    Arc::clone(&entry.physical),
-                    entry.fingerprint,
-                    config,
-                    explicit,
-                    implicit,
-                    entry.param_constraints.clone(),
-                ));
-            }
-        }
-
-        // Tier 2: the engine's cross-session cache (plans this session's
-        // local registrations do not interfere with).
-        if let Some(hit) =
-            self.engine
-                .cached_plan(&key, engine_epoch, catalog_version, &self.udfs.borrow())
-        {
-            tdp_exec::validate_param_constraints(&hit.param_constraints, &|idx| {
-                if idx < explicit {
-                    tdp_exec::StaticKind::Unknown
-                } else {
-                    param_static_kind(implicit.get(idx - explicit))
-                }
-            })?;
-            return Ok(Prepared::new(
-                self,
-                hit.logical,
-                hit.physical,
-                hit.fingerprint,
-                config,
-                explicit,
-                implicit,
-                hit.param_constraints,
-            ));
+        let local_udfs = self.udfs.borrow();
+        let now = Lookup {
+            engine: &self.engine,
+            plan_epoch: self.engine.plan_epoch(),
+            local_epoch: self.local_epoch.get(),
+            catalog_version: self.engine.catalog().version(),
+            local_udfs: &local_udfs,
+        };
+        // The overlay first: its entries override engine entries for this
+        // session by construction.
+        let cached = self.plan_cache.borrow_mut().hit(&key, &now);
+        if let Some(plan) = cached.or_else(|| self.engine.plan_cache().hit(&key, &now)) {
+            self.engine.note_plan_cache_hit();
+            return Prepared::new(self, plan, config, explicit, implicit);
         }
         self.engine.note_plan_cache_miss();
 
-        let plan = tdp_sql::plan::build_plan(
+        let logical = tdp_sql::plan::build_plan(
             &ast,
             &PlannerContext {
                 is_tvf: &|n| merged.is_table_fn(n),
             },
         )?;
-        let plan = optimizer::optimize(plan);
-        let physical = Arc::new(tdp_exec::lower(&plan, self.engine.catalog(), &merged)?);
-        let param_constraints = tdp_exec::param_arg_constraints(&physical, &merged);
-        let logical = Arc::new(plan);
-        let fingerprint = physical.fingerprint();
-        self.validate_signatures(&physical, &merged, explicit, &implicit)?;
+        let logical = optimizer::optimize(logical);
+        let physical = tdp_exec::lower(&logical, self.engine.catalog(), &merged)?;
+        let plan = Arc::new(CompiledPlan::new(logical, physical, &merged));
+        // Checked before the store, so a wrongly typed literal caches
+        // nothing.
+        let prepared = Prepared::new(self, Arc::clone(&plan), config, explicit, implicit)?;
 
         // Cache only plans whose scans all resolved a schema: a plan
         // compiled against a missing table must not pin that state.
-        let scans = physical.scans();
-        if scans.iter().all(|(_, s)| s.is_some()) {
-            let scans: Vec<(String, Vec<String>)> = scans
-                .into_iter()
-                .map(|(t, s)| (t, s.expect("checked above")))
-                .collect();
-            let functions = physical.function_names();
-            let locally_resolved = {
-                let local = self.udfs.borrow();
-                functions
-                    .iter()
-                    .any(|n| local.is_scalar(n) || local.is_table_fn(n))
-            };
-            if locally_resolved {
-                self.store_local(
-                    key,
-                    LocalPlan {
-                        logical: Arc::clone(&logical),
-                        physical: Arc::clone(&physical),
-                        fingerprint,
-                        catalog_version,
-                        engine_epoch,
-                        local_epoch,
-                        scans,
-                        param_constraints: param_constraints.clone(),
-                        last_used: self.engine.tick(),
-                    },
-                );
+        let scans = plan.physical.scans().into_iter();
+        if let Some(scans) = scans.map(|(t, s)| Some((t, s?))).collect() {
+            let entry = CacheEntry::new(plan, &now, scans);
+            let evicted = if entry.is_local() {
+                self.plan_cache.borrow_mut().insert(key, entry)
             } else {
-                self.engine.store_plan(
-                    key,
-                    SharedPlan {
-                        logical: Arc::clone(&logical),
-                        physical: Arc::clone(&physical),
-                        fingerprint,
-                        catalog_version,
-                        udf_epoch: engine_epoch,
-                        scans,
-                        functions,
-                        param_constraints: param_constraints.clone(),
-                        last_used: self.engine.tick(),
-                    },
-                );
-            }
-        }
-        Ok(Prepared::new(
-            self,
-            logical,
-            physical,
-            fingerprint,
-            config,
-            explicit,
-            implicit,
-            param_constraints,
-        ))
-    }
-
-    /// Insert into the session overlay, evicting its stalest entry at
-    /// capacity (the overlay has its own [`PLAN_CACHE_CAP`] budget,
-    /// separate from the engine cache's).
-    fn store_local(&self, key: String, plan: LocalPlan) {
-        let mut cache = self.plan_cache.borrow_mut();
-        if cache.len() >= PLAN_CACHE_CAP && !cache.contains_key(&key) {
-            if let Some(oldest) = cache
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                cache.remove(&oldest);
+                self.engine.plan_cache().insert(key, entry)
+            };
+            if evicted {
                 self.engine.note_plan_cache_eviction();
             }
         }
-        cache.insert(key, plan);
-    }
-
-    /// Check every UDF/TVF call of a lowered plan against its declared
-    /// signature, resolving the auto-extracted literal slots to their
-    /// types. The full plan walk runs once per compilation (cache miss);
-    /// hits and [`Prepared::bind`] recheck only the precomputed
-    /// binding-dependent slot constraints.
-    fn validate_signatures(
-        &self,
-        physical: &PhysicalPlan,
-        udfs: &UdfRegistry,
-        explicit: usize,
-        implicit: &[ParamValue],
-    ) -> Result<(), TdpError> {
-        let kind = |idx: usize| -> tdp_exec::StaticKind {
-            if idx < explicit {
-                return tdp_exec::StaticKind::Unknown;
-            }
-            param_static_kind(implicit.get(idx - explicit))
-        };
-        tdp_exec::validate_function_args(physical, udfs, &kind)?;
-        Ok(())
+        Ok(prepared)
     }
 
     /// Number of cached compiled plans visible to this session: engine
@@ -837,6 +671,7 @@ impl std::fmt::Debug for Tdp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::PLAN_CACHE_CAP;
     use tdp_tensor::Tensor;
 
     #[test]

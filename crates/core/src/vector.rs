@@ -84,9 +84,8 @@ impl Session {
             index,
         });
         // Index availability changes access-path choice; cached physical
-        // plans may now lower differently.
-        self.clear_plan_cache();
-        self.engine().clear_plan_cache();
+        // plans in every session may now lower differently.
+        self.engine().invalidate_plans();
         Ok(())
     }
 
@@ -111,8 +110,7 @@ impl Session {
         };
         let dropped = self.catalog().drop_vector_index(&entry.name);
         if dropped {
-            self.clear_plan_cache();
-            self.engine().clear_plan_cache();
+            self.engine().invalidate_plans();
         }
         dropped
     }

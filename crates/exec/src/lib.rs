@@ -203,10 +203,7 @@ pub use diff::execute_diff;
 pub use error::ExecError;
 pub use kernel::ChainKernelStats;
 pub use params::{ParamValue, ParamValues};
-pub use physical::{
-    lower, param_arg_constraints, validate_function_args, validate_param_constraints, CompiledExpr,
-    ParamConstraint, PhysicalPlan, StaticKind,
-};
+pub use physical::{check_args, declared_args, lower, CompiledExpr, DeclaredArg, PhysicalPlan};
 pub use pipeline::{
     decompose, execute, MorselOp, PipeNode, DEFAULT_MORSEL_ROWS, DEFAULT_PARTITIONS,
 };

@@ -29,6 +29,7 @@ use tdp_storage::Catalog;
 
 use crate::access::{AnnPath, ChunkPruner};
 use crate::error::ExecError;
+use crate::params::ParamValue;
 use crate::udf::{ArgType, UdfRegistry};
 
 // ----------------------------------------------------------------------
@@ -1368,7 +1369,7 @@ pub fn lower_expr(
             // pre-compilation resolution order.
             if udfs.is_scalar(name) {
                 // Declared arity is checked here, at compile time; argument
-                // *types* are checked by `validate_function_args` once the
+                // *types* are checked by `check_args` once the
                 // (auto-extracted) parameter values are known.
                 if let Some(declared) = udfs.scalar_spec(name).and_then(|s| s.args.as_ref()) {
                     if args.len() != declared.len() {
@@ -1480,7 +1481,7 @@ pub fn lower_expr(
 /// What a compiled expression is statically known to evaluate to, for
 /// checking against a declared [`ArgType`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StaticKind {
+enum StaticKind {
     Column,
     Number,
     Str,
@@ -1489,12 +1490,120 @@ pub enum StaticKind {
     Unknown,
 }
 
-fn static_kind(e: &CompiledExpr, param_kind: &dyn Fn(usize) -> StaticKind) -> StaticKind {
+impl StaticKind {
+    fn describe(self) -> &'static str {
+        match self {
+            StaticKind::Column => "column",
+            StaticKind::Number => "number",
+            StaticKind::Str => "string",
+            StaticKind::Bool => "boolean",
+            StaticKind::Unknown => "unknown",
+        }
+    }
+}
+
+/// One argument of a declared-signature UDF/TVF call, recorded by
+/// [`declared_args`] in plan order.
+#[derive(Debug)]
+pub struct DeclaredArg {
+    function: String,
+    /// 0-based argument position (rendered 1-based in errors).
+    position: usize,
+    declared: ArgType,
+    source: ArgSource,
+}
+
+/// Where a declared argument's kind comes from.
+#[derive(Debug)]
+enum ArgSource {
+    /// A parameter slot: its kind is the kind of the value it holds.
+    Slot(usize),
+    /// Any other expression: the plan alone fixes its kind. Carries the
+    /// rendered expression for error messages.
+    Fixed(StaticKind, String),
+}
+
+/// Record every argument of every declared-signature call in a lowered
+/// plan, in plan order (each node, then its scalar subqueries — which
+/// share the statement's parameter space — then its children).
+/// Arity was already enforced where each call was lowered.
+pub fn declared_args(plan: &PhysicalPlan, udfs: &UdfRegistry) -> Vec<DeclaredArg> {
+    let mut out = Vec::new();
+    let mut record = |name: &str, declared: &[ArgType], args: &[CompiledExpr]| {
+        for (position, (want, arg)) in declared.iter().zip(args).enumerate() {
+            let source = match arg {
+                CompiledExpr::Param { idx } => ArgSource::Slot(*idx),
+                _ => ArgSource::Fixed(static_kind(arg), arg.to_string()),
+            };
+            out.push(DeclaredArg {
+                function: name.to_owned(),
+                position,
+                declared: *want,
+                source,
+            });
+        }
+    };
+    plan.for_each(&mut |p| {
+        if let PhysicalPlan::TvfProject { name, args, .. } = p {
+            if let Some(declared) = udfs.table_fn_spec(name).and_then(|s| s.args.as_deref()) {
+                record(name, declared, args);
+            }
+        }
+        p.for_each_expr_node(&mut |e| {
+            if let CompiledExpr::Udf { name, args } = e {
+                if let Some(declared) = udfs.scalar_spec(name).and_then(|s| s.args.as_deref()) {
+                    record(name, declared, args);
+                }
+            }
+        });
+    });
+    out
+}
+
+/// Check [`declared_args`] against the statement's parameter values, in
+/// order, reporting the first mismatch as [`ExecError::Signature`]. Slot
+/// `i` holds `values[i - unbound]`: the first `unbound` slots have no
+/// value yet (placeholders at prepare time) and match any declared type.
+/// Prepare passes its explicit-placeholder count and the auto-extracted
+/// literals; bind passes 0 and the full binding.
+pub fn check_args(
+    args: &[DeclaredArg],
+    unbound: usize,
+    values: &[ParamValue],
+) -> Result<(), ExecError> {
+    for arg in args {
+        let got = match &arg.source {
+            ArgSource::Fixed(kind, _) => *kind,
+            ArgSource::Slot(idx) => match idx.checked_sub(unbound).and_then(|i| values.get(i)) {
+                Some(ParamValue::Number(_)) => StaticKind::Number,
+                Some(ParamValue::String(_)) => StaticKind::Str,
+                Some(ParamValue::Bool(_)) => StaticKind::Bool,
+                Some(ParamValue::Tensor(_)) => StaticKind::Column,
+                Some(ParamValue::Null) | None => StaticKind::Unknown,
+            },
+        };
+        if !kind_compatible(arg.declared, got) {
+            let text = match &arg.source {
+                ArgSource::Slot(idx) => format!("${}", idx + 1),
+                ArgSource::Fixed(_, text) => text.clone(),
+            };
+            return Err(ExecError::Signature(format!(
+                "argument {} of '{}' must be a {}, got {} ({text})",
+                arg.position + 1,
+                arg.function,
+                arg.declared.describe(),
+                got.describe(),
+            )));
+        }
+    }
+    Ok(())
+}
+
+fn static_kind(e: &CompiledExpr) -> StaticKind {
     match e {
         CompiledExpr::Num(_) => StaticKind::Number,
         CompiledExpr::Str(_) => StaticKind::Str,
         CompiledExpr::Bool(_) => StaticKind::Bool,
-        CompiledExpr::Param { idx } => param_kind(*idx),
         // Column refs and UDF calls always evaluate to columns; string
         // predicates evaluate to boolean mask columns.
         CompiledExpr::Column(_)
@@ -1502,8 +1611,10 @@ fn static_kind(e: &CompiledExpr, param_kind: &dyn Fn(usize) -> StaticKind) -> St
         | CompiledExpr::InList { .. }
         | CompiledExpr::Like { .. } => StaticKind::Column,
         // Arithmetic, CASE, built-ins and subqueries may produce scalars
-        // or columns depending on their operands — unchecked.
-        CompiledExpr::Binary { .. }
+        // or columns depending on their operands — unchecked. Slots are
+        // resolved per binding by `check_args`.
+        CompiledExpr::Param { .. }
+        | CompiledExpr::Binary { .. }
         | CompiledExpr::Unary { .. }
         | CompiledExpr::Builtin { .. }
         | CompiledExpr::Case { .. }
@@ -1521,151 +1632,6 @@ fn kind_compatible(declared: ArgType, actual: StaticKind) -> bool {
             | (ArgType::Str, StaticKind::Str)
             | (ArgType::Bool, StaticKind::Bool)
     )
-}
-
-/// Check every UDF/TVF call in a lowered plan against its declared
-/// argument types. `param_kind` resolves a parameter slot to the type of
-/// its bound value (auto-extracted literals are known at prepare time;
-/// return [`StaticKind::Unknown`] for slots not yet bound). Violations
-/// are [`ExecError::Signature`] — this is the compile-time gate that
-/// replaces the historical run-time `TypeMismatch`.
-pub fn validate_function_args(
-    plan: &PhysicalPlan,
-    udfs: &UdfRegistry,
-    param_kind: &dyn Fn(usize) -> StaticKind,
-) -> Result<(), ExecError> {
-    // Subquery slots share the statement's parameter space, so the same
-    // resolver applies inside nested plans.
-    let err = plan.find_map(&mut |p| {
-        let mut err = None;
-        for_each_declared_call(p, udfs, &mut |name, declared, args| {
-            if err.is_none() {
-                err = check_call(name, declared, args, param_kind).err();
-            }
-        });
-        err
-    });
-    err.map_or(Ok(()), Err)
-}
-
-/// Call `f` on every call held by this node (its TVF, then the UDF calls
-/// in its expressions; nested plans are not entered) whose function
-/// declares its argument types.
-fn for_each_declared_call(
-    plan: &PhysicalPlan,
-    udfs: &UdfRegistry,
-    f: &mut impl FnMut(&str, &[ArgType], &[CompiledExpr]),
-) {
-    if let PhysicalPlan::TvfProject { name, args, .. } = plan {
-        if let Some(declared) = udfs.table_fn_spec(name).and_then(|s| s.args.as_deref()) {
-            f(name, declared, args);
-        }
-    }
-    plan.for_each_expr_node(&mut |e| {
-        if let CompiledExpr::Udf { name, args } = e {
-            if let Some(declared) = udfs.scalar_spec(name).and_then(|s| s.args.as_deref()) {
-                f(name, declared, args);
-            }
-        }
-    });
-}
-
-fn kind_describe(k: StaticKind) -> &'static str {
-    match k {
-        StaticKind::Column => "column",
-        StaticKind::Number => "number",
-        StaticKind::Str => "string",
-        StaticKind::Bool => "boolean",
-        StaticKind::Unknown => "unknown",
-    }
-}
-
-fn check_call(
-    name: &str,
-    declared: &[ArgType],
-    args: &[CompiledExpr],
-    param_kind: &dyn Fn(usize) -> StaticKind,
-) -> Result<(), ExecError> {
-    if args.len() != declared.len() {
-        return Err(ExecError::Signature(format!(
-            "function '{name}' expects {} argument(s), got {}",
-            declared.len(),
-            args.len()
-        )));
-    }
-    for (i, (want, arg)) in declared.iter().zip(args).enumerate() {
-        let got = static_kind(arg, param_kind);
-        if !kind_compatible(*want, got) {
-            return Err(ExecError::Signature(format!(
-                "argument {} of '{name}' must be a {}, got {} ({arg})",
-                i + 1,
-                want.describe(),
-                kind_describe(got),
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// One binding-dependent type obligation of a compiled plan: parameter
-/// slot `slot` feeds argument `arg_index` of `function`, which declares
-/// `declared`. Everything else a declared signature constrains is
-/// plan-structural — checked once when the plan is compiled — so a plan
-/// cache (or a re-bind) only needs to recheck these against the current
-/// values instead of re-walking the whole plan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParamConstraint {
-    pub slot: usize,
-    pub declared: ArgType,
-    pub function: String,
-    /// 0-based argument position (rendered 1-based in errors).
-    pub arg_index: usize,
-}
-
-/// Collect every [`ParamConstraint`] of a plan: arguments of
-/// declared-signature UDF/TVF calls that are bare parameter slots
-/// (including inside scalar subqueries, which share the statement's
-/// parameter space).
-pub fn param_arg_constraints(plan: &PhysicalPlan, udfs: &UdfRegistry) -> Vec<ParamConstraint> {
-    let mut out = Vec::new();
-    plan.for_each(&mut |p| {
-        for_each_declared_call(p, udfs, &mut |name, declared, args| {
-            for (i, (want, arg)) in declared.iter().zip(args).enumerate() {
-                if let CompiledExpr::Param { idx } = arg {
-                    out.push(ParamConstraint {
-                        slot: *idx,
-                        declared: *want,
-                        function: name.to_owned(),
-                        arg_index: i,
-                    });
-                }
-            }
-        })
-    });
-    out
-}
-
-/// Check precomputed [`ParamConstraint`]s against a binding — the
-/// O(constraints) fast path used on plan-cache hits and re-binds, in
-/// place of the full plan walk of [`validate_function_args`].
-pub fn validate_param_constraints(
-    constraints: &[ParamConstraint],
-    param_kind: &dyn Fn(usize) -> StaticKind,
-) -> Result<(), ExecError> {
-    for c in constraints {
-        let got = param_kind(c.slot);
-        if !kind_compatible(c.declared, got) {
-            return Err(ExecError::Signature(format!(
-                "argument {} of '{}' must be a {}, got {} (${})",
-                c.arg_index + 1,
-                c.function,
-                c.declared.describe(),
-                kind_describe(got),
-                c.slot + 1,
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// Built-in scalar math functions (resolved after session UDFs).

@@ -613,19 +613,6 @@ impl UdfRegistry {
         }
         reg
     }
-
-    /// All parameters of all registered functions (the parameter surface a
-    /// compiled query can train).
-    pub fn all_parameters(&self) -> Vec<Var> {
-        let mut out = Vec::new();
-        for udf in self.scalars.values() {
-            out.extend(udf.parameters());
-        }
-        for tvf in self.tables.values() {
-            out.extend(tvf.parameters());
-        }
-        out
-    }
 }
 
 impl std::fmt::Debug for UdfRegistry {
@@ -709,12 +696,6 @@ impl<'a> ExecContext<'a> {
     pub fn with_scheduler(mut self, threads: usize, morsel_rows: usize) -> ExecContext<'a> {
         self.threads = threads.max(1);
         self.morsel_rows = morsel_rows.max(1);
-        self
-    }
-
-    /// Set the barrier-exchange partition count (clamped to ≥ 1).
-    pub fn with_partitions(mut self, partitions: usize) -> ExecContext<'a> {
-        self.partitions = partitions.max(1);
         self
     }
 

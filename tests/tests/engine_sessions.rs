@@ -7,7 +7,8 @@
 use std::sync::Arc;
 
 use tdp_core::storage::{Table, TableBuilder};
-use tdp_core::TdpEngine;
+use tdp_core::tensor::Tensor;
+use tdp_core::{ParamValues, TdpEngine};
 use tdp_integration::HalveUdf;
 
 fn engine_with_table() -> Arc<TdpEngine> {
@@ -164,6 +165,57 @@ fn shared_udf_registration_invalidates_cached_plans() {
     engine.register_udf_shared(Arc::new(HalveUdf));
     s2.query("SELECT SUM(v) FROM t").unwrap().run().unwrap();
     assert_eq!(engine.plan_cache_stats().misses, 2);
+}
+
+fn vecs_table() -> Table {
+    let n = 64;
+    let emb: Vec<f32> = (0..n * 4).map(|i| ((i * 37 % 101) as f32) * 0.1).collect();
+    TableBuilder::new()
+        .col_i64("id", (0..n as i64).collect())
+        .col_f32("x", (0..n).map(|i| i as f32).collect())
+        .col_tensor("emb", Tensor::from_vec(emb, &[n, 4]))
+        .build("vecs")
+}
+
+fn ann_ids(session: &tdp_core::Session, sql: &str) -> (String, Vec<i64>) {
+    let q = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[4]);
+    let prepared = session.prepare(sql).unwrap();
+    let out = prepared
+        .bind(ParamValues::new().tensor(q))
+        .unwrap()
+        .run()
+        .unwrap();
+    let ids = out.column("id").unwrap().data.decode_i64().to_vec();
+    (prepared.explain(), ids)
+}
+
+#[test]
+fn index_ddl_in_one_session_replans_every_session() {
+    // Session 1's statement resolves a session-local function, so its
+    // plan lives in session 1's overlay; index DDL from session 2 must
+    // still move it to the new access path, in both directions.
+    let engine = TdpEngine::new();
+    engine.register_table(vecs_table());
+    let s1 = engine.session();
+    let s2 = engine.session();
+    s1.register_udf(Arc::new(HalveUdf));
+    let local = "SELECT id, halve(x) AS h, emb FROM vecs ORDER BY distance(emb, ?) LIMIT 5";
+    let plain = "SELECT id FROM vecs ORDER BY distance(emb, ?) LIMIT 5";
+    let (plan, before) = ann_ids(&s1, local);
+    assert!(plan.contains("[flat exact]"), "{plan}");
+
+    s2.execute("CREATE INDEX vi ON vecs (emb) USING ivf(8, 1) METRIC l2")
+        .unwrap();
+    let (plan, ivf_local) = ann_ids(&s1, local);
+    assert!(plan.contains("[ivf nlist=8 nprobe=1]"), "{plan}");
+    let (plan, ivf_plain) = ann_ids(&s2, plain);
+    assert!(plan.contains("[ivf nlist=8 nprobe=1]"), "{plan}");
+    assert_eq!(ivf_local, ivf_plain, "one access path, one answer");
+
+    s2.execute("DROP INDEX vi").unwrap();
+    let (plan, after) = ann_ids(&s1, local);
+    assert!(plan.contains("[flat exact]"), "{plan}");
+    assert_eq!(after, before);
 }
 
 #[test]

@@ -257,6 +257,63 @@ fn bind_time_type_check_covers_explicit_params() {
 }
 
 #[test]
+fn one_type_check_on_every_path() {
+    // Rows: where the function is registered (so which cache tier holds
+    // the plan). Columns: a miss, a hit on that tier with a wrongly typed
+    // literal, and a bind with a wrongly typed value. Every cell reports
+    // the same error.
+    let want = "function signature error: argument 2 of 'scale' must be a number, got string ($1)";
+    for (tier, shared_entries) in [("engine", 1), ("session", 0)] {
+        let tdp = session();
+        if tier == "engine" {
+            tdp.engine().register_udf_shared(Arc::new(ScaleUdf));
+        } else {
+            tdp.register_udf(Arc::new(ScaleUdf));
+        }
+        let message = |result: Result<(), TdpError>, what: &str| match result {
+            Err(err @ TdpError::Exec(ExecError::Signature(_))) => err.to_string(),
+            other => panic!("{tier} {what}: expected a signature error, got {other:?}"),
+        };
+        let miss = message(
+            tdp.query("SELECT scale(v, 'two') AS d FROM t").map(drop),
+            "miss",
+        );
+        assert_eq!(tdp.plan_cache_stats().entries, 0, "{tier}: nothing cached");
+        tdp.query("SELECT scale(v, 2) AS d FROM t").unwrap();
+        assert_eq!(tdp.engine().plan_cache_stats().entries, shared_entries);
+        let hits = tdp.plan_cache_stats().hits;
+        let hit = message(
+            tdp.query("SELECT scale(v, 'two') AS d FROM t").map(drop),
+            "hit",
+        );
+        assert_eq!(tdp.plan_cache_stats().hits, hits + 1, "{tier}: served");
+        let prepared = tdp.prepare("SELECT scale(v, ?) AS d FROM t").unwrap();
+        let bind = message(
+            prepared.bind(ParamValues::new().string("two")).map(drop),
+            "bind",
+        );
+        for (what, got) in [("miss", miss), ("hit", hit), ("bind", bind)] {
+            assert_eq!(got, want, "{tier} {what}");
+        }
+    }
+}
+
+#[test]
+fn arity_error_wins_over_kind_error() {
+    // Arity is enforced while the plan is lowered, before any argument
+    // kind is checked, whichever call comes first.
+    let tdp = session();
+    tdp.register_udf_parallel(Arc::new(ScaleUdf));
+    tdp.register_udf_parallel(Arc::new(HalveUdf));
+    for sql in [
+        "SELECT scale(v, k) AS a, halve(v, k) AS b FROM t",
+        "SELECT halve(v, k) AS b, scale(v, k) AS a FROM t",
+    ] {
+        expect_signature_err(tdp.query(sql), "'halve' expects 1 argument(s), got 2", sql);
+    }
+}
+
+#[test]
 fn legacy_undeclared_udfs_keep_dynamic_behaviour() {
     struct Legacy;
     impl ScalarUdf for Legacy {

@@ -282,6 +282,31 @@ fn explain_renders_param_slots_and_trailer() {
 }
 
 #[test]
+fn prepared_explain_resolves_pipelines_like_a_run() {
+    // Both EXPLAINs build their context through the builder a run uses,
+    // so the unbound statement reports the barriers the session's
+    // scheduler will actually run; only the params trailer differs.
+    let tdp = session();
+    tdp.set_threads(4);
+    let prepared = tdp
+        .prepare("SELECT a.k, a.v FROM t AS a JOIN t AS b ON a.k = b.k WHERE a.v > 3 ORDER BY a.v")
+        .unwrap();
+    let bound = prepared.bind(ParamValues::new()).unwrap();
+    let pipelines = |text: &str| -> String {
+        let (_, rest) = text
+            .split_once("== pipelines ==")
+            .expect("pipelines section");
+        rest.rsplit_once("params:")
+            .expect("params trailer")
+            .0
+            .to_owned()
+    };
+    let (p, b) = (prepared.explain(), bound.explain());
+    assert_eq!(pipelines(&p), pipelines(&b), "{p}\n---\n{b}");
+    assert!(!pipelines(&p).contains("threads=1"), "{p}");
+}
+
+#[test]
 fn plan_cache_stats_prove_literal_invariant_reuse() {
     let tdp = session();
     for (i, thr) in [0.1f32, 0.7, 1.3, 2.9].iter().enumerate() {
