@@ -426,8 +426,8 @@ impl TdpEngine {
 
     /// Register a thread-safe scalar UDF visible to **every** session of
     /// this engine (the engine-level home of
-    /// [`Session::register_udf_parallel`]). Bumps the engine plan epoch,
-    /// invalidating cached plans in every session.
+    /// [`Session::register_udf_parallel`]), copy-on-write. Bumps the engine
+    /// plan epoch, invalidating cached plans in every session.
     pub fn register_udf_shared(&self, udf: Arc<dyn ScalarUdf + Send + Sync>) {
         self.shared_udfs
             .write()
@@ -436,7 +436,7 @@ impl TdpEngine {
         self.invalidate_plans();
     }
 
-    /// Snapshot of the engine-level function registry.
+    /// The engine-level function table, by pointer (an `Arc` clone).
     pub fn shared_udfs(&self) -> SharedUdfRegistry {
         self.shared_udfs
             .read()

@@ -91,9 +91,9 @@ pub enum StatementOutcome {
 pub struct Session {
     engine: Arc<TdpEngine>,
     /// Session-local functions only (locally registered scalar UDFs and
-    /// TVFs). Engine-registered functions are merged in per compilation
-    /// ([`Session::udfs_snapshot`]); on a name collision the local
-    /// registration wins.
+    /// TVFs). Each compilation or run reads a view ([`Session::udfs_snapshot`]):
+    /// the engine's function table by pointer plus copies of these
+    /// entries. On a name collision the local registration wins.
     udfs: RefCell<UdfRegistry>,
     /// Bumped on every *session-local* registration; cached plans note it
     /// (registrations can change plan shape — e.g. the TVF-ness of a

@@ -51,18 +51,12 @@ pub fn execute_diff(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Batch, Exe
 
 /// A call that resolves to a scalar UDF with trainable parameters. Such
 /// calls take the differentiable path even when no input column is
-/// differentiable (e.g. a learnable filter threshold). Builtins count: a
-/// trainable session UDF registered after compilation shadows the
-/// built-in at evaluation time.
+/// differentiable (e.g. a learnable filter threshold). Resolved through
+/// the registry's shadowing rule, so a trainable session UDF registered
+/// after compilation counts where it shadows a built-in.
 fn trainable_call(e: &CompiledExpr, ctx: &ExecContext) -> Option<()> {
-    match e {
-        CompiledExpr::Udf { name, .. } | CompiledExpr::Builtin { name, .. } => ctx
-            .udfs
-            .scalar(name)
-            .is_ok_and(|u| !u.parameters().is_empty())
-            .then_some(()),
-        _ => None,
-    }
+    let udf = ctx.udfs.scalar(ctx.udfs.udf_call(e)?).ok()?;
+    (!udf.parameters().is_empty()).then_some(())
 }
 
 /// Whether `node`'s subtree is on the tape: it holds a TVF, or a call
@@ -368,12 +362,7 @@ pub fn eval_diff(
             };
             Ok(DiffVal::Var(out))
         }
-        CompiledExpr::Builtin { name, args, .. } => {
-            // A session UDF registered *after* compilation shadows the
-            // built-in (pre-compilation resolution order).
-            if ctx.udfs.is_scalar(name) {
-                return invoke_udf_diff(name, args, batch, ctx);
-            }
+        CompiledExpr::Builtin { name, args, .. } if ctx.udfs.udf_call(expr).is_none() => {
             // Built-in math functions: exact off the tape, Var ops on it
             // (only the ones autodiff provides).
             if !args.iter().any(|a| on_tape(a, batch, ctx)) {
@@ -399,7 +388,9 @@ pub fn eval_diff(
                 "built-in {name} over differentiable columns"
             )))
         }
-        CompiledExpr::Udf { name, args } => invoke_udf_diff(name, args, batch, ctx),
+        CompiledExpr::Udf { name, args } | CompiledExpr::Builtin { name, args, .. } => {
+            invoke_udf_diff(name, args, batch, ctx)
+        }
         e @ (CompiledExpr::Case { .. }
         | CompiledExpr::InList { .. }
         | CompiledExpr::Like { .. }) => {
@@ -425,7 +416,7 @@ fn invoke_udf_diff(
     ctx: &ExecContext,
 ) -> Result<DiffVal, ExecError> {
     let any_diff = args.iter().any(|a| references_diff(a, batch));
-    let udf = ctx.udfs.scalar(name)?.clone();
+    let udf = ctx.udfs.scalar(name)?;
     let mut arg_values = Vec::with_capacity(args.len());
     for a in args {
         arg_values.push(eval_diff(a, batch, ctx)?.into_arg());

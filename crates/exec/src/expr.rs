@@ -139,14 +139,7 @@ pub fn eval_expr(
             let r = eval_expr(right, batch, ctx)?;
             eval_binary(*op, l, r, batch.rows())
         }
-        CompiledExpr::Udf { name, args } => invoke_udf(name, args, batch, ctx),
-        CompiledExpr::Builtin { name, func, args } => {
-            // A session UDF registered *after* compilation shadows the
-            // built-in, preserving the pre-compilation resolution order
-            // for already-held queries.
-            if ctx.udfs.is_scalar(name) {
-                return invoke_udf(name, args, batch, ctx);
-            }
+        CompiledExpr::Builtin { name, func, args } if ctx.udfs.udf_call(expr).is_none() => {
             // Vector similarity takes a whole [n, d] column plus a
             // row-constant query — its arguments do not follow the
             // scalar broadcast rules, so it dispatches before them.
@@ -158,6 +151,9 @@ pub fn eval_expr(
                 vals.push(eval_expr(a, batch, ctx)?);
             }
             eval_builtin(name, *func, &vals, batch.rows())
+        }
+        CompiledExpr::Udf { name, args } | CompiledExpr::Builtin { name, args, .. } => {
+            invoke_udf(name, args, batch, ctx)
         }
         CompiledExpr::Case {
             operand,
@@ -299,7 +295,7 @@ fn invoke_udf(
     batch: &Batch,
     ctx: &ExecContext,
 ) -> Result<Value, ExecError> {
-    let udf = ctx.udfs.scalar(name)?.clone();
+    let udf = ctx.udfs.scalar(name)?;
     let mut arg_values = Vec::with_capacity(args.len());
     for a in args {
         arg_values.push(eval_expr(a, batch, ctx)?.into_arg());

@@ -203,13 +203,7 @@ impl Refusal {
 pub(crate) fn vet(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Option<String> {
     ops.iter().find_map(|op| {
         op.find_map(&mut |node| match node {
-            CompiledExpr::Udf { name, .. } => Some(format!("udf({name})")),
-            // A session UDF registered after lowering shadows the
-            // built-in: `ctx.udfs` is the registry this run evaluates
-            // with.
-            CompiledExpr::Builtin { name, .. } if ctx.udfs.is_scalar(name) => {
-                Some(format!("udf({name})"))
-            }
+            _ if let Some(name) = ctx.udfs.udf_call(node) => Some(format!("udf({name})")),
             CompiledExpr::Builtin { name, func, args } if args.len() != func.arity() => {
                 Some(format!("builtin-arity({name})"))
             }
@@ -718,9 +712,9 @@ fn eval<'c>(e: &CompiledExpr, sc: Scope<'c, '_>, sel: Option<&[u32]>) -> KResult
             PVal::Bool(m) => PVal::Bool(m.into_iter().map(|b| !b).collect()),
             _ => return Err(Bail), // interpreter: type error
         },
-        CompiledExpr::Builtin { name, func, args } => {
+        CompiledExpr::Builtin { func, args, .. } => {
             // The interpreter dispatches a shadowing session UDF here.
-            if args.len() != func.arity() || sc.ctx.udfs.is_scalar(name) {
+            if args.len() != func.arity() || sc.ctx.udfs.udf_call(e).is_some() {
                 return Err(Bail);
             }
             let vals: Vec<PVal> = args

@@ -1058,8 +1058,7 @@ fn decline(
                 .is_none()
                 .then_some("unresolved-column"),
             CompiledExpr::ScalarSubquery(_) => Some("scalar-subquery"),
-            CompiledExpr::Udf { .. } => Some("udf-argument"),
-            CompiledExpr::Builtin { name, .. } if ctx.udfs.is_scalar(name) => Some("udf-argument"),
+            _ if ctx.udfs.udf_call(node).is_some() => Some("udf-argument"),
             _ => None,
         })
     });

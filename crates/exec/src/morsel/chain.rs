@@ -48,16 +48,8 @@ pub(super) fn expr_fallback(e: &CompiledExpr, ctx: &ExecContext) -> Option<Strin
 
 fn node_fallback(node: &CompiledExpr, ctx: &ExecContext) -> Option<String> {
     match node {
-        CompiledExpr::Udf { name, .. } if !ctx.udfs.is_parallel_safe_scalar(name) => {
-            Some(format!("udf-not-parallel-safe({name})"))
-        }
-        // A session UDF registered after lowering shadows the built-in
-        // at evaluation time; the shadow decides.
-        CompiledExpr::Builtin { name, .. }
-            if ctx.udfs.is_scalar(name) && !ctx.udfs.is_parallel_safe_scalar(name) =>
-        {
-            Some(format!("udf-not-parallel-safe({name})"))
-        }
+        _ if let Some(name) = ctx.udfs.udf_call(node) => (!ctx.udfs.is_parallel_safe_scalar(name))
+            .then(|| format!("udf-not-parallel-safe({name})")),
         CompiledExpr::ScalarSubquery(_) => Some("scalar-subquery".into()),
         CompiledExpr::Param { idx } => matches!(ctx.params.get(*idx), Some(ParamValue::Tensor(_)))
             .then(|| format!("tensor-param(${})", idx + 1)),

@@ -19,6 +19,11 @@
 //! lanes of their own: a stage on an `Accel(n)` session runs at most
 //! `max(threads, n)` threads. An engine-owned persistent pool replaces
 //! `run_stage`'s spawn block and `Device`'s one splitter, and nothing else.
+//!
+//! A [`claim_eval`] worker evaluates with an empty catalog and a registry
+//! that is the run's thread-safe function table by pointer
+//! ([`UdfRegistry::worker`]): setting one up copies no map and calls no
+//! user code.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -31,7 +36,7 @@ use crate::batch::{Batch, ColumnData};
 use crate::error::ExecError;
 use crate::memory;
 use crate::profile::Recorder;
-use crate::udf::{ExecContext, UdfRegistry};
+use crate::udf::{ExecContext, SharedUdfRegistry, UdfRegistry};
 
 /// Number of morsels a batch splits into.
 pub(super) fn num_morsels(rows: usize, morsel_rows: usize) -> usize {
@@ -47,18 +52,19 @@ pub(super) fn morsel_range(i: usize, morsel_rows: usize, rows: usize) -> (usize,
 /// The `Send` subset of an [`ExecContext`] a worker needs. The session
 /// context itself cannot cross threads (the UDF registry may hold
 /// `Rc`-based autodiff parameters), but parallel-safe chains reference
-/// only the binding, the device knobs, and the `Send + Sync` slice of
-/// the function registry (UDFs registered through
-/// [`UdfRegistry::register_scalar_parallel`]).
+/// only the binding, the device knobs, and the run's thread-safe
+/// function table (UDFs registered through
+/// [`UdfRegistry::register_scalar_parallel`]), carried by pointer.
 struct WorkerCfg {
     device: tdp_tensor::Device,
     temperature: f32,
     params: crate::params::ParamValues,
     morsel_rows: usize,
     partitions: usize,
-    /// Thread-safe scalar UDFs, rebuilt into a per-worker registry so
-    /// `CompiledExpr::Udf` resolution works identically off-thread.
-    shared_udfs: crate::udf::SharedScalars,
+    /// The run's thread-safe function table: a worker's registry is this
+    /// pointer plus nothing session-bound, so `CompiledExpr::Udf`
+    /// resolution works identically off-thread.
+    udfs: SharedUdfRegistry,
     /// The query's memory ledger, shared so worker-side charges land on
     /// the same reservation the session thread charges.
     memory: std::sync::Arc<tdp_mem::MemoryReservation>,
@@ -72,14 +78,14 @@ impl WorkerCfg {
             params: ctx.params.clone(),
             morsel_rows: ctx.morsel_rows,
             partitions: ctx.partitions,
-            shared_udfs: ctx.udfs.shared_snapshot(),
+            udfs: ctx.udfs.thread_safe().clone(),
             memory: std::sync::Arc::clone(&ctx.memory),
         }
     }
 }
 
-/// Build a worker-side context over a thread-local registry holding the
-/// shared (parallel-safe) functions and an empty catalog.
+/// Build a worker-side context over the run's thread-safe functions and
+/// an empty catalog.
 fn worker_ctx<'a>(catalog: &'a Catalog, udfs: &'a UdfRegistry, cfg: &WorkerCfg) -> ExecContext<'a> {
     ExecContext {
         catalog,
@@ -165,7 +171,7 @@ fn run_stage<T: Send>(
     let worker = || match eval {
         Some(cfg) => {
             let catalog = Catalog::new();
-            let udfs = UdfRegistry::from_shared(cfg.shared_udfs.clone());
+            let udfs = UdfRegistry::worker(&cfg.udfs);
             drain(Some(&worker_ctx(&catalog, &udfs, cfg)));
         }
         None => drain(None),

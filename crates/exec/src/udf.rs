@@ -400,24 +400,41 @@ pub trait TableFunction {
     }
 }
 
-/// The `Send + Sync` subset of a registry's scalar functions — what the
-/// morsel scheduler may hand to worker threads.
-pub(crate) type SharedScalars = HashMap<String, Arc<dyn ScalarUdf + Send + Sync>>;
+/// One registered function: its implementation and the [`FunctionSpec`]
+/// snapshotted when it was registered.
+struct Entry<F: ?Sized> {
+    imp: Arc<F>,
+    spec: FunctionSpec,
+}
 
-/// Engine-level registry of `Send + Sync` scalar functions, shared by
-/// every session of a multi-session engine.
+impl<F: ?Sized> Clone for Entry<F> {
+    fn clone(&self) -> Self {
+        Entry {
+            imp: Arc::clone(&self.imp),
+            spec: self.spec.clone(),
+        }
+    }
+}
+
+/// Registry key: names resolve case-insensitively.
+fn key(name: &str) -> String {
+    name.to_ascii_lowercase()
+}
+
+/// Scalar functions registered with `Send + Sync` proof, shared by
+/// pointer: the engine holds one, and every session view and every
+/// morsel worker reads the same table.
 ///
-/// Unlike [`UdfRegistry`] — whose `Arc<dyn ScalarUdf>` entries may wrap
-/// `Rc`-based trainable state and therefore pin the registry to one
-/// thread — this container only admits thread-safe functions, so the
-/// whole registry is `Send + Sync` and can live behind an engine lock.
+/// Unlike [`UdfRegistry`] — whose session-bound entries may wrap
+/// `Rc`-based trainable state and therefore pin it to one thread — this
+/// table only admits thread-safe functions, so it is `Send + Sync` and
+/// can live behind an engine lock. Registration is copy-on-write:
+/// registries already holding the table keep the entries they saw.
 /// Sessions see it through [`UdfRegistry::merged`], which overlays their
 /// session-local registrations on top (local wins on a name collision).
 #[derive(Default, Clone)]
 pub struct SharedUdfRegistry {
-    scalars: SharedScalars,
-    /// Registration-time spec snapshots, keyed like `scalars`.
-    specs: HashMap<String, FunctionSpec>,
+    scalars: Arc<HashMap<String, Entry<dyn ScalarUdf + Send + Sync>>>,
 }
 
 impl SharedUdfRegistry {
@@ -427,59 +444,42 @@ impl SharedUdfRegistry {
 
     /// Register (or replace) a thread-safe scalar UDF.
     pub fn register_scalar(&mut self, udf: Arc<dyn ScalarUdf + Send + Sync>) {
-        let key = UdfRegistry::key(udf.name());
-        self.specs.insert(key.clone(), udf.spec());
-        self.scalars.insert(key, udf);
-    }
-
-    /// Whether a scalar of this name is registered (case-insensitive).
-    pub fn contains(&self, name: &str) -> bool {
-        self.scalars.contains_key(&UdfRegistry::key(name))
-    }
-
-    /// Number of registered functions.
-    pub fn len(&self) -> usize {
-        self.scalars.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.scalars.is_empty()
-    }
-
-    /// Registered function names (lowercased), sorted.
-    pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.scalars.keys().cloned().collect();
-        names.sort_unstable();
-        names
+        let entry = Entry {
+            spec: udf.spec(),
+            imp: udf,
+        };
+        Arc::make_mut(&mut self.scalars).insert(key(entry.imp.name()), entry);
     }
 }
 
 impl std::fmt::Debug for SharedUdfRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SharedUdfRegistry({:?})", self.names())
+        let mut names: Vec<&String> = self.scalars.keys().collect();
+        names.sort_unstable();
+        write!(f, "SharedUdfRegistry({names:?})")
     }
 }
 
-/// Function namespace of a session.
+/// Function namespace of a session, of one run, or of a morsel worker.
 ///
-/// Declared signatures are snapshotted **once, at registration**: the
-/// compiler, scheduler and validator all read the stored
-/// [`FunctionSpec`], so a `spec()` implementation that returned
-/// different values over time could not desync folding, validation and
-/// scheduling decisions (and per-expression analysis pays a map lookup,
-/// not a user-code call).
+/// Each function is one entry, built when it is registered and only read
+/// afterwards. Declared signatures are snapshotted **once, at
+/// registration**: the compiler, scheduler, validator and every worker
+/// read the stored [`FunctionSpec`], so a `spec()` implementation that
+/// returned different values over time could not desync folding,
+/// validation and scheduling decisions (and per-expression analysis pays
+/// a map lookup, not a user-code call). A scalar name lives in exactly
+/// one of two maps — the thread-safe table, shared by pointer, or the
+/// session-bound map — so re-registering a name replaces one entry and
+/// leaves no twin behind.
 #[derive(Default, Clone)]
 pub struct UdfRegistry {
-    scalars: HashMap<String, Arc<dyn ScalarUdf>>,
-    /// Registration-time spec snapshots, keyed like `scalars`.
-    scalar_specs: HashMap<String, FunctionSpec>,
-    /// Scalars registered with `Send + Sync` proof (see
-    /// [`UdfRegistry::register_scalar_parallel`]); always mirrored in
-    /// `scalars` so name resolution is uniform.
-    shared_scalars: SharedScalars,
-    tables: HashMap<String, Arc<dyn TableFunction>>,
-    /// Registration-time spec snapshots, keyed like `tables`.
-    table_specs: HashMap<String, FunctionSpec>,
+    /// Scalars registered with `Send + Sync` proof — the only ones a
+    /// worker may call.
+    shared: SharedUdfRegistry,
+    /// Session-bound scalars.
+    scalars: HashMap<String, Entry<dyn ScalarUdf>>,
+    tables: HashMap<String, Entry<dyn TableFunction>>,
 }
 
 impl UdfRegistry {
@@ -487,8 +487,19 @@ impl UdfRegistry {
         UdfRegistry::default()
     }
 
-    fn key(name: &str) -> String {
-        name.to_ascii_lowercase()
+    /// A worker's registry: the thread-safe table by pointer and nothing
+    /// session-bound — no per-function work, no user code.
+    pub(crate) fn worker(shared: &SharedUdfRegistry) -> UdfRegistry {
+        UdfRegistry {
+            shared: shared.clone(),
+            scalars: HashMap::new(),
+            tables: HashMap::new(),
+        }
+    }
+
+    /// The thread-safe table workers read (see [`UdfRegistry::worker`]).
+    pub(crate) fn thread_safe(&self) -> &SharedUdfRegistry {
+        &self.shared
     }
 
     /// Register a scalar UDF (replaces an existing one of the same name).
@@ -496,12 +507,11 @@ impl UdfRegistry {
     /// thread — the right home for trainable UDFs whose parameters ride
     /// the `Rc`-based autodiff tape.
     pub fn register_scalar(&mut self, udf: Arc<dyn ScalarUdf>) {
-        let key = Self::key(udf.name());
-        // Re-registration replaces: a session-bound impl must not leave a
-        // stale thread-safe twin behind.
-        self.shared_scalars.remove(&key);
-        self.scalar_specs.insert(key.clone(), udf.spec());
-        self.scalars.insert(key, udf);
+        let entry = Entry {
+            spec: udf.spec(),
+            imp: udf,
+        };
+        self.insert_local(key(entry.imp.name()), entry);
     }
 
     /// Register a `Send + Sync` scalar UDF, allowing the morsel scheduler
@@ -509,115 +519,120 @@ impl UdfRegistry {
     /// [`FunctionSpec::parallel_safe`] also opts in (the type bound
     /// proves thread safety, the spec promises statelessness).
     pub fn register_scalar_parallel(&mut self, udf: Arc<dyn ScalarUdf + Send + Sync>) {
-        let key = Self::key(udf.name());
-        self.scalar_specs.insert(key.clone(), udf.spec());
-        self.shared_scalars.insert(key.clone(), udf.clone());
-        self.scalars.insert(key, udf);
+        self.scalars.remove(&key(udf.name()));
+        self.shared.register_scalar(udf);
     }
 
     /// Register a table-valued function.
     pub fn register_table_fn(&mut self, tvf: Arc<dyn TableFunction>) {
-        let key = Self::key(tvf.name());
-        self.table_specs.insert(key.clone(), tvf.spec());
-        self.tables.insert(key, tvf);
+        let entry = Entry {
+            spec: tvf.spec(),
+            imp: tvf,
+        };
+        self.tables.insert(key(entry.imp.name()), entry);
     }
 
-    pub fn scalar(&self, name: &str) -> Result<&Arc<dyn ScalarUdf>, ExecError> {
-        self.scalars
-            .get(&Self::key(name))
+    /// Insert a session-bound scalar entry. A thread-safe entry of that
+    /// name goes: the session-bound impl made no thread-safety promise.
+    fn insert_local(&mut self, key: String, entry: Entry<dyn ScalarUdf>) {
+        if self.shared.scalars.contains_key(&key) {
+            Arc::make_mut(&mut self.shared.scalars).remove(&key);
+        }
+        self.scalars.insert(key, entry);
+    }
+
+    /// A scalar's implementation and spec, whichever map holds it.
+    fn scalar_entry(&self, name: &str) -> Option<(&dyn ScalarUdf, &FunctionSpec)> {
+        let key = key(name);
+        if let Some(e) = self.scalars.get(&key) {
+            return Some((&*e.imp, &e.spec));
+        }
+        let e = self.shared.scalars.get(&key)?;
+        Some((&*e.imp, &e.spec))
+    }
+
+    pub fn scalar(&self, name: &str) -> Result<&dyn ScalarUdf, ExecError> {
+        self.scalar_entry(name)
+            .map(|(udf, _)| udf)
             .ok_or_else(|| ExecError::UnknownFunction(name.to_owned()))
     }
 
     pub fn table_fn(&self, name: &str) -> Result<&Arc<dyn TableFunction>, ExecError> {
         self.tables
-            .get(&Self::key(name))
+            .get(&key(name))
+            .map(|e| &e.imp)
             .ok_or_else(|| ExecError::UnknownFunction(name.to_owned()))
     }
 
     pub fn is_table_fn(&self, name: &str) -> bool {
-        self.tables.contains_key(&Self::key(name))
+        self.tables.contains_key(&key(name))
     }
 
     pub fn is_scalar(&self, name: &str) -> bool {
-        self.scalars.contains_key(&Self::key(name))
+        self.scalar_entry(name).is_some()
     }
 
     /// Whether chains calling this scalar UDF may run on worker threads:
     /// registered with `Send + Sync` proof *and* its spec promises
     /// statelessness.
     pub fn is_parallel_safe_scalar(&self, name: &str) -> bool {
-        let key = Self::key(name);
-        self.shared_scalars.contains_key(&key)
-            && self.scalar_specs.get(&key).is_some_and(|s| s.parallel_safe)
+        let entry = self.shared.scalars.get(&key(name));
+        entry.is_some_and(|e| e.spec.parallel_safe)
     }
 
     /// Declared signature of a registered scalar UDF (the
     /// registration-time snapshot).
     pub fn scalar_spec(&self, name: &str) -> Option<&FunctionSpec> {
-        self.scalar_specs.get(&Self::key(name))
+        self.scalar_entry(name).map(|(_, spec)| spec)
     }
 
     /// Declared signature of a registered table-valued function (the
     /// registration-time snapshot).
     pub fn table_fn_spec(&self, name: &str) -> Option<&FunctionSpec> {
-        self.table_specs.get(&Self::key(name))
+        self.tables.get(&key(name)).map(|e| &e.spec)
     }
 
-    /// Snapshot of the thread-safe scalar functions (for worker pools).
-    pub(crate) fn shared_snapshot(&self) -> SharedScalars {
-        self.shared_scalars.clone()
-    }
-
-    /// A worker-side registry holding only the thread-safe functions.
-    pub(crate) fn from_shared(shared: SharedScalars) -> UdfRegistry {
-        let mut reg = UdfRegistry::new();
-        for udf in shared.into_values() {
-            reg.register_scalar_parallel(udf);
+    /// The one shadowing rule: the scalar UDF a call node runs, by name.
+    /// Every `Udf` node runs one; a `Builtin` runs one when a scalar of
+    /// its name was registered after lowering — it shadows the built-in,
+    /// so a held plan resolves the name as a fresh compilation would.
+    pub(crate) fn udf_call<'e>(&self, node: &'e crate::physical::CompiledExpr) -> Option<&'e str> {
+        use crate::physical::CompiledExpr;
+        match node {
+            CompiledExpr::Udf { name, .. } => Some(name),
+            CompiledExpr::Builtin { name, .. } if self.is_scalar(name) => Some(name),
+            _ => None,
         }
-        reg
     }
 
     /// Build a session's view of the function namespace: the engine's
     /// shared registry overlaid with the session-local registrations.
     /// Local registrations win on a name collision — a session that
     /// registers its own `f` shadows an engine-shared `f`, mirroring how
-    /// session UDFs shadow built-ins. Shared entries keep their
-    /// thread-safety proof (they stay eligible for worker pools); a local
-    /// override of a shared name drops it, since the local impl made no
-    /// such promise.
+    /// session UDFs shadow built-ins. The view holds the engine's table
+    /// by pointer and copies only the local entries; a session-bound
+    /// local `f` drops the engine's `f` from the view's thread-safe table
+    /// (the one case that copies it), so no worker sees the shadowed twin.
     pub fn merged(shared: &SharedUdfRegistry, local: &UdfRegistry) -> UdfRegistry {
-        let mut reg = UdfRegistry {
-            scalars: HashMap::with_capacity(shared.scalars.len() + local.scalars.len()),
-            scalar_specs: shared.specs.clone(),
-            shared_scalars: shared.scalars.clone(),
+        let mut view = UdfRegistry {
+            shared: shared.clone(),
+            scalars: HashMap::with_capacity(local.scalars.len()),
             tables: local.tables.clone(),
-            table_specs: local.table_specs.clone(),
         };
-        for (key, udf) in &shared.scalars {
-            reg.scalars
-                .insert(key.clone(), Arc::clone(udf) as Arc<dyn ScalarUdf>);
+        for (key, entry) in &local.scalars {
+            view.insert_local(key.clone(), entry.clone());
         }
-        for (key, udf) in &local.scalars {
-            if !local.shared_scalars.contains_key(key) {
-                // Session-bound impl: its thread-safe twin (if any) is
-                // shadowed along with the name.
-                reg.shared_scalars.remove(key);
-            }
-            reg.scalars.insert(key.clone(), Arc::clone(udf));
+        for (key, entry) in local.shared.scalars.iter() {
+            Arc::make_mut(&mut view.shared.scalars).insert(key.clone(), entry.clone());
         }
-        for (key, udf) in &local.shared_scalars {
-            reg.shared_scalars.insert(key.clone(), Arc::clone(udf));
-        }
-        for (key, spec) in &local.scalar_specs {
-            reg.scalar_specs.insert(key.clone(), spec.clone());
-        }
-        reg
+        view
     }
 }
 
 impl std::fmt::Debug for UdfRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s: Vec<&String> = self.scalars.keys().collect();
+        let shared = self.shared.scalars.keys();
+        let mut s: Vec<&String> = self.scalars.keys().chain(shared).collect();
         let mut t: Vec<&String> = self.tables.keys().collect();
         s.sort();
         t.sort();
@@ -712,32 +727,6 @@ impl<'a> ExecContext<'a> {
     /// Enable or disable chain kernels.
     pub fn with_chain_kernels(mut self, on: bool) -> ExecContext<'a> {
         self.chain_kernels = on;
-        self
-    }
-
-    /// Enable or disable zone-map morsel pruning.
-    pub fn with_zone_maps(mut self, on: bool) -> ExecContext<'a> {
-        self.zone_maps = on;
-        self
-    }
-
-    /// Share an access-path counter set (e.g. the engine's global one)
-    /// instead of the fresh per-context default.
-    pub fn with_access(
-        mut self,
-        access: std::sync::Arc<crate::access::AccessPathCounters>,
-    ) -> ExecContext<'a> {
-        self.access = access;
-        self
-    }
-
-    /// Attach a memory ledger (normally one opened against the engine's
-    /// budgeted pool) instead of the detached unlimited default.
-    pub fn with_memory(
-        mut self,
-        memory: std::sync::Arc<tdp_mem::MemoryReservation>,
-    ) -> ExecContext<'a> {
-        self.memory = memory;
         self
     }
 }
@@ -1073,7 +1062,7 @@ mod tests {
             }
         }
         reg.register_scalar(Arc::new(Other));
-        let worker = UdfRegistry::from_shared(reg.shared_snapshot());
+        let worker = UdfRegistry::worker(&reg.shared);
         assert!(worker.is_scalar("double_it"));
         assert!(!worker.is_scalar("other"), "session-bound stays behind");
     }

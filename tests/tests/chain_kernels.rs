@@ -395,7 +395,7 @@ fn shadowing_udf_takes_over_on_the_next_run() {
     // A UDF shadowing the built-in takes over on this session's next
     // run — of a fresh compilation and of the query compiled before it
     // was registered alike…
-    tdp.register_udf(std::sync::Arc::new(ShiftUdf));
+    tdp.register_udf(std::sync::Arc::new(ShiftUdf("sqrt")));
     for out in [tdp.query(sql).unwrap().run().unwrap(), q.run().unwrap()] {
         let r = first_r(&out);
         assert!(
@@ -408,14 +408,97 @@ fn shadowing_udf_takes_over_on_the_next_run() {
     other.set_chain_kernels(true);
     let out = other.query(sql).unwrap().run().unwrap();
     assert!((first_r(&out) - 11f32.sqrt()).abs() < 1e-6);
+
+    // Every other site that applies the rule takes the UDF on a held
+    // plan too, on the session thread and on workers…
+    for threads in [1, 4] {
+        shadowing_reaches_every_site(threads);
+    }
+    // …and a session-local function shadows an engine one of its name
+    // for that session alone, its workers included.
+    let data: Vec<f32> = (0..64).map(|i| i as f32).collect();
+    let engine = tdp_core::TdpEngine::new();
+    engine.register_table(table(&data));
+    engine.register_udf_shared(std::sync::Arc::new(tdp_integration::HalveUdf));
+    let (local, other) = (engine.session(), engine.session());
+    local.register_udf(std::sync::Arc::new(ShiftUdf("halve")));
+    let sql = "SELECT SUM(halve(v)) AS s FROM t WHERE v > 3.0";
+    for (session, want) in [(&local, 8010.0), (&other, 1005.0)] {
+        session.set_threads(4);
+        session.set_morsel_rows(16);
+        let out = session.query(sql).unwrap().run().unwrap();
+        assert_eq!(out.column("s").unwrap().data.decode_f32().at(0), want);
+    }
 }
 
-/// `sqrt(x) := x + 100` — deliberately disagrees with the built-in so
-/// any stale compiled kernel is unmissable.
-struct ShiftUdf;
+/// Statements holding `sqrt` at each site that applies the shadowing
+/// rule, prepared before `ShiftUdf` is registered and run after: each
+/// held run equals a fresh compilation and took the UDF's values over
+/// `v = 0..63` (`sqrt(v) - v` is then 100 on every row).
+fn shadowing_reaches_every_site(threads: usize) {
+    let tdp = Tdp::new();
+    tdp.register_table(table(&(0..64).map(|i| i as f32).collect::<Vec<_>>()));
+    tdp.set_chain_kernels(true);
+    tdp.set_threads(threads);
+    tdp.set_morsel_rows(16);
+    let v = |rows: std::ops::Range<i32>| rows.map(|i| i as f32).collect::<Vec<_>>();
+    let cases = [
+        ("SELECT v FROM t ORDER BY sqrt(v) - v LIMIT 3", "v", v(0..3)),
+        ("SELECT v FROM t ORDER BY sqrt(v) - v", "v", v(0..64)),
+        ("SELECT SUM(sqrt(v)) AS s FROM t", "s", vec![8416.0]),
+        (
+            "SELECT SUM(sqrt(v)) AS s FROM t WHERE v > 3.0",
+            "s",
+            vec![8010.0],
+        ),
+        (
+            "SELECT COUNT(*) AS n FROM t GROUP BY sqrt(v) - v",
+            "n",
+            vec![64.0],
+        ),
+        (
+            "SELECT v, SUM(v) OVER (PARTITION BY sqrt(v) - v) AS w FROM t",
+            "w",
+            vec![2016.0; 64],
+        ),
+        ("SELECT v FROM t WHERE sqrt(v) > 105.0", "v", v(6..64)),
+    ];
+    let held: Vec<_> = cases
+        .iter()
+        .map(|(sql, ..)| tdp.query(sql).unwrap())
+        .collect();
+    let soft = "SELECT SUM(sqrt(v)) AS s FROM t";
+    let trainable = tdp_core::QueryConfig::default().trainable(true);
+    let held_soft = tdp.query_with(soft, trainable).unwrap();
+
+    tdp.register_udf(std::sync::Arc::new(ShiftUdf("sqrt")));
+    for ((sql, col, want), q) in cases.iter().zip(&held) {
+        let out = q.run().unwrap();
+        let fresh = tdp.query(sql).unwrap().run().unwrap();
+        assert_tables_identical(&out, &fresh, &format!("{sql} @ {threads} threads"));
+        let got = out.column(col).unwrap().data.decode_f32().to_vec();
+        assert_eq!(&got, want, "{sql} @ {threads} threads");
+    }
+    let soft_sum = |q: &tdp_core::CompiledQuery| match q.run_diff().unwrap().column("s").unwrap() {
+        tdp_core::exec::ColumnData::Diff(d) => d.var.value().at(0),
+        tdp_core::exec::ColumnData::Exact(e) => e.decode_f32().at(0),
+    };
+    let fresh_soft = tdp.query_with(soft, trainable).unwrap();
+    assert_eq!(soft_sum(&held_soft), soft_sum(&fresh_soft));
+    assert_eq!(
+        soft_sum(&held_soft),
+        8416.0,
+        "trainable run @ {threads} threads"
+    );
+}
+
+/// `name(x) := x + 100` — deliberately disagrees with the built-in (or
+/// engine function) it shadows so any stale compiled kernel is
+/// unmissable.
+struct ShiftUdf(&'static str);
 impl tdp_core::ScalarUdf for ShiftUdf {
     fn name(&self) -> &str {
-        "sqrt"
+        self.0
     }
     fn invoke(
         &self,

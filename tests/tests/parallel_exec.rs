@@ -506,9 +506,10 @@ fn explain_renders_the_pipeline_breakdown() {
 }
 
 #[test]
-fn trainable_queries_still_run_single_threaded() {
-    // The diff path consumes the same pipeline decomposition but must
-    // ignore the session thread pool (the tape is Rc-based).
+fn trainable_soft_count_matches_the_exact_count_at_eight_threads() {
+    // A trainable run hands its off-tape scan to the exact walker at the
+    // session's eight threads; the soft COUNT over it still agrees with
+    // the exact one.
     let tdp = Tdp::new();
     tdp.register_table(table(60, 5));
     tdp.set_threads(8);
@@ -586,4 +587,57 @@ fn a_parallel_stage_on_an_accelerator_session_runs_at_most_threads_threads() {
     assert_eq!(out.rows(), rows);
     let seen = seen.lock().unwrap().len();
     assert!((1..=2).contains(&seen), "{seen} threads ran the UDF's map");
+}
+
+/// `halve` that counts calls to its `spec()`: the registry snapshots a
+/// spec once, at registration, so the count must never move after it.
+struct CountedSpec(std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+impl tdp_core::ScalarUdf for CountedSpec {
+    fn name(&self) -> &str {
+        "halve"
+    }
+
+    fn spec(&self) -> tdp_core::FunctionSpec {
+        self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        tdp_integration::HalveUdf.spec()
+    }
+
+    fn invoke(
+        &self,
+        args: &[tdp_core::exec::ArgValue],
+        ctx: &tdp_core::exec::ExecContext,
+    ) -> Result<tdp_core::encoding::EncodedTensor, ExecError> {
+        tdp_integration::HalveUdf.invoke(args, ctx)
+    }
+}
+
+#[test]
+fn workers_never_call_a_registered_udfs_spec() {
+    let tdp = Tdp::new();
+    tdp.register_table(table(1000, 11));
+    let calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    tdp.register_udf_parallel(std::sync::Arc::new(CountedSpec(std::sync::Arc::clone(
+        &calls,
+    ))));
+    let registered = calls.load(std::sync::atomic::Ordering::Relaxed);
+    tdp.set_threads(4);
+    tdp.set_morsel_rows(64);
+    let chain = tdp
+        .query("SELECT halve(v) AS h FROM t WHERE v > 0.0")
+        .unwrap();
+    for _ in 0..2 {
+        assert!(chain.run().unwrap().rows() > 64, "a multi-morsel chain");
+    }
+    for (sql, rows) in [
+        ("SELECT SUM(halve(v)) AS s FROM t", 1),
+        ("SELECT v FROM t ORDER BY halve(v)", 1000),
+    ] {
+        assert_eq!(tdp.query(sql).unwrap().run().unwrap().rows(), rows, "{sql}");
+    }
+    assert_eq!(
+        calls.load(std::sync::atomic::Ordering::Relaxed),
+        registered,
+        "spec() ran after registration"
+    );
 }
