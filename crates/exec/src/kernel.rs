@@ -62,9 +62,8 @@
 //!   concatenated in morsel order, and the barrier probes or extracts
 //!   keys at them and defers the single payload gather to its own
 //!   assembly step. Only chains whose projections are pure column remaps
-//!   qualify (`selection_capable`); `selection_verdict` is the pure
-//!   verdict EXPLAIN prints as `[barrier: selection-fed]` / `[barrier:
-//!   gathered: <reason>]`.
+//!   qualify (`computed_projection`); EXPLAIN prints the hand-off as
+//!   `[barrier: selection-fed]` / `[barrier: gathered: <reason>]`.
 //!
 //! The evaluator has a third consumer, the aggregate fold
 //! ([`crate::morsel`]'s aggregate stage): `ChainInstance::key_window` and
@@ -88,27 +87,15 @@
 //! ## Fallback taxonomy
 //!
 //! Vetting is conservative: anything the kernel cannot reproduce
-//! bit-for-bit runs on the interpreter with a named reason (surfaced
-//! through EXPLAIN and [`crate::profile::OpTrace::strategy`]; the first
-//! refusal in pre-order names the chain):
-//!
-//! * **vet-time**: `udf(name)` — session UDFs,
-//!   including built-ins shadowed by a later registration;
-//!   `scalar-subquery`; `empty-in-list`; `builtin-arity(name)`;
-//!   `vector-builtin(name)`.
-//! * **bind-time** (per execution): `tensor-param($n)` /
-//!   `null-param($n)` / `unbound-param($n)` — parameter slots whose
-//!   bound value has no scalar kernel form. EXPLAIN is binding-free and
-//!   cannot foresee these (`Refusal::Run`); a barrier above such a
-//!   chain notes `gathered: kernel-compile`.
-//! * **run-time** (per morsel, silent; a barrier's selection exit is
-//!   declined whole by any morsel's bail, an aggregate task re-runs just
-//!   its own window on the gather path): batches carrying
-//!   differentiable columns, payload (rank > 1) columns used in computed
-//!   expressions or read by an aggregate, evaluation type errors (the
-//!   interpreter re-runs the morsel and raises the identical error — a
-//!   numeric aggregate over a string column included), a refused scratch
-//!   charge, and any node kind above reaching the evaluator un-vetted.
+//! bit-for-bit runs on the interpreter with a named `verdict::Reason` —
+//! the first refusal in pre-order names the chain. Vet-time refusals are
+//! static, so EXPLAIN prints them; bind-time ones (a `$n` slot with no
+//! scalar form) only a run sees, and a barrier above such a chain notes
+//! `gathered: kernel-compile`. Run-time bails are silent and per morsel:
+//! differentiable columns, payload (rank > 1) columns in computed
+//! expressions or aggregates, evaluation type errors (the interpreter
+//! re-runs the morsel and raises the identical error), a refused scratch
+//! charge, any node kind above reaching the evaluator un-vetted.
 //!
 //! ## Vetting
 //!
@@ -138,6 +125,7 @@ use crate::params::{ParamValue, ParamValues};
 use crate::physical::{ColumnRef, CompiledExpr, PhysProjectItem, ScalarFn};
 use crate::pipeline::MorselOp;
 use crate::udf::ExecContext;
+use crate::verdict::Reason;
 
 // ----------------------------------------------------------------------
 // Vetting and binding
@@ -168,44 +156,15 @@ pub struct ChainKernelStats {
     pub fallbacks: u64,
 }
 
-/// Why (or that) a chain runs compiled — the EXPLAIN verdict.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ChainStrategy {
-    /// Kernel-compiled; payload is the number of fused ops.
-    Compiled(usize),
-    /// Interpreted, with the named reason.
-    Interpreted(String),
-}
-
-/// Why the interpreter runs a chain this execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Refusal {
-    /// True of the plan under this session whatever flows in, so EXPLAIN
-    /// prints it too: the session switch, what pins the chain,
-    /// `no-chain`, a vetting refusal.
-    Plan(String),
-    /// True of this execution only — a differentiable input, a `$n`
-    /// slot bound to nothing scalar.
-    Run(String),
-}
-
-impl Refusal {
-    pub(crate) fn reason(&self) -> &str {
-        match self {
-            Refusal::Plan(reason) | Refusal::Run(reason) => reason,
-        }
-    }
-}
-
 /// The first reason, in pre-order, the kernel evaluator cannot run this
 /// chain — `None` = vetted. Nothing is built: [`eval`] walks the same
 /// nodes, and refuses each of these kinds itself.
-pub(crate) fn vet(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Option<String> {
+pub(crate) fn vet<'p>(ops: &[MorselOp<'p>], ctx: &ExecContext) -> Option<Reason<'p>> {
     ops.iter().find_map(|op| {
         op.find_map(&mut |node| match node {
-            _ if let Some(name) = ctx.udfs.udf_call(node) => Some(format!("udf({name})")),
+            _ if let Some(name) = ctx.udfs.udf_call(node) => Some(Reason::Udf(name)),
             CompiledExpr::Builtin { name, func, args } if args.len() != func.arity() => {
-                Some(format!("builtin-arity({name})"))
+                Some(Reason::BuiltinArity(name))
             }
             // Vector-similarity builtins consume a whole [n, d] embedding
             // column; selection-vector programs are strictly scalar-per-row.
@@ -213,9 +172,9 @@ pub(crate) fn vet(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Option<String> {
                 name,
                 func: ScalarFn::Vector(_),
                 ..
-            } => Some(format!("vector-builtin({name})")),
-            CompiledExpr::InList { list, .. } if list.is_empty() => Some("empty-in-list".into()),
-            CompiledExpr::ScalarSubquery(_) => Some("scalar-subquery".into()),
+            } => Some(Reason::VectorBuiltin(name)),
+            CompiledExpr::InList { list, .. } if list.is_empty() => Some(Reason::EmptyInList),
+            CompiledExpr::ScalarSubquery(_) => Some(Reason::ScalarSubquery),
             _ => None,
         })
     })
@@ -224,58 +183,45 @@ pub(crate) fn vet(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Option<String> {
 /// The first `$n` slot the chain references whose binding has no scalar
 /// kernel form — checked per execution, the verdict being
 /// literal-invariant.
-fn unbound_param(ops: &[MorselOp<'_>], params: &ParamValues) -> Option<String> {
+fn unbound_param<'p>(ops: &[MorselOp<'p>], params: &ParamValues) -> Option<Reason<'p>> {
     ops.iter().find_map(|op| {
-        op.find_map(&mut |node| {
-            let CompiledExpr::Param { idx } = node else {
-                return None;
-            };
-            let why = match params.get(*idx) {
-                Some(ParamValue::Number(_) | ParamValue::String(_) | ParamValue::Bool(_)) => {
-                    return None
-                }
-                Some(ParamValue::Tensor(_)) => "tensor-param",
-                Some(ParamValue::Null) => "null-param",
-                None => "unbound-param",
-            };
-            Some(format!("{why}(${})", idx + 1))
+        op.find_map(&mut |node| match node {
+            CompiledExpr::Param { idx } => match params.get(*idx) {
+                Some(ParamValue::Number(_) | ParamValue::String(_) | ParamValue::Bool(_)) => None,
+                Some(ParamValue::Tensor(_)) => Some(Reason::TensorParam(*idx)),
+                Some(ParamValue::Null) => Some(Reason::NullParam(*idx)),
+                None => Some(Reason::UnboundParam(*idx)),
+            },
+            _ => None,
         })
     })
 }
 
-/// Whether a chain supports the selection exit mode: it must never
-/// change the row space, i.e. every projection is a pure column remap
-/// (`SELECT b AS x, a …`). A computed or literal item materializes new
-/// storage in selection space, which resets the selection — those
-/// chains keep the gather exit.
-fn selection_capable(ops: &[MorselOp<'_>]) -> Result<(), &'static str> {
-    let computes = |op: &MorselOp<'_>| {
-        matches!(op, MorselOp::Project(items)
-            if items.iter().any(|it| !matches!(it.expr, CompiledExpr::Column(_))))
-    };
-    match ops.iter().any(computes) {
-        true => Err("computed-projection"),
-        false => Ok(()),
-    }
+/// `computed-projection` unless the chain supports the selection exit:
+/// it must never change the row space, i.e. every projection is a pure
+/// column remap (`SELECT b AS x, a …`). A computed or literal item
+/// materializes new storage in selection space, which resets the
+/// selection — those chains keep the gather exit.
+pub(crate) fn computed_projection<'p>(ops: &[MorselOp<'p>]) -> Option<Reason<'p>> {
+    let computed = |it: &PhysProjectItem| !matches!(it.expr, CompiledExpr::Column(_));
+    let computes =
+        |op: &MorselOp<'_>| matches!(op, MorselOp::Project(items) if items.iter().any(computed));
+    ops.iter()
+        .any(computes)
+        .then_some(Reason::ComputedProjection)
 }
 
-/// Resolve a non-empty fused chain against this execution — the one
-/// counted entry point, called once per chain per run: vet it and check
-/// its `$n` bindings. `Err` means the interpreter runs the chain:
-/// kernels disabled, or a named vet- or bind-time refusal (counted as a
-/// fallback); `Ok` is counted as a kernel bind.
+/// Bind a vetted, non-empty chain to this execution — the one counted
+/// entry point, called once per chain per run with the chain's `vetted`
+/// verdict: a vet-time refusal, or a `$n` binding with no scalar form,
+/// counts as a fallback and the interpreter runs the chain; anything
+/// else counts as a kernel bind.
 pub(crate) fn bind<'a>(
     ops: &'a [MorselOp<'a>],
     ctx: &'a ExecContext,
-) -> Result<ChainInstance<'a>, Refusal> {
-    if !ctx.chain_kernels {
-        return Err(Refusal::Plan("chain-kernels-disabled".into()));
-    }
-    let refusal = match vet(ops, ctx) {
-        Some(reason) => Some(Refusal::Plan(reason)),
-        None => unbound_param(ops, &ctx.params).map(Refusal::Run),
-    };
-    if let Some(refusal) = refusal {
+    vetted: Result<(), Reason<'a>>,
+) -> Result<ChainInstance<'a>, Reason<'a>> {
+    if let Some(refusal) = vetted.err().or_else(|| unbound_param(ops, &ctx.params)) {
         ctx.access.note_kernel_fallback();
         return Err(refusal);
     }
@@ -285,60 +231,6 @@ pub(crate) fn bind<'a>(
         access: &ctx.access,
         fallback_noted: AtomicBool::new(false),
     })
-}
-
-/// Classify how a chain would execute under this context — the pure
-/// (counter-free, binding-free) verdict EXPLAIN prints. `None` for an
-/// empty chain (nothing to run). Sequential-path reasons
-/// ([`crate::morsel::chain_fallback_reason`]) take precedence so a UDF
-/// chain reports `udf-not-parallel-safe(f)` rather than the generic
-/// vetting refusal.
-pub(crate) fn chain_strategy(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Option<ChainStrategy> {
-    if ops.is_empty() {
-        return None;
-    }
-    Some(match static_refusal(ops, ctx) {
-        None => ChainStrategy::Compiled(ops.len()),
-        Some(reason) => ChainStrategy::Interpreted(reason),
-    })
-}
-
-/// Why a non-empty chain would not run on the kernel, bindings aside.
-fn static_refusal(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Option<String> {
-    if !ctx.chain_kernels {
-        return Some("chain-kernels-disabled".into());
-    }
-    crate::morsel::chain_fallback_reason(ops, None, ctx).or_else(|| vet(ops, ctx))
-}
-
-/// The one order in which a chain→barrier hand-off is declined before
-/// anything runs: a chain must exist, the session switch be on, the
-/// plan carry no refusal (`plan_refusal`: what pins the chain, then the
-/// vetting verdict — EXPLAIN derives it, a run has it resolved) and the
-/// row space stay intact (no computed projections).
-pub(crate) fn selection_decline(
-    ops: &[MorselOp<'_>],
-    ctx: &ExecContext,
-    plan_refusal: impl FnOnce() -> Option<String>,
-) -> Result<(), String> {
-    if ops.is_empty() {
-        return Err("no-chain".into());
-    }
-    if !ctx.chain_kernels {
-        return Err("chain-kernels-disabled".into());
-    }
-    match plan_refusal() {
-        Some(reason) => Err(reason),
-        None => selection_capable(ops).map_err(String::from),
-    }
-}
-
-/// Would this chain hand its selection straight to a barrier stage? The
-/// pure (counter-free) verdict used by EXPLAIN: `Ok(())` =
-/// selection-fed, `Err(reason)` = the barrier consumes a gathered
-/// batch.
-pub(crate) fn selection_verdict(ops: &[MorselOp<'_>], ctx: &ExecContext) -> Result<(), String> {
-    selection_decline(ops, ctx, || static_refusal(ops, ctx))
 }
 
 // ----------------------------------------------------------------------
@@ -1245,7 +1137,8 @@ mod tests {
         let catalog = Catalog::new();
         let udfs = UdfRegistry::new();
         let ctx = ExecContext::new(&catalog, &udfs);
-        let refusal = |pred: &CompiledExpr| vet(&[MorselOp::Filter(pred)], &ctx);
+        let refusal =
+            |pred: &CompiledExpr| vet(&[MorselOp::Filter(pred)], &ctx).map(|r| r.to_string());
 
         let udf_pred = CompiledExpr::Udf {
             name: "f".into(),
@@ -1278,7 +1171,7 @@ mod tests {
         let pred = gt(col(0, "v"), CompiledExpr::Param { idx: 0 });
         let ops = [MorselOp::Filter(&pred)];
         let check = |params: ParamValues, want: &str| {
-            assert_eq!(unbound_param(&ops, &params).unwrap(), want);
+            assert_eq!(unbound_param(&ops, &params).unwrap().to_string(), want);
         };
         check(ParamValues::new(), "unbound-param($1)");
         check(ParamValues::new().null(), "null-param($1)");
@@ -1296,8 +1189,8 @@ mod tests {
             .with_params(ParamValues::new().null())
             .with_chain_kernels(true);
         assert_eq!(
-            bind(&ops, &ctx).err().unwrap(),
-            Refusal::Run("null-param($1)".into())
+            bind(&ops, &ctx, Ok(())).err().unwrap().to_string(),
+            "null-param($1)"
         );
         let s = ctx.access.snapshot();
         assert_eq!((s.kernel_binds, s.kernel_fallbacks), (0, 1));
@@ -1316,7 +1209,7 @@ mod tests {
         let p1 = gt(col(0, "v"), CompiledExpr::Num(1.0));
         let p2 = gt(col(1, "k"), CompiledExpr::Num(0.0));
         let ops = [MorselOp::Filter(&p1), MorselOp::Filter(&p2)];
-        let inst = bind(&ops, &ctx).expect("compiles");
+        let inst = bind(&ops, &ctx, Ok(())).expect("compiles");
 
         let v = EncodedTensor::from_f32_slice(&[9.0, 0.5, 1.5, 2.5, 0.0, 3.5, 4.5, 9.0]);
         let ks = Tensor::from_vec(vec![1i64, 1, 0, 1, 1, 0, 1, 1], &[8]);
@@ -1404,7 +1297,10 @@ mod tests {
         );
         for (pred, refusal) in [(&udf_pred, "udf(f)"), (&sqrt_pred, "udf(sqrt)")] {
             let ops = [MorselOp::Filter(pred)];
-            assert_eq!(vet(&ops, &ctx).as_deref(), Some(refusal));
+            assert_eq!(
+                vet(&ops, &ctx).map(|r| r.to_string()).as_deref(),
+                Some(refusal)
+            );
             let before = ctx.access.snapshot().kernel_fallbacks;
             let inst = ChainInstance {
                 ops: &ops,
@@ -1429,6 +1325,7 @@ mod tests {
         use crate::morsel::ChainRun;
         use crate::physical::{lower, PhysicalPlan};
         use crate::pipeline::{decompose, explain_ctx, PipeNode};
+        use crate::profile::chain_trace;
         use crate::udf::{ArgType, ArgValue, FunctionSpec, ScalarUdf};
         use tdp_sql::plan::{build_plan, PlannerContext};
         use tdp_sql::{optimizer, parse};
@@ -1698,11 +1595,16 @@ mod tests {
             };
             let input = crate::exact::scan_table("t", None, &ctx).unwrap();
             let chain = ChainRun::resolve(&input, &pipe.ops, sink, &ctx);
-            assert_eq!(chain.strategy_note().as_deref(), Some(c.strategy), "{text}");
-            assert_eq!(chain.seq_reason.as_deref(), c.fallback, "{text}");
+            let (strategy, fallback) = chain_trace(&chain);
+            assert_eq!(strategy.as_deref(), Some(c.strategy), "{text}");
+            assert_eq!(fallback.as_deref(), c.fallback, "{text}");
             if let Some(barrier) = c.barrier {
                 let declined = chain.selection_kernel(&input, &ctx).err();
-                assert_eq!(declined.as_deref(), Some(barrier), "{text}");
+                assert_eq!(
+                    declined.map(|r| r.to_string()).as_deref(),
+                    Some(barrier),
+                    "{text}"
+                );
             }
 
             if c.runs {
@@ -1730,13 +1632,14 @@ mod tests {
                 .with_scheduler(4, morsel_rows)
                 .with_chain_kernels(true);
             let chain = ChainRun::resolve(&diff, &pipe.ops, None, &ctx);
+            let (strategy, fallback) = chain_trace(&chain);
             assert_eq!(
-                chain.strategy_note().as_deref(),
+                strategy.as_deref(),
                 Some("interpreted: differentiable-input")
             );
-            assert_eq!(chain.seq_reason.as_deref(), Some("differentiable-input"));
+            assert_eq!(fallback.as_deref(), Some("differentiable-input"));
             let declined = chain.selection_kernel(&diff, &ctx).err();
-            assert_eq!(declined.as_deref(), Some(barrier));
+            assert_eq!(declined.map(|r| r.to_string()).as_deref(), Some(barrier));
         }
 
         // Barrier feeding: the same verdicts, as `[barrier: …]` notes on
@@ -1771,6 +1674,86 @@ mod tests {
             let pretty = prof.pretty();
             assert!(pretty.contains(profile), "want {profile} in:\n{pretty}");
         }
+
+        // Barrier staging, on the same surfaces: EXPLAIN's note on the
+        // barrier line, and the barrier trace's `strategy` / `fallback`.
+        // At morsel rows 8 `t` spans five morsels, while `v < 1` keeps four
+        // rows and `d JOIN e` reads three; a session-bound sort key pins at any thread count.
+        catalog.register(
+            tdp_storage::TableBuilder::new()
+                .col_i64("k", vec![0, 1, 2])
+                .col_f32("w", vec![1.0, 2.0, 3.0])
+                .build("d"),
+        );
+        catalog.register(
+            tdp_storage::TableBuilder::new()
+                .col_i64("k", vec![1, 2])
+                .build("e"),
+        );
+        let check = |kind: &str, sql: &str, threads, note: &str, strategy, fallback| {
+            let plan = sql_plan(sql, &udfs);
+            let ctx = ExecContext::new(&catalog, &udfs)
+                .with_scheduler(threads, 8)
+                .with_chain_kernels(true);
+            let text = explain_ctx(&plan, &ctx);
+            let line = text
+                .lines()
+                .find(|l| l.trim_start().starts_with(&format!("barrier {kind}")))
+                .unwrap_or_else(|| panic!("no {kind} barrier in:\n{text}"));
+            assert!(
+                line.contains(note),
+                "{sql} @ {threads}: want {note} in:\n{text}"
+            );
+            let (_, prof) = crate::profile::execute_profiled(&plan, &ctx).unwrap();
+            let op = prof.ops.iter().find(|o| o.label.starts_with(kind)).unwrap();
+            assert_eq!(
+                (op.strategy.as_deref(), op.fallback.as_deref()),
+                (strategy, fallback),
+                "{sql} @ {threads}:\n{}",
+                prof.pretty()
+            );
+        };
+        let one = "[sequential: threads=1]";
+        for (kind, many, single, note, strategy) in [
+            (
+                "Sort",
+                "SELECT v FROM t ORDER BY v DESC",
+                "SELECT v FROM t WHERE v < 1 ORDER BY v DESC",
+                "[merge-sort]",
+                "merge-sort ×5 runs",
+            ),
+            (
+                "TopK",
+                "SELECT v FROM t ORDER BY v DESC LIMIT 3",
+                "SELECT v FROM t WHERE v < 1 ORDER BY v DESC LIMIT 3",
+                "[parallel top-k]",
+                "parallel top-k ×5 runs",
+            ),
+            (
+                "Join",
+                "SELECT t.v, d.w FROM t JOIN d ON t.k = d.k",
+                "SELECT d.w FROM d JOIN e ON d.k = e.k",
+                "[partitioned ×16]",
+                "partitioned ×16 (1 build + 5 probe morsels)",
+            ),
+            (
+                "Distinct",
+                "SELECT DISTINCT k FROM t",
+                "SELECT DISTINCT k FROM t WHERE v < 1",
+                "[partitioned ×16]",
+                "partitioned ×16 (5 morsels)",
+            ),
+        ] {
+            check(kind, many, 4, note, Some(strategy), None);
+            check(kind, single, 4, note, None, None);
+            check(kind, many, 1, one, None, None);
+            check(kind, single, 1, one, None, None);
+        }
+        for threads in [4, 1] {
+            let pinned = "udf-not-parallel-safe(sb)";
+            let sql = "SELECT v FROM t ORDER BY sb(v)";
+            check("Sort", sql, threads, pinned, None, Some(pinned));
+        }
     }
 
     #[test]
@@ -1780,14 +1763,19 @@ mod tests {
         let ctx = ExecContext::new(&catalog, &udfs).with_chain_kernels(true);
         let pred = gt(col(0, "v"), CompiledExpr::Num(1.0));
         let ops = [MorselOp::Filter(&pred)];
-        assert_eq!(chain_strategy(&ops, &ctx), Some(ChainStrategy::Compiled(1)));
+        let verdict = |ops: &[MorselOp<'_>], ctx: &ExecContext| {
+            crate::morsel::ChainVerdict::of(ops, None, ctx)
+                .refusal()
+                .map(|r| r.to_string())
+        };
+        assert_eq!(verdict(&ops, &ctx), None, "compiled");
         assert_eq!(ctx.access.snapshot(), crate::AccessPathStats::default());
 
         let off = ExecContext::new(&catalog, &udfs);
         assert_eq!(
-            chain_strategy(&ops, &off),
-            Some(ChainStrategy::Interpreted("chain-kernels-disabled".into()))
+            verdict(&ops, &off).as_deref(),
+            Some("chain-kernels-disabled")
         );
-        assert_eq!(chain_strategy(&[], &ctx), None);
+        assert_eq!(verdict(&[], &ctx).as_deref(), Some("no-chain"));
     }
 }

@@ -169,6 +169,7 @@
 //!   expr       the scalar interpreter            ┐ the fallback tier, and the oracle every
 //!   exact      whole-batch relational kernels    ┘ byte-identity test compares against
 //!   profile    Recorder + QueryProfile (the same walk, observed per stage)
+//!   verdict    Reason + Staging: every scheduling decline one value, rendered once
 //!   access     zone-map pruning, ANN paths, access-path counters
 //!   memory     ledger charges;  udf / params / batch / error: the vocabulary
 //!   soft, diff the differentiable executor
@@ -196,6 +197,7 @@ pub mod pipeline;
 pub mod profile;
 pub mod soft;
 pub mod udf;
+pub(crate) mod verdict;
 
 pub use access::{AccessPathCounters, AccessPathStats, AnnPath, ChunkPruner};
 pub use batch::{Batch, ColumnData, DiffColumn};

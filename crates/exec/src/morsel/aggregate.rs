@@ -23,6 +23,7 @@
 //! for bit, grouped or not.
 
 use std::borrow::Cow;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use tdp_encoding::EncodedTensor;
@@ -41,6 +42,7 @@ use crate::memory;
 use crate::physical::{CompiledExpr, PhysAggregate, PhysKey};
 use crate::profile::Recorder;
 use crate::udf::ExecContext;
+use crate::verdict::Reason;
 
 /// How an accumulator consumes its argument column.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -277,11 +279,10 @@ pub(crate) fn run_aggregate(
     // below has consumed it.
     let state = memory::ScopedCharges::new(&ctx.memory);
 
-    // `(how the input arrived, why a selection hand-off was declined)`.
-    let (mut partials, path) = if morsels <= 1 {
+    let (mut partials, arrived) = if morsels <= 1 {
         let inp = chain.apply(input, skip, ctx)?;
         let partial = partial_aggregate(&prog, &inp, None, ctx)?;
-        (vec![partial], ("single-morsel", None))
+        (vec![partial], Arrived::SingleMorsel)
     } else {
         let skip = skip.filter(|s| s.len() == morsels);
         let src = to_cols(input);
@@ -313,25 +314,25 @@ pub(crate) fn run_aggregate(
             }
             Ok(partial)
         });
-        let path = match form {
-            Ok(_) if bailed.into_inner() => ("gathered", Some("kernel-bailout".to_string())),
-            Ok(f) if f.filtered => ("selection-fed", None),
-            Ok(_) => ("unfiltered", None),
-            Err(why) => ("gathered", why),
+        let arrived = match form {
+            Ok(_) if bailed.into_inner() => Arrived::Gathered(Some(Reason::KernelBailout)),
+            Ok(f) if f.filtered => Arrived::SelectionFed,
+            Ok(_) => Arrived::Unfiltered,
+            Err(why) => Arrived::Gathered(why),
         };
         // One count per stage that hands a chain's selection over: a
         // declined or bailed selection whatever the outcome, a
         // selection-fed stage once it has succeeded. A bare scan hands
         // nothing over and counts neither.
-        if path.1.is_some() && !chain.ops.is_empty() {
+        if matches!(arrived, Arrived::Gathered(Some(_))) && !chain.ops.is_empty() {
             ctx.access.note_barrier_gathered();
         }
         let folds = folds?;
-        if path.0 == "selection-fed" {
+        if matches!(arrived, Arrived::SelectionFed) {
             ctx.access.note_barrier_selection_fed();
         }
         chain::note_skipped(skip, ctx);
-        (folds.into_iter().flatten().flatten().collect(), path)
+        (folds.into_iter().flatten().flatten().collect(), arrived)
     };
     if partials.is_empty() {
         // Every morsel filtered to nothing: fold the chain's zero-row
@@ -343,36 +344,48 @@ pub(crate) fn run_aggregate(
     let hashed = partials.iter().any(|p| p.hashed);
     let out = merge_partials(&prog, &partials)?;
     if let Some(r) = rec {
-        r.note_aggregate(aggregate_note(
-            &prog,
-            out.rows(),
-            hashed,
-            (path.0, path.1.as_deref()),
-        ));
+        r.note_aggregate(&AggregateNote(&prog, out.rows(), hashed, arrived));
     }
     Ok(out)
 }
 
-/// The aggregate stage's profile note: what the fold consisted of and
-/// how its input arrived. Out of line — only profiled runs format it.
-#[inline(never)]
-fn aggregate_note(
-    prog: &AggProgram<'_>,
-    groups: usize,
-    hashed: bool,
-    (mode, why): (&str, Option<&str>),
-) -> String {
-    let keys = match (prog.keys.is_empty(), hashed) {
-        (true, _) => "none",
-        (false, false) => "direct",
-        (false, true) => "hash",
-    };
-    let why = why.map(|w| format!(": {w}")).unwrap_or_default();
-    format!(
-        "aggregate: fused {} acc / {} args, {groups} groups, keys: {keys}, {mode}{why}",
-        prog.accs.len(),
-        prog.args.len(),
-    )
+/// How an aggregate stage's input arrived: one interpreted partial, each
+/// window selected and folded in place, every row of a bare scan folded
+/// in place, or dense windows — with why a chain's hand-off was declined
+/// (`None`: no kernel runs the chain, and its own note says why).
+enum Arrived<'p> {
+    SingleMorsel,
+    SelectionFed,
+    Unfiltered,
+    Gathered(Option<Reason<'p>>),
+}
+
+/// An aggregate stage's profile note: its program, group count, whether
+/// the keys went through the hash arm, and how its input arrived. Only a
+/// profiled run renders it.
+pub(crate) struct AggregateNote<'a>(&'a AggProgram<'a>, usize, bool, Arrived<'a>);
+
+impl fmt::Display for AggregateNote<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let AggregateNote(prog, groups, hashed, arrived) = self;
+        let keys = match (prog.keys.is_empty(), hashed) {
+            (true, _) => "none",
+            (false, false) => "direct",
+            (false, true) => "hash",
+        };
+        let (accs, args) = (prog.accs.len(), prog.args.len());
+        write!(
+            f,
+            "aggregate: fused {accs} acc / {args} args, {groups} groups, keys: {keys}, "
+        )?;
+        match arrived {
+            Arrived::SingleMorsel => f.write_str("single-morsel"),
+            Arrived::SelectionFed => f.write_str("selection-fed"),
+            Arrived::Unfiltered => f.write_str("unfiltered"),
+            Arrived::Gathered(None) => f.write_str("gathered"),
+            Arrived::Gathered(Some(why)) => write!(f, "gathered: {why}"),
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -866,14 +879,14 @@ impl<'c> InPlace<'c> {
     /// when no kernel runs the chain — its own note already says why).
     /// Over a bare scan, which hands nothing over: kernels off, or a
     /// refused program — `None` either way.
-    fn of(
+    fn of<'p>(
         input: &Batch,
         src: &[(String, EncodedTensor)],
-        chain: &'c ChainRun<'_>,
+        chain: &'c ChainRun<'p>,
         prog: &AggProgram<'_>,
         empty: &'c ChainInstance<'_>,
         ctx: &ExecContext,
-    ) -> Result<InPlace<'c>, Option<String>> {
+    ) -> Result<InPlace<'c>, Option<Reason<'p>>> {
         if chain.ops.is_empty() {
             let cols = src.to_vec();
             return match ctx.chain_kernels && decline(prog, &cols, ctx).is_ok() {
@@ -890,8 +903,8 @@ impl<'c> InPlace<'c> {
         let kern = chain.selection_kernel(input, ctx).map_err(Some)?;
         let cols = kern
             .selection_cols(src)
-            .ok_or_else(|| Some("kernel-bailout".to_string()))?;
-        decline(prog, &cols, ctx).map_err(|why| Some(why.to_string()))?;
+            .ok_or(Some(Reason::KernelBailout))?;
+        decline(prog, &cols, ctx).map_err(Some)?;
         Ok(InPlace {
             kern,
             filtered: true,
@@ -1046,7 +1059,7 @@ fn decline(
     prog: &AggProgram<'_>,
     cols: &[(String, EncodedTensor)],
     ctx: &ExecContext,
-) -> Result<(), &'static str> {
+) -> Result<(), Reason<'static>> {
     let mut exprs = prog
         .keys
         .iter()
@@ -1056,9 +1069,9 @@ fn decline(
         e.find_map(&mut |node| match node {
             CompiledExpr::Column(r) => resolve_idx(cols, r)
                 .is_none()
-                .then_some("unresolved-column"),
-            CompiledExpr::ScalarSubquery(_) => Some("scalar-subquery"),
-            _ if ctx.udfs.udf_call(node).is_some() => Some("udf-argument"),
+                .then_some(Reason::UnresolvedColumn),
+            CompiledExpr::ScalarSubquery(_) => Some(Reason::ScalarSubquery),
+            _ if ctx.udfs.udf_call(node).is_some() => Some(Reason::UdfArgument),
             _ => None,
         })
     });

@@ -21,12 +21,13 @@ use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::exact;
 use crate::expr::eval_expr;
-use crate::kernel::{self, ChainInstance, Refusal};
+use crate::kernel::{self, ChainInstance};
 use crate::memory;
 use crate::params::ParamValue;
 use crate::physical::{CompiledExpr, PhysAggregate, PhysKey};
 use crate::pipeline::MorselOp;
 use crate::udf::ExecContext;
+use crate::verdict::Reason;
 use tdp_encoding::EncodedTensor;
 use tdp_tensor::{I64Tensor, Tensor};
 
@@ -34,118 +35,160 @@ use tdp_tensor::{I64Tensor, Tensor};
 // Parallel-safety analysis
 // ----------------------------------------------------------------------
 
-/// Why an expression must stay on the session thread — the first reason
-/// in pre-order; `None` = parallel-safe. Session UDFs without a
-/// `parallel_safe` declaration (and built-ins currently shadowed by
-/// one) may hold non-`Send` parameters; scalar subqueries execute
-/// nested plans against the session; tensor bindings are row-aligned
-/// with the *whole* input, not a morsel of it. UDFs registered through
-/// [`crate::udf::UdfRegistry::register_scalar_parallel`] with a
+/// Why an expression must stay on the session thread — the first pinning
+/// [`Reason`] in pre-order; `None` = parallel-safe. UDFs registered
+/// through [`crate::udf::UdfRegistry::register_scalar_parallel`] with a
 /// `parallel_safe` spec cross threads freely.
-pub(super) fn expr_fallback(e: &CompiledExpr, ctx: &ExecContext) -> Option<String> {
+pub(super) fn expr_fallback<'p>(e: &'p CompiledExpr, ctx: &ExecContext) -> Option<Reason<'p>> {
     e.find_map(&mut |node| node_fallback(node, ctx))
 }
 
-fn node_fallback(node: &CompiledExpr, ctx: &ExecContext) -> Option<String> {
+fn node_fallback<'p>(node: &'p CompiledExpr, ctx: &ExecContext) -> Option<Reason<'p>> {
     match node {
-        _ if let Some(name) = ctx.udfs.udf_call(node) => (!ctx.udfs.is_parallel_safe_scalar(name))
-            .then(|| format!("udf-not-parallel-safe({name})")),
-        CompiledExpr::ScalarSubquery(_) => Some("scalar-subquery".into()),
+        _ if let Some(name) = ctx.udfs.udf_call(node) => {
+            (!ctx.udfs.is_parallel_safe_scalar(name)).then_some(Reason::UdfNotParallelSafe(name))
+        }
+        CompiledExpr::ScalarSubquery(_) => Some(Reason::ScalarSubquery),
         CompiledExpr::Param { idx } => matches!(ctx.params.get(*idx), Some(ParamValue::Tensor(_)))
-            .then(|| format!("tensor-param(${})", idx + 1)),
+            .then_some(Reason::TensorParam(*idx)),
         _ => None,
     }
 }
 
-/// First reason the aggregate sink cannot fold morsels in parallel.
-fn aggregate_fallback(
-    keys: &[PhysKey],
-    aggregates: &[PhysAggregate],
+/// First reason a fused chain (and optional aggregate sink) cannot leave
+/// the session thread; `None` = parallel-safe. COUNT(DISTINCT …) needs a
+/// cross-morsel value set, so it stays on the sequential path.
+fn chain_fallback_reason<'p>(
+    ops: &[MorselOp<'p>],
+    sink: Option<(&'p [PhysKey], &'p [PhysAggregate])>,
     ctx: &ExecContext,
-) -> Option<String> {
-    keys.iter()
-        .find_map(|k| expr_fallback(&k.expr, ctx))
+) -> Option<Reason<'p>> {
+    let (keys, aggregates) = sink.unwrap_or_default();
+    ops.iter()
+        .find_map(|op| op.find_map(&mut |node| node_fallback(node, ctx)))
+        .or_else(|| keys.iter().find_map(|k| expr_fallback(&k.expr, ctx)))
         .or_else(|| {
-            aggregates.iter().find_map(|a| {
-                // COUNT(DISTINCT …) needs a cross-morsel value set; it
-                // stays on the sequential path.
-                if a.func == tdp_sql::ast::AggFunc::CountDistinct {
-                    return Some("count-distinct".into());
-                }
-                a.arg.as_ref().and_then(|e| expr_fallback(e, ctx))
+            aggregates.iter().find_map(|a| match a.func {
+                tdp_sql::ast::AggFunc::CountDistinct => Some(Reason::CountDistinct),
+                _ => a.arg.as_ref().and_then(|e| expr_fallback(e, ctx)),
             })
         })
 }
 
-/// First reason a fused chain (and optional aggregate sink) cannot leave
-/// the session thread — the single source of truth for the sequential
-/// fallback, reported by EXPLAIN and profiled runs so fallbacks are
-/// observable instead of silent. `None` = the chain is parallel-safe.
-pub(crate) fn chain_fallback_reason(
-    ops: &[MorselOp<'_>],
-    sink: Option<(&[PhysKey], &[PhysAggregate])>,
-    ctx: &ExecContext,
-) -> Option<String> {
-    ops.iter()
-        .find_map(|op| op.find_map(&mut |node| node_fallback(node, ctx)))
-        .or_else(|| sink.and_then(|(keys, aggs)| aggregate_fallback(keys, aggs, ctx)))
+// ----------------------------------------------------------------------
+// One chain, decided before the run and resolved once per execution
+// ----------------------------------------------------------------------
+
+/// A fused chain's static verdict, decided from the plan and the session
+/// alone — no input, no binding, no counter: what pins it to the session
+/// thread comes first, then why the interpreter would run it. EXPLAIN
+/// prints it; [`ChainRun::resolve`] starts from it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum ChainVerdict<'p> {
+    /// Pinned to the session thread and interpreted whole-batch.
+    Pinned(Reason<'p>),
+    /// Nothing for the kernel to do: `no-chain`, or the session switch.
+    Off(Reason<'p>),
+    /// The kernel's vet: `Ok` unless it refuses a node, by name.
+    Vetted(Result<(), Reason<'p>>),
 }
 
-// ----------------------------------------------------------------------
-// One chain, resolved once per execution
-// ----------------------------------------------------------------------
+impl<'p> ChainVerdict<'p> {
+    pub(crate) fn of(
+        ops: &[MorselOp<'p>],
+        sink: Option<(&'p [PhysKey], &'p [PhysAggregate])>,
+        ctx: &ExecContext,
+    ) -> ChainVerdict<'p> {
+        match chain_fallback_reason(ops, sink, ctx) {
+            Some(why) => ChainVerdict::Pinned(why),
+            None if ops.is_empty() => ChainVerdict::Off(Reason::NoChain),
+            None if !ctx.chain_kernels => ChainVerdict::Off(Reason::ChainKernelsDisabled),
+            None => ChainVerdict::Vetted(kernel::vet(ops, ctx).map_or(Ok(()), Err)),
+        }
+    }
+
+    /// Why the interpreter runs the chain; `None` = the kernel would.
+    pub(crate) fn refusal(self) -> Option<Reason<'p>> {
+        match self {
+            ChainVerdict::Pinned(why) | ChainVerdict::Off(why) => Some(why),
+            ChainVerdict::Vetted(vetted) => vetted.err(),
+        }
+    }
+}
+
+/// Why a barrier above a chain is handed a gathered batch, as far as the
+/// plan tells: no chain, the session switch, the chain's `refusal` when
+/// it is static (what pins it, then the vet), then a computed projection.
+/// This is EXPLAIN's whole verdict, and the first half of the run's
+/// ([`ChainRun::selection_kernel`]).
+pub(crate) fn gather_reason<'p>(
+    ops: &[MorselOp<'p>],
+    refusal: Option<Reason<'p>>,
+    ctx: &ExecContext,
+) -> Option<Reason<'p>> {
+    match () {
+        _ if ops.is_empty() => Some(Reason::NoChain),
+        _ if !ctx.chain_kernels => Some(Reason::ChainKernelsDisabled),
+        _ => refusal
+            .filter(|why| why.is_static())
+            .or_else(|| kernel::computed_projection(ops)),
+    }
+}
 
 /// A fused chain (and optional aggregate sink) resolved against one
 /// materialised input and one context — built once per chain per
 /// execution by the plan walker, then shared by whichever of
 /// [`run_ops`], [`chain_barrier_input`] and
 /// [`super::run_aggregate`] runs it and by the recorder that describes
-/// it, so none of them re-derives a verdict. Unlike
-/// [`chain_fallback_reason`] this sees the input, so it also covers
-/// differentiable batches flowing out of trainable TVFs.
+/// it, so none of them re-derives a verdict. It starts from the static
+/// [`ChainVerdict`] and adds what only a run sees: a differentiable
+/// input, the morsel count and the `$n` bindings.
 pub(crate) struct ChainRun<'a> {
-    pub(super) ops: &'a [MorselOp<'a>],
+    pub(crate) ops: &'a [MorselOp<'a>],
     /// Morsels the input splits into; 1 when the chain is pinned.
     pub(crate) morsels: usize,
     /// Why the chain stays whole-batch on the session thread (`None` =
     /// morsel-parallel).
-    pub(crate) seq_reason: Option<String>,
+    pub(crate) pin: Option<Reason<'a>>,
     /// The chain-kernel verdict: the bound kernel, or why the interpreter
-    /// runs the chain — what pins it, `no-chain` when there is nothing
-    /// to run, else the kernel's own vet- or bind-time refusal.
-    kernel: Result<ChainInstance<'a>, Refusal>,
+    /// runs the chain.
+    kernel: Result<ChainInstance<'a>, Reason<'a>>,
 }
 
 impl<'a> ChainRun<'a> {
     pub(crate) fn resolve(
         input: &Batch,
         ops: &'a [MorselOp<'a>],
-        sink: Option<(&[PhysKey], &[PhysAggregate])>,
+        sink: Option<(&'a [PhysKey], &'a [PhysAggregate])>,
         ctx: &'a ExecContext,
     ) -> ChainRun<'a> {
-        let seq_reason = if input.has_diff() {
-            Some("differentiable-input".into())
-        } else {
-            chain_fallback_reason(ops, sink, ctx)
-        };
-        let morsels = match seq_reason {
-            Some(_) => 1,
-            None => num_morsels(input.rows(), ctx.morsel_rows),
+        let verdict = match input.has_diff() {
+            true => ChainVerdict::Pinned(Reason::DifferentiableInput),
+            false => ChainVerdict::of(ops, sink, ctx),
         };
         // Chains pinned to the session thread keep the plain
         // interpreter; otherwise bind the chain kernel, once.
-        let kernel = match &seq_reason {
-            Some(reason) if input.has_diff() => Err(Refusal::Run(reason.clone())),
-            Some(reason) => Err(Refusal::Plan(reason.clone())),
-            None if ops.is_empty() => Err(Refusal::Plan("no-chain".into())),
-            None => kernel::bind(ops, ctx),
+        let (pin, kernel) = match verdict {
+            ChainVerdict::Pinned(why) => (Some(why), Err(why)),
+            ChainVerdict::Off(why) => (None, Err(why)),
+            ChainVerdict::Vetted(vetted) => (None, kernel::bind(ops, ctx, vetted)),
+        };
+        let morsels = match pin {
+            Some(_) => 1,
+            None => num_morsels(input.rows(), ctx.morsel_rows),
         };
         ChainRun {
             ops,
             morsels,
-            seq_reason,
+            pin,
             kernel,
         }
+    }
+
+    /// Why the interpreter runs the chain this execution; `None` = the
+    /// kernel does.
+    pub(crate) fn interpreted(&self) -> Option<Reason<'a>> {
+        self.kernel.as_ref().err().copied()
     }
 
     /// The bound chain kernel, when the chain runs compiled.
@@ -153,51 +196,34 @@ impl<'a> ChainRun<'a> {
         self.kernel.as_ref().ok()
     }
 
-    /// Chain-kernel verdict for the chain's trace: `"compiled"` when it
-    /// runs on the kernel, otherwise `"interpreted: <reason>"`; `None`
-    /// for an empty chain. Sequential-path chains report their pinning
-    /// reason as the interpretation reason —
-    /// `interpreted: udf-not-parallel-safe(f)`.
-    pub(crate) fn strategy_note(&self) -> Option<String> {
-        if self.ops.is_empty() {
-            return None;
-        }
-        Some(match &self.kernel {
-            Ok(_) => "compiled".into(),
-            Err(refusal) => format!("interpreted: {}", refusal.reason()),
-        })
-    }
-
     /// The kernel a barrier's selection exit runs, or the named reason
     /// the barrier consumes a gathered batch instead: EXPLAIN's verdict
-    /// first, in EXPLAIN's order ([`kernel::selection_decline`]), then
-    /// what only a run sees: the input's size, its bindings, its
-    /// differentiable columns.
+    /// first ([`gather_reason`]), then what only a run sees: the input's
+    /// size, its bindings, its differentiable columns.
     pub(crate) fn selection_kernel(
         &self,
         input: &Batch,
         ctx: &ExecContext,
-    ) -> Result<&ChainInstance<'a>, String> {
-        kernel::selection_decline(self.ops, ctx, || match &self.kernel {
-            Err(Refusal::Plan(reason)) => Some(reason.clone()),
-            _ => None,
-        })?;
+    ) -> Result<&ChainInstance<'a>, Reason<'a>> {
+        if let Some(why) = gather_reason(self.ops, self.interpreted(), ctx) {
+            return Err(why);
+        }
         if num_morsels(input.rows(), ctx.morsel_rows) <= 1 {
-            return Err("single-morsel".into());
+            return Err(Reason::SingleMorsel);
         }
         match &self.kernel {
             Ok(kern) => Ok(kern),
             // The kernel bails on differentiable columns; a binding with
             // no scalar form leaves no kernel to run.
-            Err(_) if input.has_diff() => Err("kernel-bailout".into()),
-            Err(_) => Err("kernel-compile".into()),
+            Err(_) if input.has_diff() => Err(Reason::KernelBailout),
+            Err(_) => Err(Reason::KernelCompile),
         }
     }
 
     /// Apply the chain to an input it is not split over (`morsels <= 1`),
     /// on the session thread. An input that fits one morsel is the
     /// one-window case `0..rows` of [`ChainRun::apply_window`], kernel
-    /// and interpreter re-run alike; only a pinned chain (`seq_reason`)
+    /// and interpreter re-run alike; only a pinned chain (`pin`)
     /// has no window form: the interpreter over the whole batch, with the
     /// session's context. A skip mask describing exactly this input as
     /// one morsel applies either way — pruning depends on zone maps and
@@ -219,7 +245,7 @@ impl<'a> ChainRun<'a> {
             Some([true]) => 0,
             _ => input.rows(),
         };
-        match (&self.seq_reason, end) {
+        match (self.pin, end) {
             (None, _) => Ok(from_cols(self.apply_window(
                 &to_cols(input),
                 0,
@@ -383,24 +409,24 @@ pub(super) const HANDOFF_IDX_DIVISOR: usize = 4;
 /// gathered path's per-morsel windows produce — and the one payload
 /// gather is the barrier's own last step, so memory charges scale with
 /// survivors, not input width.
-pub(crate) struct BarrierInput {
+pub(crate) struct BarrierInput<'p> {
     pub(super) batch: Batch,
     pub(super) ids: Option<I64Tensor>,
-    /// With ids, the selection density (`3% dense→sparse`); without, why
-    /// a chain's selection exit was declined (`None`: no chain in play).
-    note: Option<String>,
+    /// Without ids, why a chain's selection exit was declined (`None`: no
+    /// chain in play).
+    declined: Option<Reason<'p>>,
     /// Holds the survivor ids on the query's ledger while they live.
     _charge: Option<memory::ChargeGuard>,
 }
 
-impl BarrierInput {
+impl<'p> BarrierInput<'p> {
     /// A dense input, with the reason a candidate chain's selection exit
     /// was declined.
-    pub(crate) fn gathered(batch: Batch, declined: Option<String>) -> BarrierInput {
+    pub(crate) fn gathered(batch: Batch, declined: Option<Reason<'p>>) -> BarrierInput<'p> {
         BarrierInput {
             batch,
             ids: None,
-            note: declined,
+            declined,
             _charge: None,
         }
     }
@@ -429,19 +455,20 @@ impl BarrierInput {
         }
     }
 
-    /// The profile note for this input: `selection-fed (3% dense→sparse)`
-    /// or `gathered: <reason>`; `None` when no chain was in play.
-    pub(crate) fn note(&self) -> Option<String> {
-        let note = self.note.as_deref()?;
-        Some(match self.ids {
-            Some(_) => format!("selection-fed ({note})"),
-            None => format!("gathered: {note}"),
-        })
-    }
-
-    /// Selection density note (`3% dense→sparse`) when selection-fed.
-    pub(crate) fn density(&self) -> Option<&str> {
-        self.ids.as_ref().and(self.note.as_deref())
+    /// How the input arrived, for a profile: `Ok` with the selection
+    /// density (`3% dense→sparse`) when selection-fed, `Err` with the
+    /// reason a chain gathered instead; `None` when no chain was in play.
+    pub(crate) fn handoff(&self) -> Option<Result<String, Reason<'p>>> {
+        let Some(ids) = &self.ids else {
+            return self.declined.map(Err);
+        };
+        let (survivors, rows) = (ids.numel(), self.batch.rows());
+        let pct = (survivors * 100).div_ceil(rows.max(1));
+        let sparse = match survivors * HANDOFF_IDX_DIVISOR <= rows {
+            true => "→sparse",
+            false => "",
+        };
+        Some(Ok(format!("{pct}% dense{sparse}")))
     }
 }
 
@@ -451,12 +478,12 @@ impl BarrierInput {
 /// gathered barrier counter once per hand-off, so plain and profiled
 /// executions account identically ([`super::run_aggregate`] ticks the
 /// same pair for the stage it selects and folds itself).
-pub(crate) fn chain_barrier_input(
+pub(crate) fn chain_barrier_input<'p>(
     input: &Batch,
-    chain: &ChainRun<'_>,
+    chain: &ChainRun<'p>,
     skip: Option<&[bool]>,
     ctx: &ExecContext,
-) -> Result<BarrierInput, ExecError> {
+) -> Result<BarrierInput<'p>, ExecError> {
     let declined = match chain.selection_kernel(input, ctx) {
         Ok(kern) => {
             let skip = skip.filter(|s| s.len() == chain.morsels);
@@ -464,9 +491,9 @@ pub(crate) fn chain_barrier_input(
                 ctx.access.note_barrier_selection_fed();
                 return Ok(selected);
             }
-            "kernel-bailout".to_string()
+            Reason::KernelBailout
         }
-        Err(reason) => reason,
+        Err(why) => why,
     };
     ctx.access.note_barrier_gathered();
     let batch = run_ops(input, chain, None, skip, ctx)?;
@@ -481,12 +508,12 @@ pub(crate) fn chain_barrier_input(
 /// into global ids there; the session thread only concatenates them.
 /// `None` = the kernel bailed at run time, in any task: the caller
 /// gathers instead, and does its own zone-map accounting.
-fn selection_exit(
+fn selection_exit<'p>(
     input: &Batch,
     kern: &ChainInstance<'_>,
     skip: Option<&[bool]>,
     ctx: &ExecContext,
-) -> Result<Option<BarrierInput>, ExecError> {
+) -> Result<Option<BarrierInput<'p>>, ExecError> {
     let (rows, src) = (input.rows(), to_cols(input));
     let Some(cols) = kern.selection_cols(&src) else {
         return Ok(None);
@@ -509,15 +536,10 @@ fn selection_exit(
         .map(I64Tensor::data)
         .collect::<Vec<_>>()
         .concat();
-    let pct = (survivors * 100).div_ceil(rows.max(1));
-    let sparse = match survivors * HANDOFF_IDX_DIVISOR <= rows {
-        true => "→sparse",
-        false => "",
-    };
     Ok(Some(BarrierInput {
         batch: from_cols(cols),
         ids: Some(Tensor::from_vec(ids, &[survivors])),
-        note: Some(format!("{pct}% dense{sparse}")),
+        declined: None,
         _charge: Some(charge),
     }))
 }

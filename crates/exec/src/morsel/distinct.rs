@@ -7,13 +7,14 @@ use tdp_tensor::keytable::{hash_rows, KeyTable};
 use tdp_tensor::Tensor;
 
 use super::chain::BarrierInput;
-use super::sched::{claim, exchange, note_sequential, note_staged, num_morsels, stage_decision};
+use super::sched::{claim, exchange, note_barrier, num_morsels, staging};
 use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::exact;
 use crate::memory;
 use crate::profile::Recorder;
 use crate::udf::ExecContext;
+use crate::verdict::{Reason, Staging};
 
 /// Byte estimate of DISTINCT's seen-set over `rows` rows, whatever the
 /// key width (keys are read out of the code columns, never copied): the
@@ -33,17 +34,20 @@ fn distinct_set_bytes(rows: usize) -> u64 {
 /// byte-identical to [`exact::distinct_batch`]'s first-occurrence
 /// output.
 pub(crate) fn run_distinct(
-    input: BarrierInput,
+    input: BarrierInput<'_>,
     ctx: &ExecContext,
     rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
-    let rows = input.rows_out();
+    let (rows, partitions) = (input.rows_out(), ctx.partitions.max(1));
     let ncols = input.batch.columns().len();
     let diff = input.batch.has_diff();
-    let (staged, reason) =
-        stage_decision(rows, diff.then(|| "differentiable-input".to_string()), ctx);
-    if !(staged && ncols > 0) {
-        note_sequential(rec, reason);
+    let staged = match staging(Staging::Partitioned(partitions), &[], diff, Some(rows), ctx) {
+        // No columns: every row is one key, nothing to split.
+        _ if ncols == 0 => Staging::Sequential(Reason::SingleMorsel),
+        staged => staged,
+    };
+    if let Staging::Sequential(_) = staged {
+        note_barrier(rec, staged, &[1]);
         let input = input.into_gathered();
         // The sequential kernel holds the same key codes and one big
         // seen-set; charge the per-row estimates of the staged path so
@@ -52,14 +56,7 @@ pub(crate) fn run_distinct(
         let _charge = memory::charge(&ctx.memory, "distinct", bytes)?;
         return exact::distinct_batch(&input);
     }
-    let (morsels, partitions) = (num_morsels(rows, ctx.morsel_rows), ctx.partitions.max(1));
-    note_staged(
-        rec,
-        morsels,
-        partitions,
-        "partitioned",
-        format_args!("×{partitions} ({morsels} morsels)"),
-    );
+    note_barrier(rec, staged, &[num_morsels(rows, ctx.morsel_rows)]);
     // Held until the surviving rows are selected out: key codes, the
     // exchanged positions and the per-partition seen-sets. The codes are
     // survivor-width either way — a selection-fed input reads them at

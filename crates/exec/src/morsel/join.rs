@@ -9,9 +9,7 @@ use tdp_tensor::keytable::{hash_rows, KeyTable};
 use tdp_tensor::I64Tensor;
 
 use super::chain::BarrierInput;
-use super::sched::{
-    claim, exchange, morsel_range, note_sequential, note_staged, num_morsels, stage_decision,
-};
+use super::sched::{claim, exchange, morsel_range, note_barrier, num_morsels, staging};
 use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::exact;
@@ -19,6 +17,7 @@ use crate::memory;
 use crate::physical::JoinOn;
 use crate::profile::Recorder;
 use crate::udf::ExecContext;
+use crate::verdict::Staging;
 
 /// Byte estimate of the build side's hash structures over `rows` build
 /// rows: the 8-byte hash column, the 4-byte `next` chain, and the
@@ -48,8 +47,8 @@ fn join_build_bytes(rows: usize) -> u64 {
 /// (survivor space); global row ids appear only in the emitted pairs,
 /// which the assembly gathers straight out of the full-width batch.
 pub(crate) fn run_join(
-    left: BarrierInput,
-    right: BarrierInput,
+    left: BarrierInput<'_>,
+    right: BarrierInput<'_>,
     kind: JoinKind,
     on: &JoinOn,
     ctx: &ExecContext,
@@ -58,14 +57,12 @@ pub(crate) fn run_join(
     // Joins carry no key expressions (keys are resolved column refs), so
     // the only capability reason is a differentiable input; either side
     // spanning more than one morsel is enough to stage.
+    let partitions = ctx.partitions.max(1);
     let diff = left.batch.has_diff() || right.batch.has_diff();
-    let (staged, reason) = stage_decision(
-        left.rows_out().max(right.rows_out()),
-        diff.then(|| "differentiable-input".to_string()),
-        ctx,
-    );
-    if !staged {
-        note_sequential(rec, reason);
+    let rows = left.rows_out().max(right.rows_out());
+    let staged = staging(Staging::Partitioned(partitions), &[], diff, Some(rows), ctx);
+    if let Staging::Sequential(_) = staged {
+        note_barrier(rec, staged, &[1]);
         let (left, right) = (left.into_gathered(), right.into_gathered());
         // The sequential kernel builds one table over the whole build
         // side; charge the same per-row estimate the staged build uses
@@ -82,16 +79,9 @@ pub(crate) fn run_join(
     let (rows, rrows) = (left.rows_out(), right.rows_out());
     let lhashes = hash_rows(&lkeys, rows);
     let rhashes = hash_rows(&rkeys, rrows);
-    let partitions = ctx.partitions.max(1);
     let build = num_morsels(rrows, ctx.morsel_rows);
     let probe = num_morsels(rows, ctx.morsel_rows);
-    note_staged(
-        rec,
-        build + probe,
-        partitions,
-        "partitioned",
-        format_args!("×{partitions} ({build} build + {probe} probe morsels)"),
-    );
+    note_barrier(rec, staged, &[build, probe]);
     // Held until the joined batch is assembled: the exchanged positions,
     // the per-partition build tables and the probe pair lists.
     let charges = memory::ScopedCharges::new(&ctx.memory);

@@ -64,42 +64,15 @@
 //!
 //! # Fallback taxonomy
 //!
-//! Every decline is named, and lands in EXPLAIN (statically) and in
-//! profiled runs (each stage reports the decision it took to the
-//! recorder, when one is attached). Chain-kernel refusals — why a chain
-//! is *interpreted* — are listed in [`crate::kernel`].
-//!
-//! * **Selection-exit declines** (the chain gathers instead): the
-//!   session switch (`chain-kernels-disabled`), whatever pins the chain
-//!   or keeps it off the kernel (the reasons below and
-//!   [`crate::kernel`]'s), `computed-projection` (a projection rewrites
-//!   columns, so survivors alone cannot represent the output),
-//!   `single-morsel` (nothing to parallelise), `kernel-compile` (this
-//!   execution's `$n` bindings left no kernel to run — the chain's own
-//!   note names the slot), `kernel-bailout` (the kernel bailed at run
-//!   time — the per-morsel interpreter re-run remains the fallback; an
-//!   aggregate re-runs only the windows that bailed);
-//!   for the aggregate sink also `udf-argument`,
-//!   `scalar-subquery` and `unresolved-column` (key and argument
-//!   expressions the kernel does not evaluate — over a bare scan these
-//!   keep the stage's plain `gathered` note).
-//! * **Parallelism declines** (the stage runs whole-batch on the
-//!   session thread, through the [`crate::exact`] kernels — still inside
-//!   the one plan walker, there is no separate sequential executor):
-//!   session UDFs holding `Rc`-based autodiff parameters
-//!   (`udf-not-parallel-safe(<name>)`), expressions holding a scalar
-//!   subquery (`scalar-subquery`: workers carry no catalog to run the
-//!   nested plan against — the nested plan itself re-enters
-//!   [`crate::pipeline::execute`] with the session's context and is
-//!   scheduled like any top-level query), tensor-valued bindings
-//!   (`tensor-param($n)`: row-aligned with the whole batch, not a
-//!   morsel), `count-distinct` (distinct counts do not add across
-//!   morsels), `differentiable-input`, `threads=1`. Sort keys
-//!   containing such expressions fall back too, since key expressions
-//!   are evaluated per morsel on workers.
-//!
-//! Both fallbacks are equally deterministic — they are the oracle the
-//! staged paths are tested against, at every thread count.
+//! Every decline is named, once: a `verdict::Reason`, whose variant docs
+//! are the taxonomy. EXPLAIN prints the verdicts that follow from the
+//! plan and the session, and a profiled run reports the ones each stage
+//! took. A chain declines the worker pool, the kernel ([`crate::kernel`])
+//! or the selection hand-off (`ChainVerdict`, `ChainRun`); a barrier
+//! declines staging (`verdict::Staging`, decided by `staging`); an
+//! aggregate folds gathered windows. Sort keys the workers cannot
+//! evaluate decline staging too, since key expressions are evaluated per
+//! morsel on workers.
 
 mod aggregate;
 mod chain;
@@ -108,41 +81,34 @@ mod join;
 mod sched;
 mod sort;
 
-pub(crate) use aggregate::run_aggregate;
+pub(crate) use aggregate::{run_aggregate, AggregateNote};
 pub(crate) use chain::{
-    chain_barrier_input, chain_fallback_reason, run_ops, BarrierInput, ChainRun,
+    chain_barrier_input, gather_reason, run_ops, BarrierInput, ChainRun, ChainVerdict,
 };
 pub(crate) use distinct::run_distinct;
 pub(crate) use join::run_join;
-pub(crate) use sched::{claim, MorselCols};
+pub(crate) use sched::{claim, staging, MorselCols};
 pub(crate) use sort::run_sort;
 
-use crate::physical::PhysicalPlan;
+use crate::physical::{PhysOrderKey, PhysicalPlan};
 use crate::udf::ExecContext;
+use crate::verdict::Staging;
 
-/// Compile-time-visible scheduling note for a barrier node: how the
-/// staged scheduler will run it (`partitioned ×16`, `merge-sort ×runs`)
-/// or why it must stay sequential. `None` for barriers the scheduler
-/// never stages (window, TVFs, UNION ALL) — those are whole-batch by
-/// nature. Input sizes are unknown before execution, so a barrier that
-/// turns out to fit one morsel still runs sequentially at run time (a
-/// profiled run reports the decision each `run_*` actually took).
-pub(crate) fn barrier_note(plan: &PhysicalPlan, ctx: &ExecContext) -> Option<String> {
+/// The staged form of a join, sort, top-k or DISTINCT, with the sort keys
+/// its staging decision reads ([`staging`]); `None` for barriers the
+/// scheduler never stages (window, TVFs, UNION ALL) — those are
+/// whole-batch by nature.
+pub(crate) fn staged_form<'p>(
+    plan: &'p PhysicalPlan,
+    ctx: &ExecContext,
+) -> Option<(Staging<'p>, &'p [PhysOrderKey])> {
     use PhysicalPlan as P;
     match plan {
-        P::Join { .. } | P::Distinct { .. } if ctx.threads > 1 => {
-            Some(format!("partitioned ×{}", ctx.partitions.max(1)))
+        P::Join { .. } | P::Distinct { .. } => {
+            Some((Staging::Partitioned(ctx.partitions.max(1)), &[]))
         }
-        P::Sort { keys, .. } | P::TopK { keys, .. } if ctx.threads > 1 => {
-            match keys.iter().find_map(|k| chain::expr_fallback(&k.expr, ctx)) {
-                Some(reason) => Some(format!("sequential: {reason}")),
-                None if matches!(plan, P::Sort { .. }) => Some("merge-sort".into()),
-                None => Some("parallel top-k".into()),
-            }
-        }
-        P::Join { .. } | P::Distinct { .. } | P::Sort { .. } | P::TopK { .. } => {
-            Some("sequential: threads=1".into())
-        }
+        P::Sort { keys, .. } => Some((Staging::MergeSort, keys)),
+        P::TopK { keys, .. } => Some((Staging::TopK, keys)),
         _ => None,
     }
 }

@@ -32,11 +32,14 @@ use tdp_encoding::EncodedTensor;
 use tdp_storage::Catalog;
 use tdp_tensor::keytable::partition_of;
 
+use super::chain::expr_fallback;
 use crate::batch::{Batch, ColumnData};
 use crate::error::ExecError;
 use crate::memory;
+use crate::physical::PhysOrderKey;
 use crate::profile::Recorder;
 use crate::udf::{ExecContext, SharedUdfRegistry, UdfRegistry};
+use crate::verdict::{Reason, Staging};
 
 /// Number of morsels a batch splits into.
 pub(super) fn num_morsels(rows: usize, morsel_rows: usize) -> usize {
@@ -379,41 +382,34 @@ pub(super) fn live_windows(
 // Barrier staging: the decision, and reporting it to profiled runs
 // ----------------------------------------------------------------------
 
-/// `(staged?, capability fallback reason)` for a barrier over `rows`
-/// logical (post-selection) rows — identical whether the input arrives
-/// gathered or selection-fed. A barrier stages when nothing pins it to
-/// the session thread, more than one worker exists and the input spans
-/// more than one morsel.
-pub(super) fn stage_decision(
-    rows: usize,
-    reason: Option<String>,
+/// The one staging decision for a join, sort, top-k or DISTINCT — what
+/// EXPLAIN prints and the run takes: `staged` unless something pins the
+/// operator's own work to the session thread (a differentiable input, a
+/// sort key the workers cannot evaluate), the session has one thread, or
+/// — at run, where `rows` (logical, post-selection) is known — the input
+/// fits one morsel.
+pub(crate) fn staging<'p>(
+    staged: Staging<'p>,
+    keys: &'p [PhysOrderKey],
+    diff: bool,
+    rows: Option<usize>,
     ctx: &ExecContext,
-) -> (bool, Option<String>) {
-    let splits = num_morsels(rows, ctx.morsel_rows) > 1;
-    (reason.is_none() && ctx.threads > 1 && splits, reason)
+) -> Staging<'p> {
+    let pin = match diff {
+        true => Some(Reason::DifferentiableInput),
+        false => keys.iter().find_map(|k| expr_fallback(&k.expr, ctx)),
+    };
+    let one_morsel = rows.is_some_and(|rows| num_morsels(rows, ctx.morsel_rows) <= 1);
+    pin.or_else(|| (ctx.threads <= 1).then_some(Reason::Threads1))
+        .or_else(|| one_morsel.then_some(Reason::SingleMorsel))
+        .map_or(staged, Staging::Sequential)
 }
 
-/// Tell an attached recorder this barrier ran on the sequential kernel
-/// (`fallback` = the capability reason, `None` when merely too small).
-pub(super) fn note_sequential(rec: Option<&mut Recorder>, fallback: Option<String>) {
+/// Tell an attached recorder how a barrier ran: its staging verdict, and
+/// the morsels each of its stages claimed — a join's build and probe,
+/// DISTINCT's or a sort's one stage, `[1]` whole-batch.
+pub(super) fn note_barrier(rec: Option<&mut Recorder>, staging: Staging<'_>, morsels: &[usize]) {
     if let Some(r) = rec {
-        r.note_barrier(1, 0, None, fallback);
-    }
-}
-
-/// Tell an attached recorder how a barrier staged: `morsels` claimed
-/// across its stages, `partitions` exchanged into (0 = no exchange),
-/// and the strategy label (`what` plus the `detail` counts). Out of the
-/// barrier kernels' bodies on purpose — inlining the `format!` there
-/// cost the top-k and DISTINCT classes 4–5%.
-pub(super) fn note_staged(
-    rec: Option<&mut Recorder>,
-    morsels: usize,
-    partitions: usize,
-    what: &str,
-    detail: std::fmt::Arguments<'_>,
-) {
-    if let Some(r) = rec {
-        r.note_barrier(morsels, partitions, Some(format!("{what} {detail}")), None);
+        r.note_barrier(staging, morsels);
     }
 }

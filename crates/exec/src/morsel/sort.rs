@@ -5,10 +5,9 @@
 use tdp_encoding::EncodedTensor;
 use tdp_tensor::{I64Tensor, Tensor};
 
-use super::chain::{expr_fallback, BarrierInput};
+use super::chain::BarrierInput;
 use super::sched::{
-    claim, claim_eval, morsel_range, note_sequential, note_staged, num_morsels, slice_cols,
-    stage_decision, to_cols,
+    claim, claim_eval, morsel_range, note_barrier, num_morsels, slice_cols, staging, to_cols,
 };
 use crate::batch::Batch;
 use crate::error::ExecError;
@@ -18,22 +17,7 @@ use crate::memory;
 use crate::physical::{CompiledExpr, PhysOrderKey};
 use crate::profile::Recorder;
 use crate::udf::ExecContext;
-
-/// `(staged?, capability fallback reason)` for sort/TopK barriers. Key
-/// expressions are evaluated per morsel on worker threads, so the same
-/// analysis as fused chains applies (UDFs, subqueries, tensor params).
-fn sort_decision(
-    input: &BarrierInput,
-    keys: &[PhysOrderKey],
-    ctx: &ExecContext,
-) -> (bool, Option<String>) {
-    let reason = if input.batch.has_diff() {
-        Some("differentiable-input".to_string())
-    } else {
-        keys.iter().find_map(|k| expr_fallback(&k.expr, ctx))
-    };
-    stage_decision(input.rows_out(), reason, ctx)
-}
+use crate::verdict::{Reason, Staging};
 
 /// One evaluated sort-key column of a morsel run. Numeric, boolean and
 /// compressed keys keep their integer grouping codes (8 bytes per row,
@@ -329,7 +313,7 @@ fn merge_runs(runs: &[SortRun], keys: &[PhysOrderKey], limit: Option<usize>) -> 
 /// sorted order; computed keys need per-morsel evaluation over dense
 /// rows, so such an input is gathered first.
 pub(crate) fn run_sort(
-    input: BarrierInput,
+    input: BarrierInput<'_>,
     keys: &[PhysOrderKey],
     k: Option<usize>,
     ctx: &ExecContext,
@@ -337,12 +321,18 @@ pub(crate) fn run_sort(
 ) -> Result<Batch, ExecError> {
     let k = k.map(|k| k.min(input.rows_out()));
     if k == Some(0) {
-        note_sequential(rec, None);
+        // No rows to keep: nothing to split.
+        note_barrier(rec, Staging::Sequential(Reason::SingleMorsel), &[1]);
         return exact::topk_batch(&input.into_gathered(), keys, 0, ctx);
     }
-    let (staged, reason) = sort_decision(&input, keys, ctx);
-    if !staged {
-        note_sequential(rec, reason);
+    // Key expressions are evaluated per morsel on worker threads, so the
+    // same analysis as fused chains applies (UDFs, subqueries, tensor
+    // params).
+    let sort = k.map_or(Staging::MergeSort, |_| Staging::TopK);
+    let diff = input.batch.has_diff();
+    let staged = staging(sort, keys, diff, Some(input.rows_out()), ctx);
+    if let Staging::Sequential(_) = staged {
+        note_barrier(rec, staged, &[1]);
         let input = input.into_gathered();
         // The sequential argsort holds the same key codes + permutation.
         let bytes = sort_bytes(input.rows(), keys.len());
@@ -353,8 +343,7 @@ pub(crate) fn run_sort(
         };
     }
     let runs = num_morsels(input.rows_out(), ctx.morsel_rows);
-    let what = k.map_or("merge-sort", |_| "parallel top-k");
-    note_staged(rec, runs, 0, what, format_args!("×{runs} runs"));
+    note_barrier(rec, staged, &[runs]);
     // Held until the sorted batch is assembled: gathered key columns
     // plus every run's keys and permutation.
     let charges = memory::ScopedCharges::new(&ctx.memory);

@@ -213,7 +213,7 @@ impl CompiledExpr {
     /// closures over it.
     ///
     /// [`for_each`]: CompiledExpr::for_each
-    pub fn find_map<T>(&self, f: &mut impl FnMut(&CompiledExpr) -> Option<T>) -> Option<T> {
+    pub fn find_map<'e, T>(&'e self, f: &mut impl FnMut(&'e Self) -> Option<T>) -> Option<T> {
         if let Some(hit) = f(self) {
             return Some(hit);
         }

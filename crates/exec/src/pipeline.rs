@@ -84,10 +84,11 @@ use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::exact;
 use crate::expr::{eval_expr, resolve_limit};
-use crate::morsel;
+use crate::morsel::{self, ChainVerdict};
 use crate::physical::{PhysAggregate, PhysKey, PhysProjectItem, PhysicalPlan, ScanAccess};
 use crate::profile::Recorder;
 use crate::udf::ExecContext;
+use crate::verdict::Reason;
 
 /// Default rows per morsel: large enough that per-morsel dispatch cost is
 /// noise, small enough that a scan splits across a worker pool.
@@ -108,12 +109,12 @@ pub enum MorselOp<'p> {
     Project(&'p [PhysProjectItem]),
 }
 
-impl MorselOp<'_> {
+impl<'p> MorselOp<'p> {
     /// First hit of `f` over this op's expression nodes, each expression
     /// walked pre-order ([`crate::physical::CompiledExpr::find_map`]).
     pub(crate) fn find_map<T>(
         &self,
-        f: &mut impl FnMut(&crate::physical::CompiledExpr) -> Option<T>,
+        f: &mut impl FnMut(&'p crate::physical::CompiledExpr) -> Option<T>,
     ) -> Option<T> {
         match self {
             MorselOp::Filter(pred) => pred.find_map(f),
@@ -234,59 +235,31 @@ fn into_pipeline(node: PipeNode<'_>) -> Pipeline<'_> {
 // Rendering (EXPLAIN's pipeline section)
 // ----------------------------------------------------------------------
 
-/// Render the pipeline breakdown of a plan: fused chains, their sinks,
-/// and the barriers between them. Without a context the rendering is
-/// purely structural; see [`explain_ctx`] for fallback annotations.
-pub fn explain(plan: &PhysicalPlan) -> String {
-    let mut out = String::new();
-    explain_node(&decompose(plan), None, &mut out, 0);
-    out
-}
-
-/// Like [`explain`], but resolved against a session context: pipelines
-/// that will take the sequential whole-batch path are annotated with the
-/// *reason* (`[sequential: udf-not-parallel-safe(f)]`,
-/// `scalar-subquery`, `tensor-param($n)`, `count-distinct`), so
-/// fallbacks are observable before running anything.
+/// Render the pipeline breakdown of a plan — fused chains, their sinks,
+/// and the barriers between them — resolved against a session context:
+/// each chain carries its static verdict (`[sequential:
+/// udf-not-parallel-safe(f)]`, `[interpreted: udf(f)]`, `[compiled ×2
+/// ops]`) and each staged barrier its staging verdict and hand-off
+/// (`[merge-sort] [barrier: selection-fed]`), so fallbacks are observable
+/// before running anything.
 pub fn explain_ctx(plan: &PhysicalPlan, ctx: &ExecContext) -> String {
     let mut out = String::new();
-    explain_node(&decompose(plan), Some(ctx), &mut out, 0);
+    explain_node(&decompose(plan), ctx, &mut out, 0);
     out
 }
 
-/// ` [sequential: reason]` annotation for a pipeline, empty when the
-/// chain is parallel-safe or no context is available.
-fn fallback_note(
+/// EXPLAIN's verdict for a fused chain (and aggregate sink): what pins
+/// it, else how the kernel would run it; nothing for an empty chain.
+fn chain_note(
     ops: &[MorselOp<'_>],
     sink: Option<(&[PhysKey], &[PhysAggregate])>,
-    ctx: Option<&ExecContext>,
+    ctx: &ExecContext,
 ) -> String {
-    ctx.and_then(|c| morsel::chain_fallback_reason(ops, sink, c))
-        .map(|reason| format!(" [sequential: {reason}]"))
-        .unwrap_or_default()
-}
-
-/// Chain-kernel strategy annotation (` [compiled ×N ops]` or
-/// ` [interpreted: reason]`) for a non-empty chain. Suppressed when the
-/// pipeline already carries a sequential note — that *is* its strategy
-/// — or when no context is available.
-fn kernel_note(
-    ops: &[MorselOp<'_>],
-    sink: Option<(&[PhysKey], &[PhysAggregate])>,
-    ctx: Option<&ExecContext>,
-) -> String {
-    let Some(c) = ctx else {
-        return String::new();
-    };
-    if morsel::chain_fallback_reason(ops, sink, c).is_some() {
-        return String::new();
-    }
-    match crate::kernel::chain_strategy(ops, c) {
-        Some(crate::kernel::ChainStrategy::Compiled(n)) => format!(" [compiled ×{n} ops]"),
-        Some(crate::kernel::ChainStrategy::Interpreted(reason)) => {
-            format!(" [interpreted: {reason}]")
-        }
-        None => String::new(),
+    match ChainVerdict::of(ops, sink, ctx) {
+        ChainVerdict::Pinned(why) => format!(" [sequential: {why}]"),
+        ChainVerdict::Off(Reason::NoChain) => String::new(),
+        ChainVerdict::Off(why) | ChainVerdict::Vetted(Err(why)) => format!(" [interpreted: {why}]"),
+        ChainVerdict::Vetted(Ok(())) => format!(" [compiled ×{} ops]", ops.len()),
     }
 }
 
@@ -301,7 +274,7 @@ fn chain_label(ops: &[MorselOp<'_>]) -> String {
     format!("[{}]", rendered.join(" -> "))
 }
 
-fn explain_node(node: &PipeNode<'_>, ctx: Option<&ExecContext>, out: &mut String, depth: usize) {
+fn explain_node(node: &PipeNode<'_>, ctx: &ExecContext, out: &mut String, depth: usize) {
     for _ in 0..depth {
         out.push_str("  ");
     }
@@ -311,19 +284,17 @@ fn explain_node(node: &PipeNode<'_>, ctx: Option<&ExecContext>, out: &mut String
         }
         PipeNode::Stream(pipe) => {
             out.push_str(&format!(
-                "pipeline {} -> collect{}{}\n",
+                "pipeline {} -> collect{}\n",
                 chain_label(&pipe.ops),
-                fallback_note(&pipe.ops, None, ctx),
-                kernel_note(&pipe.ops, None, ctx)
+                chain_note(&pipe.ops, None, ctx)
             ));
             explain_node(&pipe.input, ctx, out, depth + 1);
         }
         PipeNode::Limit { n, pipe } => {
             out.push_str(&format!(
-                "pipeline {} -> limit {n} (early exit){}{}\n",
+                "pipeline {} -> limit {n} (early exit){}\n",
                 chain_label(&pipe.ops),
-                fallback_note(&pipe.ops, None, ctx),
-                kernel_note(&pipe.ops, None, ctx)
+                chain_note(&pipe.ops, None, ctx)
             ));
             explain_node(&pipe.input, ctx, out, depth + 1);
         }
@@ -333,58 +304,41 @@ fn explain_node(node: &PipeNode<'_>, ctx: Option<&ExecContext>, out: &mut String
             pipe,
         } => {
             out.push_str(&format!(
-                "pipeline {} -> partial aggregate ({} keys, {} aggs) + combine{}{}\n",
+                "pipeline {} -> partial aggregate ({} keys, {} aggs) + combine{}\n",
                 chain_label(&pipe.ops),
                 keys.len(),
                 aggregates.len(),
-                fallback_note(&pipe.ops, Some((keys, aggregates)), ctx),
-                kernel_note(&pipe.ops, Some((keys, aggregates)), ctx)
+                chain_note(&pipe.ops, Some((keys, aggregates)), ctx)
             ));
             explain_node(&pipe.input, ctx, out, depth + 1);
         }
         PipeNode::Barrier { plan, inputs } => {
             let label = plan.explain();
             let first = label.lines().next().unwrap_or("?").trim();
-            let note = ctx
-                .and_then(|c| morsel::barrier_note(plan, c))
-                .map(|n| format!(" [{n}]"))
-                .unwrap_or_default();
-            let sel = ctx
-                .and_then(|c| barrier_sel_note(plan, inputs, c))
-                .unwrap_or_default();
-            out.push_str(&format!("barrier {first}{note}{sel}\n"));
+            out.push_str(&format!("barrier {first}"));
+            if let Some((staged, keys)) = morsel::staged_form(plan, ctx) {
+                // Before any input exists: an input that turns out to fit
+                // one morsel still runs sequentially, as profiles report.
+                let staging = morsel::staging(staged, keys, false, None, ctx);
+                out.push_str(&format!(" [{staging}]"));
+                // Whether its fused chain child hands over a selection or
+                // gathers first. Sizing is a run-time property — a chain
+                // that turns out to fit one morsel still gathers, which
+                // profiles report as `gathered: single-morsel`.
+                let chain = inputs.iter().find(|i| matches!(i, PipeNode::Stream(_)));
+                if let Some(PipeNode::Stream(pipe)) = chain {
+                    let refusal = ChainVerdict::of(&pipe.ops, None, ctx).refusal();
+                    match morsel::gather_reason(&pipe.ops, refusal, ctx) {
+                        None => out.push_str(" [barrier: selection-fed]"),
+                        Some(why) => out.push_str(&format!(" [barrier: gathered: {why}]")),
+                    }
+                }
+            }
+            out.push('\n');
             for input in inputs {
                 explain_node(input, ctx, out, depth + 1);
             }
         }
-    }
-}
-
-/// ` [barrier: …]` annotation for a staged barrier: whether its fused
-/// chain child will hand over a live selection vector or gather first
-/// (with the capability reason). Sizing is a run-time property — a
-/// chain that turns out to fit one morsel still gathers, which profiles
-/// report as `gathered: single-morsel` — so this note reflects the
-/// session's capability verdict only. `None` when no child is a chain.
-fn barrier_sel_note(
-    plan: &PhysicalPlan,
-    inputs: &[PipeNode<'_>],
-    ctx: &ExecContext,
-) -> Option<String> {
-    use crate::physical::PhysicalPlan as P;
-    if !matches!(
-        plan,
-        P::Join { .. } | P::Sort { .. } | P::TopK { .. } | P::Distinct { .. }
-    ) {
-        return None;
-    }
-    let pipe = inputs.iter().find_map(|i| match i {
-        PipeNode::Stream(p) => Some(p),
-        _ => None,
-    })?;
-    match crate::kernel::selection_verdict(&pipe.ops, ctx) {
-        Ok(()) => Some(" [barrier: selection-fed]".to_string()),
-        Err(reason) => Some(format!(" [barrier: gathered: {reason}]")),
     }
 }
 
@@ -467,14 +421,14 @@ pub(crate) fn exec_node(
 /// `run` the chain and sink over it, with the zone-map skip mask when
 /// the source is a pruned base-table scan, and tell the recorder how
 /// the chain was scheduled.
-fn run_pipe<T>(
-    pipe: &Pipeline<'_>,
-    sink: Option<(&[PhysKey], &[PhysAggregate])>,
-    ctx: &ExecContext,
+fn run_pipe<'a, T>(
+    pipe: &'a Pipeline<'a>,
+    sink: Option<(&'a [PhysKey], &'a [PhysAggregate])>,
+    ctx: &'a ExecContext,
     mut rec: Option<&mut Recorder>,
     run: impl FnOnce(
         &Batch,
-        &morsel::ChainRun<'_>,
+        &morsel::ChainRun<'a>,
         Option<&[bool]>,
         Option<&mut Recorder>,
     ) -> Result<T, ExecError>,
@@ -515,11 +469,11 @@ fn scan_skip_mask(input: &PipeNode<'_>, rows: usize, ctx: &ExecContext) -> Optio
 /// a fused filter→project chain — is its own stage, given the chance to
 /// hand its stored columns plus survivor ids straight to the barrier;
 /// every other child executes normally and arrives as a dense batch.
-fn barrier_input(
-    node: &PipeNode<'_>,
-    ctx: &ExecContext,
+fn barrier_input<'a>(
+    node: &'a PipeNode<'a>,
+    ctx: &'a ExecContext,
     mut rec: Option<&mut Recorder>,
-) -> Result<morsel::BarrierInput, ExecError> {
+) -> Result<morsel::BarrierInput<'a>, ExecError> {
     let PipeNode::Stream(pipe) = node else {
         let batch = exec_node(node, ctx, rec)?;
         return Ok(morsel::BarrierInput::gathered(batch, None));
@@ -549,15 +503,9 @@ fn exec_barrier(
     ctx: &ExecContext,
     mut rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
-    // Join, ORDER BY, TopK and DISTINCT read a chain child's selection;
-    // every other barrier reads dense batches.
-    let selection_fed = matches!(
-        plan,
-        PhysicalPlan::Join { .. }
-            | PhysicalPlan::Sort { .. }
-            | PhysicalPlan::TopK { .. }
-            | PhysicalPlan::Distinct { .. }
-    );
+    // Staged barriers — join, ORDER BY, TopK and DISTINCT — read a chain
+    // child's selection; every other barrier reads dense batches.
+    let selection_fed = morsel::staged_form(plan, ctx).is_some();
     let mut materialised = Vec::with_capacity(inputs.len());
     for input in inputs {
         let rec = rec.as_deref_mut();
@@ -574,7 +522,7 @@ fn exec_barrier(
 /// to the same entry point. Streamable operators never reach here.
 pub(crate) fn run_barrier(
     plan: &PhysicalPlan,
-    inputs: Vec<morsel::BarrierInput>,
+    inputs: Vec<morsel::BarrierInput<'_>>,
     ctx: &ExecContext,
     rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
@@ -712,10 +660,14 @@ mod tests {
     #[test]
     fn explain_renders_chains_and_barriers() {
         let c = setup();
-        let text = explain(&compile(
-            &c,
-            "SELECT k, COUNT(*) FROM t WHERE v > 10 GROUP BY k ORDER BY k",
-        ));
+        let udfs = UdfRegistry::new();
+        let text = explain_ctx(
+            &compile(
+                &c,
+                "SELECT k, COUNT(*) FROM t WHERE v > 10 GROUP BY k ORDER BY k",
+            ),
+            &ExecContext::new(&c, &udfs),
+        );
         assert!(text.contains("barrier Sort"), "{text}");
         assert!(text.contains("partial aggregate"), "{text}");
         assert!(text.contains("[Filter]"), "{text}");
@@ -733,7 +685,8 @@ mod tests {
             }
             other => panic!("expected limit sink, got {other:?}"),
         }
-        let text = explain(&plan);
+        let udfs = UdfRegistry::new();
+        let text = explain_ctx(&plan, &ExecContext::new(&c, &udfs));
         assert!(text.contains("limit 7 (early exit)"), "{text}");
     }
 }

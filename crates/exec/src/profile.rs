@@ -30,6 +30,7 @@ use crate::error::ExecError;
 use crate::morsel;
 use crate::physical::PhysicalPlan;
 use crate::udf::ExecContext;
+use crate::verdict::Staging;
 
 /// One profiled plan node.
 #[derive(Debug, Clone, Default)]
@@ -45,14 +46,13 @@ pub struct OpTrace {
     /// Wall-clock seconds excluding children (the node's own kernels).
     pub self_seconds: f64,
     /// Why an operator ran on the sequential whole-batch path instead
-    /// of the morsel pool (`udf-not-parallel-safe(name)`,
-    /// `scalar-subquery`, `tensor-param($n)`, `count-distinct`,
-    /// `differentiable-input`); `None` when it was morsel-parallel.
+    /// of the morsel pool: a rendered `verdict::Reason` that pins it
+    /// (`udf-not-parallel-safe(name)`, …); `None` when nothing did.
     /// Staged barriers (join, sort, TopK, DISTINCT) report here too.
     pub fallback: Option<String>,
-    /// How a staged barrier actually ran (`partitioned ×16 (31 build +
-    /// 31 probe morsels)`, `merge-sort ×8 runs`); `None` for streamable
-    /// operators and barriers that ran sequentially.
+    /// How a fused chain ran (`compiled`, `interpreted: <reason>`)
+    /// or how a staged barrier did (`partitioned ×16 (31 build + 31
+    /// probe morsels)`, `merge-sort ×8 runs`); `None` otherwise.
     pub strategy: Option<String>,
     /// How a sink consumed its input. On a fused chain feeding a
     /// barrier: its selection density (`selection: 3% dense→sparse`). On
@@ -121,9 +121,9 @@ impl QueryProfile {
     }
 
     /// Every sequential-fallback reason observed during the run, in plan
-    /// order — the profiled-run view of the EXPLAIN `[sequential: …]`
-    /// annotations. Empty when every streamable operator was
-    /// morsel-parallel.
+    /// order — each a rendered `verdict::Reason` that pins, the
+    /// profiled-run view of the EXPLAIN `[sequential: …]` annotations.
+    /// Empty when nothing was pinned to the session thread.
     pub fn fallback_reasons(&self) -> Vec<&str> {
         self.ops
             .iter()
@@ -312,20 +312,24 @@ impl Recorder {
     pub(crate) fn note_chain(&mut self, chain: &morsel::ChainRun<'_>) {
         self.profile.morsels += chain.morsels;
         let top = self.top();
-        top.strategy = chain.strategy_note();
-        top.fallback = chain.seq_reason.clone();
+        (top.strategy, top.fallback) = chain_trace(chain);
     }
 
     /// Leave a chain stage that fed a barrier: its selection density
     /// lands on the chain, and how the input arrived (`selection-fed
     /// (<density>)` / `gathered: <reason>`) on the barrier that is now
     /// innermost — the first input with something to say wins.
-    pub(crate) fn exit_chain(&mut self, out: &morsel::BarrierInput) {
-        self.top().selection = out.density().map(|d| format!("selection: {d}"));
+    pub(crate) fn exit_chain(&mut self, out: &morsel::BarrierInput<'_>) {
+        let handoff = out.handoff();
+        let density = handoff.as_ref().and_then(|h| h.as_ref().ok());
+        self.top().selection = density.map(|d| format!("selection: {d}"));
         self.exit(out.rows_out());
         let barrier = self.top();
         if barrier.selection.is_none() {
-            barrier.selection = out.note().map(|n| format!("barrier: {n}"));
+            barrier.selection = handoff.map(|h| match h {
+                Ok(density) => format!("barrier: selection-fed ({density})"),
+                Err(why) => format!("barrier: gathered: {why}"),
+            });
         }
     }
 
@@ -334,27 +338,43 @@ impl Recorder {
     /// keys were resolved and how the input arrived. Rides the
     /// `selection` slot — `strategy` and `fallback` belong to the fused
     /// chain ([`Recorder::note_chain`]).
-    pub(crate) fn note_aggregate(&mut self, note: String) {
-        self.top().selection = Some(note);
+    pub(crate) fn note_aggregate(&mut self, note: &morsel::AggregateNote<'_>) {
+        self.top().selection = Some(note.to_string());
     }
 
-    /// Record the scheduling decision a staged barrier (join, sort,
-    /// top-k, DISTINCT) took, reported by its `morsel::run_*` kernel:
-    /// morsels and exchange partitions scheduled, and either the staged
-    /// strategy or why it stayed sequential.
-    pub(crate) fn note_barrier(
-        &mut self,
-        morsels: usize,
-        partitions: usize,
-        strategy: Option<String>,
-        fallback: Option<String>,
-    ) {
-        self.profile.morsels += morsels;
-        self.profile.partitions += partitions;
+    /// Record the staging verdict a staged barrier (join, sort, top-k,
+    /// DISTINCT) took, reported by its `morsel::run_*` kernel, with the
+    /// morsels each of its stages claimed: the strategy with its counts,
+    /// or — when the reason pins the work — why it stayed sequential.
+    pub(crate) fn note_barrier(&mut self, staging: Staging<'_>, morsels: &[usize]) {
+        self.profile.morsels += morsels.iter().sum::<usize>();
+        if let Staging::Partitioned(partitions) = staging {
+            self.profile.partitions += partitions;
+        }
         let top = self.top();
-        top.strategy = strategy;
-        top.fallback = fallback;
+        (top.strategy, top.fallback) = match (staging, morsels) {
+            (Staging::Sequential(why), _) => (None, why.pins().then(|| why.to_string())),
+            (Staging::Partitioned(_), [build, probe]) => (
+                Some(format!("{staging} ({build} build + {probe} probe morsels)")),
+                None,
+            ),
+            (Staging::Partitioned(_), [n]) => (Some(format!("{staging} ({n} morsels)")), None),
+            (_, [runs]) => (Some(format!("{staging} ×{runs} runs")), None),
+            _ => unreachable!("a staged barrier reports one count per stage"),
+        };
     }
+}
+
+/// A fused chain's `(OpTrace::strategy, OpTrace::fallback)`: `compiled`
+/// or `interpreted: <reason>` (`None` with no chain), and what pinned it
+/// to the session thread.
+pub(crate) fn chain_trace(chain: &morsel::ChainRun<'_>) -> (Option<String>, Option<String>) {
+    let strategy = match chain.interpreted() {
+        _ if chain.ops.is_empty() => None,
+        None => Some("compiled".to_string()),
+        Some(why) => Some(format!("interpreted: {why}")),
+    };
+    (strategy, chain.pin.map(|why| why.to_string()))
 }
 
 /// First line of a node's EXPLAIN rendering.

@@ -416,6 +416,37 @@ fn explain_and_profile_report_barrier_strategy() {
         "{:?}",
         prof2.fallback_reasons()
     );
+
+    // At one thread the capability reason still comes first, in EXPLAIN
+    // and in the profile alike; only a barrier nothing pins says
+    // `threads=1`.
+    tdp.set_threads(1);
+    let udf_topk = tdp
+        .query("SELECT v FROM t ORDER BY halve(v) LIMIT 5")
+        .unwrap();
+    for query in [&udf_sort, &udf_topk] {
+        let text = query.explain();
+        let barrier = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("barrier"))
+            .expect("a barrier line");
+        assert!(
+            barrier.contains("[sequential: udf-not-parallel-safe(halve)]"),
+            "{text}"
+        );
+        let (_, prof) = query.run_profiled().unwrap();
+        assert_eq!(
+            prof.fallback_reasons(),
+            vec!["udf-not-parallel-safe(halve)"],
+            "{}",
+            prof.pretty()
+        );
+    }
+    assert!(
+        q.explain().contains("[sequential: threads=1]"),
+        "{}",
+        q.explain()
+    );
 }
 
 #[test]
