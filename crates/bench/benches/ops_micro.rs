@@ -102,7 +102,10 @@ fn bench_sort_groupby_kernels(c: &mut Criterion) {
 
 /// The dense vector paths of `ai_embedded`: a scoring UDF's `matvec`, a
 /// flat ANN probe's L2 and cosine scores, and the IVF build's k-means
-/// (IVF's default 20 Lloyd iterations), at that workload's sizes.
+/// (IVF's default 20 Lloyd iterations), at that workload's sizes. k-means
+/// runs twice: over `randn` rows, where its distance bounds prune almost
+/// nothing (the no-prune cost), and over a 32-cluster mixture shaped like
+/// the benchmark's embedding tables, where they prune most rows.
 fn bench_vector_kernels(c: &mut Criterion) {
     let mut rng = Rng64::new(6);
     let d = 64;
@@ -110,6 +113,14 @@ fn bench_vector_kernels(c: &mut Criterion) {
     let small = Tensor::<f32>::randn(&[16_000, d], 0.0, 1.0, &mut rng);
     let vecs = Tensor::<f32>::randn(&[40_000, d], 0.0, 1.0, &mut rng);
     let q = Tensor::<f32>::randn(&[d], 0.0, 1.0, &mut rng);
+    let mut mix = Rng64::new(8);
+    let centres: Vec<f32> = (0..32 * d).map(|_| mix.normal() as f32 * 3.0).collect();
+    let mixture = Tensor::from_vec(
+        (0..40_000 * d)
+            .map(|e| centres[(e / d % 32) * d + e % d] + mix.normal() as f32 * 0.7)
+            .collect(),
+        &[40_000, d],
+    );
     let mut group = c.benchmark_group("vector_kernels");
     group.sample_size(20);
     group.bench_function("matvec_30k_x64", |bch| bch.iter(|| docs.matvec(&q)));
@@ -122,6 +133,9 @@ fn bench_vector_kernels(c: &mut Criterion) {
     group.sample_size(5);
     group.bench_function("kmeans_40k_x64_k32", |bch| {
         bch.iter(|| kmeans(&vecs, 32, 20, Metric::L2, &mut Rng64::new(7)))
+    });
+    group.bench_function("kmeans_40k_x64_k32_mixture", |bch| {
+        bch.iter(|| kmeans(&mixture, 32, 20, Metric::L2, &mut Rng64::new(7)))
     });
     group.finish();
 }

@@ -56,21 +56,6 @@ impl FlatIndex {
     pub fn all_scores(&self, query: &F32Tensor) -> F32Tensor {
         self.metric.scores(&self.data, query)
     }
-
-    /// Batch search: top-k per row of an `[m, d]` query matrix. The
-    /// batched entry point SQL execution uses when a bound parameter
-    /// carries multiple query vectors.
-    pub fn search_batch(&self, queries: &F32Tensor, k: usize) -> Vec<Vec<Hit>> {
-        assert_eq!(queries.ndim(), 2, "queries must be [m, d]");
-        let d = queries.shape()[1];
-        (0..queries.shape()[0])
-            .map(|i| {
-                let q =
-                    tdp_tensor::Tensor::from_vec(queries.data()[i * d..(i + 1) * d].to_vec(), &[d]);
-                self.search(&q, k)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -51,7 +51,8 @@ pub struct IvfFlatIndex {
 }
 
 impl IvfFlatIndex {
-    /// Train the coarse quantizer and build the inverted lists.
+    /// Train the coarse quantizer and build the inverted lists. Zero rows
+    /// build an index with no cells, whose searches return no hits.
     pub fn train(
         data: F32Tensor,
         metric: Metric,
@@ -61,7 +62,17 @@ impl IvfFlatIndex {
         assert_eq!(data.ndim(), 2, "IvfFlatIndex expects [n, d] data");
         let n = data.shape()[0];
         let d = data.shape()[1];
-        let nlist = params.nlist.clamp(1, n.max(1));
+        if n == 0 {
+            return IvfFlatIndex {
+                metric,
+                centroids: Tensor::zeros(&[0, d]),
+                lists: Vec::new(),
+                slabs: Vec::new(),
+                dim: d,
+                len: 0,
+            };
+        }
+        let nlist = params.nlist.clamp(1, n);
 
         let work = if metric.wants_normalized() {
             normalize_rows(&data)
@@ -126,6 +137,9 @@ impl IvfFlatIndex {
     /// `nprobe >= nlist` degenerates to exact search.
     pub fn search(&self, query: &F32Tensor, k: usize, nprobe: usize) -> Vec<Hit> {
         assert_eq!(query.numel(), self.dim, "query dimensionality mismatch");
+        if self.lists.is_empty() {
+            return Vec::new();
+        }
         let nprobe = nprobe.clamp(1, self.nlist());
 
         // The query is normalised once here for cosine; the slabs already
@@ -168,19 +182,6 @@ impl IvfFlatIndex {
             );
         }
         top_k(hits, k)
-    }
-
-    /// Batch search: top-k per row of an `[m, d]` query matrix, each
-    /// probing `nprobe` cells.
-    pub fn search_batch(&self, queries: &F32Tensor, k: usize, nprobe: usize) -> Vec<Vec<Hit>> {
-        assert_eq!(queries.ndim(), 2, "queries must be [m, d]");
-        let d = queries.shape()[1];
-        (0..queries.shape()[0])
-            .map(|i| {
-                let q = Tensor::from_vec(queries.data()[i * d..(i + 1) * d].to_vec(), &[d]);
-                self.search(&q, k, nprobe)
-            })
-            .collect()
     }
 }
 
@@ -282,6 +283,14 @@ mod tests {
         assert!(ivf.nlist() <= 4);
         let hits = ivf.search(&F32Tensor::zeros(&[2]), 2, 100);
         assert_eq!(hits.len(), 2);
+    }
+
+    #[test]
+    fn zero_rows_build_an_index_with_no_cells() {
+        let data = F32Tensor::zeros(&[0, 4]);
+        let ivf = IvfFlatIndex::train(data, Metric::L2, IvfParams::new(4), &mut Rng64::new(1));
+        assert_eq!((ivf.len(), ivf.dim(), ivf.nlist()), (0, 4, 0));
+        assert!(ivf.search(&F32Tensor::zeros(&[4]), 10, 2).is_empty());
     }
 
     #[test]

@@ -441,6 +441,36 @@ fn append_keeps_index_stale_and_counts_fallbacks() {
 }
 
 #[test]
+fn ivf_index_over_an_empty_table_serves_no_rows_then_falls_back() {
+    let tdp = Tdp::new();
+    tdp.register_table(
+        TableBuilder::new()
+            .col_i64("id", Vec::new())
+            .col_tensor("emb", F32Tensor::zeros(&[0, 8]))
+            .build("vecs"),
+    );
+    tdp.execute("CREATE INDEX v ON vecs (emb) USING ivf(4, 2) METRIC l2")
+        .unwrap();
+    let sql = "SELECT id FROM vecs ORDER BY distance(emb, ?) LIMIT 10";
+    let plan = tdp.prepare(sql).unwrap().explain();
+    assert!(plan.contains("ivf nlist=4 nprobe=2"), "{plan}");
+    let q = query_vec(8, 62);
+    let mut params = ParamValues::new();
+    params.push(ParamValue::Tensor(q.clone()));
+    let out = tdp.prepare(sql).unwrap().bind(params).unwrap().run();
+    assert_eq!(out.unwrap().rows(), 0, "an empty index serves no rows");
+
+    // After an append the index is stale: the exact fallback answers.
+    let more = TableBuilder::new()
+        .col_i64("id", (0..64).collect())
+        .col_tensor("emb", clustered_vectors(64, 8, 8, 9))
+        .build("vecs");
+    assert!(tdp.append_rows("vecs", &more));
+    let (ann, oracle) = ann_vs_oracle(&tdp, &q, 10);
+    assert_eq!(ann, oracle, "stale empty index must fall back to exact");
+}
+
+#[test]
 fn stale_ivf_rebuilds_in_place_at_the_configured_threshold() {
     let tdp = Tdp::new();
     tdp.register_table(vecs_table(256, 8, 7));
