@@ -21,7 +21,7 @@ use tdp_exec::{
 };
 use tdp_sql::plan::LogicalPlan;
 use tdp_storage::Table;
-use tdp_tensor::{Device, F32Tensor};
+use tdp_tensor::Device;
 
 use crate::error::TdpError;
 use crate::session::Session;
@@ -465,14 +465,6 @@ fn collect_plan_parameters(session: &Session, plan: &PhysicalPlan) -> Vec<Var> {
     let mut seen = std::collections::HashSet::new();
     params.retain(|p| seen.insert(p.id()));
     params
-}
-
-/// Convenience: decode a named column of a result [`Table`] to f32.
-pub fn column_f32(table: &Table, name: &str) -> Result<F32Tensor, TdpError> {
-    table
-        .column(name)
-        .map(|c| c.data.decode_f32())
-        .ok_or_else(|| TdpError::Session(format!("result has no column '{name}'")))
 }
 
 #[cfg(test)]

@@ -14,22 +14,13 @@
 //! (`ORDER BY distance(col, ?) LIMIT k` → `AnnTopK`) finds them by
 //! `table.column` lookup at execution time.
 
-use tdp_index::{FlatIndex, Hit, IvfFlatIndex, IvfParams, Metric};
+use tdp_index::{Hit, Metric};
+pub use tdp_storage::IndexKind;
 use tdp_storage::{VectorIndex, VectorIndexEntry};
-use tdp_tensor::{F32Tensor, Rng64};
+use tdp_tensor::F32Tensor;
 
 use crate::error::TdpError;
 use crate::session::Session;
-
-/// Which physical index to build.
-#[derive(Debug, Clone, Copy)]
-pub enum IndexKind {
-    /// Brute-force scan (exact; no training step).
-    Flat,
-    /// Inverted-file with flat storage; approximate, trained by k-means.
-    /// `nprobe` is the probe width registered for query time.
-    IvfFlat(IvfParams, usize),
-}
 
 impl Session {
     /// Build (or rebuild) a vector index over an embedding column and
@@ -62,26 +53,13 @@ impl Session {
                 &data.shape()[1..]
             )));
         }
-        let rows = t.rows();
-        let index = match kind {
-            IndexKind::Flat => VectorIndex::Flat(FlatIndex::build(data, metric)),
-            IndexKind::IvfFlat(params, nprobe) => {
-                let nlist = params.nlist;
-                let mut rng = Rng64::new(seed);
-                VectorIndex::Ivf {
-                    index: IvfFlatIndex::train(data, metric, params, &mut rng),
-                    nlist,
-                    nprobe: nprobe.max(1),
-                }
-            }
-        };
         self.catalog().register_vector_index(VectorIndexEntry {
             name: name.to_owned(),
             table: table.to_owned(),
             column: column.to_owned(),
             metric,
-            rows,
-            index,
+            rows: t.rows(),
+            index: VectorIndex::build(data, metric, kind, seed),
         });
         // Index availability changes access-path choice; cached physical
         // plans in every session may now lower differently.
@@ -148,8 +126,9 @@ impl Session {
 mod tests {
     use super::*;
     use crate::session::Tdp;
+    use tdp_index::IvfParams;
     use tdp_storage::TableBuilder;
-    use tdp_tensor::Tensor;
+    use tdp_tensor::{Rng64, Tensor};
 
     fn embeddings_table() -> tdp_storage::Table {
         // 3 unit vectors along distinct axes.

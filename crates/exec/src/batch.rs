@@ -151,10 +151,6 @@ impl Batch {
         &self.columns
     }
 
-    pub fn num_columns(&self) -> usize {
-        self.columns.len()
-    }
-
     pub fn rows(&self) -> usize {
         self.columns.first().map(|(_, c)| c.rows()).unwrap_or(0)
     }

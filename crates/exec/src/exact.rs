@@ -14,7 +14,7 @@
 //! involved.
 
 use tdp_encoding::EncodedTensor;
-use tdp_sql::ast::{AggFunc, JoinKind};
+use tdp_sql::ast::JoinKind;
 use tdp_tensor::keytable::{hash_rows, partition_of, KeyTable};
 use tdp_tensor::sort::group_ids;
 use tdp_tensor::{F32Tensor, I64Tensor, Tensor};
@@ -22,7 +22,9 @@ use tdp_tensor::{F32Tensor, I64Tensor, Tensor};
 use crate::batch::{Batch, ColumnData};
 use crate::error::ExecError;
 use crate::expr::{eval_expr, resolve_limit, Value};
-use crate::physical::{JoinOn, PhysOrderKey, PhysProjectItem, PhysWindow, PhysWindowFunc};
+use crate::physical::{
+    JoinOn, PhysAggregate, PhysOrderKey, PhysProjectItem, PhysWindow, PhysWindowFunc,
+};
 use crate::udf::ExecContext;
 
 /// Resolve a base table, checking a compile-time schema (when present)
@@ -32,6 +34,18 @@ pub(crate) fn scan_table(
     schema: Option<&[String]>,
     ctx: &ExecContext,
 ) -> Result<Batch, ExecError> {
+    let t = live_table(table, schema, ctx)?;
+    Ok(Batch::from_table(&t.to_device(ctx.device)))
+}
+
+/// The catalog's table `table`, its columns checked against a
+/// compile-time schema (when present) — the one staleness check of a
+/// scan and an ANN leaf.
+fn live_table(
+    table: &str,
+    schema: Option<&[String]>,
+    ctx: &ExecContext,
+) -> Result<std::sync::Arc<tdp_storage::Table>, ExecError> {
     let t = ctx
         .catalog
         .get(table)
@@ -49,7 +63,7 @@ pub(crate) fn scan_table(
             )));
         }
     }
-    Ok(Batch::from_table(&t.to_device(ctx.device)))
+    Ok(t)
 }
 
 /// Execute an [`PhysicalPlan::AnnTopK`] leaf: top-k rows of a base table
@@ -72,21 +86,7 @@ pub(crate) fn ann_topk(
     path: &crate::access::AnnPath,
     ctx: &ExecContext,
 ) -> Result<Batch, ExecError> {
-    let t = ctx
-        .catalog
-        .get(table)
-        .ok_or_else(|| ExecError::UnknownTable(table.to_owned()))?;
-    let live = t.columns();
-    let fresh = live.len() == schema.len()
-        && live
-            .iter()
-            .zip(schema)
-            .all(|(c, e)| c.name.eq_ignore_ascii_case(e));
-    if !fresh {
-        return Err(ExecError::TypeMismatch(format!(
-            "schema of table '{table}' changed since the query was compiled; recompile"
-        )));
-    }
+    let t = live_table(table, Some(schema), ctx)?;
     let k = resolve_limit(n, ctx)?;
     let fn_name = crate::physical::metric_fn_name(metric);
     let q = crate::expr::vector_query(fn_name, query, ctx)?;
@@ -152,15 +152,15 @@ pub(crate) fn ann_topk(
 }
 
 /// Retrain a stale IVF index over the table's current contents and
-/// re-register it under its old name, nlist and nprobe. Returns `None`
-/// — leaving the caller on the exact fallback — when the registered
-/// entry vanished (a full-table rewrite dropped it, so its parameters
-/// are gone), is not IVF, or covers a different metric than the query;
-/// auto-rebuild only restores an index the user explicitly built for
-/// this shape. Training is deterministic (fixed seed), mirroring the
-/// session's `create_vector_index` contract. On success the catalog's
-/// stale tally for the key resets (registration clears it) and the
-/// rebuild is counted for STATS / profiled runs.
+/// re-register it under its old name, with the parameters and seed it
+/// was built with ([`tdp_storage::VectorIndexEntry::retrain`]). Returns
+/// `None` — leaving the caller on the exact fallback — when the
+/// registered entry vanished (a full-table rewrite dropped it, so its
+/// parameters are gone), is not IVF, or covers a different metric than
+/// the query; auto-rebuild only restores an index the user explicitly
+/// built for this shape. On success the catalog's stale tally for the
+/// key resets (registration clears it) and the rebuild is counted for
+/// STATS / profiled runs.
 fn rebuild_stale_ivf(
     table: &str,
     column: &crate::physical::ColumnRef,
@@ -169,37 +169,14 @@ fn rebuild_stale_ivf(
     decode_data: &impl Fn() -> Result<F32Tensor, ExecError>,
     ctx: &ExecContext,
 ) -> Result<Option<std::sync::Arc<tdp_storage::VectorIndexEntry>>, ExecError> {
-    let Some(old) = ctx.catalog.vector_index(table, column.name()) else {
+    let old = ctx.catalog.vector_index(table, column.name());
+    let Some(old) = old.filter(|old| old.metric == metric) else {
         return Ok(None);
     };
-    let tdp_storage::VectorIndex::Ivf { nlist, nprobe, .. } = &old.index else {
+    let Some(fresh) = old.retrain(decode_data()?, rows) else {
         return Ok(None);
     };
-    if old.metric != metric {
-        return Ok(None);
-    }
-    let (nlist, nprobe) = (*nlist, *nprobe);
-    let mut rng = tdp_tensor::Rng64::new(0x5eed);
-    let index = tdp_index::IvfFlatIndex::train(
-        decode_data()?,
-        metric,
-        tdp_index::IvfParams::new(nlist),
-        &mut rng,
-    );
-    let entry = ctx
-        .catalog
-        .register_vector_index(tdp_storage::VectorIndexEntry {
-            name: old.name.clone(),
-            table: old.table.clone(),
-            column: old.column.clone(),
-            metric,
-            rows,
-            index: tdp_storage::VectorIndex::Ivf {
-                index,
-                nlist,
-                nprobe,
-            },
-        });
+    let entry = ctx.catalog.register_vector_index(fresh);
     ctx.access.note_ivf_rebuild();
     Ok(Some(entry))
 }
@@ -700,91 +677,21 @@ fn pad_right(left_pad: &Batch, (right, rids): JoinInput<'_>, n: usize) -> Batch 
     out
 }
 
-/// Running accumulator for windowed aggregates.
-struct WindowAcc {
-    sum: f64,
-    sumsq: f64,
-    count: i64,
-    lo: f32,
-    hi: f32,
-    distinct: std::collections::HashSet<i64>,
-}
-
-impl WindowAcc {
-    fn new() -> WindowAcc {
-        WindowAcc {
-            sum: 0.0,
-            sumsq: 0.0,
-            count: 0,
-            lo: f32::INFINITY,
-            hi: f32::NEG_INFINITY,
-            distinct: std::collections::HashSet::new(),
-        }
-    }
-
-    fn absorb(
-        &mut self,
-        r: usize,
-        vals: &Option<Vec<f32>>,
-        mask: &Option<Vec<bool>>,
-        func: AggFunc,
-    ) {
-        match (vals, mask) {
-            (Some(vals), _) => {
-                let v = vals[r];
-                self.sum += v as f64;
-                self.sumsq += (v as f64) * (v as f64);
-                self.count += 1;
-                self.lo = self.lo.min(v);
-                self.hi = self.hi.max(v);
-                if func == AggFunc::CountDistinct {
-                    self.distinct.insert(f32_order_key(v));
-                }
-            }
-            // COUNT over a boolean expression counts trues, matching
-            // grouped aggregation.
-            (_, Some(mask)) => self.count += mask[r] as i64,
-            (None, None) => self.count += 1, // COUNT(*)
-        }
-    }
-
-    /// `(i64 output, f32 output)`; the caller knows which one the
-    /// function produces.
-    fn emit(&self, func: AggFunc) -> (i64, f32) {
-        match func {
-            AggFunc::Count => (self.count, 0.0),
-            AggFunc::CountDistinct => (self.distinct.len() as i64, 0.0),
-            AggFunc::Sum => (0, self.sum as f32),
-            AggFunc::Avg => (0, (self.sum / self.count.max(1) as f64) as f32),
-            AggFunc::Min => (0, self.lo),
-            AggFunc::Max => (0, self.hi),
-            AggFunc::Variance | AggFunc::Stddev => {
-                let c = self.count as f64;
-                let var = if c <= 1.0 {
-                    0.0
-                } else {
-                    ((self.sumsq - self.sum * self.sum / c) / (c - 1.0)).max(0.0)
-                };
-                let v = if func == AggFunc::Stddev {
-                    var.sqrt()
-                } else {
-                    var
-                };
-                (0, v as f32)
-            }
-        }
-    }
-}
-
 /// Evaluate window expressions, appending one output column per window
 /// while preserving the input columns and row order.
 ///
 /// Semantics (the common SQL defaults): rows are grouped by the PARTITION
 /// BY keys; within a partition the ORDER BY keys define the window order
-/// (ties = peers). Ranking functions number rows in that order; aggregate
-/// windows are *running* peers-inclusive when an ORDER BY is present
-/// (`RANGE UNBOUNDED PRECEDING`, SQL's default frame) and whole-partition
-/// otherwise.
+/// (ties = peers). One sort orders the rows by (partition, ORDER BY
+/// grouping codes as the sort barrier reads them, input position), and
+/// each (partition, peer group) is one group. Ranking functions read the
+/// sort: ROW_NUMBER the row's position in its partition, RANK its peer
+/// group's start, DENSE_RANK its peer group's index. An aggregate is
+/// GROUP BY's fold of the peer groups (`morsel::window_aggregate`):
+/// without ORDER BY, the GROUP BY fold of the row's partition; with
+/// ORDER BY, the ordered combine of the peer-group folds up to and
+/// including the row's peer group (`RANGE UNBOUNDED PRECEDING`, SQL's
+/// default frame). COUNT(DISTINCT) counts distinct `key_codes`.
 pub fn window_batch(
     batch: &Batch,
     windows: &[PhysWindow],
@@ -793,7 +700,6 @@ pub fn window_batch(
     let n = batch.rows();
     let mut out = batch.clone();
     for w in windows {
-        // --- resolve partitions -----------------------------------------
         let part_ids: Vec<i64> = if w.partition_by.is_empty() {
             vec![0; n]
         } else {
@@ -810,129 +716,46 @@ pub fn window_batch(
             let refs: Vec<&I64Tensor> = codes.iter().collect();
             group_ids(&refs).0.to_vec()
         };
-
-        // --- resolve window order ----------------------------------------
-        let mut order_vecs: Vec<(Vec<i64>, bool)> = Vec::with_capacity(w.order_by.len());
-        for k in &w.order_by {
-            let codes = match eval_expr(&k.expr, batch, ctx)? {
-                Value::Column(c) => key_codes(&c)?,
-                other => {
-                    return Err(ExecError::TypeMismatch(format!(
-                        "window ORDER BY expression must be a column, got {other:?}"
-                    )))
-                }
-            };
-            order_vecs.push((codes.to_vec(), k.desc));
-        }
-        let order_cmp = |a: usize, b: usize| {
-            for (vals, desc) in &order_vecs {
-                let ord = if *desc {
-                    vals[b].cmp(&vals[a])
-                } else {
-                    vals[a].cmp(&vals[b])
-                };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        };
+        let order = order_key_codes(batch, &w.order_by, "window ORDER BY", ctx)?;
         let mut idx: Vec<usize> = (0..n).collect();
         idx.sort_by(|&a, &b| {
-            part_ids[a]
-                .cmp(&part_ids[b])
-                .then(order_cmp(a, b))
+            (part_ids[a].cmp(&part_ids[b]))
+                .then(cmp_codes(&order, a, b))
                 .then(a.cmp(&b))
         });
-        let peers = |a: usize, b: usize| order_cmp(a, b) == std::cmp::Ordering::Equal;
 
-        // --- aggregate argument, when the window has one -----------------
-        let (agg_vals, agg_bool): (Option<Vec<f32>>, Option<Vec<bool>>) = match &w.func {
-            PhysWindowFunc::Agg { func, arg: Some(e) } => match eval_expr(e, batch, ctx)? {
-                Value::Column(EncodedTensor::Bool(m)) => (None, Some(m.to_vec())),
-                v => (Some(v.into_agg_f32(*func, n)?.to_vec()), None),
-            },
-            _ => (None, None),
-        };
-
-        // --- walk partitions in window order ------------------------------
-        let mut out_f32 = vec![0.0f32; n];
-        let mut out_i64 = vec![0i64; n];
-        let is_int_output = matches!(
-            w.func,
-            PhysWindowFunc::RowNumber
-                | PhysWindowFunc::Rank
-                | PhysWindowFunc::DenseRank
-                | PhysWindowFunc::Agg {
-                    func: AggFunc::Count | AggFunc::CountDistinct,
-                    ..
-                }
-        );
-
-        let mut start = 0usize;
-        while start < n {
-            let mut end = start;
-            while end < n && part_ids[idx[end]] == part_ids[idx[start]] {
-                end += 1;
+        // Peer groups in window order, and each row's rank numbers.
+        let (mut peers, mut opens) = (vec![0u32; n], Vec::new());
+        let mut ranks = vec![0i64; n];
+        let (mut part_start, mut peer_start, mut first_peer) = (0, 0, 0);
+        for (pos, &r) in idx.iter().enumerate() {
+            let new_part = pos == 0 || part_ids[idx[pos - 1]] != part_ids[r];
+            if new_part {
+                (part_start, first_peer) = (pos, opens.len());
             }
-            let rows = &idx[start..end];
-            let running = !w.order_by.is_empty();
-
-            match &w.func {
-                PhysWindowFunc::RowNumber => {
-                    for (pos, &r) in rows.iter().enumerate() {
-                        out_i64[r] = pos as i64 + 1;
-                    }
-                }
-                PhysWindowFunc::Rank | PhysWindowFunc::DenseRank => {
-                    let dense = w.func == PhysWindowFunc::DenseRank;
-                    let mut rank = 0i64;
-                    let mut dense_rank = 0i64;
-                    for (pos, &r) in rows.iter().enumerate() {
-                        if pos == 0 || !peers(rows[pos - 1], r) {
-                            rank = pos as i64 + 1;
-                            dense_rank += 1;
-                        }
-                        out_i64[r] = if dense { dense_rank } else { rank };
-                    }
-                }
-                PhysWindowFunc::Agg { func, arg: _ } => {
-                    let mut acc = WindowAcc::new();
-                    if running {
-                        // Peer groups share the frame end (RANGE default).
-                        let mut pos = 0usize;
-                        while pos < rows.len() {
-                            let mut peer_end = pos;
-                            while peer_end < rows.len() && peers(rows[pos], rows[peer_end]) {
-                                acc.absorb(rows[peer_end], &agg_vals, &agg_bool, *func);
-                                peer_end += 1;
-                            }
-                            let (iv, fv) = acc.emit(*func);
-                            for &r in &rows[pos..peer_end] {
-                                out_i64[r] = iv;
-                                out_f32[r] = fv;
-                            }
-                            pos = peer_end;
-                        }
-                    } else {
-                        for &r in rows {
-                            acc.absorb(r, &agg_vals, &agg_bool, *func);
-                        }
-                        let (iv, fv) = acc.emit(*func);
-                        for &r in rows {
-                            out_i64[r] = iv;
-                            out_f32[r] = fv;
-                        }
-                    }
-                }
+            if new_part || cmp_codes(&order, idx[pos - 1], r).is_ne() {
+                peer_start = pos;
+                opens.push(new_part);
             }
-            start = end;
+            let peer = opens.len() - 1;
+            peers[r] = peer as u32;
+            ranks[r] = 1 + match w.func {
+                PhysWindowFunc::RowNumber => pos - part_start,
+                PhysWindowFunc::Rank => peer_start - part_start,
+                _ => peer - first_peer,
+            } as i64;
         }
 
-        let col = if is_int_output {
-            EncodedTensor::I64(Tensor::from_vec(out_i64, &[n]))
-        } else {
-            EncodedTensor::F32(Tensor::from_vec(out_f32, &[n]))
+        let col = match &w.func {
+            PhysWindowFunc::Agg { func, arg } => {
+                let agg = PhysAggregate {
+                    func: *func,
+                    arg: arg.clone(),
+                    output: w.output.clone(),
+                };
+                crate::morsel::window_aggregate(batch, &agg, &peers, &opens, ctx)?
+            }
+            _ => EncodedTensor::I64(Tensor::from_vec(ranks, &[n])),
         };
         out.push(w.output.clone(), ColumnData::Exact(col));
     }
@@ -954,17 +777,9 @@ pub fn topk_batch(
     if k == 0 {
         return Ok(select_batch(batch, &Tensor::from_vec(vec![], &[0])));
     }
-    let key_vecs = order_key_codes(batch, keys, ctx)?;
-    let cmp = |a: &i64, b: &i64| {
-        for (vals, desc) in &key_vecs {
-            let (va, vb) = (vals[*a as usize], vals[*b as usize]);
-            let ord = if *desc { vb.cmp(&va) } else { va.cmp(&vb) };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        a.cmp(b) // input position breaks ties, matching the stable sort
-    };
+    let key_vecs = order_key_codes(batch, keys, "ORDER BY", ctx)?;
+    // Input position breaks ties, matching the stable sort.
+    let cmp = |&a: &i64, &b: &i64| cmp_codes(&key_vecs, a as usize, b as usize).then(a.cmp(&b));
     let mut idx: Vec<i64> = (0..n as i64).collect();
     if k < n {
         idx.select_nth_unstable_by(k - 1, cmp);
@@ -974,10 +789,12 @@ pub fn topk_batch(
     Ok(select_batch(batch, &Tensor::from_vec(idx, &[k])))
 }
 
-/// Resolve each sort key to an order-preserving i64 vector.
+/// Resolve each sort key to an order-preserving i64 vector; `clause`
+/// names the keys in the error for one that is not a column.
 fn order_key_codes(
     batch: &Batch,
     keys: &[PhysOrderKey],
+    clause: &str,
     ctx: &ExecContext,
 ) -> Result<Vec<(Vec<i64>, bool)>, ExecError> {
     let mut key_vecs = Vec::with_capacity(keys.len());
@@ -986,7 +803,7 @@ fn order_key_codes(
             Value::Column(c) => key_codes(&c)?,
             other => {
                 return Err(ExecError::TypeMismatch(format!(
-                    "ORDER BY expression must be a column, got {other:?}"
+                    "{clause} expression must be a column, got {other:?}"
                 )))
             }
         };
@@ -995,24 +812,31 @@ fn order_key_codes(
     Ok(key_vecs)
 }
 
+/// Rows `a` and `b` in the order of resolved sort keys
+/// ([`order_key_codes`]); `Equal` for peers.
+#[inline]
+fn cmp_codes(keys: &[(Vec<i64>, bool)], a: usize, b: usize) -> std::cmp::Ordering {
+    for (vals, desc) in keys {
+        let ord = match desc {
+            true => vals[b].cmp(&vals[a]),
+            false => vals[a].cmp(&vals[b]),
+        };
+        if ord.is_ne() {
+            return ord;
+        }
+    }
+    std::cmp::Ordering::Equal
+}
+
 pub fn sort_batch(
     batch: &Batch,
     keys: &[PhysOrderKey],
     ctx: &ExecContext,
 ) -> Result<Batch, ExecError> {
     let n = batch.rows();
-    let key_vecs = order_key_codes(batch, keys, ctx)?;
+    let key_vecs = order_key_codes(batch, keys, "ORDER BY", ctx)?;
     let mut idx: Vec<i64> = (0..n as i64).collect();
-    idx.sort_by(|&a, &b| {
-        for (vals, desc) in &key_vecs {
-            let (va, vb) = (vals[a as usize], vals[b as usize]);
-            let ord = if *desc { vb.cmp(&va) } else { va.cmp(&vb) };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+    idx.sort_by(|&a, &b| cmp_codes(&key_vecs, a as usize, b as usize));
     Ok(select_batch(batch, &Tensor::from_vec(idx, &[n])))
 }
 

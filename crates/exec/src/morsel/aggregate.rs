@@ -197,28 +197,39 @@ impl AccColumn {
         }
     }
 
-    /// Fold one partial's states in: its group `g` lands in slot
-    /// `into[g]`.
-    fn absorb(&mut self, part: &AccColumn, into: &[u32]) {
-        fn scatter<T: Copy>(acc: &mut [T], part: &[T], into: &[u32], f: impl Fn(T, T) -> T) {
-            for (&g, &v) in into.iter().zip(part) {
-                let slot = &mut acc[g as usize];
-                *slot = f(*slot, v);
+    /// The partial-combine arithmetic, defined once: each step
+    /// `(to, from, p)` sets slot `to` to slot `from` combined with
+    /// `part`'s slot `p`, in step order. The combine scatters partials
+    /// (`to == from`); a window's running frame chains peer groups
+    /// (`from` the previous frame, or `to` itself — still the identity —
+    /// where a partition opens).
+    fn absorb(&mut self, part: &AccColumn, steps: impl Iterator<Item = Step> + Clone) {
+        fn each<T: Copy>(
+            acc: &mut [T],
+            part: &[T],
+            steps: impl Iterator<Item = Step>,
+            f: impl Fn(T, T) -> T,
+        ) {
+            for (to, from, p) in steps {
+                acc[to] = f(acc[from], part[p]);
             }
         }
         match (self, part) {
-            (AccColumn::Count(t), AccColumn::Count(v)) => scatter(t, v, into, |a, b| a + b),
-            (AccColumn::Sum(t), AccColumn::Sum(v)) => scatter(t, v, into, |a, b| a + b),
-            (AccColumn::Min(t), AccColumn::Min(v)) => scatter(t, v, into, f32::min),
-            (AccColumn::Max(t), AccColumn::Max(v)) => scatter(t, v, into, f32::max),
+            (AccColumn::Count(t), AccColumn::Count(v)) => each(t, v, steps, |a, b| a + b),
+            (AccColumn::Sum(t), AccColumn::Sum(v)) => each(t, v, steps, |a, b| a + b),
+            (AccColumn::Min(t), AccColumn::Min(v)) => each(t, v, steps, f32::min),
+            (AccColumn::Max(t), AccColumn::Max(v)) => each(t, v, steps, f32::max),
             (AccColumn::Moments { sum, sumsq }, AccColumn::Moments { sum: s, sumsq: q }) => {
-                scatter(sum, s, into, |a, b| a + b);
-                scatter(sumsq, q, into, |a, b| a + b);
+                each(sum, s, steps.clone(), |a, b| a + b);
+                each(sumsq, q, steps, |a, b| a + b);
             }
             _ => unreachable!("partials of one program share its accumulator layout"),
         }
     }
 }
+
+/// One combine step of [`AccColumn::absorb`]: `(to, from, part slot)`.
+type Step = (usize, usize, usize);
 
 /// Partial aggregation state of one morsel.
 struct PartialAgg {
@@ -236,6 +247,30 @@ struct PartialAgg {
 }
 
 impl PartialAgg {
+    /// `groups` empty states of `prog`: what the combine absorbs into.
+    fn identity(prog: &AggProgram<'_>, groups: usize) -> PartialAgg {
+        PartialAgg {
+            key_reps: Vec::new(),
+            counts: vec![0; groups],
+            accs: (prog.accs.iter())
+                .map(|acc| AccColumn::identity(acc.kind, groups))
+                .collect(),
+            groups,
+            hashed: false,
+        }
+    }
+
+    /// Absorb `part`'s group sizes and states, step by step
+    /// ([`AccColumn::absorb`]).
+    fn absorb(&mut self, part: &PartialAgg, steps: impl Iterator<Item = Step> + Clone) {
+        for (to, from, p) in steps.clone() {
+            self.counts[to] = self.counts[from] + part.counts[p];
+        }
+        for (acc, part) in self.accs.iter_mut().zip(&part.accs) {
+            acc.absorb(part, steps.clone());
+        }
+    }
+
     /// Ledger estimate of the state this partial keeps alive until the
     /// combine step.
     fn state_bytes(&self) -> u64 {
@@ -523,7 +558,7 @@ fn fold(
         hashed,
         ..
     } = group_rows(&inp.codes, mask);
-    let mut partial = fold_groups(prog, inp, &ids, groups, mask)?;
+    let mut partial = fold_groups(prog, inp, &ids, groups, None, mask)?;
     partial.hashed = hashed;
     partial.key_reps = key_rows(&first_rows(&ids, groups));
     Ok(partial)
@@ -533,12 +568,16 @@ fn fold(
 /// accumulator advances in one row-order sweep ([`Fold::run`]). The slot
 /// past the last group absorbs the positions a mask deselected (their id
 /// is `groups`), so the sweep stays branchless and every real group sees
-/// exactly its surviving rows, in row order.
+/// exactly its surviving rows, in row order. COUNT(DISTINCT) counts each
+/// distinct grouping code ([`exact::key_codes`]) once per `scope` (per
+/// position, like `ids`; `None`: each group is its own), in the lowest
+/// group id holding it.
 fn fold_groups(
     prog: &AggProgram<'_>,
     inp: &Inputs<'_>,
     ids: &[u32],
     groups: usize,
+    scope: Option<&[u32]>,
     mask: Option<&[bool]>,
 ) -> Result<PartialAgg, ExecError> {
     let slots = groups + 1;
@@ -577,14 +616,21 @@ fn fold_groups(
                 *v = (0..groups).map(|g| sums[g * w + j]).collect();
             }
             AccColumn::Count(t) if acc.kind == AccKind::CountDistinct => {
-                // Distinct (group, value-code) pairs, counted per group.
+                // Distinct (scope, value-code) pairs, each counted in the
+                // lowest group among its positions.
                 let raw = inp.raws[acc.arg].expect("evaluated for COUNT(DISTINCT)");
                 let codes = exact::key_codes(raw)?;
-                let gids: Vec<i64> = ids.iter().map(|&g| g as i64).collect();
-                let pairs = group_rows(&[&gids, codes.data()], mask);
+                let scope: Vec<i64> = scope.unwrap_or(ids).iter().map(|&g| g as i64).collect();
+                let pairs = group_rows(&[&scope, codes.data()], mask);
+                let mut first = vec![u32::MAX; pairs.groups];
+                for (&pair, &g) in pairs.ids.iter().zip(ids) {
+                    if let Some(f) = first.get_mut(pair as usize) {
+                        *f = (*f).min(g);
+                    }
+                }
                 t.truncate(groups);
-                for pair in pairs.distinct.chunks_exact(2) {
-                    t[pair[0] as usize] += 1;
+                for g in first {
+                    t[g as usize] += 1;
                 }
             }
             // COUNT of a non-boolean argument is the group size.
@@ -1098,8 +1144,9 @@ fn resolve_idx(cols: &[(String, EncodedTensor)], r: &crate::physical::ColumnRef)
 /// morsel order is its representative. Each partial's states then
 /// scatter into one merged state in morsel order — f32 sums add from
 /// `0.0`, so a lone partial passes through bit for bit (a
-/// round-to-nearest running sum from `+0.0` is never `-0.0`) — and one
-/// pass turns that state into output columns.
+/// round-to-nearest running sum from `+0.0` is never `-0.0`) — and
+/// [`finish`] turns that state into output columns, as it does a
+/// window's frames ([`window_aggregate`]).
 fn merge_partials(prog: &AggProgram<'_>, partials: &[PartialAgg]) -> Result<Batch, ExecError> {
     let keys: Vec<EncodedTensor> = (0..prog.keys.len())
         .map(|ki| {
@@ -1110,22 +1157,16 @@ fn merge_partials(prog: &AggProgram<'_>, partials: &[PartialAgg]) -> Result<Batc
     let rows = partials.iter().map(|p| p.groups).sum();
     let Groups { ids, groups, .. } = group_keys(&keys, rows)?;
 
-    let mut counts = vec![0i64; groups];
-    let mut accs: Vec<AccColumn> = prog
-        .accs
-        .iter()
-        .map(|acc| AccColumn::identity(acc.kind, groups))
-        .collect();
+    let mut merged = PartialAgg::identity(prog, groups);
     let mut at = 0;
     for p in partials {
         let into = &ids[at..at + p.groups];
         at += p.groups;
-        for (&g, &c) in into.iter().zip(&p.counts) {
-            counts[g as usize] += c;
-        }
-        for (acc, part) in accs.iter_mut().zip(&p.accs) {
-            acc.absorb(part, into);
-        }
+        let scatter = into
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| (g as usize, g as usize, i));
+        merged.absorb(p, scatter);
     }
 
     let mut out = Batch::new();
@@ -1133,37 +1174,88 @@ fn merge_partials(prog: &AggProgram<'_>, partials: &[PartialAgg]) -> Result<Batc
     for (key, col) in prog.keys.iter().zip(&keys) {
         out.push(key.name.clone(), ColumnData::Exact(col.select_rows(&reps)));
     }
-    // The one place an aggregate function is turned into an output
-    // column: each reads its accumulator (COUNT(*) the group size).
-    let ints = |v: &Vec<i64>| EncodedTensor::I64(Tensor::from_vec(v.clone(), &[groups]));
-    let floats = |v: Vec<f32>| EncodedTensor::F32(Tensor::from_vec(v, &[groups]));
-    for (agg, acc) in prog.aggregates.iter().zip(&prog.outs) {
-        let col = match acc.map(|a| &accs[a]) {
-            None => ints(&counts),
-            Some(AccColumn::Count(c)) => ints(c),
-            Some(AccColumn::Sum(s)) if agg.func == AggFunc::Avg => {
-                floats(s.iter().zip(&counts).map(|(&s, &c)| s / c as f32).collect())
-            }
-            Some(AccColumn::Sum(v) | AccColumn::Min(v) | AccColumn::Max(v)) => floats(v.clone()),
-            Some(AccColumn::Moments { sum, sumsq }) => {
-                let is_stddev = agg.func == AggFunc::Stddev;
-                // Sample variance via the sum-of-squares identity, in f64
-                // for numeric robustness; singleton groups yield 0 in
-                // this NULL-free dialect.
-                let finish = |((&sum, &sumsq), &count): ((&f64, &f64), &i64)| {
-                    let c = count as f64;
-                    let var = match c <= 1.0 {
-                        true => 0.0,
-                        false => ((sumsq - sum * sum / c) / (c - 1.0)).max(0.0),
-                    };
-                    (if is_stddev { var.sqrt() } else { var }) as f32
-                };
-                floats(sum.iter().zip(sumsq).zip(&counts).map(finish).collect())
-            }
-        };
+    for (agg, col) in prog.aggregates.iter().zip(finish(prog, &merged)) {
         out.push(agg.output.clone(), ColumnData::Exact(col));
     }
     Ok(out)
+}
+
+/// The one place an aggregate function is turned into an output column,
+/// for GROUP BY's merged groups and a window's frames alike: one column
+/// per aggregate, each reading its accumulator (COUNT(*) the group
+/// size).
+fn finish(prog: &AggProgram<'_>, state: &PartialAgg) -> Vec<EncodedTensor> {
+    let (counts, groups) = (&state.counts, state.groups);
+    let ints = |v: &Vec<i64>| EncodedTensor::I64(Tensor::from_vec(v.clone(), &[groups]));
+    let floats = |v: Vec<f32>| EncodedTensor::F32(Tensor::from_vec(v, &[groups]));
+    let column = |agg: &PhysAggregate, acc: Option<usize>| match acc.map(|a| &state.accs[a]) {
+        None => ints(counts),
+        Some(AccColumn::Count(c)) => ints(c),
+        Some(AccColumn::Sum(s)) if agg.func == AggFunc::Avg => {
+            floats(s.iter().zip(counts).map(|(&s, &c)| s / c as f32).collect())
+        }
+        Some(AccColumn::Sum(v) | AccColumn::Min(v) | AccColumn::Max(v)) => floats(v.clone()),
+        Some(AccColumn::Moments { sum, sumsq }) => {
+            let is_stddev = agg.func == AggFunc::Stddev;
+            // Sample variance via the sum-of-squares identity, in f64
+            // for numeric robustness; singleton groups yield 0 in
+            // this NULL-free dialect.
+            let finish = |((&sum, &sumsq), &count): ((&f64, &f64), &i64)| {
+                let c = count as f64;
+                let var = match c <= 1.0 {
+                    true => 0.0,
+                    false => ((sumsq - sum * sum / c) / (c - 1.0)).max(0.0),
+                };
+                (if is_stddev { var.sqrt() } else { var }) as f32
+            };
+            floats(sum.iter().zip(sumsq).zip(counts).map(finish).collect())
+        }
+    };
+    let aggregates = prog.aggregates.iter().zip(&prog.outs);
+    aggregates.map(|(agg, &acc)| column(agg, acc)).collect()
+}
+
+/// One window aggregate over `batch`, one value per row — the rule:
+/// without ORDER BY, a window aggregate is the GROUP BY fold of its
+/// partition; with ORDER BY, it is the ordered combine of the peer-group
+/// folds up to and including the row's peer group (SQL's default `RANGE
+/// UNBOUNDED PRECEDING` frame). COUNT(DISTINCT) counts distinct
+/// [`exact::key_codes`]. `peers` numbers each row's peer group in window
+/// order (partitions contiguous) and `opens[g]` marks the peer groups
+/// that open a partition; without ORDER BY each partition is one peer
+/// group. The program is GROUP BY's with no keys, its argument evaluated
+/// by [`Evaluated::of`] (so payload and string columns raise GROUP BY's
+/// errors) and folded per peer group by [`fold_groups`], a value
+/// counting for COUNT(DISTINCT) in the first peer group of its partition
+/// that holds it. Frames chain in window order by the combine's
+/// arithmetic ([`PartialAgg::absorb`]) from the identity, so a partition
+/// of one peer group is exactly GROUP BY's single-partial merge, and
+/// [`finish`] turns frames into values.
+pub(crate) fn window_aggregate(
+    batch: &Batch,
+    agg: &PhysAggregate,
+    peers: &[u32],
+    opens: &[bool],
+    ctx: &ExecContext,
+) -> Result<EncodedTensor, ExecError> {
+    let prog = AggProgram::compile(&[], std::slice::from_ref(agg))?;
+    let ev = Evaluated::of(&prog, batch, ctx)?;
+    let parts: Vec<u32> = (opens.iter())
+        .scan(0, |part, &open| {
+            *part += u32::from(open);
+            Some(*part)
+        })
+        .collect();
+    let scope: Vec<u32> = peers.iter().map(|&g| parts[g as usize]).collect();
+    let groups = opens.len();
+    let inputs = ev.inputs(batch.rows());
+    let folded = fold_groups(&prog, &inputs, peers, groups, Some(&scope), None)?;
+    let mut frames = PartialAgg::identity(&prog, groups);
+    let chain = |g: usize| (g, if opens[g] { g } else { g - 1 }, g);
+    frames.absorb(&folded, (0..groups).map(chain));
+    let rows = peers.iter().map(|&g| i64::from(g)).collect();
+    let col = finish(&prog, &frames).pop().expect("one aggregate");
+    Ok(col.select_rows(&Tensor::from_vec(rows, &[peers.len()])))
 }
 
 #[cfg(test)]
@@ -1586,7 +1678,7 @@ mod tests {
             None => vec![0; inp.rows],
             Some(m) => m.iter().map(|&keep| u32::from(!keep)).collect(),
         };
-        fold_groups(prog, inp, &ids, 1, mask).unwrap()
+        fold_groups(prog, inp, &ids, 1, None, mask).unwrap()
     }
 
     /// The zero-key fold keeps each running value in a local

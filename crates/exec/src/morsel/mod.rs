@@ -6,7 +6,7 @@
 //! |---------------|------|
 //! | `sched`       | worker contexts, the one thread-spawn site, the one claim loop (ordered result slots, first error in index order, the LIMIT stop bound), the partition `exchange`, morsel ranges and the interpreter's window slices |
 //! | `chain`       | parallel-safety analysis, the per-execution `ChainRun`, the streaming chain run with its LIMIT sink, the per-morsel selection stage and the chain→barrier hand-off (`BarrierInput`: stored columns plus survivor ids, or a gathered batch) |
-//! | `aggregate`   | `AggProgram`, the one per-morsel fold (a zero-key fold keeps each accumulator in a local), the one claim that folds each window in place — selected by the chain's kernel, or every row of a bare scan, keys and arguments read where they are stored — or, failing that, folds its gathered window, the combine — which groups the partials' key rows with the fold's own `group_rows` and scatters their states in morsel order |
+//! | `aggregate`   | `AggProgram`, the one per-morsel fold (a zero-key fold keeps each accumulator in a local), the one claim that folds each window in place — selected by the chain's kernel, or every row of a bare scan, keys and arguments read where they are stored — or, failing that, folds its gathered window, the combine — which groups the partials' key rows with the fold's own `group_rows` and scatters their states in morsel order — and the one finisher turning states into output columns. A window aggregate (`window_aggregate`, called by `exact::window_batch`) is the same program with no keys: one fold over its peer groups, frames chained in window order by the combine's arithmetic, the same finisher |
 //! | `join`        | partitioned hash join over `i64` key codes: hash once → exchange → per-partition flat table → parallel probe → per-column assembly |
 //! | `sort`        | merge sort and top-k: per-morsel runs → k-way merge |
 //! | `distinct`    | shared-nothing DISTINCT on the same codes, hash and table: exchange → per-partition insert-if-absent |
@@ -81,7 +81,7 @@ mod join;
 mod sched;
 mod sort;
 
-pub(crate) use aggregate::{run_aggregate, AggregateNote};
+pub(crate) use aggregate::{run_aggregate, window_aggregate, AggregateNote};
 pub(crate) use chain::{
     chain_barrier_input, gather_reason, run_ops, BarrierInput, ChainRun, ChainVerdict,
 };

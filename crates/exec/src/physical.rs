@@ -655,9 +655,9 @@ impl PhysicalPlan {
             PhysicalPlan::Limit { n, .. } => out.push_str(&format!("Limit: {n}\n")),
             PhysicalPlan::TopK { keys, n, input } => {
                 let rendered: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
-                let note = match ann_fallback_reason(keys, input) {
-                    Some(reason) => format!(" [full scan: {reason}]"),
-                    None => String::new(),
+                let note = match ann_shape(keys, input) {
+                    Err(Some(reason)) => format!(" [full scan: {reason}]"),
+                    _ => String::new(),
                 };
                 out.push_str(&format!("TopK: {} LIMIT {n}{note}\n", rendered.join(", ")));
             }
@@ -1143,8 +1143,8 @@ fn lower_node(
         LogicalPlan::TopK { keys, n, input } => {
             let (inp, schema) = lower_node(input, catalog, udfs)?;
             let keys = lower_order_keys(keys, schema.as_ref(), catalog, udfs)?;
-            if let Some(ann) = try_lower_ann_topk(&keys, *n, &inp, catalog) {
-                return Ok((ann, schema));
+            if let Ok(shape) = ann_shape(&keys, &inp) {
+                return Ok((lower_ann_topk(shape, *n, catalog), schema));
             }
             Ok((
                 PhysicalPlan::TopK {
@@ -1667,166 +1667,146 @@ pub(crate) fn metric_fn_name(metric: Metric) -> &'static str {
     }
 }
 
-/// Recognize `ORDER BY <vector-fn>(col, q) LIMIT k` over a bare base-table
-/// scan and lower it to [`PhysicalPlan::AnnTopK`]. The path is chosen here
-/// at compile time: a registered index on `(table, column)` with a matching
-/// metric selects IVF; otherwise flat exact. Returns `None` when any
-/// eligibility condition fails (the plain TopK barrier remains).
-fn try_lower_ann_topk(
-    keys: &[PhysOrderKey],
-    n: LimitCount,
-    inp: &PhysicalPlan,
-    catalog: &Catalog,
-) -> Option<PhysicalPlan> {
-    if keys.len() != 1 {
-        return None;
+/// A top-k the [`PhysicalPlan::AnnTopK`] leaf serves: `ORDER BY
+/// <vector-fn>(col, q) LIMIT k` over a base-table scan, or over a pure
+/// projection of one.
+struct AnnShape<'p> {
+    metric: Metric,
+    table: &'p str,
+    schema: &'p [String],
+    /// The key column, mapped back to the scan through a projection.
+    column: &'p ColumnRef,
+    query: &'p CompiledExpr,
+    /// The projection the leaf sits under, when there is one.
+    reproject: Option<&'p [PhysProjectItem]>,
+}
+
+/// Whether `ORDER BY keys` over `input` is a vector top-k the ANN leaf
+/// serves — decided once, here, for lowering and for EXPLAIN's TopK
+/// line: the leaf's shape, or the named reason it stays a full-scan
+/// TopK (`Err(None)`: no vector function in the keys, an ordinary
+/// top-k).
+///
+/// The sort key may sit directly over the base scan, or over a pure
+/// projection of it (the planner places Sort above Project whenever the
+/// key's columns survive projection). Projection is per-row and pure, so
+/// it commutes with top-k row selection: that shape lowers as
+/// Project(AnnTopK) with the key column mapped back through the
+/// projected item — which must be a bare base column.
+fn ann_shape<'p>(
+    keys: &'p [PhysOrderKey],
+    input: &'p PhysicalPlan,
+) -> Result<AnnShape<'p>, Option<&'static str>> {
+    let vector = |e: &CompiledExpr| {
+        let call = matches!(
+            e,
+            CompiledExpr::Builtin {
+                func: ScalarFn::Vector(_),
+                ..
+            }
+        );
+        call.then_some(())
+    };
+    if keys
+        .iter()
+        .all(|k| k.expr.find_map(&mut |e| vector(e)).is_none())
+    {
+        return Err(None);
     }
-    let key = &keys[0];
+    let [key] = keys else {
+        return Err(Some("multiple-sort-keys"));
+    };
     let CompiledExpr::Builtin {
         func: ScalarFn::Vector(metric),
         args,
         ..
     } = &key.expr
     else {
-        return None;
+        return Err(Some("distance-not-topmost"));
     };
-    let [CompiledExpr::Column(column @ ColumnRef::Slot { .. }), query] = args.as_slice() else {
-        return None;
+    let [CompiledExpr::Column(column @ ColumnRef::Slot { slot, .. }), query] = args.as_slice()
+    else {
+        return Err(Some("column-arg-unresolved"));
     };
     if !matches!(query, CompiledExpr::Param { .. } | CompiledExpr::Num(_)) {
-        return None;
+        return Err(Some("query-not-param-or-literal"));
     }
     // `distance` selects nearest rows when ascending; the similarity
     // scores select best rows when descending. Any other direction is a
     // bottom-k query the index cannot serve.
     if key.desc != vector_fn_descends(*metric) {
-        return None;
+        return Err(Some("wrong-direction"));
     }
-    // The sort key may sit directly over the base scan, or over a pure
-    // projection of it (the planner places Sort above Project whenever
-    // the key's columns survive projection). Projection is per-row and
-    // pure, so it commutes with top-k row selection: lower the latter
-    // shape as Project(AnnTopK) with the key column mapped back through
-    // the projected item — which must be a bare base column.
-    let (table, schema, column, reproject) = match inp {
-        PhysicalPlan::Scan {
-            table,
-            schema: Some(schema),
-            ..
-        } => (table, schema, column.clone(), None),
+    let (scan, column, reproject) = match input {
         PhysicalPlan::Project { items, input } => {
-            let PhysicalPlan::Scan {
-                table,
-                schema: Some(schema),
-                ..
-            } = input.as_ref()
-            else {
-                return None;
+            let inner = match items.get(*slot).map(|i| &i.expr) {
+                Some(CompiledExpr::Column(inner @ ColumnRef::Slot { .. })) => Some(inner),
+                _ => None,
             };
-            let ColumnRef::Slot { slot, .. } = column else {
-                return None;
-            };
-            let CompiledExpr::Column(inner @ ColumnRef::Slot { .. }) = &items.get(*slot)?.expr
-            else {
-                return None;
-            };
-            (table, schema, inner.clone(), Some(items.clone()))
+            (input.as_ref(), inner, Some(items.as_slice()))
         }
-        _ => return None,
+        scan => (scan, Some(column), None),
     };
+    let PhysicalPlan::Scan { table, schema, .. } = scan else {
+        return Err(Some("input-not-base-scan"));
+    };
+    let Some(schema) = schema else {
+        return Err(Some("schema-unresolved"));
+    };
+    let column = column.ok_or(Some("projected-key-not-base-column"))?;
+    Ok(AnnShape {
+        metric: *metric,
+        table,
+        schema,
+        column,
+        query,
+        reproject,
+    })
+}
+
+/// Lower an [`ann_shape`] to [`PhysicalPlan::AnnTopK`]. The path is
+/// chosen here at compile time: a registered index on `(table, column)`
+/// with a matching metric selects IVF; otherwise flat exact.
+fn lower_ann_topk(shape: AnnShape<'_>, n: LimitCount, catalog: &Catalog) -> PhysicalPlan {
+    let AnnShape {
+        metric,
+        table,
+        schema,
+        column,
+        query,
+        reproject,
+    } = shape;
     let path = match catalog.vector_index(table, column.name()) {
-        Some(entry) if entry.metric == *metric => match &entry.index {
+        Some(entry) if entry.metric == metric => match &entry.index {
             tdp_storage::VectorIndex::Flat(_) => AnnPath::Flat,
-            tdp_storage::VectorIndex::Ivf { nlist, nprobe, .. } => AnnPath::Ivf {
-                nlist: *nlist,
+            tdp_storage::VectorIndex::Ivf { params, nprobe, .. } => AnnPath::Ivf {
+                nlist: params.nlist,
                 nprobe: *nprobe,
             },
         },
         _ => AnnPath::Flat,
     };
     let ann = PhysicalPlan::AnnTopK {
-        table: table.clone(),
-        schema: schema.clone(),
-        column,
+        table: table.to_owned(),
+        schema: schema.to_vec(),
+        column: column.clone(),
         query: query.clone(),
-        metric: *metric,
+        metric,
         n,
         path,
     };
-    Some(match reproject {
+    match reproject {
         None => ann,
         Some(items) => PhysicalPlan::Project {
-            items,
+            items: items.to_vec(),
             input: Box::new(ann),
         },
-    })
+    }
 }
 
 /// Whether best-first order for this metric's SQL function is DESC.
 fn vector_fn_descends(metric: Metric) -> bool {
     !matches!(metric, Metric::L2)
-}
-
-/// Why a TopK whose keys involve a vector-similarity function did *not*
-/// lower to [`PhysicalPlan::AnnTopK`] — the named-reason taxonomy EXPLAIN
-/// renders on the TopK line. `None` when no vector function is involved
-/// (an ordinary TopK) or the node would have been eligible.
-fn ann_fallback_reason(keys: &[PhysOrderKey], input: &PhysicalPlan) -> Option<&'static str> {
-    let mut has_vector = false;
-    for k in keys {
-        k.expr.for_each(&mut |e| {
-            if let CompiledExpr::Builtin {
-                func: ScalarFn::Vector(_),
-                ..
-            } = e
-            {
-                has_vector = true;
-            }
-        });
-    }
-    if !has_vector {
-        return None;
-    }
-    if keys.len() != 1 {
-        return Some("multiple-sort-keys");
-    }
-    let CompiledExpr::Builtin {
-        func: ScalarFn::Vector(metric),
-        args,
-        ..
-    } = &keys[0].expr
-    else {
-        return Some("distance-not-topmost");
-    };
-    let key_slot = match args.as_slice() {
-        [CompiledExpr::Column(ColumnRef::Slot { slot, .. }), q] => {
-            if !matches!(q, CompiledExpr::Param { .. } | CompiledExpr::Num(_)) {
-                return Some("query-not-param-or-literal");
-            }
-            *slot
-        }
-        _ => return Some("column-arg-unresolved"),
-    };
-    if keys[0].desc != vector_fn_descends(*metric) {
-        return Some("wrong-direction");
-    }
-    match input {
-        PhysicalPlan::Scan {
-            schema: Some(_), ..
-        } => None,
-        PhysicalPlan::Scan { schema: None, .. } => Some("schema-unresolved"),
-        PhysicalPlan::Project { items, input } => match input.as_ref() {
-            PhysicalPlan::Scan {
-                schema: Some(_), ..
-            } => match items.get(key_slot).map(|i| &i.expr) {
-                Some(CompiledExpr::Column(ColumnRef::Slot { .. })) => None,
-                _ => Some("projected-key-not-base-column"),
-            },
-            PhysicalPlan::Scan { schema: None, .. } => Some("schema-unresolved"),
-            _ => Some("input-not-base-scan"),
-        },
-        _ => Some("input-not-base-scan"),
-    }
 }
 
 /// SQL SIGN: −1, 0 or 1 (unlike `f32::signum`, zero maps to zero).

@@ -21,5 +21,5 @@ pub mod zonemap;
 pub use catalog::Catalog;
 pub use format::{load_table, save_table, FormatError};
 pub use table::{Column, Table, TableBuilder, TableStats};
-pub use vindex::{VectorIndex, VectorIndexEntry};
+pub use vindex::{IndexKind, VectorIndex, VectorIndexEntry};
 pub use zonemap::{ChunkStat, ColumnZoneMap, TableZoneMaps, ZONE_MAP_CHUNK_ROWS};

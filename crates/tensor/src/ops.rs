@@ -242,10 +242,6 @@ impl<T: Float> Tensor<T> {
         self.map(|x| if x > T::zero() { x } else { T::zero() })
     }
 
-    pub fn recip(&self) -> Tensor<T> {
-        self.map(|x| T::one() / x)
-    }
-
     /// Maximum absolute difference against another tensor of the same shape.
     /// Test helper for approximate comparisons.
     pub fn max_abs_diff(&self, other: &Tensor<T>) -> f64 {

@@ -63,12 +63,6 @@ impl Rng64 {
         ((self.next_u64() as u128 * n as u128) >> 64) as usize
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    pub fn int_range(&mut self, lo: i64, hi: i64) -> i64 {
-        assert!(hi > lo, "empty integer range");
-        lo + self.below((hi - lo) as usize) as i64
-    }
-
     /// Standard normal via Box–Muller.
     pub fn normal(&mut self) -> f64 {
         // Avoid ln(0).

@@ -1,7 +1,9 @@
-//! Sorting, ranking and distinct-value kernels.
+//! Sorting and distinct-value kernels.
 //!
-//! ORDER BY and top-k lower to the argsort primitives here; GROUP BY,
-//! DISTINCT and PARTITION BY lower to [`group_rows`], which resolves
+//! [`Tensor::argsort`] and [`lexsort_i64`] are plain sorting primitives
+//! (the executor's ORDER BY, top-k and window order compare grouping
+//! codes of their own and call neither). GROUP BY, DISTINCT and
+//! PARTITION BY lower to [`group_rows`], which resolves
 //! composite integer keys to dense group ids in one O(n) sweep (a
 //! direct-index table for narrow key spans, an open-addressing hash
 //! otherwise) and sorts only the *distinct* tuples to keep group order
@@ -24,32 +26,6 @@ impl<T: Element> Tensor<T> {
         });
         let n = idx.len();
         Tensor::from_vec(idx, &[n]).to(self.device())
-    }
-
-    /// Indices that sort descending (stable).
-    pub fn argsort_desc(&self) -> Tensor<i64> {
-        assert_eq!(self.ndim(), 1, "argsort expects a 1-d tensor");
-        let d = self.data();
-        let mut idx: Vec<i64> = (0..d.len() as i64).collect();
-        idx.sort_by(|&a, &b| {
-            d[b as usize]
-                .partial_cmp(&d[a as usize])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let n = idx.len();
-        Tensor::from_vec(idx, &[n]).to(self.device())
-    }
-
-    /// Sorted copy of a 1-d tensor.
-    pub fn sorted(&self) -> Tensor<T> {
-        self.select_rows(&self.argsort())
-    }
-
-    /// Indices of the `k` largest entries, in descending order.
-    pub fn topk_indices(&self, k: usize) -> Tensor<i64> {
-        assert_eq!(self.ndim(), 1, "topk expects a 1-d tensor");
-        let order = self.argsort_desc();
-        order.narrow(0, 0, k.min(order.numel()))
     }
 }
 
@@ -376,24 +352,15 @@ mod tests {
     }
 
     #[test]
-    fn argsort_ascending_and_descending() {
+    fn argsort_ascending() {
         let t = Tensor::from_vec(vec![3.0f32, 1.0, 2.0], &[3]);
         assert_eq!(t.argsort().to_vec(), vec![1, 2, 0]);
-        assert_eq!(t.argsort_desc().to_vec(), vec![0, 2, 1]);
-        assert_eq!(t.sorted().to_vec(), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn argsort_is_stable() {
         let t = ti(vec![1, 0, 1, 0]);
         assert_eq!(t.argsort().to_vec(), vec![1, 3, 0, 2]);
-    }
-
-    #[test]
-    fn topk_descending() {
-        let t = Tensor::from_vec(vec![0.1f32, 0.9, 0.5, 0.7], &[4]);
-        assert_eq!(t.topk_indices(2).to_vec(), vec![1, 3]);
-        assert_eq!(t.topk_indices(10).numel(), 4, "k is clamped to n");
     }
 
     #[test]

@@ -392,11 +392,6 @@ impl<T: Num> Tensor<T> {
         Tensor::full(shape, T::one())
     }
 
-    /// Zero tensor with the same shape/device as `other`.
-    pub fn zeros_like(other: &Tensor<T>) -> Tensor<T> {
-        Tensor::zeros(other.shape()).with_device(other.device())
-    }
-
     /// `[0, 1, ..., n-1]`.
     pub fn arange(n: usize) -> Tensor<T> {
         Tensor::from_vec((0..n).map(|i| T::from_f64(i as f64)).collect(), &[n])
@@ -421,17 +416,6 @@ impl<T: Num> Tensor<T> {
         Tensor::from_vec(data, &[n, n])
     }
 
-    /// Uniform random tensor in `[lo, hi)`.
-    pub fn rand_uniform(shape: &[usize], lo: f64, hi: f64, rng: &mut Rng64) -> Tensor<T> {
-        let n: usize = shape.iter().product();
-        Tensor::from_vec(
-            (0..n)
-                .map(|_| T::from_f64(rng.uniform_range(lo, hi)))
-                .collect(),
-            shape,
-        )
-    }
-
     /// Normal random tensor.
     pub fn randn(shape: &[usize], mean: f64, std: f64, rng: &mut Rng64) -> Tensor<T> {
         let n: usize = shape.iter().product();
@@ -450,10 +434,6 @@ impl<T: Num> Tensor<T> {
 
     /// Convenience casts used throughout the engine.
     pub fn to_f32(&self) -> Tensor<f32> {
-        self.cast()
-    }
-
-    pub fn to_f64_t(&self) -> Tensor<f64> {
         self.cast()
     }
 

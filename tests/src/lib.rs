@@ -26,9 +26,10 @@ pub fn pics_table(rows: usize) -> Table {
 }
 
 /// The simplest statements that combine the payload column of
-/// [`pics_table`] with a per-row operand, or reduce it to one boolean
-/// per *element*: each is a typed error, not a panic.
-pub const PAYLOAD_MISUSE: [&str; 9] = [
+/// [`pics_table`] with a per-row operand, reduce it to one boolean per
+/// *element*, or aggregate it in a window: each is a typed error, not a
+/// panic.
+pub const PAYLOAD_MISUSE: [&str; 10] = [
     "SELECT id FROM pics WHERE images > 1",
     "SELECT id FROM pics WHERE id > images",
     "SELECT images + 1 AS d FROM pics",
@@ -38,6 +39,7 @@ pub const PAYLOAD_MISUSE: [&str; 9] = [
     "SELECT CASE WHEN id > 3 THEN images ELSE 0 END AS d FROM pics",
     "SELECT id FROM pics WHERE images = images",
     "SELECT POW(images, id) AS d FROM pics",
+    "SELECT id, SUM(images) OVER (PARTITION BY id) AS s FROM pics",
 ];
 
 /// Aggregates over the dictionary-encoded string column `flag` of a

@@ -528,6 +528,56 @@ fn stale_ivf_rebuilds_in_place_at_the_configured_threshold() {
     );
 }
 
+/// A stale rebuild retrains the index the user built — its IVF
+/// parameters and seed, not `CREATE INDEX`'s defaults: after an append,
+/// the rebuilt index is the one a fresh build over the appended table
+/// trains with the same parameters.
+#[test]
+fn stale_ivf_rebuild_keeps_the_build_parameters() {
+    use tdp_core::index::{IvfParams, Metric};
+    use tdp_core::storage::VectorIndex;
+    use tdp_core::IndexKind;
+    let kind = IndexKind::IvfFlat(IvfParams::new(6).train_iters(3), 2);
+    let tdp = Tdp::new();
+    tdp.register_table(vecs_table(256, 8, 7));
+    tdp.create_vector_index("vecs", "emb", Metric::L2, kind, 7)
+        .unwrap();
+    let more = TableBuilder::new()
+        .col_i64("id", (256..320).collect())
+        .col_tensor("emb", clustered_vectors(64, 8, 8, 9))
+        .build("vecs");
+    assert!(tdp.append_rows("vecs", &more));
+    tdp.set_ivf_rebuild_after(1);
+    let mut params = ParamValues::new();
+    params.push(ParamValue::Tensor(query_vec(8, 71)));
+    tdp.prepare("SELECT id FROM vecs ORDER BY distance(emb, ?) LIMIT 10")
+        .unwrap()
+        .bind(params)
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(tdp.engine().access_path_stats().ivf_rebuilds, 1);
+
+    let fresh = Tdp::new();
+    fresh.register_table(Table::clone(&tdp.catalog().get("vecs").unwrap()));
+    fresh
+        .create_vector_index("vecs", "emb", Metric::L2, kind, 7)
+        .unwrap();
+    let sizes = |t: &Tdp| match &t.catalog().vector_index("vecs", "emb").unwrap().index {
+        VectorIndex::Ivf { index, .. } => index.list_sizes(),
+        VectorIndex::Flat(_) => panic!("an IVF index was built"),
+    };
+    assert_eq!(sizes(&tdp), sizes(&fresh));
+    for seed in [72u64, 73, 74] {
+        let q = query_vec(8, seed);
+        let ids = |t: &Tdp| -> Vec<usize> {
+            let hits = t.vector_topk("vecs", "emb", &q, 10, 2).unwrap();
+            hits.iter().map(|h| h.id).collect()
+        };
+        assert_eq!(ids(&tdp), ids(&fresh), "seed {seed}");
+    }
+}
+
 #[test]
 fn index_ddl_round_trip() {
     let tdp = Tdp::new();
@@ -552,5 +602,54 @@ fn index_ddl_round_trip() {
     match tdp.execute("SELECT COUNT(*) AS c FROM vecs").unwrap() {
         StatementOutcome::Rows(t) => assert_eq!(t.rows(), 1),
         StatementOutcome::Ack(_) => panic!("query must return rows"),
+    }
+}
+
+/// Every named reason a vector top-k stays a full-scan TopK, one
+/// statement each, pinned as the TopK line EXPLAIN renders.
+#[test]
+fn explain_names_every_ann_fallback_reason() {
+    let tdp = Tdp::new();
+    tdp.register_table(vecs_table(32, 4, 5));
+    let cases = [
+        (
+            "SELECT id FROM vecs ORDER BY distance(emb, ?), id LIMIT 3",
+            "TopK: distance(emb@1, $1), id@0 LIMIT 3 [full scan: multiple-sort-keys]",
+        ),
+        (
+            "SELECT id FROM vecs ORDER BY distance(emb, ?) + 1 LIMIT 3",
+            "TopK: (distance(emb@1, $1) + $2) LIMIT 3 [full scan: distance-not-topmost]",
+        ),
+        (
+            "SELECT id FROM vecs ORDER BY distance(emb, emb) LIMIT 3",
+            "TopK: distance(emb@1, emb@1) LIMIT 3 [full scan: query-not-param-or-literal]",
+        ),
+        (
+            "SELECT id FROM vecs ORDER BY distance(emb * 2, ?) LIMIT 3",
+            "TopK: distance((emb@1 * $2), $1) LIMIT 3 [full scan: column-arg-unresolved]",
+        ),
+        (
+            "SELECT id FROM vecs ORDER BY distance(emb, ?) DESC LIMIT 3",
+            "TopK: distance(emb@1, $1) DESC LIMIT 3 [full scan: wrong-direction]",
+        ),
+        (
+            "SELECT emb FROM ghosts ORDER BY distance(emb, ?) LIMIT 3",
+            "TopK: distance(emb@0, $1) LIMIT 3 [full scan: schema-unresolved]",
+        ),
+        (
+            "SELECT emb * 2 AS e FROM vecs ORDER BY distance(e, ?) LIMIT 3",
+            "TopK: distance(e@0, $1) LIMIT 3 [full scan: projected-key-not-base-column]",
+        ),
+        (
+            "SELECT id, emb FROM vecs WHERE id > 3 ORDER BY distance(emb, ?) LIMIT 3",
+            "TopK: distance(emb@1, $1) LIMIT 3 [full scan: input-not-base-scan]",
+        ),
+    ];
+    for (sql, line) in cases {
+        let plan = tdp.prepare(sql).unwrap().explain();
+        // The physical tree's line (the logical tree names no reason).
+        let topk = (plan.lines().map(str::trim))
+            .find(|l| l.starts_with("TopK: ") && l.contains("[full scan: "));
+        assert_eq!(topk, Some(line), "{sql}:\n{plan}");
     }
 }

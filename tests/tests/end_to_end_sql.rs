@@ -644,3 +644,145 @@ fn join_key_equality_specification() {
         vec![1, 2]
     );
 }
+
+/// A window aggregate is the GROUP BY fold of its peer groups: per row,
+/// `f(x) OVER (PARTITION BY k)` carries the bits of `f(x) … GROUP BY k`
+/// for that row's key, and `f(x) OVER ()` those of the ungrouped
+/// aggregate — or both forms fail with the same error text. The data
+/// holds NaN (both signs), ±0.0 and ±∞ in f32, `i64` values past 2²⁴
+/// (where an f32 view merges neighbours) and a dictionary string column
+/// (COUNT forms only). With ORDER BY and one row per peer group, a
+/// running SUM is the f32 running sum from `+0.0` in window order, and
+/// a running COUNT(DISTINCT) counts distinct values, not f32 images.
+#[test]
+fn window_aggregates_are_group_by_aggregates() {
+    use tdp_core::encoding::EncodedTensor;
+    use tdp_core::storage::Table;
+
+    let neg_nan = f32::from_bits(0xffc0_0001);
+    let (inf, big) = (f32::INFINITY, 1i64 << 24);
+    #[rustfmt::skip]
+    let rows: [(i64, f32, i64, &str); 24] = [
+        (0, 1e8, big, "a"),       (1, f32::NAN, big + 1, "b"), (2, inf, big + 1, "a"),
+        (3, -0.0, 1 << 40, "c"),  (0, 1.0, big + 1, "b"),      (1, 0.1, big, "b"),
+        (2, -inf, 3, "a"),        (3, 0.0, (1 << 40) + 1, "c"), (0, -1e8, big + 2, "a"),
+        (1, 2.5, big + 3, "c"),   (2, 7.0, big, "b"),          (3, -0.0, 5, "a"),
+        (0, 0.1, big + 1, "b"),   (1, neg_nan, big, "a"),      (2, 1e-3, big, "c"),
+        (3, 0.3, -big - 1, "c"),  (0, 0.2, -big, "a"),         (1, 3.0e7, 7, "a"),
+        (2, 1.0, 8, "b"),         (3, 1e30, 9, "b"),           (0, 1e-7, big, "c"),
+        (1, 0.7, big + 1, "c"),   (2, 3.0, 1, "a"),            (3, 1e30, 2, "a"),
+    ];
+    let tdp = Tdp::new();
+    // One morsel: the GROUP BY side folds one partial at every setting.
+    tdp.set_morsel_rows(1 << 16);
+    tdp.register_table(
+        TableBuilder::new()
+            .col_i64("k", rows.iter().map(|r| r.0).collect())
+            .col_f32("f", rows.iter().map(|r| r.1).collect())
+            .col_i64("i", rows.iter().map(|r| r.2).collect())
+            .col_str("s", &rows.iter().map(|r| r.3).collect::<Vec<_>>())
+            .build("wt"),
+    );
+    tdp.register_table(pics_table(4));
+
+    // Each cell with its type: `(is_int, bits)`.
+    let cells = |t: &Table, col: &str| -> Vec<(bool, u64)> {
+        match &t.column(col).unwrap().data {
+            EncodedTensor::I64(v) => v.data().iter().map(|&x| (true, x as u64)).collect(),
+            other => (other.decode_f32().data().iter())
+                .map(|x| (false, u64::from(x.to_bits())))
+                .collect(),
+        }
+    };
+    let run = |sql: &str| {
+        tdp.query(sql)
+            .and_then(|q| q.run())
+            .map_err(|e| e.to_string())
+    };
+    let mut aggregates = vec![
+        "COUNT(*)".to_owned(),
+        "COUNT(f > 0)".to_owned(),
+        "COUNT(s = 'a')".to_owned(),
+        "COUNT(s)".to_owned(),
+        "COUNT(DISTINCT s)".to_owned(),
+    ];
+    for x in ["f", "i"] {
+        for func in ["COUNT", "SUM", "AVG", "MIN", "MAX", "VARIANCE", "STDDEV"] {
+            aggregates.push(format!("{func}({x})"));
+        }
+        aggregates.push(format!("COUNT(DISTINCT {x})"));
+    }
+    for agg in &aggregates {
+        let window = run(&format!(
+            "SELECT k, {agg} OVER (PARTITION BY k) AS w FROM wt"
+        ));
+        let grouped = run(&format!("SELECT k, {agg} AS g FROM wt GROUP BY k"));
+        let (window, grouped) = match (window, grouped) {
+            (Ok(w), Ok(g)) => (w, g),
+            (w, g) => panic!("{agg}: window {w:?} vs GROUP BY {g:?}"),
+        };
+        let keys = grouped.column("k").unwrap().data.decode_i64().to_vec();
+        let by_key: std::collections::HashMap<i64, (bool, u64)> =
+            keys.into_iter().zip(cells(&grouped, "g")).collect();
+        let row_keys = window.column("k").unwrap().data.decode_i64().to_vec();
+        let want: Vec<(bool, u64)> = row_keys.iter().map(|k| by_key[k]).collect();
+        assert_eq!(cells(&window, "w"), want, "{agg} OVER (PARTITION BY k)");
+
+        let window = run(&format!("SELECT {agg} OVER () AS w FROM wt")).unwrap();
+        let whole = run(&format!("SELECT {agg} AS g FROM wt")).unwrap();
+        let want = vec![cells(&whole, "g")[0]; rows.len()];
+        assert_eq!(cells(&window, "w"), want, "{agg} OVER ()");
+    }
+
+    // A payload column is GROUP BY's typed error in a window too.
+    for (window, grouped) in [
+        (
+            "SELECT id, COUNT(DISTINCT images) OVER () AS w FROM pics",
+            "SELECT COUNT(DISTINCT images) AS g FROM pics",
+        ),
+        (
+            "SELECT id, SUM(images) OVER (PARTITION BY id) AS w FROM pics",
+            "SELECT id, SUM(images) AS g FROM pics GROUP BY id",
+        ),
+    ] {
+        let (w, g) = (run(window).unwrap_err(), run(grouped).unwrap_err());
+        assert_eq!(w, g, "{window}");
+    }
+
+    // Running frames, one row per peer group: `o` is a unique order key.
+    let order: Vec<i64> = (0..rows.len() as i64).map(|r| (r * 7) % 24).collect();
+    let vals = [
+        1e8, 1.0, -1e8, 0.1, 0.2, 0.3, 3.3, -0.0, 1e-7, 2.5, 16.0, -3.25, 0.7, 1e7, 1e-3, 5.5,
+        -1.5, 1.0, 9e6, -9e6, 0.0, 0.125, 4.0, 1e8f32,
+    ];
+    tdp.register_table(
+        TableBuilder::new()
+            .col_i64("p", rows.iter().map(|r| r.0 % 2).collect())
+            .col_i64("o", order.clone())
+            .col_f32("v", vals.to_vec())
+            .col_i64("i", rows.iter().map(|r| r.2).collect())
+            .build("rt"),
+    );
+    let out = run("SELECT SUM(v) OVER (PARTITION BY p ORDER BY o) AS s, \
+         COUNT(DISTINCT i) OVER (PARTITION BY p ORDER BY o) AS d FROM rt")
+    .unwrap();
+    let mut window_order: Vec<usize> = (0..rows.len()).collect();
+    window_order.sort_by_key(|&r| (rows[r].0 % 2, order[r]));
+    let (mut sums, mut distinct) = (vec![0u32; rows.len()], vec![0i64; rows.len()]);
+    let mut seen = std::collections::HashSet::new();
+    let mut acc = 0.0f32;
+    for (pos, &r) in window_order.iter().enumerate() {
+        if pos == 0 || rows[window_order[pos - 1]].0 % 2 != rows[r].0 % 2 {
+            (acc, seen) = (0.0, Default::default());
+        }
+        acc += vals[r];
+        seen.insert(rows[r].2);
+        (sums[r], distinct[r]) = (acc.to_bits(), seen.len() as i64);
+    }
+    let got = out.column("s").unwrap().data.decode_f32().to_vec();
+    assert_eq!(got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), sums);
+    assert_eq!(
+        out.column("d").unwrap().data.decode_i64().to_vec(),
+        distinct
+    );
+}
