@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the tensor kernels that dominate query
 //! execution: elementwise ops, matmul, conv2d and row selection, each on
-//! CPU and on the simulated accelerator, and the vector-search kernels.
+//! CPU and on the simulated accelerator, row windows against a gather,
+//! and the vector-search kernels.
 //! They are diagnostics of the simulated accelerator (`tdp_tensor::device`),
 //! not claims. A kernel splits across lanes only from `PAR_THRESHOLD`
 //! output rows on: the `matmul_256` and `conv2d_8x8x28x28` (6,272 patches)
@@ -79,10 +80,35 @@ fn bench_row_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("filter_rows_100k");
     group.sample_size(20);
     group.bench_function("mask_filter", |bch| bch.iter(|| t.filter_rows(&mask)));
-    let idx = Tensor::<i64>::arange(n / 2);
+    // Every other row: a gather (one ascending run would select a window).
+    let idx = Tensor::from_vec((0..n as i64 / 2).map(|i| 2 * i).collect(), &[n / 2]);
     group.bench_function("gather_half", |bch| bch.iter(|| t.select_rows(&idx)));
     let col = t.narrow(1, 0, 1).reshape(&[n]);
     group.bench_function("gather_half_1d", |bch| bch.iter(|| col.select_rows(&idx)));
+    group.finish();
+}
+
+/// Row windows of the `ai_embedded` payload (`[30_000, 64]` f32): a
+/// `slice_rows` window and a `select_rows` of one ascending run share the
+/// buffer (O(1), and O(ids) to recognise the run), against a gather of
+/// the same number of scattered rows.
+fn bench_row_windows(c: &mut Criterion) {
+    let mut rng = Rng64::new(9);
+    let (n, from) = (30_000usize, 3_000usize);
+    let emb = Tensor::<f32>::randn(&[n, 64], 0.0, 1.0, &mut rng);
+    let run = Tensor::from_vec((from as i64..n as i64).collect(), &[n - from]);
+    // 7,919 is prime to 30,000: distinct rows in scattered order.
+    let scattered: Vec<i64> = (0..(n - from) as i64)
+        .map(|i| i * 7_919 % n as i64)
+        .collect();
+    let scattered = Tensor::from_vec(scattered, &[n - from]);
+    let mut group = c.benchmark_group("row_windows_30k_x64");
+    group.sample_size(20);
+    group.bench_function("slice_rows", |bch| bch.iter(|| emb.slice_rows(from, n)));
+    group.bench_function("select_rows_run", |bch| bch.iter(|| emb.select_rows(&run)));
+    group.bench_function("select_rows_scattered", |bch| {
+        bch.iter(|| emb.select_rows(&scattered))
+    });
     group.finish();
 }
 
@@ -146,6 +172,7 @@ criterion_group!(
     bench_matmul,
     bench_conv2d,
     bench_row_selection,
+    bench_row_windows,
     bench_sort_groupby_kernels,
     bench_vector_kernels
 );

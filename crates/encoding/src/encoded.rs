@@ -246,22 +246,20 @@ impl EncodedTensor {
         self.slice_rows(0, n)
     }
 
-    /// Rows `start..end` (bounds clamped), O(end − start) for every
-    /// layout — the window primitive of morsel execution. Plain,
-    /// dictionary and PE layouts slice their buffers in one memcpy
-    /// (dictionary slices share the parent's dictionary, so codes stay
-    /// globally comparable across morsels), and the full range is the
-    /// column itself — shared, not copied. The integer-compressed layouts
-    /// come back as plain `I64` holding exactly `decode_i64()[start..end]`.
+    /// Rows `start..end` (bounds clamped) — the window primitive of
+    /// morsel execution. Plain, dictionary and PE layouts return an O(1)
+    /// window sharing the column's buffer ([`Tensor::slice_rows`];
+    /// dictionary windows share the parent's dictionary too, so codes stay
+    /// globally comparable across morsels). The integer-compressed layouts
+    /// decode the window alone, in O(end − start), and come back as plain
+    /// `I64` holding exactly `decode_i64()[start..end]`.
     pub fn slice_rows(&self, start: usize, end: usize) -> EncodedTensor {
-        let rows = self.rows();
-        let end = end.min(rows);
+        let end = end.min(self.rows());
         let start = start.min(end);
         match self {
             EncodedTensor::Rle(r) => plain_i64(r.window(start, end)),
             EncodedTensor::BitPacked(b) => plain_i64(b.window(start, end)),
             EncodedTensor::Delta(d) => plain_i64(d.window(start, end)),
-            _ if (start, end) == (0, rows) => self.clone(),
             EncodedTensor::F32(t) => EncodedTensor::F32(t.slice_rows(start, end)),
             EncodedTensor::I64(t) => EncodedTensor::I64(t.slice_rows(start, end)),
             EncodedTensor::Bool(t) => EncodedTensor::Bool(t.slice_rows(start, end)),
@@ -278,7 +276,8 @@ impl EncodedTensor {
 
     /// The rows at `idx`, in any order, repeats allowed — the positional
     /// primitive of gathers, reorders and late materialization. Plain,
-    /// dictionary and PE layouts gather their buffers; the
+    /// dictionary and PE layouts gather their buffers, or share them when
+    /// `idx` is one ascending run ([`Tensor::select_rows`]); the
     /// integer-compressed layouts come back as plain `I64` holding
     /// exactly `decode_i64()` indexed by `idx`. An ascending `idx` (a
     /// selection's survivors) costs O(`idx`) — bit-packed rows are

@@ -22,13 +22,15 @@
 //!   columns at a few bits per row.
 //!
 //! Rows move through one family — [`EncodedTensor::slice_rows`] (rows
-//! `start..end`, O(end − start) — a morsel), [`EncodedTensor::select_rows`]
-//! (the rows at a list of ids, O(ids) when ascending — a selection's
-//! survivors) and [`EncodedTensor::filter_rows`] (a mask's survivors) —
-//! under one rule: plain, dictionary and PE layouts keep their encoding,
-//! the integer-compressed layouts are *read* and come back as plain
-//! `i64`. Compressed columns share their buffers: cloning one is O(1),
-//! like a tensor.
+//! `start..end` — a morsel), [`EncodedTensor::select_rows`] (the rows at
+//! a list of ids, O(ids) when ascending — a selection's survivors) and
+//! [`EncodedTensor::filter_rows`] (a mask's survivors) — under one rule:
+//! plain, dictionary and PE layouts keep their encoding, the
+//! integer-compressed layouts are *read* and come back as plain `i64`.
+//! A plain, dictionary or PE window — a `slice_rows`, or survivors that
+//! are one ascending run — shares the column's buffer in O(1); the
+//! integer-compressed layouts decode the window alone. Compressed
+//! columns share their buffers: cloning one is O(1), like a tensor.
 
 pub mod bitpack;
 pub mod delta;

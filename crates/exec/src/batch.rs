@@ -187,9 +187,10 @@ impl Batch {
     }
 
     /// Rows `start..end` of every column as a new batch — the morsel
-    /// slice. A contiguous range copy per column (dictionary slices share
-    /// the parent dictionary, so codes stay comparable across morsels);
-    /// no index tensor, no gather. Soft weights are dropped: the
+    /// slice. Each column is read through [`EncodedTensor::slice_rows`]:
+    /// plain, dictionary and PE columns are windows sharing their buffers
+    /// (dictionary windows share the parent dictionary, so codes stay
+    /// comparable across morsels); no index tensor, no gather. Soft weights are dropped: the
     /// differentiable walker refuses to cut a weighted batch (LIMIT is
     /// gated like every exact operator), so no caller holds any.
     pub fn slice_rows(&self, start: usize, end: usize) -> Batch {

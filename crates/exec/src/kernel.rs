@@ -79,7 +79,8 @@
 //! Pass-through columns move by the one row-movement rule
 //! ([`EncodedTensor::select_rows`] at the survivors,
 //! [`EncodedTensor::slice_rows`] over an unfiltered window): plain,
-//! dictionary and PE layouts keep theirs, integer-compressed layouts
+//! dictionary and PE layouts keep theirs (a window of the stored buffer
+//! when the rows are one run), integer-compressed layouts
 //! come out as plain `i64` — in every window of every size, which is
 //! also what the interpreter's `filter_batch` yields, so a result's
 //! encodings do not depend on how its input was split.
@@ -333,6 +334,9 @@ fn resolve<'c>(cols: &'c [(String, EncodedTensor)], r: &ColumnRef) -> KResult<&'
 /// dictionary leaves *borrow* the window out of the column's storage,
 /// `i64` leaves widen it, integer-compressed leaves decode it
 /// ([`EncodedTensor::slice_rows`]) — never more than the morsel's share.
+/// A pass-through column never comes here: `Scope::pass_through` hands
+/// it on as a window of the stored buffer (a selection's survivors too,
+/// when they are one run) or as a gather of its survivors.
 fn leaf_pval<'c>(
     col: &'c EncodedTensor,
     sc: Scope<'_, '_>,

@@ -336,8 +336,12 @@ pub(crate) fn from_cols(cols: MorselCols) -> Batch {
 /// what the interpreter evaluates a morsel on (chain kernels address the
 /// window in place). Read through [`EncodedTensor::slice_rows`] inside
 /// the task, and charged as `operator` until the guard drops with it. A
-/// window over the whole input is the input — its plain columns are
-/// shared, not copied — and charges nothing.
+/// window over the whole input is the input and charges nothing. Plain
+/// windows share their column's buffer too, but a partial window is
+/// still charged its bytes, on purpose: the charge bounds what the
+/// interpreter's evaluation of the morsel materialises, and
+/// `memory_budget.rs::selection_fed_aggregate_fits_budget_the_gathered_path_exceeds`
+/// depends on it.
 pub(super) fn slice_cols(
     cols: &[(String, EncodedTensor)],
     start: usize,

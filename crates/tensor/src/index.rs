@@ -11,14 +11,29 @@ use crate::tensor::Tensor;
 
 impl<T: Element> Tensor<T> {
     /// Gather whole rows (leading-dimension entries) by index, with
-    /// repetition allowed. `idx` entries must be in `[0, rows)`.
+    /// repetition allowed. `idx` entries must be in `[0, rows)`. Ids that
+    /// are one ascending run `a, a+1, …, b` select the window
+    /// [`Tensor::slice_rows`]`(a, b + 1)`: the same rows, sharing this
+    /// tensor's buffer instead of copying them.
     pub fn select_rows(&self, idx: &Tensor<i64>) -> Tensor<T> {
         assert!(self.ndim() >= 1, "select_rows on a scalar");
         assert_eq!(idx.ndim(), 1, "row index tensor must be 1-d");
         let n = self.rows();
+        let ids = idx.data();
+        if let Some(run) = ascending_run(ids) {
+            if run.start < 0 || run.end > n as i64 {
+                // The first id a gather would find out of bounds.
+                let src = if run.start < 0 {
+                    run.start
+                } else {
+                    run.start.max(n as i64)
+                };
+                panic!("row index {src} out of bounds for {n} rows");
+            }
+            return self.slice_rows(run.start as usize, run.end as usize);
+        }
         let stride: usize = self.shape()[1..].iter().product();
         let data = self.data();
-        let ids = idx.data();
         let src_row = |i: usize| {
             let src = ids[i];
             assert!(
@@ -64,7 +79,9 @@ impl<T: Element> Tensor<T> {
         self.select_rows(&Tensor::from_vec(idx, &[n]))
     }
 
-    /// Contiguous sub-range along a dimension.
+    /// Contiguous sub-range along a dimension. When every dimension before
+    /// `dim` has extent 1 (always for `dim == 0`) the range is one window
+    /// sharing this tensor's buffer; otherwise it is copied.
     pub fn narrow(&self, dim: usize, start: usize, len: usize) -> Tensor<T> {
         assert!(dim < self.ndim(), "narrow dim {dim} out of range");
         let dims = self.shape();
@@ -75,14 +92,17 @@ impl<T: Element> Tensor<T> {
         );
         let outer: usize = dims[..dim].iter().product();
         let inner: usize = dims[dim + 1..].iter().product();
+        let mut new_dims = dims.to_vec();
+        new_dims[dim] = len;
+        if outer == 1 {
+            return self.window(start * inner, crate::shape::Shape(new_dims));
+        }
         let d = self.data();
         let mut out = Vec::with_capacity(outer * len * inner);
         for o in 0..outer {
             let base = (o * dims[dim] + start) * inner;
             out.extend_from_slice(&d[base..base + len * inner]);
         }
-        let mut new_dims = dims.to_vec();
-        new_dims[dim] = len;
         Tensor::from_vec(out, &new_dims).to(self.device())
     }
 
@@ -166,6 +186,16 @@ impl<T: Num> Tensor<T> {
             .to(self.device())
             .scatter_add_rows(segments, self)
     }
+}
+
+/// `ids` as the range `a..b + 1` when they are one ascending run
+/// `a, a+1, …, b`; `None` for anything else, empty ids included.
+fn ascending_run(ids: &[i64]) -> Option<std::ops::Range<i64>> {
+    let &first = ids.first()?;
+    let end = first.checked_add(ids.len() as i64)?;
+    ids.windows(2)
+        .all(|w| w[0].checked_add(1) == Some(w[1]))
+        .then_some(first..end)
 }
 
 /// Concatenate tensors along the leading dimension. Trailing dims must match.
@@ -279,6 +309,65 @@ mod tests {
     }
 
     #[test]
+    fn a_run_selects_the_window() {
+        let a = Tensor::from_vec((0..40).map(|i| i as f32).collect(), &[10, 2, 2]);
+        let gather = |ids: &[i64]| {
+            // The gather a run replaces, row by row.
+            let rows: Vec<f32> = ids
+                .iter()
+                .flat_map(|&i| a.row(i as usize).to_vec())
+                .collect();
+            Tensor::from_vec(rows, &[ids.len(), 2, 2])
+        };
+        for ids in [vec![3, 4, 5, 6], vec![0], vec![9], (0..10).collect()] {
+            let s = a.select_rows(&idx(ids.clone()));
+            assert_eq!(s, gather(&ids), "run {ids:?}");
+            let bits = |t: &Tensor<f32>| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&s), bits(&gather(&ids)));
+            assert_eq!(s.data().as_ptr(), a.row(ids[0] as usize).data().as_ptr());
+        }
+        // Not a run: a fresh buffer.
+        let s = a.select_rows(&idx(vec![3, 5]));
+        assert_eq!(s, gather(&[3, 5]));
+        assert_ne!(s.data().as_ptr(), a.row(3).data().as_ptr());
+        // Runs through filters and windows of windows.
+        let w = a.slice_rows(2, 8);
+        let mask = Tensor::from_vec(vec![false, true, true, true, false, false], &[6]);
+        let f = w.filter_rows(&mask);
+        assert_eq!(f, gather(&[3, 4, 5]));
+        assert_eq!(f.data().as_ptr(), a.row(3).data().as_ptr());
+        // Empty ids select no rows.
+        let e = a.select_rows(&idx(vec![]));
+        assert_eq!(e.shape(), &[0, 2, 2]);
+        let none = Tensor::from_vec(vec![false; 10], &[10]);
+        assert_eq!(a.filter_rows(&none).shape(), &[0, 2, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row index 10 out of bounds for 10 rows")]
+    fn an_out_of_bounds_run_panics() {
+        Tensor::<i64>::zeros(&[10]).select_rows(&idx(vec![8, 9, 10, 11]));
+    }
+
+    #[test]
+    #[should_panic(expected = "row index -1 out of bounds for 10 rows")]
+    fn a_negative_run_panics() {
+        Tensor::<i64>::zeros(&[10]).select_rows(&idx(vec![-1, 0, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "row index 12 out of bounds for 10 rows")]
+    fn a_run_past_the_end_names_its_first_id() {
+        Tensor::<i64>::zeros(&[10]).select_rows(&idx(vec![12, 13]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds for 10 rows")]
+    fn a_run_that_would_overflow_is_gathered() {
+        Tensor::<i64>::zeros(&[10]).select_rows(&idx(vec![i64::MAX, i64::MIN]));
+    }
+
+    #[test]
     fn filter_rows_mask() {
         let a = t(vec![10.0, 20.0, 30.0, 40.0], &[4]);
         let m = Tensor::from_vec(vec![true, false, true, false], &[4]);
@@ -304,6 +393,12 @@ mod tests {
         assert_eq!(n.shape(), &[2, 2, 4]);
         assert_eq!(n.get(&[0, 0, 0]), a.get(&[0, 1, 0]));
         assert_eq!(n.get(&[1, 1, 3]), a.get(&[1, 2, 3]));
+        // Leading extents of 1 leave one window.
+        let r = a.narrow(0, 1, 1);
+        assert_eq!(r.data().as_ptr(), a.data()[12..].as_ptr());
+        let w = r.narrow(1, 1, 2);
+        assert_eq!(w.to_vec(), (16..24).map(|i| i as f32).collect::<Vec<_>>());
+        assert_eq!(w.data().as_ptr(), a.data()[16..].as_ptr());
     }
 
     #[test]

@@ -140,11 +140,7 @@ impl<T: Float> Tensor<T> {
         let n = other.shape()[2];
         let mut out = Vec::with_capacity(b * m * n);
         for i in 0..b {
-            let lhs = Tensor::from_vec(self.data()[i * m * k..(i + 1) * m * k].to_vec(), &[m, k])
-                .to(self.device());
-            let rhs = Tensor::from_vec(other.data()[i * k * n..(i + 1) * k * n].to_vec(), &[k, n])
-                .to(other.device());
-            out.extend_from_slice(lhs.matmul(&rhs).data());
+            out.extend_from_slice(self.row(i).matmul(&other.row(i)).data());
         }
         Tensor::from_vec(out, &[b, m, n]).to(self.device().combine(other.device()))
     }

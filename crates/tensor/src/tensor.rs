@@ -9,14 +9,25 @@ use crate::shape::Shape;
 
 /// A dense, contiguous, row-major n-dimensional array.
 ///
-/// Cloning is O(1) (the buffer is shared behind an [`Arc`]); mutation goes
-/// through copy-on-write: a buffer nothing else holds is changed where it
-/// is, a shared one is copied first, so every other holder keeps exactly
-/// the values it saw. [`Tensor::append_rows`] grows a buffer by the same
-/// rule. A scalar is a tensor with an empty shape.
+/// The elements are one contiguous window of a buffer shared behind an
+/// [`Arc`], so one buffer can back many tensors: cloning, reshaping and
+/// taking a window of rows ([`Tensor::slice_rows`], [`Tensor::row`], a
+/// [`Tensor::select_rows`] of one ascending run) are O(1) and copy
+/// nothing. Mutation goes through copy-on-write: a tensor that is the
+/// whole of a buffer nothing else holds is changed where it is; any other
+/// (a shared buffer, or a window of a larger one) first copies out just
+/// its own elements, so every other holder keeps exactly the values it
+/// saw. [`Tensor::append_rows`] grows a buffer by the same rule, so a
+/// window never extends into, or exposes, rows outside it. A scalar is a
+/// tensor with an empty shape.
 #[derive(Clone)]
 pub struct Tensor<T: Element> {
     data: Arc<Vec<T>>,
+    /// Where this tensor's first element sits in `data`.
+    offset: usize,
+    /// Its element count, `shape.numel()`, kept so that reading the
+    /// window costs no walk over the dimensions.
+    len: usize,
     shape: Shape,
     device: Device,
 }
@@ -39,7 +50,9 @@ impl<T: Element> Tensor<T> {
             sh
         );
         Tensor {
+            len: data.len(),
             data: Arc::new(data),
+            offset: 0,
             shape: sh,
             device: Device::Cpu,
         }
@@ -82,7 +95,7 @@ impl<T: Element> Tensor<T> {
 
     /// Total number of elements.
     pub fn numel(&self) -> usize {
-        self.shape.numel()
+        self.len
     }
 
     /// Size of the leading dimension — the row count of a column tensor.
@@ -101,26 +114,58 @@ impl<T: Element> Tensor<T> {
         self.numel() == 0
     }
 
-    /// Borrow the flat row-major buffer.
+    /// Borrow the tensor's elements, flat and row-major. The one place the
+    /// shared buffer is indexed: every other read goes through here, so
+    /// none can forget `offset`.
     pub fn data(&self) -> &[T] {
-        &self.data
+        &self.data.as_slice()[self.offset..self.offset + self.len]
     }
 
-    /// Copy out the flat buffer.
+    /// Copy out the elements.
     pub fn to_vec(&self) -> Vec<T> {
-        self.data.as_ref().clone()
+        self.data().to_vec()
     }
 
-    /// Mutable access to the buffer (copy-on-write if shared).
+    /// Mutable access to the elements (copy-on-write: a window copies out
+    /// only itself, a shared buffer is copied first).
     pub fn data_mut(&mut self) -> &mut [T] {
+        if !self.is_whole_buffer() {
+            self.data = Arc::new(self.data().to_vec());
+            self.offset = 0;
+        }
         Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
+    /// `true` when the tensor's elements are all of its buffer — not a
+    /// window of a larger one.
+    fn is_whole_buffer(&self) -> bool {
+        self.offset == 0 && self.data.len() == self.len
+    }
+
+    /// A tensor of `shape` over this one's buffer from element `at` of its
+    /// window on: O(1), nothing copied.
+    pub(crate) fn window(&self, at: usize, shape: Shape) -> Tensor<T> {
+        let len = shape.numel();
+        assert!(
+            at + len <= self.len,
+            "window [{at}, {at}+{len}) exceeds {} elements",
+            self.len
+        );
+        Tensor {
+            data: Arc::clone(&self.data),
+            offset: self.offset + at,
+            len,
+            shape,
+            device: self.device,
+        }
+    }
+
     /// Append `other`'s rows after this tensor's (trailing dimensions must
-    /// agree); the tensor keeps its device. Copy-on-write: a buffer nothing
-    /// else holds grows where it is, copying only `other` (amortised, like
-    /// `Vec::extend`); a shared one is copied once into a fresh buffer
-    /// with room to grow, and its other holders keep their rows.
+    /// agree); the tensor keeps its device. Copy-on-write: the whole of a
+    /// buffer nothing else holds grows where it is, copying only `other`
+    /// (amortised, like `Vec::extend`); a shared buffer or a window is
+    /// copied once into a fresh buffer with room to grow, and other
+    /// holders keep their rows.
     pub fn append_rows(&mut self, other: &Tensor<T>) {
         assert!(self.ndim() >= 1, "append_rows() on a scalar");
         assert_eq!(
@@ -128,37 +173,42 @@ impl<T: Element> Tensor<T> {
             other.shape().get(1..).unwrap_or(&[]),
             "append_rows trailing shape mismatch"
         );
+        let whole = self.is_whole_buffer();
         match Arc::get_mut(&mut self.data) {
-            Some(buf) => buf.extend_from_slice(other.data()),
-            None => {
+            Some(buf) if whole => buf.extend_from_slice(other.data()),
+            _ => {
                 let len = self.numel() + other.numel();
                 let mut buf = Vec::with_capacity(len.max(2 * self.numel()));
-                buf.extend_from_slice(&self.data);
+                buf.extend_from_slice(self.data());
                 buf.extend_from_slice(other.data());
                 self.data = Arc::new(buf);
+                self.offset = 0;
             }
         }
         let mut dims = self.shape().to_vec();
         dims[0] += other.rows();
         self.shape = Shape::new(&dims);
+        self.len += other.len;
     }
 
     /// Rows [`Tensor::append_rows`] can add before it must copy or
-    /// reallocate the buffer: 0 when the buffer is shared. Takes `&mut`
-    /// so that no other holder can appear while the answer is used.
+    /// reallocate the buffer: 0 when the buffer is shared or the tensor is
+    /// a window. Takes `&mut` so that no other holder can appear while the
+    /// answer is used.
     pub fn spare_rows(&mut self) -> usize {
         let stride: usize = self.shape().get(1..).unwrap_or(&[]).iter().product();
+        let whole = self.is_whole_buffer();
         match Arc::get_mut(&mut self.data) {
-            Some(buf) => (buf.capacity() - buf.len())
+            Some(buf) if whole => (buf.capacity() - buf.len())
                 .checked_div(stride)
                 .unwrap_or(usize::MAX),
-            None => 0,
+            _ => 0,
         }
     }
 
     /// Element at a multi-index.
     pub fn get(&self, idx: &[usize]) -> T {
-        self.data[self.shape.offset(idx)]
+        self.data()[self.shape.offset(idx)]
     }
 
     /// Set the element at a multi-index (copy-on-write).
@@ -169,7 +219,7 @@ impl<T: Element> Tensor<T> {
 
     /// Element at a flat offset.
     pub fn at(&self, flat: usize) -> T {
-        self.data[flat]
+        self.data()[flat]
     }
 
     /// The single element of a scalar or 1-element tensor.
@@ -180,7 +230,7 @@ impl<T: Element> Tensor<T> {
             "item() on tensor of {} elements",
             self.numel()
         );
-        self.data[0]
+        self.data()[0]
     }
 
     // ------------------------------------------------------------------
@@ -201,7 +251,8 @@ impl<T: Element> Tensor<T> {
     }
 
     // ------------------------------------------------------------------
-    // Shape manipulation (all O(1) on data; reshape-family shares buffers)
+    // Shape manipulation (all O(1) on data; reshape-family and row
+    // windows share buffers)
     // ------------------------------------------------------------------
 
     /// View with a new shape of equal element count.
@@ -214,11 +265,7 @@ impl<T: Element> Tensor<T> {
             self.numel(),
             sh
         );
-        Tensor {
-            data: Arc::clone(&self.data),
-            shape: sh,
-            device: self.device,
-        }
+        self.window(0, sh)
     }
 
     /// Flatten into 1-d.
@@ -270,7 +317,7 @@ impl<T: Element> Tensor<T> {
                 eff[d] = if sd == 1 { 0 } else { src_strides[d - pad] };
             }
         }
-        let data = &self.data;
+        let data = self.data();
         let mut out = vec![T::default(); out_n];
         let target_strides = target.strides();
         self.device.fill_indexed(&mut out, |flat| {
@@ -298,7 +345,7 @@ impl<T: Element> Tensor<T> {
         let new_dims: Vec<usize> = dims.iter().map(|&d| self.shape.dims()[d]).collect();
         let out_shape = Shape::new(&new_dims);
         let out_strides = out_shape.strides();
-        let data = &self.data;
+        let data = self.data();
         let mut out = vec![T::default(); self.numel()];
         self.device.fill_indexed(&mut out, |flat| {
             let mut rem = flat;
@@ -328,7 +375,7 @@ impl<T: Element> Tensor<T> {
     pub fn repeat_rows(&self, n: usize) -> Tensor<T> {
         let mut out = Vec::with_capacity(self.numel() * n);
         for _ in 0..n {
-            out.extend_from_slice(&self.data);
+            out.extend_from_slice(self.data());
         }
         let mut dims = vec![n];
         dims.extend_from_slice(self.shape.dims());
@@ -337,47 +384,41 @@ impl<T: Element> Tensor<T> {
 
     /// Apply `f` to every element.
     pub fn map<U: Element>(&self, f: impl Fn(T) -> U + Sync) -> Tensor<U> {
-        let data = &self.data;
+        let data = self.data();
         let mut out = vec![U::default(); self.numel()];
         self.device.fill_indexed(&mut out, |i| f(data[i]));
         Tensor::from_vec(out, self.shape.dims()).with_device(self.device)
     }
 
-    /// First `n` rows as a contiguous prefix slice (clamped to the row
-    /// count). One memcpy — no index materialisation or gather.
+    /// First `n` rows (clamped to the row count): the window
+    /// `slice_rows(0, n)`.
     pub fn head_rows(&self, n: usize) -> Tensor<T> {
-        assert!(self.ndim() >= 1, "head_rows() on a scalar");
-        let n = n.min(self.rows());
-        let stride: usize = self.shape.dims()[1..].iter().product();
-        let mut shape = self.shape.dims().to_vec();
-        shape[0] = n;
-        Tensor::from_vec(self.data[..n * stride].to_vec(), &shape).with_device(self.device)
+        self.slice_rows(0, n)
     }
 
-    /// Rows `start..end` as a contiguous range slice (bounds clamped to
-    /// the row count). Like [`Tensor::head_rows`], a single memcpy of the
-    /// underlying buffer — no index materialisation or gather — which is
-    /// what makes morsel partitioning cheap.
+    /// Rows `start..end` (bounds clamped to the row count) as a window
+    /// sharing this tensor's buffer: O(1), no copy, no index
+    /// materialisation — which is what makes morsel partitioning cheap.
     pub fn slice_rows(&self, start: usize, end: usize) -> Tensor<T> {
         assert!(self.ndim() >= 1, "slice_rows() on a scalar");
-        let rows = self.rows();
-        let end = end.min(rows);
+        let end = end.min(self.rows());
         let start = start.min(end);
-        let stride: usize = self.shape.dims()[1..].iter().product();
-        let mut shape = self.shape.dims().to_vec();
-        shape[0] = end - start;
-        Tensor::from_vec(self.data[start * stride..end * stride].to_vec(), &shape)
-            .with_device(self.device)
+        let mut dims = self.shape.dims().to_vec();
+        dims[0] = end - start;
+        self.window(start * self.row_len(), Shape(dims))
     }
 
-    /// Row `i` of a tensor with ndim >= 1, as a tensor of one lower rank.
+    /// Row `i` of a tensor with ndim >= 1, as a window of one lower rank.
     pub fn row(&self, i: usize) -> Tensor<T> {
         assert!(self.ndim() >= 1, "row() on a scalar");
         let n = self.rows();
         assert!(i < n, "row {i} out of bounds for {n} rows");
-        let stride: usize = self.shape.dims()[1..].iter().product();
-        let data = self.data[i * stride..(i + 1) * stride].to_vec();
-        Tensor::from_vec(data, &self.shape.dims()[1..]).with_device(self.device)
+        self.window(i * self.row_len(), Shape::new(&self.shape.dims()[1..]))
+    }
+
+    /// Elements per row: the product of the trailing dimensions.
+    fn row_len(&self) -> usize {
+        self.shape.dims()[1..].iter().product()
     }
 }
 
@@ -502,7 +543,8 @@ impl<T: Element> std::fmt::Debug for Tensor<T> {
         if n <= 16 {
             write!(f, ", {:?})", self.data())
         } else {
-            write!(f, ", [{:?}, {:?}, ... ; {n}])", self.data[0], self.data[1])
+            let d = self.data();
+            write!(f, ", [{:?}, {:?}, ... ; {n}])", d[0], d[1])
         }
     }
 }
@@ -575,6 +617,95 @@ mod tests {
         let mut w = Tensor::<i64>::from_vec(vec![], &[2, 0]);
         w.append_rows(&Tensor::from_vec(vec![], &[3, 0]));
         assert_eq!(w.shape(), &[5, 0]);
+    }
+
+    /// `[4, 3]` of `0..12`.
+    fn grid() -> Tensor<f32> {
+        Tensor::from_vec((0..12).map(|i| i as f32).collect(), &[4, 3])
+    }
+
+    #[test]
+    fn row_windows_share_the_buffer() {
+        let a = grid();
+        let w = a.slice_rows(1, 4);
+        assert_eq!(w.shape(), &[3, 3]);
+        assert_eq!(w.data().as_ptr(), a.data()[3..].as_ptr(), "no copy");
+        // A window of a window, and the row family, address the same buffer.
+        let ww = w.slice_rows(1, 2);
+        assert_eq!(ww.to_vec(), vec![6.0, 7.0, 8.0]);
+        assert_eq!(ww.data().as_ptr(), a.data()[6..].as_ptr());
+        assert_eq!(w.row(2).to_vec(), vec![9.0, 10.0, 11.0]);
+        assert_eq!(w.row(2).data().as_ptr(), a.data()[9..].as_ptr());
+        assert_eq!(w.head_rows(1), a.slice_rows(1, 2));
+        assert_eq!(w.slice_rows(2, 99).rows(), 1, "clamped to the window");
+        assert_eq!(w.slice_rows(5, 9).shape(), &[0, 3]);
+        // Reshape and flatten keep the window.
+        assert_eq!(ww.flatten().to_vec(), vec![6.0, 7.0, 8.0]);
+        let r = w.reshape(&[9]);
+        assert_eq!(r.to_vec(), (3..12).map(|i| i as f32).collect::<Vec<_>>());
+        assert_eq!(r.reshape(&[3, 3]).get(&[2, 1]), 10.0);
+        assert_eq!(w.at(0), 3.0);
+        assert_eq!(ww.row(0).slice_rows(2, 3).item(), 8.0);
+    }
+
+    #[test]
+    fn writes_to_a_window_copy_out_only_the_window() {
+        let a = grid();
+        let mut w = a.slice_rows(1, 3);
+        w.set(&[0, 0], -1.0);
+        assert_eq!(w.to_vec(), vec![-1.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        assert_eq!(a, grid(), "the parent keeps its values");
+        let mut v = a.row(3);
+        v.data_mut()[2] = -2.0;
+        assert_eq!(v.to_vec(), vec![9.0, 10.0, -2.0]);
+        assert_eq!(a, grid());
+        // A window whose parent is gone still owns only its own rows.
+        let mut lone = grid().slice_rows(2, 3);
+        lone.data_mut()[0] = 0.5;
+        assert_eq!(lone.to_vec(), vec![0.5, 7.0, 8.0]);
+        assert_eq!(lone.spare_rows(), 0);
+    }
+
+    #[test]
+    fn appending_to_a_window_never_exposes_the_parents_rows() {
+        // A prefix window whose parent was dropped is the buffer's only
+        // holder, yet must not grow into (or show) the parent's tail, nor
+        // count the parent's spare capacity as its own.
+        let mut parent = grid();
+        parent.append_rows(&Tensor::from_vec(vec![12.0, 13.0, 14.0], &[1, 3]));
+        assert!(parent.spare_rows() >= 1);
+        let mut w = parent.head_rows(2);
+        drop(parent);
+        assert_eq!(w.spare_rows(), 0, "a window has no room of its own");
+        w.append_rows(&Tensor::from_vec(vec![-1.0, -2.0, -3.0], &[1, 3]));
+        assert_eq!(w.shape(), &[3, 3]);
+        assert_eq!(
+            w.to_vec(),
+            vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0, -1.0, -2.0, -3.0]
+        );
+        // The copy is the whole of a fresh buffer: it grows in place now.
+        assert!(w.spare_rows() >= 1);
+        let at = w.data().as_ptr();
+        w.append_rows(&Tensor::from_vec(vec![-4.0, -5.0, -6.0], &[1, 3]));
+        assert_eq!(w.data().as_ptr(), at);
+        assert_eq!(w.rows(), 4);
+        // A window held next to its parent: both keep their rows.
+        let a = grid();
+        let mut mid = a.slice_rows(1, 2);
+        mid.append_rows(&a.row(0).unsqueeze(0));
+        assert_eq!(mid.to_vec(), vec![3.0, 4.0, 5.0, 0.0, 1.0, 2.0]);
+        assert_eq!(a, grid());
+    }
+
+    #[test]
+    fn debug_prints_the_windows_own_elements() {
+        let a = Tensor::from_vec((0..40).map(|i| i as i64).collect(), &[20, 2]);
+        let w = a.slice_rows(5, 15);
+        assert_eq!(
+            format!("{w:?}"),
+            "Tensor<i64>([10, 2], cpu, [10, 11, ... ; 20])"
+        );
+        assert!(format!("{:?}", a.slice_rows(5, 7)).ends_with(", [10, 11, 12, 13])"));
     }
 
     #[test]

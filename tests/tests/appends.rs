@@ -3,7 +3,7 @@
 //! before an append keeps its rows, and a batch whose column types do
 //! not fit the stored columns is refused without touching the table.
 
-use tdp_core::encoding::EncodingKind;
+use tdp_core::encoding::{EncodedTensor, EncodingKind};
 use tdp_core::exec::DEFAULT_MORSEL_ROWS;
 use tdp_core::storage::{Table, TableBuilder};
 use tdp_core::tensor::Tensor;
@@ -125,6 +125,55 @@ fn results_taken_before_an_append_keep_their_rows() {
     let star = tdp.query("SELECT * FROM events").unwrap().run().unwrap();
     let want = oracle.query("SELECT * FROM events").unwrap().run().unwrap();
     assert_tables_identical(&star, &want, "the appended table");
+}
+
+/// Every column's buffer, as an address.
+fn buffers(t: &Table) -> Vec<*const u8> {
+    t.columns()
+        .iter()
+        .map(|c| match &c.data {
+            EncodedTensor::F32(t) => t.data().as_ptr().cast(),
+            EncodedTensor::I64(t) => t.data().as_ptr().cast(),
+            other => panic!("no growable buffer in {other:?}"),
+        })
+        .collect()
+}
+
+/// A result that is a window of the stored columns (a filter whose
+/// survivors are one run, a LIMIT) keeps its rows across appends, and
+/// once dropped pins nothing: the next append grows the stored buffers
+/// in place again.
+#[test]
+fn window_results_keep_their_rows_and_pin_nothing() {
+    let tdp = Tdp::new();
+    tdp.register_table(events(0, 10_000));
+    // The first append leaves room, so the next ones grow in place.
+    assert!(tdp.append_rows("events", &events(10_000, BATCH)));
+    let stored = || buffers(&tdp.catalog().get("events").unwrap());
+    let run_sql = "SELECT ts, val FROM events WHERE ts >= 9000";
+    let head_sql = "SELECT ts, val FROM events LIMIT 5";
+    let run = tdp.query(run_sql).unwrap().run().unwrap();
+    let head = tdp.query(head_sql).unwrap().run().unwrap();
+    let oracle = |from: usize, n: usize| {
+        let t = events(from, n);
+        TableBuilder::new()
+            .col_encoded("ts", t.column("ts").unwrap().data.clone())
+            .col_encoded("val", t.column("val").unwrap().data.clone())
+            .build("events")
+    };
+    assert_tables_identical(&run, &oracle(9_000, 5_096), run_sql);
+    assert_tables_identical(&head, &oracle(0, 5), head_sql);
+    assert!(tdp.append_rows("events", &events(14_096, BATCH)));
+    assert_tables_identical(&run, &oracle(9_000, 5_096), "held run");
+    assert_tables_identical(&head, &oracle(0, 5), "held LIMIT");
+    drop((run, head));
+    // Whether that append grew the buffers or copied them, they have room
+    // for 100 more rows.
+    let at = stored();
+    assert!(tdp.append_rows("events", &events(18_192, 100)));
+    assert_eq!(stored(), at, "released results pin no stored buffer");
+    let run = tdp.query(run_sql).unwrap().run().unwrap();
+    assert_tables_identical(&run, &oracle(9_000, 9_292), "after the appends");
 }
 
 #[test]

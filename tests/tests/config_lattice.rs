@@ -421,6 +421,13 @@ const CORPUS: &[(&str, &str)] = &[
         "small packed, pinned projection",
         "SELECT halve(dial) AS h, key FROM s",
     ),
+    // Survivors that are one run, starting mid-morsel and crossing
+    // morsel boundaries at every morsel size: each morsel's output is a
+    // window of a window of the stored payload, or a gather of one run.
+    (
+        "payload column, one run of survivors",
+        "SELECT id, images FROM album WHERE id >= 4000",
+    ),
 ];
 
 /// Statements that fail while running: the chain kernel bails on the
@@ -765,6 +772,7 @@ const KINDS: &[(&str, &str)] = &[
     ),
     ("small packed, pinned chain", "PlainF32 PlainI64 PlainI64"),
     ("small packed, pinned projection", "PlainF32 BitPacked"),
+    ("payload column, one run of survivors", "PlainI64 PlainF32"),
     ("range scan 4090..4200", "PlainF32 PlainF32"),
     ("range scan 0..50", "PlainF32 PlainF32"),
     ("recent scan, last 5000", "PlainI64 PlainI64"),
