@@ -17,7 +17,8 @@ use std::sync::Arc;
 
 use tdp_autodiff::Var;
 use tdp_exec::{
-    Batch, ColumnData, DeclaredArg, ExecContext, ParamValue, ParamValues, PhysicalPlan, UdfRegistry,
+    ColumnData, DeclaredArg, DiffBatch, ExecContext, ParamValue, ParamValues, PhysicalPlan,
+    UdfRegistry,
 };
 use tdp_sql::plan::LogicalPlan;
 use tdp_storage::Table;
@@ -338,7 +339,6 @@ impl<'s> BoundQuery<'s> {
             params: self.params.clone(),
             threads: self.session.threads(),
             morsel_rows: self.session.morsel_rows(),
-            partitions: self.session.partitions(),
             chain_kernels: self.session.chain_kernels_enabled(),
             zone_maps: self.session.zone_maps_enabled(),
             // Plain runs accumulate straight into the engine-wide
@@ -389,13 +389,13 @@ impl<'s> BoundQuery<'s> {
         Ok((batch.to_table("result"), profile))
     }
 
-    /// Execute the differentiable lowering, producing a batch whose
+    /// Execute the differentiable lowering, producing a [`DiffBatch`] whose
     /// differentiable columns carry the autodiff tape. Requires the query
     /// to have been compiled with [`QueryConfig::trainable`]. Subtrees off
     /// the tape run on the exact walker with the session's threads, chain
     /// kernels and zone maps and this run's memory ledger; the soft
     /// operators run on the calling thread, where the tape lives.
-    pub fn run_diff(&self) -> Result<Batch, TdpError> {
+    pub fn run_diff(&self) -> Result<DiffBatch, TdpError> {
         if !self.config.trainable {
             return Err(TdpError::Session(
                 "query was not compiled with TRAINABLE; use run() or recompile".into(),
@@ -472,7 +472,7 @@ mod tests {
     use super::*;
     use crate::session::Tdp;
     use std::sync::Arc;
-    use tdp_exec::{DiffColumn, ExecError, TableFunction};
+    use tdp_exec::{Batch, DiffColumn, ExecError, TableFunction};
     use tdp_storage::TableBuilder;
     use tdp_tensor::Tensor;
 
@@ -485,19 +485,14 @@ mod tests {
             "tiny"
         }
         fn invoke_table(&self, input: &Batch, ctx: &ExecContext) -> Result<Batch, ExecError> {
-            let diff = self.invoke_table_diff(input, ctx)?;
-            let mut out = Batch::new();
-            for (name, col) in diff.columns() {
-                out.push(name.clone(), ColumnData::Exact(col.to_exact()));
-            }
-            Ok(out)
+            Ok(self.invoke_table_diff(&input.clone().into(), ctx)?.detach())
         }
         fn invoke_table_diff(
             &self,
-            _input: &Batch,
+            _input: &DiffBatch,
             _ctx: &ExecContext,
-        ) -> Result<Batch, ExecError> {
-            let mut out = Batch::new();
+        ) -> Result<DiffBatch, ExecError> {
+            let mut out = DiffBatch::new();
             out.push(
                 "Label",
                 ColumnData::Diff(DiffColumn::pe(self.logits.softmax(1), Tensor::arange(2))),

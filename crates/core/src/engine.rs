@@ -8,7 +8,7 @@
 //!   ├─ Catalog            RwLock          ├─ local UdfRegistry   (Rc-based
 //!   │   (tables, zone maps,               │   trainable Vars live here)
 //!   │    vector indexes)                  ├─ bound params / device
-//!   ├─ PlanCache (shared) Mutex           ├─ threads / morsels / partitions
+//!   ├─ PlanCache (shared) Mutex           ├─ threads / morsel rows
 //!   ├─ plan epoch         atomic          ├─ zone-map / chain-kernel toggles
 //!   ├─ SharedUdfRegistry  RwLock          ├─ PlanCache (overlay) RefCell
 //!   ├─ access-path        atomics         └─ local registration epoch

@@ -68,7 +68,7 @@ pub enum StatementOutcome {
 ///
 /// Per session: bound parameter state on [`Prepared`] handles, the
 /// default [`Device`], scheduler knobs (threads / morsel rows /
-/// partitions / chain-kernel switch), functions registered with
+/// chain-kernel and zone-map switches), functions registered with
 /// [`Session::register_udf`] / [`Session::register_tvf`]. Per engine:
 /// the catalog, the cross-session plan cache, functions registered with
 /// [`Session::register_udf_parallel`], access-path and chain-kernel
@@ -108,8 +108,6 @@ pub struct Session {
     threads: Cell<usize>,
     /// Rows per morsel (tunable mostly for tests/benchmarks).
     morsel_rows: Cell<usize>,
-    /// Barrier-exchange partition count (partitioned join / DISTINCT).
-    partitions: Cell<usize>,
     /// Whether executions may run chains on the chain kernels
     /// (default: `TDP_CHAIN_KERNELS`, else on).
     chain_kernels_on: Cell<bool>,
@@ -134,7 +132,6 @@ impl Session {
             plan_cache: RefCell::new(PlanCache::default()),
             threads: Cell::new(defaults.threads),
             morsel_rows: Cell::new(defaults.morsel_rows),
-            partitions: Cell::new(tdp_exec::DEFAULT_PARTITIONS),
             chain_kernels_on: Cell::new(defaults.chain_kernels),
             zone_maps_on: Cell::new(defaults.zone_maps),
             ivf_rebuild_after: Cell::new(defaults.ivf_rebuild_after),
@@ -172,21 +169,6 @@ impl Session {
     /// Current rows-per-morsel partition size.
     pub fn morsel_rows(&self) -> usize {
         self.morsel_rows.get()
-    }
-
-    /// Set the barrier-exchange partition count (clamped to ≥ 1; default
-    /// [`tdp_exec::DEFAULT_PARTITIONS`]). Partitioned hash joins and
-    /// shared-nothing DISTINCT distribute rows across this many buckets
-    /// by key hash. A plan property independent of
-    /// [`Session::set_threads`]: changing it never changes results, only
-    /// load balance.
-    pub fn set_partitions(&self, n: usize) {
-        self.partitions.set(n.max(1));
-    }
-
-    /// Current barrier-exchange partition count.
-    pub fn partitions(&self) -> usize {
-        self.partitions.get()
     }
 
     /// Enable or disable compiled chain kernels (default: the

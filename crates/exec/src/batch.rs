@@ -1,4 +1,20 @@
 //! Batches: the unit of data flowing between physical operators.
+//!
+//! One column list, two column types. A [`Batch`] — what every exact
+//! operator, stage and kernel reads and writes — is a [`NamedColumns`] of
+//! [`EncodedTensor`]s: plain data, `Send + Sync` by type, so a stage's
+//! workers borrow its columns directly. The differentiable walker
+//! ([`crate::diff`]) alone moves [`DiffBatch`]es: [`ColumnData`] columns,
+//! exact or on the `Rc`-based autodiff tape, plus the soft row weights
+//! its relaxed predicates produce. Tape state cannot reach the exact
+//! executor: the walker's gate is the one conversion from a `DiffBatch`
+//! to a `Batch`, `From<Batch>` the way back, and [`DiffBatch::detach`]
+//! the exact view its off-tape expressions are evaluated on.
+//!
+//! Columns are addressed two ways: by **slot index** (the hot path — the
+//! physical plan resolves names to slots at lowering) or by name,
+//! case-insensitively with the first match winning, scanning what are
+//! always short column lists.
 
 use tdp_autodiff::Var;
 use tdp_encoding::{EncodedTensor, PeTensor};
@@ -100,67 +116,43 @@ impl ColumnData {
     }
 }
 
-/// An ordered set of named columns (plus, in trainable mode, soft row
-/// weights produced by relaxed predicates).
-///
-/// Columns are addressed two ways: by **slot index** (the hot path — the
-/// physical plan resolves names to slots at compile time) or by name
-/// through an O(1) lowercase name→slot map kept in sync on every push.
-#[derive(Clone, Debug, Default)]
-pub struct Batch {
-    columns: Vec<(String, ColumnData)>,
-    /// Lowercased name → first slot carrying it (mirrors the
-    /// first-match-wins semantics of the former linear scan).
-    index: std::collections::HashMap<String, usize>,
-    /// Soft filter weights (`[N]` Var in (0,1)); `None` means all-ones.
-    pub weights: Option<Var>,
+/// An ordered list of named columns of one type — the name and slot
+/// bookkeeping both batch types share.
+#[derive(Clone, Debug)]
+pub struct NamedColumns<C> {
+    columns: Vec<(String, C)>,
 }
 
-impl Batch {
-    pub fn new() -> Batch {
-        Batch::default()
-    }
+/// The exact executor's batch.
+pub type Batch = NamedColumns<EncodedTensor>;
 
-    pub fn from_table(table: &Table) -> Batch {
-        let mut out = Batch::new();
-        for c in table.columns() {
-            out.push(c.name.clone(), ColumnData::Exact(c.data.clone()));
+impl<C> Default for NamedColumns<C> {
+    fn default() -> Self {
+        NamedColumns {
+            columns: Vec::new(),
         }
-        out
+    }
+}
+
+impl<C> NamedColumns<C> {
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Convert to a storage table (detaching differentiable columns).
-    pub fn to_table(&self, name: &str) -> Table {
-        Table::new(
-            name,
-            self.columns
-                .iter()
-                .map(|(n, c)| Column::new(n.clone(), c.to_exact()))
-                .collect(),
-        )
+    pub fn push(&mut self, name: impl Into<String>, col: C) {
+        self.columns.push((name.into(), col));
     }
 
-    pub fn push(&mut self, name: impl Into<String>, data: ColumnData) {
-        let name = name.into();
-        let slot = self.columns.len();
-        self.index.entry(name.to_ascii_lowercase()).or_insert(slot);
-        self.columns.push((name, data));
-    }
-
-    pub fn columns(&self) -> &[(String, ColumnData)] {
+    pub fn columns(&self) -> &[(String, C)] {
         &self.columns
-    }
-
-    pub fn rows(&self) -> usize {
-        self.columns.first().map(|(_, c)| c.rows()).unwrap_or(0)
     }
 
     pub fn names(&self) -> Vec<&str> {
         self.columns.iter().map(|(n, _)| n.as_str()).collect()
     }
 
-    /// Case-insensitive column lookup, O(1) via the name index.
-    pub fn column(&self, name: &str) -> Result<&ColumnData, ExecError> {
+    /// Case-insensitive column lookup (first occurrence).
+    pub fn column(&self, name: &str) -> Result<&C, ExecError> {
         self.slot(name)
             .map(|s| &self.columns[s].1)
             .ok_or_else(|| ExecError::UnknownColumn(name.to_owned()))
@@ -168,17 +160,51 @@ impl Batch {
 
     /// Slot carrying `name` (case-insensitive, first occurrence).
     pub fn slot(&self, name: &str) -> Option<usize> {
-        self.index.get(&name.to_ascii_lowercase()).copied()
+        self.columns
+            .iter()
+            .position(|(n, _)| n.eq_ignore_ascii_case(name))
     }
 
     /// Column at a physical slot index.
-    pub fn column_at(&self, slot: usize) -> Option<&ColumnData> {
+    pub fn column_at(&self, slot: usize) -> Option<&C> {
         self.columns.get(slot).map(|(_, c)| c)
     }
 
-    /// Name of the column at a slot.
-    pub fn name_at(&self, slot: usize) -> Option<&str> {
-        self.columns.get(slot).map(|(n, _)| n.as_str())
+    pub fn into_columns(self) -> Vec<(String, C)> {
+        self.columns
+    }
+}
+
+impl<C> FromIterator<(String, C)> for NamedColumns<C> {
+    fn from_iter<I: IntoIterator<Item = (String, C)>>(iter: I) -> Self {
+        NamedColumns {
+            columns: iter.into_iter().collect(),
+        }
+    }
+}
+
+impl Batch {
+    pub fn rows(&self) -> usize {
+        self.columns.first().map_or(0, |(_, c)| c.rows())
+    }
+
+    pub fn from_table(table: &Table) -> Batch {
+        table
+            .columns()
+            .iter()
+            .map(|c| (c.name.clone(), c.data.clone()))
+            .collect()
+    }
+
+    /// Convert to a storage table.
+    pub fn to_table(&self, name: &str) -> Table {
+        Table::new(
+            name,
+            self.columns
+                .iter()
+                .map(|(n, c)| Column::new(n.clone(), c.clone()))
+                .collect(),
+        )
     }
 
     /// First `n` rows of every column as a new batch.
@@ -190,18 +216,11 @@ impl Batch {
     /// slice. Each column is read through [`EncodedTensor::slice_rows`]:
     /// plain, dictionary and PE columns are windows sharing their buffers
     /// (dictionary windows share the parent dictionary, so codes stay
-    /// comparable across morsels); no index tensor, no gather. Soft weights are dropped: the
-    /// differentiable walker refuses to cut a weighted batch (LIMIT is
-    /// gated like every exact operator), so no caller holds any.
+    /// comparable across morsels); no index tensor, no gather.
     pub fn slice_rows(&self, start: usize, end: usize) -> Batch {
-        let mut out = Batch::new();
-        for (name, col) in &self.columns {
-            out.push(
-                name.clone(),
-                ColumnData::Exact(col.to_exact().slice_rows(start, end)),
-            );
-        }
-        out
+        let window =
+            |(name, col): &(String, EncodedTensor)| (name.clone(), col.slice_rows(start, end));
+        self.columns.iter().map(window).collect()
     }
 
     /// Concatenate batches row-wise, preserving column encodings where
@@ -213,31 +232,22 @@ impl Batch {
         if parts.len() == 1 {
             return parts[0].clone();
         }
-        let mut out = Batch::new();
-        let exact: Vec<Vec<EncodedTensor>> = parts
-            .iter()
-            .map(|b| b.columns().iter().map(|(_, c)| c.to_exact()).collect())
-            .collect();
-        for (i, (name, _)) in parts[0].columns().iter().enumerate() {
-            let pieces: Vec<&EncodedTensor> = exact.iter().map(|cols| &cols[i]).collect();
-            out.push(
-                name.clone(),
-                ColumnData::Exact(EncodedTensor::concat(&pieces)),
-            );
-        }
-        out
-    }
-
-    /// Whether any column is differentiable.
-    pub fn has_diff(&self) -> bool {
-        self.columns.iter().any(|(_, c)| c.is_diff())
+        let column = |i: usize| {
+            let pieces: Vec<&EncodedTensor> = parts.iter().map(|b| &b.columns[i].1).collect();
+            EncodedTensor::concat(&pieces)
+        };
+        let names = parts[0].columns.iter().map(|(name, _)| name.clone());
+        names
+            .enumerate()
+            .map(|(i, name)| (name, column(i)))
+            .collect()
     }
 
     /// First tensor-payload column (used by FROM-position TVFs whose input
     /// is a registered bare tensor).
     pub fn first_tensor(&self) -> Result<F32Tensor, ExecError> {
         for (_, c) in &self.columns {
-            if let ColumnData::Exact(EncodedTensor::F32(t)) = c {
+            if let EncodedTensor::F32(t) = c {
                 return Ok(t.clone());
             }
         }
@@ -247,11 +257,74 @@ impl Batch {
     }
 }
 
+/// The differentiable walker's batch: exact and tape columns, plus (in
+/// trainable mode) the soft row weights produced by relaxed predicates.
+/// It reads as its column list.
+#[derive(Clone, Debug, Default)]
+pub struct DiffBatch {
+    pub cols: NamedColumns<ColumnData>,
+    /// Soft filter weights (`[N]` Var in (0,1)); `None` means all-ones.
+    pub weights: Option<Var>,
+}
+
+impl DiffBatch {
+    pub fn new() -> DiffBatch {
+        DiffBatch::default()
+    }
+
+    pub fn rows(&self) -> usize {
+        self.cols.columns.first().map_or(0, |(_, c)| c.rows())
+    }
+
+    /// Whether any column is on the tape.
+    pub fn has_diff(&self) -> bool {
+        self.cols.columns.iter().any(|(_, c)| c.is_diff())
+    }
+
+    /// The exact view: every tape column detached (PE → [`PeTensor`]),
+    /// the weights dropped.
+    pub fn detach(&self) -> Batch {
+        let exact = |(name, col): &(String, ColumnData)| (name.clone(), col.to_exact());
+        self.cols.columns.iter().map(exact).collect()
+    }
+}
+
+impl From<Batch> for DiffBatch {
+    fn from(batch: Batch) -> DiffBatch {
+        DiffBatch {
+            cols: (batch.columns.into_iter())
+                .map(|(n, c)| (n, ColumnData::Exact(c)))
+                .collect(),
+            weights: None,
+        }
+    }
+}
+
+impl std::ops::Deref for DiffBatch {
+    type Target = NamedColumns<ColumnData>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.cols
+    }
+}
+
+impl std::ops::DerefMut for DiffBatch {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.cols
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use tdp_storage::TableBuilder;
     use tdp_tensor::Tensor;
+
+    #[test]
+    fn batch_is_send_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Batch>();
+    }
 
     #[test]
     fn batch_round_trips_table() {
@@ -279,7 +352,7 @@ mod tests {
 
     #[test]
     fn diff_columns_flagged_and_detached() {
-        let mut b = Batch::new();
+        let mut b = DiffBatch::new();
         let probs = Var::param(Tensor::from_vec(vec![0.3f32, 0.7, 0.9, 0.1], &[2, 2]));
         b.push(
             "Income",
@@ -287,10 +360,21 @@ mod tests {
         );
         assert!(b.has_diff());
         assert_eq!(b.rows(), 2);
-        let t = b.to_table("out");
+        let t = b.detach().to_table("out");
         // PE detaches to an encoded PE column that decodes by argmax.
         assert_eq!(
             t.column("Income").unwrap().data.decode_f32().to_vec(),
+            vec![1.0, 0.0]
+        );
+        // An exact batch crosses over unchanged, with no weights.
+        let back = DiffBatch::from(Batch::from_table(&t));
+        assert!(!back.has_diff() && back.weights.is_none());
+        assert_eq!(
+            back.detach()
+                .column("Income")
+                .unwrap()
+                .decode_f32()
+                .to_vec(),
             vec![1.0, 0.0]
         );
     }
@@ -310,27 +394,15 @@ mod tests {
     #[test]
     fn slot_index_tracks_pushes_first_match_wins() {
         let mut b = Batch::new();
-        b.push(
-            "A",
-            ColumnData::Exact(EncodedTensor::from_f32_slice(&[1.0])),
-        );
-        b.push(
-            "b",
-            ColumnData::Exact(EncodedTensor::from_f32_slice(&[2.0])),
-        );
-        // Duplicate name: the map must keep pointing at the first slot.
-        b.push(
-            "a",
-            ColumnData::Exact(EncodedTensor::from_f32_slice(&[3.0])),
-        );
+        b.push("A", EncodedTensor::from_f32_slice(&[1.0]));
+        b.push("b", EncodedTensor::from_f32_slice(&[2.0]));
+        // Duplicate name: lookups keep resolving to the first slot.
+        b.push("a", EncodedTensor::from_f32_slice(&[3.0]));
         assert_eq!(b.slot("a"), Some(0));
         assert_eq!(b.slot("B"), Some(1));
         assert_eq!(b.slot("missing"), None);
-        assert_eq!(b.name_at(2), Some("a"));
-        assert_eq!(
-            b.column("A").unwrap().to_exact().decode_f32().to_vec(),
-            vec![1.0]
-        );
+        assert_eq!(b.columns()[2].0, "a");
+        assert_eq!(b.column("A").unwrap().decode_f32().to_vec(), vec![1.0]);
         assert!(b.column_at(3).is_none());
     }
 
@@ -343,10 +415,7 @@ mod tests {
         let b = Batch::from_table(&t);
         let h = b.head(2);
         assert_eq!(h.rows(), 2);
-        assert_eq!(
-            h.column("s").unwrap().to_exact().decode_strings(),
-            vec!["a", "b"]
-        );
+        assert_eq!(h.column("s").unwrap().decode_strings(), vec!["a", "b"]);
         assert_eq!(b.head(10).rows(), 3, "head clamps to the row count");
         assert_eq!(b.head(0).rows(), 0);
     }

@@ -17,23 +17,33 @@
 //!   differentiable reaches it — no differentiable column, no soft row
 //!   weights — and reports [`ExecError::NotDifferentiable`] otherwise.
 //!
-//! This walker runs only what it relaxes. A subtree is **on the tape**
-//! when it holds a TVF or a call to a scalar UDF with trainable
-//! parameters — a static test over the shared [`crate::pipeline::decompose`]
-//! tree. Every child off the tape runs on the exact walker
-//! (`pipeline::exec_node`) with the session's threads, chain
-//! kernels, zone maps and the query's memory ledger, and the exact
-//! barriers the walker gates run there too, on the gated batches
-//! (`pipeline::run_barrier`). What stays here — the root, the
+//! This walker runs only what it relaxes, and it alone holds tape
+//! state: its rows are [`DiffBatch`]es, while the exact executor's
+//! [`Batch`] has no column type for the tape. A subtree is **on the
+//! tape** when it holds a TVF or a call to a scalar UDF with trainable
+//! parameters — a static test over the shared
+//! [`crate::pipeline::decompose`] tree. Every child off the tape runs on
+//! the exact walker (`pipeline::exec_node`) with the session's threads,
+//! chain kernels, zone maps and the query's memory ledger, and comes
+//! back through `From<Batch>`. Every exact operator here — LIMIT, and
+//! each barrier it does not relax, projection-position TVFs included —
+//! sits behind the gate, the one conversion from a `DiffBatch` to a
+//! `Batch`: it refuses a column on the tape or soft weights, and hands
+//! the rest to the exact operator (`pipeline::run_barrier` for a
+//! barrier). An off-tape expression is evaluated by the exact
+//! evaluator over the operator's detached input, built at most once per
+//! operator ([`DiffBatch::detach`]). What stays here — the root, the
 //! chains and sinks on the tape, soft aggregates and top-k — runs on the
 //! session thread, where the `Rc`-based tape lives.
+
+use std::cell::OnceCell;
 
 use tdp_autodiff::Var;
 use tdp_encoding::EncodedTensor;
 use tdp_sql::ast::{AggFunc, BinOp, UnOp};
 use tdp_tensor::{F32Tensor, Tensor};
 
-use crate::batch::{Batch, ColumnData, DiffColumn};
+use crate::batch::{Batch, ColumnData, DiffBatch, DiffColumn};
 use crate::error::ExecError;
 use crate::exact;
 use crate::expr::{eval_expr, resolve_limit, Value};
@@ -45,7 +55,7 @@ use crate::udf::{ArgValue, ExecContext};
 
 /// Execute a physical plan differentiably. The root always runs here, so
 /// a root aggregate returns a tape column even over exact data.
-pub fn execute_diff(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Batch, ExecError> {
+pub fn execute_diff(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<DiffBatch, ExecError> {
     exec_diff_node(&crate::pipeline::decompose(plan), ctx)
 }
 
@@ -94,26 +104,31 @@ fn node_on_tape(node: &PipeNode<'_>, ctx: &ExecContext) -> bool {
 
 /// Run a child on this walker when it is on the tape, on the exact
 /// walker otherwise.
-fn run_child(node: &PipeNode<'_>, ctx: &ExecContext) -> Result<Batch, ExecError> {
+fn run_child(node: &PipeNode<'_>, ctx: &ExecContext) -> Result<DiffBatch, ExecError> {
     match node_on_tape(node, ctx) {
         true => exec_diff_node(node, ctx),
-        false => exec_node(node, ctx, None),
+        false => Ok(exec_node(node, ctx, None)?.into()),
     }
 }
 
-/// The gate in front of every operator this walker does not relax: `op`
-/// may only see exact rows.
-fn gate(op: &str, inputs: &[Batch]) -> Result<(), ExecError> {
-    match inputs.iter().any(|b| b.has_diff() || b.weights.is_some()) {
-        true => Err(ExecError::NotDifferentiable(format!(
+/// The gate in front of every operator this walker does not relax, and
+/// the one conversion from a tape batch to an exact one: `op` may only
+/// see exact rows — no column on the tape, no soft weights.
+fn gate(op: &str, batch: DiffBatch) -> Result<Batch, ExecError> {
+    let exact = |(name, col)| match col {
+        ColumnData::Exact(e) => Some((name, e)),
+        ColumnData::Diff(_) => None,
+    };
+    match batch.cols.into_columns().into_iter().map(exact).collect() {
+        Some(exact) if batch.weights.is_none() => Ok(exact),
+        _ => Err(ExecError::NotDifferentiable(format!(
             "{op} over differentiable columns or soft weights"
         ))),
-        false => Ok(()),
     }
 }
 
 /// Multiply soft membership weights into a batch's row weights.
-fn weigh(batch: &mut Batch, w: Var) {
+fn weigh(batch: &mut DiffBatch, w: Var) {
     batch.weights = Some(match batch.weights.take() {
         Some(prev) => prev.mul(&w),
         None => w,
@@ -122,10 +137,10 @@ fn weigh(batch: &mut Batch, w: Var) {
 
 /// Apply a fused chain with the differentiable operator kernels.
 fn apply_ops_diff(
-    mut batch: Batch,
+    mut batch: DiffBatch,
     ops: &[MorselOp<'_>],
     ctx: &ExecContext,
-) -> Result<Batch, ExecError> {
+) -> Result<DiffBatch, ExecError> {
     for op in ops {
         batch = match op {
             MorselOp::Filter(pred) => filter_diff(batch, pred, ctx)?,
@@ -135,9 +150,9 @@ fn apply_ops_diff(
     Ok(batch)
 }
 
-fn exec_diff_node(node: &PipeNode<'_>, ctx: &ExecContext) -> Result<Batch, ExecError> {
+fn exec_diff_node(node: &PipeNode<'_>, ctx: &ExecContext) -> Result<DiffBatch, ExecError> {
     match node {
-        PipeNode::Scan { .. } => exec_node(node, ctx, None),
+        PipeNode::Scan { .. } => Ok(exec_node(node, ctx, None)?.into()),
         PipeNode::Stream(pipe) => apply_ops_diff(run_child(&pipe.input, ctx)?, &pipe.ops, ctx),
         PipeNode::Aggregate {
             keys,
@@ -149,8 +164,7 @@ fn exec_diff_node(node: &PipeNode<'_>, ctx: &ExecContext) -> Result<Batch, ExecE
         }
         PipeNode::Limit { n, pipe } => {
             let inp = apply_ops_diff(run_child(&pipe.input, ctx)?, &pipe.ops, ctx)?;
-            gate("LIMIT", std::slice::from_ref(&inp))?;
-            Ok(inp.head(resolve_limit(n, ctx)?))
+            Ok(gate("LIMIT", inp)?.head(resolve_limit(n, ctx)?).into())
         }
         PipeNode::Barrier { plan, inputs } => exec_diff_barrier(plan, inputs, ctx),
     }
@@ -160,7 +174,7 @@ fn exec_diff_barrier(
     plan: &PhysicalPlan,
     inputs: &[PipeNode<'_>],
     ctx: &ExecContext,
-) -> Result<Batch, ExecError> {
+) -> Result<DiffBatch, ExecError> {
     let mut batches = inputs
         .iter()
         .map(|input| run_child(input, ctx))
@@ -169,23 +183,11 @@ fn exec_diff_barrier(
         PhysicalPlan::TvfScan { name, schema, .. } => {
             let tvf = ctx.udfs.table_fn(name)?.clone();
             let mut out = tvf.invoke_table_diff(&batches[0], ctx)?;
-            crate::udf::check_tvf_output(name, schema.as_deref(), &out)?;
+            crate::udf::check_tvf_output(name, schema.as_deref(), &out.cols)?;
             // Input weights survive a row-preserving TVF.
             if out.weights.is_none() {
                 out.weights = batches[0].weights.clone();
             }
-            Ok(out)
-        }
-        PhysicalPlan::TvfProject {
-            name, args, schema, ..
-        } => {
-            let tvf = ctx.udfs.table_fn(name)?.clone();
-            let mut arg_values = Vec::with_capacity(args.len());
-            for a in args {
-                arg_values.push(eval_diff(a, &batches[0], ctx)?.into_arg());
-            }
-            let out = tvf.invoke_cols(&arg_values, ctx)?;
-            crate::udf::check_tvf_output(name, schema.as_deref(), &out)?;
             Ok(out)
         }
         // `ORDER BY score DESC LIMIT k` over a single key on the tape
@@ -197,7 +199,8 @@ fn exec_diff_barrier(
             if keys.len() == 1 && on_tape(&keys[0].expr, &batches[0], ctx) =>
         {
             let mut inp = batches.remove(0);
-            let scores = eval_diff(&keys[0].expr, &inp, ctx)?.into_var(inp.rows())?;
+            let scores =
+                eval_diff(&keys[0].expr, &Operand::new(&inp), ctx)?.into_var(inp.rows())?;
             let k = resolve_limit(n, ctx)?;
             weigh(
                 &mut inp,
@@ -206,26 +209,27 @@ fn exec_diff_barrier(
             Ok(inp)
         }
         _ => {
-            gate(operator_name(plan), &batches)?;
+            let op = operator_name(plan);
             let exact = batches
                 .into_iter()
-                .map(|b| BarrierInput::gathered(b, None))
-                .collect();
-            run_barrier(plan, exact, ctx, None)
+                .map(|b| Ok(BarrierInput::gathered(gate(op, b)?, None)))
+                .collect::<Result<_, ExecError>>()?;
+            Ok(run_barrier(plan, exact, ctx, None)?.into())
         }
     }
 }
 
 /// How a `NotDifferentiable` error names a gated operator.
-fn operator_name(plan: &PhysicalPlan) -> &'static str {
+fn operator_name(plan: &PhysicalPlan) -> &str {
     match plan {
         PhysicalPlan::Join { .. } => "JOIN",
         PhysicalPlan::Sort { .. } | PhysicalPlan::TopK { .. } => "ORDER BY",
         PhysicalPlan::Window { .. } => "window functions",
         PhysicalPlan::Distinct { .. } => "DISTINCT",
         PhysicalPlan::UnionAll { .. } => "UNION ALL",
-        // AnnTopK: TVFs and TopK's relaxation are handled before the
-        // gate, and streamable operators never reach a barrier.
+        PhysicalPlan::TvfProject { name, .. } => name,
+        // AnnTopK: FROM-position TVFs and TopK's relaxation are handled
+        // before the gate, and streamable operators never reach a barrier.
         _ => "ANN top-k",
     }
 }
@@ -234,8 +238,29 @@ fn operator_name(plan: &PhysicalPlan) -> &'static str {
 // Differentiable expression values
 // ----------------------------------------------------------------------
 
+/// One operator's input: the tape batch, and the exact view of it that
+/// off-tape expressions are evaluated on — detached on first use, so at
+/// most once per operator.
+struct Operand<'b> {
+    batch: &'b DiffBatch,
+    detached: OnceCell<Batch>,
+}
+
+impl<'b> Operand<'b> {
+    fn new(batch: &'b DiffBatch) -> Operand<'b> {
+        Operand {
+            batch,
+            detached: OnceCell::new(),
+        }
+    }
+
+    fn detached(&self) -> &Batch {
+        self.detached.get_or_init(|| self.batch.detach())
+    }
+}
+
 /// Value of an expression in the differentiable domain.
-pub enum DiffVal {
+enum DiffVal {
     /// Plain differentiable `[N]` column.
     Var(Var),
     /// Probability-encoded differentiable column.
@@ -291,11 +316,13 @@ impl DiffVal {
     }
 }
 
-/// Whether an expression touches any differentiable column or
-/// differentiable UDF output.
-fn references_diff(expr: &CompiledExpr, batch: &Batch) -> bool {
+/// Whether an expression touches any differentiable column.
+fn references_diff(expr: &CompiledExpr, batch: &DiffBatch) -> bool {
     expr.find_map(&mut |e| match e {
-        CompiledExpr::Column(c) => c.resolve(batch).is_ok_and(|d| d.is_diff()).then_some(()),
+        CompiledExpr::Column(c) => c
+            .resolve(&batch.cols)
+            .is_ok_and(|d| d.is_diff())
+            .then_some(()),
         _ => None,
     })
     .is_some()
@@ -303,18 +330,18 @@ fn references_diff(expr: &CompiledExpr, batch: &Batch) -> bool {
 
 /// An expression is "on the tape" when it touches a differentiable column
 /// or calls a parameterized UDF.
-fn on_tape(expr: &CompiledExpr, batch: &Batch, ctx: &ExecContext) -> bool {
+fn on_tape(expr: &CompiledExpr, batch: &DiffBatch, ctx: &ExecContext) -> bool {
     references_diff(expr, batch) || expr.find_map(&mut |e| trainable_call(e, ctx)).is_some()
 }
 
 /// Evaluate a compiled expression in the differentiable domain.
-pub fn eval_diff(
+fn eval_diff(
     expr: &CompiledExpr,
-    batch: &Batch,
+    input: &Operand<'_>,
     ctx: &ExecContext,
 ) -> Result<DiffVal, ExecError> {
     match expr {
-        CompiledExpr::Column(c) => match c.resolve(batch)? {
+        CompiledExpr::Column(c) => match c.resolve(&input.batch.cols)? {
             ColumnData::Diff(d) if d.is_pe() => Ok(DiffVal::Pe(d.clone())),
             ColumnData::Diff(d) => Ok(DiffVal::Var(d.var.clone())),
             ColumnData::Exact(e) => Ok(DiffVal::Exact(e.clone())),
@@ -326,14 +353,14 @@ pub fn eval_diff(
         | CompiledExpr::Str(_)
         | CompiledExpr::Bool(_)
         | CompiledExpr::Param { .. }
-        | CompiledExpr::ScalarSubquery(_) => exact_as_diff(expr, batch, ctx),
+        | CompiledExpr::ScalarSubquery(_) => exact_as_diff(expr, input, ctx),
         CompiledExpr::Unary {
             op: UnOp::Neg,
             expr,
         } => {
-            let n = batch.rows();
+            let n = input.batch.rows();
             Ok(DiffVal::Var(
-                eval_diff(expr, batch, ctx)?.into_var(n)?.neg(),
+                eval_diff(expr, input, ctx)?.into_var(n)?.neg(),
             ))
         }
         CompiledExpr::Unary { op: UnOp::Not, .. } => Err(ExecError::NotDifferentiable(
@@ -342,12 +369,12 @@ pub fn eval_diff(
         CompiledExpr::Binary { op, left, right } => {
             // Pure-exact subtrees evaluate exactly (keeps dictionary
             // predicates etc. available inside trainable queries).
-            if !on_tape(expr, batch, ctx) {
-                return exact_as_diff(expr, batch, ctx);
+            if !on_tape(expr, input.batch, ctx) {
+                return exact_as_diff(expr, input, ctx);
             }
-            let n = batch.rows();
-            let l = eval_diff(left, batch, ctx)?;
-            let r = eval_diff(right, batch, ctx)?;
+            let n = input.batch.rows();
+            let l = eval_diff(left, input, ctx)?;
+            let r = eval_diff(right, input, ctx)?;
             let (lv, rv) = (l.into_var(n)?, r.into_var(n)?);
             let out = match op {
                 BinOp::Add => lv.add(&rv),
@@ -365,12 +392,12 @@ pub fn eval_diff(
         CompiledExpr::Builtin { name, args, .. } if ctx.udfs.udf_call(expr).is_none() => {
             // Built-in math functions: exact off the tape, Var ops on it
             // (only the ones autodiff provides).
-            if !args.iter().any(|a| on_tape(a, batch, ctx)) {
-                return exact_as_diff(expr, batch, ctx);
+            if !args.iter().any(|a| on_tape(a, input.batch, ctx)) {
+                return exact_as_diff(expr, input, ctx);
             }
-            let n = batch.rows();
+            let n = input.batch.rows();
             if args.len() == 1 {
-                let x = eval_diff(&args[0], batch, ctx)?.into_var(n)?;
+                let x = eval_diff(&args[0], input, ctx)?.into_var(n)?;
                 let out = match name.to_ascii_lowercase().as_str() {
                     "abs" => x.abs(),
                     "sqrt" => x.sqrt(),
@@ -389,7 +416,7 @@ pub fn eval_diff(
             )))
         }
         CompiledExpr::Udf { name, args } | CompiledExpr::Builtin { name, args, .. } => {
-            invoke_udf_diff(name, args, batch, ctx)
+            invoke_udf_diff(name, args, input, ctx)
         }
         e @ (CompiledExpr::Case { .. }
         | CompiledExpr::InList { .. }
@@ -397,12 +424,12 @@ pub fn eval_diff(
             // CASE/IN/LIKE run exactly when they do not touch the tape;
             // relaxing them is future work (the paper only relaxes
             // comparisons and aggregates).
-            if on_tape(e, batch, ctx) {
+            if on_tape(e, input.batch, ctx) {
                 return Err(ExecError::NotDifferentiable(format!(
                     "'{e}' over differentiable columns"
                 )));
             }
-            exact_as_diff(e, batch, ctx)
+            exact_as_diff(e, input, ctx)
         }
     }
 }
@@ -412,14 +439,14 @@ pub fn eval_diff(
 fn invoke_udf_diff(
     name: &str,
     args: &[CompiledExpr],
-    batch: &Batch,
+    input: &Operand<'_>,
     ctx: &ExecContext,
 ) -> Result<DiffVal, ExecError> {
-    let any_diff = args.iter().any(|a| references_diff(a, batch));
+    let any_diff = args.iter().any(|a| references_diff(a, input.batch));
     let udf = ctx.udfs.scalar(name)?;
     let mut arg_values = Vec::with_capacity(args.len());
     for a in args {
-        arg_values.push(eval_diff(a, batch, ctx)?.into_arg());
+        arg_values.push(eval_diff(a, input, ctx)?.into_arg());
     }
     if any_diff || !udf.parameters().is_empty() {
         let out = udf.invoke_diff(&arg_values, ctx)?;
@@ -433,14 +460,15 @@ fn invoke_udf_diff(
     }
 }
 
-/// Evaluate an off-tape expression with the exact evaluator and wrap the
-/// result as a constant in the differentiable domain.
+/// Evaluate an off-tape expression with the exact evaluator over the
+/// detached input and wrap the result as a constant in the
+/// differentiable domain.
 fn exact_as_diff(
     expr: &CompiledExpr,
-    batch: &Batch,
+    input: &Operand<'_>,
     ctx: &ExecContext,
 ) -> Result<DiffVal, ExecError> {
-    Ok(eval_expr(expr, batch, ctx)?.into())
+    Ok(eval_expr(expr, input.detached(), ctx)?.into())
 }
 
 // ----------------------------------------------------------------------
@@ -448,16 +476,20 @@ fn exact_as_diff(
 // ----------------------------------------------------------------------
 
 /// Soft weights for a predicate over differentiable values.
-fn soft_predicate(expr: &CompiledExpr, batch: &Batch, ctx: &ExecContext) -> Result<Var, ExecError> {
-    let n = batch.rows();
+fn soft_predicate(
+    expr: &CompiledExpr,
+    input: &Operand<'_>,
+    ctx: &ExecContext,
+) -> Result<Var, ExecError> {
+    let n = input.batch.rows();
     match expr {
         CompiledExpr::Binary {
             op: BinOp::And,
             left,
             right,
         } => {
-            let lw = soft_predicate(left, batch, ctx)?;
-            let rw = soft_predicate(right, batch, ctx)?;
+            let lw = soft_predicate(left, input, ctx)?;
+            let rw = soft_predicate(right, input, ctx)?;
             Ok(lw.mul(&rw))
         }
         CompiledExpr::Binary {
@@ -466,25 +498,25 @@ fn soft_predicate(expr: &CompiledExpr, batch: &Batch, ctx: &ExecContext) -> Resu
             right,
         } => {
             // Probabilistic OR: w1 + w2 − w1·w2.
-            let lw = soft_predicate(left, batch, ctx)?;
-            let rw = soft_predicate(right, batch, ctx)?;
+            let lw = soft_predicate(left, input, ctx)?;
+            let rw = soft_predicate(right, input, ctx)?;
             Ok(lw.add(&rw).sub(&lw.mul(&rw)))
         }
         CompiledExpr::Unary {
             op: UnOp::Not,
             expr,
         } => {
-            let w = soft_predicate(expr, batch, ctx)?;
+            let w = soft_predicate(expr, input, ctx)?;
             Ok(w.neg().add_scalar(1.0))
         }
         CompiledExpr::Binary { op, left, right } if op.is_comparison() => {
-            if !on_tape(expr, batch, ctx) {
+            if !on_tape(expr, input.batch, ctx) {
                 // Exact sub-predicate: 0/1 weights, constants on the tape.
-                let mask = eval_expr(expr, batch, ctx)?.into_mask(n)?;
+                let mask = eval_expr(expr, input.detached(), ctx)?.into_mask(n)?;
                 return Ok(Var::constant(mask.to_f32_mask()));
             }
-            let l = eval_diff(left, batch, ctx)?.into_var(n)?;
-            let r = eval_diff(right, batch, ctx)?.into_var(n)?;
+            let l = eval_diff(left, input, ctx)?.into_var(n)?;
+            let r = eval_diff(right, input, ctx)?.into_var(n)?;
             let score = l.sub(&r);
             Ok(match op {
                 BinOp::Gt | BinOp::GtEq => soft::soft_gt(&score, 0.0, ctx.temperature),
@@ -503,8 +535,8 @@ fn soft_predicate(expr: &CompiledExpr, batch: &Batch, ctx: &ExecContext) -> Resu
         }
         // Any remaining predicate shape (IN, LIKE, CASE…) participates with
         // hard 0/1 weights as long as it stays off the tape.
-        other if !on_tape(other, batch, ctx) => {
-            let mask = eval_expr(other, batch, ctx)?.into_mask(n)?;
+        other if !on_tape(other, input.batch, ctx) => {
+            let mask = eval_expr(other, input.detached(), ctx)?.into_mask(n)?;
             Ok(Var::constant(mask.to_f32_mask()))
         }
         other => Err(ExecError::NotDifferentiable(format!(
@@ -514,15 +546,15 @@ fn soft_predicate(expr: &CompiledExpr, batch: &Batch, ctx: &ExecContext) -> Resu
 }
 
 fn filter_diff(
-    mut batch: Batch,
+    mut batch: DiffBatch,
     predicate: &CompiledExpr,
     ctx: &ExecContext,
-) -> Result<Batch, ExecError> {
+) -> Result<DiffBatch, ExecError> {
     let n = batch.rows();
     if !on_tape(predicate, &batch, ctx) {
         // Hard filter; differentiable columns are gathered on-tape so
         // gradients still flow into surviving rows.
-        let mask = eval_expr(predicate, &batch, ctx)?.into_mask(n)?;
+        let mask = eval_expr(predicate, &batch.detach(), ctx)?.into_mask(n)?;
         let kept: Vec<i64> = mask
             .data()
             .iter()
@@ -531,7 +563,7 @@ fn filter_diff(
             .collect();
         let k = kept.len();
         let idx = Tensor::from_vec(kept, &[k]);
-        let mut out = Batch::new();
+        let mut out = DiffBatch::new();
         for (name, col) in batch.columns() {
             let new_col = match col {
                 ColumnData::Exact(e) => ColumnData::Exact(e.select_rows(&idx)),
@@ -547,22 +579,22 @@ fn filter_diff(
     }
 
     // Soft filter: multiply the relaxed predicate into the row weights.
-    let w = soft_predicate(predicate, &batch, ctx)?;
+    let w = soft_predicate(predicate, &Operand::new(&batch), ctx)?;
     weigh(&mut batch, w);
     Ok(batch)
 }
 
 fn project_diff(
-    batch: &Batch,
+    batch: &DiffBatch,
     items: &[PhysProjectItem],
     ctx: &ExecContext,
-) -> Result<Batch, ExecError> {
-    let mut out = Batch::new();
+) -> Result<DiffBatch, ExecError> {
+    let mut out = DiffBatch::new();
     out.weights = batch.weights.clone();
-    let n = batch.rows();
+    let (input, n) = (Operand::new(batch), batch.rows());
     for item in items {
         let name = item.name.clone();
-        match eval_diff(&item.expr, batch, ctx)? {
+        match eval_diff(&item.expr, &input, ctx)? {
             DiffVal::Var(v) => out.push(name, ColumnData::Diff(DiffColumn::plain(v))),
             DiffVal::Pe(p) => out.push(name, ColumnData::Diff(p)),
             DiffVal::Exact(e) => out.push(name, ColumnData::Exact(e)),
@@ -608,27 +640,27 @@ fn exact_key_as_pe(col: &EncodedTensor) -> Result<(Var, F32Tensor), ExecError> {
 }
 
 fn aggregate_diff(
-    batch: &Batch,
+    batch: &DiffBatch,
     keys: &[PhysKey],
     aggregates: &[PhysAggregate],
     ctx: &ExecContext,
-) -> Result<Batch, ExecError> {
-    let n = batch.rows();
+) -> Result<DiffBatch, ExecError> {
+    let (input, n) = (Operand::new(batch), batch.rows());
     let weights = batch.weights.clone();
 
     // Global aggregation (no keys): scalar soft aggregates.
     if keys.is_empty() {
-        let mut out = Batch::new();
+        let mut out = DiffBatch::new();
         let w = weights.unwrap_or_else(|| Var::constant(F32Tensor::ones(&[n])));
         for agg in aggregates {
             let var = match (agg.func, &agg.arg) {
                 (AggFunc::Count, _) => soft::soft_global_count(&w).reshape(&[1]),
                 (AggFunc::Sum, Some(e)) => {
-                    let vals = eval_diff(e, batch, ctx)?.into_var(n)?;
+                    let vals = eval_diff(e, &input, ctx)?.into_var(n)?;
                     vals.mul(&w).sum().reshape(&[1])
                 }
                 (AggFunc::Avg, Some(e)) => {
-                    let vals = eval_diff(e, batch, ctx)?.into_var(n)?;
+                    let vals = eval_diff(e, &input, ctx)?.into_var(n)?;
                     let num = vals.mul(&w).sum();
                     let den = w.sum().add_scalar(1e-9);
                     num.div(&den).reshape(&[1])
@@ -657,7 +689,7 @@ fn aggregate_diff(
             )));
         };
         key_names.push(k.name.clone());
-        match col_ref.resolve(batch)? {
+        match col_ref.resolve(&batch.cols)? {
             ColumnData::Diff(d) if d.is_pe() => {
                 membership.push(d.var.clone());
                 class_values.push(d.class_values.clone().expect("pe column"));
@@ -682,7 +714,7 @@ fn aggregate_diff(
     let cv_refs: Vec<&F32Tensor> = class_values.iter().collect();
     let key_cols = soft::expand_group_keys(&cv_refs);
 
-    let mut out = Batch::new();
+    let mut out = DiffBatch::new();
     for (name, col) in key_names.into_iter().zip(key_cols) {
         out.push(name, ColumnData::Exact(EncodedTensor::F32(col)));
     }
@@ -690,11 +722,11 @@ fn aggregate_diff(
         let var = match (agg.func, &agg.arg) {
             (AggFunc::Count, _) => soft::soft_groupby_count(&joint, weights.as_ref()),
             (AggFunc::Sum, Some(e)) => {
-                let vals = eval_diff(e, batch, ctx)?.into_var(n)?;
+                let vals = eval_diff(e, &input, ctx)?.into_var(n)?;
                 soft::soft_groupby_sum(&joint, &vals, weights.as_ref())
             }
             (AggFunc::Avg, Some(e)) => {
-                let vals = eval_diff(e, batch, ctx)?.into_var(n)?;
+                let vals = eval_diff(e, &input, ctx)?.into_var(n)?;
                 soft::soft_groupby_avg(&joint, &vals, weights.as_ref())
             }
             (f, _) => {
@@ -731,19 +763,14 @@ mod tests {
         }
         fn invoke_table(&self, input: &Batch, ctx: &ExecContext) -> Result<Batch, ExecError> {
             // Exact path: decode PE by argmax.
-            let diff = self.invoke_table_diff(input, ctx)?;
-            let mut out = Batch::new();
-            for (name, col) in diff.columns() {
-                out.push(name.clone(), ColumnData::Exact(col.to_exact()));
-            }
-            Ok(out)
+            Ok(self.invoke_table_diff(&input.clone().into(), ctx)?.detach())
         }
         fn invoke_table_diff(
             &self,
-            _input: &Batch,
+            _input: &DiffBatch,
             _ctx: &ExecContext,
-        ) -> Result<Batch, ExecError> {
-            let mut out = Batch::new();
+        ) -> Result<DiffBatch, ExecError> {
+            let mut out = DiffBatch::new();
             let probs = self.logits.softmax(1);
             out.push(
                 "Label",
@@ -789,13 +816,13 @@ mod tests {
         lower(&plan, catalog, udfs).unwrap()
     }
 
-    fn run_diff(catalog: &Catalog, udfs: &UdfRegistry, sql: &str) -> Batch {
+    fn run_diff(catalog: &Catalog, udfs: &UdfRegistry, sql: &str) -> DiffBatch {
         let ctx = ExecContext::new(catalog, udfs);
         let plan = compile(catalog, udfs, sql);
         execute_diff(&plan, &ctx).unwrap()
     }
 
-    fn counts_of(batch: &Batch) -> (Var, Vec<f32>) {
+    fn counts_of(batch: &DiffBatch) -> (Var, Vec<f32>) {
         match batch.column("COUNT(*)").unwrap() {
             ColumnData::Diff(d) => (d.var.clone(), d.var.value().to_vec()),
             other => panic!("expected diff counts, got {other:?}"),

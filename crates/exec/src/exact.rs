@@ -10,8 +10,8 @@
 //! double as the sequential path staged barriers take when an input
 //! fits one morsel or must stay on the session thread, which is what
 //! makes them the byte-identity oracle for the staged paths.
-//! [`crate::diff`] borrows them wherever no differentiable column is
-//! involved.
+//! [`crate::diff`] reaches them only through its gate, which hands them
+//! exact batches.
 
 use tdp_encoding::EncodedTensor;
 use tdp_sql::ast::JoinKind;
@@ -19,7 +19,7 @@ use tdp_tensor::keytable::{hash_rows, partition_of, KeyTable};
 use tdp_tensor::sort::group_ids;
 use tdp_tensor::{F32Tensor, I64Tensor, Tensor};
 
-use crate::batch::{Batch, ColumnData};
+use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::expr::{eval_expr, resolve_limit, Value};
 use crate::physical::{
@@ -189,8 +189,9 @@ pub fn distinct_batch(batch: &Batch) -> Result<Batch, ExecError> {
     if n == 0 || batch.columns().is_empty() {
         return Ok(batch.clone());
     }
-    let cols: Vec<EncodedTensor> = batch.columns().iter().map(|(_, c)| c.to_exact()).collect();
-    let codes: Vec<I64Tensor> = cols.iter().map(key_codes).collect::<Result<_, _>>()?;
+    let codes: Vec<I64Tensor> = (batch.columns().iter())
+        .map(|(_, c)| key_codes(c))
+        .collect::<Result<_, _>>()?;
     let refs: Vec<&I64Tensor> = codes.iter().collect();
     let (ids, distinct) = group_ids(&refs);
     let groups = distinct.shape()[0];
@@ -220,26 +221,14 @@ pub fn union_all_batches(left: &Batch, right: &Batch) -> Result<Batch, ExecError
 
 /// Apply a row mask to every column of a batch.
 pub fn filter_batch(batch: &Batch, mask: &tdp_tensor::BoolTensor) -> Batch {
-    let mut out = Batch::new();
-    for (name, col) in batch.columns() {
-        out.push(
-            name.clone(),
-            ColumnData::Exact(col.to_exact().filter_rows(mask)),
-        );
-    }
-    out
+    let filter = |(name, col): &(String, EncodedTensor)| (name.clone(), col.filter_rows(mask));
+    batch.columns().iter().map(filter).collect()
 }
 
 /// Gather rows of every column of a batch.
 pub fn select_batch(batch: &Batch, idx: &I64Tensor) -> Batch {
-    let mut out = Batch::new();
-    for (name, col) in batch.columns() {
-        out.push(
-            name.clone(),
-            ColumnData::Exact(col.to_exact().select_rows(idx)),
-        );
-    }
-    out
+    let select = |(name, col): &(String, EncodedTensor)| (name.clone(), col.select_rows(idx));
+    batch.columns().iter().map(select).collect()
 }
 
 pub fn project_batch(
@@ -256,7 +245,7 @@ pub fn project_batch(
             Value::Bool(b) => EncodedTensor::Bool(Tensor::full(&[n], b)),
             Value::Str(s) => EncodedTensor::from_strings(&vec![s; n]),
         };
-        out.push(item.name.clone(), ColumnData::Exact(col));
+        out.push(item.name.clone(), col);
     }
     Ok(out)
 }
@@ -299,17 +288,13 @@ pub(crate) fn resolve_join_keys<'a>(
     left: &'a Batch,
     right: &'a Batch,
 ) -> Result<(Vec<&'a EncodedTensor>, Vec<&'a EncodedTensor>), ExecError> {
-    let as_exact = |c: &'a ColumnData| match c {
-        ColumnData::Exact(e) => e,
-        ColumnData::Diff(_) => unreachable!("exact executor sees exact columns"),
-    };
     match on {
         JoinOn::Resolved(pairs) => {
             let mut l = Vec::with_capacity(pairs.len());
             let mut r = Vec::with_capacity(pairs.len());
             for (lk, rk) in pairs {
-                l.push(as_exact(lk.resolve(left)?));
-                r.push(as_exact(rk.resolve(right)?));
+                l.push(lk.resolve(left)?);
+                r.push(rk.resolve(right)?);
             }
             Ok((l, r))
         }
@@ -320,11 +305,11 @@ pub(crate) fn resolve_join_keys<'a>(
             let mut r = Vec::with_capacity(pairs.len());
             for (a, b) in pairs {
                 if left.column(a).is_ok() && right.column(b).is_ok() {
-                    l.push(as_exact(left.column(a)?));
-                    r.push(as_exact(right.column(b)?));
+                    l.push(left.column(a)?);
+                    r.push(right.column(b)?);
                 } else if left.column(b).is_ok() && right.column(a).is_ok() {
-                    l.push(as_exact(left.column(b)?));
-                    r.push(as_exact(right.column(a)?));
+                    l.push(left.column(b)?);
+                    r.push(right.column(a)?);
                 } else {
                     return Err(ExecError::UnknownColumn(format!("{a} / {b} in join")));
                 }
@@ -573,13 +558,11 @@ pub(crate) fn join_assemble(
     let matched = pairs.left.len();
     let li = Tensor::from_vec(pairs.left, &[matched]);
     let ri = Tensor::from_vec(pairs.right, &[matched]);
-    // Exact views up front: workers must not capture the batches
-    // (autodiff columns are not `Sync`).
-    let sources: Vec<(EncodedTensor, &I64Tensor)> = left
+    let sources: Vec<(&EncodedTensor, &I64Tensor)> = left
         .columns()
         .iter()
-        .map(|(_, c)| (c.to_exact(), &li))
-        .chain(right.columns().iter().map(|(_, c)| (c.to_exact(), &ri)))
+        .map(|(_, c)| (c, &li))
+        .chain(right.columns().iter().map(|(_, c)| (c, &ri)))
         .collect();
     let gathered = crate::morsel::claim(sources.len(), threads, |c| {
         let (col, idx) = &sources[c];
@@ -596,7 +579,7 @@ pub(crate) fn join_assemble(
         } else {
             name.clone()
         };
-        out.push(out_name, ColumnData::Exact(col));
+        out.push(out_name, col);
     }
 
     if kind == JoinKind::Left && !pairs.unmatched.is_empty() {
@@ -655,16 +638,15 @@ fn pad_right(left_pad: &Batch, (right, rids): JoinInput<'_>, n: usize) -> Batch 
     };
     let mut out = left_pad.clone();
     for (name, col) in right.columns() {
-        let exact = col.to_exact();
-        let padded = match exact {
-            EncodedTensor::F32(ref t) => {
+        let padded = match col {
+            EncodedTensor::F32(t) => {
                 let mut shape = t.shape().to_vec();
                 shape[0] = n;
                 EncodedTensor::F32(Tensor::full(&shape, f32::NAN))
             }
             other => match first {
                 Some(row) => other.select_rows(&Tensor::from_vec(vec![row; n], &[n])),
-                None => zero_rows(&other, n),
+                None => zero_rows(other, n),
             },
         };
         let out_name = if out.column(name).is_ok() {
@@ -672,7 +654,7 @@ fn pad_right(left_pad: &Batch, (right, rids): JoinInput<'_>, n: usize) -> Batch 
         } else {
             name.clone()
         };
-        out.push(out_name, ColumnData::Exact(padded));
+        out.push(out_name, padded);
     }
     out
 }
@@ -757,7 +739,7 @@ pub fn window_batch(
             }
             _ => EncodedTensor::I64(Tensor::from_vec(ranks, &[n])),
         };
-        out.push(w.output.clone(), ColumnData::Exact(col));
+        out.push(w.output.clone(), col);
     }
     Ok(out)
 }
@@ -890,7 +872,7 @@ mod tests {
     }
 
     fn f32_col(b: &Batch, name: &str) -> Vec<f32> {
-        b.column(name).unwrap().to_exact().decode_f32().to_vec()
+        b.column(name).unwrap().decode_f32().to_vec()
     }
 
     #[test]
@@ -925,15 +907,11 @@ mod tests {
         let b = run(&c, "SELECT item, COUNT(*) FROM orders GROUP BY item");
         // Groups in lexicographic order: a=2, b=2, c=1.
         assert_eq!(
-            b.column("item").unwrap().to_exact().decode_strings(),
+            b.column("item").unwrap().decode_strings(),
             vec!["a", "b", "c"]
         );
         assert_eq!(
-            b.column("COUNT(*)")
-                .unwrap()
-                .to_exact()
-                .decode_i64()
-                .to_vec(),
+            b.column("COUNT(*)").unwrap().decode_i64().to_vec(),
             vec![2, 2, 1]
         );
     }
@@ -956,14 +934,7 @@ mod tests {
         let c = setup();
         let b = run(&c, "SELECT COUNT(*), SUM(qty), AVG(price) FROM orders");
         assert_eq!(b.rows(), 1);
-        assert_eq!(
-            b.column("COUNT(*)")
-                .unwrap()
-                .to_exact()
-                .decode_i64()
-                .to_vec(),
-            vec![5]
-        );
+        assert_eq!(b.column("COUNT(*)").unwrap().decode_i64().to_vec(), vec![5]);
         assert_eq!(f32_col(&b, "SUM(qty)"), vec![150.0]);
         assert_eq!(f32_col(&b, "AVG(price)"), vec![3.0]);
     }
@@ -976,10 +947,7 @@ mod tests {
             "SELECT item, COUNT(*) FROM orders GROUP BY item HAVING COUNT(*) > 1",
         );
         assert_eq!(b.rows(), 2);
-        assert_eq!(
-            b.column("item").unwrap().to_exact().decode_strings(),
-            vec!["a", "b"]
-        );
+        assert_eq!(b.column("item").unwrap().decode_strings(), vec!["a", "b"]);
     }
 
     #[test]
@@ -992,7 +960,7 @@ mod tests {
             "SELECT item, price FROM orders ORDER BY item ASC, price DESC",
         );
         assert_eq!(
-            b2.column("item").unwrap().to_exact().decode_strings(),
+            b2.column("item").unwrap().decode_strings(),
             vec!["a", "a", "b", "b", "c"]
         );
         assert_eq!(f32_col(&b2, "price"), vec![2.0, 1.0, 4.0, 3.0, 5.0]);
@@ -1109,7 +1077,6 @@ mod tests {
         assert_eq!(
             b.column("COUNT((price > 1.5))")
                 .unwrap()
-                .to_exact()
                 .decode_i64()
                 .to_vec(),
             vec![1, 2, 1]
@@ -1121,7 +1088,7 @@ mod tests {
         let c = setup();
         let b = run(&c, "SELECT DISTINCT item FROM orders");
         assert_eq!(
-            b.column("item").unwrap().to_exact().decode_strings(),
+            b.column("item").unwrap().decode_strings(),
             vec!["b", "a", "c"] // first-occurrence order
         );
         let b2 = run(&c, "SELECT DISTINCT item, price FROM orders");
@@ -1202,7 +1169,6 @@ mod tests {
         assert_eq!(
             b.column("COUNT(DISTINCT item)")
                 .unwrap()
-                .to_exact()
                 .decode_i64()
                 .to_vec(),
             vec![3]
@@ -1223,7 +1189,6 @@ mod tests {
         assert_eq!(
             b3.column("COUNT(DISTINCT qty)")
                 .unwrap()
-                .to_exact()
                 .decode_i64()
                 .to_vec(),
             vec![2, 2, 1]
@@ -1277,7 +1242,7 @@ mod tests {
              FROM orders ORDER BY item, price",
         );
         assert_eq!(
-            b.column("rn").unwrap().to_exact().decode_i64().to_vec(),
+            b.column("rn").unwrap().decode_i64().to_vec(),
             vec![1, 2, 1, 2, 1] // a: 1,2 | b: 3,4 -> 1,2 | c: 1
         );
         // RANK vs DENSE_RANK with ties.
@@ -1293,11 +1258,11 @@ mod tests {
              FROM t ORDER BY v",
         );
         assert_eq!(
-            b2.column("r").unwrap().to_exact().decode_i64().to_vec(),
+            b2.column("r").unwrap().decode_i64().to_vec(),
             vec![1, 2, 2, 4]
         );
         assert_eq!(
-            b2.column("d").unwrap().to_exact().decode_i64().to_vec(),
+            b2.column("d").unwrap().decode_i64().to_vec(),
             vec![1, 2, 2, 3]
         );
     }
@@ -1324,7 +1289,7 @@ mod tests {
              AVG(price) OVER (ORDER BY qty) AS m FROM orders ORDER BY qty",
         );
         assert_eq!(
-            b2.column("n").unwrap().to_exact().decode_i64().to_vec(),
+            b2.column("n").unwrap().decode_i64().to_vec(),
             vec![1, 2, 3, 4, 5]
         );
         // prices in qty order: 3,1,2,5,4 -> running means
@@ -1397,11 +1362,7 @@ mod tests {
             "SELECT COUNT(*) FROM orders WHERE qty > (SELECT AVG(qty) FROM orders WHERE price > (SELECT MIN(price) FROM orders))",
         );
         assert_eq!(
-            b3.column("COUNT(*)")
-                .unwrap()
-                .to_exact()
-                .decode_i64()
-                .to_vec(),
+            b3.column("COUNT(*)").unwrap().decode_i64().to_vec(),
             vec![2] // avg qty of non-min-price rows = 32.5 -> qty 40, 50
         );
         // String-valued scalar subquery compares against dict columns.
@@ -1410,11 +1371,7 @@ mod tests {
             "SELECT COUNT(*) FROM orders WHERE item = (SELECT item FROM orders ORDER BY price DESC LIMIT 1)",
         );
         assert_eq!(
-            b4.column("COUNT(*)")
-                .unwrap()
-                .to_exact()
-                .decode_i64()
-                .to_vec(),
+            b4.column("COUNT(*)").unwrap().decode_i64().to_vec(),
             vec![1] // the most expensive item is 'c'
         );
         // Multi-row subqueries are rejected at run time.
@@ -1463,8 +1420,8 @@ mod tests {
             assert_eq!(a.rows(), b.rows(), "{sql}");
             for (name, col) in a.columns() {
                 assert_eq!(
-                    col.to_exact().decode_i64().to_vec(),
-                    b.column(name).unwrap().to_exact().decode_i64().to_vec(),
+                    col.decode_i64().to_vec(),
+                    b.column(name).unwrap().decode_i64().to_vec(),
                     "{sql} / {name}"
                 );
             }
@@ -1482,11 +1439,7 @@ mod tests {
         let b = run(&catalog, "SELECT v, COUNT(*) FROM t GROUP BY v");
         assert_eq!(f32_col(&b, "v"), vec![-2.0, 1.5]);
         assert_eq!(
-            b.column("COUNT(*)")
-                .unwrap()
-                .to_exact()
-                .decode_i64()
-                .to_vec(),
+            b.column("COUNT(*)").unwrap().decode_i64().to_vec(),
             vec![2, 3]
         );
     }

@@ -112,7 +112,7 @@ pub fn eval_expr(
     ctx: &ExecContext,
 ) -> Result<Value, ExecError> {
     match expr {
-        CompiledExpr::Column(c) => Ok(Value::Column(c.resolve(batch)?.to_exact())),
+        CompiledExpr::Column(c) => Ok(Value::Column(c.resolve(batch)?.clone())),
         CompiledExpr::Num(n) => Ok(Value::Num(*n)),
         CompiledExpr::Str(s) => Ok(Value::Str(s.clone())),
         CompiledExpr::Bool(b) => Ok(Value::Bool(*b)),
@@ -320,7 +320,7 @@ fn eval_scalar_subquery(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<Value,
             batch.columns().len()
         )));
     }
-    let col = batch.columns()[0].1.to_exact();
+    let col = batch.columns()[0].1.clone();
     Ok(match col {
         EncodedTensor::Dict { codes, dict } => Value::Str(dict.decode_one(codes.at(0)).to_owned()),
         EncodedTensor::Bool(b) => Value::Bool(b.at(0)),

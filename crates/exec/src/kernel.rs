@@ -93,10 +93,10 @@
 //! static, so EXPLAIN prints them; bind-time ones (a `$n` slot with no
 //! scalar form) only a run sees, and a barrier above such a chain notes
 //! `gathered: kernel-compile`. Run-time bails are silent and per morsel:
-//! differentiable columns, payload (rank > 1) columns in computed
-//! expressions or aggregates, evaluation type errors (the interpreter
-//! re-runs the morsel and raises the identical error), a refused scratch
-//! charge, any node kind above reaching the evaluator un-vetted.
+//! payload (rank > 1) columns in computed expressions or aggregates,
+//! evaluation type errors (the interpreter re-runs the morsel and raises
+//! the identical error), a refused scratch charge, any node kind above
+//! reaching the evaluator un-vetted.
 //!
 //! ## Vetting
 //!
@@ -120,10 +120,10 @@ use tdp_sql::ast::{BinOp, UnOp};
 use tdp_tensor::{I64Tensor, Tensor};
 
 use crate::access::AccessPathCounters;
+use crate::batch::Batch;
 use crate::expr::like_match;
-use crate::morsel::MorselCols;
 use crate::params::{ParamValue, ParamValues};
-use crate::physical::{ColumnRef, CompiledExpr, PhysProjectItem, ScalarFn};
+use crate::physical::{CompiledExpr, PhysProjectItem, ScalarFn};
 use crate::pipeline::MorselOp;
 use crate::udf::ExecContext;
 use crate::verdict::Reason;
@@ -313,18 +313,6 @@ fn mask_vec(v: PVal<'_>, n: usize) -> KResult<Vec<bool>> {
         PVal::Bool(m) => Ok(m),
         PVal::BoolS(b) => Ok(vec![b; n]),
         _ => Err(Bail), // interpreter: "not a boolean mask"
-    }
-}
-
-fn resolve<'c>(cols: &'c [(String, EncodedTensor)], r: &ColumnRef) -> KResult<&'c EncodedTensor> {
-    match r {
-        ColumnRef::Slot { slot, .. } => cols.get(*slot).map(|(_, c)| c).ok_or(Bail),
-        // Case-insensitive first occurrence — the `Batch` index contract.
-        ColumnRef::Name(name) => cols
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, c)| c)
-            .ok_or(Bail),
     }
 }
 
@@ -529,7 +517,7 @@ fn kbinary<'c>(op: BinOp, l: PVal<'c>, r: PVal<'c>, n: usize) -> KResult<PVal<'c
 /// for the same morsel.
 #[derive(Clone, Copy)]
 struct Scope<'c, 'x> {
-    cols: &'c [(String, EncodedTensor)],
+    cols: &'c Batch,
     start: usize,
     rows: usize,
     ctx: &'x ExecContext<'x>,
@@ -540,11 +528,7 @@ type Window = (usize, usize);
 
 impl<'c, 'x> Scope<'c, 'x> {
     /// `Err` for a window past the `u32` selection space.
-    fn over(
-        cols: &'c [(String, EncodedTensor)],
-        (start, rows): Window,
-        ctx: &'x ExecContext<'x>,
-    ) -> KResult<Self> {
+    fn over(cols: &'c Batch, (start, rows): Window, ctx: &'x ExecContext<'x>) -> KResult<Self> {
         let scope = Scope {
             cols,
             start,
@@ -570,7 +554,7 @@ impl<'c, 'x> Scope<'c, 'x> {
 fn eval<'c>(e: &CompiledExpr, sc: Scope<'c, '_>, sel: Option<&[u32]>) -> KResult<PVal<'c>> {
     let n = sel.map_or(sc.rows, <[u32]>::len);
     Ok(match e {
-        CompiledExpr::Column(r) => leaf_pval(resolve(sc.cols, r)?, sc, sel)?,
+        CompiledExpr::Column(r) => leaf_pval(r.resolve(sc.cols).or(Err(Bail))?, sc, sel)?,
         CompiledExpr::Num(v) => PVal::Num(*v),
         CompiledExpr::Str(s) => PVal::Str(s.clone()),
         CompiledExpr::Bool(b) => PVal::BoolS(*b),
@@ -860,11 +844,11 @@ impl ChainInstance<'_> {
     /// error.
     pub(crate) fn run_window(
         &self,
-        cols: &[(String, EncodedTensor)],
+        cols: &Batch,
         start: usize,
         end: usize,
         ctx: &ExecContext,
-    ) -> Option<MorselCols> {
+    ) -> Option<Batch> {
         self.counted(self.try_run(cols, (start, end - start), ctx))
     }
 
@@ -876,12 +860,7 @@ impl ChainInstance<'_> {
         out.ok()
     }
 
-    fn try_run(
-        &self,
-        src: &[(String, EncodedTensor)],
-        mut win: Window,
-        ctx: &ExecContext,
-    ) -> KResult<MorselCols> {
+    fn try_run(&self, src: &Batch, mut win: Window, ctx: &ExecContext) -> KResult<Batch> {
         let mut cols = Cow::Borrowed(src);
         let mut sel: Option<SelVec> = None; // None = unfiltered
         for op in self.ops {
@@ -901,7 +880,7 @@ impl ChainInstance<'_> {
         let sc = Scope::over(&cols, win, ctx)?;
         let ids = sel.map(|sv| sv.ids(sc.start));
         let pass = |(n, c): &(String, EncodedTensor)| (n.clone(), sc.pass_through(c, ids.as_ref()));
-        Ok(cols.iter().map(pass).collect())
+        Ok(cols.columns().iter().map(pass).collect())
     }
 
     /// Evaluate the chain's filters over rows `start..end` of a stage's
@@ -910,7 +889,7 @@ impl ChainInstance<'_> {
     /// `None` = bail-out; the caller declines the whole hand-off.
     pub(crate) fn select_window(
         &self,
-        cols: &[(String, EncodedTensor)],
+        cols: &Batch,
         start: usize,
         end: usize,
         ctx: &ExecContext,
@@ -918,12 +897,7 @@ impl ChainInstance<'_> {
         self.counted(self.try_select(cols, (start, end - start), ctx))
     }
 
-    fn try_select(
-        &self,
-        src: &[(String, EncodedTensor)],
-        win: Window,
-        ctx: &ExecContext,
-    ) -> KResult<SelVec> {
+    fn try_select(&self, src: &Batch, win: Window, ctx: &ExecContext) -> KResult<SelVec> {
         let (_, rows) = win;
         let mut cols = Cow::Borrowed(src);
         let mut sel: Option<SelVec> = None;
@@ -944,8 +918,8 @@ impl ChainInstance<'_> {
     /// The selection exit's output columns: the input's own stored
     /// columns, renamed and reordered by the chain's projections.
     /// Resolved once per stage. `None` = bail-out.
-    pub(crate) fn selection_cols(&self, src: &[(String, EncodedTensor)]) -> Option<MorselCols> {
-        let out = self.ops.iter().try_fold(src.to_vec(), |cols, op| match op {
+    pub(crate) fn selection_cols(&self, src: &Batch) -> Option<Batch> {
+        let out = self.ops.iter().try_fold(src.clone(), |cols, op| match op {
             MorselOp::Filter(_) => Ok(cols),
             MorselOp::Project(items) => remap(items, &cols),
         });
@@ -955,11 +929,13 @@ impl ChainInstance<'_> {
 
 /// A pure column-remap projection over stored columns (Arc bumps);
 /// anything computed bails.
-fn remap(items: &[PhysProjectItem], cols: &[(String, EncodedTensor)]) -> KResult<MorselCols> {
+fn remap(items: &[PhysProjectItem], cols: &Batch) -> KResult<Batch> {
     items
         .iter()
         .map(|it| match &it.expr {
-            CompiledExpr::Column(r) => Ok((it.name.clone(), resolve(cols, r)?.clone())),
+            CompiledExpr::Column(r) => {
+                Ok((it.name.clone(), r.resolve(cols).or(Err(Bail))?.clone()))
+            }
             _ => Err(Bail),
         })
         .collect()
@@ -973,7 +949,7 @@ fn materialize(
     items: &[PhysProjectItem],
     sc: Scope<'_, '_>,
     sel: Option<&SelVec>,
-) -> KResult<MorselCols> {
+) -> KResult<Batch> {
     let n = sel.map_or(sc.rows, SelVec::len);
     // Passthrough columns gather at the survivors' global row ids;
     // computed expressions evaluate in the window's index space. Build
@@ -1000,13 +976,15 @@ fn materialize(
     } else {
         None
     };
-    let mut out = Vec::with_capacity(items.len());
+    let mut out = Batch::new();
     for it in items {
         let col = match &it.expr {
-            CompiledExpr::Column(r) => sc.pass_through(resolve(sc.cols, r)?, ids.as_ref()),
+            CompiledExpr::Column(r) => {
+                sc.pass_through(r.resolve(sc.cols).or(Err(Bail))?, ids.as_ref())
+            }
             computed => pack(eval(computed, sc, idx.as_deref())?, n),
         };
-        out.push((it.name.clone(), col));
+        out.push(it.name.clone(), col);
     }
     Ok(out)
 }
@@ -1064,7 +1042,7 @@ impl<'a> ChainInstance<'a> {
     pub(crate) fn key_window(
         &self,
         e: &CompiledExpr,
-        cols: &[(String, EncodedTensor)],
+        cols: &Batch,
         (start, end): (usize, usize),
         sel: Option<&[u32]>,
         ctx: &ExecContext,
@@ -1089,7 +1067,7 @@ impl<'a> ChainInstance<'a> {
     pub(crate) fn arg_window<'c>(
         &self,
         e: &CompiledExpr,
-        cols: &'c [(String, EncodedTensor)],
+        cols: &'c Batch,
         (start, end): (usize, usize),
         sel: Option<&[u32]>,
         (count, numeric): (bool, bool),
@@ -1117,7 +1095,7 @@ impl<'a> ChainInstance<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{Batch, ColumnData};
+    use crate::physical::ColumnRef;
     use crate::udf::UdfRegistry;
     use tdp_storage::Catalog;
 
@@ -1217,26 +1195,31 @@ mod tests {
 
         let v = EncodedTensor::from_f32_slice(&[9.0, 0.5, 1.5, 2.5, 0.0, 3.5, 4.5, 9.0]);
         let ks = Tensor::from_vec(vec![1i64, 1, 0, 1, 1, 0, 1, 1], &[8]);
-        let plain = vec![
-            ("v".to_string(), v.clone()),
-            ("k".to_string(), EncodedTensor::I64(ks.clone())),
-        ];
-        let packed = vec![
-            ("v".to_string(), v),
+        let batch = |cols: Vec<(&str, EncodedTensor)>| -> Batch {
+            cols.into_iter().map(|(n, c)| (n.to_string(), c)).collect()
+        };
+        let plain = batch(vec![
+            ("v", v.clone()),
+            ("k", EncodedTensor::I64(ks.clone())),
+        ]);
+        let packed = batch(vec![
+            ("v", v.clone()),
             (
-                "k".to_string(),
+                "k",
                 EncodedTensor::BitPacked(tdp_encoding::BitPackedColumn::encode(&ks)),
             ),
-        ];
+        ]);
         for cols in [&plain, &packed] {
             // The whole input as one window: `v > 1` drops rows 1 and 4,
             // `k > 0` rows 2 and 5.
             let out = inst.run_window(cols, 0, 8, &ctx).expect("no bail");
+            let out = out.columns();
             assert_eq!(out[0].1.decode_f32().to_vec(), vec![9.0, 2.5, 4.5, 9.0]);
             assert_eq!(out[1].1.kind(), tdp_encoding::EncodingKind::PlainI64);
             assert_eq!(out[1].1.decode_i64().to_vec(), vec![1; 4]);
             // Rows 1..7 yield that window's survivors only.
             let out = inst.run_window(cols, 1, 7, &ctx).expect("no bail");
+            let out = out.columns();
             assert_eq!(out[0].1.decode_f32().to_vec(), vec![2.5, 4.5]);
             assert_eq!(out[1].1.kind(), tdp_encoding::EncodingKind::PlainI64);
             assert_eq!(out[1].1.decode_i64().to_vec(), vec![1, 1]);
@@ -1252,8 +1235,9 @@ mod tests {
 
         // A column the chain names is missing: the bail is counted once
         // per instance however often it recurs.
-        assert!(inst.run_window(&plain[..1], 0, 8, &ctx).is_none());
-        assert!(inst.run_window(&plain[..1], 0, 8, &ctx).is_none());
+        let only_v = batch(vec![("v", v)]);
+        assert!(inst.run_window(&only_v, 0, 8, &ctx).is_none());
+        assert!(inst.run_window(&only_v, 0, 8, &ctx).is_none());
         assert_eq!(ctx.access.snapshot().kernel_fallbacks, 1);
     }
 
@@ -1280,10 +1264,8 @@ mod tests {
         let mut shadowing = UdfRegistry::new();
         shadowing.register_scalar_parallel(Arc::new(Shadow));
         let ctx = ExecContext::new(&catalog, &shadowing).with_chain_kernels(true);
-        let cols = vec![(
-            "v".to_string(),
-            EncodedTensor::from_f32_slice(&[0.5, 1.5, 2.5, 3.5]),
-        )];
+        let mut cols = Batch::new();
+        cols.push("v", EncodedTensor::from_f32_slice(&[0.5, 1.5, 2.5, 3.5]));
         let udf_pred = gt(
             CompiledExpr::Udf {
                 name: "f".into(),
@@ -1620,30 +1602,6 @@ mod tests {
                     "{text}"
                 );
             }
-        }
-
-        // A differentiable input pins the chain by name; a barrier above
-        // it reports the bail-out (or the sizing decline that precedes it).
-        let plan = pred_plan(gt(col(0, "v"), one()));
-        let PipeNode::Stream(pipe) = decompose(&plan) else {
-            panic!("expected a chain at the root");
-        };
-        let mut diff = Batch::new();
-        let v = tdp_autodiff::Var::param(Tensor::from_vec(vec![0.5f32; ROWS], &[ROWS]));
-        diff.push("v", ColumnData::Diff(crate::batch::DiffColumn::plain(v)));
-        for (morsel_rows, barrier) in [(8, "kernel-bailout"), (ROWS, "single-morsel")] {
-            let ctx = ExecContext::new(&catalog, &udfs)
-                .with_scheduler(4, morsel_rows)
-                .with_chain_kernels(true);
-            let chain = ChainRun::resolve(&diff, &pipe.ops, None, &ctx);
-            let (strategy, fallback) = chain_trace(&chain);
-            assert_eq!(
-                strategy.as_deref(),
-                Some("interpreted: differentiable-input")
-            );
-            assert_eq!(fallback.as_deref(), Some("differentiable-input"));
-            let declined = chain.selection_kernel(&diff, &ctx).err();
-            assert_eq!(declined.map(|r| r.to_string()).as_deref(), Some(barrier));
         }
 
         // Barrier feeding: the same verdicts, as `[barrier: …]` notes on

@@ -97,16 +97,17 @@
 //! followed by a column sum; predicates become sigmoid-weighted row
 //! weights threaded through downstream aggregates.
 //!
-//! Batches ([`Batch`]) carry an O(1) name→slot map, but the hot path never
-//! consults it: compiled expressions address columns by slot. Name lookup
+//! Batches ([`Batch`]) look columns up by name, but the hot path never
+//! does: compiled expressions address columns by slot. Name lookup
 //! remains only where schemas are dynamic — downstream of table-valued
 //! functions that do *not* declare an output schema; a TVF whose
 //! [`FunctionSpec`] declares one slot-resolves like a base table (and the
 //! executor checks the actual output against the declaration).
 //!
 //! UDFs and table-valued functions ([`udf`]) execute *inside* the tensor
-//! runtime: they receive encoded tensors and return encoded tensors (or
-//! differentiable columns in trainable mode), so there is no context-switch
+//! runtime: they receive encoded tensors and return encoded tensors (or,
+//! in a trainable run, [`DiffBatch`]es and differentiable columns), so
+//! there is no context-switch
 //! cost between SQL operators and ML transforms. Each declares a
 //! [`FunctionSpec`] — argument types (validated at prepare time),
 //! volatility (Immutable calls over literals constant-fold), a
@@ -117,7 +118,7 @@
 //!
 //! Barriers are staged rather than streamed: joins normalise their keys
 //! to integer code columns, hash each row once, build per-partition flat
-//! tables after a key-hash **exchange** ([`ExecContext::partitions`]
+//! tables after a key-hash **exchange** ([`DEFAULT_PARTITIONS`]
 //! buckets, independent of the thread count) and probe morsels in
 //! parallel; ORDER BY / TopK sort per-morsel runs merged k-way under the
 //! stable `(keys…, input position)` order; DISTINCT dedups exchanged
@@ -200,7 +201,7 @@ pub mod udf;
 pub(crate) mod verdict;
 
 pub use access::{AccessPathCounters, AccessPathStats, AnnPath, ChunkPruner};
-pub use batch::{Batch, ColumnData, DiffColumn};
+pub use batch::{Batch, ColumnData, DiffBatch, DiffColumn, NamedColumns};
 pub use diff::execute_diff;
 pub use error::ExecError;
 pub use kernel::ChainKernelStats;

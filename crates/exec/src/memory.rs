@@ -14,9 +14,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tdp_encoding::EncodedTensor;
 use tdp_mem::MemoryReservation;
 
+use crate::batch::Batch;
 use crate::error::ExecError;
 
 /// One-shot RAII charge: grows the ledger now, shrinks on drop.
@@ -86,9 +86,11 @@ impl Drop for ScopedCharges {
     }
 }
 
-/// Payload bytes of a materialised column set.
-pub(crate) fn cols_bytes(cols: &[(String, EncodedTensor)]) -> u64 {
-    cols.iter().map(|(_, c)| c.memory_bytes() as u64).sum()
+/// Payload bytes of a materialised batch.
+pub(crate) fn batch_bytes(batch: &Batch) -> u64 {
+    (batch.columns().iter())
+        .map(|(_, c)| c.memory_bytes() as u64)
+        .sum()
 }
 
 #[cfg(test)]

@@ -32,8 +32,8 @@ use tdp_tensor::sort::{group_rows, Groups};
 use tdp_tensor::{BoolTensor, F32Tensor, I64Tensor, Tensor};
 
 use super::chain::{self, ChainRun};
-use super::sched::{claim_eval, from_cols, live_windows, to_cols, MorselCols};
-use crate::batch::{Batch, ColumnData};
+use super::sched::{claim_eval, live_windows};
+use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::exact;
 use crate::expr::{eval_expr, Value};
@@ -320,16 +320,15 @@ pub(crate) fn run_aggregate(
         (vec![partial], Arrived::SingleMorsel)
     } else {
         let skip = skip.filter(|s| s.len() == morsels);
-        let src = to_cols(input);
         let empty = ChainInstance::empty(ctx);
-        let form = InPlace::of(input, &src, chain, &prog, &empty, ctx);
+        let form = InPlace::of(input, chain, &prog, &empty, ctx);
         // Pruned morsels contribute no groups and are not scheduled.
         let windows = live_windows(skip, ctx.morsel_rows, input.rows());
         let bailed = AtomicBool::new(false);
         let folds = claim_eval(windows.len(), ctx, None, |j, wctx| {
             let (start, end) = windows[j];
             let in_place = match &form {
-                Ok(f) => Some(f.fold(&prog, &src, start, end, wctx)?),
+                Ok(f) => Some(f.fold(&prog, input, start, end, wctx)?),
                 Err(_) => None,
             };
             let partial = match in_place {
@@ -337,7 +336,7 @@ pub(crate) fn run_aggregate(
                 // The gathered form, or an in-place task whose kernel bailed.
                 other => {
                     bailed.fetch_or(other.is_some(), Ordering::Relaxed);
-                    let batch = from_cols(chain.apply_window(&src, start, end, wctx)?);
+                    let batch = chain.apply_window(input, start, end, wctx)?;
                     match batch.rows() {
                         0 => None,
                         _ => Some(partial_aggregate(&prog, &batch, None, wctx)?),
@@ -907,7 +906,7 @@ fn first_rows(ids: &[u32], groups: usize) -> I64Tensor {
 struct InPlace<'c> {
     kern: &'c ChainInstance<'c>,
     filtered: bool,
-    cols: MorselCols,
+    cols: Batch,
 }
 
 /// Where a key's representative rows are read: the stored column, at
@@ -927,14 +926,13 @@ impl<'c> InPlace<'c> {
     /// refused program — `None` either way.
     fn of<'p>(
         input: &Batch,
-        src: &[(String, EncodedTensor)],
         chain: &'c ChainRun<'p>,
         prog: &AggProgram<'_>,
         empty: &'c ChainInstance<'_>,
         ctx: &ExecContext,
     ) -> Result<InPlace<'c>, Option<Reason<'p>>> {
         if chain.ops.is_empty() {
-            let cols = src.to_vec();
+            let cols = input.clone();
             return match ctx.chain_kernels && decline(prog, &cols, ctx).is_ok() {
                 true => Ok(InPlace {
                     kern: empty,
@@ -948,7 +946,7 @@ impl<'c> InPlace<'c> {
         chain.kern().ok_or(None)?;
         let kern = chain.selection_kernel(input, ctx).map_err(Some)?;
         let cols = kern
-            .selection_cols(src)
+            .selection_cols(input)
             .ok_or(Some(Reason::KernelBailout))?;
         decline(prog, &cols, ctx).map_err(Some)?;
         Ok(InPlace {
@@ -958,14 +956,14 @@ impl<'c> InPlace<'c> {
         })
     }
 
-    /// Select window `start..end` of the stage's input columns `src` and
+    /// Select window `start..end` of the stage's input `src` and
     /// fold what it keeps ([`Self::fold_window`]). `Ok(None)` = the
     /// kernel bailed, and the caller re-runs the window on the
     /// interpreter.
     fn fold(
         &self,
         prog: &AggProgram<'_>,
-        src: &[(String, EncodedTensor)],
+        src: &Batch,
         start: usize,
         end: usize,
         ctx: &ExecContext,
@@ -1034,8 +1032,7 @@ impl<'c> InPlace<'c> {
         for k in prog.keys {
             key_cols.push(match &k.expr {
                 CompiledExpr::Column(r) => {
-                    let slot = resolve_idx(&self.cols, r).expect("declined unless it resolves");
-                    let col = &self.cols[slot].1;
+                    let col = r.resolve(&self.cols).expect("declined unless it resolves");
                     (stored_codes(col, win, at.as_ref())?, KeyRows::Stored(col))
                 }
                 e => match self.kern.key_window(e, &self.cols, win, sel, ctx) {
@@ -1101,11 +1098,7 @@ fn stored_codes<'c>(
 /// raises the proper error), a scalar subquery, or a session UDF — the
 /// kernel evaluates neither, and only built-in expressions are known to
 /// be indifferent to rows the filter removed.
-fn decline(
-    prog: &AggProgram<'_>,
-    cols: &[(String, EncodedTensor)],
-    ctx: &ExecContext,
-) -> Result<(), Reason<'static>> {
+fn decline(prog: &AggProgram<'_>, cols: &Batch, ctx: &ExecContext) -> Result<(), Reason<'static>> {
     let mut exprs = prog
         .keys
         .iter()
@@ -1113,25 +1106,13 @@ fn decline(
         .chain(prog.args.iter().copied());
     let why = exprs.find_map(|e| {
         e.find_map(&mut |node| match node {
-            CompiledExpr::Column(r) => resolve_idx(cols, r)
-                .is_none()
-                .then_some(Reason::UnresolvedColumn),
+            CompiledExpr::Column(r) => r.resolve(cols).is_err().then_some(Reason::UnresolvedColumn),
             CompiledExpr::ScalarSubquery(_) => Some(Reason::ScalarSubquery),
             _ if ctx.udfs.udf_call(node).is_some() => Some(Reason::UdfArgument),
             _ => None,
         })
     });
     why.map_or(Ok(()), Err)
-}
-
-/// Resolve a column ref to its slot in a raw column list, mirroring
-/// batch resolution (slot position / case-insensitive first name).
-fn resolve_idx(cols: &[(String, EncodedTensor)], r: &crate::physical::ColumnRef) -> Option<usize> {
-    use crate::physical::ColumnRef;
-    match r {
-        ColumnRef::Slot { slot, .. } => (*slot < cols.len()).then_some(*slot),
-        ColumnRef::Name(name) => cols.iter().position(|(n, _)| n.eq_ignore_ascii_case(name)),
-    }
 }
 
 /// Combine morsel partials (at least one) into the final grouped batch
@@ -1172,10 +1153,10 @@ fn merge_partials(prog: &AggProgram<'_>, partials: &[PartialAgg]) -> Result<Batc
     let mut out = Batch::new();
     let reps = first_rows(&ids, groups);
     for (key, col) in prog.keys.iter().zip(&keys) {
-        out.push(key.name.clone(), ColumnData::Exact(col.select_rows(&reps)));
+        out.push(key.name.clone(), col.select_rows(&reps));
     }
     for (agg, col) in prog.aggregates.iter().zip(finish(prog, &merged)) {
-        out.push(agg.output.clone(), ColumnData::Exact(col));
+        out.push(agg.output.clone(), col);
     }
     Ok(out)
 }
@@ -1574,7 +1555,7 @@ mod tests {
                 "dense: {sql}"
             );
 
-            let x = batch.column("x").unwrap().to_exact().decode_f32();
+            let x = batch.column("x").unwrap().decode_f32();
             let nan_rows: Vec<bool> = x.data().iter().map(|v| v.is_nan()).collect();
             let every = |m: usize| (0..n).map(|i| i % m != 0).collect::<Vec<bool>>();
             let masks = [
@@ -1644,7 +1625,7 @@ mod tests {
         let form = InPlace {
             kern: &empty,
             filtered: sel.is_some(),
-            cols: to_cols(batch),
+            cols: batch.clone(),
         };
         let folded = form.fold_window(prog, win, sel, ctx).unwrap();
         folded.expect("the corpus never bails the kernel")
@@ -1694,7 +1675,7 @@ mod tests {
         let udfs = UdfRegistry::new();
         let ctx = ExecContext::new(&catalog, &udfs);
         let batch = exact::scan_table("t", None, &ctx).unwrap();
-        let z = batch.column("z").unwrap().to_exact().decode_f32();
+        let z = batch.column("z").unwrap().decode_f32();
         let every = |m: usize| (0..n).map(|i| i % m != 0).collect::<Vec<bool>>();
         let masks = [
             ("row 0", (0..n).map(|i| i == 0).collect()),
@@ -1845,7 +1826,7 @@ mod tests {
                 .collect();
             out.push(
                 key.name.clone(),
-                ColumnData::Exact(combined.select_rows(&Tensor::from_vec(idx, &[num_groups]))),
+                combined.select_rows(&Tensor::from_vec(idx, &[num_groups])),
             );
         }
         for (agg, acc) in prog.aggregates.iter().zip(&prog.outs) {
@@ -1903,7 +1884,7 @@ mod tests {
                     })
                 }
             };
-            out.push(agg.output.clone(), ColumnData::Exact(col));
+            out.push(agg.output.clone(), col);
         }
         out
     }
@@ -1917,8 +1898,7 @@ mod tests {
         b.columns()
             .iter()
             .map(|(name, c)| {
-                let c = c.to_exact();
-                let bits = match &c {
+                let bits = match c {
                     EncodedTensor::F32(t) => t.data().iter().map(|&v| nan.f32(v)).collect(),
                     other => other
                         .decode_i64()
@@ -1948,13 +1928,13 @@ mod tests {
         let own_dictionary = |w: Batch| {
             let mut out = Batch::new();
             for (name, c) in w.columns() {
-                let c = match c.to_exact() {
+                let c = match c {
                     dict @ EncodedTensor::Dict { .. } => {
                         EncodedTensor::from_strings(&dict.decode_strings())
                     }
-                    other => other,
+                    other => other.clone(),
                 };
-                out.push(name.clone(), ColumnData::Exact(c));
+                out.push(name.clone(), c);
             }
             out
         };

@@ -14,9 +14,7 @@
 //! windows' parts — gathered rows or global survivor ids — and that is
 //! all.
 
-use super::sched::{
-    claim_eval, from_cols, live_windows, num_morsels, slice_cols, to_cols, MorselCols, StopAfter,
-};
+use super::sched::{claim_eval, live_windows, num_morsels, slice_window, StopAfter};
 use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::exact;
@@ -28,7 +26,6 @@ use crate::physical::{CompiledExpr, PhysAggregate, PhysKey};
 use crate::pipeline::MorselOp;
 use crate::udf::ExecContext;
 use crate::verdict::Reason;
-use tdp_encoding::EncodedTensor;
 use tdp_tensor::{I64Tensor, Tensor};
 
 // ----------------------------------------------------------------------
@@ -141,8 +138,8 @@ pub(crate) fn gather_reason<'p>(
 /// [`run_ops`], [`chain_barrier_input`] and
 /// [`super::run_aggregate`] runs it and by the recorder that describes
 /// it, so none of them re-derives a verdict. It starts from the static
-/// [`ChainVerdict`] and adds what only a run sees: a differentiable
-/// input, the morsel count and the `$n` bindings.
+/// [`ChainVerdict`] and adds what only a run sees: the morsel count and
+/// the `$n` bindings.
 pub(crate) struct ChainRun<'a> {
     pub(crate) ops: &'a [MorselOp<'a>],
     /// Morsels the input splits into; 1 when the chain is pinned.
@@ -162,13 +159,9 @@ impl<'a> ChainRun<'a> {
         sink: Option<(&'a [PhysKey], &'a [PhysAggregate])>,
         ctx: &'a ExecContext,
     ) -> ChainRun<'a> {
-        let verdict = match input.has_diff() {
-            true => ChainVerdict::Pinned(Reason::DifferentiableInput),
-            false => ChainVerdict::of(ops, sink, ctx),
-        };
         // Chains pinned to the session thread keep the plain
         // interpreter; otherwise bind the chain kernel, once.
-        let (pin, kernel) = match verdict {
+        let (pin, kernel) = match ChainVerdict::of(ops, sink, ctx) {
             ChainVerdict::Pinned(why) => (Some(why), Err(why)),
             ChainVerdict::Off(why) => (None, Err(why)),
             ChainVerdict::Vetted(vetted) => (None, kernel::bind(ops, ctx, vetted)),
@@ -199,7 +192,7 @@ impl<'a> ChainRun<'a> {
     /// The kernel a barrier's selection exit runs, or the named reason
     /// the barrier consumes a gathered batch instead: EXPLAIN's verdict
     /// first ([`gather_reason`]), then what only a run sees: the input's
-    /// size, its bindings, its differentiable columns.
+    /// size and its bindings.
     pub(crate) fn selection_kernel(
         &self,
         input: &Batch,
@@ -211,13 +204,8 @@ impl<'a> ChainRun<'a> {
         if num_morsels(input.rows(), ctx.morsel_rows) <= 1 {
             return Err(Reason::SingleMorsel);
         }
-        match &self.kernel {
-            Ok(kern) => Ok(kern),
-            // The kernel bails on differentiable columns; a binding with
-            // no scalar form leaves no kernel to run.
-            Err(_) if input.has_diff() => Err(Reason::KernelBailout),
-            Err(_) => Err(Reason::KernelCompile),
-        }
+        // A binding with no scalar form leaves no kernel to run.
+        self.kernel.as_ref().or(Err(Reason::KernelCompile))
     }
 
     /// Apply the chain to an input it is not split over (`morsels <= 1`),
@@ -246,35 +234,30 @@ impl<'a> ChainRun<'a> {
             _ => input.rows(),
         };
         match (self.pin, end) {
-            (None, _) => Ok(from_cols(self.apply_window(
-                &to_cols(input),
-                0,
-                end,
-                ctx,
-            )?)),
+            (None, _) => self.apply_window(input, 0, end, ctx),
             (Some(_), 0) => apply_ops(input.slice_rows(0, 0), self.ops, ctx),
             (Some(_), _) => apply_ops(input.clone(), self.ops, ctx),
         }
     }
 
-    /// Apply the chain to rows `start..end` of a stage's input columns —
+    /// Apply the chain to rows `start..end` of a stage's input —
     /// one window of the gather exit: the kernel runs it when it can,
     /// addressing the window in place; any bail-out (or no kernel)
     /// re-runs the interpreter over the window's slice, which reproduces
     /// the identical result (or the identical error).
     pub(super) fn apply_window(
         &self,
-        cols: &[(String, EncodedTensor)],
+        input: &Batch,
         start: usize,
         end: usize,
         ctx: &ExecContext,
-    ) -> Result<MorselCols, ExecError> {
+    ) -> Result<Batch, ExecError> {
         let kern = self.kern();
-        if let Some(out) = kern.and_then(|k| k.run_window(cols, start, end, ctx)) {
+        if let Some(out) = kern.and_then(|k| k.run_window(input, start, end, ctx)) {
             return Ok(out);
         }
-        let (batch, _slice) = slice_cols(cols, start, end, "morsel materialization", ctx)?;
-        Ok(to_cols(&apply_ops(batch, self.ops, ctx)?))
+        let (batch, _slice) = slice_window(input, start, end, "morsel materialization", ctx)?;
+        apply_ops(batch, self.ops, ctx)
     }
 }
 
@@ -315,8 +298,8 @@ pub(crate) fn run_ops(
 ) -> Result<Batch, ExecError> {
     let rows = input.rows();
     let morsels = chain.morsels;
-    // Single-morsel inputs, unsafe chains and differentiable inputs run
-    // on the session thread — identical at every thread count.
+    // Single-morsel inputs and unsafe chains run on the session thread —
+    // identical at every thread count.
     if morsels <= 1 {
         let out = chain.apply(input, skip, ctx)?;
         return Ok(match limit {
@@ -325,7 +308,6 @@ pub(crate) fn run_ops(
         });
     }
 
-    let cols = to_cols(input);
     // Every morsel's output, charged until reassembly returns.
     let charges = memory::ScopedCharges::new(&ctx.memory);
     let skip = skip.filter(|s| s.len() == morsels);
@@ -333,7 +315,7 @@ pub(crate) fn run_ops(
     // Entries past a LIMIT stop bound stay `None`.
     let stop = limit.map(|rows| StopAfter {
         rows,
-        rows_of: |c: &MorselCols| c.first().map_or(0, |(_, t)| t.rows()),
+        rows_of: |b: &Batch| b.rows(),
     });
     // A chain without a filter emits every row it reads, so its first
     // window sizes the whole stage and charges all of it: a query that
@@ -344,8 +326,8 @@ pub(crate) fn run_ops(
     let whole = (limit.is_none() && !filters).then_some(rows as u64);
     let results = claim_eval(windows.len(), ctx, stop, |j, wctx| {
         let (start, end) = windows[j];
-        let out = chain.apply_window(&cols, start, end, wctx)?;
-        let bytes = memory::cols_bytes(&out);
+        let out = chain.apply_window(input, start, end, wctx)?;
+        let bytes = memory::batch_bytes(&out);
         match whole {
             None => charges.add("morsel output", bytes)?,
             Some(rows) if j == 0 => {
@@ -361,7 +343,7 @@ pub(crate) fn run_ops(
     let mut parts: Vec<Batch> = Vec::new();
     let mut have = 0usize;
     for r in results {
-        let part = from_cols(r.expect("prefix morsels are always processed"));
+        let part = r.expect("prefix morsels are always processed");
         have += part.rows();
         parts.push(part);
         if limit.is_some_and(|n| have >= n) {
@@ -404,7 +386,7 @@ pub(super) const HANDOFF_IDX_DIVISOR: usize = 4;
 /// row ids in it — the shape [`exact::JoinInput`] names. `ids: None` is a
 /// dense batch whose position is its row id. With ids, `batch` is the
 /// chain's output columns at full input width, **as stored**: values are
-/// read at survivor rows through [`EncodedTensor::select_rows`], which
+/// read at survivor rows through [`tdp_encoding::EncodedTensor::select_rows`], which
 /// hands integer-compressed layouts over as plain `i64` — the bytes the
 /// gathered path's per-morsel windows produce — and the one payload
 /// gather is the barrier's own last step, so memory charges scale with
@@ -514,15 +496,14 @@ fn selection_exit<'p>(
     skip: Option<&[bool]>,
     ctx: &ExecContext,
 ) -> Result<Option<BarrierInput<'p>>, ExecError> {
-    let (rows, src) = (input.rows(), to_cols(input));
-    let Some(cols) = kern.selection_cols(&src) else {
+    let Some(cols) = kern.selection_cols(input) else {
         return Ok(None);
     };
-    let windows = live_windows(skip, ctx.morsel_rows, rows);
+    let windows = live_windows(skip, ctx.morsel_rows, input.rows());
     let parts = claim_eval(windows.len(), ctx, None, |j, wctx| {
         let (start, end) = windows[j];
         Ok(kern
-            .select_window(&src, start, end, wctx)
+            .select_window(input, start, end, wctx)
             .map(|sv| sv.ids(start)))
     })?;
     let Some(parts) = parts.into_iter().flatten().collect::<Option<Vec<_>>>() else {
@@ -537,7 +518,7 @@ fn selection_exit<'p>(
         .collect::<Vec<_>>()
         .concat();
     Ok(Some(BarrierInput {
-        batch: from_cols(cols),
+        batch: cols,
         ids: Some(Tensor::from_vec(ids, &[survivors])),
         declined: None,
         _charge: Some(charge),

@@ -12,6 +12,7 @@ use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::exact;
 use crate::memory;
+use crate::pipeline::DEFAULT_PARTITIONS;
 use crate::profile::Recorder;
 use crate::udf::ExecContext;
 use crate::verdict::{Reason, Staging};
@@ -38,10 +39,9 @@ pub(crate) fn run_distinct(
     ctx: &ExecContext,
     rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
-    let (rows, partitions) = (input.rows_out(), ctx.partitions.max(1));
+    let (rows, partitions) = (input.rows_out(), DEFAULT_PARTITIONS);
     let ncols = input.batch.columns().len();
-    let diff = input.batch.has_diff();
-    let staged = match staging(Staging::Partitioned(partitions), &[], diff, Some(rows), ctx) {
+    let staged = match staging(Staging::Partitioned(partitions), &[], Some(rows), ctx) {
         // No columns: every row is one key, nothing to split.
         _ if ncols == 0 => Staging::Sequential(Reason::SingleMorsel),
         staged => staged,
@@ -68,7 +68,7 @@ pub(crate) fn run_distinct(
         .batch
         .columns()
         .iter()
-        .map(|(_, c)| exact::key_codes_at(&c.to_exact(), input.ids.as_ref()))
+        .map(|(_, c)| exact::key_codes_at(c, input.ids.as_ref()))
         .collect::<Result<_, _>>()?;
     // Representatives come back as survivor positions; map them to
     // global ids (still ascending) for the one deferred gather.
@@ -91,7 +91,7 @@ fn distinct_reps(
     charges: &memory::ScopedCharges,
     ctx: &ExecContext,
 ) -> Result<Vec<i64>, ExecError> {
-    let partitions = ctx.partitions.max(1);
+    let partitions = DEFAULT_PARTITIONS;
     let keys = exact::code_refs(codes);
     let hashes = hash_rows(&keys, rows);
     charges.add("distinct exchange", rows as u64 * 4)?;

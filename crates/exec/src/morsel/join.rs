@@ -15,6 +15,7 @@ use crate::error::ExecError;
 use crate::exact;
 use crate::memory;
 use crate::physical::JoinOn;
+use crate::pipeline::DEFAULT_PARTITIONS;
 use crate::profile::Recorder;
 use crate::udf::ExecContext;
 use crate::verdict::Staging;
@@ -55,12 +56,11 @@ pub(crate) fn run_join(
     rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
     // Joins carry no key expressions (keys are resolved column refs), so
-    // the only capability reason is a differentiable input; either side
-    // spanning more than one morsel is enough to stage.
-    let partitions = ctx.partitions.max(1);
-    let diff = left.batch.has_diff() || right.batch.has_diff();
+    // nothing pins one; either side spanning more than one morsel is
+    // enough to stage.
+    let partitions = DEFAULT_PARTITIONS;
     let rows = left.rows_out().max(right.rows_out());
-    let staged = staging(Staging::Partitioned(partitions), &[], diff, Some(rows), ctx);
+    let staged = staging(Staging::Partitioned(partitions), &[], Some(rows), ctx);
     if let Staging::Sequential(_) = staged {
         note_barrier(rec, staged, &[1]);
         let (left, right) = (left.into_gathered(), right.into_gathered());
@@ -70,8 +70,6 @@ pub(crate) fn run_join(
         let _charge = memory::charge(&ctx.memory, "join build", join_build_bytes(right.rows()))?;
         return exact::join_batches(&left, &right, kind, on);
     }
-    // Workers must not capture the batches (autodiff columns are not
-    // `Sync`); the bare id slices carry everything the stages emit.
     let (lcodes, rcodes) = exact::join_key_codes(on, left.input(), right.input())?;
     let lids = left.ids.as_ref().map(I64Tensor::data);
     let rids = right.ids.as_ref().map(I64Tensor::data);

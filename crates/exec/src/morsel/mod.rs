@@ -4,20 +4,25 @@
 //!
 //! | module        | owns |
 //! |---------------|------|
-//! | `sched`       | worker contexts, the one thread-spawn site, the one claim loop (ordered result slots, first error in index order, the LIMIT stop bound), the partition `exchange`, morsel ranges and the interpreter's window slices |
-//! | `chain`       | parallel-safety analysis, the per-execution `ChainRun`, the streaming chain run with its LIMIT sink, the per-morsel selection stage and the chain→barrier hand-off (`BarrierInput`: stored columns plus survivor ids, or a gathered batch) |
+//! | `sched`       | worker contexts, the one thread-spawn site, the one claim loop (ordered result slots, first error in index order, the LIMIT stop bound), the partition `exchange`, morsel ranges and the interpreter's window slices (`slice_window`, a [`Batch`](crate::Batch) of the input's rows) |
+//! | `chain`       | parallel-safety analysis, the per-execution `ChainRun`, the streaming chain run with its LIMIT sink, the per-morsel selection stage and the chain→barrier hand-off (`BarrierInput`: the stored columns as a `Batch` plus survivor ids, or a gathered `Batch`) |
 //! | `aggregate`   | `AggProgram`, the one per-morsel fold (a zero-key fold keeps each accumulator in a local), the one claim that folds each window in place — selected by the chain's kernel, or every row of a bare scan, keys and arguments read where they are stored — or, failing that, folds its gathered window, the combine — which groups the partials' key rows with the fold's own `group_rows` and scatters their states in morsel order — and the one finisher turning states into output columns. A window aggregate (`window_aggregate`, called by `exact::window_batch`) is the same program with no keys: one fold over its peer groups, frames chained in window order by the combine's arithmetic, the same finisher |
 //! | `join`        | partitioned hash join over `i64` key codes: hash once → exchange → per-partition flat table → parallel probe → per-column assembly |
 //! | `sort`        | merge sort and top-k: per-morsel runs → k-way merge |
 //! | `distinct`    | shared-nothing DISTINCT on the same codes, hash and table: exchange → per-partition insert-if-absent |
 //!
 //! The barrier modules share nothing but the scheduler API and the
-//! `BarrierInput` shape they are handed.
+//! `BarrierInput` shape they are handed. Every stage reads its input
+//! [`Batch`](crate::Batch) in place: a batch is exact encoded columns,
+//! `Send + Sync` by type, so workers borrow it (`batch.columns()`) and
+//! hand back batches of their own. Tape columns never get here: they
+//! live only in the differentiable walker's
+//! [`DiffBatch`](crate::DiffBatch).
 //!
 //! Determinism is the contract: morsel boundaries depend only on
 //! [`crate::ExecContext::morsel_rows`], partition assignment only on the
 //! key hash and the partition count
-//! ([`crate::ExecContext::partitions`] — deliberately *not* the thread
+//! ([`crate::DEFAULT_PARTITIONS`] — deliberately *not* the thread
 //! count), and every combine walks morsels/partitions
 //! in index order — so every thread count (including 1) produces
 //! bitwise-identical batches, byte-equal to the sequential kernels in
@@ -87,25 +92,22 @@ pub(crate) use chain::{
 };
 pub(crate) use distinct::run_distinct;
 pub(crate) use join::run_join;
-pub(crate) use sched::{claim, staging, MorselCols};
+pub(crate) use sched::{claim, staging};
 pub(crate) use sort::run_sort;
 
 use crate::physical::{PhysOrderKey, PhysicalPlan};
-use crate::udf::ExecContext;
+use crate::pipeline::DEFAULT_PARTITIONS;
 use crate::verdict::Staging;
 
 /// The staged form of a join, sort, top-k or DISTINCT, with the sort keys
 /// its staging decision reads ([`staging`]); `None` for barriers the
 /// scheduler never stages (window, TVFs, UNION ALL) — those are
 /// whole-batch by nature.
-pub(crate) fn staged_form<'p>(
-    plan: &'p PhysicalPlan,
-    ctx: &ExecContext,
-) -> Option<(Staging<'p>, &'p [PhysOrderKey])> {
+pub(crate) fn staged_form(plan: &PhysicalPlan) -> Option<(Staging<'_>, &[PhysOrderKey])> {
     use PhysicalPlan as P;
     match plan {
         P::Join { .. } | P::Distinct { .. } => {
-            Some((Staging::Partitioned(ctx.partitions.max(1)), &[]))
+            Some((Staging::Partitioned(DEFAULT_PARTITIONS), &[]))
         }
         P::Sort { keys, .. } => Some((Staging::MergeSort, keys)),
         P::TopK { keys, .. } => Some((Staging::TopK, keys)),
@@ -153,8 +155,8 @@ mod tests {
         assert_eq!(a.names(), b.names(), "{sql}");
         for (name, col) in a.columns() {
             assert_eq!(
-                col.to_exact().decode_strings(),
-                b.column(name).unwrap().to_exact().decode_strings(),
+                col.decode_strings(),
+                b.column(name).unwrap().decode_strings(),
                 "{sql} / {name}"
             );
         }
@@ -204,8 +206,8 @@ mod tests {
         // Float sums agree to tolerance.
         let ws = run_with(&c, "SELECT SUM(v) FROM t", 1, usize::MAX >> 1);
         let ms = run_with(&c, "SELECT SUM(v) FROM t", 4, 100);
-        let a = ws.column("SUM(v)").unwrap().to_exact().decode_f32().at(0);
-        let b = ms.column("SUM(v)").unwrap().to_exact().decode_f32().at(0);
+        let a = ws.column("SUM(v)").unwrap().decode_f32().at(0);
+        let b = ms.column("SUM(v)").unwrap().decode_f32().at(0);
         assert!((a - b).abs() < 1e-3, "{a} vs {b}");
     }
 
@@ -217,7 +219,7 @@ mod tests {
             let out = run_with(&c, &sql, 3, 8);
             let expect: Vec<i64> = (0..200i64.min(limit)).map(|i| i % 13).collect();
             assert_eq!(
-                out.column("k").unwrap().to_exact().decode_i64().to_vec(),
+                out.column("k").unwrap().decode_i64().to_vec(),
                 expect,
                 "{sql}"
             );
@@ -260,7 +262,6 @@ mod tests {
         assert!(out
             .column("w")
             .unwrap()
-            .to_exact()
             .decode_f32()
             .to_vec()
             .iter()

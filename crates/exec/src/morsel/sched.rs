@@ -20,20 +20,23 @@
 //! `max(threads, n)` threads. An engine-owned persistent pool replaces
 //! `run_stage`'s spawn block and `Device`'s one splitter, and nothing else.
 //!
-//! A [`claim_eval`] worker evaluates with an empty catalog and a registry
-//! that is the run's thread-safe function table by pointer
-//! ([`UdfRegistry::worker`]): setting one up copies no map and calls no
-//! user code.
+//! What a worker shares with the session thread is what crosses threads
+//! by type: the stage's input [`Batch`]es, borrowed in place (exact
+//! encoded columns, `Send + Sync` — tape columns live only in the
+//! differentiable walker's `DiffBatch`), the stage's closure, and a
+//! `WorkerCfg`. A [`claim_eval`] worker evaluates with an empty catalog
+//! and a registry that is the run's thread-safe function table by
+//! pointer ([`UdfRegistry::worker`]): setting one up copies no map and
+//! calls no user code.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use tdp_encoding::EncodedTensor;
 use tdp_storage::Catalog;
 use tdp_tensor::keytable::partition_of;
 
 use super::chain::expr_fallback;
-use crate::batch::{Batch, ColumnData};
+use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::memory;
 use crate::physical::PhysOrderKey;
@@ -63,7 +66,6 @@ struct WorkerCfg {
     temperature: f32,
     params: crate::params::ParamValues,
     morsel_rows: usize,
-    partitions: usize,
     /// The run's thread-safe function table: a worker's registry is this
     /// pointer plus nothing session-bound, so `CompiledExpr::Udf`
     /// resolution works identically off-thread.
@@ -80,7 +82,6 @@ impl WorkerCfg {
             temperature: ctx.temperature,
             params: ctx.params.clone(),
             morsel_rows: ctx.morsel_rows,
-            partitions: ctx.partitions,
             udfs: ctx.udfs.thread_safe().clone(),
             memory: std::sync::Arc::clone(&ctx.memory),
         }
@@ -98,7 +99,6 @@ fn worker_ctx<'a>(catalog: &'a Catalog, udfs: &'a UdfRegistry, cfg: &WorkerCfg) 
         params: cfg.params.clone(),
         threads: 1,
         morsel_rows: cfg.morsel_rows,
-        partitions: cfg.partitions,
         // Workers receive an already-bound kernel by reference; they
         // never vet or bind a chain themselves.
         chain_kernels: false,
@@ -313,28 +313,9 @@ pub(super) fn exchange(
 // Morsel slicing
 // ----------------------------------------------------------------------
 
-/// Owned, `Send` view of a batch's columns (exact encodings only).
-pub(crate) type MorselCols = Vec<(String, EncodedTensor)>;
-
-pub(crate) fn to_cols(batch: &Batch) -> MorselCols {
-    batch
-        .columns()
-        .iter()
-        .map(|(n, c)| (n.clone(), c.to_exact()))
-        .collect()
-}
-
-pub(crate) fn from_cols(cols: MorselCols) -> Batch {
-    let mut out = Batch::new();
-    for (name, col) in cols {
-        out.push(name, ColumnData::Exact(col));
-    }
-    out
-}
-
-/// Rows `start..end` of a stage's input columns as a batch of its own —
+/// Rows `start..end` of a stage's input as a batch of its own —
 /// what the interpreter evaluates a morsel on (chain kernels address the
-/// window in place). Read through [`EncodedTensor::slice_rows`] inside
+/// window in place). Read through [`Batch::slice_rows`] inside
 /// the task, and charged as `operator` until the guard drops with it. A
 /// window over the whole input is the input and charges nothing. Plain
 /// windows share their column's buffer too, but a partial window is
@@ -342,24 +323,21 @@ pub(crate) fn from_cols(cols: MorselCols) -> Batch {
 /// interpreter's evaluation of the morsel materialises, and
 /// `memory_budget.rs::selection_fed_aggregate_fits_budget_the_gathered_path_exceeds`
 /// depends on it.
-pub(super) fn slice_cols(
-    cols: &[(String, EncodedTensor)],
+pub(super) fn slice_window(
+    input: &Batch,
     start: usize,
     end: usize,
     operator: &str,
     ctx: &ExecContext,
 ) -> Result<(Batch, memory::ChargeGuard), ExecError> {
-    let window: MorselCols = cols
-        .iter()
-        .map(|(name, col)| (name.clone(), col.slice_rows(start, end)))
-        .collect();
-    let whole = start == 0 && cols.iter().all(|(_, col)| end >= col.rows());
+    let window = input.slice_rows(start, end);
+    let whole = start == 0 && input.columns().iter().all(|(_, col)| end >= col.rows());
     let bytes = match whole {
         true => 0,
-        false => memory::cols_bytes(&window),
+        false => memory::batch_bytes(&window),
     };
     let charge = memory::charge(&ctx.memory, operator, bytes)?;
-    Ok((from_cols(window), charge))
+    Ok((window, charge))
 }
 
 /// The row windows a stage schedules: the morsels the zone maps did not
@@ -388,21 +366,17 @@ pub(super) fn live_windows(
 
 /// The one staging decision for a join, sort, top-k or DISTINCT — what
 /// EXPLAIN prints and the run takes: `staged` unless something pins the
-/// operator's own work to the session thread (a differentiable input, a
-/// sort key the workers cannot evaluate), the session has one thread, or
+/// operator's own work to the session thread (a sort key the workers
+/// cannot evaluate), the session has one thread, or
 /// — at run, where `rows` (logical, post-selection) is known — the input
 /// fits one morsel.
 pub(crate) fn staging<'p>(
     staged: Staging<'p>,
     keys: &'p [PhysOrderKey],
-    diff: bool,
     rows: Option<usize>,
     ctx: &ExecContext,
 ) -> Staging<'p> {
-    let pin = match diff {
-        true => Some(Reason::DifferentiableInput),
-        false => keys.iter().find_map(|k| expr_fallback(&k.expr, ctx)),
-    };
+    let pin = keys.iter().find_map(|k| expr_fallback(&k.expr, ctx));
     let one_morsel = rows.is_some_and(|rows| num_morsels(rows, ctx.morsel_rows) <= 1);
     pin.or_else(|| (ctx.threads <= 1).then_some(Reason::Threads1))
         .or_else(|| one_morsel.then_some(Reason::SingleMorsel))

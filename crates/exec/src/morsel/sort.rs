@@ -7,7 +7,7 @@ use tdp_tensor::{I64Tensor, Tensor};
 
 use super::chain::BarrierInput;
 use super::sched::{
-    claim, claim_eval, morsel_range, note_barrier, num_morsels, slice_cols, staging, to_cols,
+    claim, claim_eval, morsel_range, note_barrier, num_morsels, slice_window, staging,
 };
 use crate::batch::Batch;
 use crate::error::ExecError;
@@ -109,7 +109,6 @@ fn sort_runs(
     let rows = input.rows();
     let morsel_rows = ctx.morsel_rows;
     let morsels = num_morsels(rows, morsel_rows);
-    let cols = to_cols(input);
 
     // First error in morsel order wins — the scheduler's contract.
     let runs = claim_eval(morsels, ctx, None, |i, wctx| {
@@ -118,7 +117,7 @@ fn sort_runs(
         // local permutation (4 B/row).
         charges.add("sort run", ((end - start) * (4 + 8 * keys.len())) as u64)?;
         // Key expressions run on the interpreter, which wants a batch.
-        let (batch, _slice) = slice_cols(&cols, start, end, "sort materialization", wctx)?;
+        let (batch, _slice) = slice_window(input, start, end, "sort materialization", wctx)?;
         let mut key_cols = Vec::with_capacity(keys.len());
         for k in keys {
             match eval_expr(&k.expr, &batch, wctx)? {
@@ -220,10 +219,10 @@ fn gather_sort_keys(
     ids: &I64Tensor,
     keys: &[PhysOrderKey],
 ) -> Result<Option<Vec<SortKeyCol>>, ExecError> {
-    let srcs: Option<Vec<EncodedTensor>> = keys
+    let srcs: Option<Vec<&EncodedTensor>> = keys
         .iter()
         .map(|k| match &k.expr {
-            CompiledExpr::Column(r) => r.resolve(batch).ok().map(|c| c.to_exact()),
+            CompiledExpr::Column(r) => r.resolve(batch).ok(),
             _ => None,
         })
         .collect();
@@ -329,8 +328,7 @@ pub(crate) fn run_sort(
     // same analysis as fused chains applies (UDFs, subqueries, tensor
     // params).
     let sort = k.map_or(Staging::MergeSort, |_| Staging::TopK);
-    let diff = input.batch.has_diff();
-    let staged = staging(sort, keys, diff, Some(input.rows_out()), ctx);
+    let staged = staging(sort, keys, Some(input.rows_out()), ctx);
     if let Staging::Sequential(_) = staged {
         note_barrier(rec, staged, &[1]);
         let input = input.into_gathered();

@@ -28,6 +28,7 @@ use tdp_sql::plan::{AggregateExpr, LogicalPlan, WindowExpr};
 use tdp_storage::Catalog;
 
 use crate::access::{AnnPath, ChunkPruner};
+use crate::batch::NamedColumns;
 use crate::error::ExecError;
 use crate::params::ParamValue;
 use crate::udf::{ArgType, UdfRegistry};
@@ -78,7 +79,7 @@ pub enum ColumnRef {
     /// diagnostics and EXPLAIN output.
     Slot { slot: usize, name: String },
     /// Schema was unknown at compile time (downstream of a TVF); resolved
-    /// per batch through the O(1) name index.
+    /// per batch by name.
     Name(String),
 }
 
@@ -89,8 +90,8 @@ impl ColumnRef {
         }
     }
 
-    /// Resolve against a batch.
-    pub fn resolve<'a>(&self, batch: &'a crate::Batch) -> Result<&'a crate::ColumnData, ExecError> {
+    /// Resolve against a batch's columns, exact or on the tape.
+    pub fn resolve<'a, C>(&self, batch: &'a NamedColumns<C>) -> Result<&'a C, ExecError> {
         match self {
             ColumnRef::Slot { slot, name } => batch.column_at(*slot).ok_or_else(|| {
                 ExecError::TypeMismatch(format!(

@@ -40,7 +40,7 @@
 //!   interns its textual renderings), each row's composite hash is
 //!   computed **once** and reused by the exchange, the build and the
 //!   probe; build-side positions are scattered into
-//!   [`crate::ExecContext::partitions`] buckets, one flat table
+//!   [`DEFAULT_PARTITIONS`] buckets, one flat table
 //!   (`tdp_tensor::keytable`) is built per partition (shared-nothing),
 //!   probe morsels run in parallel with morsel-order reassembly, and
 //!   the output columns are gathered as one claimed task per column;
@@ -52,9 +52,8 @@
 //!   the kept positions are swept back out in input order.
 //!
 //! Windows, TVFs and UNION ALL remain whole-batch. The partition count
-//! is a plan property ([`crate::ExecContext::partitions`], default
-//! [`DEFAULT_PARTITIONS`]) independent of the worker count, so staged
-//! barriers keep the determinism contract below.
+//! is a constant ([`DEFAULT_PARTITIONS`]), independent of the worker
+//! count, so staged barriers keep the determinism contract below.
 //!
 //! The decomposition is shared: [`execute`] — the one exact walker,
 //! which plain runs, profiled runs and scalar subqueries all take — and
@@ -316,10 +315,10 @@ fn explain_node(node: &PipeNode<'_>, ctx: &ExecContext, out: &mut String, depth:
             let label = plan.explain();
             let first = label.lines().next().unwrap_or("?").trim();
             out.push_str(&format!("barrier {first}"));
-            if let Some((staged, keys)) = morsel::staged_form(plan, ctx) {
+            if let Some((staged, keys)) = morsel::staged_form(plan) {
                 // Before any input exists: an input that turns out to fit
                 // one morsel still runs sequentially, as profiles report.
-                let staging = morsel::staging(staged, keys, false, None, ctx);
+                let staging = morsel::staging(staged, keys, None, ctx);
                 out.push_str(&format!(" [{staging}]"));
                 // Whether its fused chain child hands over a selection or
                 // gathers first. Sizing is a run-time property — a chain
@@ -505,7 +504,7 @@ fn exec_barrier(
 ) -> Result<Batch, ExecError> {
     // Staged barriers — join, ORDER BY, TopK and DISTINCT — read a chain
     // child's selection; every other barrier reads dense batches.
-    let selection_fed = morsel::staged_form(plan, ctx).is_some();
+    let selection_fed = morsel::staged_form(plan).is_some();
     let mut materialised = Vec::with_capacity(inputs.len());
     for input in inputs {
         let rec = rec.as_deref_mut();

@@ -485,7 +485,7 @@ mod tests {
             b.columns()
                 .iter()
                 .map(|(n, c)| {
-                    let exact = c.to_exact();
+                    let exact = c;
                     let v = exact.decode_f32().to_vec();
                     (n.clone(), v.iter().map(|f| f.to_bits()).collect())
                 })

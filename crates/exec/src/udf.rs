@@ -15,7 +15,7 @@ use tdp_encoding::EncodedTensor;
 use tdp_storage::Catalog;
 use tdp_tensor::Device;
 
-use crate::batch::{Batch, DiffColumn};
+use crate::batch::{Batch, DiffBatch, DiffColumn, NamedColumns};
 use crate::error::ExecError;
 
 // ----------------------------------------------------------------------
@@ -359,6 +359,11 @@ pub trait ScalarUdf {
 /// A table-valued function. In FROM position it receives the whole input
 /// relation ([`TableFunction::invoke_table`]); in projection position it
 /// receives evaluated argument columns ([`TableFunction::invoke_cols`]).
+/// Both are exact: plain [`Batch`]es in and out. Only a trainable run's
+/// FROM position calls [`TableFunction::invoke_table_diff`], whose
+/// [`DiffBatch`]es may carry columns on the autodiff tape; a
+/// projection-position call in a trainable run is exact, and refuses
+/// input on the tape or with soft weights.
 pub trait TableFunction {
     fn name(&self) -> &str;
 
@@ -380,10 +385,15 @@ pub trait TableFunction {
     }
 
     /// `FROM tvf(relation)` — differentiable evaluation. Defaults to the
-    /// exact path (a TVF without parameters is trivially "differentiable":
-    /// gradients simply stop at its constant outputs).
-    fn invoke_table_diff(&self, input: &Batch, ctx: &ExecContext) -> Result<Batch, ExecError> {
-        self.invoke_table(input, ctx)
+    /// exact path over the detached input (a TVF without parameters is
+    /// trivially "differentiable": gradients simply stop at its constant
+    /// outputs).
+    fn invoke_table_diff(
+        &self,
+        input: &DiffBatch,
+        ctx: &ExecContext,
+    ) -> Result<DiffBatch, ExecError> {
+        Ok(self.invoke_table(&input.detach(), ctx)?.into())
     }
 
     /// `SELECT tvf(args) FROM …` — exact evaluation over argument columns.
@@ -657,10 +667,6 @@ pub struct ExecContext<'a> {
     pub threads: usize,
     /// Rows per morsel for the scheduler's input partitioning.
     pub morsel_rows: usize,
-    /// Partition count for barrier exchanges (partitioned hash join,
-    /// shared-nothing DISTINCT). A plan property independent of
-    /// `threads`: results never depend on it, only load balance does.
-    pub partitions: usize,
     /// Whether fused filter→project chains may run on the chain kernels
     /// ([`crate::kernel`]), each vetted when it executes. Off, every
     /// chain runs on the interpreter — results are identical either way.
@@ -697,7 +703,6 @@ impl<'a> ExecContext<'a> {
             params: crate::params::ParamValues::new(),
             threads: 1,
             morsel_rows: crate::pipeline::DEFAULT_MORSEL_ROWS,
-            partitions: crate::pipeline::DEFAULT_PARTITIONS,
             chain_kernels: false,
             zone_maps: true,
             access: std::sync::Arc::new(crate::access::AccessPathCounters::default()),
@@ -735,10 +740,10 @@ impl<'a> ExecContext<'a> {
 /// expressions were slot-resolved through the declaration, so a drifting
 /// implementation must fail loudly here rather than silently feed wrong
 /// slots.
-pub(crate) fn check_tvf_output(
+pub(crate) fn check_tvf_output<C>(
     name: &str,
     declared: Option<&[String]>,
-    out: &Batch,
+    out: &NamedColumns<C>,
 ) -> Result<(), ExecError> {
     let Some(expected) = declared else {
         return Ok(());

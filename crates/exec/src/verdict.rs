@@ -30,8 +30,6 @@ pub(crate) enum Reason<'p> {
     TensorParam(usize),
     /// `count-distinct`: distinct counts do not add across morsels.
     CountDistinct,
-    /// `differentiable-input`: the input carries autodiff columns.
-    DifferentiableInput,
     /// `threads=1`: one worker, so a barrier has nothing to stage.
     Threads1,
     /// `chain-kernels-disabled`: the session switch is off.
@@ -78,8 +76,7 @@ impl Reason<'_> {
         use Reason as R;
         !matches!(
             self,
-            R::DifferentiableInput
-                | R::SingleMorsel
+            R::SingleMorsel
                 | R::KernelCompile
                 | R::KernelBailout
                 | R::NullParam(_)
@@ -94,11 +91,7 @@ impl Reason<'_> {
         use Reason as R;
         matches!(
             self,
-            R::UdfNotParallelSafe(_)
-                | R::ScalarSubquery
-                | R::TensorParam(_)
-                | R::CountDistinct
-                | R::DifferentiableInput
+            R::UdfNotParallelSafe(_) | R::ScalarSubquery | R::TensorParam(_) | R::CountDistinct
         )
     }
 }
@@ -111,7 +104,6 @@ impl fmt::Display for Reason<'_> {
             R::ScalarSubquery => f.write_str("scalar-subquery"),
             R::TensorParam(idx) => write!(f, "tensor-param(${})", idx + 1),
             R::CountDistinct => f.write_str("count-distinct"),
-            R::DifferentiableInput => f.write_str("differentiable-input"),
             R::Threads1 => f.write_str("threads=1"),
             R::ChainKernelsDisabled => f.write_str("chain-kernels-disabled"),
             R::NoChain => f.write_str("no-chain"),

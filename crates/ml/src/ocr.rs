@@ -19,8 +19,7 @@ use tdp_data::documents::DocGeometry;
 use tdp_data::font;
 use tdp_encoding::EncodedTensor;
 use tdp_exec::{
-    ArgType, ArgValue, Batch, ColumnData, ExecContext, ExecError, FunctionSpec, TableFunction,
-    Volatility,
+    ArgType, ArgValue, Batch, ExecContext, ExecError, FunctionSpec, TableFunction, Volatility,
 };
 use tdp_tensor::{F32Tensor, Tensor};
 
@@ -167,7 +166,7 @@ impl TableFunction for ExtractTableTvf {
         let mut out = Batch::new();
         for (c, name) in self.schema.iter().enumerate() {
             let col = table.narrow(1, c, 1).reshape(&[rows]);
-            out.push(name.clone(), ColumnData::Exact(EncodedTensor::F32(col)));
+            out.push(name.clone(), EncodedTensor::F32(col));
         }
         Ok(out)
     }
@@ -263,7 +262,7 @@ mod tests {
         );
         assert_eq!(out.rows(), 12);
         // AVG over the extracted column ≈ AVG over ground truth.
-        let got = out.column("SepalLength").unwrap().to_exact().decode_f32();
+        let got = out.column("SepalLength").unwrap().decode_f32();
         let truth_avg: f32 = ds
             .tables
             .iter()

@@ -12,21 +12,13 @@
 use tdp_autodiff::Var;
 use tdp_data::grid::GRID_PX;
 use tdp_exec::{
-    Batch, ColumnData, DiffColumn, ExecContext, ExecError, FunctionSpec, TableFunction, Volatility,
+    Batch, ColumnData, DiffBatch, DiffColumn, ExecContext, ExecError, FunctionSpec, TableFunction,
+    Volatility,
 };
 use tdp_nn::{Linear, Module};
 use tdp_tensor::{F32Tensor, Rng64, Tensor};
 
 use crate::cnn::DigitCnn;
-
-/// Detach every differentiable column of a batch (exact view).
-fn detach_batch(diff: Batch) -> Batch {
-    let mut out = Batch::new();
-    for (name, col) in diff.columns() {
-        out.push(name.clone(), ColumnData::Exact(col.to_exact()));
-    }
-    out
-}
 
 /// `parse_mnist_grid(MNIST_Grid)` — the trainable TVF of the MNISTGrid
 /// query. Input: a relation whose tensor column is `[n, 1, 84, 84]` grid
@@ -79,15 +71,19 @@ impl TableFunction for ParseMnistGridTvf {
     }
 
     fn invoke_table(&self, input: &Batch, ctx: &ExecContext) -> Result<Batch, ExecError> {
-        Ok(detach_batch(self.invoke_table_diff(input, ctx)?))
+        Ok(self.invoke_table_diff(&input.clone().into(), ctx)?.detach())
     }
 
-    fn invoke_table_diff(&self, input: &Batch, _ctx: &ExecContext) -> Result<Batch, ExecError> {
-        let tiles = Self::tiles_of(&input.first_tensor()?)?;
+    fn invoke_table_diff(
+        &self,
+        input: &DiffBatch,
+        _ctx: &ExecContext,
+    ) -> Result<DiffBatch, ExecError> {
+        let tiles = Self::tiles_of(&input.detach().first_tensor()?)?;
         let x = Var::constant(tiles);
         let digit_probs = self.digit_parser.forward(&x).softmax(1);
         let size_probs = self.size_parser.forward(&x).softmax(1);
-        let mut out = Batch::new();
+        let mut out = DiffBatch::new();
         out.push(
             "Digit",
             ColumnData::Diff(DiffColumn::pe(digit_probs, F32Tensor::arange(10))),
@@ -145,11 +141,15 @@ impl TableFunction for ClassifyIncomesTvf {
     }
 
     fn invoke_table(&self, input: &Batch, ctx: &ExecContext) -> Result<Batch, ExecError> {
-        Ok(detach_batch(self.invoke_table_diff(input, ctx)?))
+        Ok(self.invoke_table_diff(&input.clone().into(), ctx)?.detach())
     }
 
-    fn invoke_table_diff(&self, input: &Batch, _ctx: &ExecContext) -> Result<Batch, ExecError> {
-        let features = input.first_tensor()?;
+    fn invoke_table_diff(
+        &self,
+        input: &DiffBatch,
+        _ctx: &ExecContext,
+    ) -> Result<DiffBatch, ExecError> {
+        let features = input.detach().first_tensor()?;
         if features.ndim() != 2 || features.shape()[1] != self.model.in_features() {
             return Err(ExecError::TypeMismatch(format!(
                 "classify_incomes expects [n, {}] features, got {:?}",
@@ -159,7 +159,7 @@ impl TableFunction for ClassifyIncomesTvf {
         }
         let logits = self.model.forward(&Var::constant(features));
         let probs = logits.softmax(1);
-        let mut out = Batch::new();
+        let mut out = DiffBatch::new();
         out.push(
             "Income",
             ColumnData::Diff(DiffColumn::pe(probs, F32Tensor::arange(2))),
@@ -176,7 +176,7 @@ impl TableFunction for ClassifyIncomesTvf {
 mod tests {
     use super::*;
     use tdp_data::grid::generate_grid;
-    use tdp_encoding::EncodedTensor;
+    use tdp_encoding::{EncodedTensor, EncodingKind};
     use tdp_exec::UdfRegistry;
     use tdp_storage::Catalog;
 
@@ -192,11 +192,11 @@ mod tests {
         let mut input = Batch::new();
         input.push(
             "value",
-            ColumnData::Exact(EncodedTensor::F32(g.image.reshape(&[1, 1, 84, 84]))),
+            EncodedTensor::F32(g.image.reshape(&[1, 1, 84, 84])),
         );
         let (catalog, udfs) = ctx_fixture();
         let ctx = ExecContext::new(&catalog, &udfs);
-        let out = tvf.invoke_table_diff(&input, &ctx).unwrap();
+        let out = tvf.invoke_table_diff(&input.clone().into(), &ctx).unwrap();
         assert_eq!(out.rows(), 9);
         match out.column("Digit").unwrap() {
             ColumnData::Diff(d) => {
@@ -209,7 +209,10 @@ mod tests {
         }
         // Exact path decodes instead.
         let exact = tvf.invoke_table(&input, &ctx).unwrap();
-        assert!(!exact.has_diff());
+        assert_eq!(
+            exact.column("Digit").unwrap().kind(),
+            EncodingKind::Probability
+        );
         assert_eq!(exact.rows(), 9);
     }
 
@@ -250,25 +253,17 @@ mod tests {
         let tvf = ClassifyIncomesTvf::new(10, &mut rng);
         let feats = F32Tensor::randn(&[16, 10], 0.0, 1.0, &mut rng);
         let mut input = Batch::new();
-        input.push(
-            "value",
-            ColumnData::Exact(EncodedTensor::F32(feats.clone())),
-        );
+        input.push("value", EncodedTensor::F32(feats.clone()));
         let (catalog, udfs) = ctx_fixture();
         let ctx = ExecContext::new(&catalog, &udfs);
-        let out = tvf.invoke_table_diff(&input, &ctx).unwrap();
+        let out = tvf.invoke_table_diff(&input.clone().into(), &ctx).unwrap();
         assert_eq!(out.rows(), 16);
         assert!(out.column("Income").unwrap().is_diff());
         // Predictions agree with the exact decode of the PE column.
         let pred = tvf.predict(&feats);
         let exact = tvf.invoke_table(&input, &ctx).unwrap();
         assert_eq!(
-            exact
-                .column("Income")
-                .unwrap()
-                .to_exact()
-                .decode_i64()
-                .to_vec(),
+            exact.column("Income").unwrap().decode_i64().to_vec(),
             pred.to_vec()
         );
     }
@@ -278,14 +273,11 @@ mod tests {
         let mut rng = Rng64::new(5);
         let tvf = ClassifyIncomesTvf::new(10, &mut rng);
         let mut input = Batch::new();
-        input.push(
-            "value",
-            ColumnData::Exact(EncodedTensor::F32(F32Tensor::zeros(&[4, 3]))),
-        );
+        input.push("value", EncodedTensor::F32(F32Tensor::zeros(&[4, 3])));
         let (catalog, udfs) = ctx_fixture();
         let ctx = ExecContext::new(&catalog, &udfs);
         assert!(matches!(
-            tvf.invoke_table_diff(&input, &ctx),
+            tvf.invoke_table_diff(&input.into(), &ctx),
             Err(ExecError::TypeMismatch(_))
         ));
     }

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use tdp_core::encoding::EncodedTensor;
-use tdp_core::exec::{ArgValue, Batch, ColumnData, ExecContext, ExecError, TableFunction};
+use tdp_core::exec::{ArgValue, Batch, ExecContext, ExecError, TableFunction};
 use tdp_core::storage::TableBuilder;
 use tdp_core::tensor::Tensor;
 use tdp_core::{ArgType, FunctionSpec, ParamValues, ScalarUdf, Tdp, TdpError, Volatility};
@@ -82,14 +82,8 @@ impl TableFunction for LabelerTvf {
         let labels: Vec<String> = (0..n).map(|i| format!("L{}", i % 3)).collect();
         let scores: Vec<f32> = (0..n).map(|i| i as f32).collect();
         let mut out = Batch::new();
-        out.push(
-            "Label",
-            ColumnData::Exact(EncodedTensor::from_strings(&labels)),
-        );
-        out.push(
-            "Score",
-            ColumnData::Exact(EncodedTensor::F32(Tensor::from_vec(scores, &[n]))),
-        );
+        out.push("Label", EncodedTensor::from_strings(&labels));
+        out.push("Score", EncodedTensor::F32(Tensor::from_vec(scores, &[n])));
         Ok(out)
     }
 }
@@ -112,7 +106,7 @@ impl TableFunction for DriftingTvf {
         let mut out = Batch::new();
         out.push(
             "Surprise",
-            ColumnData::Exact(EncodedTensor::F32(Tensor::from_vec(vec![1.0; n], &[n]))),
+            EncodedTensor::F32(Tensor::from_vec(vec![1.0; n], &[n])),
         );
         Ok(out)
     }
@@ -373,10 +367,7 @@ fn tvf_position_misuse_rejected_at_prepare_time() {
         }
         fn invoke_cols(&self, _args: &[ArgValue], _ctx: &ExecContext) -> Result<Batch, ExecError> {
             let mut out = Batch::new();
-            out.push(
-                "A",
-                ColumnData::Exact(EncodedTensor::F32(Tensor::from_vec(vec![1.0], &[1]))),
-            );
+            out.push("A", EncodedTensor::F32(Tensor::from_vec(vec![1.0], &[1])));
             Ok(out)
         }
     }

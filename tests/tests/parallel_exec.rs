@@ -129,14 +129,12 @@ proptest! {
         seed in 1u64..1_000_000,
         rows in 1usize..400,
         morsel in 1usize..64,
-        partitions in 1usize..24,
         which in 0usize..PIPELINES.len(),
     ) {
         let tdp = Tdp::new();
         tdp.register_table(table(rows, seed));
         tdp.register_table(dim(seed));
         tdp.set_morsel_rows(morsel);
-        tdp.set_partitions(partitions);
         let sql = PIPELINES[which];
         // threads=1 takes the sequential kernels (the oracle); higher
         // thread counts take the staged barrier paths, with chain
@@ -281,7 +279,7 @@ fn staged_barriers_match_sequential_oracle_at_tiny_morsels() {
     // morsels), so exchange buckets, sorted runs and probe morsels all
     // cut across partition boundaries. Staged barrier output must stay
     // byte-identical to the sequential kernels (threads=1 falls back to
-    // them) at every thread *and* partition count.
+    // them) at every thread count.
     let tdp = Tdp::new();
     tdp.register_table(table(100, 11));
     tdp.register_table(dim(5));
@@ -297,15 +295,8 @@ fn staged_barriers_match_sequential_oracle_at_tiny_morsels() {
     ] {
         let oracle = run_at(&tdp, sql, 1);
         for threads in [2usize, 7] {
-            for partitions in [1usize, 3, 16] {
-                tdp.set_partitions(partitions);
-                let out = run_at(&tdp, sql, threads);
-                assert_tables_identical(
-                    &oracle,
-                    &out,
-                    &format!("{sql} @ {threads} threads / {partitions} partitions"),
-                );
-            }
+            let out = run_at(&tdp, sql, threads);
+            assert_tables_identical(&oracle, &out, &format!("{sql} @ {threads} threads"));
         }
     }
 }
@@ -317,7 +308,6 @@ fn explain_and_profile_report_barrier_strategy() {
     tdp.register_table(dim(4));
     tdp.set_threads(3);
     tdp.set_morsel_rows(16);
-    tdp.set_partitions(8);
 
     // EXPLAIN resolves each barrier's strategy against the session.
     let q = tdp
@@ -325,7 +315,7 @@ fn explain_and_profile_report_barrier_strategy() {
         .unwrap();
     let text = q.explain();
     assert!(text.contains("barrier Join"), "{text}");
-    assert!(text.contains("[partitioned ×8]"), "{text}");
+    assert!(text.contains("[partitioned ×16]"), "{text}");
     assert!(text.contains("[merge-sort]"), "{text}");
 
     // Profiled runs report what actually happened: strategy with morsel
@@ -337,7 +327,7 @@ fn explain_and_profile_report_barrier_strategy() {
         .find(|o| o.label.starts_with("Join"))
         .expect("join trace");
     let strat = join_op.strategy.as_deref().expect("join strategy recorded");
-    assert!(strat.contains("partitioned ×8"), "{strat}");
+    assert!(strat.contains("partitioned ×16"), "{strat}");
     assert!(strat.contains("probe morsels"), "{strat}");
     let sort_op = prof
         .ops
@@ -349,9 +339,9 @@ fn explain_and_profile_report_barrier_strategy() {
         "{:?}",
         sort_op.strategy
     );
-    assert_eq!(prof.partitions, 8, "join exchange partitions in totals");
+    assert_eq!(prof.partitions, 16, "join exchange partitions in totals");
     assert!(
-        prof.pretty().contains("partitioned ×8"),
+        prof.pretty().contains("partitioned ×16"),
         "{}",
         prof.pretty()
     );
@@ -382,7 +372,7 @@ fn explain_and_profile_report_barrier_strategy() {
     // DISTINCT partitions too.
     let distinct = tdp.query("SELECT DISTINCT tag FROM t").unwrap();
     assert!(
-        distinct.explain().contains("[partitioned ×8]"),
+        distinct.explain().contains("[partitioned ×16]"),
         "{}",
         distinct.explain()
     );
@@ -464,15 +454,6 @@ fn scheduler_configuration_surface() {
     assert_eq!(tdp.morsel_rows(), 1, "clamped");
     tdp.set_morsel_rows(1024);
     assert_eq!(tdp.morsel_rows(), 1024);
-    assert_eq!(
-        tdp.partitions(),
-        tdp_core::exec::DEFAULT_PARTITIONS,
-        "no environment variable moves the default"
-    );
-    tdp.set_partitions(0);
-    assert_eq!(tdp.partitions(), 1, "clamped");
-    tdp.set_partitions(5);
-    assert_eq!(tdp.partitions(), 5);
 }
 
 #[test]

@@ -7,7 +7,8 @@ use std::sync::Arc;
 use tdp_core::autodiff::Var;
 use tdp_core::encoding::EncodedTensor;
 use tdp_core::exec::{
-    ArgValue, Batch, ColumnData, DiffColumn, ExecContext, ExecError, ScalarUdf, TableFunction,
+    ArgValue, Batch, ColumnData, DiffBatch, DiffColumn, ExecContext, ExecError, FunctionSpec,
+    ScalarUdf, TableFunction,
 };
 use tdp_core::nn::{Adam, Optimizer};
 use tdp_core::storage::TableBuilder;
@@ -27,15 +28,14 @@ impl TableFunction for LogitClassifier {
         "classify"
     }
     fn invoke_table(&self, input: &Batch, ctx: &ExecContext) -> Result<Batch, ExecError> {
-        let diff = self.invoke_table_diff(input, ctx)?;
-        let mut out = Batch::new();
-        for (name, col) in diff.columns() {
-            out.push(name.clone(), ColumnData::Exact(col.to_exact()));
-        }
-        Ok(out)
+        Ok(self.invoke_table_diff(&input.clone().into(), ctx)?.detach())
     }
-    fn invoke_table_diff(&self, _input: &Batch, _ctx: &ExecContext) -> Result<Batch, ExecError> {
-        let mut out = Batch::new();
+    fn invoke_table_diff(
+        &self,
+        _input: &DiffBatch,
+        _ctx: &ExecContext,
+    ) -> Result<DiffBatch, ExecError> {
+        let mut out = DiffBatch::new();
         out.push(
             "Label",
             ColumnData::Diff(DiffColumn::pe(
@@ -311,17 +311,16 @@ impl TableFunction for Lift {
         "lift"
     }
     fn invoke_table(&self, input: &Batch, ctx: &ExecContext) -> Result<Batch, ExecError> {
-        let diff = self.invoke_table_diff(input, ctx)?;
-        let mut out = Batch::new();
-        for (name, col) in diff.columns() {
-            out.push(name.clone(), ColumnData::Exact(col.to_exact()));
-        }
-        Ok(out)
+        Ok(self.invoke_table_diff(&input.clone().into(), ctx)?.detach())
     }
-    fn invoke_table_diff(&self, input: &Batch, _ctx: &ExecContext) -> Result<Batch, ExecError> {
+    fn invoke_table_diff(
+        &self,
+        input: &DiffBatch,
+        _ctx: &ExecContext,
+    ) -> Result<DiffBatch, ExecError> {
         let x = input.column("x")?.to_exact().decode_f32();
         let n = x.numel();
-        let mut out = Batch::new();
+        let mut out = DiffBatch::new();
         out.push(
             "x",
             ColumnData::Diff(DiffColumn::plain(
@@ -336,10 +335,30 @@ impl TableFunction for Lift {
     }
 }
 
+/// `ident(x)`: its argument column, as `x` — a projection-position TVF.
+struct Ident;
+
+impl TableFunction for Ident {
+    fn name(&self) -> &str {
+        "ident"
+    }
+    fn spec(&self) -> FunctionSpec {
+        FunctionSpec::dynamic(self.name())
+            .returns(vec!["x".into()])
+            .projection_only()
+    }
+    fn invoke_cols(&self, args: &[ArgValue], _ctx: &ExecContext) -> Result<Batch, ExecError> {
+        let mut out = Batch::new();
+        out.push("x", args[0].as_column()?.clone());
+        Ok(out)
+    }
+}
+
 const ROWS: usize = 10_000;
 
 /// `t(id, x, g)` with 10,000 rows in ten 1,024-row morsels, a 7-row `u(h,
-/// y)` to join it with, the trainable `score` UDF and the `lift` TVF.
+/// y)` to join it with, the trainable `score` UDF, the `lift` TVF and the
+/// `ident` TVF.
 fn wide_fixture() -> (Tdp, Var) {
     let tdp = Tdp::new();
     tdp.register_table(
@@ -358,18 +377,20 @@ fn wide_fixture() -> (Tdp, Var) {
     let w = Var::param(Tensor::from_vec(vec![1.0f32], &[1]));
     tdp.register_udf(Arc::new(WeightedScore { w: w.clone() }));
     tdp.register_tvf(Arc::new(Lift { w: w.clone() }));
+    tdp.register_tvf(Arc::new(Ident));
     tdp.set_morsel_rows(1024);
     (tdp, w)
 }
 
 /// Every operator a trainable run does not relax, over `{src}`.
-const BARRIERS: [&str; 6] = [
+const BARRIERS: [&str; 7] = [
     "SELECT x, y FROM {src} JOIN u ON g = h",
     "SELECT x FROM {src} ORDER BY x",
     "SELECT x FROM {src} LIMIT 3",
     "SELECT DISTINCT x FROM {src}",
     "SELECT x FROM {src} UNION ALL SELECT x FROM t",
     "SELECT x, SUM(x) OVER (PARTITION BY g) AS s FROM {src}",
+    "SELECT ident(x) FROM {src}",
 ];
 
 /// The inputs of [`BARRIERS`]: exact rows, a differentiable column, and
@@ -394,7 +415,7 @@ fn exact_operators_refuse_what_they_cannot_relax() {
         let q = trainable(&tdp, &sql);
         let diff = q.run_diff().unwrap_or_else(|e| panic!("{sql}: {e}"));
         assert!(diff.weights.is_none() && !diff.has_diff(), "{sql}");
-        assert_tables_identical(&diff.to_table("result"), &q.run().unwrap(), &sql);
+        assert_tables_identical(&diff.detach().to_table("result"), &q.run().unwrap(), &sql);
         for src in [DIFF_SRC, SOFT_SRC] {
             let sql = template.replace("{src}", src);
             match trainable(&tdp, &sql).run_diff() {
