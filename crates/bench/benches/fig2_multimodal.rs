@@ -17,7 +17,7 @@ use tdp_core::storage::TableBuilder;
 use tdp_core::tensor::Rng64;
 use tdp_core::{Device, QueryConfig, Tdp};
 use tdp_data::attachments::generate_attachments;
-use tdp_ml::{ClipSim, ImageTextSimilarityUdf};
+use tdp_ml::{clip, TextSimilarityUdf};
 
 fn main() {
     let n_images = knob("FIG2_IMAGES", 200, 1000);
@@ -43,7 +43,7 @@ fn main() {
     let mut rng = Rng64::new(2023);
     println!("generating {n_images} attachments at {h}x{w}...");
     let ds = generate_attachments(n_images, h, w, &mut rng);
-    let model = ClipSim::pretrained(h, w, 8, 7);
+    let model = clip::pretrained(h, w, 8, 7);
 
     let queries = [
         "SELECT COUNT(*) FROM Attachments WHERE image_text_similarity('receipt', images) > 0.80",
@@ -65,7 +65,7 @@ fn main() {
                 .col_tensor("images", ds.images.clone())
                 .build("Attachments"),
         );
-        tdp.register_udf(Arc::new(ImageTextSimilarityUdf::new(model.clone())));
+        tdp.register_udf(Arc::new(TextSimilarityUdf::new(model.clone())));
 
         let (_, total) = timed(|| {
             for i in 0..n_queries {
@@ -104,7 +104,7 @@ fn main() {
             .col_tensor("images", ds.images.clone())
             .build("Attachments"),
     );
-    tdp.register_udf(Arc::new(ImageTextSimilarityUdf::new(model)));
+    tdp.register_udf(Arc::new(TextSimilarityUdf::new(model)));
     let receipts = tdp
         .query(queries[0])
         .unwrap()

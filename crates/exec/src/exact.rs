@@ -624,7 +624,10 @@ fn zero_rows(col: &EncodedTensor, n: usize) -> EncodedTensor {
     }
 }
 
-/// `left_pad` extended by `n` pad rows for every right column.
+/// `left_pad` extended by `n` pad rows for every right column. The pad
+/// columns keep the right side's names: [`Batch::concat`] names its
+/// output after its first part, the matched rows, which carry the
+/// renamed ones.
 /// Documented limitation: without NULLs, unmatched left rows pad
 /// right-side numeric columns with NaN and other encodings with the
 /// value of the right side's first row (their zero value when it has
@@ -649,12 +652,7 @@ fn pad_right(left_pad: &Batch, (right, rids): JoinInput<'_>, n: usize) -> Batch 
                 None => zero_rows(other, n),
             },
         };
-        let out_name = if out.column(name).is_ok() {
-            format!("right_{name}")
-        } else {
-            name.clone()
-        };
-        out.push(out_name, padded);
+        out.push(name.clone(), padded);
     }
     out
 }

@@ -1,21 +1,20 @@
-//! AudioSim: a deterministic audio↔text joint embedding, the audio
-//! counterpart of [`crate::clip::ClipSim`].
+//! A deterministic audio↔text joint embedding, the audio counterpart of
+//! CLIP-sim ([`crate::clip`]).
 //!
 //! Features are classical acoustic statistics computed with tensor
 //! kernels: RMS energy, zero-crossing rate, band energies from a small
-//! Goertzel-style resonator bank, click duty cycle, and spectral spread.
-//! The "text encoder" maps keyword queries onto acoustic classes, and
-//! similarity is posterior mass on the queried classes — identical in
-//! shape to the CLIP-sim image path, so the same multimodal SQL queries
-//! run over audio columns.
+//! Goertzel-style resonator bank, click duty cycle, crest factor and DC
+//! ratio. The keyword rules map queries onto acoustic classes; the
+//! calibration, posterior and UDF are the shared [`ExemplarSim`] /
+//! [`crate::TextSimilarityUdf`], so the same multimodal SQL queries run over
+//! audio columns.
 
 use tdp_data::audio::{render_clip, AudioClass, CLIP_LEN, SAMPLE_RATE};
-use tdp_encoding::EncodedTensor;
-use tdp_exec::{ArgType, ArgValue, ExecContext, ExecError, FunctionSpec, ScalarUdf, Volatility};
-use tdp_tensor::{F32Tensor, Rng64, Tensor};
+use tdp_tensor::{F32Tensor, Tensor};
 
-/// Dimensionality of [`audio_features`].
-pub const NUM_AUDIO_FEATURES: usize = 10;
+use crate::exemplar::Extent::Exactly;
+use crate::exemplar::{ExemplarSim, Modality};
+use AudioClass::{Chirp, Clicks, Noise, ToneHigh, ToneLow};
 
 /// Center frequencies of the resonator bank (Hz).
 const BANDS: [f32; 5] = [220.0, 500.0, 1200.0, 2000.0, 3000.0];
@@ -69,173 +68,38 @@ pub fn audio_features(wave: &F32Tensor) -> F32Tensor {
         vec![
             rms, zc, bands[0], bands[1], bands[2], bands[3], bands[4], silent, crest, dc_ratio,
         ],
-        &[NUM_AUDIO_FEATURES],
+        &[AUDIO.num_features],
     )
 }
 
-/// The calibrated joint audio model.
-#[derive(Debug, Clone)]
-pub struct AudioSim {
-    mu: F32Tensor,
-    sigma: F32Tensor,
-    /// Standardised exemplars, `[num_classes * per_class, F]`, grouped by
-    /// class in `AudioClass::ALL` order.
-    exemplars: F32Tensor,
-    per_class: usize,
-    beta: f32,
-}
+/// The audio modality: `[CLIP_LEN]` waveforms.
+pub(crate) static AUDIO: Modality<AudioClass> = Modality {
+    udf_name: "audio_text_similarity",
+    classes: &AudioClass::ALL,
+    rules: &[
+        (&["low"], &[ToneLow]),
+        (&["high"], &[ToneHigh]),
+        (&["tone", "note"], &[ToneLow, ToneHigh]),
+        (&["chirp", "sweep", "siren"], &[Chirp]),
+        (&["noise", "static", "hiss"], &[Noise]),
+        (&["click", "tick", "beat"], &[Clicks]),
+    ],
+    features: audio_features,
+    num_features: 10,
+    item: &[Exactly(CLIP_LEN)],
+};
 
-impl AudioSim {
-    /// Calibrate against the clip generator ("pretrain").
-    pub fn pretrained(samples_per_class: usize, seed: u64) -> AudioSim {
-        let mut rng = Rng64::new(seed);
-        let mut feats: Vec<F32Tensor> = Vec::new();
-        for &c in &AudioClass::ALL {
-            for _ in 0..samples_per_class {
-                feats.push(audio_features(&render_clip(c, &mut rng)));
-            }
-        }
-        let all = {
-            let refs: Vec<&F32Tensor> = feats.iter().collect();
-            tdp_tensor::index::stack(&refs)
-        };
-        let mu = all.mean_dim(0, false);
-        let centered = all.sub(&mu);
-        let sigma = centered
-            .mul(&centered)
-            .mean_dim(0, false)
-            .sqrt()
-            .add_scalar(1e-6);
-        let exemplars = all.sub(&mu).div(&sigma);
-        AudioSim {
-            mu,
-            sigma,
-            exemplars,
-            per_class: samples_per_class,
-            beta: 2.0,
-        }
-    }
-
-    /// Class posterior of one clip.
-    pub fn posterior(&self, wave: &F32Tensor) -> F32Tensor {
-        let f = audio_features(wave).sub(&self.mu).div(&self.sigma);
-        let k = AudioClass::ALL.len();
-        let diff = self.exemplars.sub(&f.reshape(&[1, NUM_AUDIO_FEATURES]));
-        let d2 = diff.mul(&diff).sum_dim(1, false);
-        let min_d2 = d2
-            .reshape(&[k, self.per_class])
-            .min_dim(1, false)
-            .mul_scalar(-self.beta);
-        min_d2.reshape(&[1, k]).softmax(1).reshape(&[k])
-    }
-
-    /// The "text encoder": classes named by a query.
-    pub fn text_classes(query: &str) -> Vec<AudioClass> {
-        let q = query.to_ascii_lowercase();
-        if q.contains("low") {
-            return vec![AudioClass::ToneLow];
-        }
-        if q.contains("high") {
-            return vec![AudioClass::ToneHigh];
-        }
-        if q.contains("tone") || q.contains("note") {
-            return vec![AudioClass::ToneLow, AudioClass::ToneHigh];
-        }
-        if q.contains("chirp") || q.contains("sweep") || q.contains("siren") {
-            return vec![AudioClass::Chirp];
-        }
-        if q.contains("noise") || q.contains("static") || q.contains("hiss") {
-            return vec![AudioClass::Noise];
-        }
-        if q.contains("click") || q.contains("tick") || q.contains("beat") {
-            return vec![AudioClass::Clicks];
-        }
-        Vec::new()
-    }
-
-    /// Similarity of a text query and one clip.
-    pub fn similarity(&self, query: &str, wave: &F32Tensor) -> f32 {
-        let classes = Self::text_classes(query);
-        if classes.is_empty() {
-            return 0.0;
-        }
-        let post = self.posterior(wave);
-        classes.iter().map(|c| post.at(c.id() as usize)).sum()
-    }
-
-    /// Similarity scores for a whole `[n, CLIP_LEN]` clip column.
-    pub fn similarity_batch(&self, query: &str, clips: &F32Tensor) -> F32Tensor {
-        assert_eq!(clips.ndim(), 2, "expected [n, samples]");
-        let n = clips.rows();
-        let out: Vec<f32> = (0..n)
-            .map(|i| self.similarity(query, &clips.row(i)))
-            .collect();
-        Tensor::from_vec(out, &[n]).to(clips.device())
-    }
-
-    /// Per-class embedding matrix `[num_classes, F]` (the mean exemplar),
-    /// usable as vector-index input for audio search.
-    pub fn embed_batch(&self, clips: &F32Tensor) -> F32Tensor {
-        assert_eq!(clips.ndim(), 2, "expected [n, samples]");
-        let n = clips.rows();
-        let mut out = Vec::with_capacity(n * NUM_AUDIO_FEATURES);
-        for i in 0..n {
-            let f = audio_features(&clips.row(i)).sub(&self.mu).div(&self.sigma);
-            out.extend_from_slice(f.data());
-        }
-        Tensor::from_vec(out, &[n, NUM_AUDIO_FEATURES])
-    }
-}
-
-/// `audio_text_similarity(query, clips)` — the audio twin of Listing 7's
-/// image UDF, making audio a first-class filter/search modality in SQL.
-pub struct AudioTextSimilarityUdf {
-    model: AudioSim,
-}
-
-impl AudioTextSimilarityUdf {
-    pub fn new(model: AudioSim) -> AudioTextSimilarityUdf {
-        AudioTextSimilarityUdf { model }
-    }
-}
-
-impl ScalarUdf for AudioTextSimilarityUdf {
-    fn name(&self) -> &str {
-        "audio_text_similarity"
-    }
-
-    /// `(query: string, clips: column)`, immutable, parallel-safe — see
-    /// [`crate::ImageTextSimilarityUdf`] for the contract.
-    fn spec(&self) -> FunctionSpec {
-        FunctionSpec::scalar(self.name(), vec![ArgType::Str, ArgType::Column])
-            .volatility(Volatility::Immutable)
-            .parallel_safe(true)
-    }
-
-    fn invoke(&self, args: &[ArgValue], _ctx: &ExecContext) -> Result<EncodedTensor, ExecError> {
-        if args.len() != 2 {
-            return Err(ExecError::TypeMismatch(
-                "audio_text_similarity(query, clips) takes two arguments".into(),
-            ));
-        }
-        let query = args[0].as_str()?;
-        let clips = args[1].as_column()?.decode_f32();
-        if clips.ndim() != 2 || clips.shape()[1] != CLIP_LEN {
-            return Err(ExecError::TypeMismatch(format!(
-                "expected an [n, {CLIP_LEN}] audio column, got {:?}",
-                clips.shape()
-            )));
-        }
-        Ok(EncodedTensor::F32(
-            self.model.similarity_batch(query, &clips),
-        ))
-    }
+/// The joint text/audio model, calibrated against the clip generator
+/// ("pretrained") on `samples_per_class` clips per class.
+pub fn pretrained(samples_per_class: usize, seed: u64) -> ExemplarSim {
+    ExemplarSim::calibrate(&AUDIO, samples_per_class, seed, render_clip)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tdp_data::audio::generate_audio;
+    use tdp_tensor::Rng64;
 
     #[test]
     fn features_separate_classes() {
@@ -252,7 +116,7 @@ mod tests {
 
     #[test]
     fn posterior_identifies_every_class() {
-        let model = AudioSim::pretrained(6, 11);
+        let model = pretrained(6, 11);
         let mut rng = Rng64::new(33);
         for &c in &AudioClass::ALL {
             let clip = render_clip(c, &mut rng);
@@ -275,7 +139,7 @@ mod tests {
 
     #[test]
     fn similarity_scores_rank_matching_clips_first() {
-        let model = AudioSim::pretrained(6, 12);
+        let model = pretrained(6, 12);
         let mut rng = Rng64::new(44);
         let ds = generate_audio(20, &mut rng);
         let scores = model.similarity_batch("chirp", &ds.clips);
@@ -302,7 +166,7 @@ mod tests {
 
     #[test]
     fn unknown_queries_score_zero() {
-        let model = AudioSim::pretrained(4, 13);
+        let model = pretrained(4, 13);
         let mut rng = Rng64::new(5);
         let clip = render_clip(AudioClass::Noise, &mut rng);
         assert_eq!(model.similarity("violin concerto", &clip), 0.0);

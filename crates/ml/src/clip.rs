@@ -9,20 +9,18 @@
 //!
 //! CLIP-sim achieves this with a classic recipe: a hand-rolled feature
 //! extractor (channel statistics, texture anisotropy, saturation, band
-//! colour, central contrast — all tensor kernels), feature standardisation,
-//! and class prototypes *calibrated* once against the generator (playing
-//! the role of pretraining). The similarity of a text query and an image
-//! is the posterior mass the image assigns to the classes named by the
-//! query — a calibrated score in `[0, 1]` where the paper's `> 0.8`
-//! filters behave as intended.
+//! colour, central contrast — all tensor kernels) plugged into the shared
+//! [`ExemplarSim`] model, whose exemplars are *calibrated* once against
+//! the generator (playing the role of pretraining). The similarity of a
+//! text query and an image is the posterior mass the image assigns to the
+//! classes named by the query.
 
 use tdp_data::attachments::{render_attachment, AttachmentClass};
-use tdp_encoding::EncodedTensor;
-use tdp_exec::{ArgType, ArgValue, ExecContext, ExecError, FunctionSpec, ScalarUdf, Volatility};
-use tdp_tensor::{F32Tensor, Rng64, Tensor};
+use tdp_tensor::{F32Tensor, Tensor};
 
-/// Number of scalar features extracted per image.
-pub const NUM_FEATURES: usize = 9;
+use crate::exemplar::Extent::{AtLeast, Exactly};
+use crate::exemplar::{ExemplarSim, Modality};
+use AttachmentClass::{KfcReceipt, Logo, PhotoCat, PhotoDog, PhotoLandscape, Receipt};
 
 /// Extract the CLIP-sim feature vector of one `[3, h, w]` image.
 /// Pure tensor kernels; cost is linear in the pixel count.
@@ -89,188 +87,48 @@ pub fn image_features(img: &F32Tensor) -> F32Tensor {
             top_red,
             central_contrast,
         ],
-        &[NUM_FEATURES],
+        &[IMAGE.num_features],
     )
 }
 
-/// The calibrated joint model.
-#[derive(Debug, Clone)]
-pub struct ClipSim {
-    /// Per-feature mean/std across the calibration corpus.
-    mu: F32Tensor,
-    sigma: F32Tensor,
-    /// Standardised class exemplars `[num_classes * per_class, NUM_FEATURES]`.
-    /// Classes like logos are multimodal (palette choices), so the posterior
-    /// uses the distance to the *nearest* exemplar of each class rather than
-    /// a single mean prototype.
-    exemplars: F32Tensor,
-    per_class: usize,
-    /// Posterior sharpness.
-    beta: f32,
-}
+/// The image modality: `[3, h, w]` RGB attachments. The features
+/// difference neighbouring rows and columns, so an image needs at least
+/// two of each.
+pub(crate) static IMAGE: Modality<AttachmentClass> = Modality {
+    udf_name: "image_text_similarity",
+    classes: &AttachmentClass::ALL,
+    rules: &[
+        (&["kfc"], &[KfcReceipt]),
+        (&["receipt"], &[Receipt, KfcReceipt]),
+        (&["dog"], &[PhotoDog]),
+        (&["cat"], &[PhotoCat]),
+        (&["landscape", "scenery"], &[PhotoLandscape]),
+        (&["photo", "picture"], &[PhotoDog, PhotoCat, PhotoLandscape]),
+        (&["logo", "brand"], &[Logo]),
+    ],
+    features: image_features,
+    num_features: 9,
+    item: &[Exactly(3), AtLeast(2), AtLeast(2)],
+};
 
-impl ClipSim {
-    /// Calibrate prototypes against the attachment generator ("pretrain").
-    /// `samples_per_class` images per class at the given resolution.
-    pub fn pretrained(h: usize, w: usize, samples_per_class: usize, seed: u64) -> ClipSim {
-        let mut rng = Rng64::new(seed);
-        let classes = AttachmentClass::ALL;
-        let mut feats: Vec<F32Tensor> = Vec::new();
-        for &c in &classes {
-            for _ in 0..samples_per_class {
-                feats.push(image_features(&render_attachment(c, h, w, &mut rng)));
-            }
-        }
-        let all = {
-            let refs: Vec<&F32Tensor> = feats.iter().collect();
-            tdp_tensor::index::stack(&refs)
-        };
-        let mu = all.mean_dim(0, false);
-        let centered = all.sub(&mu);
-        let sigma = centered
-            .mul(&centered)
-            .mean_dim(0, false)
-            .sqrt()
-            .add_scalar(1e-6);
-
-        // Standardised exemplars, grouped by class.
-        let exemplars = all.sub(&mu).div(&sigma);
-        ClipSim {
-            mu,
-            sigma,
-            exemplars,
-            per_class: samples_per_class,
-            beta: 2.0,
-        }
-    }
-
-    /// Class posterior of one image:
-    /// softmax over classes of −β · min_exemplar ||f − e||².
-    pub fn posterior(&self, img: &F32Tensor) -> F32Tensor {
-        let f = image_features(img).sub(&self.mu).div(&self.sigma);
-        let k = AttachmentClass::ALL.len();
-        let diff = self.exemplars.sub(&f.reshape(&[1, NUM_FEATURES]));
-        let d2 = diff.mul(&diff).sum_dim(1, false); // [k * per_class]
-        let min_d2 = d2
-            .reshape(&[k, self.per_class])
-            .min_dim(1, false)
-            .mul_scalar(-self.beta);
-        min_d2.reshape(&[1, k]).softmax(1).reshape(&[k])
-    }
-
-    /// Classes named by a text query (the "text encoder"). Unknown words
-    /// match nothing (scores ~0), like an out-of-distribution CLIP query.
-    pub fn text_classes(query: &str) -> Vec<AttachmentClass> {
-        let q = query.to_ascii_lowercase();
-        if q.contains("kfc") {
-            return vec![AttachmentClass::KfcReceipt];
-        }
-        if q.contains("receipt") {
-            return vec![AttachmentClass::Receipt, AttachmentClass::KfcReceipt];
-        }
-        if q.contains("dog") {
-            return vec![AttachmentClass::PhotoDog];
-        }
-        if q.contains("cat") {
-            return vec![AttachmentClass::PhotoCat];
-        }
-        if q.contains("landscape") || q.contains("scenery") {
-            return vec![AttachmentClass::PhotoLandscape];
-        }
-        if q.contains("photo") || q.contains("picture") {
-            return vec![
-                AttachmentClass::PhotoDog,
-                AttachmentClass::PhotoCat,
-                AttachmentClass::PhotoLandscape,
-            ];
-        }
-        if q.contains("logo") || q.contains("brand") {
-            return vec![AttachmentClass::Logo];
-        }
-        Vec::new()
-    }
-
-    /// Similarity of a text query and one image: posterior mass on the
-    /// query's classes. Calibrated to `[0, 1]`.
-    pub fn similarity(&self, query: &str, img: &F32Tensor) -> f32 {
-        let classes = Self::text_classes(query);
-        if classes.is_empty() {
-            return 0.0;
-        }
-        let post = self.posterior(img);
-        classes.iter().map(|c| post.at(c.id() as usize)).sum()
-    }
-
-    /// Similarity scores for a whole `[n, 3, h, w]` image column. Work is
-    /// per-image (feature extraction over every pixel), so the accelerator
-    /// splits across images regardless of how few there are.
-    pub fn similarity_batch(&self, query: &str, images: &F32Tensor) -> F32Tensor {
-        assert_eq!(images.ndim(), 4, "expected [n, 3, h, w]");
-        let n = images.rows();
-        let mut out = vec![0.0f32; n];
-        images.device().fill_rows(&mut out, n, 1, |i, score| {
-            score[0] = self.similarity(query, &images.row(i));
-        });
-        Tensor::from_vec(out, &[n]).to(images.device())
-    }
-}
-
-/// The `image_text_similarity(query, images)` scalar UDF of Listing 7.
-pub struct ImageTextSimilarityUdf {
-    model: ClipSim,
-}
-
-impl ImageTextSimilarityUdf {
-    pub fn new(model: ClipSim) -> ImageTextSimilarityUdf {
-        ImageTextSimilarityUdf { model }
-    }
-}
-
-impl ScalarUdf for ImageTextSimilarityUdf {
-    fn name(&self) -> &str {
-        "image_text_similarity"
-    }
-
-    /// Declared signature: `(query: string, images: column)`. Arity and
-    /// argument types are checked at prepare time; the model weights are
-    /// fixed after pretraining (Immutable) and the UDF holds no session
-    /// state, so — registered through
-    /// [`tdp_exec::UdfRegistry::register_scalar_parallel`] — chains
-    /// applying it run across the morsel worker pool.
-    fn spec(&self) -> FunctionSpec {
-        FunctionSpec::scalar(self.name(), vec![ArgType::Str, ArgType::Column])
-            .volatility(Volatility::Immutable)
-            .parallel_safe(true)
-    }
-
-    fn invoke(&self, args: &[ArgValue], _ctx: &ExecContext) -> Result<EncodedTensor, ExecError> {
-        if args.len() != 2 {
-            return Err(ExecError::Udf(
-                "image_text_similarity(query, images) takes two arguments".into(),
-            ));
-        }
-        let query = args[0].as_str()?;
-        let images = match args[1].as_column()? {
-            EncodedTensor::F32(t) => t.clone(),
-            other => {
-                return Err(ExecError::TypeMismatch(format!(
-                    "images argument must be a tensor column, got {:?}",
-                    other.kind()
-                )))
-            }
-        };
-        Ok(EncodedTensor::F32(
-            self.model.similarity_batch(query, &images),
-        ))
-    }
+/// CLIP-sim: the joint text/image model, calibrated against the
+/// attachment generator ("pretrained") on `samples_per_class` images per
+/// class at `h × w`.
+pub fn pretrained(h: usize, w: usize, samples_per_class: usize, seed: u64) -> ExemplarSim {
+    ExemplarSim::calibrate(&IMAGE, samples_per_class, seed, |c, rng| {
+        render_attachment(c, h, w, rng)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tdp_encoding::EncodedTensor;
+    use tdp_exec::{ArgValue, ExecContext, ScalarUdf};
+    use tdp_tensor::{Device, Rng64};
 
-    fn model() -> ClipSim {
-        ClipSim::pretrained(32, 48, 6, 42)
+    fn model() -> ExemplarSim {
+        pretrained(32, 48, 6, 42)
     }
 
     #[test]
@@ -331,26 +189,42 @@ mod tests {
         assert!((scores.at(1) - m.similarity("logo", &b)).abs() < 1e-6);
     }
 
+    /// CPU and `Accel(3)` scores of one column, bit for bit.
+    fn assert_device_invariant(m: &ExemplarSim, query: &str, items: &[F32Tensor]) {
+        let batch = tdp_tensor::index::stack(&items.iter().collect::<Vec<_>>());
+        let bits = |t: &F32Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let cpu = m.similarity_batch(query, &batch);
+        let acc = m.similarity_batch(query, &batch.to(Device::Accel(3)));
+        assert!(items.len() > 3 && acc.device().is_accel(), "{}", "{query}");
+        assert_eq!(bits(&cpu), bits(&acc), "{query}");
+    }
+
     #[test]
     fn batch_scores_do_not_depend_on_the_device() {
-        let m = model();
+        use tdp_data::audio::{render_clip, AudioClass};
+        use tdp_data::video::{render_video, VideoClass};
         let mut rng = Rng64::new(12);
         let imgs: Vec<F32Tensor> = AttachmentClass::ALL
             .iter()
             .map(|&c| render_attachment(c, 32, 48, &mut rng))
             .collect();
-        let batch = tdp_tensor::index::stack(&imgs.iter().collect::<Vec<_>>());
-        let bits = |t: &F32Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let cpu = m.similarity_batch("photo", &batch);
-        let acc = m.similarity_batch("photo", &batch.to(tdp_tensor::Device::Accel(3)));
-        assert!(imgs.len() > 3 && acc.device().is_accel());
-        assert_eq!(bits(&cpu), bits(&acc));
+        assert_device_invariant(&model(), "photo", &imgs);
+        let clips: Vec<F32Tensor> = AudioClass::ALL
+            .iter()
+            .map(|&c| render_clip(c, &mut rng))
+            .collect();
+        assert_device_invariant(&crate::audio::pretrained(4, 13), "tone", &clips);
+        let videos: Vec<F32Tensor> = VideoClass::ALL
+            .iter()
+            .map(|&c| render_video(c, &mut rng))
+            .collect();
+        assert_device_invariant(&crate::video::pretrained(4, 14), "motion", &videos);
     }
 
     #[test]
     fn udf_surface() {
         let m = model();
-        let udf = ImageTextSimilarityUdf::new(m);
+        let udf = crate::TextSimilarityUdf::new(m);
         assert_eq!(udf.name(), "image_text_similarity");
         let catalog = tdp_storage::Catalog::new();
         let udfs = tdp_exec::UdfRegistry::new();

@@ -1,19 +1,18 @@
-//! VideoSim: temporal feature extraction and text↔video matching,
+//! Temporal feature extraction and text↔video matching,
 //! completing the modality set (table / image / audio / video).
 //!
 //! Features capture *motion*, which pixels of any single frame cannot:
 //! temporal-difference energy, the direction of the brightness centroid's
-//! drift, and global-brightness oscillation. As with CLIP-sim/AudioSim,
-//! a keyword "text encoder" plus an exemplar posterior give calibrated
-//! similarity scores usable in SQL filters and top-k searches.
+//! drift, and global-brightness oscillation. As with images and audio,
+//! keyword rules plus the shared [`ExemplarSim`] posterior give
+//! calibrated similarity scores usable in SQL filters and top-k searches.
 
 use tdp_data::video::{render_video, VideoClass, FRAMES, FRAME_H, FRAME_W};
-use tdp_encoding::EncodedTensor;
-use tdp_exec::{ArgType, ArgValue, ExecContext, ExecError, FunctionSpec, ScalarUdf, Volatility};
-use tdp_tensor::{F32Tensor, Rng64, Tensor};
+use tdp_tensor::{F32Tensor, Tensor};
 
-/// Dimensionality of [`video_features`].
-pub const NUM_VIDEO_FEATURES: usize = 6;
+use crate::exemplar::Extent::Exactly;
+use crate::exemplar::{ExemplarSim, Modality};
+use VideoClass::{Flicker, PanLeft, PanRight, Static};
 
 /// Extract the feature vector of one `[FRAMES, H, W]` clip.
 pub fn video_features(clip: &F32Tensor) -> F32Tensor {
@@ -67,155 +66,37 @@ pub fn video_features(clip: &F32Tensor) -> F32Tensor {
 
     Tensor::from_vec(
         vec![motion, drift_x, drift_y, flicker, spatial, fm],
-        &[NUM_VIDEO_FEATURES],
+        &[VIDEO.num_features],
     )
 }
 
-/// The calibrated joint video model.
-#[derive(Debug, Clone)]
-pub struct VideoSim {
-    mu: F32Tensor,
-    sigma: F32Tensor,
-    exemplars: F32Tensor,
-    per_class: usize,
-    beta: f32,
-}
+/// The video modality: `[FRAMES, FRAME_H, FRAME_W]` clips.
+pub(crate) static VIDEO: Modality<VideoClass> = Modality {
+    udf_name: "video_text_similarity",
+    classes: &VideoClass::ALL,
+    rules: &[
+        (&["right"], &[PanRight]),
+        (&["left"], &[PanLeft]),
+        (&["moving", "motion", "pan"], &[PanRight, PanLeft]),
+        (&["flicker", "flash", "strobe"], &[Flicker]),
+        (&["static", "still"], &[Static]),
+    ],
+    features: video_features,
+    num_features: 6,
+    item: &[Exactly(FRAMES), Exactly(FRAME_H), Exactly(FRAME_W)],
+};
 
-impl VideoSim {
-    /// Calibrate against the clip generator ("pretrain").
-    pub fn pretrained(samples_per_class: usize, seed: u64) -> VideoSim {
-        let mut rng = Rng64::new(seed);
-        let mut feats: Vec<F32Tensor> = Vec::new();
-        for &c in &VideoClass::ALL {
-            for _ in 0..samples_per_class {
-                feats.push(video_features(&render_video(c, &mut rng)));
-            }
-        }
-        let all = {
-            let refs: Vec<&F32Tensor> = feats.iter().collect();
-            tdp_tensor::index::stack(&refs)
-        };
-        let mu = all.mean_dim(0, false);
-        let centered = all.sub(&mu);
-        let sigma = centered
-            .mul(&centered)
-            .mean_dim(0, false)
-            .sqrt()
-            .add_scalar(1e-6);
-        let exemplars = all.sub(&mu).div(&sigma);
-        VideoSim {
-            mu,
-            sigma,
-            exemplars,
-            per_class: samples_per_class,
-            beta: 2.0,
-        }
-    }
-
-    /// Class posterior of one clip.
-    pub fn posterior(&self, clip: &F32Tensor) -> F32Tensor {
-        let f = video_features(clip).sub(&self.mu).div(&self.sigma);
-        let k = VideoClass::ALL.len();
-        let diff = self.exemplars.sub(&f.reshape(&[1, NUM_VIDEO_FEATURES]));
-        let d2 = diff.mul(&diff).sum_dim(1, false);
-        let min_d2 = d2
-            .reshape(&[k, self.per_class])
-            .min_dim(1, false)
-            .mul_scalar(-self.beta);
-        min_d2.reshape(&[1, k]).softmax(1).reshape(&[k])
-    }
-
-    /// The "text encoder": classes named by a query.
-    pub fn text_classes(query: &str) -> Vec<VideoClass> {
-        let q = query.to_ascii_lowercase();
-        if q.contains("right") {
-            return vec![VideoClass::PanRight];
-        }
-        if q.contains("left") {
-            return vec![VideoClass::PanLeft];
-        }
-        if q.contains("moving") || q.contains("motion") || q.contains("pan") {
-            return vec![VideoClass::PanRight, VideoClass::PanLeft];
-        }
-        if q.contains("flicker") || q.contains("flash") || q.contains("strobe") {
-            return vec![VideoClass::Flicker];
-        }
-        if q.contains("static") || q.contains("still") {
-            return vec![VideoClass::Static];
-        }
-        Vec::new()
-    }
-
-    /// Similarity of a text query and one clip.
-    pub fn similarity(&self, query: &str, clip: &F32Tensor) -> f32 {
-        let classes = Self::text_classes(query);
-        if classes.is_empty() {
-            return 0.0;
-        }
-        let post = self.posterior(clip);
-        classes.iter().map(|c| post.at(c.id() as usize)).sum()
-    }
-
-    /// Similarity scores for a whole `[n, FRAMES, H, W]` clip column.
-    pub fn similarity_batch(&self, query: &str, clips: &F32Tensor) -> F32Tensor {
-        assert_eq!(clips.ndim(), 4, "expected [n, frames, h, w]");
-        let n = clips.rows();
-        let out: Vec<f32> = (0..n)
-            .map(|i| self.similarity(query, &clips.row(i)))
-            .collect();
-        Tensor::from_vec(out, &[n]).to(clips.device())
-    }
-}
-
-/// `video_text_similarity(query, clips)` — the video member of the
-/// Listing-7 UDF family.
-pub struct VideoTextSimilarityUdf {
-    model: VideoSim,
-}
-
-impl VideoTextSimilarityUdf {
-    pub fn new(model: VideoSim) -> VideoTextSimilarityUdf {
-        VideoTextSimilarityUdf { model }
-    }
-}
-
-impl ScalarUdf for VideoTextSimilarityUdf {
-    fn name(&self) -> &str {
-        "video_text_similarity"
-    }
-
-    /// `(query: string, clips: column)`, immutable, parallel-safe — see
-    /// [`crate::ImageTextSimilarityUdf`] for the contract.
-    fn spec(&self) -> FunctionSpec {
-        FunctionSpec::scalar(self.name(), vec![ArgType::Str, ArgType::Column])
-            .volatility(Volatility::Immutable)
-            .parallel_safe(true)
-    }
-
-    fn invoke(&self, args: &[ArgValue], _ctx: &ExecContext) -> Result<EncodedTensor, ExecError> {
-        if args.len() != 2 {
-            return Err(ExecError::TypeMismatch(
-                "video_text_similarity(query, clips) takes two arguments".into(),
-            ));
-        }
-        let query = args[0].as_str()?;
-        let clips = args[1].as_column()?.decode_f32();
-        if clips.ndim() != 4 {
-            return Err(ExecError::TypeMismatch(format!(
-                "expected an [n, frames, h, w] video column, got {:?}",
-                clips.shape()
-            )));
-        }
-        Ok(EncodedTensor::F32(
-            self.model.similarity_batch(query, &clips),
-        ))
-    }
+/// The joint text/video model, calibrated against the clip generator
+/// ("pretrained") on `samples_per_class` clips per class.
+pub fn pretrained(samples_per_class: usize, seed: u64) -> ExemplarSim {
+    ExemplarSim::calibrate(&VIDEO, samples_per_class, seed, render_video)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tdp_data::video::generate_video;
+    use tdp_tensor::Rng64;
 
     #[test]
     fn features_capture_motion_direction_and_flicker() {
@@ -235,7 +116,7 @@ mod tests {
 
     #[test]
     fn posterior_identifies_every_class() {
-        let model = VideoSim::pretrained(6, 19);
+        let model = pretrained(6, 19);
         let mut rng = Rng64::new(77);
         for &c in &VideoClass::ALL {
             let clip = render_video(c, &mut rng);
@@ -253,7 +134,7 @@ mod tests {
 
     #[test]
     fn directional_queries_separate_pans() {
-        let model = VideoSim::pretrained(6, 20);
+        let model = pretrained(6, 20);
         let mut rng = Rng64::new(3);
         let ds = generate_video(16, &mut rng);
         let right_scores = model.similarity_batch("object moving right", &ds.clips);

@@ -21,7 +21,7 @@ use tdp_core::tensor::Rng64;
 use tdp_core::Tdp;
 use tdp_data::audio::{generate_audio, SAMPLE_RATE};
 use tdp_examples::{banner, timed};
-use tdp_ml::{AudioSim, AudioTextSimilarityUdf};
+use tdp_ml::{audio, TextSimilarityUdf};
 
 fn main() {
     let mut rng = Rng64::new(2024);
@@ -43,9 +43,7 @@ fn main() {
             .col_i64("id", (0..n as i64).collect())
             .build("Sounds"),
     );
-    tdp.register_udf(Arc::new(AudioTextSimilarityUdf::new(AudioSim::pretrained(
-        8, 3,
-    ))));
+    tdp.register_udf(Arc::new(TextSimilarityUdf::new(audio::pretrained(8, 3))));
 
     banner("filtering by what the clip sounds like");
     for query in ["chirp", "noise", "clicks", "low tone"] {

@@ -14,7 +14,7 @@ use tdp_core::tensor::Rng64;
 use tdp_core::{Device, QueryConfig, Tdp};
 use tdp_data::attachments::generate_attachments;
 use tdp_examples::{banner, timed};
-use tdp_ml::{ClipSim, ImageTextSimilarityUdf};
+use tdp_ml::{clip, TextSimilarityUdf};
 
 fn main() {
     let mut rng = Rng64::new(2023);
@@ -33,11 +33,11 @@ fn main() {
     );
 
     banner("Pretraining CLIP-sim (prototype calibration)");
-    let model = ClipSim::pretrained(h, w, 8, 7);
+    let model = clip::pretrained(h, w, 8, 7);
     // The UDF declares its signature — (query: string, images: column),
     // immutable, parallel-safe — so arity/type errors surface at
     // prepare() and similarity chains run across the morsel worker pool.
-    tdp.register_udf_parallel(Arc::new(ImageTextSimilarityUdf::new(model)));
+    tdp.register_udf_parallel(Arc::new(TextSimilarityUdf::new(model)));
 
     banner("Query 1 (filter + count): receipts above similarity 0.8");
     let q1 =

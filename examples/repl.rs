@@ -3,8 +3,8 @@
 //! The paper positions TDP next to DuckDB as an embeddable analytical
 //! engine; this binary is the `duckdb`-style shell for it. It boots a
 //! session pre-loaded with demo tables (relational, image and audio
-//! columns, with CLIP-sim / AudioSim UDFs registered) and accepts SQL
-//! plus a few meta-commands:
+//! columns, with the image and audio similarity UDFs registered) and
+//! accepts SQL plus a few meta-commands:
 //!
 //! ```text
 //! .tables               list registered tables
@@ -28,7 +28,7 @@ use tdp_core::Tdp;
 use tdp_data::attachments::generate_attachments;
 use tdp_data::audio::generate_audio;
 use tdp_examples::timed;
-use tdp_ml::{AudioSim, AudioTextSimilarityUdf, ClipSim, ImageTextSimilarityUdf};
+use tdp_ml::{audio, clip, TextSimilarityUdf};
 
 fn boot() -> Tdp {
     let mut rng = Rng64::new(7);
@@ -56,12 +56,10 @@ fn boot() -> Tdp {
     );
     // Both similarity UDFs declare parallel-safe signatures, so chains
     // applying them morselize across the worker pool.
-    tdp.register_udf_parallel(Arc::new(ImageTextSimilarityUdf::new(ClipSim::pretrained(
+    tdp.register_udf_parallel(Arc::new(TextSimilarityUdf::new(clip::pretrained(
         24, 36, 6, 7,
     ))));
-    tdp.register_udf_parallel(Arc::new(AudioTextSimilarityUdf::new(AudioSim::pretrained(
-        6, 7,
-    ))));
+    tdp.register_udf_parallel(Arc::new(TextSimilarityUdf::new(audio::pretrained(6, 7))));
     tdp
 }
 
@@ -117,7 +115,7 @@ fn main() {
     let tdp = boot();
     println!("tdp-rs SQL shell — .help for commands, .quit to exit");
     println!(
-        "demo tables: demo, attachments (images + CLIP-sim UDF), sounds (audio + AudioSim UDF)\n"
+        "demo tables: demo, attachments (images + CLIP-sim UDF), sounds (audio + similarity UDF)\n"
     );
 
     let stdin = io::stdin();

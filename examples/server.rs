@@ -25,7 +25,7 @@ use tdp_core::storage::TableBuilder;
 use tdp_core::tensor::Rng64;
 use tdp_core::TdpEngine;
 use tdp_data::attachments::generate_attachments;
-use tdp_ml::{ClipSim, ImageTextSimilarityUdf};
+use tdp_ml::{clip, TextSimilarityUdf};
 use tdp_server::{ServerConfig, TdpServer};
 
 fn boot() -> Arc<TdpEngine> {
@@ -47,7 +47,7 @@ fn boot() -> Arc<TdpEngine> {
     );
     // Parallel-safe UDFs are engine-shared: every connection's session
     // sees CLIP_SIM without registering it.
-    engine.register_udf_shared(Arc::new(ImageTextSimilarityUdf::new(ClipSim::pretrained(
+    engine.register_udf_shared(Arc::new(TextSimilarityUdf::new(clip::pretrained(
         24, 36, 6, 7,
     ))));
     engine

@@ -230,7 +230,7 @@ fn vector_index_recall_against_exact() {
 #[test]
 fn sql_filters_and_searches_audio_clips() {
     use tdp_data::audio::{generate_audio, AudioClass};
-    use tdp_ml::{AudioSim, AudioTextSimilarityUdf};
+    use tdp_ml::{audio, TextSimilarityUdf};
 
     let mut rng = Rng64::new(21);
     let ds = generate_audio(30, &mut rng);
@@ -241,9 +241,7 @@ fn sql_filters_and_searches_audio_clips() {
             .col_i64("id", (0..30).collect())
             .build("Sounds"),
     );
-    tdp.register_udf(Arc::new(AudioTextSimilarityUdf::new(AudioSim::pretrained(
-        6, 7,
-    ))));
+    tdp.register_udf(Arc::new(TextSimilarityUdf::new(audio::pretrained(6, 7))));
 
     // Filter clips by natural-language criterion (the audio Listing 7).
     let out = tdp
@@ -276,7 +274,7 @@ fn sql_filters_and_searches_audio_clips() {
     }
 
     // Vector search over audio embeddings through the session index.
-    let model = AudioSim::pretrained(6, 7);
+    let model = audio::pretrained(6, 7);
     let embeds = model.embed_batch(&ds.clips);
     tdp.register_table(
         TableBuilder::new()
@@ -295,7 +293,7 @@ fn sql_filters_and_searches_audio_clips() {
 #[test]
 fn sql_filters_video_clips_by_motion() {
     use tdp_data::video::{generate_video, VideoClass};
-    use tdp_ml::{VideoSim, VideoTextSimilarityUdf};
+    use tdp_ml::{video, TextSimilarityUdf};
 
     let mut rng = Rng64::new(31);
     let ds = generate_video(24, &mut rng);
@@ -306,9 +304,7 @@ fn sql_filters_video_clips_by_motion() {
             .col_i64("id", (0..24).collect())
             .build("Videos"),
     );
-    tdp.register_udf(Arc::new(VideoTextSimilarityUdf::new(VideoSim::pretrained(
-        6, 5,
-    ))));
+    tdp.register_udf(Arc::new(TextSimilarityUdf::new(video::pretrained(6, 5))));
 
     // "find clips where something moves" — the video-analytics query shape.
     let out = tdp
@@ -341,6 +337,49 @@ fn sql_filters_video_clips_by_motion() {
         .unwrap();
     assert_eq!(agg.column("n").unwrap().data.decode_i64().at(0), 24);
     assert_eq!(f32_col(&agg, "flickering"), vec![6.0]);
+}
+
+#[test]
+fn similarity_udfs_reject_columns_of_the_wrong_shape_through_sql() {
+    use tdp_core::TdpError;
+    use tdp_ml::{audio, clip, video, TextSimilarityUdf};
+
+    let tdp = Tdp::new();
+    tdp.register_table(
+        TableBuilder::new()
+            .col_f32("price", vec![1.0, 2.0, 3.0, 4.0])
+            .col_tensor("gray", Tensor::full(&[4, 1, 8, 8], 0.5))
+            .col_tensor("blank", Tensor::full(&[4, 3, 0, 0], 0.5))
+            .col_tensor("tiny", Tensor::full(&[4, 2, 2, 2], 0.5))
+            .col_tensor("short", Tensor::full(&[4, 100], 0.5))
+            .build("t"),
+    );
+    tdp.register_udf_parallel(Arc::new(TextSimilarityUdf::new(clip::pretrained(
+        8, 8, 2, 1,
+    ))));
+    tdp.register_udf_parallel(Arc::new(TextSimilarityUdf::new(audio::pretrained(2, 1))));
+    tdp.register_udf_parallel(Arc::new(TextSimilarityUdf::new(video::pretrained(2, 1))));
+    // 'dog' names an image class only, so the audio and video calls below
+    // match no class and must still check the column.
+    for (udf, col) in [
+        ("image_text_similarity", "price"),
+        ("image_text_similarity", "gray"),
+        ("image_text_similarity", "blank"),
+        ("video_text_similarity", "tiny"),
+        ("video_text_similarity", "price"),
+        ("audio_text_similarity", "short"),
+    ] {
+        for sql in [
+            format!("SELECT {udf}('dog', {col}) FROM t"),
+            format!("SELECT COUNT(*) FROM t WHERE {udf}('dog', {col}) > 0.8"),
+        ] {
+            let err = tdp.query(&sql).and_then(|q| q.run()).unwrap_err();
+            assert!(
+                matches!(&err, TdpError::Exec(ExecError::TypeMismatch(m)) if m.contains(udf)),
+                "{sql}: {err:?}"
+            );
+        }
+    }
 }
 
 #[test]
