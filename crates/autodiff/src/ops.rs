@@ -7,6 +7,7 @@
 
 use tdp_tensor::conv::{col2im, im2col, Conv2dGeom};
 use tdp_tensor::index::concat_rows as t_concat_rows;
+use tdp_tensor::ops::broadcast_zip;
 use tdp_tensor::{F32Tensor, I64Tensor, Tensor};
 
 use crate::var::Var;
@@ -142,10 +143,8 @@ impl Var {
         Var::from_op(
             s,
             vec![self.clone()],
-            Box::new(move |g| {
-                let one_minus = s2.neg().add_scalar(1.0);
-                vec![g.mul(&s2).mul(&one_minus)]
-            }),
+            // σ' = σ·(1 − σ), in one pass over the gradient.
+            Box::new(move |g| vec![broadcast_zip(g, &s2, |g, s| g * s * (-s + 1.0))]),
         )
     }
 

@@ -75,6 +75,19 @@ impl Var {
         Var::make(value, false, parents, Some(backward))
     }
 
+    /// One tape node for a fused operator built outside this crate: its
+    /// forward `value`, and a `backward` that maps the output gradient to
+    /// one gradient per parent, each shaped like that parent's value. A
+    /// kernel that would otherwise be a chain of elementwise ops records
+    /// one node and one backward pass instead of one per step.
+    pub fn fused(
+        value: F32Tensor,
+        parents: Vec<Var>,
+        backward: impl Fn(&F32Tensor) -> Vec<F32Tensor> + 'static,
+    ) -> Var {
+        Var::from_op(value, parents, Box::new(backward))
+    }
+
     /// Unique node id (creation order).
     pub fn id(&self) -> u64 {
         self.0.id

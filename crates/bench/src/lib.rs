@@ -3,8 +3,10 @@
 //! Every `[[bench]]` target with `harness = false` in this crate is one
 //! figure of the paper; running `cargo bench` regenerates them all and
 //! prints the same rows/series the paper reports. Scales default to a
-//! laptop-friendly budget; set `TDP_BENCH_FULL=1` for paper-scale runs
-//! (documented per bench in `EXPERIMENTS.md`).
+//! laptop-friendly budget; set `TDP_BENCH_FULL=1` for paper-scale runs.
+//! The numbers each bench printed at the last recorded run, beside the
+//! paper's claims, are in `ROADMAP.md` (item 13, "The paper's results,
+//! regenerated and checked"); nothing checks them yet.
 
 use std::time::Instant;
 

@@ -7,9 +7,12 @@
 //! * TVFs run their differentiable implementations, emitting
 //!   [`DiffColumn`]s whose `Var`s carry the tape;
 //! * predicates over differentiable scores become soft row weights
-//!   ([`crate::soft::soft_gt`]) instead of hard masks — exact predicates
-//!   over exact columns still filter hard (gradients flow through the
-//!   surviving rows via differentiable row gather);
+//!   instead of hard masks — exact predicates over exact columns still
+//!   filter hard (gradients flow through the surviving rows via
+//!   differentiable row gather). A relaxed `>`, `>=`, `<` or `<=` is one
+//!   tape node ([`crate::soft::soft_compare`]): one forward pass over
+//!   both operands, one backward pass yielding both gradients; `AND`,
+//!   `OR` and `NOT` combine those weights;
 //! * GROUP BY + COUNT/SUM/AVG lower to the soft kernels of
 //!   [`crate::soft`], and `ORDER BY score DESC LIMIT k` over a score on
 //!   the tape to NeuralSort membership weights;
@@ -51,7 +54,7 @@ use crate::morsel::BarrierInput;
 use crate::physical::{CompiledExpr, PhysAggregate, PhysKey, PhysProjectItem, PhysicalPlan};
 use crate::pipeline::{exec_node, run_barrier, MorselOp, PipeNode};
 use crate::soft;
-use crate::udf::{ArgValue, ExecContext};
+use crate::udf::{ArgValue, ExecContext, UdfRegistry};
 
 /// Execute a physical plan differentiably. The root always runs here, so
 /// a root aggregate returns a tape column even over exact data.
@@ -64,29 +67,32 @@ pub fn execute_diff(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<DiffBatch,
 /// differentiable (e.g. a learnable filter threshold). Resolved through
 /// the registry's shadowing rule, so a trainable session UDF registered
 /// after compilation counts where it shadows a built-in.
-fn trainable_call(e: &CompiledExpr, ctx: &ExecContext) -> Option<()> {
-    let udf = ctx.udfs.scalar(ctx.udfs.udf_call(e)?).ok()?;
+pub(crate) fn trainable_call(e: &CompiledExpr, udfs: &UdfRegistry) -> Option<()> {
+    let udf = udfs.scalar(udfs.udf_call(e)?).ok()?;
     (!udf.parameters().is_empty()).then_some(())
+}
+
+/// Whether `plan`'s subtree holds a TVF or a call that resolves to a
+/// trainable scalar UDF — the static "on the tape" test over a plan.
+pub(crate) fn plan_on_tape(plan: &PhysicalPlan, udfs: &UdfRegistry) -> bool {
+    plan.find_map(&mut |p| {
+        let mut hit = matches!(
+            p,
+            PhysicalPlan::TvfScan { .. } | PhysicalPlan::TvfProject { .. }
+        );
+        p.for_each_expr_node(&mut |e| hit |= trainable_call(e, udfs).is_some());
+        hit.then_some(())
+    })
+    .is_some()
 }
 
 /// Whether `node`'s subtree is on the tape: it holds a TVF, or a call
 /// that resolves to a trainable scalar UDF.
 fn node_on_tape(node: &PipeNode<'_>, ctx: &ExecContext) -> bool {
-    let call = &mut |e: &CompiledExpr| trainable_call(e, ctx);
+    let call = &mut |e: &CompiledExpr| trainable_call(e, ctx.udfs);
     let pipe = match node {
         PipeNode::Scan { .. } => return false,
-        PipeNode::Barrier { plan, .. } => {
-            return plan
-                .find_map(&mut |p| {
-                    let mut hit = matches!(
-                        p,
-                        PhysicalPlan::TvfScan { .. } | PhysicalPlan::TvfProject { .. }
-                    );
-                    p.for_each_expr_node(&mut |e| hit |= call(e).is_some());
-                    hit.then_some(())
-                })
-                .is_some()
-        }
+        PipeNode::Barrier { plan, .. } => return plan_on_tape(plan, ctx.udfs),
         PipeNode::Aggregate {
             keys, aggregates, ..
         } if (keys.iter().map(|k| &k.expr))
@@ -331,7 +337,10 @@ fn references_diff(expr: &CompiledExpr, batch: &DiffBatch) -> bool {
 /// An expression is "on the tape" when it touches a differentiable column
 /// or calls a parameterized UDF.
 fn on_tape(expr: &CompiledExpr, batch: &DiffBatch, ctx: &ExecContext) -> bool {
-    references_diff(expr, batch) || expr.find_map(&mut |e| trainable_call(e, ctx)).is_some()
+    references_diff(expr, batch)
+        || expr
+            .find_map(&mut |e| trainable_call(e, ctx.udfs))
+            .is_some()
 }
 
 /// Evaluate a compiled expression in the differentiable domain.
@@ -517,17 +526,17 @@ fn soft_predicate(
             }
             let l = eval_diff(left, input, ctx)?.into_var(n)?;
             let r = eval_diff(right, input, ctx)?.into_var(n)?;
-            let score = l.sub(&r);
+            let towards = |t| soft::soft_compare(&l, &r, t, ctx.temperature);
             Ok(match op {
-                BinOp::Gt | BinOp::GtEq => soft::soft_gt(&score, 0.0, ctx.temperature),
-                BinOp::Lt | BinOp::LtEq => soft::soft_lt(&score, 0.0, ctx.temperature),
+                BinOp::Gt | BinOp::GtEq => towards(soft::Towards::Greater),
+                BinOp::Lt | BinOp::LtEq => towards(soft::Towards::Less),
                 // Relaxed equality: Gaussian kernel of the margin.
                 BinOp::Eq => {
-                    let z = score.div_scalar(ctx.temperature);
+                    let z = l.sub(&r).div_scalar(ctx.temperature);
                     z.square().neg().exp()
                 }
                 BinOp::NotEq => {
-                    let z = score.div_scalar(ctx.temperature);
+                    let z = l.sub(&r).div_scalar(ctx.temperature);
                     z.square().neg().exp().neg().add_scalar(1.0)
                 }
                 _ => unreachable!("guarded by is_comparison"),

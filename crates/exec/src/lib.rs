@@ -193,6 +193,7 @@ pub mod kernel;
 pub(crate) mod memory;
 pub mod morsel;
 pub mod params;
+pub(crate) mod passes;
 pub mod physical;
 pub mod pipeline;
 pub mod profile;

@@ -259,6 +259,81 @@ impl CompiledExpr {
             None::<()>
         });
     }
+
+    /// Rebuild this node with each direct child replaced by `f(child)`,
+    /// in [`CompiledExpr::find_map`] order — the owned one-level rewriter
+    /// plan passes recurse with. A scalar subquery is a leaf here too.
+    pub(crate) fn map_children(self, mut f: impl FnMut(CompiledExpr) -> CompiledExpr) -> Self {
+        match self {
+            CompiledExpr::Binary { op, left, right } => {
+                let left = Box::new(f(*left));
+                CompiledExpr::Binary {
+                    op,
+                    left,
+                    right: Box::new(f(*right)),
+                }
+            }
+            CompiledExpr::Unary { op, expr } => CompiledExpr::Unary {
+                op,
+                expr: Box::new(f(*expr)),
+            },
+            CompiledExpr::Like {
+                expr,
+                pattern,
+                negated,
+            } => CompiledExpr::Like {
+                expr: Box::new(f(*expr)),
+                pattern,
+                negated,
+            },
+            CompiledExpr::Udf { name, args } => CompiledExpr::Udf {
+                name,
+                args: args.into_iter().map(f).collect(),
+            },
+            CompiledExpr::Builtin { name, func, args } => CompiledExpr::Builtin {
+                name,
+                func,
+                args: args.into_iter().map(f).collect(),
+            },
+            CompiledExpr::Case {
+                operand,
+                branches,
+                else_expr,
+            } => {
+                let operand = operand.map(|o| Box::new(f(*o)));
+                let branches = branches
+                    .into_iter()
+                    .map(|(w, t)| {
+                        let w = f(w);
+                        (w, f(t))
+                    })
+                    .collect();
+                CompiledExpr::Case {
+                    operand,
+                    branches,
+                    else_expr: else_expr.map(|e| Box::new(f(*e))),
+                }
+            }
+            CompiledExpr::InList {
+                expr,
+                list,
+                negated,
+            } => {
+                let expr = Box::new(f(*expr));
+                CompiledExpr::InList {
+                    expr,
+                    list: list.into_iter().map(f).collect(),
+                    negated,
+                }
+            }
+            leaf @ (CompiledExpr::Column(_)
+            | CompiledExpr::Num(_)
+            | CompiledExpr::Str(_)
+            | CompiledExpr::Bool(_)
+            | CompiledExpr::Param { .. }
+            | CompiledExpr::ScalarSubquery(_)) => leaf,
+        }
+    }
 }
 
 impl std::fmt::Display for CompiledExpr {
@@ -551,6 +626,94 @@ impl PhysicalPlan {
             | PhysicalPlan::Distinct { input } => vec![input],
             PhysicalPlan::Join { left, right, .. } | PhysicalPlan::UnionAll { left, right } => {
                 vec![left, right]
+            }
+        }
+    }
+
+    /// Rebuild this node with each child replaced by `f(child)`, left
+    /// before right — the owned one-level rewriter plan passes recurse
+    /// with ([`crate::passes`]). Scalar-subquery plans are not children.
+    pub(crate) fn map_children(self, mut f: impl FnMut(PhysicalPlan) -> PhysicalPlan) -> Self {
+        let mut boxed = |p: Box<PhysicalPlan>| Box::new(f(*p));
+        match self {
+            leaf @ (PhysicalPlan::Scan { .. } | PhysicalPlan::AnnTopK { .. }) => leaf,
+            PhysicalPlan::TvfScan {
+                name,
+                schema,
+                input,
+            } => PhysicalPlan::TvfScan {
+                name,
+                schema,
+                input: boxed(input),
+            },
+            PhysicalPlan::TvfProject {
+                name,
+                args,
+                schema,
+                input,
+            } => PhysicalPlan::TvfProject {
+                name,
+                args,
+                schema,
+                input: boxed(input),
+            },
+            PhysicalPlan::Filter { predicate, input } => PhysicalPlan::Filter {
+                predicate,
+                input: boxed(input),
+            },
+            PhysicalPlan::Project { items, input } => PhysicalPlan::Project {
+                items,
+                input: boxed(input),
+            },
+            PhysicalPlan::Aggregate {
+                keys,
+                aggregates,
+                input,
+            } => PhysicalPlan::Aggregate {
+                keys,
+                aggregates,
+                input: boxed(input),
+            },
+            PhysicalPlan::Join {
+                left,
+                right,
+                kind,
+                on,
+            } => {
+                let left = boxed(left);
+                PhysicalPlan::Join {
+                    left,
+                    right: boxed(right),
+                    kind,
+                    on,
+                }
+            }
+            PhysicalPlan::Sort { keys, input } => PhysicalPlan::Sort {
+                keys,
+                input: boxed(input),
+            },
+            PhysicalPlan::Limit { n, input } => PhysicalPlan::Limit {
+                n,
+                input: boxed(input),
+            },
+            PhysicalPlan::TopK { keys, n, input } => PhysicalPlan::TopK {
+                keys,
+                n,
+                input: boxed(input),
+            },
+            PhysicalPlan::Window { windows, input } => PhysicalPlan::Window {
+                windows,
+                input: boxed(input),
+            },
+            PhysicalPlan::Distinct { input } => PhysicalPlan::Distinct {
+                input: boxed(input),
+            },
+            PhysicalPlan::UnionAll { left, right } => {
+                let left = boxed(left);
+                PhysicalPlan::UnionAll {
+                    left,
+                    right: boxed(right),
+                }
             }
         }
     }
@@ -870,7 +1033,10 @@ impl std::fmt::Display for PhysicalPlan {
 /// Lower a logical plan into a slot-resolved physical plan. This is the
 /// single compile step shared by the exact and differentiable executors:
 /// schema propagation, column→slot resolution, function resolution and
-/// scalar-subquery lowering all happen here, once.
+/// scalar-subquery lowering all happen here, once. The plan passes then
+/// run over the result, in the order `passes.rs` lists them: today one,
+/// which computes a deterministic call shared by a filter and the
+/// aggregate or projection it feeds once, into a slot (`#0` in EXPLAIN).
 ///
 /// A statement's result columns are addressed by name, case-insensitively
 /// (as batches resolve names), so its output schema — after `*`
@@ -891,7 +1057,7 @@ pub fn lower(
             )));
         }
     }
-    Ok(physical)
+    Ok(crate::passes::run(physical, udfs))
 }
 
 fn lower_node(
@@ -984,24 +1150,7 @@ fn lower_node(
         LogicalPlan::Filter { predicate, input } => {
             let (mut inp, schema) = lower_node(input, catalog, udfs)?;
             let predicate = lower_expr(predicate, schema.as_ref(), catalog, udfs)?;
-            // A filter directly over a base-table scan is the zone-map
-            // access-path decision point: compile the eligible conjuncts
-            // into a pruner (or record why none were eligible).
-            if let PhysicalPlan::Scan {
-                schema: scan_schema,
-                access: access @ ScanAccess::Full,
-                ..
-            } = &mut inp
-            {
-                *access = if scan_schema.is_none() {
-                    ScanAccess::Unpruned("schema-unresolved")
-                } else {
-                    match ChunkPruner::compile(&predicate) {
-                        Ok(pruner) => ScanAccess::Pruned(pruner),
-                        Err(reason) => ScanAccess::Unpruned(reason),
-                    }
-                };
-            }
+            choose_scan_access(&predicate, &mut inp);
             Ok((
                 PhysicalPlan::Filter {
                     predicate,
@@ -1205,6 +1354,28 @@ fn lower_node(
                 ls,
             ))
         }
+    }
+}
+
+/// A filter directly over a base-table scan is the zone-map access-path
+/// decision point: compile the eligible conjuncts of `predicate` into a
+/// pruner for the scan `input` (or record why none were eligible). Any
+/// other input, or a scan whose access is already decided, is left as is.
+pub(crate) fn choose_scan_access(predicate: &CompiledExpr, input: &mut PhysicalPlan) {
+    if let PhysicalPlan::Scan {
+        schema,
+        access: access @ ScanAccess::Full,
+        ..
+    } = input
+    {
+        *access = if schema.is_none() {
+            ScanAccess::Unpruned("schema-unresolved")
+        } else {
+            match ChunkPruner::compile(predicate) {
+                Ok(pruner) => ScanAccess::Pruned(pruner),
+                Err(reason) => ScanAccess::Unpruned(reason),
+            }
+        };
     }
 }
 

@@ -7,9 +7,19 @@
 //! multiplications only, hence exactly differentiable. Relaxed predicates
 //! are logistic functions of the score margin, producing row *weights*
 //! threaded through downstream aggregates instead of discarding rows.
+//!
+//! A relaxed `>`, `>=`, `<` or `<=` is **one tape node**
+//! ([`soft_compare`]), not a chain of elementwise ones. Its forward is one
+//! pass over both operands computing σ(((l − r) + −0.0)·(1/τ)), complemented
+//! as σ·(−1) + 1 for `<` / `<=`; its backward is one pass that yields both
+//! operand gradients. Each element takes the same operations in the same
+//! order as the chain sub → add-scalar → mul-scalar → sigmoid (→ neg → add)
+//! that it replaces, so weights and gradients keep their bits
+//! (`tests::fused_comparison_has_the_bits_of_the_chain`).
 
-use tdp_autodiff::Var;
-use tdp_tensor::{F32Tensor, Tensor};
+use tdp_autodiff::{reduce_to_shape, Var};
+use tdp_tensor::ops::sigmoid;
+use tdp_tensor::{broadcast_shapes, F32Tensor, Tensor};
 
 /// Row-wise Kronecker (Khatri-Rao) product: `[N, A] ⊗ [N, B] -> [N, A*B]`,
 /// with output column `a * B + b` holding `lhs[:, a] * rhs[:, b]`.
@@ -93,20 +103,70 @@ pub fn soft_global_count(weights: &Var) -> Var {
     weights.sum()
 }
 
-/// Relaxed threshold predicate: `σ((score − θ) / τ)`. As τ → 0 this
-/// approaches the exact step function; at inference the executor swaps in
-/// the exact comparison (paper §4).
-pub fn soft_gt(score: &Var, threshold: f32, temperature: f32) -> Var {
-    assert!(temperature > 0.0, "temperature must be positive");
-    score
-        .sub_scalar(threshold)
-        .div_scalar(temperature)
-        .sigmoid()
+/// Which way a relaxed comparison `l ⋈ r` points.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Towards {
+    /// `>` and `>=`: the weight rises with the margin `l − r`.
+    Greater,
+    /// `<` and `<=`: the complement, falling with the margin.
+    Less,
 }
 
-/// Relaxed `<`: complement of [`soft_gt`].
-pub fn soft_lt(score: &Var, threshold: f32, temperature: f32) -> Var {
-    soft_gt(score, threshold, temperature).neg().add_scalar(1.0)
+/// Relaxed comparison of `l` against `r` as one tape node: the weight
+/// `σ((l − r) / τ)` for [`Towards::Greater`], `1 − σ((l − r) / τ)` for
+/// [`Towards::Less`], broadcast like `l.sub(r)`. As τ → 0 it approaches
+/// the exact step; at inference the executor swaps in the exact
+/// comparison (paper §4). The forward is one pass, the backward one pass
+/// yielding both gradients (module docs).
+// `x * -1.0` is the chain's `neg` (a multiply) step for step; `-x` would
+// be a different operation on NaN's sign bit.
+#[allow(clippy::neg_multiply)]
+pub fn soft_compare(l: &Var, r: &Var, towards: Towards, temperature: f32) -> Var {
+    assert!(temperature > 0.0, "temperature must be positive");
+    let inv = 1.0 / temperature;
+    let (lv, rv) = (l.value(), r.value());
+    let (l_shape, r_shape) = (lv.shape().to_vec(), rv.shape().to_vec());
+    let shape = broadcast_shapes(&l_shape, &r_shape)
+        .unwrap_or_else(|| panic!("shapes {l_shape:?} and {r_shape:?} are not broadcastable"));
+    let device = lv.device().combine(rv.device());
+    let (lb, rb) = (lv.broadcast_to(&shape), rv.broadcast_to(&shape));
+    let tensor = |v: Vec<f32>| Tensor::from_vec(v, &shape).to(device);
+    let margin = |(&a, &b): (&f32, &f32)| sigmoid((a - b + -0.0) * inv);
+    let pairs = lb.data().iter().zip(rb.data());
+    // `sig` is σ of the margin, which the backward reads; for `Less` the
+    // node's value is its complement, made in the same pass.
+    let (sig, value) = match towards {
+        Towards::Greater => {
+            let sig = tensor(pairs.map(margin).collect());
+            (sig.clone(), sig)
+        }
+        Towards::Less => {
+            let (sig, value): (Vec<f32>, Vec<f32>) = pairs
+                .map(|p| {
+                    let s = margin(p);
+                    (s, s * -1.0 + 1.0)
+                })
+                .unzip();
+            (tensor(sig), tensor(value))
+        }
+    };
+    let less = towards == Towards::Less;
+    Var::fused(value, vec![l.clone(), r.clone()], move |g| {
+        let (gl, gr): (Vec<f32>, Vec<f32>) = g
+            .data()
+            .iter()
+            .zip(sig.data())
+            .map(|(&g, &s)| {
+                let g = if less { g * -1.0 } else { g };
+                let t = g * s * (-s + 1.0) * inv;
+                (t, -t)
+            })
+            .unzip();
+        let grad = |v: Vec<f32>, to: &[usize]| {
+            reduce_to_shape(&Tensor::from_vec(v, &shape).to(device), to)
+        };
+        vec![grad(gl, &l_shape), grad(gr, &r_shape)]
+    })
 }
 
 /// NeuralSort relaxation of the sort permutation (Grover et al. 2019; one
@@ -234,13 +294,104 @@ mod tests {
     #[test]
     fn soft_gt_approaches_step() {
         let s = Var::constant(Tensor::from_vec(vec![0.0f32, 0.79, 0.81, 2.0], &[4]));
-        let sharp = soft_gt(&s, 0.8, 0.001).value();
+        let cut = Var::constant(Tensor::scalar(0.8f32));
+        let sharp = soft_compare(&s, &cut, Towards::Greater, 0.001).value();
         assert!(sharp.at(0) < 1e-3 && sharp.at(1) < 0.01);
         assert!(sharp.at(2) > 0.99 && sharp.at(3) > 0.999);
-        let smooth = soft_gt(&s, 0.8, 1.0).value();
+        let smooth = soft_compare(&s, &cut, Towards::Greater, 1.0).value();
         assert!(smooth.at(1) > 0.4 && smooth.at(2) < 0.6, "high τ is soft");
-        let lt = soft_lt(&s, 0.8, 0.001).value();
+        let lt = soft_compare(&s, &cut, Towards::Less, 0.001).value();
         assert!(lt.at(0) > 0.999 && lt.at(3) < 1e-3);
+    }
+
+    /// The elementwise chain [`soft_compare`] fuses, kept as its oracle:
+    /// one tape node per step.
+    fn unfused(l: &Var, r: &Var, towards: Towards, temperature: f32) -> Var {
+        let sig = l
+            .sub(r)
+            .add_scalar(-0.0)
+            .mul_scalar(1.0 / temperature)
+            .sigmoid();
+        match towards {
+            Towards::Greater => sig,
+            Towards::Less => sig.neg().add_scalar(1.0),
+        }
+    }
+
+    fn bits(t: &F32Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_comparison_has_the_bits_of_the_chain() {
+        let mut rng = tdp_tensor::Rng64::new(11);
+        let mut v: Vec<f32> = (0..5000).map(|_| rng.normal() as f32).collect();
+        v.extend([
+            0.0,
+            -0.0,
+            0.62,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            1e30,
+        ]);
+        let n = v.len();
+        for towards in [Towards::Greater, Towards::Less] {
+            for (theta, tau) in [(0.62f32, 0.05f32), (-0.3, 0.5), (0.0, 1e-3), (2.0, 3.0)] {
+                // θ broadcast the way a threshold UDF hands it over, so the
+                // gradient also passes the broadcast's reduction.
+                let run = |f: fn(&Var, &Var, Towards, f32) -> Var| {
+                    let col = Var::constant(Tensor::from_vec(v.clone(), &[n]));
+                    let p = Var::param(Tensor::from_vec(vec![theta], &[1]));
+                    let w = f(&col, &p.broadcast_to(&[n]), towards, tau);
+                    // A seed that varies per row, as a weighted loss does.
+                    let seed: Vec<f32> = (0..n).map(|i| (i % 7) as f32 - 3.0).collect();
+                    w.backward_with(Tensor::from_vec(seed, &[n]));
+                    (
+                        bits(&w.value()),
+                        bits(&p.grad().unwrap()),
+                        bits(&col.grad().unwrap()),
+                    )
+                };
+                assert_eq!(
+                    run(soft_compare),
+                    run(unfused),
+                    "{towards:?} at θ={theta}, τ={tau}"
+                );
+            }
+        }
+        // Broadcast operands reduce their gradients like `sub` does.
+        let l = Var::param(Tensor::from_vec(vec![0.1f32, 0.9, -2.0], &[3]));
+        let r = Var::param(Tensor::scalar(0.5f32));
+        let (a, b) = (
+            soft_compare(&l, &r, Towards::Less, 0.3),
+            unfused(&l, &r, Towards::Less, 0.3),
+        );
+        assert_eq!(bits(&a.value()), bits(&b.value()));
+        a.sum().backward();
+        let (gl, gr) = (l.grad().unwrap(), r.grad().unwrap());
+        l.zero_grad();
+        r.zero_grad();
+        b.sum().backward();
+        assert_eq!(bits(&gl), bits(&l.grad().unwrap()));
+        assert_eq!(bits(&gr), bits(&r.grad().unwrap()));
+    }
+
+    #[test]
+    fn gradients_flow_through_soft_compare() {
+        for towards in [Towards::Greater, Towards::Less] {
+            check_gradients(
+                &[vec![0.2f32, -0.4, 0.9], vec![0.1f32]],
+                &[vec![3], vec![1]],
+                |vars| {
+                    let w = Var::constant(Tensor::from_vec(vec![1.0f32, 2.0, -1.0], &[3]));
+                    soft_compare(&vars[0], &vars[1].broadcast_to(&[3]), towards, 0.4)
+                        .mul(&w)
+                        .sum()
+                },
+                1e-2,
+            );
+        }
     }
 
     #[test]

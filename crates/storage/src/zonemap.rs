@@ -51,22 +51,35 @@ pub struct ColumnZoneMap {
 }
 
 impl ColumnZoneMap {
+    /// One stat per chunk of `values`, read without a branch per value:
+    /// [`LANES`] running minima, maxima and NaN flags, each updated by a
+    /// select, then folded. A chunk holding NaN has no stat.
     fn from_f32(values: &[f32]) -> ColumnZoneMap {
+        const LANES: usize = 8;
+        let lower = |m: f32, v: f32| if v < m { v } else { m };
+        let upper = |m: f32, v: f32| if v > m { v } else { m };
         let chunks = values
             .chunks(ZONE_MAP_CHUNK_ROWS)
             .map(|chunk| {
-                let mut min = f32::INFINITY;
-                let mut max = f32::NEG_INFINITY;
-                for &v in chunk {
-                    if v.is_nan() {
-                        return None;
+                let mut lo = [f32::INFINITY; LANES];
+                let mut hi = [f32::NEG_INFINITY; LANES];
+                let mut nan = [false; LANES];
+                let mut blocks = chunk.chunks_exact(LANES);
+                for block in &mut blocks {
+                    for (l, &v) in block.iter().enumerate() {
+                        nan[l] |= v.is_nan();
+                        lo[l] = lower(lo[l], v);
+                        hi[l] = upper(hi[l], v);
                     }
-                    min = min.min(v);
-                    max = max.max(v);
                 }
-                Some(ChunkStat {
-                    min,
-                    max,
+                for &v in blocks.remainder() {
+                    nan[0] |= v.is_nan();
+                    lo[0] = lower(lo[0], v);
+                    hi[0] = upper(hi[0], v);
+                }
+                (!nan.contains(&true)).then(|| ChunkStat {
+                    min: lo.into_iter().fold(f32::INFINITY, lower),
+                    max: hi.into_iter().fold(f32::NEG_INFINITY, upper),
                     null_count: 0,
                 })
             })
@@ -256,6 +269,58 @@ mod tests {
             .build("t");
         let zm = TableZoneMaps::build(&t);
         assert_eq!(zm.range(0, 0, 4), Some((-3.0, 10.0)));
+    }
+
+    /// The per-value branching form `from_f32` replaced, as its oracle.
+    fn branching_stats(values: &[f32]) -> Vec<Option<(f32, f32)>> {
+        values
+            .chunks(ZONE_MAP_CHUNK_ROWS)
+            .map(|chunk| {
+                let (mut min, mut max) = (f32::INFINITY, f32::NEG_INFINITY);
+                for &v in chunk {
+                    if v.is_nan() {
+                        return None;
+                    }
+                    min = min.min(v);
+                    max = max.max(v);
+                }
+                Some((min, max))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn chunk_stats_equal_the_branching_scan() {
+        let n = ZONE_MAP_CHUNK_ROWS;
+        let mut rng = tdp_tensor::Rng64::new(3);
+        let mut values: Vec<f32> = (0..5 * n + 13).map(|_| rng.normal() as f32).collect();
+        values[n + 7] = f32::NAN; // chunk 1: NaN mid-chunk
+        values[2 * n..3 * n].fill(-0.0); // chunk 2: all −0, one +0
+        values[2 * n + 100] = 0.0;
+        values[3 * n + 1] = f32::INFINITY; // chunk 3: ±∞
+        values[3 * n + 2] = f32::NEG_INFINITY;
+        values[4 * n..5 * n].fill(f32::NEG_INFINITY); // chunk 4: only −∞
+        values[5 * n + 12] = f32::NAN; // the partial tail, NaN in its last row
+        let want = branching_stats(&values);
+        let got: Vec<Option<(f32, f32)>> = ColumnZoneMap::from_f32(&values)
+            .chunks
+            .iter()
+            .map(|c| c.map(|s| (s.min, s.max)))
+            .collect();
+        // As values: ±0 compare equal, whichever sign either scan keeps.
+        assert_eq!(got, want);
+        assert_eq!(got[1], None);
+        assert_eq!(got[2], Some((0.0, 0.0)));
+        assert_eq!(got[3], Some((f32::NEG_INFINITY, f32::INFINITY)));
+        assert_eq!(got[5], None);
+        // A tail shorter than one lane block, and one without NaN.
+        for tail in [3, 13] {
+            let v = &values[..5 * n + tail - 1];
+            let got: Vec<_> = (ColumnZoneMap::from_f32(v).chunks.iter())
+                .map(|c| c.map(|s| (s.min, s.max)))
+                .collect();
+            assert_eq!(got, branching_stats(v));
+        }
     }
 
     #[test]

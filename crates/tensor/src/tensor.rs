@@ -317,6 +317,10 @@ impl<T: Element> Tensor<T> {
                 eff[d] = if sd == 1 { 0 } else { src_strides[d - pad] };
             }
         }
+        // One element broadcasts to a fill: no index arithmetic per output.
+        if self.len == 1 {
+            return Tensor::full(shape, self.data()[0]).with_device(self.device);
+        }
         let data = self.data();
         let mut out = vec![T::default(); out_n];
         let target_strides = target.strides();
@@ -738,6 +742,12 @@ mod tests {
         assert_eq!(b.to_vec(), vec![1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
         let c = Tensor::scalar(7.0f32).broadcast_to(&[2, 2]);
         assert_eq!(c.to_vec(), vec![7.0; 4]);
+        // A one-element window of a larger buffer fills with its own value.
+        let w = Tensor::from_vec(vec![1.0f32, -0.0, 3.0], &[3, 1]).slice_rows(1, 2);
+        let f = w.to(crate::Device::Accel(2)).broadcast_to(&[2, 3]);
+        assert_eq!(f.shape(), &[2, 3]);
+        assert!(f.data().iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
+        assert_eq!(f.device(), crate::Device::Accel(2));
     }
 
     #[test]

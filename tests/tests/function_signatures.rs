@@ -588,6 +588,7 @@ fn session_bound_udf_still_falls_back_and_says_why() {
 #[test]
 fn explain_annotates_scalar_subquery_fallback() {
     let tdp = session();
+    tdp.set_threads(2);
     let q = tdp
         .query("SELECT v FROM t WHERE v > (SELECT AVG(v) FROM t)")
         .unwrap();
@@ -603,6 +604,7 @@ fn explain_annotates_scalar_subquery_fallback() {
 #[test]
 fn explain_annotates_count_distinct_fallback() {
     let tdp = session();
+    tdp.set_threads(2);
     let q = tdp.query("SELECT COUNT(DISTINCT tag) FROM t").unwrap();
     assert!(
         q.explain().contains("[sequential: count-distinct]"),
@@ -614,6 +616,7 @@ fn explain_annotates_count_distinct_fallback() {
 #[test]
 fn bound_explain_annotates_tensor_param_fallback() {
     let tdp = session();
+    tdp.set_threads(2);
     let p = tdp.prepare("SELECT v FROM t WHERE v > ?").unwrap();
     // Unbound, the slot is assumed scalar — no annotation…
     assert!(!p.explain().contains("tensor-param"), "{}", p.explain());

@@ -460,6 +460,7 @@ const TOPK: &str = "SELECT x FROM t WHERE id < 100 ORDER BY score(x) DESC LIMIT 
 #[test]
 fn exact_children_of_a_trainable_run_prune_morsels() {
     let (tdp, _) = wide_fixture();
+    tdp.set_zone_maps(true);
     let q = trainable(&tdp, TOPK);
     let before = tdp.engine().access_path_stats().morsels_pruned;
     let out = q.run_diff().unwrap();
@@ -538,6 +539,101 @@ fn trainable_runs_are_bitwise_stable_across_the_scheduler() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// `threshold(x)`: a trainable cutoff θ, broadcast to `x`'s rows.
+struct Threshold {
+    theta: Var,
+}
+
+impl ScalarUdf for Threshold {
+    fn name(&self) -> &str {
+        "threshold"
+    }
+    fn invoke(&self, args: &[ArgValue], _: &ExecContext) -> Result<EncodedTensor, ExecError> {
+        let n = args[0].as_column()?.rows();
+        Ok(EncodedTensor::F32(Tensor::full(
+            &[n],
+            self.theta.value().item(),
+        )))
+    }
+    fn invoke_diff(&self, args: &[ArgValue], _: &ExecContext) -> Result<DiffColumn, ExecError> {
+        let n = match &args[0] {
+            ArgValue::Column(c) => c.rows(),
+            ArgValue::DiffColumn(d) => d.var.shape()[0],
+            other => return Err(ExecError::TypeMismatch(format!("{other:?}"))),
+        };
+        Ok(DiffColumn::plain(self.theta.broadcast_to(&[n])))
+    }
+    fn parameters(&self) -> Vec<Var> {
+        vec![self.theta.clone()]
+    }
+}
+
+/// Statement gradcheck: the gradient of `loss(run_counts())` with
+/// respect to `theta` by backprop, against central differences of the
+/// same statement's forward value, `theta` moved through
+/// [`Var::set_value`]. Returns `(backprop, finite difference)`.
+fn statement_gradient(
+    q: &BoundQuery<'_>,
+    theta: &Var,
+    loss: impl Fn(&Var) -> Var,
+    eps: f32,
+) -> (f64, f64) {
+    let at = theta.value().item();
+    let forward = |t: f32| {
+        theta.set_value(Tensor::from_vec(vec![t], &[1]));
+        f64::from(loss(&q.run_counts().unwrap()).value().item())
+    };
+    let numeric = (forward(at + eps) - forward(at - eps)) / (2.0 * f64::from(eps));
+    theta.set_value(Tensor::from_vec(vec![at], &[1]));
+    theta.zero_grad();
+    loss(&q.run_counts().unwrap()).backward();
+    (f64::from(theta.grad().unwrap().item()), numeric)
+}
+
+/// Each relaxed comparison — a fused tape node — and an `AND` of two of
+/// them: backprop agrees with central differences of the statement.
+#[test]
+fn relaxed_comparisons_have_the_gradient_of_their_statement() {
+    let tdp = Tdp::new();
+    let n = 300;
+    tdp.register_table(
+        TableBuilder::new()
+            .col_f32("v", (0..n).map(|i| (i as f32 * 0.618).fract()).collect())
+            .build("readings"),
+    );
+    let theta = Var::param(Tensor::from_vec(vec![0.4f32], &[1]));
+    tdp.register_udf(Arc::new(Threshold {
+        theta: theta.clone(),
+    }));
+    let target = Tensor::from_vec(vec![120.0f32], &[1]);
+    for sql in [
+        "SELECT COUNT(*) FROM readings WHERE v > threshold(v)",
+        "SELECT COUNT(*) FROM readings WHERE v >= threshold(v)",
+        "SELECT COUNT(*) FROM readings WHERE v < threshold(v)",
+        "SELECT COUNT(*) FROM readings WHERE v <= threshold(v)",
+        "SELECT COUNT(*) FROM readings WHERE v > threshold(v) AND v < threshold(v) + 0.3",
+    ] {
+        let q = tdp
+            .query_with(sql, QueryConfig::default().trainable(true).temperature(0.1))
+            .unwrap();
+        for (at, loss) in [
+            (0.4f32, &(|c: &Var| c.sum()) as &dyn Fn(&Var) -> Var),
+            (0.55, &|c: &Var| c.mse_loss(&target)),
+        ] {
+            theta.set_value(Tensor::from_vec(vec![at], &[1]));
+            let (backprop, numeric) = statement_gradient(&q, &theta, loss, 1e-2);
+            assert!(
+                (backprop - numeric).abs() <= 0.02 * numeric.abs().max(1.0),
+                "{sql} at θ={at}: backprop {backprop} vs finite difference {numeric}"
+            );
+            assert!(
+                backprop.abs() > 1.0,
+                "{sql}: a vanishing gradient checks nothing"
+            );
         }
     }
 }
