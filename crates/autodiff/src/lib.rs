@@ -13,7 +13,8 @@
 //! dynamically-built computation graph. Calling an op on `Var`s computes the
 //! forward value eagerly and records a closure that maps the output gradient
 //! to input gradients. [`Var::backward`] runs the closures in reverse
-//! topological order and accumulates gradients into every node; parameters
+//! topological order and accumulates gradients into every node but a
+//! constant leaf ([`Var::constant`], whose gradient nothing reads); parameters
 //! (created with [`Var::param`]) keep their gradient until
 //! [`Var::zero_grad`].
 //!

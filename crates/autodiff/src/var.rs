@@ -193,7 +193,9 @@ impl Var {
                 node.0.parents.len(),
                 "backward closure must yield one gradient per parent"
             );
-            for (p, pg) in node.0.parents.iter().zip(parent_grads) {
+            // A constant leaf's gradient has no reader: it is dropped.
+            let readers = node.0.parents.iter().zip(parent_grads);
+            for (p, pg) in readers.filter(|(p, _)| p.is_param() || !p.is_leaf()) {
                 p.accumulate_grad(pg);
             }
             // Interior gradients are no longer needed once propagated;
@@ -345,6 +347,16 @@ mod tests {
         }
         y.backward();
         assert_eq!(x.grad().unwrap().item(), 1.0);
+    }
+
+    #[test]
+    fn constant_leaves_get_no_gradient() {
+        let x = Var::param(t(vec![2.0, -1.0]));
+        let c = Var::constant(t(vec![3.0, 4.0]));
+        let y = x.mul(&c).add(&c).sum();
+        y.backward();
+        assert!(c.grad().is_none(), "nothing reads a constant's gradient");
+        assert_eq!(x.grad().unwrap().to_vec(), vec![3.0, 4.0]);
     }
 
     #[test]

@@ -62,66 +62,6 @@ use crate::session::{PlanCacheStats, Session};
 /// session's local overlay). Eviction is per-entry LRU.
 pub(crate) const PLAN_CACHE_CAP: usize = 256;
 
-/// Every `TDP_*` environment default, parsed once when an engine is
-/// constructed. New sessions copy their scheduler knobs from here (each
-/// stays adjustable through its [`Session`] setter); `mem_budget` sizes
-/// the engine memory pool.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct EnvDefaults {
-    /// `TDP_THREADS`: worker count when a positive integer, else the
-    /// machine's available parallelism.
-    pub(crate) threads: usize,
-    /// `TDP_MORSEL_ROWS`: rows per morsel, else
-    /// [`tdp_exec::DEFAULT_MORSEL_ROWS`].
-    pub(crate) morsel_rows: usize,
-    /// `TDP_CHAIN_KERNELS`: on unless `0`, `false` or `off`. Either way
-    /// the interpreter remains the oracle.
-    pub(crate) chain_kernels: bool,
-    /// `TDP_ZONE_MAPS`: on unless `0`, `false` or `off`. Pruning only
-    /// ever skips morsels the filter would reject wholesale.
-    pub(crate) zone_maps: bool,
-    /// `TDP_IVF_REBUILD_AFTER=<n>`: retrain a stale IVF index at the next
-    /// ANN query once it has fallen back to the exact scan `n` times.
-    /// Unset, unparsable, or `0` all mean off — rebuilds are opt-in.
-    pub(crate) ivf_rebuild_after: u64,
-    /// `TDP_MEM_BUDGET`: engine memory budget in bytes (optionally
-    /// suffixed `k`/`m`/`g`); unset or unparsable means unlimited.
-    pub(crate) mem_budget: Option<u64>,
-}
-
-impl EnvDefaults {
-    fn from_env() -> EnvDefaults {
-        let var = |key: &str| std::env::var(key).ok();
-        let positive = |key: &str| {
-            var(key)
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-        };
-        let switch = |key: &str| {
-            !var(key).is_some_and(|v| {
-                matches!(
-                    v.trim().to_ascii_lowercase().as_str(),
-                    "0" | "false" | "off"
-                )
-            })
-        };
-        EnvDefaults {
-            threads: positive("TDP_THREADS").unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }),
-            morsel_rows: positive("TDP_MORSEL_ROWS").unwrap_or(tdp_exec::DEFAULT_MORSEL_ROWS),
-            chain_kernels: switch("TDP_CHAIN_KERNELS"),
-            zone_maps: switch("TDP_ZONE_MAPS"),
-            ivf_rebuild_after: var("TDP_IVF_REBUILD_AFTER")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            mem_budget: var("TDP_MEM_BUDGET").and_then(|v| tdp_mem::parse_bytes(&v)),
-        }
-    }
-}
-
 /// Engine-wide observability counters (see [`TdpEngine::stats`]).
 ///
 /// `queries_served` counts executions through any session of this engine
@@ -150,7 +90,8 @@ pub struct EngineStats {
     pub mem_used_bytes: u64,
     /// Largest `mem_used_bytes` the pool ever reached.
     pub mem_high_water_bytes: u64,
-    /// Configured `TDP_MEM_BUDGET` in bytes; `None` when unlimited.
+    /// The budget the engine was built with
+    /// ([`TdpEngine::with_memory_budget`]); `None` when unlimited.
     pub mem_budget_bytes: Option<u64>,
     /// Queries aborted because a memory charge breached the budget.
     pub mem_budget_aborts: u64,
@@ -328,10 +269,13 @@ pub struct TdpEngine {
     /// runs absorb into it too).
     access: Arc<AccessPathCounters>,
     /// The engine memory pool every query's [`tdp_mem::MemoryReservation`]
-    /// ledger charges against (`TDP_MEM_BUDGET`, default unlimited).
+    /// ledger charges against (unlimited unless built by
+    /// [`TdpEngine::with_memory_budget`]).
     memory: Arc<MemoryPool>,
-    /// The `TDP_*` defaults new sessions start from.
-    defaults: EnvDefaults,
+    /// The machine's available parallelism, read once: every new
+    /// session's worker count (on Linux the read opens cgroup files, so
+    /// it is not repeated per session).
+    threads: usize,
     sessions_open: AtomicU64,
     sessions_total: AtomicU64,
     queries_served: AtomicU64,
@@ -342,25 +286,21 @@ pub struct TdpEngine {
 impl TdpEngine {
     /// Create a fresh engine. Returned as `Arc` because sessions hold a
     /// shared handle: `let engine = TdpEngine::new(); let s = engine.session();`
+    ///
+    /// The engine reads no environment: memory is unlimited, and each
+    /// session starts from the documented defaults (see [`Session`]),
+    /// which its setters change.
     pub fn new() -> Arc<TdpEngine> {
-        TdpEngine::with_defaults(EnvDefaults::from_env())
+        TdpEngine::with_pool(MemoryPool::unlimited())
     }
 
-    /// Engine with an explicit per-process memory budget in bytes —
-    /// the programmatic twin of `TDP_MEM_BUDGET` (tests can't set env
-    /// vars safely in parallel).
+    /// Engine whose queries together may hold at most `budget` bytes
+    /// (see [`tdp_mem`]); otherwise as [`TdpEngine::new`].
     pub fn with_memory_budget(budget: u64) -> Arc<TdpEngine> {
-        TdpEngine::with_defaults(EnvDefaults {
-            mem_budget: Some(budget),
-            ..EnvDefaults::from_env()
-        })
+        TdpEngine::with_pool(MemoryPool::with_budget(budget))
     }
 
-    fn with_defaults(defaults: EnvDefaults) -> Arc<TdpEngine> {
-        let pool = match defaults.mem_budget {
-            Some(budget) => MemoryPool::with_budget(budget),
-            None => MemoryPool::unlimited(),
-        };
+    fn with_pool(pool: MemoryPool) -> Arc<TdpEngine> {
         Arc::new(TdpEngine {
             catalog: Catalog::new(),
             shared_udfs: RwLock::new(SharedUdfRegistry::new()),
@@ -372,7 +312,7 @@ impl TdpEngine {
             cache_evictions: AtomicU64::new(0),
             access: Arc::new(AccessPathCounters::default()),
             memory: Arc::new(pool),
-            defaults,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             sessions_open: AtomicU64::new(0),
             sessions_total: AtomicU64::new(0),
             queries_served: AtomicU64::new(0),
@@ -391,8 +331,9 @@ impl TdpEngine {
         Session::new(Arc::clone(self))
     }
 
-    pub(crate) fn defaults(&self) -> &EnvDefaults {
-        &self.defaults
+    /// The worker count a new session starts with.
+    pub(crate) fn default_threads(&self) -> usize {
+        self.threads
     }
 
     /// The shared table namespace.

@@ -60,9 +60,18 @@ pub enum StatementOutcome {
 /// ([`TdpEngine::session`]). Exact query execution is still
 /// morsel-parallel *within* a session: scans are partitioned into
 /// ~64k-row morsels and fused operator pipelines run across a worker
-/// pool sized by [`Session::set_threads`] (default: the `TDP_THREADS`
-/// environment variable, else the machine's available parallelism).
-/// Thread count never changes results.
+/// pool sized by [`Session::set_threads`]. Thread count never changes
+/// results.
+///
+/// ## Defaults
+///
+/// A new session starts from fixed defaults, whatever the process
+/// environment: threads = the machine's available parallelism (read
+/// once per engine), morsel rows = [`tdp_exec::DEFAULT_MORSEL_ROWS`],
+/// chain kernels on, zone maps on, stale-IVF rebuilds off (0). Memory is
+/// the engine's: unlimited unless built by
+/// [`TdpEngine::with_memory_budget`]. Each setter below changes its
+/// value for this session only.
 ///
 /// ## What lives where
 ///
@@ -109,32 +118,28 @@ pub struct Session {
     /// Rows per morsel (tunable mostly for tests/benchmarks).
     morsel_rows: Cell<usize>,
     /// Whether executions may run chains on the chain kernels
-    /// (default: `TDP_CHAIN_KERNELS`, else on).
+    /// (default on).
     chain_kernels_on: Cell<bool>,
     /// Whether executions consult zone maps for chunk pruning
-    /// (default: `TDP_ZONE_MAPS`, else on).
+    /// (default on).
     zone_maps_on: Cell<bool>,
-    /// Stale-IVF auto-rebuild threshold, 0 = off
-    /// (default: `TDP_IVF_REBUILD_AFTER`).
+    /// Stale-IVF auto-rebuild threshold (default 0 = off).
     ivf_rebuild_after: Cell<u64>,
 }
 
 impl Session {
     pub(crate) fn new(engine: Arc<TdpEngine>) -> Session {
-        // The engine parsed the `TDP_*` environment once; a session (one
-        // per server connection) only copies the values.
-        let defaults = *engine.defaults();
         Session {
+            threads: Cell::new(engine.default_threads()),
             engine,
             udfs: RefCell::new(UdfRegistry::new()),
             local_epoch: Cell::new(0),
             default_device: Cell::new(Device::Cpu),
             plan_cache: RefCell::new(PlanCache::default()),
-            threads: Cell::new(defaults.threads),
-            morsel_rows: Cell::new(defaults.morsel_rows),
-            chain_kernels_on: Cell::new(defaults.chain_kernels),
-            zone_maps_on: Cell::new(defaults.zone_maps),
-            ivf_rebuild_after: Cell::new(defaults.ivf_rebuild_after),
+            morsel_rows: Cell::new(tdp_exec::DEFAULT_MORSEL_ROWS),
+            chain_kernels_on: Cell::new(true),
+            zone_maps_on: Cell::new(true),
+            ivf_rebuild_after: Cell::new(0),
         }
     }
 
@@ -171,8 +176,7 @@ impl Session {
         self.morsel_rows.get()
     }
 
-    /// Enable or disable compiled chain kernels (default: the
-    /// `TDP_CHAIN_KERNELS` environment variable, else on). Disabling
+    /// Enable or disable compiled chain kernels (default on). Disabling
     /// routes every fused filter→project chain through the interpreter;
     /// results are identical either way — the compiler is a pure
     /// performance substitution with the interpreter as its oracle.
@@ -199,8 +203,7 @@ impl Session {
         }
     }
 
-    /// Enable or disable zone-map chunk pruning (default: the
-    /// `TDP_ZONE_MAPS` environment variable, else on). Pruning is a pure
+    /// Enable or disable zone-map chunk pruning (default on). Pruning is a pure
     /// performance substitution: a skipped morsel is one the compiled
     /// filter provably rejects wholesale, so results are byte-identical
     /// either way — which the test suite exercises at both settings.
@@ -213,8 +216,7 @@ impl Session {
         self.zone_maps_on.get()
     }
 
-    /// Set the stale-IVF auto-rebuild threshold (default: the
-    /// `TDP_IVF_REBUILD_AFTER` environment variable, else 0 = off).
+    /// Set the stale-IVF auto-rebuild threshold (default 0 = off).
     /// With a threshold of `n`, an IVF index that has degraded to the
     /// exact fallback `n` times since its last build is retrained in
     /// place — same name, nlist and nprobe — by the next ANN query that

@@ -92,8 +92,8 @@ pub struct AccessPathStats {
     /// ANN queries planned against an IVF index that had gone stale (a
     /// table write invalidated it) and silently ran flat-exact instead.
     pub ivf_stale_fallbacks: u64,
-    /// Stale IVF indexes rebuilt in place under the
-    /// `TDP_IVF_REBUILD_AFTER` policy.
+    /// Stale IVF indexes rebuilt in place under the auto-rebuild policy
+    /// ([`crate::ExecContext::ivf_rebuild_after`]).
     pub ivf_rebuilds: u64,
     /// Barrier stages (aggregate/join/sort/top-k/DISTINCT) fed a
     /// `(Batch, SelVec)` pair directly by a compiled chain, skipping the
@@ -125,8 +125,8 @@ impl AccessPathCounters {
         self.ivf_stale_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A stale IVF index was rebuilt in place by the
-    /// `TDP_IVF_REBUILD_AFTER` policy before serving the query.
+    /// A stale IVF index was rebuilt in place by the auto-rebuild policy
+    /// before serving the query.
     pub fn note_ivf_rebuild(&self) {
         self.ivf_rebuilds.fetch_add(1, Ordering::Relaxed);
     }

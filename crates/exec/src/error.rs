@@ -27,7 +27,7 @@ pub enum ExecError {
     /// Declared-signature violations surface at prepare time.
     Signature(String),
     /// A memory charge pushed the query past the engine's byte budget
-    /// (`TDP_MEM_BUDGET`). Aborts only the offending query; names the
+    /// (`TdpEngine::with_memory_budget`). Aborts only the offending query; names the
     /// operator whose allocation breached and the refused byte count.
     MemoryBudget {
         /// Operator whose allocation breached (e.g. `join build`).
@@ -57,7 +57,7 @@ impl std::fmt::Display for ExecError {
             } => write!(
                 f,
                 "out of memory budget: {operator} needed {requested} more bytes \
-                 than TDP_MEM_BUDGET allows"
+                 than the engine's memory budget allows"
             ),
         }
     }

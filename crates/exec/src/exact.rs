@@ -125,7 +125,7 @@ pub(crate) fn ann_topk(
                 }
                 // Stale or vanished index: exact flat fallback — counted
                 // so silently-exact ANN after a table write is observable.
-                // With `TDP_IVF_REBUILD_AFTER` set, enough fallbacks on
+                // With `ctx.ivf_rebuild_after` set, enough fallbacks on
                 // one index trigger an in-place retrain instead.
                 _ => {
                     ctx.access.note_ivf_stale_fallback();

@@ -211,33 +211,43 @@ impl<'a> ChainRun<'a> {
     /// Apply the chain to an input it is not split over (`morsels <= 1`),
     /// on the session thread. An input that fits one morsel is the
     /// one-window case `0..rows` of [`ChainRun::apply_window`], kernel
-    /// and interpreter re-run alike; only a pinned chain (`pin`)
-    /// has no window form: the interpreter over the whole batch, with the
-    /// session's context. A skip mask describing exactly this input as
-    /// one morsel applies either way — pruning depends on zone maps and
-    /// the predicate, not on scheduling — and makes it its empty window:
-    /// the chain still runs, so schema, encodings and errors match the
-    /// unpruned run.
+    /// and interpreter re-run alike. A pinned chain (`pin`) has no window
+    /// form: the interpreter runs once, with the session's context, over
+    /// the rows of the morsels the skip mask left — the input itself when
+    /// nothing was pruned, its empty window when everything was. Pruning
+    /// depends on zone maps and the predicate, not on scheduling, so the
+    /// mask applies either way, and the chain still runs over an empty
+    /// window, so schema, encodings and errors match the unpruned run.
     pub(super) fn apply(
         &self,
         input: &Batch,
         skip: Option<&[bool]>,
         ctx: &ExecContext,
     ) -> Result<Batch, ExecError> {
-        let one = num_morsels(input.rows(), ctx.morsel_rows) == 1;
-        let skip = skip.filter(|s| s.len() == 1 && one);
-        if let Some(s) = skip {
-            ctx.access.note_morsels(s[0] as u64, !s[0] as u64);
+        let rows = input.rows();
+        let skip = skip.filter(|s| s.len() == num_morsels(rows, ctx.morsel_rows));
+        note_skipped(skip, ctx);
+        let windows = live_windows(skip, ctx.morsel_rows, rows);
+        if self.pin.is_none() {
+            let (start, end) = windows[0];
+            return self.apply_window(input, start, end, ctx);
         }
-        let end = match skip {
-            Some([true]) => 0,
-            _ => input.rows(),
-        };
-        match (self.pin, end) {
-            (None, _) => self.apply_window(input, 0, end, ctx),
-            (Some(_), 0) => apply_ops(input.slice_rows(0, 0), self.ops, ctx),
-            (Some(_), _) => apply_ops(input.clone(), self.ops, ctx),
+        if !skip.is_some_and(|s| s.contains(&true)) {
+            return apply_ops(input.clone(), self.ops, ctx);
         }
+        // Adjacent live windows are one run of rows, read as one view.
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for &(start, end) in &windows {
+            match runs.last_mut() {
+                Some(run) if run.1 == start => run.1 = end,
+                _ => runs.push((start, end)),
+            }
+        }
+        let parts: Vec<Batch> = runs.iter().map(|&(s, e)| input.slice_rows(s, e)).collect();
+        let live = Batch::concat(&parts);
+        let bytes = memory::batch_bytes(&live);
+        let _charge = memory::charge(&ctx.memory, "morsel materialization", bytes)?;
+        apply_ops(live, self.ops, ctx)
     }
 
     /// Apply the chain to rows `start..end` of a stage's input —

@@ -94,7 +94,7 @@ pub struct QueryProfile {
     /// the flat exact path during this run.
     pub ivf_stale_fallbacks: u64,
     /// Stale IVF indexes rebuilt in-query by the auto-rebuild policy
-    /// (`TDP_IVF_REBUILD_AFTER`) during this run.
+    /// (`Session::set_ivf_rebuild_after`) during this run.
     pub ivf_rebuilds: u64,
     /// Barrier inputs handed over as live selection vectors (late
     /// materialization) during this run.

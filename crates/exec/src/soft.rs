@@ -341,7 +341,8 @@ mod tests {
                 // θ broadcast the way a threshold UDF hands it over, so the
                 // gradient also passes the broadcast's reduction.
                 let run = |f: fn(&Var, &Var, Towards, f32) -> Var| {
-                    let col = Var::constant(Tensor::from_vec(v.clone(), &[n]));
+                    // A param, so both operands' gradient bits are compared.
+                    let col = Var::param(Tensor::from_vec(v.clone(), &[n]));
                     let p = Var::param(Tensor::from_vec(vec![theta], &[1]));
                     let w = f(&col, &p.broadcast_to(&[n]), towards, tau);
                     // A seed that varies per row, as a weighted loss does.

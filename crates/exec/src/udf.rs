@@ -672,7 +672,7 @@ pub struct ExecContext<'a> {
     /// chain runs on the interpreter — results are identical either way.
     pub chain_kernels: bool,
     /// Whether the morsel scheduler consults zone maps to skip pruned
-    /// morsels (`TDP_ZONE_MAPS`). Pruning never changes results — a
+    /// morsels (`Session::set_zone_maps`). Pruning never changes results — a
     /// pruned morsel is one the leading filter would empty anyway — so
     /// this is purely a perf/diagnostics switch.
     pub zone_maps: bool,
@@ -680,7 +680,7 @@ pub struct ExecContext<'a> {
     /// queries), charged by the scheduler and the `AnnTopK` operator.
     pub access: std::sync::Arc<crate::access::AccessPathCounters>,
     /// Auto-rebuild threshold for stale IVF indexes
-    /// (`TDP_IVF_REBUILD_AFTER`): once a `table.column` index has
+    /// (`Session::set_ivf_rebuild_after`): once a `table.column` index has
     /// degraded to the exact fallback this many times, the next ANN
     /// query retrains it in place (same name, nlist and nprobe) before
     /// searching. `0` (the default) disables rebuilds.

@@ -4,8 +4,8 @@
 //! ## Ledger model
 //!
 //! One process-wide [`MemoryPool`] lives on the engine. Its budget is
-//! the `TDP_MEM_BUDGET` environment variable (plain bytes, or with a
-//! `k`/`m`/`g` suffix); unset means unlimited. Every query run gets its
+//! set when the engine is built (`TdpEngine::with_memory_budget`);
+//! `TdpEngine::new` means unlimited. Every query run gets its
 //! own [`MemoryReservation`] — a ledger tied back to the pool — and the
 //! executor charges that ledger wherever it materialises data whose
 //! size is proportional to the input rather than the output:

@@ -48,7 +48,7 @@ pub struct Catalog {
     vector_indexes: RwLock<HashMap<String, Arc<VectorIndexEntry>>>,
     /// Stale-index ANN fallbacks per `table.column` key since that
     /// index was last (re)built — the trigger counter for opt-in
-    /// auto-rebuild (`TDP_IVF_REBUILD_AFTER`). Reset whenever an index
+    /// auto-rebuild (`Session::set_ivf_rebuild_after`). Reset whenever an index
     /// is registered under the key.
     stale_ann: RwLock<HashMap<String, u64>>,
     /// Monotonic change counter, bumped on every register/append/drop

@@ -17,7 +17,11 @@
 //! ```
 //!
 //! Run with: `cargo run --release -p tdp-examples --bin repl`
-//! (pipe SQL on stdin for scripted use: `echo "SELECT 1+1 FROM demo" | …`)
+//! (pipe SQL on stdin for scripted use: `echo "SELECT 1+1 FROM demo" | …`).
+//! The session starts at the engine's defaults; `TDP_THREADS` and
+//! `TDP_MORSEL_ROWS` set its worker count and morsel size, so the tiny
+//! demo tables can be split across workers (`TDP_THREADS=4
+//! TDP_MORSEL_ROWS=2`).
 
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
@@ -60,6 +64,18 @@ fn boot() -> Tdp {
         24, 36, 6, 7,
     ))));
     tdp.register_udf_parallel(Arc::new(TextSimilarityUdf::new(audio::pretrained(6, 7))));
+    // The shell's own settings: the library reads no environment.
+    let knob = |key| {
+        std::env::var(key)
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+    };
+    if let Some(n) = knob("TDP_THREADS") {
+        tdp.set_threads(n);
+    }
+    if let Some(n) = knob("TDP_MORSEL_ROWS") {
+        tdp.set_morsel_rows(n);
+    }
     tdp
 }
 

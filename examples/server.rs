@@ -10,7 +10,9 @@
 //!
 //! Run with: `cargo run --release -p tdp_examples --example server`
 //! (set `TDP_ADDR` to override `127.0.0.1:5433`, `TDP_MAX_CONCURRENT`
-//! to bound concurrent query execution). The process serves until
+//! to bound concurrent query execution, `TDP_MEM_BUDGET` — bytes, with
+//! an optional `k`/`m`/`g` suffix — to cap the memory all queries may
+//! hold together). The process serves until
 //! stdin closes or a `quit` line arrives, then drains in-flight
 //! queries and exits. Talk to it with the `client` example or netcat:
 //!
@@ -30,7 +32,15 @@ use tdp_server::{ServerConfig, TdpServer};
 
 fn boot() -> Arc<TdpEngine> {
     let mut rng = Rng64::new(7);
-    let engine = TdpEngine::new();
+    // A deployment setting: the library reads no environment, so the
+    // binary maps its own variable onto the engine's builder.
+    let budget = std::env::var("TDP_MEM_BUDGET")
+        .ok()
+        .and_then(|v| tdp_mem::parse_bytes(&v));
+    let engine = match budget {
+        Some(bytes) => TdpEngine::with_memory_budget(bytes),
+        None => TdpEngine::new(),
+    };
     engine.register_table(
         TableBuilder::new()
             .col_f32("price", vec![3.0, 1.0, 2.0, 5.0, 4.0, 2.5])

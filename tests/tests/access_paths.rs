@@ -1,15 +1,20 @@
 //! PR 8 access paths, end to end: zone-map chunk pruning must be a pure
 //! performance substitution (byte-identical results across thread
-//! counts, morsel sizes, and `TDP_ZONE_MAPS` settings), the `AnnTopK`
+//! counts, morsel sizes, and `set_zone_maps` settings), the `AnnTopK`
 //! operator must match the scan+sort oracle exactly on the flat path and
 //! within a declared recall bound on IVF, SQL `CREATE INDEX` must round
 //! trip, stale indexes must fall back to exact, and the counters behind
 //! `STATS` / `run_profiled` must move.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use proptest::prelude::*;
+use tdp_core::encoding::EncodedTensor;
+use tdp_core::exec::{ArgValue, ExecContext, ExecError};
 use tdp_core::storage::{Table, TableBuilder};
 use tdp_core::tensor::{F32Tensor, Rng64, Tensor};
-use tdp_core::{ParamValue, ParamValues, StatementOutcome, Tdp};
+use tdp_core::{ArgType, FunctionSpec, ParamValue, ParamValues, ScalarUdf, StatementOutcome, Tdp};
 use tdp_integration::assert_tables_identical;
 
 /// A table whose `v` column is block-ordered: chunk-sized runs of rising
@@ -204,6 +209,82 @@ fn limit_early_exit_scans_the_same_morsels_at_every_thread_count() {
         }
     }
     assert_eq!(scanned.len(), 1, "morsels_scanned varied: {scanned:?}");
+}
+
+/// `f(x) = 2x + 1`, counting its invocations.
+struct CountingF(Arc<AtomicUsize>);
+
+impl ScalarUdf for CountingF {
+    fn name(&self) -> &str {
+        "f"
+    }
+    fn spec(&self) -> FunctionSpec {
+        FunctionSpec::scalar("f", vec![ArgType::Column]).parallel_safe(true)
+    }
+    fn invoke(&self, args: &[ArgValue], _: &ExecContext) -> Result<EncodedTensor, ExecError> {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        let x = args[0].as_column()?.decode_f32();
+        Ok(EncodedTensor::F32(x.mul_scalar(2.0).add_scalar(1.0)))
+    }
+}
+
+/// A chain pinned to the session thread by a session-local UDF prunes
+/// the morsels its scan's zone maps rule out, exactly as the same chain
+/// on the workers does: same bytes, same pruned count, and the session
+/// UDF still called once per run.
+#[test]
+fn a_pinned_chain_prunes_like_a_parallel_one() {
+    let ks: Vec<i64> = (0..20_000).collect();
+    let xs: Vec<f32> = (0..20_000)
+        .map(|i| ((i * 7919) % 1000) as f32 / 500.0 - 1.0)
+        .collect();
+    let table = TableBuilder::new()
+        .col_i64("k", ks)
+        .col_f32("x", xs)
+        .build("t");
+    let session = |local: bool| {
+        let tdp = Tdp::new();
+        tdp.register_table(table.clone());
+        tdp.set_threads(2);
+        tdp.set_morsel_rows(2_000);
+        tdp.set_zone_maps(true);
+        tdp.set_chain_kernels(true);
+        let calls = Arc::new(AtomicUsize::new(0));
+        let f = Arc::new(CountingF(Arc::clone(&calls)));
+        match local {
+            true => tdp.register_udf(f),
+            false => tdp.register_udf_parallel(f),
+        }
+        (tdp, calls)
+    };
+    let ((pinned, calls), (parallel, _)) = (session(true), session(false));
+    for sql in [
+        "SELECT COUNT(*) AS n FROM t WHERE f(x) > 0.5 AND k < 4000",
+        "SELECT k, x FROM t WHERE f(x) > 0.5 AND k < 4000",
+        "SELECT k FROM t WHERE f(x) > 0.5 AND k < 4000 ORDER BY x, k",
+    ] {
+        let q = pinned.query(sql).unwrap();
+        assert!(
+            q.explain().contains("udf-not-parallel-safe(f)"),
+            "{}",
+            q.explain()
+        );
+        let before = calls.load(Ordering::Relaxed);
+        let (got, prof) = q.run_profiled().unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed) - before, 1, "{sql}");
+        let (want, want_prof) = parallel.query(sql).unwrap().run_profiled().unwrap();
+        assert_tables_identical(&want, &got, sql);
+        assert_eq!(
+            (prof.morsels_pruned, prof.morsels_scanned),
+            (7, 3),
+            "{sql}: rows 0..6000 touch the first zone-map chunk"
+        );
+        assert_eq!(
+            (want_prof.morsels_pruned, want_prof.morsels_scanned),
+            (7, 3),
+            "{sql}"
+        );
+    }
 }
 
 #[test]

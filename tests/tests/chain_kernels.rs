@@ -273,7 +273,7 @@ fn parameterised_chains_share_one_kernel_across_bindings() {
     tdp.register_table(table(
         &(0..100).map(|i| i as f32 / 10.0 - 5.0).collect::<Vec<_>>(),
     ));
-    // Force kernels on regardless of TDP_CHAIN_KERNELS: the test counts
+    // Kernels on, set here rather than assumed: the test counts
     // kernel binds, which only exist on the compiled path.
     tdp.set_chain_kernels(true);
     let before = tdp.chain_kernel_stats();
@@ -350,7 +350,7 @@ fn param_leaf_in_projection_matches_the_interpreter() {
 fn null_param_falls_back_and_reproduces_the_interpreter_error() {
     let tdp = Tdp::new();
     tdp.register_table(table(&[1.0, 2.0, 3.0]));
-    // Force kernels on regardless of TDP_CHAIN_KERNELS: the bind-time
+    // Kernels on, set here rather than assumed: the bind-time
     // refusal this test counts only happens on the compiled path.
     tdp.set_chain_kernels(true);
     let prepared = tdp.prepare("SELECT v FROM t WHERE v > $1").unwrap();
@@ -377,7 +377,7 @@ fn shadowing_udf_takes_over_on_the_next_run() {
     let tdp = Tdp::new();
     let data: Vec<f32> = (0..64).map(|i| i as f32).collect();
     tdp.register_table(table(&data));
-    // Force kernels on regardless of TDP_CHAIN_KERNELS: the built-in
+    // Kernels on, set here rather than assumed: the built-in
     // chain must have run compiled before the shadowing registration.
     tdp.set_chain_kernels(true);
     let sql = "SELECT sqrt(v) AS r FROM t WHERE v > 10.0";
@@ -519,7 +519,7 @@ fn explain_and_profile_report_chain_strategy() {
     ));
     tdp.set_threads(3);
     tdp.set_morsel_rows(16);
-    // Force kernels on regardless of TDP_CHAIN_KERNELS: the strategies
+    // Kernels on, set here rather than assumed: the strategies
     // this test asserts only render on the compiled path.
     tdp.set_chain_kernels(true);
 
@@ -568,11 +568,7 @@ fn explain_and_profile_report_chain_strategy() {
 #[test]
 fn chain_kernel_session_surface() {
     let tdp = Tdp::new();
-    // Default is on unless TDP_CHAIN_KERNELS disabled it for this run.
-    let default_on = std::env::var("TDP_CHAIN_KERNELS")
-        .map(|v| !matches!(v.trim(), "0" | "false" | "off"))
-        .unwrap_or(true);
-    assert_eq!(tdp.chain_kernels_enabled(), default_on);
+    assert!(tdp.chain_kernels_enabled(), "kernels are on by default");
     tdp.set_chain_kernels(false);
     assert!(!tdp.chain_kernels_enabled());
 

@@ -7,9 +7,11 @@
 //! `run()` does, and that a scalar subquery returns the bytes the same
 //! query returns at top level: all three ride one plan walker.
 //!
-//! This replaces re-running the whole suite once per `TDP_*` switch in
-//! CI; the setters and `TdpEngine::with_memory_budget` reach every point
-//! without touching the process environment.
+//! The engine reads no environment: the session setters and
+//! `TdpEngine::with_memory_budget` are the only way to reach a point,
+//! and every point is reached here, in-process. So the rest of the
+//! suite runs at the documented defaults, and a test that needs another
+//! point sets it on its own session.
 
 use std::sync::Arc;
 

@@ -1,6 +1,7 @@
-//! Memory-budget isolation: a query that breaches `TDP_MEM_BUDGET`
-//! must abort with the typed out-of-memory error while every
-//! concurrent in-budget query completes **byte-identically** to a run
+//! Memory-budget isolation: a query that breaches the engine's budget
+//! (`TdpEngine::with_memory_budget`) must abort with the typed
+//! out-of-memory error while every concurrent in-budget query
+//! completes **byte-identically** to a run
 //! on an unconstrained engine — and over TCP the breach must map to
 //! `ERR MEM_BUDGET` on a connection that stays usable.
 
@@ -167,8 +168,8 @@ fn selection_fed_aggregate_fits_budget_the_gathered_path_exceeds() {
     let engine = TdpEngine::with_memory_budget(256 << 10);
     load_tables(&engine);
     let session = engine.session();
-    // The budget is sized against one morsel at the default width,
-    // whatever `TDP_MORSEL_ROWS` says.
+    // The budget is sized against one morsel at the default width, set
+    // here so the test owns it.
     session.set_morsel_rows(tdp_core::exec::DEFAULT_MORSEL_ROWS);
     let sql = "SELECT SUM(qty) AS s FROM big WHERE qty < 5";
 
@@ -238,7 +239,7 @@ fn grouped_selection_fed_aggregate_charges_scratch_not_a_gather() {
         let session = engine.session();
         session.set_threads(2);
         // The budgets below are sized against one worker's scratch at the
-        // default morsel width, whatever `TDP_MORSEL_ROWS` says.
+        // default morsel width, set here so the test owns it.
         session.set_morsel_rows(tdp_core::exec::DEFAULT_MORSEL_ROWS);
         session.set_chain_kernels(true);
         let out = session.query(sql).unwrap().run_profiled();

@@ -274,7 +274,7 @@ fn parameterised_limit_rejects_bad_bindings() {
 
 #[test]
 fn staged_barriers_match_sequential_oracle_at_tiny_morsels() {
-    // The TDP_MORSEL_ROWS=7 regression: 7-row morsels land mid-key-run
+    // The 7-row-morsel regression: 7-row morsels land mid-key-run
     // (t's keys repeat every ~11 rows, d's build side splits into two
     // morsels), so exchange buckets, sorted runs and probe morsels all
     // cut across partition boundaries. Staged barrier output must stay
@@ -442,10 +442,8 @@ fn explain_and_profile_report_barrier_strategy() {
 #[test]
 fn scheduler_configuration_surface() {
     let tdp = Tdp::new();
-    assert!(
-        tdp.threads() >= 1,
-        "default comes from TDP_THREADS or the machine"
-    );
+    let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(tdp.threads(), machine, "the default is the machine's");
     tdp.set_threads(0);
     assert_eq!(tdp.threads(), 1, "clamped");
     tdp.set_threads(6);
@@ -454,6 +452,21 @@ fn scheduler_configuration_surface() {
     assert_eq!(tdp.morsel_rows(), 1, "clamped");
     tdp.set_morsel_rows(1024);
     assert_eq!(tdp.morsel_rows(), 1024);
+}
+
+/// A fresh session starts from the documented defaults, whatever the
+/// process environment holds: the engine reads none of it.
+#[test]
+fn a_fresh_session_has_the_documented_defaults() {
+    let engine = tdp_core::TdpEngine::new();
+    let session = engine.session();
+    let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(session.threads(), machine);
+    assert_eq!(session.morsel_rows(), tdp_core::exec::DEFAULT_MORSEL_ROWS);
+    assert!(session.chain_kernels_enabled());
+    assert!(session.zone_maps_enabled());
+    assert_eq!(session.ivf_rebuild_after(), 0);
+    assert_eq!(engine.stats().mem_budget_bytes, None);
 }
 
 #[test]
