@@ -350,13 +350,15 @@ fn bench_parallel_barriers(c: &mut Criterion) {
 fn bench_hash_join_distinct(c: &mut Criterion) {
     // The flat build/probe table by key shape: a 100k-row probe side
     // against a 50k-row build side (the `q3_join_agg` sizes), threads 1
-    // (the sequential kernel: one table) and 2 (exchange → per-partition
-    // tables → two probe morsels). `unique_i64` is a foreign-key join;
-    // `dup8_i64` chains eight build rows per key (800k output rows);
-    // `dict_keys` joins two string columns encoded against different
-    // dictionaries; `composite2` hashes and compares two code columns.
-    // The `distinct` cells dedup the probe side on one i64 column (43k
-    // keys) and on a (dictionary, f32) pair (1,000 keys).
+    // (the sequential kernel: one hash table) and 2 (two probe morsels
+    // against one direct-index table where the build key is one dense
+    // column, else exchange → per-partition hash tables). `unique_i64`
+    // is a foreign-key join; `dup8_i64` chains eight build rows per key
+    // (800k output rows); `dict_keys` joins two string columns encoded
+    // against different dictionaries — all three dense; `composite2`
+    // hashes and compares two code columns. The `distinct` cells dedup
+    // the probe side on one i64 column (43k keys, dense) and on a
+    // (dictionary, f32) pair (1,000 keys, hashed).
     let (probe_rows, build_rows) = (100_000usize, 50_000usize);
     let mut rng = Rng64::new(53);
     let name = |k: usize| format!("key{k:05}");
@@ -902,7 +904,7 @@ fn bench_grouped_aggregate(c: &mut Criterion) {
     // The fused grouped fold on the TPC-H Q1 shape — one key, five
     // aggregates, one computed and one repeated argument — swept over
     // group cardinality and selectivity. 3 groups is the dictionary key
-    // of Q1 itself (direct-index arm, trivial merge); the integer keys
+    // of Q1 itself (its codes are the fold's slots, trivial merge); the integer keys
     // are spread a million apart so their span forces the hash arm, and
     // at 100 000 groups every morsel carries tens of thousands of
     // partial groups into the combine step. 97% keeps the selection a
@@ -941,6 +943,16 @@ fn bench_grouped_aggregate(c: &mut Criterion) {
     );
     let mut group = c.benchmark_group("grouped_aggregate_1m");
     group.sample_size(10);
+    // Q1's fold alone: four sums and a COUNT over every row, grouped by
+    // the three-entry dictionary key — a bare scan folded in place, the
+    // key's codes its slots.
+    let q1 = tdp
+        .query(
+            "SELECT g3, SUM(qty) AS q, SUM(price) AS p, SUM(price * (1 - disc)) AS net, \
+             AVG(disc) AS d, COUNT(*) AS n FROM lineitem GROUP BY g3",
+        )
+        .expect("compile");
+    group.bench_function("g3/all_rows", |b| b.iter(|| q1.run().expect("run")));
     for key in ["g3", "g1k", "g100k"] {
         for (sel, cutoff) in [("10pct", "0.10"), ("97pct", "0.97")] {
             let q = tdp

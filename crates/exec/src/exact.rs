@@ -15,7 +15,7 @@
 
 use tdp_encoding::EncodedTensor;
 use tdp_sql::ast::JoinKind;
-use tdp_tensor::keytable::{hash_rows, partition_of, KeyTable};
+use tdp_tensor::keytable::{hash_rows, partition_of, Index, KeyTable};
 use tdp_tensor::sort::group_ids;
 use tdp_tensor::{F32Tensor, I64Tensor, Tensor};
 
@@ -507,13 +507,14 @@ impl JoinPairs {
 /// Probe the left positions `range` against the build side's
 /// per-partition tables (`tables.len()` is the exchange's partition
 /// count; one table = no exchange). Positions index the code and hash
-/// columns; `lids` / `rids` translate them to the row ids emitted
-/// (`None` = a dense side whose position *is* its row id). Each left
-/// row's matches come out in ascending build order.
+/// columns (`None`: a direct-index table, which reads no hash); `lids` /
+/// `rids` translate them to the row ids emitted (`None` = a dense side
+/// whose position *is* its row id). Each left row's matches come out in
+/// ascending build order.
 pub(crate) fn probe_rows(
     tables: &[KeyTable<'_>],
     keys: &[&[i64]],
-    hashes: &[u64],
+    hashes: Option<&[u64]>,
     range: std::ops::Range<usize>,
     kind: JoinKind,
     lids: Option<&[i64]>,
@@ -528,7 +529,7 @@ pub(crate) fn probe_rows(
         unmatched: Vec::new(),
     };
     for pos in range {
-        let h = hashes[pos];
+        let h = hashes.map_or(0, |h| h[pos]);
         let before = out.left.len();
         for m in tables[partition_of(h, tables.len())].matches(keys, pos, h) {
             out.left.push(gid(lids, pos));
@@ -590,10 +591,12 @@ pub(crate) fn join_assemble(
     Ok(out)
 }
 
-/// Sequential hash join — the whole-batch oracle the partitioned
-/// parallel path ([`crate::morsel`]) must match byte for byte, and that
-/// path with one partition: the same key codes, the same hash, one
-/// table over all right rows, left rows probed in input order.
+/// Sequential hash join — the whole-batch oracle the staged paths
+/// ([`crate::morsel`]) must match byte for byte: the partitioned path
+/// with one partition (the same key codes, the same hash, one table over
+/// all right rows, left rows probed in input order), and the
+/// direct-index path, whose one table answers what this one does. It
+/// always hashes, so a staged run checks the direct arm against it.
 pub fn join_batches(
     left: &Batch,
     right: &Batch,
@@ -605,8 +608,16 @@ pub fn join_batches(
     let lhashes = hash_rows(&lkeys, left.rows());
     let rhashes = hash_rows(&rkeys, right.rows());
     let build: Vec<u32> = (0..right.rows() as u32).collect();
-    let table = KeyTable::build(&rkeys, &rhashes, &build);
-    let pairs = probe_rows(&[table], &lkeys, &lhashes, 0..left.rows(), kind, None, None);
+    let table = KeyTable::build(&rkeys, Index::Hash(&rhashes), &build);
+    let pairs = probe_rows(
+        &[table],
+        &lkeys,
+        Some(&lhashes),
+        0..left.rows(),
+        kind,
+        None,
+        None,
+    );
     join_assemble(left, (right, None), kind, pairs, 1)
 }
 

@@ -1691,19 +1691,36 @@ mod tests {
                 "[parallel top-k]",
                 "parallel top-k ×5 runs",
             ),
+            // Float keys span far more codes than rows: exchanged.
             (
                 "Join",
-                "SELECT t.v, d.w FROM t JOIN d ON t.k = d.k",
+                "SELECT t.v, d.w FROM t JOIN d ON t.v = d.w",
                 "SELECT d.w FROM d JOIN e ON d.k = e.k",
                 "[partitioned ×16]",
                 "partitioned ×16 (1 build + 5 probe morsels)",
             ),
             (
                 "Distinct",
-                "SELECT DISTINCT k FROM t",
+                "SELECT DISTINCT v FROM t",
                 "SELECT DISTINCT k FROM t WHERE v < 1",
                 "[partitioned ×16]",
                 "partitioned ×16 (5 morsels)",
+            ),
+            // Keys 0..3: a direct-index table, chosen at run time, so
+            // EXPLAIN still says what the plan staged.
+            (
+                "Join",
+                "SELECT t.v, d.w FROM t JOIN d ON t.k = d.k",
+                "SELECT d.w FROM d JOIN e ON d.k = e.k",
+                "[partitioned ×16]",
+                "direct-index (one table + 5 probe morsels)",
+            ),
+            (
+                "Distinct",
+                "SELECT DISTINCT k FROM t",
+                "SELECT DISTINCT k FROM t WHERE v < 1",
+                "[partitioned ×16]",
+                "direct-index (one sweep)",
             ),
         ] {
             check(kind, many, 4, note, Some(strategy), None);

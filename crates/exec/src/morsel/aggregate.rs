@@ -2,13 +2,17 @@
 //! ([`AggProgram`]), one fold per morsel, partial states merged in
 //! morsel order ([`merge_partials`]). A fold reads its keys' grouping
 //! codes and its arguments' values at the positions it visits
-//! ([`Inputs`], whoever evaluated them), resolves group ids in one O(n)
-//! pass ([`group_rows`]) and advances every accumulator in one row-order
-//! sweep ([`Fold::run`]); with zero keys there is one group, and each
+//! ([`Inputs`], whoever evaluated them), finds each position's slot and
+//! advances every accumulator in row order ([`Fold::run`]: counts in one
+//! sweep, sums in fixed-width chunks, the rest in one more). The slot is
+//! the key's code itself when the fold stands on one stored dictionary
+//! column of at most [`direct_limit`] entries ([`fold_coded`]: the
+//! reached slots are compacted in code order afterwards), and a group id
+//! resolved by [`group_rows`] otherwise — the same groups in the same
+//! order either way. With zero keys there is one group, and each
 //! accumulator is its own loop with its running value in a local
 //! ([`fold_one`]). The combine groups the partials' representative key
-//! rows by the same rule ([`group_keys`]: grouping codes into
-//! `group_rows`).
+//! rows by `group_rows`' rule ([`group_keys`]).
 //!
 //! [`run_aggregate`] is one task per live window that folds it **in
 //! place** when it can ([`InPlace`]): the chain's kernel selects the
@@ -28,7 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use tdp_encoding::EncodedTensor;
 use tdp_sql::ast::AggFunc;
-use tdp_tensor::sort::{group_rows, Groups};
+use tdp_tensor::sort::{direct_limit, group_rows, Groups};
 use tdp_tensor::{BoolTensor, F32Tensor, I64Tensor, Tensor};
 
 use super::chain::{self, ChainRun};
@@ -197,6 +201,21 @@ impl AccColumn {
         }
     }
 
+    /// Keep the states of `slots` only, in that order.
+    fn select(&mut self, slots: &[usize]) {
+        fn pick<T: Copy>(v: &mut Vec<T>, slots: &[usize]) {
+            *v = slots.iter().map(|&s| v[s]).collect();
+        }
+        match self {
+            AccColumn::Count(v) => pick(v, slots),
+            AccColumn::Sum(v) | AccColumn::Min(v) | AccColumn::Max(v) => pick(v, slots),
+            AccColumn::Moments { sum, sumsq } => {
+                pick(sum, slots);
+                pick(sumsq, slots);
+            }
+        }
+    }
+
     /// The partial-combine arithmetic, defined once: each step
     /// `(to, from, p)` sets slot `to` to slot `from` combined with
     /// `part`'s slot `p`, in step order. The combine scatters partials
@@ -244,6 +263,9 @@ struct PartialAgg {
     groups: usize,
     /// Whether the keys went through the hash arm of `group_rows`.
     hashed: bool,
+    /// Whether the key's dictionary codes were the fold's slots
+    /// ([`fold_coded`]) instead of `group_rows`' ids.
+    coded: bool,
 }
 
 impl PartialAgg {
@@ -257,6 +279,7 @@ impl PartialAgg {
                 .collect(),
             groups,
             hashed: false,
+            coded: false,
         }
     }
 
@@ -375,10 +398,15 @@ pub(crate) fn run_aggregate(
         let empty = chain::apply_ops(input.slice_rows(0, 0), chain.ops, ctx)?;
         partials.push(partial_aggregate(&prog, &empty, None, ctx)?);
     }
-    let hashed = partials.iter().any(|p| p.hashed);
+    let keys = match (prog.keys.is_empty(), &partials[..]) {
+        (true, _) => KeyArm::None,
+        (false, ps) if ps.iter().any(|p| p.hashed) => KeyArm::Hash,
+        (false, ps) if ps.iter().all(|p| p.coded) => KeyArm::Codes,
+        (false, _) => KeyArm::Direct,
+    };
     let out = merge_partials(&prog, &partials)?;
     if let Some(r) = rec {
-        r.note_aggregate(&AggregateNote(&prog, out.rows(), hashed, arrived));
+        r.note_aggregate(&AggregateNote(&prog, out.rows(), keys, arrived));
     }
     Ok(out)
 }
@@ -394,18 +422,30 @@ enum Arrived<'p> {
     Gathered(Option<Reason<'p>>),
 }
 
-/// An aggregate stage's profile note: its program, group count, whether
-/// the keys went through the hash arm, and how its input arrived. Only a
-/// profiled run renders it.
-pub(crate) struct AggregateNote<'a>(&'a AggProgram<'a>, usize, bool, Arrived<'a>);
+/// How an aggregate stage's partials resolved their groups: no keys, the
+/// key's dictionary codes as slots in every partial ([`fold_coded`]),
+/// else `group_rows`' direct-index arm, or its hash arm in any partial.
+#[derive(Clone, Copy)]
+enum KeyArm {
+    None,
+    Codes,
+    Direct,
+    Hash,
+}
+
+/// An aggregate stage's profile note: its program, group count, how the
+/// keys were resolved, and how its input arrived. Only a profiled run
+/// renders it.
+pub(crate) struct AggregateNote<'a>(&'a AggProgram<'a>, usize, KeyArm, Arrived<'a>);
 
 impl fmt::Display for AggregateNote<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let AggregateNote(prog, groups, hashed, arrived) = self;
-        let keys = match (prog.keys.is_empty(), hashed) {
-            (true, _) => "none",
-            (false, false) => "direct",
-            (false, true) => "hash",
+        let AggregateNote(prog, groups, arm, arrived) = self;
+        let keys = match arm {
+            KeyArm::None => "none",
+            KeyArm::Codes => "codes",
+            KeyArm::Direct => "direct",
+            KeyArm::Hash => "hash",
         };
         let (accs, args) = (prog.accs.len(), prog.args.len());
         write!(
@@ -434,6 +474,9 @@ struct Inputs<'a> {
     rows: usize,
     /// Grouping codes, one slice per key.
     codes: Vec<&'a [i64]>,
+    /// The codes' domain `0..d`, when it is known: one key, a stored
+    /// dictionary column (`d` its dictionary's size).
+    domain: Option<usize>,
     /// Per argument: f32 values, when a numeric aggregate reads it.
     vals: Vec<Option<&'a [f32]>>,
     /// Per argument: a boolean column's flags, when COUNT reads it.
@@ -445,18 +488,22 @@ struct Inputs<'a> {
 
 /// One fold's accumulators, viewed by kind over the partial's own
 /// columns (one slot per group plus the spare). SUM state is the
-/// exception: it is interleaved per group (`sums[g * w + j]`) while
-/// folding, so a row touches one cache line of it however many sums the
-/// query carries.
+/// exception: while folding it is fixed-width rows per group
+/// ([`sum_chunk`]), so a row touches one cache line of it per chunk of
+/// sums; [`Fold::run`] leaves one column per sum in `sums`.
 struct Fold<'a> {
     counts: &'a mut [i64],
     sum_args: Vec<&'a [f32]>,
-    sums: Vec<f32>,
+    sums: Vec<Vec<f32>>,
     trues: Vec<(&'a [bool], &'a mut [i64])>,
     mins: Vec<(&'a [f32], &'a mut [f32])>,
     maxs: Vec<(&'a [f32], &'a mut [f32])>,
     moments: Vec<(&'a [f32], &'a mut [f64], &'a mut [f64])>,
 }
+
+/// Sums folded per sweep: each group's running sums of one chunk are
+/// one `[f32; W]`, `W` at most this.
+const SUM_LANES: usize = 4;
 
 impl<'a> Fold<'a> {
     fn over(counts: &'a mut [i64]) -> Fold<'a> {
@@ -474,17 +521,39 @@ impl<'a> Fold<'a> {
     /// Fold every position once, in row order: position `p` goes to slot
     /// `ids[p]`. Each f32 sum therefore adds its group's values in row
     /// order starting from `0.0` — the arithmetic of a per-aggregate
-    /// scatter-add, with all accumulators advancing in one sweep. Counts
-    /// are integers end to end (an f32 counter sticks at 2²⁴).
+    /// scatter-add. Counts are one sweep, the sums one sweep per chunk of
+    /// up to [`SUM_LANES`] ([`sum_chunk`], monomorphised per width), and
+    /// every other accumulator one more; no state is shared between
+    /// sweeps, so splitting them changes no bit. Counts are integers end
+    /// to end (an f32 counter sticks at 2²⁴).
     fn run(&mut self, ids: &[u32]) {
-        let w = self.sum_args.len();
-        self.sums.resize(self.counts.len() * w, 0.0);
+        for &g in ids {
+            self.counts[g as usize] += 1;
+        }
+        let slots = self.counts.len();
+        self.sums = Vec::with_capacity(self.sum_args.len());
+        for chunk in self.sum_args.chunks(SUM_LANES) {
+            let cols = match chunk.len() {
+                1 => sum_chunk::<1>(chunk, ids, slots),
+                2 => sum_chunk::<2>(chunk, ids, slots),
+                3 => sum_chunk::<3>(chunk, ids, slots),
+                _ => sum_chunk::<SUM_LANES>(chunk, ids, slots),
+            };
+            self.sums.extend(cols);
+        }
+        if !(self.trues.is_empty()
+            && self.mins.is_empty()
+            && self.maxs.is_empty()
+            && self.moments.is_empty())
+        {
+            self.run_others(ids);
+        }
+    }
+
+    /// The sweep of every accumulator but counts and sums.
+    fn run_others(&mut self, ids: &[u32]) {
         for (p, &g) in ids.iter().enumerate() {
             let g = g as usize;
-            self.counts[g] += 1;
-            for (acc, vals) in self.sums[g * w..][..w].iter_mut().zip(&self.sum_args) {
-                *acc += vals[p];
-            }
             for (arg, acc) in &mut self.trues {
                 acc[g] += arg[p] as i64;
             }
@@ -506,20 +575,6 @@ impl<'a> Fold<'a> {
                 sumsq[g] += v * v;
             }
         }
-        // Which NaN a sum ends with is settled where two meet, by
-        // [`fold_one`]'s rule — the incoming NaN wins — not by the operand
-        // order the optimiser emits for `a + v`: states that end NaN are
-        // refolded under it (a state no NaN reached is unchanged by it).
-        if self.sums.iter().any(|s| s.is_nan()) {
-            self.sums.fill(0.0);
-            for (p, &g) in ids.iter().enumerate() {
-                let slots = self.sums[g as usize * w..][..w].iter_mut();
-                for (acc, vals) in slots.zip(&self.sum_args) {
-                    let v = vals[p];
-                    *acc = if v.is_nan() { v } else { *acc + v };
-                }
-            }
-        }
         for (vals, sum, sumsq) in &mut self.moments {
             if !sum.iter().chain(sumsq.iter()).any(|s| s.is_nan()) {
                 continue;
@@ -537,6 +592,39 @@ impl<'a> Fold<'a> {
     }
 }
 
+/// `W` running f32 sums per slot over `slots` slots, folded in one sweep
+/// of the positions in row order from `+0.0`; returned as one column per
+/// argument. The group's `[f32; W]` is one bounds check a row, and each
+/// argument is cut to the sweep's length so its reads need none.
+fn sum_chunk<const W: usize>(args: &[&[f32]], ids: &[u32], slots: usize) -> Vec<Vec<f32>> {
+    let n = ids.len();
+    let args: [&[f32]; W] = std::array::from_fn(|j| &args[j][..n]);
+    let mut state = vec![[0.0f32; W]; slots];
+    for (p, &g) in ids.iter().enumerate() {
+        let acc = &mut state[g as usize];
+        for j in 0..W {
+            acc[j] += args[j][p];
+        }
+    }
+    // Which NaN a sum ends with is settled where two meet, by
+    // [`fold_one`]'s rule — the incoming NaN wins — not by the operand
+    // order the optimiser emits for `a + v`: states that end NaN are
+    // refolded under it (a state no NaN reached is unchanged by it).
+    if state.iter().flatten().any(|s| s.is_nan()) {
+        state.fill([0.0; W]);
+        for (p, &g) in ids.iter().enumerate() {
+            let acc = &mut state[g as usize];
+            for j in 0..W {
+                let v = args[j][p];
+                acc[j] = if v.is_nan() { v } else { acc[j] + v };
+            }
+        }
+    }
+    (0..W)
+        .map(|j| state.iter().map(|s| s[j]).collect())
+        .collect()
+}
+
 /// Fold one window's evaluated keys and arguments into per-group partial
 /// states. `mask` marks the positions that count (a dense selection's
 /// mask); the rest join no group. Each group's key row is the caller's
@@ -551,6 +639,12 @@ fn fold(
     if inp.codes.is_empty() {
         return fold_one(prog, inp, mask);
     }
+    if let Some(d) = inp.domain {
+        let visited = mask.map_or(inp.rows, |m| m.iter().filter(|&&keep| keep).count());
+        if d as u128 <= direct_limit(visited) {
+            return fold_coded(prog, inp, mask, (d, visited), key_rows);
+        }
+    }
     let Groups {
         ids,
         groups,
@@ -559,7 +653,47 @@ fn fold(
     } = group_rows(&inp.codes, mask);
     let mut partial = fold_groups(prog, inp, &ids, groups, None, mask)?;
     partial.hashed = hashed;
-    partial.key_reps = key_rows(&first_rows(&ids, groups));
+    partial.key_reps = key_rows(&first_rows(&ids, groups, groups));
+    Ok(partial)
+}
+
+/// The code-indexed fold of one key whose codes lie in `0..d`: each code
+/// is its own slot and a row the mask deselects goes to the spare slot
+/// `d`, so no group ids are resolved before the sweep. The slots some row
+/// reached are then compacted, in code order, into dense groups, each
+/// represented by its first position — exactly the groups, order and
+/// representatives of `group_rows`' direct arm, whose table walk is code
+/// order too. `visited` is the number of positions the mask keeps.
+fn fold_coded(
+    prog: &AggProgram<'_>,
+    inp: &Inputs<'_>,
+    mask: Option<&[bool]>,
+    (d, visited): (usize, usize),
+    key_rows: impl FnOnce(&I64Tensor) -> Vec<EncodedTensor>,
+) -> Result<PartialAgg, ExecError> {
+    let codes = inp.codes[0];
+    let ids: Vec<u32> = match mask {
+        None => codes.iter().map(|&c| c as u32).collect(),
+        Some(m) => (codes.iter().zip(m))
+            .map(|(&c, &keep)| if keep { c as u32 } else { d as u32 })
+            .collect(),
+    };
+    let mut partial = fold_groups(prog, inp, &ids, d, None, mask)?;
+    // A code past the dictionary would index past the spare slot, or be
+    // dropped in it: every kept position must have reached a code's slot.
+    let folded: i64 = partial.counts.iter().sum();
+    assert_eq!(folded as usize, visited, "dictionary codes lie in 0..{d}");
+    let present: Vec<usize> = (0..d).filter(|&g| partial.counts[g] > 0).collect();
+    let groups = present.len();
+    let first = first_rows(&ids, d, groups);
+    let reps = present.iter().map(|&g| first.at(g)).collect();
+    partial.key_reps = key_rows(&Tensor::from_vec(reps, &[groups]));
+    partial.counts = present.iter().map(|&g| partial.counts[g]).collect();
+    for acc in &mut partial.accs {
+        acc.select(&present);
+    }
+    partial.groups = groups;
+    partial.coded = true;
     Ok(partial)
 }
 
@@ -603,16 +737,14 @@ fn fold_groups(
         }
     }
     fold.run(ids);
-    let (sums, w) = (fold.sums, fold.sum_args.len());
+    let mut sums = fold.sums.into_iter();
 
     counts.truncate(groups);
-    let mut sum_slot = 0..w;
     for (acc, col) in prog.accs.iter().zip(&mut accs) {
         match col {
-            // Read back out of the interleaved state.
             AccColumn::Sum(v) => {
-                let j = sum_slot.next().expect("one interleaved slot per sum");
-                *v = (0..groups).map(|g| sums[g * w + j]).collect();
+                *v = sums.next().expect("one column per sum");
+                v.truncate(groups);
             }
             AccColumn::Count(t) if acc.kind == AccKind::CountDistinct => {
                 // Distinct (scope, value-code) pairs, each counted in the
@@ -649,6 +781,7 @@ fn fold_groups(
         accs,
         groups,
         hashed: false,
+        coded: false,
     })
 }
 
@@ -750,6 +883,7 @@ fn fold_one(
         accs,
         groups: 1,
         hashed: false,
+        coded: false,
     })
 }
 
@@ -827,6 +961,7 @@ impl Evaluated {
         Inputs {
             rows,
             codes: self.codes.iter().map(I64Tensor::data).collect(),
+            domain: None,
             vals: self
                 .vals
                 .iter()
@@ -878,11 +1013,13 @@ fn group_keys(keys: &[EncodedTensor], n: usize) -> Result<Groups, ExecError> {
     Ok(group_rows(&slices, None))
 }
 
-/// Each group's representative: the first of its rows in `ids` order.
-/// Ids past the last group (rows a mask deselected) represent nothing.
-fn first_rows(ids: &[u32], groups: usize) -> I64Tensor {
+/// Each group's representative: the first of its rows in `ids` order
+/// (`-1` for a group no row reached). Ids past the last group (rows a
+/// mask deselected) represent nothing. The walk stops once `present`
+/// groups have been found.
+fn first_rows(ids: &[u32], groups: usize, present: usize) -> I64Tensor {
     let mut rep = vec![-1i64; groups];
-    let mut left = groups;
+    let mut left = present;
     for (row, &g) in ids.iter().enumerate() {
         if left == 0 {
             break;
@@ -1052,9 +1189,14 @@ impl<'c> InPlace<'c> {
                 None => return Ok(None),
             }
         }
+        let domain = match &key_cols[..] {
+            [(_, KeyRows::Stored(EncodedTensor::Dict { dict, .. }))] => Some(dict.len()),
+            _ => None,
+        };
         let inputs = Inputs {
             rows,
             codes: key_cols.iter().map(|(codes, _)| codes.as_ref()).collect(),
+            domain,
             vals: args.iter().map(|a| a.vals.as_deref()).collect(),
             flags: args.iter().map(|a| a.flags.as_deref()).collect(),
             raws: vec![None; args.len()],
@@ -1151,7 +1293,7 @@ fn merge_partials(prog: &AggProgram<'_>, partials: &[PartialAgg]) -> Result<Batc
     }
 
     let mut out = Batch::new();
-    let reps = first_rows(&ids, groups);
+    let reps = first_rows(&ids, groups, groups);
     for (key, col) in prog.keys.iter().zip(&keys) {
         out.push(key.name.clone(), col.select_rows(&reps));
     }
@@ -1712,6 +1854,87 @@ mod tests {
                 check(&picked, None, &format!("idx/{name}"));
             }
         }
+    }
+
+    /// The code-indexed fold ([`fold_coded`]) is bit for bit the
+    /// `group_rows` fold of the same codes — states, group order, group
+    /// count and representatives — on the corpus's NaNs of both signs and
+    /// payloads, ±0 and ±inf, over one to five sums (one chunk of each
+    /// width and a chunk past it) beside every other accumulator kind. The
+    /// key is `flag`'s codes spread over a domain of ten (`3c + 1`), so
+    /// seven entries are never used; the masks keep every row, none,
+    /// row 0 only, the NaN rows only, every other row, every row but a
+    /// whole group (a window where a group is absent) and 99%; and each
+    /// mask's survivors are also folded read by index, with no mask.
+    #[test]
+    fn code_indexed_fold_is_bitwise_the_group_rows_fold() {
+        let n = N;
+        let catalog = corpus_catalog();
+        let udfs = UdfRegistry::new();
+        let ctx = ExecContext::new(&catalog, &udfs);
+        let batch = exact::scan_table("t", None, &ctx).unwrap();
+        const DOMAIN: usize = 10;
+        let statements = [
+            "SELECT flag, SUM(z) FROM t GROUP BY flag",
+            "SELECT flag, SUM(x), SUM(z), MIN(z), MAX(x) FROM t GROUP BY flag",
+            "SELECT flag, SUM(q), SUM(y), SUM(y * (1 - x)), AVG(x), COUNT(*) FROM t GROUP BY flag",
+            "SELECT flag, SUM(x), SUM(z), AVG(y), SUM(z * 2 + x), SUM(q), MIN(x), MAX(z), \
+             VARIANCE(z), STDDEV(x), COUNT(x > 0), COUNT(*) FROM t GROUP BY flag",
+        ];
+        let x = batch.column("x").unwrap().decode_f32();
+        let every = |m: usize| (0..n).map(|i| i % m != 0).collect::<Vec<bool>>();
+        for sql in statements {
+            let (keys, aggregates) = aggregate_root(sql, &catalog, &udfs);
+            let prog = AggProgram::compile(&keys, &aggregates).unwrap();
+            let fold_both = |b: &Batch, mask: Option<&[bool]>, what: &str| {
+                let ev = Evaluated::of(&prog, b, &ctx).unwrap();
+                let spread: Vec<i64> = ev.codes[0].data().iter().map(|&c| 3 * c + 1).collect();
+                let mut inp = ev.inputs(b.rows());
+                inp.codes = vec![&spread];
+                let reps = |reps: &I64Tensor| vec![EncodedTensor::I64(reps.clone())];
+                let plain = fold(&prog, &inp, mask, reps).unwrap();
+                inp.domain = Some(DOMAIN);
+                let coded = fold(&prog, &inp, mask, reps).unwrap();
+                assert!(coded.coded && !plain.coded, "{what}: {sql}");
+                assert_eq!(coded.groups, plain.groups, "{what}: {sql}");
+                assert_same_partial(&prog, &coded, &plain, &format!("{what}: {sql}"));
+                coded.groups
+            };
+            let flag0: Vec<bool> = ev_codes(&prog, &batch, &ctx)
+                .iter()
+                .map(|&c| c != 0)
+                .collect();
+            let masks = [
+                ("all", vec![true; n]),
+                ("none", vec![false; n]),
+                ("row 0", (0..n).map(|i| i == 0).collect()),
+                ("nan only", x.data().iter().map(|v| v.is_nan()).collect()),
+                ("1/2", every(2)),
+                ("group absent", flag0),
+                ("99%", every(100)),
+            ];
+            assert_eq!(fold_both(&batch, None, "no mask"), 2, "{sql}");
+            for (name, keep) in &masks {
+                let groups = fold_both(&batch, Some(keep), &format!("mask/{name}"));
+                let ids: Vec<i64> = (0..n as i64).filter(|&i| keep[i as usize]).collect();
+                let picked =
+                    exact::select_batch(&batch, &Tensor::from_vec(ids.clone(), &[ids.len()]));
+                if !ids.is_empty() {
+                    assert_eq!(fold_both(&picked, None, &format!("idx/{name}")), groups);
+                }
+                let expect = match *name {
+                    "none" => 0,
+                    "row 0" | "group absent" => 1,
+                    _ => groups,
+                };
+                assert_eq!(groups, expect, "mask/{name}: {sql}");
+            }
+        }
+    }
+
+    /// The key's grouping codes of `prog` over `batch` (one key).
+    fn ev_codes(prog: &AggProgram<'_>, batch: &Batch, ctx: &ExecContext) -> Vec<i64> {
+        Evaluated::of(prog, batch, ctx).unwrap().codes[0].to_vec()
     }
 
     /// One key column's identity in the ordered-map merge: the decoded

@@ -1,11 +1,12 @@
-//! Partitioned hash join over integer key codes: both sides' keys are
-//! normalised to `i64` code columns in one shared code space, each row's
-//! composite hash is computed once, the build side is exchanged into
-//! per-partition flat tables, probe morsels run in parallel and
-//! reassemble in morsel order.
+//! Staged join over integer key codes: both sides' keys are normalised
+//! to `i64` code columns in one shared code space. A build side whose one
+//! key column spans few values is one direct-index table (slot = key −
+//! smallest key); any other is hashed once per row and exchanged into
+//! per-partition flat tables. Either way probe morsels run in parallel
+//! and reassemble in morsel order.
 
 use tdp_sql::ast::JoinKind;
-use tdp_tensor::keytable::{hash_rows, KeyTable};
+use tdp_tensor::keytable::{hash_rows, Direct, Index, KeyTable};
 use tdp_tensor::I64Tensor;
 
 use super::chain::BarrierInput;
@@ -29,24 +30,41 @@ fn join_build_bytes(rows: usize) -> u64 {
     rows as u64 * (8 + 4 + 16)
 }
 
-/// Partitioned hash join: exchange the build (right) side into
-/// per-partition tables, then probe left morsels in parallel.
+/// Byte estimate of a direct-index build over `rows` rows into `slots`
+/// slots: the `u32` slots, the `next` chain and the row list. Within
+/// [`Direct::of`]'s limit of four slots a row that is at most 24 B a row,
+/// so it is charged as the hash build, unless a tiny input's table
+/// (64 slots at least) needs more.
+fn direct_build_bytes(rows: usize, slots: usize) -> u64 {
+    join_build_bytes(rows).max((slots + 2 * rows) as u64 * 4)
+}
+
+/// Staged join: build the right side's table(s), then probe left morsels
+/// in parallel.
 ///
 /// Keys first: [`exact::join_key_codes`] turns every key pair into two
 /// code columns at survivor positions (a selection-fed side reads
-/// plain-layout keys by index and never filters at full width), and
-/// [`hash_rows`] hashes each row's composite key **once** — the exchange
-/// partitions by that hash, the build slots by it, the probe looks up
-/// with it. Stage 1 scatters build positions into partitions
-/// (morsel-claiming); stage 2 builds one [`KeyTable`] per partition
-/// (partition-claiming) — duplicates chain in ascending build order
-/// because a partition lists its rows ascending; stage 3 probes left
-/// morsels and reassembles the pair lists in morsel order. The pairs —
-/// and the unmatched-left list — are exactly the sequential kernel's
-/// (the same table with one partition), so [`exact::join_assemble`]
-/// finishes both paths. Codes, hashes and tables are position-indexed
-/// (survivor space); global row ids appear only in the emitted pairs,
-/// which the assembly gathers straight out of the full-width batch.
+/// plain-layout keys by index and never filters at full width). Then the
+/// build, by the right side's keys:
+///
+/// * **direct** — one key column whose span over the build rows is
+///   within [`Direct::of`]'s limit (a foreign key into a dense primary
+///   key, a dictionary): one [`KeyTable`] indexed by key value, built on
+///   the session thread. No hash is computed and nothing is exchanged.
+/// * **partitioned** — [`hash_rows`] hashes each row's composite key
+///   **once**: the exchange partitions by that hash, the build slots by
+///   it, the probe looks up with it. Stage 1 scatters build positions
+///   into partitions (morsel-claiming); stage 2 builds one table per
+///   partition (partition-claiming).
+///
+/// Duplicates chain in ascending build order either way (a partition
+/// lists its rows ascending). The last stage probes left morsels and
+/// reassembles the pair lists in morsel order. The pairs — and the
+/// unmatched-left list — are exactly the sequential kernel's (one hash
+/// table over every build row), so [`exact::join_assemble`] finishes
+/// every path. Codes, hashes and tables are position-indexed (survivor
+/// space); global row ids appear only in the emitted pairs, which the
+/// assembly gathers straight out of the full-width batch.
 pub(crate) fn run_join(
     left: BarrierInput<'_>,
     right: BarrierInput<'_>,
@@ -75,32 +93,50 @@ pub(crate) fn run_join(
     let rids = right.ids.as_ref().map(I64Tensor::data);
     let (lkeys, rkeys) = (exact::code_refs(&lcodes), exact::code_refs(&rcodes));
     let (rows, rrows) = (left.rows_out(), right.rows_out());
-    let lhashes = hash_rows(&lkeys, rows);
-    let rhashes = hash_rows(&rkeys, rrows);
-    let build = num_morsels(rrows, ctx.morsel_rows);
     let probe = num_morsels(rows, ctx.morsel_rows);
-    note_barrier(rec, staged, &[build, probe]);
-    // Held until the joined batch is assembled: the exchanged positions,
-    // the per-partition build tables and the probe pair lists.
+    // Held until the joined batch is assembled: the build rows or
+    // exchanged positions, the build table(s) and the probe pair lists.
     let charges = memory::ScopedCharges::new(&ctx.memory);
+    let all: Vec<u32> = (0..rrows as u32).collect();
+    let direct = Direct::of(&rkeys, &all);
+    let rhashes = match direct {
+        Some(_) => Vec::new(),
+        None => hash_rows(&rkeys, rrows),
+    };
+    let lhashes = direct.is_none().then(|| hash_rows(&lkeys, rows));
+    let parts;
+    let tables: Vec<KeyTable> = match direct {
+        Some(d) => {
+            note_barrier(rec, Staging::DirectIndex, &[1, probe]);
+            charges.add("join build", direct_build_bytes(rrows, d.slots()))?;
+            vec![KeyTable::build(&rkeys, Index::Direct(d), &all)]
+        }
+        None => {
+            note_barrier(rec, staged, &[num_morsels(rrows, ctx.morsel_rows), probe]);
+            // Stage 1: exchange build-side positions into partitions.
+            // Survivor positions (not morsel width) are what gets
+            // scattered, so a selective chain charges and shuffles only
+            // what survived.
+            charges.add("join exchange", rrows as u64 * 4)?;
+            parts = exchange(&rhashes, partitions, ctx)?;
+            // Stage 2: shared-nothing per-partition table build.
+            claim(partitions, ctx.threads, |p| {
+                charges.add("join build", join_build_bytes(parts.part(p).len()))?;
+                Ok(KeyTable::build(
+                    &rkeys,
+                    Index::Hash(&rhashes),
+                    parts.part(p),
+                ))
+            })?
+        }
+    };
 
-    // Stage 1: exchange build-side positions into partitions. Survivor
-    // positions (not morsel width) are what gets scattered, so a
-    // selective chain charges and shuffles only what survived.
-    charges.add("join exchange", rrows as u64 * 4)?;
-    let parts = exchange(&rhashes, partitions, ctx)?;
-
-    // Stage 2: shared-nothing per-partition table build.
-    let tables: Vec<KeyTable> = claim(partitions, ctx.threads, |p| {
-        charges.add("join build", join_build_bytes(parts.part(p).len()))?;
-        Ok(KeyTable::build(&rkeys, &rhashes, parts.part(p)))
-    })?;
-
-    // Stage 3: probe left morsels in parallel; morsel-order reassembly.
+    // Probe left morsels in parallel; morsel-order reassembly.
     let morsel_rows = ctx.morsel_rows;
     let probes = claim(probe, ctx.threads, |i| {
         let (start, end) = morsel_range(i, morsel_rows, rows);
-        let pairs = exact::probe_rows(&tables, &lkeys, &lhashes, start..end, kind, lids, rids);
+        let hashes = lhashes.as_deref();
+        let pairs = exact::probe_rows(&tables, &lkeys, hashes, start..end, kind, lids, rids);
         charges.add("join probe", pairs.bytes())?;
         Ok(pairs)
     })?;

@@ -52,15 +52,19 @@ pub struct OpTrace {
     pub fallback: Option<String>,
     /// How a fused chain ran (`compiled`, `interpreted: <reason>`)
     /// or how a staged barrier did (`partitioned ×16 (31 build + 31
-    /// probe morsels)`, `merge-sort ×8 runs`); `None` otherwise.
+    /// probe morsels)`, `direct-index (one table + 31 probe morsels)`,
+    /// `direct-index (one sweep)`, `merge-sort ×8 runs`); `None`
+    /// otherwise.
     pub strategy: Option<String>,
     /// How a sink consumed its input. On a fused chain feeding a
     /// barrier: its selection density (`selection: 3% dense→sparse`). On
     /// the barrier itself: how its input arrived (`barrier: selection-fed
     /// (3% dense→sparse)` or `barrier: gathered: <reason>`). On an
     /// aggregate stage: what the fold ran and how its input arrived
-    /// (`aggregate: fused 5 acc / 4 args, 3 groups, keys: direct,
-    /// selection-fed`; `unfiltered` when it folded every row of a bare
+    /// (`aggregate: fused 5 acc / 4 args, 3 groups, keys: codes,
+    /// selection-fed` — `keys:` is `codes` when dictionary codes were the
+    /// slots, `direct` or `hash` for `group_rows`' arms, `none` without
+    /// keys; `unfiltered` when it folded every row of a bare
     /// scan in place, `gathered: <reason>` or `single-morsel` when it
     /// folded dense windows). `None` when there is nothing to say.
     pub selection: Option<String>,
@@ -81,7 +85,8 @@ pub struct QueryProfile {
     /// and probe morsels).
     pub morsels: usize,
     /// Total exchange partitions scheduled across staged barrier
-    /// operators (0 when no barrier was partitioned).
+    /// operators (0 when no barrier was partitioned; a direct-index
+    /// barrier exchanges nothing).
     pub partitions: usize,
     /// Morsels skipped outright by zone-map pruning during this run.
     pub morsels_pruned: u64,
@@ -359,6 +364,11 @@ impl Recorder {
                 None,
             ),
             (Staging::Partitioned(_), [n]) => (Some(format!("{staging} ({n} morsels)")), None),
+            (Staging::DirectIndex, [_, probe]) => (
+                Some(format!("{staging} (one table + {probe} probe morsels)")),
+                None,
+            ),
+            (Staging::DirectIndex, _) => (Some(format!("{staging} (one sweep)")), None),
             (_, [runs]) => (Some(format!("{staging} ×{runs} runs")), None),
             _ => unreachable!("a staged barrier reports one count per stage"),
         };

@@ -117,7 +117,8 @@ pub enum Towards {
 /// [`Towards::Less`], broadcast like `l.sub(r)`. As τ → 0 it approaches
 /// the exact step; at inference the executor swaps in the exact
 /// comparison (paper §4). The forward is one pass, the backward one pass
-/// yielding both gradients (module docs).
+/// yielding the gradient of each operand that is a parameter or computed
+/// (module docs); a comparison of two constants is a constant.
 // `x * -1.0` is the chain's `neg` (a multiply) step for step; `-x` would
 // be a different operation on NaN's sign bit.
 #[allow(clippy::neg_multiply)]
@@ -151,21 +152,36 @@ pub fn soft_compare(l: &Var, r: &Var, towards: Towards, temperature: f32) -> Var
         }
     };
     let less = towards == Towards::Less;
-    Var::fused(value, vec![l.clone(), r.clone()], move |g| {
-        let (gl, gr): (Vec<f32>, Vec<f32>) = g
+    // Only an operand a gradient can reach is a parent: a constant leaf's
+    // gradient would be built and dropped on every backward pass.
+    let carries = |v: &Var| v.is_param() || !v.is_leaf();
+    let (to_l, to_r) = (carries(l), carries(r));
+    let parents: Vec<Var> = [(l, to_l), (r, to_r)]
+        .into_iter()
+        .filter(|&(_, carries)| carries)
+        .map(|(v, _)| v.clone())
+        .collect();
+    if parents.is_empty() {
+        return Var::constant(value);
+    }
+    Var::fused(value, parents, move |g| {
+        // ∂/∂l, stored; ∂/∂r is its negation, read back from the store so
+        // a NaN's sign is flipped as stored, not folded into the product.
+        let dl: Vec<f32> = g
             .data()
             .iter()
             .zip(sig.data())
             .map(|(&g, &s)| {
                 let g = if less { g * -1.0 } else { g };
-                let t = g * s * (-s + 1.0) * inv;
-                (t, -t)
+                g * s * (-s + 1.0) * inv
             })
-            .unzip();
+            .collect();
         let grad = |v: Vec<f32>, to: &[usize]| {
             reduce_to_shape(&Tensor::from_vec(v, &shape).to(device), to)
         };
-        vec![grad(gl, &l_shape), grad(gr, &r_shape)]
+        let gr = to_r.then(|| grad(dl.iter().map(|&t| -t).collect(), &r_shape));
+        let gl = to_l.then(|| grad(dl, &l_shape));
+        gl.into_iter().chain(gr).collect()
     })
 }
 
@@ -340,9 +356,16 @@ mod tests {
             for (theta, tau) in [(0.62f32, 0.05f32), (-0.3, 0.5), (0.0, 1e-3), (2.0, 3.0)] {
                 // θ broadcast the way a threshold UDF hands it over, so the
                 // gradient also passes the broadcast's reduction.
-                let run = |f: fn(&Var, &Var, Towards, f32) -> Var| {
-                    // A param, so both operands' gradient bits are compared.
-                    let col = Var::param(Tensor::from_vec(v.clone(), &[n]));
+                let run = |f: fn(&Var, &Var, Towards, f32) -> Var, trained: bool| {
+                    // As a param, both operands' gradient bits are compared;
+                    // as a constant — the Listing-5 column — it is no parent
+                    // of the fused node and gets none.
+                    let col = Tensor::from_vec(v.clone(), &[n]);
+                    let col = if trained {
+                        Var::param(col)
+                    } else {
+                        Var::constant(col)
+                    };
                     let p = Var::param(Tensor::from_vec(vec![theta], &[1]));
                     let w = f(&col, &p.broadcast_to(&[n]), towards, tau);
                     // A seed that varies per row, as a weighted loss does.
@@ -351,14 +374,16 @@ mod tests {
                     (
                         bits(&w.value()),
                         bits(&p.grad().unwrap()),
-                        bits(&col.grad().unwrap()),
+                        col.grad().map(|g| bits(&g)),
                     )
                 };
-                assert_eq!(
-                    run(soft_compare),
-                    run(unfused),
-                    "{towards:?} at θ={theta}, τ={tau}"
-                );
+                for trained in [true, false] {
+                    assert_eq!(
+                        run(soft_compare, trained),
+                        run(unfused, trained),
+                        "{towards:?} at θ={theta}, τ={tau}, column trained: {trained}"
+                    );
+                }
             }
         }
         // Broadcast operands reduce their gradients like `sub` does.

@@ -130,6 +130,12 @@ impl fmt::Display for Reason<'_> {
 pub(crate) enum Staging<'p> {
     /// `partitioned ×n`: join and DISTINCT, exchanged into `n` partitions.
     Partitioned(usize),
+    /// `direct-index`: a join or DISTINCT staged as `partitioned ×n` whose
+    /// one key column spans few enough values over the rows it indexes
+    /// (`keytable::Direct`) to skip the exchange — one table indexed by
+    /// key value. Chosen from the data at run time, so only a profile
+    /// shows it; EXPLAIN keeps the plan's `partitioned ×n`.
+    DirectIndex,
     /// `merge-sort`: per-morsel sorted runs, k-way merged.
     MergeSort,
     /// `parallel top-k`: per-morsel top-k runs, merged.
@@ -142,6 +148,7 @@ impl fmt::Display for Staging<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Staging::Partitioned(n) => write!(f, "partitioned ×{n}"),
+            Staging::DirectIndex => f.write_str("direct-index"),
             Staging::MergeSort => f.write_str("merge-sort"),
             Staging::TopK => f.write_str("parallel top-k"),
             Staging::Sequential(why) => write!(f, "sequential: {why}"),

@@ -1,16 +1,23 @@
-//! Flat hash table over composite integer keys — the build/probe
-//! structure of the hash join and the seen-set of DISTINCT.
+//! Flat tables over composite integer keys — the build/probe structure
+//! of the join and the seen-set of DISTINCT.
 //!
-//! Keys are equal-length `i64` code columns; a row's composite hash is
-//! computed once ([`hash_rows`]) and reused by everything downstream:
-//! the exchange takes the low bits ([`partition_of`]), the table the
-//! high bits, so one partition's keys still spread over its whole table.
-//! A [`KeyTable`] is open addressing over `u32` row indices with one
-//! shared `next` chain for duplicate keys: no per-key vector, no per-row
-//! key object — keys are compared by reading the code columns at the
-//! stored position.
+//! Keys are equal-length `i64` code columns. A [`KeyTable`] holds `u32`
+//! row indices with one shared `next` chain for duplicate keys: no
+//! per-key vector, no per-row key object. Its caller picks one of two
+//! slot rules ([`Index`]):
+//!
+//! * **hash** — open addressing keyed on a row's composite hash, computed
+//!   once ([`hash_rows`]) and reused by everything downstream: the
+//!   exchange takes the low bits ([`partition_of`]), the table the high
+//!   bits, so one partition's keys still spread over its whole table.
+//!   Keys are compared by reading the code columns at the stored
+//!   position.
+//! * **direct** — one key column whose span over the rows is within
+//!   [`direct_limit`] ([`Direct::of`]): the slot *is* the key minus the
+//!   smallest key, so no hash is computed, no key is compared and no
+//!   exchange is needed (the table is small enough to build whole).
 
-use crate::sort::mix;
+use crate::sort::{direct_limit, mix};
 
 /// Marks a free slot and the end of a duplicate chain.
 const EMPTY: u32 = u32::MAX;
@@ -36,7 +43,62 @@ pub fn partition_of(hash: u64, partitions: usize) -> usize {
     (((hash & 0xFFFF_FFFF) * partitions as u64) >> 32) as usize
 }
 
-/// A hash table over the rows `rows` (ascending positions into the key
+/// The key range of a direct-index table: slot `key − lo` for keys in
+/// `lo..lo + slots`; every other key is absent.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Direct {
+    lo: i64,
+    slots: usize,
+}
+
+impl Direct {
+    /// The direct-index range of `keys` over `rows`: `Some` when there is
+    /// exactly one key column and its span over `rows` is at most
+    /// [`direct_limit`]`(rows.len())` slots (an empty `rows` spans none).
+    /// A span that overflows `i64` is never direct.
+    pub fn of(keys: &[&[i64]], rows: &[u32]) -> Option<Direct> {
+        let [key] = keys else { return None };
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        for &r in rows {
+            let v = key[r as usize];
+            lo = lo.min(v);
+            hi = hi.max(v);
+        }
+        if rows.is_empty() {
+            return Some(Direct { lo: 0, slots: 0 });
+        }
+        let span = (hi as i128 - lo as i128 + 1) as u128;
+        (span <= direct_limit(rows.len())).then_some(Direct {
+            lo,
+            slots: span as usize,
+        })
+    }
+
+    /// Slots of the table.
+    pub fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// The slot of key `v`, `None` outside the range. `v − lo` wraps onto
+    /// `0..2⁶⁴` bijectively, so exactly the keys in range land below
+    /// `slots`.
+    fn slot(&self, v: i64) -> Option<usize> {
+        let off = v.wrapping_sub(self.lo) as u64;
+        (off < self.slots as u64).then_some(off as usize)
+    }
+}
+
+/// How a [`KeyTable`] finds a key's slot — chosen by its caller.
+#[derive(Clone, Copy)]
+pub enum Index<'a> {
+    /// Open addressing from each row's composite hash ([`hash_rows`] of
+    /// the table's key columns; a probe passes its own row's hash).
+    Hash(&'a [u64]),
+    /// The key itself, offset ([`Direct::of`] over the table's rows).
+    Direct(Direct),
+}
+
+/// A table over the rows `rows` (ascending positions into the key
 /// columns). Items are indices into `rows`; two ways to fill it:
 ///
 /// * [`KeyTable::build`] chains every row: [`KeyTable::matches`] then
@@ -46,41 +108,48 @@ pub fn partition_of(hash: u64, partitions: usize) -> usize {
 /// * [`KeyTable::new`] + [`KeyTable::insert_if_absent`] keeps the first
 ///   row of each key only (no chain is allocated).
 ///
-/// Sized once at twice the row count rounded up to a power of two (at
-/// least 8 slots), so it never grows and an empty input pays 32 bytes.
+/// A hash table is sized once at twice the row count rounded up to a
+/// power of two (at least 8 slots), so it never grows and an empty input
+/// pays 32 bytes; a direct table has exactly [`Direct::slots`] slots.
 pub struct KeyTable<'a> {
     keys: &'a [&'a [i64]],
-    hashes: &'a [u64],
     rows: &'a [u32],
+    index: Index<'a>,
     /// Item at the head of each occupied slot's chain.
     slots: Vec<u32>,
     /// `next[i]`: the next item with item `i`'s key.
     next: Vec<u32>,
+    /// Hash arm: the shift that takes a hash's high bits to a slot.
     shift: u32,
 }
 
 impl<'a> KeyTable<'a> {
     /// An empty table able to hold every row of `rows`.
-    pub fn new(keys: &'a [&'a [i64]], hashes: &'a [u64], rows: &'a [u32]) -> KeyTable<'a> {
+    pub fn new(keys: &'a [&'a [i64]], index: Index<'a>, rows: &'a [u32]) -> KeyTable<'a> {
         assert!(rows.len() < EMPTY as usize / 2, "table items are 32-bit");
-        let cap = (rows.len() * 2).next_power_of_two().max(8);
+        let (cap, shift) = match index {
+            Index::Hash(_) => {
+                let cap = (rows.len() * 2).next_power_of_two().max(8);
+                (cap, 64 - cap.trailing_zeros())
+            }
+            Index::Direct(d) => (d.slots, 0),
+        };
         KeyTable {
             keys,
-            hashes,
             rows,
+            index,
             slots: vec![EMPTY; cap],
             next: Vec::new(),
-            shift: 64 - cap.trailing_zeros(),
+            shift,
         }
     }
 
     /// The table over all of `rows`, duplicates chained in ascending order.
-    pub fn build(keys: &'a [&'a [i64]], hashes: &'a [u64], rows: &'a [u32]) -> KeyTable<'a> {
-        let mut t = KeyTable::new(keys, hashes, rows);
+    pub fn build(keys: &'a [&'a [i64]], index: Index<'a>, rows: &'a [u32]) -> KeyTable<'a> {
+        let mut t = KeyTable::new(keys, index, rows);
         t.next = vec![EMPTY; rows.len()];
         for i in (0..rows.len()).rev() {
-            let pos = rows[i] as usize;
-            let slot = t.find(hashes[pos], |at| t.same_key(t.keys, pos, at));
+            let slot = t.own_slot(i);
             t.next[i] = t.slots[slot];
             t.slots[slot] = i as u32;
         }
@@ -90,8 +159,7 @@ impl<'a> KeyTable<'a> {
     /// Insert item `i` (the row `rows[i]`) unless its key is already
     /// present; `true` when it was inserted.
     pub fn insert_if_absent(&mut self, i: usize) -> bool {
-        let pos = self.rows[i] as usize;
-        let slot = self.find(self.hashes[pos], |at| self.same_key(self.keys, pos, at));
+        let slot = self.own_slot(i);
         let fresh = self.slots[slot] == EMPTY;
         if fresh {
             self.slots[slot] = i as u32;
@@ -100,14 +168,27 @@ impl<'a> KeyTable<'a> {
     }
 
     /// Positions (entries of `rows`) whose key equals row `row` of the
-    /// `probe` code columns, given that row's hash. Ascending after
-    /// [`KeyTable::build`].
+    /// `probe` code columns, given that row's hash (ignored by a direct
+    /// table). Ascending after [`KeyTable::build`].
     pub fn matches(&self, probe: &[&[i64]], row: usize, hash: u64) -> Matches<'_> {
-        let slot = self.find(hash, |at| self.same_key(probe, row, at));
+        let item = match self.index {
+            Index::Hash(_) => self.slots[self.find(hash, |at| self.same_key(probe, row, at))],
+            Index::Direct(d) => d.slot(probe[0][row]).map_or(EMPTY, |s| self.slots[s]),
+        };
         Matches {
             rows: self.rows,
             next: &self.next,
-            item: self.slots[slot],
+            item,
+        }
+    }
+
+    /// The slot of item `i`'s own key: where it chains, or the one it
+    /// finds taken.
+    fn own_slot(&self, i: usize) -> usize {
+        let pos = self.rows[i] as usize;
+        match self.index {
+            Index::Hash(hashes) => self.find(hashes[pos], |at| self.same_key(self.keys, pos, at)),
+            Index::Direct(d) => d.slot(self.keys[0][pos]).expect("rows lie in the range"),
         }
     }
 
@@ -158,15 +239,44 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
+    /// What a table answers, whatever its arm: each probe row's matches
+    /// after [`KeyTable::build`], then an insert-if-absent sweep's first
+    /// occurrences and each probe row's answer from that unchained set.
+    type Answers = (Vec<Vec<u32>>, Vec<u32>, Vec<Vec<u32>>);
+
+    fn answers(
+        bkeys: &[&[i64]],
+        pkeys: &[&[i64]],
+        index: Index,
+        ph: &[u64],
+        rows: &[u32],
+    ) -> Answers {
+        let table = KeyTable::build(bkeys, index, rows);
+        let probe = |t: &KeyTable| -> Vec<Vec<u32>> {
+            (ph.iter().enumerate())
+                .map(|(r, &h)| t.matches(pkeys, r, h).collect())
+                .collect()
+        };
+        let matches = probe(&table);
+        let mut set = KeyTable::new(bkeys, index, rows);
+        let firsts = (0..rows.len())
+            .filter(|&i| set.insert_if_absent(i))
+            .map(|i| rows[i])
+            .collect();
+        (matches, firsts, probe(&set))
+    }
+
     /// Build over `rows`, probe with every row of `probe`, dedup `rows`
     /// — all against a `BTreeMap<tuple, positions>` reference. `hashes`
-    /// are the caller's, so a test can force collisions.
+    /// are the caller's, so a test can force collisions. Where the keys
+    /// admit a direct-index table ([`Direct::of`]), it must answer exactly
+    /// what the hash table does; returns whether one was built.
     fn check(
         build: &[Vec<i64>],
         probe: &[Vec<i64>],
         rows: &[u32],
         hash: impl Fn(&[&[i64]], usize) -> Vec<u64>,
-    ) {
+    ) -> bool {
         let bkeys: Vec<&[i64]> = build.iter().map(Vec::as_slice).collect();
         let pkeys: Vec<&[i64]> = probe.iter().map(Vec::as_slice).collect();
         let (bn, pn) = (build[0].len(), probe[0].len());
@@ -178,37 +288,37 @@ mod tests {
             want.entry(tuple(build, r as usize)).or_default().push(r);
         }
 
-        let table = KeyTable::build(&bkeys, &bh, rows);
-        for (r, &h) in ph.iter().enumerate() {
-            let got: Vec<u32> = table.matches(&pkeys, r, h).collect();
+        let hashed = answers(&bkeys, &pkeys, Index::Hash(&bh), &ph, rows);
+        let (matches, firsts, present) = &hashed;
+        for (r, got) in matches.iter().enumerate() {
             let expect = want.get(&tuple(probe, r)).cloned().unwrap_or_default();
             assert_eq!(
-                got, expect,
+                *got, expect,
                 "probe row {r} of {probe:?} in {build:?} over {rows:?}"
             );
         }
-
-        let mut set = KeyTable::new(&bkeys, &bh, rows);
-        let firsts: Vec<u32> = (0..rows.len())
-            .filter(|&i| set.insert_if_absent(i))
-            .map(|i| rows[i])
-            .collect();
         let mut expect: Vec<u32> = want.values().map(|v| v[0]).collect();
         expect.sort_unstable();
         assert_eq!(
-            firsts, expect,
+            *firsts, expect,
             "first occurrences of {build:?} over {rows:?}"
         );
         // The unchained table answers "present?" with its one row per key.
-        for (r, &h) in ph.iter().enumerate() {
-            let got: Vec<u32> = set.matches(&pkeys, r, h).collect();
+        for (r, got) in present.iter().enumerate() {
             let expect: Vec<u32> = want
                 .get(&tuple(probe, r))
                 .map(|v| v[0])
                 .into_iter()
                 .collect();
-            assert_eq!(got, expect);
+            assert_eq!(*got, expect);
         }
+
+        let Some(direct) = Direct::of(&bkeys, rows) else {
+            return false;
+        };
+        let direct = answers(&bkeys, &pkeys, Index::Direct(direct), &ph, rows);
+        assert_eq!(direct, hashed, "direct arm of {build:?} over {rows:?}");
+        true
     }
 
     fn all_rows(n: usize) -> Vec<u32> {
@@ -249,6 +359,71 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        /// One key column: the direct arm is taken exactly when the span
+        /// of the build rows fits [`direct_limit`], and then answers
+        /// exactly what the hash arm does — negative keys, probe keys
+        /// either side of the range, partitions of every stride.
+        #[test]
+        fn direct_arm_is_the_hash_arm(
+            raw in proptest::collection::vec(-40i64..40, 0..160),
+            probe in proptest::collection::vec(-70i64..70, 1..60),
+            spread in 0usize..3,
+            stride in 1usize..4,
+        ) {
+            let scale = [1i64, 7, 1_000][spread];
+            let build: Vec<i64> = raw.iter().map(|&v| v * scale).collect();
+            let probe: Vec<i64> = probe.iter().map(|&v| v * scale).collect();
+            let rows: Vec<u32> = (0..build.len() as u32).step_by(stride).collect();
+            let kept = rows.iter().map(|&r| build[r as usize]);
+            let span = kept.clone().max().zip(kept.min()).map(|(hi, lo)| (hi - lo + 1) as u128);
+            let direct = check(&[build], &[probe], &rows, hash_rows);
+            proptest::prop_assert_eq!(direct, span.is_none_or(|s| s <= direct_limit(rows.len())));
+        }
+    }
+
+    #[test]
+    fn direct_range_edges() {
+        // An empty build spans nothing: every probe misses.
+        assert!(check(&[Vec::new()], &[vec![0, i64::MIN]], &[], hash_rows));
+        // A span past `i64` (and past the limit) always hashes.
+        let wild = [vec![i64::MIN, 0, i64::MAX]];
+        assert!(!check(&wild, &[vec![i64::MAX, 1]], &all_rows(3), hash_rows));
+        assert!(!check(
+            &[vec![i64::MIN, i64::MAX]],
+            &wild,
+            &all_rows(2),
+            hash_rows
+        ));
+        // The extremes themselves index directly when they are the range.
+        let top = [vec![i64::MAX, i64::MAX - 2, i64::MAX]];
+        let probe = [vec![i64::MAX, i64::MAX - 1, i64::MIN, i64::MAX - 3, 0]];
+        assert!(check(&top, &probe, &all_rows(3), hash_rows));
+        let bottom = [vec![i64::MIN + 1, i64::MIN]];
+        let probe = [vec![i64::MIN, i64::MAX, i64::MIN + 2, -1]];
+        assert!(check(&bottom, &probe, &all_rows(2), hash_rows));
+        // Only the rows listed set the range: a row outside `rows` may
+        // hold any key.
+        assert!(check(
+            &[vec![3, i64::MIN, 5, 3]],
+            &[vec![3, 5, i64::MIN]],
+            &[0, 2, 3],
+            hash_rows
+        ));
+        // The limit is inclusive: 4 slots a row (64 at least).
+        let at = |slots: i64, rows: usize| {
+            let mut key = vec![0; rows];
+            key[rows - 1] = slots - 1;
+            Direct::of(&[&key], &all_rows(rows)).map(|d| d.slots())
+        };
+        assert_eq!(at(64, 2), Some(64));
+        assert_eq!(at(65, 2), None);
+        assert_eq!(at(400, 100), Some(400));
+        assert_eq!(at(401, 100), None);
+        // Two key columns never index directly.
+        assert_eq!(Direct::of(&[&[1, 2], &[1, 2]], &all_rows(2)), None);
+    }
+
     #[test]
     fn edge_shapes() {
         check(&[Vec::new()], &[vec![1, 2]], &[], hash_rows);
@@ -277,7 +452,7 @@ mod tests {
         let rows = all_rows(4);
         let keys: Vec<&[i64]> = build.iter().map(Vec::as_slice).collect();
         let hashes = vec![u64::MAX; 4];
-        let t = KeyTable::build(&keys, &hashes, &rows);
+        let t = KeyTable::build(&keys, Index::Hash(&hashes), &rows);
         assert_eq!(t.slots.len(), 8);
         assert_eq!(
             t.matches(&keys, 0, u64::MAX).collect::<Vec<_>>(),

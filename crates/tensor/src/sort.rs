@@ -70,11 +70,13 @@ pub struct Groups {
     pub hashed: bool,
 }
 
-/// Largest direct-index table, in slots, for `visited` grouped rows. The
-/// table is allocated at exactly the key span, so tiny inputs pay for
-/// tiny tables; above a few slots per row the hash table's O(distinct)
-/// footprint wins.
-fn direct_limit(visited: usize) -> u128 {
+/// Largest direct-index table, in slots, for `visited` rows — the one
+/// density rule of every table indexed by key value: [`group_rows`]'
+/// direct arm, the aggregate's code-indexed fold and
+/// [`crate::keytable::Direct`]. The table is allocated at exactly the key
+/// span, so tiny inputs pay for tiny tables; above a few slots per row
+/// the hash table's O(distinct) footprint wins.
+pub fn direct_limit(visited: usize) -> u128 {
     (visited.saturating_mul(4)).clamp(64, 1 << 30) as u128
 }
 

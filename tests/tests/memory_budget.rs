@@ -261,7 +261,7 @@ fn grouped_selection_fed_aggregate_charges_scratch_not_a_gather() {
         (ROWS as i64 / 100) * 97
     );
     let text = profile.pretty();
-    assert!(text.contains("keys: direct, selection-fed"), "{text}");
+    assert!(text.contains("keys: codes, selection-fed"), "{text}");
     // One worker's scratch at the default width: its window's mask (1 B a
     // row), the key's grouping codes (8 B), the group ids and four argument
     // buffers (4 B each) — 29 B a row, where copying the four referenced

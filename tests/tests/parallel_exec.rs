@@ -35,7 +35,9 @@ fn table(n: usize, seed: u64) -> Table {
 /// probes multi-match) plus 20/21, which never occur in `t` — LEFT JOIN
 /// probes hit the unmatched pass. `name` mirrors the same pattern over
 /// `t.tag`'s string domain (dictionary keys decode through different
-/// dicts on each side). 12 rows, so small morsels split the build.
+/// dicts on each side). `id` is a dense primary key 0..12, the target of
+/// a foreign-key join from `t.k`. 12 rows, so small morsels split the
+/// build.
 fn dim(seed: u64) -> Table {
     let ks: Vec<i64> = vec![0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 20, 21];
     let names: Vec<String> = ks.iter().map(|k| format!("g{k}")).collect();
@@ -44,6 +46,7 @@ fn dim(seed: u64) -> Table {
         .collect();
     TableBuilder::new()
         .col_i64("k", ks)
+        .col_i64("id", (0..12).collect())
         .col_str("name", &names)
         .col_f32("w", ws)
         .build("d")
@@ -116,6 +119,17 @@ const PIPELINES: &[&str] = &[
      FROM t WHERE v < 100.0 GROUP BY tag",
     "SELECT k, tag, SUM(v), MIN(v), MAX(v), STDDEV(v), COUNT(v > 0.0) FROM t \
      WHERE v > -5.0 GROUP BY k, tag",
+    // Dense keys index tables directly: a foreign-key join into the
+    // dense primary key `d.id` (and a join on a float key, whose span
+    // never does), DISTINCT over one dense key, and a dictionary GROUP BY
+    // over a bare scan with every accumulator kind — each against the
+    // hash tables and `group_rows` of the sequential oracle.
+    "SELECT t.v, t.k, d.w FROM t JOIN d ON t.k = d.id",
+    "SELECT s.v, d.name FROM (SELECT v, k FROM t WHERE v < 3.0) AS s LEFT JOIN d ON s.k = d.id",
+    "SELECT t.k, d.w FROM t JOIN d ON t.v = d.w",
+    "SELECT DISTINCT k FROM t WHERE v > 0.0",
+    "SELECT tag, SUM(v), SUM(k), AVG(v), MIN(v), MAX(v), VARIANCE(v), COUNT(v > 1.0), COUNT(*) \
+     FROM t GROUP BY tag",
 ];
 
 proptest! {
@@ -292,6 +306,12 @@ fn staged_barriers_match_sequential_oracle_at_tiny_morsels() {
         "SELECT v, k FROM t ORDER BY k DESC LIMIT 23",
         "SELECT DISTINCT k, tag FROM t",
         "SELECT DISTINCT t.k, d.w FROM t JOIN d ON t.k = d.k ORDER BY d.w DESC",
+        // One dense key: a direct-index table against the oracle's hash
+        // table — first occurrences, duplicate chains, unmatched rows.
+        "SELECT DISTINCT k FROM t",
+        "SELECT DISTINCT tag FROM t WHERE v > 0.0",
+        "SELECT t.v, d.w FROM t JOIN d ON t.k = d.id",
+        "SELECT t.v, d.name FROM t LEFT JOIN d ON t.k = d.id WHERE t.v < 0.0",
     ] {
         let oracle = run_at(&tdp, sql, 1);
         for threads in [2usize, 7] {
@@ -319,16 +339,22 @@ fn explain_and_profile_report_barrier_strategy() {
     assert!(text.contains("[merge-sort]"), "{text}");
 
     // Profiled runs report what actually happened: strategy with morsel
-    // counts on the barrier traces, partitions in the totals.
+    // counts on the barrier traces, partitions in the totals. `d.k`
+    // spans 22 values over 12 rows, so the join the plan staged as
+    // partitioned runs as one direct-index table the probe morsels
+    // share, chosen from the data — no exchange.
     let (_, prof) = q.run_profiled().unwrap();
     let join_op = prof
         .ops
         .iter()
         .find(|o| o.label.starts_with("Join"))
         .expect("join trace");
-    let strat = join_op.strategy.as_deref().expect("join strategy recorded");
-    assert!(strat.contains("partitioned ×16"), "{strat}");
-    assert!(strat.contains("probe morsels"), "{strat}");
+    assert_eq!(
+        join_op.strategy.as_deref(),
+        Some("direct-index (one table + 13 probe morsels)"),
+        "{}",
+        prof.pretty()
+    );
     let sort_op = prof
         .ops
         .iter()
@@ -339,6 +365,27 @@ fn explain_and_profile_report_barrier_strategy() {
         "{:?}",
         sort_op.strategy
     );
+    assert_eq!(prof.partitions, 0, "a direct-index join exchanges nothing");
+
+    // A float key spans far more codes than the build side has rows: the
+    // join is hashed and exchanged.
+    let sparse = tdp
+        .query("SELECT t.v, d.w FROM t JOIN d ON t.v = d.w")
+        .unwrap();
+    assert!(
+        sparse.explain().contains("[partitioned ×16]"),
+        "{}",
+        sparse.explain()
+    );
+    let (_, prof) = sparse.run_profiled().unwrap();
+    let join_op = prof
+        .ops
+        .iter()
+        .find(|o| o.label.starts_with("Join"))
+        .expect("join trace");
+    let strat = join_op.strategy.as_deref().expect("join strategy recorded");
+    assert!(strat.contains("partitioned ×16"), "{strat}");
+    assert!(strat.contains("probe morsels"), "{strat}");
     assert_eq!(prof.partitions, 16, "join exchange partitions in totals");
     assert!(
         prof.pretty().contains("partitioned ×16"),
@@ -369,13 +416,44 @@ fn explain_and_profile_report_barrier_strategy() {
         .expect("topk trace");
     assert!(topk_op.strategy.is_none(), "{:?}", topk_op.strategy);
 
-    // DISTINCT partitions too.
+    // DISTINCT partitions too — on a dictionary key of five entries, a
+    // direct-index sweep at run time.
     let distinct = tdp.query("SELECT DISTINCT tag FROM t").unwrap();
     assert!(
         distinct.explain().contains("[partitioned ×16]"),
         "{}",
         distinct.explain()
     );
+    let (_, prof) = distinct.run_profiled().unwrap();
+    let op = prof
+        .ops
+        .iter()
+        .find(|o| o.label.starts_with("Distinct"))
+        .expect("distinct trace");
+    assert_eq!(op.strategy.as_deref(), Some("direct-index (one sweep)"));
+    let (_, prof) = tdp
+        .query("SELECT DISTINCT v FROM t")
+        .unwrap()
+        .run_profiled()
+        .unwrap();
+    let op = prof
+        .ops
+        .iter()
+        .find(|o| o.label.starts_with("Distinct"))
+        .expect("distinct trace");
+    assert_eq!(
+        op.strategy.as_deref(),
+        Some("partitioned ×16 (13 morsels)"),
+        "{}",
+        prof.pretty()
+    );
+    // A dictionary GROUP BY folds into its codes' slots.
+    let (_, prof) = tdp
+        .query("SELECT tag, COUNT(*) AS n FROM t GROUP BY tag")
+        .unwrap()
+        .run_profiled()
+        .unwrap();
+    assert!(prof.pretty().contains("keys: codes"), "{}", prof.pretty());
 
     // Single-threaded sessions render the sequential decision…
     tdp.set_threads(1);
