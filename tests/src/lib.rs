@@ -1,9 +1,15 @@
 //! Shared fixtures for the cross-crate integration tests.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use tdp_core::encoding::EncodedTensor;
 use tdp_core::exec::{ArgValue, ExecContext, ExecError};
 use tdp_core::storage::{Table, TableBuilder};
+use tdp_core::tensor::{F32Tensor, Rng64, Tensor};
 use tdp_core::{ArgType, FunctionSpec, ScalarUdf, Volatility};
+
+pub mod lattice;
 
 /// A small orders/items fixture used by several SQL integration tests.
 pub fn orders_table() -> Table {
@@ -124,4 +130,75 @@ impl ScalarUdf for HalveUdf {
             args[0].as_column()?.decode_f32().mul_scalar(0.5),
         ))
     }
+}
+
+/// `f(x) = 2x + 1`, counting its invocations. Thread-safe, so it runs on
+/// the worker pool when registered with `register_udf_parallel`.
+pub struct Counting {
+    pub volatility: Volatility,
+    pub calls: Arc<AtomicUsize>,
+}
+
+impl ScalarUdf for Counting {
+    fn name(&self) -> &str {
+        "f"
+    }
+    fn spec(&self) -> FunctionSpec {
+        FunctionSpec::scalar("f", vec![ArgType::Column])
+            .volatility(self.volatility)
+            .parallel_safe(true)
+    }
+    fn invoke(&self, args: &[ArgValue], _: &ExecContext) -> Result<EncodedTensor, ExecError> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        let x = args[0].as_column()?.decode_f32();
+        Ok(EncodedTensor::F32(x.mul_scalar(2.0).add_scalar(1.0)))
+    }
+}
+
+/// `t(k, x)`: `k` ascending (so zone maps prune on it), `x ~ N(0, 1)`.
+pub fn normal_table(rows: usize) -> Table {
+    let mut rng = Rng64::new(44);
+    TableBuilder::new()
+        .col_i64("k", (0..rows as i64).collect())
+        .col_f32("x", (0..rows).map(|_| rng.normal() as f32).collect())
+        .build("t")
+}
+
+/// A table whose `v` column is block-ordered: chunk-sized runs of rising
+/// values, so range predicates can rule out whole 4096-row chunks. `k`
+/// cycles 0..=9 (never prunable), `tag` exercises dictionary columns.
+pub fn blocked_table(rows: usize) -> Table {
+    let vs: Vec<f32> = (0..rows).map(|i| i as f32).collect();
+    let ks: Vec<i64> = (0..rows).map(|i| (i % 10) as i64).collect();
+    let tags: Vec<String> = (0..rows).map(|i| format!("g{}", i % 4)).collect();
+    TableBuilder::new()
+        .col_f32("v", vs)
+        .col_i64("k", ks)
+        .col_str("tag", &tags)
+        .build("t")
+}
+
+/// Clustered embeddings: `nclusters` well-separated centers with small
+/// jitter, so IVF's k-means finds real structure and recall is stable.
+pub fn clustered_vectors(n: usize, d: usize, nclusters: usize, seed: u64) -> F32Tensor {
+    let mut rng = Rng64::new(seed);
+    let centers = F32Tensor::randn(&[nclusters, d], 0.0, 10.0, &mut rng);
+    let jitter = F32Tensor::randn(&[n, d], 0.0, 0.1, &mut rng);
+    let mut data = Vec::with_capacity(n * d);
+    for i in 0..n {
+        let c = i % nclusters;
+        for j in 0..d {
+            data.push(centers.data()[c * d + j] + jitter.data()[i * d + j]);
+        }
+    }
+    Tensor::from_vec(data, &[n, d])
+}
+
+/// `vecs(id, emb)`: `n` rows of [`clustered_vectors`] in 8 clusters.
+pub fn vecs_table(n: usize, d: usize, seed: u64) -> Table {
+    let ids: Vec<i64> = (0..n as i64).collect();
+    TableBuilder::new()
+        .col_i64("id", ids)
+        .col_tensor("emb", clustered_vectors(n, d, 8, seed))
+        .build("vecs")
 }

@@ -10,26 +10,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tdp_core::encoding::EncodedTensor;
-use tdp_core::exec::{ArgValue, ExecContext, ExecError};
 use tdp_core::storage::{Table, TableBuilder};
 use tdp_core::tensor::{F32Tensor, Rng64, Tensor};
-use tdp_core::{ArgType, FunctionSpec, ParamValue, ParamValues, ScalarUdf, StatementOutcome, Tdp};
-use tdp_integration::assert_tables_identical;
-
-/// A table whose `v` column is block-ordered: chunk-sized runs of rising
-/// values, so range predicates can rule out whole 4096-row chunks. `k`
-/// cycles 0..=9 (never prunable), `tag` exercises dictionary columns.
-fn blocked_table(rows: usize) -> Table {
-    let vs: Vec<f32> = (0..rows).map(|i| i as f32).collect();
-    let ks: Vec<i64> = (0..rows).map(|i| (i % 10) as i64).collect();
-    let tags: Vec<String> = (0..rows).map(|i| format!("g{}", i % 4)).collect();
-    TableBuilder::new()
-        .col_f32("v", vs)
-        .col_i64("k", ks)
-        .col_str("tag", &tags)
-        .build("t")
-}
+use tdp_core::{ParamValue, ParamValues, StatementOutcome, Tdp, Volatility};
+use tdp_integration::{
+    assert_tables_identical, blocked_table, clustered_vectors, vecs_table, Counting,
+};
 
 // ----------------------------------------------------------------------
 // Zone-map pruning: byte identity across the whole knob matrix
@@ -211,23 +197,6 @@ fn limit_early_exit_scans_the_same_morsels_at_every_thread_count() {
     assert_eq!(scanned.len(), 1, "morsels_scanned varied: {scanned:?}");
 }
 
-/// `f(x) = 2x + 1`, counting its invocations.
-struct CountingF(Arc<AtomicUsize>);
-
-impl ScalarUdf for CountingF {
-    fn name(&self) -> &str {
-        "f"
-    }
-    fn spec(&self) -> FunctionSpec {
-        FunctionSpec::scalar("f", vec![ArgType::Column]).parallel_safe(true)
-    }
-    fn invoke(&self, args: &[ArgValue], _: &ExecContext) -> Result<EncodedTensor, ExecError> {
-        self.0.fetch_add(1, Ordering::Relaxed);
-        let x = args[0].as_column()?.decode_f32();
-        Ok(EncodedTensor::F32(x.mul_scalar(2.0).add_scalar(1.0)))
-    }
-}
-
 /// A chain pinned to the session thread by a session-local UDF prunes
 /// the morsels its scan's zone maps rule out, exactly as the same chain
 /// on the workers does: same bytes, same pruned count, and the session
@@ -250,7 +219,10 @@ fn a_pinned_chain_prunes_like_a_parallel_one() {
         tdp.set_zone_maps(true);
         tdp.set_chain_kernels(true);
         let calls = Arc::new(AtomicUsize::new(0));
-        let f = Arc::new(CountingF(Arc::clone(&calls)));
+        let f = Arc::new(Counting {
+            volatility: Volatility::Volatile,
+            calls: Arc::clone(&calls),
+        });
         match local {
             true => tdp.register_udf(f),
             false => tdp.register_udf_parallel(f),
@@ -308,30 +280,6 @@ fn explain_renders_access_paths() {
 // ----------------------------------------------------------------------
 // AnnTopK: flat byte-identity oracle, IVF recall bound, DDL round trip
 // ----------------------------------------------------------------------
-
-/// Clustered embeddings: `nclusters` well-separated centers with small
-/// jitter, so IVF's k-means finds real structure and recall is stable.
-fn clustered_vectors(n: usize, d: usize, nclusters: usize, seed: u64) -> F32Tensor {
-    let mut rng = Rng64::new(seed);
-    let centers = F32Tensor::randn(&[nclusters, d], 0.0, 10.0, &mut rng);
-    let jitter = F32Tensor::randn(&[n, d], 0.0, 0.1, &mut rng);
-    let mut data = Vec::with_capacity(n * d);
-    for i in 0..n {
-        let c = i % nclusters;
-        for j in 0..d {
-            data.push(centers.data()[c * d + j] + jitter.data()[i * d + j]);
-        }
-    }
-    Tensor::from_vec(data, &[n, d])
-}
-
-fn vecs_table(n: usize, d: usize, seed: u64) -> Table {
-    let ids: Vec<i64> = (0..n as i64).collect();
-    TableBuilder::new()
-        .col_i64("id", ids)
-        .col_tensor("emb", clustered_vectors(n, d, 8, seed))
-        .build("vecs")
-}
 
 fn query_vec(d: usize, seed: u64) -> F32Tensor {
     let mut rng = Rng64::new(seed);

@@ -9,35 +9,12 @@ use std::sync::Arc;
 use tdp_core::autodiff::Var;
 use tdp_core::encoding::EncodedTensor;
 use tdp_core::exec::{ArgValue, ExecContext, ExecError};
-use tdp_core::storage::TableBuilder;
-use tdp_core::tensor::{Rng64, Tensor};
-use tdp_core::{ArgType, FunctionSpec, ScalarUdf, Tdp, Volatility};
-use tdp_integration::assert_tables_identical;
+use tdp_core::tensor::Tensor;
+use tdp_core::{FunctionSpec, ScalarUdf, Tdp, Volatility};
+use tdp_integration::{assert_tables_identical, normal_table, Counting};
 
 const ROWS: usize = 20_000;
 const MORSEL: usize = 2_000;
-
-/// `f(x) = 2x + 1`, counting its invocations.
-struct Counting {
-    volatility: Volatility,
-    calls: Arc<AtomicUsize>,
-}
-
-impl ScalarUdf for Counting {
-    fn name(&self) -> &str {
-        "f"
-    }
-    fn spec(&self) -> FunctionSpec {
-        FunctionSpec::scalar("f", vec![ArgType::Column])
-            .volatility(self.volatility)
-            .parallel_safe(true)
-    }
-    fn invoke(&self, args: &[ArgValue], _: &ExecContext) -> Result<EncodedTensor, ExecError> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        let x = args[0].as_column()?.decode_f32();
-        Ok(EncodedTensor::F32(x.mul_scalar(2.0).add_scalar(1.0)))
-    }
-}
 
 /// [`Counting`] with a trainable parameter, which puts the call on the
 /// tape. Its `Var` keeps it on the session thread.
@@ -74,16 +51,9 @@ fn register(tdp: &Tdp, volatility: Volatility, local: bool) -> Arc<AtomicUsize> 
     calls
 }
 
-/// `t(k, x)`: `k` ascending (so zone maps prune on it), `x ~ N(0, 1)`.
 fn fixture() -> Tdp {
     let tdp = Tdp::new();
-    let mut rng = Rng64::new(44);
-    tdp.register_table(
-        TableBuilder::new()
-            .col_i64("k", (0..ROWS as i64).collect())
-            .col_f32("x", (0..ROWS).map(|_| rng.normal() as f32).collect())
-            .build("t"),
-    );
+    tdp.register_table(normal_table(ROWS));
     tdp
 }
 

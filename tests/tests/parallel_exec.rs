@@ -133,40 +133,42 @@ const PIPELINES: &[&str] = &[
 ];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// `run()` returns identical batches — values *and* column order —
-    /// at every thread count, on random tables across random pipeline
-    /// shapes, with morsels small enough that every query splits.
+    /// at every thread count, on random tables across every pipeline
+    /// shape, with morsels small enough that every query splits. Each
+    /// case runs all of [`PIPELINES`], so no shape depends on which
+    /// cases the generator draws.
     #[test]
     fn run_is_identical_across_thread_counts(
         seed in 1u64..1_000_000,
         rows in 1usize..400,
         morsel in 1usize..64,
-        which in 0usize..PIPELINES.len(),
     ) {
         let tdp = Tdp::new();
         tdp.register_table(table(rows, seed));
         tdp.register_table(dim(seed));
         tdp.set_morsel_rows(morsel);
-        let sql = PIPELINES[which];
-        // threads=1 takes the sequential kernels (the oracle); higher
-        // thread counts take the staged barrier paths, with chain
-        // kernels off (gathered barrier inputs) and on (selection-fed
-        // where the chain qualifies).
-        let one = run_at(&tdp, sql, 1);
-        for kernels in [false, true] {
-            tdp.set_chain_kernels(kernels);
-            for threads in [2usize, 7] {
-                let out = run_at(&tdp, sql, threads);
-                assert_tables_identical(
-                    &one,
-                    &out,
-                    &format!("{sql} @ {threads} threads kernels={kernels}"),
-                );
+        for sql in PIPELINES {
+            // threads=1 takes the sequential kernels (the oracle); higher
+            // thread counts take the staged barrier paths, with chain
+            // kernels off (gathered barrier inputs) and on (selection-fed
+            // where the chain qualifies).
+            tdp.set_chain_kernels(false);
+            let one = run_at(&tdp, sql, 1);
+            for kernels in [false, true] {
+                tdp.set_chain_kernels(kernels);
+                for threads in [2usize, 7] {
+                    let out = run_at(&tdp, sql, threads);
+                    assert_tables_identical(
+                        &one,
+                        &out,
+                        &format!("{sql} @ {threads} threads kernels={kernels}"),
+                    );
+                }
             }
         }
-        tdp.set_chain_kernels(false);
     }
 
     /// A query applying a `parallel_safe` declared-signature UDF — which
