@@ -1,20 +1,11 @@
-//! Plan passes: rewrites of a lowered plan into a cheaper plan with the
-//! same result bytes and output names. [`crate::physical::lower`] runs
-//! them once, after names resolve to slots, in the order [`run`] lists;
-//! EXPLAIN, fingerprints and both executors see only the result.
+//! The compute-once pass.
 
 use tdp_sql::ast::BinOp;
 
 use crate::diff::plan_on_tape;
-use crate::physical::{
-    choose_scan_access, ColumnRef, CompiledExpr, PhysProjectItem, PhysicalPlan, ScanAccess,
-};
+use crate::passes::access_paths::choose_scan_access;
+use crate::physical::{ColumnRef, CompiledExpr, PhysProjectItem, PhysicalPlan, ScanAccess};
 use crate::udf::{UdfRegistry, Volatility};
-
-/// Every pass, in order.
-pub(crate) fn run(plan: PhysicalPlan, udfs: &UdfRegistry) -> PhysicalPlan {
-    compute_once(plan, udfs)
-}
 
 /// **A repeated call is computed once.** When a deterministic call off
 /// the tape appears both in a filter's predicate and in the operator the
@@ -27,7 +18,7 @@ pub(crate) fn run(plan: PhysicalPlan, udfs: &UdfRegistry) -> PhysicalPlan {
 /// The result is the plan the derived-table form `SELECT … FROM (SELECT
 /// f(x) AS s, … FROM t) WHERE s > ?` lowers to, so the executors need
 /// nothing new. A plan with no such pair leaves after one read-only walk.
-fn compute_once(plan: PhysicalPlan, udfs: &UdfRegistry) -> PhysicalPlan {
+pub(super) fn compute_once(plan: PhysicalPlan, udfs: &UdfRegistry) -> PhysicalPlan {
     if !any_node(&plan, &mut |p| !shared_calls(p, udfs).is_empty()) {
         return plan;
     }
