@@ -14,6 +14,7 @@
 //!       ── plan  ──► LogicalPlan          (tdp-sql: relational algebra)
 //!       ── optimize► LogicalPlan          (rule fixpoint: folding, pushdown, fusion)
 //!       ── lower ──► PhysicalPlan         (physical::lower — THE compile step)
+//!       ── passes ─► PhysicalPlan         (passes::run: compute-once, access paths)
 //!       ── decompose► PipeNode            (pipeline::decompose — fused chains + barriers)
 //!                      │
 //!          ┌───────────┴──────────────────────┐
@@ -46,7 +47,8 @@
 //! reference to a **slot index** ([`physical::CompiledExpr`]). It also
 //! resolves functions (session UDF vs. built-in kernel), lowers scalar
 //! subqueries into nested physical plans, and type-checks what can be
-//! checked statically.
+//! checked statically. Plan decisions are the passes it then runs over
+//! the statement's plan and over every scalar subquery's.
 //!
 //! ## Morsel-driven execution
 //!
@@ -153,9 +155,14 @@
 //! ## Module map
 //!
 //! ```text
-//!   physical   lower(): LogicalPlan → PhysicalPlan, CompiledExpr; one walk each
-//!              (CompiledExpr::find_map; PhysicalPlan::find_map: node, subquery
-//!              plans, children — behind params, scans, names, signature checks)
+//!   physical   plan types, their walks and EXPLAIN (CompiledExpr::find_map;
+//!              PhysicalPlan::find_map: node, subquery plans, children — behind
+//!              params, scans, names, signature checks)
+//!     └ lower      lower(): LogicalPlan → PhysicalPlan, names → slots, calls bound;
+//!                  the declared-argument check
+//!   passes     every plan decision, in run()'s order, over every lowered plan
+//!     ├ compute_once   a call a filter shares with its consumer, computed once
+//!     └ access_paths   zone-map pruners, the ANN top-k leaf (ann_shape)
 //!   pipeline   decompose(): fused chains + barriers; THE exact walker; EXPLAIN
 //!   morsel     everything staged on the worker pool
 //!     ├ sched      worker contexts, the one spawn site, the one claim loop, exchange

@@ -1,4 +1,4 @@
-//! Access paths: how each base-table read reaches its rows.
+//! The access-path pass: how each base-table read reaches its rows.
 
 use tdp_index::Metric;
 use tdp_sql::ast::LimitCount;
@@ -9,17 +9,33 @@ use crate::physical::{
     ColumnRef, CompiledExpr, PhysOrderKey, PhysProjectItem, PhysicalPlan, ScalarFn, ScanAccess,
 };
 
+/// **Each base-table read gets its access path.** A filter directly
+/// over a scan gives the scan a zone-map pruner; a top-k the ANN leaf
+/// serves becomes [`PhysicalPlan::AnnTopK`]. Every other node, and a scan
+/// with no filter above it, is left as lowered.
+pub(super) fn access_paths(plan: PhysicalPlan, catalog: &Catalog) -> PhysicalPlan {
+    match plan.map_children(|c| access_paths(c, catalog)) {
+        PhysicalPlan::Filter {
+            predicate,
+            mut input,
+        } => {
+            choose_scan_access(&predicate, &mut input);
+            PhysicalPlan::Filter { predicate, input }
+        }
+        PhysicalPlan::TopK { keys, n, input } => match ann_shape(&keys, &input) {
+            Ok(shape) => lower_ann_topk(shape, n, catalog),
+            Err(_) => PhysicalPlan::TopK { keys, n, input },
+        },
+        plan => plan,
+    }
+}
+
 /// A filter directly over a base-table scan is the zone-map access-path
 /// decision point: compile the eligible conjuncts of `predicate` into a
 /// pruner for the scan `input` (or record why none were eligible). Any
-/// other input, or a scan whose access is already decided, is left as is.
-pub(crate) fn choose_scan_access(predicate: &CompiledExpr, input: &mut PhysicalPlan) {
-    if let PhysicalPlan::Scan {
-        schema,
-        access: access @ ScanAccess::Full,
-        ..
-    } = input
-    {
+/// other input is left as is.
+fn choose_scan_access(predicate: &CompiledExpr, input: &mut PhysicalPlan) {
+    if let PhysicalPlan::Scan { schema, access, .. } = input {
         *access = if schema.is_none() {
             ScanAccess::Unpruned("schema-unresolved")
         } else {
@@ -46,7 +62,7 @@ pub(crate) struct AnnShape<'p> {
 }
 
 /// Whether `ORDER BY keys` over `input` is a vector top-k the ANN leaf
-/// serves — decided once, here, for lowering and for EXPLAIN's TopK
+/// serves — decided once, here, for the pass and for EXPLAIN's TopK
 /// line: the leaf's shape, or the named reason it stays a full-scan
 /// TopK (`Err(None)`: no vector function in the keys, an ordinary
 /// top-k).
@@ -131,11 +147,7 @@ pub(crate) fn ann_shape<'p>(
 /// Lower an [`ann_shape`] to [`PhysicalPlan::AnnTopK`]. The path is
 /// chosen here at compile time: a registered index on `(table, column)`
 /// with a matching metric selects IVF; otherwise flat exact.
-pub(crate) fn lower_ann_topk(
-    shape: AnnShape<'_>,
-    n: LimitCount,
-    catalog: &Catalog,
-) -> PhysicalPlan {
+fn lower_ann_topk(shape: AnnShape<'_>, n: LimitCount, catalog: &Catalog) -> PhysicalPlan {
     let AnnShape {
         metric,
         table,

@@ -3,8 +3,7 @@
 use tdp_sql::ast::BinOp;
 
 use crate::diff::plan_on_tape;
-use crate::passes::access_paths::choose_scan_access;
-use crate::physical::{ColumnRef, CompiledExpr, PhysProjectItem, PhysicalPlan, ScanAccess};
+use crate::physical::{ColumnRef, CompiledExpr, PhysProjectItem, PhysicalPlan};
 use crate::udf::{UdfRegistry, Volatility};
 
 /// **A repeated call is computed once.** When a deterministic call off
@@ -153,17 +152,13 @@ fn slot_calls(
             &mut cols,
         );
     }
-    let mut input = *input;
-    if let PhysicalPlan::Scan { access, .. } = &mut input {
-        *access = ScanAccess::Full;
-    }
-    if let Some(rest) = and_all(rest) {
-        choose_scan_access(&rest, &mut input);
-        input = PhysicalPlan::Filter {
+    let input = match and_all(rest) {
+        Some(rest) => Box::new(PhysicalPlan::Filter {
             predicate: rest,
-            input: Box::new(input),
-        };
-    }
+            input,
+        }),
+        None => input,
+    };
     let items = (calls.iter().enumerate())
         .map(|(k, call)| PhysProjectItem {
             name: slot_name(k),
@@ -176,10 +171,7 @@ fn slot_calls(
         .collect();
     PhysicalPlan::Filter {
         predicate,
-        input: Box::new(PhysicalPlan::Project {
-            items,
-            input: Box::new(input),
-        }),
+        input: Box::new(PhysicalPlan::Project { items, input }),
     }
 }
 

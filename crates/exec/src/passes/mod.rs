@@ -1,7 +1,23 @@
-//! Plan passes: rewrites of a lowered plan into a cheaper plan with the
-//! same result bytes and output names. [`crate::physical::lower`] runs
-//! them once, after names resolve to slots, in the order [`run`] lists;
-//! EXPLAIN, fingerprints and both executors see only the result.
+//! Plan passes: rewrites of a lowered plan into a plan with the same
+//! result bytes and output names. [`crate::physical::lower`] only
+//! resolves names to slots and binds function calls; every plan decision
+//! is a pass here, and [`run`] is the one place their order is written.
+//! `lower` runs them once over the statement's plan, and once over each
+//! scalar subquery's plan as it is lowered, so a subquery is planned like
+//! a statement. EXPLAIN, fingerprints and both executors see only the
+//! result.
+//!
+//! Two passes, in this order:
+//! 1. [`compute_once`](compute_once::compute_once): a deterministic call
+//!    shared by a filter and the aggregate or projection it feeds is
+//!    computed once, into a slot. It splits the filter, so it runs first,
+//!    over scans whose access nothing has decided yet.
+//! 2. [`access_paths`](access_paths::access_paths): a filter directly over
+//!    a scan gives it a zone-map pruner, and a vector top-k the ANN leaf
+//!    serves becomes one. It runs last, so it sees the filters the
+//!    plan finally has.
+
+use tdp_storage::Catalog;
 
 use crate::physical::PhysicalPlan;
 use crate::udf::UdfRegistry;
@@ -10,6 +26,7 @@ pub(crate) mod access_paths;
 mod compute_once;
 
 /// Every pass, in order.
-pub(crate) fn run(plan: PhysicalPlan, udfs: &UdfRegistry) -> PhysicalPlan {
-    compute_once::compute_once(plan, udfs)
+pub(crate) fn run(plan: PhysicalPlan, catalog: &Catalog, udfs: &UdfRegistry) -> PhysicalPlan {
+    let plan = compute_once::compute_once(plan, udfs);
+    access_paths::access_paths(plan, catalog)
 }

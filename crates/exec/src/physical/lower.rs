@@ -15,16 +15,15 @@ use super::{
 };
 use crate::error::ExecError;
 use crate::params::ParamValue;
-use crate::passes::access_paths::{ann_shape, choose_scan_access, lower_ann_topk};
 use crate::udf::{ArgType, UdfRegistry};
 
 /// Lower a logical plan into a slot-resolved physical plan. This is the
 /// single compile step shared by the exact and differentiable executors:
 /// schema propagation, column→slot resolution, function resolution and
-/// scalar-subquery lowering all happen here, once. The plan passes then
-/// run over the result, in the order `passes.rs` lists them: today one,
-/// which computes a deterministic call shared by a filter and the
-/// aggregate or projection it feeds once, into a slot (`#0` in EXPLAIN).
+/// scalar-subquery lowering all happen here, once. Lowering makes no plan
+/// decision: the plan passes (`passes::run`) then run over the result,
+/// and over each scalar subquery's plan, in the order they are listed
+/// there — compute-once, then access paths (zone-map pruners, ANN top-k).
 ///
 /// A statement's result columns are addressed by name, case-insensitively
 /// (as batches resolve names), so its output schema — after `*`
@@ -45,7 +44,7 @@ pub fn lower(
             )));
         }
     }
-    Ok(crate::passes::run(physical, udfs))
+    Ok(crate::passes::run(physical, catalog, udfs))
 }
 
 fn lower_node(
@@ -136,9 +135,8 @@ fn lower_node(
             ))
         }
         LogicalPlan::Filter { predicate, input } => {
-            let (mut inp, schema) = lower_node(input, catalog, udfs)?;
+            let (inp, schema) = lower_node(input, catalog, udfs)?;
             let predicate = lower_expr(predicate, schema.as_ref(), catalog, udfs)?;
-            choose_scan_access(&predicate, &mut inp);
             Ok((
                 PhysicalPlan::Filter {
                     predicate,
@@ -281,9 +279,6 @@ fn lower_node(
         LogicalPlan::TopK { keys, n, input } => {
             let (inp, schema) = lower_node(input, catalog, udfs)?;
             let keys = lower_order_keys(keys, schema.as_ref(), catalog, udfs)?;
-            if let Ok(shape) = ann_shape(&keys, &inp) {
-                return Ok((lower_ann_topk(shape, *n, catalog), schema));
-            }
             Ok((
                 PhysicalPlan::TopK {
                     keys,
@@ -600,6 +595,7 @@ pub fn lower_expr(
             .map_err(|e| ExecError::Unsupported(format!("scalar subquery: {e}")))?;
             let plan = tdp_sql::optimizer::optimize(plan);
             let (sub, _) = lower_node(&plan, catalog, udfs)?;
+            let sub = crate::passes::run(sub, catalog, udfs);
             Ok(CompiledExpr::ScalarSubquery(Arc::new(sub)))
         }
         Expr::Aggregate { .. } => Err(ExecError::Unsupported(

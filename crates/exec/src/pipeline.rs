@@ -138,8 +138,8 @@ pub enum PipeNode<'p> {
     Scan {
         table: &'p str,
         schema: Option<&'p [String]>,
-        /// The access path decided at lower time; a pipeline fed directly
-        /// by a pruned scan consults it for a per-morsel skip mask.
+        /// The access path the access-path pass decided; a pipeline fed
+        /// directly by a pruned scan consults it for a per-morsel skip mask.
         access: &'p ScanAccess,
     },
     /// A pipeline whose sink is an order-preserving concat of morsel

@@ -259,6 +259,24 @@ fn a_pinned_chain_prunes_like_a_parallel_one() {
     }
 }
 
+/// A scalar subquery's scan prunes like a statement's, and returns the
+/// bytes it returns with zone maps off.
+#[test]
+fn a_scalar_subquery_prunes_its_scan() {
+    let tdp = Tdp::new();
+    tdp.register_table(blocked_table(10_000));
+    tdp.set_morsel_rows(1024);
+    // The outer scan has no filter, so only the subquery can prune.
+    let sql = "SELECT (SELECT SUM(v) FROM t WHERE v < 100) AS s FROM t LIMIT 1";
+    tdp.set_zone_maps(false);
+    let want = tdp.query(sql).unwrap().run().unwrap();
+    tdp.set_zone_maps(true);
+    let before = tdp.engine().access_path_stats().morsels_pruned;
+    let got = tdp.query(sql).unwrap().run().unwrap();
+    assert!(tdp.engine().access_path_stats().morsels_pruned > before);
+    assert_tables_identical(&got, &want, sql);
+}
+
 #[test]
 fn explain_renders_access_paths() {
     let tdp = Tdp::new();

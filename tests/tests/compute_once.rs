@@ -103,6 +103,21 @@ fn a_deterministic_call_in_a_filter_and_its_aggregate_runs_once_per_morsel() {
     assert_eq!(invocations(on_tape, SHARED), 2);
 }
 
+/// A scalar subquery is planned like a statement: its shared call runs
+/// once per morsel too, and it returns the bytes of its top-level twin.
+#[test]
+fn a_shared_call_inside_a_scalar_subquery_runs_once_per_morsel() {
+    let nested = "SELECT (SELECT SUM(f(x)) FROM t WHERE f(x) > 0.5) AS s FROM t LIMIT 1";
+    let on_pool = |tdp: &Tdp| register(tdp, Volatility::Immutable, false);
+    assert_eq!(invocations(on_pool, nested), ROWS / MORSEL);
+    let tdp = fixture();
+    register(&tdp, Volatility::Immutable, false);
+    let got = tdp.query(nested).unwrap().run().unwrap();
+    let top = "SELECT SUM(f(x)) AS s FROM t WHERE f(x) > 0.5";
+    let want = tdp.query(top).unwrap().run().unwrap();
+    assert_tables_identical(&got, &want, nested);
+}
+
 #[test]
 fn explain_shows_the_slot_and_the_exact_conjunct_still_prunes() {
     let tdp = fixture();

@@ -79,6 +79,10 @@ fn render() -> String {
             "bound at bind time",
             "SELECT COUNT(*) AS c FROM t WHERE v < ?",
         ),
+        (
+            "in a scalar subquery",
+            "SELECT (SELECT SUM(v) FROM t WHERE v < 100) AS s FROM t LIMIT 1",
+        ),
     ] {
         block(&mut out, &tdp, &format!("zone maps: {name}"), sql);
     }
@@ -132,6 +136,7 @@ fn render() -> String {
         "SELECT k, f(x) AS y FROM t WHERE f(x) > 2.5",
         "SELECT f(x) AS y, COUNT(*) AS c FROM t WHERE f(x) > 4 GROUP BY f(x) ORDER BY y",
         "SELECT COUNT(*) AS n, AVG(sqrt(x)) AS a FROM t WHERE sqrt(x) < 0.5 AND x <> 0.25",
+        "SELECT (SELECT SUM(f(x)) FROM t WHERE f(x) > 0.5) AS s FROM t LIMIT 1",
     ] {
         block(&mut out, &tdp, "compute once", sql);
     }
