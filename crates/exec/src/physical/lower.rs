@@ -22,8 +22,7 @@ use crate::udf::{ArgType, UdfRegistry};
 /// schema propagation, column→slot resolution, function resolution and
 /// scalar-subquery lowering all happen here, once. Lowering makes no plan
 /// decision: the plan passes (`passes::run`) then run over the result,
-/// and over each scalar subquery's plan, in the order they are listed
-/// there — compute-once, then access paths (zone-map pruners, ANN top-k).
+/// as over each scalar subquery's plan.
 ///
 /// A statement's result columns are addressed by name, case-insensitively
 /// (as batches resolve names), so its output schema — after `*`
