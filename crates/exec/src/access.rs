@@ -1,10 +1,10 @@
 //! Access-path planning: zone-map chunk pruning and ANN top-k.
 //!
 //! This module is the planner half of the engine's two index-accelerated
-//! access paths. Both are chosen **at `prepare()` time** by the
-//! access-path pass that [`crate::physical::lower`] runs, and carried on
-//! the physical plan, so they compose with the normalized plan cache
-//! (parameter-slot bounds are resolved at bind time, not compile time).
+//! access paths. Both are chosen **at `prepare()` time** by
+//! `passes::access_paths` and carried on the physical plan, so they
+//! compose with the normalized plan cache (parameter-slot bounds are
+//! resolved at bind time, not compile time).
 //!
 //! ## Zone-map pruning — eligibility rules
 //!
@@ -495,10 +495,9 @@ fn bound_of(expr: &CompiledExpr) -> Option<PruneBound> {
 // ANN access path
 // ----------------------------------------------------------------------
 
-/// How an `AnnTopK` node reaches its vectors, chosen at compile time (by
-/// the access-path pass) from the catalog's index registry and
-/// re-validated at execution (a stale IVF plan silently degrades to the
-/// exact flat path).
+/// How an `AnnTopK` node reaches its vectors, chosen from the catalog's
+/// index registry (`passes::access_paths`) and re-validated at execution
+/// (a stale IVF plan silently degrades to the exact flat path).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnnPath {
     /// Exact brute-force scoring — the default, byte-identical to the

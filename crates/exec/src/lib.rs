@@ -47,8 +47,7 @@
 //! reference to a **slot index** ([`physical::CompiledExpr`]). It also
 //! resolves functions (session UDF vs. built-in kernel), lowers scalar
 //! subqueries into nested physical plans, and type-checks what can be
-//! checked statically. Plan decisions are the passes it then runs over
-//! the statement's plan and over every scalar subquery's.
+//! checked statically.
 //!
 //! ## Morsel-driven execution
 //!
@@ -155,14 +154,10 @@
 //! ## Module map
 //!
 //! ```text
-//!   physical   plan types, their walks and EXPLAIN (CompiledExpr::find_map;
-//!              PhysicalPlan::find_map: node, subquery plans, children — behind
-//!              params, scans, names, signature checks)
-//!     └ lower      lower(): LogicalPlan → PhysicalPlan, names → slots, calls bound;
-//!                  the declared-argument check
-//!   passes     every plan decision, in run()'s order, over every lowered plan
-//!     ├ compute_once   a call a filter shares with its consumer, computed once
-//!     └ access_paths   zone-map pruners, the ANN top-k leaf (ann_shape)
+//!   physical   plan types, walks (CompiledExpr/PhysicalPlan::find_map: behind params,
+//!              scans, names, signature checks), EXPLAIN; lower.rs: lower() — names
+//!              → slots, calls bound — and the declared-argument check
+//!   passes     every plan decision: compute_once, then access_paths (ann_shape)
 //!   pipeline   decompose(): fused chains + barriers; THE exact walker; EXPLAIN
 //!   morsel     everything staged on the worker pool
 //!     ├ sched      worker contexts, the one spawn site, the one claim loop, exchange

@@ -1,21 +1,13 @@
 //! Plan passes: rewrites of a lowered plan into a plan with the same
 //! result bytes and output names. [`crate::physical::lower`] only
-//! resolves names to slots and binds function calls; every plan decision
-//! is a pass here, and [`run`] is the one place their order is written.
-//! `lower` runs them once over the statement's plan, and once over each
-//! scalar subquery's plan as it is lowered, so a subquery is planned like
-//! a statement. EXPLAIN, fingerprints and both executors see only the
-//! result.
+//! resolves names and binds calls; every plan decision is a pass here,
+//! run in [`run`]'s order over the statement's plan and over each scalar
+//! subquery's. EXPLAIN, fingerprints and both executors see the result.
 //!
-//! Two passes, in this order:
-//! 1. [`compute_once`](compute_once::compute_once): a deterministic call
-//!    shared by a filter and the aggregate or projection it feeds is
-//!    computed once, into a slot. It splits the filter, so it runs first,
-//!    over scans whose access nothing has decided yet.
-//! 2. [`access_paths`](access_paths::access_paths): a filter directly over
-//!    a scan gives it a zone-map pruner, and a vector top-k the ANN leaf
-//!    serves becomes one. It runs last, so it sees the filters the
-//!    plan finally has.
+//! [`compute_once`](compute_once::compute_once) splits filters, so it
+//! runs first; [`access_paths`](access_paths::access_paths) then gives
+//! each scan under the filters the plan finally has its zone-map pruner,
+//! and turns a top-k the ANN leaf serves into one.
 
 use tdp_storage::Catalog;
 

@@ -20,9 +20,8 @@ use crate::udf::{ArgType, UdfRegistry};
 /// Lower a logical plan into a slot-resolved physical plan. This is the
 /// single compile step shared by the exact and differentiable executors:
 /// schema propagation, column→slot resolution, function resolution and
-/// scalar-subquery lowering all happen here, once. Lowering makes no plan
-/// decision: the plan passes (`passes::run`) then run over the result,
-/// as over each scalar subquery's plan.
+/// scalar-subquery lowering all happen here, once. Plan decisions are
+/// the passes (`passes::run`) it then runs.
 ///
 /// A statement's result columns are addressed by name, case-insensitively
 /// (as batches resolve names), so its output schema — after `*`

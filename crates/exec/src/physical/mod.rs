@@ -5,12 +5,10 @@
 //! plan a single time, propagating output schemas through the
 //! operator tree, resolving every column reference to a **slot index**,
 //! resolving functions (session UDF vs. built-in) and lowering scalar
-//! subqueries into nested physical plans. Plan decisions — computing a
-//! shared call once, zone-map pruners, ANN top-k — are the plan passes
-//! (`passes::run`) `lower` runs over every lowered plan. The exact and
-//! differentiable executors both consume the result, so per-run work is
-//! pure kernel dispatch — no name lookups, no AST re-walking, no
-//! function-registry probing on the per-batch path.
+//! subqueries into nested physical plans. The exact and differentiable
+//! executors both consume the result, so per-run work is pure kernel
+//! dispatch — no name lookups, no AST re-walking, no function-registry
+//! probing on the per-batch path.
 //!
 //! Schemas are not always statically known: table-valued functions emit
 //! whatever relation their implementation builds, so expressions above a
@@ -503,8 +501,7 @@ pub enum JoinOn {
     Deferred(Vec<(String, String)>),
 }
 
-/// How a base-table scan reads its morsels. Lowering leaves every scan
-/// `Full`; the access-path pass (`passes::access_paths`) decides it once.
+/// How a base-table scan reads its morsels, decided by `passes::access_paths`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScanAccess {
     /// No leading filter above this scan: every morsel is read.
@@ -528,8 +525,7 @@ pub enum PhysicalPlan {
         /// every run so stale slots fail loudly instead of silently
         /// reading the wrong column.
         schema: Option<Vec<String>>,
-        /// Zone-map access path, chosen by the access-path pass when a
-        /// filter sits directly above.
+        /// Zone-map access path, decided by `passes::access_paths`.
         access: ScanAccess,
     },
     TvfScan {

@@ -138,7 +138,7 @@ pub enum PipeNode<'p> {
     Scan {
         table: &'p str,
         schema: Option<&'p [String]>,
-        /// The access path the access-path pass decided; a pipeline fed
+        /// The access path `passes::access_paths` decided; a pipeline fed
         /// directly by a pruned scan consults it for a per-morsel skip mask.
         access: &'p ScanAccess,
     },

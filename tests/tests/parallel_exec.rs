@@ -151,15 +151,17 @@ proptest! {
         tdp.register_table(dim(seed));
         tdp.set_morsel_rows(morsel);
         for sql in PIPELINES {
-            // threads=1 takes the sequential kernels (the oracle); higher
-            // thread counts take the staged barrier paths, with chain
-            // kernels off (gathered barrier inputs) and on (selection-fed
-            // where the chain qualifies).
+            // threads=1 with chain kernels off is the oracle; every other
+            // run is checked against it: threads=1 with kernels on, and the
+            // staged barrier paths at 2 and 7 threads with chain kernels
+            // off (gathered barrier inputs) and on (selection-fed where
+            // the chain qualifies).
             tdp.set_chain_kernels(false);
             let one = run_at(&tdp, sql, 1);
             for kernels in [false, true] {
                 tdp.set_chain_kernels(kernels);
-                for threads in [2usize, 7] {
+                let threads: &[usize] = if kernels { &[1, 2, 7] } else { &[2, 7] };
+                for &threads in threads {
                     let out = run_at(&tdp, sql, threads);
                     assert_tables_identical(
                         &one,
