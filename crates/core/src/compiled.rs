@@ -310,7 +310,7 @@ impl<'s> BoundQuery<'s> {
             "== logical ==\n{}== physical (fingerprint {:016x}) ==\n{}== pipelines ==\n{}{params_trailer}\n",
             plan.logical.explain(),
             plan.fingerprint,
-            plan.physical.explain(),
+            tdp_exec::pipeline::explain_physical(&plan.physical, &ctx),
             tdp_exec::pipeline::explain_ctx(&plan.physical, &ctx)
         )
     }

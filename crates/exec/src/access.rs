@@ -30,16 +30,53 @@
 //! `full scan: or-arm-ineligible` when a disjunction was present but an
 //! arm disqualified it, or `schema-unresolved`).
 //!
+//! ## What a morsel's stats decide
+//!
+//! Per morsel, [`ChunkPruner::verdicts`] reads each compiled conjunct's
+//! column range `[min, max]` over the zone-map chunks covering the
+//! morsel (f32, as the filter compares; `b` is the bound as f32):
+//!
+//! | conjunct        | excludes the morsel (`Pruned`) | holds for every row       |
+//! |-----------------|--------------------------------|---------------------------|
+//! | `col > b`       | `max <= b`                     | `min > b`                 |
+//! | `col >= b`      | `max < b`                      | `min >= b`                |
+//! | `col < b`       | `min >= b`                     | `max < b`                 |
+//! | `col <= b`      | `min > b`                      | `max <= b`                |
+//! | `col = b`       | `b < min` or `b > max`         | `min == b == max`         |
+//! | `col IN (…)`    | every item excluded as by `=`  | `min == max`, listed      |
+//! | arms `OR`ed     | every arm excludes             | some arm holds            |
+//!
+//! One excluding conjunct prunes the morsel. A morsel is `Proven` only
+//! when the pruner compiled **every** conjunct of the filter, every bound
+//! resolves under the binding (no string, NULL or NaN `$n`), and every
+//! conjunct holds. A NaN chunk, a stat-less column, a stale map or a
+//! chunk range short of the morsel decides nothing (`Evaluate`). The
+//! comparisons are the filter's own (`-0.0 == 0.0`; an `i64` compares as
+//! its nearest f32, so past 2²⁴ a row above the bound may pass, and
+//! its chunk's f32 max says so), so a verdict is never wrong.
+//!
 //! ## Pruning vs. kernels
 //!
 //! The [`ChunkPruner`] runs **before** the fused chain kernels: the
-//! morsel scheduler asks it for a per-morsel skip mask (computed from
+//! morsel scheduler asks it for the per-morsel verdicts (computed from
 //! the catalog's [`TableZoneMaps`] in the same f32 precision the filter
-//! kernels compare in) and pruned morsels contribute an empty slice to
-//! the order-preserving reassembly without ever reaching a kernel. A
-//! skipped morsel is by construction one the leading filter would have
-//! emptied, so pruned and unpruned executions are byte-identical at
-//! every thread count and morsel size.
+//! kernels compare in). Pruned morsels contribute an empty slice to the
+//! order-preserving reassembly without ever reaching a kernel. A skipped
+//! morsel is by construction one the leading filter would have emptied,
+//! so pruned and unpruned executions are byte-identical at every thread
+//! count and morsel size.
+//!
+//! A proven morsel skips the filter instead: the in-place aggregate
+//! folds it with no selection (bitwise its fold under an all-true
+//! mask: the same rows, in the same order, into the same accumulators),
+//! and the selection exit hands on `start..end` as its survivor ids (the
+//! ids an all-true selection yields). The filter could not have dropped
+//! a row nor raised an error there: every conjunct is a comparison of a
+//! stat-carrying numeric column with a resolved number. A proof speaks
+//! for the leading filter only, so a chain that filters again gets none,
+//! and the paths that do not take proofs (the gather exit, interpreted
+//! and pinned chains, a single-morsel input) filter proven morsels as
+//! before. Verdicts depend on the binding, so EXPLAIN shows none.
 //!
 //! ## ANN recall contract
 //!
@@ -70,6 +107,7 @@ use crate::physical::{ColumnRef, CompiledExpr};
 #[derive(Debug, Default)]
 pub struct AccessPathCounters {
     morsels_pruned: AtomicU64,
+    morsels_proven: AtomicU64,
     morsels_scanned: AtomicU64,
     ann_queries: AtomicU64,
     ivf_stale_fallbacks: AtomicU64,
@@ -85,6 +123,11 @@ pub struct AccessPathCounters {
 pub struct AccessPathStats {
     /// Morsels skipped wholesale by zone-map pruning.
     pub morsels_pruned: u64,
+    /// Morsels the zone maps proved wholly inside the leading filter, so
+    /// the filter never ran over them: an aggregate folded them with no
+    /// mask, a selection exit handed on their every row. They count in
+    /// `morsels_scanned` too — they were read, only not filtered.
+    pub morsels_proven: u64,
     /// Morsels that reached the chain kernels of a prunable scan.
     pub morsels_scanned: u64,
     /// Queries served by the `AnnTopK` operator.
@@ -110,8 +153,9 @@ pub struct AccessPathStats {
 }
 
 impl AccessPathCounters {
-    pub fn note_morsels(&self, pruned: u64, scanned: u64) {
+    pub fn note_morsels(&self, pruned: u64, proven: u64, scanned: u64) {
         self.morsels_pruned.fetch_add(pruned, Ordering::Relaxed);
+        self.morsels_proven.fetch_add(proven, Ordering::Relaxed);
         self.morsels_scanned.fetch_add(scanned, Ordering::Relaxed);
     }
 
@@ -155,6 +199,7 @@ impl AccessPathCounters {
     pub fn snapshot(&self) -> AccessPathStats {
         AccessPathStats {
             morsels_pruned: self.morsels_pruned.load(Ordering::Relaxed),
+            morsels_proven: self.morsels_proven.load(Ordering::Relaxed),
             morsels_scanned: self.morsels_scanned.load(Ordering::Relaxed),
             ann_queries: self.ann_queries.load(Ordering::Relaxed),
             ivf_stale_fallbacks: self.ivf_stale_fallbacks.load(Ordering::Relaxed),
@@ -171,6 +216,8 @@ impl AccessPathCounters {
     pub fn absorb(&self, stats: AccessPathStats) {
         self.morsels_pruned
             .fetch_add(stats.morsels_pruned, Ordering::Relaxed);
+        self.morsels_proven
+            .fetch_add(stats.morsels_proven, Ordering::Relaxed);
         self.morsels_scanned
             .fetch_add(stats.morsels_scanned, Ordering::Relaxed);
         self.ann_queries
@@ -275,6 +322,45 @@ impl PrunePredicate {
         }
     }
 
+    /// Whether **every** row of chunk bounds `[min, max]` passes this
+    /// predicate: the mirror of [`Self::excludes`], with the same f32
+    /// comparisons. Only asked of a predicate whose every bound resolves
+    /// ([`Self::resolves`]); an unresolved one never holds.
+    fn holds(&self, min: f32, max: f32, params: &ParamValues) -> bool {
+        match self {
+            PrunePredicate::Cmp { op, bound, .. } => {
+                let Some(b) = bound.resolve(params) else {
+                    return false;
+                };
+                match op {
+                    BinOp::Gt => min > b,
+                    BinOp::GtEq => min >= b,
+                    BinOp::Lt => max < b,
+                    BinOp::LtEq => max <= b,
+                    BinOp::Eq => min == b && max == b,
+                    _ => false,
+                }
+            }
+            // Every row holds the one value `min == max`, and it is listed.
+            PrunePredicate::In { list, .. } => {
+                min == max && list.iter().any(|bound| bound.resolve(params) == Some(min))
+            }
+            // A row passing *any* arm passes the OR.
+            PrunePredicate::Or { arms, .. } => arms.iter().any(|arm| arm.holds(min, max, params)),
+        }
+    }
+
+    /// Whether every bound of this predicate resolves under the binding.
+    /// An inert bound (a string, NULL or NaN binding) may make the filter
+    /// fail or reject rows the stats cannot see, so it never proves.
+    fn resolves(&self, params: &ParamValues) -> bool {
+        match self {
+            PrunePredicate::Cmp { bound, .. } => bound.resolve(params).is_some(),
+            PrunePredicate::In { list, .. } => list.iter().all(|b| b.resolve(params).is_some()),
+            PrunePredicate::Or { arms, .. } => arms.iter().all(|arm| arm.resolves(params)),
+        }
+    }
+
     fn slot(&self) -> usize {
         match self {
             PrunePredicate::Cmp { slot, .. }
@@ -284,14 +370,31 @@ impl PrunePredicate {
     }
 }
 
+/// What the zone maps say about one morsel under the leading filter, for
+/// one binding ([`ChunkPruner::verdicts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MorselVerdict {
+    /// The stats decide nothing: the filter runs over the morsel.
+    Evaluate,
+    /// No row of the morsel can pass: it is never scheduled.
+    Pruned,
+    /// Every row of the morsel passes: a path that takes the verdict
+    /// hands the morsel on without running the filter.
+    Proven,
+}
+
 /// The compiled chunk pruner a physical scan node carries: every
 /// eligible conjunct of the leading filter, evaluated against zone maps
 /// per morsel. Skipping is conjunct-wise sound: a morsel is skipped as
 /// soon as *one* conjunct excludes its whole row range, because a row
-/// must pass every conjunct to survive the filter.
+/// must pass every conjunct to survive the filter. Proving needs the
+/// whole filter: every conjunct compiled, and each one holding over the
+/// morsel's whole range.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkPruner {
     predicates: Vec<PrunePredicate>,
+    /// Every top-level conjunct of the filter compiled into `predicates`.
+    complete: bool,
 }
 
 impl ChunkPruner {
@@ -300,7 +403,13 @@ impl ChunkPruner {
     pub fn compile(predicate: &CompiledExpr) -> Result<ChunkPruner, &'static str> {
         let mut predicates = Vec::new();
         let mut or_ineligible = false;
-        collect_conjuncts(predicate, &mut predicates, &mut or_ineligible);
+        let mut complete = true;
+        collect_conjuncts(
+            predicate,
+            &mut predicates,
+            &mut or_ineligible,
+            &mut complete,
+        );
         if predicates.is_empty() {
             Err(if or_ineligible {
                 "or-arm-ineligible"
@@ -308,7 +417,10 @@ impl ChunkPruner {
                 "no-eligible-conjunct"
             })
         } else {
-            Ok(ChunkPruner { predicates })
+            Ok(ChunkPruner {
+                predicates,
+                complete,
+            })
         }
     }
 
@@ -322,32 +434,45 @@ impl ChunkPruner {
         self.predicates.is_empty()
     }
 
-    /// Per-morsel skip mask over `rows` rows split into `morsel_rows`
-    /// morsels: `mask[i]` is true when morsel `i` cannot contain a
-    /// surviving row. Missing stats (NaN chunks, stat-less columns,
-    /// stale row counts) make the morsel unprunable, never wrong.
-    pub fn skip_mask(
+    /// One verdict per morsel of `rows` rows split into `morsel_rows`
+    /// morsels, each conjunct's range read once: `Pruned` when a conjunct
+    /// excludes the morsel's whole range, `Proven` when the pruner holds
+    /// the whole filter, every bound resolves and each conjunct holds over
+    /// the whole range, `Evaluate` otherwise. Missing stats (NaN chunks,
+    /// stat-less columns, a chunk range short of the morsel, stale row
+    /// counts) make a morsel `Evaluate`, never wrong.
+    pub fn verdicts(
         &self,
         zone_maps: &TableZoneMaps,
         rows: usize,
         morsel_rows: usize,
         params: &ParamValues,
-    ) -> Vec<bool> {
+    ) -> Vec<MorselVerdict> {
         let morsel_rows = morsel_rows.max(1);
         let morsels = rows.div_ceil(morsel_rows);
         if zone_maps.rows() != rows {
             // Stats describe a different table generation: scan all.
-            return vec![false; morsels];
+            return vec![MorselVerdict::Evaluate; morsels];
         }
+        let provable = self.complete && self.predicates.iter().all(|p| p.resolves(params));
         (0..morsels)
             .map(|i| {
                 let start = i * morsel_rows;
                 let end = (start + morsel_rows).min(rows);
-                self.predicates.iter().any(|p| {
-                    zone_maps
-                        .range(p.slot(), start, end)
-                        .is_some_and(|(min, max)| p.excludes(min, max, params))
-                })
+                let mut proven = provable;
+                for p in &self.predicates {
+                    match zone_maps.range(p.slot(), start, end) {
+                        Some((min, max)) if p.excludes(min, max, params) => {
+                            return MorselVerdict::Pruned
+                        }
+                        Some((min, max)) => proven = proven && p.holds(min, max, params),
+                        None => proven = false,
+                    }
+                }
+                match proven {
+                    true => MorselVerdict::Proven,
+                    false => MorselVerdict::Evaluate,
+                }
             })
             .collect()
     }
@@ -356,40 +481,44 @@ impl ChunkPruner {
 /// Recursively split on AND and harvest eligible conjuncts.
 /// `or_ineligible` records that a disjunction was seen but could not be
 /// compiled (an arm was ineligible or the arms mix columns) — it names
-/// the full-scan reason when nothing else qualifies.
-fn collect_conjuncts(expr: &CompiledExpr, out: &mut Vec<PrunePredicate>, or_ineligible: &mut bool) {
-    match expr {
+/// the full-scan reason when nothing else qualifies. `complete` is
+/// cleared by any conjunct left out.
+fn collect_conjuncts(
+    expr: &CompiledExpr,
+    out: &mut Vec<PrunePredicate>,
+    or_ineligible: &mut bool,
+    complete: &mut bool,
+) {
+    let compiled = match expr {
         CompiledExpr::Binary {
             op: BinOp::And,
             left,
             right,
         } => {
-            collect_conjuncts(left, out, or_ineligible);
-            collect_conjuncts(right, out, or_ineligible);
+            collect_conjuncts(left, out, or_ineligible, complete);
+            collect_conjuncts(right, out, or_ineligible, complete);
+            return;
         }
         CompiledExpr::Binary {
             op: BinOp::Or,
             left,
             right,
-        } => match compile_disjunction(left, right) {
-            Some(p) => out.push(p),
-            None => *or_ineligible = true,
-        },
-        CompiledExpr::Binary { op, left, right } => {
-            if let Some(p) = compile_comparison(*op, left, right) {
-                out.push(p);
-            }
+        } => {
+            let p = compile_disjunction(left, right);
+            *or_ineligible |= p.is_none();
+            p
         }
+        CompiledExpr::Binary { op, left, right } => compile_comparison(*op, left, right),
         CompiledExpr::InList {
             expr,
             list,
             negated: false,
-        } => {
-            if let Some(p) = compile_in_list(expr, list) {
-                out.push(p);
-            }
-        }
-        _ => {}
+        } => compile_in_list(expr, list),
+        _ => None,
+    };
+    match compiled {
+        Some(p) => out.push(p),
+        None => *complete = false,
     }
 }
 
@@ -520,6 +649,7 @@ impl std::fmt::Display for AnnPath {
 mod tests {
     use super::*;
     use crate::physical::ColumnRef;
+    use MorselVerdict::{Evaluate as E, Proven as V, Pruned as P};
 
     fn col(slot: usize) -> CompiledExpr {
         CompiledExpr::Column(ColumnRef::Slot {
@@ -586,8 +716,8 @@ mod tests {
         );
         let p = ChunkPruner::compile(&pred).unwrap();
         assert_eq!(p.len(), 1);
-        let mask = p.skip_mask(&zm, 10_000, 4096, &ParamValues::new());
-        assert_eq!(mask, vec![false, true, false]);
+        let verdicts = p.verdicts(&zm, 10_000, 4096, &ParamValues::new());
+        assert_eq!(verdicts, vec![E, P, E]);
         // Nested OR arms flatten; IN lists qualify as arms.
         let pred = cmp(
             BinOp::Or,
@@ -603,8 +733,8 @@ mod tests {
             cmp(BinOp::Gt, col(0), num(9_500.0)),
         );
         let p = ChunkPruner::compile(&pred).unwrap();
-        let mask = p.skip_mask(&zm, 10_000, 4096, &ParamValues::new());
-        assert_eq!(mask, vec![false, true, false]);
+        let verdicts = p.verdicts(&zm, 10_000, 4096, &ParamValues::new());
+        assert_eq!(verdicts, vec![E, P, E]);
     }
 
     #[test]
@@ -636,13 +766,13 @@ mod tests {
             .build("t");
         let zm = TableZoneMaps::build(&t);
         let p = ChunkPruner::compile(&cmp(BinOp::Gt, col(0), num(9_000.0))).unwrap();
-        let mask = p.skip_mask(&zm, 10_000, 4096, &ParamValues::new());
-        assert_eq!(mask, vec![true, true, false]);
+        let verdicts = p.verdicts(&zm, 10_000, 4096, &ParamValues::new());
+        assert_eq!(verdicts, vec![P, P, E]);
         // Unbound parameter bound: predicate inert, nothing pruned.
         let p =
             ChunkPruner::compile(&cmp(BinOp::Gt, col(0), CompiledExpr::Param { idx: 0 })).unwrap();
-        let mask = p.skip_mask(&zm, 10_000, 4096, &ParamValues::new());
-        assert_eq!(mask, vec![false, false, false]);
+        let verdicts = p.verdicts(&zm, 10_000, 4096, &ParamValues::new());
+        assert_eq!(verdicts, vec![E, E, E]);
     }
 
     #[test]
@@ -651,6 +781,62 @@ mod tests {
         let t = TableBuilder::new().col_f32("v", vec![1.0, 2.0]).build("t");
         let zm = TableZoneMaps::build(&t);
         let p = ChunkPruner::compile(&cmp(BinOp::Gt, col(0), num(100.0))).unwrap();
-        assert_eq!(p.skip_mask(&zm, 5, 2, &ParamValues::new()), vec![false; 3]);
+        assert_eq!(p.verdicts(&zm, 5, 2, &ParamValues::new()), vec![E; 3]);
+    }
+
+    /// Each verdict of one conjunct over one morsel of `vals`, whole.
+    fn one_morsel(vals: Vec<f32>, pred: &CompiledExpr, params: &ParamValues) -> MorselVerdict {
+        use tdp_storage::{TableBuilder, TableZoneMaps};
+        let n = vals.len();
+        let t = TableBuilder::new().col_f32("v", vals).build("t");
+        let zm = TableZoneMaps::build(&t);
+        let p = ChunkPruner::compile(pred).unwrap();
+        p.verdicts(&zm, n, n, params)[0]
+    }
+
+    #[test]
+    fn verdicts_prove_morsels_the_bounds_contain() {
+        let none = ParamValues::new();
+        let at = |op, b: f64| cmp(op, col(0), num(b));
+        let vals = || vec![2.0, 5.0, 3.0];
+        // A bound equal to the min or the max: the strict side proves
+        // nothing, the closed side proves every row.
+        assert_eq!(one_morsel(vals(), &at(BinOp::LtEq, 5.0), &none), V);
+        assert_eq!(one_morsel(vals(), &at(BinOp::Lt, 5.0), &none), E);
+        assert_eq!(one_morsel(vals(), &at(BinOp::GtEq, 2.0), &none), V);
+        assert_eq!(one_morsel(vals(), &at(BinOp::Gt, 2.0), &none), E);
+        assert_eq!(one_morsel(vals(), &at(BinOp::Gt, 5.0), &none), P);
+        // Equality proves only a one-value range; ±0 are one value.
+        assert_eq!(one_morsel(vals(), &at(BinOp::Eq, 2.0), &none), E);
+        assert_eq!(one_morsel(vec![0.0, -0.0], &at(BinOp::Eq, -0.0), &none), V);
+        assert_eq!(one_morsel(vec![-0.0, 0.0], &at(BinOp::GtEq, 0.0), &none), V);
+        // IN and OR: one listed value, or one arm holding the whole range.
+        let in_list = |items: Vec<f64>| CompiledExpr::InList {
+            expr: Box::new(col(0)),
+            list: items.into_iter().map(num).collect(),
+            negated: false,
+        };
+        assert_eq!(one_morsel(vec![4.0; 3], &in_list(vec![1.0, 4.0]), &none), V);
+        assert_eq!(one_morsel(vals(), &in_list(vec![2.0, 3.0, 5.0]), &none), E);
+        let either = cmp(BinOp::Or, at(BinOp::Lt, 0.0), at(BinOp::LtEq, 9.0));
+        assert_eq!(one_morsel(vals(), &either, &none), V);
+        // A NaN chunk has no stats: nothing is decided.
+        assert_eq!(
+            one_morsel(vec![1.0, f32::NAN], &at(BinOp::Lt, 9.0), &none),
+            E
+        );
+        // An inert `$n` (a string binding) never proves, nor does a filter
+        // with a conjunct the pruner could not compile.
+        let param = cmp(BinOp::Lt, col(0), CompiledExpr::Param { idx: 0 });
+        assert_eq!(one_morsel(vals(), &param, &none.clone().number(9.0)), V);
+        assert_eq!(one_morsel(vals(), &param, &none.clone().string("9")), E);
+        let partial = cmp(
+            BinOp::And,
+            at(BinOp::Lt, 9.0),
+            cmp(BinOp::Lt, col(0), col(0)),
+        );
+        assert_eq!(one_morsel(vals(), &partial, &none), E);
+        let or_inert = cmp(BinOp::Or, at(BinOp::Lt, 9.0), param);
+        assert_eq!(one_morsel(vals(), &or_inert, &none), E);
     }
 }

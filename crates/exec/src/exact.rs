@@ -13,6 +13,8 @@
 //! [`crate::diff`] reaches them only through its gate, which hands them
 //! exact batches.
 
+use std::borrow::Cow;
+
 use tdp_encoding::EncodedTensor;
 use tdp_sql::ast::JoinKind;
 use tdp_tensor::keytable::{hash_rows, partition_of, Index, KeyTable};
@@ -387,9 +389,18 @@ pub(crate) fn key_codes_at(
     })
 }
 
-/// The two code columns of one join key pair, in one **shared** code
-/// space: rows match iff their codes are equal. Either side may be
-/// restricted to an ascending survivor row list, and comes back at
+/// Column-major key codes of one join side or DISTINCT input:
+/// `[key][row]`.
+pub(crate) type KeyCodes = Vec<Vec<i64>>;
+
+/// One join input: a dense batch whose position *is* its row id, or —
+/// with the ascending survivor row ids — a selection over a full-width
+/// batch whose columns are as stored.
+pub(crate) type JoinInput<'a> = (&'a Batch, Option<&'a I64Tensor>);
+
+/// A join's key codes: per key pair, two code columns in one **shared**
+/// code space, so rows match iff their codes are equal. Either side may
+/// be restricted to an ascending survivor row list and is read at
 /// survivor width; the class decision is taken on the full-width
 /// columns, which is safe because rows read out of a column stay in its
 /// key class (plain `i64` shares the integer-compressed layouts').
@@ -402,36 +413,111 @@ pub(crate) fn key_codes_at(
 /// * Mixed classes (a string column against an integer, say) keep the
 ///   historical textual equality: both sides' [`join_key`] renderings
 ///   are interned into one id space.
-pub(crate) fn join_pair_codes(
+///
+/// The right side's codes are read whole, since the build needs every
+/// one. The left side's are read per probe range ([`JoinCodes::left_at`]),
+/// so each probe task reads its own — except a mixed-class pair's, which
+/// share the one interning pass with the right's.
+pub(crate) struct JoinCodes<'a> {
+    pub(crate) right: KeyCodes,
+    left: Vec<LeftKey<'a>>,
+}
+
+/// Where one key pair's left codes come from.
+enum LeftKey<'a> {
+    /// A same-class pair: the left column's own grouping codes.
+    Own(&'a EncodedTensor),
+    /// A mixed-class pair: interned with the right's, at survivor width.
+    Interned(Vec<i64>),
+}
+
+/// Resolve `on` over both inputs and read the right side's codes, and
+/// each mixed-class pair's left codes with them.
+pub(crate) fn join_codes<'a>(
+    on: &JoinOn,
+    (left, lrows): JoinInput<'a>,
+    (right, rrows): JoinInput<'a>,
+) -> Result<JoinCodes<'a>, ExecError> {
+    let (lcols, rcols) = resolve_join_keys(on, left, right)?;
+    let mut codes = JoinCodes {
+        right: Vec::with_capacity(rcols.len()),
+        left: Vec::with_capacity(lcols.len()),
+    };
+    for (l, r) in lcols.into_iter().zip(rcols) {
+        if key_class(l) != key_class(r) {
+            let (lcodes, rcodes) = intern_pair(l, lrows, r, rrows);
+            codes.left.push(LeftKey::Interned(lcodes));
+            codes.right.push(rcodes);
+        } else {
+            codes.left.push(LeftKey::Own(l));
+            codes.right.push(right_codes(l, r, rrows)?);
+        }
+    }
+    Ok(codes)
+}
+
+impl JoinCodes<'_> {
+    /// The left codes of probe positions `range` (survivor positions
+    /// when `lrows` lists the survivors), one column per key pair.
+    pub(crate) fn left_at(
+        &self,
+        lrows: Option<&I64Tensor>,
+        range: std::ops::Range<usize>,
+    ) -> Result<Vec<Cow<'_, [i64]>>, ExecError> {
+        let (start, end) = (range.start, range.end);
+        self.left
+            .iter()
+            .map(|key| {
+                Ok(match key {
+                    LeftKey::Interned(codes) => Cow::Borrowed(&codes[range.clone()]),
+                    LeftKey::Own(col) => Cow::Owned(match lrows {
+                        Some(ids) => key_codes_at(col, Some(&ids.slice_rows(start, end)))?,
+                        None => key_codes_at(&col.slice_rows(start, end), None)?,
+                    }),
+                })
+            })
+            .collect()
+    }
+}
+
+/// A mixed-class pair's codes: both sides' [`join_key`] renderings
+/// interned into one id space, left first.
+fn intern_pair(
     left: &EncodedTensor,
     lrows: Option<&I64Tensor>,
     right: &EncodedTensor,
     rrows: Option<&I64Tensor>,
-) -> Result<(Vec<i64>, Vec<i64>), ExecError> {
-    if key_class(left) != key_class(right) {
-        let mut ids: std::collections::HashMap<String, i64> = std::collections::HashMap::new();
-        let mut intern = |col: &EncodedTensor, rows: Option<&I64Tensor>| -> Vec<i64> {
-            // Both reads hand sequential-access layouts over as plain
-            // i64, so the per-row rendering stays O(1); PE columns decode
-            // to their class *ids* — what `join_key` renders.
-            let read = match rows {
-                Some(rows) => col.select_rows(rows),
-                None => col.slice_rows(0, col.rows()),
-            };
-            let norm = match read {
-                EncodedTensor::Pe(p) => EncodedTensor::I64(p.decode_ids()),
-                other => other,
-            };
-            (0..norm.rows())
-                .map(|r| {
-                    let fresh = ids.len() as i64;
-                    *ids.entry(join_key(&norm, r)).or_insert(fresh)
-                })
-                .collect()
+) -> (Vec<i64>, Vec<i64>) {
+    let mut ids: std::collections::HashMap<String, i64> = std::collections::HashMap::new();
+    let mut intern = |col: &EncodedTensor, rows: Option<&I64Tensor>| -> Vec<i64> {
+        // Both reads hand sequential-access layouts over as plain
+        // i64, so the per-row rendering stays O(1); PE columns decode
+        // to their class *ids* — what `join_key` renders.
+        let read = match rows {
+            Some(rows) => col.select_rows(rows),
+            None => col.slice_rows(0, col.rows()),
         };
-        return Ok((intern(left, lrows), intern(right, rrows)));
-    }
-    let lcodes = key_codes_at(left, lrows)?;
+        let norm = match read {
+            EncodedTensor::Pe(p) => EncodedTensor::I64(p.decode_ids()),
+            other => other,
+        };
+        (0..norm.rows())
+            .map(|r| {
+                let fresh = ids.len() as i64;
+                *ids.entry(join_key(&norm, r)).or_insert(fresh)
+            })
+            .collect()
+    };
+    (intern(left, lrows), intern(right, rrows))
+}
+
+/// A same-class pair's right codes, in the left's code space: its own
+/// grouping codes at `rrows`, a dictionary's mapped into the left's.
+fn right_codes(
+    left: &EncodedTensor,
+    right: &EncodedTensor,
+    rrows: Option<&I64Tensor>,
+) -> Result<Vec<i64>, ExecError> {
     let mut rcodes = key_codes_at(right, rrows)?;
     if let (EncodedTensor::Dict { dict: ld, .. }, EncodedTensor::Dict { dict: rd, .. }) =
         (left, right)
@@ -453,40 +539,13 @@ pub(crate) fn join_pair_codes(
             }
         }
     }
-    Ok((lcodes, rcodes))
-}
-
-/// Column-major key codes of one join side or DISTINCT input:
-/// `[key][row]`.
-pub(crate) type KeyCodes = Vec<Vec<i64>>;
-
-/// One join input: a dense batch whose position *is* its row id, or —
-/// with the ascending survivor row ids — a selection over a full-width
-/// batch whose columns are as stored.
-pub(crate) type JoinInput<'a> = (&'a Batch, Option<&'a I64Tensor>);
-
-/// [`join_pair_codes`] for every key pair of `on`: `(left codes, right
-/// codes)`, each side at its survivor rows.
-pub(crate) fn join_key_codes(
-    on: &JoinOn,
-    (left, lrows): JoinInput<'_>,
-    (right, rrows): JoinInput<'_>,
-) -> Result<(KeyCodes, KeyCodes), ExecError> {
-    let (lcols, rcols) = resolve_join_keys(on, left, right)?;
-    let mut lcodes = Vec::with_capacity(lcols.len());
-    let mut rcodes = Vec::with_capacity(rcols.len());
-    for (l, r) in lcols.iter().zip(&rcols) {
-        let (a, b) = join_pair_codes(l, lrows, r, rrows)?;
-        lcodes.push(a);
-        rcodes.push(b);
-    }
-    Ok((lcodes, rcodes))
+    Ok(rcodes)
 }
 
 /// Borrowed `[key][row]` view of code columns, as the hash and the
 /// table take them.
-pub(crate) fn code_refs(codes: &[Vec<i64>]) -> Vec<&[i64]> {
-    codes.iter().map(Vec::as_slice).collect()
+pub(crate) fn code_refs<C: AsRef<[i64]>>(codes: &[C]) -> Vec<&[i64]> {
+    codes.iter().map(AsRef::as_ref).collect()
 }
 
 /// What a probe emits: matched `(left, right)` row-id pairs in output
@@ -506,11 +565,13 @@ impl JoinPairs {
 
 /// Probe the left positions `range` against the build side's
 /// per-partition tables (`tables.len()` is the exchange's partition
-/// count; one table = no exchange). Positions index the code and hash
-/// columns (`None`: a direct-index table, which reads no hash); `lids` /
-/// `rids` translate them to the row ids emitted (`None` = a dense side
-/// whose position *is* its row id). Each left row's matches come out in
-/// ascending build order.
+/// count; one table = no exchange). `keys` and `hashes` hold the range's
+/// own codes and hashes, position `range.start` first (`hashes: None`: a
+/// direct-index table, which reads no hash); `lids` / `rids` translate
+/// positions to the row ids emitted (`None` = a dense side whose
+/// position *is* its row id). Each left row's matches come out in
+/// ascending build order — against a [`KeyTable::unique`] table, its one
+/// match, read from one slot.
 pub(crate) fn probe_rows(
     tables: &[KeyTable<'_>],
     keys: &[&[i64]],
@@ -528,10 +589,27 @@ pub(crate) fn probe_rows(
         right: Vec::with_capacity(range.len()),
         unmatched: Vec::new(),
     };
+    if let ([table], [key]) = (tables, keys) {
+        if table.unique() {
+            for (pos, &k) in range.zip(key.iter()) {
+                match table.row_of(k) {
+                    Some(m) => {
+                        out.left.push(gid(lids, pos));
+                        out.right.push(gid(rids, m as usize));
+                    }
+                    None if kind == JoinKind::Left => out.unmatched.push(gid(lids, pos)),
+                    None => {}
+                }
+            }
+            return out;
+        }
+    }
+    let first = range.start;
     for pos in range {
-        let h = hashes.map_or(0, |h| h[pos]);
+        let at = pos - first;
+        let h = hashes.map_or(0, |h| h[at]);
         let before = out.left.len();
-        for m in tables[partition_of(h, tables.len())].matches(keys, pos, h) {
+        for m in tables[partition_of(h, tables.len())].matches(keys, at, h) {
             out.left.push(gid(lids, pos));
             out.right.push(gid(rids, m as usize));
         }
@@ -603,8 +681,9 @@ pub fn join_batches(
     kind: JoinKind,
     on: &JoinOn,
 ) -> Result<Batch, ExecError> {
-    let (lcodes, rcodes) = join_key_codes(on, (left, None), (right, None))?;
-    let (lkeys, rkeys) = (code_refs(&lcodes), code_refs(&rcodes));
+    let codes = join_codes(on, (left, None), (right, None))?;
+    let lcodes = codes.left_at(None, 0..left.rows())?;
+    let (lkeys, rkeys) = (code_refs(&lcodes), code_refs(&codes.right));
     let lhashes = hash_rows(&lkeys, left.rows());
     let rhashes = hash_rows(&rkeys, right.rows());
     let build: Vec<u32> = (0..right.rows() as u32).collect();

@@ -1697,7 +1697,7 @@ mod tests {
                 "SELECT t.v, d.w FROM t JOIN d ON t.v = d.w",
                 "SELECT d.w FROM d JOIN e ON d.k = e.k",
                 "[partitioned ×16]",
-                "partitioned ×16 (1 build + 5 probe morsels)",
+                "partitioned ×16 (1 build + 4 probe tasks)",
             ),
             (
                 "Distinct",
@@ -1713,7 +1713,7 @@ mod tests {
                 "SELECT t.v, d.w FROM t JOIN d ON t.k = d.k",
                 "SELECT d.w FROM d JOIN e ON d.k = e.k",
                 "[partitioned ×16]",
-                "direct-index (one table + 5 probe morsels)",
+                "direct-index (one table + 4 probe tasks)",
             ),
             (
                 "Distinct",

@@ -120,8 +120,8 @@
 //! Barriers are staged rather than streamed: joins normalise their keys
 //! to integer code columns, hash each row once, build per-partition flat
 //! tables after a key-hash **exchange** ([`DEFAULT_PARTITIONS`]
-//! buckets, independent of the thread count) and probe morsels in
-//! parallel; ORDER BY / TopK sort per-morsel runs merged k-way under the
+//! buckets, independent of the thread count) and probe even survivor
+//! ranges in parallel, one per thread; ORDER BY / TopK sort per-morsel runs merged k-way under the
 //! stable `(keys…, input position)` order; DISTINCT dedups exchanged
 //! partitions shared-nothing through the same codes, hash and table. Every staged path is byte-identical to the
 //! sequential kernels in [`exact`], which remain the fallback (and the

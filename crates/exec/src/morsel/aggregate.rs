@@ -36,7 +36,8 @@ use tdp_tensor::sort::{direct_limit, group_rows, Groups};
 use tdp_tensor::{BoolTensor, F32Tensor, I64Tensor, Tensor};
 
 use super::chain::{self, ChainRun};
-use super::sched::{claim_eval, live_windows};
+use super::sched::{claim_eval, live_windows, Window};
+use crate::access::MorselVerdict;
 use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::exact;
@@ -327,7 +328,7 @@ pub(crate) fn run_aggregate(
     chain: &ChainRun<'_>,
     keys: &[PhysKey],
     aggregates: &[PhysAggregate],
-    skip: Option<&[bool]>,
+    verdicts: Option<&[MorselVerdict]>,
     ctx: &ExecContext,
     rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
@@ -338,20 +339,21 @@ pub(crate) fn run_aggregate(
     let state = memory::ScopedCharges::new(&ctx.memory);
 
     let (mut partials, arrived) = if morsels <= 1 {
-        let inp = chain.apply(input, skip, ctx)?;
+        let inp = chain.apply(input, verdicts, ctx)?;
         let partial = partial_aggregate(&prog, &inp, None, ctx)?;
         (vec![partial], Arrived::SingleMorsel)
     } else {
-        let skip = skip.filter(|s| s.len() == morsels);
+        let verdicts = verdicts.filter(|v| v.len() == morsels);
         let empty = ChainInstance::empty(ctx);
         let form = InPlace::of(input, chain, &prog, &empty, ctx);
         // Pruned morsels contribute no groups and are not scheduled.
-        let windows = live_windows(skip, ctx.morsel_rows, input.rows());
+        let windows = live_windows(verdicts, ctx.morsel_rows, input.rows());
         let bailed = AtomicBool::new(false);
         let folds = claim_eval(windows.len(), ctx, None, |j, wctx| {
-            let (start, end) = windows[j];
+            let w = windows[j];
+            let (start, end) = (w.start, w.end);
             let in_place = match &form {
-                Ok(f) => Some(f.fold(&prog, input, start, end, wctx)?),
+                Ok(f) => Some(f.fold(&prog, input, w, wctx)?),
                 Err(_) => None,
             };
             let partial = match in_place {
@@ -388,7 +390,10 @@ pub(crate) fn run_aggregate(
         if matches!(arrived, Arrived::SelectionFed) {
             ctx.access.note_barrier_selection_fed();
         }
-        chain::note_skipped(skip, ctx);
+        // Only a chain's in-place form takes the proofs; a bailed window
+        // re-ran its filter, so a stage with one counts none.
+        let proofs = matches!(arrived, Arrived::SelectionFed);
+        chain::note_verdicts(verdicts, proofs, ctx);
         (folds.into_iter().flatten().flatten().collect(), arrived)
     };
     if partials.is_empty() {
@@ -1093,19 +1098,20 @@ impl<'c> InPlace<'c> {
         })
     }
 
-    /// Select window `start..end` of the stage's input `src` and
-    /// fold what it keeps ([`Self::fold_window`]). `Ok(None)` = the
-    /// kernel bailed, and the caller re-runs the window on the
-    /// interpreter.
+    /// Select window `w` of the stage's input `src` and fold what it
+    /// keeps ([`Self::fold_window`]). A window the zone maps proved keeps
+    /// every row, so it folds with no selection, as a bare scan's does —
+    /// bitwise the fold under an all-true mask. `Ok(None)` = the kernel
+    /// bailed, and the caller re-runs the window on the interpreter.
     fn fold(
         &self,
         prog: &AggProgram<'_>,
         src: &Batch,
-        start: usize,
-        end: usize,
+        w: Window,
         ctx: &ExecContext,
     ) -> Result<Option<Option<PartialAgg>>, ExecError> {
-        let sel = match self.filtered {
+        let (start, end) = (w.start, w.end);
+        let sel = match self.filtered && !w.proven {
             false => None,
             true => match self.kern.select_window(src, start, end, ctx) {
                 Some(sv) => Some(sv),

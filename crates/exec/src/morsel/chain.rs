@@ -15,6 +15,7 @@
 //! all.
 
 use super::sched::{claim_eval, live_windows, num_morsels, slice_window, StopAfter};
+use crate::access::MorselVerdict;
 use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::exact;
@@ -213,34 +214,35 @@ impl<'a> ChainRun<'a> {
     /// one-window case `0..rows` of [`ChainRun::apply_window`], kernel
     /// and interpreter re-run alike. A pinned chain (`pin`) has no window
     /// form: the interpreter runs once, with the session's context, over
-    /// the rows of the morsels the skip mask left — the input itself when
-    /// nothing was pruned, its empty window when everything was. Pruning
-    /// depends on zone maps and the predicate, not on scheduling, so the
-    /// mask applies either way, and the chain still runs over an empty
-    /// window, so schema, encodings and errors match the unpruned run.
+    /// the rows of the morsels the zone maps did not prune — the input
+    /// itself when nothing was pruned, its empty window when everything
+    /// was. Pruning depends on zone maps and the predicate, not on
+    /// scheduling, so the verdicts apply either way, and the chain still
+    /// runs over an empty window, so schema, encodings and errors match
+    /// the unpruned run. Proven morsels are filtered like any other here.
     pub(super) fn apply(
         &self,
         input: &Batch,
-        skip: Option<&[bool]>,
+        verdicts: Option<&[MorselVerdict]>,
         ctx: &ExecContext,
     ) -> Result<Batch, ExecError> {
         let rows = input.rows();
-        let skip = skip.filter(|s| s.len() == num_morsels(rows, ctx.morsel_rows));
-        note_skipped(skip, ctx);
-        let windows = live_windows(skip, ctx.morsel_rows, rows);
+        let verdicts = verdicts.filter(|v| v.len() == num_morsels(rows, ctx.morsel_rows));
+        note_verdicts(verdicts, false, ctx);
+        let windows = live_windows(verdicts, ctx.morsel_rows, rows);
         if self.pin.is_none() {
-            let (start, end) = windows[0];
-            return self.apply_window(input, start, end, ctx);
+            let w = windows[0];
+            return self.apply_window(input, w.start, w.end, ctx);
         }
-        if !skip.is_some_and(|s| s.contains(&true)) {
+        if !verdicts.is_some_and(|v| v.contains(&MorselVerdict::Pruned)) {
             return apply_ops(input.clone(), self.ops, ctx);
         }
         // Adjacent live windows are one run of rows, read as one view.
         let mut runs: Vec<(usize, usize)> = Vec::new();
-        for &(start, end) in &windows {
+        for w in &windows {
             match runs.last_mut() {
-                Some(run) if run.1 == start => run.1 = end,
-                _ => runs.push((start, end)),
+                Some(run) if run.1 == w.start => run.1 = w.end,
+                _ => runs.push((w.start, w.end)),
             }
         }
         let parts: Vec<Batch> = runs.iter().map(|&(s, e)| input.slice_rows(s, e)).collect();
@@ -294,16 +296,17 @@ pub(super) fn apply_ops(
 // ----------------------------------------------------------------------
 
 /// Run a fused chain over a materialised input, morsel-parallel where
-/// safe, with an optional LIMIT sink (early exit + truncation) and an
-/// optional zone-map skip mask (`skip[i]` = morsel `i` provably produces
-/// no rows under the chain's leading filter, so it is not scheduled);
+/// safe, with an optional LIMIT sink (early exit + truncation) and the
+/// zone maps' optional per-morsel verdicts (a `Pruned` morsel provably
+/// produces no rows under the chain's leading filter, so it is not
+/// scheduled; this gather exit filters a `Proven` one like any other);
 /// a task's morsel is a row window over the input's own columns
 /// ([`ChainRun::apply_window`]). Pruning never changes results.
 pub(crate) fn run_ops(
     input: &Batch,
     chain: &ChainRun<'_>,
     limit: Option<usize>,
-    skip: Option<&[bool]>,
+    verdicts: Option<&[MorselVerdict]>,
     ctx: &ExecContext,
 ) -> Result<Batch, ExecError> {
     let rows = input.rows();
@@ -311,7 +314,7 @@ pub(crate) fn run_ops(
     // Single-morsel inputs and unsafe chains run on the session thread —
     // identical at every thread count.
     if morsels <= 1 {
-        let out = chain.apply(input, skip, ctx)?;
+        let out = chain.apply(input, verdicts, ctx)?;
         return Ok(match limit {
             Some(n) => out.head(n),
             None => out,
@@ -320,8 +323,8 @@ pub(crate) fn run_ops(
 
     // Every morsel's output, charged until reassembly returns.
     let charges = memory::ScopedCharges::new(&ctx.memory);
-    let skip = skip.filter(|s| s.len() == morsels);
-    let windows = live_windows(skip, ctx.morsel_rows, rows);
+    let verdicts = verdicts.filter(|v| v.len() == morsels);
+    let windows = live_windows(verdicts, ctx.morsel_rows, rows);
     // Entries past a LIMIT stop bound stay `None`.
     let stop = limit.map(|rows| StopAfter {
         rows,
@@ -335,14 +338,15 @@ pub(crate) fn run_ops(
     let filters = chain.ops.iter().any(|op| matches!(op, MorselOp::Filter(_)));
     let whole = (limit.is_none() && !filters).then_some(rows as u64);
     let results = claim_eval(windows.len(), ctx, stop, |j, wctx| {
-        let (start, end) = windows[j];
-        let out = chain.apply_window(input, start, end, wctx)?;
+        let w = windows[j];
+        let out = chain.apply_window(input, w.start, w.end, wctx)?;
         let bytes = memory::batch_bytes(&out);
         match whole {
             None => charges.add("morsel output", bytes)?,
-            Some(rows) if j == 0 => {
-                charges.add("morsel output", bytes * rows / (end - start).max(1) as u64)?
-            }
+            Some(rows) if j == 0 => charges.add(
+                "morsel output",
+                bytes * rows / (w.end - w.start).max(1) as u64,
+            )?,
             Some(_) => {}
         }
         Ok(out)
@@ -360,14 +364,14 @@ pub(crate) fn run_ops(
             break;
         }
     }
-    if let Some(s) = skip {
+    if let Some(v) = verdicts {
         // Pruned morsels were never scheduled. Scanned = the live windows
         // reassembly consumed — a plan property: windows a racing worker
         // finished past a LIMIT stop bound do not count, and the empty
         // window of an all-pruned stage is no morsel.
-        let pruned = s.iter().filter(|&&b| b).count();
-        let scanned = parts.len().min(s.len() - pruned);
-        ctx.access.note_morsels(pruned as u64, scanned as u64);
+        let pruned = v.iter().filter(|&&v| v == MorselVerdict::Pruned).count();
+        let scanned = parts.len().min(v.len() - pruned);
+        ctx.access.note_morsels(pruned as u64, 0, scanned as u64);
     }
     let out = Batch::concat(&parts);
     Ok(match limit {
@@ -473,13 +477,13 @@ impl<'p> BarrierInput<'p> {
 pub(crate) fn chain_barrier_input<'p>(
     input: &Batch,
     chain: &ChainRun<'p>,
-    skip: Option<&[bool]>,
+    verdicts: Option<&[MorselVerdict]>,
     ctx: &ExecContext,
 ) -> Result<BarrierInput<'p>, ExecError> {
     let declined = match chain.selection_kernel(input, ctx) {
         Ok(kern) => {
-            let skip = skip.filter(|s| s.len() == chain.morsels);
-            if let Some(selected) = selection_exit(input, kern, skip, ctx)? {
+            let verdicts = verdicts.filter(|v| v.len() == chain.morsels);
+            if let Some(selected) = selection_exit(input, kern, verdicts, ctx)? {
                 ctx.access.note_barrier_selection_fed();
                 return Ok(selected);
             }
@@ -488,7 +492,7 @@ pub(crate) fn chain_barrier_input<'p>(
         Err(why) => why,
     };
     ctx.access.note_barrier_gathered();
-    let batch = run_ops(input, chain, None, skip, ctx)?;
+    let batch = run_ops(input, chain, None, verdicts, ctx)?;
     Ok(BarrierInput::gathered(batch, Some(declined)))
 }
 
@@ -497,29 +501,35 @@ pub(crate) fn chain_barrier_input<'p>(
 /// row ids. One stage over the morsels the zone maps left, each task
 /// evaluating the chain's filters over its row window with its worker's
 /// context ([`ChainInstance::select_window`]) and turning the survivors
-/// into global ids there; the session thread only concatenates them.
-/// `None` = the kernel bailed at run time, in any task: the caller
-/// gathers instead, and does its own zone-map accounting.
+/// into global ids there — or, for a morsel the zone maps proved, handing
+/// on every row id of the window, which is what the filter would keep;
+/// the session thread only concatenates them. `None` = the kernel bailed
+/// at run time, in any task: the caller gathers instead, and does its
+/// own zone-map accounting.
 fn selection_exit<'p>(
     input: &Batch,
     kern: &ChainInstance<'_>,
-    skip: Option<&[bool]>,
+    verdicts: Option<&[MorselVerdict]>,
     ctx: &ExecContext,
 ) -> Result<Option<BarrierInput<'p>>, ExecError> {
     let Some(cols) = kern.selection_cols(input) else {
         return Ok(None);
     };
-    let windows = live_windows(skip, ctx.morsel_rows, input.rows());
+    let windows = live_windows(verdicts, ctx.morsel_rows, input.rows());
     let parts = claim_eval(windows.len(), ctx, None, |j, wctx| {
-        let (start, end) = windows[j];
+        let w = windows[j];
+        if w.proven {
+            let ids: Vec<i64> = (w.start as i64..w.end as i64).collect();
+            return Ok(Some(Tensor::from_vec(ids, &[w.end - w.start])));
+        }
         Ok(kern
-            .select_window(input, start, end, wctx)
-            .map(|sv| sv.ids(start)))
+            .select_window(input, w.start, w.end, wctx)
+            .map(|sv| sv.ids(w.start)))
     })?;
     let Some(parts) = parts.into_iter().flatten().collect::<Option<Vec<_>>>() else {
         return Ok(None);
     };
-    note_skipped(skip, ctx);
+    note_verdicts(verdicts, true, ctx);
     let survivors: usize = parts.iter().map(I64Tensor::numel).sum();
     let charge = memory::charge(&ctx.memory, "selection vector", (survivors as u64 + 1) * 8)?;
     let ids = parts
@@ -535,12 +545,20 @@ fn selection_exit<'p>(
     }))
 }
 
-/// Account a selection exit's zone-map outcome: the chain never touched
-/// the pruned morsels' rows.
-pub(super) fn note_skipped(skip: Option<&[bool]>, ctx: &ExecContext) {
-    if let Some(s) = skip {
-        let pruned = s.iter().filter(|&&b| b).count();
+/// Account a stage's zone-map outcome: the chain never touched the
+/// pruned morsels' rows, and — when the stage took the proofs
+/// (`proofs`) — never filtered the proven ones, which still count as
+/// scanned.
+pub(super) fn note_verdicts(verdicts: Option<&[MorselVerdict]>, proofs: bool, ctx: &ExecContext) {
+    if let Some(v) = verdicts {
+        let count = |of: MorselVerdict| v.iter().filter(|&&x| x == of).count() as u64;
+        let pruned = count(MorselVerdict::Pruned);
+        let proven = if proofs {
+            count(MorselVerdict::Proven)
+        } else {
+            0
+        };
         ctx.access
-            .note_morsels(pruned as u64, (s.len() - pruned) as u64);
+            .note_morsels(pruned, proven, v.len() as u64 - pruned);
     }
 }

@@ -1,16 +1,17 @@
 //! Staged join over integer key codes: both sides' keys are normalised
 //! to `i64` code columns in one shared code space. A build side whose one
 //! key column spans few values is one direct-index table (slot = key −
-//! smallest key); any other is hashed once per row and exchanged into
-//! per-partition flat tables. Either way probe morsels run in parallel
-//! and reassemble in morsel order.
+//! smallest key; one slot per key when no key repeats); any other is
+//! hashed once per row and exchanged into per-partition flat tables.
+//! Either way the probe survivors split evenly over the session's
+//! threads, and the tasks' pairs reassemble in range order.
 
 use tdp_sql::ast::JoinKind;
 use tdp_tensor::keytable::{hash_rows, Direct, Index, KeyTable};
 use tdp_tensor::I64Tensor;
 
 use super::chain::BarrierInput;
-use super::sched::{claim, exchange, morsel_range, note_barrier, num_morsels, staging};
+use super::sched::{claim, exchange, note_barrier, num_morsels, staging};
 use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::exact;
@@ -42,15 +43,17 @@ fn direct_build_bytes(rows: usize, slots: usize) -> u64 {
 /// Staged join: build the right side's table(s), then probe left morsels
 /// in parallel.
 ///
-/// Keys first: [`exact::join_key_codes`] turns every key pair into two
-/// code columns at survivor positions (a selection-fed side reads
-/// plain-layout keys by index and never filters at full width). Then the
-/// build, by the right side's keys:
+/// Keys first: [`exact::join_codes`] reads every key pair's right codes
+/// at survivor positions (a selection-fed side reads plain-layout keys
+/// by index and never filters at full width). Then the build, by the
+/// right side's keys:
 ///
 /// * **direct** — one key column whose span over the build rows is
 ///   within [`Direct::of`]'s limit (a foreign key into a dense primary
 ///   key, a dictionary): one [`KeyTable`] indexed by key value, built on
 ///   the session thread. No hash is computed and nothing is exchanged.
+///   When no build key repeats, the table is unique and a probe row
+///   reads one slot ([`KeyTable::row_of`]).
 /// * **partitioned** — [`hash_rows`] hashes each row's composite key
 ///   **once**: the exchange partitions by that hash, the build slots by
 ///   it, the probe looks up with it. Stage 1 scatters build positions
@@ -58,8 +61,12 @@ fn direct_build_bytes(rows: usize, slots: usize) -> u64 {
 ///   partition (partition-claiming).
 ///
 /// Duplicates chain in ascending build order either way (a partition
-/// lists its rows ascending). The last stage probes left morsels and
-/// reassembles the pair lists in morsel order. The pairs — and the
+/// lists its rows ascending). The last stage splits the left survivors
+/// into one even range per thread — not by `morsel_rows`, which left a
+/// short last task — each task reading its range's left codes (a
+/// mixed-class pair's were interned with the right's) and hashing them
+/// when the build was partitioned, and reassembles the pair lists in
+/// range order. The pairs — and the
 /// unmatched-left list — are exactly the sequential kernel's (one hash
 /// table over every build row), so [`exact::join_assemble`] finishes
 /// every path. Codes, hashes and tables are position-indexed (survivor
@@ -88,12 +95,14 @@ pub(crate) fn run_join(
         let _charge = memory::charge(&ctx.memory, "join build", join_build_bytes(right.rows()))?;
         return exact::join_batches(&left, &right, kind, on);
     }
-    let (lcodes, rcodes) = exact::join_key_codes(on, left.input(), right.input())?;
+    let codes = exact::join_codes(on, left.input(), right.input())?;
     let lids = left.ids.as_ref().map(I64Tensor::data);
     let rids = right.ids.as_ref().map(I64Tensor::data);
-    let (lkeys, rkeys) = (exact::code_refs(&lcodes), exact::code_refs(&rcodes));
+    let rkeys = exact::code_refs(&codes.right);
     let (rows, rrows) = (left.rows_out(), right.rows_out());
-    let probe = num_morsels(rows, ctx.morsel_rows);
+    // At least one task, so an empty probe side still reads its codes
+    // and fails as the sequential kernel would.
+    let probe = ctx.threads.min(rows).max(1);
     // Held until the joined batch is assembled: the build rows or
     // exchanged positions, the build table(s) and the probe pair lists.
     let charges = memory::ScopedCharges::new(&ctx.memory);
@@ -103,7 +112,6 @@ pub(crate) fn run_join(
         Some(_) => Vec::new(),
         None => hash_rows(&rkeys, rrows),
     };
-    let lhashes = direct.is_none().then(|| hash_rows(&lkeys, rows));
     let parts;
     let tables: Vec<KeyTable> = match direct {
         Some(d) => {
@@ -131,12 +139,13 @@ pub(crate) fn run_join(
         }
     };
 
-    // Probe left morsels in parallel; morsel-order reassembly.
-    let morsel_rows = ctx.morsel_rows;
+    // Probe even survivor ranges in parallel; range-order reassembly.
     let probes = claim(probe, ctx.threads, |i| {
-        let (start, end) = morsel_range(i, morsel_rows, rows);
-        let hashes = lhashes.as_deref();
-        let pairs = exact::probe_rows(&tables, &lkeys, hashes, start..end, kind, lids, rids);
+        let range = rows * i / probe..rows * (i + 1) / probe;
+        let lcodes = codes.left_at(left.ids.as_ref(), range.clone())?;
+        let lkeys = exact::code_refs(&lcodes);
+        let hashes = direct.is_none().then(|| hash_rows(&lkeys, range.len()));
+        let pairs = exact::probe_rows(&tables, &lkeys, hashes.as_deref(), range, kind, lids, rids);
         charges.add("join probe", pairs.bytes())?;
         Ok(pairs)
     })?;

@@ -191,6 +191,59 @@ mod tests {
         }
     }
 
+    /// A zone-map proof speaks for the filter its pruner was compiled
+    /// from, the one directly over the scan. Stacked on it, a second
+    /// filter (a shape SQL lowering merges away) still runs over every
+    /// proven morsel, in the aggregate's fold and the selection exit.
+    #[test]
+    fn a_proof_skips_only_the_leading_filter() {
+        use crate::physical::{CompiledExpr, PhysicalPlan};
+        let c = setup(500);
+        let udfs = UdfRegistry::new();
+        let ctx = ExecContext::new(&c, &udfs)
+            .with_scheduler(2, 64)
+            .with_chain_kernels(true);
+        let lowered = |sql: &str| {
+            let plan = optimizer::optimize(
+                build_plan(&parse(sql).unwrap(), &PlannerContext::default()).unwrap(),
+            );
+            lower(&plan, &c, &udfs).unwrap()
+        };
+        // `k < 13` holds on every row, so the zone maps prove every morsel.
+        fn stack(plan: PhysicalPlan, outer: &CompiledExpr) -> PhysicalPlan {
+            match plan {
+                inner @ PhysicalPlan::Filter { .. } => PhysicalPlan::Filter {
+                    predicate: outer.clone(),
+                    input: Box::new(inner),
+                },
+                other => other.map_children(|child| stack(child, outer)),
+            }
+        }
+        let outer = lowered("SELECT v FROM t WHERE v > 0.5")
+            .find_map(&mut |p| match p {
+                PhysicalPlan::Filter { predicate, .. } => Some(predicate.clone()),
+                _ => None,
+            })
+            .unwrap();
+        for (proven, want) in [
+            (
+                "SELECT COUNT(*) AS n, MAX(v) AS m FROM t WHERE k < 13",
+                "SELECT COUNT(*) AS n, MAX(v) AS m FROM t WHERE v > 0.5",
+            ),
+            (
+                "SELECT v, k FROM t WHERE k < 13 ORDER BY v",
+                "SELECT v, k FROM t WHERE v > 0.5 ORDER BY v",
+            ),
+        ] {
+            let stacked = stack(lowered(proven), &outer);
+            let got = crate::pipeline::execute(&stacked, &ctx).unwrap();
+            let want = crate::pipeline::execute(&lowered(want), &ctx).unwrap();
+            assert_batches_equal(&got, &want, proven);
+            let (_, profile) = crate::profile::execute_profiled(&lowered(proven), &ctx).unwrap();
+            assert_eq!(profile.morsels_proven, 8, "{proven}: {}", profile.pretty());
+        }
+    }
+
     #[test]
     fn grouped_aggregates_match_sequential_values() {
         // Integer-exact aggregates are identical under any morselization.

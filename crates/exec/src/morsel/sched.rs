@@ -36,6 +36,7 @@ use tdp_storage::Catalog;
 use tdp_tensor::keytable::partition_of;
 
 use super::chain::expr_fallback;
+use crate::access::MorselVerdict;
 use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::memory;
@@ -340,22 +341,41 @@ pub(super) fn slice_window(
     Ok((window, charge))
 }
 
+/// One row window a stage schedules: rows `start..end` of its input, and
+/// whether the zone maps proved that every one of them passes the
+/// chain's leading filter ([`MorselVerdict::Proven`]).
+#[derive(Clone, Copy, Debug)]
+pub(super) struct Window {
+    pub(super) start: usize,
+    pub(super) end: usize,
+    pub(super) proven: bool,
+}
+
 /// The row windows a stage schedules: the morsels the zone maps did not
-/// prune (`skip[i]`) — a pruned morsel is never claimed, sliced or
+/// prune (`verdicts[i]`) — a pruned morsel is never claimed, sliced or
 /// decoded. When every morsel is pruned the stage still runs once, over
 /// an empty window: outputs keep their schema and encodings, and a chain
 /// that can only fail (a type error) fails exactly as in the unpruned run.
 pub(super) fn live_windows(
-    skip: Option<&[bool]>,
+    verdicts: Option<&[MorselVerdict]>,
     morsel_rows: usize,
     rows: usize,
-) -> Vec<(usize, usize)> {
-    let live: Vec<(usize, usize)> = (0..num_morsels(rows, morsel_rows))
-        .filter(|&i| !skip.is_some_and(|s| s[i]))
-        .map(|i| morsel_range(i, morsel_rows, rows))
+) -> Vec<Window> {
+    let verdict = |i: usize| verdicts.map_or(MorselVerdict::Evaluate, |v| v[i]);
+    let live: Vec<Window> = (0..num_morsels(rows, morsel_rows))
+        .filter(|&i| verdict(i) != MorselVerdict::Pruned)
+        .map(|i| {
+            let (start, end) = morsel_range(i, morsel_rows, rows);
+            let proven = verdict(i) == MorselVerdict::Proven;
+            Window { start, end, proven }
+        })
         .collect();
     match live.is_empty() {
-        true => vec![(0, 0)],
+        true => vec![Window {
+            start: 0,
+            end: 0,
+            proven: false,
+        }],
         false => live,
     }
 }

@@ -718,14 +718,24 @@ impl PhysicalPlan {
     }
 
     /// EXPLAIN-style rendering with resolved slots
-    /// (`Filter: (price@0 > 2.5)`).
+    /// (`Filter: (price@0 > 2.5)`). A scalar subquery shows as its
+    /// fingerprint only; [`crate::pipeline::explain_physical`] renders
+    /// its plan too.
     pub fn explain(&self) -> String {
         let mut out = String::new();
-        self.explain_into(&mut out, 0);
+        self.explain_with(&mut out, 0, &mut |_, _, _| {});
         out
     }
 
-    fn explain_into(&self, out: &mut String, depth: usize) {
+    /// [`PhysicalPlan::explain`] at `depth`, calling `subquery(plan, out,
+    /// depth)` after each operator's line for each scalar subquery the
+    /// operator holds, at one level deeper than the operator.
+    pub(crate) fn explain_with(
+        &self,
+        out: &mut String,
+        depth: usize,
+        subquery: &mut dyn FnMut(&PhysicalPlan, &mut String, usize),
+    ) {
         for _ in 0..depth {
             out.push_str("  ");
         }
@@ -845,8 +855,17 @@ impl PhysicalPlan {
                 ));
             }
         }
+        let mut held = Vec::new();
+        self.for_each_expr_node(&mut |e| {
+            if let CompiledExpr::ScalarSubquery(p) = e {
+                held.push(Arc::clone(p));
+            }
+        });
+        for plan in held {
+            subquery(&plan, out, depth + 1);
+        }
         for child in self.inputs() {
-            child.explain_into(out, depth + 1);
+            child.explain_with(out, depth + 1, subquery);
         }
     }
 

@@ -29,7 +29,8 @@
 //! as short stage sequences (chains → exchange → barrier stages, see
 //! [`crate::morsel`]). The chain feeding one is itself a stage — each
 //! morsel a row window over the scan's stored columns, filtered on a
-//! worker, pruned morsels never scheduled — that hands over either a
+//! worker, pruned morsels never scheduled and proven ones never
+//! filtered — that hands over either a
 //! gathered batch or a selection over columns kept **as stored**, which
 //! the barrier reads at survivor rows only:
 //!
@@ -42,7 +43,8 @@
 //!   probe; build-side positions are scattered into
 //!   [`DEFAULT_PARTITIONS`] buckets, one flat table
 //!   (`tdp_tensor::keytable`) is built per partition (shared-nothing),
-//!   probe morsels run in parallel with morsel-order reassembly, and
+//!   the probe survivors split evenly over the session's threads, each
+//!   task reading its own range's keys, reassembled in range order, and
 //!   the output columns are gathered as one claimed task per column;
 //! * **Sort / TopK** — each morsel produces a sorted run (top-k runs
 //!   for `ORDER BY … LIMIT`), k-way merged under the stable
@@ -79,6 +81,7 @@
 
 use tdp_sql::ast::LimitCount;
 
+use crate::access::MorselVerdict;
 use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::exact;
@@ -139,7 +142,7 @@ pub enum PipeNode<'p> {
         table: &'p str,
         schema: Option<&'p [String]>,
         /// The access path `passes::access_paths` decided; a pipeline fed
-        /// directly by a pruned scan consults it for a per-morsel skip mask.
+        /// directly by a pruned scan consults it for per-morsel verdicts.
         access: &'p ScanAccess,
     },
     /// A pipeline whose sink is an order-preserving concat of morsel
@@ -245,6 +248,31 @@ pub fn explain_ctx(plan: &PhysicalPlan, ctx: &ExecContext) -> String {
     let mut out = String::new();
     explain_node(&decompose(plan), ctx, &mut out, 0);
     out
+}
+
+/// The physical tree as EXPLAIN shows it: [`PhysicalPlan::explain`]'s
+/// lines, with each scalar subquery's own plan as an indented block under
+/// the operator that holds it — its operators, access paths and plan-pass
+/// rewrites, then its pipelines resolved against `ctx`, the context the
+/// subquery runs with. [`PhysicalPlan::fingerprint`] hashes the lines
+/// without the blocks, so they do not move it.
+pub fn explain_physical(plan: &PhysicalPlan, ctx: &ExecContext) -> String {
+    let mut out = String::new();
+    plan.explain_with(&mut out, 0, &mut |sub, out, depth| {
+        subquery_block(sub, ctx, out, depth)
+    });
+    out
+}
+
+/// One scalar subquery's block at `depth`, nested subqueries included.
+fn subquery_block(plan: &PhysicalPlan, ctx: &ExecContext, out: &mut String, depth: usize) {
+    let pad = "  ".repeat(depth);
+    out.push_str(&format!("{pad}subquery fp:{:016x}\n", plan.fingerprint()));
+    plan.explain_with(out, depth + 1, &mut |sub, out, depth| {
+        subquery_block(sub, ctx, out, depth)
+    });
+    out.push_str(&format!("{pad}  pipelines:\n"));
+    explain_node(&decompose(plan), ctx, out, depth + 2);
 }
 
 /// EXPLAIN's verdict for a fused chain (and aggregate sink): what pins
@@ -379,7 +407,7 @@ pub(crate) fn exec_node(
             None,
             ctx,
             rec.as_deref_mut(),
-            |input, chain, skip, _| morsel::run_ops(input, chain, None, skip, ctx),
+            |input, chain, verdicts, _| morsel::run_ops(input, chain, None, verdicts, ctx),
         )?,
         PipeNode::Limit { n, pipe } => {
             let limit = resolve_limit(n, ctx)?;
@@ -388,7 +416,9 @@ pub(crate) fn exec_node(
                 None,
                 ctx,
                 rec.as_deref_mut(),
-                |input, chain, skip, _| morsel::run_ops(input, chain, Some(limit), skip, ctx),
+                |input, chain, verdicts, _| {
+                    morsel::run_ops(input, chain, Some(limit), verdicts, ctx)
+                },
             )?
         }
         PipeNode::Aggregate {
@@ -402,8 +432,8 @@ pub(crate) fn exec_node(
                 sink,
                 ctx,
                 rec.as_deref_mut(),
-                |input, chain, skip, rec| {
-                    morsel::run_aggregate(input, chain, keys, aggregates, skip, ctx, rec)
+                |input, chain, verdicts, rec| {
+                    morsel::run_aggregate(input, chain, keys, aggregates, verdicts, ctx, rec)
                 },
             )?
         }
@@ -417,9 +447,9 @@ pub(crate) fn exec_node(
 
 /// Materialise a pipeline's source, resolve its fused chain against it
 /// — morsel count, pinning reason, chain-kernel verdict, once — then
-/// `run` the chain and sink over it, with the zone-map skip mask when
-/// the source is a pruned base-table scan, and tell the recorder how
-/// the chain was scheduled.
+/// `run` the chain and sink over it, with the zone maps' per-morsel
+/// verdicts when the source is a pruned base-table scan, and tell the
+/// recorder how the chain was scheduled.
 fn run_pipe<'a, T>(
     pipe: &'a Pipeline<'a>,
     sink: Option<(&'a [PhysKey], &'a [PhysAggregate])>,
@@ -428,27 +458,34 @@ fn run_pipe<'a, T>(
     run: impl FnOnce(
         &Batch,
         &morsel::ChainRun<'a>,
-        Option<&[bool]>,
+        Option<&[MorselVerdict]>,
         Option<&mut Recorder>,
     ) -> Result<T, ExecError>,
 ) -> Result<T, ExecError> {
     let input = exec_node(&pipe.input, ctx, rec.as_deref_mut())?;
-    let skip = scan_skip_mask(&pipe.input, input.rows(), ctx);
+    let verdicts = scan_verdicts(pipe, input.rows(), ctx);
     let chain = morsel::ChainRun::resolve(&input, &pipe.ops, sink, ctx);
-    let out = run(&input, &chain, skip.as_deref(), rec.as_deref_mut())?;
+    let out = run(&input, &chain, verdicts.as_deref(), rec.as_deref_mut())?;
     if let Some(r) = rec {
         r.note_chain(&chain);
     }
     Ok(out)
 }
 
-/// Zone-map skip mask for a pipeline fed directly by a pruned base-table
-/// scan: one bool per morsel, `true` = every row of that morsel is
-/// provably excluded by the compiled filter conjuncts. `None` when
-/// pruning is off (`ctx.zone_maps`), the source is not a pruned scan, or
-/// no zone map exists for the table. The mask itself handles stale stats
-/// and unresolvable bounds conservatively (nothing skipped).
-fn scan_skip_mask(input: &PipeNode<'_>, rows: usize, ctx: &ExecContext) -> Option<Vec<bool>> {
+/// Zone-map verdicts for a pipeline fed directly by a pruned base-table
+/// scan: one per morsel, `Pruned` = every row of that morsel is provably
+/// excluded by the compiled filter conjuncts, `Proven` = every row
+/// provably passes the chain's filter. A proof speaks for the leading
+/// filter only, so a chain that filters again further on gets none.
+/// `None` when pruning is off (`ctx.zone_maps`), the source is not a
+/// pruned scan, or no zone map exists for the table. The verdicts
+/// themselves handle stale stats and unresolvable bounds conservatively
+/// (nothing skipped, nothing proven).
+fn scan_verdicts(
+    pipe: &Pipeline<'_>,
+    rows: usize,
+    ctx: &ExecContext,
+) -> Option<Vec<MorselVerdict>> {
     if !ctx.zone_maps {
         return None;
     }
@@ -456,12 +493,22 @@ fn scan_skip_mask(input: &PipeNode<'_>, rows: usize, ctx: &ExecContext) -> Optio
         table,
         access: ScanAccess::Pruned(pruner),
         ..
-    } = input
+    } = &*pipe.input
     else {
         return None;
     };
     let zm = ctx.catalog.zone_map(table)?;
-    Some(pruner.skip_mask(&zm, rows, ctx.morsel_rows, &ctx.params))
+    let mut verdicts = pruner.verdicts(&zm, rows, ctx.morsel_rows, &ctx.params);
+    let filters = pipe
+        .ops
+        .iter()
+        .filter(|op| matches!(op, MorselOp::Filter(_)));
+    if filters.count() > 1 {
+        for v in verdicts.iter_mut().filter(|v| **v == MorselVerdict::Proven) {
+            *v = MorselVerdict::Evaluate;
+        }
+    }
+    Some(verdicts)
 }
 
 /// Materialise (or selection-feed) one barrier child. A Stream child —
@@ -485,7 +532,7 @@ fn barrier_input<'a>(
         None,
         ctx,
         rec.as_deref_mut(),
-        |input, chain, skip, _| morsel::chain_barrier_input(input, chain, skip, ctx),
+        |input, chain, verdicts, _| morsel::chain_barrier_input(input, chain, verdicts, ctx),
     )?;
     if let Some(r) = rec {
         r.exit_chain(&out);

@@ -51,8 +51,8 @@ pub struct OpTrace {
     /// Staged barriers (join, sort, TopK, DISTINCT) report here too.
     pub fallback: Option<String>,
     /// How a fused chain ran (`compiled`, `interpreted: <reason>`)
-    /// or how a staged barrier did (`partitioned ×16 (31 build + 31
-    /// probe morsels)`, `direct-index (one table + 31 probe morsels)`,
+    /// or how a staged barrier did (`partitioned ×16 (31 build + 2
+    /// probe tasks)`, `direct-index (one table + 2 probe tasks)`,
     /// `direct-index (one sweep)`, `merge-sort ×8 runs`); `None`
     /// otherwise.
     pub strategy: Option<String>,
@@ -82,7 +82,7 @@ pub struct QueryProfile {
     pub threads: usize,
     /// Total morsels scheduled across all operators (streamable chains
     /// plus staged barrier stages — a partitioned join counts its build
-    /// and probe morsels).
+    /// morsels and probe tasks).
     pub morsels: usize,
     /// Total exchange partitions scheduled across staged barrier
     /// operators (0 when no barrier was partitioned; a direct-index
@@ -90,8 +90,11 @@ pub struct QueryProfile {
     pub partitions: usize,
     /// Morsels skipped outright by zone-map pruning during this run.
     pub morsels_pruned: u64,
+    /// Scanned morsels the zone maps proved wholly inside the leading
+    /// filter, so the filter never ran over them during this run.
+    pub morsels_proven: u64,
     /// Morsels actually executed by pruning-eligible chains (pruned +
-    /// scanned = total morsels of those chains).
+    /// scanned = total morsels of those chains), proven ones included.
     pub morsels_scanned: u64,
     /// ANN top-k operator executions during this run.
     pub ann_queries: u64,
@@ -142,8 +145,8 @@ impl QueryProfile {
         let mut access = String::new();
         if self.morsels_pruned + self.morsels_scanned > 0 {
             access.push_str(&format!(
-                " [zone-maps: {} pruned / {} scanned]",
-                self.morsels_pruned, self.morsels_scanned
+                " [zone-maps: {} pruned / {} proven / {} scanned]",
+                self.morsels_pruned, self.morsels_proven, self.morsels_scanned
             ));
         }
         if self.ann_queries > 0 {
@@ -210,6 +213,7 @@ pub fn execute_profiled(
     let after = ctx.access.snapshot();
     let mut profile = rec.profile;
     profile.morsels_pruned = after.morsels_pruned - before.morsels_pruned;
+    profile.morsels_proven = after.morsels_proven - before.morsels_proven;
     profile.morsels_scanned = after.morsels_scanned - before.morsels_scanned;
     profile.ann_queries = after.ann_queries - before.ann_queries;
     profile.ivf_stale_fallbacks = after.ivf_stale_fallbacks - before.ivf_stale_fallbacks;
@@ -360,12 +364,12 @@ impl Recorder {
         (top.strategy, top.fallback) = match (staging, morsels) {
             (Staging::Sequential(why), _) => (None, why.pins().then(|| why.to_string())),
             (Staging::Partitioned(_), [build, probe]) => (
-                Some(format!("{staging} ({build} build + {probe} probe morsels)")),
+                Some(format!("{staging} ({build} build + {probe} probe tasks)")),
                 None,
             ),
             (Staging::Partitioned(_), [n]) => (Some(format!("{staging} ({n} morsels)")), None),
             (Staging::DirectIndex, [_, probe]) => (
-                Some(format!("{staging} (one table + {probe} probe morsels)")),
+                Some(format!("{staging} (one table + {probe} probe tasks)")),
                 None,
             ),
             (Staging::DirectIndex, _) => (Some(format!("{staging} (one sweep)")), None),

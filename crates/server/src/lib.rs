@@ -639,6 +639,7 @@ fn render_stats(engine: &TdpEngine) -> String {
          plan_cache_entries {}\n\
          plan_cache_hit_rate {:.3}\n\
          morsels_pruned {}\n\
+         morsels_proven {}\n\
          morsels_scanned {}\n\
          ann_queries {}\n\
          ivf_stale_fallbacks {}\n\
@@ -660,6 +661,7 @@ fn render_stats(engine: &TdpEngine) -> String {
         stats.plan_cache.entries,
         stats.plan_cache_hit_rate(),
         access.morsels_pruned,
+        access.morsels_proven,
         access.morsels_scanned,
         access.ann_queries,
         access.ivf_stale_fallbacks,

@@ -89,7 +89,8 @@ impl ColumnZoneMap {
 
     /// Conservative `[min, max]` over the chunks overlapping the row
     /// range `[start, end)`. `None` when any overlapping chunk is
-    /// unprunable (so callers must scan).
+    /// unprunable or missing (so callers must scan): bounds are only ever
+    /// those of every row in the range.
     pub fn range(&self, start: usize, end: usize) -> Option<(f32, f32)> {
         if start >= end {
             return None;
@@ -98,7 +99,7 @@ impl ColumnZoneMap {
         let last = (end - 1) / ZONE_MAP_CHUNK_ROWS;
         let mut min = f32::INFINITY;
         let mut max = f32::NEG_INFINITY;
-        for c in first..=last.min(self.chunks.len().saturating_sub(1)) {
+        for c in first..=last {
             let stat = self.chunks.get(c).copied().flatten()?;
             min = min.min(stat.min);
             max = max.max(stat.max);

@@ -16,6 +16,9 @@
 //!   [`direct_limit`] ([`Direct::of`]): the slot *is* the key minus the
 //!   smallest key, so no hash is computed, no key is compared and no
 //!   exchange is needed (the table is small enough to build whole).
+//!   When no key repeats over the rows (a dense primary key), the table
+//!   is **unique**: each slot holds its key's row itself, and a probe is
+//!   one slot read ([`KeyTable::row_of`]).
 
 use crate::sort::{direct_limit, mix};
 
@@ -104,7 +107,11 @@ pub enum Index<'a> {
 /// * [`KeyTable::build`] chains every row: [`KeyTable::matches`] then
 ///   yields the positions holding a probe key in **ascending** order —
 ///   rows are inserted last to first, each at the head of its key's
-///   chain, so following `next` from the head walks upwards.
+///   chain, so following `next` from the head walks upwards. A direct
+///   table whose rows repeat no key is [`KeyTable::unique`] instead: its
+///   slots hold the positions themselves and no chain exists, so
+///   [`KeyTable::row_of`] answers a probe key with one slot read — what
+///   the chained walk would yield, its only match.
 /// * [`KeyTable::new`] + [`KeyTable::insert_if_absent`] keeps the first
 ///   row of each key only (no chain is allocated).
 ///
@@ -115,12 +122,15 @@ pub struct KeyTable<'a> {
     keys: &'a [&'a [i64]],
     rows: &'a [u32],
     index: Index<'a>,
-    /// Item at the head of each occupied slot's chain.
+    /// Item at the head of each occupied slot's chain — or, in a unique
+    /// table, the position (entry of `rows`) of the slot's one row.
     slots: Vec<u32>,
-    /// `next[i]`: the next item with item `i`'s key.
+    /// `next[i]`: the next item with item `i`'s key (empty when unique).
     next: Vec<u32>,
     /// Hash arm: the shift that takes a hash's high bits to a slot.
     shift: u32,
+    /// Built on the direct arm with no key repeated.
+    unique: bool,
 }
 
 impl<'a> KeyTable<'a> {
@@ -141,19 +151,49 @@ impl<'a> KeyTable<'a> {
             slots: vec![EMPTY; cap],
             next: Vec::new(),
             shift,
+            unique: false,
         }
     }
 
-    /// The table over all of `rows`, duplicates chained in ascending order.
+    /// The table over all of `rows`, duplicates chained in ascending
+    /// order — or, on the direct arm with no key repeated, the unique
+    /// table of positions.
     pub fn build(keys: &'a [&'a [i64]], index: Index<'a>, rows: &'a [u32]) -> KeyTable<'a> {
         let mut t = KeyTable::new(keys, index, rows);
         t.next = vec![EMPTY; rows.len()];
+        let mut repeated = false;
         for i in (0..rows.len()).rev() {
             let slot = t.own_slot(i);
+            repeated |= t.slots[slot] != EMPTY;
             t.next[i] = t.slots[slot];
             t.slots[slot] = i as u32;
         }
+        if matches!(index, Index::Direct(_)) && !repeated {
+            for s in t.slots.iter_mut().filter(|s| **s != EMPTY) {
+                *s = rows[*s as usize];
+            }
+            t.next = Vec::new();
+            t.unique = true;
+        }
         t
+    }
+
+    /// Whether this is a unique table: built on the direct arm, no key
+    /// repeated over its rows.
+    pub fn unique(&self) -> bool {
+        self.unique
+    }
+
+    /// The one position holding key `key` in a [`KeyTable::unique`]
+    /// table — one slot read, no chain — or `None` when no row holds it.
+    pub fn row_of(&self, key: i64) -> Option<u32> {
+        debug_assert!(self.unique, "row_of reads a unique table");
+        let Index::Direct(d) = self.index else {
+            return None;
+        };
+        d.slot(key)
+            .map(|s| self.slots[s])
+            .filter(|&row| row != EMPTY)
     }
 
     /// Insert item `i` (the row `rows[i]`) unless its key is already
@@ -176,7 +216,8 @@ impl<'a> KeyTable<'a> {
             Index::Direct(d) => d.slot(probe[0][row]).map_or(EMPTY, |s| self.slots[s]),
         };
         Matches {
-            rows: self.rows,
+            // A unique table's slots hold positions already.
+            rows: (!self.unique).then_some(self.rows),
             next: &self.next,
             item,
         }
@@ -215,7 +256,8 @@ impl<'a> KeyTable<'a> {
 
 /// Iterator over one key's chain, see [`KeyTable::matches`].
 pub struct Matches<'t> {
-    rows: &'t [u32],
+    /// Item → position; `None` when items are positions (a unique table).
+    rows: Option<&'t [u32]>,
     next: &'t [u32],
     item: u32,
 }
@@ -228,9 +270,9 @@ impl Iterator for Matches<'_> {
             return None;
         }
         let i = self.item as usize;
-        // An unchained table (insert-if-absent) holds one row per key.
+        // An unchained table (insert-if-absent, unique) holds one row per key.
         self.item = self.next.get(i).copied().unwrap_or(EMPTY);
-        Some(self.rows[i])
+        Some(self.rows.map_or(i as u32, |rows| rows[i]))
     }
 }
 
@@ -379,6 +421,47 @@ mod tests {
             let span = kept.clone().max().zip(kept.min()).map(|(hi, lo)| (hi - lo + 1) as u128);
             let direct = check(&[build], &[probe], &rows, hash_rows);
             proptest::prop_assert_eq!(direct, span.is_none_or(|s| s <= direct_limit(rows.len())));
+        }
+    }
+
+    proptest::proptest! {
+        /// A direct build is unique exactly when no key repeats over its
+        /// rows, and then its one-slot probe answers what the hash arm's
+        /// chained walk does: the one matching position, or none.
+        #[test]
+        fn unique_arm_is_the_chained_walk(
+            raw in proptest::collection::vec(-30i64..30, 0..120),
+            probe in proptest::collection::vec(-50i64..50, 1..60),
+            distinct in proptest::any::<bool>(),
+            stride in 1usize..4,
+        ) {
+            // Half the draws are made distinct, so both outcomes occur.
+            let build: Vec<i64> = match distinct {
+                true => (0..raw.len() as i64).map(|i| if raw[i as usize] < 0 { -i } else { i }).collect(),
+                false => raw.clone(),
+            };
+            let rows: Vec<u32> = (0..build.len() as u32).step_by(stride).collect();
+            let keys: [&[i64]; 1] = [&build];
+            // Spans past the direct limit hash: nothing to check.
+            if let Some(direct) = Direct::of(&keys, &rows) {
+                let mut seen = std::collections::BTreeSet::new();
+                let repeats = rows.iter().any(|&r| !seen.insert(build[r as usize]));
+                let table = KeyTable::build(&keys, Index::Direct(direct), &rows);
+                proptest::prop_assert_eq!(table.unique(), !repeats);
+                let hashes = hash_rows(&keys, build.len());
+                let chained = KeyTable::build(&keys, Index::Hash(&hashes), &rows);
+                let probe_keys: [&[i64]; 1] = [&probe];
+                let probe_hashes = hash_rows(&probe_keys, probe.len());
+                for (r, &h) in probe_hashes.iter().enumerate() {
+                    let walk: Vec<u32> = chained.matches(&probe_keys, r, h).collect();
+                    let direct: Vec<u32> = table.matches(&probe_keys, r, h).collect();
+                    proptest::prop_assert_eq!(&direct, &walk);
+                    if table.unique() {
+                        let one: Vec<u32> = table.row_of(probe[r]).into_iter().collect();
+                        proptest::prop_assert_eq!(&one, &walk);
+                    }
+                }
+            }
         }
     }
 

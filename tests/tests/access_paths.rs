@@ -23,9 +23,8 @@ use tdp_integration::{
 
 #[test]
 fn pruning_is_invisible_across_threads_morsels_and_zone_maps() {
-    let tdp = Tdp::new();
-    tdp.register_table(blocked_table(10_000));
-    let queries = [
+    let blocked = |tdp: &Tdp| tdp.register_table(blocked_table(10_000));
+    for sql in [
         "SELECT v, k, tag FROM t WHERE v < 100",
         "SELECT v, k FROM t WHERE v >= 4100 AND v < 4200 AND k > 2",
         "SELECT SUM(v) AS s, COUNT(*) AS c FROM t WHERE v BETWEEN 5000 AND 5100",
@@ -33,28 +32,135 @@ fn pruning_is_invisible_across_threads_morsels_and_zone_maps() {
         "SELECT tag, COUNT(*) AS c FROM t WHERE v > 9990 GROUP BY tag ORDER BY tag",
         "SELECT v FROM t WHERE v < 50 LIMIT 7",
         SUBQUERY,
-    ];
-    // Baseline: zone maps off, 1 thread, default morsel size.
-    for sql in queries {
-        tdp.set_zone_maps(false);
-        tdp.set_threads(1);
-        let baseline = tdp.query(sql).unwrap().run().unwrap();
-        for zone_maps in [true, false] {
-            for threads in [1usize, 2, 7] {
-                for morsel_rows in [Some(7usize), None] {
-                    let t2 = Tdp::new();
-                    t2.register_table(blocked_table(10_000));
-                    t2.set_zone_maps(zone_maps);
-                    t2.set_threads(threads);
-                    if let Some(m) = morsel_rows {
-                        t2.set_morsel_rows(m);
-                    }
-                    let got = t2.query(sql).unwrap().run().unwrap();
-                    assert_tables_identical(
-                        &baseline,
-                        &got,
-                        &format!("{sql} [zm={zone_maps} t={threads} m={morsel_rows:?}]"),
-                    );
+    ] {
+        invisible_at_every_point(&blocked, sql, &ParamValues::new());
+    }
+
+    // Morsels the zone maps prove wholly inside the filter: folded with
+    // no mask by an aggregate, handed on whole by a selection exit. Each
+    // statement has proven, partly proven and excluded morsels, and each
+    // is checked against zone maps off at one thread.
+    let proving = |tdp: &Tdp| tdp.register_table(proof_table(10_000));
+    let appended = |tdp: &Tdp| {
+        tdp.register_table(proof_table(10_000));
+        assert!(tdp.append_rows("p", &proof_table(3_000)));
+    };
+    for sql in [
+        // A bound equal to chunk 0's max (4095) and chunk 1's min (4096):
+        // the closed side proves, the strict side does not.
+        "SELECT SUM(c) AS s, MAX(v) AS hi, COUNT(*) AS n FROM p WHERE v <= 4095",
+        "SELECT SUM(c) AS s, MAX(v) AS hi, COUNT(*) AS n FROM p WHERE v < 4095",
+        "SELECT SUM(c) AS s, MAX(v) AS hi, COUNT(*) AS n FROM p WHERE v >= 4096",
+        "SELECT SUM(c) AS s, MAX(v) AS hi, COUNT(*) AS n FROM p WHERE v > 4096",
+        "SELECT g, SUM(c) AS s, MIN(w) AS lo, COUNT(*) AS n FROM p WHERE v <= 9000 \
+         GROUP BY g ORDER BY g",
+        "SELECT v, g FROM p WHERE v >= 4096 AND v < 9000 ORDER BY g, v",
+        "SELECT DISTINCT g FROM p WHERE v <= 5000",
+        // ±0 are one value: `z` is ±0 over chunk 0.
+        "SELECT SUM(c) AS s, MAX(v) AS hi, COUNT(*) AS n FROM p WHERE z = 0",
+        "SELECT SUM(c) AS s, MAX(v) AS hi, COUNT(*) AS n FROM p WHERE z = -0.0",
+        "SELECT v, z FROM p WHERE z >= 0 ORDER BY v",
+        "SELECT SUM(c) AS s, MAX(v) AS hi, COUNT(*) AS n FROM p WHERE z <= -0.0 AND v < 8000",
+        // Past 2²⁴ `big <= 16781311` compares in f32, where the bound is
+        // 16781312: chunk 0 (max 16781311) is proven, and chunk 1's first
+        // rows pass although they exceed the bound.
+        "SELECT SUM(c) AS s, MAX(v) AS hi, COUNT(*) AS n FROM p WHERE big <= 16781311",
+        "SELECT v, big FROM p WHERE big <= 16781313 ORDER BY v",
+        // Chunk 1 of `w` holds a NaN: no stats, nothing decided there.
+        "SELECT SUM(c) AS s, MAX(v) AS hi, COUNT(*) AS n FROM p WHERE w < 9000",
+        "SELECT v FROM p WHERE w >= 0 ORDER BY v DESC LIMIT 5",
+        // IN and OR: chunk-constant `c`, and same-column arms.
+        "SELECT SUM(c) AS s, MAX(v) AS hi, COUNT(*) AS n FROM p WHERE c IN (0, 2)",
+        "SELECT v, c FROM p WHERE c IN (1) ORDER BY v",
+        "SELECT SUM(c) AS s, MAX(v) AS hi, COUNT(*) AS n FROM p WHERE v < 100 OR v >= 4096",
+        "SELECT v FROM p WHERE v < 100 OR v > 8191 ORDER BY v",
+        // A conjunct the pruner cannot compile: nothing is proven.
+        "SELECT SUM(c) AS s, MAX(v) AS hi, COUNT(*) AS n FROM p WHERE v <= 9000 AND SQRT(v) > 50",
+    ] {
+        invisible_at_every_point(&proving, sql, &ParamValues::new());
+        invisible_at_every_point(&appended, sql, &ParamValues::new());
+    }
+    // A `$n` bound to a number proves; bound to NaN or to a string it is
+    // inert and proves nothing — the string binding's error included.
+    let bound = "SELECT g, SUM(c) AS s, COUNT(*) AS n FROM p WHERE v <= ? GROUP BY g ORDER BY g";
+    for params in [
+        ParamValues::new().number(9000.0),
+        ParamValues::new().number(f64::NAN),
+        ParamValues::new().string("9000"),
+    ] {
+        invisible_at_every_point(&proving, bound, &params);
+    }
+    // Every morsel lies inside the first arm, but the inert second arm
+    // still has to be evaluated (and fail) for the filter to.
+    let either = "SELECT SUM(c) AS s, COUNT(*) AS n FROM p WHERE v <= 20000 OR v > ?";
+    for params in [
+        ParamValues::new().number(5.0),
+        ParamValues::new().string("5"),
+    ] {
+        invisible_at_every_point(&proving, either, &params);
+    }
+}
+
+/// `rows` rows over 4096-row zone-map chunks: `v` = the row, `w` the row
+/// with a NaN at row 5000, `z` ±0 over chunk 0 then 1.0, `big` = 2²⁴ +
+/// the row, `c` = the chunk, `g` a three-way group key.
+fn proof_table(rows: usize) -> Table {
+    TableBuilder::new()
+        .col_f32("v", (0..rows).map(|i| i as f32).collect())
+        .col_f32(
+            "w",
+            (0..rows)
+                .map(|i| if i == 5_000 { f32::NAN } else { i as f32 })
+                .collect(),
+        )
+        .col_f32(
+            "z",
+            (0..rows)
+                .map(|i| match (i < 4096, i % 2) {
+                    (true, 0) => 0.0,
+                    (true, _) => -0.0,
+                    (false, _) => 1.0,
+                })
+                .collect(),
+        )
+        .col_i64("big", (0..rows).map(|i| (1 << 24) + i as i64).collect())
+        .col_i64("c", (0..rows).map(|i| (i / 4096) as i64).collect())
+        .col_str(
+            "g",
+            &(0..rows)
+                .map(|i| ["a", "b", "c"][i % 3])
+                .collect::<Vec<_>>(),
+        )
+        .build("p")
+}
+
+/// `sql` bound to `params` over the tables `setup` registers: the same
+/// bytes — or the same error — with zone maps on and off, at 1, 2 and 7
+/// threads, at 7-row and default morsels, as zone maps off at one thread.
+fn invisible_at_every_point(setup: &dyn Fn(&Tdp), sql: &str, params: &ParamValues) {
+    let run = |zone_maps: bool, threads: usize, morsel_rows: Option<usize>| {
+        let tdp = Tdp::new();
+        setup(&tdp);
+        tdp.set_zone_maps(zone_maps);
+        tdp.set_threads(threads);
+        if let Some(m) = morsel_rows {
+            tdp.set_morsel_rows(m);
+        }
+        let prepared = tdp.prepare(sql).unwrap();
+        prepared
+            .bind(params.clone())
+            .and_then(|q| q.run())
+            .map_err(|e| e.to_string())
+    };
+    let baseline = run(false, 1, None);
+    for zone_maps in [true, false] {
+        for threads in [1usize, 2, 7] {
+            for morsel_rows in [Some(7usize), None] {
+                let what = format!("{sql} [zm={zone_maps} t={threads} m={morsel_rows:?}]");
+                match (&baseline, run(zone_maps, threads, morsel_rows)) {
+                    (Ok(want), Ok(got)) => assert_tables_identical(want, &got, &what),
+                    (Err(want), Err(got)) => assert_eq!(want, &got, "{what}"),
+                    (want, got) => panic!("{what}: {want:?} vs {got:?}"),
                 }
             }
         }
@@ -157,6 +263,63 @@ fn profiled_runs_report_pruned_and_scanned_morsels() {
         .unwrap();
     assert_eq!(profile.morsels_pruned, 0);
     assert_eq!(profile.morsels_scanned, 0);
+}
+
+/// The TPC-H Q1 shape over a sorted, compressed day column of 16
+/// morsels: the bound proves the first 14 whole, the 15th straddles it
+/// and the 16th lies past it. Proven morsels are folded with no mask and
+/// still count as scanned; the pruned and scanned counts are what they
+/// were before morsels could be proven, and the bytes are zone maps off's.
+#[test]
+fn q1_shape_proves_the_morsels_inside_its_bound() {
+    const MORSEL: usize = 4096;
+    let rows = 16 * MORSEL;
+    let flags = ["A", "N", "R"];
+    let table = TableBuilder::new()
+        .col_i64("day", (0..rows).map(|i| (i / 256) as i64).collect())
+        .col_f32("qty", (0..rows).map(|i| 1.0 + (i % 50) as f32).collect())
+        .col_f32(
+            "price",
+            (0..rows).map(|i| ((i * 7919) % 1000) as f32).collect(),
+        )
+        .col_str("flag", &(0..rows).map(|i| flags[i % 3]).collect::<Vec<_>>())
+        .build("li")
+        .compress();
+    let sql = "SELECT flag, SUM(qty) AS q, SUM(price) AS p, AVG(qty) AS a, COUNT(*) AS n \
+               FROM li WHERE day <= ? GROUP BY flag ORDER BY flag";
+    // Morsel m spans days 16m..16m+15: 13 × 16 + 15 = 223 <= 231 < 239.
+    let bound = ParamValues::new().number(231.0);
+    let run = |zone_maps: bool, threads: usize| {
+        let tdp = Tdp::new();
+        tdp.register_table(table.clone());
+        tdp.set_morsel_rows(MORSEL);
+        tdp.set_threads(threads);
+        tdp.set_zone_maps(zone_maps);
+        let q = tdp.prepare(sql).unwrap().bind(bound.clone()).unwrap();
+        q.run_profiled().unwrap()
+    };
+    let (want, _) = run(false, 1);
+    for threads in [1, 2] {
+        let (got, profile) = run(true, threads);
+        assert_tables_identical(&want, &got, &format!("q1 shape @ {threads} threads"));
+        assert_eq!(
+            (
+                profile.morsels_pruned,
+                profile.morsels_proven,
+                profile.morsels_scanned
+            ),
+            (1, 14, 15),
+            "{}",
+            profile.pretty()
+        );
+        assert!(
+            profile
+                .pretty()
+                .contains("[zone-maps: 1 pruned / 14 proven / 15 scanned]"),
+            "{}",
+            profile.pretty()
+        );
+    }
 }
 
 #[test]

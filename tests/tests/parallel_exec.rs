@@ -301,6 +301,9 @@ fn staged_barriers_match_sequential_oracle_at_tiny_morsels() {
     let tdp = Tdp::new();
     tdp.register_table(table(100, 11));
     tdp.register_table(dim(5));
+    for t in dense_join_tables() {
+        tdp.register_table(t);
+    }
     tdp.set_morsel_rows(7);
     for sql in [
         "SELECT t.v, t.tag, d.w FROM t JOIN d ON t.k = d.k",
@@ -316,6 +319,18 @@ fn staged_barriers_match_sequential_oracle_at_tiny_morsels() {
         "SELECT DISTINCT tag FROM t WHERE v > 0.0",
         "SELECT t.v, d.w FROM t JOIN d ON t.k = d.id",
         "SELECT t.v, d.name FROM t LEFT JOIN d ON t.k = d.id WHERE t.v < 0.0",
+        // Dense build keys: unique (one slot per probe row), one key
+        // repeated (the chained walk), a LEFT join whose probe keys past
+        // 36 miss, a selection-fed build side and probe side, and a
+        // mixed-class pair whose left codes were interned with the
+        // right's. 103 probe rows split unevenly over 2 and 7 tasks.
+        "SELECT p.v, u.w FROM p JOIN u ON p.key = u.id",
+        "SELECT p.v, r.w FROM p JOIN r ON p.key = r.id",
+        "SELECT p.v, u.name FROM p LEFT JOIN u ON p.key = u.id",
+        "SELECT p.v, s.w FROM p JOIN (SELECT id, w FROM u WHERE w > 2.0) AS s ON p.key = s.id",
+        "SELECT s.v, u.name FROM (SELECT key, v FROM p WHERE v > 0.0) AS s \
+         LEFT JOIN u ON s.key = u.id",
+        "SELECT p.v, u.w FROM p JOIN u ON p.key = u.name",
     ] {
         let oracle = run_at(&tdp, sql, 1);
         for threads in [2usize, 7] {
@@ -323,6 +338,28 @@ fn staged_barriers_match_sequential_oracle_at_tiny_morsels() {
             assert_tables_identical(&oracle, &out, &format!("{sql} @ {threads} threads"));
         }
     }
+}
+
+/// Dense join sides for the staged-join oracle: `p` probes with 103
+/// keys in 0..45, `u` holds the unique keys 0..37, `r` the same keys
+/// with 5 repeated.
+fn dense_join_tables() -> [Table; 3] {
+    let n = 103;
+    let probe = TableBuilder::new()
+        .col_i64("key", (0..n).map(|i| (i * 7 % 45) as i64).collect())
+        .col_f32("v", (0..n).map(|i| (i % 13) as f32 - 6.0).collect())
+        .build("p");
+    let build = |name: &str, ids: Vec<i64>| {
+        let names: Vec<String> = ids.iter().map(|i| i.to_string()).collect();
+        let ws = (0..ids.len()).map(|i| (i * 31 % 17) as f32 / 4.0).collect();
+        TableBuilder::new()
+            .col_i64("id", ids)
+            .col_str("name", &names)
+            .col_f32("w", ws)
+            .build(name)
+    };
+    let repeated = (0..37).chain([5]).collect();
+    [probe, build("u", (0..37).collect()), build("r", repeated)]
 }
 
 #[test]
@@ -345,8 +382,8 @@ fn explain_and_profile_report_barrier_strategy() {
     // Profiled runs report what actually happened: strategy with morsel
     // counts on the barrier traces, partitions in the totals. `d.k`
     // spans 22 values over 12 rows, so the join the plan staged as
-    // partitioned runs as one direct-index table the probe morsels
-    // share, chosen from the data — no exchange.
+    // partitioned runs as one direct-index table the probe tasks share
+    // (one per thread), chosen from the data — no exchange.
     let (_, prof) = q.run_profiled().unwrap();
     let join_op = prof
         .ops
@@ -355,7 +392,7 @@ fn explain_and_profile_report_barrier_strategy() {
         .expect("join trace");
     assert_eq!(
         join_op.strategy.as_deref(),
-        Some("direct-index (one table + 13 probe morsels)"),
+        Some("direct-index (one table + 3 probe tasks)"),
         "{}",
         prof.pretty()
     );
@@ -389,7 +426,7 @@ fn explain_and_profile_report_barrier_strategy() {
         .expect("join trace");
     let strat = join_op.strategy.as_deref().expect("join strategy recorded");
     assert!(strat.contains("partitioned ×16"), "{strat}");
-    assert!(strat.contains("probe morsels"), "{strat}");
+    assert!(strat.contains("probe tasks"), "{strat}");
     assert_eq!(prof.partitions, 16, "join exchange partitions in totals");
     assert!(
         prof.pretty().contains("partitioned ×16"),
