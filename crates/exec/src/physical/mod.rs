@@ -608,6 +608,10 @@ pub enum PhysicalPlan {
     },
 }
 
+/// What [`PhysicalPlan::explain_with`] calls for each scalar subquery:
+/// `(plan, out, depth)`.
+pub(crate) type SubqueryRender<'s> = dyn FnMut(&PhysicalPlan, &mut String, usize) + 's;
+
 impl PhysicalPlan {
     /// Children of this node (0, 1 or 2).
     pub fn inputs(&self) -> Vec<&PhysicalPlan> {
@@ -723,18 +727,20 @@ impl PhysicalPlan {
     /// its plan too.
     pub fn explain(&self) -> String {
         let mut out = String::new();
-        self.explain_with(&mut out, 0, &mut |_, _, _| {});
+        self.explain_with(&mut out, 0, None);
         out
     }
 
     /// [`PhysicalPlan::explain`] at `depth`, calling `subquery(plan, out,
     /// depth)` after each operator's line for each scalar subquery the
-    /// operator holds, at one level deeper than the operator.
-    pub(crate) fn explain_with(
+    /// operator holds, at one level deeper than the operator. With no
+    /// `subquery` (the fingerprint's rendering) expressions are not
+    /// walked for subqueries at all.
+    pub(crate) fn explain_with<'s>(
         &self,
         out: &mut String,
         depth: usize,
-        subquery: &mut dyn FnMut(&PhysicalPlan, &mut String, usize),
+        mut subquery: Option<&mut SubqueryRender<'s>>,
     ) {
         for _ in 0..depth {
             out.push_str("  ");
@@ -855,17 +861,15 @@ impl PhysicalPlan {
                 ));
             }
         }
-        let mut held = Vec::new();
-        self.for_each_expr_node(&mut |e| {
-            if let CompiledExpr::ScalarSubquery(p) = e {
-                held.push(Arc::clone(p));
-            }
-        });
-        for plan in held {
-            subquery(&plan, out, depth + 1);
+        if let Some(render) = subquery.as_deref_mut() {
+            self.for_each_expr_node(&mut |e| {
+                if let CompiledExpr::ScalarSubquery(p) = e {
+                    render(p, out, depth + 1);
+                }
+            });
         }
         for child in self.inputs() {
-            child.explain_with(out, depth + 1, subquery);
+            child.explain_with(out, depth + 1, subquery.as_deref_mut());
         }
     }
 

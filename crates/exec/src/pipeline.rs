@@ -258,9 +258,11 @@ pub fn explain_ctx(plan: &PhysicalPlan, ctx: &ExecContext) -> String {
 /// without the blocks, so they do not move it.
 pub fn explain_physical(plan: &PhysicalPlan, ctx: &ExecContext) -> String {
     let mut out = String::new();
-    plan.explain_with(&mut out, 0, &mut |sub, out, depth| {
-        subquery_block(sub, ctx, out, depth)
-    });
+    plan.explain_with(
+        &mut out,
+        0,
+        Some(&mut |sub, out, depth| subquery_block(sub, ctx, out, depth)),
+    );
     out
 }
 
@@ -268,9 +270,11 @@ pub fn explain_physical(plan: &PhysicalPlan, ctx: &ExecContext) -> String {
 fn subquery_block(plan: &PhysicalPlan, ctx: &ExecContext, out: &mut String, depth: usize) {
     let pad = "  ".repeat(depth);
     out.push_str(&format!("{pad}subquery fp:{:016x}\n", plan.fingerprint()));
-    plan.explain_with(out, depth + 1, &mut |sub, out, depth| {
-        subquery_block(sub, ctx, out, depth)
-    });
+    plan.explain_with(
+        out,
+        depth + 1,
+        Some(&mut |sub, out, depth| subquery_block(sub, ctx, out, depth)),
+    );
     out.push_str(&format!("{pad}  pipelines:\n"));
     explain_node(&decompose(plan), ctx, out, depth + 2);
 }

@@ -111,7 +111,8 @@ pub enum Index<'a> {
 ///   table whose rows repeat no key is [`KeyTable::unique`] instead: its
 ///   slots hold the positions themselves and no chain exists, so
 ///   [`KeyTable::row_of`] answers a probe key with one slot read — what
-///   the chained walk would yield, its only match.
+///   the chained walk would yield, its only match. [`KeyTable::matches`]
+///   does not read a unique table: one reader per arm.
 /// * [`KeyTable::new`] + [`KeyTable::insert_if_absent`] keeps the first
 ///   row of each key only (no chain is allocated).
 ///
@@ -209,15 +210,17 @@ impl<'a> KeyTable<'a> {
 
     /// Positions (entries of `rows`) whose key equals row `row` of the
     /// `probe` code columns, given that row's hash (ignored by a direct
-    /// table). Ascending after [`KeyTable::build`].
+    /// table). Ascending after [`KeyTable::build`]. A
+    /// [`KeyTable::unique`] table is read with [`KeyTable::row_of`]
+    /// instead.
     pub fn matches(&self, probe: &[&[i64]], row: usize, hash: u64) -> Matches<'_> {
+        debug_assert!(!self.unique, "a unique table is read with row_of");
         let item = match self.index {
             Index::Hash(_) => self.slots[self.find(hash, |at| self.same_key(probe, row, at))],
             Index::Direct(d) => d.slot(probe[0][row]).map_or(EMPTY, |s| self.slots[s]),
         };
         Matches {
-            // A unique table's slots hold positions already.
-            rows: (!self.unique).then_some(self.rows),
+            rows: self.rows,
             next: &self.next,
             item,
         }
@@ -256,8 +259,7 @@ impl<'a> KeyTable<'a> {
 
 /// Iterator over one key's chain, see [`KeyTable::matches`].
 pub struct Matches<'t> {
-    /// Item → position; `None` when items are positions (a unique table).
-    rows: Option<&'t [u32]>,
+    rows: &'t [u32],
     next: &'t [u32],
     item: u32,
 }
@@ -270,9 +272,9 @@ impl Iterator for Matches<'_> {
             return None;
         }
         let i = self.item as usize;
-        // An unchained table (insert-if-absent, unique) holds one row per key.
+        // An unchained (insert-if-absent) table holds one row per key.
         self.item = self.next.get(i).copied().unwrap_or(EMPTY);
-        Some(self.rows.map_or(i as u32, |rows| rows[i]))
+        Some(self.rows[i])
     }
 }
 
@@ -296,7 +298,10 @@ mod tests {
         let table = KeyTable::build(bkeys, index, rows);
         let probe = |t: &KeyTable| -> Vec<Vec<u32>> {
             (ph.iter().enumerate())
-                .map(|(r, &h)| t.matches(pkeys, r, h).collect())
+                .map(|(r, &h)| match t.unique() {
+                    true => t.row_of(pkeys[0][r]).into_iter().collect(),
+                    false => t.matches(pkeys, r, h).collect(),
+                })
                 .collect()
         };
         let matches = probe(&table);
@@ -454,12 +459,11 @@ mod tests {
                 let probe_hashes = hash_rows(&probe_keys, probe.len());
                 for (r, &h) in probe_hashes.iter().enumerate() {
                     let walk: Vec<u32> = chained.matches(&probe_keys, r, h).collect();
-                    let direct: Vec<u32> = table.matches(&probe_keys, r, h).collect();
+                    let direct: Vec<u32> = match table.unique() {
+                        true => table.row_of(probe[r]).into_iter().collect(),
+                        false => table.matches(&probe_keys, r, h).collect(),
+                    };
                     proptest::prop_assert_eq!(&direct, &walk);
-                    if table.unique() {
-                        let one: Vec<u32> = table.row_of(probe[r]).into_iter().collect();
-                        proptest::prop_assert_eq!(&one, &walk);
-                    }
                 }
             }
         }
