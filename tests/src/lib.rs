@@ -202,3 +202,84 @@ pub fn vecs_table(n: usize, d: usize, seed: u64) -> Table {
         .col_tensor("emb", clustered_vectors(n, d, 8, seed))
         .build("vecs")
 }
+
+/// Composite dense keys, for joins and DISTINCT: `cp` probes with 103
+/// rows over `(a, b)` in `0..9 × 0..6` — so some rows hold one key in
+/// the build's range and the other outside it — with a dictionary `tag`
+/// and a boolean `hot` beside them; `cu` holds each pair of `0..8 ×
+/// 0..5` once, `cr` the same pairs with three repeated. The build sides'
+/// `name` is a dictionary encoded apart from `cp.tag` (two strings
+/// shared, one of its own). 40-odd build rows span several seven-row
+/// morsels.
+pub fn composite_key_tables() -> [Table; 3] {
+    let n = 103;
+    let tags: Vec<String> = (0..n).map(|i| format!("g{}", i * 5 % 4)).collect();
+    let probe = TableBuilder::new()
+        .col_i64("a", (0..n).map(|i| (i * 7 % 9) as i64).collect())
+        .col_i64("b", (0..n).map(|i| ((i * 5 + i / 9) % 6) as i64).collect())
+        .col_str("tag", &tags)
+        .col_bool("hot", (0..n).map(|i| i % 3 == 0).collect())
+        .col_f32("v", (0..n).map(|i| (i % 13) as f32 - 6.0).collect())
+        .build("cp");
+    let build = |name: &str, pairs: Vec<(i64, i64)>| {
+        let rows = pairs.len();
+        let names: Vec<&str> = (0..rows).map(|i| ["g1", "zz", "g3"][i % 3]).collect();
+        TableBuilder::new()
+            .col_i64("a", pairs.iter().map(|p| p.0).collect())
+            .col_i64("b", pairs.iter().map(|p| p.1).collect())
+            .col_str("name", &names)
+            .col_bool("hot", (0..rows).map(|i| i % 4 == 1).collect())
+            .col_f32("w", (0..rows).map(|i| (i * 31 % 17) as f32 / 4.0).collect())
+            .build(name)
+    };
+    let pairs: Vec<(i64, i64)> = (0..8).flat_map(|a| (0..5).map(move |b| (a, b))).collect();
+    let repeated = pairs
+        .iter()
+        .copied()
+        .chain([(3, 1), (0, 4), (7, 3)])
+        .collect();
+    [probe, build("cu", pairs), build("cr", repeated)]
+}
+
+/// Joins and DISTINCT over the composite keys of
+/// [`composite_key_tables`]: two integer keys, unique and repeated build
+/// keys, LEFT joins whose misses include rows with one key in range,
+/// selection-fed probe and build sides, a dictionary × bool pair, and
+/// two-key DISTINCT.
+pub const COMPOSITE_KEYS: &[(&str, &str)] = &[
+    (
+        "two-key join, unique build keys",
+        "SELECT cp.v, cu.w FROM cp JOIN cu ON cp.a = cu.a AND cp.b = cu.b",
+    ),
+    (
+        "two-key join, repeated build keys",
+        "SELECT cp.v, cr.w FROM cp JOIN cr ON cp.a = cr.a AND cp.b = cr.b",
+    ),
+    (
+        "two-key left join with misses",
+        "SELECT cp.v, cu.name FROM cp LEFT JOIN cu ON cp.a = cu.a AND cp.b = cu.b",
+    ),
+    (
+        "two-key left join, selection-fed probe side",
+        "SELECT s.v, cr.w FROM (SELECT a, b, v FROM cp WHERE v > 0.0) AS s \
+         LEFT JOIN cr ON s.a = cr.a AND s.b = cr.b",
+    ),
+    (
+        "two-key join, selection-fed build side",
+        "SELECT cp.v, s.w FROM cp JOIN (SELECT a, b, w FROM cu WHERE w > 2.0) AS s \
+         ON cp.a = s.a AND cp.b = s.b",
+    ),
+    (
+        "dictionary × bool join",
+        "SELECT cp.v, cu.w FROM cp JOIN cu ON cp.tag = cu.name AND cp.hot = cu.hot",
+    ),
+    (
+        "dictionary × bool left join",
+        "SELECT cp.v, cr.a FROM cp LEFT JOIN cr ON cp.tag = cr.name AND cp.hot = cr.hot",
+    ),
+    ("two-key distinct", "SELECT DISTINCT a, b FROM cp"),
+    (
+        "dictionary × bool distinct, selection-fed",
+        "SELECT DISTINCT tag, hot FROM cp WHERE v > 0.0",
+    ),
+];

@@ -1,25 +1,36 @@
-//! The EXPLAIN golden file: every statement of the configuration
-//! lattice, and the zone-map, ANN and compute-once statements whose
-//! EXPLAIN `access_paths.rs` and `compute_once.rs` assert on, each
-//! rendered by `Prepared::explain` with its fingerprint, compared as text
-//! with `golden/explain.txt`. Sessions run at four threads and seven-row
-//! morsels, so the text does not depend on the host. A change that moves
-//! a plan, a fingerprint or a pipeline verdict shows as a diff of that
-//! file, and a refactor that must not move one leaves it unchanged.
+//! The golden files. `golden/explain.txt`: every statement of the
+//! configuration lattice, the composite-key statements, and the
+//! zone-map, ANN and compute-once statements whose EXPLAIN
+//! `access_paths.rs` and `compute_once.rs` assert on, each rendered by
+//! `Prepared::explain` with its fingerprint, compared as text. Sessions
+//! run at four threads and seven-row morsels, so the text does not
+//! depend on the host. `golden/results.txt`: per lattice and
+//! composite-key statement, its fingerprint and a 64-bit digest of its
+//! result — column names, encodings, shapes and every value's bits, or
+//! the error text of a failing statement — at four threads and seven-row
+//! morsels, then at the session defaults. A change that moves a plan, a
+//! fingerprint, a pipeline verdict or a result bit shows as a diff of
+//! one of them, and a refactor that must not move one leaves both
+//! unchanged. Debug and release builds compare against the same file.
 //!
-//! To rewrite the file from the current code:
+//! To rewrite both files from the current code:
 //! `TDP_BLESS_EXPLAIN=1 cargo test -p tdp_integration --test explain_golden`.
 
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
-use tdp_core::{Session, Tdp, Volatility};
+use tdp_core::encoding::EncodedTensor;
+use tdp_core::storage::Table;
+use tdp_core::{Session, Tdp, TdpEngine, Volatility};
 use tdp_integration::lattice::{
     self, CORPUS, FAILING, RANGE_SCAN, RECENT_SCAN, SUB_NESTED, SUB_TOP,
 };
-use tdp_integration::{blocked_table, normal_table, vecs_table, Counting};
+use tdp_integration::{
+    blocked_table, composite_key_tables, normal_table, vecs_table, Counting, COMPOSITE_KEYS,
+};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/explain.txt");
+const RESULTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/results.txt");
 
 /// The fixed configuration every block renders at.
 fn pin(tdp: &Session) {
@@ -140,17 +151,145 @@ fn render() -> String {
     ] {
         block(&mut out, &tdp, "compute once", sql);
     }
+
+    let tdp = composite_session();
+    pin(&tdp);
+    for (name, sql) in COMPOSITE_KEYS {
+        block(&mut out, &tdp, &format!("composite keys: {name}"), sql);
+    }
     out
 }
 
-#[test]
-fn explain_matches_the_golden_file() {
-    let got = render();
+/// A session holding [`composite_key_tables`], at the defaults.
+fn composite_session() -> Session {
+    let tdp = TdpEngine::new().session();
+    for t in composite_key_tables() {
+        tdp.register_table(t);
+    }
+    tdp
+}
+
+/// FNV-1a over 64 bits: a digest fixed by this file alone, so the golden
+/// file does not depend on a hasher's version.
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// A length-prefixed byte string, so concatenations cannot collide.
+    fn text(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+}
+
+/// The digest of a result's canonical bytes: per column its name, its
+/// encoding, its shape and each value's bits — f32 bit patterns, `i64`
+/// values (an integer-compressed column decoded), a boolean's byte, a
+/// dictionary's strings — or the text of the error it failed with.
+fn digest(result: &Result<Table, String>) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let table = match result {
+        Ok(table) => table,
+        Err(text) => {
+            h.text("error");
+            h.text(text);
+            return h.0;
+        }
+    };
+    h.word(table.columns().len() as u64);
+    for c in table.columns() {
+        h.text(&c.name);
+        h.text(&format!("{:?}", c.data.kind()));
+        h.word(c.data.rows() as u64);
+        let row_shape = c.data.row_shape();
+        h.word(row_shape.len() as u64);
+        row_shape.iter().for_each(|&d| h.word(d as u64));
+        match &c.data {
+            EncodedTensor::F32(_) | EncodedTensor::Pe(_) => {
+                for v in c.data.decode_f32().data() {
+                    h.word(v.to_bits().into());
+                }
+            }
+            EncodedTensor::Bool(t) => t.data().iter().for_each(|&b| h.bytes(&[b as u8])),
+            EncodedTensor::Dict { .. } => c.data.decode_strings().iter().for_each(|s| h.text(s)),
+            _ => {
+                for &v in c.data.decode_i64().data() {
+                    h.word(v as u64);
+                }
+            }
+        }
+    }
+    h.0
+}
+
+/// One statement's result at the session's configuration, or its error.
+fn result(tdp: &Session, sql: &str) -> Result<Table, String> {
+    let query = tdp.query(sql).map_err(|e| e.to_string())?;
+    query.run().map_err(|e| e.to_string())
+}
+
+/// One line per statement: its fingerprint, the digest of its result at
+/// four threads and seven-row morsels, the digest at the session
+/// defaults, and its name.
+fn render_results() -> String {
+    let lattice = |pinned: bool| {
+        let rows = match pinned {
+            true => 7,
+            false => tdp_core::exec::DEFAULT_MORSEL_ROWS,
+        };
+        let tdp = lattice::session(None, rows);
+        if pinned {
+            pin(&tdp);
+        }
+        tdp
+    };
+    let composite = |pinned: bool| {
+        let tdp = composite_session();
+        if pinned {
+            pin(&tdp);
+        }
+        tdp
+    };
+    let mut out = String::new();
+    let sets: [(&str, &[(&str, &str)], &dyn Fn(bool) -> Session); 3] = [
+        ("lattice", CORPUS, &lattice),
+        ("lattice", FAILING, &lattice),
+        ("composite keys", COMPOSITE_KEYS, &composite),
+    ];
+    for (set, statements, session) in sets {
+        let (pinned, defaults) = (session(true), session(false));
+        for (name, sql) in statements {
+            let prepared = pinned
+                .prepare(sql)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            out.push_str(&format!(
+                "{:016x} {:016x} {:016x} {set}: {name}\n",
+                prepared.fingerprint(),
+                digest(&result(&pinned, sql)),
+                digest(&result(&defaults, sql)),
+            ));
+        }
+    }
+    out
+}
+
+/// `got` against the golden file at `path`, or — with
+/// `TDP_BLESS_EXPLAIN` set — `got` written to it.
+fn compare(path: &str, got: &str) {
     if std::env::var("TDP_BLESS_EXPLAIN").is_ok() {
-        std::fs::write(GOLDEN, &got).unwrap();
+        std::fs::write(path, got).unwrap();
         return;
     }
-    let want = std::fs::read_to_string(GOLDEN).unwrap_or_default();
+    let want = std::fs::read_to_string(path).unwrap_or_default();
     if got == want {
         return;
     }
@@ -160,10 +299,20 @@ fn explain_matches_the_golden_file() {
         .position(|(g, w)| g != w)
         .unwrap_or(got_lines.len().min(want_lines.len()));
     panic!(
-        "EXPLAIN differs from {GOLDEN} from line {}:\n  golden: {:?}\n  now:    {:?}\n\
+        "{path} differs from line {}:\n  golden: {:?}\n  now:    {:?}\n\
          (TDP_BLESS_EXPLAIN=1 rewrites the file)",
         first + 1,
         want_lines.get(first),
         got_lines.get(first),
     );
+}
+
+#[test]
+fn explain_matches_the_golden_file() {
+    compare(GOLDEN, &render());
+}
+
+#[test]
+fn results_match_the_golden_file() {
+    compare(RESULTS, &render_results());
 }

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use tdp_core::exec::ExecError;
 use tdp_core::storage::{Table, TableBuilder};
 use tdp_core::{ParamValues, Tdp, TdpError};
-use tdp_integration::assert_tables_identical;
+use tdp_integration::{assert_tables_identical, composite_key_tables, COMPOSITE_KEYS};
 
 fn table(n: usize, seed: u64) -> Table {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -301,7 +301,10 @@ fn staged_barriers_match_sequential_oracle_at_tiny_morsels() {
     let tdp = Tdp::new();
     tdp.register_table(table(100, 11));
     tdp.register_table(dim(5));
-    for t in dense_join_tables() {
+    for t in dense_join_tables()
+        .into_iter()
+        .chain(composite_key_tables())
+    {
         tdp.register_table(t);
     }
     tdp.set_morsel_rows(7);
@@ -331,7 +334,14 @@ fn staged_barriers_match_sequential_oracle_at_tiny_morsels() {
         "SELECT s.v, u.name FROM (SELECT key, v FROM p WHERE v > 0.0) AS s \
          LEFT JOIN u ON s.key = u.id",
         "SELECT p.v, u.w FROM p JOIN u ON p.key = u.name",
-    ] {
+    ]
+    .into_iter()
+    // Composite dense keys: two integer keys and a dictionary × bool
+    // pair, INNER and LEFT, unique and repeated build keys, probe rows
+    // with one key in range and the other not, selection-fed sides, and
+    // two-key DISTINCT.
+    .chain(COMPOSITE_KEYS.iter().map(|(_, sql)| *sql))
+    {
         let oracle = run_at(&tdp, sql, 1);
         for threads in [2usize, 7] {
             let out = run_at(&tdp, sql, threads);
