@@ -633,7 +633,8 @@ fn exact_key_as_pe(col: &EncodedTensor) -> Result<(Var, F32Tensor), ExecError> {
             p.class_values().clone(),
         ));
     }
-    let u = tdp_tensor::sort::unique_i64(&exact::key_codes(col)?);
+    let codes = exact::key_codes(col, exact::Rows::All)?.into_owned();
+    let u = tdp_tensor::sort::unique_i64(&Tensor::from_vec(codes, &[col.rows()]));
     let onehot = tdp_tensor::index::one_hot(&u.inverse, u.values.numel());
     let values = match col {
         EncodedTensor::F32(t) => {

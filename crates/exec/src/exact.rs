@@ -18,7 +18,7 @@ use std::borrow::Cow;
 use tdp_encoding::EncodedTensor;
 use tdp_sql::ast::JoinKind;
 use tdp_tensor::keytable::{hash_rows, partition_of, Index, KeyTable};
-use tdp_tensor::sort::group_ids;
+use tdp_tensor::sort::group_rows;
 use tdp_tensor::{F32Tensor, I64Tensor, Tensor};
 
 use crate::batch::Batch;
@@ -191,14 +191,13 @@ pub fn distinct_batch(batch: &Batch) -> Result<Batch, ExecError> {
     if n == 0 || batch.columns().is_empty() {
         return Ok(batch.clone());
     }
-    let codes: Vec<I64Tensor> = (batch.columns().iter())
-        .map(|(_, c)| key_codes(c))
+    let codes: Vec<Cow<[i64]>> = (batch.columns().iter())
+        .map(|(_, c)| key_codes(c, Rows::All))
         .collect::<Result<_, _>>()?;
-    let refs: Vec<&I64Tensor> = codes.iter().collect();
-    let (ids, distinct) = group_ids(&refs);
-    let groups = distinct.shape()[0];
+    let groups = group_rows(&code_refs(&codes), None);
+    let (ids, groups) = (groups.ids, groups.groups);
     let mut rep = vec![i64::MAX; groups];
-    for (row, &g) in ids.data().iter().enumerate() {
+    for (row, &g) in ids.iter().enumerate() {
         let slot = &mut rep[g as usize];
         if (row as i64) < *slot {
             *slot = row as i64;
@@ -263,23 +262,68 @@ fn f32_order_key(v: f32) -> i64 {
     u as i64
 }
 
-/// Integer grouping codes for a key column, chosen by encoding.
-pub(crate) fn key_codes(col: &EncodedTensor) -> Result<I64Tensor, ExecError> {
+/// The rows of a column a codes read covers.
+#[derive(Clone, Copy)]
+pub(crate) enum Rows<'r> {
+    /// Every row.
+    All,
+    /// The rows `start..end`.
+    Window(usize, usize),
+    /// The ascending survivor rows listed.
+    At(&'r I64Tensor),
+}
+
+/// A key column's integer grouping codes at `rows` — the one place a key
+/// column becomes codes, for GROUP BY's fold and combine,
+/// COUNT(DISTINCT), DISTINCT, joins, sort keys and window partitions. A
+/// plain `i64` or dictionary column read at every row or over a window
+/// is borrowed; at survivor rows it is gathered by index, as are bool
+/// and f32 columns; every other read is decoded — at survivors through
+/// the positional read ([`EncodedTensor::select_rows`]: compressed
+/// layouts are read at the survivors, never decoded whole).
+pub(crate) fn key_codes<'c>(
+    col: &'c EncodedTensor,
+    rows: Rows<'_>,
+) -> Result<Cow<'c, [i64]>, ExecError> {
+    fn gather<T: Copy>(d: &[T], at: &I64Tensor, f: impl Fn(T) -> i64) -> Cow<'static, [i64]> {
+        Cow::Owned(at.data().iter().map(|&r| f(d[r as usize])).collect())
+    }
+    Ok(match (col, rows) {
+        (EncodedTensor::I64(t) | EncodedTensor::Dict { codes: t, .. }, rows) => match rows {
+            Rows::All => Cow::Borrowed(t.data()),
+            Rows::Window(start, end) => Cow::Borrowed(&t.data()[start..end]),
+            Rows::At(at) => gather(t.data(), at, |v| v),
+        },
+        (EncodedTensor::Bool(t), Rows::At(at)) => gather(t.data(), at, i64::from),
+        // Multi-dimensional payloads go through `decode_codes`' shape
+        // guard (a gather preserves dimensionality).
+        (EncodedTensor::F32(t), Rows::At(at)) if t.ndim() == 1 => {
+            gather(t.data(), at, f32_order_key)
+        }
+        (_, Rows::At(at)) => Cow::Owned(decode_codes(&col.select_rows(at))?),
+        (_, Rows::Window(start, end)) => Cow::Owned(decode_codes(&col.slice_rows(start, end))?),
+        (_, Rows::All) => Cow::Owned(decode_codes(col)?),
+    })
+}
+
+/// Every row's grouping code, chosen by encoding: a dictionary's codes, a
+/// bool's 0/1, an f32's order-preserving bits, every integer layout's
+/// values, a probability column's argmax class.
+fn decode_codes(col: &EncodedTensor) -> Result<Vec<i64>, ExecError> {
     Ok(match col {
-        EncodedTensor::I64(t) => t.clone(),
-        EncodedTensor::Bool(t) => t.to_i64_mask(),
-        EncodedTensor::Dict { codes, .. } => codes.clone(),
-        EncodedTensor::Rle(r) => r.decode(),
-        EncodedTensor::Pe(p) => p.decode_ids(),
-        EncodedTensor::BitPacked(b) => b.decode(),
-        EncodedTensor::Delta(d) => d.decode(),
+        EncodedTensor::I64(t) | EncodedTensor::Dict { codes: t, .. } => t.to_vec(),
+        EncodedTensor::Bool(t) => t.data().iter().map(|&b| b.into()).collect(),
+        EncodedTensor::Rle(r) => r.decode().to_vec(),
+        EncodedTensor::Pe(p) => p.decode_ids().to_vec(),
+        EncodedTensor::BitPacked(b) => b.decode().to_vec(),
+        EncodedTensor::Delta(d) => d.decode().to_vec(),
         EncodedTensor::F32(t) => {
             if t.ndim() != 1 {
                 return Err(ExecError::TypeMismatch(
                     "cannot group by a multi-dimensional payload column".into(),
                 ));
             }
-            t.map(f32_order_key)
+            t.data().iter().map(|&v| f32_order_key(v)).collect()
         }
     })
 }
@@ -355,43 +399,9 @@ fn key_class(col: &EncodedTensor) -> u8 {
     }
 }
 
-/// Grouping codes of `col` at the ascending survivor rows `rows`
-/// (`None` = every row): exactly `key_codes(&col.filter_rows(m))` for
-/// the mask keeping those rows. Plain layouts read the survivors by
-/// index, and every other layout through the positional read
-/// ([`EncodedTensor::select_rows`]: integer-compressed layouts are read
-/// at the survivors, never decoded whole), so a selective input never
-/// pays a full-width pass over its key columns.
-pub(crate) fn key_codes_at(
-    col: &EncodedTensor,
-    rows: Option<&I64Tensor>,
-) -> Result<Vec<i64>, ExecError> {
-    let Some(rows) = rows else {
-        return Ok(key_codes(col)?.to_vec());
-    };
-    let at = rows.data();
-    Ok(match col {
-        EncodedTensor::I64(t) | EncodedTensor::Dict { codes: t, .. } => {
-            let d = t.data();
-            at.iter().map(|&r| d[r as usize]).collect()
-        }
-        EncodedTensor::Bool(t) => {
-            let d = t.data();
-            at.iter().map(|&r| i64::from(d[r as usize])).collect()
-        }
-        // Multi-dimensional payloads go through `key_codes`' shape guard
-        // (a gather preserves dimensionality).
-        EncodedTensor::F32(t) if t.ndim() == 1 => {
-            let d = t.data();
-            at.iter().map(|&r| f32_order_key(d[r as usize])).collect()
-        }
-        _ => key_codes(&col.select_rows(rows))?.to_vec(),
-    })
-}
-
 /// Column-major key codes of one join side or DISTINCT input:
-/// `[key][row]`.
-pub(crate) type KeyCodes = Vec<Vec<i64>>;
+/// `[key][row]`, each column borrowed where it is stored.
+pub(crate) type KeyCodes<'c> = Vec<Cow<'c, [i64]>>;
 
 /// One join input: a dense batch whose position *is* its row id, or —
 /// with the ascending survivor row ids — a selection over a full-width
@@ -405,7 +415,7 @@ pub(crate) type JoinInput<'a> = (&'a Batch, Option<&'a I64Tensor>);
 /// columns, which is safe because rows read out of a column stay in its
 /// key class (plain `i64` shares the integer-compressed layouts').
 ///
-/// * Same class: each side's grouping codes ([`key_codes_at`]).
+/// * Same class: each side's grouping codes ([`key_codes`]).
 /// * Dictionary × dictionary: strings decide. The right dictionary's
 ///   *entries* are looked up in the left's once — O(|dict|) string
 ///   work, none per row — and entries the left lacks get codes past its
@@ -419,7 +429,7 @@ pub(crate) type JoinInput<'a> = (&'a Batch, Option<&'a I64Tensor>);
 /// so each probe task reads its own — except a mixed-class pair's, which
 /// share the one interning pass with the right's.
 pub(crate) struct JoinCodes<'a> {
-    pub(crate) right: KeyCodes,
+    pub(crate) right: KeyCodes<'a>,
     left: Vec<LeftKey<'a>>,
 }
 
@@ -447,7 +457,7 @@ pub(crate) fn join_codes<'a>(
         if key_class(l) != key_class(r) {
             let (lcodes, rcodes) = intern_pair(l, lrows, r, rrows);
             codes.left.push(LeftKey::Interned(lcodes));
-            codes.right.push(rcodes);
+            codes.right.push(Cow::Owned(rcodes));
         } else {
             codes.left.push(LeftKey::Own(l));
             codes.right.push(right_codes(l, r, rrows)?);
@@ -467,14 +477,12 @@ impl JoinCodes<'_> {
         let (start, end) = (range.start, range.end);
         self.left
             .iter()
-            .map(|key| {
-                Ok(match key {
-                    LeftKey::Interned(codes) => Cow::Borrowed(&codes[range.clone()]),
-                    LeftKey::Own(col) => Cow::Owned(match lrows {
-                        Some(ids) => key_codes_at(col, Some(&ids.slice_rows(start, end)))?,
-                        None => key_codes_at(&col.slice_rows(start, end), None)?,
-                    }),
-                })
+            .map(|key| match key {
+                LeftKey::Interned(codes) => Ok(Cow::Borrowed(&codes[range.clone()])),
+                LeftKey::Own(col) => match lrows {
+                    Some(ids) => key_codes(col, Rows::At(&ids.slice_rows(start, end))),
+                    None => key_codes(col, Rows::Window(start, end)),
+                },
             })
             .collect()
     }
@@ -512,13 +520,14 @@ fn intern_pair(
 }
 
 /// A same-class pair's right codes, in the left's code space: its own
-/// grouping codes at `rrows`, a dictionary's mapped into the left's.
-fn right_codes(
+/// grouping codes at `rrows` — borrowed where they are stored — or, for
+/// a second dictionary, owned and mapped into the left's.
+fn right_codes<'a>(
     left: &EncodedTensor,
-    right: &EncodedTensor,
+    right: &'a EncodedTensor,
     rrows: Option<&I64Tensor>,
-) -> Result<Vec<i64>, ExecError> {
-    let mut rcodes = key_codes_at(right, rrows)?;
+) -> Result<Cow<'a, [i64]>, ExecError> {
+    let mut rcodes = key_codes(right, rrows.map_or(Rows::All, Rows::At))?;
     if let (EncodedTensor::Dict { dict: ld, .. }, EncodedTensor::Dict { dict: rd, .. }) =
         (left, right)
     {
@@ -534,7 +543,7 @@ fn right_codes(
                 let found = l < lv.len() && lv[l] == *s;
                 shared.push(if found { l } else { lv.len() + r } as i64);
             }
-            for c in &mut rcodes {
+            for c in rcodes.to_mut() {
                 *c = shared[*c as usize];
             }
         }
@@ -565,17 +574,16 @@ impl JoinPairs {
 
 /// Probe the left positions `range` against the build side's
 /// per-partition tables (`tables.len()` is the exchange's partition
-/// count; one table = no exchange). `keys` and `hashes` hold the range's
-/// own codes and hashes, position `range.start` first (`hashes: None`: a
-/// direct-index table, which reads no hash); `lids` / `rids` translate
-/// positions to the row ids emitted (`None` = a dense side whose
-/// position *is* its row id). Each left row's matches come out in
-/// ascending build order — against a [`KeyTable::unique`] table, its one
-/// match, read from one slot.
+/// count; one table = no exchange, or a direct-index table). `keys` hold
+/// the range's own codes, position `range.start` first, each row located
+/// by the tables' arm ([`KeyTable::locate`]: its hash, or its direct
+/// slot); `lids` / `rids` translate positions to the row ids emitted
+/// (`None` = a dense side whose position *is* its row id). Each left
+/// row's matches come out in ascending build order — against a
+/// [`KeyTable::unique`] table, its one match, read from one slot.
 pub(crate) fn probe_rows(
     tables: &[KeyTable<'_>],
     keys: &[&[i64]],
-    hashes: Option<&[u64]>,
     range: std::ops::Range<usize>,
     kind: JoinKind,
     lids: Option<&[i64]>,
@@ -589,10 +597,11 @@ pub(crate) fn probe_rows(
         right: Vec::with_capacity(range.len()),
         unmatched: Vec::new(),
     };
-    if let ([table], [key]) = (tables, keys) {
+    let located = tables[0].locate(keys, range.len());
+    if let [table] = tables {
         if table.unique() {
-            for (pos, &k) in range.zip(key.iter()) {
-                match table.row_of(k) {
+            for (pos, &at) in range.zip(&located) {
+                match table.row_of(at) {
                     Some(m) => {
                         out.left.push(gid(lids, pos));
                         out.right.push(gid(rids, m as usize));
@@ -606,10 +615,9 @@ pub(crate) fn probe_rows(
     }
     let first = range.start;
     for pos in range {
-        let at = pos - first;
-        let h = hashes.map_or(0, |h| h[at]);
+        let (row, at) = (pos - first, located[pos - first]);
         let before = out.left.len();
-        for m in tables[partition_of(h, tables.len())].matches(keys, at, h) {
+        for m in tables[partition_of(at, tables.len())].matches(keys, row, at) {
             out.left.push(gid(lids, pos));
             out.right.push(gid(rids, m as usize));
         }
@@ -684,19 +692,10 @@ pub fn join_batches(
     let codes = join_codes(on, (left, None), (right, None))?;
     let lcodes = codes.left_at(None, 0..left.rows())?;
     let (lkeys, rkeys) = (code_refs(&lcodes), code_refs(&codes.right));
-    let lhashes = hash_rows(&lkeys, left.rows());
     let rhashes = hash_rows(&rkeys, right.rows());
     let build: Vec<u32> = (0..right.rows() as u32).collect();
     let table = KeyTable::build(&rkeys, Index::Hash(&rhashes), &build);
-    let pairs = probe_rows(
-        &[table],
-        &lkeys,
-        Some(&lhashes),
-        0..left.rows(),
-        kind,
-        None,
-        None,
-    );
+    let pairs = probe_rows(&[table], &lkeys, 0..left.rows(), kind, None, None);
     join_assemble(left, (right, None), kind, pairs, 1)
 }
 
@@ -761,7 +760,7 @@ fn pad_right(left_pad: &Batch, (right, rids): JoinInput<'_>, n: usize) -> Batch 
 /// without ORDER BY, the GROUP BY fold of the row's partition; with
 /// ORDER BY, the ordered combine of the peer-group folds up to and
 /// including the row's peer group (`RANGE UNBOUNDED PRECEDING`, SQL's
-/// default frame). COUNT(DISTINCT) counts distinct `key_codes`.
+/// default frame). COUNT(DISTINCT) counts distinct grouping codes.
 pub fn window_batch(
     batch: &Batch,
     windows: &[PhysWindow],
@@ -770,21 +769,23 @@ pub fn window_batch(
     let n = batch.rows();
     let mut out = batch.clone();
     for w in windows {
-        let part_ids: Vec<i64> = if w.partition_by.is_empty() {
+        let part_ids: Vec<u32> = if w.partition_by.is_empty() {
             vec![0; n]
         } else {
-            let codes: Vec<I64Tensor> = w
+            let cols: Vec<EncodedTensor> = w
                 .partition_by
                 .iter()
                 .map(|e| match eval_expr(e, batch, ctx)? {
-                    Value::Column(c) => key_codes(&c),
+                    Value::Column(c) => Ok(c),
                     other => Err(ExecError::TypeMismatch(format!(
                         "PARTITION BY expression must be a column, got {other:?}"
                     ))),
                 })
                 .collect::<Result<_, _>>()?;
-            let refs: Vec<&I64Tensor> = codes.iter().collect();
-            group_ids(&refs).0.to_vec()
+            let codes: Vec<Cow<[i64]>> = (cols.iter())
+                .map(|c| key_codes(c, Rows::All))
+                .collect::<Result<_, _>>()?;
+            group_rows(&code_refs(&codes), None).ids
         };
         let order = order_key_codes(batch, &w.order_by, "window ORDER BY", ctx)?;
         let mut idx: Vec<usize> = (0..n).collect();
@@ -870,14 +871,14 @@ fn order_key_codes(
     let mut key_vecs = Vec::with_capacity(keys.len());
     for k in keys {
         let codes = match eval_expr(&k.expr, batch, ctx)? {
-            Value::Column(c) => key_codes(&c)?,
+            Value::Column(c) => key_codes(&c, Rows::All)?.into_owned(),
             other => {
                 return Err(ExecError::TypeMismatch(format!(
                     "{clause} expression must be a column, got {other:?}"
                 )))
             }
         };
-        key_vecs.push((codes.to_vec(), k.desc));
+        key_vecs.push((codes, k.desc));
     }
     Ok(key_vecs)
 }

@@ -82,15 +82,15 @@
 //! thread count or the kernel switch either.
 //!
 //! The kernels themselves live in [`exact`]: filters are boolean masks,
-//! GROUP BY resolves composite integer keys to dense group ids in one
-//! O(n) sweep (`tdp_tensor::sort::group_rows`: a direct-index table for
-//! narrow key spans, an open-addressing hash otherwise, sorting only
-//! the distinct tuples), joins are hash joins, ORDER BY is argsort, and
-//! aggregation is one compiled program per query ([`morsel`]'s
-//! `AggProgram`) whose accumulators all advance in a single row-order
-//! pass over `(group id, arguments…)` — with no keys, each accumulator is
-//! its own loop with its running value in a local — reading the stored
-//! columns it names in place.
+//! ORDER BY is argsort, and every key — of GROUP BY, DISTINCT, a join, a
+//! sort or a window partition — becomes `i64` codes in one function
+//! (`exact::key_codes`) and, when dense, direct-index slots by one rule
+//! (`tdp_tensor::keytable::Direct`); other keys hash. Aggregation is one
+//! compiled program per query ([`morsel`]'s `AggProgram`) whose
+//! accumulators all advance in a single row-order pass over
+//! `(slot, arguments…)` — with no keys, each accumulator is its own loop
+//! with its running value in a local — reading the stored columns it
+//! names in place.
 //! Probability-encoded inputs are decoded by argmax first (paper §4,
 //! inference-time operator swap). The trainable path ([`soft`], [`diff`])
 //! consumes the *same* pipeline decomposition: GROUP BY +
@@ -164,8 +164,9 @@
 //!     ├ chain      parallel-safety analysis, ChainRun (one verdict per chain per run),
 //!     │            streaming run + LIMIT sink, chain→barrier hand-off
 //!     ├ aggregate  AggProgram, the one per-morsel fold (in place over the stored
-//!     │            columns it names), the combine (group_rows over the partials'
-//!     │            key rows, states scattered in morsel order)
+//!     │            columns it names, into the keys' Direct slots or hashed ids),
+//!     │            the combine (group_rows over the partials' key rows, states
+//!     │            scattered in morsel order)
 //!     ├ join / sort / distinct   the staged barriers
 //!   kernel     chain kernels over CompiledExpr (and the aggregate fold's reads);
 //!              vetting, once per execution

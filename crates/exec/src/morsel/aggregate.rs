@@ -5,14 +5,15 @@
 //! ([`Inputs`], whoever evaluated them), finds each position's slot and
 //! advances every accumulator in row order ([`Fold::run`]: counts in one
 //! sweep, sums in fixed-width chunks, the rest in one more). The slot is
-//! the key's code itself when the fold stands on one stored dictionary
-//! column of at most [`direct_limit`] entries ([`fold_coded`]: the
-//! reached slots are compacted in code order afterwards), and a group id
-//! resolved by [`group_rows`] otherwise — the same groups in the same
-//! order either way. With zero keys there is one group, and each
+//! the keys' [`Direct`] slot whenever [`Direct`] admits them — a stored
+//! dictionary's size standing in for its scan — and the reached slots
+//! are compacted in slot order afterwards ([`fold_direct`]); otherwise it
+//! is a group id resolved by [`group_hashed`]. Both number groups in
+//! lexicographic code order. With zero keys there is one group, and each
 //! accumulator is its own loop with its running value in a local
 //! ([`fold_one`]). The combine groups the partials' representative key
-//! rows by `group_rows`' rule ([`group_keys`]).
+//! rows by [`group_rows`] ([`group_keys`]), whose direct arm is the same
+//! [`Direct`].
 //!
 //! [`run_aggregate`] is one task per live window that folds it **in
 //! place** when it can ([`InPlace`]): the chain's kernel selects the
@@ -32,7 +33,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use tdp_encoding::EncodedTensor;
 use tdp_sql::ast::AggFunc;
-use tdp_tensor::sort::{direct_limit, group_rows, Groups};
+use tdp_tensor::keytable::Direct;
+use tdp_tensor::sort::{group_hashed, group_rows, Groups};
 use tdp_tensor::{BoolTensor, F32Tensor, I64Tensor, Tensor};
 
 use super::chain::{self, ChainRun};
@@ -40,7 +42,7 @@ use super::sched::{claim_eval, live_windows, Window};
 use crate::access::MorselVerdict;
 use crate::batch::Batch;
 use crate::error::ExecError;
-use crate::exact;
+use crate::exact::{self, Rows};
 use crate::expr::{eval_expr, Value};
 use crate::kernel::{ChainInstance, SelVec};
 use crate::memory;
@@ -262,11 +264,9 @@ struct PartialAgg {
     /// One column per [`AggProgram::accs`] entry.
     accs: Vec<AccColumn>,
     groups: usize,
-    /// Whether the keys went through the hash arm of `group_rows`.
+    /// Whether the keys were grouped by [`group_hashed`] instead of
+    /// folded into their [`Direct`] slots.
     hashed: bool,
-    /// Whether the key's dictionary codes were the fold's slots
-    /// ([`fold_coded`]) instead of `group_rows`' ids.
-    coded: bool,
 }
 
 impl PartialAgg {
@@ -280,7 +280,6 @@ impl PartialAgg {
                 .collect(),
             groups,
             hashed: false,
-            coded: false,
         }
     }
 
@@ -406,8 +405,7 @@ pub(crate) fn run_aggregate(
     let keys = match (prog.keys.is_empty(), &partials[..]) {
         (true, _) => KeyArm::None,
         (false, ps) if ps.iter().any(|p| p.hashed) => KeyArm::Hash,
-        (false, ps) if ps.iter().all(|p| p.coded) => KeyArm::Codes,
-        (false, _) => KeyArm::Direct,
+        (false, _) => KeyArm::Codes,
     };
     let out = merge_partials(&prog, &partials)?;
     if let Some(r) = rec {
@@ -428,13 +426,12 @@ enum Arrived<'p> {
 }
 
 /// How an aggregate stage's partials resolved their groups: no keys, the
-/// key's dictionary codes as slots in every partial ([`fold_coded`]),
-/// else `group_rows`' direct-index arm, or its hash arm in any partial.
+/// keys' [`Direct`] slots in every partial ([`fold_direct`]), or
+/// [`group_hashed`] in any partial.
 #[derive(Clone, Copy)]
 enum KeyArm {
     None,
     Codes,
-    Direct,
     Hash,
 }
 
@@ -449,7 +446,6 @@ impl fmt::Display for AggregateNote<'_> {
         let keys = match arm {
             KeyArm::None => "none",
             KeyArm::Codes => "codes",
-            KeyArm::Direct => "direct",
             KeyArm::Hash => "hash",
         };
         let (accs, args) = (prog.accs.len(), prog.args.len());
@@ -477,11 +473,11 @@ impl fmt::Display for AggregateNote<'_> {
 struct Inputs<'a> {
     /// Positions.
     rows: usize,
-    /// Grouping codes, one slice per key.
-    codes: Vec<&'a [i64]>,
-    /// The codes' domain `0..d`, when it is known: one key, a stored
+    /// Grouping codes, one column per key ([`exact::key_codes`]).
+    codes: Vec<Cow<'a, [i64]>>,
+    /// Per key, the codes' domain `0..d` when it is known: a stored
     /// dictionary column (`d` its dictionary's size).
-    domain: Option<usize>,
+    domains: Vec<Option<usize>>,
     /// Per argument: f32 values, when a numeric aggregate reads it.
     vals: Vec<Option<&'a [f32]>>,
     /// Per argument: a boolean column's flags, when COUNT reads it.
@@ -632,9 +628,12 @@ fn sum_chunk<const W: usize>(args: &[&[f32]], ids: &[u32], slots: usize) -> Vec<
 
 /// Fold one window's evaluated keys and arguments into per-group partial
 /// states. `mask` marks the positions that count (a dense selection's
-/// mask); the rest join no group. Each group's key row is the caller's
-/// to read, at its first position (`key_rows(reps)`): the caller knows
-/// where the keys are stored.
+/// mask); the rest join no group. Keys [`Direct`] admits fold into their
+/// slots ([`fold_direct`]) — when every key's domain is known, the
+/// domains stand in for the scan — and any others are grouped by
+/// [`group_hashed`]. Each group's key row is the caller's to read, at
+/// its first position (`key_rows(reps)`): the caller knows where the
+/// keys are stored.
 fn fold(
     prog: &AggProgram<'_>,
     inp: &Inputs<'_>,
@@ -644,53 +643,46 @@ fn fold(
     if inp.codes.is_empty() {
         return fold_one(prog, inp, mask);
     }
-    if let Some(d) = inp.domain {
-        let visited = mask.map_or(inp.rows, |m| m.iter().filter(|&&keep| keep).count());
-        if d as u128 <= direct_limit(visited) {
-            return fold_coded(prog, inp, mask, (d, visited), key_rows);
-        }
+    let codes = exact::code_refs(&inp.codes);
+    let visited = mask.map_or(inp.rows, |m| m.iter().filter(|&&keep| keep).count());
+    let domains: Option<Vec<(i64, u128)>> = (inp.domains.iter())
+        .map(|d| d.map(|d| (0, d as u128)))
+        .collect();
+    let direct =
+        (domains.and_then(|d| Direct::new(&d, visited))).or_else(|| Direct::of(&codes, mask));
+    if let Some(direct) = direct {
+        return fold_direct(prog, inp, mask, (&direct, visited), key_rows);
     }
-    let Groups {
-        ids,
-        groups,
-        hashed,
-        ..
-    } = group_rows(&inp.codes, mask);
+    let Groups { ids, groups, .. } = group_hashed(&codes, mask);
     let mut partial = fold_groups(prog, inp, &ids, groups, None, mask)?;
-    partial.hashed = hashed;
+    partial.hashed = true;
     partial.key_reps = key_rows(&first_rows(&ids, groups, groups));
     Ok(partial)
 }
 
-/// The code-indexed fold of one key whose codes lie in `0..d`: each code
-/// is its own slot and a row the mask deselects goes to the spare slot
-/// `d`, so no group ids are resolved before the sweep. The slots some row
-/// reached are then compacted, in code order, into dense groups, each
-/// represented by its first position — exactly the groups, order and
-/// representatives of `group_rows`' direct arm, whose table walk is code
-/// order too. `visited` is the number of positions the mask keeps.
-fn fold_coded(
+/// The direct fold: each position's slot is its keys' [`Direct`] slot —
+/// a row the mask deselects goes to the spare slot — so no group ids are
+/// resolved before the sweep. The slots some row reached are then
+/// compacted, in slot order, into dense groups, each represented by its
+/// first position: lexicographic code order, as [`group_rows`] numbers
+/// groups. `visited` is the number of positions the mask keeps.
+fn fold_direct(
     prog: &AggProgram<'_>,
     inp: &Inputs<'_>,
     mask: Option<&[bool]>,
-    (d, visited): (usize, usize),
+    (direct, visited): (&Direct, usize),
     key_rows: impl FnOnce(&I64Tensor) -> Vec<EncodedTensor>,
 ) -> Result<PartialAgg, ExecError> {
-    let codes = inp.codes[0];
-    let ids: Vec<u32> = match mask {
-        None => codes.iter().map(|&c| c as u32).collect(),
-        Some(m) => (codes.iter().zip(m))
-            .map(|(&c, &keep)| if keep { c as u32 } else { d as u32 })
-            .collect(),
-    };
-    let mut partial = fold_groups(prog, inp, &ids, d, None, mask)?;
-    // A code past the dictionary would index past the spare slot, or be
-    // dropped in it: every kept position must have reached a code's slot.
+    let ids = direct.index(&exact::code_refs(&inp.codes), mask);
+    let slots = direct.slots();
+    let mut partial = fold_groups(prog, inp, &ids, slots, None, mask)?;
+    // A code outside a known domain would be dropped in the spare slot:
+    // every kept position must have reached a key's slot.
     let folded: i64 = partial.counts.iter().sum();
-    assert_eq!(folded as usize, visited, "dictionary codes lie in 0..{d}");
-    let present: Vec<usize> = (0..d).filter(|&g| partial.counts[g] > 0).collect();
+    assert_eq!(folded as usize, visited, "codes lie in their domains");
+    let present: Vec<usize> = (0..slots).filter(|&g| partial.counts[g] > 0).collect();
     let groups = present.len();
-    let first = first_rows(&ids, d, groups);
+    let first = first_rows(&ids, slots, groups);
     let reps = present.iter().map(|&g| first.at(g)).collect();
     partial.key_reps = key_rows(&Tensor::from_vec(reps, &[groups]));
     partial.counts = present.iter().map(|&g| partial.counts[g]).collect();
@@ -698,7 +690,6 @@ fn fold_coded(
         acc.select(&present);
     }
     partial.groups = groups;
-    partial.coded = true;
     Ok(partial)
 }
 
@@ -755,9 +746,9 @@ fn fold_groups(
                 // Distinct (scope, value-code) pairs, each counted in the
                 // lowest group among its positions.
                 let raw = inp.raws[acc.arg].expect("evaluated for COUNT(DISTINCT)");
-                let codes = exact::key_codes(raw)?;
+                let codes = exact::key_codes(raw, Rows::All)?;
                 let scope: Vec<i64> = scope.unwrap_or(ids).iter().map(|&g| g as i64).collect();
-                let pairs = group_rows(&[&scope, codes.data()], mask);
+                let pairs = group_rows(&[&scope, &codes], mask);
                 let mut first = vec![u32::MAX; pairs.groups];
                 for (&pair, &g) in pairs.ids.iter().zip(ids) {
                     if let Some(f) = first.get_mut(pair as usize) {
@@ -786,7 +777,6 @@ fn fold_groups(
         accs,
         groups,
         hashed: false,
-        coded: false,
     })
 }
 
@@ -825,8 +815,8 @@ fn fold_one(
                 }]),
                 AccKind::CountDistinct => {
                     let raw = inp.raws[acc.arg].expect("evaluated for COUNT(DISTINCT)");
-                    let codes = exact::key_codes(raw)?;
-                    let distinct = group_rows(&[codes.data()], mask).groups;
+                    let codes = exact::key_codes(raw, Rows::All)?;
+                    let distinct = group_rows(&[&codes], mask).groups;
                     AccColumn::Count(vec![distinct as i64])
                 }
                 AccKind::Sum => {
@@ -888,46 +878,40 @@ fn fold_one(
         accs,
         groups: 1,
         hashed: false,
-        coded: false,
     })
 }
 
-/// A batch's keys and arguments evaluated by the interpreter, held until
+/// A batch's arguments evaluated by the interpreter, held until
 /// [`Evaluated::inputs`] lends them to the fold.
 struct Evaluated {
-    /// Key columns, encoding preserved: representative rows are read
-    /// out of them.
-    keys: Vec<EncodedTensor>,
-    codes: Vec<I64Tensor>,
     vals: Vec<Option<F32Tensor>>,
     flags: Vec<Option<BoolTensor>>,
     raws: Vec<Option<EncodedTensor>>,
 }
 
+/// A batch's key columns evaluated by the interpreter, encoding
+/// preserved: codes and representative rows are read out of them.
+fn eval_keys(
+    prog: &AggProgram<'_>,
+    batch: &Batch,
+    ctx: &ExecContext,
+) -> Result<Vec<EncodedTensor>, ExecError> {
+    (prog.keys.iter())
+        .map(|k| match eval_expr(&k.expr, batch, ctx)? {
+            Value::Column(c) => Ok(c),
+            other => Err(ExecError::TypeMismatch(format!(
+                "GROUP BY expression must be a column, got {other:?}"
+            ))),
+        })
+        .collect()
+}
+
 impl Evaluated {
-    /// Each key, then each distinct argument once, in the forms its
-    /// accumulators read: f32 values, a boolean column's flags, the raw
-    /// column for DISTINCT.
+    /// Each distinct argument once, in the forms its accumulators read:
+    /// f32 values, a boolean column's flags, the raw column for DISTINCT.
     fn of(prog: &AggProgram<'_>, batch: &Batch, ctx: &ExecContext) -> Result<Evaluated, ExecError> {
         let n = batch.rows();
-        let mut keys = Vec::with_capacity(prog.keys.len());
-        for k in prog.keys {
-            match eval_expr(&k.expr, batch, ctx)? {
-                Value::Column(c) => keys.push(c),
-                other => {
-                    return Err(ExecError::TypeMismatch(format!(
-                        "GROUP BY expression must be a column, got {other:?}"
-                    )))
-                }
-            }
-        }
-        let codes = keys
-            .iter()
-            .map(exact::key_codes)
-            .collect::<Result<_, _>>()?;
         let mut ev = Evaluated {
-            keys,
-            codes,
             vals: Vec::with_capacity(prog.args.len()),
             flags: Vec::with_capacity(prog.args.len()),
             raws: Vec::with_capacity(prog.args.len()),
@@ -962,11 +946,12 @@ impl Evaluated {
         Ok(ev)
     }
 
-    fn inputs(&self, rows: usize) -> Inputs<'_> {
+    /// The fold's inputs: these arguments beside the keys' `codes`.
+    fn inputs<'a>(&'a self, rows: usize, codes: Vec<Cow<'a, [i64]>>) -> Inputs<'a> {
         Inputs {
             rows,
-            codes: self.codes.iter().map(I64Tensor::data).collect(),
-            domain: None,
+            domains: vec![None; codes.len()],
+            codes,
             vals: self
                 .vals
                 .iter()
@@ -984,21 +969,26 @@ impl Evaluated {
 
 /// Fold one batch with the interpreter — the oracle of the in-place
 /// fold, and the path of every window it does not take. `mask` marks the
-/// rows of `batch` that count.
+/// rows of `batch` that count. Keys and their codes come first, then the
+/// arguments, so a bad key fails before a bad argument.
 fn partial_aggregate(
     prog: &AggProgram<'_>,
     batch: &Batch,
     mask: Option<&[bool]>,
     ctx: &ExecContext,
 ) -> Result<PartialAgg, ExecError> {
+    let keys = eval_keys(prog, batch, ctx)?;
+    let codes = (keys.iter())
+        .map(|k| exact::key_codes(k, Rows::All))
+        .collect::<Result<_, _>>()?;
     let ev = Evaluated::of(prog, batch, ctx)?;
-    fold(prog, &ev.inputs(batch.rows()), mask, |reps| {
-        ev.keys.iter().map(|c| c.select_rows(reps)).collect()
+    fold(prog, &ev.inputs(batch.rows(), codes), mask, |reps| {
+        keys.iter().map(|c| c.select_rows(reps)).collect()
     })
 }
 
-/// Group `n` rows by their key columns — the combine's grouping, by the
-/// fold's own rule: grouping codes ([`exact::key_codes`]) into
+/// Group `n` rows by their key columns — the combine's grouping, in the
+/// fold's order: grouping codes ([`exact::key_codes`]) into
 /// [`group_rows`], which numbers groups in lexicographic code order.
 /// Zero keys are one group holding every row.
 fn group_keys(keys: &[EncodedTensor], n: usize) -> Result<Groups, ExecError> {
@@ -1007,15 +997,12 @@ fn group_keys(keys: &[EncodedTensor], n: usize) -> Result<Groups, ExecError> {
             ids: vec![0; n],
             distinct: Vec::new(),
             groups: 1,
-            hashed: false,
         });
     }
-    let codes: Vec<I64Tensor> = keys
-        .iter()
-        .map(exact::key_codes)
+    let codes: Vec<Cow<[i64]>> = (keys.iter())
+        .map(|k| exact::key_codes(k, Rows::All))
         .collect::<Result<_, _>>()?;
-    let slices: Vec<&[i64]> = codes.iter().map(|c| c.data()).collect();
-    Ok(group_rows(&slices, None))
+    Ok(group_rows(&exact::code_refs(&codes), None))
 }
 
 /// Each group's representative: the first of its rows in `ids` order
@@ -1176,11 +1163,12 @@ impl<'c> InPlace<'c> {
             key_cols.push(match &k.expr {
                 CompiledExpr::Column(r) => {
                     let col = r.resolve(&self.cols).expect("declined unless it resolves");
-                    (stored_codes(col, win, at.as_ref())?, KeyRows::Stored(col))
+                    let rows = at.as_ref().map_or(Rows::Window(start, end), Rows::At);
+                    (exact::key_codes(col, rows)?, KeyRows::Stored(col))
                 }
                 e => match self.kern.key_window(e, &self.cols, win, sel, ctx) {
                     Some(col) => (
-                        Cow::Owned(exact::key_codes(&col)?.to_vec()),
+                        Cow::Owned(exact::key_codes(&col, Rows::All)?.into_owned()),
                         KeyRows::Computed(col),
                     ),
                     None => return Ok(None),
@@ -1195,14 +1183,18 @@ impl<'c> InPlace<'c> {
                 None => return Ok(None),
             }
         }
-        let domain = match &key_cols[..] {
-            [(_, KeyRows::Stored(EncodedTensor::Dict { dict, .. }))] => Some(dict.len()),
-            _ => None,
-        };
+        let domains = (key_cols.iter())
+            .map(|(_, rows)| match rows {
+                KeyRows::Stored(EncodedTensor::Dict { dict, .. }) => Some(dict.len()),
+                _ => None,
+            })
+            .collect();
         let inputs = Inputs {
             rows,
-            codes: key_cols.iter().map(|(codes, _)| codes.as_ref()).collect(),
-            domain,
+            codes: (key_cols.iter())
+                .map(|(codes, _)| Cow::Borrowed(codes.as_ref()))
+                .collect(),
+            domains,
             vals: args.iter().map(|a| a.vals.as_deref()).collect(),
             flags: args.iter().map(|a| a.flags.as_deref()).collect(),
             raws: vec![None; args.len()],
@@ -1220,25 +1212,6 @@ impl<'c> InPlace<'c> {
         })?;
         Ok(Some(Some(partial)))
     }
-}
-
-/// A stored key column's grouping codes at the positions a fold visits —
-/// rows `start..end`, or the global rows `at` — read where the column
-/// lives: a plain `i64` or dictionary window is its own codes, borrowed;
-/// other layouts go through [`exact::key_codes`] for the window, or
-/// [`exact::key_codes_at`] at the rows.
-fn stored_codes<'c>(
-    col: &'c EncodedTensor,
-    (start, end): (usize, usize),
-    at: Option<&I64Tensor>,
-) -> Result<Cow<'c, [i64]>, ExecError> {
-    Ok(match (col, at) {
-        (_, Some(at)) => Cow::Owned(exact::key_codes_at(col, Some(at))?),
-        (EncodedTensor::I64(t) | EncodedTensor::Dict { codes: t, .. }, None) => {
-            Cow::Borrowed(&t.data()[start..end])
-        }
-        (_, None) => Cow::Owned(exact::key_codes(&col.slice_rows(start, end))?.to_vec()),
-    })
 }
 
 /// Why the in-place fold must not run the program over `cols`: a key or
@@ -1377,7 +1350,7 @@ pub(crate) fn window_aggregate(
         .collect();
     let scope: Vec<u32> = peers.iter().map(|&g| parts[g as usize]).collect();
     let groups = opens.len();
-    let inputs = ev.inputs(batch.rows());
+    let inputs = ev.inputs(batch.rows(), Vec::new());
     let folded = fold_groups(&prog, &inputs, peers, groups, Some(&scope), None)?;
     let mut frames = PartialAgg::identity(&prog, groups);
     let chain = |g: usize| (g, if opens[g] { g } else { g - 1 }, g);
@@ -1459,21 +1432,21 @@ mod tests {
         nan: Nan,
     ) -> Vec<StateBits> {
         let n = batch.rows();
-        let codes: Vec<I64Tensor> = keys
+        let codes: Vec<Vec<i64>> = keys
             .iter()
             .map(|k| match eval_expr(&k.expr, batch, ctx).unwrap() {
-                Value::Column(c) => exact::key_codes(&c).unwrap(),
+                Value::Column(c) => exact::key_codes(&c, Rows::All).unwrap().into_owned(),
                 other => panic!("key {other:?}"),
             })
             .collect();
         let (ids, groups) = if codes.is_empty() {
             (Tensor::from_vec(vec![0i64; n], &[n]), 1)
         } else {
-            // Ids come from `group_ids`, itself proptested against the
+            // Ids come from `group_rows`, itself proptested against the
             // sort-based reference in `tdp_tensor::sort`.
-            let (ids, distinct) = tdp_tensor::sort::group_ids(&codes.iter().collect::<Vec<_>>());
-            let groups = distinct.shape()[0];
-            (ids, groups)
+            let g = group_rows(&exact::code_refs(&codes), None);
+            let ids = g.ids.iter().map(|&id| i64::from(id)).collect();
+            (Tensor::from_vec(ids, &[n]), g.groups)
         };
         let f32_bits = |t: F32Tensor| t.data().iter().map(|&v| nan.f32(v)).collect();
         aggregates
@@ -1842,7 +1815,7 @@ mod tests {
             let prog = AggProgram::compile(&keys, &aggregates).unwrap();
             let check = |batch: &Batch, mask: Option<&[bool]>, what: &str| {
                 let ev = Evaluated::of(&prog, batch, &ctx).unwrap();
-                let inp = ev.inputs(batch.rows());
+                let inp = ev.inputs(batch.rows(), Vec::new());
                 let local = fold_one(&prog, &inp, mask).unwrap();
                 let reference = interleaved_one(&prog, &inp, mask);
                 assert_eq!(
@@ -1862,16 +1835,38 @@ mod tests {
         }
     }
 
-    /// The code-indexed fold ([`fold_coded`]) is bit for bit the
-    /// `group_rows` fold of the same codes — states, group order, group
-    /// count and representatives — on the corpus's NaNs of both signs and
-    /// payloads, ±0 and ±inf, over one to five sums (one chunk of each
-    /// width and a chunk past it) beside every other accumulator kind. The
-    /// key is `flag`'s codes spread over a domain of ten (`3c + 1`), so
-    /// seven entries are never used; the masks keep every row, none,
-    /// row 0 only, the NaN rows only, every other row, every row but a
-    /// whole group (a window where a group is absent) and 99%; and each
+    /// The `group_rows` fold of `inp`, kept as the reference of the
+    /// direct fold: [`group_rows`]' group ids, then [`fold_groups`] and
+    /// each group's first position.
+    fn group_rows_fold(
+        prog: &AggProgram<'_>,
+        inp: &Inputs<'_>,
+        mask: Option<&[bool]>,
+    ) -> PartialAgg {
+        let groups = group_rows(&exact::code_refs(&inp.codes), mask);
+        let mut partial = fold_groups(prog, inp, &groups.ids, groups.groups, None, mask).unwrap();
+        partial.hashed = Direct::of(&exact::code_refs(&inp.codes), mask).is_none();
+        let reps = first_rows(&groups.ids, groups.groups, groups.groups);
+        partial.key_reps = vec![EncodedTensor::I64(reps)];
+        partial
+    }
+
+    /// The direct fold ([`fold_direct`], through [`fold`]) is bit for bit
+    /// the `group_rows` fold of the same codes ([`group_rows_fold`]) —
+    /// states, group order, group count, representatives and arm — on the
+    /// corpus's NaNs of both signs and payloads, ±0 and ±inf, over one to
+    /// five sums (one chunk of each width and a chunk past it) beside
+    /// every other accumulator kind. The keys: `flag`'s codes spread over
+    /// a domain of ten (`3c + 1`, so seven entries are never used),
+    /// folded with that domain known and scanned; the `i64` column `q`
+    /// (span 50) and `k` (too wide unless a mask narrows it: then both
+    /// hash); a bool key; and the two
+    /// keys (spread `flag`, bool). The masks keep every row, none, row 0
+    /// only, the NaN rows only, every other row, every row but a whole
+    /// `flag` group (a window where a group is absent) and 99%; and each
     /// mask's survivors are also folded read by index, with no mask.
+    /// Last, a key spanning exactly [`tdp_tensor::keytable::direct_limit`]
+    /// folds direct, and one slot more hashes.
     #[test]
     fn code_indexed_fold_is_bitwise_the_group_rows_fold() {
         let n = N;
@@ -1889,27 +1884,45 @@ mod tests {
         ];
         let x = batch.column("x").unwrap().decode_f32();
         let every = |m: usize| (0..n).map(|i| i % m != 0).collect::<Vec<bool>>();
+        let codes = |b: &Batch, name: &str| -> Vec<i64> {
+            exact::key_codes(b.column(name).unwrap(), Rows::All)
+                .unwrap()
+                .into_owned()
+        };
         for sql in statements {
             let (keys, aggregates) = aggregate_root(sql, &catalog, &udfs);
             let prog = AggProgram::compile(&keys, &aggregates).unwrap();
             let fold_both = |b: &Batch, mask: Option<&[bool]>, what: &str| {
                 let ev = Evaluated::of(&prog, b, &ctx).unwrap();
-                let spread: Vec<i64> = ev.codes[0].data().iter().map(|&c| 3 * c + 1).collect();
-                let mut inp = ev.inputs(b.rows());
-                inp.codes = vec![&spread];
+                let spread: Vec<i64> = codes(b, "flag").iter().map(|&c| 3 * c + 1).collect();
+                let bools: Vec<i64> = codes(b, "x").iter().map(|&c| i64::from(c > 0)).collect();
+                let (q, k) = (codes(b, "q"), codes(b, "k"));
                 let reps = |reps: &I64Tensor| vec![EncodedTensor::I64(reps.clone())];
-                let plain = fold(&prog, &inp, mask, reps).unwrap();
-                inp.domain = Some(DOMAIN);
-                let coded = fold(&prog, &inp, mask, reps).unwrap();
-                assert!(coded.coded && !plain.coded, "{what}: {sql}");
-                assert_eq!(coded.groups, plain.groups, "{what}: {sql}");
-                assert_same_partial(&prog, &coded, &plain, &format!("{what}: {sql}"));
-                coded.groups
+                let mut groups = None;
+                for (key, cols, domains) in [
+                    ("flag, domain known", vec![&spread], vec![Some(DOMAIN)]),
+                    ("flag, scanned", vec![&spread], vec![None]),
+                    ("i64", vec![&q], vec![None]),
+                    ("wide i64", vec![&k], vec![None]),
+                    ("bool", vec![&bools], vec![None]),
+                    (
+                        "flag and bool",
+                        vec![&spread, &bools],
+                        vec![Some(DOMAIN), None],
+                    ),
+                ] {
+                    let mut inp = ev.inputs(b.rows(), Vec::new());
+                    inp.codes = cols.iter().map(|c| Cow::Borrowed(c.as_slice())).collect();
+                    inp.domains = domains;
+                    let what = format!("{what}, {key}: {sql}");
+                    let direct = fold(&prog, &inp, mask, reps).unwrap();
+                    let reference = group_rows_fold(&prog, &inp, mask);
+                    assert_same_partial(&prog, &direct, &reference, &what);
+                    groups.get_or_insert(direct.groups);
+                }
+                groups.unwrap()
             };
-            let flag0: Vec<bool> = ev_codes(&prog, &batch, &ctx)
-                .iter()
-                .map(|&c| c != 0)
-                .collect();
+            let flag0: Vec<bool> = codes(&batch, "flag").iter().map(|&c| c != 0).collect();
             let masks = [
                 ("all", vec![true; n]),
                 ("none", vec![false; n]),
@@ -1935,12 +1948,24 @@ mod tests {
                 };
                 assert_eq!(groups, expect, "mask/{name}: {sql}");
             }
-        }
-    }
 
-    /// The key's grouping codes of `prog` over `batch` (one key).
-    fn ev_codes(prog: &AggProgram<'_>, batch: &Batch, ctx: &ExecContext) -> Vec<i64> {
-        Evaluated::of(prog, batch, ctx).unwrap().codes[0].to_vec()
+            // A span of exactly the limit — four slots a row — folds
+            // direct; one slot more hashes.
+            let limit = 4 * n as i64;
+            let ev = Evaluated::of(&prog, &batch, &ctx).unwrap();
+            for (span, hashed) in [(limit, false), (limit + 1, true)] {
+                let key: Vec<i64> = (0..n as i64)
+                    .map(|i| i * (span - 1) / (n as i64 - 1))
+                    .collect();
+                let mut inp = ev.inputs(n, vec![Cow::Borrowed(&key)]);
+                inp.domains = vec![None];
+                let reps = |reps: &I64Tensor| vec![EncodedTensor::I64(reps.clone())];
+                let direct = fold(&prog, &inp, None, reps).unwrap();
+                let what = format!("span {span}: {sql}");
+                assert_eq!(direct.hashed, hashed, "{what}");
+                assert_same_partial(&prog, &direct, &group_rows_fold(&prog, &inp, None), &what);
+            }
+        }
     }
 
     /// One key column's identity in the ordered-map merge: the decoded
@@ -1978,13 +2003,13 @@ mod tests {
                 .key_reps
                 .iter()
                 .map(|col| {
-                    let ints = exact::key_codes(col).unwrap();
+                    let ints = exact::key_codes(col, Rows::All).unwrap();
                     (0..p.groups)
                         .map(|g| match col {
                             EncodedTensor::Dict { codes, dict } => {
                                 RefKey::Str(dict.decode_one(codes.at(g)).to_owned())
                             }
-                            _ => RefKey::Int(ints.at(g)),
+                            _ => RefKey::Int(ints[g]),
                         })
                         .collect()
                 })

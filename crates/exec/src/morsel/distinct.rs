@@ -1,8 +1,11 @@
-//! Staged DISTINCT over integer grouping codes. One key column that spans
-//! few values is one first-occurrence sweep over a direct-index table;
-//! any other key exchanges rows by composite-code hash, each partition
-//! keeps first occurrences in a flat table (a key lives in exactly one
-//! partition), and survivors re-sort to input order.
+//! Staged DISTINCT over integer grouping codes. Keys [`Direct`] admits —
+//! any number of columns whose spans multiply within its limit — are one
+//! first-occurrence sweep over a direct-index table; any other keys
+//! exchange rows by composite-code hash, each partition keeps first
+//! occurrences in a flat table (a key lives in exactly one partition),
+//! and survivors re-sort to input order.
+
+use std::borrow::Cow;
 
 use tdp_tensor::keytable::{hash_rows, Direct, Index, KeyTable};
 use tdp_tensor::Tensor;
@@ -11,7 +14,7 @@ use super::chain::BarrierInput;
 use super::sched::{claim, exchange, note_barrier, num_morsels, staging};
 use crate::batch::Batch;
 use crate::error::ExecError;
-use crate::exact;
+use crate::exact::{self, Rows};
 use crate::memory;
 use crate::pipeline::DEFAULT_PARTITIONS;
 use crate::profile::Recorder;
@@ -23,8 +26,8 @@ use crate::verdict::{Reason, Staging};
 /// 8-byte hash column plus the table's `u32` slots — two to four per
 /// row, charged at the upper end. Linear in `rows`, so per-partition
 /// charges sum to the one-set charge. A direct-index set (at most four
-/// `u32` slots a row, or 64 slots, plus the row list) is charged the
-/// same unless a tiny input's table needs more.
+/// `u32` slots a row, or 64 slots, plus the row list and the rows' own
+/// slots) is charged the same unless a tiny input's table needs more.
 fn distinct_set_bytes(rows: usize) -> u64 {
     rows as u64 * (8 + 16)
 }
@@ -32,10 +35,10 @@ fn distinct_set_bytes(rows: usize) -> u64 {
 /// Staged DISTINCT: grouping codes at survivor positions, then by key
 /// shape either
 ///
-/// * **direct** — one key column whose span over the rows is within
-///   [`Direct::of`]'s limit: one insert-if-absent sweep over a table
-///   indexed by key value, in row order, which keeps each key's first
-///   occurrence ascending as it goes; or
+/// * **direct** — keys [`Direct`] admits over the rows: one
+///   insert-if-absent sweep over a table indexed by the keys' [`Direct`]
+///   slot, in row order, which keeps each key's first occurrence
+///   ascending as it goes; or
 /// * **partitioned** — one composite hash per row ([`hash_rows`]) that
 ///   both the exchange and the per-partition tables use, an
 ///   insert-if-absent sweep per partition (a key lives in exactly one
@@ -74,11 +77,9 @@ pub(crate) fn run_distinct(
     // payload gather to the final representative select.
     let charges = memory::ScopedCharges::new(&ctx.memory);
     charges.add("distinct key codes", (rows * 8 * ncols) as u64)?;
-    let codes: exact::KeyCodes = input
-        .batch
-        .columns()
-        .iter()
-        .map(|(_, c)| exact::key_codes_at(c, input.ids.as_ref()))
+    let rows_read = input.ids.as_ref().map_or(Rows::All, Rows::At);
+    let codes: exact::KeyCodes = (input.batch.columns().iter())
+        .map(|(_, c)| exact::key_codes(c, rows_read))
         .collect::<Result<_, _>>()?;
     // Representatives come back as survivor positions; map them to
     // global ids (still ascending) for the one deferred gather.
@@ -97,7 +98,7 @@ pub(crate) fn run_distinct(
 /// Positions are whatever space the codes live in (dense rows or
 /// selection space).
 fn distinct_reps(
-    codes: &[Vec<i64>],
+    codes: &[Cow<[i64]>],
     rows: usize,
     charges: &memory::ScopedCharges,
     ctx: &ExecContext,
@@ -105,11 +106,11 @@ fn distinct_reps(
 ) -> Result<Vec<i64>, ExecError> {
     let keys = exact::code_refs(codes);
     let all: Vec<u32> = (0..rows as u32).collect();
-    if let Some(direct) = Direct::of(&keys, &all) {
+    if let Some(direct) = Direct::of(&keys, None) {
         note_barrier(rec, Staging::DirectIndex, &[1]);
-        let table = (direct.slots() + rows) as u64 * 4;
+        let table = (direct.slots() + 2 * rows) as u64 * 4;
         charges.add("distinct set", distinct_set_bytes(rows).max(table))?;
-        let mut seen = KeyTable::new(&keys, Index::Direct(direct), &all);
+        let mut seen = KeyTable::new(&keys, Index::Direct(&direct), &all);
         return Ok((0..rows)
             .filter(|&i| seen.insert_if_absent(i))
             .map(|i| i as i64)

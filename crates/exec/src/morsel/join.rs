@@ -1,8 +1,10 @@
 //! Staged join over integer key codes: both sides' keys are normalised
-//! to `i64` code columns in one shared code space. A build side whose one
-//! key column spans few values is one direct-index table (slot = key −
-//! smallest key; one slot per key when no key repeats); any other is
-//! hashed once per row and exchanged into per-partition flat tables.
+//! to `i64` code columns in one shared code space. A build side whose
+//! keys [`Direct`] admits — any number of key columns, the product of
+//! their spans within its limit — is one direct-index table (slot =
+//! the keys' [`Direct`] slot; one slot per key when no key repeats);
+//! any other is hashed once per row and exchanged into per-partition
+//! flat tables.
 //! Either way the probe survivors split evenly over the session's
 //! threads, and the tasks' pairs reassemble in range order.
 
@@ -32,12 +34,12 @@ fn join_build_bytes(rows: usize) -> u64 {
 }
 
 /// Byte estimate of a direct-index build over `rows` rows into `slots`
-/// slots: the `u32` slots, the `next` chain and the row list. Within
-/// [`Direct::of`]'s limit of four slots a row that is at most 24 B a row,
-/// so it is charged as the hash build, unless a tiny input's table
-/// (64 slots at least) needs more.
+/// slots: the `u32` slots, the rows' own slots, the `next` chain and the
+/// row list. Within [`Direct`]'s limit of four slots a row that is at
+/// most 28 B a row, so it is charged as the hash build, unless a tiny
+/// input's table (64 slots at least) needs more.
 fn direct_build_bytes(rows: usize, slots: usize) -> u64 {
-    join_build_bytes(rows).max((slots + 2 * rows) as u64 * 4)
+    join_build_bytes(rows).max((slots + 3 * rows) as u64 * 4)
 }
 
 /// Staged join: build the right side's table(s), then probe left morsels
@@ -48,12 +50,12 @@ fn direct_build_bytes(rows: usize, slots: usize) -> u64 {
 /// by index and never filters at full width). Then the build, by the
 /// right side's keys:
 ///
-/// * **direct** — one key column whose span over the build rows is
-///   within [`Direct::of`]'s limit (a foreign key into a dense primary
-///   key, a dictionary): one [`KeyTable`] indexed by key value, built on
-///   the session thread. No hash is computed and nothing is exchanged.
-///   When no build key repeats, the table is unique and a probe row
-///   reads one slot ([`KeyTable::row_of`]).
+/// * **direct** — keys [`Direct`] admits over the build rows (a foreign
+///   key into a dense primary key, a dictionary, a dense composite key):
+///   one [`KeyTable`] indexed by the keys' [`Direct`] slot, built on the
+///   session thread. No hash is computed and nothing is exchanged. When
+///   no build key repeats, the table is unique and a probe row reads one
+///   slot ([`KeyTable::row_of`]).
 /// * **partitioned** — [`hash_rows`] hashes each row's composite key
 ///   **once**: the exchange partitions by that hash, the build slots by
 ///   it, the probe looks up with it. Stage 1 scatters build positions
@@ -64,9 +66,9 @@ fn direct_build_bytes(rows: usize, slots: usize) -> u64 {
 /// lists its rows ascending). The last stage splits the left survivors
 /// into one even range per thread — not by `morsel_rows`, which left a
 /// short last task — each task reading its range's left codes (a
-/// mixed-class pair's were interned with the right's) and hashing them
-/// when the build was partitioned, and reassembles the pair lists in
-/// range order. The pairs — and the
+/// mixed-class pair's were interned with the right's) and locating them
+/// in the tables' arm (their hash, or their direct slot), and
+/// reassembles the pair lists in range order. The pairs — and the
 /// unmatched-left list — are exactly the sequential kernel's (one hash
 /// table over every build row), so [`exact::join_assemble`] finishes
 /// every path. Codes, hashes and tables are position-indexed (survivor
@@ -107,13 +109,13 @@ pub(crate) fn run_join(
     // exchanged positions, the build table(s) and the probe pair lists.
     let charges = memory::ScopedCharges::new(&ctx.memory);
     let all: Vec<u32> = (0..rrows as u32).collect();
-    let direct = Direct::of(&rkeys, &all);
+    let direct = Direct::of(&rkeys, None);
     let rhashes = match direct {
         Some(_) => Vec::new(),
         None => hash_rows(&rkeys, rrows),
     };
     let parts;
-    let tables: Vec<KeyTable> = match direct {
+    let tables: Vec<KeyTable> = match &direct {
         Some(d) => {
             note_barrier(rec, Staging::DirectIndex, &[1, probe]);
             charges.add("join build", direct_build_bytes(rrows, d.slots()))?;
@@ -144,8 +146,7 @@ pub(crate) fn run_join(
         let range = rows * i / probe..rows * (i + 1) / probe;
         let lcodes = codes.left_at(left.ids.as_ref(), range.clone())?;
         let lkeys = exact::code_refs(&lcodes);
-        let hashes = direct.is_none().then(|| hash_rows(&lkeys, range.len()));
-        let pairs = exact::probe_rows(&tables, &lkeys, hashes.as_deref(), range, kind, lids, rids);
+        let pairs = exact::probe_rows(&tables, &lkeys, range, kind, lids, rids);
         charges.add("join probe", pairs.bytes())?;
         Ok(pairs)
     })?;

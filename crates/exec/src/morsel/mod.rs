@@ -6,10 +6,10 @@
 //! |---------------|------|
 //! | `sched`       | worker contexts, the one thread-spawn site, the one claim loop (ordered result slots, first error in index order, the LIMIT stop bound), the partition `exchange`, morsel ranges and the interpreter's window slices (`slice_window`, a [`Batch`](crate::Batch) of the input's rows) |
 //! | `chain`       | parallel-safety analysis, the per-execution `ChainRun`, the streaming chain run with its LIMIT sink, the per-morsel selection stage and the chain→barrier hand-off (`BarrierInput`: the stored columns as a `Batch` plus survivor ids, or a gathered `Batch`) |
-//! | `aggregate`   | `AggProgram`, the one per-morsel fold (a zero-key fold keeps each accumulator in a local), the one claim that folds each window in place — selected by the chain's kernel, or every row of a bare scan, keys and arguments read where they are stored — or, failing that, folds its gathered window, the combine — which groups the partials' key rows with the fold's own `group_rows` and scatters their states in morsel order — and the one finisher turning states into output columns. A window aggregate (`window_aggregate`, called by `exact::window_batch`) is the same program with no keys: one fold over its peer groups, frames chained in window order by the combine's arithmetic, the same finisher |
-//! | `join`        | partitioned hash join over `i64` key codes: hash once → exchange → per-partition flat table → parallel probe → per-column assembly |
+//! | `aggregate`   | `AggProgram`, the one per-morsel fold — into the keys' `Direct` slots, compacted in slot order, or ids from `group_hashed` (a zero-key fold keeps each accumulator in a local) — the one claim that folds each window in place — selected by the chain's kernel, or every row of a bare scan, keys and arguments read where they are stored — or, failing that, folds its gathered window, the combine — which groups the partials' key rows with `group_rows`, in the fold's lexicographic order, and scatters their states in morsel order — and the one finisher turning states into output columns. A window aggregate (`window_aggregate`, called by `exact::window_batch`) is the same program with no keys: one fold over its peer groups, frames chained in window order by the combine's arithmetic, the same finisher |
+//! | `join`        | join over `i64` key codes: one direct-index table when `Direct` admits the build keys, else hash once → exchange → per-partition flat table; then parallel probe → per-column assembly |
 //! | `sort`        | merge sort and top-k: per-morsel runs → k-way merge |
-//! | `distinct`    | shared-nothing DISTINCT on the same codes, hash and table: exchange → per-partition insert-if-absent |
+//! | `distinct`    | DISTINCT on the same codes, `Direct` rule and table: one direct-index sweep, or exchange → per-partition insert-if-absent |
 //!
 //! The barrier modules share nothing but the scheduler API and the
 //! `BarrierInput` shape they are handed. Every stage reads its input

@@ -11,7 +11,7 @@ use super::sched::{
 };
 use crate::batch::Batch;
 use crate::error::ExecError;
-use crate::exact;
+use crate::exact::{self, Rows};
 use crate::expr::{eval_expr, Value};
 use crate::memory;
 use crate::physical::{CompiledExpr, PhysOrderKey};
@@ -37,13 +37,16 @@ enum SortKeyCol {
 }
 
 impl SortKeyCol {
-    fn of(col: &EncodedTensor) -> Result<SortKeyCol, ExecError> {
+    /// The codes of `col` at `rows` ([`exact::key_codes`]), a
+    /// dictionary's with its dictionary.
+    fn of(col: &EncodedTensor, rows: Rows<'_>) -> Result<SortKeyCol, ExecError> {
+        let codes = exact::key_codes(col, rows)?.into_owned();
         Ok(match col {
-            EncodedTensor::Dict { codes, dict } => SortKeyCol::Dict {
-                codes: codes.to_vec(),
+            EncodedTensor::Dict { dict, .. } => SortKeyCol::Dict {
+                codes,
                 dict: dict.clone(),
             },
-            other => SortKeyCol::Ints(exact::key_codes(other)?.to_vec()),
+            _ => SortKeyCol::Ints(codes),
         })
     }
 
@@ -121,7 +124,7 @@ fn sort_runs(
         let mut key_cols = Vec::with_capacity(keys.len());
         for k in keys {
             match eval_expr(&k.expr, &batch, wctx)? {
-                Value::Column(c) => key_cols.push(SortKeyCol::of(&c)?),
+                Value::Column(c) => key_cols.push(SortKeyCol::of(&c, Rows::All)?),
                 other => {
                     return Err(ExecError::TypeMismatch(format!(
                         "ORDER BY expression must be a column, got {other:?}"
@@ -229,7 +232,7 @@ fn gather_sort_keys(
     let Some(srcs) = srcs else {
         return Ok(None);
     };
-    let cols = srcs.iter().map(|c| SortKeyCol::of(&c.select_rows(ids)));
+    let cols = srcs.iter().map(|c| SortKeyCol::of(c, Rows::At(ids)));
     cols.collect::<Result<_, _>>().map(Some)
 }
 

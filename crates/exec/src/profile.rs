@@ -62,9 +62,9 @@ pub struct OpTrace {
     /// (3% dense→sparse)` or `barrier: gathered: <reason>`). On an
     /// aggregate stage: what the fold ran and how its input arrived
     /// (`aggregate: fused 5 acc / 4 args, 3 groups, keys: codes,
-    /// selection-fed` — `keys:` is `codes` when dictionary codes were the
-    /// slots, `direct` or `hash` for `group_rows`' arms, `none` without
-    /// keys; `unfiltered` when it folded every row of a bare
+    /// selection-fed` — `keys:` is `codes` when every partial folded into
+    /// its keys' direct slots, `hash` when one grouped them by hash, `none`
+    /// without keys; `unfiltered` when it folded every row of a bare
     /// scan in place, `gathered: <reason>` or `single-morsel` when it
     /// folded dense windows). `None` when there is nothing to say.
     pub selection: Option<String>,

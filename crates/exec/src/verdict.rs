@@ -131,7 +131,7 @@ pub(crate) enum Staging<'p> {
     /// `partitioned ×n`: join and DISTINCT, exchanged into `n` partitions.
     Partitioned(usize),
     /// `direct-index`: a join or DISTINCT staged as `partitioned ×n` whose
-    /// one key column spans few enough values over the rows it indexes
+    /// key columns span few enough values over the rows it indexes
     /// (`keytable::Direct`) to skip the exchange — one table indexed by
     /// key value. Chosen from the data at run time, so only a profile
     /// shows it; EXPLAIN keeps the plan's `partitioned ×n`.

@@ -1,10 +1,13 @@
-//! Flat tables over composite integer keys — the build/probe structure
-//! of the join and the seen-set of DISTINCT.
+//! Tables over composite integer keys (equal-length `i64` code columns):
+//! [`Direct`], the one rule that decides whether keys — any number of
+//! them — index a table by value, and the slots they index it by, read
+//! by every such table (`group_rows`' direct arm, the aggregate's direct
+//! fold, a [`KeyTable`]'s direct arm); and [`KeyTable`], the build/probe
+//! structure of the join and the seen-set of DISTINCT.
 //!
-//! Keys are equal-length `i64` code columns. A [`KeyTable`] holds `u32`
-//! row indices with one shared `next` chain for duplicate keys: no
-//! per-key vector, no per-row key object. Its caller picks one of two
-//! slot rules ([`Index`]):
+//! A [`KeyTable`] holds `u32` row indices with one shared `next` chain
+//! for duplicate keys: no per-key vector, no per-row key object. Its
+//! caller picks one of two slot rules ([`Index`]):
 //!
 //! * **hash** — open addressing keyed on a row's composite hash, computed
 //!   once ([`hash_rows`]) and reused by everything downstream: the
@@ -12,23 +15,38 @@
 //!   bits, so one partition's keys still spread over its whole table.
 //!   Keys are compared by reading the code columns at the stored
 //!   position.
-//! * **direct** — one key column whose span over the rows is within
-//!   [`direct_limit`] ([`Direct::of`]): the slot *is* the key minus the
-//!   smallest key, so no hash is computed, no key is compared and no
-//!   exchange is needed (the table is small enough to build whole).
-//!   When no key repeats over the rows (a dense primary key), the table
-//!   is **unique**: each slot holds its key's row itself, and a probe is
-//!   one slot read ([`KeyTable::row_of`]).
+//! * **direct** — the [`Direct`] slot of the row's keys: no hash is
+//!   computed, no key is compared and no exchange is needed (the table
+//!   is small enough to build whole). When no key repeats over the rows
+//!   (a dense primary key), the table is **unique**: each slot holds its
+//!   key's row itself, and a probe is one slot read
+//!   ([`KeyTable::row_of`]).
+//!
+//! There are two hash tables, and they stay two. `group_rows`' hash arm
+//! starts at 64 slots, grows, and seeds its hash per call: a grouping's
+//! distinct count is unknown until it is done, and its keys are user
+//! data. A [`KeyTable`]'s hash arm is sized once from its row list and is
+//! seed-free, because exchange partitions must agree across workers,
+//! morsels and runs.
 
-use crate::sort::{direct_limit, mix};
+use crate::sort::mix;
 
 /// Marks a free slot and the end of a duplicate chain.
 const EMPTY: u32 = u32::MAX;
 
+/// Largest direct-index table, in slots, for `visited` rows — the one
+/// density threshold, read only by [`Direct`]. The table is allocated at
+/// exactly the keys' span, so tiny inputs pay for tiny tables; above a
+/// few slots per row the hash table's O(distinct) footprint wins.
+pub fn direct_limit(visited: usize) -> u128 {
+    (visited.saturating_mul(4)).clamp(64, 1 << 30) as u128
+}
+
 /// Composite-key hash of each of `rows` rows: one folded-multiply round
-/// (the mixer [`crate::sort::group_rows`] hashes with) per key column. Deterministic and seed-free — partition assignment has to
-/// agree across threads, morsels and runs — so, like any fixed hash,
-/// it does not defend against keys crafted to collide.
+/// (the mixer [`crate::sort::group_rows`] hashes with) per key column.
+/// Deterministic and seed-free — partition assignment has to agree
+/// across threads, morsels and runs — so, like any fixed hash, it does
+/// not defend against keys crafted to collide.
 pub fn hash_rows(keys: &[&[i64]], rows: usize) -> Vec<u64> {
     let mut out = vec![0x9E37_79B9_7F4A_7C15_u64; rows];
     for k in keys {
@@ -46,48 +64,145 @@ pub fn partition_of(hash: u64, partitions: usize) -> usize {
     (((hash & 0xFFFF_FFFF) * partitions as u64) >> 32) as usize
 }
 
-/// The key range of a direct-index table: slot `key − lo` for keys in
-/// `lo..lo + slots`; every other key is absent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The direct index of composite integer keys: key `i` ranges over
+/// `loᵢ..loᵢ + spanᵢ`, and a tuple in range has the slot
+/// `Σ (kᵢ − loᵢ)·strideᵢ`, the last key's stride 1 — so slot order is
+/// lexicographic tuple order. Every other tuple, and every row a mask
+/// drops, has the spare slot [`Direct::slots`], which no tuple shares.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Direct {
-    lo: i64,
+    /// Per key: `(lo, span, stride)`.
+    keys: Vec<(i64, u64, u32)>,
     slots: usize,
 }
 
 impl Direct {
-    /// The direct-index range of `keys` over `rows`: `Some` when there is
-    /// exactly one key column and its span over `rows` is at most
-    /// [`direct_limit`]`(rows.len())` slots (an empty `rows` spans none).
-    /// A span that overflows `i64` is never direct.
-    pub fn of(keys: &[&[i64]], rows: &[u32]) -> Option<Direct> {
-        let [key] = keys else { return None };
-        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-        for &r in rows {
-            let v = key[r as usize];
-            lo = lo.min(v);
-            hi = hi.max(v);
+    /// The direct index of keys whose ranges over the `visited` rows it
+    /// will index are `ranges` (each key's smallest value and span) —
+    /// `Some` when the product of the spans is at most
+    /// [`direct_limit`]`(visited)`. The product saturates, so an overflow
+    /// is never direct. A known domain may stand in for a scan: a
+    /// dictionary column's codes range over `(0, its size)`.
+    pub fn new(ranges: &[(i64, u128)], visited: usize) -> Option<Direct> {
+        let slots = (ranges.iter()).fold(1u128, |p, &(_, span)| p.saturating_mul(span));
+        if slots > direct_limit(visited) {
+            return None;
         }
-        if rows.is_empty() {
-            return Some(Direct { lo: 0, slots: 0 });
-        }
-        let span = (hi as i128 - lo as i128 + 1) as u128;
-        (span <= direct_limit(rows.len())).then_some(Direct {
-            lo,
-            slots: span as usize,
+        // With no slot at all every row is spare: spans of zero miss.
+        // Otherwise every span, and so every stride, is below 2³⁰.
+        let mut stride = 1;
+        let mut keys: Vec<_> = (ranges.iter().rev())
+            .map(|&(lo, span)| {
+                let span = if slots == 0 { 0 } else { span as u64 };
+                let key = (lo, span, stride);
+                stride *= span.max(1) as u32;
+                key
+            })
+            .collect();
+        keys.reverse();
+        Some(Direct {
+            keys,
+            slots: slots as usize,
         })
     }
 
-    /// Slots of the table.
+    /// The direct index of `keys` over the rows `mask` keeps (every row
+    /// without one), from their scanned ranges ([`Direct::new`]). Rows
+    /// the mask drops set no range, so they may hold any key.
+    pub fn of(keys: &[&[i64]], mask: Option<&[bool]>) -> Option<Direct> {
+        let rows = keys.first().map_or(0, |k| k.len());
+        let visited = mask.map_or(rows, |m| m.iter().filter(|&&keep| keep).count());
+        // Each key's smallest value and span over the kept rows, with
+        // branchless selects; a span of zero when no row is kept.
+        let range = |key: &[i64]| {
+            let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+            match mask {
+                None => key.iter().for_each(|&v| (lo, hi) = (lo.min(v), hi.max(v))),
+                Some(m) => {
+                    for (&v, &keep) in key.iter().zip(m) {
+                        lo = lo.min(if keep { v } else { i64::MAX });
+                        hi = hi.max(if keep { v } else { i64::MIN });
+                    }
+                }
+            }
+            match lo > hi {
+                true => (0, 0),
+                false => (lo, (hi as i128 - lo as i128 + 1) as u128),
+            }
+        };
+        let ranges: Vec<(i64, u128)> = keys.iter().map(|k| range(k)).collect();
+        Direct::new(&ranges, visited)
+    }
+
+    /// Slots of the table; also the spare slot.
     pub fn slots(&self) -> usize {
         self.slots
     }
 
-    /// The slot of key `v`, `None` outside the range. `v − lo` wraps onto
-    /// `0..2⁶⁴` bijectively, so exactly the keys in range land below
-    /// `slots`.
-    fn slot(&self, v: i64) -> Option<usize> {
-        let off = v.wrapping_sub(self.lo) as u64;
-        (off < self.slots as u64).then_some(off as usize)
+    /// Each row's slot, computed column by column: the spare slot for a
+    /// row `mask` drops or one with any key outside its range. A miss
+    /// saturates the running sum, which in-range offsets (summing below
+    /// `slots`) never reach, and the last key caps it at the spare slot.
+    /// One key's slot is its offset — no multiply, which a baseline x86
+    /// vector unit lacks for 32-bit lanes.
+    pub fn index(&self, keys: &[&[i64]], mask: Option<&[bool]>) -> Vec<u32> {
+        assert!(
+            !keys.is_empty() && keys.len() == self.keys.len(),
+            "one column per key"
+        );
+        let rows = keys[0].len();
+        assert!(
+            mask.is_none_or(|m| m.len() == rows),
+            "one mask entry per key row"
+        );
+        fn first(k: &[i64], mask: Option<&[bool]>, slot: impl Fn(i64, bool) -> u32) -> Vec<u32> {
+            match mask {
+                None => k.iter().map(|&v| slot(v, true)).collect(),
+                Some(m) => (k.iter().zip(m)).map(|(&v, &keep)| slot(v, keep)).collect(),
+            }
+        }
+        let spare = self.slots as u32;
+        let (lo, span, stride) = self.keys[0];
+        let mut ids = match keys.len() {
+            1 => first(keys[0], mask, |v, keep| {
+                let off = v.wrapping_sub(lo) as u64;
+                if keep && off < span {
+                    off as u32
+                } else {
+                    spare
+                }
+            }),
+            _ => first(keys[0], mask, |v, keep| {
+                let off = v.wrapping_sub(lo) as u64;
+                if keep && off < span {
+                    off as u32 * stride
+                } else {
+                    u32::MAX
+                }
+            }),
+        };
+        for (i, (k, &(lo, span, stride))) in keys.iter().zip(&self.keys).enumerate().skip(1) {
+            assert_eq!(k.len(), rows, "one key code per row");
+            let cap = if i + 1 == keys.len() { spare } else { u32::MAX };
+            for (id, &v) in ids.iter_mut().zip(*k) {
+                let off = v.wrapping_sub(lo) as u64;
+                let sum = if off < span {
+                    id.saturating_add(off as u32 * stride)
+                } else {
+                    u32::MAX
+                };
+                *id = sum.min(cap);
+            }
+        }
+        ids
+    }
+
+    /// The key tuple of slot `slot` (below [`Direct::slots`]), most
+    /// significant key first.
+    pub fn tuple(&self, slot: usize) -> impl Iterator<Item = i64> + '_ {
+        (self.keys.iter()).map(move |&(lo, span, stride)| {
+            lo.wrapping_add((slot as u64 / stride as u64 % span) as i64)
+        })
     }
 }
 
@@ -95,10 +210,10 @@ impl Direct {
 #[derive(Clone, Copy)]
 pub enum Index<'a> {
     /// Open addressing from each row's composite hash ([`hash_rows`] of
-    /// the table's key columns; a probe passes its own row's hash).
+    /// the table's key columns).
     Hash(&'a [u64]),
-    /// The key itself, offset ([`Direct::of`] over the table's rows).
-    Direct(Direct),
+    /// The keys' [`Direct`] slot ([`Direct::of`] over the table's rows).
+    Direct(&'a Direct),
 }
 
 /// A table over the rows `rows` (ascending positions into the key
@@ -116,13 +231,18 @@ pub enum Index<'a> {
 /// * [`KeyTable::new`] + [`KeyTable::insert_if_absent`] keeps the first
 ///   row of each key only (no chain is allocated).
 ///
-/// A hash table is sized once at twice the row count rounded up to a
-/// power of two (at least 8 slots), so it never grows and an empty input
-/// pays 32 bytes; a direct table has exactly [`Direct::slots`] slots.
+/// Either way a probe row is looked up by where [`KeyTable::locate`]
+/// puts it: its hash on the hash arm, its [`Direct`] slot on the direct
+/// arm. A hash table is sized once at twice the row count rounded up to
+/// a power of two (at least 8 slots), so it never grows and an empty
+/// input pays 32 bytes; a direct table has exactly [`Direct::slots`]
+/// slots.
 pub struct KeyTable<'a> {
     keys: &'a [&'a [i64]],
     rows: &'a [u32],
     index: Index<'a>,
+    /// Direct arm: the slot of every position of the key columns.
+    at: Vec<u32>,
     /// Item at the head of each occupied slot's chain — or, in a unique
     /// table, the position (entry of `rows`) of the slot's one row.
     slots: Vec<u32>,
@@ -138,17 +258,18 @@ impl<'a> KeyTable<'a> {
     /// An empty table able to hold every row of `rows`.
     pub fn new(keys: &'a [&'a [i64]], index: Index<'a>, rows: &'a [u32]) -> KeyTable<'a> {
         assert!(rows.len() < EMPTY as usize / 2, "table items are 32-bit");
-        let (cap, shift) = match index {
+        let (cap, shift, at) = match index {
             Index::Hash(_) => {
                 let cap = (rows.len() * 2).next_power_of_two().max(8);
-                (cap, 64 - cap.trailing_zeros())
+                (cap, 64 - cap.trailing_zeros(), Vec::new())
             }
-            Index::Direct(d) => (d.slots, 0),
+            Index::Direct(d) => (d.slots(), 0, d.index(keys, None)),
         };
         KeyTable {
             keys,
             rows,
             index,
+            at,
             slots: vec![EMPTY; cap],
             next: Vec::new(),
             shift,
@@ -185,16 +306,23 @@ impl<'a> KeyTable<'a> {
         self.unique
     }
 
-    /// The one position holding key `key` in a [`KeyTable::unique`]
-    /// table — one slot read, no chain — or `None` when no row holds it.
-    pub fn row_of(&self, key: i64) -> Option<u32> {
+    /// Where each row of the `probe` code columns is looked up: its
+    /// [`hash_rows`] hash on the hash arm, its [`Direct`] slot on the
+    /// direct arm (the spare slot, past the table, for a key it cannot
+    /// hold).
+    pub fn locate(&self, probe: &[&[i64]], rows: usize) -> Vec<u64> {
+        match self.index {
+            Index::Hash(_) => hash_rows(probe, rows),
+            Index::Direct(d) => d.index(probe, None).into_iter().map(u64::from).collect(),
+        }
+    }
+
+    /// The one position holding the key located at `at`
+    /// ([`KeyTable::locate`]) in a [`KeyTable::unique`] table — one slot
+    /// read, no chain — or `None` when no row holds it.
+    pub fn row_of(&self, at: u64) -> Option<u32> {
         debug_assert!(self.unique, "row_of reads a unique table");
-        let Index::Direct(d) = self.index else {
-            return None;
-        };
-        d.slot(key)
-            .map(|s| self.slots[s])
-            .filter(|&row| row != EMPTY)
+        self.slots.get(at as usize).copied().filter(|&r| r != EMPTY)
     }
 
     /// Insert item `i` (the row `rows[i]`) unless its key is already
@@ -209,15 +337,14 @@ impl<'a> KeyTable<'a> {
     }
 
     /// Positions (entries of `rows`) whose key equals row `row` of the
-    /// `probe` code columns, given that row's hash (ignored by a direct
-    /// table). Ascending after [`KeyTable::build`]. A
-    /// [`KeyTable::unique`] table is read with [`KeyTable::row_of`]
-    /// instead.
-    pub fn matches(&self, probe: &[&[i64]], row: usize, hash: u64) -> Matches<'_> {
+    /// `probe` code columns, located at `at` ([`KeyTable::locate`]).
+    /// Ascending after [`KeyTable::build`]. A [`KeyTable::unique`] table
+    /// is read with [`KeyTable::row_of`] instead.
+    pub fn matches(&self, probe: &[&[i64]], row: usize, at: u64) -> Matches<'_> {
         debug_assert!(!self.unique, "a unique table is read with row_of");
         let item = match self.index {
-            Index::Hash(_) => self.slots[self.find(hash, |at| self.same_key(probe, row, at))],
-            Index::Direct(d) => d.slot(probe[0][row]).map_or(EMPTY, |s| self.slots[s]),
+            Index::Hash(_) => self.slots[self.find(at, |pos| self.same_key(probe, row, pos))],
+            Index::Direct(_) => self.slots.get(at as usize).copied().unwrap_or(EMPTY),
         };
         Matches {
             rows: self.rows,
@@ -232,7 +359,11 @@ impl<'a> KeyTable<'a> {
         let pos = self.rows[i] as usize;
         match self.index {
             Index::Hash(hashes) => self.find(hashes[pos], |at| self.same_key(self.keys, pos, at)),
-            Index::Direct(d) => d.slot(self.keys[0][pos]).expect("rows lie in the range"),
+            Index::Direct(d) => {
+                let slot = self.at[pos] as usize;
+                assert!(slot < d.slots(), "rows lie in the range");
+                slot
+            }
         }
     }
 
@@ -288,19 +419,21 @@ mod tests {
     /// occurrences and each probe row's answer from that unchained set.
     type Answers = (Vec<Vec<u32>>, Vec<u32>, Vec<Vec<u32>>);
 
+    /// `at` locates each probe row: its hash on the hash arm (the
+    /// caller's, so a test can force collisions), its slot on the direct.
     fn answers(
         bkeys: &[&[i64]],
         pkeys: &[&[i64]],
         index: Index,
-        ph: &[u64],
+        at: &[u64],
         rows: &[u32],
     ) -> Answers {
         let table = KeyTable::build(bkeys, index, rows);
         let probe = |t: &KeyTable| -> Vec<Vec<u32>> {
-            (ph.iter().enumerate())
-                .map(|(r, &h)| match t.unique() {
-                    true => t.row_of(pkeys[0][r]).into_iter().collect(),
-                    false => t.matches(pkeys, r, h).collect(),
+            (at.iter().enumerate())
+                .map(|(r, &at)| match t.unique() {
+                    true => t.row_of(at).into_iter().collect(),
+                    false => t.matches(pkeys, r, at).collect(),
                 })
                 .collect()
         };
@@ -313,11 +446,19 @@ mod tests {
         (matches, firsts, probe(&set))
     }
 
+    /// The mask keeping exactly `rows` of `n` positions.
+    fn mask_of(rows: &[u32], n: usize) -> Vec<bool> {
+        let mut mask = vec![false; n];
+        rows.iter().for_each(|&r| mask[r as usize] = true);
+        mask
+    }
+
     /// Build over `rows`, probe with every row of `probe`, dedup `rows`
     /// — all against a `BTreeMap<tuple, positions>` reference. `hashes`
     /// are the caller's, so a test can force collisions. Where the keys
-    /// admit a direct-index table ([`Direct::of`]), it must answer exactly
-    /// what the hash table does; returns whether one was built.
+    /// admit a direct-index table ([`Direct::of`], under the mask keeping
+    /// `rows` unless they are every position), it must answer exactly what the hash table does; returns
+    /// whether one was built.
     fn check(
         build: &[Vec<i64>],
         probe: &[Vec<i64>],
@@ -360,11 +501,34 @@ mod tests {
             assert_eq!(*got, expect);
         }
 
-        let Some(direct) = Direct::of(&bkeys, rows) else {
+        // Every position listed: no mask.
+        let mask = (rows.len() != bn).then(|| mask_of(rows, bn));
+        let Some(direct) = Direct::of(&bkeys, mask.as_deref()) else {
             return false;
         };
-        let direct = answers(&bkeys, &pkeys, Index::Direct(direct), &ph, rows);
-        assert_eq!(direct, hashed, "direct arm of {build:?} over {rows:?}");
+        let at: Vec<u64> = (direct.index(&pkeys, None).into_iter())
+            .map(u64::from)
+            .collect();
+        let slots = answers(&bkeys, &pkeys, Index::Direct(&direct), &at, rows);
+        assert_eq!(slots, hashed, "direct arm of {build:?} over {rows:?}");
+        // A probe row's slot is the spare exactly when some key of it is
+        // outside that key's range, so it never aliases another key.
+        let table = KeyTable::new(&bkeys, Index::Direct(&direct), rows);
+        assert_eq!(table.locate(&pkeys, pn), at);
+        let in_range = |r: usize| {
+            let tuple = tuple(probe, r);
+            let (lo, hi) = (0..build.len())
+                .map(|k| {
+                    let kept = rows.iter().map(|&b| build[k][b as usize]);
+                    (kept.clone().min(), kept.max())
+                })
+                .unzip::<_, _, Vec<_>, Vec<_>>();
+            (tuple.iter().enumerate())
+                .all(|(k, v)| lo[k].is_some_and(|lo| lo <= *v) && hi[k].is_some_and(|hi| *v <= hi))
+        };
+        for (r, &at) in at.iter().enumerate() {
+            assert_eq!(at < direct.slots() as u64, in_range(r), "probe row {r}");
+        }
         true
     }
 
@@ -407,25 +571,40 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// One key column: the direct arm is taken exactly when the span
-        /// of the build rows fits [`direct_limit`], and then answers
-        /// exactly what the hash arm does — negative keys, probe keys
-        /// either side of the range, partitions of every stride.
+        /// One, two or three key columns: the direct arm is taken exactly
+        /// when the product of the build rows' spans fits [`direct_limit`],
+        /// and then answers exactly what the hash arm does — negative
+        /// keys, `i64` extremes whose span product overflows, probe rows
+        /// with one key in range and another not, and masks (partitions of
+        /// every stride).
         #[test]
         fn direct_arm_is_the_hash_arm(
-            raw in proptest::collection::vec(-40i64..40, 0..160),
-            probe in proptest::collection::vec(-70i64..70, 1..60),
-            spread in 0usize..3,
+            raw in proptest::collection::vec(-40i64..40, 0..240),
+            probe in proptest::collection::vec(-70i64..70, 3..180),
+            nkeys in 1usize..4,
+            narrow in 1i64..41,
+            spread in 0usize..4,
             stride in 1usize..4,
         ) {
-            let scale = [1i64, 7, 1_000][spread];
-            let build: Vec<i64> = raw.iter().map(|&v| v * scale).collect();
-            let probe: Vec<i64> = probe.iter().map(|&v| v * scale).collect();
-            let rows: Vec<u32> = (0..build.len() as u32).step_by(stride).collect();
-            let kept = rows.iter().map(|&r| build[r as usize]);
-            let span = kept.clone().max().zip(kept.min()).map(|(hi, lo)| (hi - lo + 1) as u128);
-            let direct = check(&[build], &[probe], &rows, hash_rows);
-            proptest::prop_assert_eq!(direct, span.is_none_or(|s| s <= direct_limit(rows.len())));
+            let scale = [1i64, 7, 1_000, i64::MAX / 40][spread];
+            let (n, pn) = (raw.len() / nkeys, probe.len() / nkeys);
+            // Values below `narrow` in magnitude, key 0 scaled: spans on
+            // both sides of the limit, and at the widest scale a product
+            // that overflows. Probe values reach three past the build's.
+            let col = |v: &[i64], k: usize, len: usize, m: i64| -> Vec<i64> {
+                let s = if k == 0 { scale } else { 1 };
+                v[k * len..][..len].iter().map(|&x| (x % m).saturating_mul(s)).collect()
+            };
+            let build: Vec<Vec<i64>> = (0..nkeys).map(|k| col(&raw, k, n, narrow)).collect();
+            let probe: Vec<Vec<i64>> = (0..nkeys).map(|k| col(&probe, k, pn, narrow + 3)).collect();
+            let rows: Vec<u32> = (0..n as u32).step_by(stride).collect();
+            let slots = (0..nkeys).try_fold(1u128, |p, k| {
+                let kept = rows.iter().map(|&r| build[k][r as usize]);
+                let span = kept.clone().max().zip(kept.min()).map(|(hi, lo)| (hi as i128 - lo as i128 + 1) as u128);
+                Some(p.saturating_mul(span?))
+            });
+            let direct = check(&build, &probe, &rows, hash_rows);
+            proptest::prop_assert_eq!(direct, slots.is_none_or(|s| s <= direct_limit(rows.len())));
         }
     }
 
@@ -448,20 +627,21 @@ mod tests {
             let rows: Vec<u32> = (0..build.len() as u32).step_by(stride).collect();
             let keys: [&[i64]; 1] = [&build];
             // Spans past the direct limit hash: nothing to check.
-            if let Some(direct) = Direct::of(&keys, &rows) {
+            if let Some(direct) = Direct::of(&keys, Some(&mask_of(&rows, build.len()))) {
                 let mut seen = std::collections::BTreeSet::new();
                 let repeats = rows.iter().any(|&r| !seen.insert(build[r as usize]));
-                let table = KeyTable::build(&keys, Index::Direct(direct), &rows);
+                let table = KeyTable::build(&keys, Index::Direct(&direct), &rows);
                 proptest::prop_assert_eq!(table.unique(), !repeats);
                 let hashes = hash_rows(&keys, build.len());
                 let chained = KeyTable::build(&keys, Index::Hash(&hashes), &rows);
                 let probe_keys: [&[i64]; 1] = [&probe];
-                let probe_hashes = hash_rows(&probe_keys, probe.len());
-                for (r, &h) in probe_hashes.iter().enumerate() {
+                let probe_hashes = chained.locate(&probe_keys, probe.len());
+                let slots = table.locate(&probe_keys, probe.len());
+                for (r, (&h, &at)) in probe_hashes.iter().zip(&slots).enumerate() {
                     let walk: Vec<u32> = chained.matches(&probe_keys, r, h).collect();
                     let direct: Vec<u32> = match table.unique() {
-                        true => table.row_of(probe[r]).into_iter().collect(),
-                        false => table.matches(&probe_keys, r, h).collect(),
+                        true => table.row_of(at).into_iter().collect(),
+                        false => table.matches(&probe_keys, r, at).collect(),
                     };
                     proptest::prop_assert_eq!(&direct, &walk);
                 }
@@ -497,18 +677,30 @@ mod tests {
             &[0, 2, 3],
             hash_rows
         ));
-        // The limit is inclusive: 4 slots a row (64 at least).
+        // The limit is inclusive: 4 slots a row (64 at least), the
+        // product of the spans over two keys.
         let at = |slots: i64, rows: usize| {
             let mut key = vec![0; rows];
             key[rows - 1] = slots - 1;
-            Direct::of(&[&key], &all_rows(rows)).map(|d| d.slots())
+            Direct::of(&[&key], None).map(|d| d.slots())
         };
         assert_eq!(at(64, 2), Some(64));
         assert_eq!(at(65, 2), None);
         assert_eq!(at(400, 100), Some(400));
         assert_eq!(at(401, 100), None);
-        // Two key columns never index directly.
-        assert_eq!(Direct::of(&[&[1, 2], &[1, 2]], &all_rows(2)), None);
+        let pair = |a: i64, b: i64| Direct::of(&[&[0, a - 1], &[0, b - 1]], None);
+        assert_eq!(pair(8, 8).map(|d| d.slots()), Some(64));
+        assert_eq!(pair(13, 5), None);
+        // Spans whose product overflows `u128` saturate: never direct.
+        let wide = [i64::MIN, i64::MAX];
+        assert_eq!(Direct::of(&[&wide, &wide, &wide], None), None);
+        // Slots are lexicographic; a key outside its range is spare.
+        let d = pair(3, 4).expect("12 slots");
+        let probe: [&[i64]; 2] = [&[0, 2, 1, 3, -1, 2], &[0, 3, 2, 0, 0, 4]];
+        assert_eq!(d.index(&probe, None), vec![0, 11, 6, 12, 12, 12]);
+        assert_eq!(d.tuple(6).collect::<Vec<_>>(), vec![1, 2]);
+        let mask = [true, false, true, true, true, true];
+        assert_eq!(d.index(&probe, Some(&mask)), vec![0, 12, 6, 12, 12, 12]);
     }
 
     #[test]

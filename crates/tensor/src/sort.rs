@@ -1,16 +1,17 @@
-//! Sorting and distinct-value kernels.
+//! Sorting and grouping kernels.
 //!
-//! [`Tensor::argsort`] and [`lexsort_i64`] are plain sorting primitives
-//! (the executor's ORDER BY, top-k and window order compare grouping
-//! codes of their own and call neither). GROUP BY, DISTINCT and
-//! PARTITION BY lower to [`group_rows`], which resolves
-//! composite integer keys to dense group ids in one O(n) sweep (a
-//! direct-index table for narrow key spans, an open-addressing hash
-//! otherwise) and sorts only the *distinct* tuples to keep group order
-//! lexicographic — a few dense passes over columns, mirroring how TQP
-//! expresses relational operators as tensor programs.
+//! [`Tensor::argsort`] is the plain sorting primitive (the executor's
+//! ORDER BY, top-k and window order compare grouping codes of their own
+//! and do not call it). GROUP BY's combine, DISTINCT and PARTITION BY
+//! lower to [`group_rows`], which resolves composite integer keys to
+//! dense group ids in one O(n) sweep — the keys' [`Direct`] slots when
+//! [`Direct`] admits them, an open-addressing hash otherwise — and sorts
+//! only the *distinct* tuples to keep group order lexicographic: a few
+//! dense passes over columns, mirroring how TQP expresses relational
+//! operators as tensor programs.
 
 use crate::element::Element;
+use crate::keytable::Direct;
 use crate::tensor::Tensor;
 
 impl<T: Element> Tensor<T> {
@@ -29,29 +30,6 @@ impl<T: Element> Tensor<T> {
     }
 }
 
-/// Stable lexicographic argsort over several equal-length key columns
-/// (most-significant key first). The substrate of multi-column ORDER BY.
-pub fn lexsort_i64(keys: &[&Tensor<i64>]) -> Tensor<i64> {
-    assert!(!keys.is_empty(), "lexsort needs at least one key");
-    let n = keys[0].numel();
-    for k in keys {
-        assert_eq!(k.ndim(), 1, "lexsort keys must be 1-d");
-        assert_eq!(k.numel(), n, "lexsort keys must have equal length");
-    }
-    let mut idx: Vec<i64> = (0..n as i64).collect();
-    idx.sort_by(|&a, &b| {
-        for k in keys {
-            let (ka, kb) = (k.at(a as usize), k.at(b as usize));
-            match ka.cmp(&kb) {
-                std::cmp::Ordering::Equal => continue,
-                other => return other,
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    Tensor::from_vec(idx, &[n])
-}
-
 /// Result of [`group_rows`]: one dense group id per position plus the
 /// distinct key tuples.
 #[derive(Debug, Clone)]
@@ -65,36 +43,23 @@ pub struct Groups {
     /// lexicographic order — group `g` is the `g`-th smallest tuple.
     pub distinct: Vec<i64>,
     pub groups: usize,
-    /// `true` when the keys were resolved by the hash table, `false` when
-    /// their value span was small enough for the direct-index table.
-    pub hashed: bool,
-}
-
-/// Largest direct-index table, in slots, for `visited` rows — the one
-/// density rule of every table indexed by key value: [`group_rows`]'
-/// direct arm, the aggregate's code-indexed fold and
-/// [`crate::keytable::Direct`]. The table is allocated at exactly the key
-/// span, so tiny inputs pay for tiny tables; above a few slots per row
-/// the hash table's O(distinct) footprint wins.
-pub fn direct_limit(visited: usize) -> u128 {
-    (visited.saturating_mul(4)).clamp(64, 1 << 30) as u128
 }
 
 /// Resolve composite integer keys to dense group ids in O(n) with no
-/// per-row allocation — the core of GROUP BY, DISTINCT and PARTITION BY.
+/// per-row allocation — the grouping of GROUP BY's combine, DISTINCT and
+/// PARTITION BY.
 ///
 /// `keys` are equal-length code columns (most-significant first); `mask`
 /// optionally restricts grouping to the positions it keeps (a selection
 /// vector's dense form), so filtered-out rows never create groups. Two
-/// arms, chosen from the keys' value span over the kept rows:
+/// arms:
 ///
-/// * **direct** — the composite code `Σ (kᵢ − minᵢ)·strideᵢ` indexes a
-///   presence table of exactly `Π spanᵢ` slots (dictionary codes, bools,
-///   narrow ints). Walking the table in index order *is* lexicographic
-///   order, so nothing is sorted.
-/// * **hash** — an open-addressing table keyed on the tuple assigns ids
-///   in first-seen order; only the distinct tuples are then sorted and
-///   the ids remapped, keeping the lexicographic-order contract.
+/// * **direct** — when [`Direct`] admits the keys over the kept rows,
+///   each row's [`Direct`] slot marks a presence table of exactly
+///   [`Direct::slots`] entries (dictionary codes, bools, narrow ints).
+///   Walking the table in slot order *is* lexicographic order, so
+///   nothing is sorted.
+/// * **hash** — [`group_hashed`].
 pub fn group_rows(keys: &[&[i64]], mask: Option<&[bool]>) -> Groups {
     assert!(!keys.is_empty(), "group_rows needs at least one key");
     let n = keys[0].len();
@@ -105,91 +70,27 @@ pub fn group_rows(keys: &[&[i64]], mask: Option<&[bool]>) -> Groups {
     if let Some(m) = mask {
         assert_eq!(m.len(), n, "one mask entry per key row");
     }
-    let visited = mask.map_or(n, |m| m.iter().filter(|&&b| b).count());
-    if visited == 0 {
-        return Groups {
-            ids: vec![0; n],
-            distinct: Vec::new(),
-            groups: 0,
-            hashed: false,
-        };
-    }
-
-    // Value range of every key over the kept rows (branchless selects).
-    let mut ranges = Vec::with_capacity(keys.len());
-    let mut slots: u128 = 1;
-    for k in keys {
-        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-        match mask {
-            None => {
-                for &v in *k {
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                }
-            }
-            Some(m) => {
-                for (&v, &keep) in k.iter().zip(m) {
-                    lo = lo.min(if keep { v } else { i64::MAX });
-                    hi = hi.max(if keep { v } else { i64::MIN });
-                }
-            }
-        }
-        let span = (hi as i128 - lo as i128 + 1) as u128;
-        slots = slots.saturating_mul(span);
-        ranges.push((lo, span));
-    }
-    if slots <= direct_limit(visited) {
-        group_direct(keys, mask, &ranges, slots as usize)
-    } else {
-        group_hashed(keys, mask)
+    match Direct::of(keys, mask) {
+        Some(direct) => group_direct(keys, mask, &direct),
+        None => group_hashed(keys, mask),
     }
 }
 
-fn group_direct(
-    keys: &[&[i64]],
-    mask: Option<&[bool]>,
-    ranges: &[(i64, u128)],
-    slots: usize,
-) -> Groups {
-    let n = keys[0].len();
-    // Composite codes, accumulated key-major so each pass is one
-    // contiguous loop. Deselected rows may hold out-of-span values: the
-    // wrapping arithmetic keeps them harmless until the mask overwrites
-    // them with the spare slot `slots`.
-    let mut ids = vec![0u32; n];
-    let mut stride = slots;
-    for (k, &(lo, span)) in keys.iter().zip(ranges) {
-        stride /= span as usize;
-        let s = stride as u32;
-        for (id, &v) in ids.iter_mut().zip(*k) {
-            *id = id.wrapping_add((v.wrapping_sub(lo) as u32).wrapping_mul(s));
-        }
-    }
-    if let Some(m) = mask {
-        for (id, &keep) in ids.iter_mut().zip(m) {
-            if !keep {
-                *id = slots as u32;
-            }
-        }
-    }
+/// The direct arm: slots marked present, numbered in slot order.
+fn group_direct(keys: &[&[i64]], mask: Option<&[bool]>, direct: &Direct) -> Groups {
+    let mut ids = direct.index(keys, mask);
+    let slots = direct.slots();
     let mut table = vec![0u32; slots + 1];
     for &c in &ids {
         table[c as usize] = 1;
     }
-    // Dense ids in table order = lexicographic tuple order.
     let mut distinct = Vec::new();
     let mut groups = 0u32;
-    for (code, slot) in table[..slots].iter_mut().enumerate() {
-        if *slot != 0 {
-            *slot = groups;
+    for (slot, entry) in table[..slots].iter_mut().enumerate() {
+        if *entry != 0 {
+            *entry = groups;
             groups += 1;
-            let mut rem = code;
-            let mut stride = slots;
-            for &(lo, span) in ranges {
-                stride /= span as usize;
-                distinct.push(lo.wrapping_add((rem / stride) as i64));
-                rem %= stride;
-            }
+            distinct.extend(direct.tuple(slot));
         }
     }
     table[slots] = groups;
@@ -200,7 +101,6 @@ fn group_direct(
         ids,
         distinct,
         groups: groups as usize,
-        hashed: false,
     }
 }
 
@@ -210,7 +110,13 @@ pub(crate) fn mix(x: u64) -> u64 {
     (m as u64) ^ ((m >> 64) as u64)
 }
 
-fn group_hashed(keys: &[&[i64]], mask: Option<&[bool]>) -> Groups {
+/// The hash arm of [`group_rows`], for keys [`Direct`] does not admit:
+/// an open-addressing table keyed on the tuple assigns ids in
+/// first-seen order; only the distinct tuples are then sorted and the
+/// ids remapped, keeping the lexicographic-order contract. The table
+/// starts at 64 slots and doubles, and its hash takes a per-call random
+/// seed — see [`crate::keytable`] for why it is not a `KeyTable`.
+pub fn group_hashed(keys: &[&[i64]], mask: Option<&[bool]>) -> Groups {
     use std::hash::{BuildHasher, Hasher};
     const EMPTY: u32 = u32::MAX;
     let n = keys[0].len();
@@ -292,7 +198,6 @@ fn group_hashed(keys: &[&[i64]], mask: Option<&[bool]>) -> Groups {
         ids,
         distinct: sorted,
         groups,
-        hashed: true,
     }
 }
 
@@ -327,23 +232,6 @@ pub fn unique_i64(t: &Tensor<i64>) -> Unique {
     }
 }
 
-/// Compose several i64 key columns into one group id per row plus the
-/// distinct key tuples (row-major `[num_groups, num_keys]`), ordered
-/// lexicographically. The tensor-level face of [`group_rows`], used by
-/// DISTINCT and PARTITION BY.
-pub fn group_ids(keys: &[&Tensor<i64>]) -> (Tensor<i64>, Tensor<i64>) {
-    assert!(!keys.is_empty(), "group_ids needs at least one key");
-    for k in keys {
-        assert_eq!(k.ndim(), 1, "group_ids keys must be 1-d");
-    }
-    let slices: Vec<&[i64]> = keys.iter().map(|k| k.data()).collect();
-    let g = group_rows(&slices, None);
-    (
-        ids_tensor(&g.ids),
-        Tensor::from_vec(g.distinct, &[g.groups, keys.len()]),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,14 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn lexsort_two_keys() {
-        let a = ti(vec![1, 0, 1, 0]);
-        let b = ti(vec![5, 9, 3, 7]);
-        // Sort by (a, b): (0,7)@3, (0,9)@1, (1,3)@2, (1,5)@0
-        assert_eq!(lexsort_i64(&[&a, &b]).to_vec(), vec![3, 1, 2, 0]);
-    }
-
-    #[test]
     fn unique_counts_and_inverse() {
         let t = ti(vec![4, 2, 4, 4, 1]);
         let u = unique_i64(&t);
@@ -388,33 +268,32 @@ mod tests {
     }
 
     #[test]
-    fn group_ids_multi_key() {
-        let digit = ti(vec![3, 3, 5, 3]);
-        let size = ti(vec![0, 1, 0, 0]);
-        let (ids, distinct) = group_ids(&[&digit, &size]);
+    fn group_rows_multi_key() {
+        let g = group_rows(&[&[3, 3, 5, 3], &[0, 1, 0, 0]], None);
         // Lexicographic distinct tuples: (3,0), (3,1), (5,0)
-        assert_eq!(distinct.shape(), &[3, 2]);
-        assert_eq!(distinct.to_vec(), vec![3, 0, 3, 1, 5, 0]);
-        assert_eq!(ids.to_vec(), vec![0, 1, 2, 0]);
+        assert_eq!(g.groups, 3);
+        assert_eq!(g.distinct, vec![3, 0, 3, 1, 5, 0]);
+        assert_eq!(g.ids, vec![0, 1, 2, 0]);
     }
 
-    /// The pre-hash `group_ids`: stable comparator lexsort, then a
-    /// boundary scan. Kept as the contract's reference implementation.
-    fn group_ids_sorted_ref(keys: &[&Tensor<i64>]) -> (Vec<i64>, Vec<i64>) {
-        let n = keys[0].numel();
-        let order = lexsort_i64(keys);
-        let mut ids = vec![0i64; n];
+    /// Grouping by sorting: a stable comparator sort of the row
+    /// positions by tuple, then a boundary scan. Kept as the contract's
+    /// reference implementation.
+    fn group_rows_sorted_ref(keys: &[&[i64]]) -> (Vec<u32>, Vec<i64>) {
+        let n = keys[0].len();
+        let tuple = |pos: usize| -> Vec<i64> { keys.iter().map(|k| k[pos]).collect() };
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&pos| tuple(pos));
+        let mut ids = vec![0u32; n];
         let mut distinct: Vec<i64> = Vec::new();
-        let mut current = -1i64;
         let mut prev: Option<Vec<i64>> = None;
-        for &pos in order.data() {
-            let tuple: Vec<i64> = keys.iter().map(|k| k.at(pos as usize)).collect();
-            if prev.as_ref() != Some(&tuple) {
-                distinct.extend_from_slice(&tuple);
-                current += 1;
-                prev = Some(tuple);
+        for pos in order {
+            let t = tuple(pos);
+            if prev.as_ref() != Some(&t) {
+                distinct.extend_from_slice(&t);
+                prev = Some(t);
             }
-            ids[pos as usize] = current;
+            ids[pos] = (distinct.len() / keys.len() - 1) as u32;
         }
         (ids, distinct)
     }
@@ -439,18 +318,17 @@ mod tests {
     }
 
     fn assert_matches_reference(cols: &[Vec<i64>]) {
-        let tensors: Vec<Tensor<i64>> = cols.iter().map(|c| ti(c.clone())).collect();
-        let refs: Vec<&Tensor<i64>> = tensors.iter().collect();
-        let (ids, distinct) = group_ids(&refs);
-        let (want_ids, want_distinct) = group_ids_sorted_ref(&refs);
-        assert_eq!(ids.to_vec(), want_ids, "ids for {cols:?}");
-        assert_eq!(distinct.to_vec(), want_distinct, "distinct for {cols:?}");
-        let groups = want_distinct.len() / cols.len();
-        assert_eq!(distinct.shape(), &[groups, cols.len()]);
-        assert!(ids.data().iter().all(|&g| g >= 0 && (g as usize) < groups));
+        let refs: Vec<&[i64]> = cols.iter().map(Vec::as_slice).collect();
+        let g = group_rows(&refs, None);
+        let (want_ids, want_distinct) = group_rows_sorted_ref(&refs);
+        assert_eq!(g.ids, want_ids, "ids for {cols:?}");
+        assert_eq!(g.distinct, want_distinct, "distinct for {cols:?}");
+        assert_eq!(g.groups, want_distinct.len() / cols.len());
+        assert!(g.ids.iter().all(|&id| (id as usize) < g.groups));
 
-        let u = unique_i64(&tensors[0]);
-        let (values, inverse, counts) = unique_sorted_ref(&tensors[0]);
+        let first = ti(cols[0].clone());
+        let u = unique_i64(&first);
+        let (values, inverse, counts) = unique_sorted_ref(&first);
         assert_eq!(u.values.to_vec(), values);
         assert_eq!(u.inverse.to_vec(), inverse);
         assert_eq!(u.counts.to_vec(), counts);
@@ -523,24 +401,26 @@ mod tests {
 
     #[test]
     fn arm_follows_key_span() {
+        let direct = |keys: &[i64], mask: Option<&[bool]>| Direct::of(&[keys], mask).is_some();
         let narrow: Vec<i64> = (0..1000).map(|i| i % 3 - 1).collect();
-        assert!(!group_rows(&[&narrow], None).hashed);
+        assert!(direct(&narrow, None));
         let wide: Vec<i64> = (0..1000).map(|i| (i % 3) * (1 << 40)).collect();
-        let g = group_rows(&[&wide], None);
-        assert!(g.hashed);
-        assert_eq!(g.distinct, vec![0, 1 << 40, 2 << 40]);
+        assert!(!direct(&wide, None));
+        assert_eq!(
+            group_rows(&[&wide], None).distinct,
+            vec![0, 1 << 40, 2 << 40]
+        );
         // A mask that hides the outliers brings the span back in range.
         let mask: Vec<bool> = wide.iter().map(|&v| v == 0).collect();
+        assert!(direct(&wide, Some(&mask)));
         let g = group_rows(&[&wide], Some(&mask));
-        assert!(!g.hashed);
         assert_eq!((g.groups, g.distinct), (1, vec![0]));
     }
 
     #[test]
-    fn group_ids_single_key_matches_unique() {
-        let t = ti(vec![7, 7, 2]);
-        let (ids, distinct) = group_ids(&[&t]);
-        assert_eq!(distinct.to_vec(), vec![2, 7]);
-        assert_eq!(ids.to_vec(), vec![1, 1, 0]);
+    fn group_rows_single_key_matches_unique() {
+        let g = group_rows(&[&[7, 7, 2]], None);
+        assert_eq!(g.distinct, vec![2, 7]);
+        assert_eq!(g.ids, vec![1, 1, 0]);
     }
 }

@@ -237,48 +237,40 @@ fn result(tdp: &Session, sql: &str) -> Result<Table, String> {
     query.run().map_err(|e| e.to_string())
 }
 
-/// One line per statement: its fingerprint, the digest of its result at
-/// four threads and seven-row morsels, the digest at the session
-/// defaults, and its name.
-fn render_results() -> String {
-    let lattice = |pinned: bool| {
-        let rows = match pinned {
-            true => 7,
-            false => tdp_core::exec::DEFAULT_MORSEL_ROWS,
-        };
-        let tdp = lattice::session(None, rows);
-        if pinned {
-            pin(&tdp);
-        }
-        tdp
-    };
-    let composite = |pinned: bool| {
-        let tdp = composite_session();
-        if pinned {
-            pin(&tdp);
-        }
-        tdp
-    };
-    let mut out = String::new();
-    let sets: [(&str, &[(&str, &str)], &dyn Fn(bool) -> Session); 3] = [
-        ("lattice", CORPUS, &lattice),
-        ("lattice", FAILING, &lattice),
-        ("composite keys", COMPOSITE_KEYS, &composite),
-    ];
-    for (set, statements, session) in sets {
-        let (pinned, defaults) = (session(true), session(false));
-        for (name, sql) in statements {
-            let prepared = pinned
-                .prepare(sql)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            out.push_str(&format!(
-                "{:016x} {:016x} {:016x} {set}: {name}\n",
-                prepared.fingerprint(),
-                digest(&result(&pinned, sql)),
-                digest(&result(&defaults, sql)),
-            ));
-        }
+/// One line per statement of `statements`: its fingerprint, the digest
+/// of its result at four threads and seven-row morsels, the digest at
+/// the session defaults, and its name. `session(rows)` is a fresh
+/// session at `rows`-row morsels.
+fn result_lines(
+    out: &mut String,
+    set: &str,
+    statements: &[(&str, &str)],
+    session: impl Fn(usize) -> Session,
+) {
+    let pinned = session(7);
+    pin(&pinned);
+    let defaults = session(tdp_core::exec::DEFAULT_MORSEL_ROWS);
+    for (name, sql) in statements {
+        let prepared = pinned
+            .prepare(sql)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        out.push_str(&format!(
+            "{:016x} {:016x} {:016x} {set}: {name}\n",
+            prepared.fingerprint(),
+            digest(&result(&pinned, sql)),
+            digest(&result(&defaults, sql)),
+        ));
     }
+}
+
+fn render_results() -> String {
+    let mut out = String::new();
+    let lattice = |rows| lattice::session(None, rows);
+    result_lines(&mut out, "lattice", CORPUS, lattice);
+    result_lines(&mut out, "lattice", FAILING, lattice);
+    result_lines(&mut out, "composite keys", COMPOSITE_KEYS, |_| {
+        composite_session()
+    });
     out
 }
 

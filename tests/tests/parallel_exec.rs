@@ -418,6 +418,26 @@ fn explain_and_profile_report_barrier_strategy() {
     );
     assert_eq!(prof.partitions, 0, "a direct-index join exchanges nothing");
 
+    // Two dense keys are one direct-index table too: `cu`'s 40 rows
+    // span 8 × 5 key pairs. So is a two-key DISTINCT over them.
+    for t in composite_key_tables() {
+        tdp.register_table(t);
+    }
+    let strategy = |sql: &str, label: &str| {
+        let (_, prof) = tdp.query(sql).unwrap().run_profiled().unwrap();
+        let op = prof.ops.iter().find(|o| o.label.starts_with(label));
+        op.and_then(|o| o.strategy.clone())
+            .expect("a staged barrier")
+    };
+    assert_eq!(
+        strategy(COMPOSITE_KEYS[0].1, "Join"),
+        "direct-index (one table + 3 probe tasks)"
+    );
+    assert_eq!(
+        strategy("SELECT DISTINCT a, b FROM cp", "Distinct"),
+        "direct-index (one sweep)"
+    );
+
     // A float key spans far more codes than the build side has rows: the
     // join is hashed and exchanged.
     let sparse = tdp
