@@ -889,23 +889,6 @@ struct Evaluated {
     raws: Vec<Option<EncodedTensor>>,
 }
 
-/// A batch's key columns evaluated by the interpreter, encoding
-/// preserved: codes and representative rows are read out of them.
-fn eval_keys(
-    prog: &AggProgram<'_>,
-    batch: &Batch,
-    ctx: &ExecContext,
-) -> Result<Vec<EncodedTensor>, ExecError> {
-    (prog.keys.iter())
-        .map(|k| match eval_expr(&k.expr, batch, ctx)? {
-            Value::Column(c) => Ok(c),
-            other => Err(ExecError::TypeMismatch(format!(
-                "GROUP BY expression must be a column, got {other:?}"
-            ))),
-        })
-        .collect()
-}
-
 impl Evaluated {
     /// Each distinct argument once, in the forms its accumulators read:
     /// f32 values, a boolean column's flags, the raw column for DISTINCT.
@@ -977,7 +960,16 @@ fn partial_aggregate(
     mask: Option<&[bool]>,
     ctx: &ExecContext,
 ) -> Result<PartialAgg, ExecError> {
-    let keys = eval_keys(prog, batch, ctx)?;
+    // Key columns, encoding preserved: representative rows are read out
+    // of them.
+    let keys: Vec<EncodedTensor> = (prog.keys.iter())
+        .map(|k| match eval_expr(&k.expr, batch, ctx)? {
+            Value::Column(c) => Ok(c),
+            other => Err(ExecError::TypeMismatch(format!(
+                "GROUP BY expression must be a column, got {other:?}"
+            ))),
+        })
+        .collect::<Result<_, _>>()?;
     let codes = (keys.iter())
         .map(|k| exact::key_codes(k, Rows::All))
         .collect::<Result<_, _>>()?;

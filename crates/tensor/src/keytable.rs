@@ -139,12 +139,13 @@ impl Direct {
         self.slots
     }
 
-    /// Each row's slot, computed column by column: the spare slot for a
-    /// row `mask` drops or one with any key outside its range. A miss
-    /// saturates the running sum, which in-range offsets (summing below
-    /// `slots`) never reach, and the last key caps it at the spare slot.
-    /// One key's slot is its offset — no multiply, which a baseline x86
-    /// vector unit lacks for 32-bit lanes.
+    /// Each row's slot, computed column by column by Horner's rule
+    /// (`slot · spanᵢ + offᵢ`, so the first key's offset needs no
+    /// multiply, which a baseline x86 vector unit lacks for 32-bit
+    /// lanes): the spare slot for a row `mask` drops or one with any key
+    /// outside its range. A miss saturates the running slot, which
+    /// in-range offsets (summing below `slots`) never reach, and the last
+    /// key caps it at the spare slot.
     pub fn index(&self, keys: &[&[i64]], mask: Option<&[bool]>) -> Vec<u32> {
         assert!(
             !keys.is_empty() && keys.len() == self.keys.len(),
@@ -155,43 +156,38 @@ impl Direct {
             mask.is_none_or(|m| m.len() == rows),
             "one mask entry per key row"
         );
-        fn first(k: &[i64], mask: Option<&[bool]>, slot: impl Fn(i64, bool) -> u32) -> Vec<u32> {
-            match mask {
-                None => k.iter().map(|&v| slot(v, true)).collect(),
-                Some(m) => (k.iter().zip(m)).map(|(&v, &keep)| slot(v, keep)).collect(),
+        let cap = |i: usize| {
+            if i + 1 == keys.len() {
+                self.slots as u32
+            } else {
+                u32::MAX
             }
-        }
-        let spare = self.slots as u32;
-        let (lo, span, stride) = self.keys[0];
-        let mut ids = match keys.len() {
-            1 => first(keys[0], mask, |v, keep| {
-                let off = v.wrapping_sub(lo) as u64;
-                if keep && off < span {
-                    off as u32
-                } else {
-                    spare
-                }
-            }),
-            _ => first(keys[0], mask, |v, keep| {
-                let off = v.wrapping_sub(lo) as u64;
-                if keep && off < span {
-                    off as u32 * stride
-                } else {
-                    u32::MAX
-                }
-            }),
         };
-        for (i, (k, &(lo, span, stride))) in keys.iter().zip(&self.keys).enumerate().skip(1) {
+        let ((lo, span, _), miss) = (self.keys[0], cap(0));
+        let first = |v: i64, keep: bool| {
+            let off = v.wrapping_sub(lo) as u64;
+            if keep && off < span {
+                off as u32
+            } else {
+                miss
+            }
+        };
+        let mut ids: Vec<u32> = match mask {
+            None => keys[0].iter().map(|&v| first(v, true)).collect(),
+            Some(m) => (keys[0].iter().zip(m))
+                .map(|(&v, &keep)| first(v, keep))
+                .collect(),
+        };
+        for (i, (k, &(lo, span, _))) in keys.iter().zip(&self.keys).enumerate().skip(1) {
             assert_eq!(k.len(), rows, "one key code per row");
-            let cap = if i + 1 == keys.len() { spare } else { u32::MAX };
+            let cap = cap(i);
             for (id, &v) in ids.iter_mut().zip(*k) {
                 let off = v.wrapping_sub(lo) as u64;
-                let sum = if off < span {
-                    id.saturating_add(off as u32 * stride)
-                } else {
-                    u32::MAX
+                let slot = match off < span {
+                    true => id.saturating_mul(span as u32).saturating_add(off as u32),
+                    false => u32::MAX,
                 };
-                *id = sum.min(cap);
+                *id = slot.min(cap);
             }
         }
         ids
