@@ -1,10 +1,11 @@
 //! The configuration lattice's corpus and the session it runs in: the
 //! tables every statement reads, the statements (one per plan shape the
-//! walker distinguishes, then the ones that fail while running), and
-//! the prepared scans whose bounds arrive as parameters. The lattice
-//! (`tests/config_lattice.rs`) runs them at every configuration point;
-//! the EXPLAIN golden file (`tests/explain_golden.rs`) renders their
-//! plans.
+//! walker distinguishes, then the ones that fail while running), the
+//! prepared scans whose bounds arrive as parameters, and the barrier
+//! statements only the golden files pin. The lattice
+//! (`tests/config_lattice.rs`) runs the corpus at every configuration
+//! point; the golden files (`tests/explain_golden.rs`) hold every
+//! statement's plan and result digest.
 
 use std::sync::Arc;
 
@@ -59,6 +60,19 @@ fn dim2() -> Table {
         )
         .col_f32("w", (0..N).map(|i| i as f32 * 0.75).collect())
         .build("e")
+}
+
+/// `u`: the unique dense keys `0..37`, their decimal renderings as a
+/// dictionary (a string key that an integer key matches under the
+/// mixed-class join), and a payload.
+fn unique_dim() -> Table {
+    const N: usize = 37;
+    let names: Vec<String> = (0..N).map(|i| i.to_string()).collect();
+    TableBuilder::new()
+        .col_i64("id", (0..N as i64).collect())
+        .col_str("name", &names)
+        .col_f32("w", (0..N).map(|i| (i * 31 % 17) as f32 / 4.0).collect())
+        .build("u")
 }
 
 /// Rows of the `compress()`ed fact table `c` at a morsel size: two
@@ -480,6 +494,72 @@ pub const FAILING: &[(&str, &str)] = &[
     ),
 ];
 
+/// Barrier statements whose inputs fit one default-sized morsel, so the
+/// session defaults run them as one sort run, one join table or one
+/// DISTINCT table, while seven-row morsels stage them: single-key
+/// DISTINCT, unique and duplicate dense-key joins, LEFT-join misses, a
+/// mixed-class key pair and a duplicate-key top-k. Then the edge paths
+/// of a one-run barrier: sort keys pinned by the session UDF `halve`,
+/// `LIMIT 0` over a multi-morsel input, a zero-row DISTINCT over a
+/// payload column (no codes are read) and a zero-row sort on a payload
+/// key (its keys are still evaluated, and fail).
+pub const BARRIERS: &[(&str, &str)] = &[
+    ("distinct, one dense key", "SELECT DISTINCT k FROM t"),
+    (
+        "distinct, one dictionary key, selection-fed",
+        "SELECT DISTINCT tag FROM t WHERE x > 0.5",
+    ),
+    (
+        "join, unique dense build keys",
+        "SELECT t.v, u.w FROM t JOIN u ON t.k = u.id WHERE t.v < 500",
+    ),
+    (
+        "join, duplicate dense build keys",
+        "SELECT t.v, t.tag, d.w FROM t JOIN d ON t.k = d.k",
+    ),
+    (
+        "left join, misses against unique keys of a selection-fed build side",
+        "SELECT t.v, s.name FROM t LEFT JOIN (SELECT id, name FROM u WHERE id < 6) AS s \
+         ON t.k = s.id WHERE t.v < 400",
+    ),
+    (
+        "left join, misses against duplicate keys",
+        "SELECT t.v, d.w FROM t LEFT JOIN d ON t.k = d.k WHERE t.v < 300",
+    ),
+    (
+        "join, mixed-class key pair",
+        "SELECT t.v, u.w FROM t JOIN u ON t.k = u.name WHERE t.v < 300",
+    ),
+    (
+        "top-k over duplicate keys, descending",
+        "SELECT v, k FROM t ORDER BY k DESC LIMIT 23",
+    ),
+    (
+        "sort key pinned by a session UDF",
+        "SELECT v, k FROM t WHERE v < 300 ORDER BY halve(x), v",
+    ),
+    (
+        "top-k key pinned by a session UDF",
+        "SELECT v, x FROM t ORDER BY halve(x) DESC LIMIT 9",
+    ),
+    (
+        "limit 0 over a multi-morsel input",
+        "SELECT key, ts FROM c ORDER BY key LIMIT 0",
+    ),
+    (
+        "limit 0 over a multi-morsel selection",
+        "SELECT key, ts FROM c WHERE dial > 0.5 ORDER BY dial LIMIT 0",
+    ),
+    (
+        "zero-row distinct over a payload column",
+        "SELECT DISTINCT images FROM album WHERE id < 0",
+    ),
+    (
+        "zero-row sort on a multi-dimensional key",
+        "SELECT id FROM album WHERE id < 0 ORDER BY images",
+    ),
+];
+
 /// The `$n`-bound scan of the delta column: the bound arrives as a
 /// parameter, pruning resolves it per execution, and the surviving tail
 /// starts mid-chunk, between two anchors.
@@ -502,6 +582,7 @@ pub fn session(budget: Option<u64>, morsel_rows: usize) -> Session {
     tdp.register_table(fact());
     tdp.register_table(dim());
     tdp.register_table(dim2());
+    tdp.register_table(unique_dim());
     tdp.register_table(packed("c", packed_rows(morsel_rows)));
     tdp.register_table(packed("s", SMALL_PACKED_ROWS));
     tdp.register_table(pics_table(20));

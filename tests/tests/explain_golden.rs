@@ -1,11 +1,12 @@
 //! The golden files. `golden/explain.txt`: every statement of the
-//! configuration lattice, the composite-key statements, and the
-//! zone-map, ANN and compute-once statements whose EXPLAIN
-//! `access_paths.rs` and `compute_once.rs` assert on, each rendered by
+//! configuration lattice, the composite-key statements, the zone-map,
+//! ANN and compute-once statements whose EXPLAIN
+//! `access_paths.rs` and `compute_once.rs` assert on, and the barrier
+//! statements ([`lattice::BARRIERS`]), each rendered by
 //! `Prepared::explain` with its fingerprint, compared as text. Sessions
 //! run at four threads and seven-row morsels, so the text does not
-//! depend on the host. `golden/results.txt`: per lattice and
-//! composite-key statement, its fingerprint and a 64-bit digest of its
+//! depend on the host. `golden/results.txt`: per lattice, composite-key
+//! and barrier statement, its fingerprint and a 64-bit digest of its
 //! result — column names, encodings, shapes and every value's bits, or
 //! the error text of a failing statement — at four threads and seven-row
 //! morsels, then at the session defaults. A change that moves a plan, a
@@ -23,7 +24,7 @@ use tdp_core::encoding::EncodedTensor;
 use tdp_core::storage::Table;
 use tdp_core::{Session, Tdp, TdpEngine, Volatility};
 use tdp_integration::lattice::{
-    self, CORPUS, FAILING, RANGE_SCAN, RECENT_SCAN, SUB_NESTED, SUB_TOP,
+    self, BARRIERS, CORPUS, FAILING, RANGE_SCAN, RECENT_SCAN, SUB_NESTED, SUB_TOP,
 };
 use tdp_integration::{
     blocked_table, composite_key_tables, normal_table, vecs_table, Counting, COMPOSITE_KEYS,
@@ -157,6 +158,12 @@ fn render() -> String {
     for (name, sql) in COMPOSITE_KEYS {
         block(&mut out, &tdp, &format!("composite keys: {name}"), sql);
     }
+
+    let tdp = lattice::session(None, 7);
+    pin(&tdp);
+    for (name, sql) in BARRIERS {
+        block(&mut out, &tdp, &format!("barriers: {name}"), sql);
+    }
     out
 }
 
@@ -271,6 +278,7 @@ fn render_results() -> String {
     result_lines(&mut out, "composite keys", COMPOSITE_KEYS, |_| {
         composite_session()
     });
+    result_lines(&mut out, "barriers", BARRIERS, lattice);
     out
 }
 
