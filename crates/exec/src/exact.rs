@@ -17,16 +17,14 @@ use std::borrow::Cow;
 
 use tdp_encoding::EncodedTensor;
 use tdp_sql::ast::JoinKind;
-use tdp_tensor::keytable::{hash_rows, partition_of, Index, KeyTable};
+use tdp_tensor::keytable::{partition_of, KeyTable};
 use tdp_tensor::sort::group_rows;
 use tdp_tensor::{F32Tensor, I64Tensor, Tensor};
 
 use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::expr::{eval_expr, resolve_limit, Value};
-use crate::physical::{
-    JoinOn, PhysAggregate, PhysOrderKey, PhysProjectItem, PhysWindow, PhysWindowFunc,
-};
+use crate::physical::{JoinOn, PhysAggregate, PhysProjectItem, PhysWindow, PhysWindowFunc};
 use crate::udf::ExecContext;
 
 /// Resolve a base table, checking a compile-time schema (when present)
@@ -181,30 +179,6 @@ fn rebuild_stale_ivf(
     let entry = ctx.catalog.register_vector_index(fresh);
     ctx.access.note_ivf_rebuild();
     Ok(Some(entry))
-}
-
-/// Deduplicate rows, keeping first occurrences in input order
-/// (`SELECT DISTINCT`). Uses the same per-encoding grouping codes as
-/// GROUP BY, so strings, bools, floats and PE columns all participate.
-pub fn distinct_batch(batch: &Batch) -> Result<Batch, ExecError> {
-    let n = batch.rows();
-    if n == 0 || batch.columns().is_empty() {
-        return Ok(batch.clone());
-    }
-    let codes: Vec<Cow<[i64]>> = (batch.columns().iter())
-        .map(|(_, c)| key_codes(c, Rows::All))
-        .collect::<Result<_, _>>()?;
-    let groups = group_rows(&code_refs(&codes), None);
-    let (ids, groups) = (groups.ids, groups.groups);
-    let mut rep = vec![i64::MAX; groups];
-    for (row, &g) in ids.iter().enumerate() {
-        let slot = &mut rep[g as usize];
-        if (row as i64) < *slot {
-            *slot = row as i64;
-        }
-    }
-    rep.sort_unstable(); // first-occurrence order, not group order
-    Ok(select_batch(batch, &Tensor::from_vec(rep, &[groups])))
 }
 
 /// Bag union of two batches with positionally-compatible schemas
@@ -677,28 +651,6 @@ pub(crate) fn join_assemble(
     Ok(out)
 }
 
-/// Sequential hash join — the whole-batch oracle the staged paths
-/// ([`crate::morsel`]) must match byte for byte: the partitioned path
-/// with one partition (the same key codes, the same hash, one table over
-/// all right rows, left rows probed in input order), and the
-/// direct-index path, whose one table answers what this one does. It
-/// always hashes, so a staged run checks the direct arm against it.
-pub fn join_batches(
-    left: &Batch,
-    right: &Batch,
-    kind: JoinKind,
-    on: &JoinOn,
-) -> Result<Batch, ExecError> {
-    let codes = join_codes(on, (left, None), (right, None))?;
-    let lcodes = codes.left_at(None, 0..left.rows())?;
-    let (lkeys, rkeys) = (code_refs(&lcodes), code_refs(&codes.right));
-    let rhashes = hash_rows(&rkeys, right.rows());
-    let build: Vec<u32> = (0..right.rows() as u32).collect();
-    let table = KeyTable::build(&rkeys, Index::Hash(&rhashes), &build);
-    let pairs = probe_rows(&[table], &lkeys, 0..left.rows(), kind, None, None);
-    join_assemble(left, (right, None), kind, pairs, 1)
-}
-
 /// `n` rows of a layout's zero value (`0` / `false` / `""` / the first
 /// class) — the pad for a right side that has no first row to repeat.
 fn zero_rows(col: &EncodedTensor, n: usize) -> EncodedTensor {
@@ -787,11 +739,13 @@ pub fn window_batch(
                 .collect::<Result<_, _>>()?;
             group_rows(&code_refs(&codes), None).ids
         };
-        let order = order_key_codes(batch, &w.order_by, "window ORDER BY", ctx)?;
+        let keys = &w.order_by;
+        let order = crate::morsel::run_keys(batch, None, (0, n), keys, "window ORDER BY", ctx)?;
+        let peer = |a: usize, b: usize| crate::morsel::cmp_keys(keys, &order, a, &order, b);
         let mut idx: Vec<usize> = (0..n).collect();
         idx.sort_by(|&a, &b| {
             (part_ids[a].cmp(&part_ids[b]))
-                .then(cmp_codes(&order, a, b))
+                .then(peer(a, b))
                 .then(a.cmp(&b))
         });
 
@@ -804,7 +758,7 @@ pub fn window_batch(
             if new_part {
                 (part_start, first_peer) = (pos, opens.len());
             }
-            if new_part || cmp_codes(&order, idx[pos - 1], r).is_ne() {
+            if new_part || peer(idx[pos - 1], r).is_ne() {
                 peer_start = pos;
                 opens.push(new_part);
             }
@@ -831,84 +785,6 @@ pub fn window_batch(
         out.push(w.output.clone(), col);
     }
     Ok(out)
-}
-
-/// Partial top-k selection (`ORDER BY … LIMIT k` fused): O(n) average
-/// selection of the k best rows plus an O(k log k) sort, instead of the
-/// full O(n log n) sort. Output matches the stable full sort exactly
-/// (ties resolved by input position).
-pub fn topk_batch(
-    batch: &Batch,
-    keys: &[PhysOrderKey],
-    k: usize,
-    ctx: &ExecContext,
-) -> Result<Batch, ExecError> {
-    let n = batch.rows();
-    let k = k.min(n);
-    if k == 0 {
-        return Ok(select_batch(batch, &Tensor::from_vec(vec![], &[0])));
-    }
-    let key_vecs = order_key_codes(batch, keys, "ORDER BY", ctx)?;
-    // Input position breaks ties, matching the stable sort.
-    let cmp = |&a: &i64, &b: &i64| cmp_codes(&key_vecs, a as usize, b as usize).then(a.cmp(&b));
-    let mut idx: Vec<i64> = (0..n as i64).collect();
-    if k < n {
-        idx.select_nth_unstable_by(k - 1, cmp);
-        idx.truncate(k);
-    }
-    idx.sort_unstable_by(cmp);
-    Ok(select_batch(batch, &Tensor::from_vec(idx, &[k])))
-}
-
-/// Resolve each sort key to an order-preserving i64 vector; `clause`
-/// names the keys in the error for one that is not a column.
-fn order_key_codes(
-    batch: &Batch,
-    keys: &[PhysOrderKey],
-    clause: &str,
-    ctx: &ExecContext,
-) -> Result<Vec<(Vec<i64>, bool)>, ExecError> {
-    let mut key_vecs = Vec::with_capacity(keys.len());
-    for k in keys {
-        let codes = match eval_expr(&k.expr, batch, ctx)? {
-            Value::Column(c) => key_codes(&c, Rows::All)?.into_owned(),
-            other => {
-                return Err(ExecError::TypeMismatch(format!(
-                    "{clause} expression must be a column, got {other:?}"
-                )))
-            }
-        };
-        key_vecs.push((codes, k.desc));
-    }
-    Ok(key_vecs)
-}
-
-/// Rows `a` and `b` in the order of resolved sort keys
-/// ([`order_key_codes`]); `Equal` for peers.
-#[inline]
-fn cmp_codes(keys: &[(Vec<i64>, bool)], a: usize, b: usize) -> std::cmp::Ordering {
-    for (vals, desc) in keys {
-        let ord = match desc {
-            true => vals[b].cmp(&vals[a]),
-            false => vals[a].cmp(&vals[b]),
-        };
-        if ord.is_ne() {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-pub fn sort_batch(
-    batch: &Batch,
-    keys: &[PhysOrderKey],
-    ctx: &ExecContext,
-) -> Result<Batch, ExecError> {
-    let n = batch.rows();
-    let key_vecs = order_key_codes(batch, keys, "ORDER BY", ctx)?;
-    let mut idx: Vec<i64> = (0..n as i64).collect();
-    idx.sort_by(|&a, &b| cmp_codes(&key_vecs, a as usize, b as usize));
-    Ok(select_batch(batch, &Tensor::from_vec(idx, &[n])))
 }
 
 #[cfg(test)]

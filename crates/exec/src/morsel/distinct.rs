@@ -1,9 +1,10 @@
-//! Staged DISTINCT over integer grouping codes. Keys [`Direct`] admits —
-//! any number of columns whose spans multiply within its limit — are one
+//! DISTINCT over integer grouping codes. Keys [`Direct`] admits — any
+//! number of columns whose spans multiply within its limit — are one
 //! first-occurrence sweep over a direct-index table; any other keys
-//! exchange rows by composite-code hash, each partition keeps first
-//! occurrences in a flat table (a key lives in exactly one partition),
-//! and survivors re-sort to input order.
+//! exchange rows by composite-code hash (into one partition when staging
+//! is sequential), each partition keeps first occurrences in a flat
+//! table (a key lives in exactly one partition), and survivors sweep
+//! back to input order.
 
 use std::borrow::Cow;
 
@@ -32,8 +33,10 @@ fn distinct_set_bytes(rows: usize) -> u64 {
     rows as u64 * (8 + 16)
 }
 
-/// Staged DISTINCT: grouping codes at survivor positions, then by key
-/// shape either
+/// DISTINCT: grouping codes at survivor positions (a selection-fed
+/// input reads them at its survivor ids, by index for plain layouts, and
+/// defers the payload gather to the final representative select), then
+/// by key shape either
 ///
 /// * **direct** — keys [`Direct`] admits over the rows: one
 ///   insert-if-absent sweep over a table indexed by the keys' [`Direct`]
@@ -44,37 +47,32 @@ fn distinct_set_bytes(rows: usize) -> u64 {
 ///   insert-if-absent sweep per partition (a key lives in exactly one
 ///   partition and a partition lists its rows ascending, so the row a
 ///   partition keeps is the global first occurrence), then the kept
-///   rows swept back into input order —
+///   rows swept back into input order. A staged DISTINCT has
+///   [`crate::DEFAULT_PARTITIONS`] partitions; a sequential one has one,
+///   every row, unexchanged —
 ///
-/// byte-identical to [`exact::distinct_batch`]'s first-occurrence
-/// output either way.
+/// each key's first occurrence, in input order, either way. An input
+/// with no rows (or no columns) is its own output: no codes are read.
 pub(crate) fn run_distinct(
     input: BarrierInput<'_>,
     ctx: &ExecContext,
     rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
-    let (rows, partitions) = (input.rows_out(), DEFAULT_PARTITIONS);
-    let ncols = input.batch.columns().len();
-    let staged = match staging(Staging::Partitioned(partitions), &[], Some(rows), ctx) {
-        // No columns: every row is one key, nothing to split.
-        _ if ncols == 0 => Staging::Sequential(Reason::SingleMorsel),
-        staged => staged,
-    };
-    if let Staging::Sequential(_) = staged {
-        note_barrier(rec, staged, &[1]);
-        let input = input.into_gathered();
-        // The sequential kernel holds the same key codes and one big
-        // seen-set; charge the per-row estimates of the staged path so
-        // enforcement is thread-count-invariant.
-        let bytes = (rows * 8 * ncols) as u64 + distinct_set_bytes(rows);
-        let _charge = memory::charge(&ctx.memory, "distinct", bytes)?;
-        return exact::distinct_batch(&input);
+    let (rows, ncols) = (input.rows_out(), input.batch.columns().len());
+    if rows == 0 || ncols == 0 {
+        // Nothing to deduplicate, nothing to split.
+        note_barrier(rec, Staging::Sequential(Reason::SingleMorsel), &[1]);
+        return Ok(input.into_gathered());
     }
+    let staged = staging(
+        Staging::Partitioned(DEFAULT_PARTITIONS),
+        &[],
+        Some(rows),
+        ctx,
+    );
     // Held until the surviving rows are selected out: key codes, the
-    // exchanged positions and the per-partition seen-sets. The codes are
-    // survivor-width either way — a selection-fed input reads them at
-    // its survivor ids (by index for plain layouts) and defers the
-    // payload gather to the final representative select.
+    // exchanged positions and the per-partition seen-sets, all
+    // survivor-width.
     let charges = memory::ScopedCharges::new(&ctx.memory);
     charges.add("distinct key codes", (rows * 8 * ncols) as u64)?;
     let rows_read = input.ids.as_ref().map_or(Rows::All, Rows::At);
@@ -83,7 +81,7 @@ pub(crate) fn run_distinct(
         .collect::<Result<_, _>>()?;
     // Representatives come back as survivor positions; map them to
     // global ids (still ascending) for the one deferred gather.
-    let mut rep = distinct_reps(&codes, rows, &charges, ctx, rec)?;
+    let mut rep = distinct_reps(&codes, rows, staged, &charges, ctx, rec)?;
     if let Some(ids) = &input.ids {
         for r in &mut rep {
             *r = ids.at(*r as usize);
@@ -94,34 +92,34 @@ pub(crate) fn run_distinct(
 }
 
 /// The first-occurrence row positions of `codes`, ascending — one sweep
-/// over a direct-index table, or exchange + shared-nothing dedup.
-/// Positions are whatever space the codes live in (dense rows or
-/// selection space).
+/// over a direct-index table, or exchange into `staged`'s partitions
+/// (one when sequential) and shared-nothing dedup. Positions are
+/// whatever space the codes live in (dense rows or selection space).
 fn distinct_reps(
     codes: &[Cow<[i64]>],
     rows: usize,
+    staged: Staging<'_>,
     charges: &memory::ScopedCharges,
     ctx: &ExecContext,
     rec: Option<&mut Recorder>,
 ) -> Result<Vec<i64>, ExecError> {
     let keys = exact::code_refs(codes);
-    let all: Vec<u32> = (0..rows as u32).collect();
     if let Some(direct) = Direct::of(&keys, None) {
-        note_barrier(rec, Staging::DirectIndex, &[1]);
+        note_barrier(rec, staged.ran(Staging::DirectIndex), &[1]);
         let table = (direct.slots() + 2 * rows) as u64 * 4;
         charges.add("distinct set", distinct_set_bytes(rows).max(table))?;
+        let all: Vec<u32> = (0..rows as u32).collect();
         let mut seen = KeyTable::new(&keys, Index::Direct(&direct), &all);
         return Ok((0..rows)
             .filter(|&i| seen.insert_if_absent(i))
             .map(|i| i as i64)
             .collect());
     }
-    let partitions = DEFAULT_PARTITIONS;
-    note_barrier(
-        rec,
-        Staging::Partitioned(partitions),
-        &[num_morsels(rows, ctx.morsel_rows)],
-    );
+    let partitions = match staged {
+        Staging::Partitioned(partitions) => partitions,
+        _ => 1,
+    };
+    note_barrier(rec, staged, &[num_morsels(rows, ctx.morsel_rows)]);
     let hashes = hash_rows(&keys, rows);
     charges.add("distinct exchange", rows as u64 * 4)?;
     let parts = exchange(&hashes, partitions, ctx)?;
@@ -138,8 +136,8 @@ fn distinct_reps(
             .collect())
     })?;
 
-    // Back to first-occurrence input order, as sequential: flag the kept
-    // positions and sweep them out ascending — no sort.
+    // Back to first-occurrence input order: flag the kept positions and
+    // sweep them out ascending — no sort.
     let mut kept = vec![false; rows];
     for &r in survivors.iter().flatten() {
         kept[r as usize] = true;

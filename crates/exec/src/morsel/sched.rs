@@ -258,7 +258,8 @@ impl Partitions {
 /// rows in order, so every partition lists its rows in **ascending
 /// input order** at any thread count (the hash, morsel boundaries and
 /// partition count are all plan properties — workers only decide *who*
-/// scatters each morsel).
+/// scatters each morsel). One partition is every row, in order, with
+/// nothing scattered.
 pub(super) fn exchange(
     hashes: &[u64],
     partitions: usize,
@@ -266,6 +267,13 @@ pub(super) fn exchange(
 ) -> Result<Partitions, ExecError> {
     let rows = hashes.len();
     assert!(rows < u32::MAX as usize, "exchanged positions are 32-bit");
+    if partitions == 1 {
+        let positions = (0..rows as u32).collect();
+        return Ok(Partitions {
+            positions,
+            starts: vec![0, rows],
+        });
+    }
     let (morsel_rows, morsels) = (ctx.morsel_rows, num_morsels(rows, ctx.morsel_rows));
     let morsel = |i: usize| {
         let (start, end) = morsel_range(i, morsel_rows, rows);
@@ -405,7 +413,7 @@ pub(crate) fn staging<'p>(
 
 /// Tell an attached recorder how a barrier ran: its staging verdict, and
 /// the morsels each of its stages claimed — a join's build and probe,
-/// DISTINCT's or a sort's one stage, `[1]` whole-batch.
+/// DISTINCT's or a sort's one stage. A sequential barrier counts as one.
 pub(super) fn note_barrier(rec: Option<&mut Recorder>, staging: Staging<'_>, morsels: &[usize]) {
     if let Some(r) = rec {
         r.note_barrier(staging, morsels);

@@ -1,14 +1,17 @@
-//! Parallel merge sort and top-k: per-morsel sorted runs under the
-//! stable `(keys…, input position)` total order, k-way merged by a
-//! tournament heap; top-k keeps only k rows per run and merges O(k·m).
+//! Merge sort and top-k: sorted runs under the stable `(keys…, input
+//! position)` total order, k-way merged by a tournament heap; top-k
+//! keeps only k rows per run and merges O(k·m). A staged sort has one
+//! run per morsel; a sequential one is one run over its whole input.
+//! The run's key reader ([`run_keys`]) and comparator ([`cmp_keys`])
+//! also order a window's rows.
+
+use std::cmp::Ordering;
 
 use tdp_encoding::EncodedTensor;
 use tdp_tensor::{I64Tensor, Tensor};
 
 use super::chain::BarrierInput;
-use super::sched::{
-    claim, claim_eval, morsel_range, note_barrier, num_morsels, slice_window, staging,
-};
+use super::sched::{claim_eval, morsel_range, note_barrier, num_morsels, slice_window, staging};
 use crate::batch::Batch;
 use crate::error::ExecError;
 use crate::exact::{self, Rows};
@@ -19,16 +22,14 @@ use crate::profile::Recorder;
 use crate::udf::ExecContext;
 use crate::verdict::{Reason, Staging};
 
-/// One evaluated sort-key column of a morsel run. Numeric, boolean and
-/// compressed keys keep their integer grouping codes (8 bytes per row,
-/// exactly what `exact::sort_batch` compares); dictionary keys keep
-/// their codes *plus* the shared dictionary. Morsel slices of one
-/// column share the same `Arc`'d dictionary, so run-vs-run comparisons
-/// stay integer compares; only expression-generated per-morsel dicts
-/// pay a decode — and because dictionaries are order-preserving
-/// (sorted), code order equals string order either way, matching the
-/// sequential kernel.
-enum SortKeyCol {
+/// One sort-key column of a run. Numeric, boolean and compressed keys
+/// keep their integer grouping codes (8 bytes per row); dictionary keys
+/// keep their codes *plus* the shared dictionary. Runs over one stored
+/// column share its `Arc`'d dictionary, so run-vs-run comparisons stay
+/// integer compares; only expression-generated per-run dicts pay a
+/// decode — and because dictionaries are order-preserving (sorted), code
+/// order equals string order either way.
+pub(crate) enum SortKeyCol {
     Ints(Vec<i64>),
     Dict {
         codes: Vec<i64>,
@@ -50,25 +51,12 @@ impl SortKeyCol {
         })
     }
 
-    /// Row range `[start, end)` of this key column. Dictionary slices
-    /// share the parent's `Arc`'d dictionary, so slice-vs-slice
-    /// comparisons stay integer compares.
-    fn slice(&self, start: usize, end: usize) -> SortKeyCol {
-        match self {
-            SortKeyCol::Ints(v) => SortKeyCol::Ints(v[start..end].to_vec()),
-            SortKeyCol::Dict { codes, dict } => SortKeyCol::Dict {
-                codes: codes[start..end].to_vec(),
-                dict: dict.clone(),
-            },
-        }
-    }
-
     /// Compare row `a` of this column against row `b` of `other`. A key
     /// expression always evaluates to one encoding family, so
     /// cross-variant comparisons are unreachable; they still order
     /// deterministically (ints before strings) rather than panic.
     #[inline]
-    fn cmp_rows(&self, a: usize, other: &SortKeyCol, b: usize) -> std::cmp::Ordering {
+    fn cmp_rows(&self, a: usize, other: &SortKeyCol, b: usize) -> Ordering {
         match (self, other) {
             (SortKeyCol::Ints(x), SortKeyCol::Ints(y)) => x[a].cmp(&y[b]),
             (SortKeyCol::Dict { codes: x, dict: dx }, SortKeyCol::Dict { codes: y, dict: dy }) => {
@@ -78,68 +66,89 @@ impl SortKeyCol {
                     dx.decode_one(x[a]).cmp(dy.decode_one(y[b]))
                 }
             }
-            (SortKeyCol::Ints(_), SortKeyCol::Dict { .. }) => std::cmp::Ordering::Less,
-            (SortKeyCol::Dict { .. }, SortKeyCol::Ints(_)) => std::cmp::Ordering::Greater,
+            (SortKeyCol::Ints(_), SortKeyCol::Dict { .. }) => Ordering::Less,
+            (SortKeyCol::Dict { .. }, SortKeyCol::Ints(_)) => Ordering::Greater,
         }
     }
 }
 
-/// Byte estimate of sorting `rows` rows on `nkeys` keys sequentially:
-/// the evaluated key codes plus the argsort permutation.
-fn sort_bytes(rows: usize, nkeys: usize) -> u64 {
-    (rows * (8 + 8 * nkeys)) as u64
+/// Row `a` of the key columns `x` against row `b` of `y` in the order
+/// `keys` give (each ascending or descending); `Equal` for peers.
+#[inline]
+pub(crate) fn cmp_keys(
+    keys: &[PhysOrderKey],
+    x: &[SortKeyCol],
+    a: usize,
+    y: &[SortKeyCol],
+    b: usize,
+) -> Ordering {
+    for ((cx, cy), k) in x.iter().zip(y).zip(keys) {
+        let ord = cx.cmp_rows(a, cy, b);
+        if ord.is_ne() {
+            return if k.desc { ord.reverse() } else { ord };
+        }
+    }
+    Ordering::Equal
 }
 
-/// One sorted per-morsel run: local row order plus the evaluated key
-/// columns (kept in *original* local order; `order` permutes into them).
+/// One sorted run: local row order plus the key columns (kept in
+/// *original* local order; `order` permutes into them).
 struct SortRun {
     start: usize,
     order: Vec<u32>,
     keys: Vec<SortKeyCol>,
 }
 
-/// Build per-morsel sorted runs: workers claim morsels, evaluate the key
-/// expressions over the morsel slice, and sort local rows by
-/// `(keys…, input position)` — the stable-sort total order. With
-/// `take_k`, each run keeps only its k best rows (per-morsel top-k).
-fn sort_runs(
-    input: &Batch,
-    keys: &[PhysOrderKey],
-    take_k: Option<usize>,
-    charges: &memory::ScopedCharges,
-    ctx: &ExecContext,
-) -> Result<Vec<SortRun>, ExecError> {
-    let rows = input.rows();
-    let morsel_rows = ctx.morsel_rows;
-    let morsels = num_morsels(rows, morsel_rows);
+/// A key that is a plain column ref of `batch` — resolved exactly as
+/// the expression evaluator resolves it — read where it is stored.
+fn stored<'b>(batch: &'b Batch, key: &PhysOrderKey) -> Option<&'b EncodedTensor> {
+    match &key.expr {
+        CompiledExpr::Column(r) => r.resolve(batch).ok(),
+        _ => None,
+    }
+}
 
-    // First error in morsel order wins — the scheduler's contract.
-    let runs = claim_eval(morsels, ctx, None, |i, wctx| {
-        let (start, end) = morsel_range(i, morsel_rows, rows);
-        // A run holds the evaluated key codes (8 B/row/key) plus the
-        // local permutation (4 B/row).
-        charges.add("sort run", ((end - start) * (4 + 8 * keys.len())) as u64)?;
-        // Key expressions run on the interpreter, which wants a batch.
-        let (batch, _slice) = slice_window(input, start, end, "sort materialization", wctx)?;
-        let mut key_cols = Vec::with_capacity(keys.len());
-        for k in keys {
-            match eval_expr(&k.expr, &batch, wctx)? {
-                Value::Column(c) => key_cols.push(SortKeyCol::of(&c, Rows::All)?),
-                other => {
-                    return Err(ExecError::TypeMismatch(format!(
-                        "ORDER BY expression must be a column, got {other:?}"
-                    )))
-                }
-            }
-        }
-        let order = sorted_order(&key_cols, keys, end - start, take_k);
-        Ok(SortRun {
+/// The key columns of rows `start..end` of `batch`, or of the survivors
+/// `ids[start..end]` when `ids` is given — the one key reader of a sort
+/// run and of a window's order. A plain column ref is read where it is
+/// stored ([`exact::key_codes`]); any other key is evaluated over the
+/// rows' own batch on `ctx`, which only a dense input has (a
+/// selection-fed input with a computed key is gathered first). `clause`
+/// names the keys in the error for one that is not a column.
+pub(crate) fn run_keys(
+    batch: &Batch,
+    ids: Option<&I64Tensor>,
+    (start, end): (usize, usize),
+    keys: &[PhysOrderKey],
+    clause: &str,
+    ctx: &ExecContext,
+) -> Result<Vec<SortKeyCol>, ExecError> {
+    let at = ids.map(|ids| ids.slice_rows(start, end));
+    let rows = at.as_ref().map_or(Rows::Window(start, end), Rows::At);
+    // Computed keys run on the interpreter, which wants a batch of the
+    // run's own rows: the input itself when the run covers it.
+    let computed = keys.iter().any(|k| stored(batch, k).is_none());
+    let window = match computed && (start, end) != (0, batch.rows()) {
+        true => Some(slice_window(
+            batch,
             start,
-            order,
-            keys: key_cols,
-        })
-    })?;
-    Ok(runs.into_iter().flatten().collect())
+            end,
+            "sort materialization",
+            ctx,
+        )?),
+        false => None,
+    };
+    let rows_batch = window.as_ref().map_or(batch, |(w, _)| w);
+    let key = |k: &PhysOrderKey| match stored(batch, k) {
+        Some(col) => SortKeyCol::of(col, rows),
+        None => match eval_expr(&k.expr, rows_batch, ctx)? {
+            Value::Column(c) => SortKeyCol::of(&c, Rows::All),
+            other => Err(ExecError::TypeMismatch(format!(
+                "{clause} expression must be a column, got {other:?}"
+            ))),
+        },
+    };
+    keys.iter().map(key).collect()
 }
 
 /// Local row order of one run under the stable `(keys…, position)`
@@ -152,18 +161,9 @@ fn sorted_order(
 ) -> Vec<u32> {
     let mut order: Vec<u32> = (0..len as u32).collect();
     let cmp = |a: &u32, b: &u32| {
-        for (col, k) in key_cols.iter().zip(keys) {
-            let (a, b) = (*a as usize, *b as usize);
-            let ord = if k.desc {
-                col.cmp_rows(b, col, a)
-            } else {
-                col.cmp_rows(a, col, b)
-            };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        a.cmp(b) // input position breaks ties, as in the stable sort
+        let (x, y) = (*a as usize, *b as usize);
+        // Input position breaks ties, as in a stable sort.
+        cmp_keys(keys, key_cols, x, key_cols, y).then(a.cmp(b))
     };
     if let Some(k) = take_k {
         if k > 0 && k < len {
@@ -175,67 +175,6 @@ fn sorted_order(
     order
 }
 
-/// Selection-fed sort/top-k core: evaluate nothing — the keys must be
-/// plain column refs (checked by the caller), already gathered to
-/// survivor width. Runs chunk **selection space** by the session morsel
-/// size; run-local ties break on survivor position, which is ascending
-/// global position, so the merged order equals the stable whole-batch
-/// sort and the single payload gather happens once, at the end.
-fn sort_selected(
-    batch: &Batch,
-    ids: &I64Tensor,
-    gathered_keys: Vec<SortKeyCol>,
-    keys: &[PhysOrderKey],
-    take_k: Option<usize>,
-    charges: &memory::ScopedCharges,
-    ctx: &ExecContext,
-) -> Result<Batch, ExecError> {
-    let n = ids.numel();
-    let morsel_rows = ctx.morsel_rows;
-    let morsels = num_morsels(n, morsel_rows);
-    let runs: Vec<SortRun> = claim(morsels, ctx.threads, |i| {
-        let (start, end) = morsel_range(i, morsel_rows, n);
-        charges.add("sort run", ((end - start) * (4 + 8 * keys.len())) as u64)?;
-        let key_cols: Vec<SortKeyCol> = gathered_keys.iter().map(|k| k.slice(start, end)).collect();
-        let order = sorted_order(&key_cols, keys, end - start, take_k);
-        Ok(SortRun {
-            start,
-            order,
-            keys: key_cols,
-        })
-    })?;
-    let idx: Vec<i64> = merge_runs(&runs, keys, take_k)
-        .into_iter()
-        .map(|p| ids.at(p as usize))
-        .collect();
-    let len = idx.len();
-    Ok(exact::select_batch(batch, &Tensor::from_vec(idx, &[len])))
-}
-
-/// Resolve sort keys as plain column refs over a selection's full-width
-/// batch — exactly as the expression evaluator resolves them — and read
-/// them at the survivor rows `ids`: the only evaluation the selection-fed
-/// sort path needs. `None` when any key is a computed expression (the
-/// caller gathers and takes the staged path).
-fn gather_sort_keys(
-    batch: &Batch,
-    ids: &I64Tensor,
-    keys: &[PhysOrderKey],
-) -> Result<Option<Vec<SortKeyCol>>, ExecError> {
-    let srcs: Option<Vec<&EncodedTensor>> = keys
-        .iter()
-        .map(|k| match &k.expr {
-            CompiledExpr::Column(r) => r.resolve(batch).ok(),
-            _ => None,
-        })
-        .collect();
-    let Some(srcs) = srcs else {
-        return Ok(None);
-    };
-    let cols = srcs.iter().map(|c| SortKeyCol::of(c, Rows::At(ids)));
-    cols.collect::<Result<_, _>>().map(Some)
-}
-
 /// K-way merge of sorted runs into a global row-index order, stopping
 /// after `limit` rows when given. A binary tournament heap keyed by the
 /// same `(keys…, input position)` total order as the runs themselves,
@@ -245,19 +184,8 @@ fn merge_runs(runs: &[SortRun], keys: &[PhysOrderKey], limit: Option<usize>) -> 
     let less = |a: &(usize, usize), b: &(usize, usize)| -> bool {
         let (ra, rb) = (&runs[a.0], &runs[b.0]);
         let (la, lb) = (ra.order[a.1] as usize, rb.order[b.1] as usize);
-        for (j, k) in keys.iter().enumerate() {
-            let ord = if k.desc {
-                rb.keys[j].cmp_rows(lb, &ra.keys[j], la)
-            } else {
-                ra.keys[j].cmp_rows(la, &rb.keys[j], lb)
-            };
-            match ord {
-                std::cmp::Ordering::Less => return true,
-                std::cmp::Ordering::Greater => return false,
-                std::cmp::Ordering::Equal => {}
-            }
-        }
-        (ra.start + la) < (rb.start + lb)
+        let ord = cmp_keys(keys, &ra.keys, la, &rb.keys, lb);
+        ord.then((ra.start + la).cmp(&(rb.start + lb))).is_lt()
     };
 
     // Min-heap of (run, position-within-run) cursors.
@@ -305,15 +233,17 @@ fn merge_runs(runs: &[SortRun], keys: &[PhysOrderKey], limit: Option<usize>) -> 
     out
 }
 
-/// Parallel merge sort — or top-`k`, whose runs keep only their k best
-/// rows and merge O(k·m): per-morsel sorted runs, k-way merged under the
-/// stable `(keys…, input position)` order. Byte-identical to
-/// [`exact::sort_batch`] / [`exact::topk_batch`] (the first k rows of the
-/// full stable sort), which remain the fallback and the oracle. A
-/// selection-fed input whose keys are plain column refs reads only the
-/// key columns, at its survivors, and gathers the payload once, in
-/// sorted order; computed keys need per-morsel evaluation over dense
-/// rows, so such an input is gathered first.
+/// Merge sort — or top-`k`, whose runs keep only their k best rows and
+/// merge O(k·m): sorted runs, k-way merged under the stable `(keys…,
+/// input position)` order, so the output is the first k rows of the
+/// full stable sort at every run count. A staged sort has one run per
+/// morsel, its keys evaluated on the workers; a sequential one is one
+/// run over the whole input, its keys evaluated on the session thread,
+/// as a pinned key (a session UDF, a scalar subquery, a tensor
+/// parameter) requires. A selection-fed input over several runs whose
+/// keys are plain column refs reads only the key columns, at its
+/// survivors, and gathers the payload once, in sorted order; one run, or
+/// a computed key, gathers the survivors first.
 pub(crate) fn run_sort(
     input: BarrierInput<'_>,
     keys: &[PhysOrderKey],
@@ -321,42 +251,66 @@ pub(crate) fn run_sort(
     ctx: &ExecContext,
     rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
-    let k = k.map(|k| k.min(input.rows_out()));
+    let rows = input.rows_out();
+    let k = k.map(|k| k.min(rows));
     if k == Some(0) {
-        // No rows to keep: nothing to split.
+        // No rows to keep: nothing to split, and no key to read.
         note_barrier(rec, Staging::Sequential(Reason::SingleMorsel), &[1]);
-        return exact::topk_batch(&input.into_gathered(), keys, 0, ctx);
+        return Ok(input.gather(&Tensor::from_vec(vec![], &[0])));
     }
-    // Key expressions are evaluated per morsel on worker threads, so the
+    // Key expressions are evaluated per run on worker threads, so the
     // same analysis as fused chains applies (UDFs, subqueries, tensor
     // params).
     let sort = k.map_or(Staging::MergeSort, |_| Staging::TopK);
-    let staged = staging(sort, keys, Some(input.rows_out()), ctx);
-    if let Staging::Sequential(_) = staged {
-        note_barrier(rec, staged, &[1]);
-        let input = input.into_gathered();
-        // The sequential argsort holds the same key codes + permutation.
-        let bytes = sort_bytes(input.rows(), keys.len());
-        let _charge = memory::charge(&ctx.memory, k.map_or("sort", |_| "top-k"), bytes)?;
-        return match k {
-            None => exact::sort_batch(&input, keys, ctx),
-            Some(k) => exact::topk_batch(&input, keys, k, ctx),
-        };
-    }
-    let runs = num_morsels(input.rows_out(), ctx.morsel_rows);
+    let staged = staging(sort, keys, Some(rows), ctx);
+    let (runs, run_rows) = match staged {
+        Staging::Sequential(_) => (1, rows),
+        _ => (num_morsels(rows, ctx.morsel_rows), ctx.morsel_rows),
+    };
     note_barrier(rec, staged, &[runs]);
-    // Held until the sorted batch is assembled: gathered key columns
-    // plus every run's keys and permutation.
+    // Held until the sorted batch is assembled: a gathered input, and
+    // every run's keys and permutation.
     let charges = memory::ScopedCharges::new(&ctx.memory);
-    if let Some(ids) = &input.ids {
-        charges.add("sort key gather", (ids.numel() * 8 * keys.len()) as u64)?;
-        if let Some(gathered) = gather_sort_keys(&input.batch, ids, keys)? {
-            return sort_selected(&input.batch, ids, gathered, keys, k, &charges, ctx);
+    let selected = runs > 1 && keys.iter().all(|k| stored(&input.batch, k).is_some());
+    let gathered = match &input.ids {
+        Some(ids) if !selected => {
+            let batch = input.gather(ids);
+            charges.add("sort gather", memory::batch_bytes(&batch))?;
+            Some(batch)
+        }
+        _ => None,
+    };
+    let (batch, ids) = match &gathered {
+        Some(batch) => (batch, None),
+        None => (&input.batch, input.ids.as_ref()),
+    };
+    let run = |i: usize, wctx: &ExecContext| {
+        let (start, end) = morsel_range(i, run_rows, rows);
+        // A run holds its key codes (8 B/row/key) plus its local
+        // permutation (4 B/row).
+        charges.add("sort run", ((end - start) * (4 + 8 * keys.len())) as u64)?;
+        let cols = run_keys(batch, ids, (start, end), keys, "ORDER BY", wctx)?;
+        let order = sorted_order(&cols, keys, end - start, k);
+        Ok(SortRun {
+            start,
+            order,
+            keys: cols,
+        })
+    };
+    // First error in run order wins — the scheduler's contract.
+    let runs = match runs {
+        1 => vec![run(0, ctx)?],
+        n => claim_eval(n, ctx, None, run)?
+            .into_iter()
+            .flatten()
+            .collect(),
+    };
+    let mut idx = merge_runs(&runs, keys, k);
+    if let Some(ids) = ids {
+        for p in &mut idx {
+            *p = ids.at(*p as usize);
         }
     }
-    let input = input.into_gathered();
-    let runs = sort_runs(&input, keys, k, &charges, ctx)?;
-    let idx = merge_runs(&runs, keys, k);
     let n = idx.len();
-    Ok(exact::select_batch(&input, &Tensor::from_vec(idx, &[n])))
+    Ok(exact::select_batch(batch, &Tensor::from_vec(idx, &[n])))
 }

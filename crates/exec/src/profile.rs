@@ -351,12 +351,16 @@ impl Recorder {
         self.top().selection = Some(note.to_string());
     }
 
-    /// Record the staging verdict a staged barrier (join, sort, top-k,
-    /// DISTINCT) took, reported by its `morsel::run_*` kernel, with the
-    /// morsels each of its stages claimed: the strategy with its counts,
-    /// or — when the reason pins the work — why it stayed sequential.
+    /// Record the staging verdict a barrier (join, sort, top-k, DISTINCT)
+    /// took, reported by its `morsel::run_*` kernel, with the morsels each
+    /// of its stages claimed: the strategy with its counts, or — when the
+    /// reason pins the work — why it stayed sequential. A sequential
+    /// barrier counts one morsel, whatever its stages claimed.
     pub(crate) fn note_barrier(&mut self, staging: Staging<'_>, morsels: &[usize]) {
-        self.profile.morsels += morsels.iter().sum::<usize>();
+        self.profile.morsels += match staging {
+            Staging::Sequential(_) => 1,
+            _ => morsels.iter().sum::<usize>(),
+        };
         if let Staging::Partitioned(partitions) = staging {
             self.profile.partitions += partitions;
         }

@@ -144,6 +144,18 @@ pub(crate) enum Staging<'p> {
     Sequential(Reason<'p>),
 }
 
+impl<'p> Staging<'p> {
+    /// What a barrier staged by this verdict reports having run as `arm`:
+    /// `arm`, unless the verdict is sequential, which names why whatever
+    /// arm ran.
+    pub(crate) fn ran(self, arm: Staging<'p>) -> Staging<'p> {
+        match self {
+            Staging::Sequential(_) => self,
+            _ => arm,
+        }
+    }
+}
+
 impl fmt::Display for Staging<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -200,6 +200,60 @@ fn selection_fed_aggregate_fits_budget_the_gathered_path_exceeds() {
     assert_eq!(engine.memory_pool().used(), 0, "ledger fully released");
 }
 
+/// A selection-fed top-k whose key is computed gathers its survivors'
+/// payload before evaluating the key per run, and charges that gather —
+/// not a survivor-width copy of keys it never gathers. Over 4,096 rows
+/// of 32-wide embeddings in eight runs on two workers, the gathered
+/// payload (4,092 survivors × 136 B) is more than twice everything else
+/// the statement holds at once (its survivor ids, the runs' keys and two
+/// in-flight run windows), so a budget of exactly the payload refuses the
+/// gather by name, and an unconstrained run's peak covers it. (A bound
+/// tensor parameter in the key would pin the sort to one run.)
+#[test]
+fn selection_fed_top_k_with_a_computed_key_charges_the_payload_it_gathers() {
+    const ROWS: usize = 4_096;
+    const DIM: usize = 32;
+    let sql = "SELECT id, emb FROM vecs WHERE id > 3 ORDER BY id % 97 DESC LIMIT 3";
+    let payload = ((ROWS - 4) * (8 + 4 * DIM)) as u64;
+    let run = |engine: &Arc<TdpEngine>| {
+        engine.register_table(tdp_integration::vecs_table(ROWS, DIM, 3));
+        let session = engine.session();
+        session.set_threads(2);
+        session.set_morsel_rows(ROWS / 8);
+        let query = session.query(sql).unwrap();
+        assert!(
+            query.explain().contains("[parallel top-k]"),
+            "{}",
+            query.explain()
+        );
+        query.run_profiled()
+    };
+
+    let (out, profile) = run(&TdpEngine::new()).expect("no budget");
+    assert_eq!(out.rows(), 3);
+    assert!(
+        profile.peak_memory_bytes >= payload,
+        "peak {} must cover the gathered payload {payload}",
+        profile.peak_memory_bytes
+    );
+
+    let engine = TdpEngine::with_memory_budget(payload);
+    match run(&engine) {
+        Err(TdpError::Exec(tdp_core::exec::ExecError::MemoryBudget {
+            operator,
+            requested,
+        })) => {
+            assert_eq!(operator, "sort gather");
+            assert_eq!(requested, payload);
+        }
+        other => panic!(
+            "expected the gather to be refused, got {:?}",
+            other.map(|r| r.0)
+        ),
+    }
+    assert_eq!(engine.memory_pool().used(), 0, "ledger fully released");
+}
+
 /// The grouped selection-fed fold charges what it allocates — one
 /// window's selection, key codes, group ids and argument values per
 /// worker, and the per-group partial states — not a copy of any column,
