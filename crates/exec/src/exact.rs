@@ -5,13 +5,14 @@
 //! lowering time ([`crate::physical::lower`]), and the one exact walker
 //! ([`crate::pipeline::execute`]) decides *when* each kernel runs — per
 //! morsel (filters, projections, partial aggregation) through the
-//! scheduler in [`crate::morsel`], or per barrier (sorts, joins,
-//! windows, DISTINCT) over materialised inputs. The whole-batch kernels
-//! double as the sequential path staged barriers take when an input
-//! fits one morsel or must stay on the session thread, which is what
-//! makes them the byte-identity oracle for the staged paths.
-//! [`crate::diff`] reaches them only through its gate, which hands them
-//! exact batches.
+//! scheduler in [`crate::morsel`], or per barrier over materialised
+//! inputs. Sorts, joins and DISTINCT are not here: each has one
+//! implementation in [`crate::morsel`], whose sequential form is its
+//! staged form with one run, one partition and one task. This module
+//! holds what they share (key codes, join codes, the probe and the
+//! join assembly) and the whole-batch kernels with no staged form
+//! (scan, ANN top-k, windows, UNION ALL). [`crate::diff`] reaches them
+//! only through its gate, which hands them exact batches.
 
 use std::borrow::Cow;
 
@@ -602,9 +603,8 @@ pub(crate) fn probe_rows(
     out
 }
 
-/// Assemble the join output from the probe's row-id pairs — shared by
-/// the sequential kernel and the partitioned path, which produce
-/// identical pairs. Every output column is one gather task claimed off
+/// Assemble the join output from the probe's row-id pairs — the same
+/// pairs at every partition and task count. Every output column is one gather task claimed off
 /// the scheduler (slot order preserved), read at the matched row ids
 /// through [`EncodedTensor::select_rows`] — pad rows of a LEFT join
 /// included, on a dense side as on a selection-fed one — so an

@@ -123,9 +123,11 @@
 //! buckets, independent of the thread count) and probe even survivor
 //! ranges in parallel, one per thread; ORDER BY / TopK sort per-morsel runs merged k-way under the
 //! stable `(keys…, input position)` order; DISTINCT dedups exchanged
-//! partitions shared-nothing through the same codes, hash and table. Every staged path is byte-identical to the
-//! sequential kernels in [`exact`], which remain the fallback (and the
-//! oracle the equivalence tests compare against).
+//! partitions shared-nothing through the same codes, hash and table. A
+//! sequential barrier (one thread, one morsel, a pinned sort key) is the
+//! same code with one run, one partition and one task, so every thread
+//! count is byte-identical to it, and the golden result digests
+//! (`tests/golden/results.txt`) pin its output across commits.
 //!
 //! Fused filter→project chains additionally run on **chain kernels**
 //! ([`kernel`]): selection-vector loops monomorphised over the concrete
@@ -167,11 +169,12 @@
 //!     │            columns it names, into the keys' Direct slots or hashed ids),
 //!     │            the combine (group_rows over the partials' key rows, states
 //!     │            scattered in morsel order)
-//!     ├ join / sort / distinct   the staged barriers
+//!     ├ join / sort / distinct   the barriers, staged or one run/partition/task
 //!   kernel     chain kernels over CompiledExpr (and the aggregate fold's reads);
 //!              vetting, once per execution
-//!   expr       the scalar interpreter            ┐ the fallback tier, and the oracle every
-//!   exact      whole-batch relational kernels    ┘ byte-identity test compares against
+//!   expr       the scalar interpreter: the fallback tier, and the chain kernel's oracle
+//!   exact      shared barrier pieces (codes, probe, join assembly) and the
+//!              whole-batch kernels with no staged form (scan, ANN, window, UNION ALL)
 //!   profile    Recorder + QueryProfile (the same walk, observed per stage)
 //!   verdict    Reason + Staging: every scheduling decline one value, rendered once
 //!   access     zone-map pruning, ANN paths, access-path counters

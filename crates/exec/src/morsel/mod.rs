@@ -25,9 +25,11 @@
 //! ([`crate::DEFAULT_PARTITIONS`] — deliberately *not* the thread
 //! count), and every combine walks morsels/partitions
 //! in index order — so every thread count (including 1) produces
-//! bitwise-identical batches, byte-equal to the sequential kernels in
-//! [`crate::exact`], which remain the fallback and the test oracle.
-//! Parallelism only changes *who* processes each morsel.
+//! bitwise-identical batches. A sequential barrier is its staged form
+//! with one run, one partition and one task — there is no second
+//! implementation — so the threads = 1 run is the reference the others
+//! are checked against. Parallelism only changes *who* processes each
+//! morsel.
 //!
 //! # Chain exit modes: gathered vs selection-fed barriers
 //!

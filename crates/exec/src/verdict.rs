@@ -10,12 +10,12 @@ use std::fmt;
 /// Why a stage declines a faster form — the fallback taxonomy, one
 /// variant per name. Function names borrow from the plan.
 ///
-/// A *parallelism decline* ([`Reason::pins`]) runs the stage whole-batch
-/// on the session thread through the [`crate::exact`] kernels, inside the
-/// one plan walker; a *kernel decline* keeps a chain on the interpreter;
-/// a *hand-off decline* makes a chain gather its survivors for the
-/// barrier or aggregate above it. Every fallback is as deterministic as
-/// what it declines — it is the oracle. EXPLAIN prints the
+/// A *parallelism decline* ([`Reason::pins`]) runs the stage on the
+/// session thread, inside the one plan walker — a barrier as its staged
+/// form with one run, one partition and one task; a *kernel decline*
+/// keeps a chain on the interpreter; a *hand-off decline* makes a chain
+/// gather its survivors for the barrier or aggregate above it. Every
+/// fallback is as deterministic as what it declines. EXPLAIN prints the
 /// [`Reason::is_static`] ones; the rest only a run sees.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Reason<'p> {
@@ -124,7 +124,8 @@ impl fmt::Display for Reason<'_> {
 }
 
 /// How a join, sort, top-k or DISTINCT runs: staged across the worker
-/// pool, or whole-batch on the session thread, with why. EXPLAIN prints
+/// pool, or sequentially on the session thread (one run, one partition,
+/// one task), with why. EXPLAIN prints
 /// it; a profiled run adds the morsels each stage claimed.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Staging<'p> {

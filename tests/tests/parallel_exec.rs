@@ -296,8 +296,8 @@ fn staged_barriers_match_sequential_oracle_at_tiny_morsels() {
     // (t's keys repeat every ~11 rows, d's build side splits into two
     // morsels), so exchange buckets, sorted runs and probe morsels all
     // cut across partition boundaries. Staged barrier output must stay
-    // byte-identical to the sequential kernels (threads=1 falls back to
-    // them) at every thread count.
+    // byte-identical to the threads=1 run (one sort run, one join
+    // partition, one task) at every thread count.
     let tdp = Tdp::new();
     tdp.register_table(table(100, 11));
     tdp.register_table(dim(5));
