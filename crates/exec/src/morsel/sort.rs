@@ -160,10 +160,27 @@ fn sorted_order(
     take_k: Option<usize>,
 ) -> Vec<u32> {
     let mut order: Vec<u32> = (0..len as u32).collect();
+    // Within one run a dictionary key holds one dictionary, so every key
+    // compares as its codes.
+    let codes: Vec<(&[i64], bool)> = (key_cols.iter().zip(keys))
+        .map(|(col, k)| match col {
+            SortKeyCol::Ints(codes) | SortKeyCol::Dict { codes, .. } => (&codes[..], k.desc),
+        })
+        .collect();
     let cmp = |a: &u32, b: &u32| {
         let (x, y) = (*a as usize, *b as usize);
+        for &(v, desc) in &codes {
+            let ord = if desc {
+                v[y].cmp(&v[x])
+            } else {
+                v[x].cmp(&v[y])
+            };
+            if ord.is_ne() {
+                return ord;
+            }
+        }
         // Input position breaks ties, as in a stable sort.
-        cmp_keys(keys, key_cols, x, key_cols, y).then(a.cmp(b))
+        a.cmp(b)
     };
     if let Some(k) = take_k {
         if k > 0 && k < len {
