@@ -741,7 +741,7 @@ pub fn window_batch(
         };
         let keys = &w.order_by;
         let order = crate::morsel::run_keys(batch, None, (0, n), keys, "window ORDER BY", ctx)?;
-        let peer = |a: usize, b: usize| crate::morsel::cmp_keys(keys, &order, a, &order, b);
+        let peer = crate::morsel::run_cmp(&order, keys);
         let mut idx: Vec<usize> = (0..n).collect();
         idx.sort_by(|&a, &b| {
             (part_ids[a].cmp(&part_ids[b]))

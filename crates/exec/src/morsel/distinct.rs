@@ -59,17 +59,21 @@ pub(crate) fn run_distinct(
     rec: Option<&mut Recorder>,
 ) -> Result<Batch, ExecError> {
     let (rows, ncols) = (input.rows_out(), input.batch.columns().len());
+    let staged = match ncols {
+        // No columns: every row is one key, nothing to split.
+        0 => Staging::Sequential(Reason::SingleMorsel),
+        _ => staging(
+            Staging::Partitioned(DEFAULT_PARTITIONS),
+            &[],
+            Some(rows),
+            ctx,
+        ),
+    };
     if rows == 0 || ncols == 0 {
-        // Nothing to deduplicate, nothing to split.
-        note_barrier(rec, Staging::Sequential(Reason::SingleMorsel), &[1]);
+        // Nothing to deduplicate: no codes are read.
+        note_barrier(rec, staged, &[1]);
         return Ok(input.into_gathered());
     }
-    let staged = staging(
-        Staging::Partitioned(DEFAULT_PARTITIONS),
-        &[],
-        Some(rows),
-        ctx,
-    );
     // Held until the surviving rows are selected out: key codes, the
     // exchanged positions and the per-partition seen-sets, all
     // survivor-width.

@@ -95,7 +95,7 @@ pub(crate) use chain::{
 pub(crate) use distinct::run_distinct;
 pub(crate) use join::run_join;
 pub(crate) use sched::{claim, staging};
-pub(crate) use sort::{cmp_keys, run_keys, run_sort};
+pub(crate) use sort::{run_cmp, run_keys, run_sort};
 
 use crate::physical::{PhysOrderKey, PhysicalPlan};
 use crate::pipeline::DEFAULT_PARTITIONS;

@@ -2,7 +2,7 @@
 //! position)` total order, k-way merged by a tournament heap; top-k
 //! keeps only k rows per run and merges O(k·m). A staged sort has one
 //! run per morsel; a sequential one is one run over its whole input.
-//! The run's key reader ([`run_keys`]) and comparator ([`cmp_keys`])
+//! The run's key reader ([`run_keys`]) and comparator ([`run_cmp`])
 //! also order a window's rows.
 
 use std::cmp::Ordering;
@@ -73,9 +73,11 @@ impl SortKeyCol {
 }
 
 /// Row `a` of the key columns `x` against row `b` of `y` in the order
-/// `keys` give (each ascending or descending); `Equal` for peers.
+/// `keys` give (each ascending or descending); `Equal` for peers. The
+/// merge's comparator: two runs' computed dictionary keys may hold two
+/// dictionaries.
 #[inline]
-pub(crate) fn cmp_keys(
+fn cmp_keys(
     keys: &[PhysOrderKey],
     x: &[SortKeyCol],
     a: usize,
@@ -151,6 +153,34 @@ pub(crate) fn run_keys(
     keys.iter().map(key).collect()
 }
 
+/// Rows `a` and `b` of one run's key columns `cols` in the order `keys`
+/// give (each ascending or descending); `Equal` for peers. Within one run
+/// — or one window's batch — a dictionary key holds one dictionary, so
+/// every key compares as its codes.
+pub(crate) fn run_cmp<'c>(
+    cols: &'c [SortKeyCol],
+    keys: &[PhysOrderKey],
+) -> impl Fn(usize, usize) -> Ordering + 'c {
+    let codes: Vec<(&[i64], bool)> = (cols.iter().zip(keys))
+        .map(|(col, k)| match col {
+            SortKeyCol::Ints(codes) | SortKeyCol::Dict { codes, .. } => (&codes[..], k.desc),
+        })
+        .collect();
+    move |a, b| {
+        for &(v, desc) in &codes {
+            let ord = if desc {
+                v[b].cmp(&v[a])
+            } else {
+                v[a].cmp(&v[b])
+            };
+            if ord.is_ne() {
+                return ord;
+            }
+        }
+        Ordering::Equal
+    }
+}
+
 /// Local row order of one run under the stable `(keys…, position)`
 /// total order, optionally truncated to the run's k best rows.
 fn sorted_order(
@@ -160,28 +190,9 @@ fn sorted_order(
     take_k: Option<usize>,
 ) -> Vec<u32> {
     let mut order: Vec<u32> = (0..len as u32).collect();
-    // Within one run a dictionary key holds one dictionary, so every key
-    // compares as its codes.
-    let codes: Vec<(&[i64], bool)> = (key_cols.iter().zip(keys))
-        .map(|(col, k)| match col {
-            SortKeyCol::Ints(codes) | SortKeyCol::Dict { codes, .. } => (&codes[..], k.desc),
-        })
-        .collect();
-    let cmp = |a: &u32, b: &u32| {
-        let (x, y) = (*a as usize, *b as usize);
-        for &(v, desc) in &codes {
-            let ord = if desc {
-                v[y].cmp(&v[x])
-            } else {
-                v[x].cmp(&v[y])
-            };
-            if ord.is_ne() {
-                return ord;
-            }
-        }
-        // Input position breaks ties, as in a stable sort.
-        a.cmp(b)
-    };
+    let key = run_cmp(key_cols, keys);
+    // Input position breaks ties, as in a stable sort.
+    let cmp = |a: &u32, b: &u32| key(*a as usize, *b as usize).then(a.cmp(b));
     if let Some(k) = take_k {
         if k > 0 && k < len {
             order.select_nth_unstable_by(k - 1, cmp);

@@ -211,21 +211,39 @@ fn selection_fed_aggregate_fits_budget_the_gathered_path_exceeds() {
 /// tensor parameter in the key would pin the sort to one run.)
 #[test]
 fn selection_fed_top_k_with_a_computed_key_charges_the_payload_it_gathers() {
+    sort_gather_is_charged(
+        "SELECT id, emb FROM vecs WHERE id > 3 ORDER BY id % 97 DESC LIMIT 3",
+        2,
+        "[parallel top-k]",
+    );
+}
+
+/// A one-run sort of a selection-fed input gathers the survivors first,
+/// whatever its keys, and charges that gather the same way: at one
+/// thread, a plain-column key included.
+#[test]
+fn one_run_selection_fed_top_k_charges_the_payload_it_gathers() {
+    sort_gather_is_charged(
+        "SELECT id, emb FROM vecs WHERE id > 3 ORDER BY id DESC LIMIT 3",
+        1,
+        "[sequential: threads=1]",
+    );
+}
+
+/// Run `sql` — a top-3 over `vecs WHERE id > 3` whose EXPLAIN shows
+/// `strategy` at `threads` — unconstrained, then under a budget of
+/// exactly its gathered payload, which refuses the gather by name.
+fn sort_gather_is_charged(sql: &str, threads: usize, strategy: &str) {
     const ROWS: usize = 4_096;
     const DIM: usize = 32;
-    let sql = "SELECT id, emb FROM vecs WHERE id > 3 ORDER BY id % 97 DESC LIMIT 3";
     let payload = ((ROWS - 4) * (8 + 4 * DIM)) as u64;
     let run = |engine: &Arc<TdpEngine>| {
         engine.register_table(tdp_integration::vecs_table(ROWS, DIM, 3));
         let session = engine.session();
-        session.set_threads(2);
+        session.set_threads(threads);
         session.set_morsel_rows(ROWS / 8);
         let query = session.query(sql).unwrap();
-        assert!(
-            query.explain().contains("[parallel top-k]"),
-            "{}",
-            query.explain()
-        );
+        assert!(query.explain().contains(strategy), "{}", query.explain());
         query.run_profiled()
     };
 

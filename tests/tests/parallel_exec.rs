@@ -533,6 +533,22 @@ fn explain_and_profile_report_barrier_strategy() {
         "{}",
         q.explain()
     );
+    // …in the profile as no staged strategy and nothing pinned, a
+    // zero-row DISTINCT that reads no codes included.
+    let empty = tdp.query("SELECT DISTINCT k FROM t WHERE k < 0").unwrap();
+    assert!(
+        empty.explain().contains("[sequential: threads=1]"),
+        "{}",
+        empty.explain()
+    );
+    let (out, prof) = empty.run_profiled().unwrap();
+    assert_eq!(out.rows(), 0);
+    let op = prof
+        .ops
+        .iter()
+        .find(|o| o.label.starts_with("Distinct"))
+        .expect("distinct trace");
+    assert_eq!((&op.strategy, &op.fallback), (&None, &None));
     tdp.set_threads(3);
 
     // …and a sort key the workers cannot evaluate (session-bound UDF)
