@@ -533,22 +533,6 @@ fn explain_and_profile_report_barrier_strategy() {
         "{}",
         q.explain()
     );
-    // …in the profile as no staged strategy and nothing pinned, a
-    // zero-row DISTINCT that reads no codes included.
-    let empty = tdp.query("SELECT DISTINCT k FROM t WHERE k < 0").unwrap();
-    assert!(
-        empty.explain().contains("[sequential: threads=1]"),
-        "{}",
-        empty.explain()
-    );
-    let (out, prof) = empty.run_profiled().unwrap();
-    assert_eq!(out.rows(), 0);
-    let op = prof
-        .ops
-        .iter()
-        .find(|o| o.label.starts_with("Distinct"))
-        .expect("distinct trace");
-    assert_eq!((&op.strategy, &op.fallback), (&None, &None));
     tdp.set_threads(3);
 
     // …and a sort key the workers cannot evaluate (session-bound UDF)
@@ -602,6 +586,35 @@ fn explain_and_profile_report_barrier_strategy() {
         "{}",
         q.explain()
     );
+}
+
+/// A zero-row DISTINCT reads no codes and returns at once, under the
+/// verdict staging gives it: `threads=1` in EXPLAIN at one thread, and in
+/// the profile, at any thread count, no staged strategy and nothing
+/// pinned.
+#[test]
+fn a_zero_row_distinct_reports_its_staging_verdict() {
+    let tdp = Tdp::new();
+    tdp.register_table(table(200, 3));
+    tdp.set_morsel_rows(16);
+    for threads in [1, 3] {
+        tdp.set_threads(threads);
+        let empty = tdp.query("SELECT DISTINCT k FROM t WHERE k < 0").unwrap();
+        let text = empty.explain();
+        let verdict = match threads {
+            1 => "[sequential: threads=1]",
+            _ => "[partitioned ×16]",
+        };
+        assert!(text.contains(verdict), "{text}");
+        let (out, prof) = empty.run_profiled().unwrap();
+        assert_eq!(out.rows(), 0);
+        let op = prof
+            .ops
+            .iter()
+            .find(|o| o.label.starts_with("Distinct"))
+            .expect("distinct trace");
+        assert_eq!((&op.strategy, &op.fallback), (&None, &None));
+    }
 }
 
 #[test]
