@@ -162,7 +162,7 @@ impl Var {
     }
 
     pub fn exp(&self) -> Var {
-        let e = self.value().exp();
+        let e = Tensor::exp(&self.value());
         let e2 = e.clone();
         Var::from_op(e, vec![self.clone()], Box::new(move |g| vec![g.mul(&e2)]))
     }
@@ -170,7 +170,7 @@ impl Var {
     pub fn ln(&self) -> Var {
         let v = self.value();
         Var::from_op(
-            v.ln(),
+            Tensor::ln(&v),
             vec![self.clone()],
             Box::new(move |g| vec![g.div(&v)]),
         )
@@ -312,7 +312,7 @@ impl Var {
 
     pub fn log_softmax(&self, dim: usize) -> Var {
         let ls = self.value().log_softmax(dim);
-        let soft = ls.exp();
+        let soft = Tensor::exp(&ls);
         Var::from_op(
             ls,
             vec![self.clone()],

@@ -1,15 +1,17 @@
 //! Criterion micro-benchmarks of the tensor kernels that dominate query
 //! execution: elementwise ops, matmul, conv2d and row selection, each on
 //! CPU and on the simulated accelerator, row windows against a gather,
-//! and the vector-search kernels.
+//! the vector-search kernels and the transcendental row kernels.
 //! They are diagnostics of the simulated accelerator (`tdp_tensor::device`),
 //! not claims. A kernel splits across lanes only from `PAR_THRESHOLD`
 //! output rows on: the `matmul_256` and `conv2d_8x8x28x28` (6,272 patches)
 //! accelerator rows time the serial path, `matmul_20k_x64` the split one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use tdp_core::autodiff::Var;
+use tdp_core::exec::soft::{soft_compare, Towards};
 use tdp_core::index::{kmeans, Metric};
-use tdp_core::tensor::{Device, Rng64, Tensor};
+use tdp_core::tensor::{math, Device, Rng64, Tensor};
 
 fn bench_elementwise(c: &mut Criterion) {
     let mut rng = Rng64::new(1);
@@ -166,6 +168,31 @@ fn bench_vector_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The engine's transcendental row kernels (`tdp_tensor::math`) over
+/// 100k f32 in [−20, 20], and the forward of Listing 5's relaxed
+/// comparison at `ai_embedded`'s `train_step` shape: σ((v − θ)/τ) over a
+/// 100k-row column against a broadcast θ, one tape node.
+fn bench_transcendentals(c: &mut Criterion) {
+    let n = 100_000;
+    let mut rng = Rng64::new(9);
+    let x: Vec<f32> = (0..n)
+        .map(|_| rng.uniform_range(-20.0, 20.0) as f32)
+        .collect();
+    let mut out = vec![0.0f32; n];
+    let mut group = c.benchmark_group("transcendentals");
+    group.sample_size(50);
+    group.bench_function("exp_100k", |bch| bch.iter(|| math::exp_rows(&x, &mut out)));
+    group.bench_function("sigmoid_100k", |bch| {
+        bch.iter(|| math::sigmoid_rows(&x, &mut out))
+    });
+    let v = Var::constant(Tensor::<f32>::randn(&[n], 0.5, 0.25, &mut rng));
+    let theta = Var::param(Tensor::from_vec(vec![0.3f32], &[1]));
+    group.bench_function("soft_compare_100k", |bch| {
+        bch.iter(|| soft_compare(&v, &theta.broadcast_to(&[n]), Towards::Greater, 0.05))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_elementwise,
@@ -174,6 +201,7 @@ criterion_group!(
     bench_row_selection,
     bench_row_windows,
     bench_sort_groupby_kernels,
-    bench_vector_kernels
+    bench_vector_kernels,
+    bench_transcendentals
 );
 criterion_main!(benches);

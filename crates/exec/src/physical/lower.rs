@@ -8,6 +8,7 @@ use tdp_index::Metric;
 use tdp_sql::ast::{AggFunc, BinOp, Expr, Literal, OrderItem, SelectItem, WindowFunc};
 use tdp_sql::plan::{AggregateExpr, LogicalPlan, WindowExpr};
 use tdp_storage::Catalog;
+use tdp_tensor::math;
 
 use super::{
     ColumnRef, CompiledExpr, JoinOn, PhysAggregate, PhysKey, PhysOrderKey, PhysProjectItem,
@@ -766,7 +767,10 @@ fn kind_compatible(declared: ArgType, actual: StaticKind) -> bool {
     )
 }
 
-/// Built-in scalar math functions (resolved after session UDFs).
+/// Built-in scalar math functions (resolved after session UDFs). `EXP`,
+/// `LN`, `LOG10` and `POWER` bind the engine's kernels in
+/// [`tdp_tensor::math`], so their bits do not depend on the host's libm;
+/// the rest are IEEE operations (`SQRT`, `ABS`) or exact roundings.
 pub(crate) fn builtin_scalar(name: &str) -> Option<ScalarFn> {
     let lower = name.to_ascii_lowercase();
     Some(match lower.as_str() {
@@ -775,11 +779,11 @@ pub(crate) fn builtin_scalar(name: &str) -> Option<ScalarFn> {
         "floor" => ScalarFn::Unary(f32::floor),
         "ceil" | "ceiling" => ScalarFn::Unary(f32::ceil),
         "sqrt" => ScalarFn::Unary(f32::sqrt),
-        "exp" => ScalarFn::Unary(f32::exp),
-        "ln" => ScalarFn::Unary(f32::ln),
-        "log10" => ScalarFn::Unary(f32::log10),
+        "exp" => ScalarFn::Unary(math::exp),
+        "ln" => ScalarFn::Unary(math::ln),
+        "log10" => ScalarFn::Unary(math::log10),
         "sign" => ScalarFn::Unary(sql_sign),
-        "power" | "pow" => ScalarFn::Binary(f32::powf),
+        "power" | "pow" => ScalarFn::Binary(math::powf),
         // Vector similarity over an embedding column. `distance` is
         // ascending-better (squared L2); the other two descending-better.
         "distance" => ScalarFn::Vector(Metric::L2),

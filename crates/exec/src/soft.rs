@@ -18,8 +18,7 @@
 //! (`tests::fused_comparison_has_the_bits_of_the_chain`).
 
 use tdp_autodiff::{reduce_to_shape, Var};
-use tdp_tensor::ops::sigmoid;
-use tdp_tensor::{broadcast_shapes, F32Tensor, Tensor};
+use tdp_tensor::{broadcast_shapes, math, F32Tensor, Tensor};
 
 /// Row-wise Kronecker (Khatri-Rao) product: `[N, A] ⊗ [N, B] -> [N, A*B]`,
 /// with output column `a * B + b` holding `lhs[:, a] * rhs[:, b]`.
@@ -132,22 +131,27 @@ pub fn soft_compare(l: &Var, r: &Var, towards: Towards, temperature: f32) -> Var
     let device = lv.device().combine(rv.device());
     let (lb, rb) = (lv.broadcast_to(&shape), rv.broadcast_to(&shape));
     let tensor = |v: Vec<f32>| Tensor::from_vec(v, &shape).to(device);
-    let margin = |(&a, &b): (&f32, &f32)| sigmoid((a - b + -0.0) * inv);
-    let pairs = lb.data().iter().zip(rb.data());
-    // `sig` is σ of the margin, which the backward reads; for `Less` the
-    // node's value is its complement, made in the same pass.
+    // One slice loop per arm with the engine's branch-free sigmoid
+    // inlined, so it vectorises. `sig` is σ of the margin, which the
+    // backward reads; for `Less` the node's value is its complement,
+    // made in the same pass.
+    let pairs = || lb.data().iter().zip(rb.data());
+    let margin = |a: f32, b: f32| math::sigmoid((a - b + -0.0) * inv);
+    let mut sig = vec![0.0f32; lb.numel()];
     let (sig, value) = match towards {
         Towards::Greater => {
-            let sig = tensor(pairs.map(margin).collect());
+            for (s, (&a, &b)) in sig.iter_mut().zip(pairs()) {
+                *s = margin(a, b);
+            }
+            let sig = tensor(sig);
             (sig.clone(), sig)
         }
         Towards::Less => {
-            let (sig, value): (Vec<f32>, Vec<f32>) = pairs
-                .map(|p| {
-                    let s = margin(p);
-                    (s, s * -1.0 + 1.0)
-                })
-                .unzip();
+            let mut value = vec![0.0f32; sig.len()];
+            for ((s, v), (&a, &b)) in sig.iter_mut().zip(&mut value).zip(pairs()) {
+                *s = margin(a, b);
+                *v = *s * -1.0 + 1.0;
+            }
             (tensor(sig), tensor(value))
         }
     };

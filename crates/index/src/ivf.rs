@@ -133,8 +133,8 @@ impl IvfFlatIndex {
         self.lists.iter().map(Vec::len).collect()
     }
 
-    /// Approximate top-k probing the `nprobe` most promising cells.
-    /// `nprobe >= nlist` degenerates to exact search.
+    /// Approximate top-k probing the `nprobe` most promising non-empty
+    /// cells. `nprobe >= nlist` degenerates to exact search.
     pub fn search(&self, query: &F32Tensor, k: usize, nprobe: usize) -> Vec<Hit> {
         assert_eq!(query.numel(), self.dim, "query dimensionality mismatch");
         if self.lists.is_empty() {
@@ -150,15 +150,21 @@ impl IvfFlatIndex {
             query.clone()
         };
 
-        // Rank cells by centroid distance (L2 on the same space k-means ran
-        // in — matching the build-side assignment rule).
+        // Rank the non-empty cells by centroid distance (L2 on the same
+        // space k-means ran in — matching the build-side assignment rule),
+        // a NaN score last, under a total order so the sort cannot panic.
+        // An empty cell holds no candidate, so it takes no probe: a NaN
+        // centroid, say, must not be passed over for empty cells that
+        // kept their finite seeds.
         let cell_scores = Metric::L2.scores(&self.centroids, &q);
-        let mut order: Vec<usize> = (0..self.nlist()).collect();
-        order.sort_by(|&a, &b| {
-            cell_scores.data()[b]
-                .partial_cmp(&cell_scores.data()[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        let score = |c: usize| match cell_scores.data()[c] {
+            s if s.is_nan() => f32::NEG_INFINITY,
+            s => s,
+        };
+        let mut order: Vec<usize> = (0..self.nlist())
+            .filter(|&c| !self.lists[c].is_empty())
+            .collect();
+        order.sort_by(|&a, &b| score(b).total_cmp(&score(a)));
 
         let scan_metric = match self.metric {
             Metric::Cosine => Metric::InnerProduct, // slabs pre-normalised
@@ -166,9 +172,6 @@ impl IvfFlatIndex {
         };
         let mut hits = Vec::new();
         for &cell in order.iter().take(nprobe) {
-            if self.lists[cell].is_empty() {
-                continue;
-            }
             let scores = scan_metric.scores(&self.slabs[cell], &q);
             hits.extend(
                 scores
@@ -273,6 +276,32 @@ mod tests {
         assert_eq!(hits.len(), 5);
         // All hits come from cluster 3's id range [96, 128).
         assert!(hits.iter().all(|h| (96..128).contains(&h.id)), "{hits:?}");
+    }
+
+    /// A cell whose centroid is NaN (k-means over rows holding NaN
+    /// leaves one so) ranks after every finite one, and an empty cell
+    /// takes no probe: one probe here reaches row 2, not the empty cell
+    /// nearest the query.
+    #[test]
+    fn probes_skip_empty_cells_and_rank_nan_centroids_last() {
+        let ivf = IvfFlatIndex {
+            metric: Metric::L2,
+            centroids: Tensor::from_vec(vec![f32::NAN, 0.0, 0.0, 0.0, 5.0, 5.0], &[3, 2]),
+            lists: vec![vec![0, 1], Vec::new(), vec![2]],
+            slabs: vec![
+                Tensor::from_vec(vec![f32::NAN, 0.0, 0.1, 0.0], &[2, 2]),
+                Tensor::zeros(&[0, 2]),
+                Tensor::from_vec(vec![5.0, 5.0], &[1, 2]),
+            ],
+            dim: 2,
+            len: 3,
+        };
+        let ids = |nprobe| -> Vec<usize> {
+            let hits = ivf.search(&F32Tensor::zeros(&[2]), 3, nprobe);
+            hits.iter().map(|h| h.id).collect()
+        };
+        assert_eq!(ids(1), [2]);
+        assert_eq!(ids(2), [1, 2, 0], "row 0's NaN distance ranks last");
     }
 
     #[test]

@@ -63,20 +63,23 @@ pub fn recall_at_k(exact: &[Hit], approx: &[Hit]) -> f64 {
     found as f64 / exact.len() as f64
 }
 
-/// Keep the k best hits (descending score, ties broken by id for
-/// determinism). Shared by the flat and IVF search paths.
+/// Keep the k best hits: descending score under IEEE 754's total order
+/// (`f32::total_cmp`: NaN of either sign, ±∞ and ±0 each in their place),
+/// ties broken by id. Shared by the flat and IVF search paths.
+///
+/// It is the order the SQL sort gives the same expression, whose f32
+/// keys compare by the same total order with ties by row position: a
+/// similarity score sorted descending, and `distance` (the L2 score with
+/// its sign flipped, which reverses the total order) ascending. So
+/// `ORDER BY distance(emb, ?) LIMIT k` returns the same rows in the same
+/// order from this leaf as from a scan and a sort, NaN scores included.
 ///
 /// Uses partial selection rather than a full sort: only the k best hits
 /// are moved to the front (O(n) expected), then just that prefix is
 /// sorted. For top-k over a large candidate set this is the dominant
 /// non-kernel cost, and k is typically orders of magnitude below n.
 pub(crate) fn top_k(mut hits: Vec<Hit>, k: usize) -> Vec<Hit> {
-    let cmp = |a: &Hit, b: &Hit| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.id.cmp(&b.id))
-    };
+    let cmp = |a: &Hit, b: &Hit| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id));
     if k == 0 {
         return Vec::new();
     }
@@ -121,6 +124,35 @@ mod tests {
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].id, 1);
         assert_eq!(top[1].id, 2);
+    }
+
+    /// NaN scores of both signs, ±∞ and ±0 among finite ones: every k
+    /// gives the total order's prefix, where a comparison that calls
+    /// NaN equal to everything once panicked the sort.
+    #[test]
+    fn top_k_ranks_nan_scores_by_the_total_order() {
+        let neg_nan = f32::from_bits(0xffc0_0000);
+        let scores = [
+            0.5,
+            f32::NAN,
+            -1.0,
+            neg_nan,
+            f32::INFINITY,
+            0.0,
+            -0.0,
+            f32::NEG_INFINITY,
+            0.5,
+            f32::NAN,
+            2.0,
+        ];
+        let hits: Vec<Hit> = (scores.iter().enumerate())
+            .map(|(id, &score)| Hit { id, score })
+            .collect();
+        let want = [1, 9, 4, 10, 0, 8, 5, 6, 2, 7, 3];
+        for k in 0..=hits.len() + 1 {
+            let ids: Vec<usize> = top_k(hits.clone(), k).iter().map(|h| h.id).collect();
+            assert_eq!(ids, want[..k.min(want.len())], "k = {k}");
+        }
     }
 
     #[test]

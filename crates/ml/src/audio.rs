@@ -10,7 +10,7 @@
 //! audio columns.
 
 use tdp_data::audio::{render_clip, AudioClass, CLIP_LEN, SAMPLE_RATE};
-use tdp_tensor::{F32Tensor, Tensor};
+use tdp_tensor::{math, F32Tensor, Tensor};
 
 use crate::exemplar::Extent::Exactly;
 use crate::exemplar::{ExemplarSim, Modality};
@@ -51,7 +51,7 @@ pub fn audio_features(wave: &F32Tensor) -> F32Tensor {
         // Log-compressed: raw band energies span many orders of magnitude
         // across classes, which would let a single band dominate the
         // standardised embedding distance.
-        bands[b] = (power / (n as f32 * total)).clamp(1e-20, 10.0).log10();
+        bands[b] = math::log10((power / (n as f32 * total)).clamp(1e-20, 10.0));
     }
 
     // Duty cycle: fraction of near-silent samples (clicks are sparse).

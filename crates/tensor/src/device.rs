@@ -106,6 +106,22 @@ impl Device {
         });
     }
 
+    /// Fill `out` with `f` of each element of `src` (of the same length),
+    /// split like [`Device::fill_indexed`]. Each lane runs one loop over
+    /// its two slices, which vectorises when `f` inlines — the shape of
+    /// the `tdp_tensor::math` row kernels.
+    pub fn fill_mapped<S: Copy + Sync, T: Send, F>(self, src: &[S], out: &mut [T], f: F)
+    where
+        F: Fn(S) -> T + Sync,
+    {
+        assert_eq!(src.len(), out.len(), "mapped fill of unequal lengths");
+        self.split_rows(out, src.len(), PAR_THRESHOLD, |rows, block| {
+            for (o, &x) in block.iter_mut().zip(&src[rows]) {
+                *o = f(x);
+            }
+        });
+    }
+
     /// Fill `out`, as `rows` rows of `out.len() / rows` elements, by calling
     /// `f(i, row)` for every row, split across the device's lanes from
     /// `min_rows` rows on: [`PAR_THRESHOLD`] for scalar kernels, 1 for work

@@ -7,6 +7,8 @@
 use std::fmt::Debug;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 
+use crate::math;
+
 /// Any scalar that can live inside a [`crate::Tensor`].
 pub trait Element:
     Copy + Clone + Send + Sync + Debug + Default + PartialEq + PartialOrd + 'static
@@ -35,7 +37,9 @@ pub trait Num:
     fn max_value() -> Self;
 }
 
-/// Floating-point elements with the transcendental kernel surface.
+/// Floating-point elements with the transcendental kernel surface. For
+/// `f32` the transcendentals are the engine's own ([`crate::math`]), so
+/// their bits do not depend on the host's libm; `f64` keeps std's.
 pub trait Float: Num {
     fn exp(self) -> Self;
     fn ln(self) -> Self;
@@ -43,6 +47,9 @@ pub trait Float: Num {
     fn powf(self, e: Self) -> Self;
     fn abs(self) -> Self;
     fn tanh(self) -> Self;
+    /// The logistic function `1/(1 + e^−x)`, in a form whose `exp` never
+    /// overflows.
+    fn sigmoid(self) -> Self;
     fn is_nan(self) -> bool;
     fn is_finite(self) -> bool;
 }
@@ -90,45 +97,94 @@ macro_rules! impl_num_float {
                 <$t>::INFINITY
             }
         }
-        impl Float for $t {
-            #[inline]
-            fn exp(self) -> Self {
-                self.exp()
-            }
-            #[inline]
-            fn ln(self) -> Self {
-                self.ln()
-            }
-            #[inline]
-            fn sqrt(self) -> Self {
-                self.sqrt()
-            }
-            #[inline]
-            fn powf(self, e: Self) -> Self {
-                self.powf(e)
-            }
-            #[inline]
-            fn abs(self) -> Self {
-                self.abs()
-            }
-            #[inline]
-            fn tanh(self) -> Self {
-                self.tanh()
-            }
-            #[inline]
-            fn is_nan(self) -> bool {
-                self.is_nan()
-            }
-            #[inline]
-            fn is_finite(self) -> bool {
-                self.is_finite()
-            }
-        }
     };
 }
 
 impl_num_float!(f32);
 impl_num_float!(f64);
+
+impl Float for f32 {
+    #[inline(always)]
+    fn exp(self) -> f32 {
+        math::exp(self)
+    }
+    #[inline(always)]
+    fn ln(self) -> f32 {
+        math::ln(self)
+    }
+    #[inline]
+    fn sqrt(self) -> f32 {
+        self.sqrt()
+    }
+    #[inline(always)]
+    fn powf(self, e: f32) -> f32 {
+        math::powf(self, e)
+    }
+    #[inline]
+    fn abs(self) -> f32 {
+        self.abs()
+    }
+    #[inline(always)]
+    fn tanh(self) -> f32 {
+        math::tanh(self)
+    }
+    #[inline(always)]
+    fn sigmoid(self) -> f32 {
+        math::sigmoid(self)
+    }
+    #[inline]
+    fn is_nan(self) -> bool {
+        self.is_nan()
+    }
+    #[inline]
+    fn is_finite(self) -> bool {
+        self.is_finite()
+    }
+}
+
+/// std's functions, called by path.
+impl Float for f64 {
+    #[inline]
+    fn exp(self) -> f64 {
+        f64::exp(self)
+    }
+    #[inline]
+    fn ln(self) -> f64 {
+        f64::ln(self)
+    }
+    #[inline]
+    fn sqrt(self) -> f64 {
+        self.sqrt()
+    }
+    #[inline]
+    fn powf(self, e: f64) -> f64 {
+        f64::powf(self, e)
+    }
+    #[inline]
+    fn abs(self) -> f64 {
+        self.abs()
+    }
+    #[inline]
+    fn tanh(self) -> f64 {
+        f64::tanh(self)
+    }
+    /// `1/(1 + e^−x)` for `x ≥ 0`, `e^x/(1 + e^x)` below, chosen by
+    /// select around one `exp`.
+    #[inline]
+    fn sigmoid(self) -> f64 {
+        let nonneg = self >= 0.0;
+        let z = f64::exp(if nonneg { -self } else { self });
+        (if nonneg { 1.0 } else { z }) / (1.0 + z)
+    }
+    #[inline]
+    fn is_nan(self) -> bool {
+        self.is_nan()
+    }
+    #[inline]
+    fn is_finite(self) -> bool {
+        self.is_finite()
+    }
+}
 
 macro_rules! impl_num_int {
     ($t:ty) => {

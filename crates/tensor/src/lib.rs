@@ -42,6 +42,7 @@ pub mod element;
 pub mod index;
 pub mod keytable;
 pub mod linalg;
+pub mod math;
 pub mod ops;
 pub mod reduce;
 pub mod rng;

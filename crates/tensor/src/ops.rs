@@ -84,15 +84,13 @@ where
 
 /// The numerically stable logistic function of one element: `1 / (1 +
 /// e^−x)` for `x ≥ 0`, `e^x / (1 + e^x)` otherwise, so `exp` never
-/// overflows. The form is chosen by two selects around one `exp`, not by
-/// a branch: over a column of mixed signs a branch mispredicts about half
-/// the time. Every input, NaN included, takes the operations of the
-/// branching form it replaces, so the bits are the same.
-#[inline]
+/// overflows, the form chosen by select rather than by a branch on the
+/// sign. It binds the engine's kernel: for `f32`,
+/// [`crate::math::sigmoid`] (branch-free, host-independent bits); for
+/// `f64`, the same select form around std's `exp` ([`Float::sigmoid`]).
+#[inline(always)]
 pub fn sigmoid<T: Float>(x: T) -> T {
-    let nonneg = x >= T::zero();
-    let z = (if nonneg { -x } else { x }).exp();
-    (if nonneg { T::one() } else { z }) / (T::one() + z)
+    x.sigmoid()
 }
 
 impl<T: Num> Tensor<T> {
@@ -215,11 +213,11 @@ impl<T: Element> Tensor<T> {
 
 impl<T: Float> Tensor<T> {
     pub fn exp(&self) -> Tensor<T> {
-        self.map(|x| x.exp())
+        self.map(T::exp)
     }
 
     pub fn ln(&self) -> Tensor<T> {
-        self.map(|x| x.ln())
+        self.map(T::ln)
     }
 
     pub fn sqrt(&self) -> Tensor<T> {
@@ -231,11 +229,11 @@ impl<T: Float> Tensor<T> {
     }
 
     pub fn tanh_t(&self) -> Tensor<T> {
-        self.map(|x| x.tanh())
+        self.map(T::tanh)
     }
 
     pub fn powf_scalar(&self, e: T) -> Tensor<T> {
-        self.map(move |x| x.powf(e))
+        self.map(move |x| T::powf(x, e))
     }
 
     /// Numerically-stable logistic function ([`sigmoid`] per element).
@@ -367,13 +365,14 @@ mod tests {
         assert!((e.at(1) - std::f32::consts::E).abs() < 1e-5);
     }
 
-    /// The branching form `sigmoid` replaced, kept as its oracle.
+    /// The branching form `sigmoid` replaced, kept as its oracle, around
+    /// the engine's `exp`.
     fn branching_sigmoid(x: f32) -> f32 {
         if x.to_f64() >= 0.0 {
-            let z = (-x).exp();
+            let z = crate::math::exp(-x);
             1.0 / (1.0 + z)
         } else {
-            let z = x.exp();
+            let z = crate::math::exp(x);
             z / (1.0 + z)
         }
     }
@@ -408,6 +407,10 @@ mod tests {
                 branching_sigmoid(*x).to_bits(),
                 "sigmoid({x}) moved"
             );
+            // And within the kernel's 2 ulp of the f64 reference.
+            let want = (1.0 / (1.0 + (-f64::from(*x)).exp())) as f32;
+            let ulps = (g.to_bits() as i64 - want.to_bits() as i64).abs();
+            assert!(x.is_nan() || ulps <= 2, "sigmoid({x}) = {g}, want {want}");
         }
     }
 

@@ -179,7 +179,7 @@ impl<T: Float> Tensor<T> {
     pub fn softmax(&self, dim: usize) -> Tensor<T> {
         let max = self.max_dim(dim, true);
         let shifted = self.sub(&max);
-        let e = shifted.exp();
+        let e = shifted.map(T::exp);
         let denom = e.sum_dim(dim, true);
         e.div(&denom)
     }
@@ -188,7 +188,7 @@ impl<T: Float> Tensor<T> {
     pub fn log_softmax(&self, dim: usize) -> Tensor<T> {
         let max = self.max_dim(dim, true);
         let shifted = self.sub(&max);
-        let lse = shifted.exp().sum_dim(dim, true).ln();
+        let lse = shifted.map(T::exp).sum_dim(dim, true).map(T::ln);
         shifted.sub(&lse)
     }
 

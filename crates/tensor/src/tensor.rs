@@ -388,9 +388,8 @@ impl<T: Element> Tensor<T> {
 
     /// Apply `f` to every element.
     pub fn map<U: Element>(&self, f: impl Fn(T) -> U + Sync) -> Tensor<U> {
-        let data = self.data();
         let mut out = vec![U::default(); self.numel()];
-        self.device.fill_indexed(&mut out, |i| f(data[i]));
+        self.device.fill_mapped(self.data(), &mut out, f);
         Tensor::from_vec(out, self.shape.dims()).with_device(self.device)
     }
 

@@ -3,11 +3,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use tdp_core::autodiff::Var;
 use tdp_core::encoding::EncodedTensor;
-use tdp_core::exec::{ArgValue, ExecContext, ExecError};
+use tdp_core::exec::{ArgValue, DiffColumn, ExecContext, ExecError};
 use tdp_core::storage::{Table, TableBuilder};
 use tdp_core::tensor::{F32Tensor, Rng64, Tensor};
-use tdp_core::{ArgType, FunctionSpec, ScalarUdf, Volatility};
+use tdp_core::{ArgType, FunctionSpec, QueryConfig, ScalarUdf, Session, Volatility};
 
 pub mod lattice;
 
@@ -203,6 +204,20 @@ pub fn vecs_table(n: usize, d: usize, seed: u64) -> Table {
         .build("vecs")
 }
 
+/// `vecs_table(n, d, seed)` with one coordinate of every 23rd row set to
+/// NaN, alternately positive and negative, so those rows' distance to any
+/// query is a NaN of that sign.
+pub fn vecs_with_nans(n: usize, d: usize, seed: u64) -> Table {
+    let mut emb = clustered_vectors(n, d, 8, seed).to_vec();
+    for (i, row) in (0..n).step_by(23).enumerate() {
+        emb[row * d + i % d] = if i % 2 == 0 { f32::NAN } else { -f32::NAN };
+    }
+    TableBuilder::new()
+        .col_i64("id", (0..n as i64).collect())
+        .col_tensor("emb", Tensor::from_vec(emb, &[n, d]))
+        .build("vecs")
+}
+
 /// Composite dense keys, for joins and DISTINCT: `cp` probes with 103
 /// rows over `(a, b)` in `0..9 × 0..6` — so some rows hold one key in
 /// the build's range and the other outside it — with a dictionary `tag`
@@ -283,3 +298,144 @@ pub const COMPOSITE_KEYS: &[(&str, &str)] = &[
         "SELECT DISTINCT tag, hot FROM cp WHERE v > 0.0",
     ),
 ];
+
+/// `edge(x, y)`: f32 edge values for the transcendental builtins — ±0,
+/// ±1, the least subnormal and normal, `EXP`'s overflow and underflow
+/// thresholds (each side), `f32::MAX`, ±∞ and NaN among ordinary values
+/// — with an exponent `y` per row for `POWER`, pairing bases with ±0,
+/// ±∞, NaN, odd and even integers and fractions.
+pub fn edge_table() -> Table {
+    let (inf, nan) = (f32::INFINITY, f32::NAN);
+    let x = vec![
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.5,
+        2.0,
+        10.0,
+        1e-30,
+        f32::from_bits(1),
+        f32::MIN_POSITIVE,
+        88.722_83,
+        88.722_84,
+        -103.972_07,
+        -103.972_084,
+        -100.0,
+        3.0,
+        -2.5,
+        100.0,
+        f32::MAX,
+        inf,
+        -inf,
+        nan,
+        0.62,
+        -8.0,
+    ];
+    let y = vec![
+        2.0,
+        -1.0,
+        0.5,
+        inf,
+        3.0,
+        -149.0,
+        0.0,
+        nan,
+        1.0 / 3.0,
+        -3.0,
+        0.5,
+        2.0,
+        1.5,
+        -0.5,
+        3.0,
+        2.5,
+        2.0,
+        -2.0,
+        0.5,
+        -1.0,
+        3.0,
+        0.0,
+        2.0,
+        1.0 / 3.0,
+    ];
+    TableBuilder::new()
+        .col_f32("x", x)
+        .col_f32("y", y)
+        .build("edge")
+}
+
+/// The SQL transcendentals over [`edge_table`]: each builtin over every
+/// edge value, `POWER` with a column and with a literal operand, and one
+/// in a filter.
+pub const TRANSCENDENTALS: &[(&str, &str)] = &[
+    ("exp", "SELECT x, EXP(x) AS e FROM edge"),
+    ("ln", "SELECT LN(x) AS l FROM edge"),
+    ("log10", "SELECT LOG10(x) AS l FROM edge"),
+    ("power", "SELECT POWER(x, y) AS p FROM edge"),
+    (
+        "power with a literal operand",
+        "SELECT POW(x, 2) AS p, POWER(2, x) AS q FROM edge",
+    ),
+    (
+        "exp in a filter",
+        "SELECT x FROM edge WHERE EXP(x) > 1 AND LN(EXP(x)) < 50",
+    ),
+];
+
+/// `threshold(x)`: a trainable cutoff θ, broadcast to `x`'s rows — the
+/// UDF of Listing 5's relaxed `v > threshold(v)`.
+pub struct Threshold {
+    pub theta: Var,
+}
+
+impl ScalarUdf for Threshold {
+    fn name(&self) -> &str {
+        "threshold"
+    }
+    fn invoke(&self, args: &[ArgValue], _: &ExecContext) -> Result<EncodedTensor, ExecError> {
+        let n = args[0].as_column()?.rows();
+        Ok(EncodedTensor::F32(Tensor::full(
+            &[n],
+            self.theta.value().item(),
+        )))
+    }
+    fn invoke_diff(&self, args: &[ArgValue], _: &ExecContext) -> Result<DiffColumn, ExecError> {
+        let n = match &args[0] {
+            ArgValue::Column(c) => c.rows(),
+            ArgValue::DiffColumn(d) => d.var.shape()[0],
+            other => return Err(ExecError::TypeMismatch(format!("{other:?}"))),
+        };
+        Ok(DiffColumn::plain(self.theta.broadcast_to(&[n])))
+    }
+    fn parameters(&self) -> Vec<Var> {
+        vec![self.theta.clone()]
+    }
+}
+
+/// `readings(v)`: `rows` values `(i·0.618) mod 1`, spread evenly over
+/// [0, 1) — the input of the Listing-5 threshold statements.
+pub fn readings_table(rows: usize) -> Table {
+    TableBuilder::new()
+        .col_f32("v", (0..rows).map(|i| (i as f32 * 0.618).fract()).collect())
+        .build("readings")
+}
+
+/// Listing 5's step as `ai_embedded` trains it: registers
+/// [`readings_table`]`(1000)` and [`Threshold`] at θ = 0.3 on `tdp`, runs
+/// `SELECT COUNT(*) FROM readings WHERE v > threshold(v)` trainable at
+/// τ = 0.05, and back-propagates the squared error against a target
+/// count of 380. Returns the statement, the soft count and θ's gradient.
+pub fn listing5_step(tdp: &Session) -> (&'static str, f32, f32) {
+    let sql = "SELECT COUNT(*) FROM readings WHERE v > threshold(v)";
+    tdp.register_table(readings_table(1000));
+    let theta = Var::param(Tensor::from_vec(vec![0.3f32], &[1]));
+    tdp.register_udf(Arc::new(Threshold {
+        theta: theta.clone(),
+    }));
+    let config = QueryConfig::default().trainable(true).temperature(0.05);
+    let counts = tdp.query_with(sql, config).unwrap().run_counts().unwrap();
+    counts
+        .mse_loss(&Tensor::from_vec(vec![380.0f32], &[1]))
+        .backward();
+    (sql, counts.value().item(), theta.grad().unwrap().item())
+}

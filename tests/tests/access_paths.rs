@@ -14,7 +14,7 @@ use tdp_core::storage::{Table, TableBuilder};
 use tdp_core::tensor::{F32Tensor, Rng64, Tensor};
 use tdp_core::{ParamValue, ParamValues, StatementOutcome, Tdp, Volatility};
 use tdp_integration::{
-    assert_tables_identical, blocked_table, clustered_vectors, vecs_table, Counting,
+    assert_tables_identical, blocked_table, clustered_vectors, vecs_table, vecs_with_nans, Counting,
 };
 
 // ----------------------------------------------------------------------
@@ -504,6 +504,42 @@ fn flat_ann_topk_matches_scan_sort_oracle_exactly() {
         let q = query_vec(8, seed);
         let (ann, oracle) = ann_vs_oracle(&tdp, &q, 10);
         assert_eq!(ann, oracle, "flat AnnTopK must be exact (seed {seed})");
+    }
+}
+
+/// The flat and IVF ANN leaves rank NaN distances where the scan+sort
+/// plan does — a positive NaN after every number, a negative one before
+/// — with ties by row id, at k = 1, n − 1 and n. A comparison that calls
+/// NaN equal to everything returned another order (here from k = 1) and
+/// could panic the leaf's sort.
+#[test]
+fn ann_topk_ranks_nan_distances_like_the_sort() {
+    let n = 300;
+    for index in [None, Some("ivf(4, 4)")] {
+        let tdp = Tdp::new();
+        tdp.register_table(vecs_with_nans(n, 8, 11));
+        if let Some(using) = index {
+            tdp.execute(&format!(
+                "CREATE INDEX vi ON vecs (emb) USING {using} METRIC l2"
+            ))
+            .unwrap();
+        }
+        let plan = tdp
+            .prepare("SELECT id FROM vecs ORDER BY distance(emb, ?) LIMIT 10")
+            .unwrap()
+            .explain();
+        let leaf = match index {
+            None => "[flat exact]",
+            Some(_) => "ivf nlist=4 nprobe=4",
+        };
+        assert!(plan.contains("AnnTopK") && plan.contains(leaf), "{plan}");
+        for seed in [1u64, 2, 3] {
+            let q = query_vec(8, seed);
+            for k in [1, n - 1, n] {
+                let (ann, oracle) = ann_vs_oracle(&tdp, &q, k);
+                assert_eq!(ann, oracle, "{leaf} at k = {k}, seed {seed}");
+            }
+        }
     }
 }
 

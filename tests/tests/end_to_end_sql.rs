@@ -3,7 +3,9 @@
 
 use tdp_core::storage::TableBuilder;
 use tdp_core::{Device, Tdp};
-use tdp_integration::{orders_table, pics_table, PAYLOAD_MISUSE, STRING_AGGREGATE_MISUSE};
+use tdp_integration::{
+    edge_table, orders_table, pics_table, PAYLOAD_MISUSE, STRING_AGGREGATE_MISUSE,
+};
 
 fn session() -> Tdp {
     let tdp = Tdp::new();
@@ -785,4 +787,66 @@ fn window_aggregates_are_group_by_aggregates() {
         out.column("d").unwrap().data.decode_i64().to_vec(),
         distinct
     );
+}
+
+/// `x`'s position on the line of f32 values ordered by value: the ulp
+/// distance of two values is the difference of their positions.
+fn position(x: f32) -> i64 {
+    let b = x.to_bits();
+    if b >> 31 == 1 {
+        -i64::from(b & 0x7fff_ffff)
+    } else {
+        i64::from(b)
+    }
+}
+
+/// SQL `EXP`, `LN`, `LOG10` and `POWER` over the golden corpus's edge
+/// values (`tests/golden/results.txt`, `transcendentals: …`): each value
+/// within 1 ulp of the f64 reference rounded to f32 — the engine kernels'
+/// measured bound — infinities and zeros exact, and every NaN the
+/// canonical one.
+#[test]
+fn transcendental_builtins_match_the_f64_reference() {
+    let tdp = Tdp::new();
+    let edge = edge_table();
+    let col = |name: &str| edge.column(name).unwrap().data.decode_f32().to_vec();
+    let (x, y) = (col("x"), col("y"));
+    tdp.register_table(edge);
+    let cases: [(&str, Vec<f64>); 6] = [
+        ("EXP(x)", x.iter().map(|&v| f64::from(v).exp()).collect()),
+        ("LN(x)", x.iter().map(|&v| f64::from(v).ln()).collect()),
+        (
+            "LOG10(x)",
+            x.iter().map(|&v| f64::from(v).log10()).collect(),
+        ),
+        (
+            "POWER(x, y)",
+            (x.iter().zip(&y))
+                .map(|(&a, &b)| f64::from(a).powf(f64::from(b)))
+                .collect(),
+        ),
+        (
+            "POW(x, 2)",
+            x.iter().map(|&v| f64::from(v).powf(2.0)).collect(),
+        ),
+        (
+            "POWER(2, x)",
+            x.iter().map(|&v| 2f64.powf(f64::from(v))).collect(),
+        ),
+    ];
+    for (call, want) in cases {
+        let got = run_f32(&tdp, &format!("SELECT {call} AS r FROM edge"), "r");
+        for ((&x, got), want) in x.iter().zip(got).zip(want) {
+            let want = want as f32;
+            if want.is_nan() {
+                assert_eq!(got.to_bits(), f32::NAN.to_bits(), "{call} at x = {x:e}");
+            } else {
+                let ulps = (position(got) - position(want)).abs();
+                assert!(ulps <= 1, "{call} at x = {x:e}: {got:e}, want {want:e}");
+                if want.is_infinite() || want == 0.0 {
+                    assert_eq!(got, want, "{call} at x = {x:e}");
+                }
+            }
+        }
+    }
 }

@@ -9,10 +9,14 @@
 //! and barrier statement, its fingerprint and a 64-bit digest of its
 //! result — column names, encodings, shapes and every value's bits, or
 //! the error text of a failing statement — at four threads and seven-row
-//! morsels, then at the session defaults. A change that moves a plan, a
-//! fingerprint, a pipeline verdict or a result bit shows as a diff of
-//! one of them, and a refactor that must not move one leaves both
-//! unchanged. Debug and release builds compare against the same file.
+//! morsels, then at the session defaults; likewise per SQL
+//! transcendental statement over edge values, for one Listing-5
+//! training step (the bits of its forward value and θ gradient) and for
+//! vector search over NaN-holding embeddings from each ANN leaf. A
+//! change that moves a plan, a fingerprint, a pipeline verdict or a
+//! result bit shows as a diff of one of them, and a refactor that must
+//! not move one leaves both unchanged. Debug and release builds compare
+//! against the same file.
 //!
 //! To rewrite both files from the current code:
 //! `TDP_BLESS_EXPLAIN=1 cargo test -p tdp_integration --test explain_golden`.
@@ -22,12 +26,15 @@ use std::sync::Arc;
 
 use tdp_core::encoding::EncodedTensor;
 use tdp_core::storage::Table;
+use tdp_core::tensor::{F32Tensor, Rng64};
+use tdp_core::ParamValues;
 use tdp_core::{Session, Tdp, TdpEngine, Volatility};
 use tdp_integration::lattice::{
     self, BARRIERS, CORPUS, FAILING, RANGE_SCAN, RECENT_SCAN, SUB_NESTED, SUB_TOP,
 };
 use tdp_integration::{
-    blocked_table, composite_key_tables, normal_table, vecs_table, Counting, COMPOSITE_KEYS,
+    blocked_table, composite_key_tables, edge_table, listing5_step, normal_table, vecs_table,
+    vecs_with_nans, Counting, COMPOSITE_KEYS, TRANSCENDENTALS,
 };
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/explain.txt");
@@ -279,7 +286,75 @@ fn render_results() -> String {
         composite_session()
     });
     result_lines(&mut out, "barriers", BARRIERS, lattice);
+    result_lines(&mut out, "transcendentals", TRANSCENDENTALS, |_| {
+        let tdp = TdpEngine::new().session();
+        tdp.register_table(edge_table());
+        tdp
+    });
+    train_step_line(&mut out);
+    ann_nan_lines(&mut out);
     out
+}
+
+/// `ORDER BY distance(emb, ?) LIMIT k` over [`vecs_with_nans`]`(300, 8,
+/// 11)` from the flat ANN leaf and from an IVF index probing every cell,
+/// one line each: the digest of the three results at k = 1, 299 and
+/// 300, at four threads and seven-row morsels, then at the session
+/// defaults.
+fn ann_nan_lines(out: &mut String) {
+    let sql = "SELECT id FROM vecs ORDER BY distance(emb, ?) LIMIT ?";
+    let q = F32Tensor::randn(&[8], 0.0, 10.0, &mut Rng64::new(1));
+    for (leaf, ddl) in [
+        ("flat", None),
+        (
+            "ivf",
+            Some("CREATE INDEX vi ON vecs (emb) USING ivf(4, 4) METRIC l2"),
+        ),
+    ] {
+        let run = |pinned: bool| {
+            let tdp = TdpEngine::new().session();
+            if pinned {
+                pin(&tdp);
+            }
+            tdp.register_table(vecs_with_nans(300, 8, 11));
+            if let Some(ddl) = ddl {
+                tdp.execute(ddl).unwrap();
+            }
+            let prepared = tdp.prepare(sql).unwrap();
+            let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+            for k in [1, 299, 300] {
+                let params = ParamValues::new().tensor(q.clone()).number(k as f64);
+                let result = prepared.bind(params).and_then(|b| b.run());
+                h.word(digest(&result.map_err(|e| e.to_string())));
+            }
+            (prepared.fingerprint(), h.0)
+        };
+        let ((fingerprint, pinned), (_, defaults)) = (run(true), run(false));
+        out.push_str(&format!(
+            "{fingerprint:016x} {pinned:016x} {defaults:016x} ann over NaN embeddings: {leaf}\n"
+        ));
+    }
+}
+
+/// [`listing5_step`] at four threads and seven-row morsels, then at the
+/// session defaults: the line's digests are of the soft count's bits and
+/// θ's gradient's bits.
+fn train_step_line(out: &mut String) {
+    let step = |pinned: bool| {
+        let tdp = TdpEngine::new().session();
+        if pinned {
+            pin(&tdp);
+        }
+        let (sql, count, grad) = listing5_step(&tdp);
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        h.word(count.to_bits().into());
+        h.word(grad.to_bits().into());
+        (tdp.prepare(sql).unwrap().fingerprint(), h.0)
+    };
+    let ((fingerprint, pinned), (_, defaults)) = (step(true), step(false));
+    out.push_str(&format!(
+        "{fingerprint:016x} {pinned:016x} {defaults:016x} trainable: listing 5 step\n"
+    ));
 }
 
 /// `got` against the golden file at `path`, or — with

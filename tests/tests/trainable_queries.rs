@@ -15,7 +15,7 @@ use tdp_core::storage::TableBuilder;
 use tdp_core::tensor::F32Tensor;
 use tdp_core::tensor::Tensor;
 use tdp_core::{BoundQuery, QueryConfig, Tdp};
-use tdp_integration::assert_tables_identical;
+use tdp_integration::{assert_tables_identical, listing5_step, readings_table, Threshold};
 
 /// TVF emitting a PE column driven by a trainable logits parameter.
 struct LogitClassifier {
@@ -543,35 +543,6 @@ fn trainable_runs_are_bitwise_stable_across_the_scheduler() {
     }
 }
 
-/// `threshold(x)`: a trainable cutoff θ, broadcast to `x`'s rows.
-struct Threshold {
-    theta: Var,
-}
-
-impl ScalarUdf for Threshold {
-    fn name(&self) -> &str {
-        "threshold"
-    }
-    fn invoke(&self, args: &[ArgValue], _: &ExecContext) -> Result<EncodedTensor, ExecError> {
-        let n = args[0].as_column()?.rows();
-        Ok(EncodedTensor::F32(Tensor::full(
-            &[n],
-            self.theta.value().item(),
-        )))
-    }
-    fn invoke_diff(&self, args: &[ArgValue], _: &ExecContext) -> Result<DiffColumn, ExecError> {
-        let n = match &args[0] {
-            ArgValue::Column(c) => c.rows(),
-            ArgValue::DiffColumn(d) => d.var.shape()[0],
-            other => return Err(ExecError::TypeMismatch(format!("{other:?}"))),
-        };
-        Ok(DiffColumn::plain(self.theta.broadcast_to(&[n])))
-    }
-    fn parameters(&self) -> Vec<Var> {
-        vec![self.theta.clone()]
-    }
-}
-
 /// Statement gradcheck: the gradient of `loss(run_counts())` with
 /// respect to `theta` by backprop, against central differences of the
 /// same statement's forward value, `theta` moved through
@@ -600,11 +571,7 @@ fn statement_gradient(
 fn relaxed_comparisons_have_the_gradient_of_their_statement() {
     let tdp = Tdp::new();
     let n = 300;
-    tdp.register_table(
-        TableBuilder::new()
-            .col_f32("v", (0..n).map(|i| (i as f32 * 0.618).fract()).collect())
-            .build("readings"),
-    );
+    tdp.register_table(readings_table(n));
     let theta = Var::param(Tensor::from_vec(vec![0.4f32], &[1]));
     tdp.register_udf(Arc::new(Threshold {
         theta: theta.clone(),
@@ -636,4 +603,37 @@ fn relaxed_comparisons_have_the_gradient_of_their_statement() {
             );
         }
     }
+}
+
+/// The golden corpus's `trainable: listing 5 step`: its soft count and θ
+/// gradient against the same quantities in f64 from their definitions —
+/// `c = Σ σ(mᵢ)` with `mᵢ = (vᵢ − θ)/τ`, and `∂(c − t)²/∂θ =
+/// 2(c − t)·Σ −σ(mᵢ)(1 − σ(mᵢ))/τ`.
+#[test]
+fn listing5_step_matches_the_f64_model() {
+    let tdp = Tdp::new();
+    let (_, count, grad) = listing5_step(&tdp);
+    let (theta, tau, target) = (0.3f64, 0.05f64, 380.0f64);
+    let readings = readings_table(1000);
+    let sig: Vec<f64> = (readings
+        .column("v")
+        .unwrap()
+        .data
+        .decode_f32()
+        .data()
+        .iter())
+    .map(|&v| 1.0 / (1.0 + (-(f64::from(v) - theta) / tau).exp()))
+    .collect();
+    let want_count: f64 = sig.iter().sum();
+    let want_grad =
+        2.0 * (want_count - target) * sig.iter().map(|s| -s * (1.0 - s) / tau).sum::<f64>();
+    let rel = |got: f32, want: f64| ((f64::from(got) - want) / want).abs();
+    assert!(
+        rel(count, want_count) < 1e-5,
+        "count {count} vs {want_count}"
+    );
+    assert!(
+        rel(grad, want_grad) < 1e-4,
+        "gradient {grad} vs {want_grad}"
+    );
 }
