@@ -296,11 +296,26 @@ fn render_results() -> String {
     out
 }
 
+/// One line for a run that `result_lines` cannot make: `run` on a fresh
+/// session at four threads and seven-row morsels, then on one at the
+/// session defaults, each giving `(fingerprint, digest)`.
+fn session_line(out: &mut String, name: &str, run: impl Fn(&Session) -> (u64, u64)) {
+    let at = |pinned: bool| {
+        let tdp = TdpEngine::new().session();
+        if pinned {
+            pin(&tdp);
+        }
+        run(&tdp)
+    };
+    let ((fingerprint, pinned), (_, defaults)) = (at(true), at(false));
+    out.push_str(&format!(
+        "{fingerprint:016x} {pinned:016x} {defaults:016x} {name}\n"
+    ));
+}
+
 /// `ORDER BY distance(emb, ?) LIMIT k` over [`vecs_with_nans`]`(300, 8,
 /// 11)` from the flat ANN leaf and from an IVF index probing every cell,
-/// one line each: the digest of the three results at k = 1, 299 and
-/// 300, at four threads and seven-row morsels, then at the session
-/// defaults.
+/// one line each: the digest of the three results at k = 1, 299 and 300.
 fn ann_nan_lines(out: &mut String) {
     let sql = "SELECT id FROM vecs ORDER BY distance(emb, ?) LIMIT ?";
     let q = F32Tensor::randn(&[8], 0.0, 10.0, &mut Rng64::new(1));
@@ -311,11 +326,7 @@ fn ann_nan_lines(out: &mut String) {
             Some("CREATE INDEX vi ON vecs (emb) USING ivf(4, 4) METRIC l2"),
         ),
     ] {
-        let run = |pinned: bool| {
-            let tdp = TdpEngine::new().session();
-            if pinned {
-                pin(&tdp);
-            }
+        session_line(out, &format!("ann over NaN embeddings: {leaf}"), |tdp| {
             tdp.register_table(vecs_with_nans(300, 8, 11));
             if let Some(ddl) = ddl {
                 tdp.execute(ddl).unwrap();
@@ -328,33 +339,20 @@ fn ann_nan_lines(out: &mut String) {
                 h.word(digest(&result.map_err(|e| e.to_string())));
             }
             (prepared.fingerprint(), h.0)
-        };
-        let ((fingerprint, pinned), (_, defaults)) = (run(true), run(false));
-        out.push_str(&format!(
-            "{fingerprint:016x} {pinned:016x} {defaults:016x} ann over NaN embeddings: {leaf}\n"
-        ));
+        });
     }
 }
 
-/// [`listing5_step`] at four threads and seven-row morsels, then at the
-/// session defaults: the line's digests are of the soft count's bits and
-/// θ's gradient's bits.
+/// [`listing5_step`]: the digest of the soft count's bits and θ's
+/// gradient's bits.
 fn train_step_line(out: &mut String) {
-    let step = |pinned: bool| {
-        let tdp = TdpEngine::new().session();
-        if pinned {
-            pin(&tdp);
-        }
-        let (sql, count, grad) = listing5_step(&tdp);
+    session_line(out, "trainable: listing 5 step", |tdp| {
+        let (sql, count, grad) = listing5_step(tdp);
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         h.word(count.to_bits().into());
         h.word(grad.to_bits().into());
         (tdp.prepare(sql).unwrap().fingerprint(), h.0)
-    };
-    let ((fingerprint, pinned), (_, defaults)) = (step(true), step(false));
-    out.push_str(&format!(
-        "{fingerprint:016x} {pinned:016x} {defaults:016x} trainable: listing 5 step\n"
-    ));
+    });
 }
 
 /// `got` against the golden file at `path`, or — with
